@@ -80,7 +80,7 @@ def test_process_runtime_strong_scaling_smoke():
     fig. 8 strong-scaling measurement.  Skipped gracefully where it cannot
     mean anything (fewer than 4 usable cores, or no process runtime).
     """
-    from repro.runtime import processes_available, shutdown_worker_pool
+    from repro.runtime import processes_available
 
     if _usable_cpus() < 4:
         pytest.skip("needs >= 4 usable CPU cores for a meaningful comparison")
@@ -133,7 +133,7 @@ def test_process_runtime_strong_scaling_smoke():
             f"got {speedup:.2f}x"
         )
     finally:
-        shutdown_worker_pool()
+        default_session().close()
 
 
 def test_session_warmup_smoke():
@@ -204,7 +204,7 @@ def test_hybrid_strong_scaling_smoke():
     where it cannot mean anything (fewer than 4 usable cores, no process
     runtime).
     """
-    from repro.runtime import processes_available, shutdown_worker_pool
+    from repro.runtime import processes_available
 
     if _usable_cpus() < 4:
         pytest.skip("needs >= 4 usable CPU cores for a meaningful comparison")
@@ -269,4 +269,4 @@ def test_hybrid_strong_scaling_smoke():
             f"2 ranks x 1 thread, got {speedup:.2f}x"
         )
     finally:
-        shutdown_worker_pool()
+        default_session().close()

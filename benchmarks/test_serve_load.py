@@ -38,17 +38,11 @@ from repro.core import (
     compile_stencil_program,
     dmp_target,
 )
-from repro.runtime import processes_available, shutdown_worker_pool
+from repro.runtime import processes_available
 from repro.serve import Server
 from repro.workloads import heat_diffusion
 
 CLIENTS = 8
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pool_teardown():
-    yield
-    shutdown_worker_pool()
 
 
 def _usable_cpus() -> int:
@@ -246,27 +240,24 @@ def test_serve_batched_speedup_smoke():
             )
         return CLIENTS * jobs_per_client / elapsed
 
-    try:
-        serialized = run_load(max_batch=1)
-        batched = run_load(max_batch=CLIENTS)
-        speedup = batched / serialized
-        print(
-            f"\nserve speedup smoke: serialized {serialized:.1f} jobs/s, "
-            f"batched {batched:.1f} jobs/s, speedup {speedup:.2f}x"
-        )
-        _append_rows([{
-            "kernel": "serve-batched-speedup",
-            "speedup": speedup,
-            "serialized_jobs_per_s": serialized,
-            "batched_jobs_per_s": batched,
-            "clients": CLIENTS,
-            "jobs_per_client": jobs_per_client,
-            "runtime": "processes",
-            "backend": "interpreter",
-        }])
-        assert speedup >= 1.5, (
-            f"expected batched dispatch to serve >= 1.5x the serialized "
-            f"throughput at {CLIENTS} clients, got {speedup:.2f}x"
-        )
-    finally:
-        shutdown_worker_pool()
+    serialized = run_load(max_batch=1)
+    batched = run_load(max_batch=CLIENTS)
+    speedup = batched / serialized
+    print(
+        f"\nserve speedup smoke: serialized {serialized:.1f} jobs/s, "
+        f"batched {batched:.1f} jobs/s, speedup {speedup:.2f}x"
+    )
+    _append_rows([{
+        "kernel": "serve-batched-speedup",
+        "speedup": speedup,
+        "serialized_jobs_per_s": serialized,
+        "batched_jobs_per_s": batched,
+        "clients": CLIENTS,
+        "jobs_per_client": jobs_per_client,
+        "runtime": "processes",
+        "backend": "interpreter",
+    }])
+    assert speedup >= 1.5, (
+        f"expected batched dispatch to serve >= 1.5x the serialized "
+        f"throughput at {CLIENTS} clients, got {speedup:.2f}x"
+    )

@@ -9,8 +9,8 @@ This is the paper's primary contribution packaged behind a small API::
         plan = session.plan(program)
         plan.run([u0, u1], [timesteps])      # repeatable, amortized hot path
 
-The legacy one-shot helpers ``run_local`` / ``run_distributed`` are
-deprecated shims over a default session (bit-identical results).
+One-shot callers use ``session.run(program, fields, scalars)``: the same path,
+re-planned per call.
 """
 
 from .config import (
@@ -26,8 +26,6 @@ from .executor import (
     ExecutionResult,
     gather_field,
     local_field_slices,
-    run_distributed,
-    run_local,
     scatter_field,
 )
 from .pipeline import CompilationError, CompiledProgram, compile_stencil_program
@@ -47,8 +45,7 @@ __all__ = [
     "cpu_target", "smp_target", "dmp_target", "gpu_target", "fpga_target",
     "CompiledProgram", "compile_stencil_program", "CompilationError",
     "ExecutionConfig", "Session", "Plan", "SessionCounters", "default_session",
-    "run_local", "run_distributed", "scatter_field", "gather_field",
-    "local_field_slices",
+    "scatter_field", "gather_field", "local_field_slices",
     "ExecutionResult", "ExecutionError", "RuntimeFallbackWarning",
     "EXECUTION_BACKENDS", "EXECUTION_RUNTIMES", "EXECUTION_CODEGEN",
     "EXECUTION_TRACE",

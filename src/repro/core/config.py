@@ -1,9 +1,9 @@
 """The one execution-configuration object shared by every frontend.
 
 Execution used to be configured through kwarg soup repeated on every call
-(``run_distributed(backend=..., runtime=..., threads_per_rank=..., margin=...,
-timeout=...)``), validated — or silently not — at different depths of the
-stack.  :class:`ExecutionConfig` replaces that: one frozen dataclass, fully
+(``backend=..., runtime=..., threads_per_rank=..., margin=..., timeout=...``),
+validated — or silently not — at different depths of the stack.
+:class:`ExecutionConfig` replaces that: one frozen dataclass, fully
 validated at construction, accepted by :class:`~repro.core.session.Session`,
 :class:`~repro.core.session.Plan`, and every frontend (the Devito
 ``Operator``, the PsyClone backend, the OEC builder).  Because validation
@@ -61,14 +61,14 @@ EXECUTION_RUNTIMES = ("threads", "processes")
 
 #: Valid values of :attr:`ExecutionConfig.codegen`:
 #:
-#: * ``"auto"`` (default) — plans whose traced time loop fits the megakernel
-#:   shape run the generated fused function; anything untraceable silently
-#:   keeps the planned-op path with the reason recorded on
-#:   ``Plan.codegen_fallback``;
+#: * ``"auto"`` (default) — flat (``threads_per_rank == 1``) runs whose
+#:   traced time loop fits the megakernel shape run the generated fused
+#:   function; anything else silently runs the interpreter loop, with the
+#:   reason recorded on ``Plan.codegen_fallback``;
 #: * ``"megakernel"`` — force the generated path and raise
 #:   :class:`ExecutionError` (with the tracer's reason) when it cannot be
 #:   built (benchmarks use this to avoid silently measuring dispatch);
-#: * ``"planned"`` — never generate code; always walk the ``PlannedOp`` list.
+#: * ``"planned"`` — never generate code; always run the interpreter loop.
 EXECUTION_CODEGEN = ("auto", "megakernel", "planned")
 
 #: Valid values of :attr:`ExecutionConfig.trace`:

@@ -1,71 +1,33 @@
-"""Execution primitives and the deprecated one-shot helpers.
+"""Execution primitives: results and the scatter/gather geometry.
 
-The scatter/gather geometry helpers and :class:`ExecutionResult` live here;
-the execution engine itself moved to :mod:`repro.core.session`, where a
-:class:`~repro.core.session.Session` owns the runtime resources (worker
-pool, shared-memory blocks, thread teams) and a
-:class:`~repro.core.session.Plan` pre-resolves the per-run work.
-
-:func:`run_local` and :func:`run_distributed` remain as **deprecated shims**
-delegating to a process-wide default session: bit-identical fields and
-statistics, but a fresh plan per call — repeated callers should hold a
-``Session``/``Plan`` pair instead::
-
-    from repro.core import ExecutionConfig, Session
-
-    with Session(ExecutionConfig(runtime="processes")) as session:
-        plan = session.plan(program)
-        for _ in range(many):
-            plan.run([u0, u1], [timesteps])
+:class:`ExecutionResult` and the helpers that cut a global array into
+per-rank local buffers (core slab + halo) and write the cores back.  The
+engine itself lives next door: :mod:`repro.core.rank` executes one rank,
+:mod:`repro.core.session` owns the runtime resources and the per-program
+plans.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..interp import CommStatistics, ExecStatistics
-from ..interp.vectorize import CompiledKernel
 from ..transforms.distribute import DecompositionStrategy
 from .config import (
     EXECUTION_BACKENDS,
     EXECUTION_RUNTIMES,
-    ExecutionConfig,
     ExecutionError,
     RuntimeFallbackWarning,
 )
-from .pipeline import CompiledProgram
 
 __all__ = [
     "EXECUTION_BACKENDS", "EXECUTION_RUNTIMES",
     "ExecutionError", "ExecutionResult", "RuntimeFallbackWarning",
-    "run_local", "run_distributed",
     "scatter_field", "gather_field", "local_field_slices",
 ]
-
-
-def _kernel_for_backend(
-    program: CompiledProgram, function_name: str, backend: str
-) -> Optional[CompiledKernel]:
-    if backend not in EXECUTION_BACKENDS:
-        raise ExecutionError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{', '.join(EXECUTION_BACKENDS)}"
-        )
-    if backend == "interpreter":
-        return None
-    kernel = program.compiled_kernel(function_name)
-    if backend == "vectorized" and kernel.nest_count == 0:
-        reasons = kernel.fallback_reasons
-        detail = "; ".join(reasons) if reasons else "the function has no loop nests"
-        raise ExecutionError(
-            f"backend='vectorized' requested but no loop nest of "
-            f"{function_name!r} could be vectorized ({detail})"
-        )
-    return kernel
 
 
 @dataclass
@@ -183,76 +145,3 @@ def gather_field(
             slice(halo_lower[dim], halo_lower[dim] + (end[dim] - start[dim]))
         )
     global_array[tuple(global_slices)] = local_array[tuple(local_slices)]
-
-
-# ---------------------------------------------------------------------------
-# deprecated one-shot shims (delegating to the default session)
-# ---------------------------------------------------------------------------
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"{name}() is deprecated; use repro.core.Session/Plan instead "
-        "(session = Session(ExecutionConfig(...)); plan = session.plan(program); "
-        "plan.run(fields, scalars)) — plans amortize per-run setup across "
-        "repeated executions",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_local(
-    program: CompiledProgram,
-    arguments: Sequence[Any],
-    *,
-    function: Optional[str] = None,
-    backend: str = "auto",
-) -> ExecutionResult:
-    """Deprecated: run a non-distributed compiled program in-process.
-
-    Delegates to the default :class:`~repro.core.session.Session` with a
-    one-shot plan; prefer ``session.plan(program).run(arguments)``.
-    """
-    _deprecated("run_local")
-    from .session import default_session
-
-    return default_session().run(
-        program, list(arguments), (), function=function,
-        config=ExecutionConfig(backend=backend),
-    )
-
-
-def run_distributed(
-    program: CompiledProgram,
-    global_fields: Sequence[np.ndarray],
-    scalar_arguments: Sequence[Any] = (),
-    *,
-    function: Optional[str] = None,
-    margin: Optional[Sequence[int]] = None,
-    timeout: float = 60.0,
-    backend: str = "auto",
-    runtime: str = "threads",
-    threads_per_rank: int = 1,
-) -> ExecutionResult:
-    """Deprecated: run a distributed compiled program on the simulated world.
-
-    Delegates to the default :class:`~repro.core.session.Session` with a
-    one-shot plan — every kwarg maps onto one
-    :class:`~repro.core.config.ExecutionConfig` field (see the README's
-    migration table).  ``global_fields`` are updated in place exactly as
-    before, and results/statistics are bit-identical to the Session API.
-    """
-    _deprecated("run_distributed")
-    if program.distribution is None or program.target.rank_grid is None:
-        raise ExecutionError("program was not compiled for a distributed target")
-    from .session import default_session
-
-    config = ExecutionConfig(
-        backend=backend,
-        runtime=runtime,
-        threads_per_rank=int(threads_per_rank),
-        margin=tuple(int(m) for m in margin) if margin is not None else None,
-        timeout=timeout,
-    )
-    return default_session().run(
-        program, global_fields, scalar_arguments, function=function, config=config
-    )

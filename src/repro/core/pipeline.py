@@ -67,15 +67,18 @@ class CompiledProgram:
     parallel_regions: int = 0
     #: GPU kernels in the lowered module (gpu target).
     gpu_kernels: int = 0
-    #: Cache of vectorized kernels keyed by function name, so repeated
-    #: ``run_local`` / ``run_distributed`` calls skip nest recompilation.
+    #: Cache of vectorized kernels keyed by function name, so every plan and
+    #: run of this program skips nest recompilation.
     _kernel_cache: dict[str, "CompiledKernel"] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Cache of megakernels (or their CodegenFallback) keyed by
-    #: ``(function, rank, size, signature, overlap)``; see
-    #: :meth:`repro.core.session.Plan.compile`.
+    #: The one megakernel cache (see :func:`repro.core.rank.run_rank`):
+    #: time-loop traces keyed by ``(function, overlap)`` and emitted
+    #: megakernels keyed by ``(function, rank, size, signature, overlap,
+    #: traced)``; rejections are cached as their ``CodegenFallback``.
     _megakernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Lazily built ``{name: FuncOp}`` table (see :attr:`functions`).
+    _functions: Optional[dict] = field(default=None, repr=False, compare=False)
     #: Lazily computed content hash (see :attr:`fingerprint`).
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
     #: Compile-phase trace (a :class:`repro.obs.TraceRecord` with pipeline
@@ -85,17 +88,17 @@ class CompiledProgram:
     def __getstate__(self) -> dict:
         """Pickle support (the process runtime ships programs to workers).
 
-        The vectorized-kernel and megakernel caches are process-local — nests
-        are keyed by operation identity and megakernels close over this
-        process's buffers — so they are dropped on the wire and rebuilt
-        lazily by the receiver.  The fingerprint *is* shipped: it hashes the
-        printed module, so the worker's rebuilt megakernels stay keyed to the
-        same program identity without re-printing.  The worker pool's
-        shipping key is likewise parent-private.
+        The vectorized-kernel, megakernel and function-table caches are
+        process-local — nests are keyed by operation identity and megakernels
+        close over this process's buffers — so they are dropped on the wire
+        and rebuilt lazily by the receiver.  The fingerprint *is* shipped: it
+        hashes the printed module, so the receiver never re-prints it.  The
+        worker pool's shipping key is likewise parent-private.
         """
         state = self.__dict__.copy()
         state["_kernel_cache"] = {}
         state["_megakernel_cache"] = {}
+        state["_functions"] = None
         state.pop("_pool_program_key", None)
         return state
 
@@ -105,7 +108,7 @@ class CompiledProgram:
 
         Computed once from the printed IR (the module is frozen after
         :func:`compile_stencil_program` returns) and shipped with the
-        program, this keys the session's cross-run megakernel cache.
+        program, this keys the serving layer's cross-tenant plan cache.
         """
         if self._fingerprint is None:
             from ..interp.codegen import program_fingerprint
@@ -132,13 +135,22 @@ class CompiledProgram:
         return kernel
 
     @property
-    def function_names(self) -> list[str]:
-        from ..dialects import func
+    def functions(self) -> dict:
+        """``{name: FuncOp}`` for every function of the module (built once)."""
+        if self._functions is None:
+            from ..dialects import func
 
+            self._functions = {
+                op.sym_name: op
+                for op in self.module.walk()
+                if isinstance(op, func.FuncOp)
+            }
+        return self._functions
+
+    @property
+    def function_names(self) -> list[str]:
         return [
-            op.sym_name
-            for op in self.module.walk()
-            if isinstance(op, func.FuncOp) and not op.is_declaration
+            name for name, op in self.functions.items() if not op.is_declaration
         ]
 
 

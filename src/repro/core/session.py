@@ -6,27 +6,26 @@ shape a first-class API:
 
 * :class:`~repro.core.config.ExecutionConfig` — one validated configuration
   object shared by every frontend (see :mod:`repro.core.config`);
-* :class:`Session` — a context manager that *owns* the execution resources
-  previously hidden behind module globals: the persistent OS-process worker
-  pool, the shared-memory field-block pool, the intra-rank thread teams and
-  the thread-world rank executor.  ``warmup()`` pre-spawns them, ``close()``
-  releases them, and every plan of the session reuses them across runs;
+* :class:`Session` — a context manager that *owns* the execution resources:
+  the persistent OS-process worker pool, the shared-memory field-block
+  pool, the intra-rank thread teams and the thread-world rank executor.
+  ``warmup()`` pre-spawns them, ``close()`` releases them, and every plan of
+  the session reuses them across runs;
 * :class:`Plan` — returned by :meth:`Session.plan`; pre-resolves everything
   per-run work used to recompute: the default-function lookup, the kernel
-  selection, the decomposition strategy and halo/margin geometry, the
-  scatter/gather slice plans, the shared-memory block leases, and the
-  cast/constant lookups of the interpreted time loop
-  (:func:`repro.interp.compile_block_plans`).  ``plan.run(fields, scalars)``
-  is therefore a thin hot path suitable for serving many requests.
+  selection, the megakernel trace, the decomposition strategy and
+  halo/margin geometry, the scatter/gather slice plans and the
+  shared-memory block leases.  ``plan.run(fields, scalars)`` is therefore a
+  thin hot path suitable for serving many requests.
 
-The legacy ``run_local`` / ``run_distributed`` helpers in
-:mod:`repro.core.executor` remain as deprecated shims delegating to a
-process-wide default session; they produce bit-identical fields and
-statistics, just without the amortization.
+Every rank of every world — local, thread, batched, process worker — is
+executed by :func:`repro.core.rank.run_rank`; this module only decides who
+owns what and moves the data.
 """
 
 from __future__ import annotations
 
+import atexit
 import threading
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor
@@ -37,19 +36,10 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .. import runtime as _process_runtime
-from ..interp import Interpreter, SimulatedMPI, compile_block_plans
-from ..interp.codegen import (
-    CodegenError,
-    CodegenFallback,
-    CompiledMegakernel,
-    emit_megakernel,
-    megakernel_signature,
-    trace_program,
-)
-from ..interp.interpreter import ExecStatistics, wrap_argument
+from ..interp import SimulatedMPI
+from ..interp.codegen import CodegenFallback
 from ..interp.mpi_runtime import CommStatistics, MPIRuntimeError
 from ..interp.thread_team import ThreadTeam
-from ..interp.vectorize import CompiledKernel
 from ..obs import MetricsRegistry, Tracer, TraceTimeline
 from ..runtime.stats import merge_comm_statistics, sort_rank_stats
 from ..transforms.distribute import GridSlicingStrategy
@@ -59,12 +49,9 @@ from .config import (
     RuntimeFallbackWarning,
     normalize_margin,
 )
-from .executor import (
-    ExecutionResult,
-    _kernel_for_backend,
-    local_field_slices,
-)
+from .executor import ExecutionResult, local_field_slices
 from .pipeline import CompiledProgram
+from .rank import codegen_wanted, kernel_for_backend, megakernel_trace, run_rank
 
 
 def _default_function(program: CompiledProgram) -> str:
@@ -110,7 +97,8 @@ class Session:
     whose config has ``warm_start=True``).  ``close()`` (or leaving the
     ``with`` block) releases everything the session created; a closed session
     rejects further work.  One-shot callers can use :meth:`run`, which builds
-    and disposes a plan around a single execution.
+    and disposes a plan around a single execution.  Megakernels are cached on
+    the compiled program, so every plan and session running it shares them.
     """
 
     def __init__(self, config: Optional[ExecutionConfig] = None, **overrides):
@@ -135,16 +123,9 @@ class Session:
         self._teams: dict[int, ThreadTeam] = {}
         self._rank_executor: Optional[ThreadPoolExecutor] = None
         self._rank_executor_size = 0
-        #: Worker-pool ownership; per-session by default, the process-wide
-        #: manager/pool pair for the default (shim-compatibility) session.
+        #: The session's own worker pool and shared-memory field blocks.
         self._pool_manager = _process_runtime.PoolManager()
         self._field_pool = _process_runtime.SharedFieldPool()
-        self._owns_runtime = True
-        #: Cross-run megakernel cache shared by every plan of this session,
-        #: keyed by (program fingerprint, function, rank, size, argument
-        #: signature, overlap flag, traced flag); values are CompiledMegakernel
-        #: or the CodegenFallback that explains why none could be built.
-        self._megakernel_cache: dict[tuple, Any] = {}
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -184,9 +165,8 @@ class Session:
             for team in self._teams.values():
                 team.shutdown()
             self._teams.clear()
-        if self._owns_runtime:
-            self._pool_manager.shutdown()
-            self._field_pool.clear()
+        self._pool_manager.shutdown()
+        self._field_pool.clear()
 
     def warmup(
         self,
@@ -284,16 +264,10 @@ class Session:
     ) -> ExecutionResult:
         """One-shot convenience: plan, run once, dispose the plan.
 
-        One-shot runs keep the legacy execution discipline — fresh daemon
-        rank threads per run, no shared gang — so the deprecated shims built
-        on this method behave (and scale under caller concurrency) exactly
-        like the pre-session helpers.  Hold a :meth:`plan` to amortize.
+        The same path as a held plan, minus the amortization: buffers and
+        slice plans are rebuilt per call.  Hold a :meth:`plan` to keep them.
         """
-        self._ensure_open()
-        resolved = ExecutionConfig.coerce(config or self.config, **overrides)
-        plan = Plan(self, program, function, resolved, one_shot=True)
-        self._plans.append(plan)
-        self.counters.plans_created += 1
+        plan = self.plan(program, function, config, **overrides)
         try:
             return plan.run(fields, scalars)
         finally:
@@ -463,15 +437,13 @@ class _RunBuffers:
     """
 
     __slots__ = ("signature", "scatter_slices", "gather_slices", "locals",
-                 "wrapped", "leases", "specs", "pool_generation",
-                 "fresh_reused", "runs")
+                 "leases", "specs", "pool_generation", "fresh_reused", "runs")
 
     def __init__(self):
         self.signature = None
         self.scatter_slices: list[list[tuple]] = []
         self.gather_slices: list[list[tuple[tuple, tuple]]] = []
         self.locals: list[list[np.ndarray]] = []
-        self.wrapped: list[list] = []
         self.leases: list[list] = []
         self.specs: list[list] = []
         self.pool_generation = -1
@@ -482,9 +454,9 @@ class _RunBuffers:
 class Plan:
     """A pre-resolved execution of one function of one compiled program.
 
-    Construction performs every piece of work the legacy helpers repeated on
-    each call — function lookup, kernel compilation/selection, decomposition
-    geometry, interpreter block plans, runtime fallback resolution — and the
+    Construction performs every piece of work that does not depend on the
+    field arrays — function lookup, kernel compilation/selection, megakernel
+    tracing, decomposition geometry, runtime fallback resolution — and the
     first :meth:`run` additionally fixes the scatter/gather slice plans and
     buffers for the observed field shapes.  Subsequent runs only scatter,
     execute and gather.
@@ -496,7 +468,6 @@ class Plan:
         program: CompiledProgram,
         function: Optional[str],
         config: ExecutionConfig,
-        one_shot: bool = False,
     ):
         self.session = session
         self.program = program
@@ -507,10 +478,6 @@ class Plan:
             Tracer(config.trace, track="plan") if config.trace != "off" else None
         )
         build_span = self.tracer.begin("plan.build") if self.tracer is not None else 0.0
-        #: One-shot plans (built by :meth:`Session.run` and the deprecated
-        #: shims) keep the legacy thread-per-run discipline instead of the
-        #: session's persistent rank gang.
-        self.one_shot = one_shot
         self.function = function or _default_function(program)
         self.distributed = (
             program.distribution is not None and program.target.rank_grid is not None
@@ -541,49 +508,23 @@ class Plan:
         else:
             self.runtime = self.runtime_requested = "local"
 
-        # Kernel selection: the thread world and local runs share one
-        # parent-compiled kernel; process workers rebuild their own, so the
-        # parent only compiles when the kernel is used here — or when the
-        # backend="vectorized" nest-count validation requires it.
-        self.kernel: Optional[CompiledKernel] = None
+        # Kernel selection, ahead of the first run: the thread world and
+        # local runs share one parent-compiled kernel; process workers
+        # rebuild their own, so the parent only compiles when the kernel is
+        # used here — or when the backend="vectorized" nest-count validation
+        # requires it.
         if self.runtime in ("local", "threads") or config.backend == "vectorized":
-            self.kernel = _kernel_for_backend(program, self.function, config.backend)
-        self.overlap = config.resolved_overlap()
+            kernel_for_backend(program, self.function, config.backend)
+        self._func_op = program.functions[self.function]
 
-        # Interpreter pre-resolution: the function table (built once instead
-        # of once per rank per run) and the pre-resolved block plans of the
-        # time loop (constants materialized, casts and handlers pre-bound).
-        self._functions = {}
-        from ..dialects import func as _func
-
-        for op in program.module.walk():
-            if isinstance(op, _func.FuncOp):
-                self._functions[op.sym_name] = op
-        self._func_op = self._functions[self.function]
-        self._block_plans = compile_block_plans(self._func_op)
-
-        # Megakernel codegen: trace the time loop once at plan construction.
-        # "auto" engages for held plans on the flat (threads_per_rank == 1)
-        # compiled backends — the dispatch-bound regime the megakernel is
-        # for — and records its fallback reason otherwise; "megakernel"
-        # forces the path and raises when it cannot be built.  Process-world
-        # plans skip the parent-side trace: workers build (and cache) their
-        # own megakernels from the shipped program.
+        #: Why the megakernel tier is not running this plan, when it was
+        #: wanted (see :func:`repro.core.rank.codegen_wanted`) but rejected.
         self.codegen_fallback: Optional[CodegenFallback] = None
-        self._trace = None
-        self._codegen_active = False
-        if config.codegen == "megakernel":
-            wanted = config.backend != "interpreter"
-        else:
-            wanted = (
-                config.codegen == "auto"
-                and not one_shot
-                and config.threads_per_rank == 1
-                and config.backend != "interpreter"
-            )
-        if wanted and self.runtime == "processes":
-            self._codegen_active = True  # resolved worker-side
-        elif wanted:
+        # Trace the time loop now, so an untraceable program records its
+        # reason (or, with codegen="megakernel", raises) before the first
+        # run.  Process-world plans skip the parent-side trace: workers trace
+        # (and cache) their own from the shipped program.
+        if codegen_wanted(config) and self.runtime != "processes":
             self.compile()
 
         if self.distributed:
@@ -640,74 +581,32 @@ class Plan:
         """Trace the plan's time loop for megakernel execution.
 
         Called automatically at construction whenever the configuration
-        engages codegen; callable explicitly to force (re-)tracing.  Returns
-        the trace, or None with the reason recorded on
+        engages codegen; callable explicitly to see why a plan does not.
+        Returns the trace, or None with the reason recorded on
         :attr:`codegen_fallback` — unless ``codegen="megakernel"`` is forced,
         in which case failure raises :class:`ExecutionError`.  The generated
-        function itself is emitted (and cached on the session, keyed by
-        program fingerprint) on first run, when the concrete buffer layout
-        is known.
+        function itself is emitted (and cached on the program) on first run,
+        when the concrete buffer layout is known.
         """
-        if self._trace is not None:
-            return self._trace
-        try:
-            if self.kernel is None:
-                raise CodegenError(
-                    "no compiled vectorized kernel to trace against"
-                )
-            self._trace = trace_program(
-                self._func_op, self.kernel, overlap=self.overlap
-            )
-            self._codegen_active = True
-            return self._trace
-        except CodegenError as err:
-            self._codegen_active = False
-            self.codegen_fallback = CodegenFallback(self.function, str(err))
-            if self.config.codegen == "megakernel":
-                raise ExecutionError(
-                    f"codegen='megakernel' was forced but {self.function!r} "
-                    f"cannot be megakernel-compiled: {err}"
-                ) from err
+        found = megakernel_trace(self.program, self.function, self.config)
+        if isinstance(found, CodegenFallback):
+            self.codegen_fallback = found
             return None
+        return found
 
-    def _megakernel_for(
-        self, args: Sequence[Any], rank: int, size: int
-    ) -> Optional[CompiledMegakernel]:
-        """The cached megakernel for one rank's concrete argument layout.
+    def _record_fallback(self, fallback: CodegenFallback) -> None:
+        self.codegen_fallback = fallback
 
-        Emission failures are cached too (as CodegenFallback) so a layout
-        that cannot be emitted is not re-attempted every run; in auto mode
-        they deactivate codegen for this plan, in forced mode they raise.
-        """
-        traced = self.config.trace != "off"
-        key = (
-            self.program.fingerprint, self.function, rank, size,
-            megakernel_signature(args), self.overlap, traced,
+    def _run_rank(self, args: Sequence[Any], comm, tracer: Optional[Tracer]):
+        """One rank of this plan through the shared rank-execution path."""
+        return run_rank(
+            self.program, self.function, self.config, args,
+            comm=comm,
+            team=self.session._team(self.config.threads_per_rank),
+            tracer=tracer,
+            metrics=self.session.metrics,
+            on_fallback=self._record_fallback,
         )
-        cache = self.session._megakernel_cache
-        cached = cache.get(key)
-        if cached is None:
-            self.session.metrics.inc("megakernel.cache_miss")
-            try:
-                cached = emit_megakernel(
-                    self._trace, args, rank=rank, size=size, traced=traced
-                )
-            except CodegenError as err:
-                cached = CodegenFallback(self.function, str(err))
-            cache[key] = cached
-        else:
-            self.session.metrics.inc("megakernel.cache_hit")
-        if isinstance(cached, CodegenFallback):
-            if self.config.codegen == "megakernel":
-                raise ExecutionError(
-                    f"codegen='megakernel' was forced but {self.function!r} "
-                    f"cannot be emitted for rank {rank}/{size}: "
-                    f"{cached.reason}"
-                )
-            self.codegen_fallback = cached
-            self._codegen_active = False
-            return None
-        return cached
 
     # -- batched dispatch (the repro.serve substrate) -------------------------
     def prepare(
@@ -738,15 +637,9 @@ class Plan:
             raise ExecutionError("plan is closed; create a new plan")
         self.session._ensure_open()
         if not self.distributed:
-            result = self._run_local(fields, scalars)
+            result = self._run_single(fields, scalars)
         else:
-            for index, array in enumerate(fields):
-                if not isinstance(array, np.ndarray):
-                    raise ExecutionError(
-                        f"distributed field {index} is {type(array).__name__}, "
-                        "not a numpy array; pass scalar arguments (e.g. the "
-                        "timestep count) via the scalars sequence"
-                    )
+            self._check_fields(fields)
             # The plan's buffers are shared state: serialize the whole
             # scatter-execute-gather span against concurrent callers.
             with self._run_lock:
@@ -767,59 +660,24 @@ class Plan:
         if result.comm_statistics is not None:
             metrics.ingest(result.comm_statistics, "comm.")
 
-    def _run_local(
+    def _run_single(
         self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
     ) -> ExecutionResult:
-        config = self.config
-        tracer = (
-            Tracer(config.trace, track="rank 0")
-            if config.trace != "off" else None
+        """One non-distributed run, in the calling thread."""
+        self._check_arity(fields, scalars)
+        tracers = self._rank_tracers(1)
+        stats = self._run_rank(
+            [*fields, *scalars], None, tracers[0] if tracers else None
         )
-        stats = self._execute_local(fields, scalars, tracer)
-        return self._attach_trace(
-            ExecutionResult(
-                statistics=[stats],
-                runtime="local",
-                runtime_requested="local",
-                threads_per_rank=config.threads_per_rank,
-            ),
-            [tracer],
-        )
+        return self._attach_trace(self._single_result(stats), tracers)
 
-    def _execute_local(
-        self, fields: Sequence[Any], scalars: Sequence[Any],
-        tracer: Optional[Tracer],
-    ) -> ExecStatistics:
-        """Execute one non-distributed run in the calling thread.
-
-        The megakernel fast path (when codegen engaged) with the planned
-        interpreter fallback; shared verbatim by :meth:`_run_local` and the
-        serving layer's batched dispatch so both produce identical statistics
-        and metrics.
-        """
-        config = self.config
-        if self._codegen_active and self._trace is not None:
-            args = [*fields, *scalars]
-            megakernel = self._megakernel_for(args, rank=0, size=1)
-            if megakernel is not None and megakernel.matches(args):
-                stats = ExecStatistics()
-                if megakernel.run(args, stats, None, tracer):
-                    self.session.metrics.inc("megakernel.engaged")
-                    return stats
-                # Aliased buffers this run: bounce to the planned path.
-            self.session.metrics.inc("megakernel.fallback")
-        interpreter = Interpreter(
-            self.program.module,
-            kernel=self.kernel,
-            threads=config.threads_per_rank,
-            overlap_halos=self.overlap,
-            functions=self._functions,
-            block_plans=self._block_plans,
-            team=self.session._team(config.threads_per_rank),
-            tracer=tracer,
+    def _single_result(self, stats) -> ExecutionResult:
+        return ExecutionResult(
+            statistics=[stats],
+            runtime="local",
+            runtime_requested="local",
+            threads_per_rank=self.config.threads_per_rank,
         )
-        interpreter.call(self.function, *fields, *scalars)
-        return interpreter.stats
 
     def _buffers_for(self, fields: Sequence[np.ndarray]) -> _RunBuffers:
         """The cached slice plans and local buffers for these field shapes."""
@@ -891,14 +749,6 @@ class Plan:
             buffers.scatter_slices.append(scatter_row)
             buffers.gather_slices.append(gather_row)
             buffers.locals.append(local_row)
-            # Pre-wrap the stable local buffers into interpreter values once;
-            # every later run replays them through call_prepared.
-            buffers.wrapped.append([
-                wrap_argument(local, block_arg.type)
-                for local, block_arg in zip(
-                    local_row, self._func_op.body.block.args
-                )
-            ])
             if leased:
                 buffers.leases.append(lease_row)
                 buffers.specs.append(spec_row)
@@ -922,43 +772,33 @@ class Plan:
     def _run_threads(
         self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
     ) -> ExecutionResult:
-        config = self.config
         buffers = self._buffers_for(fields)
+        self._check_arity(fields, scalars)
+        self._traced_move("run.scatter", self._scatter, buffers, fields)
+        size = self.strategy.rank_count
+        statistics: list = [None] * size
+        tracers = self._rank_tracers(size)
+        body = self._rank_body(buffers, list(scalars), statistics, tracers)
+        world = self.session._run_threads_world(size, body, self.config.timeout)
+        return self._threads_result(buffers, fields, statistics, world, tracers)
+
+    @staticmethod
+    def _check_fields(fields: Sequence[Any]) -> None:
+        for index, array in enumerate(fields):
+            if not isinstance(array, np.ndarray):
+                raise ExecutionError(
+                    f"distributed field {index} is {type(array).__name__}, "
+                    "not a numpy array; pass scalar arguments (e.g. the "
+                    "timestep count) via the scalars sequence"
+                )
+
+    def _check_arity(self, fields: Sequence[Any], scalars: Sequence[Any]) -> None:
         expected = len(self._func_op.body.block.args)
         provided = len(fields) + len(scalars)
         if provided != expected:
             raise ExecutionError(
                 f"{self.function} expects {expected} arguments, got {provided}"
             )
-        self._traced_move("run.scatter", self._scatter, buffers, fields)
-        size = self.strategy.rank_count
-        statistics: list = [None] * size
-        scalars = list(scalars)
-        tracers = self._rank_tracers(size)
-        engaged = [False] * size
-        megakernels = self._rank_megakernels(buffers, scalars, size)
-        body = self._rank_body(
-            buffers, scalars, statistics, engaged, tracers, megakernels
-        )
-
-        if self.one_shot:
-            # Legacy discipline: fresh daemon rank threads, one shared join
-            # deadline, fail-fast on the first rank error.
-            world = SimulatedMPI(size, timeout=config.timeout)
-            world.run_spmd(body, timeout=config.timeout)
-        else:
-            world = self.session._run_threads_world(size, body, config.timeout)
-        missing = [rank for rank, stats in enumerate(statistics) if stats is None]
-        if missing:
-            raise ExecutionError(
-                f"ranks {missing} finished without reporting statistics; "
-                "the SPMD execution did not complete"
-            )
-        self._ingest_engagement(engaged)
-        self._traced_move("run.gather", self._gather, buffers, fields)
-        return self._attach_trace(
-            self._result(list(statistics), world.statistics), tracers
-        )
 
     def _rank_tracers(self, size: int) -> Optional[list[Tracer]]:
         if self.config.trace == "off":
@@ -968,36 +808,12 @@ class Plan:
             for rank in range(size)
         ]
 
-    def _rank_megakernels(
-        self, buffers: _RunBuffers, scalars: Sequence[Any], size: int
-    ) -> Optional[list[CompiledMegakernel]]:
-        """Per-rank megakernels against these buffers, or None for all-planned.
-
-        Megakernels are emitted per rank (each rank's halo plan differs)
-        against the run's local buffers, before the world launches; if any
-        rank cannot be emitted, every rank keeps the planned path so the SPMD
-        communication pattern stays uniform.
-        """
-        if not (self._codegen_active and self._trace is not None):
-            return None
-        candidates: Optional[list[CompiledMegakernel]] = []
-        for rank in range(size):
-            args = [*buffers.locals[rank], *scalars]
-            megakernel = self._megakernel_for(args, rank, size)
-            if megakernel is None or not megakernel.matches(args):
-                candidates = None
-                break
-            candidates.append(megakernel)
-        return candidates
-
     def _rank_body(
         self,
         buffers: _RunBuffers,
         scalars: Sequence[Any],
         statistics: list,
-        engaged: list,
         tracers: Optional[list[Tracer]],
-        megakernels: Optional[list[CompiledMegakernel]],
     ):
         """One rank's SPMD body over these buffers (thread world).
 
@@ -1005,68 +821,52 @@ class Plan:
         batched dispatch, so a batched job is bit-identical — fields,
         statistics, megakernel engagement — to a standalone run.
         """
-        config = self.config
-        team = self.session._team(config.threads_per_rank)
-
         def body(comm) -> None:
-            tracer = tracers[comm.rank] if tracers is not None else None
-            if megakernels is not None:
-                args = [*buffers.locals[comm.rank], *scalars]
-                stats = ExecStatistics()
-                if megakernels[comm.rank].run(args, stats, comm, tracer):
-                    statistics[comm.rank] = stats
-                    engaged[comm.rank] = True
-                    return
-            interpreter = Interpreter(
-                self.program.module,
-                comm=comm,
-                kernel=self.kernel,
-                threads=config.threads_per_rank,
-                overlap_halos=self.overlap,
-                functions=self._functions,
-                block_plans=self._block_plans,
-                team=team,
-                tracer=tracer,
+            rank = comm.rank
+            statistics[rank] = self._run_rank(
+                [*buffers.locals[rank], *scalars], comm,
+                tracers[rank] if tracers is not None else None,
             )
-            interpreter.call_prepared(
-                self._func_op, [*buffers.wrapped[comm.rank], *scalars]
-            )
-            statistics[comm.rank] = interpreter.stats
 
         return body
 
-    def _ingest_engagement(self, engaged: Sequence[bool]) -> None:
-        metrics = self.session.metrics
-        metrics.inc("megakernel.engaged", sum(engaged))
-        if self._codegen_active and not all(engaged):
-            metrics.inc("megakernel.fallback", len(engaged) - sum(engaged))
+    def _threads_result(
+        self, buffers: _RunBuffers, fields, statistics: list, world,
+        tracers: Optional[list[Tracer]],
+    ) -> ExecutionResult:
+        """Gather and assemble a finished thread-world run."""
+        missing = [rank for rank, stats in enumerate(statistics) if stats is None]
+        if missing:
+            raise ExecutionError(
+                f"ranks {missing} finished without reporting statistics; "
+                "the SPMD execution did not complete"
+            )
+        self._traced_move("run.gather", self._gather, buffers, fields)
+        return self._attach_trace(
+            self._result(list(statistics), world.statistics), tracers
+        )
 
     def _run_processes(
         self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
     ) -> ExecutionResult:
-        config = self.config
         buffers = self._buffers_for(fields)
         self._traced_move("run.scatter", self._scatter, buffers, fields)
         try:
             reports = self.session._pool_manager.run_program_specs(
-                self.program, self.function, config.backend, buffers.specs,
-                list(scalars), config.timeout, config.threads_per_rank,
-                config.codegen if self._codegen_active else "planned",
-                trace=config.trace,
+                self.program, self.function, self.config, buffers.specs,
+                list(scalars),
             )
         except _process_runtime.WorkerError:
             self.session.metrics.inc("worker.errors")
             if self.tracer is not None:
                 self.tracer.instant("worker.error")
             raise
-        statistics, comm, rank_traces = self._process_result(buffers, reports)
-        self._traced_move("run.gather", self._gather, buffers, fields)
-        return self._attach_trace(self._result(statistics, comm), rank_traces)
+        return self._processes_result(buffers, fields, reports)
 
-    def _process_result(
-        self, buffers: _RunBuffers, reports: Sequence[Any]
-    ) -> tuple[list, CommStatistics, list]:
-        """Rank statistics + merged comm (with elision accounting) from reports.
+    def _processes_result(
+        self, buffers: _RunBuffers, fields, reports: Sequence[Any]
+    ) -> ExecutionResult:
+        """Account, gather and assemble a finished process-world run.
 
         Shared by :meth:`_run_processes` and the serving layer's process-world
         batched dispatch so both account identically.
@@ -1087,7 +887,10 @@ class Plan:
         else:
             comm.shared_blocks_reused = buffers.fresh_reused
         buffers.runs += 1
-        return statistics, comm, [report.trace for report in ordered]
+        self._traced_move("run.gather", self._gather, buffers, fields)
+        return self._attach_trace(
+            self._result(statistics, comm), [report.trace for report in ordered]
+        )
 
     @staticmethod
     def _lease_count(buffers: _RunBuffers) -> int:
@@ -1153,12 +956,11 @@ class PreparedRun:
 
     Built by :meth:`Plan.prepare`.  Construction performs the per-job front
     half of :meth:`Plan.run` — argument validation, buffer building (fresh or
-    recycled, *never* the plan's shared cache), scatter, per-rank megakernel
-    lookup and body construction — so a batch round only has to launch
-    bodies.  After the round, :meth:`finish` replays the back half: missing-
-    statistics checks, megakernel-engagement accounting, gather, trace
-    attachment and the session metric ingest.  Every step calls the same
-    ``Plan`` helpers the standalone path uses, so a batched job is
+    recycled, *never* the plan's shared cache), scatter and body
+    construction — so a batch round only has to launch bodies.  After the
+    round, :meth:`finish` replays the back half: missing-statistics checks,
+    gather, trace attachment and the session metric ingest.  Every step calls
+    the same ``Plan`` helpers the standalone path uses, so a batched job is
     bit-identical — fields, ``ExecStatistics``, ``CommStatistics`` — to the
     same job on a standalone plan.
 
@@ -1189,34 +991,22 @@ class PreparedRun:
         self.error: Optional[BaseException] = None
         self.buffers: Optional[_RunBuffers] = None
 
-        expected = len(plan._func_op.body.block.args)
-        provided = len(self.fields) + len(self.scalars)
-        if provided != expected:
-            raise ExecutionError(
-                f"{plan.function} expects {expected} arguments, got {provided}"
-            )
+        plan._check_arity(self.fields, self.scalars)
         self.statistics: list = [None] * self.size
-        self.engaged = [False] * self.size
         self.tracers = plan._rank_tracers(self.size)
 
         if not self.distributed:
             tracer = self.tracers[0] if self.tracers is not None else None
 
-            def local_body(comm=None) -> None:
-                self.statistics[0] = plan._execute_local(
-                    self.fields, self.scalars, tracer
+            def single_body(comm=None) -> None:
+                self.statistics[0] = plan._run_rank(
+                    [*self.fields, *self.scalars], None, tracer
                 )
 
-            self.body = local_body
+            self.body = single_body
             return
 
-        for index, array in enumerate(self.fields):
-            if not isinstance(array, np.ndarray):
-                raise ExecutionError(
-                    f"distributed field {index} is {type(array).__name__}, "
-                    "not a numpy array; pass scalar arguments (e.g. the "
-                    "timestep count) via the scalars sequence"
-                )
+        plan._check_fields(self.fields)
         if buffers is not None and plan._buffers_valid(buffers, self.fields):
             self.buffers = buffers
         else:
@@ -1227,12 +1017,8 @@ class PreparedRun:
         if self.runtime == "processes":
             self.body = None
         else:
-            megakernels = plan._rank_megakernels(
-                self.buffers, self.scalars, self.size
-            )
             self.body = plan._rank_body(
-                self.buffers, self.scalars, self.statistics, self.engaged,
-                self.tracers, megakernels,
+                self.buffers, self.scalars, self.statistics, self.tracers
             )
 
     def finish(self) -> ExecutionResult:
@@ -1247,40 +1033,19 @@ class PreparedRun:
                     "the job finished without reporting statistics; "
                     "the batched execution did not complete"
                 )
-            result = plan._attach_trace(
-                ExecutionResult(
-                    statistics=[stats],
-                    runtime="local",
-                    runtime_requested="local",
-                    threads_per_rank=plan.config.threads_per_rank,
-                ),
-                self.tracers,
-            )
+            result = plan._attach_trace(plan._single_result(stats), self.tracers)
         elif self.runtime == "processes":
             if self.reports is None:
                 raise ExecutionError(
                     "the job finished without worker reports; "
                     "the batched execution did not complete"
                 )
-            statistics, comm, rank_traces = plan._process_result(
-                self.buffers, self.reports
+            result = plan._processes_result(
+                self.buffers, self.fields, self.reports
             )
-            plan._traced_move("run.gather", plan._gather, self.buffers, self.fields)
-            result = plan._attach_trace(plan._result(statistics, comm), rank_traces)
         else:
-            missing = [
-                rank for rank, stats in enumerate(self.statistics)
-                if stats is None
-            ]
-            if missing:
-                raise ExecutionError(
-                    f"ranks {missing} finished without reporting statistics; "
-                    "the SPMD execution did not complete"
-                )
-            plan._ingest_engagement(self.engaged)
-            plan._traced_move("run.gather", plan._gather, self.buffers, self.fields)
-            result = plan._attach_trace(
-                plan._result(list(self.statistics), self.world.statistics),
+            result = plan._threads_result(
+                self.buffers, self.fields, self.statistics, self.world,
                 self.tracers,
             )
         plan._finish_run(result)
@@ -1301,7 +1066,7 @@ def _release_run_buffers(buffers: _RunBuffers) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the default session (compatibility surface for the deprecated shims)
+# the default session
 # ---------------------------------------------------------------------------
 
 _DEFAULT_SESSION: Optional[Session] = None
@@ -1309,20 +1074,22 @@ _DEFAULT_SESSION_LOCK = threading.Lock()
 
 
 def default_session() -> Session:
-    """The process-wide session behind ``run_local`` / ``run_distributed``.
+    """The process-wide session frontends fall back to when given none.
 
-    Shares the process-wide worker-pool manager and shared-memory field pool
-    (so legacy callers keep the PR 2-4 amortization and the existing
-    ``shutdown_worker_pool()`` teardown keeps working), and is replaced
-    transparently if something closed it.
+    An ordinary :class:`Session` with the default configuration, created on
+    first use (``Operator.apply()``, ``PsycloneXDSLBackend.run()``), closed
+    at interpreter exit, and replaced transparently if something closed it.
     """
     global _DEFAULT_SESSION
     with _DEFAULT_SESSION_LOCK:
         session = _DEFAULT_SESSION
         if session is None or session.closed:
-            session = Session()
-            session._pool_manager = _process_runtime.default_pool_manager()
-            session._field_pool = _process_runtime.shared_field_pool()
-            session._owns_runtime = False
-            _DEFAULT_SESSION = session
+            if session is None:
+                atexit.register(_close_default_session)
+            session = _DEFAULT_SESSION = Session()
         return session
+
+
+def _close_default_session() -> None:
+    if _DEFAULT_SESSION is not None:
+        _DEFAULT_SESSION.close()

@@ -22,7 +22,7 @@ Selection rules
 
 The two engines are combined *per loop nest*, never per program:
 
-1. ``repro.core.run_local`` / ``run_distributed`` accept
+1. ``repro.core.ExecutionConfig`` accepts
    ``backend="auto" | "interpreter" | "vectorized"``; ``auto`` (default) asks
    :func:`repro.interp.vectorize.compile_kernel` for a
    :class:`~repro.interp.vectorize.CompiledKernel` (cached on the
@@ -52,7 +52,7 @@ vectorized path because per-cell dispatch no longer happens.
 
 Distributed programs execute against one of two worlds implementing the same
 :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (selected by
-``run_distributed(runtime=...)``): the :class:`SimulatedMPI` thread world
+``ExecutionConfig(runtime=...)``): the :class:`SimulatedMPI` thread world
 here — each rank runs one interpreter instance, sharing one compiled kernel,
 in its own thread — or the OS-process world of :mod:`repro.runtime`, where
 each rank is a pooled worker process computing on shared-memory field
@@ -72,10 +72,8 @@ from .interpreter import (
     ExecStatistics,
     Interpreter,
     InterpreterError,
-    PlannedOp,
     RequestArray,
     RequestRef,
-    compile_block_plans,
     run_function,
 )
 from .mpi_runtime import (
@@ -99,7 +97,7 @@ from .vectorize import (
 
 __all__ = [
     "Interpreter", "InterpreterError", "ExecStatistics", "run_function",
-    "RequestArray", "RequestRef", "PlannedOp", "compile_block_plans",
+    "RequestArray", "RequestRef",
     "CompiledKernel", "CompiledNest", "VectorizationError", "VectorizeFallback",
     "compile_kernel", "compile_loop_nest", "compile_loop_nest_or_fallback",
     "CodegenError", "CodegenFallback", "CompiledMegakernel", "MegakernelTrace",

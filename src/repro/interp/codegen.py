@@ -1,8 +1,8 @@
 """Megakernel code generation: trace the time loop once, emit one function.
 
-Even with vectorized nests and pre-resolved block plans, every timestep of a
-``Plan.run()`` still walks a ``PlannedOp`` list: per-op dispatch, pending-halo
-checks, environment dict traffic.  On small grids with many timesteps that
+Even with vectorized nests, every timestep of an interpreted ``Plan.run()``
+still walks the lowered IR op by op: handler dispatch, pending-halo checks,
+environment dict traffic.  On small grids with many timesteps that
 dispatch — not the NumPy work — dominates.  This module erases it: the
 program's time loop is *traced* once (:func:`trace_program`) and *emitted*
 (:func:`emit_megakernel`) as a single straight-line Python function — fused
@@ -21,14 +21,14 @@ The discipline mirrors the interpreter exactly:
   the same per-(op, rank) plan the swap handler executes;
 * every statistics counter is *statically hoisted*: the emitted function adds
   ``pre + trips * per_iteration`` to each field up front, reproducing the
-  planned-op path's counts bit-for-bit.
+  interpreter loop's counts bit-for-bit.
 
 Anything the tracer cannot prove — data-dependent control flow, runtime-
 dependent nest geometry, reductions, aliased buffers, untraceable ops — is
 rejected with a :class:`CodegenError` carrying an explicit reason string; the
-caller then records a :class:`CodegenFallback` and keeps the ``PlannedOp``
-path, exactly like :class:`~repro.interp.vectorize.VectorizeFallback` does per
-nest.
+caller (:func:`repro.core.rank.run_rank`) then records a
+:class:`CodegenFallback` and runs the interpreter loop instead, exactly like
+:class:`~repro.interp.vectorize.VectorizeFallback` does per nest.
 
 Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 """
@@ -66,7 +66,7 @@ class CodegenError(Exception):
 
 
 class CodegenFallback:
-    """Why a plan bounced to the planned-op path (mirrors VectorizeFallback)."""
+    """Why a plan bounced to the interpreter loop (mirrors VectorizeFallback)."""
 
     __slots__ = ("function_name", "reason")
 
@@ -517,7 +517,7 @@ class CompiledMegakernel:
 
     ``run`` re-checks what only the concrete call can prove — argument
     layout and pairwise buffer aliasing — and returns False to bounce that
-    run to the planned-op path when the guard fails.
+    run to the interpreter loop when the guard fails.
     """
 
     __slots__ = ("label", "source", "signature", "array_indices", "traced", "_fn")
@@ -554,7 +554,7 @@ class CompiledMegakernel:
         return True
 
     def run(self, args, stats, comm=None, tracer=None) -> bool:
-        """Execute; False bounces to the planned path (aliased buffers)."""
+        """Execute; False bounces to the interpreter (aliased buffers)."""
         arrays = [args[index] for index in self.array_indices]
         for first in range(len(arrays)):
             for second in range(first + 1, len(arrays)):

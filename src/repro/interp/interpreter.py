@@ -145,102 +145,6 @@ _HALO_TRANSPARENT_OPS = frozenset(
 )
 
 
-# ---------------------------------------------------------------------------
-# pre-resolved block plans (the amortized time-loop driver of Session/Plan)
-# ---------------------------------------------------------------------------
-
-#: Kinds of a :class:`PlannedOp` (int compares beat string compares per op).
-_PLAN_HANDLER = 0   # dispatch through the pre-bound handler
-_PLAN_CONST = 1     # arith.constant with the literal pre-materialized
-_PLAN_CAST = 2      # identity plumbing (unrealized_conversion_cast, memref.cast)
-_PLAN_YIELD = 3     # scf/omp/hls yield, stencil.return
-_PLAN_RETURN = 4    # func.return
-_PLAN_EMPTY = 5     # omp/gpu terminators
-
-
-class PlannedOp:
-    """One operation of a pre-resolved block: handler bound, constants folded.
-
-    The per-op work `_eval` repeats on every execution — the name lookup, the
-    halo-transparency set membership, the handler dict get, and for constants
-    the attribute unpacking — is done once here, at plan-compile time.
-    """
-
-    __slots__ = ("op", "kind", "handler", "value", "transparent")
-
-    def __init__(self, op: Operation, kind: int, handler: Optional[Handler],
-                 value: Any, transparent: bool):
-        self.op = op
-        self.kind = kind
-        self.handler = handler
-        self.value = value
-        self.transparent = transparent
-
-
-_PLAN_CAST_OPS = frozenset({"builtin.unrealized_conversion_cast", "memref.cast"})
-_PLAN_YIELD_OPS = frozenset(
-    {"scf.yield", "omp.yield", "hls.yield", "stencil.return"}
-)
-_PLAN_EMPTY_OPS = frozenset({"omp.terminator", "gpu.terminator"})
-
-
-def _plan_op(op: Operation) -> PlannedOp:
-    name = op.name
-    transparent = name in _HALO_TRANSPARENT_OPS or name.startswith("arith.")
-    if name in _PLAN_YIELD_OPS:
-        return PlannedOp(op, _PLAN_YIELD, None, None, transparent)
-    if name == "func.return":
-        return PlannedOp(op, _PLAN_RETURN, None, None, transparent)
-    if name in _PLAN_EMPTY_OPS:
-        return PlannedOp(op, _PLAN_EMPTY, None, None, transparent)
-    if name in _PLAN_CAST_OPS:
-        return PlannedOp(op, _PLAN_CAST, None, None, transparent)
-    if name == "arith.constant" and isinstance(op, arith.ConstantOp):
-        value_attr = op.value
-        if isinstance(value_attr, IntegerAttr):
-            result_type = op.results[0].type
-            if isinstance(result_type, IntegerType) and result_type.width == 1:
-                value: Any = bool(value_attr.value)
-            else:
-                value = int(value_attr.value)
-            return PlannedOp(op, _PLAN_CONST, None, value, transparent)
-        if isinstance(value_attr, FloatAttr):
-            return PlannedOp(op, _PLAN_CONST, None, float(value_attr.value),
-                             transparent)
-        # Unsupported payload: keep the handler so it raises exactly as today.
-    handler_fn = _HANDLERS.get(name)
-    if handler_fn is None:
-        # Defer the error to execution time, exactly like `_eval`: an op that
-        # is never reached must not poison the plan of its whole function.
-        def handler_fn(interp, op, env, _name=name):
-            raise InterpreterError(f"no interpreter support for operation {_name!r}")
-
-    return PlannedOp(op, _PLAN_HANDLER, handler_fn, None, transparent)
-
-
-def compile_block_plans(function: func.FuncOp) -> dict[int, list[PlannedOp]]:
-    """Pre-resolve every block of ``function`` for repeated execution.
-
-    The returned mapping (``id(block) -> [PlannedOp, ...]``) is consumed by
-    ``Interpreter(block_plans=...)``: blocks found in the map run through
-    :meth:`Interpreter._run_planned`, skipping the per-op dispatch work; any
-    block not in the map (e.g. of a *called* function) falls back to the
-    ordinary `_eval` loop.  Assumes — like the vectorized-kernel cache — that
-    the module is no longer mutated after compilation.
-    """
-    plans: dict[int, list[PlannedOp]] = {}
-
-    def visit(block: Block) -> None:
-        plans[id(block)] = [_plan_op(op) for op in block.ops]
-        for op in block.ops:
-            for region in op.regions:
-                for nested in region.blocks:
-                    visit(nested)
-
-    visit(function.body.block)
-    return plans
-
-
 class RequestArray:
     """Runtime value of mpi.allocate_requests: a list of request slots."""
 
@@ -272,7 +176,6 @@ class Interpreter:
         threads: int = 1,
         overlap_halos: bool = True,
         functions: Optional[dict[str, func.FuncOp]] = None,
-        block_plans: Optional[dict[int, list["PlannedOp"]]] = None,
         team: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ):
@@ -295,8 +198,8 @@ class Interpreter:
         self.pending_halos: list[PendingHalo] = []
         self.stats = ExecStatistics()
         #: ``functions`` lets a caller that runs the same module many times
-        #: (e.g. a :class:`repro.core.session.Plan`) pass a prebuilt table and
-        #: skip the per-construction module walk.
+        #: (:func:`repro.core.rank.run_rank` passes the compiled program's
+        #: table) skip the per-construction module walk.
         if functions is not None:
             self.functions = functions
         else:
@@ -304,9 +207,6 @@ class Interpreter:
             for op in module.walk():
                 if isinstance(op, func.FuncOp):
                     self.functions[op.sym_name] = op
-        #: Pre-resolved op sequences keyed by ``id(block)`` (see
-        #: :func:`compile_block_plans`); None tree-walks with per-op dispatch.
-        self.block_plans = block_plans
         #: Explicit intra-rank thread team; None falls back to the
         #: process-wide team cache of :mod:`repro.interp.thread_team`.
         self._team = team
@@ -330,25 +230,7 @@ class Interpreter:
         for block_arg, value in zip(block.args, args):
             env[block_arg] = _wrap_argument(value, block_arg.type)
         try:
-            self._run_ops(block, env)
-        except _ReturnSignal as signal:
-            self.complete_pending_halos()
-            return signal.values
-        self.complete_pending_halos()
-        return []
-
-    def call_prepared(self, function: func.FuncOp, args: Sequence[Any]) -> list[Any]:
-        """Call with pre-wrapped arguments (no lookup, no per-call wrapping).
-
-        The fast entry point of :class:`repro.core.session.Plan`: the plan
-        wraps its stable per-rank buffers into interpreter values once and
-        replays them every run.  ``args`` must already be wrapped (e.g. by
-        :func:`wrap_argument`) and match ``function``'s block arguments.
-        """
-        block = function.body.block
-        env: dict[SSAValue, Any] = dict(zip(block.args, args))
-        try:
-            self._run_ops(block, env)
+            self.run_block(block, env)
         except _ReturnSignal as signal:
             self.complete_pending_halos()
             return signal.values
@@ -368,48 +250,10 @@ class Interpreter:
 
     def run_block(self, block: Block, env: dict) -> list[Any]:
         """Run a block; return the operands of its terminating yield (if any)."""
-        return self._run_ops(block, env)
-
-    def _run_ops(self, block: Block, env: dict) -> list[Any]:
-        if self.block_plans is not None:
-            plan = self.block_plans.get(id(block))
-            if plan is not None:
-                return self._run_planned(plan, env)
         for op in block.ops:
             terminator_values = self._eval(op, env)
             if terminator_values is not None:
                 return terminator_values
-        return []
-
-    def _run_planned(self, plan: list["PlannedOp"], env: dict) -> list[Any]:
-        """Run a pre-resolved op sequence (see :func:`compile_block_plans`).
-
-        Observationally identical to the per-op ``_eval`` loop — same
-        statistics, same pending-halo completion points, same results — but
-        with the per-op name/handler lookups, the constant materialization
-        and the cast plumbing resolved once at plan-compile time.
-        """
-        stats = self.stats
-        for planned in plan:
-            stats.ops_executed += 1
-            if self.pending_halos and not planned.transparent:
-                self.complete_pending_halos()
-            kind = planned.kind
-            if kind == _PLAN_HANDLER:
-                planned.handler(self, planned.op, env)
-            elif kind == _PLAN_CONST:
-                env[planned.op.results[0]] = planned.value
-            elif kind == _PLAN_CAST:
-                op = planned.op
-                env[op.results[0]] = self.get(env, op.operands[0])
-            elif kind == _PLAN_YIELD:
-                return [self.get(env, operand) for operand in planned.op.operands]
-            elif kind == _PLAN_RETURN:
-                raise _ReturnSignal(
-                    [self.get(env, operand) for operand in planned.op.operands]
-                )
-            else:  # _PLAN_EMPTY: omp/gpu terminators
-                return []
         return []
 
     def _eval(self, op: Operation, env: dict) -> Optional[list[Any]]:
@@ -632,11 +476,6 @@ def _wrap_argument(value: Any, expected_type) -> Any:
             return MemRefValue(value, origin=expected_type.bounds.lb)
         return MemRefValue(value)
     return value
-
-
-def wrap_argument(value: Any, expected_type) -> Any:
-    """Public alias of the argument wrapper (used by Plan.call_prepared callers)."""
-    return _wrap_argument(value, expected_type)
 
 
 # ---------------------------------------------------------------------------
@@ -1242,16 +1081,6 @@ def _travel_tag(exchange: dmp.ExchangeAttr, sending: bool) -> int:
     offset = exchange.neighbor[dim]
     direction = offset if sending else -offset
     return dim * 2 + (1 if direction > 0 else 0)
-
-
-def halo_transparent(op_name: str) -> bool:
-    """Whether in-flight halo receives survive the named operation.
-
-    The single source of truth for the completion-point discipline: the
-    planned-op path, the tree walker and the megakernel code generator all
-    consult this predicate, so their halo completion points cannot diverge.
-    """
-    return op_name in _HALO_TRANSPARENT_OPS or op_name.startswith("arith.")
 
 
 class SwapMessagePlan:

@@ -47,12 +47,15 @@ class TraceTimeline:
 
     def __init__(self) -> None:
         self.records: List[TraceRecord] = []
-        self.counts: Dict[str, int] = {}
+        #: Counter totals over all tracks; ``obs.events_dropped`` is how many
+        #: timeline events their bounded rings lost (0: the trace is whole).
+        self.counts: Dict[str, int] = {"obs.events_dropped": 0}
 
     def add(self, record: Optional[TraceRecord]) -> None:
         if record is None:
             return
         self.records.append(record)
+        self.counts["obs.events_dropped"] += record.events_dropped
         for name, value in record.counts.items():
             self.counts[name] = self.counts.get(name, 0) + value
 

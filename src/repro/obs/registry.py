@@ -16,19 +16,26 @@ hand-written merges they replace.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Dict, Iterable
 
 
 class MetricsRegistry:
-    """Flat ``name -> int`` counter store with dataclass in/out views."""
+    """Flat ``name -> int`` counter store with dataclass in/out views.
 
-    __slots__ = ("_counters",)
+    ``inc`` is atomic: rank threads count into the session's registry
+    concurrently (``megakernel.*`` in :func:`repro.core.rank.run_rank`).
+    """
+
+    __slots__ = ("_counters", "_lock")
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def inc(self, name: str, value: int = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + value
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + value
 
     def get(self, name: str, default: int = 0) -> int:
         return self._counters.get(name, default)
@@ -61,8 +68,11 @@ class MetricsRegistry:
 
     def ingest(self, stats, prefix: str) -> None:
         """Add every integer field of a statistics dataclass under *prefix*."""
-        for field in dataclasses.fields(type(stats)):
-            self.inc(prefix + field.name, getattr(stats, field.name))
+        counters = self._counters
+        with self._lock:
+            for field in dataclasses.fields(type(stats)):
+                name = prefix + field.name
+                counters[name] = counters.get(name, 0) + getattr(stats, field.name)
 
     def ingest_all(self, stats_list: Iterable, prefix: str) -> None:
         for stats in stats_list:

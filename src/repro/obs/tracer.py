@@ -9,7 +9,9 @@ team, the session lifecycle, or the compile phase.  Overhead discipline:
 * Trace *summary* keeps only per-name totals — O(distinct names) memory.
 * Trace *timeline* additionally appends one tuple per span into a
   ``collections.deque`` ring buffer, so memory stays bounded even for
-  million-step runs.
+  million-step runs; the oldest events fall out of a full ring, and how
+  many did is counted (``TraceRecord.events_dropped``, surfaced as
+  ``obs.events_dropped``) so the loss is never silent.
 
 Worker processes cannot share a clock with the parent, so every tracer
 captures a paired ``(time.time(), time.perf_counter())`` reference at
@@ -48,6 +50,8 @@ class TraceRecord:
     span-*end* order; ``depth`` is the nesting depth at which the span ran
     (0 = top level).  ``totals`` maps span name to ``[count, seconds]`` and
     is populated in both recording modes; ``counts`` holds plain counters.
+    ``events_dropped`` is how many of the oldest events the bounded ring
+    pushed out (``totals`` still saw them).
     """
 
     track: str
@@ -56,13 +60,14 @@ class TraceRecord:
     events: List[Tuple[str, float, float, int]]
     totals: dict
     counts: dict
+    events_dropped: int = 0
 
 
 class Tracer:
     """Record spans and counters for one track."""
 
     __slots__ = ("mode", "track", "events", "totals", "counts", "_depth",
-                 "wall_ref", "perf_ref")
+                 "_appended", "wall_ref", "perf_ref")
 
     def __init__(self, mode: str = "timeline", *, track: str = "main",
                  maxlen: int = DEFAULT_RING) -> None:
@@ -75,6 +80,8 @@ class Tracer:
         self.totals: dict = {}
         self.counts: dict = {}
         self._depth = 0
+        #: Events ever appended; whatever the ring no longer holds was dropped.
+        self._appended = 0
         # Paired clock reference for cross-process alignment.
         self.wall_ref = time.time()
         self.perf_ref = time.perf_counter()
@@ -98,6 +105,7 @@ class Tracer:
             total[0] += 1
             total[1] += duration
         if self.events is not None:
+            self._appended += 1
             self.events.append((name, start, duration, self._depth))
 
     @contextmanager
@@ -117,6 +125,7 @@ class Tracer:
         else:
             total[0] += 1
         if self.events is not None:
+            self._appended += 1
             self.events.append((name, now, 0.0, self._depth))
 
     # ------------------------------------------------------------------
@@ -139,6 +148,10 @@ class Tracer:
             events=list(self.events) if self.events is not None else [],
             totals={name: list(pair) for name, pair in self.totals.items()},
             counts=dict(self.counts),
+            events_dropped=(
+                self._appended - len(self.events)
+                if self.events is not None else 0
+            ),
         )
 
 

@@ -16,9 +16,12 @@ measurable in wall-clock time rather than only modeled:
 * :mod:`repro.runtime.stats` — picklable per-rank statistics merged
   deterministically in the parent.
 
-Select it with ``run_distributed(..., runtime="processes")``; results are
-bit-identical to ``runtime="threads"`` and the executor falls back to threads
-automatically when shared memory is unavailable.
+Select it with ``ExecutionConfig(runtime="processes")``; results are
+bit-identical to ``runtime="threads"`` and plans fall back to threads (with a
+``RuntimeFallbackWarning``) when shared memory is unavailable.  The pool and
+the field blocks are explicit resources — :class:`PoolManager` and
+:class:`SharedFieldPool` instances owned by a ``Session`` (or built directly
+by tests); there is no process-wide pool.
 """
 
 from .mp_world import (
@@ -29,11 +32,7 @@ from .mp_world import (
     default_context,
     processes_available,
 )
-from .shared_pool import (
-    LeasedField,
-    SharedFieldPool,
-    shared_field_pool,
-)
+from .shared_pool import LeasedField, SharedFieldPool
 from .stats import (
     RankStats,
     combine_exec_statistics,
@@ -45,11 +44,6 @@ from .worker_pool import (
     WorkerError,
     WorkerFailure,
     WorkerPool,
-    default_pool_manager,
-    get_worker_pool,
-    run_program_processes,
-    run_spmd_processes,
-    shutdown_worker_pool,
 )
 
 __all__ = [
@@ -57,9 +51,7 @@ __all__ = [
     "SharedField", "SharedFieldSpec",
     "processes_available", "default_context",
     "WorkerPool", "WorkerError", "WorkerFailure", "PoolManager",
-    "get_worker_pool", "shutdown_worker_pool", "default_pool_manager",
-    "run_program_processes", "run_spmd_processes",
     "RankStats", "merge_comm_statistics", "combine_exec_statistics",
     "sort_rank_stats",
-    "LeasedField", "SharedFieldPool", "shared_field_pool",
+    "LeasedField", "SharedFieldPool",
 ]

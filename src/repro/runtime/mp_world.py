@@ -60,7 +60,7 @@ _AVAILABLE: Optional[bool] = None
 def processes_available() -> bool:
     """True when shared memory and process creation work on this platform.
 
-    ``run_distributed(runtime="processes")`` falls back to the thread world
+    Plans asking for ``runtime="processes"`` fall back to the thread world
     when this is False, so callers never have to guard themselves.
     """
     global _AVAILABLE

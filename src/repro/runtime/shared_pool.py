@@ -1,15 +1,14 @@
 """A pool of reusable shared-memory blocks for per-rank field buffers.
 
-PR 2's process runtime paid two extra memcpys per field per run: the executor
-scattered each rank's slab into a throwaway NumPy array, the runtime copied
-that array into a freshly allocated ``multiprocessing.shared_memory`` block,
-and after the run it copied the block back into the throwaway before the
-executor gathered from it — and every block was unlinked at the end of every
-run.  This module removes all of that:
+The naive process runtime pays two extra memcpys per field per run: scatter
+each rank's slab into a throwaway NumPy array, copy that array into a freshly
+allocated ``multiprocessing.shared_memory`` block, and after the run copy the
+block back into the throwaway before gathering from it — with every block
+unlinked at the end of every run.  This module removes all of that:
 
-* the executor *scatters straight into* (and gathers straight out of) a
-  leased block's NumPy view — the throwaway middle buffer and both extra
-  memcpys are gone (``CommStatistics.bytes_elided`` counts what was saved);
+* a plan *scatters straight into* (and gathers straight out of) a leased
+  block's NumPy view — the throwaway middle buffer and both extra memcpys
+  are gone (``CommStatistics.bytes_elided`` counts what was saved);
 * released blocks return to a free list keyed by capacity instead of being
   unlinked, so a repeated run — a benchmark's timing loop, a time-stepping
   driver — reuses the same OS objects (``shared_blocks_reused``).
@@ -91,7 +90,7 @@ class SharedFieldPool:
         Scatter writes once into the view instead of once into a throwaway
         array plus once into the block, and gather reads it back without the
         symmetric copy-out — two memcpys of the payload are elided per lease
-        (counted per run by the executor as ``CommStatistics.bytes_elided``).
+        (counted per run by the plan as ``CommStatistics.bytes_elided``).
         """
         from multiprocessing import shared_memory
 
@@ -147,11 +146,3 @@ def _capacity_class(nbytes: int) -> int:
     while size < nbytes:
         size *= 2
     return size
-
-
-_FIELD_POOL: SharedFieldPool = SharedFieldPool()
-
-
-def shared_field_pool() -> SharedFieldPool:
-    """The process-wide pool used by ``run_distributed(runtime="processes")``."""
-    return _FIELD_POOL

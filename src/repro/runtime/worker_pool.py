@@ -2,24 +2,25 @@
 
 Spawning an OS process and importing the compiler stack costs far more than
 one small stencil run, so the pool is *persistent*: workers are started once
-per interpreter session and reused by every subsequent
-``run_distributed(runtime="processes")`` call.  Programs are compiled once in
-the parent, pickled once per worker (the vectorized-kernel cache is dropped on
-the wire and rebuilt lazily), and cached worker-side on the unpickled
-:class:`~repro.core.CompiledProgram` itself — so repeated runs, e.g. a
-benchmark's timing loop, ship nothing and recompile nothing.
+per :class:`PoolManager` (one per :class:`repro.core.session.Session`) and
+reused by every subsequent ``runtime="processes"`` run.  Programs are compiled
+once in the parent, pickled once per worker (the vectorized-kernel and
+megakernel caches are dropped on the wire and rebuilt lazily), and cached
+worker-side on the unpickled :class:`~repro.core.CompiledProgram` itself — so
+repeated runs, e.g. a benchmark's timing loop, ship nothing and recompile
+nothing.
 
 Protocol (all tuples over per-worker command queues and one shared result
 queue):
 
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
-* ``("run", run_id, key, rank, size, function, backend, field_specs,
-  scalars, timeout, threads_per_rank, codegen, trace)`` — attach the
-  shared-memory fields and execute one rank (with an intra-rank thread team
-  when ``threads_per_rank > 1`` — the OpenMP level of the hybrid runtime;
-  ``codegen`` selects the worker-built megakernel fast path, cached on the
-  worker's unpickled program like the vectorized kernels; ``trace`` turns on
-  the rank-local span tracer, whose record ships back with the reply);
+* ``("run", run_id, key, rank, size, base, function, config, field_specs,
+  scalars)`` — attach the shared-memory fields and execute one rank through
+  :func:`repro.core.rank.run_rank` under the caller's frozen
+  :class:`~repro.core.config.ExecutionConfig` — the same function, the same
+  configuration and therefore the same tier choice, overlap discipline,
+  thread-team size and tracing as the thread world (the rank-local trace
+  record ships back with the reply);
 * ``("spmd", run_id, rank, size, payload, timeout)`` — run an arbitrary
   picklable ``fn(comm, *args)`` (tests and ad-hoc experiments);
 * ``("warmup", run_id, rank, threads_per_rank)`` — pre-spawn the worker's
@@ -36,7 +37,6 @@ fresh one.
 
 from __future__ import annotations
 
-import atexit
 import contextlib
 import itertools
 import pickle
@@ -46,11 +46,8 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-import numpy as np
-
-from ..interp.interpreter import ExecStatistics, Interpreter
 from ..interp.mpi_runtime import CommStatistics
 from ..obs import Tracer
 from .mp_world import (
@@ -58,9 +55,11 @@ from .mp_world import (
     SharedField,
     SharedFieldSpec,
     default_context,
-    processes_available,
 )
-from .stats import RankStats, merge_comm_statistics, sort_rank_stats
+from .stats import RankStats
+
+if TYPE_CHECKING:  # pragma: no cover - ``repro.core`` sits above this package
+    from ..core.config import ExecutionConfig
 
 
 @dataclass
@@ -114,12 +113,9 @@ class PoolBatchJob:
 
     program: Any
     function_name: str
-    backend: str
+    config: "ExecutionConfig"
     field_specs: Sequence[Sequence["SharedFieldSpec"]]
     scalars: Sequence[Any]
-    threads_per_rank: int = 1
-    codegen: str = "planned"
-    trace: str = "off"
 
 
 @contextlib.contextmanager
@@ -155,6 +151,9 @@ def _failure(rank: int, phase: str, err: BaseException) -> WorkerFailure:
 
 def _worker_main(worker_index: int, commands, results, inboxes) -> None:
     """The worker loop: cache programs, execute ranks, report statistics."""
+    # Imported here, in the child: ``repro.core`` sits above this package.
+    from ..core.rank import run_rank
+
     programs: dict[int, Any] = {}
     while True:
         command = commands.get()
@@ -167,18 +166,10 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 programs[key] = pickle.loads(payload)
             continue
         if kind == "run":
-            (_, run_id, key, rank, size, base, function_name, backend,
-             field_specs, scalars, timeout, threads_per_rank, codegen,
-             trace) = command
+            (_, run_id, key, rank, size, base, function_name, config,
+             field_specs, scalars) = command
             fields: list[SharedField] = []
             try:
-                program = programs[key]
-                # Cached on the worker's CompiledProgram: compiled on the
-                # first run of this program and shared by every later run.
-                kernel = (
-                    None if backend == "interpreter"
-                    else program.compiled_kernel(function_name)
-                )
                 fields = [SharedField.attach(spec) for spec in field_specs]
                 # ``base`` partitions the pool across the jobs of one batched
                 # round: this rank's world is the ``size`` workers starting at
@@ -186,34 +177,23 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 # concurrent jobs can never cross-deliver.
                 comm = ProcessRankCommunicator(
                     rank, size, inboxes[base:base + size],
-                    run_id=run_id, timeout=timeout
+                    run_id=run_id, timeout=config.timeout
                 )
-                args = [field.array for field in fields] + list(scalars)
                 # Spans are recorded against this process's monotonic clock;
                 # the tracer's paired wall/perf reference lets the parent
                 # re-align the record onto the shared timeline axis.
                 tracer = (
-                    Tracer(trace, track=f"rank {rank}")
-                    if trace != "off" else None
+                    Tracer(config.trace, track=f"rank {rank}")
+                    if config.trace != "off" else None
                 )
-                stats = None
-                if codegen != "planned" and kernel is not None:
-                    megakernel = _worker_megakernel(
-                        program, function_name, kernel, args, rank, size,
-                        forced=(codegen == "megakernel"),
-                        traced=tracer is not None,
-                    )
-                    if megakernel is not None and megakernel.matches(args):
-                        candidate = ExecStatistics()
-                        if megakernel.run(args, candidate, comm, tracer):
-                            stats = candidate
-                if stats is None:
-                    interpreter = Interpreter(
-                        program.module, comm=comm, kernel=kernel,
-                        threads=threads_per_rank, tracer=tracer,
-                    )
-                    interpreter.call(function_name, *args)
-                    stats = interpreter.stats
+                # Kernels and megakernels are cached on the worker's
+                # CompiledProgram: built on the first run of this program and
+                # shared by every later run.
+                stats = run_rank(
+                    programs[key], function_name, config,
+                    [field.array for field in fields] + list(scalars),
+                    comm=comm, tracer=tracer,
+                )
                 results.put(
                     ("done", run_id, rank, stats, comm.statistics,
                      tracer.record() if tracer is not None else None)
@@ -251,52 +231,6 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                     ("error", run_id, rank, _failure(rank, "warmup", err))
                 )
             continue
-
-
-def _worker_megakernel(program, function_name, kernel, args, rank, size, *,
-                       forced: bool, traced: bool = False):
-    """This worker's megakernel for one (function, rank, layout) — or None.
-
-    Mirrors the parent-side session cache: built on the first run from the
-    shipped program (whose megakernel cache, like the vectorized-kernel
-    cache, was dropped on the wire) and kept on the worker's unpickled
-    CompiledProgram.  Failures are cached as CodegenFallback so they are not
-    re-attempted every run; ``forced`` turns them into errors shipped to the
-    parent instead of silent interpreter fallbacks.
-    """
-    from ..dialects.func import find_function
-    from ..interp.codegen import (
-        CodegenError,
-        CodegenFallback,
-        emit_megakernel,
-        megakernel_signature,
-        trace_program,
-    )
-
-    key = (function_name, rank, size, megakernel_signature(args), traced)
-    cached = program._megakernel_cache.get(key)
-    if cached is None:
-        try:
-            func_op = find_function(program.module, function_name)
-            if func_op is None:
-                raise CodegenError(f"no function named {function_name!r}")
-            # Workers run the interpreter's default overlap discipline, so
-            # the megakernel is emitted with the same completion points.
-            trace = trace_program(func_op, kernel, overlap=True)
-            cached = emit_megakernel(trace, args, rank=rank, size=size,
-                                     traced=traced)
-        except CodegenError as err:
-            cached = CodegenFallback(function_name, str(err))
-        program._megakernel_cache[key] = cached
-    if isinstance(cached, CodegenFallback):
-        if forced:
-            raise WorkerError(
-                f"codegen='megakernel' was forced but {function_name!r} "
-                f"cannot be megakernel-compiled on rank {rank}/{size}: "
-                f"{cached.reason}"
-            )
-        return None
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +320,9 @@ class WorkerPool:
         self,
         program,
         function_name: str,
-        backend: str,
+        config: "ExecutionConfig",
         field_specs: Sequence[Sequence[SharedFieldSpec]],
         scalar_arguments: Sequence[Any],
-        timeout: float,
-        threads_per_rank: int = 1,
-        codegen: str = "planned",
-        trace: str = "off",
     ) -> list[RankStats]:
         """Execute one rank per worker against pre-scattered shared fields."""
         size = len(field_specs)
@@ -407,11 +337,10 @@ class WorkerPool:
             scalars = list(scalar_arguments)
             for rank in range(size):
                 self._commands[rank].put(
-                    ("run", run_id, key, rank, size, 0, function_name, backend,
-                     list(field_specs[rank]), scalars, timeout,
-                     threads_per_rank, codegen, trace)
+                    ("run", run_id, key, rank, size, 0, function_name, config,
+                     list(field_specs[rank]), scalars)
                 )
-            reports = self._collect(run_id, size, timeout)
+            reports = self._collect(run_id, size, config.timeout)
         return [RankStats(rank, exec_stats, comm_stats, trace=trace_record)
                 for rank, exec_stats, comm_stats, trace_record in reports]
 
@@ -452,9 +381,8 @@ class WorkerPool:
                 for rank in range(size):
                     self._commands[base + rank].put(
                         ("run", run_id, key, rank, size, base,
-                         job.function_name, job.backend,
-                         list(job.field_specs[rank]), scalars, timeout,
-                         job.threads_per_rank, job.codegen, job.trace)
+                         job.function_name, job.config,
+                         list(job.field_specs[rank]), scalars)
                     )
                 run_ids.append(run_id)
                 sizes.append(size)
@@ -659,11 +587,9 @@ class WorkerPool:
 class PoolManager:
     """Owns (at most) one :class:`WorkerPool` and its replacement policy.
 
-    Pool ownership used to be a module global; a manager instance makes it an
-    explicit resource a :class:`repro.core.session.Session` can hold, reuse
-    across runs, and tear down deterministically.  The module-level functions
-    below keep delegating to one process-wide default manager — the
-    compatibility surface for ad-hoc callers and the default session.
+    An explicit resource: a :class:`repro.core.session.Session` holds one,
+    reuses it across runs and tears it down deterministically; tests and
+    ad-hoc SPMD experiments build their own.
     """
 
     def __init__(self):
@@ -705,13 +631,9 @@ class PoolManager:
         self,
         program,
         function_name: str,
-        backend: str,
+        config: "ExecutionConfig",
         field_specs: Sequence[Sequence[SharedFieldSpec]],
         scalar_arguments: Sequence[Any],
-        timeout: float,
-        threads_per_rank: int = 1,
-        codegen: str = "planned",
-        trace: str = "off",
     ) -> list[RankStats]:
         """Run one rank per worker against pre-scattered shared-memory specs."""
         size = len(field_specs)
@@ -719,9 +641,8 @@ class PoolManager:
             pool = self.acquire(size)
             try:
                 return pool.run_program(
-                    program, function_name, backend, field_specs,
-                    scalar_arguments, timeout, threads_per_rank, codegen,
-                    trace,
+                    program, function_name, config, field_specs,
+                    scalar_arguments,
                 )
             except _PoolReplacedError:
                 continue  # the pool was grown, replaced, or had dead workers
@@ -763,110 +684,6 @@ class PoolManager:
                 return
             except _PoolReplacedError:
                 continue  # the pool was grown, replaced, or had dead workers
-
-
-_GLOBAL_MANAGER = PoolManager()
-
-
-def default_pool_manager() -> PoolManager:
-    """The process-wide manager behind the module-level compatibility API."""
-    return _GLOBAL_MANAGER
-
-
-def get_worker_pool(size: int) -> WorkerPool:
-    """The shared persistent pool, grown (by replacement) when too small."""
-    return _GLOBAL_MANAGER.acquire(size)
-
-
-def shutdown_worker_pool() -> None:
-    """Tear down the shared pool and field blocks (tests, interpreter exit)."""
-    _GLOBAL_MANAGER.shutdown()
-    from .shared_pool import shared_field_pool
-
-    shared_field_pool().clear()
-
-
-atexit.register(shutdown_worker_pool)
-
-
-# ---------------------------------------------------------------------------
-# high-level entry points
-# ---------------------------------------------------------------------------
-
-def run_program_processes(
-    program,
-    function_name: str,
-    backend: str,
-    local_fields: Sequence[Sequence[Any]],
-    scalar_arguments: Sequence[Any],
-    *,
-    timeout: float = 60.0,
-    threads_per_rank: int = 1,
-    manager: Optional[PoolManager] = None,
-) -> tuple[list[ExecStatistics], CommStatistics]:
-    """Run one compiled SPMD program rank-per-process over shared memory.
-
-    ``local_fields[rank]`` are the pre-scattered per-rank buffers.  Plain
-    NumPy arrays are copied into fresh shared-memory blocks and back (the
-    PR 2 discipline, kept for ad-hoc callers); entries that already *are*
-    shared-memory backed — :class:`~repro.runtime.shared_pool.LeasedField`
-    or :class:`~repro.runtime.mp_world.SharedField` — are used in place,
-    eliding both copies (the session's copy-elision path).  Buffers are
-    updated **in place** either way.  Returns the per-rank execution
-    statistics in rank order plus the merged communication statistics.
-    ``manager`` selects whose worker pool runs it (default: the process-wide
-    one).
-    """
-    manager = manager if manager is not None else _GLOBAL_MANAGER
-    owned: list[tuple[np.ndarray, SharedField]] = []
-    shared: list[list[Any]] = []
-    for rank_fields in local_fields:
-        rank_shared = []
-        for entry in rank_fields:
-            if isinstance(entry, np.ndarray):
-                field = SharedField.create(entry)
-                owned.append((entry, field))
-                rank_shared.append(field)
-            else:
-                rank_shared.append(entry)
-        shared.append(rank_shared)
-    try:
-        specs = [[field.spec for field in rank_fields] for rank_fields in shared]
-        reports = manager.run_program_specs(
-            program, function_name, backend, specs, scalar_arguments,
-            timeout, threads_per_rank,
-        )
-        for array, field in owned:
-            array[...] = field.array
-    finally:
-        for _, field in owned:
-            field.release()
-    ordered = sort_rank_stats(reports)
-    return (
-        [report.exec_stats for report in ordered],
-        merge_comm_statistics([report.comm_stats for report in ordered]),
-    )
-
-
-def run_spmd_processes(
-    fn: Callable,
-    size: int,
-    args: Sequence[Any] = (),
-    *,
-    timeout: float = 30.0,
-    manager: Optional[PoolManager] = None,
-) -> tuple[list[Any], CommStatistics]:
-    """Run a picklable ``fn(comm, *args)`` on ``size`` process ranks.
-
-    The process-world analogue of ``SimulatedMPI.run_spmd``; returns the
-    per-rank return values (rank order) and the merged communication
-    statistics.
-    """
-    if not processes_available():
-        raise WorkerError("process runtime is unavailable on this platform")
-    manager = manager if manager is not None else _GLOBAL_MANAGER
-    values, per_rank = manager.run_spmd(fn, size, args, timeout)
-    return values, merge_comm_statistics(per_rank)
 
 
 def _pool_attempts(limit: int = 5):

@@ -7,8 +7,8 @@ three mechanisms:
 * **Cross-tenant plan cache** — plans are keyed by
   ``(program fingerprint, function, ExecutionConfig.plan_key())``, so two
   tenants submitting the same workload share one compiled
-  :class:`~repro.core.session.Plan` (and, through the session, its
-  megakernels and worker pool).
+  :class:`~repro.core.session.Plan` (and, through the program and the
+  session, its megakernels and worker pool).
 
 * **Admission control** — a bounded run queue.  :meth:`Server.submit`
   returns a :class:`~repro.serve.job.JobHandle` future immediately; when the
@@ -271,7 +271,7 @@ class Server:
         self.metrics.inc("serve.batched_jobs", len(claimed))
         self.metrics.record_peak("serve.batch_occupancy_peak", len(claimed))
 
-        # Stage every job (validation, buffers, scatter, megakernel lookup);
+        # Stage every job (validation, buffers, scatter, body construction);
         # a job that cannot even stage fails alone, siblings continue.
         staged: list[tuple[JobHandle, PreparedRun]] = []
         for job in claimed:
@@ -319,16 +319,12 @@ class Server:
         jobs = []
         for _, prepared in pairs:
             plan = prepared.plan
-            config = plan.config
             jobs.append(PoolBatchJob(
                 program=plan.program,
                 function_name=plan.function,
-                backend=config.backend,
+                config=plan.config,
                 field_specs=prepared.buffers.specs,
                 scalars=prepared.scalars,
-                threads_per_rank=config.threads_per_rank,
-                codegen=config.codegen if plan._codegen_active else "planned",
-                trace=config.trace,
             ))
         timeout = max(prepared.plan.config.timeout for _, prepared in pairs)
         try:

@@ -11,11 +11,10 @@ import pytest
 from repro.core import (
     compile_stencil_program,
     cpu_target,
+    default_session,
     dmp_target,
     fpga_target,
     gpu_target,
-    run_distributed,
-    run_local,
     smp_target,
 )
 from repro.frontends.psyclone import reference_execute
@@ -40,7 +39,7 @@ class TestJacobiAcrossTargets:
         program = compile_stencil_program(build_jacobi_module(), target)
         steps = 3
         a, b = jacobi_initial.copy(), jacobi_initial.copy()
-        run_local(program, [a, b, steps])
+        default_session().run(program, [a, b, steps])
         latest = a if steps % 2 == 0 else b
         assert np.allclose(latest, jacobi_reference(jacobi_initial, steps))
 
@@ -52,7 +51,7 @@ class TestJacobiAcrossTargets:
         )
         steps = 4
         a, b = jacobi_initial.copy(), jacobi_initial.copy()
-        run_distributed(program, [a, b], [steps])
+        default_session().run(program, [a, b], [steps])
         expected = jacobi_reference(jacobi_initial, steps)
         assert np.allclose(a[1:9], expected[1:9])
 
@@ -97,7 +96,9 @@ class TestPsycloneWorkloadsEndToEnd:
         arrays = workload.arrays(dtype=np.float64, seed=4)
         reference = {name: array.copy() for name, array in arrays.items()}
         ordered = [arrays[name] for name in schedule.array_names()]
-        run_local(program, [*ordered, workload.iterations], function=schedule.name)
+        default_session().run(
+            program, [*ordered, workload.iterations], function=schedule.name
+        )
         reference_execute(schedule, reference, halo=1, iterations=workload.iterations)
         for name in arrays:
             assert np.allclose(arrays[name], reference[name])
@@ -110,7 +111,9 @@ class TestPsycloneWorkloadsEndToEnd:
         arrays = workload.arrays(dtype=np.float64, seed=6)
         reference = {name: array.copy() for name, array in arrays.items()}
         ordered = [arrays[name] for name in schedule.array_names()]
-        run_local(program, [*ordered, workload.iterations], function=schedule.name)
+        default_session().run(
+            program, [*ordered, workload.iterations], function=schedule.name
+        )
         reference_execute(schedule, reference, halo=1, iterations=workload.iterations)
         for name in arrays:
             assert np.allclose(arrays[name], reference[name])
@@ -121,7 +124,7 @@ class TestCommunicationAccounting:
         steps = 5
         program = compile_stencil_program(build_jacobi_module(), dmp_target((4,)))
         a, b = jacobi_initial.copy(), jacobi_initial.copy()
-        result = run_distributed(program, [a, b], [steps])
+        result = default_session().run(program, [a, b], [steps])
         # 4 ranks in a line: 3 internal boundaries, 2 messages per boundary per step.
         assert result.messages_sent == 6 * steps
         assert result.total_halo_swaps == 4 * steps
@@ -129,7 +132,7 @@ class TestCommunicationAccounting:
     def test_halo_exchange_statistics(self, jacobi_initial):
         program = compile_stencil_program(build_jacobi_module(), dmp_target((2,)))
         a, b = jacobi_initial.copy(), jacobi_initial.copy()
-        result = run_distributed(program, [a, b], [2])
+        result = default_session().run(program, [a, b], [2])
         exchanged = sum(stat.halo_elements_exchanged for stat in result.statistics)
         # Each step: each of the two ranks receives one halo element.
         assert exchanged == 2 * 2

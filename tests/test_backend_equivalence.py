@@ -12,12 +12,11 @@ from repro.core import (
     ExecutionError,
     compile_stencil_program,
     cpu_target,
+    default_session,
     dmp_target,
     fpga_target,
     gather_field,
     gpu_target,
-    run_distributed,
-    run_local,
     scatter_field,
     smp_target,
 )
@@ -37,6 +36,11 @@ from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advecti
 from tests.conftest import build_jacobi_module, jacobi_reference
 
 
+def _run(program, arguments, scalars=(), **config):
+    """One-shot run (plan, run, close) on the process-wide default session."""
+    return default_session().run(program, arguments, scalars, **config)
+
+
 def _jacobi_inputs(n, halo, seed):
     rng = np.random.default_rng(seed)
     data = np.zeros(n + 2 * halo)
@@ -48,10 +52,10 @@ def _run_both(program, make_args, steps, function=None):
     """Run one program through both backends; return both argument sets."""
     args_interp = make_args()
     args_vector = make_args()
-    result_interp = run_local(
+    result_interp = _run(
         program, [*args_interp, steps], function=function, backend="interpreter"
     )
-    result_vector = run_local(
+    result_vector = _run(
         program, [*args_vector, steps], function=function, backend="auto"
     )
     stats_interp, stats_vector = result_interp.statistics[0], result_vector.statistics[0]
@@ -124,8 +128,8 @@ class TestSingleRankEquivalence:
 def _assert_bitwise_backend_match(program, field_arrays, steps):
     interp_args = [a.copy() for a in field_arrays]
     vector_args = [a.copy() for a in field_arrays]
-    run_local(program, [*interp_args, steps], function="kernel", backend="interpreter")
-    run_local(program, [*vector_args, steps], function="kernel", backend="vectorized")
+    _run(program, [*interp_args, steps], function="kernel", backend="interpreter")
+    _run(program, [*vector_args, steps], function="kernel", backend="vectorized")
     for a, b in zip(interp_args, vector_args):
         assert np.array_equal(a, b)
 
@@ -141,7 +145,7 @@ class TestDistributedEquivalence:
                 dmp_target((2,), lower_to_library_calls=library_calls),
             )
             a, b = initial.copy(), initial.copy()
-            result = run_distributed(program, [a, b], [3], backend=backend)
+            result = _run(program, [a, b], [3], backend=backend)
             results[backend] = (a, b, result)
         a_i, b_i, r_i = results["interpreter"]
         a_v, b_v, r_v = results["vectorized"]
@@ -255,7 +259,7 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         program = compile_stencil_program(build_jacobi_module(), cpu_target())
         with pytest.raises(ExecutionError):
-            run_local(program, [np.zeros(10), np.zeros(10), 1], backend="jit")
+            _run(program, [np.zeros(10), np.zeros(10), 1], backend="jit")
 
     def test_vectorized_requires_a_vectorizable_nest(self):
         kernel = func.FuncOp("kernel", FunctionType([], []))
@@ -273,7 +277,7 @@ class TestBackendSelection:
             stencil_regions=0,
         )
         with pytest.raises(ExecutionError):
-            run_local(program, [], backend="vectorized")
+            _run(program, [], backend="vectorized")
 
     def test_default_function_requires_unambiguous_name(self):
         from repro.core.pipeline import CompiledProgram
@@ -292,7 +296,7 @@ class TestBackendSelection:
             stencil_regions=0,
         )
         with pytest.raises(ExecutionError, match="alpha.*zeta"):
-            run_local(program, [])
+            _run(program, [])
 
 
 class TestAsymmetricHaloScatterGather:
@@ -518,10 +522,10 @@ class TestTiledNestVectorization:
         fields = operator._field_arguments()
         interp_args = [a.copy() for a in fields]
         vector_args = [a.copy() for a in fields]
-        r_i = run_local(
+        r_i = _run(
             program, [*interp_args, 3], function="kernel", backend="interpreter"
         )
-        r_v = run_local(
+        r_v = _run(
             program, [*vector_args, 3], function="kernel", backend="vectorized"
         )
         for a, b in zip(interp_args, vector_args):
@@ -606,11 +610,11 @@ class TestMaskedTracerEquivalence:
         names = workload.schedule.array_names()
         interp_args = [arrays[name].copy() for name in names]
         vector_args = [arrays[name].copy() for name in names]
-        r_i = run_local(
+        r_i = _run(
             program, [*interp_args, workload.iterations],
             function=workload.schedule.name, backend="interpreter",
         )
-        r_v = run_local(
+        r_v = _run(
             program, [*vector_args, workload.iterations],
             function=workload.schedule.name, backend="vectorized",
         )
@@ -625,7 +629,7 @@ class TestMaskedTracerEquivalence:
         arrays = workload.arrays(halo=1, dtype=np.float64, seed=19)
         names = workload.schedule.array_names()
         compiled_args = [arrays[name].copy() for name in names]
-        run_local(
+        _run(
             program, [*compiled_args, 1],
             function=workload.schedule.name, backend="vectorized",
         )

@@ -9,11 +9,10 @@ from repro.core import (
     TargetKind,
     compile_stencil_program,
     cpu_target,
+    default_session,
     dmp_target,
     fpga_target,
     gpu_target,
-    run_distributed,
-    run_local,
     scatter_field,
     gather_field,
     smp_target,
@@ -86,29 +85,29 @@ class TestPipeline:
 
 
 class TestExecutors:
-    def test_run_local(self, jacobi_initial):
+    def test_session_run_single_rank(self, jacobi_initial):
         program = compile_stencil_program(build_jacobi_module(), cpu_target())
         a, b = jacobi_initial.copy(), jacobi_initial.copy()
-        result = run_local(program, [a, b, 2])
+        result = default_session().run(program, [a, b, 2])
         assert np.allclose(a, jacobi_reference(jacobi_initial, 2))
         assert result.statistics[0].cells_updated == 16
 
-    def test_run_distributed_matches_reference(self, jacobi_initial):
+    def test_session_run_ranks_match_reference(self, jacobi_initial):
         for lower in (False, True):
             program = compile_stencil_program(
                 build_jacobi_module(), dmp_target((2,), lower_to_library_calls=lower)
             )
             a, b = jacobi_initial.copy(), jacobi_initial.copy()
-            result = run_distributed(program, [a, b], [3])
+            result = default_session().run(program, [a, b], [3])
             latest = a if 3 % 2 == 0 else b
             expected = jacobi_reference(jacobi_initial, 3)
             assert np.allclose(latest[1:9], expected[1:9])
             assert result.messages_sent == 2 * 3
 
-    def test_run_distributed_requires_distributed_target(self, jacobi_initial):
+    def test_wrong_argument_count_is_rejected(self, jacobi_initial):
         program = compile_stencil_program(build_jacobi_module(), cpu_target())
-        with pytest.raises(ExecutionError):
-            run_distributed(program, [jacobi_initial.copy()], [1])
+        with pytest.raises(ExecutionError, match="expects 3 arguments, got 2"):
+            default_session().run(program, [jacobi_initial.copy()], [1])
 
     def test_scatter_gather_round_trip(self):
         strategy = GridSlicingStrategy([2, 2])

@@ -19,15 +19,16 @@ from repro.core import (
     default_session,
     dmp_target,
 )
+from repro.interp import Interpreter, SimulatedMPI
+from repro.interp.thread_team import get_thread_team, split_trip_counts
+from repro.runtime import processes_available
+from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
 
 
 def _run(program, fields, scalars, **config):
-    """Execute through the Session API (default session, one-shot plans)."""
+    """One-shot run (plan, run, close) on the process-wide default session."""
     return default_session().run(program, fields, scalars, **config)
-from repro.interp import Interpreter, SimulatedMPI
-from repro.interp.thread_team import get_thread_team, split_trip_counts
-from repro.runtime import processes_available, shutdown_worker_pool
-from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
+
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -37,7 +38,7 @@ needs_processes = pytest.mark.skipif(
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
-    shutdown_worker_pool()
+    default_session().close()
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_overlap_interpreter_backend_still_blocks():
 @needs_processes
 def test_copy_elision_and_block_reuse():
     program, fields, scalars, function = CASES["heat"]
-    shutdown_worker_pool()  # start from an empty block pool
+    default_session().close()  # start from a fresh session: empty block pool
     first = _run(
         program, fields(), scalars, function=function, runtime="processes"
     )

@@ -2,10 +2,11 @@
 
 The megakernel codegen layer (repro.interp.codegen) traces a plan's time
 loop once and emits a single fused Python function.  These tests pin its
-contract: the generated function is *bit-identical* to the PlannedOp
-interpreter path — fields, ExecStatistics and CommStatistics — across the
-{threads, processes} x {1, 2 threads_per_rank} matrix, and every rejection
-(trace-time or emit-time) carries an explicit fallback reason string.
+contract: the generated function is *bit-identical* to the interpreter
+loop — fields, ExecStatistics and CommStatistics — across the
+{local, threads, processes} x {auto, megakernel, planned} x {overlap on, off}
+x {1, 2 threads_per_rank} matrix, and every rejection (trace-time or
+emit-time) carries an explicit fallback reason string.
 """
 
 import numpy as np
@@ -19,8 +20,15 @@ from repro.core import (
     cpu_target,
     dmp_target,
 )
-from repro.interp import CodegenError, CodegenFallback, trace_program
-from repro.runtime import processes_available, shutdown_worker_pool
+from repro.core.rank import codegen_wanted
+from repro.interp import (
+    CodegenError,
+    CodegenFallback,
+    CompiledMegakernel,
+    MegakernelTrace,
+    trace_program,
+)
+from repro.runtime import processes_available
 from repro.workloads import heat_diffusion
 from tests.conftest import build_jacobi_module
 
@@ -29,10 +37,19 @@ needs_processes = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _pool_teardown():
-    yield
-    shutdown_worker_pool()
+@pytest.fixture(scope="module")
+def session():
+    """One session (one worker pool) for the whole parity matrix."""
+    with Session() as shared:
+        yield shared
+
+
+def _megakernels(program):
+    """The emitted entries of the program's one megakernel cache."""
+    return [
+        entry for entry in program._megakernel_cache.values()
+        if isinstance(entry, CompiledMegakernel)
+    ]
 
 
 def _compile_heat(rank_grid, shape=(16, 16)):
@@ -71,56 +88,66 @@ class TestCodegenConfig:
 
 
 # ---------------------------------------------------------------------------
-# bit-identity vs the planned-op path
+# bit-identity vs the interpreter loop
 # ---------------------------------------------------------------------------
 
-PARITY_CELLS = [
-    ("threads", 1), ("threads", 2),
-    pytest.param("processes", 1, marks=needs_processes),
-    pytest.param("processes", 2, marks=needs_processes),
-]
-
-
-@pytest.mark.parametrize("runtime,threads_per_rank", PARITY_CELLS)
-def test_megakernel_matches_planned_bit_identically(runtime, threads_per_rank):
-    """Forced megakernel == planned path: fields and both statistics."""
-    program = _compile_heat((2, 2))
-    base_fields = _heat_fields()
-    with Session(
-        runtime=runtime, threads_per_rank=threads_per_rank, codegen="planned"
-    ) as session:
-        baseline = session.plan(program).run(base_fields, [3])
-    with Session(
-        runtime=runtime, threads_per_rank=threads_per_rank, codegen="megakernel"
-    ) as session:
-        plan = session.plan(program)
-        for repeat in range(3):  # repeated runs reuse the kernel and must agree
-            fields = _heat_fields()
-            result = plan.run(fields, [3])
-            for mine, theirs in zip(fields, base_fields):
-                assert np.array_equal(mine, theirs), (
-                    f"{runtime} x{threads_per_rank} repeat {repeat}: "
-                    "megakernel fields diverged from the planned path"
-                )
-            assert result.statistics == baseline.statistics
-            assert result.comm_statistics == baseline.comm_statistics
-        if runtime == "threads":
-            assert plan._trace is not None
-            assert plan.codegen_fallback is None
-
-
-def test_megakernel_local_matches_planned():
-    program = compile_stencil_program(build_jacobi_module(), cpu_target())
+def _jacobi_fields():
     data = np.zeros(10)
     data[1:9] = np.arange(8, dtype=float)
-    a1, b1 = data.copy(), data.copy()
-    with Session(codegen="planned") as session:
-        baseline = session.plan(program).run([a1, b1], [4])
-    a2, b2 = data.copy(), data.copy()
-    with Session(codegen="megakernel") as session:
-        result = session.plan(program).run([a2, b2], [4])
-    assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    assert result.statistics == baseline.statistics
+    return [data.copy(), data.copy()]
+
+
+#: world -> (program factory, fresh-fields factory, steps)
+WORLDS = {
+    "local": (
+        lambda: compile_stencil_program(build_jacobi_module(), cpu_target()),
+        _jacobi_fields, 4,
+    ),
+    "threads": (lambda: _compile_heat((2, 2)), _heat_fields, 3),
+    "processes": (lambda: _compile_heat((2, 2)), _heat_fields, 3),
+}
+
+
+@pytest.mark.parametrize("threads_per_rank", [1, 2])
+@pytest.mark.parametrize("overlap", [None, False], ids=["overlap-on", "overlap-off"])
+@pytest.mark.parametrize("codegen", ["auto", "megakernel", "planned"])
+@pytest.mark.parametrize("world", [
+    "local", "threads", pytest.param("processes", marks=needs_processes),
+])
+def test_every_tier_matches_the_interpreter_loop(
+    session, world, codegen, overlap, threads_per_rank
+):
+    """Every (world, codegen, overlap, team) cell == the flat interpreter
+    loop of the thread world: fields and both statistics."""
+    compile_program, make_fields, steps = WORLDS[world]
+    program = compile_program()
+    base_fields = make_fields()
+    baseline = session.run(
+        program, base_fields, [steps],
+        runtime="threads", codegen="planned", overlap_halos=overlap,
+    )
+    if overlap is False:
+        assert all(s.halo_swaps_overlapped == 0 for s in baseline.statistics)
+    plan = session.plan(
+        program, runtime="threads" if world == "local" else world,
+        codegen=codegen, overlap_halos=overlap,
+        threads_per_rank=threads_per_rank,
+    )
+    for repeat in range(3):  # repeated runs reuse the kernel and must agree
+        fields = make_fields()
+        result = plan.run(fields, [steps])
+        for mine, theirs in zip(fields, base_fields):
+            assert np.array_equal(mine, theirs), (
+                f"{world} {codegen} overlap={overlap} x{threads_per_rank} "
+                f"repeat {repeat}: fields diverged from the interpreter loop"
+            )
+        assert result.statistics == baseline.statistics
+        assert result.comm_statistics == baseline.comm_statistics
+    if codegen == "megakernel" and world != "processes":
+        assert isinstance(plan.compile(), MegakernelTrace)
+        assert plan.codegen_fallback is None
+        assert _megakernels(program), "the forced tier must actually have run"
+    plan.close()
 
 
 def test_auto_codegen_engages_and_caches_per_rank():
@@ -128,17 +155,64 @@ def test_auto_codegen_engages_and_caches_per_rank():
     program = _compile_heat((2, 2))
     with Session(runtime="threads") as session:
         plan = session.plan(program)
-        assert plan._codegen_active and plan._trace is not None
+        assert codegen_wanted(plan.config)
+        assert isinstance(plan.compile(), MegakernelTrace)
         fields = _heat_fields()
         plan.run(fields, [3])
         assert plan.codegen_fallback is None
-        # one emitted kernel per rank of the 2x2 grid, keyed by fingerprint
-        assert len(session._megakernel_cache) == 4
-        keys = list(session._megakernel_cache)
-        assert all(key[0] == program.fingerprint for key in keys)
+        # one emitted kernel per rank of the 2x2 grid, cached on the program
+        assert len(_megakernels(program)) == 4
+        assert session.metrics.get("megakernel.cache_miss") == 4
+        assert session.metrics.get("megakernel.engaged") == 4
         # a second run re-uses the cache instead of re-emitting
         plan.run(_heat_fields(), [3])
-        assert len(session._megakernel_cache) == 4
+        assert len(_megakernels(program)) == 4
+        assert session.metrics.get("megakernel.cache_miss") == 4
+        assert session.metrics.get("megakernel.cache_hit") == 4
+    # ... and so does a second session running the same compiled program
+    with Session(runtime="threads") as other:
+        other.run(program, _heat_fields(), [3])
+        assert other.metrics.get("megakernel.cache_miss") == 0
+        assert other.metrics.get("megakernel.engaged") == 4
+
+
+def test_concurrent_cold_lookups_emit_each_kernel_once(monkeypatch):
+    """Sessions racing one cold program emit (and count a miss) once per key."""
+    import threading
+    import time
+
+    from repro.core import rank as rank_module
+
+    emit = rank_module.emit_megakernel
+
+    def slow_emit(*args, **kwargs):
+        time.sleep(0.02)  # hold the race window open
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(rank_module, "emit_megakernel", slow_emit)
+    program = _compile_heat((2, 1))
+    with Session(runtime="threads") as first, Session(runtime="threads") as second:
+        start = threading.Barrier(2)
+        fields = [_heat_fields(), _heat_fields()]
+
+        def job(session, arrays):
+            start.wait()
+            session.run(program, arrays, [2])
+
+        threads = [
+            threading.Thread(target=job, args=pair)
+            for pair in zip((first, second), fields)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        misses = sum(s.metrics.get("megakernel.cache_miss") for s in (first, second))
+        hits = sum(s.metrics.get("megakernel.cache_hit") for s in (first, second))
+    assert (misses, hits) == (2, 2)
+    assert len(_megakernels(program)) == 2
+    assert np.array_equal(fields[0][0], fields[1][0])
+    assert np.array_equal(fields[0][1], fields[1][1])
 
 
 def test_auto_codegen_skips_thread_teams():
@@ -146,8 +220,12 @@ def test_auto_codegen_skips_thread_teams():
     program = _compile_heat((2, 2))
     with Session(runtime="threads", threads_per_rank=2) as session:
         plan = session.plan(program)
-        assert not plan._codegen_active
+        assert not codegen_wanted(plan.config)
+        plan.run(_heat_fields(), [2])
         assert plan.codegen_fallback is None  # a gate, not a compile failure
+        assert session.metrics.get("megakernel.engaged") == 0
+        assert session.metrics.get("megakernel.fallback") == 0
+        assert not program._megakernel_cache
 
 
 def test_generated_source_is_inspectable():
@@ -156,8 +234,8 @@ def test_generated_source_is_inspectable():
     with Session(runtime="threads", codegen="megakernel") as session:
         plan = session.plan(program)
         plan.run(_heat_fields(), [2])
-        kernels = list(session._megakernel_cache.values())
-        assert kernels and all(not isinstance(k, CodegenFallback) for k in kernels)
+        kernels = _megakernels(program)
+        assert len(kernels) == 4
         for kernel in kernels:
             assert "def " in kernel.source
             assert kernel.label
@@ -172,7 +250,7 @@ def test_trace_rejection_records_reason():
     program = _compile_heat((2, 2))
     with Session(runtime="threads", backend="interpreter") as session:
         plan = session.plan(program)
-        assert not plan._codegen_active  # interpreter backend is gated out
+        assert not codegen_wanted(plan.config)  # interpreter backend is gated out
         assert plan.compile() is None  # explicit tracing records the reason
         fallback = plan.codegen_fallback
         assert isinstance(fallback, CodegenFallback)
@@ -182,20 +260,21 @@ def test_trace_rejection_records_reason():
 
 def test_emit_rejection_records_reason_and_falls_back():
     """Aliased field buffers cannot be emitted; the reason is recorded and
-    the run transparently falls back to the planned path."""
+    the run transparently falls back to the interpreter loop."""
     program = compile_stencil_program(build_jacobi_module(), cpu_target())
     data = np.zeros(10)
     data[1:9] = np.arange(8, dtype=float)
     shared = data.copy()
     with Session() as session:  # codegen="auto"
         plan = session.plan(program)
-        assert plan._codegen_active
+        assert codegen_wanted(plan.config) and plan.codegen_fallback is None
         result = plan.run([shared, shared], [2])  # aliased in/out buffers
-        assert result is not None  # planned path still ran
+        assert result is not None  # the interpreter loop still ran
         fallback = plan.codegen_fallback
         assert isinstance(fallback, CodegenFallback)
         assert fallback.reason and "alias" in fallback.reason
-        assert not plan._codegen_active
+        assert session.metrics.get("megakernel.engaged") == 0
+        assert session.metrics.get("megakernel.fallback") == 1
 
 
 def test_forced_megakernel_raises_with_reason():

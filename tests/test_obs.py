@@ -29,12 +29,8 @@ from repro.interp.interpreter import ExecStatistics
 from repro.interp.mpi_runtime import CommStatistics
 from repro.obs import MetricsRegistry, Tracer, TraceTimeline, compile_tracing
 from repro.obs import report as obs_report
-from repro.runtime import (
-    WorkerError,
-    WorkerFailure,
-    processes_available,
-    shutdown_worker_pool,
-)
+from repro.interp import CompiledMegakernel
+from repro.runtime import WorkerError, WorkerFailure, processes_available
 from repro.workloads import heat_diffusion
 
 needs_processes = pytest.mark.skipif(
@@ -42,10 +38,11 @@ needs_processes = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _pool_teardown():
-    yield
-    shutdown_worker_pool()
+def _megakernel_sources(program):
+    return [
+        entry.source for entry in program._megakernel_cache.values()
+        if isinstance(entry, CompiledMegakernel)
+    ]
 
 
 def _compile_heat(rank_grid=None, shape=(16, 16)):
@@ -99,6 +96,27 @@ class TestTracer:
         record = tracer.record()
         assert len(record.events) == 4          # ring kept the newest spans
         assert record.totals["s"][0] == 10      # totals saw every one
+        assert record.events_dropped == 6       # ... and the loss is counted
+        assert Tracer("summary").record().events_dropped == 0
+
+    def test_dropped_events_surface_in_the_report(self, tmp_path, capsys):
+        """Overflowing a tiny ring shows up as obs.events_dropped."""
+        tracer = Tracer("timeline", track="rank 0", maxlen=4)
+        for _ in range(10):
+            with tracer.span("s"):
+                pass
+        tracer.instant("marker")
+        whole = Tracer("timeline", track="rank 1")
+        with whole.span("s"):
+            pass
+        timeline = TraceTimeline()
+        timeline.add(tracer.record())
+        timeline.add(whole.record())
+        assert timeline.counts["obs.events_dropped"] == 7
+        path = tmp_path / "dropped.json"
+        timeline.dump(path)
+        assert obs_report.main([str(path)]) == 0
+        assert "obs.events_dropped = 7" in capsys.readouterr().out
 
     def test_record_pickles(self):
         tracer = Tracer("timeline", track="rank 3")
@@ -158,6 +176,35 @@ class TestMetricsRegistry:
         assert session.metrics.get("exec.cells_updated") == expected
         expected_msgs = 2 * result.comm_statistics.messages_sent
         assert session.metrics.get("comm.messages_sent") == expected_msgs
+
+    def test_concurrent_increments_lose_no_update(self):
+        """Rank threads count into one registry (megakernel.* in run_rank):
+        inc/ingest are read-modify-write and must not drop updates."""
+        import sys
+        import threading
+
+        registry = MetricsRegistry()
+        workers, rounds = 8, 2000
+        stats = ExecStatistics(cells_updated=3)
+
+        def hammer():
+            for _ in range(rounds):
+                registry.inc("hits")
+                registry.ingest(stats, "exec.")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.get("hits") == workers * rounds
+        assert registry.get("exec.cells_updated") == 3 * workers * rounds
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +293,7 @@ class TestTracedRuns:
         with Session(codegen="megakernel") as session:
             plan = session.plan(program)
             plan.run(_heat_fields(), [2])
-            sources = [
-                kernel.source
-                for kernel in session._megakernel_cache.values()
-                if hasattr(kernel, "source")
-            ]
+        sources = _megakernel_sources(program)
         assert sources and all("_tracer" not in source for source in sources)
 
     def test_traced_megakernel_records_spans(self):
@@ -258,11 +301,7 @@ class TestTracedRuns:
         with Session(codegen="megakernel", trace="timeline") as session:
             plan = session.plan(program)
             result = plan.run(_heat_fields(), [2])
-            sources = [
-                kernel.source
-                for kernel in session._megakernel_cache.values()
-                if hasattr(kernel, "source")
-            ]
+        sources = _megakernel_sources(program)
         assert sources and all("_tracer" in source for source in sources)
         assert session.metrics.get("megakernel.engaged") == 1
         (rank_record,) = _rank_records(result.trace)
@@ -383,6 +422,7 @@ class TestReportCLI:
         assert obs_report.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "rank 0" in out and "step" in out
+        assert "obs.events_dropped = 0" in out  # the trace is whole
 
     def test_empty_trace_fails(self, tmp_path, capsys):
         path = tmp_path / "empty.json"

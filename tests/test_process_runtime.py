@@ -20,11 +20,9 @@ from repro.core import (
 )
 from repro.interp import SimulatedMPI
 from repro.runtime import (
-    get_worker_pool,
+    PoolManager,
     merge_comm_statistics,
     processes_available,
-    run_spmd_processes,
-    shutdown_worker_pool,
 )
 from repro.workloads import heat_diffusion
 
@@ -33,10 +31,21 @@ needs_processes = pytest.mark.skipif(
 )
 
 
+#: The worker pool of the raw SPMD tests (program runs use a Session's own).
+MANAGER = PoolManager()
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
-    shutdown_worker_pool()
+    MANAGER.shutdown()
+    default_session().close()
+
+
+def _spmd(fn, size, args=(), timeout=60.0):
+    """``fn(comm, *args)`` on ``size`` process ranks: values + merged stats."""
+    values, per_rank = MANAGER.run_spmd(fn, size, args, timeout)
+    return values, merge_comm_statistics(per_rank)
 
 
 def _compile_heat(rank_grid, *, lower_to_library_calls=False, shape=(16, 16)):
@@ -53,8 +62,7 @@ def _heat_fields(shape=(18, 18)):
 
 
 def _run(program, fields, scalars, **config):
-    """Execute through the Session API (the default session shares the
-    process-wide worker pool, like the deprecated shims used to)."""
+    """One-shot run on the default session (its pool persists across runs)."""
     return default_session().run(program, fields, scalars, **config)
 
 
@@ -87,9 +95,7 @@ def _collective_body(comm, base):
 def test_collectives_parity_threads_vs_processes(size):
     world = SimulatedMPI(size)
     thread_results = world.run_spmd(lambda comm: _collective_body(comm, 1.5))
-    process_results, process_stats = run_spmd_processes(
-        _collective_body, size, (1.5,), timeout=60.0
-    )
+    process_results, process_stats = _spmd(_collective_body, size, (1.5,))
 
     for rank, (threaded, processed) in enumerate(zip(thread_results, process_results)):
         for part_threads, part_processes in zip(threaded, processed):
@@ -125,7 +131,7 @@ def test_point_to_point_and_requests_parity():
     size = 3
     world = SimulatedMPI(size)
     threaded = world.run_spmd(_ring_body)
-    processed, stats = run_spmd_processes(_ring_body, size, timeout=60.0)
+    processed, stats = _spmd(_ring_body, size)
     for a, b in zip(threaded, processed):
         assert np.array_equal(a, b)
     assert stats == world.statistics
@@ -136,16 +142,25 @@ def test_point_to_point_and_requests_parity():
 # ---------------------------------------------------------------------------
 
 @needs_processes
+@pytest.mark.parametrize("codegen", ["auto", "planned"])
+@pytest.mark.parametrize("overlap", [None, False], ids=["overlap-on", "overlap-off"])
 @pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
 @pytest.mark.parametrize("rank_grid", [(2, 2), (4, 1)], ids=["2x2", "4x1"])
-def test_heat_kernel_runtime_parity(rank_grid, lower):
+def test_heat_kernel_runtime_parity(rank_grid, lower, overlap, codegen):
     program = _compile_heat(rank_grid, lower_to_library_calls=lower)
+    config = dict(overlap_halos=overlap, codegen=codegen)
     a0, a1 = _heat_fields()
-    threads_result = _run(program, [a0, a1], [3], runtime="threads")
+    threads_result = _run(program, [a0, a1], [3], runtime="threads", **config)
     b0, b1 = _heat_fields()
-    processes_result = _run(program, [b0, b1], [3], runtime="processes")
+    processes_result = _run(program, [b0, b1], [3], runtime="processes", **config)
 
     assert processes_result.runtime == "processes"
+    for result in (threads_result, processes_result):
+        overlapped = [s.halo_swaps_overlapped for s in result.statistics]
+        if overlap is False or lower:  # the mpi-lowered path never overlaps
+            assert overlapped == [0] * len(overlapped)
+        else:
+            assert all(count > 0 for count in overlapped)
     assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
     assert processes_result.statistics == threads_result.statistics
     assert processes_result.comm_statistics == threads_result.comm_statistics
@@ -177,11 +192,12 @@ def test_pool_persists_and_ships_programs_once():
     program = _compile_heat((2, 2))
     u0, u1 = _heat_fields()
     _run(program, [u0, u1], [2], runtime="processes")
-    pool = get_worker_pool(4)
+    manager = default_session()._pool_manager
+    pool = manager.pool
     shipped = pool.programs_shipped
     u0, u1 = _heat_fields()
     _run(program, [u0, u1], [2], runtime="processes")
-    assert get_worker_pool(4) is pool, "pool must persist across runs"
+    assert manager.acquire(4) is pool, "pool must persist across runs"
     assert pool.programs_shipped == shipped, "program must be shipped only once"
 
 
@@ -242,17 +258,17 @@ def test_worker_killed_between_runs_is_reaped():
 
     from repro.runtime import WorkerPool
 
-    shutdown_worker_pool()
-    pool = get_worker_pool(2)
+    MANAGER.shutdown()
+    pool = MANAGER.acquire(2)
     victim = pool._processes[1]
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(5)
     assert not victim.is_alive()
     # The dead worker is detected at run entry, the pool is replaced, and the
     # run completes on the fresh pool — no error, no hang.
-    values, _ = run_spmd_processes(_ring_body, 2, timeout=60.0)
+    values, _ = _spmd(_ring_body, 2)
     assert [v.shape for v in values] == [(5,), (5,)]
-    replacement = get_worker_pool(2)
+    replacement = MANAGER.acquire(2)
     assert isinstance(replacement, WorkerPool) and replacement is not pool
     assert replacement.alive and not pool.alive
 
@@ -262,11 +278,11 @@ def test_worker_killed_mid_run_fails_fast_and_recovers():
     """A rank dying mid-run raises promptly (no deadlock) and the pool heals."""
     import pytest as pytest_module
 
-    shutdown_worker_pool()
+    MANAGER.shutdown()
     with pytest_module.raises(Exception, match="died|failed"):
-        run_spmd_processes(_suicide_body, 2, timeout=60.0)
+        _spmd(_suicide_body, 2)
     # Clean recovery: the poisoned pool was shut down and replaced.
-    values, _ = run_spmd_processes(_ring_body, 2, timeout=60.0)
+    values, _ = _spmd(_ring_body, 2)
     assert len(values) == 2
 
 
@@ -276,8 +292,8 @@ def test_shutdown_reaps_dead_workers():
     import os
     import signal
 
-    shutdown_worker_pool()
-    pool = get_worker_pool(2)
+    MANAGER.shutdown()
+    pool = MANAGER.acquire(2)
     for process in pool._processes:
         os.kill(process.pid, signal.SIGKILL)
     for process in pool._processes:
@@ -301,20 +317,20 @@ def test_pool_growth_waits_for_inflight_run():
     """Growing the pool for more ranks must not kill a run in flight."""
     import threading
 
-    shutdown_worker_pool()
-    get_worker_pool(2)
+    MANAGER.shutdown()
+    MANAGER.acquire(2)
     errors = []
 
     def small_run():
         try:
-            values, _ = run_spmd_processes(_slow_rank_body, 2, timeout=60.0)
+            values, _ = _spmd(_slow_rank_body, 2)
             assert values == [0, 1]
         except Exception as err:  # noqa: BLE001 - assert in the main thread
             errors.append(err)
 
     caller = threading.Thread(target=small_run)
     caller.start()
-    values, _ = run_spmd_processes(_slow_rank_body, 4, timeout=60.0)  # forces growth
+    values, _ = _spmd(_slow_rank_body, 4)  # forces growth
     caller.join(timeout=120)
     assert not caller.is_alive()
     assert not errors, f"in-flight run was disturbed by pool growth: {errors}"

@@ -24,7 +24,7 @@ from repro.core import (
     dmp_target,
 )
 from repro.obs import MetricsRegistry
-from repro.runtime import processes_available, shutdown_worker_pool
+from repro.runtime import processes_available
 from repro.serve import (
     JobCancelledError,
     QueueFullError,
@@ -36,12 +36,6 @@ from repro.workloads import heat_diffusion
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _pool_teardown():
-    yield
-    shutdown_worker_pool()
 
 
 def _compile_heat(rank_grid=None, shape=(16, 16)):

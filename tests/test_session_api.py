@@ -2,9 +2,9 @@
 
 Covers the satellite checklist of the API redesign: ExecutionConfig
 validation, session lifecycle (double-close, run-after-close, resource-reuse
-counters), plan hot-path parity against the deprecated shims across the
-{threads, processes} x {1, 2 threads_per_rank} matrix, shim deprecation
-warnings, and the runtime-fallback warning.
+counters), held-plan parity against one-shot ``Session.run`` across the
+{threads, processes} x {1, 2 threads_per_rank} matrix, and the
+runtime-fallback warning.
 """
 
 import warnings
@@ -21,10 +21,8 @@ from repro.core import (
     cpu_target,
     default_session,
     dmp_target,
-    run_distributed,
-    run_local,
 )
-from repro.runtime import processes_available, shutdown_worker_pool
+from repro.runtime import processes_available
 from repro.workloads import heat_diffusion
 from tests.conftest import build_jacobi_module, jacobi_reference
 
@@ -36,7 +34,7 @@ needs_processes = pytest.mark.skipif(
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
-    shutdown_worker_pool()
+    default_session().close()
 
 
 def _compile_heat(rank_grid, shape=(16, 16)):
@@ -179,7 +177,7 @@ class TestSessionLifecycle:
             plan.run(_heat_fields(), [2])
             assert plan._buffers is buffers, "same shapes must reuse the buffers"
             reference = _heat_fields()
-            run_with_shims_silenced(program, reference, [2])
+            run_once(program, reference, [2])
             repeated = _heat_fields()
             plan.run(repeated, [2])
             assert np.array_equal(repeated[0], reference[0])
@@ -198,14 +196,13 @@ class TestSessionLifecycle:
         assert np.allclose(b, jacobi_reference(data, 3))
 
 
-def run_with_shims_silenced(program, fields, scalars, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_distributed(program, fields, scalars, **kwargs)
+def run_once(program, fields, scalars=(), **config):
+    """Plan, run once, dispose — on the process-wide default session."""
+    return default_session().run(program, fields, scalars, **config)
 
 
 # ---------------------------------------------------------------------------
-# hot-path parity vs the shims: {threads, processes} x {1, 2 threads_per_rank}
+# held plan vs one-shot run: {threads, processes} x {1, 2 threads_per_rank}
 # ---------------------------------------------------------------------------
 
 PARITY_CELLS = [
@@ -216,12 +213,12 @@ PARITY_CELLS = [
 
 
 @pytest.mark.parametrize("runtime,threads_per_rank", PARITY_CELLS)
-def test_plan_matches_shim_bit_identically(runtime, threads_per_rank):
-    """plan.run == run_distributed: fields, ExecStatistics and CommStatistics."""
+def test_plan_matches_session_run_bit_identically(runtime, threads_per_rank):
+    """plan.run == Session.run: fields, ExecStatistics and CommStatistics."""
     program = _compile_heat((2, 2))
-    shim_fields = _heat_fields()
-    shim = run_with_shims_silenced(
-        program, shim_fields, [3],
+    once_fields = _heat_fields()
+    once = run_once(
+        program, once_fields, [3],
         runtime=runtime, threads_per_rank=threads_per_rank,
     )
     with Session(runtime=runtime, threads_per_rank=threads_per_rank) as session:
@@ -229,38 +226,35 @@ def test_plan_matches_shim_bit_identically(runtime, threads_per_rank):
         for repeat in range(3):  # repeated runs reuse buffers and must agree
             plan_fields = _heat_fields()
             result = plan.run(plan_fields, [3])
-            for mine, theirs in zip(plan_fields, shim_fields):
+            for mine, theirs in zip(plan_fields, once_fields):
                 assert np.array_equal(mine, theirs), (
                     f"{runtime} x{threads_per_rank} repeat {repeat}: "
-                    "fields diverged from the shim path"
+                    "fields diverged from the one-shot path"
                 )
-            assert result.statistics == shim.statistics
-            assert result.comm_statistics == shim.comm_statistics
-            assert result.messages_sent == shim.messages_sent > 0
-            assert result.runtime == shim.runtime == runtime
+            assert result.statistics == once.statistics
+            assert result.comm_statistics == once.comm_statistics
+            assert result.messages_sent == once.messages_sent > 0
+            assert result.runtime == once.runtime == runtime
             assert result.threads_per_rank == threads_per_rank
 
 
-def test_plan_local_matches_run_local_shim():
+def test_plan_local_matches_session_run():
     module = build_jacobi_module()
     program = compile_stencil_program(module, cpu_target())
     data = np.zeros(10)
     data[1:9] = np.arange(8, dtype=float)
     a1, b1 = data.copy(), data.copy()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        shim = run_local(program, [a1, b1, 4])
+    once = run_once(program, [a1, b1, 4])
     a2, b2 = data.copy(), data.copy()
     with Session() as session:
         result = session.plan(program).run([a2, b2], [4])
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-    assert result.statistics == shim.statistics
+    assert result.statistics == once.statistics
 
 
 @needs_processes
 def test_plan_holds_leases_across_runs():
     """A held plan's shared blocks persist: every re-run reuses all of them."""
-    shutdown_worker_pool()  # reset the default pools; session owns its own
     program = _compile_heat((2, 1))
     with Session(runtime="processes") as session:
         plan = session.plan(program)
@@ -273,22 +267,8 @@ def test_plan_holds_leases_across_runs():
 
 
 # ---------------------------------------------------------------------------
-# shim deprecation warnings + runtime fallback warning
+# runtime fallback warning
 # ---------------------------------------------------------------------------
-
-def test_run_local_shim_warns_deprecated():
-    module = build_jacobi_module()
-    program = compile_stencil_program(module, cpu_target())
-    data = np.zeros(10)
-    with pytest.warns(DeprecationWarning, match="Session/Plan"):
-        run_local(program, [data.copy(), data.copy(), 1])
-
-
-def test_run_distributed_shim_warns_deprecated():
-    program = _compile_heat((2, 1))
-    with pytest.warns(DeprecationWarning, match="Session/Plan"):
-        run_distributed(program, _heat_fields(), [1])
-
 
 def test_fallback_warns_and_records_request(monkeypatch):
     import repro.runtime as runtime_module
@@ -387,7 +367,7 @@ def test_concurrent_runs_on_one_plan_serialize():
 
     program = _compile_heat((2, 1))
     reference = _heat_fields()
-    run_with_shims_silenced(program, reference, [2])
+    run_once(program, reference, [2])
     with Session() as session:
         plan = session.plan(program)
         errors = []
@@ -411,20 +391,23 @@ def test_concurrent_runs_on_one_plan_serialize():
 
 
 # ---------------------------------------------------------------------------
-# shims keep legacy error behaviour
+# the default session
 # ---------------------------------------------------------------------------
-
-def test_shim_rejects_non_distributed_program():
-    module = build_jacobi_module()
-    program = compile_stencil_program(module, cpu_target())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(ExecutionError, match="not compiled for a distributed"):
-            run_distributed(program, [np.zeros(10)], [1])
-
 
 def test_default_session_is_replaced_after_close():
     first = default_session()
     first.close()
     second = default_session()
     assert second is not first and not second.closed
+
+
+def test_default_session_owns_its_runtime():
+    """An ordinary session: its own pool manager and field pool, released on
+    close like any other."""
+    session = default_session()
+    other = Session()
+    assert session._pool_manager is not other._pool_manager
+    assert session._field_pool is not other._field_pool
+    other.close()
+    session.close()
+    assert session._pool_manager.pool is None
