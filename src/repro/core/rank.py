@@ -5,9 +5,8 @@ executed and the single place the execution tier is chosen.  There are two
 tiers: the generated megakernel (:mod:`repro.interp.codegen`) when the
 configuration asks for it and it can be built, and the reference interpreter
 (tree walker plus its per-nest vectorized kernels) otherwise.  The local
-path, the thread-world rank body and the batched rounds of
-:mod:`repro.core.session`, and the process workers of
-:mod:`repro.runtime.worker_pool` all call it with the same frozen
+and thread-world ranks of a :mod:`repro.core.session` round and the process
+workers of :mod:`repro.runtime.worker_pool` all call it with the same frozen
 :class:`~repro.core.config.ExecutionConfig`, so a configuration means the
 same thing in every world.
 

@@ -18,15 +18,21 @@ shape a first-class API:
   shared-memory block leases.  ``plan.run(fields, scalars)`` is therefore a
   thin hot path suitable for serving many requests.
 
-Every rank of every world — local, thread, batched, process worker — is
-executed by :func:`repro.core.rank.run_rank`; this module only decides who
-owns what and moves the data.
+There is one way to run a round of ranks: :meth:`Plan.prepare` stages a job
+(a :class:`PreparedRun`), :meth:`Session.execute_batch` launches every rank
+of every job of the round and applies the one deadline / fail-fast /
+retirement policy, and :meth:`PreparedRun.finish` gathers.  ``plan.run()`` is
+that sequence with one job; :mod:`repro.serve` packs many.  Every rank of
+every world — local, thread, process worker — is executed by
+:func:`repro.core.rank.run_rank`; this module only decides who owns what and
+moves the data.
 """
 
 from __future__ import annotations
 
 import atexit
 import threading
+import time
 import warnings
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
@@ -42,6 +48,7 @@ from ..interp.mpi_runtime import CommStatistics, MPIRuntimeError
 from ..interp.thread_team import ThreadTeam
 from ..obs import MetricsRegistry, Tracer, TraceTimeline
 from ..runtime.stats import merge_comm_statistics, sort_rank_stats
+from ..runtime.worker_pool import REPORT_MARGIN, PoolBatchJob, WorkerError
 from ..transforms.distribute import GridSlicingStrategy
 from .config import (
     ExecutionConfig,
@@ -97,7 +104,8 @@ class Session:
     whose config has ``warm_start=True``).  ``close()`` (or leaving the
     ``with`` block) releases everything the session created; a closed session
     rejects further work.  One-shot callers can use :meth:`run`, which builds
-    and disposes a plan around a single execution.  Megakernels are cached on
+    and disposes a plan around a single execution (itself a round of one
+    job, see :meth:`execute_batch`).  Megakernels are cached on
     the compiled program, so every plan and session running it shares them.
     """
 
@@ -316,106 +324,109 @@ class Session:
             self._discard_rank_executor()
             raise ExecutionError("session warm-up failed to start rank threads")
 
-    def _run_threads_world(self, size: int, body, timeout: float) -> SimulatedMPI:
-        """Run ``body(comm)`` per rank on the persistent rank executor.
+    def execute_batch(self, prepared: Sequence["PreparedRun"]) -> None:
+        """Run independent prepared runs — one or many — as ONE round.
 
-        Same semantics as ``SimulatedMPI.run_spmd`` — shared join deadline,
-        fail-fast on the first rank error — but without spawning ``size``
-        fresh OS threads per run.  A failed or timed-out run discards the
-        executor (its blocked rank threads die on their own communication
-        timeouts); the next run starts a fresh one.
-        """
-        with self._thread_run_lock:
-            world = SimulatedMPI(size, timeout=timeout)
-            executor = self._acquire_rank_executor(size)
-            futures = [
-                executor.submit(body, world.communicator(rank))
-                for rank in range(size)
-            ]
-            done, pending = futures_wait(
-                futures, timeout=timeout, return_when=FIRST_EXCEPTION
-            )
-            for future in done:
-                error = future.exception()
-                if error is not None:
-                    self._discard_rank_executor()
-                    raise error
-            if pending:
-                self._discard_rank_executor()
-                raise MPIRuntimeError(
-                    f"{len(pending)} rank(s) did not finish within {timeout}s "
-                    "(deadlock?)"
-                )
-            return world
+        The single dispatch primitive: ``plan.run()`` is a round of one job,
+        the serving layer (:mod:`repro.serve`) packs many.  Process-world
+        jobs partition the worker pool (``PoolManager.run_program_batch``),
+        thread-world and local jobs partition the persistent rank executor —
+        each distributed job in a private :class:`SimulatedMPI` world of its
+        own size, each local job in one slot — so N small jobs pay the
+        dispatch latency (lock handoff, executor or pool round trip, join)
+        once instead of N times.  A round that is a single thread-world or
+        local rank has nothing to run beside it and runs in the calling
+        thread.
 
-    def execute_batch(
-        self,
-        prepared: Sequence["PreparedRun"],
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Run many independent prepared runs in ONE rank-executor round.
-
-        The batched-dispatch primitive of the serving layer
-        (:mod:`repro.serve`): the persistent rank executor is partitioned
-        across jobs — each distributed thread-world job gets a private
-        :class:`SimulatedMPI` world of its own size, each local job one
-        executor slot — and a single ``futures_wait`` covers the whole round,
-        so N small jobs pay the dispatch latency (lock handoff, executor
-        round trip, join) once instead of N times.
-
-        Error isolation is per job: a failing rank records its exception on
-        *its* :class:`PreparedRun` (``finish()`` re-raises it) and never
-        touches sibling jobs; its own peer ranks terminate on their
-        communication deadlines.  Only rank threads that are still stuck
-        after the round deadline poison the executor, which is then discarded
-        exactly as a failed standalone run would.
-
-        Process-world jobs are not handled here — the serving layer routes
-        them through ``PoolManager.run_program_batch``, which partitions the
-        worker pool the same way.
+        One failure policy, the same in both worlds: a job is failed the
+        moment any of its ranks raises, and that first error — the root
+        cause, not a peer's later timeout — is recorded on *its*
+        :class:`PreparedRun` (``finish()`` re-raises it).  Its remaining
+        ranks are abandoned to their communication timeouts; sibling jobs
+        keep running and the round returns as soon as every job has completed
+        or failed, ``REPORT_MARGIN`` past the longest job timeout at the
+        latest.  Ranks still running when the round returns poison what
+        hosts them — the rank executor, the worker pool — which is retired
+        and transparently replaced by the next round.
         """
         self._ensure_open()
-        jobs = [job for job in prepared if job.runtime != "processes"]
-        if not jobs:
+        pooled = [job for job in prepared if job.runtime == "processes"]
+        threaded = [job for job in prepared if job.runtime != "processes"]
+        if pooled:
+            self._run_pooled_round(pooled)
+        if threaded:
+            self._run_threaded_round(threaded)
+
+    def _run_pooled_round(self, jobs: Sequence["PreparedRun"]) -> None:
+        """The process-world jobs of a round, on the partitioned worker pool."""
+        try:
+            outcomes = self._pool_manager.run_program_batch(
+                [
+                    PoolBatchJob(
+                        job.plan.program, job.plan.function, job.plan.config,
+                        job.buffers.specs, job.scalars,
+                    )
+                    for job in jobs
+                ],
+                max(job.plan.config.timeout for job in jobs),
+            )
+        except WorkerError as error:  # the round itself could not run
+            outcomes = [error] * len(jobs)
+        for job, outcome in zip(jobs, outcomes):
+            if isinstance(outcome, WorkerError):
+                job.error = outcome
+                self.metrics.inc("worker.errors")
+                if job.plan.tracer is not None:
+                    job.plan.tracer.instant("worker.error")
+            else:
+                job.reports = outcome
+
+    def _run_threaded_round(self, jobs: Sequence["PreparedRun"]) -> None:
+        """The thread-world and local jobs of a round, on the rank executor."""
+        for job in jobs:
+            if job.plan.distributed:
+                job.world = SimulatedMPI(job.size, timeout=job.plan.config.timeout)
+        total = sum(job.size for job in jobs)
+        if total == 1:
+            (job,) = jobs
+            try:
+                job.body(job.world.communicator(0) if job.world else None)
+            except BaseException as error:  # noqa: BLE001 - finish() re-raises
+                job.error = error
             return
-        if timeout is None:
-            timeout = max(job.plan.config.timeout for job in jobs)
+        deadline = time.monotonic() + REPORT_MARGIN + max(
+            job.plan.config.timeout for job in jobs
+        )
         with self._thread_run_lock:
-            total = sum(job.size for job in jobs)
             executor = self._acquire_rank_executor(total)
-            groups: list[list] = []
-            for job in jobs:
-                if job.distributed:
-                    world = SimulatedMPI(job.size, timeout=timeout)
-                    job.world = world
-                    futures = [
-                        executor.submit(job.body, world.communicator(rank))
-                        for rank in range(job.size)
-                    ]
-                else:
-                    futures = [executor.submit(job.body, None)]
-                groups.append(futures)
-            pending = futures_wait(
-                [future for futures in groups for future in futures],
-                timeout=timeout + 10.0,
-            )[1]
-            if pending:
-                # Stuck rank threads occupy the executor past the round:
-                # discard it (they die on their own communication timeouts)
-                # exactly as a failed standalone threads run would.
+            running = {
+                executor.submit(
+                    job.body, job.world.communicator(rank) if job.world else None
+                ): job
+                for job in jobs for rank in range(job.size)
+            }
+            abandoned = []
+            while running:
+                done = futures_wait(
+                    running, timeout=max(0.0, deadline - time.monotonic()),
+                    return_when=FIRST_EXCEPTION,
+                )[0]
+                for future in done:
+                    job = running.pop(future)
+                    job.error = job.error or future.exception()
+                if not done:  # the round deadline passed
+                    for job in running.values():
+                        job.error = job.error or MPIRuntimeError(
+                            f"job rank(s) did not finish within "
+                            f"{job.plan.config.timeout}s (deadlock?)"
+                        )
+                # The other ranks of a failed job are abandoned, not awaited.
+                stuck = [f for f, job in running.items() if job.error is not None]
+                for future in stuck:
+                    del running[future]
+                abandoned += stuck
+            if not all(future.done() for future in abandoned):
                 self._discard_rank_executor()
-            for job, futures in zip(jobs, groups):
-                for future in futures:
-                    if future in pending:
-                        if job.error is None:
-                            job.error = MPIRuntimeError(
-                                f"job rank(s) did not finish within {timeout}s "
-                                "(deadlock?)"
-                            )
-                        continue
-                    error = future.exception()
-                    if error is not None and job.error is None:
-                        job.error = error
 
 
 # ---------------------------------------------------------------------------
@@ -608,50 +619,55 @@ class Plan:
             on_fallback=self._record_fallback,
         )
 
-    # -- batched dispatch (the repro.serve substrate) -------------------------
+    # -- the hot path ---------------------------------------------------------
     def prepare(
         self,
         fields: Sequence[np.ndarray],
         scalars: Sequence[Any] = (),
         buffers: Optional[_RunBuffers] = None,
     ) -> "PreparedRun":
-        """Stage one run for a shared batched round (see :mod:`repro.serve`).
+        """Stage one run for a :meth:`Session.execute_batch` round.
 
-        Unlike :meth:`run`, the returned :class:`PreparedRun` owns *its own*
-        buffer set, so many jobs of the same plan can be in flight inside one
-        :meth:`Session.execute_batch` round.  ``buffers`` recycles a previous
-        job's set when its signature still matches (the serving layer keeps a
-        small free list per plan).
+        The returned :class:`PreparedRun` owns its buffer set, so many jobs
+        of the same plan can be in flight inside one round.  ``buffers``
+        hands it a previous job's set to recycle when the signature still
+        matches (the serving layer keeps a small free list per plan,
+        :meth:`run` keeps the plan's own); the job owns that set from here
+        on and releases it if it does not fit or staging fails.
         """
         if self._closed:
             raise ExecutionError("plan is closed; create a new plan")
         self.session._ensure_open()
         return PreparedRun(self, fields, scalars, buffers)
 
-    # -- the hot path ---------------------------------------------------------
     def run(
         self, fields: Sequence[np.ndarray], scalars: Sequence[Any] = ()
     ) -> ExecutionResult:
-        """Execute once: scatter, run every rank, gather.  Repeatable."""
-        if self._closed:
-            raise ExecutionError("plan is closed; create a new plan")
-        self.session._ensure_open()
-        if not self.distributed:
-            result = self._run_single(fields, scalars)
-        else:
-            self._check_fields(fields)
-            # The plan's buffers are shared state: serialize the whole
-            # scatter-execute-gather span against concurrent callers.
-            with self._run_lock:
-                if self.runtime == "processes":
-                    result = self._run_processes(fields, scalars)
-                else:
-                    result = self._run_threads(fields, scalars)
-        self._finish_run(result)
-        return result
+        """Execute once: scatter, run every rank, gather.  Repeatable.
+
+        A run *is* a round of one job: the same :meth:`prepare` →
+        :meth:`Session.execute_batch` → :meth:`PreparedRun.finish` sequence
+        the serving layer drives, recycling the plan's own buffer set.
+        """
+        # The plan's buffers are shared state: serialize the whole
+        # scatter-execute-gather span against concurrent callers.
+        with self._run_lock:
+            # The job owns them while it runs and only a run that finished
+            # hands them back: ranks abandoned by a failed one may still be
+            # writing into them.
+            held, self._buffers = self._buffers, None
+            job = self.prepare(fields, scalars, buffers=held)
+            try:
+                self.session.execute_batch([job])
+                result = job.finish()
+            except BaseException:
+                job.release()
+                raise
+            self._buffers = job.buffers
+            return result
 
     def _finish_run(self, result: ExecutionResult) -> None:
-        """Post-run bookkeeping shared by :meth:`run` and batched dispatch."""
+        """Post-run bookkeeping: lifecycle counters and the metric ingest."""
         self.runs_completed += 1
         self.session.counters.runs_completed += 1
         metrics = self.session.metrics
@@ -659,35 +675,6 @@ class Plan:
         metrics.ingest_all(result.statistics, "exec.")
         if result.comm_statistics is not None:
             metrics.ingest(result.comm_statistics, "comm.")
-
-    def _run_single(
-        self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
-    ) -> ExecutionResult:
-        """One non-distributed run, in the calling thread."""
-        self._check_arity(fields, scalars)
-        tracers = self._rank_tracers(1)
-        stats = self._run_rank(
-            [*fields, *scalars], None, tracers[0] if tracers else None
-        )
-        return self._attach_trace(self._single_result(stats), tracers)
-
-    def _single_result(self, stats) -> ExecutionResult:
-        return ExecutionResult(
-            statistics=[stats],
-            runtime="local",
-            runtime_requested="local",
-            threads_per_rank=self.config.threads_per_rank,
-        )
-
-    def _buffers_for(self, fields: Sequence[np.ndarray]) -> _RunBuffers:
-        """The cached slice plans and local buffers for these field shapes."""
-        buffers = self._buffers
-        if self._buffers_valid(buffers, fields):
-            return buffers
-        self._release_buffers()
-        buffers = self._build_buffers(fields)
-        self._buffers = buffers
-        return buffers
 
     def _buffers_valid(
         self, buffers: Optional[_RunBuffers], fields: Sequence[np.ndarray]
@@ -701,9 +688,9 @@ class Plan:
     def _build_buffers(self, fields: Sequence[np.ndarray]) -> _RunBuffers:
         """Fresh slice plans and local buffers for these field shapes.
 
-        Uncached — the serving layer builds one set per in-flight job so a
-        batch can run several jobs of the *same* plan concurrently; the plan's
-        own :meth:`_buffers_for` wraps this with its per-signature cache.
+        One set per in-flight job, so a round can run several jobs of the
+        *same* plan concurrently; sets are recycled through
+        :meth:`prepare`'s ``buffers`` argument.
         """
         buffers = _RunBuffers()
         buffers.signature = _field_signature(fields)
@@ -769,19 +756,6 @@ class Plan:
                 global_slices, local_slices = gather_row[index]
                 array[global_slices] = local_row[index][local_slices]
 
-    def _run_threads(
-        self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
-    ) -> ExecutionResult:
-        buffers = self._buffers_for(fields)
-        self._check_arity(fields, scalars)
-        self._traced_move("run.scatter", self._scatter, buffers, fields)
-        size = self.strategy.rank_count
-        statistics: list = [None] * size
-        tracers = self._rank_tracers(size)
-        body = self._rank_body(buffers, list(scalars), statistics, tracers)
-        world = self.session._run_threads_world(size, body, self.config.timeout)
-        return self._threads_result(buffers, fields, statistics, world, tracers)
-
     @staticmethod
     def _check_fields(fields: Sequence[Any]) -> None:
         for index, array in enumerate(fields):
@@ -808,72 +782,12 @@ class Plan:
             for rank in range(size)
         ]
 
-    def _rank_body(
-        self,
-        buffers: _RunBuffers,
-        scalars: Sequence[Any],
-        statistics: list,
-        tracers: Optional[list[Tracer]],
-    ):
-        """One rank's SPMD body over these buffers (thread world).
-
-        Shared verbatim by :meth:`_run_threads` and the serving layer's
-        batched dispatch, so a batched job is bit-identical — fields,
-        statistics, megakernel engagement — to a standalone run.
-        """
-        def body(comm) -> None:
-            rank = comm.rank
-            statistics[rank] = self._run_rank(
-                [*buffers.locals[rank], *scalars], comm,
-                tracers[rank] if tracers is not None else None,
-            )
-
-        return body
-
-    def _threads_result(
-        self, buffers: _RunBuffers, fields, statistics: list, world,
-        tracers: Optional[list[Tracer]],
-    ) -> ExecutionResult:
-        """Gather and assemble a finished thread-world run."""
-        missing = [rank for rank, stats in enumerate(statistics) if stats is None]
-        if missing:
-            raise ExecutionError(
-                f"ranks {missing} finished without reporting statistics; "
-                "the SPMD execution did not complete"
-            )
-        self._traced_move("run.gather", self._gather, buffers, fields)
-        return self._attach_trace(
-            self._result(list(statistics), world.statistics), tracers
-        )
-
-    def _run_processes(
-        self, fields: Sequence[np.ndarray], scalars: Sequence[Any]
-    ) -> ExecutionResult:
-        buffers = self._buffers_for(fields)
-        self._traced_move("run.scatter", self._scatter, buffers, fields)
-        try:
-            reports = self.session._pool_manager.run_program_specs(
-                self.program, self.function, self.config, buffers.specs,
-                list(scalars),
-            )
-        except _process_runtime.WorkerError:
-            self.session.metrics.inc("worker.errors")
-            if self.tracer is not None:
-                self.tracer.instant("worker.error")
-            raise
-        return self._processes_result(buffers, fields, reports)
-
-    def _processes_result(
-        self, buffers: _RunBuffers, fields, reports: Sequence[Any]
-    ) -> ExecutionResult:
-        """Account, gather and assemble a finished process-world run.
-
-        Shared by :meth:`_run_processes` and the serving layer's process-world
-        batched dispatch so both account identically.
-        """
-        ordered = sort_rank_stats(reports)
-        statistics = [report.exec_stats for report in ordered]
-        comm = merge_comm_statistics([report.comm_stats for report in ordered])
+    @staticmethod
+    def _pooled_comm_statistics(
+        buffers: _RunBuffers, reports: Sequence[Any]
+    ) -> CommStatistics:
+        """The world-wide counters of a finished process-world run."""
+        comm = merge_comm_statistics([report.comm_stats for report in reports])
         # Copy-elision accounting: scatter wrote straight into (and gather
         # reads straight out of) the leased blocks — two memcpys per field
         # per rank elided.  On the first run of a buffer set the reuse count
@@ -883,18 +797,11 @@ class Plan:
             2 * local.nbytes for row in buffers.locals for local in row
         )
         if buffers.runs > 0:
-            comm.shared_blocks_reused = self._lease_count(buffers)
+            comm.shared_blocks_reused = sum(len(row) for row in buffers.leases)
         else:
             comm.shared_blocks_reused = buffers.fresh_reused
         buffers.runs += 1
-        self._traced_move("run.gather", self._gather, buffers, fields)
-        return self._attach_trace(
-            self._result(statistics, comm), [report.trace for report in ordered]
-        )
-
-    @staticmethod
-    def _lease_count(buffers: _RunBuffers) -> int:
-        return sum(len(row) for row in buffers.leases)
+        return comm
 
     def _traced_move(self, name: str, move, buffers: _RunBuffers, fields) -> None:
         """Run a scatter/gather helper under a plan-track span when tracing."""
@@ -938,12 +845,13 @@ class Plan:
         return result
 
     def _result(
-        self, statistics: list, comm: CommStatistics
+        self, statistics: list, comm: Optional[CommStatistics]
     ) -> ExecutionResult:
+        """Assemble a result; ``comm`` is None for non-distributed runs."""
         return ExecutionResult(
             statistics=statistics,
-            messages_sent=comm.messages_sent,
-            bytes_sent=comm.bytes_sent,
+            messages_sent=comm.messages_sent if comm is not None else 0,
+            bytes_sent=comm.bytes_sent if comm is not None else 0,
             comm_statistics=comm,
             runtime=self.runtime,
             threads_per_rank=self.config.threads_per_rank,
@@ -952,22 +860,19 @@ class Plan:
 
 
 class PreparedRun:
-    """One job of a batched dispatch round, staged and self-contained.
+    """One job of a dispatch round, staged and self-contained.
 
-    Built by :meth:`Plan.prepare`.  Construction performs the per-job front
-    half of :meth:`Plan.run` — argument validation, buffer building (fresh or
-    recycled, *never* the plan's shared cache), scatter and body
-    construction — so a batch round only has to launch bodies.  After the
-    round, :meth:`finish` replays the back half: missing-statistics checks,
-    gather, trace attachment and the session metric ingest.  Every step calls
-    the same ``Plan`` helpers the standalone path uses, so a batched job is
-    bit-identical — fields, ``ExecStatistics``, ``CommStatistics`` — to the
-    same job on a standalone plan.
-
-    Thread-world (and local) jobs carry per-rank ``body(comm)`` callables for
-    :meth:`Session.execute_batch`; process-world jobs carry the leased
-    shared-memory ``specs`` for ``PoolManager.run_program_batch``, with the
-    worker reports assigned to :attr:`reports` before ``finish()``.
+    Built by :meth:`Plan.prepare`.  Construction is the front half of a run
+    — argument validation, buffers (recycled when they still fit, else
+    fresh), the traced scatter — so a round only has to launch ranks:
+    :meth:`body` per rank for thread-world and local jobs, the leased
+    shared-memory ``buffers.specs`` for process-world ones.
+    :meth:`Session.execute_batch` leaves either the job's :attr:`error` or
+    its per-rank statistics/worker reports behind, and :meth:`finish` is the
+    back half: the completeness check, gather, trace attachment and the
+    session metric ingest.  ``plan.run()`` and a served job are this same
+    sequence, so they agree bit for bit — fields, ``ExecStatistics``,
+    ``CommStatistics`` — and span for span.
     """
 
     def __init__(
@@ -980,74 +885,66 @@ class PreparedRun:
         self.plan = plan
         self.fields = list(fields)
         self.scalars = list(scalars)
-        self.distributed = plan.distributed
         self.runtime = plan.runtime
         self.size = plan.strategy.rank_count if plan.distributed else 1
         #: The job's SimulatedMPI world (thread-world jobs; set at dispatch).
         self.world: Optional[SimulatedMPI] = None
-        #: Worker reports (process-world jobs; set by the batch runner).
+        #: Worker reports (process-world jobs; set at dispatch).
         self.reports: Optional[list] = None
         #: The first error of any rank of this job (leaves siblings alone).
         self.error: Optional[BaseException] = None
-        self.buffers: Optional[_RunBuffers] = None
-
-        plan._check_arity(self.fields, self.scalars)
         self.statistics: list = [None] * self.size
-        self.tracers = plan._rank_tracers(self.size)
-
-        if not self.distributed:
-            tracer = self.tracers[0] if self.tracers is not None else None
-
-            def single_body(comm=None) -> None:
-                self.statistics[0] = plan._run_rank(
-                    [*self.fields, *self.scalars], None, tracer
+        self.tracers: Optional[list[Tracer]] = None
+        #: Owned from here on: released when they do not fit or staging fails.
+        self.buffers = buffers
+        try:
+            plan._check_arity(self.fields, self.scalars)
+            if plan.distributed:
+                plan._check_fields(self.fields)
+                if not plan._buffers_valid(self.buffers, self.fields):
+                    self.release()
+                    self.buffers = plan._build_buffers(self.fields)
+                plan._traced_move(
+                    "run.scatter", plan._scatter, self.buffers, self.fields
                 )
+            if self.runtime != "processes":  # workers trace their own ranks
+                self.tracers = plan._rank_tracers(self.size)
+        except BaseException:
+            self.release()
+            raise
 
-            self.body = single_body
-            return
-
-        plan._check_fields(self.fields)
-        if buffers is not None and plan._buffers_valid(buffers, self.fields):
-            self.buffers = buffers
-        else:
-            if buffers is not None:
-                _release_run_buffers(buffers)
-            self.buffers = plan._build_buffers(self.fields)
-        plan._scatter(self.buffers, self.fields)
-        if self.runtime == "processes":
-            self.body = None
-        else:
-            self.body = plan._rank_body(
-                self.buffers, self.scalars, self.statistics, self.tracers
-            )
+    def body(self, comm) -> None:
+        """One rank of a thread-world job, or the local job (``comm`` None)."""
+        rank = comm.rank if comm is not None else 0
+        local = self.buffers.locals[rank] if self.buffers is not None \
+            else self.fields
+        self.statistics[rank] = self.plan._run_rank(
+            [*local, *self.scalars], comm,
+            self.tracers[rank] if self.tracers is not None else None,
+        )
 
     def finish(self) -> ExecutionResult:
         """Gather and assemble the result; raises the job's recorded error."""
         if self.error is not None:
             raise self.error
         plan = self.plan
-        if not self.distributed:
-            stats = self.statistics[0]
-            if stats is None:
-                raise ExecutionError(
-                    "the job finished without reporting statistics; "
-                    "the batched execution did not complete"
-                )
-            result = plan._attach_trace(plan._single_result(stats), self.tracers)
-        elif self.runtime == "processes":
-            if self.reports is None:
-                raise ExecutionError(
-                    "the job finished without worker reports; "
-                    "the batched execution did not complete"
-                )
-            result = plan._processes_result(
-                self.buffers, self.fields, self.reports
-            )
+        if self.runtime == "processes":
+            reports = sort_rank_stats(self.reports or ())
+            statistics = [report.exec_stats for report in reports]
+            traces = [report.trace for report in reports]
+            comm = plan._pooled_comm_statistics(self.buffers, reports)
         else:
-            result = plan._threads_result(
-                self.buffers, self.fields, self.statistics, self.world,
-                self.tracers,
+            statistics = [s for s in self.statistics if s is not None]
+            traces = self.tracers
+            comm = self.world.statistics if self.world is not None else None
+        if len(statistics) != self.size:
+            raise ExecutionError(
+                f"{self.size - len(statistics)} rank(s) finished without "
+                "reporting statistics; the round did not complete"
             )
+        if plan.distributed:
+            plan._traced_move("run.gather", plan._gather, self.buffers, self.fields)
+        result = plan._attach_trace(plan._result(statistics, comm), traces)
         plan._finish_run(result)
         return result
 

@@ -27,6 +27,7 @@ from ..dialects import arith, builtin, dmp, func, gpu, hls, memref, mpi, omp, sc
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Block, Operation, SSAValue
 from ..ir.types import IntegerType
+from ..transforms.mpi.mpi_to_func import MPICH_OP_CONSTANTS
 from .mpi_runtime import CommunicatorBase
 from .values import DataTypeValue, MemRefValue, PointerValue, RequestHandle
 
@@ -389,79 +390,15 @@ class Interpreter:
     def mpi_library_call(self, symbol: str, args: list[Any]) -> list[Any]:
         """Execute a lowered MPI_* function call against the simulated runtime."""
         comm = self.require_comm()
-        if symbol in ("MPI_Init", "MPI_Finalize", "MPI_Barrier"):
-            if symbol == "MPI_Barrier":
-                comm.barrier()
-            return [0]
         if symbol == "MPI_Comm_rank":
             return [comm.rank]
         if symbol == "MPI_Comm_size":
             return [comm.size]
-        tracer = self.tracer
-        if symbol in ("MPI_Send", "MPI_Isend"):
-            span = tracer.begin("halo.post") if tracer is not None else 0.0
-            buffer, count, _dtype, dest, tag = args[0], args[1], args[2], args[3], args[4]
-            data = self.as_array(buffer).reshape(-1)[: int(count)]
-            comm.isend(data, int(dest), int(tag))
-            self.stats.mpi_messages += 1
-            if symbol == "MPI_Isend" and len(args) >= 7:
-                _mark_send_complete(args[6])
-            if tracer is not None:
-                tracer.end("halo.post", span)
-            return [0]
-        if symbol in ("MPI_Recv",):
-            buffer, count, _dtype, source, tag = args[0], args[1], args[2], args[3], args[4]
-            array = self.as_array(buffer).reshape(-1)[: int(count)]
-            comm.recv(array, int(source), int(tag))
-            return [0]
-        if symbol == "MPI_Irecv":
-            span = tracer.begin("halo.post") if tracer is not None else 0.0
-            buffer, count, _dtype, source, tag = args[0], args[1], args[2], args[3], args[4]
-            array = self.as_array(buffer).reshape(-1)[: int(count)]
-            request = comm.irecv(array, int(source), int(tag))
-            if len(args) >= 7:
-                _store_pending(args[6], request)
-            if tracer is not None:
-                tracer.end("halo.post", span)
-            return [0]
-        if symbol == "MPI_Wait":
-            span = tracer.begin("halo.wait") if tracer is not None else 0.0
-            _wait_request(comm, args[0])
-            if tracer is not None:
-                tracer.end("halo.wait", span)
-            return [0]
-        if symbol == "MPI_Waitall":
-            span = tracer.begin("halo.wait") if tracer is not None else 0.0
-            count, requests = args[0], args[1]
-            _waitall(comm, requests)
-            if tracer is not None:
-                tracer.end("halo.wait", span)
-            return [0]
-        if symbol in ("MPI_Allreduce", "MPI_Reduce"):
-            send_buffer, recv_buffer = args[0], args[1]
-            operation = "sum"
-            data = self.as_array(send_buffer)
-            if symbol == "MPI_Allreduce":
-                result = comm.allreduce(data, operation)
-                np.copyto(self.as_array(recv_buffer), result)
-            else:
-                result = comm.reduce(data, operation, root=0)
-                if comm.rank == 0 and result is not None:
-                    np.copyto(self.as_array(recv_buffer), result)
-            return [0]
-        if symbol == "MPI_Bcast":
-            buffer = self.as_array(args[0])
-            result = comm.bcast(buffer, root=int(args[3]) if len(args) > 3 else 0)
-            np.copyto(buffer, result)
-            return [0]
-        if symbol == "MPI_Gather":
-            send_buffer = self.as_array(args[0])
-            gathered = comm.gather(send_buffer, root=int(args[6]) if len(args) > 6 else 0)
-            if gathered is not None:
-                recv = self.as_array(args[3])
-                np.copyto(recv.reshape(gathered.shape), gathered)
-            return [0]
-        raise InterpreterError(f"unsupported MPI library call {symbol!r}")
+        call = _MPI_LIBRARY.get(symbol)
+        if call is None:
+            raise InterpreterError(f"unsupported MPI library call {symbol!r}")
+        call(self, args)
+        return [0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,24 +439,119 @@ def _store_pending(request_value: Any, request: Any) -> None:
     slot.null = False
 
 
-def _wait_request(comm: CommunicatorBase, request_value: Any) -> None:
-    slot = _request_slot(request_value)
-    if slot.pending is not None:
-        comm.wait(slot.pending)
-        slot.pending = None
+# One implementation per MPI operation: the ``mpi.*`` handlers and the lowered
+# ``MPI_*`` symbols (``_MPI_LIBRARY``) only decode their operands and call
+# these, so both forms move the same bytes, count the same messages and record
+# the same ``halo.post`` / ``halo.wait`` spans.
+
+def _flat(interp: Interpreter, buffer: Any, count: Any) -> np.ndarray:
+    """The first ``count`` elements of a buffer-like value, as a flat view."""
+    return interp.as_array(buffer).reshape(-1)[: int(count)]
 
 
-def _waitall(comm: CommunicatorBase, requests_value: Any) -> None:
-    if isinstance(requests_value, RequestArray):
-        slots = requests_value.slots
-    elif isinstance(requests_value, RequestRef):
-        slots = requests_value.array.slots
-    else:
-        raise InterpreterError("MPI_Waitall expects a request array")
-    for slot in slots:
+def _mpi_send(interp: Interpreter, buffer: Any, count: Any, dest: Any, tag: Any,
+              request: Any = None) -> None:
+    """send / isend: sends are buffered, so ``request`` completes at once."""
+    comm = interp.require_comm()
+    tracer = interp.tracer
+    span = tracer.begin("halo.post") if tracer is not None else 0.0
+    comm.send(_flat(interp, buffer, count), int(dest), int(tag))
+    interp.stats.mpi_messages += 1
+    if request is not None:
+        _mark_send_complete(request)
+    if tracer is not None:
+        tracer.end("halo.post", span)
+
+
+def _mpi_recv(interp: Interpreter, buffer: Any, count: Any, source: Any,
+              tag: Any) -> None:
+    interp.require_comm().recv(_flat(interp, buffer, count), int(source), int(tag))
+
+
+def _mpi_irecv(interp: Interpreter, buffer: Any, count: Any, source: Any,
+               tag: Any, request: Any) -> None:
+    comm = interp.require_comm()
+    tracer = interp.tracer
+    span = tracer.begin("halo.post") if tracer is not None else 0.0
+    pending = comm.irecv(_flat(interp, buffer, count), int(source), int(tag))
+    _store_pending(request, pending)
+    if tracer is not None:
+        tracer.end("halo.post", span)
+
+
+def _mpi_wait(interp: Interpreter, requests: Sequence[RequestHandle]) -> None:
+    """wait / waitall: complete every pending request among ``requests``."""
+    comm = interp.require_comm()
+    tracer = interp.tracer
+    span = tracer.begin("halo.wait") if tracer is not None else 0.0
+    for slot in requests:
         if slot.pending is not None:
             comm.wait(slot.pending)
             slot.pending = None
+    if tracer is not None:
+        tracer.end("halo.wait", span)
+
+
+def _request_slots(requests_value: Any) -> list[RequestHandle]:
+    if isinstance(requests_value, RequestArray):
+        return requests_value.slots
+    if isinstance(requests_value, RequestRef):
+        return requests_value.array.slots
+    raise InterpreterError("MPI_Waitall expects a request array")
+
+
+def _mpi_reduce(interp: Interpreter, send: Any, recv: Any, operation: str,
+                root: Any) -> None:
+    result = interp.require_comm().reduce(
+        interp.as_array(send), operation, int(root)
+    )
+    if result is not None:  # only the root receives
+        np.copyto(interp.as_array(recv), result)
+
+
+def _mpi_allreduce(interp: Interpreter, send: Any, recv: Any,
+                   operation: str) -> None:
+    np.copyto(
+        interp.as_array(recv),
+        interp.require_comm().allreduce(interp.as_array(send), operation),
+    )
+
+
+def _mpi_bcast(interp: Interpreter, buffer: Any, root: Any) -> None:
+    array = interp.as_array(buffer)
+    np.copyto(array, interp.require_comm().bcast(array, int(root)))
+
+
+def _mpi_gather(interp: Interpreter, send: Any, recv: Any, root: Any) -> None:
+    gathered = interp.require_comm().gather(interp.as_array(send), int(root))
+    if gathered is not None:  # only the root receives
+        np.copyto(interp.as_array(recv).reshape(gathered.shape), gathered)
+
+
+#: mpich reduction handle -> operation name: the interpreter stands in for the
+#: library ``lower_mpi_to_func`` targets, so it decodes that pass's table.
+_MPICH_OPERATIONS = {handle: name for name, handle in MPICH_OP_CONSTANTS.items()}
+
+#: Lowered ``MPI_*`` symbols -> shared implementation, operands decoded from
+#: the C argument order ``lower_mpi_to_func`` emits (datatype and communicator
+#: handles are ignored: buffers carry their dtype, there is one world).
+_MPI_LIBRARY = {
+    "MPI_Init": lambda interp, a: None,
+    "MPI_Finalize": lambda interp, a: None,
+    "MPI_Barrier": lambda interp, a: interp.require_comm().barrier(),
+    "MPI_Send": lambda interp, a: _mpi_send(interp, a[0], a[1], a[3], a[4]),
+    "MPI_Isend": lambda interp, a: _mpi_send(interp, a[0], a[1], a[3], a[4], a[6]),
+    "MPI_Recv": lambda interp, a: _mpi_recv(interp, a[0], a[1], a[3], a[4]),
+    "MPI_Irecv": lambda interp, a: _mpi_irecv(interp, a[0], a[1], a[3], a[4], a[6]),
+    "MPI_Wait": lambda interp, a: _mpi_wait(interp, [_request_slot(a[0])]),
+    "MPI_Waitall": lambda interp, a: _mpi_wait(interp, _request_slots(a[1])),
+    "MPI_Reduce": lambda interp, a: _mpi_reduce(
+        interp, a[0], a[1], _MPICH_OPERATIONS[int(a[4])], a[5]),
+    "MPI_Allreduce": lambda interp, a: _mpi_allreduce(
+        interp, a[0], a[1], _MPICH_OPERATIONS[int(a[4])]),
+    "MPI_Bcast": lambda interp, a: _mpi_bcast(interp, a[0], a[3]),
+    "MPI_Gather": lambda interp, a: _mpi_gather(interp, a[0], a[3], a[6]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1235,58 +1267,36 @@ def _run_set_null(interp: Interpreter, op: Operation, env: dict) -> None:
 
 
 @handler("mpi.send")
+@handler("mpi.isend")
 def _run_mpi_send(interp: Interpreter, op: Operation, env: dict) -> None:
-    assert isinstance(op, mpi.SendOp)
-    comm = interp.require_comm()
-    data = interp.as_array(interp.get(env, op.buffer)).reshape(-1)
-    count = int(interp.get(env, op.count))
-    comm.send(data[:count], int(interp.get(env, op.peer)), int(interp.get(env, op.tag)))
-    interp.stats.mpi_messages += 1
+    assert isinstance(op, (mpi.SendOp, mpi.IsendOp))
+    get = interp.get
+    request = op.request  # mpi.send carries none
+    _mpi_send(
+        interp, get(env, op.buffer), get(env, op.count), get(env, op.peer),
+        get(env, op.tag), get(env, request) if request is not None else None,
+    )
 
 
 @handler("mpi.recv")
 def _run_mpi_recv(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.RecvOp)
-    comm = interp.require_comm()
-    data = interp.as_array(interp.get(env, op.buffer)).reshape(-1)
-    count = int(interp.get(env, op.count))
-    comm.recv(data[:count], int(interp.get(env, op.peer)), int(interp.get(env, op.tag)))
-
-
-@handler("mpi.isend")
-def _run_mpi_isend(interp: Interpreter, op: Operation, env: dict) -> None:
-    assert isinstance(op, mpi.IsendOp)
-    comm = interp.require_comm()
-    tracer = interp.tracer
-    span = tracer.begin("halo.post") if tracer is not None else 0.0
-    data = interp.as_array(interp.get(env, op.buffer)).reshape(-1)
-    count = int(interp.get(env, op.count))
-    comm.isend(data[:count], int(interp.get(env, op.peer)), int(interp.get(env, op.tag)))
-    if tracer is not None:
-        tracer.end("halo.post", span)
-    interp.stats.mpi_messages += 1
-    request = op.request
-    assert request is not None
-    _mark_send_complete(interp.get(env, request))
+    get = interp.get
+    _mpi_recv(interp, get(env, op.buffer), get(env, op.count),
+              get(env, op.peer), get(env, op.tag))
 
 
 @handler("mpi.irecv")
 def _run_mpi_irecv(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.IrecvOp)
-    comm = interp.require_comm()
-    data = interp.as_array(interp.get(env, op.buffer)).reshape(-1)
-    count = int(interp.get(env, op.count))
-    pending = comm.irecv(
-        data[:count], int(interp.get(env, op.peer)), int(interp.get(env, op.tag))
-    )
-    request = op.request
-    assert request is not None
-    _store_pending(interp.get(env, request), pending)
+    get = interp.get
+    _mpi_irecv(interp, get(env, op.buffer), get(env, op.count),
+               get(env, op.peer), get(env, op.tag), get(env, op.request))
 
 
 @handler("mpi.wait")
 def _run_mpi_wait(interp: Interpreter, op: Operation, env: dict) -> None:
-    _wait_request(interp.require_comm(), interp.get(env, op.operands[0]))
+    _mpi_wait(interp, [_request_slot(interp.get(env, op.operands[0]))])
 
 
 @handler("mpi.test")
@@ -1301,52 +1311,40 @@ def _run_mpi_test(interp: Interpreter, op: Operation, env: dict) -> None:
 @handler("mpi.waitall")
 def _run_mpi_waitall(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.WaitallOp)
-    tracer = interp.tracer
-    span = tracer.begin("halo.wait") if tracer is not None else 0.0
-    _waitall(interp.require_comm(), interp.get(env, op.requests))
-    if tracer is not None:
-        tracer.end("halo.wait", span)
+    _mpi_wait(interp, _request_slots(interp.get(env, op.requests)))
 
 
 @handler("mpi.reduce")
 def _run_mpi_reduce(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.ReduceOp)
-    comm = interp.require_comm()
-    send = interp.as_array(interp.get(env, op.send_buffer))
-    recv = interp.as_array(interp.get(env, op.recv_buffer))
-    root = int(interp.get(env, op.root)) if op.root is not None else 0
-    result = comm.reduce(send, op.operation, root)
-    if comm.rank == root and result is not None:
-        np.copyto(recv, result)
+    _mpi_reduce(
+        interp, interp.get(env, op.send_buffer), interp.get(env, op.recv_buffer),
+        op.operation, interp.get(env, op.root),
+    )
 
 
 @handler("mpi.allreduce")
 def _run_mpi_allreduce(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.AllreduceOp)
-    comm = interp.require_comm()
-    send = interp.as_array(interp.get(env, op.send_buffer))
-    recv = interp.as_array(interp.get(env, op.recv_buffer))
-    np.copyto(recv, comm.allreduce(send, op.operation))
+    _mpi_allreduce(
+        interp, interp.get(env, op.send_buffer), interp.get(env, op.recv_buffer),
+        op.operation,
+    )
 
 
 @handler("mpi.bcast")
 def _run_mpi_bcast(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.BcastOp)
-    comm = interp.require_comm()
-    buffer = interp.as_array(interp.get(env, op.buffer))
-    np.copyto(buffer, comm.bcast(buffer, int(interp.get(env, op.root))))
+    _mpi_bcast(interp, interp.get(env, op.buffer), interp.get(env, op.root))
 
 
 @handler("mpi.gather")
 def _run_mpi_gather(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, mpi.GatherOp)
-    comm = interp.require_comm()
-    send = interp.as_array(interp.get(env, op.send_buffer))
-    root = int(interp.get(env, op.root))
-    gathered = comm.gather(send, root)
-    if gathered is not None:
-        recv = interp.as_array(interp.get(env, op.recv_buffer))
-        np.copyto(recv.reshape(gathered.shape), gathered)
+    _mpi_gather(
+        interp, interp.get(env, op.send_buffer), interp.get(env, op.recv_buffer),
+        interp.get(env, op.root),
+    )
 
 
 # ---------------------------------------------------------------------------

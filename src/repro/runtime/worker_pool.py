@@ -98,6 +98,13 @@ class WorkerError(RuntimeError):
     failure: Optional[WorkerFailure] = None
 
 
+#: How long past a round's ``timeout`` the parent waits for rank reports, in
+#: both worlds: ranks time out on their own communication after ``timeout``,
+#: and the margin lets that root-cause error arrive before the parent's
+#: generic "did not report" one.
+REPORT_MARGIN = 10.0
+
+
 class _PoolReplacedError(Exception):
     """Internal: the pool was shut down (grown/replaced) before this run
     acquired it; the caller should fetch the current pool and retry."""
@@ -247,11 +254,10 @@ class WorkerPool:
         self._ctx = default_context()
         self.size = size
         self.alive = True
-        # One run at a time: the workers and the result queue are shared
-        # state, so concurrent run_program/run_spmd calls (e.g. from two
-        # caller threads) must serialize — interleaved rank commands would
-        # cross-deadlock and each collector would discard the other run's
-        # reports.
+        # One round at a time: the workers and the result queue are shared
+        # state, so concurrent rounds (e.g. from two caller threads) must
+        # serialize — interleaved rank commands would cross-deadlock and each
+        # collector would discard the other round's reports.
         self._run_lock = threading.Lock()
         #: Programs shipped per worker (so re-runs ship nothing).
         self._shipped: list[set[int]] = [set() for _ in range(size)]
@@ -303,51 +309,31 @@ class WorkerPool:
             if not process.is_alive()
         ]
 
-    def _require_healthy(self) -> None:
-        """Retire the pool when any worker died between runs.
+    @contextlib.contextmanager
+    def _round(self, ranks: int):
+        """Hold the pool for one round of ``ranks`` ranks.
 
         A dead worker would silently swallow its rank's command and hang the
-        whole run until the collect deadline; replacing the pool up front
-        turns that into a transparent retry for the caller (the
-        ``_PoolReplacedError`` loop in the entry points fetches a fresh one).
+        round until the collect deadline, so a pool that lost one between
+        rounds is retired here instead: ``_PoolReplacedError`` makes the
+        manager's entry points retry on a fresh pool, transparently.
         """
-        dead = self.reap_dead_workers()
-        if dead:
-            self.shutdown()
-            raise _PoolReplacedError
-
-    def run_program(
-        self,
-        program,
-        function_name: str,
-        config: "ExecutionConfig",
-        field_specs: Sequence[Sequence[SharedFieldSpec]],
-        scalar_arguments: Sequence[Any],
-    ) -> list[RankStats]:
-        """Execute one rank per worker against pre-scattered shared fields."""
-        size = len(field_specs)
-        if size > self.size:
-            raise WorkerError(f"pool of {self.size} workers cannot host {size} ranks")
+        if ranks > self.size:
+            raise WorkerError(
+                f"pool of {self.size} workers cannot host {ranks} ranks"
+            )
         with self._run_lock:
             if not self.alive:
                 raise _PoolReplacedError
-            self._require_healthy()
-            key = self.ship_program(program, size)
-            run_id = next(self._run_ids)
-            scalars = list(scalar_arguments)
-            for rank in range(size):
-                self._commands[rank].put(
-                    ("run", run_id, key, rank, size, 0, function_name, config,
-                     list(field_specs[rank]), scalars)
-                )
-            reports = self._collect(run_id, size, config.timeout)
-        return [RankStats(rank, exec_stats, comm_stats, trace=trace_record)
-                for rank, exec_stats, comm_stats, trace_record in reports]
+            if self.reap_dead_workers():
+                self.shutdown()
+                raise _PoolReplacedError
+            yield
 
     def run_program_batch(
         self, jobs: Sequence["PoolBatchJob"], timeout: float
     ) -> list[Any]:
-        """Run several independent SPMD jobs in ONE pooled round.
+        """Run independent SPMD jobs — one or many — in ONE pooled round.
 
         The pool's workers are partitioned across the jobs — job ``i`` of
         ``r_i`` ranks owns the contiguous worker range starting at
@@ -355,21 +341,10 @@ class WorkerPool:
         communicator sees a job-local inbox window, see ``_worker_main``) —
         so many small runs share one dispatch/collect round instead of
         serializing.  Returns one entry per job, in order: a ``RankStats``
-        list on success, or the :class:`WorkerError` that failed the job.
-        A failed job never poisons its siblings' results, but it does retire
-        the pool after the round (its peer ranks may still be draining their
-        communication timeouts), matching the single-run discipline.
+        list on success, or the :class:`WorkerError` that failed the job
+        (see :meth:`_collect_batch` for the failure policy).
         """
-        total = sum(len(job.field_specs) for job in jobs)
-        if total > self.size:
-            raise WorkerError(
-                f"pool of {self.size} workers cannot host {total} ranks "
-                f"across {len(jobs)} batched jobs"
-            )
-        with self._run_lock:
-            if not self.alive:
-                raise _PoolReplacedError
-            self._require_healthy()
+        with self._round(sum(len(job.field_specs) for job in jobs)):
             run_ids: list[int] = []
             sizes: list[int] = []
             base = 0
@@ -388,29 +363,29 @@ class WorkerPool:
                 sizes.append(size)
                 base += size
             outcomes = self._collect_batch(run_ids, sizes, timeout)
-        results: list[Any] = []
-        for outcome in outcomes:
-            if isinstance(outcome, WorkerError):
-                results.append(outcome)
-            else:
-                results.append([
-                    RankStats(rank, exec_stats, comm_stats, trace=trace_record)
-                    for rank, exec_stats, comm_stats, trace_record in outcome
-                ])
-        return results
+        return [
+            outcome if isinstance(outcome, WorkerError) else [
+                RankStats(rank, exec_stats, comm_stats, trace=trace_record)
+                for rank, exec_stats, comm_stats, trace_record in outcome
+            ]
+            for outcome in outcomes
+        ]
 
     def _collect_batch(
         self, run_ids: Sequence[int], sizes: Sequence[int], timeout: float
     ) -> list[Any]:
         """One report list per job (or its WorkerError), demuxed by run id.
 
-        A job whose rank reports an error is failed immediately — its
-        remaining ranks are doomed to their communication timeouts and their
-        late reports are ignored by run-id filtering — while sibling jobs
-        keep collecting.  Any failure (or a deadline) retires the pool after
-        the round, like :meth:`_collect`.
+        The failure policy of the process world, stated once: a job is failed
+        the moment any of its ranks reports an error (the first error in time
+        is the root cause; its peers are doomed to their communication
+        timeouts and their late reports are dropped by run-id filtering)
+        while sibling jobs keep collecting; a job still silent
+        ``REPORT_MARGIN`` after ``timeout`` is failed by the parent; and any
+        failure retires the pool after the round, because abandoned ranks
+        still occupy its workers.
         """
-        deadline = time.monotonic() + timeout + 10.0
+        deadline = time.monotonic() + timeout + REPORT_MARGIN
         by_run = {run_id: index for index, run_id in enumerate(run_ids)}
         reports: list[list] = [[] for _ in run_ids]
         outcomes: list[Any] = [None] * len(run_ids)
@@ -425,7 +400,7 @@ class WorkerPool:
             if budget <= 0:
                 for index in sorted(remaining):
                     _fail(index, WorkerError(
-                        f"batched job {index} did not report within "
+                        f"job {index} of the round did not report within "
                         f"{timeout}s (deadlock?)"
                     ))
                 break
@@ -436,7 +411,7 @@ class WorkerPool:
                 if dead:
                     for index in sorted(remaining):
                         _fail(index, WorkerError(
-                            f"worker processes {dead} died mid-batch"
+                            f"worker processes {dead} died mid-round"
                         ))
                     break
                 continue
@@ -457,9 +432,29 @@ class WorkerPool:
             if len(reports[index]) == sizes[index]:
                 outcomes[index] = reports[index]
                 remaining.discard(index)
-        if any(isinstance(outcome, WorkerError) for outcome in outcomes):
+        failed = [
+            index for index, outcome in enumerate(outcomes)
+            if isinstance(outcome, WorkerError)
+        ]
+        if failed:
+            # Abandoned ranks sit in receives and would each wait out the
+            # polite stop of shutdown(); kill them first, so retiring the
+            # pool does not hold back the siblings' results.  (Every round
+            # packs its jobs onto contiguous workers, in order, from 0.)
+            bases = list(itertools.accumulate(sizes, initial=0))
+            for index in failed:
+                reported = {report[0] for report in reports[index]}
+                for rank in set(range(sizes[index])) - reported:
+                    self._processes[bases[index] + rank].terminate()
             self.shutdown()
         return outcomes
+
+    def _collect_one(self, run_id: int, size: int, timeout: float) -> list[tuple]:
+        """The reports of a round of one job, rank-ordered; raises its error."""
+        (outcome,) = self._collect_batch([run_id], [size], timeout)
+        if isinstance(outcome, WorkerError):
+            raise outcome
+        return sorted(outcome, key=lambda report: report[0])
 
     def run_spmd(
         self,
@@ -469,21 +464,15 @@ class WorkerPool:
         timeout: float,
     ) -> tuple[list[Any], list[CommStatistics]]:
         """Run ``fn(comm, *args)`` on ``size`` ranks; return per-rank results."""
-        if size > self.size:
-            raise WorkerError(f"pool of {self.size} workers cannot host {size} ranks")
-        with self._run_lock:
-            if not self.alive:
-                raise _PoolReplacedError
-            self._require_healthy()
+        with self._round(size):
             run_id = next(self._run_ids)
             payload = pickle.dumps((fn, tuple(args)))
             for rank in range(size):
                 self._commands[rank].put(("spmd", run_id, rank, size, payload, timeout))
-            reports = self._collect(run_id, size, timeout)
-        ordered = sorted(reports, key=lambda report: report[0])
+            reports = self._collect_one(run_id, size, timeout)
         return (
-            [report[1] for report in ordered],
-            [report[2] for report in ordered],
+            [report[1] for report in reports],
+            [report[2] for report in reports],
         )
 
     def warmup(self, ranks: int, threads_per_rank: int = 1,
@@ -495,57 +484,11 @@ class WorkerPool:
         ``threads_per_rank``-sized team and proves the command loop is alive,
         so the first real hybrid run pays neither spawn latency.
         """
-        if ranks > self.size:
-            raise WorkerError(f"pool of {self.size} workers cannot host {ranks} ranks")
-        with self._run_lock:
-            if not self.alive:
-                raise _PoolReplacedError
-            self._require_healthy()
+        with self._round(ranks):
             run_id = next(self._run_ids)
             for rank in range(ranks):
                 self._commands[rank].put(("warmup", run_id, rank, threads_per_rank))
-            self._collect(run_id, ranks, timeout)
-
-    def _collect(self, run_id: int, size: int, timeout: float) -> list[tuple]:
-        """Gather one report per rank, failing fast on worker errors."""
-        # Workers' own receives already honour ``timeout``; the parent allows
-        # a margin on top so the rank-side timeout error arrives first.
-        deadline = time.monotonic() + timeout + 10.0
-        reports: list[tuple] = []
-        seen: set[int] = set()
-        while len(reports) < size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                self.shutdown()
-                raise WorkerError(
-                    f"ranks {sorted(set(range(size)) - seen)} did not report "
-                    f"within {timeout}s (deadlock?)"
-                )
-            try:
-                message = self._results.get(timeout=min(remaining, 0.5))
-            except queue_module.Empty:
-                dead = [
-                    rank for rank in range(size)
-                    if rank not in seen and not self._processes[rank].is_alive()
-                ]
-                if dead:
-                    self.shutdown()
-                    raise WorkerError(f"worker processes for ranks {dead} died")
-                continue
-            tag, reported_run, rank = message[0], message[1], message[2]
-            if reported_run != run_id:
-                continue  # stale report from a failed earlier run
-            if tag == "error":
-                self.shutdown()
-                failure = message[3]
-                if isinstance(failure, WorkerFailure):
-                    error = WorkerError(failure.describe())
-                    error.failure = failure
-                    raise error
-                raise WorkerError(f"rank {rank} failed:\n{failure}")
-            reports.append((rank, message[3], message[4], message[5]))
-            seen.add(rank)
-        return reports
+            self._collect_one(run_id, ranks, timeout)
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:
@@ -627,26 +570,6 @@ class PoolManager:
                 self._pool = None
 
     # -- retrying entry points (transparent pool replacement) -----------------
-    def run_program_specs(
-        self,
-        program,
-        function_name: str,
-        config: "ExecutionConfig",
-        field_specs: Sequence[Sequence[SharedFieldSpec]],
-        scalar_arguments: Sequence[Any],
-    ) -> list[RankStats]:
-        """Run one rank per worker against pre-scattered shared-memory specs."""
-        size = len(field_specs)
-        for _ in _pool_attempts():
-            pool = self.acquire(size)
-            try:
-                return pool.run_program(
-                    program, function_name, config, field_specs,
-                    scalar_arguments,
-                )
-            except _PoolReplacedError:
-                continue  # the pool was grown, replaced, or had dead workers
-
     def run_program_batch(
         self, jobs: Sequence[PoolBatchJob], timeout: float
     ) -> list[Any]:

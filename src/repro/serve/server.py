@@ -17,17 +17,20 @@ three mechanisms:
   blocking, so overload turns into fast typed backpressure.
 
 * **Batched dispatch** — a single dispatcher thread drains up to
-  ``max_batch`` queued jobs at a time and runs them as ONE SPMD round:
-  thread-world and local jobs through
-  :meth:`~repro.core.session.Session.execute_batch` (the persistent rank
-  executor partitioned across jobs), process-world jobs through
-  ``PoolManager.run_program_batch`` (the worker pool partitioned across
-  jobs).  N small jobs pay the dispatch latency once instead of N times —
-  the fine-grained-asynchronous-BSP idea applied to the serving path.
+  ``max_batch`` queued jobs at a time and runs them as ONE round of
+  :meth:`~repro.core.session.Session.execute_batch`, which partitions the
+  persistent rank executor (thread-world and local jobs) and the worker pool
+  (process-world jobs) across them.  N small jobs pay the dispatch latency
+  once instead of N times, and a failing job fails alone, at once, with its
+  root cause: the round ends with its last healthy job, never behind a failed
+  job's communication timeouts — the fine-grained-asynchronous-BSP idea
+  applied to the serving path.
 
-Every job runs through the exact same ``Plan`` helpers a standalone
-``plan.run()`` uses (see :class:`~repro.core.session.PreparedRun`), so
-results and per-tenant statistics are bit-identical to unbatched runs.
+A served job is the very sequence a standalone ``plan.run()`` is — prepare,
+``execute_batch``, finish (see :class:`~repro.core.session.PreparedRun`) —
+so results, per-tenant statistics, spans and failure semantics are those of
+unbatched runs; the server adds only the queue, the plan cache and the
+per-plan buffer free list.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from ..core.session import (
     _release_run_buffers,
 )
 from ..obs import MetricsRegistry
-from ..runtime.worker_pool import PoolBatchJob, WorkerError
 from .errors import QueueFullError, ServerClosedError
 from .job import JobHandle
 from .stats import TenantStats
@@ -287,18 +289,13 @@ class Server:
         if not staged:
             return
 
-        # One SPMD round per runtime family, ranks partitioned across jobs.
-        processes = [(j, p) for j, p in staged if p.runtime == "processes"]
-        threaded = [(j, p) for j, p in staged if p.runtime != "processes"]
-        if processes:
-            self._run_process_group(processes)
-        if threaded:
-            try:
-                self._session.execute_batch([p for _, p in threaded])
-            except BaseException as error:  # noqa: BLE001 - round-level failure
-                for _, prepared in threaded:
-                    if prepared.error is None:
-                        prepared.error = error
+        # One round: ranks partitioned across jobs, a failed job fails alone.
+        try:
+            self._session.execute_batch([prepared for _, prepared in staged])
+        except BaseException as error:  # noqa: BLE001 - round-level failure
+            for _, prepared in staged:
+                if prepared.error is None:
+                    prepared.error = error
 
         for job, prepared in staged:
             try:
@@ -311,37 +308,6 @@ class Server:
             self.tenant(job.tenant).ingest(result)
             self.metrics.inc("serve.jobs_completed")
             job._complete(result)
-
-    def _run_process_group(
-        self, pairs: Sequence[tuple[JobHandle, PreparedRun]]
-    ) -> None:
-        """One worker-pool round over every process-world job of the batch."""
-        jobs = []
-        for _, prepared in pairs:
-            plan = prepared.plan
-            jobs.append(PoolBatchJob(
-                program=plan.program,
-                function_name=plan.function,
-                config=plan.config,
-                field_specs=prepared.buffers.specs,
-                scalars=prepared.scalars,
-            ))
-        timeout = max(prepared.plan.config.timeout for _, prepared in pairs)
-        try:
-            outcomes = self._session._pool_manager.run_program_batch(
-                jobs, timeout
-            )
-        except WorkerError as error:
-            self._session.metrics.inc("worker.errors")
-            for _, prepared in pairs:
-                prepared.error = error
-            return
-        for (_, prepared), outcome in zip(pairs, outcomes):
-            if isinstance(outcome, WorkerError):
-                self._session.metrics.inc("worker.errors")
-                prepared.error = outcome
-            else:
-                prepared.reports = outcome
 
     def _fail(self, job: JobHandle, error: BaseException) -> None:
         self.metrics.inc("serve.jobs_failed")

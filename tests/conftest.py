@@ -109,3 +109,46 @@ def build_reduce_module(n: int, combine_op, init_value: float):
     builder.insert(memref.StoreOp(loop.results[0], out, [zero]))
     builder.insert(func.ReturnOp([]))
     return builtin.ModuleOp([kernel])
+
+
+#: Step count that makes :func:`exploding_rank` fail a run.
+POISON_STEPS = 13
+
+
+def _forked_workers() -> bool:
+    from repro.runtime import default_context, processes_available
+
+    return processes_available() and default_context().get_start_method() == "fork"
+
+
+#: Runtimes :func:`exploding_rank` reaches, as ``parametrize`` values.
+FAILURE_WORLDS = [
+    "threads",
+    pytest.param("processes", marks=pytest.mark.skipif(
+        not _forked_workers(), reason="needs forked process workers",
+    )),
+]
+
+
+@pytest.fixture
+def exploding_rank(monkeypatch):
+    """Rank 1 of any run of ``POISON_STEPS`` steps raises before its first send.
+
+    Patches ``run_rank`` where the thread world looks it up and where process
+    workers import it; the workers must be forked *after* the patch (a fresh
+    Session/Server) and inherit it, so process-world users need a fork
+    platform.  Every other run is untouched.
+    """
+    import repro.core.rank as rank_module
+    import repro.core.session as session_module
+
+    run_rank = rank_module.run_rank
+
+    def exploding(program, function, config, args, *, comm=None, **context):
+        poisoned = isinstance(args[-1], int) and args[-1] == POISON_STEPS
+        if poisoned and comm is not None and comm.rank == 1:
+            raise RuntimeError("rank 1 exploded")
+        return run_rank(program, function, config, args, comm=comm, **context)
+
+    monkeypatch.setattr(rank_module, "run_rank", exploding)
+    monkeypatch.setattr(session_module, "run_rank", exploding)

@@ -195,3 +195,97 @@ class TestSpmdDriverTimeouts:
         # must be one of the originating errors, never a join timeout.
         with pytest.raises(ValueError, match=r"rank [01] failed"):
             world.run_spmd(body)
+
+
+# ---------------------------------------------------------------------------
+# lowered collectives: mpi.reduce / mpi.allreduce, as dialect ops and as the
+# MPI_* library calls lower_mpi_to_func turns them into
+# ---------------------------------------------------------------------------
+
+_REDUCE_RANKS, _REDUCE_ROOT = 3, 2
+_NUMPY_REDUCTIONS = {
+    "sum": np.add.reduce,
+    "prod": np.multiply.reduce,
+    "min": np.minimum.reduce,
+    "max": np.maximum.reduce,
+    "land": lambda parts: np.logical_and.reduce(parts).astype(np.float64),
+    "lor": lambda parts: np.logical_or.reduce(parts).astype(np.float64),
+}
+
+
+def _reduce_input(rank):
+    """Per-rank data with a zero at a different place on every rank, so the
+    logical reductions (and min/prod) do not collapse to a constant."""
+    data = np.arange(1.0, 5.0) * (rank + 1)
+    data[rank] = 0.0
+    return data
+
+
+def _run_reductions(comm, operation, lowered):
+    """Module-level (process workers unpickle it): build ``kernel(send,
+    to_root, to_all)`` — an mpi.reduce to ``_REDUCE_ROOT`` plus an
+    mpi.allreduce — optionally lower it to MPI_* calls, and run it."""
+    from repro.dialects import arith, builtin, func, mpi
+    from repro.interp import Interpreter
+    from repro.ir import Builder, FunctionType, IntegerAttr, MemRefType, f64, i32
+    from repro.transforms.mpi import lower_mpi_to_func
+
+    buffer_type = MemRefType([4], f64)
+    kernel = func.FuncOp("kernel", FunctionType([buffer_type] * 3, []))
+    b = Builder.at_end(kernel.body.block)
+    send, to_root, to_all = (
+        b.insert(mpi.UnwrapMemrefOp(arg)) for arg in kernel.args
+    )
+    root = b.insert(arith.ConstantOp(IntegerAttr(_REDUCE_ROOT, i32), i32)).result
+    b.insert(mpi.ReduceOp(
+        send.ptr, to_root.ptr, send.count, send.dtype, operation, root))
+    b.insert(mpi.AllreduceOp(
+        send.ptr, to_all.ptr, send.count, send.dtype, operation))
+    b.insert(func.ReturnOp([]))
+    module = builtin.ModuleOp([kernel])
+    if lowered:
+        assert lower_mpi_to_func(module) == 5  # 3 unwraps, reduce, allreduce
+    module.verify()
+    to_root_data, to_all_data = np.full(4, -7.0), np.full(4, -7.0)
+    Interpreter(module, comm=comm).call(
+        "kernel", _reduce_input(comm.rank), to_root_data, to_all_data
+    )
+    return to_root_data, to_all_data
+
+
+class TestLoweredCollectives:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        from repro.runtime import PoolManager, processes_available
+
+        if not processes_available():
+            pytest.skip("process runtime unavailable on this platform")
+        manager = PoolManager()
+        yield manager
+        manager.shutdown()
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("lowered", [False, True], ids=["mpi-dialect", "mpi-calls"])
+    def test_operation_and_root_are_honoured(self, lowered, world, request):
+        """Every operation of MPICH_OP_CONSTANTS, a non-zero root: the mpi
+        dialect and its MPI_* lowering both compute the NumPy reference (the
+        lowered calls used to hard-code "sum" and root 0)."""
+        from repro.transforms.mpi.mpi_to_func import MPICH_OP_CONSTANTS
+
+        assert set(MPICH_OP_CONSTANTS) == set(_NUMPY_REDUCTIONS)
+        inputs = np.stack([_reduce_input(rank) for rank in range(_REDUCE_RANKS)])
+        for operation in MPICH_OP_CONSTANTS:
+            if world == "processes":
+                results, _ = request.getfixturevalue("pool").run_spmd(
+                    _run_reductions, _REDUCE_RANKS, (operation, lowered), 30.0
+                )
+            else:
+                results = SimulatedMPI(_REDUCE_RANKS, timeout=10.0).run_spmd(
+                    lambda comm: _run_reductions(comm, operation, lowered)
+                )
+            expected = _NUMPY_REDUCTIONS[operation](inputs)
+            for rank, (to_root, to_all) in enumerate(results):
+                # Only the root receives the reduce; everyone the allreduce.
+                wanted = expected if rank == _REDUCE_ROOT else np.full(4, -7.0)
+                assert np.array_equal(to_root, wanted), (operation, rank)
+                assert np.array_equal(to_all, expected), (operation, rank)

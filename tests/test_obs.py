@@ -389,19 +389,60 @@ def test_worker_failure_is_structured():
     with Session(ExecutionConfig(runtime="processes")) as session:
         plan = session.plan(program)
         with pytest.raises(WorkerError) as excinfo:
-            # Wrong scalar arity: every rank's interpreter raises remotely.
-            plan.run(_heat_fields(), [2, 99])
+            # A non-numeric step count passes the parent's staging checks:
+            # every rank raises remotely.
+            plan.run(_heat_fields(), ["two"])
         failure = excinfo.value.failure
         assert isinstance(failure, WorkerFailure)
         assert failure.phase == "run"
         assert failure.rank in (0, 1)
-        assert failure.exception  # exception type name, e.g. InterpreterError
+        assert failure.exception == "ValueError"  # the type's name, not the object
         assert "Traceback" in failure.traceback_text
         assert str(failure.rank) in failure.describe()
         assert session.metrics.get("worker.errors") == 1
         # The pool recovers: the next run on the same plan works.
         result = plan.run(_heat_fields(), [2])
         assert result.runtime == "processes"
+
+
+def _plan_track_names(result):
+    (record,) = [r for r in result.trace.records if r.track == "plan"]
+    return set(_span_names(record))
+
+
+@pytest.mark.parametrize("runtime", [
+    "threads", pytest.param("processes", marks=needs_processes),
+])
+def test_served_job_traces_like_a_standalone_run(runtime):
+    """One launch path, one set of spans: the plan track of a served job
+    carries what ``plan.run`` records — ``run.scatter`` and ``run.gather``,
+    and the ``worker.error`` instant once a process round has failed."""
+    from repro.serve import Server
+
+    program = _compile_heat((2, 1))
+    config = ExecutionConfig(runtime=runtime, trace="timeline")
+    expected = {"plan.build", "run.scatter", "run.gather"}
+    if runtime == "processes":
+        expected.add("worker.error")
+
+    def failing_then_good(run):
+        if runtime == "processes":
+            with pytest.raises(WorkerError):
+                run(["two"])  # every rank raises remotely
+        return _plan_track_names(run([2]))
+
+    with Session(config) as session:
+        plan = session.plan(program)
+        standalone = failing_then_good(
+            lambda scalars: plan.run(_heat_fields(), scalars)
+        )
+    with Server(config) as server:
+        served = failing_then_good(
+            lambda scalars: server.submit(
+                program, _heat_fields(), scalars
+            ).result(timeout=60.0)
+        )
+    assert standalone == served == expected
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,9 @@ def test_worker_error_propagates_and_pool_recovers():
     program = _compile_heat((2, 2))
     u0, u1 = _heat_fields()
     with pytest.raises(Exception) as excinfo:
-        # Wrong scalar arity: every rank's interpreter raises remotely.
-        _run(program, [u0, u1], [2, 99], runtime="processes")
+        # A non-numeric step count passes the parent's staging checks: every
+        # rank raises remotely.
+        _run(program, [u0, u1], ["two"], runtime="processes")
     assert "rank" in str(excinfo.value)
     # The pool was poisoned and replaced: the next run works.
     u0, u1 = _heat_fields()

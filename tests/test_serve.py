@@ -24,7 +24,7 @@ from repro.core import (
     dmp_target,
 )
 from repro.obs import MetricsRegistry
-from repro.runtime import processes_available
+from repro.runtime import WorkerError, processes_available
 from repro.serve import (
     JobCancelledError,
     QueueFullError,
@@ -32,6 +32,7 @@ from repro.serve import (
     ServerClosedError,
 )
 from repro.workloads import heat_diffusion
+from tests.conftest import FAILURE_WORLDS, POISON_STEPS
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -178,6 +179,63 @@ class TestBatchedDispatch:
             assert server.submit(
                 program, _heat_fields(), [2]
             ).result(timeout=60.0) is not None
+
+    @pytest.mark.parametrize("runtime", FAILURE_WORLDS)
+    def test_rank_failing_mid_round_fails_its_job_alone_and_at_once(
+        self, runtime, exploding_rank
+    ):
+        """One round, a healthy job and one whose rank 1 raises mid-run: the
+        sibling completes without waiting out the victim's 5 s comm timeout,
+        the bad job reports the root cause rather than its peer's timeout,
+        and what hosted the abandoned rank is retired exactly once."""
+        program = _compile_heat((2, 1))
+        config = ExecutionConfig(runtime=runtime, timeout=5.0)
+        ref_fields, _ = _standalone_reference(program, 5, config)
+        with Server(config, start=False) as server:
+            session = server.session
+
+            def hosts_created():
+                return (session.worker_pools_created if runtime == "processes"
+                        else session.counters.rank_executors_created)
+
+            # Warm a round of the same shape: two 2-rank jobs.
+            warm = [server.submit(program, _heat_fields(), [5]) for _ in range(2)]
+            server.start()
+            for handle in warm:
+                handle.result(timeout=60.0)
+            assert hosts_created() == 1
+
+            good_fields = _heat_fields()
+            began = time.monotonic()
+            with server._condition:  # both jobs land in one dispatch round
+                good = server.submit(program, good_fields, [5])
+                bad = server.submit(program, _heat_fields(), [POISON_STEPS])
+            good.result(timeout=60.0)
+            assert time.monotonic() - began < 1.0, (
+                "the healthy sibling waited for the failed job's peers"
+            )
+            assert np.array_equal(good_fields[0], ref_fields[0])
+            assert np.array_equal(good_fields[1], ref_fields[1])
+            if runtime == "processes":
+                with pytest.raises(WorkerError, match="rank 1 exploded") as info:
+                    bad.result(timeout=60.0)
+                failure = info.value.failure
+                assert (failure.rank, failure.exception, failure.message) == (
+                    1, "RuntimeError", "rank 1 exploded"
+                )
+            else:
+                with pytest.raises(RuntimeError, match="^rank 1 exploded$"):
+                    bad.result(timeout=60.0)
+            assert server.metrics.get("serve.batches") == 2
+            assert server.metrics.get("serve.jobs_failed") == 1
+
+            # The same server serves the next job, on a fresh executor/pool.
+            after_fields = _heat_fields()
+            server.submit(program, after_fields, [5]).result(timeout=60.0)
+            assert np.array_equal(after_fields[0], ref_fields[0])
+            assert np.array_equal(after_fields[1], ref_fields[1])
+            assert hosts_created() == 2
+            assert server.metrics.get("serve.jobs_completed") == 4
 
     def test_local_programs_ride_the_same_queue(self):
         """Non-distributed programs are served (and batched) too."""

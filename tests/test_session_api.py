@@ -7,6 +7,7 @@ counters), held-plan parity against one-shot ``Session.run`` across the
 runtime-fallback warning.
 """
 
+import time
 import warnings
 
 import numpy as np
@@ -22,9 +23,14 @@ from repro.core import (
     default_session,
     dmp_target,
 )
-from repro.runtime import processes_available
+from repro.runtime import WorkerError, processes_available
 from repro.workloads import heat_diffusion
-from tests.conftest import build_jacobi_module, jacobi_reference
+from tests.conftest import (
+    FAILURE_WORLDS,
+    POISON_STEPS,
+    build_jacobi_module,
+    jacobi_reference,
+)
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -388,6 +394,38 @@ def test_concurrent_runs_on_one_plan_serialize():
         for caller in callers:
             caller.join(timeout=120)
         assert not errors, f"concurrent plan runs corrupted results: {errors}"
+
+
+@pytest.mark.parametrize("runtime", FAILURE_WORLDS)
+def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_rank):
+    """``plan.run`` is a round of one: the semantics ``tests/test_serve.py``
+    pins for a served job — root cause, no waiting on the victim's 5 s comm
+    timeout, executor/pool retired once, plan still usable — hold here too."""
+    program = _compile_heat((2, 1))
+    reference = _heat_fields()
+    run_once(program, reference, [2])
+    with Session(runtime=runtime, timeout=5.0) as session:
+        plan = session.plan(program)
+        plan.run(_heat_fields(), [2])
+        began = time.monotonic()
+        if runtime == "processes":
+            with pytest.raises(WorkerError, match="rank 1 exploded") as info:
+                plan.run(_heat_fields(), [POISON_STEPS])
+            assert info.value.failure.exception == "RuntimeError"
+            assert session.metrics.get("worker.errors") == 1
+        else:
+            with pytest.raises(RuntimeError, match="^rank 1 exploded$"):
+                plan.run(_heat_fields(), [POISON_STEPS])
+        assert time.monotonic() - began < 1.0
+        assert plan._buffers is None, "a failed run must not hand its buffers back"
+        fields = _heat_fields()
+        plan.run(fields, [2])
+        assert np.array_equal(fields[0], reference[0])
+        assert np.array_equal(fields[1], reference[1])
+        created = (session.worker_pools_created if runtime == "processes"
+                   else session.counters.rank_executors_created)
+        assert created == 2
+        assert plan.runs_completed == 2
 
 
 # ---------------------------------------------------------------------------
