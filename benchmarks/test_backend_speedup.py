@@ -301,8 +301,9 @@ def test_megakernel_dispatch_speedup(benchmark):
     (asserted here; the full {threads, processes} x {1, 2 threads_per_rank}
     parity matrix lives in tests/test_megakernel.py).
 
-    The generated kernel source is written to ``BENCH_megakernel_source.py``
-    so the CI bench job can upload it as an inspectable artifact.
+    The generated kernel source is written to
+    ``.bench_build/megakernel_source.py`` so the CI bench job can upload it
+    as an inspectable artifact.
     """
     import pathlib
 
@@ -337,9 +338,9 @@ def test_megakernel_dispatch_speedup(benchmark):
             if isinstance(entry, CompiledMegakernel)
         ]
         assert sources, "no megakernel was emitted"
-        pathlib.Path("BENCH_megakernel_source.py").write_text(
-            "\n\n".join(sources), encoding="utf-8"
-        )
+        artifact = pathlib.Path(".bench_build", "megakernel_source.py")
+        artifact.parent.mkdir(exist_ok=True)
+        artifact.write_text("\n\n".join(sources), encoding="utf-8")
 
         planned_best = mega_best = float("inf")
         for _ in range(repeats):

@@ -534,7 +534,8 @@ class Plan:
         # Trace the time loop now, so an untraceable program records its
         # reason (or, with codegen="megakernel", raises) before the first
         # run.  Process-world plans skip the parent-side trace: workers trace
-        # (and cache) their own from the shipped program.
+        # (and cache) their own from the shipped program and report the
+        # reason with their rank statistics (see PreparedRun.finish).
         if codegen_wanted(config) and self.runtime != "processes":
             self.compile()
 
@@ -930,6 +931,10 @@ class PreparedRun:
         plan = self.plan
         if self.runtime == "processes":
             reports = sort_rank_stats(self.reports or ())
+            for report in reports:
+                plan.session.metrics.merge_counts(report.counters)
+                if report.codegen_fallback is not None:
+                    plan.codegen_fallback = report.codegen_fallback
             statistics = [report.exec_stats for report in reports]
             traces = [report.trace for report in reports]
             comm = plan._pooled_comm_statistics(self.buffers, reports)

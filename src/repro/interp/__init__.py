@@ -15,7 +15,12 @@ Lowered programs can be executed by two cooperating engines:
   bodies are pure ``memref.load`` / ``arith`` / ``memref.store`` programs with
   affine (``iv + c``) indices are compiled *once* into whole-array NumPy slice
   expressions and replayed for every invocation, the moral equivalent of the
-  generated C the real stack JITs.
+  generated C the real stack JITs.  A compiled nest runs as generated code,
+  and only as generated code: :func:`repro.interp.vectorize.emit_nest` is the
+  one emitter of NumPy statements, called by ``CompiledNest`` (one function
+  per nest, fed the region views each invocation resolves) and by the
+  megakernel (:mod:`repro.interp.codegen`, which inlines the same statements
+  into one function per time loop).
 
 Selection rules
 ---------------

@@ -12,13 +12,17 @@ at fixed program points — compiled with :func:`compile` and executed directly.
 
 The discipline mirrors the interpreter exactly:
 
-* statement emission reuses :mod:`repro.interp.vectorize`'s expression
-  templates and the *real* ``CompiledNest`` geometry machinery
-  (``_resolve_regions`` / ``_plan_overlap`` / ``_aliasing_is_safe``), replayed
+* the statements of a nest are not written here: they come from
+  :func:`repro.interp.vectorize.emit_nest`, the one instruction -> NumPy
+  mapping, which a ``CompiledNest`` wraps in a function of its region views
+  and this emitter inlines with literal slices (``b0[2:130, ...]``);
+* the slices come from the *real* ``CompiledNest`` geometry machinery
+  (``_resolve_regions`` with its aliasing check, ``_plan_overlap``), replayed
   at emit time against the concrete buffers, so the generated slices and the
   overlap decisions are the ones the dynamic path would have made;
-* swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`,
-  the same per-(op, rank) plan the swap handler executes;
+* swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
+  and the exchange itself is the interpreter's ``post_swap`` /
+  ``complete_swap`` pair, called directly;
 * every statistics counter is *statically hoisted*: the emitted function adds
   ``pre + trips * per_iteration`` to each field up front, reproducing the
   interpreter loop's counts bit-for-bit.
@@ -36,8 +40,7 @@ Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -46,14 +49,15 @@ from ..dialects import arith, dmp, omp, scf
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Operation, SSAValue
 from ..ir.types import IntegerType
-from .interpreter import swap_message_plan
+from .interpreter import PendingHalo, complete_swap, post_swap, swap_message_plan
 from .vectorize import (
     CompiledKernel,
     CompiledNest,
     _Bailout,
-    binary_expression,
-    unary_expression,
-    widen_expression,
+    _constant_operand,
+    _dump_generated,
+    _operand_refs,
+    emit_nest,
 )
 
 
@@ -375,8 +379,7 @@ class _Tracer:
                 self._require_const_affine(affine)
         base_syms: list[_Sym] = []
         for instr in nest.instrs:
-            kind = instr[0]
-            if kind in ("load", "store"):
+            if instr[0] in ("load", "store"):
                 base_sym = self._sym_of(instr[2])
                 if base_sym[0] not in ("arg", "slot"):
                     raise CodegenError(
@@ -385,16 +388,8 @@ class _Tracer:
                 base_syms.append(base_sym)
                 for affine in instr[3]:
                     self._require_const_affine(affine)
-                if kind == "store":
-                    self._validate_ref(instr[1])
-            elif kind == "binary":
-                self._validate_ref(instr[3])
-                self._validate_ref(instr[4])
-            elif kind == "unary":
-                self._validate_ref(instr[3])
-            elif kind == "select":
-                for ref in instr[2:5]:
-                    self._validate_ref(ref)
+            for ref in _operand_refs(instr):
+                self._validate_ref(ref)
         return base_syms
 
     def _validate_ref(self, ref: tuple) -> None:
@@ -443,73 +438,6 @@ class _Tracer:
     @staticmethod
     def _is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
-
-
-# ---------------------------------------------------------------------------
-# emit-time geometry replay support
-# ---------------------------------------------------------------------------
-
-class _MockReceive:
-    """Stand-in for _HaloReceive: the geometry _plan_overlap consults."""
-
-    __slots__ = ("axis", "recv_slice")
-
-    def __init__(self, axis: int, recv_slice: tuple):
-        self.axis = axis
-        self.recv_slice = recv_slice
-
-
-class _MockHalo:
-    """Stand-in for PendingHalo: feeds CompiledNest._plan_overlap at emit."""
-
-    __slots__ = ("array", "items")
-
-    def __init__(self, array: np.ndarray, items: list):
-        self.array = array
-        self.items = items
-
-
-class _EmitAdapter:
-    """Interpreter stand-in for geometry resolution: env holds raw arrays."""
-
-    @staticmethod
-    def as_array(value):
-        return value
-
-
-_EMIT_INTERP = _EmitAdapter()
-
-
-# ---------------------------------------------------------------------------
-# runtime helpers referenced by generated code
-# ---------------------------------------------------------------------------
-
-def _post_swap(comm, array, plan):
-    """Post one dmp.swap: buffered sends first, then staged receives.
-
-    Statistics are *not* counted here — the generated function hoists them.
-    The payload-copy-before-any-post order matches the interpreter's swap
-    handler exactly.
-    """
-    payloads = [
-        (array[send_slice].copy(), neighbor, tag)
-        for send_slice, neighbor, tag in plan.sends
-    ]
-    for payload, neighbor, tag in payloads:
-        comm.isend(payload, neighbor, tag)
-    items = []
-    for recv_slice, neighbor, tag, shape, _elements, _axis in plan.receives:
-        buffer = np.empty(shape, dtype=array.dtype)
-        items.append((comm.irecv(buffer, neighbor, tag), buffer, recv_slice))
-    return array, items
-
-
-def _complete_swap(comm, posted):
-    """Wait for one posted swap's receives and land them, in posting order."""
-    array, items = posted
-    for request, buffer, recv_slice in items:
-        comm.wait(request)
-        array[recv_slice] = buffer
 
 
 class CompiledMegakernel:
@@ -584,8 +512,6 @@ def megakernel_signature(args) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _perm_order(perm: list[int]) -> int:
-    import math
-
     order = 1
     seen: set[int] = set()
     for start in range(len(perm)):
@@ -729,13 +655,12 @@ class _MegakernelEmitter:
             if self._replay(slot_arrays, emit=False) != reference:
                 raise CodegenError("buffer rotation changes nest geometry")
         source = self._render(label)
-        if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
-            print(f"# --- megakernel {label} ---\n{source}", file=sys.stderr)
+        _dump_generated(f"megakernel {label}", source)
         namespace = {
             "_np": np,
             "_ctx": tuple(self.ctx),
-            "_post": _post_swap,
-            "_cm": _complete_swap,
+            "_post": post_swap,
+            "_cm": complete_swap,
         }
         return CompiledMegakernel(
             label, source, megakernel_signature(self.args),
@@ -754,11 +679,12 @@ class _MegakernelEmitter:
         single emitted body is exact for all of them.
         """
         actions: list[tuple] = []
-        # In-flight swaps: (ordinal, array, mock halo, element count).
+        # In-flight swaps: (ordinal, unposted PendingHalo) — the geometry
+        # the interpreter would hold on ``pending_halos`` at this point.
         inflight: list[tuple] = []
 
         def complete(entries: list[tuple], overlapped: bool) -> None:
-            for ordinal, _array, _mock, elements in entries:
+            for ordinal, halo in entries:
                 actions.append(("complete", ordinal, overlapped))
                 if emit:
                     if self.traced:
@@ -768,7 +694,7 @@ class _MegakernelEmitter:
                         self.lines.append((1, end))
                     else:
                         self.lines.append((1, f"_cm(_comm, _h{ordinal})"))
-                    self.iter_halo_elements += elements
+                    self.iter_halo_elements += halo.plan.elements
                     if overlapped:
                         self.iter_overlapped += 1
 
@@ -780,8 +706,8 @@ class _MegakernelEmitter:
                 # complete_pending_halos_touching: the posting-order prefix
                 # up to the last halo sharing this buffer.
                 last = -1
-                for index, entry in enumerate(inflight):
-                    if entry[1] is array or np.shares_memory(entry[1], array):
+                for index, (_, halo) in enumerate(inflight):
+                    if halo.array is array or np.shares_memory(halo.array, array):
                         last = index
                 if last >= 0:
                     complete(inflight[: last + 1], overlapped=False)
@@ -789,13 +715,7 @@ class _MegakernelEmitter:
                 if self.size == 1:
                     continue
                 plan = swap_message_plan(op, self.rank)
-                mock = _MockHalo(
-                    array,
-                    [_MockReceive(axis, recv_slice)
-                     for recv_slice, _n, _t, _s, _e, axis in plan.receives],
-                )
-                elements = sum(record[4] for record in plan.receives)
-                entry = (ordinal, array, mock, elements)
+                entry = (ordinal, PendingHalo(array, plan))
                 if emit:
                     slot = self._add_ctx(plan)
                     variable = self._var_for(src)
@@ -838,28 +758,18 @@ class _MegakernelEmitter:
 
     def _replay_nest(self, nest: CompiledNest, base_syms, slot_arrays,
                      inflight, actions, complete, emit: bool) -> None:
-        env: dict = dict(self.static_env)
-        position_syms: dict[int, _Sym] = {}
-        sym_iter = iter(base_syms)
-        for position, instr in enumerate(nest.instrs):
-            if instr[0] in ("load", "store"):
-                sym = next(sym_iter)
-                position_syms[position] = sym
-                env[instr[2]] = self._array_for(sym, slot_arrays)
+        env = self.static_env
+        arrays = [self._array_for(sym, slot_arrays) for sym in base_syms]
         try:
             dims = nest._concrete_dims(env, nest.bounds)
             cells = nest._cell_count(env)
-            resolved = nest._resolve_regions(_EMIT_INTERP, env, dims)
-            loads, stores, regions = resolved
-            if not nest._aliasing_is_safe(loads, stores, regions):
-                raise CodegenError(
-                    "aliasing stores: load/store regions overlap between "
-                    "cells"
-                )
+            resolved = nest._resolve_regions(
+                arrays, env, dims, check_aliasing=True
+            )
             overlap_plan = None
             if inflight:
-                mocks = [entry[2] for entry in inflight]
-                plan = nest._plan_overlap(env, dims, resolved, mocks)
+                halos = [halo for _, halo in inflight]
+                plan = nest._plan_overlap(env, dims, resolved, halos)
                 if plan is None:
                     complete(list(inflight), overlapped=False)
                     inflight.clear()
@@ -873,21 +783,16 @@ class _MegakernelEmitter:
                 nest_begin, nest_end = self._span_lines("nest")
                 self.lines.append((1, nest_begin))
             if overlap_plan is None:
-                self._emit_box(
-                    nest, position_syms, env, dims, resolved, actions, emit
-                )
+                self._emit_box(nest, base_syms, dims, resolved, actions, emit)
             else:
                 interior_dims, strips = overlap_plan
                 interior_dims = [tuple(dim) for dim in interior_dims]
-                interior = nest._resolve_regions(
-                    _EMIT_INTERP, env, interior_dims
-                )
+                interior = nest._resolve_regions(arrays, env, interior_dims)
                 if spans:
                     in_begin, in_end = self._span_lines("nest.interior")
                     self.lines.append((1, in_begin))
                 self._emit_box(
-                    nest, position_syms, env, interior_dims, interior,
-                    actions, emit,
+                    nest, base_syms, interior_dims, interior, actions, emit
                 )
                 if spans:
                     self.lines.append((1, in_end))
@@ -898,12 +803,9 @@ class _MegakernelEmitter:
                     self.lines.append((1, bd_begin))
                 for strip_dims in strips:
                     strip_dims = [tuple(dim) for dim in strip_dims]
-                    strip = nest._resolve_regions(
-                        _EMIT_INTERP, env, strip_dims
-                    )
+                    strip = nest._resolve_regions(arrays, env, strip_dims)
                     self._emit_box(
-                        nest, position_syms, env, strip_dims, strip,
-                        actions, emit,
+                        nest, base_syms, strip_dims, strip, actions, emit
                     )
                 if spans:
                     self.lines.append((1, bd_end))
@@ -913,152 +815,60 @@ class _MegakernelEmitter:
             raise CodegenError(f"nest cannot be emitted: {bail.reason}")
 
     # -- one box of one nest --------------------------------------------------
-    def _emit_box(self, nest: CompiledNest, position_syms, env, box_dims,
-                  resolved, actions, emit: bool) -> None:
-        """Emit the straight-line statements of one (nest, box) pair.
+    def _emit_box(self, nest: CompiledNest, base_syms, box_dims, resolved,
+                  actions, emit: bool) -> None:
+        """Inline the statements of one (nest, box) pair, literal slices in.
 
-        The statement order mirrors ``CompiledNest._prepare_box`` exactly:
-        loads and element-wise math in instruction order, store values
-        prepared in place, every commit deferred past the last instruction.
+        The statements are :func:`repro.interp.vectorize.emit_nest`'s — the
+        ones a :class:`CompiledNest` function runs — in the same order: loads
+        and element-wise math in instruction order, every commit deferred
+        past the last instruction.
         """
-        loads, stores, regions = resolved
+        regions = resolved[2]
         actions.append((
             "box",
             tuple(box_dims),
             tuple(
                 (position, _slice_key(slices), view_shape, region_shape)
                 for position, (array, slices, view_shape, region_shape)
-                in sorted(regions.items())
+                in regions.items()
             ),
         ))
         if not emit:
             return
-        nest_shape = tuple(
-            len(range(lower, upper, step)) for lower, upper, step in box_dims
+        loads: dict[int, tuple] = {}
+        stores: dict[int, tuple] = {}
+        targets: list[str] = []
+        for (position, is_store), region, sym in zip(
+            nest._accesses, regions.values(), base_syms
+        ):
+            array, slices, view_shape, region_shape = region
+            variable = self._var_for(sym)
+            source = f"{variable}[{_slice_src(slices)}]"
+            if is_store:
+                stores[position] = (f"{variable}.dtype", array.dtype, region_shape)
+                targets.append(source)
+                continue
+            if array[slices].shape != view_shape:
+                source += f".reshape({view_shape!r})"
+            loads[position] = (source, array.dtype, view_shape)
+        statements, prepared, _ = emit_nest(
+            nest.instrs, loads, stores,
+            lambda ref: self._outer_operand(ref, box_dims),
+            tuple(len(range(lower, upper, step)) for lower, upper, step in box_dims),
+            self._new_var,
         )
-        force_copy = sum(1 for instr in nest.instrs if instr[0] == "store") > 1
-        values: dict[SSAValue, tuple] = {}
-        commits: list[str] = []
-        for position, instr in enumerate(nest.instrs):
-            kind = instr[0]
-            if kind == "load":
-                array, slices, view_shape, _ = regions[position]
-                variable = self._var_for(position_syms[position])
-                source = f"{variable}[{_slice_src(slices)}]"
-                if array[slices].shape != view_shape:
-                    source += f".reshape({view_shape!r})"
-                source = widen_expression(source, array.dtype)
-                dtype_kind = array.dtype.kind
-                if dtype_kind == "f":
-                    dtype: Any = np.dtype(np.float64)
-                elif dtype_kind == "b":
-                    dtype = array.dtype
-                else:
-                    dtype = np.dtype(np.int64)
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {source}"))
-                values[instr[1]] = (name, True, dtype, view_shape)
-            elif kind == "store":
-                array, slices, _, region_shape = regions[position]
-                ref = self._resolve_ref(instr[1], values, box_dims)
-                expr, is_array, dtype, shape = ref
-                variable = self._var_for(position_syms[position])
-                try:
-                    if np.broadcast_shapes(shape, nest_shape) != nest_shape:
-                        raise ValueError
-                except ValueError:
-                    raise CodegenError(
-                        "store value cannot be broadcast to the iteration "
-                        "space"
-                    )
-                if (not force_copy and is_array
-                        and isinstance(dtype, np.dtype)
-                        and dtype == array.dtype
-                        and shape == nest_shape
-                        and region_shape == nest_shape):
-                    # array[slices] = value is bit-identical to the
-                    # broadcast/reshape/astype pipeline when every step of
-                    # that pipeline is the identity.
-                    commits.append(
-                        f"{variable}[{_slice_src(slices)}] = {expr}"
-                    )
-                else:
-                    prepared = self._new_var()
-                    self.lines.append((1,
-                        f"{prepared} = _np.broadcast_to(_np.asarray({expr}), "
-                        f"{nest_shape!r}).reshape({region_shape!r})"
-                        f".astype({variable}.dtype, copy={force_copy})"
-                    ))
-                    commits.append(
-                        f"{variable}[{_slice_src(slices)}] = {prepared}"
-                    )
-            elif kind == "binary":
-                op_name = instr[-1]
-                a = self._resolve_ref(instr[3], values, box_dims)
-                b = self._resolve_ref(instr[4], values, box_dims)
-                expr = binary_expression(op_name, a[0], b[0])
-                if expr is None:
-                    slot = self._add_ctx(instr[2])
-                    expr = f"_ctx[{slot}]({a[0]}, {b[0]})"
-                shape = self._broadcast(a[3], b[3])
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {expr}"))
-                values[instr[1]] = (
-                    name, a[1] or b[1], self._binary_dtype(op_name, a, b),
-                    shape,
-                )
-            elif kind == "unary":
-                op_name = instr[-1]
-                a = self._resolve_ref(instr[3], values, box_dims)
-                expr = unary_expression(op_name, a[0], a[1])
-                if expr is None:
-                    slot = self._add_ctx(instr[2])
-                    expr = f"_ctx[{slot}]({a[0]})"
-                name = self._new_var()
-                self.lines.append((1, f"{name} = {expr}"))
-                values[instr[1]] = (
-                    name, a[1], self._unary_dtype(op_name, a), a[3]
-                )
-            elif kind == "select":
-                cond = self._resolve_ref(instr[2], values, box_dims)
-                a = self._resolve_ref(instr[3], values, box_dims)
-                b = self._resolve_ref(instr[4], values, box_dims)
-                shape = self._broadcast(self._broadcast(cond[3], a[3]), b[3])
-                dtype = (
-                    a[2]
-                    if a[1] and b[1] and isinstance(a[2], np.dtype)
-                    and a[2] == b[2] else None
-                )
-                name = self._new_var()
-                self.lines.append(
-                    (1, f"{name} = _np.where({cond[0]}, {a[0]}, {b[0]})")
-                )
-                values[instr[1]] = (name, True, dtype, shape)
-            else:  # pragma: no cover - has_reduce nests are rejected earlier
-                raise CodegenError("unsupported nest instruction")
-        for line in commits:
+        for line in statements:
             self.lines.append((1, line))
+        for target, value in zip(targets, prepared):
+            self.lines.append((1, f"{target} = {value}"))
 
-    # -- operand references ---------------------------------------------------
-    def _resolve_ref(self, ref: tuple, values: dict, box_dims) -> tuple:
-        """Resolve a vectorize _Ref to ``(expr, is_array, dtype, shape)``.
-
-        ``dtype`` is a numpy dtype when statically known, a "pyint" /
-        "pyfloat" / "pybool" marker for python scalars, or None (unknown —
-        which only forfeits the simple-store optimization, never
-        correctness).
-        """
-        tag = ref[0]
-        if tag == "arr":
-            return values[ref[1]]
-        if tag == "const":
-            return (_literal(ref[1]), False, _scalar_marker(ref[1]), ())
-        if tag == "free":
+    def _outer_operand(self, ref: tuple, box_dims) -> tuple:
+        """The operand descriptor of a free scalar or an affine value grid."""
+        if ref[0] == "free":
             sym = self.trace.sym[ref[1]]
             if sym[0] == "const":
-                return (
-                    _literal(sym[1]), False, _scalar_marker(sym[1]), ()
-                )
+                return _constant_operand(sym[1])
             if sym[0] == "arg":
                 return (f"a{sym[1]}", False, None, ())
             return ("_t", False, "pyint", ())
@@ -1069,48 +879,6 @@ class _MegakernelEmitter:
             slot = self._add_ctx(value)
             return (f"_ctx[{slot}]", True, np.dtype(np.int64), value.shape)
         return (repr(int(value)), False, "pyint", ())
-
-    @staticmethod
-    def _broadcast(a: tuple, b: tuple) -> tuple:
-        try:
-            return np.broadcast_shapes(a, b)
-        except ValueError:
-            raise CodegenError("operand shapes do not broadcast")
-
-    @staticmethod
-    def _binary_dtype(name: str, a: tuple, b: tuple):
-        if name.startswith("arith.cmp"):
-            return np.dtype(np.bool_)
-        kinds = []
-        for operand in (a, b):
-            dtype = operand[2]
-            if operand[1]:
-                if not isinstance(dtype, np.dtype):
-                    return None
-            elif dtype not in ("pyint", "pyfloat"):
-                return None
-            kinds.append(dtype)
-        arrays = [dtype for dtype in kinds if isinstance(dtype, np.dtype)]
-        if not arrays:
-            return None
-        if name in _FLOAT_BINOPS:
-            if all(dtype == np.float64 for dtype in arrays):
-                return np.dtype(np.float64)
-            return None
-        if name in _INT_BINOPS:
-            if all(dtype == np.int64 for dtype in arrays) and "pyfloat" not in kinds:
-                return np.dtype(np.int64)
-        return None
-
-    @staticmethod
-    def _unary_dtype(name: str, a: tuple):
-        if name in ("arith.sitofp", "arith.extf", "arith.truncf"):
-            return np.dtype(np.float64) if a[1] else "pyfloat"
-        if name == "arith.fptosi":
-            return np.dtype(np.int64) if a[1] else "pyint"
-        if name in ("arith.extsi", "arith.trunci", "arith.negf"):
-            return a[2]
-        return None
 
     # -- source assembly ------------------------------------------------------
     @staticmethod
@@ -1179,33 +947,6 @@ class _MegakernelEmitter:
             "def _megakernel(_args, _stats, _comm):\n"
         )
         return header + "\n".join(indent + line for line in body) + "\n"
-
-
-_FLOAT_BINOPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.powf",
-    "arith.maximumf", "arith.minimumf",
-})
-
-_INT_BINOPS = frozenset({
-    "arith.addi", "arith.subi", "arith.muli", "arith.minsi", "arith.maxsi",
-})
-
-
-def _scalar_marker(value) -> str:
-    if isinstance(value, bool):
-        return "pybool"
-    if isinstance(value, int):
-        return "pyint"
-    return "pyfloat"
-
-
-def _literal(value) -> str:
-    """Python source for a scalar literal; repr round-trips floats exactly."""
-    import math
-
-    if isinstance(value, float) and not math.isfinite(value):
-        return f'float("{value!r}")'
-    return repr(value)
 
 
 def program_fingerprint(text: str) -> str:

@@ -76,47 +76,52 @@ def handler(op_name: str) -> Callable[[Handler], Handler]:
     return register
 
 
-class _HaloReceive:
-    """One posted-but-uncompleted receive of an overlapped halo exchange."""
-
-    __slots__ = ("request", "buffer", "recv_slice", "elements", "axis")
-
-    def __init__(self, request, buffer, recv_slice, elements: int, axis: int):
-        self.request = request
-        self.buffer = buffer
-        self.recv_slice = recv_slice
-        self.elements = elements
-        self.axis = axis
-
-
 class PendingHalo:
-    """A ``dmp.swap`` whose receives are still in flight.
+    """A ``dmp.swap`` of ``array`` whose receives are (to be) in flight.
 
-    The sends were posted (buffered, so the payload is already captured) and
-    one non-blocking receive per neighbor was issued into a staging buffer;
-    :meth:`complete` waits for them and writes the staged halos into the
-    array.  While the object sits on ``Interpreter.pending_halos``, the
-    vectorized backend may compute any region it can prove independent of the
-    ``recv_slice`` boxes — that is the communication/computation overlap of
-    the hybrid runtime.
+    ``plan`` is the swap's :class:`SwapMessagePlan`; ``staged`` holds one
+    ``(request, staging buffer)`` pair per receive of the plan once
+    :func:`post_swap` posted it, and :func:`complete_swap` waits for them
+    and writes the staged halos into the array.  While the object sits on
+    ``Interpreter.pending_halos``, the vectorized backend may compute any
+    region it can prove independent of the plan's ``recv_slice`` boxes —
+    that is the communication/computation overlap of the hybrid runtime.
     """
 
-    __slots__ = ("array", "items")
+    __slots__ = ("array", "plan", "staged")
 
-    def __init__(self, array: np.ndarray, items: list[_HaloReceive]):
+    def __init__(self, array: np.ndarray, plan: "SwapMessagePlan", staged=()):
         self.array = array
-        self.items = items
+        self.plan = plan
+        self.staged = staged
 
-    def complete(self, interp: "Interpreter") -> None:
-        comm = interp.require_comm()
-        tracer = interp.tracer
-        span = tracer.begin("halo.wait") if tracer is not None else 0.0
-        for item in self.items:
-            comm.wait(item.request)
-            self.array[item.recv_slice] = item.buffer
-            interp.stats.halo_elements_exchanged += item.elements
-        if tracer is not None:
-            tracer.end("halo.wait", span)
+
+def post_swap(comm, array: np.ndarray, plan: "SwapMessagePlan") -> PendingHalo:
+    """Post one ``dmp.swap``: buffered sends first, then staged receives.
+
+    All payloads are copied out before any message is posted.  The one
+    post/complete pair of the repo: the swap handler wraps it in counters and
+    spans, generated megakernels call it directly (their statistics are
+    hoisted).
+    """
+    payloads = [
+        (array[send_slice].copy(), neighbor, tag)
+        for send_slice, neighbor, tag in plan.sends
+    ]
+    for payload, neighbor, tag in payloads:
+        comm.isend(payload, neighbor, tag)
+    staged = []
+    for _recv_slice, neighbor, tag, shape, _elements, _axis in plan.receives:
+        buffer = np.empty(shape, dtype=array.dtype)
+        staged.append((comm.irecv(buffer, neighbor, tag), buffer))
+    return PendingHalo(array, plan, staged)
+
+
+def complete_swap(comm, halo: PendingHalo) -> None:
+    """Wait for a posted swap's receives and land them, in posting order."""
+    for (request, buffer), receive in zip(halo.staged, halo.plan.receives):
+        comm.wait(request)
+        halo.array[receive[0]] = buffer
 
 
 #: Operations that provably cannot observe array *contents*, so pending halo
@@ -329,9 +334,17 @@ class Interpreter:
             return
         pending, self.pending_halos = self.pending_halos, []
         for halo in pending:
-            halo.complete(self)
+            self._land(halo)
             if overlapped:
                 self.stats.halo_swaps_overlapped += 1
+
+    def _land(self, halo: PendingHalo) -> None:
+        tracer = self.tracer
+        span = tracer.begin("halo.wait") if tracer is not None else 0.0
+        complete_swap(self.require_comm(), halo)
+        self.stats.halo_elements_exchanged += halo.plan.elements
+        if tracer is not None:
+            tracer.end("halo.wait", span)
 
     def complete_pending_halos_touching(self, array: np.ndarray) -> None:
         """Complete the posting-order *prefix* of halos that ``array`` needs.
@@ -352,7 +365,7 @@ class Interpreter:
         prefix = self.pending_halos[: last + 1]
         self.pending_halos = self.pending_halos[last + 1 :]
         for halo in prefix:
-            halo.complete(self)
+            self._land(halo)
 
     # -- memory / pointer plumbing ---------------------------------------------------
     def register_buffer(self, array: np.ndarray) -> int:
@@ -1125,11 +1138,13 @@ class SwapMessagePlan:
     megakernel's posted exchanges, guaranteeing identical slices and tags.
     """
 
-    __slots__ = ("sends", "receives")
+    __slots__ = ("sends", "receives", "elements")
 
     def __init__(self, sends: list, receives: list):
         self.sends = sends
         self.receives = receives
+        #: Halo elements one completion of the swap lands on this rank.
+        self.elements = sum(record[4] for record in receives)
 
 
 def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
@@ -1186,27 +1201,14 @@ def _run_swap(interp: Interpreter, op: Operation, env: dict) -> None:
     tracer = interp.tracer
     span = tracer.begin("halo.post") if tracer is not None else 0.0
     plan = swap_message_plan(op, comm.rank)
-    # All payloads are copied out before any message is posted (buffered
-    # sends), exactly as before the geometry was factored into the plan.
-    payloads = [
-        (array[send_slice].copy(), neighbor, tag)
-        for send_slice, neighbor, tag in plan.sends
-    ]
-    for payload, neighbor, tag in payloads:
-        comm.isend(payload, neighbor, tag)
-        interp.stats.mpi_messages += 1
-    items = []
-    for recv_slice, neighbor, tag, staging_shape, elements, axis in plan.receives:
-        buffer = np.empty(staging_shape, dtype=array.dtype)
-        request = comm.irecv(buffer, neighbor, tag)
-        items.append(_HaloReceive(request, buffer, recv_slice, elements, axis))
+    halo = post_swap(comm, array, plan)
+    interp.stats.mpi_messages += len(plan.sends)
     if tracer is not None:
         tracer.end("halo.post", span)
-    halo = PendingHalo(array, items)
     if interp.overlap_halos:
         interp.pending_halos.append(halo)
     else:
-        halo.complete(interp)
+        interp._land(halo)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ pattern-matches the loop nests produced by ``convert-stencil-to-scf`` (and the
 OpenMP conversion) and compiles each nest *once* into whole-array NumPy slice
 expressions — the moral equivalent of the C code Devito generates.
 
+There is one way to run a compiled nest: as generated code.  A nest is a short
+instruction list (load, store, binary, unary, select, reduce), and
+:func:`emit_nest` is the only place an instruction becomes NumPy source.  It
+has two callers.  :class:`CompiledNest` wraps the statements in a function of
+the nest's region views — compiled once per load-dtype signature, fed per
+invocation by the run-time decisions (bounds, slices, aliasing, halo-overlap
+split, thread-team chunks) that only the concrete buffers can settle.  The
+megakernel emitter (:mod:`repro.interp.codegen`) makes the same decisions once,
+at emit time, and inlines the same statements with literal slices.
+
 A nest is vectorizable when
 
 * it is an ``scf.parallel`` / ``omp.wsloop`` nest, or an ``scf.for`` (without
@@ -46,7 +56,10 @@ invocation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import sys
 from typing import Any, Callable, Optional, Union
 
 import numpy as np
@@ -155,85 +168,35 @@ def _affine_equal(a: _Affine, b: _Affine) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# element-wise operation tables (must mirror the scalar interpreter exactly)
+# the one instruction -> NumPy mapping
 # ---------------------------------------------------------------------------
+#
+# Every nest instruction is rendered to Python source by :func:`emit_nest`
+# from the templates below, and by nothing else: ``CompiledNest`` wraps the
+# statements in a function over its region views, the megakernel emitter
+# (repro.interp.codegen) inlines them with literal slices.  Each template
+# applies the NumPy call / Python operator the tree walker applies per cell.
 
-_BINARY_FNS: dict[str, Callable[[Any, Any], Any]] = {
-    "arith.addf": lambda a, b: a + b,
-    "arith.subf": lambda a, b: a - b,
-    "arith.mulf": lambda a, b: a * b,
-    "arith.divf": lambda a, b: a / b,
-    "arith.powf": lambda a, b: a ** b,
-    "arith.maximumf": np.maximum,
-    "arith.minimumf": np.minimum,
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.minsi": np.minimum,
-    "arith.maxsi": np.maximum,
-}
-
-_UNARY_FNS: dict[str, Callable[[Any], Any]] = {
-    "arith.negf": lambda a: -a,
-    "arith.sitofp": lambda a: np.asarray(a, dtype=np.float64)
-    if isinstance(a, np.ndarray) else float(a),
-    "arith.extf": lambda a: np.asarray(a, dtype=np.float64)
-    if isinstance(a, np.ndarray) else float(a),
-    "arith.truncf": lambda a: np.asarray(
-        np.asarray(a, dtype=np.float32), dtype=np.float64
-    ) if isinstance(a, np.ndarray) else float(np.float32(a)),
-    "arith.fptosi": lambda a: np.asarray(a).astype(np.int64)
-    if isinstance(a, np.ndarray) else int(a),
-    "arith.extsi": lambda a: a,
-    "arith.trunci": lambda a: a,
-}
-
-_CMPF_FNS = {
-    "oeq": np.equal, "ogt": np.greater, "oge": np.greater_equal,
-    "olt": np.less, "ole": np.less_equal, "one": np.not_equal,
-}
-
-_CMPI_FNS = {
-    "eq": np.equal, "ne": np.not_equal, "slt": np.less, "sle": np.less_equal,
-    "sgt": np.greater, "sge": np.greater_equal,
-}
-
-#: NumPy ufuncs implementing the reduction combiners named by
-#: :data:`repro.dialects.arith.REDUCTION_OP_METADATA`.
-_REDUCE_UFUNCS = {
-    "add": np.add,
-    "multiply": np.multiply,
-    "minimum": np.minimum,
-    "maximum": np.maximum,
-}
-
-
-# Compile-time operand references, resolved per execution:
+# Compile-time operand references of an instruction:
 #   ("arr", value)   — tensor computed by an earlier instruction of the nest
 #   ("const", x)     — compile-time literal
 #   ("aff", affine)  — affine index expression (materialised as an int grid)
-#   ("free", value)  — scalar defined outside the nest, read from the env
+#   ("free", value)  — scalar defined outside the nest
 _Ref = tuple
 
 
-#: A nest smaller than this (in iteration-space cells) is not worth spreading
-#: over a thread team: the dispatch overhead would exceed the NumPy work.
-_TEAM_MIN_CELLS = 4096
+def _operand_refs(instr: tuple) -> tuple:
+    """The value references an instruction reads (its layout, in one place)."""
+    kind = instr[0]
+    if kind == "load":
+        return ()
+    if kind == "store":
+        return (instr[1],)
+    if kind == "reduce":
+        return instr[4:6]
+    return instr[2:] if kind == "select" else instr[3:]
 
-
-# ---------------------------------------------------------------------------
-# statement emission (shared with repro.interp.codegen)
-# ---------------------------------------------------------------------------
-#
-# The tables below are the *source-code* counterparts of _BINARY_FNS and
-# _UNARY_FNS: each template applies exactly the same NumPy call / Python
-# operator as the callable the interpreter executes, so a statement emitted
-# from them computes bit-identical results.  The megakernel code generator
-# (repro.interp.codegen) renders nest instruction lists through these; ops
-# with no template fall back to calling the original table function through
-# the generated module's context tuple — still bit-identical by construction.
-
-BINARY_EXPRESSIONS: dict[str, str] = {
+_BINARY_EXPRESSIONS: dict[str, str] = {
     "arith.addf": "({a} + {b})",
     "arith.subf": "({a} - {b})",
     "arith.mulf": "({a} * {b})",
@@ -260,68 +223,264 @@ BINARY_EXPRESSIONS: dict[str, str] = {
     "arith.cmpi:sge": "_np.greater_equal({a}, {b})",
 }
 
-_UNARY_ARRAY_EXPRESSIONS: dict[str, str] = {
-    "arith.negf": "(-{a})",
-    "arith.sitofp": "_np.asarray({a}, dtype=_np.float64)",
-    "arith.extf": "_np.asarray({a}, dtype=_np.float64)",
-    "arith.truncf":
+#: Unary ops as ``(array operand, python-scalar operand)`` templates: the tree
+#: walker converts scalars with ``float()``/``int()``, whole arrays need the
+#: dtype-converting NumPy form of the same conversion.
+_UNARY_EXPRESSIONS: dict[str, tuple[str, str]] = {
+    "arith.negf": ("(-{a})", "(-{a})"),
+    "arith.sitofp": ("_np.asarray({a}, dtype=_np.float64)", "float({a})"),
+    "arith.extf": ("_np.asarray({a}, dtype=_np.float64)", "float({a})"),
+    "arith.truncf": (
         "_np.asarray(_np.asarray({a}, dtype=_np.float32), dtype=_np.float64)",
-    "arith.fptosi": "_np.asarray({a}).astype(_np.int64)",
-    "arith.extsi": "{a}",
-    "arith.trunci": "{a}",
+        "float(_np.float32({a}))",
+    ),
+    "arith.fptosi": ("_np.asarray({a}).astype(_np.int64)", "int({a})"),
+    "arith.extsi": ("{a}", "{a}"),
+    "arith.trunci": ("{a}", "{a}"),
 }
 
-_UNARY_SCALAR_EXPRESSIONS: dict[str, str] = {
-    "arith.negf": "(-{a})",
-    "arith.sitofp": "float({a})",
-    "arith.extf": "float({a})",
-    "arith.truncf": "float(_np.float32({a}))",
-    "arith.fptosi": "int({a})",
-    "arith.extsi": "{a}",
-    "arith.trunci": "{a}",
-}
+_FLOAT_BINOPS = frozenset({
+    "arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.powf",
+    "arith.maximumf", "arith.minimumf",
+})
+
+_INT_BINOPS = frozenset({
+    "arith.addi", "arith.subi", "arith.muli", "arith.minsi", "arith.maxsi",
+})
 
 
-def binary_expression(name: str, a: str, b: str) -> Optional[str]:
-    """Python source applying binary op ``name``, or None (no template)."""
-    template = BINARY_EXPRESSIONS.get(name)
-    return None if template is None else template.format(a=a, b=b)
+def _constant_operand(value) -> tuple:
+    """The operand descriptor (see :func:`emit_nest`) of a scalar literal."""
+    if isinstance(value, bool):
+        marker = "pybool"
+    elif isinstance(value, int):
+        marker = "pyint"
+    else:
+        marker = "pyfloat"
+    if isinstance(value, float) and not math.isfinite(value):
+        return (f'float("{value!r}")', False, marker, ())
+    # repr round-trips floats exactly.
+    return (repr(value), False, marker, ())
 
 
-def unary_expression(name: str, operand: str, operand_is_array: bool) -> Optional[str]:
-    """Python source applying unary op ``name``, or None (no template).
-
-    The _UNARY_FNS callables branch on ``isinstance(a, np.ndarray)``; the
-    caller must therefore know statically whether the operand is an array
-    (pass None -> no template -> context-function fallback when unsure).
-    """
-    table = (
-        _UNARY_ARRAY_EXPRESSIONS if operand_is_array else _UNARY_SCALAR_EXPRESSIONS
-    )
-    template = table.get(name)
-    return None if template is None else template.format(a=operand)
-
-
-def widen_expression(source: str, dtype: np.dtype) -> str:
-    """The emitted-source equivalent of :func:`_widen` applied to ``source``."""
-    kind = dtype.kind
-    if kind == "f":
+def _widened(source: str, dtype: np.dtype) -> tuple[str, np.dtype]:
+    """Widen a loaded region exactly as ``ndarray.item()`` does per cell."""
+    if dtype.kind == "f":
         if dtype.itemsize == 8:
-            return source
-        return f"_np.asarray({source}, dtype=_np.float64)"
-    if kind == "b":
-        return source
-    if dtype == np.dtype(np.int64):
-        return source
-    return f"_np.asarray({source}, dtype=_np.int64)"
+            return source, dtype
+        return f"_np.asarray({source}, dtype=_np.float64)", np.dtype(np.float64)
+    if dtype.kind == "b" or dtype == np.dtype(np.int64):
+        return source, dtype
+    return f"_np.asarray({source}, dtype=_np.int64)", np.dtype(np.int64)
+
+
+def _broadcast(a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple]:
+    if a is None or b is None:
+        return None
+    try:
+        return np.broadcast_shapes(a, b)
+    except ValueError:
+        raise _Bailout("operand shapes do not broadcast")
+
+
+def _binary_dtype(name: str, a: tuple, b: tuple):
+    if name.startswith("arith.cmp"):
+        return np.dtype(np.bool_)
+    kinds = []
+    for operand in (a, b):
+        dtype = operand[2]
+        if operand[1]:
+            if not isinstance(dtype, np.dtype):
+                return None
+        elif dtype not in ("pyint", "pyfloat"):
+            return None
+        kinds.append(dtype)
+    arrays = [dtype for dtype in kinds if isinstance(dtype, np.dtype)]
+    if not arrays:
+        return None
+    if name in _FLOAT_BINOPS:
+        if all(dtype == np.float64 for dtype in arrays):
+            return np.dtype(np.float64)
+        return None
+    if name in _INT_BINOPS:
+        if all(dtype == np.int64 for dtype in arrays) and "pyfloat" not in kinds:
+            return np.dtype(np.int64)
+    return None
+
+
+def _unary_dtype(name: str, a: tuple):
+    if name in ("arith.sitofp", "arith.extf", "arith.truncf"):
+        return np.dtype(np.float64) if a[1] else "pyfloat"
+    if name == "arith.fptosi":
+        return np.dtype(np.int64) if a[1] else "pyint"
+    return a[2]  # negf / extsi / trunci keep their operand's dtype
+
+
+def emit_nest(
+    instrs: list[tuple],
+    loads: dict[int, tuple],
+    stores: dict[int, tuple],
+    outer: Callable[[_Ref], tuple],
+    nest_shape: Union[tuple, str],
+    new_var: Callable[[], str],
+) -> tuple[list[str], list[str], list[str]]:
+    """Render one box of a nest's ``instrs`` as NumPy statements.
+
+    The caller names everything that lives outside the nest:
+
+    * ``loads[position] = (source, dtype, shape)`` — an expression for the
+      load's region view, already shaped to broadcast into the iteration
+      space, and the buffer's dtype;
+    * ``stores[position] = (dtype source, dtype, region shape)`` — how the
+      statements spell the target buffer's dtype, and the shape of the
+      target region;
+    * ``outer(ref)`` — the operand descriptor of a ``("free", value)`` or
+      ``("aff", affine)`` reference;
+    * ``nest_shape`` — the iteration-space shape of the box.
+
+    An operand descriptor is ``(expression, is_array, dtype, shape)``;
+    ``is_array`` picks between the array and python-scalar unary templates,
+    ``dtype`` is a numpy dtype, a ``"pyint"``/``"pyfloat"``/``"pybool"``
+    marker, or None (unknown).  Shapes and dtypes are either literal (the
+    megakernel knows its buffers) or source names / None (a
+    :class:`CompiledNest` function is generic over them): with literal
+    shapes a store whose prepare pipeline would be the identity is committed
+    directly, which unknown shapes or dtypes only ever forfeit.
+
+    Returns ``(statements, prepared, reduced)``: the statements in
+    instruction order, then one expression per store (the value to commit,
+    *after* every statement ran — all loads precede all stores) and one per
+    reduction result.  Raises :class:`_Bailout` when literal shapes show the
+    nest cannot be executed by broadcasting.
+    """
+    literal = not isinstance(nest_shape, str)
+
+    def spelled(shape: Union[tuple, str]) -> str:
+        return shape if isinstance(shape, str) else repr(shape)
+
+    shape_src = spelled(nest_shape)
+    # With several stores in one nest, an earlier commit may mutate memory
+    # that a later store's value still *views* (loads and broadcasts avoid
+    # copies); materialise every value in that case so the committed data
+    # is what was computed, not what the buffer holds mid-commit.
+    force_copy = sum(1 for instr in instrs if instr[0] == "store") > 1
+    values: dict[SSAValue, tuple] = {}
+    statements: list[str] = []
+    prepared: list[str] = []
+    reduced: list[str] = []
+
+    def resolve(ref: _Ref) -> tuple:
+        if ref[0] == "arr":
+            return values[ref[1]]
+        if ref[0] == "const":
+            return _constant_operand(ref[1])
+        return outer(ref)
+
+    def bind(result: SSAValue, expr: str, is_array: bool, dtype, shape) -> None:
+        name = new_var()
+        statements.append(f"{name} = {expr}")
+        values[result] = (name, is_array, dtype, shape)
+
+    for position, instr in enumerate(instrs):
+        kind = instr[0]
+        if kind == "load":
+            source, dtype, shape = loads[position]
+            source, dtype = _widened(source, dtype)
+            bind(instr[1], source, True, dtype, shape)
+        elif kind == "store":
+            dtype_src, target_dtype, region = stores[position]
+            expr, is_array, dtype, shape = resolve(instr[1])
+            if literal and _broadcast(shape, nest_shape) != nest_shape:
+                raise _Bailout(
+                    "store value cannot be broadcast to the iteration space"
+                )
+            if (literal and not force_copy and is_array
+                    and isinstance(dtype, np.dtype) and dtype == target_dtype
+                    and shape == nest_shape and region == nest_shape):
+                # Broadcast, reshape and astype are all the identity here.
+                prepared.append(expr)
+                continue
+            name = new_var()
+            statements.append(
+                f"{name} = _np.broadcast_to(_np.asarray({expr}), {shape_src})"
+                f".reshape({spelled(region)})"
+                f".astype({dtype_src}, copy={force_copy})"
+            )
+            prepared.append(name)
+        elif kind == "binary":
+            _, result, name, a_ref, b_ref = instr
+            a, b = resolve(a_ref), resolve(b_ref)
+            bind(
+                result, _BINARY_EXPRESSIONS[name].format(a=a[0], b=b[0]),
+                a[1] or b[1], _binary_dtype(name, a, b), _broadcast(a[3], b[3]),
+            )
+        elif kind == "unary":
+            _, result, name, a_ref = instr
+            a = resolve(a_ref)
+            template = _UNARY_EXPRESSIONS[name][0 if a[1] else 1]
+            bind(result, template.format(a=a[0]), a[1], _unary_dtype(name, a), a[3])
+        elif kind == "select":
+            cond, a, b = (resolve(ref) for ref in instr[2:5])
+            dtype = (
+                a[2] if a[1] and b[1] and isinstance(a[2], np.dtype)
+                and a[2] == b[2] else None
+            )
+            bind(
+                instr[1], f"_np.where({cond[0]}, {a[0]}, {b[0]})", True, dtype,
+                _broadcast(_broadcast(cond[3], a[3]), b[3]),
+            )
+        else:  # reduce
+            _, _, ufunc, sequential, value_ref, init_ref, convert = instr
+            name = new_var()
+            statements.append(
+                f"{name} = {convert}(_fold(_np.{ufunc}, {sequential}, "
+                f"_np.broadcast_to(_np.asarray({resolve(value_ref)[0]}), "
+                f"{shape_src}).ravel(), {resolve(init_ref)[0]}))"
+            )
+            reduced.append(name)
+    return statements, prepared, reduced
+
+
+def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):
+    """Fold the iteration space (in visit order) into ``init`` with ``ufunc``."""
+    if flattened.size == 0:
+        return init
+    if not sequential:
+        return ufunc(init, ufunc.reduce(flattened))
+    # Order-sensitive combiners (float +/*) must replay the tree walker's
+    # left-fold bit-for-bit: ufunc.accumulate is defined as the sequential
+    # recurrence r[i] = r[i-1] op a[i] (never pairwise), and ravel() of the
+    # iteration space is exactly the tree walker's visit order.
+    chain = np.empty(flattened.size + 1, dtype=flattened.dtype)
+    chain[0] = init
+    chain[1:] = flattened
+    return ufunc.accumulate(chain)[-1]
+
+
+def _dump_generated(label: str, source: str) -> None:
+    """Print generated source to stderr when ``REPRO_DUMP_MEGAKERNEL`` is set."""
+    if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
+        print(f"# --- {label} ---\n{source}", file=sys.stderr)
+
+
+#: A nest smaller than this (in iteration-space cells) is not worth spreading
+#: over a thread team: the dispatch overhead would exceed the NumPy work.
+_TEAM_MIN_CELLS = 4096
 
 
 class CompiledNest:
-    """One vectorizable loop nest, compiled to NumPy slice expressions."""
+    """One vectorizable loop nest, compiled to a generated NumPy function.
+
+    The run-time half decides *where* the nest runs — concrete bounds, region
+    slices, aliasing, overlap split, thread-team chunks — and hands the
+    region views of each box to a function generated by :func:`emit_nest`,
+    compiled once per load-dtype signature.
+    """
 
     __slots__ = ("bounds", "instrs", "count_bounds", "rank", "op_name",
-                 "has_reduce", "last_fallback", "_alias_cache",
-                 "_region_cache", "_geometry_free_values")
+                 "has_reduce", "last_fallback", "_region_cache", "_functions",
+                 "_accesses", "_geometry_free_values", "_outer",
+                 "_reduce_results")
 
     def __init__(
         self,
@@ -341,40 +500,49 @@ class CompiledNest:
         self.count_bounds = count_bounds
         self.rank = len(bounds)
         self.op_name = op_name
+        #: The SSA results of the nest's reductions, in instruction order.
+        self._reduce_results = [
+            instr[1] for instr in instrs if instr[0] == "reduce"
+        ]
         #: Reductions fold in iteration order, so they can be neither chunked
         #: over a thread team nor split into overlap phases.
-        self.has_reduce = any(instr[0] == "reduce" for instr in instrs)
+        self.has_reduce = bool(self._reduce_results)
         #: Why the most recent :meth:`execute` bounced (None after a success).
         self.last_fallback: Optional[VectorizeFallback] = None
-        #: Aliasing verdicts keyed by the memory layout of every accessed
-        #: region (base address, shape, strides, dtype, slices).  A repeated
-        #: run over the same buffers — every time step of a time loop, every
-        #: request served by a Plan — hits the cache instead of re-running
-        #: ``np.shares_memory`` per load/store pair.  The key captures the
-        #: complete overlap-relevant state, so object identity (and id reuse)
-        #: cannot poison it.
-        self._alias_cache: dict[tuple, bool] = {}
-        #: Memoized slice plans (satellite of the codegen PR): resolving a
-        #: region turns per-axis affine expressions back into slices, which is
-        #: pure bookkeeping repeated identically on every invocation of a time
-        #: loop.  The cache keys on everything the resolution reads — the
+        #: Memoized slice plans and aliasing verdicts: resolving a region
+        #: turns per-axis affine expressions back into slices, and the
+        #: aliasing check runs ``np.shares_memory`` per load/store pair —
+        #: pure bookkeeping repeated identically on every invocation of a
+        #: time loop.  The cache keys on everything either reads — the
         #: concrete box, the free index values, and each accessed buffer's
         #: memory layout — and stores geometry only (slices and shapes, never
         #: array objects), so a hit rebuilds the records against the arrays of
-        #: *this* invocation.
+        #: *this* invocation and object identity (and id reuse) cannot poison
+        #: it.
         self._region_cache: dict[tuple, list] = {}
-        free_values: list[SSAValue] = []
-        seen_free: set[int] = set()
+        #: The generated functions, keyed by the dtypes of the loaded buffers
+        #: (the widening of a load is the one statement that depends on them).
+        self._functions: dict[tuple, Callable] = {}
+        #: ``(instruction index, is store)`` of every memory access, in order.
+        self._accesses = tuple(
+            (position, instr[0] == "store")
+            for position, instr in enumerate(instrs)
+            if instr[0] in ("load", "store")
+        )
+        free_values: dict[SSAValue, None] = {}
+        outer: dict[_Ref, str] = {}
         for instr in self.instrs:
-            if instr[0] not in ("load", "store"):
-                continue
-            for affine in instr[3]:
-                for value in affine.free:
-                    if id(value) not in seen_free:
-                        seen_free.add(id(value))
-                        free_values.append(value)
+            if instr[0] in ("load", "store"):
+                for affine in instr[3]:
+                    free_values.update(dict.fromkeys(affine.free))
+            for ref in _operand_refs(instr):
+                if ref[0] in ("free", "aff"):
+                    outer.setdefault(ref, f"_x{len(outer)}")
         #: The SSA values whose env entries parameterize region geometry.
         self._geometry_free_values = tuple(free_values)
+        #: Free scalars and affine value grids the statements read, mapped
+        #: to the generated function's parameter names.
+        self._outer = outer
 
     # -- runtime ------------------------------------------------------------
     def execute(self, interp, env: dict) -> bool:
@@ -404,30 +572,13 @@ class CompiledNest:
         try:
             dims = self._concrete_dims(env, self.bounds)
             cells = self._cell_count(env)
-            resolved = self._resolve_regions(interp, env, dims)
-            loads, stores, regions = resolved
-            alias_key = tuple(
-                (
-                    position,
-                    array.__array_interface__["data"][0],
-                    array.shape,
-                    array.strides,
-                    array.dtype.str,
-                    tuple((s.start, s.stop, s.step) for s in slices),
-                )
-                for position, (array, slices, _, _) in sorted(regions.items())
+            arrays = [
+                interp.as_array(env[self.instrs[position][2]])
+                for position, _ in self._accesses
+            ]
+            resolved = self._resolve_regions(
+                arrays, env, dims, check_aliasing=True
             )
-            safe = self._alias_cache.get(alias_key)
-            if safe is None:
-                safe = self._aliasing_is_safe(loads, stores, regions)
-                if len(self._alias_cache) >= 128:
-                    self._alias_cache.clear()
-                self._alias_cache[alias_key] = safe
-            if not safe:
-                raise _Bailout(
-                    "aliasing stores: load/store regions overlap between "
-                    "cells, so per-cell execution order is observable"
-                )
             overlap = None
             if pending_halos:
                 plan = self._plan_overlap(env, dims, resolved, pending_halos)
@@ -443,10 +594,10 @@ class CompiledNest:
             team = None if self.has_reduce else getattr(interp, "thread_team", None)
             if overlap is not None:
                 interior_dims, strips = overlap
-                parts = self._prepare_boxes(interp, env, interior_dims, team)
+                parts = self._prepare_boxes(arrays, env, interior_dims, team)
             else:
                 parts = self._prepare_boxes(
-                    interp, env, dims, team, resolved=resolved
+                    arrays, env, dims, team, resolved=resolved
                 )
         except _Bailout as bail:
             if pending_halos:
@@ -481,7 +632,7 @@ class CompiledNest:
             span = tracer.begin("nest.boundary") if tracer is not None else 0.0
             for strip_dims in strips:
                 self._commit(
-                    interp, env, self._prepare_boxes(interp, env, strip_dims, None)
+                    interp, env, self._prepare_boxes(arrays, env, strip_dims, None)
                 )
             if tracer is not None:
                 tracer.end("nest.boundary", span)
@@ -514,27 +665,28 @@ class CompiledNest:
             len(range(lower, upper, step)) for lower, upper, step in count_dims
         )
 
-    def _resolve_regions(self, interp, env: dict, dims) -> tuple[list, list, dict]:
+    def _resolve_regions(
+        self, arrays: list, env: dict, dims, *, check_aliasing: bool = False
+    ) -> tuple[list, list, dict]:
         """Resolve every load/store region of the nest over the ``dims`` box.
 
-        Returns ``(loads, stores, regions)`` where loads/stores are
-        ``(instr index, array id, slices)`` records and ``regions`` maps the
-        instruction index to ``(array, slices, view_shape, region_shape)``.
+        ``arrays`` are the accessed buffers, one per load/store in
+        instruction order.  Returns ``(loads, stores, regions)`` where
+        loads/stores are ``(instr index, array id, slices)`` records and
+        ``regions`` maps the instruction index to
+        ``(array, slices, view_shape, region_shape)``.
         Raising :class:`_Bailout` here means the box cannot be executed by
-        slicing at all (and nothing has been written yet).
+        slicing at all — or, with ``check_aliasing``, that all-loads-then-
+        all-stores would not match per-cell execution — and nothing has been
+        written yet.
 
-        Successful resolutions are memoized per buffer layout: the slice
-        derivation depends only on the box, the free index values and each
-        accessed array's memory layout, so a repeated invocation (every
-        timestep of a time loop) skips the per-axis affine work entirely.
+        Successful resolutions are memoized per buffer layout, with their
+        aliasing verdict: both depend only on the box, the free index values
+        and each accessed array's memory layout, so a repeated invocation
+        (every timestep of a time loop) skips the per-axis affine work and
+        the ``np.shares_memory`` pairs entirely.
         """
-        accesses: list[tuple[int, bool, np.ndarray]] = []
-        for position, instr in enumerate(self.instrs):
-            kind = instr[0]
-            if kind not in ("load", "store"):
-                continue
-            array = interp.as_array(env[instr[2]])
-            accesses.append((position, kind == "store", array))
+        accesses = self._accesses
         try:
             key = (
                 tuple(dims),
@@ -546,44 +698,48 @@ class CompiledNest:
                         array.strides,
                         array.dtype.str,
                     )
-                    for _, _, array in accesses
+                    for array in arrays
                 ),
             )
         except (KeyError, TypeError, ValueError):
             key = None  # unhashable/unresolvable env: skip memoization
-        if key is not None:
-            cached = self._region_cache.get(key)
-            if cached is not None:
-                loads, stores, regions = [], [], {}
-                for (position, is_store, array), geometry in zip(accesses, cached):
-                    slices, view_shape, region_shape = geometry
-                    regions[position] = (array, slices, view_shape, region_shape)
-                    record = (position, id(array), slices)
-                    (stores if is_store else loads).append(record)
-                return loads, stores, regions
+        entry = self._region_cache.get(key) if key is not None else None
+        if entry is None:
+            # Bailouts raise before the entry is stored, so only successful
+            # geometry is ever memoized.
+            entry = [
+                [
+                    self._resolve_region(
+                        array, self.instrs[position][3], dims, env, is_store
+                    )
+                    for (position, is_store), array in zip(accesses, arrays)
+                ],
+                None,  # the aliasing verdict, filled on first demand
+            ]
+            if key is not None:
+                if len(self._region_cache) >= 64:
+                    self._region_cache.clear()
+                self._region_cache[key] = entry
         loads: list[tuple[int, int, tuple]] = []
         stores: list[tuple[int, int, tuple]] = []
         regions: dict[int, tuple] = {}
-        plan: list[tuple] = []
-        for position, is_store, array in accesses:
-            axes = self.instrs[position][3]
-            slices, view_shape, region_shape = self._resolve_region(
-                array, axes, dims, env, is_store
+        for (position, is_store), array, geometry in zip(accesses, arrays, entry[0]):
+            regions[position] = (array, *geometry)
+            (stores if is_store else loads).append(
+                (position, id(array), geometry[0])
             )
-            regions[position] = (array, slices, view_shape, region_shape)
-            plan.append((slices, view_shape, region_shape))
-            record = (position, id(array), slices)
-            (stores if is_store else loads).append(record)
-        if key is not None:
-            # Bailouts raise before reaching here, so only successful
-            # geometry is ever memoized.
-            if len(self._region_cache) >= 64:
-                self._region_cache.clear()
-            self._region_cache[key] = plan
+        if check_aliasing:
+            if entry[1] is None:
+                entry[1] = self._aliasing_is_safe(loads, stores, regions)
+            if not entry[1]:
+                raise _Bailout(
+                    "aliasing stores: load/store regions overlap between "
+                    "cells, so per-cell execution order is observable"
+                )
         return loads, stores, regions
 
     # -- thread-team chunking -------------------------------------------------
-    def _prepare_boxes(self, interp, env: dict, dims, team, *, resolved=None):
+    def _prepare_boxes(self, arrays: list, env: dict, dims, team, *, resolved=None):
         """Prepare one box, split over the team's threads when worthwhile.
 
         Returns a list of ``(pending stores, bindings)`` pairs — one per
@@ -603,11 +759,11 @@ class CompiledNest:
                     for start, end in split_trip_counts(trips[0], team.size)
                 ]
         if len(boxes) == 1:
-            return [self._prepare_box(interp, env, boxes[0], resolved=resolved)]
+            return [self._prepare_box(arrays, env, boxes[0], resolved=resolved)]
 
         def worker(box):
             try:
-                return self._prepare_box(interp, env, box)
+                return self._prepare_box(arrays, env, box)
             except _Bailout as bail:
                 return bail
 
@@ -657,9 +813,8 @@ class CompiledNest:
                     if np.shares_memory(array, halo_array):
                         return None  # an aliased view we cannot reason about
                     continue
-                for item in halo.items:
-                    axis = item.axis
-                    box = item.recv_slice[axis]
+                for recv_slice, _, _, _, _, axis in halo.plan.receives:
+                    box = recv_slice[axis]
                     affine = self.instrs[position][3][axis]
                     if affine.is_invariant:
                         if box.start <= slices[axis].start < box.stop:
@@ -706,81 +861,88 @@ class CompiledNest:
         return interior_dims, strips
 
     # -- single-box preparation -------------------------------------------------
-    def _prepare_box(self, interp, env: dict, dims, *, resolved=None):
+    def _prepare_box(self, arrays: list, env: dict, dims, *, resolved=None):
         """Prepare (but do not commit) the nest restricted to the ``dims`` box."""
-        trips = tuple(len(range(lower, upper, step)) for lower, upper, step in dims)
-        nest_shape = trips
         if resolved is None:
-            resolved = self._resolve_regions(interp, env, dims)
-        loads, stores, regions = resolved
-
-        # Evaluate the element-wise program.
-        values: dict[SSAValue, Any] = {}
-
-        def resolve(ref: _Ref) -> Any:
-            tag = ref[0]
-            if tag == "arr":
-                return values[ref[1]]
-            if tag == "const":
-                return ref[1]
-            if tag == "free":
-                return env[ref[1]]
-            return self._materialize(ref[1], dims, env)
-
-        # With several stores in one nest, an earlier commit may mutate memory
-        # that a later store's value still *views* (loads and broadcasts avoid
-        # copies); materialise every value in that case so the committed data
-        # is what was computed, not what the buffer holds mid-commit.
-        force_copy = len(stores) > 1
+            resolved = self._resolve_regions(arrays, env, dims)
+        regions = resolved[2]
+        args: list[Any] = [
+            tuple(len(range(lower, upper, step)) for lower, upper, step in dims)
+        ]
+        load_dtypes: list[str] = []
+        targets: list[tuple[np.ndarray, tuple]] = []
+        for (_, is_store), region in zip(self._accesses, regions.values()):
+            array, slices, view_shape, region_shape = region
+            if is_store:
+                args += (array.dtype, region_shape)
+                targets.append((array, slices))
+            else:
+                args.append(array[slices].reshape(view_shape))
+                load_dtypes.append(array.dtype.str)
+        for tag, operand in self._outer:
+            args.append(
+                env[operand] if tag == "free"
+                else self._materialize(operand, dims, env)
+            )
+        prepared, reduced = self._function(tuple(load_dtypes))(*args)
         pending: list[tuple[np.ndarray, tuple, np.ndarray]] = []
-        bindings: list[tuple[SSAValue, Any]] = []
-        for position, instr in enumerate(self.instrs):
-            kind = instr[0]
-            if kind == "load":
-                array, slices, view_shape, _ = regions[position]
-                view = array[slices].reshape(view_shape)
-                values[instr[1]] = _widen(view)
-            elif kind == "store":
-                array, slices, _, region_shape = regions[position]
-                value = resolve(instr[1])
-                prepared = np.broadcast_to(
-                    np.asarray(value), nest_shape
-                ).reshape(region_shape).astype(array.dtype, copy=force_copy)
-                if prepared.shape != array[slices].shape:
-                    raise _Bailout(
-                        "store value does not match the target region shape"
-                    )
-                pending.append((array, slices, prepared))
-            elif kind == "binary":
-                values[instr[1]] = instr[2](resolve(instr[3]), resolve(instr[4]))
-            elif kind == "unary":
-                values[instr[1]] = instr[2](resolve(instr[3]))
-            elif kind == "select":
-                values[instr[1]] = np.where(
-                    resolve(instr[2]), resolve(instr[3]), resolve(instr[4])
+        for (array, slices), value in zip(targets, prepared):
+            if value.shape != array[slices].shape:
+                raise _Bailout(
+                    "store value does not match the target region shape"
                 )
-            else:  # reduce
-                _, result_value, fn, sequential, value_ref, init_ref, convert = instr
-                value = resolve(value_ref)
-                flattened = np.broadcast_to(np.asarray(value), nest_shape).ravel()
-                init = resolve(init_ref)
-                if flattened.size == 0:
-                    total: Any = init
-                elif sequential:
-                    # Order-sensitive combiners (float +/*) must replay the
-                    # tree walker's left-fold bit-for-bit: ufunc.accumulate is
-                    # defined as the sequential recurrence r[i] = r[i-1] op
-                    # a[i] (never pairwise), and ravel() of the iteration
-                    # space is exactly the tree walker's visit order.
-                    chain = np.empty(flattened.size + 1, dtype=flattened.dtype)
-                    chain[0] = init
-                    chain[1:] = flattened
-                    total = fn.accumulate(chain)[-1]
-                else:
-                    total = fn(init, fn.reduce(flattened))
-                bindings.append((result_value, convert(total)))
+            pending.append((array, slices, value))
+        return pending, list(zip(self._reduce_results, reduced))
 
-        return pending, bindings
+    def _function(self, load_dtypes: tuple) -> Callable:
+        """The nest as one generated function, for buffers of ``load_dtypes``.
+
+        Its parameters are, in order: the iteration-space shape; per load the
+        region view (``_l<position>``), per store the target dtype and region
+        shape (``_d``/``_r<position>``), in instruction order; then one
+        ``_x<k>`` per free scalar or affine value grid.  It returns the
+        prepared store values and the reduction results.
+        """
+        function = self._functions.get(load_dtypes)
+        if function is not None:
+            return function
+        params = ["_shape"]
+        loads: dict[int, tuple] = {}
+        stores: dict[int, tuple] = {}
+        dtypes = iter(load_dtypes)
+        for position, instr in enumerate(self.instrs):
+            if instr[0] == "load":
+                params.append(f"_l{position}")
+                loads[position] = (params[-1], np.dtype(next(dtypes)), None)
+            elif instr[0] == "store":
+                params += (f"_d{position}", f"_r{position}")
+                stores[position] = (params[-2], None, params[-1])
+        params.extend(self._outer.values())
+
+        def outer(ref: _Ref) -> tuple:
+            if ref[0] == "free":
+                return (self._outer[ref], False, None, ())
+            if ref[1].coeffs:
+                return (self._outer[ref], True, np.dtype(np.int64), None)
+            return (self._outer[ref], False, "pyint", ())
+
+        counter = itertools.count(1)
+        statements, prepared, reduced = emit_nest(
+            self.instrs, loads, stores, outer, "_shape",
+            lambda: f"_v{next(counter)}",
+        )
+        statements.append(
+            f"return ({''.join(f'{name}, ' for name in prepared)}), "
+            f"({''.join(f'{name}, ' for name in reduced)})"
+        )
+        source = f"def _nest({', '.join(params)}):\n" + "".join(
+            f"    {line}\n" for line in statements
+        )
+        _dump_generated(f"nest {self.op_name} {load_dtypes}", source)
+        namespace = {"_np": np, "_fold": _fold}
+        exec(compile(source, f"<nest:{self.op_name}>", "exec"), namespace)
+        function = self._functions[load_dtypes] = namespace["_nest"]
+        return function
 
     def _resolve_region(
         self,
@@ -887,16 +1049,6 @@ class CompiledNest:
             axis = np.arange(lower, upper, step, dtype=np.int64).reshape(shape)
             total = total + coeff * axis
         return total
-
-
-def _widen(view: np.ndarray) -> np.ndarray:
-    """Widen loaded elements exactly as ``ndarray.item()`` does per cell."""
-    kind = view.dtype.kind
-    if kind == "f":
-        return view.astype(np.float64, copy=False)
-    if kind == "b":
-        return view
-    return view.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,21 +1252,15 @@ class _NestCompiler:
 
     def _instrs_mention_dim(self, dim: int) -> bool:
         """Whether any already-compiled instruction references dimension ``dim``."""
-
-        def ref_mentions(ref) -> bool:
-            return (
-                isinstance(ref, tuple) and len(ref) == 2 and ref[0] == "aff"
-                and dim in ref[1].coeffs
-            )
-
         for instr in self.instrs:
-            kind = instr[0]
-            if kind in ("load", "store"):
-                if any(dim in affine.coeffs for affine in instr[3]):
-                    return True
-                if kind == "store" and ref_mentions(instr[1]):
-                    return True
-            elif any(ref_mentions(part) for part in instr[2:]):
+            if instr[0] in ("load", "store") and any(
+                dim in affine.coeffs for affine in instr[3]
+            ):
+                return True
+            if any(
+                ref[0] == "aff" and dim in ref[1].coeffs
+                for ref in _operand_refs(instr)
+            ):
                 return True
         return False
 
@@ -1130,17 +1276,18 @@ class _NestCompiler:
         for value, region, init, result in zip(
             op.operands, op.regions, root.init_values, root.results
         ):
-            fn, sequential = self._combiner_kind(region)
-            convert = float if is_float_type(result.type) else int
+            ufunc, sequential = self._combiner_kind(region)
+            convert = "float" if is_float_type(result.type) else "int"
             self.instrs.append(
                 (
-                    "reduce", result, fn, sequential,
+                    "reduce", result, ufunc, sequential,
                     self._value_ref(value), self._value_ref(init), convert,
                 )
             )
 
     @staticmethod
-    def _combiner_kind(region) -> tuple[Any, bool]:
+    def _combiner_kind(region) -> tuple[str, bool]:
+        """The NumPy ufunc name of a combiner, and whether order matters."""
         block = region.block
         ops = list(block.ops)
         if len(block.args) != 2 or len(ops) != 2:
@@ -1159,8 +1306,7 @@ class _NestCompiler:
             combine.results[0]
         ]:
             raise VectorizationError("combiner must yield the combined value")
-        ufunc_name, sequential = metadata
-        return _REDUCE_UFUNCS[ufunc_name], sequential
+        return metadata
 
     # -- per-op classification ----------------------------------------------
     def _compile_op(self, op: Operation) -> None:
@@ -1207,7 +1353,7 @@ class _NestCompiler:
         if name in ("arith.minsi", "arith.maxsi"):
             # Symbolic min/max of index expressions: the clamp of a tiled
             # loop's upper bound.  Elementwise minsi on loaded data still hits
-            # the _BINARY_FNS path below (its operands are arrays, not
+            # the element-wise path below (its operands are arrays, not
             # affines).
             lhs = self._index_operand(op.operands[0])
             rhs = self._index_operand(op.operands[1])
@@ -1226,37 +1372,22 @@ class _NestCompiler:
                 self.sym[op.results[0]] = affine
                 return
 
-        if name in _BINARY_FNS:
-            self._emit(
-                "binary", op.results[0], _BINARY_FNS[name], name,
-                self._value_ref(op.operands[0]), self._value_ref(op.operands[1]),
+        if name in ("arith.cmpf", "arith.cmpi"):
+            assert isinstance(op, (arith.CmpfOp, arith.CmpiOp))
+            name = f"{name}:{op.predicate}"
+            if name not in _BINARY_EXPRESSIONS:
+                raise VectorizationError(
+                    f"{op.name.split('.')[1]} predicate {op.predicate!r}"
+                )
+        if name in _BINARY_EXPRESSIONS or name in _UNARY_EXPRESSIONS:
+            self.instrs.append(
+                (
+                    "binary" if name in _BINARY_EXPRESSIONS else "unary",
+                    op.results[0], name,
+                    *(self._value_ref(operand) for operand in op.operands),
+                )
             )
-            return
-        if name in _UNARY_FNS:
-            self._emit(
-                "unary", op.results[0], _UNARY_FNS[name], name,
-                self._value_ref(op.operands[0]),
-            )
-            return
-        if name == "arith.cmpf":
-            assert isinstance(op, arith.CmpfOp)
-            fn = _CMPF_FNS.get(op.predicate)
-            if fn is None:
-                raise VectorizationError(f"cmpf predicate {op.predicate!r}")
-            self._emit(
-                "binary", op.results[0], fn, f"arith.cmpf:{op.predicate}",
-                self._value_ref(op.operands[0]), self._value_ref(op.operands[1]),
-            )
-            return
-        if name == "arith.cmpi":
-            assert isinstance(op, arith.CmpiOp)
-            fn = _CMPI_FNS.get(op.predicate)
-            if fn is None:
-                raise VectorizationError(f"cmpi predicate {op.predicate!r}")
-            self._emit(
-                "binary", op.results[0], fn, f"arith.cmpi:{op.predicate}",
-                self._value_ref(op.operands[0]), self._value_ref(op.operands[1]),
-            )
+            self.sym[op.results[0]] = "array"
             return
         if name == "arith.select":
             self.instrs.append(
@@ -1270,14 +1401,6 @@ class _NestCompiler:
             self.sym[op.results[0]] = "array"
             return
         raise VectorizationError(f"operation {name!r} cannot be vectorized")
-
-    def _emit(self, kind: str, result: SSAValue, fn, name: str, *refs: _Ref) -> None:
-        # The trailing op name (``arith.addf``, ``arith.cmpf:<pred>``) keys
-        # the BINARY_EXPRESSIONS / unary_expression source templates; the
-        # positional layout up to the refs is unchanged, so _prepare_box's
-        # instr[2](instr[3], ...) dispatch is unaffected.
-        self.instrs.append((kind, result, fn, *refs, name))
-        self.sym[result] = "array"
 
     def _compile_access(self, base: SSAValue, indices, result=None, stored=None) -> None:
         if base in self.sym or base in self.ivs:

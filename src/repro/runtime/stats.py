@@ -16,7 +16,7 @@ the hand-written field-by-field merges they replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..interp.interpreter import ExecStatistics
@@ -35,6 +35,11 @@ class RankStats:
     #: (spans recorded against the worker's local monotonic clock; the
     #: parent's timeline merge re-aligns them), else None.
     trace: Optional[Any] = None
+    #: The rank's ``megakernel.*`` counts (which tier ran, cache hit/miss).
+    counters: dict = field(default_factory=dict)
+    #: The rank's :class:`repro.interp.codegen.CodegenFallback`, when the
+    #: megakernel was wanted but could not be built.
+    codegen_fallback: Optional[Any] = None
 
 
 def merge_comm_statistics(per_rank: Sequence[CommStatistics]) -> CommStatistics:

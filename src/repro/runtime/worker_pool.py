@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..interp.mpi_runtime import CommStatistics
-from ..obs import Tracer
+from ..obs import MetricsRegistry, Tracer
 from .mp_world import (
     ProcessRankCommunicator,
     SharedField,
@@ -196,14 +196,20 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 # Kernels and megakernels are cached on the worker's
                 # CompiledProgram: built on the first run of this program and
                 # shared by every later run.
+                # Which tier ran, and why not the megakernel: the parent
+                # folds both into its session, as the thread world does.
+                metrics = MetricsRegistry()
+                fallbacks: list = []
                 stats = run_rank(
                     programs[key], function_name, config,
                     [field.array for field in fields] + list(scalars),
                     comm=comm, tracer=tracer,
+                    metrics=metrics, on_fallback=fallbacks.append,
                 )
                 results.put(
                     ("done", run_id, rank, stats, comm.statistics,
-                     tracer.record() if tracer is not None else None)
+                     tracer.record() if tracer is not None else None,
+                     metrics.snapshot(), fallbacks[-1] if fallbacks else None)
                 )
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "run", err)))
@@ -365,8 +371,7 @@ class WorkerPool:
             outcomes = self._collect_batch(run_ids, sizes, timeout)
         return [
             outcome if isinstance(outcome, WorkerError) else [
-                RankStats(rank, exec_stats, comm_stats, trace=trace_record)
-                for rank, exec_stats, comm_stats, trace_record in outcome
+                RankStats(*report) for report in outcome
             ]
             for outcome in outcomes
         ]
@@ -428,7 +433,7 @@ class WorkerPool:
                     error = WorkerError(f"rank {rank} failed:\n{failure}")
                 _fail(index, error)
                 continue
-            reports[index].append((rank, message[3], message[4], message[5]))
+            reports[index].append((rank, *message[3:]))
             if len(reports[index]) == sizes[index]:
                 outcomes[index] = reports[index]
                 remaining.discard(index)

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.dialects import arith, builtin, func, scf, stencil
 from repro.ir import Builder, FunctionType, MemRefType, default_context, f64, index
+
+# Property tests draw a fixed example set, so a red run reproduces; CI draws
+# ten times as many from the same generators (``--hypothesis-profile=ci``).
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile(
+    "ci", derandomize=True, deadline=None,
+    max_examples=10 * settings.get_profile("tier1").max_examples,
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

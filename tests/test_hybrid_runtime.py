@@ -323,7 +323,7 @@ def test_teams_survive_fork_into_workers():
 def test_plan_overlap_defers_unrelated_nest():
     """A nest not touching the swapped array leaves its halos in flight."""
     from repro.dialects import arith, builtin, func, memref, scf
-    from repro.interp.interpreter import PendingHalo, _HaloReceive
+    from repro.interp.interpreter import PendingHalo, SwapMessagePlan
     from repro.interp.vectorize import compile_kernel
     from repro.ir import Builder, FunctionType, MemRefType, f64
 
@@ -346,29 +346,28 @@ def test_plan_overlap_defers_unrelated_nest():
 
     compiled = compile_kernel(module, "kernel")
     nest = next(iter(compiled.nests.values()))
-    interp = Interpreter(module)
     u_array = np.arange(64, dtype=np.float64).reshape(8, 8)
     v_array = np.zeros((8, 8))
     from repro.interp.values import MemRefValue
 
     env = {u: MemRefValue(u_array), v: MemRefValue(v_array)}
     dims = nest._concrete_dims(env, nest.bounds)
-    resolved = nest._resolve_regions(interp, env, dims)
+    resolved = nest._resolve_regions([u_array, v_array], env, dims)
 
     box = (slice(0, 1), slice(0, 8))
+    # One receive record: (recv_slice, neighbor, tag, staging shape, elements, axis).
+    swap = SwapMessagePlan([], [(box, None, None, (1, 8), 8, 0)])
     unrelated = np.zeros((8, 8))
-    halo_unrelated = PendingHalo(
-        unrelated, [_HaloReceive(None, None, box, 8, 0)]
-    )
+    halo_unrelated = PendingHalo(unrelated, swap)
     assert nest._plan_overlap(env, dims, resolved, [halo_unrelated]) == "defer"
 
     # The same box on the *loaded* array constrains the interior instead.
-    halo_related = PendingHalo(u_array, [_HaloReceive(None, None, box, 8, 0)])
+    halo_related = PendingHalo(u_array, swap)
     plan = nest._plan_overlap(env, dims, resolved, [halo_related])
     assert plan != "defer" and plan is not None
     interior, strips = plan
     assert interior[0] == (1, 8, 1) and len(strips) == 1
 
     # And a box on the *stored* array is unprovable: blocking fallback.
-    halo_store = PendingHalo(v_array, [_HaloReceive(None, None, box, 8, 0)])
+    halo_store = PendingHalo(v_array, swap)
     assert nest._plan_overlap(env, dims, resolved, [halo_store]) is None

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ExecutionConfig,
     ExecutionError,
     RuntimeFallbackWarning,
+    Session,
     compile_stencil_program,
     default_session,
     dmp_target,
@@ -166,6 +168,37 @@ def test_heat_kernel_runtime_parity(rank_grid, lower, overlap, codegen):
     assert processes_result.comm_statistics == threads_result.comm_statistics
     assert processes_result.messages_sent == threads_result.messages_sent > 0
     assert processes_result.bytes_sent == threads_result.bytes_sent > 0
+
+
+@needs_processes
+@pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
+def test_codegen_decisions_reported_like_the_thread_world(lower):
+    """Workers ship their tier decision home: codegen never fails silently."""
+    seen = {}
+    for runtime in ("threads", "processes"):
+        # A fresh program per world: megakernels are cached on the program.
+        program = _compile_heat((2, 1), lower_to_library_calls=lower)
+        with Session(ExecutionConfig(runtime=runtime)) as session:
+            plan = session.plan(program)
+            for _ in range(2):
+                result = plan.run(list(_heat_fields()), [3])
+            assert result.runtime == runtime
+            fallback = plan.codegen_fallback
+            seen[runtime] = (
+                None if fallback is None else fallback.reason,
+                {
+                    name: session.metrics.get(f"megakernel.{name}")
+                    for name in ("engaged", "fallback", "cache_miss", "cache_hit")
+                },
+            )
+    assert seen["processes"] == seen["threads"]
+    reason, counts = seen["threads"]
+    if lower:
+        assert "'func.call' cannot be megakernel-compiled" in reason
+        assert counts["engaged"] == 0
+    else:
+        assert reason is None
+        assert counts == {"engaged": 4, "fallback": 0, "cache_miss": 2, "cache_hit": 2}
 
 
 @needs_processes

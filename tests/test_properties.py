@@ -1,12 +1,26 @@
 """Property-based tests (hypothesis) of core data structures and invariants."""
 
+import dataclasses
+import sys
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dialects import dmp, stencil
-from repro.interp import SimulatedMPI
+from repro.core import (
+    compile_stencil_program,
+    cpu_target,
+    default_session,
+    dmp_target,
+    smp_target,
+)
+from repro.dialects import arith, builtin, dmp, func, memref, scf, stencil
+from repro.frontends.oec import StencilProgramBuilder
+from repro.interp import Interpreter, SimulatedMPI, compile_kernel, vectorize
+from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
 from repro.transforms.distribute import GridSlicingStrategy
+from tests.conftest import build_jacobi_module
 
 bounds_pairs = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 16)), min_size=1, max_size=3
@@ -164,3 +178,351 @@ class TestHaloExchangeProperty:
                 assert (locals_[rank][:halo] == float(rank - 1)).all()
             if rank < ranks - 1:
                 assert (locals_[rank][-halo:] == float(rank + 1)).all()
+
+
+# ---------------------------------------------------------------------------
+# differential fuzz of the one nest emitter
+# ---------------------------------------------------------------------------
+#
+# The tree walker is the executable semantics; the generated nest function,
+# the megakernel that inlines the same statements, and thread-team chunking
+# must agree with it bit for bit on programs nobody hand-picked.
+
+_OPS = ("add", "sub", "mul", "div")
+
+
+def _expressions(fields: int, ndim: int, halo: int):
+    """Expression trees over ``fields`` inputs: nested tuples, leaves first."""
+    offsets = st.tuples(*[st.integers(-halo, halo)] * ndim)
+    access = st.tuples(st.just("access"), st.integers(0, fields - 1), offsets)
+    constant = st.tuples(
+        st.just("const"), st.sampled_from([-2.0, -0.75, 0.125, 0.5, 1.0, 3.0])
+    )
+    return st.recursive(
+        access | access | access | constant,
+        lambda children: st.tuples(st.sampled_from(_OPS), children, children),
+        max_leaves=6,
+    ).filter(lambda tree: tree[0] != "const")
+
+
+@st.composite
+def _oec_programs(draw):
+    ndim = draw(st.integers(1, 3))
+    halo = draw(st.integers(1, 2))
+    fields = draw(st.integers(2, 3))
+    stencils = []
+    for _ in range(draw(st.integers(1, 2))):
+        inputs = draw(st.lists(
+            st.integers(0, fields - 1), min_size=1, max_size=2, unique=True))
+        stencils.append((
+            inputs,
+            draw(st.integers(0, fields - 1)),
+            draw(_expressions(len(inputs), ndim, halo)),
+        ))
+    return {
+        "shape": (draw(st.sampled_from([4, 6, 8])),)
+        + tuple(draw(st.integers(3, 6)) for _ in range(ndim - 1)),
+        "halo": halo,
+        "dtype": draw(st.sampled_from(["f32", "f64"])),
+        "fields": fields,
+        "stencils": stencils,
+        "swap": draw(st.booleans()),
+        "steps": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _oec_module(spec):
+    builder = StencilProgramBuilder(
+        shape=spec["shape"], halo=spec["halo"], dtype=spec["dtype"])
+    handles = [builder.add_field(f"f{k}") for k in range(spec["fields"])]
+
+    def body_of(tree):
+        def emit(expr, node):
+            if node[0] == "access":
+                return expr.access(node[1], list(node[2]))
+            if node[0] == "const":
+                return expr.constant(node[1])
+            lhs, rhs = emit(expr, node[1]), emit(expr, node[2])
+            if node[0] == "div":
+                # The tree walker divides python floats (ZeroDivisionError):
+                # keep every divisor >= 1.
+                rhs = expr.add(expr.mul(rhs, rhs), expr.constant(1.0))
+            return getattr(expr, node[0])(lhs, rhs)
+
+        return lambda expr: emit(expr, tree)
+
+    def reach(node):
+        """The largest |offset| along the decomposed (first) dimension."""
+        if node[0] == "access":
+            return abs(node[2][0])
+        return 0 if node[0] == "const" else max(reach(node[1]), reach(node[2]))
+
+    # The dmp layer pairs each receive with a send of the same width, so a
+    # one-sided halo along the decomposed dimension deadlocks (ROADMAP, open
+    # item): anchor the first stencil with a symmetric pair at full reach.
+    width = max(reach(tree) for _, _, tree in spec["stencils"])
+    rest = (0,) * (len(spec["shape"]) - 1)
+    anchor = ("add", ("access", 0, (-width, *rest)), ("access", 0, (width, *rest)))
+    for position, (inputs, output, tree) in enumerate(spec["stencils"]):
+        if position == 0:
+            tree = ("add", tree, ("mul", ("const", 0.5), anchor))
+        builder.add_stencil(
+            [handles[k] for k in inputs], handles[output], body_of(tree))
+    if spec["swap"]:
+        builder.swap(handles[0], handles[1])
+    return builder.build()
+
+
+def _targets(ndim: int):
+    grid = (2,) + (1,) * (ndim - 1)
+    return {
+        "cpu": cpu_target(),
+        "smp": smp_target(threads=2, tile_sizes=(4,) * ndim),
+        "dmp": dmp_target(grid),
+        "dmp-libcall": dmp_target(grid, lower_to_library_calls=True),
+    }
+
+
+#: The execution tiers: the tree walker first (the reference), then the
+#: interpreter loop over generated nest functions, the megakernel, and the
+#: nest functions chunked over a 2-thread team.
+_TIERS = (
+    dict(backend="interpreter"),
+    dict(backend="auto", codegen="planned"),
+    dict(backend="auto", codegen="auto"),
+    dict(backend="auto", codegen="auto", threads_per_rank=2),
+)
+
+
+def _run_tiers(program, make_fields, steps, **config):
+    """Run every tier; assert fields, Exec and Comm statistics all agree."""
+    reference = None
+    compiled_how = None
+    # Thread-team chunking normally needs 4096 cells to be worth it.
+    with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1):
+        for tier in _TIERS:
+            fields = make_fields()
+            result = default_session().run(
+                program, fields, [steps], runtime="threads", **config, **tier)
+            # Two counters describe *how* a tier ran, not what it computed:
+            # the tree walker dispatches ops per cell and never overlaps a
+            # halo exchange.  The compiled tiers must agree on both.
+            how = [
+                (s.ops_executed, s.halo_swaps_overlapped) for s in result.statistics
+            ]
+            observed = (
+                [field.tobytes() for field in fields],
+                [
+                    dataclasses.replace(s, ops_executed=0, halo_swaps_overlapped=0)
+                    for s in result.statistics
+                ],
+                result.comm_statistics,
+            )
+            if reference is None:
+                reference = observed
+                continue
+            assert observed == reference, tier
+            if compiled_how is None:
+                compiled_how = how
+            assert how == compiled_how, tier
+
+
+class TestNestEmitterDifferential:
+    @given(_oec_programs(), st.sampled_from(["cpu", "smp", "dmp", "dmp-libcall"]))
+    @settings(deadline=None)
+    def test_oec_programs_agree_on_every_tier(self, spec, target_name):
+        ndim = len(spec["shape"])
+        program = compile_stencil_program(
+            _oec_module(spec), _targets(ndim)[target_name])
+        shape = tuple(extent + 2 * spec["halo"] for extent in spec["shape"])
+        dtype = np.float32 if spec["dtype"] == "f32" else np.float64
+
+        def make_fields():
+            rng = np.random.default_rng(spec["seed"])
+            return [
+                rng.uniform(-1.0, 1.0, shape).astype(dtype)
+                for _ in range(spec["fields"])
+            ]
+
+        # The global arrays carry the builder's full halo on every side, also
+        # where the decomposition found a narrower (one-sided) access halo.
+        _run_tiers(
+            program, make_fields, spec["steps"], margin=(spec["halo"],) * ndim)
+
+    # -- hand-built nests: what the OEC builder cannot reach -----------------
+
+    @given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(deadline=None)
+    def test_masks_casts_and_integer_buffers(self, rows, cols, seed):
+        """cmpf/cmpi/select, the casts, i32/i64/bool memrefs, a free float
+        scalar and an induction variable used as a value."""
+        shape = [rows, cols]
+        types = [MemRefType(shape, t) for t in (f64, f32, i32, i64, i1, f64, f32, i32)]
+
+        def body(b, args, ivs):
+            a, narrow, small, wide, mask, out, out32, outi, scale = args
+            i, j = ivs
+            x = b.insert(memref.LoadOp(a, [i, j])).result
+            y = b.insert(arith.ExtFOp(                              # widened f32
+                b.insert(memref.LoadOp(narrow, [i, j])).result, f64)).result
+            k = b.insert(arith.ExtSIOp(                             # widened i32
+                b.insert(memref.LoadOp(small, [i, j])).result, i64)).result
+            big = b.insert(memref.LoadOp(wide, [i, j])).result
+            row = b.insert(arith.SIToFPOp(
+                b.insert(arith.IndexCastOp(i, i64)).result, f64)).result
+            above = b.insert(arith.CmpfOp("ogt", x, scale)).result
+            fewer = b.insert(arith.CmpiOp("slt", k, big)).result
+            b.insert(memref.StoreOp(above, mask, [i, j]))
+            scaled = b.insert(arith.MulfOp(x, scale)).result
+            picked = b.insert(arith.SelectOp(
+                above, scaled, b.insert(arith.AddfOp(row, y)).result)).result
+            rounded = b.insert(arith.TruncFOp(picked, f32)).result
+            residual = b.insert(arith.SubfOp(       # what the rounding lost
+                picked, b.insert(arith.ExtFOp(rounded, f64)).result)).result
+            b.insert(memref.StoreOp(residual, out, [i, j]))
+            b.insert(memref.StoreOp(
+                b.insert(arith.NegfOp(rounded)).result, out32, [i, j]))
+            whole = b.insert(arith.FPToSIOp(
+                b.insert(arith.MulfOp(scaled, scale)).result, i64)).result
+            chosen = b.insert(arith.SelectOp(
+                fewer, b.insert(arith.AddiOp(whole, k)).result, big)).result
+            b.insert(memref.StoreOp(
+                b.insert(arith.TruncIOp(chosen, i32)).result, outi, [i, j]))
+
+        module = _parallel_module(types + [f64], shape, body)
+
+        def make_args():
+            rng = np.random.default_rng(seed)
+            return [
+                rng.uniform(-4, 4, shape), rng.uniform(-4, 4, shape).astype(np.float32),
+                rng.integers(-9, 9, shape, dtype=np.int32),
+                rng.integers(-9, 9, shape, dtype=np.int64),
+                np.zeros(shape, dtype=np.bool_), np.zeros(shape),
+                np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=np.int32),
+                float(rng.uniform(-2, 2)),
+            ]
+
+        _check_against_tree_walker(module, make_args)
+
+    @given(
+        st.sampled_from([
+            (arith.AddfOp, f64, 0.5), (arith.MulfOp, f64, 1.0),    # sequential
+            (arith.MaximumfOp, f64, -1.0), (arith.MinimumfOp, f64, 9.0),
+            (arith.AddiOp, i64, 3), (arith.MaxSIOp, i64, -7),      # order-free
+        ]),
+        st.integers(0, 12), st.integers(0, 2**16),
+    )
+    @settings(deadline=None)
+    def test_reductions_fold_like_the_tree_walker(self, combiner, extent, seed):
+        """scf.reduce, sequential and order-free, also over no iterations."""
+        combine_op, element, init_value = combiner
+        shape = [extent, 7]  # long enough for NumPy's pairwise sum to differ
+
+        def body(b, args, ivs):
+            data, _ = args
+            value = b.insert(memref.LoadOp(data, list(ivs))).result
+            return [(value, combine_op)]
+
+        def epilogue(b, args, results):
+            zero = b.insert(arith.ConstantOp.from_int(0)).result
+            b.insert(memref.StoreOp(results[0], args[1], [zero]))
+
+        make_init = (
+            arith.ConstantOp.from_float if element is f64
+            else arith.ConstantOp.from_int
+        )
+        module = _parallel_module(
+            [MemRefType(shape, element), MemRefType([1], element)], shape, body,
+            inits=[make_init(init_value, element)], epilogue=epilogue,
+        )
+        dtype = np.float64 if element is f64 else np.int64
+
+        def make_args():
+            rng = np.random.default_rng(seed)
+            return [
+                rng.uniform(-2, 2, shape).astype(dtype) if element is f64
+                else rng.integers(-5, 5, shape, dtype=dtype),
+                np.zeros(1, dtype=dtype),
+            ]
+
+        _check_against_tree_walker(module, make_args)
+
+    def test_cold_nest_hit_by_two_rank_threads_at_once(self):
+        """Two ranks racing to build one nest's function both compute right."""
+        module = build_jacobi_module(n=16)
+        program = compile_stencil_program(module, dmp_target((2,)))
+        nests = program.compiled_kernel("kernel").nests.values()
+        assert nests and all(not nest._functions for nest in nests)
+        rng = np.random.default_rng(5)
+        initial = rng.standard_normal(18)
+        u, v = initial.copy(), initial.copy()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            default_session().run(
+                program, [u, v], [2], runtime="threads", codegen="planned",
+                timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert all(len(nest._functions) == 1 for nest in nests)
+        a, b = initial.copy(), initial.copy()
+        default_session().run(
+            program, [a, b], [2], runtime="threads", backend="interpreter",
+            timeout=30.0)
+        assert u.tobytes() == a.tobytes() and v.tobytes() == b.tobytes()
+
+
+def _parallel_module(arg_types, extents, body, inits=(), epilogue=None):
+    """``kernel(*args)``: one scf.parallel nest over ``extents`` built by ``body``.
+
+    ``body(builder, args, ivs)`` emits the nest body and returns the
+    ``(value, combiner op class)`` pairs to reduce (or None); ``inits`` are
+    the constants the reductions start from and ``epilogue(builder, args,
+    results)`` consumes the loop results.
+    """
+    kernel = func.FuncOp("kernel", FunctionType(arg_types, []))
+    b = Builder.at_end(kernel.body.block)
+    zero = b.insert(arith.ConstantOp.from_int(0)).result
+    one = b.insert(arith.ConstantOp.from_int(1)).result
+    uppers = [b.insert(arith.ConstantOp.from_int(e)).result for e in extents]
+    loop = scf.ParallelOp(
+        [zero] * len(extents), uppers, [one] * len(extents),
+        init_values=[b.insert(init).result for init in inits],
+    )
+    inner = Builder.at_end(loop.body.block)
+    reduced = body(inner, list(kernel.args), list(loop.induction_variables))
+    if reduced:
+        (value, combine_op), = reduced
+        inner.insert(scf.ReduceOp.combining(value, combine_op))
+    else:
+        inner.insert(scf.YieldOp([]))
+    b.insert(loop)
+    if epilogue is not None:
+        epilogue(b, list(kernel.args), list(loop.results))
+    b.insert(func.ReturnOp([]))
+    module = builtin.ModuleOp([kernel])
+    module.verify()
+    return module
+
+
+def _check_against_tree_walker(module, make_args):
+    """The nest's generated function, whole and team-chunked, vs the walker."""
+    kernel = compile_kernel(module, "kernel")
+    assert kernel.nest_count == 1, kernel.fallback_reasons
+    (nest,) = kernel.nests.values()
+    reference = None
+    with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1):
+        for config in (dict(), dict(kernel=kernel), dict(kernel=kernel, threads=2)):
+            args = make_args()
+            interp = Interpreter(module, **config)
+            interp.call("kernel", *args)
+            if config:
+                assert nest.last_fallback is None, nest.last_fallback
+            observed = (
+                [a.tobytes() for a in args if isinstance(a, np.ndarray)],
+                dataclasses.replace(interp.stats, ops_executed=0),
+            )
+            if reference is None:
+                reference = observed
+            assert observed == reference, config
