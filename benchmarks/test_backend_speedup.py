@@ -470,3 +470,155 @@ def test_trace_overhead(benchmark):
         f"trace-off plan.run() dispatch is {1 / speedup:.3f}x the raw "
         "megakernel call on the dispatch-bound run (must stay within 3%)"
     )
+
+
+# ---------------------------------------------------------------------------
+# an external mark: the wave3d so4 step written by hand
+# ---------------------------------------------------------------------------
+
+#: Cells per block of the hand-written kernel: three scratch values and the
+#: planes they are computed from stay inside a 4 MiB L2.
+YARDSTICK_BLOCK_CELLS = 32 * 1024
+
+
+def wave3d_so4_yardstick(buffers, steps, dt, velocity, spacing):
+    """``u.dt2 = c^2 * u.laplace``, fourth order in space, leapfrog in time.
+
+    Written against the equation, not derived from the emitter: per block of
+    outermost planes, each axis' five-point second derivative is accumulated
+    in place, the three are summed, and the update is written straight into
+    the next time level.  Every intermediate lives in one of three
+    block-sized scratch arrays.  Terms are associated as the equation spells
+    them (each derivative left to right, x + y + z, ``2u - u_prev`` first),
+    so the result is comparable bit for bit.
+    """
+    from repro.frontends.devito.symbolic import central_difference_coefficients
+
+    taps = central_difference_coefficients(2, 4)
+    radius = taps[-1][0]
+    prev, cur, nxt = buffers
+    core = tuple(extent - 2 * radius for extent in cur.shape)
+    planes = max(1, YARDSTICK_BLOCK_CELLS // (core[1] * core[2]))
+    laplace, line, term = (np.empty((planes,) + core[1:]) for _ in range(3))
+    weights = [
+        [coefficient * (1.0 / h ** 2) for _, coefficient in taps] for h in spacing
+    ]
+
+    def shifted(array, start, stop, axis=0, by=0):
+        """The block's cells of ``array``, moved ``by`` cells along ``axis``."""
+        window = [slice(start + radius, stop + radius),
+                  slice(radius, radius + core[1]), slice(radius, radius + core[2])]
+        window[axis] = slice(window[axis].start + by, window[axis].stop + by)
+        return array[tuple(window)]
+
+    for _ in range(steps):
+        for start in range(0, core[0], planes):
+            stop = min(start + planes, core[0])
+            lap, acc, tmp = (s[: stop - start] for s in (laplace, line, term))
+            for axis in range(3):
+                total = lap if axis == 0 else acc
+                for (offset, _), weight in zip(taps, weights[axis]):
+                    into = total if offset == -radius else tmp
+                    np.multiply(weight, shifted(cur, start, stop, axis, offset), out=into)
+                    if into is tmp:
+                        np.add(total, tmp, out=total)
+                if axis:
+                    np.add(lap, acc, out=lap)
+            np.multiply(velocity ** 2, lap, out=lap)
+            np.multiply(dt * dt, lap, out=lap)
+            np.multiply(2.0, shifted(cur, start, stop), out=tmp)
+            np.subtract(tmp, shifted(prev, start, stop), out=tmp)
+            np.add(tmp, lap, out=shifted(nxt, start, stop))
+        prev, cur, nxt = cur, nxt, prev
+
+
+@pytest.mark.benchmark(group="kernel-yardstick")
+def test_generated_wave_kernel_against_a_hand_written_one(benchmark):
+    """The emitted wave3d so4 kernel must stay within reach of a hand-written one.
+
+    Unlike the other rows of this file this is not a ratio between two of the
+    repository's own tiers: the mark is a blocked, in-place NumPy kernel
+    written by hand.  ``speedup`` = hand-written time / generated time on
+    64^3, medians of interleaved calls of the raw megakernel; 1.0 means the
+    generator does as well as a person.  Both must agree bit for bit.
+
+    The generated kernel is written to ``.bench_build/wave3d_so4_kernel.py``
+    for the CI artifact.
+    """
+    import pathlib
+
+    from repro.interp.interpreter import ExecStatistics
+    from repro.workloads import acoustic_wave
+
+    shape, steps, pairs = (64, 64, 64), 4, 9
+    workload = acoustic_wave(shape, space_order=4, dtype=np.float64)
+    workload.initialise(seed=7)
+    module = workload.operator(backend="xdsl").stencil_module(dt=workload.dt)
+    program = compile_stencil_program(module, cpu_target())
+    data = workload.function.data_with_halo
+    data[1] *= 0.5  # no two time levels start out equal
+
+    def fields():
+        return [data[level].copy() for level in range(3)]
+
+    def by_hand(arrays):
+        # The frontend hands the kernel (t, t-1, t+1); the equation reads
+        # (t-1, t, t+1).
+        wave3d_so4_yardstick(
+            (arrays[1], arrays[0], arrays[2]), steps, workload.dt, 1.5,
+            workload.grid.spacing,
+        )
+
+    with Session(codegen="megakernel") as session:
+        plan = session.plan(program)
+        megakernel = megakernel_for(
+            program, plan.compile(), plan.config, [*fields(), steps])
+
+        def generated(arrays):
+            assert megakernel.run([*arrays, steps], ExecStatistics(), None)
+
+        mine, theirs = fields(), fields()
+        by_hand(mine)
+        generated(theirs)
+        for a, b in zip(mine, theirs):
+            assert np.array_equal(a, b), "hand-written kernel diverged"
+
+        hand_times, generated_times = [], []
+        for _ in range(pairs):
+            for run, times in ((by_hand, hand_times), (generated, generated_times)):
+                arrays = fields()
+                start = time.perf_counter()
+                run(arrays)
+                times.append(time.perf_counter() - start)
+        hand_s = statistics.median(hand_times)
+        generated_s = statistics.median(generated_times)
+
+        def measured():
+            return hand_s, generated_s
+
+        benchmark(measured)
+
+    artifact = pathlib.Path(".bench_build", "wave3d_so4_kernel.py")
+    artifact.parent.mkdir(exist_ok=True)
+    artifact.write_text(megakernel.source, encoding="utf-8")
+
+    speedup = hand_s / generated_s
+    attach_rows(
+        benchmark,
+        "kernel-yardstick",
+        [
+            {
+                "kernel": "kernel-yardstick",
+                "shape": list(shape),
+                "backend": "auto",
+                "timesteps": steps,
+                "hand_written_s": hand_s,
+                "generated_s": generated_s,
+                "speedup": speedup,
+            }
+        ],
+    )
+    assert speedup >= 0.7, (
+        f"the generated wave3d so4 kernel takes {1 / speedup:.2f}x the time "
+        "of the hand-written blocked one (must stay within 1/0.7)"
+    )

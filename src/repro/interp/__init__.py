@@ -17,10 +17,12 @@ Lowered programs can be executed by two cooperating engines:
   expressions and replayed for every invocation, the moral equivalent of the
   generated C the real stack JITs.  A compiled nest runs as generated code,
   and only as generated code: :func:`repro.interp.vectorize.emit_nest` is the
-  one emitter of NumPy statements, called by ``CompiledNest`` (one function
-  per nest, fed the region views each invocation resolves) and by the
-  megakernel (:mod:`repro.interp.codegen`, which inlines the same statements
-  into one function per time loop).
+  one emitter of NumPy statements — in place (``out=`` into a few scratch
+  slots, the last op into the target region) and, for boxes over a cell
+  budget, block by block so the expression DAG stays in cache — called by
+  ``CompiledNest`` (one function per nest, fed the region views each
+  invocation resolves) and by the megakernel (:mod:`repro.interp.codegen`,
+  which inlines the same statements into one function per time loop).
 
 Selection rules
 ---------------

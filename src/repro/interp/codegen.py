@@ -15,7 +15,10 @@ The discipline mirrors the interpreter exactly:
 * the statements of a nest are not written here: they come from
   :func:`repro.interp.vectorize.emit_nest`, the one instruction -> NumPy
   mapping, which a ``CompiledNest`` wraps in a function of its region views
-  and this emitter inlines with literal slices (``b0[2:130, ...]``);
+  and this emitter inlines with literal slices (``b0[2:130, ...]``) — in-place
+  ``out=`` statements and, for a box over the cell budget, the block loop
+  around them, with the nested indentation they arrive in; the scratch slots
+  they write become locals allocated once, ahead of the time loop;
 * the slices come from the *real* ``CompiledNest`` geometry machinery
   (``_resolve_regions`` with its aliasing check, ``_plan_overlap``), replayed
   at emit time against the concrete buffers, so the generated slices and the
@@ -54,6 +57,7 @@ from .vectorize import (
     CompiledKernel,
     CompiledNest,
     _Bailout,
+    _block_extents,
     _constant_operand,
     _dump_generated,
     _operand_refs,
@@ -590,8 +594,11 @@ class _MegakernelEmitter:
             for second in range(first + 1, len(arrays)):
                 if np.shares_memory(arrays[first], arrays[second]):
                     raise CodegenError("field arguments alias each other")
-        # Source-building state (filled by the parity-0 replay).
-        self.lines: list[tuple[int, str]] = []
+        # Source-building state (filled by the parity-0 replay): the scratch
+        # allocations that run once, ahead of the time loop, and the lines of
+        # the loop body with their relative indentation.
+        self.setup: list[str] = []
+        self.lines: list[str] = []
         self.ctx: list[Any] = []
         self._var = 0
         self.iter_cells = 0
@@ -612,14 +619,14 @@ class _MegakernelEmitter:
     def _var_for(sym: _Sym) -> str:
         return f"b{sym[1]}" if sym[0] == "slot" else f"a{sym[1]}"
 
-    def _new_var(self) -> str:
+    def _new_var(self, prefix: str) -> str:
         self._var += 1
-        return f"_v{self._var}"
+        return f"{prefix}{self._var}"
 
     def _span_lines(self, name: str) -> tuple[str, str]:
         """Begin/end source lines for one inlined span (unique local var)."""
         self._span += 1
-        var = f"_s{self._span}"
+        var = f"_sp{self._span}"
         return (
             f"{var} = _tracer.begin('{name}')",
             f"_tracer.end('{name}', {var})",
@@ -689,11 +696,11 @@ class _MegakernelEmitter:
                 if emit:
                     if self.traced:
                         begin, end = self._span_lines("halo.wait")
-                        self.lines.append((1, begin))
-                        self.lines.append((1, f"_cm(_comm, _h{ordinal})"))
-                        self.lines.append((1, end))
+                        self.lines.append(begin)
+                        self.lines.append(f"_cm(_comm, _h{ordinal})")
+                        self.lines.append(end)
                     else:
-                        self.lines.append((1, f"_cm(_comm, _h{ordinal})"))
+                        self.lines.append(f"_cm(_comm, _h{ordinal})")
                     self.iter_halo_elements += halo.plan.elements
                     if overlapped:
                         self.iter_overlapped += 1
@@ -721,16 +728,16 @@ class _MegakernelEmitter:
                     variable = self._var_for(src)
                     if self.traced:
                         begin, end = self._span_lines("halo.post")
-                        self.lines.append((1, begin))
+                        self.lines.append(begin)
                         self.lines.append(
-                            (1, f"_h{ordinal} = _post(_comm, {variable}, "
-                                f"_ctx[{slot}])")
+                            f"_h{ordinal} = _post(_comm, {variable}, "
+                            f"_ctx[{slot}])"
                         )
-                        self.lines.append((1, end))
+                        self.lines.append(end)
                     else:
                         self.lines.append(
-                            (1, f"_h{ordinal} = _post(_comm, {variable}, "
-                                f"_ctx[{slot}])")
+                            f"_h{ordinal} = _post(_comm, {variable}, "
+                            f"_ctx[{slot}])"
                         )
                     self.iter_mpi_messages += len(plan.sends)
                 if self.trace.overlap:
@@ -781,7 +788,7 @@ class _MegakernelEmitter:
             spans = emit and self.traced
             if spans:
                 nest_begin, nest_end = self._span_lines("nest")
-                self.lines.append((1, nest_begin))
+                self.lines.append(nest_begin)
             if overlap_plan is None:
                 self._emit_box(nest, base_syms, dims, resolved, actions, emit)
             else:
@@ -790,17 +797,17 @@ class _MegakernelEmitter:
                 interior = nest._resolve_regions(arrays, env, interior_dims)
                 if spans:
                     in_begin, in_end = self._span_lines("nest.interior")
-                    self.lines.append((1, in_begin))
+                    self.lines.append(in_begin)
                 self._emit_box(
                     nest, base_syms, interior_dims, interior, actions, emit
                 )
                 if spans:
-                    self.lines.append((1, in_end))
+                    self.lines.append(in_end)
                 complete(list(inflight), overlapped=True)
                 inflight.clear()
                 if spans:
                     bd_begin, bd_end = self._span_lines("nest.boundary")
-                    self.lines.append((1, bd_begin))
+                    self.lines.append(bd_begin)
                 for strip_dims in strips:
                     strip_dims = [tuple(dim) for dim in strip_dims]
                     strip = nest._resolve_regions(arrays, env, strip_dims)
@@ -808,9 +815,9 @@ class _MegakernelEmitter:
                         nest, base_syms, strip_dims, strip, actions, emit
                     )
                 if spans:
-                    self.lines.append((1, bd_end))
+                    self.lines.append(bd_end)
             if spans:
-                self.lines.append((1, nest_end))
+                self.lines.append(nest_end)
         except _Bailout as bail:
             raise CodegenError(f"nest cannot be emitted: {bail.reason}")
 
@@ -820,9 +827,9 @@ class _MegakernelEmitter:
         """Inline the statements of one (nest, box) pair, literal slices in.
 
         The statements are :func:`repro.interp.vectorize.emit_nest`'s — the
-        ones a :class:`CompiledNest` function runs — in the same order: loads
-        and element-wise math in instruction order, every commit deferred
-        past the last instruction.
+        ones a :class:`CompiledNest` function runs, block loop included — fed
+        literal region views; their scratch slots become locals allocated
+        once, ahead of the time loop.
         """
         regions = resolved[2]
         actions.append((
@@ -836,32 +843,28 @@ class _MegakernelEmitter:
         ))
         if not emit:
             return
+        trips = tuple(len(range(lower, upper, step)) for lower, upper, step in box_dims)
         loads: dict[int, tuple] = {}
         stores: dict[int, tuple] = {}
-        targets: list[str] = []
         for (position, is_store), region, sym in zip(
             nest._accesses, regions.values(), base_syms
         ):
-            array, slices, view_shape, region_shape = region
-            variable = self._var_for(sym)
-            source = f"{variable}[{_slice_src(slices)}]"
+            array, slices, view_shape, _ = region
+            source = f"{self._var_for(sym)}[{_slice_src(slices)}]"
+            shape = trips if is_store else view_shape
+            if array[slices].shape != shape:
+                source += f".reshape({shape!r})"
             if is_store:
-                stores[position] = (f"{variable}.dtype", array.dtype, region_shape)
-                targets.append(source)
-                continue
-            if array[slices].shape != view_shape:
-                source += f".reshape({view_shape!r})"
-            loads[position] = (source, array.dtype, view_shape)
-        statements, prepared, _ = emit_nest(
+                stores[position] = (source, array.dtype)
+            else:
+                loads[position] = (source, array.dtype, view_shape)
+        setup, lines, _ = emit_nest(
             nest.instrs, loads, stores,
             lambda ref: self._outer_operand(ref, box_dims),
-            tuple(len(range(lower, upper, step)) for lower, upper, step in box_dims),
-            self._new_var,
+            trips, _block_extents(trips), self._new_var,
         )
-        for line in statements:
-            self.lines.append((1, line))
-        for target, value in zip(targets, prepared):
-            self.lines.append((1, f"{target} = {value}"))
+        self.setup.extend(setup)
+        self.lines.extend(lines)
 
     def _outer_operand(self, ref: tuple, box_dims) -> tuple:
         """The operand descriptor of a free scalar or an affine value grid."""
@@ -916,14 +919,14 @@ class _MegakernelEmitter:
         ):
             if per_iteration:
                 body.append(f"_stats.{field} += _trips * {per_iteration}")
-        inner = [text for _level, text in self.lines]
+        body.extend(self.setup)
         if loop is None:
-            body.extend(inner)
+            body.extend(self.lines)
         else:
             for slot, index in enumerate(loop.init_args):
                 body.append(f"b{slot} = a{index}")
             body.append("for _t in range(_lo, _hi, _st):")
-            loop_body = list(inner)
+            loop_body = list(self.lines)
             perm = loop.perm
             if perm != list(range(len(perm))):
                 targets = ", ".join(f"b{j}" for j in range(len(perm)))

@@ -5,12 +5,12 @@ MPI+OpenMP: several OS-process ranks, each running a team of threads over the
 rank's shared address space.  This module provides that second level for the
 reproduction: a :class:`ThreadTeam` is a persistent pool of worker threads
 that the vectorized backend (:mod:`repro.interp.vectorize`) uses to split a
-compiled nest's outermost dimension into per-thread chunks.  The chunks are
-*prepared* (all loads and element-wise math) concurrently — NumPy releases the
-GIL inside its ufunc loops, so the flops genuinely overlap — and committed
-only after every chunk finished preparing, which preserves the backend's
-all-loads-then-all-stores semantics and therefore its bit-identical
-equivalence with the tree walker.
+compiled nest's outermost dimension into per-thread chunks.  The chunks run
+concurrently, each as its own sub-box of the nest — NumPy releases the GIL
+inside its ufunc loops, so the flops genuinely overlap.  A nest only runs
+vectorized when no cell it stores is loaded for another cell (the backend's
+aliasing verdict), so the chunks are independent and the result stays
+bit-identical to the tree walker.
 
 Teams are cached per size and per process, exactly like the OS-process worker
 pool one level up: a worker process of the SPMD runtime creates its team on

@@ -11,11 +11,21 @@ There is one way to run a compiled nest: as generated code.  A nest is a short
 instruction list (load, store, binary, unary, select, reduce), and
 :func:`emit_nest` is the only place an instruction becomes NumPy source.  It
 has two callers.  :class:`CompiledNest` wraps the statements in a function of
-the nest's region views — compiled once per load-dtype signature, fed per
+the nest's region views — compiled once per buffer-dtype signature, fed per
 invocation by the run-time decisions (bounds, slices, aliasing, halo-overlap
 split, thread-team chunks) that only the concrete buffers can settle.  The
 megakernel emitter (:mod:`repro.interp.codegen`) makes the same decisions once,
 at emit time, and inlines the same statements with literal slices.
+
+The emitted code writes each value once.  Every array-valued ``arith`` result
+of known dtype and full shape is computed with ``out=`` into one of a few
+scratch arrays, handed from value to value by a last-read liveness pass, and
+the last op of a single-store nest writes the target region itself, so a
+stencil step allocates nothing and copies nothing.  A box of more than
+:data:`_BLOCK_CELLS` cells is walked in blocks that keep the innermost
+dimension whole, so the whole expression DAG of a block is produced and
+consumed in cache (wave3d so4 on 128^3: 32 field-sized temporaries of 16 MB
+become five 256 KiB slots).
 
 A nest is vectorizable when
 
@@ -46,16 +56,21 @@ rejection (at compile time) and every run-time bounce is described by a
 
 Equivalence with the tree walker is bit-exact: scalar loads are widened to
 float64 exactly as ``ndarray.item()`` does, the element-wise expressions apply
-the same operation tree in the same order, reductions fold in iteration order,
-and stores down-cast on assignment.  Nests whose execution the slicing model
-cannot reproduce exactly (aliased read/write buffers with shifted offsets,
-out-of-range indices that python's negative indexing would wrap, non-positive
-steps) are detected at *run* time and bounce back to the interpreter for that
+the same operation tree in the same order, reductions fold in iteration order
+(and are never blocked), and stores down-cast on assignment.  A block loads,
+computes and then stores; that equals per-cell execution exactly when a store
+region overlaps a load only as the same cell read earlier in the body, which
+is what the aliasing verdict establishes before anything runs.  Nests whose
+execution the slicing model cannot reproduce exactly (aliased read/write
+buffers with shifted offsets, out-of-range indices that python's negative
+indexing would wrap, non-positive steps) are detected at *run* time, before
+the first block is written, and bounce back to the interpreter for that
 invocation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -196,47 +211,55 @@ def _operand_refs(instr: tuple) -> tuple:
         return instr[4:6]
     return instr[2:] if kind == "select" else instr[3:]
 
-_BINARY_EXPRESSIONS: dict[str, str] = {
-    "arith.addf": "({a} + {b})",
-    "arith.subf": "({a} - {b})",
-    "arith.mulf": "({a} * {b})",
-    "arith.divf": "({a} / {b})",
-    "arith.powf": "({a} ** {b})",
-    "arith.maximumf": "_np.maximum({a}, {b})",
-    "arith.minimumf": "_np.minimum({a}, {b})",
-    "arith.addi": "({a} + {b})",
-    "arith.subi": "({a} - {b})",
-    "arith.muli": "({a} * {b})",
-    "arith.minsi": "_np.minimum({a}, {b})",
-    "arith.maxsi": "_np.maximum({a}, {b})",
-    "arith.cmpf:oeq": "_np.equal({a}, {b})",
-    "arith.cmpf:ogt": "_np.greater({a}, {b})",
-    "arith.cmpf:oge": "_np.greater_equal({a}, {b})",
-    "arith.cmpf:olt": "_np.less({a}, {b})",
-    "arith.cmpf:ole": "_np.less_equal({a}, {b})",
-    "arith.cmpf:one": "_np.not_equal({a}, {b})",
-    "arith.cmpi:eq": "_np.equal({a}, {b})",
-    "arith.cmpi:ne": "_np.not_equal({a}, {b})",
-    "arith.cmpi:slt": "_np.less({a}, {b})",
-    "arith.cmpi:sle": "_np.less_equal({a}, {b})",
-    "arith.cmpi:sgt": "_np.greater({a}, {b})",
-    "arith.cmpi:sge": "_np.greater_equal({a}, {b})",
+#: Binary ops as ``(expression, ufunc)``: the expression is what the tree
+#: walker applies per cell (and what two python scalars keep); the ufunc is the
+#: same operation spelled so that it can write into existing memory
+#: (``_np.<ufunc>(a, b, out=...)``).  ``powf`` has none: ``array ** scalar``
+#: takes NumPy's fast scalar-power paths, which ``np.power`` does not.
+_BINARY_EXPRESSIONS: dict[str, tuple[str, Optional[str]]] = {
+    "arith.addf": ("({a} + {b})", "add"),
+    "arith.subf": ("({a} - {b})", "subtract"),
+    "arith.mulf": ("({a} * {b})", "multiply"),
+    "arith.divf": ("({a} / {b})", "divide"),
+    "arith.powf": ("({a} ** {b})", None),
+    "arith.maximumf": ("_np.maximum({a}, {b})", "maximum"),
+    "arith.minimumf": ("_np.minimum({a}, {b})", "minimum"),
+    "arith.addi": ("({a} + {b})", "add"),
+    "arith.subi": ("({a} - {b})", "subtract"),
+    "arith.muli": ("({a} * {b})", "multiply"),
+    "arith.minsi": ("_np.minimum({a}, {b})", "minimum"),
+    "arith.maxsi": ("_np.maximum({a}, {b})", "maximum"),
+    "arith.cmpf:oeq": ("_np.equal({a}, {b})", "equal"),
+    "arith.cmpf:ogt": ("_np.greater({a}, {b})", "greater"),
+    "arith.cmpf:oge": ("_np.greater_equal({a}, {b})", "greater_equal"),
+    "arith.cmpf:olt": ("_np.less({a}, {b})", "less"),
+    "arith.cmpf:ole": ("_np.less_equal({a}, {b})", "less_equal"),
+    "arith.cmpf:one": ("_np.not_equal({a}, {b})", "not_equal"),
+    "arith.cmpi:eq": ("_np.equal({a}, {b})", "equal"),
+    "arith.cmpi:ne": ("_np.not_equal({a}, {b})", "not_equal"),
+    "arith.cmpi:slt": ("_np.less({a}, {b})", "less"),
+    "arith.cmpi:sle": ("_np.less_equal({a}, {b})", "less_equal"),
+    "arith.cmpi:sgt": ("_np.greater({a}, {b})", "greater"),
+    "arith.cmpi:sge": ("_np.greater_equal({a}, {b})", "greater_equal"),
 }
 
-#: Unary ops as ``(array operand, python-scalar operand)`` templates: the tree
-#: walker converts scalars with ``float()``/``int()``, whole arrays need the
-#: dtype-converting NumPy form of the same conversion.
-_UNARY_EXPRESSIONS: dict[str, tuple[str, str]] = {
-    "arith.negf": ("(-{a})", "(-{a})"),
-    "arith.sitofp": ("_np.asarray({a}, dtype=_np.float64)", "float({a})"),
-    "arith.extf": ("_np.asarray({a}, dtype=_np.float64)", "float({a})"),
+#: Unary ops as ``(array expression, python-scalar expression, ufunc)``: the
+#: tree walker converts scalars with ``float()``/``int()``, whole arrays need
+#: the dtype-converting NumPy form of the same conversion.  The casts have no
+#: ufunc, and their result may be their operand itself (``np.asarray`` of an
+#: array that already has the dtype).
+_UNARY_EXPRESSIONS: dict[str, tuple[str, str, Optional[str]]] = {
+    "arith.negf": ("(-{a})", "(-{a})", "negative"),
+    "arith.sitofp": ("_np.asarray({a}, dtype=_np.float64)", "float({a})", None),
+    "arith.extf": ("_np.asarray({a}, dtype=_np.float64)", "float({a})", None),
     "arith.truncf": (
         "_np.asarray(_np.asarray({a}, dtype=_np.float32), dtype=_np.float64)",
         "float(_np.float32({a}))",
+        None,
     ),
-    "arith.fptosi": ("_np.asarray({a}).astype(_np.int64)", "int({a})"),
-    "arith.extsi": ("{a}", "{a}"),
-    "arith.trunci": ("{a}", "{a}"),
+    "arith.fptosi": ("_np.asarray({a}).astype(_np.int64)", "int({a})", None),
+    "arith.extsi": ("{a}", "{a}", None),
+    "arith.trunci": ("{a}", "{a}", None),
 }
 
 _FLOAT_BINOPS = frozenset({
@@ -274,13 +297,19 @@ def _widened(source: str, dtype: np.dtype) -> tuple[str, np.dtype]:
     return f"_np.asarray({source}, dtype=_np.int64)", np.dtype(np.int64)
 
 
-def _broadcast(a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple]:
-    if a is None or b is None:
-        return None
-    try:
-        return np.broadcast_shapes(a, b)
-    except ValueError:
-        raise _Bailout("operand shapes do not broadcast")
+def _broadcast(a: tuple, b: tuple) -> tuple:
+    """NumPy's broadcast of two shapes whose extents are ints or source names.
+
+    Every array of a nest has the nest's rank (scalars have shape ``()``) and
+    every extent is 1 or the iteration space's, spelled the same way.
+    """
+    if a == b or not b:
+        return a
+    if not a:
+        return b
+    if len(a) == len(b) and all(x == y or 1 in (x, y) for x, y in zip(a, b)):
+        return tuple(y if x == 1 else x for x, y in zip(a, b))
+    raise _Bailout("operand shapes do not broadcast")
 
 
 def _binary_dtype(name: str, a: tuple, b: tuple):
@@ -316,13 +345,46 @@ def _unary_dtype(name: str, a: tuple):
     return a[2]  # negf / extsi / trunci keep their operand's dtype
 
 
+#: A box of more iteration-space cells than this runs block by block, so that
+#: every value of a block's expression DAG is written and read back while it
+#: is still in cache instead of streaming field-sized arrays through it.
+#: 16-32 Ki cells (128-256 KiB per f64 value, a handful of values alive) was
+#: the best band for wave3d so4 on 128^3, 64^3 and (8, 256, 256) with a 4 MiB
+#: L2; 64 Ki cells is already 25 % slower.
+_BLOCK_CELLS = 32768
+
+
+def _block_extents(trips: tuple) -> tuple:
+    """The block shape of a box: at most ``_BLOCK_CELLS`` cells.
+
+    Blocks keep the innermost dimension whole (it is the contiguous one) and
+    shrink from the outermost; a box that fits the budget is its own block.
+    """
+    block = list(trips)
+    for dim in range(len(trips) - 1):
+        inner = math.prod(trips[dim + 1:])
+        if block[dim] * inner <= _BLOCK_CELLS:
+            break
+        block[dim] = max(1, _BLOCK_CELLS // inner)
+    return tuple(block)
+
+
+def _spelled(shape: tuple) -> str:
+    return f"({', '.join(map(str, shape))}{',' if len(shape) == 1 else ''})"
+
+
+def _dtype_source(dtype: np.dtype) -> str:
+    return f"_np.{dtype.type.__name__}"
+
+
 def emit_nest(
     instrs: list[tuple],
     loads: dict[int, tuple],
     stores: dict[int, tuple],
     outer: Callable[[_Ref], tuple],
-    nest_shape: Union[tuple, str],
-    new_var: Callable[[], str],
+    nest_shape: tuple,
+    block: tuple,
+    new_var: Callable[[str], str],
 ) -> tuple[list[str], list[str], list[str]]:
     """Render one box of a nest's ``instrs`` as NumPy statements.
 
@@ -331,42 +393,134 @@ def emit_nest(
     * ``loads[position] = (source, dtype, shape)`` — an expression for the
       load's region view, already shaped to broadcast into the iteration
       space, and the buffer's dtype;
-    * ``stores[position] = (dtype source, dtype, region shape)`` — how the
-      statements spell the target buffer's dtype, and the shape of the
-      target region;
+    * ``stores[position] = (source, dtype)`` — an expression for the target
+      region view, shaped like the iteration space, and the buffer's dtype;
     * ``outer(ref)`` — the operand descriptor of a ``("free", value)`` or
       ``("aff", affine)`` reference;
-    * ``nest_shape`` — the iteration-space shape of the box.
+    * ``nest_shape`` — the iteration-space shape of the box, and ``block`` —
+      the shape it is walked in (:func:`_block_extents`; ``nest_shape``
+      itself for a single block, and always for a reduction, which folds in
+      iteration order);
+    * ``new_var(prefix)`` — a fresh local name.
 
     An operand descriptor is ``(expression, is_array, dtype, shape)``;
     ``is_array`` picks between the array and python-scalar unary templates,
     ``dtype`` is a numpy dtype, a ``"pyint"``/``"pyfloat"``/``"pybool"``
-    marker, or None (unknown).  Shapes and dtypes are either literal (the
-    megakernel knows its buffers) or source names / None (a
-    :class:`CompiledNest` function is generic over them): with literal
-    shapes a store whose prepare pipeline would be the identity is committed
-    directly, which unknown shapes or dtypes only ever forfeit.
+    marker, or None (unknown).  The extents of a shape are ints (the
+    megakernel knows its buffers) or source names (a :class:`CompiledNest`
+    function is generic over them); an array's extent is the iteration
+    space's or 1.
 
-    Returns ``(statements, prepared, reduced)``: the statements in
-    instruction order, then one expression per store (the value to commit,
-    *after* every statement ran — all loads precede all stores) and one per
-    reduction result.  Raises :class:`_Bailout` when literal shapes show the
-    nest cannot be executed by broadcasting.
+    Each value is written once.  An array result whose dtype is known and
+    whose shape is the block's is computed with ``out=`` into a scratch slot
+    that a last-read liveness pass hands on to later values, and the last op
+    of a single-store nest writes the target region itself; python scalars,
+    ``select``, the casts, values of unknown dtype or lower rank and the
+    stored values of a multi-store nest keep their allocating expressions.
+    When ``block`` is smaller than ``nest_shape`` the statements sit in a loop
+    over the blocks, each block loading, computing and then storing — legal
+    exactly when :meth:`CompiledNest._aliasing_is_safe` holds, which both
+    callers establish first: a store region then overlaps a load only as the
+    same cell, read earlier.
+
+    Returns ``(setup, lines, reduced)``: the scratch allocations (to run
+    once, before ``lines`` and before any loop around them), the statements
+    with their relative indentation — a comment recording the decision, the
+    block loop, per block the instructions in order and then the stores —
+    and the name of each reduction result.  Raises :class:`_Bailout` when
+    the shapes show the nest cannot be executed by broadcasting.
     """
-    literal = not isinstance(nest_shape, str)
+    rank = len(nest_shape)
+    looped = [dim for dim in range(rank) if block[dim] != nest_shape[dim]]
+    setup: list[str] = []
+    regions: list[str] = []  # region views bound once, ahead of the block loop
+    head: list[str] = []  # the loop headers and the extents of this block
+    local = list(nest_shape)
+    for depth, dim in enumerate(looped):
+        pad = "    " * depth
+        head.append(
+            f"{pad}for _i{dim} in range(0, {nest_shape[dim]}, {block[dim]}):"
+        )
+        if isinstance(nest_shape[dim], int) and nest_shape[dim] % block[dim] == 0:
+            local[dim] = block[dim]
+        else:
+            local[dim] = f"_n{dim}"
+            head.append(
+                f"{pad}    _n{dim} = min({block[dim]}, "
+                f"{nest_shape[dim]} - _i{dim})"
+            )
+    local = tuple(local)
+    ragged = any(local[dim] != block[dim] for dim in looped)
 
-    def spelled(shape: Union[tuple, str]) -> str:
-        return shape if isinstance(shape, str) else repr(shape)
+    def region(source: str) -> str:
+        if not looped or source.isidentifier():
+            return source
+        name = new_var("_r")
+        regions.append(f"{name} = {source}")
+        return name
 
-    shape_src = spelled(nest_shape)
+    def sliced(source: str, shape: tuple) -> tuple[str, tuple]:
+        """A region view of extents ``shape``, restricted to this block."""
+        parts = [
+            f"_i{dim}:_i{dim} + {local[dim]}"
+            if dim in looped and shape[dim] != 1 else ":"
+            for dim in range(rank)
+        ]
+        while parts and parts[-1] == ":":
+            parts.pop()
+        if not parts:
+            return source, shape
+        return (
+            f"{region(source)}[{', '.join(parts)}]",
+            tuple(1 if extent == 1 else local[dim]
+                  for dim, extent in enumerate(shape)),
+        )
+
+    # Liveness: the position of the last instruction that reads each value's
+    # storage.  A cast may return its operand, so its result shares the
+    # operand's storage; a stored value is read when the block commits.
+    storage: dict[SSAValue, SSAValue] = {}
+    last_read: dict[SSAValue, int] = {}
+    store_positions = []
+    last_compute = -1
+    for position, instr in enumerate(instrs):
+        if instr[0] == "store":
+            store_positions.append(position)
+        elif instr[0] != "load":
+            last_compute = position
+            if (instr[0] == "unary" and _UNARY_EXPRESSIONS[instr[2]][2] is None
+                    and instr[3][0] == "arr"):
+                storage[instr[1]] = storage.get(instr[3][1], instr[3][1])
+        for ref in _operand_refs(instr):
+            if ref[0] == "arr":
+                last_read[storage.get(ref[1], ref[1])] = (
+                    len(instrs) if instr[0] == "store" else position
+                )
     # With several stores in one nest, an earlier commit may mutate memory
     # that a later store's value still *views* (loads and broadcasts avoid
     # copies); materialise every value in that case so the committed data
     # is what was computed, not what the buffer holds mid-commit.
-    force_copy = sum(1 for instr in instrs if instr[0] == "store") > 1
+    force_copy = len(store_positions) > 1
+    # The op that may write the target region itself: the last computation of
+    # a single-store nest, feeding that store.  Nothing reads a load after
+    # it, and the loads that overlap the target are the same cells.
+    in_target = None
+    if len(store_positions) == 1 and last_compute >= 0 and \
+            instrs[store_positions[0]][1] == ("arr", instrs[last_compute][1]):
+        in_target = last_compute
+
+    targets = {
+        position: (sliced(source, nest_shape)[0], dtype)
+        for position, (source, dtype) in stores.items()
+    }
+    free_slots: dict[np.dtype, list[str]] = {}
+    slot_of: dict[SSAValue, tuple[np.dtype, str]] = {}
+    slot_sizes: list[int] = []
+    slot_views: list[str] = []
     values: dict[SSAValue, tuple] = {}
+    outers: dict[_Ref, tuple] = {}
     statements: list[str] = []
-    prepared: list[str] = []
+    commits: list[str] = []
     reduced: list[str] = []
 
     def resolve(ref: _Ref) -> tuple:
@@ -374,51 +528,103 @@ def emit_nest(
             return values[ref[1]]
         if ref[0] == "const":
             return _constant_operand(ref[1])
-        return outer(ref)
+        operand = outers.get(ref)
+        if operand is None:
+            expr, is_array, dtype, shape = outer(ref)
+            if is_array:
+                piece, shape = sliced(expr, shape)
+                if piece != expr:
+                    expr = new_var("_v")
+                    statements.append(f"{expr} = {piece}")
+            operand = outers[ref] = (expr, is_array, dtype, shape)
+        return operand
 
     def bind(result: SSAValue, expr: str, is_array: bool, dtype, shape) -> None:
-        name = new_var()
+        name = new_var("_v")
         statements.append(f"{name} = {expr}")
         values[result] = (name, is_array, dtype, shape)
 
+    def compute(position: int, result: SSAValue, template: str, ufunc,
+                operands: list, dtype, shape) -> None:
+        """Bind an arith result: in place when it is a block-shaped array."""
+        sources = [operand[0] for operand in operands]
+        is_array = any(operand[1] for operand in operands)
+        if not (ufunc and is_array and isinstance(dtype, np.dtype)
+                and shape == local):
+            expr = template.format(a=sources[0], b=sources[-1])
+            bind(result, expr, is_array, dtype, shape)
+            return
+        if position == in_target and targets[store_positions[0]][1] == dtype:
+            out = targets[store_positions[0]][0]
+        else:
+            pool = free_slots.setdefault(dtype, [])
+            if not pool:
+                name = new_var("_s")
+                setup.append(
+                    f"{name} = _np.empty({_spelled(block)}, {_dtype_source(dtype)})"
+                )
+                slot_sizes.append(dtype.itemsize)
+                if ragged:
+                    cut = ", ".join(f":{local[dim]}" for dim in range(looped[-1] + 1))
+                    view = new_var("_b")
+                    slot_views.append(f"{view} = {name}[{cut}]")
+                    name = view
+                pool.append(name)
+            out = pool.pop()
+            slot_of[result] = (dtype, out)
+        statements.append(f"_np.{ufunc}({', '.join(sources)}, out={out})")
+        values[result] = (out, True, dtype, shape)
+
     for position, instr in enumerate(instrs):
         kind = instr[0]
+        # A slot is free from its value's last read on: the instruction
+        # reading it may already write its own result there (same cells).
+        for ref in _operand_refs(instr):
+            if ref[0] == "arr":
+                value = storage.get(ref[1], ref[1])
+                if last_read[value] == position and value in slot_of:
+                    dtype, name = slot_of.pop(value)
+                    free_slots[dtype].append(name)
         if kind == "load":
             source, dtype, shape = loads[position]
+            source, shape = sliced(source, shape)
             source, dtype = _widened(source, dtype)
             bind(instr[1], source, True, dtype, shape)
         elif kind == "store":
-            dtype_src, target_dtype, region = stores[position]
+            target, target_dtype = targets[position]
             expr, is_array, dtype, shape = resolve(instr[1])
-            if literal and _broadcast(shape, nest_shape) != nest_shape:
+            if _broadcast(shape, local) != local:
                 raise _Bailout(
                     "store value cannot be broadcast to the iteration space"
                 )
-            if (literal and not force_copy and is_array
-                    and isinstance(dtype, np.dtype) and dtype == target_dtype
-                    and shape == nest_shape and region == nest_shape):
-                # Broadcast, reshape and astype are all the identity here.
-                prepared.append(expr)
-                continue
-            name = new_var()
-            statements.append(
-                f"{name} = _np.broadcast_to(_np.asarray({expr}), {shape_src})"
-                f".reshape({spelled(region)})"
-                f".astype({dtype_src}, copy={force_copy})"
-            )
-            prepared.append(name)
+            if expr == target:
+                continue  # its op wrote the target region in place
+            if force_copy or not (is_array and dtype == target_dtype
+                                  and shape == local):
+                # (Otherwise broadcast and astype are both the identity.)
+                name = new_var("_v")
+                statements.append(
+                    f"{name} = _np.broadcast_to(_np.asarray({expr}), "
+                    f"{_spelled(local)}).astype({_dtype_source(target_dtype)}, "
+                    f"copy={force_copy})"
+                )
+                expr = name
+            commits.append(f"{target}[...] = {expr}")
         elif kind == "binary":
             _, result, name, a_ref, b_ref = instr
             a, b = resolve(a_ref), resolve(b_ref)
-            bind(
-                result, _BINARY_EXPRESSIONS[name].format(a=a[0], b=b[0]),
-                a[1] or b[1], _binary_dtype(name, a, b), _broadcast(a[3], b[3]),
+            compute(
+                position, result, *_BINARY_EXPRESSIONS[name], [a, b],
+                _binary_dtype(name, a, b), _broadcast(a[3], b[3]),
             )
         elif kind == "unary":
             _, result, name, a_ref = instr
             a = resolve(a_ref)
-            template = _UNARY_EXPRESSIONS[name][0 if a[1] else 1]
-            bind(result, template.format(a=a[0]), a[1], _unary_dtype(name, a), a[3])
+            array_form, scalar_form, ufunc = _UNARY_EXPRESSIONS[name]
+            compute(
+                position, result, array_form if a[1] else scalar_form, ufunc,
+                [a], _unary_dtype(name, a), a[3],
+            )
         elif kind == "select":
             cond, a, b = (resolve(ref) for ref in instr[2:5])
             dtype = (
@@ -431,14 +637,37 @@ def emit_nest(
             )
         else:  # reduce
             _, _, ufunc, sequential, value_ref, init_ref, convert = instr
-            name = new_var()
+            name = new_var("_v")
             statements.append(
                 f"{name} = {convert}(_fold(_np.{ufunc}, {sequential}, "
                 f"_np.broadcast_to(_np.asarray({resolve(value_ref)[0]}), "
-                f"{shape_src}).ravel(), {resolve(init_ref)[0]}))"
+                f"{_spelled(local)}).ravel(), {resolve(init_ref)[0]}))"
             )
             reduced.append(name)
-    return statements, prepared, reduced
+
+    literal = all(isinstance(extent, int) for extent in (*nest_shape, *block))
+    scratch = " + ".join(
+        f"{slot_sizes.count(size)} x "
+        + (f"{size * math.prod(block)} B" if literal else f"{size} B/cell")
+        for size in sorted(set(slot_sizes), reverse=True)
+    ) or "none"
+    if reduced:
+        decision = "not blocked (reduction)"
+    elif not looped:
+        decision = "single block"
+    elif literal:
+        count = math.prod(-(-nest_shape[dim] // block[dim]) for dim in looped)
+        decision = f"{count} blocks of {_spelled(block)}"
+    else:
+        decision = f"blocks of {_spelled(block)}"
+    pad = "    " * len(looped)
+    return (
+        setup,
+        [f"# box {_spelled(nest_shape)}: {decision}, scratch {scratch}"]
+        + regions + head
+        + [pad + line for line in (*slot_views, *statements, *commits)],
+        reduced,
+    )
 
 
 def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):
@@ -473,8 +702,11 @@ class CompiledNest:
 
     The run-time half decides *where* the nest runs — concrete bounds, region
     slices, aliasing, overlap split, thread-team chunks — and hands the
-    region views of each box to a function generated by :func:`emit_nest`,
-    compiled once per load-dtype signature.
+    region views of each box (loads and store targets) to a function
+    generated by :func:`emit_nest`, compiled once per buffer-dtype signature
+    and set of blocked dimensions.  The function allocates its block-sized
+    scratch per call, so nothing is shared between rank threads or team
+    chunks running the same nest.
     """
 
     __slots__ = ("bounds", "instrs", "count_bounds", "rank", "op_name",
@@ -520,8 +752,9 @@ class CompiledNest:
         #: *this* invocation and object identity (and id reuse) cannot poison
         #: it.
         self._region_cache: dict[tuple, list] = {}
-        #: The generated functions, keyed by the dtypes of the loaded buffers
-        #: (the widening of a load is the one statement that depends on them).
+        #: The generated functions, keyed by the dtypes of the loaded and the
+        #: stored buffers (widening, scratch dtypes and the in-place store
+        #: depend on them) and by the dimensions the block loop walks.
         self._functions: dict[tuple, Callable] = {}
         #: ``(instruction index, is store)`` of every memory access, in order.
         self._accesses = tuple(
@@ -550,23 +783,28 @@ class CompiledNest:
 
         A ``False`` return leaves every buffer untouched, so the caller can
         safely re-run the nest through the tree walker;
-        :attr:`last_fallback` then says why.
+        :attr:`last_fallback` then says why.  Everything that can bail —
+        steps, regions, store coverage and shape, aliasing — is therefore
+        decided for every box before the first block of the first box is
+        written.
 
-        Two optional execution structures layer on top of the plain
-        prepare-then-commit path, both bit-identical to it:
+        A box runs block by block, each block loading, computing and then
+        storing (see :func:`emit_nest`); that equals per-cell execution
+        because of the aliasing verdict: a store region overlaps a load only
+        as the same cell, read earlier.  Two optional structures split the
+        iteration space into several boxes, both bit-identical for the same
+        reason:
 
         * **thread team** — when the interpreter carries an intra-rank
           :class:`~repro.interp.thread_team.ThreadTeam`, the outermost
-          dimension is split into per-thread chunks whose preparation (loads
-          and element-wise math) runs concurrently; every chunk finishes
-          preparing before any chunk commits, preserving the
-          all-loads-then-all-stores semantics;
+          dimension is split into per-thread chunks that run concurrently,
+          each on its own sub-box;
         * **halo overlap** — when the interpreter holds pending (posted but
           uncompleted) halo receives, the iteration space is partitioned into
           an interior box whose loads provably avoid the in-flight halo
-          regions and up to ``2 * rank`` boundary strips: the interior is
-          prepared and committed while the messages travel, the receives are
-          then completed, and the strips finish afterwards.
+          regions and up to ``2 * rank`` boundary strips: the interior runs
+          while the messages travel, the receives are then completed, and
+          the strips finish afterwards.
         """
         pending_halos = list(getattr(interp, "pending_halos", ()))
         try:
@@ -592,48 +830,44 @@ class CompiledNest:
                     # consumer (no overlap credit for this nest).
                     overlap = plan
             team = None if self.has_reduce else getattr(interp, "thread_team", None)
-            if overlap is not None:
-                interior_dims, strips = overlap
-                parts = self._prepare_boxes(arrays, env, interior_dims, team)
-            else:
-                parts = self._prepare_boxes(
-                    arrays, env, dims, team, resolved=resolved
-                )
+            first, strips = overlap if overlap is not None else (dims, ())
+            # Every box below is a subset of the one validated above.
+            calls = [
+                self._bind_box(arrays, env, box, resolved if box is dims else None)
+                for box in self._team_chunks(first, team)
+            ]
+            strips = [self._bind_box(arrays, env, box) for box in strips]
         except _Bailout as bail:
             if pending_halos:
                 interp.complete_pending_halos()
             self.last_fallback = VectorizeFallback(self.op_name, bail.reason)
             return False
         except Exception as err:
-            # Any surprise during preparation (unresolvable free value,
-            # unexpected runtime type) means the static analysis was too
-            # optimistic; no buffer has been touched yet, so falling back to
-            # the tree walker is always safe.
+            # Any surprise while binding (unresolvable free value, unexpected
+            # runtime type) means the static analysis was too optimistic; no
+            # buffer has been touched yet, so falling back to the tree walker
+            # is always safe.
             if pending_halos:
                 interp.complete_pending_halos()
             self.last_fallback = VectorizeFallback(
                 self.op_name, f"preparation failed: {err}"
             )
             return False
-        # The commit cannot raise: every prepared array was validated to have
-        # exactly the target region's shape and dtype.
-        tracer = getattr(interp, "tracer", None)
-        if overlap is not None and tracer is not None:
-            span = tracer.begin("nest.interior")
-            self._commit(interp, env, parts)
-            tracer.end("nest.interior", span)
+        tracer = getattr(interp, "tracer", None) if overlap is not None else None
+        span = tracer.begin("nest.interior") if tracer is not None else 0.0
+        if len(calls) == 1:
+            reduced = calls[0]()
+            for value, result in zip(self._reduce_results, reduced):
+                interp.set(env, value, result)
         else:
-            self._commit(interp, env, parts)
+            team.map(lambda call: call(), calls)
         if overlap is not None:
-            _, strips = overlap
+            if tracer is not None:
+                tracer.end("nest.interior", span)
             interp.complete_pending_halos(overlapped=True)
-            # The strips were region-validated against the full box above
-            # (their bounds are subsets), so preparing them cannot bail.
             span = tracer.begin("nest.boundary") if tracer is not None else 0.0
-            for strip_dims in strips:
-                self._commit(
-                    interp, env, self._prepare_boxes(arrays, env, strip_dims, None)
-                )
+            for call in strips:
+                call()
             if tracer is not None:
                 tracer.end("nest.boundary", span)
         interp.stats.cells_updated += cells
@@ -676,9 +910,9 @@ class CompiledNest:
         ``regions`` maps the instruction index to
         ``(array, slices, view_shape, region_shape)``.
         Raising :class:`_Bailout` here means the box cannot be executed by
-        slicing at all — or, with ``check_aliasing``, that all-loads-then-
-        all-stores would not match per-cell execution — and nothing has been
-        written yet.
+        slicing at all — or, with ``check_aliasing``, that running it block
+        by block (loads, then stores) would not match per-cell execution —
+        and nothing has been written yet.
 
         Successful resolutions are memoized per buffer layout, with their
         aliasing verdict: both depend only on the box, the free index values
@@ -739,47 +973,24 @@ class CompiledNest:
         return loads, stores, regions
 
     # -- thread-team chunking -------------------------------------------------
-    def _prepare_boxes(self, arrays: list, env: dict, dims, team, *, resolved=None):
-        """Prepare one box, split over the team's threads when worthwhile.
+    @staticmethod
+    def _team_chunks(dims, team) -> list:
+        """The boxes ``dims`` runs as: one per team thread when worthwhile.
 
-        Returns a list of ``(pending stores, bindings)`` pairs — one per
-        chunk — with *nothing committed yet*, so a bailing chunk leaves every
-        buffer untouched.  Chunks split the outermost dimension only, which
-        keeps their store regions disjoint.
+        Chunks split the outermost dimension only, which keeps their store
+        regions disjoint.
         """
-        boxes = [dims]
         if team is not None:
             trips = [len(range(lower, upper, step)) for lower, upper, step in dims]
             if trips and trips[0] >= 2 and math.prod(trips) >= _TEAM_MIN_CELLS:
                 from .thread_team import split_trip_counts
 
                 lower, _, step = dims[0]
-                boxes = [
+                return [
                     [(lower + start * step, lower + end * step, step), *dims[1:]]
                     for start, end in split_trip_counts(trips[0], team.size)
                 ]
-        if len(boxes) == 1:
-            return [self._prepare_box(arrays, env, boxes[0], resolved=resolved)]
-
-        def worker(box):
-            try:
-                return self._prepare_box(arrays, env, box)
-            except _Bailout as bail:
-                return bail
-
-        results = team.map(worker, boxes)
-        for result in results:
-            if isinstance(result, _Bailout):
-                raise result
-        return results
-
-    @staticmethod
-    def _commit(interp, env: dict, parts) -> None:
-        for pending, bindings in parts:
-            for array, slices, prepared in pending:
-                array[slices] = prepared
-            for value, result in bindings:
-                interp.set(env, value, result)
+        return [dims]
 
     # -- halo/compute overlap --------------------------------------------------
     def _plan_overlap(self, env: dict, dims, resolved, pending_halos):
@@ -860,88 +1071,102 @@ class CompiledNest:
         interior_dims = [(lower, upper, 1) for lower, upper in interior]
         return interior_dims, strips
 
-    # -- single-box preparation -------------------------------------------------
-    def _prepare_box(self, arrays: list, env: dict, dims, *, resolved=None):
-        """Prepare (but do not commit) the nest restricted to the ``dims`` box."""
+    # -- one box ----------------------------------------------------------------
+    def _bind_box(self, arrays: list, env: dict, dims, resolved=None) -> Callable:
+        """The nest restricted to the ``dims`` box, as a call that runs it.
+
+        Nothing is written until the returned call is made; it returns the
+        reduction results.
+        """
         if resolved is None:
             resolved = self._resolve_regions(arrays, env, dims)
-        regions = resolved[2]
-        args: list[Any] = [
-            tuple(len(range(lower, upper, step)) for lower, upper, step in dims)
-        ]
+        trips = tuple(len(range(lower, upper, step)) for lower, upper, step in dims)
+        block = trips if self.has_reduce else _block_extents(trips)
+        args: list[Any] = [trips, block]
         load_dtypes: list[str] = []
-        targets: list[tuple[np.ndarray, tuple]] = []
-        for (_, is_store), region in zip(self._accesses, regions.values()):
-            array, slices, view_shape, region_shape = region
-            if is_store:
-                args += (array.dtype, region_shape)
-                targets.append((array, slices))
-            else:
-                args.append(array[slices].reshape(view_shape))
-                load_dtypes.append(array.dtype.str)
+        store_dtypes: list[str] = []
+        for (_, is_store), region in zip(self._accesses, resolved[2].values()):
+            array, slices, view_shape, _ = region
+            args.append(array[slices].reshape(trips if is_store else view_shape))
+            (store_dtypes if is_store else load_dtypes).append(array.dtype.str)
         for tag, operand in self._outer:
             args.append(
                 env[operand] if tag == "free"
                 else self._materialize(operand, dims, env)
             )
-        prepared, reduced = self._function(tuple(load_dtypes))(*args)
-        pending: list[tuple[np.ndarray, tuple, np.ndarray]] = []
-        for (array, slices), value in zip(targets, prepared):
-            if value.shape != array[slices].shape:
-                raise _Bailout(
-                    "store value does not match the target region shape"
-                )
-            pending.append((array, slices, value))
-        return pending, list(zip(self._reduce_results, reduced))
+        function = self._function(
+            tuple(load_dtypes), tuple(store_dtypes),
+            tuple(dim for dim in range(self.rank) if block[dim] != trips[dim]),
+        )
+        return functools.partial(function, *args)
 
-    def _function(self, load_dtypes: tuple) -> Callable:
-        """The nest as one generated function, for buffers of ``load_dtypes``.
+    def _function(self, load_dtypes: tuple, store_dtypes: tuple,
+                  looped: tuple) -> Callable:
+        """The nest as one generated function, for buffers of these dtypes.
 
-        Its parameters are, in order: the iteration-space shape; per load the
-        region view (``_l<position>``), per store the target dtype and region
-        shape (``_d``/``_r<position>``), in instruction order; then one
-        ``_x<k>`` per free scalar or affine value grid.  It returns the
-        prepared store values and the reduction results.
+        Its parameters are, in order: the iteration-space shape and the block
+        shape (walked along the ``looped`` dimensions); per load the region
+        view (``_l<position>``) and per store the target region view
+        (``_t<position>``), in instruction order; then one ``_x<k>`` per free
+        scalar or affine value grid.  It writes the stores and returns the
+        reduction results.
         """
-        function = self._functions.get(load_dtypes)
+        key = (load_dtypes, store_dtypes, looped)
+        function = self._functions.get(key)
         if function is not None:
             return function
-        params = ["_shape"]
+        nest_shape = tuple(f"_shape[{dim}]" for dim in range(self.rank))
+
+        def extents(mapped) -> tuple:
+            """The view shape of a value that varies along the ``mapped`` dims."""
+            return tuple(
+                extent if dim in mapped else 1
+                for dim, extent in enumerate(nest_shape)
+            )
+
+        params = ["_shape", "_block"]
         loads: dict[int, tuple] = {}
         stores: dict[int, tuple] = {}
-        dtypes = iter(load_dtypes)
-        for position, instr in enumerate(self.instrs):
-            if instr[0] == "load":
+        dtypes = {False: iter(load_dtypes), True: iter(store_dtypes)}
+        for position, is_store in self._accesses:
+            dtype = np.dtype(next(dtypes[is_store]))
+            if is_store:
+                params.append(f"_t{position}")
+                stores[position] = (params[-1], dtype)
+            else:
                 params.append(f"_l{position}")
-                loads[position] = (params[-1], np.dtype(next(dtypes)), None)
-            elif instr[0] == "store":
-                params += (f"_d{position}", f"_r{position}")
-                stores[position] = (params[-2], None, params[-1])
+                axes = self.instrs[position][3]
+                loads[position] = (
+                    params[-1], dtype,
+                    extents({dim for affine in axes for dim in affine.coeffs}),
+                )
         params.extend(self._outer.values())
 
         def outer(ref: _Ref) -> tuple:
             if ref[0] == "free":
                 return (self._outer[ref], False, None, ())
             if ref[1].coeffs:
-                return (self._outer[ref], True, np.dtype(np.int64), None)
+                return (
+                    self._outer[ref], True, np.dtype(np.int64),
+                    extents(ref[1].coeffs),
+                )
             return (self._outer[ref], False, "pyint", ())
 
         counter = itertools.count(1)
-        statements, prepared, reduced = emit_nest(
-            self.instrs, loads, stores, outer, "_shape",
-            lambda: f"_v{next(counter)}",
+        setup, lines, reduced = emit_nest(
+            self.instrs, loads, stores, outer, nest_shape,
+            tuple(f"_block[{dim}]" if dim in looped else extent
+                  for dim, extent in enumerate(nest_shape)),
+            lambda prefix: f"{prefix}{next(counter)}",
         )
-        statements.append(
-            f"return ({''.join(f'{name}, ' for name in prepared)}), "
-            f"({''.join(f'{name}, ' for name in reduced)})"
-        )
+        lines.append(f"return ({''.join(f'{name}, ' for name in reduced)})")
         source = f"def _nest({', '.join(params)}):\n" + "".join(
-            f"    {line}\n" for line in statements
+            f"    {line}\n" for line in (*setup, *lines)
         )
-        _dump_generated(f"nest {self.op_name} {load_dtypes}", source)
+        _dump_generated(f"nest {self.op_name} {key}", source)
         namespace = {"_np": np, "_fold": _fold}
         exec(compile(source, f"<nest:{self.op_name}>", "exec"), namespace)
-        function = self._functions[load_dtypes] = namespace["_nest"]
+        function = self._functions[key] = namespace["_nest"]
         return function
 
     def _resolve_region(
@@ -1001,11 +1226,18 @@ class CompiledNest:
                 "store does not cover every nest dimension "
                 "(iterations would collapse onto the same cells)"
             )
+        if is_store and array[tuple(slices)].shape != tuple(region_shape):
+            raise _Bailout("store value does not match the target region shape")
         return tuple(slices), tuple(view_shape), tuple(region_shape)
 
     @staticmethod
     def _aliasing_is_safe(loads, stores, regions) -> bool:
-        """Check that all-loads-then-all-stores matches per-cell execution."""
+        """Check that loading a block, then storing it, matches per-cell execution.
+
+        True when every store region overlaps a load only as the same region
+        read earlier in the body, and another store only as the same region:
+        then no cell written by one block (or box) is read by another.
+        """
         for store_position, store_array_id, store_slices in stores:
             store_view = None
             for load_position, load_array_id, load_slices in loads:

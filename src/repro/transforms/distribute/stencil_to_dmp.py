@@ -5,7 +5,8 @@ distributed execution" of paper §4.2.  Given a rank topology and a
 decomposition strategy it
 
 1. computes the halo each field needs from the ``stencil.access`` offsets of
-   every ``stencil.apply`` in the function,
+   every ``stencil.apply`` in the function (along a dimension split over
+   ranks, the wider side on both sides: exchanges pair equal-width strips),
 2. rewrites every ``!stencil.field`` (and dependent temp) type from the global
    bounds to the rank-local bounds (core at ``[0, n)`` plus halo),
 3. shrinks every ``stencil.store`` range to the local core, and
@@ -113,7 +114,14 @@ def distribute_stencil(
     applies = stencil.apply_ops_of(module)
     if not applies:
         raise DecompositionError("module contains no stencil.apply operations")
-    halo_lower, halo_upper = stencil.combined_halo(applies)
+    grid = strategy.rank_grid()
+    halo_lower, halo_upper = map(list, stencil.combined_halo(applies))
+    # A dmp exchange pairs each receive with a send of the same width, so a
+    # rank that reads only one neighbour must still feed the other: a halo
+    # is as wide on both sides along every dimension split over ranks.
+    for dim, ranks in enumerate(grid.shape[:len(halo_lower)]):
+        if ranks > 1:
+            halo_lower[dim] = halo_upper[dim] = max(halo_lower[dim], halo_upper[dim])
 
     global_bounds = _collect_global_bounds(module)
     global_shape = global_bounds.shape
@@ -134,7 +142,6 @@ def distribute_stencil(
     infer_shapes(module)
 
     # 4. Insert a dmp.swap before every stencil.load.
-    grid = strategy.rank_grid()
     exchanges = strategy.exchanges(domain)
     swaps = 0
     for op in list(module.walk()):

@@ -29,7 +29,7 @@ from repro.interp import (
     trace_program,
 )
 from repro.runtime import processes_available
-from repro.workloads import heat_diffusion
+from repro.workloads import acoustic_wave, heat_diffusion
 from tests.conftest import build_jacobi_module
 
 needs_processes = pytest.mark.skipif(
@@ -239,6 +239,52 @@ def test_generated_source_is_inspectable():
         for kernel in kernels:
             assert "def " in kernel.source
             assert kernel.label
+
+
+def _wave_source(extent):
+    """The megakernel source of wave3d so4 on an ``extent``^3 grid, after 1 step."""
+    workload = acoustic_wave((extent,) * 3, space_order=4, dtype=np.float64)
+    program = compile_stencil_program(
+        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
+        cpu_target(),
+    )
+    data = workload.function.data_with_halo
+    with Session(codegen="megakernel") as session:
+        session.plan(program).run([data[k].copy() for k in range(3)], [1])
+    (kernel,) = _megakernels(program)
+    return kernel.source
+
+
+def test_source_records_the_blocking_decision_per_box():
+    """One comment per box: block shape and count, scratch slots x bytes."""
+    blocked = _wave_source(40)  # 64 000 cells: more than one block
+    assert "# box (40, 40, 40): 2 blocks of (20, 40, 40), scratch 5 x 256000 B" \
+        in blocked
+    assert "for _i0 in range(0, 40, 20):" in blocked
+    single = _wave_source(16)
+    assert "# box (16, 16, 16): single block, scratch 5 x 32768 B" in single
+    assert "for _i" not in single
+    program = _compile_heat((2, 1))  # overlapped: interior + one strip per rank
+    with Session(runtime="threads", codegen="megakernel") as session:
+        session.plan(program).run(_heat_fields(), [2])
+    for kernel in _megakernels(program):
+        assert kernel.source.count("# box ") == 2
+        assert kernel.source.count(": single block, scratch ") == 2
+
+
+def test_wave_kernel_allocates_no_field_sized_temporary():
+    """Every op of the so4 wave step writes into scratch or into the field."""
+    lines = [line.strip() for line in _wave_source(40).splitlines()]
+    assert not [line for line in lines if " = (" in line]  # `_v2 = (2.0 * _v1)`
+    arithmetic = [
+        line for line in lines if "_np." in line and "_np.empty" not in line
+    ]
+    assert len(arithmetic) > 30
+    assert all(
+        line.startswith(("_np.multiply(", "_np.add(", "_np.subtract("))
+        and ", out=" in line for line in arithmetic
+    )
+    assert sum("out=_r" in line for line in arithmetic) == 1  # the store itself
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ from repro.core import (
     RuntimeFallbackWarning,
     Session,
     compile_stencil_program,
+    cpu_target,
     default_session,
     dmp_target,
 )
+from repro.frontends.oec import StencilProgramBuilder
 from repro.interp import SimulatedMPI
 from repro.runtime import (
     PoolManager,
@@ -168,6 +170,34 @@ def test_heat_kernel_runtime_parity(rank_grid, lower, overlap, codegen):
     assert processes_result.comm_statistics == threads_result.comm_statistics
     assert processes_result.messages_sent == threads_result.messages_sent > 0
     assert processes_result.bytes_sent == threads_result.bytes_sent > 0
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
+@pytest.mark.parametrize("runtime", [
+    "threads", pytest.param("processes", marks=needs_processes)])
+def test_one_sided_halo_is_fed_by_both_neighbours(runtime, lower):
+    """``v[i] = u[i+1]`` on two ranks: the rank that reads nothing from its
+    lower neighbour must still send to it (this used to hang every tier until
+    the comm timeout: a dmp exchange pairs equal-width strips)."""
+
+    def module():
+        builder = StencilProgramBuilder(shape=(8,), halo=1, dtype="f64")
+        u, v = builder.add_field("u"), builder.add_field("v")
+        builder.add_stencil([u], v, lambda expr: expr.access(0, [1]))
+        return builder.build()
+
+    initial = np.random.default_rng(0).standard_normal(10)
+    want = [initial.copy(), np.zeros(10)]
+    _run(compile_stencil_program(module(), cpu_target()), want, [2])
+    got = [initial.copy(), np.zeros(10)]
+    result = _run(
+        compile_stencil_program(
+            module(), dmp_target((2,), lower_to_library_calls=lower)),
+        got, [2], runtime=runtime, margin=(1,), timeout=20.0,
+    )
+    assert result.runtime == runtime
+    assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
+    assert result.messages_sent == 2 * 2  # both directions, both steps
 
 
 @needs_processes

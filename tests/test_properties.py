@@ -5,6 +5,7 @@ import sys
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,17 @@ from repro.core import (
 )
 from repro.dialects import arith, builtin, dmp, func, memref, scf, stencil
 from repro.frontends.oec import StencilProgramBuilder
-from repro.interp import Interpreter, SimulatedMPI, compile_kernel, vectorize
-from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
+from repro.interp import (
+    CodegenError,
+    Interpreter,
+    SimulatedMPI,
+    compile_kernel,
+    emit_megakernel,
+    trace_program,
+    vectorize,
+)
+from repro.interp.interpreter import ExecStatistics
+from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64, index
 from repro.transforms.distribute import GridSlicingStrategy
 from tests.conftest import build_jacobi_module
 
@@ -252,21 +262,7 @@ def _oec_module(spec):
 
         return lambda expr: emit(expr, tree)
 
-    def reach(node):
-        """The largest |offset| along the decomposed (first) dimension."""
-        if node[0] == "access":
-            return abs(node[2][0])
-        return 0 if node[0] == "const" else max(reach(node[1]), reach(node[2]))
-
-    # The dmp layer pairs each receive with a send of the same width, so a
-    # one-sided halo along the decomposed dimension deadlocks (ROADMAP, open
-    # item): anchor the first stencil with a symmetric pair at full reach.
-    width = max(reach(tree) for _, _, tree in spec["stencils"])
-    rest = (0,) * (len(spec["shape"]) - 1)
-    anchor = ("add", ("access", 0, (-width, *rest)), ("access", 0, (width, *rest)))
-    for position, (inputs, output, tree) in enumerate(spec["stencils"]):
-        if position == 0:
-            tree = ("add", tree, ("mul", ("const", 0.5), anchor))
+    for inputs, output, tree in spec["stencils"]:
         builder.add_stencil(
             [handles[k] for k in inputs], handles[output], body_of(tree))
     if spec["swap"]:
@@ -295,37 +291,218 @@ _TIERS = (
 )
 
 
+#: Small enough that the drawn boxes (a few cells per axis) run as several
+#: blocks with ragged last ones, also inside team chunks and overlap strips.
+_SMALL_BLOCK_CELLS = 8
+
+
+def _compiled_worlds():
+    """Patch the cost thresholds: first as shipped, then with blocks forced.
+
+    Thread-team chunking normally needs 4096 cells to be worth it; it is
+    forced in both.
+    """
+    for budget in (vectorize._BLOCK_CELLS, _SMALL_BLOCK_CELLS):
+        with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1), \
+                mock.patch.object(vectorize, "_BLOCK_CELLS", budget):
+            yield budget
+
+
 def _run_tiers(program, make_fields, steps, **config):
     """Run every tier; assert fields, Exec and Comm statistics all agree."""
-    reference = None
+
+    def run(tier):
+        fields = make_fields()
+        result = default_session().run(
+            program, fields, [steps], runtime="threads", **config, **tier)
+        # Two counters describe *how* a tier ran, not what it computed:
+        # the tree walker dispatches ops per cell and never overlaps a
+        # halo exchange.  The compiled tiers must agree on both.
+        how = [(s.ops_executed, s.halo_swaps_overlapped) for s in result.statistics]
+        observed = (
+            [field.tobytes() for field in fields],
+            [
+                dataclasses.replace(s, ops_executed=0, halo_swaps_overlapped=0)
+                for s in result.statistics
+            ],
+            result.comm_statistics,
+        )
+        return observed, how
+
+    reference, _ = run(_TIERS[0])
     compiled_how = None
-    # Thread-team chunking normally needs 4096 cells to be worth it.
-    with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1):
-        for tier in _TIERS:
-            fields = make_fields()
-            result = default_session().run(
-                program, fields, [steps], runtime="threads", **config, **tier)
-            # Two counters describe *how* a tier ran, not what it computed:
-            # the tree walker dispatches ops per cell and never overlaps a
-            # halo exchange.  The compiled tiers must agree on both.
-            how = [
-                (s.ops_executed, s.halo_swaps_overlapped) for s in result.statistics
-            ]
-            observed = (
-                [field.tobytes() for field in fields],
-                [
-                    dataclasses.replace(s, ops_executed=0, halo_swaps_overlapped=0)
-                    for s in result.statistics
-                ],
-                result.comm_statistics,
-            )
-            if reference is None:
-                reference = observed
-                continue
-            assert observed == reference, tier
+    for budget in _compiled_worlds():
+        program._megakernel_cache.clear()  # emitted under the other budget
+        for tier in _TIERS[1:]:
+            observed, how = run(tier)
+            assert observed == reference, (tier, budget)
             if compiled_how is None:
                 compiled_how = how
-            assert how == compiled_how, tier
+            assert how == compiled_how, (tier, budget)
+
+
+def _load(b, ref, indices):
+    return b.insert(memref.LoadOp(ref, list(indices))).result
+
+
+def _apply(b, op_cls, *operands):
+    return b.insert(op_cls(*operands)).result
+
+
+def _store(b, value, ref, indices):
+    b.insert(memref.StoreOp(value, ref, list(indices)))
+
+
+def _const(b, value, element=f64):
+    if isinstance(value, float):
+        return b.insert(arith.ConstantOp.from_float(value, element)).result
+    return b.insert(arith.ConstantOp.from_int(value)).result
+
+
+def _case_in_place(b, args, ivs):
+    u, w = args
+    _store(b, _apply(b, arith.AddfOp, _load(b, u, ivs), _load(b, w, ivs)), u, ivs)
+
+
+def _case_store_feeds_on_a_later_target(b, args, ivs):
+    a, w, out = args
+    v = _load(b, a, ivs)
+    _store(b, _apply(b, arith.MulfOp, v, v), out, ivs)
+    _store(b, _apply(b, arith.AddfOp, v, _load(b, w, ivs)), a, ivs)
+
+
+def _case_store_views_an_earlier_target(b, args, ivs):
+    a, w, out = args
+    v = _load(b, a, ivs)
+    _store(b, _apply(b, arith.AddfOp, v, _load(b, w, ivs)), a, ivs)
+    _store(b, v, out, ivs)
+
+
+def _case_f32_store_of_an_f64_op(b, args, ivs):
+    x, y, out = args
+    _store(b, _apply(b, arith.DivfOp, _load(b, x, ivs),
+                     _apply(b, arith.AddfOp, _load(b, y, ivs), _const(b, 9.0, f32))),
+           out, ivs)
+
+
+def _case_i32_store_of_an_i64_op(b, args, ivs):
+    small, wide, out = args
+    k = _apply(b, arith.ExtSIOp, _load(b, small, ivs), i64)
+    _store(b, _apply(b, arith.TruncIOp, _apply(
+        b, arith.MuliOp, k, _load(b, wide, ivs)), i32), out, ivs)
+
+
+def _case_select(b, args, ivs):
+    x, y, out = args
+    lhs, rhs = _load(b, x, ivs), _load(b, y, ivs)
+    _store(b, _apply(b, arith.SelectOp, _apply(b, arith.CmpfOp, "ogt", lhs, rhs),
+                     lhs, _apply(b, arith.MulfOp, rhs, _const(b, 2.0))), out, ivs)
+
+
+def _case_lower_rank_loads(b, args, ivs):
+    x, row, column, out = args
+    scaled = _apply(b, arith.MulfOp, _load(b, x, ivs), _load(b, row, ivs[1:]))
+    _store(b, _apply(b, arith.AddfOp, scaled, _apply(
+        b, arith.ExtFOp, _load(b, column, ivs[:1]), f64)), out, ivs)
+
+
+def _case_only_lower_rank_loads(b, args, ivs):
+    row, column, out = args
+    _store(b, _apply(b, arith.SubfOp, _load(b, row, ivs[1:]),
+                     _load(b, column, ivs[:1])), out, ivs)
+
+
+def _case_free_scalar(b, args, ivs):
+    x, out, scale = args
+    _store(b, _apply(b, arith.MulfOp, _load(b, x, ivs), scale), out, ivs)
+
+
+def _case_induction_variable_value(b, args, ivs):
+    x, out = args
+    row = _apply(b, arith.SIToFPOp, _apply(b, arith.IndexCastOp, ivs[0], i64), f64)
+    _store(b, _apply(b, arith.NegfOp, _apply(
+        b, arith.AddfOp, _load(b, x, ivs), row)), out, ivs)
+
+
+def _case_reduction_next_to_a_store(b, args, ivs):
+    x, y, out, _ = args
+    total = _apply(b, arith.AddfOp, _load(b, x, ivs), _load(b, y, ivs))
+    _store(b, total, out, ivs)
+    return [(total, arith.AddfOp)]
+
+
+def _case_reduction_of_the_region_updated_in_place(b, args, ivs):
+    u, w, _ = args
+    old = _load(b, u, ivs)
+    _store(b, _apply(b, arith.AddfOp, old, _load(b, w, ivs)), u, ivs)
+    return [(old, arith.MaximumfOp)]
+
+
+_FULL, _ROW, _COLUMN = (True, True), (False, True), (True, False)
+
+#: ``name -> (argument types, body, has a reduction)``; a ``(element type,
+#: mapped dims)`` pair is a memref over those dimensions of the iteration
+#: space, a bare type a scalar argument.
+_VALUE_CASES = {
+    "in-place": ([(f64, _FULL)] * 2, _case_in_place, False),
+    "store-feeds-on-a-later-target": (
+        [(f64, _FULL)] * 3, _case_store_feeds_on_a_later_target, False),
+    "store-views-an-earlier-target": (
+        [(f64, _FULL)] * 3, _case_store_views_an_earlier_target, False),
+    "f32-store-of-an-f64-op": (
+        [(f32, _FULL)] * 3, _case_f32_store_of_an_f64_op, False),
+    "i32-store-of-an-i64-op": (
+        [(i32, _FULL), (i64, _FULL), (i32, _FULL)],
+        _case_i32_store_of_an_i64_op, False),
+    "select": ([(f64, _FULL)] * 3, _case_select, False),
+    "lower-rank-loads": (
+        [(f64, _FULL), (f64, _ROW), (f32, _COLUMN), (f64, _FULL)],
+        _case_lower_rank_loads, False),
+    "only-lower-rank-loads": (
+        [(f64, _ROW), (f64, _COLUMN), (f64, _FULL)],
+        _case_only_lower_rank_loads, False),
+    "free-scalar": ([(f64, _FULL), (f64, _FULL), f64], _case_free_scalar, False),
+    "induction-variable-value": (
+        [(f64, _FULL)] * 2, _case_induction_variable_value, False),
+    "reduction-next-to-a-store": (
+        [(f64, _FULL)] * 3, _case_reduction_next_to_a_store, True),
+    "reduction-of-the-region-updated-in-place": (
+        [(f64, _FULL)] * 2, _case_reduction_of_the_region_updated_in_place, True),
+}
+
+
+def _bail_aliasing(b, args, ivs):
+    (u,) = args
+    below = [_apply(b, arith.AddiOp, ivs[0], _const(b, 1)), ivs[1]]
+    _store(b, _apply(b, arith.AddfOp, _load(b, u, ivs), _const(b, 1.0)), u, below)
+
+
+def _bail_copy(b, args, ivs):
+    x, out = args[:2]
+    _store(b, _load(b, x, ivs), out, ivs)
+
+
+def _bail_stride(b, args, ivs):
+    x, out = args
+    _store(b, _load(b, x, [_apply(b, arith.MuliOp, ivs[0], _const(b, 2)), ivs[1]]),
+           out, ivs)
+
+
+def _bail_uncovered(b, args, ivs):
+    x, out = args
+    _store(b, _load(b, x, ivs), out, ivs[:1])
+
+
+#: ``name -> (argument shapes, nest extents, body, part of the reason)``; an
+#: ``int`` in place of a shape is an index argument used as every step.
+_BAILING_CASES = {
+    "aliasing-stores": ([(7, 5)], (6, 5), _bail_aliasing, "aliasing"),
+    "out-of-range": ([(6, 5), (7, 5)], (7, 5), _bail_copy, "out-of-range"),
+    "non-unit-stride": ([(12, 5), (6, 5)], (6, 5), _bail_stride, "non-unit-stride"),
+    "non-positive-step": ([(6, 5), (6, 5), 0], (6, 5), _bail_copy, "step"),
+    "store-not-covering": (
+        [(6, 5), (6,)], (6, 5), _bail_uncovered, "does not cover every nest"),
+}
 
 
 class TestNestEmitterDifferential:
@@ -473,18 +650,122 @@ class TestNestEmitterDifferential:
         assert u.tobytes() == a.tobytes() and v.tobytes() == b.tobytes()
 
 
-def _parallel_module(arg_types, extents, body, inits=(), epilogue=None):
+
+    def test_rank_threads_and_teams_share_a_cold_blocked_nest(self):
+        """Two rank threads, each with a 2-thread team, first-call one nest:
+        scratch is per call, so chunks and ranks cannot see each other's."""
+        builder = StencilProgramBuilder(shape=(8, 6), halo=1, dtype="f64")
+        u, v = builder.add_field("u"), builder.add_field("v")
+        builder.add_stencil([u], v, lambda e: e.mul(
+            e.add(e.add(e.access(0, [-1, 0]), e.access(0, [1, 0])),
+                  e.add(e.access(0, [0, -1]), e.access(0, [0, 1]))),
+            e.constant(0.25)))
+        builder.swap(u, v)
+        program = compile_stencil_program(builder.build(), dmp_target((2, 1)))
+        rng = np.random.default_rng(11)
+        initial = [rng.standard_normal((10, 8)) for _ in range(2)]
+
+        def run(**config):
+            fields = [field.copy() for field in initial]
+            default_session().run(
+                program, fields, [3], runtime="threads", timeout=30.0, **config)
+            return [field.tobytes() for field in fields]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1), \
+                    mock.patch.object(vectorize, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
+                fast = run(codegen="planned", threads_per_rank=2)
+        finally:
+            sys.setswitchinterval(switch)
+        nests = program.compiled_kernel("kernel").nests.values()
+        assert all(nest._functions for nest in nests)
+        assert fast == run(backend="interpreter")
+
+    # -- how one value reaches memory: the cases the emitter tells apart ------
+
+    @pytest.mark.parametrize("case", sorted(_VALUE_CASES))
+    @given(st.integers(0, 6), st.integers(1, 5), st.integers(0, 2**16))
+    @settings(deadline=None)
+    def test_each_way_a_value_reaches_memory(self, case, rows, cols, seed):
+        types, body, reduction = _VALUE_CASES[case]
+        shape = [rows, cols]
+        arg_types = [
+            t if not isinstance(t, tuple) else MemRefType(
+                [extent for extent, keep in zip(shape, t[1]) if keep], t[0])
+            for t in types
+        ]
+        inits, epilogue = (), None
+        if reduction:
+            inits = [arith.ConstantOp.from_float(0.5, f64)]
+            arg_types.append(MemRefType([1], f64))
+
+            def epilogue(b, args, results):
+                zero = b.insert(arith.ConstantOp.from_int(0)).result
+                b.insert(memref.StoreOp(results[0], args[-1], [zero]))
+
+        module = _parallel_module(arg_types, shape, body, inits, epilogue)
+
+        def make_args():
+            rng = np.random.default_rng(seed)
+            args = []
+            for arg_type in arg_types:
+                if not isinstance(arg_type, MemRefType):
+                    args.append(float(rng.uniform(-2, 2)))
+                elif arg_type.element_type in (f64, f32):
+                    args.append(rng.uniform(-4, 4, arg_type.shape).astype(
+                        np.float64 if arg_type.element_type is f64 else np.float32))
+                else:
+                    args.append(rng.integers(-9, 9, arg_type.shape).astype(
+                        np.int64 if arg_type.element_type is i64 else np.int32))
+            return args
+
+        _check_against_tree_walker(module, make_args)
+
+    @pytest.mark.parametrize("case", sorted(_BAILING_CASES))
+    def test_a_bailing_nest_touches_nothing(self, case):
+        """Every run-time refusal is decided before the first block is written."""
+        shapes, extents, body, reason = _BAILING_CASES[case]
+        rng = np.random.default_rng(3)
+        args = [
+            shape if isinstance(shape, int) else rng.standard_normal(shape)
+            for shape in shapes
+        ]
+        step = next(
+            (k for k, shape in enumerate(shapes) if isinstance(shape, int)), None)
+        module = _parallel_module(
+            [index if isinstance(shape, int) else MemRefType(list(shape), f64)
+             for shape in shapes],
+            extents, body, step=step,
+        )
+        kernel_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
+        compiled = compile_kernel(module, "kernel")
+        assert compiled.nest_count == 1, compiled.fallback_reasons
+        (nest,) = compiled.nests.values()
+        before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+        for threads in (1, 2):
+            interp = Interpreter(module, kernel=compiled, threads=threads)
+            for _ in _compiled_worlds():
+                assert nest.execute(interp, dict(zip(kernel_op.args, args))) is False
+                assert reason in nest.last_fallback.reason
+                assert before == [
+                    a.tobytes() for a in args if isinstance(a, np.ndarray)]
+
+def _parallel_module(arg_types, extents, body, inits=(), epilogue=None, step=None):
     """``kernel(*args)``: one scf.parallel nest over ``extents`` built by ``body``.
 
     ``body(builder, args, ivs)`` emits the nest body and returns the
     ``(value, combiner op class)`` pairs to reduce (or None); ``inits`` are
     the constants the reductions start from and ``epilogue(builder, args,
-    results)`` consumes the loop results.
+    results)`` consumes the loop results.  The nest steps by one, or by the
+    kernel argument number ``step``.
     """
     kernel = func.FuncOp("kernel", FunctionType(arg_types, []))
     b = Builder.at_end(kernel.body.block)
     zero = b.insert(arith.ConstantOp.from_int(0)).result
-    one = b.insert(arith.ConstantOp.from_int(1)).result
+    one = b.insert(arith.ConstantOp.from_int(1)).result if step is None \
+        else kernel.args[step]
     uppers = [b.insert(arith.ConstantOp.from_int(e)).result for e in extents]
     loop = scf.ParallelOp(
         [zero] * len(extents), uppers, [one] * len(extents),
@@ -507,22 +788,35 @@ def _parallel_module(arg_types, extents, body, inits=(), epilogue=None):
 
 
 def _check_against_tree_walker(module, make_args):
-    """The nest's generated function, whole and team-chunked, vs the walker."""
+    """The nest's generated function — whole, team-chunked and inlined into a
+    megakernel where one can be traced — vs the walker."""
     kernel = compile_kernel(module, "kernel")
     assert kernel.nest_count == 1, kernel.fallback_reasons
     (nest,) = kernel.nests.values()
-    reference = None
-    with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1):
-        for config in (dict(), dict(kernel=kernel), dict(kernel=kernel, threads=2)):
-            args = make_args()
-            interp = Interpreter(module, **config)
-            interp.call("kernel", *args)
-            if config:
-                assert nest.last_fallback is None, nest.last_fallback
-            observed = (
-                [a.tobytes() for a in args if isinstance(a, np.ndarray)],
-                dataclasses.replace(interp.stats, ops_executed=0),
-            )
-            if reference is None:
-                reference = observed
-            assert observed == reference, config
+    kernel_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
+
+    def observed(args, stats):
+        return (
+            [a.tobytes() for a in args if isinstance(a, np.ndarray)],
+            dataclasses.replace(stats, ops_executed=0),
+        )
+
+    def run(**config):
+        args = make_args()
+        interp = Interpreter(module, **config)
+        interp.call("kernel", *args)
+        return observed(args, interp.stats)
+
+    reference = run()
+    try:
+        trace = trace_program(kernel_op, kernel)
+    except CodegenError:
+        trace = None  # a reduction, or a value used after the nest
+    for budget in _compiled_worlds():
+        for config in (dict(kernel=kernel), dict(kernel=kernel, threads=2)):
+            assert run(**config) == reference, (config, budget)
+            assert nest.last_fallback is None, nest.last_fallback
+        if trace is not None:
+            args, stats = make_args(), ExecStatistics()
+            assert emit_megakernel(trace, args).run(args, stats)
+            assert observed(args, stats) == reference, ("megakernel", budget)
