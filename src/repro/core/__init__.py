@@ -28,7 +28,13 @@ from .executor import (
     local_field_slices,
     scatter_field,
 )
-from .pipeline import CompilationError, CompiledProgram, compile_stencil_program
+from .pipeline import (
+    CompilationError,
+    CompiledProgram,
+    compile_from_frontend,
+    compile_stencil_program,
+    pipeline_for,
+)
 from .session import Plan, Session, SessionCounters, default_session
 from .targets import (
     Target,
@@ -44,6 +50,7 @@ __all__ = [
     "Target", "TargetKind",
     "cpu_target", "smp_target", "dmp_target", "gpu_target", "fpga_target",
     "CompiledProgram", "compile_stencil_program", "CompilationError",
+    "pipeline_for", "compile_from_frontend",
     "ExecutionConfig", "Session", "Plan", "SessionCounters", "default_session",
     "scatter_field", "gather_field", "local_field_slices",
     "ExecutionResult", "ExecutionError", "RuntimeFallbackWarning",

@@ -14,33 +14,39 @@ the decomposition summary needed to scatter/gather data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interp.vectorize import CompiledKernel
 
 from ..dialects.builtin import ModuleOp
 from ..ir.context import MLContext, default_context
+from ..ir.pass_manager import PassManager, Stage, VerifyPass
+from ..machine.kernel_model import CharacterizePass, ProgramCharacteristics
 from ..obs import compile_tracing
-from ..machine.kernel_model import ProgramCharacteristics, characterize_module
-from ..transforms.common import canonicalize, hoist_loop_invariant_code
+from ..transforms.common import (
+    CanonicalizePass,
+    CommonSubexpressionEliminationPass,
+    DeadCodeEliminationPass,
+    LoopInvariantCodeMotionPass,
+)
 from ..transforms.distribute import (
+    ConvertDMPToMPIPass,
+    DistributeStencilPass,
     GridSlicingStrategy,
-    distribute_stencil,
-    eliminate_redundant_swaps,
-    lower_dmp_to_mpi,
+    RedundantSwapEliminationPass,
 )
 from ..transforms.distribute.stencil_to_dmp import DistributionSummary
-from ..transforms.mpi import lower_mpi_to_func
-from ..transforms.smp import convert_scf_to_openmp, count_parallel_regions
+from ..transforms.mpi import ConvertMPIToFuncPass
+from ..transforms.smp import ConvertSCFToOpenMPPass, count_parallel_regions
 from ..transforms.stencil import (
+    ConvertStencilToGPUPass,
+    ConvertStencilToHLSPass,
+    ConvertStencilToSCFPass,
     HLSKernelInfo,
+    StencilFusionPass,
+    StencilShapeInferencePass,
     count_gpu_kernels,
-    infer_shapes,
-    lower_stencil_to_gpu,
-    lower_stencil_to_hls,
-    lower_stencil_to_scf,
-    stencil_precodegen_pipeline,
 )
 from .targets import Target, TargetKind
 
@@ -154,6 +160,62 @@ class CompiledProgram:
         ]
 
 
+def pipeline_for(target: Target) -> tuple[Stage, ...]:
+    """The ordered stages :func:`compile_stencil_program` runs for ``target``.
+
+    Pure: every call builds fresh, already-parameterised pass objects.
+    Ordering is the point of ``precodegen``: fusion only exists at the
+    stencil level, so it runs before ``lower-stencil`` erases the apply
+    structure — and the megakernel emitter sees one nest per fused region only
+    if the merge happened here.  CSE and DCE then clean the merged apply
+    bodies (duplicate accesses across formerly-separate applies, operands
+    orphaned by the merge), and canonicalize restores the invariants later
+    lowerings assume.  ``characterize`` reads the performance models' inputs
+    while the program is still at the stencil level.
+    """
+    kind = target.kind
+    fusion = (StencilFusionPass(),) if target.fuse_stencils else ()
+    stages = [
+        Stage("verify", (VerifyPass(),)),
+        Stage("infer-shapes", (StencilShapeInferencePass(),)),
+        Stage("precodegen", fusion + (
+            CommonSubexpressionEliminationPass(),
+            DeadCodeEliminationPass(),
+            CanonicalizePass(),
+        )),
+        Stage("characterize", (CharacterizePass(),)),
+    ]
+    if target.is_distributed:
+        stages.append(Stage("distribute", (
+            DistributeStencilPass(GridSlicingStrategy(target.rank_grid)),
+            RedundantSwapEliminationPass(),
+        )))
+    if kind == TargetKind.FPGA:
+        lowering = (
+            ConvertStencilToHLSPass(optimize=target.fpga_optimize),
+            ConvertStencilToSCFPass(),
+        )
+    elif kind == TargetKind.GPU:
+        lowering = (ConvertStencilToGPUPass(),)
+    else:
+        lowering = (ConvertStencilToSCFPass(tile_sizes=target.tile_sizes),)
+    stages.append(Stage("lower-stencil", lowering))
+    if target.is_distributed and target.lower_to_library_calls:
+        stages.append(Stage("lower-mpi", (
+            ConvertDMPToMPIPass(),
+            ConvertMPIToFuncPass(),
+        )))
+    if kind in (TargetKind.CPU_OPENMP, TargetKind.DISTRIBUTED):
+        stages.append(Stage("openmp", (
+            ConvertSCFToOpenMPPass(num_threads=target.threads),
+        )))
+    stages.append(Stage("finalize", (
+        LoopInvariantCodeMotionPass(),
+        CanonicalizePass(),
+    )))
+    return tuple(stages)
+
+
 def compile_stencil_program(
     module: ModuleOp,
     target: Target,
@@ -162,77 +224,49 @@ def compile_stencil_program(
 ) -> CompiledProgram:
     """Lower a stencil-level module for ``target`` (in place) and describe it.
 
-    Every stage runs inside the thread-local compile-tracing scope: when a
-    frontend ``compile()`` already opened one, stage spans join the
-    frontend's track; otherwise this function owns the tracer.  Either way
-    the resulting :class:`~repro.obs.TraceRecord` travels on
+    The declared pipeline runs inside the thread-local compile-tracing scope:
+    when a frontend ``compile()`` already opened one, stage and pass spans
+    join the frontend's track; otherwise this function owns the tracer.
+    Either way the resulting :class:`~repro.obs.TraceRecord` travels on
     :attr:`CompiledProgram.compile_record`.
     """
-    ctx = ctx or default_context()
+    stages = pipeline_for(target)
     with compile_tracing() as tracer:
-        with tracer.span("pipeline.verify"):
-            module.verify()
-
-        # Stencil-level preparation shared by every target: the staged
-        # pre-codegen pipeline (fusion, then CSE/DCE/canonicalize) runs while
-        # the program is still at the stencil level, before any lowering
-        # erases the apply structure.
-        with tracer.span("pipeline.infer-shapes"):
-            infer_shapes(module)
-        with tracer.span("pipeline.precodegen"):
-            stencil_precodegen_pipeline(ctx, fuse=target.fuse_stencils).run(module)
-        with tracer.span("pipeline.characterize"):
-            characteristics = characterize_module(module)
-        stencil_regions = characteristics.stencil_regions
-
-        distribution: Optional[DistributionSummary] = None
-        hls_kernels: list[HLSKernelInfo] = []
-        parallel_regions = 0
-        gpu_kernels = 0
-
-        if target.is_distributed:
-            assert target.rank_grid is not None
-            with tracer.span("pipeline.distribute"):
-                strategy = GridSlicingStrategy(target.rank_grid)
-                distribution = distribute_stencil(module, strategy)
-                eliminate_redundant_swaps(module)
-
-        with tracer.span("pipeline.lower-stencil"):
-            if target.kind == TargetKind.FPGA:
-                hls_kernels = lower_stencil_to_hls(
-                    module, optimize=target.fpga_optimize)
-                lower_stencil_to_scf(module)
-            elif target.kind == TargetKind.GPU:
-                gpu_kernels = lower_stencil_to_gpu(module)
-            else:
-                lower_stencil_to_scf(module, tile_sizes=target.tile_sizes)
-
-        if target.is_distributed and target.lower_to_library_calls:
-            with tracer.span("pipeline.lower-mpi"):
-                lower_dmp_to_mpi(module)
-                lower_mpi_to_func(module)
-
-        if target.kind in (TargetKind.CPU_OPENMP, TargetKind.DISTRIBUTED):
-            with tracer.span("pipeline.openmp"):
-                convert_scf_to_openmp(module, num_threads=target.threads)
-                parallel_regions = count_parallel_regions(module)
-        if target.kind == TargetKind.GPU:
-            gpu_kernels = count_gpu_kernels(module)
-
-        with tracer.span("pipeline.finalize"):
-            hoist_loop_invariant_code(module)
-            canonicalize(module)
-            module.verify()
-
+        PassManager(ctx or default_context(), stages).run(module)
+        # What the passes found out, read off the pass objects; regions and
+        # kernels are counted only where the conversion making them ran.
+        ran = {type(p): p for stage in stages for p in stage.passes}
+        characteristics = ran[CharacterizePass].characteristics
+        distribute = ran.get(DistributeStencilPass)
+        hls = ran.get(ConvertStencilToHLSPass)
         program = CompiledProgram(
             module=module,
             target=target,
             characteristics=characteristics,
-            stencil_regions=stencil_regions,
-            distribution=distribution,
-            hls_kernels=hls_kernels,
-            parallel_regions=parallel_regions,
-            gpu_kernels=gpu_kernels,
+            stencil_regions=characteristics.stencil_regions,
+            distribution=distribute.summary if distribute else None,
+            hls_kernels=hls.kernel_infos if hls else [],
+            parallel_regions=(
+                count_parallel_regions(module) if ConvertSCFToOpenMPPass in ran else 0
+            ),
+            gpu_kernels=(
+                count_gpu_kernels(module) if ConvertStencilToGPUPass in ran else 0
+            ),
         )
         program.compile_record = tracer.record()
     return program
+
+
+def compile_from_frontend(
+    span_name: str, lower: Callable[[], ModuleOp], target: Target
+) -> CompiledProgram:
+    """A frontend's ``compile()``: ``lower()`` to the stencil level, then compile.
+
+    ``lower`` runs under a ``span_name`` span in the compile-tracing scope the
+    pipeline then joins, so the program's ``compile_record`` holds the
+    frontend lowering next to the stage and pass spans.
+    """
+    with compile_tracing() as tracer:
+        with tracer.span(span_name):
+            module = lower()
+        return compile_stencil_program(module, target)

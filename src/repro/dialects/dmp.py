@@ -156,6 +156,23 @@ class ExchangeAttr(Attribute):
     def is_empty(self) -> bool:
         return any(s == 0 for s in self.size)
 
+    @property
+    def axis(self) -> int:
+        """The grid dimension the exchange travels along: the first non-zero
+        neighbour offset (0 for a self-exchange)."""
+        return next((d for d, off in enumerate(self.neighbor) if off != 0), 0)
+
+    def travel_tag(self, sending: bool) -> int:
+        """The message tag of this exchange's send or of its receive.
+
+        It encodes the axis and the direction the *message* travels in, so the
+        send of one rank carries the tag its neighbour's receive expects —
+        whether a rank runs ``dmp.swap`` natively or its mpi lowering.
+        """
+        offset = self.neighbor[self.axis]
+        direction = offset if sending else -offset
+        return self.axis * 2 + (1 if direction > 0 else 0)
+
     def print_parameters(self, printer) -> str:
         def vec(values: Sequence[int]) -> str:
             return "[" + ", ".join(str(v) for v in values) + "]"

@@ -24,7 +24,7 @@ from ...core import (
     ExecutionConfig,
     Session,
     Target,
-    compile_stencil_program,
+    compile_from_frontend,
     cpu_target,
     default_session,
 )
@@ -372,19 +372,10 @@ class Operator:
         """Lower to the stencil dialect and run the shared pipeline (JIT-style)."""
         if self._compiled is not None and self._compiled_dt == dt:
             return self._compiled
-        from ...obs import compile_tracing
-
-        with compile_tracing() as tracer:
-            span = tracer.begin("devito.lower")
-            lowerer = _EquationLowerer(self.equations, dt, self.name)
-            module = lowerer.build_module()
-            tracer.end("devito.lower", span)
-            self._compiled = compile_stencil_program(module, self.target)
-            # Fuller record than the pipeline's own: includes the frontend
-            # lowering span alongside the pass/stage spans.
-            self._compiled.compile_record = tracer.record()
+        self._compiled = compile_from_frontend(
+            "devito.lower", lambda: self.stencil_module(dt), self.target
+        )
         self._compiled_dt = dt
-        self._lowerer = lowerer
         if self._plan is not None:
             self._plan.close()
             self._plan = None

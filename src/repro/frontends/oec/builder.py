@@ -178,13 +178,6 @@ class StencilProgramBuilder:
             with Session(ExecutionConfig(runtime="processes")) as session:
                 session.plan(program).run([u, v], [timesteps])
         """
-        from ...core import compile_stencil_program, cpu_target
-        from ...obs import compile_tracing
+        from ...core import compile_from_frontend, cpu_target
 
-        with compile_tracing() as tracer:
-            span = tracer.begin("oec.build")
-            module = self.build()
-            tracer.end("oec.build", span)
-            program = compile_stencil_program(module, target or cpu_target())
-            program.compile_record = tracer.record()
-        return program
+        return compile_from_frontend("oec.build", self.build, target or cpu_target())

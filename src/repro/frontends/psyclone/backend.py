@@ -261,18 +261,15 @@ class PsycloneXDSLBackend:
         source (or a parsed schedule) to a :class:`~repro.core.CompiledProgram`
         ready for a session plan.
         """
-        from ...core import compile_stencil_program, cpu_target
-        from ...obs import compile_tracing
+        from ...core import compile_from_frontend, cpu_target
 
-        with compile_tracing() as tracer:
-            span = tracer.begin("psyclone.lower")
-            module = self.build_module(
+        return compile_from_frontend(
+            "psyclone.lower",
+            lambda: self.build_module(
                 source_or_schedule, shape, iterations=iterations, scalars=scalars
-            )
-            tracer.end("psyclone.lower", span)
-            program = compile_stencil_program(module, target or cpu_target())
-            program.compile_record = tracer.record()
-        return program
+            ),
+            target or cpu_target(),
+        )
 
     def run(
         self,

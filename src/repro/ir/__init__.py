@@ -7,8 +7,11 @@ This package provides everything the dialects and transforms build on:
 * :mod:`~repro.ir.core` — SSA values, operations, blocks and regions.
 * :mod:`~repro.ir.builder` — insertion-point based IR construction.
 * :mod:`~repro.ir.printer` / :mod:`~repro.ir.parser` — the shared textual format.
-* :mod:`~repro.ir.rewriting` — pattern rewriting (the engine of every lowering).
-* :mod:`~repro.ir.pass_manager` — pass pipelines.
+* :mod:`~repro.ir.pass_manager` — passes, declared pipelines (stages of pass
+  objects) and the one pass manager that runs them.
+
+Lowerings are plain functions that walk the module and rebuild operations with
+a :class:`Builder`.
 """
 
 from .attributes import (
@@ -41,24 +44,16 @@ from .core import (
     Use,
 )
 from .pass_manager import (
-    FunctionPass,
     LambdaPass,
     ModulePass,
     PassFailedError,
     PassManager,
-    PassRegistry,
     PipelineReport,
+    Stage,
+    VerifyPass,
 )
 from .parser import ParseError, Parser, parse_module
 from .printer import Printer, print_module, print_op
-from .rewriting import (
-    GreedyRewritePatternApplier,
-    PatternRewriter,
-    PatternRewriteWalker,
-    RewriteError,
-    RewritePattern,
-    TypedPattern,
-)
 from .traits import (
     CommunicationEffect,
     ConstantLike,
@@ -120,11 +115,8 @@ __all__ = [
     "MLContext", "Dialect", "default_context",
     # printing / parsing
     "Printer", "print_op", "print_module", "Parser", "parse_module", "ParseError",
-    # rewriting
-    "RewritePattern", "TypedPattern", "PatternRewriter", "PatternRewriteWalker",
-    "GreedyRewritePatternApplier", "RewriteError",
     # passes
-    "ModulePass", "FunctionPass", "LambdaPass", "PassManager", "PassRegistry",
+    "ModulePass", "VerifyPass", "LambdaPass", "Stage", "PassManager",
     "PipelineReport", "PassFailedError",
     # traits
     "OpTrait", "IsTerminator", "Pure", "HasParent", "IsolatedFromAbove",

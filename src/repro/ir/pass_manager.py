@@ -1,17 +1,20 @@
 """Compilation passes and the pass manager.
 
-A :class:`ModulePass` transforms a module in place.  The :class:`PassManager`
-runs a sequence of passes, optionally verifying the IR between passes and
-recording per-pass statistics, mirroring ``mlir-opt`` pipelines such as
-``--cse --loop-invariant-code-motion --convert-stencil-to-ll-mlir``.
+A :class:`ModulePass` transforms (or, for an analysis, only reads) a module in
+place.  A pipeline is data: an ordered sequence of :class:`Stage`\\ s, each a
+name plus already-parameterised pass objects, mirroring ``mlir-opt`` pipelines
+such as ``--cse --loop-invariant-code-motion --convert-stencil-to-ll-mlir``
+(:func:`repro.core.pipeline.pipeline_for` declares the one of each target).
+The :class:`PassManager` is the one site where passes run, are timed (as
+:mod:`repro.obs` spans), are verified and are counted.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple
 
+from ..obs import compile_tracing
 from .context import MLContext
 from .core import Operation
 
@@ -24,26 +27,39 @@ class ModulePass:
     """Base class for module-level passes."""
 
     name: str = "unnamed-pass"
+    #: Attributes holding this instance's parameters, shown in pipeline strings.
+    options: tuple[str, ...] = ()
+    #: An analysis only reads the module: nothing is re-verified or re-counted
+    #: after it.
+    analysis: bool = False
+    #: A conversion lowers the module to another level of abstraction (and
+    #: multiplies its operation count): per-pass verification stops with it.
+    conversion: bool = False
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        """``name`` or ``name{option=value ...}`` (mlir-opt style; unset options hidden)."""
+        shown = " ".join(
+            f"{option}={value}"
+            for option in self.options
+            if (value := getattr(self, option)) is not None
+        )
+        return f"{self.name}{{{shown}}}" if shown else self.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<pass {self.name}>"
+        return f"<pass {self}>"
 
 
-class FunctionPass(ModulePass):
-    """A pass applied independently to every ``func.func`` in the module."""
+class VerifyPass(ModulePass):
+    """Check the module's invariants (first pass of a pipeline on foreign input)."""
+
+    name = "verify"
+    analysis = True
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
-        from ..dialects import func as func_dialect
-
-        for op in list(module.walk()):
-            if isinstance(op, func_dialect.FuncOp):
-                self.apply_to_function(ctx, op)
-
-    def apply_to_function(self, ctx: MLContext, func_op: Operation) -> None:
-        raise NotImplementedError
+        module.verify()
 
 
 class LambdaPass(ModulePass):
@@ -57,12 +73,18 @@ class LambdaPass(ModulePass):
         self._fn(ctx, module)
 
 
+class Stage(NamedTuple):
+    """A named group of passes: what one ``pipeline.<name>`` span covers."""
+
+    name: str
+    passes: tuple[ModulePass, ...]
+
+
 @dataclass
 class PassStatistics:
-    """Timing and change information for a single pass execution."""
+    """Change information for a single pass execution."""
 
     pass_name: str
-    seconds: float
     ops_before: int
     ops_after: int
 
@@ -73,121 +95,94 @@ class PassStatistics:
 
 @dataclass
 class PipelineReport:
-    """Statistics for a whole pipeline run."""
+    """Statistics for a whole pipeline run (wall times are ``pass.*`` spans)."""
 
     statistics: list[PassStatistics] = field(default_factory=list)
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(stat.seconds for stat in self.statistics)
-
     def summary(self) -> str:
-        lines = ["pass".ljust(42) + "time (s)".rjust(10) + "ops".rjust(8)]
+        lines = ["pass".ljust(42) + "ops".rjust(8) + "delta".rjust(8)]
         for stat in self.statistics:
             lines.append(
                 stat.pass_name.ljust(42)
-                + f"{stat.seconds:10.4f}"
                 + f"{stat.ops_after:8d}"
+                + f"{stat.ops_delta:+8d}"
             )
         return "\n".join(lines)
 
 
 class PassManager:
-    """Runs a sequence of passes over a module."""
+    """Runs a declared pipeline — stages of passes — over a module.
 
-    def __init__(
-        self,
-        ctx: MLContext,
-        passes: Iterable[ModulePass] = (),
-        *,
-        verify_between_passes: bool = True,
-    ):
+    Every stage lands in the thread's :func:`repro.obs.compile_tracing` scope
+    as a ``pipeline.<stage>`` span and every pass as a ``pass.<name>`` span
+    nested in it; those spans are the only clock.
+
+    The verification policy, for every pipeline: the module is verified after
+    each pass until the first conversion has run, and after the last pass, so
+    a pipeline exits verified; one that does not trust its input starts with
+    :class:`VerifyPass`.  (Verification is linear in the operation count and
+    conversions multiply it: verifying after every pass of every stage adds a
+    quarter to ``transforms.pipeline_ms`` on the ledger's ``compile-corpus``.)
+    A failing pass or verification raises :class:`PassFailedError` naming the
+    pass and its stage.
+    """
+
+    def __init__(self, ctx: MLContext, stages: Iterable[Stage]):
         self.ctx = ctx
-        self.passes: list[ModulePass] = list(passes)
-        self.verify_between_passes = verify_between_passes
+        self.stages: tuple[Stage, ...] = tuple(stages)
         self.report = PipelineReport()
 
-    def add(self, pass_: ModulePass) -> "PassManager":
-        self.passes.append(pass_)
-        return self
-
     def run(self, module: Operation) -> PipelineReport:
-        """Apply every pass in order; return the pipeline report.
-
-        When a :func:`repro.obs.compile_tracing` scope is active on this
-        thread, every pass additionally lands there as a ``pass.<name>``
-        span, so per-pass wall times reach exported timelines instead of
-        being measured and discarded.
-        """
-        from ..obs import current_compile_tracer
-
-        tracer = current_compile_tracer()
-        if self.verify_between_passes:
-            module.verify()
-        for pass_ in self.passes:
-            ops_before = _count_ops(module)
-            span = tracer.begin(f"pass.{pass_.name}") if tracer is not None else 0.0
-            start = time.perf_counter()
-            pass_.apply(self.ctx, module)
-            elapsed = time.perf_counter() - start
-            if tracer is not None:
-                tracer.end(f"pass.{pass_.name}", span)
-            if self.verify_between_passes:
-                try:
-                    module.verify()
-                except Exception as err:  # re-raise with pass context
-                    raise PassFailedError(
-                        f"IR verification failed after pass {pass_.name!r}: {err}"
-                    ) from err
-            self.report.statistics.append(
-                PassStatistics(pass_.name, elapsed, ops_before, _count_ops(module))
-            )
+        """Apply every pass of every stage in order; return the pipeline report."""
+        with compile_tracing() as tracer:
+            ops = _count_ops(module)
+            verify_each = True
+            transforming = [
+                p for stage in self.stages for p in stage.passes if not p.analysis
+            ]
+            exit_pass = transforming[-1] if transforming else None
+            for stage in self.stages:
+                with tracer.span(f"pipeline.{stage.name}"):
+                    for pass_ in stage.passes:
+                        where = f"pass {pass_.name!r} of stage {stage.name!r}"
+                        try:
+                            with tracer.span(f"pass.{pass_.name}"):
+                                pass_.apply(self.ctx, module)
+                        except Exception as err:
+                            raise PassFailedError(f"{where} failed: {err}") from err
+                        if pass_.analysis:
+                            continue
+                        verify_each = verify_each and not pass_.conversion
+                        if verify_each or pass_ is exit_pass:
+                            try:
+                                module.verify()
+                            except Exception as err:
+                                raise PassFailedError(
+                                    f"IR verification failed after {where}: {err}"
+                                ) from err
+                        before, ops = ops, _count_ops(module)
+                        self.report.statistics.append(
+                            PassStatistics(pass_.name, before, ops)
+                        )
         return self.report
-
-    @property
-    def timings(self) -> list[tuple[str, float]]:
-        """Per-pass ``(name, seconds)`` wall times from the last run(s)."""
-        return [(stat.pass_name, stat.seconds) for stat in self.report.statistics]
 
     def pipeline_string(self) -> str:
         """A human-readable description of the pipeline (mlir-opt style)."""
-        return ",".join(p.name for p in self.passes)
+        return " ".join(
+            f"{stage.name}({','.join(str(p) for p in stage.passes)})"
+            for stage in self.stages
+        )
 
 
-def _count_ops(module: Operation) -> int:
-    return sum(1 for _ in module.walk())
+def _count_ops(op: Operation) -> int:
+    """Operations at and under ``op``.
 
-
-class PassRegistry:
-    """Global registry of passes addressable by name (for pipeline strings)."""
-
-    _registry: dict[str, Callable[[], ModulePass]] = {}
-
-    @classmethod
-    def register(cls, name: str, factory: Optional[Callable[[], ModulePass]] = None):
-        def decorator(target):
-            cls._registry[name] = target
-            return target
-
-        if factory is not None:
-            cls._registry[name] = factory
-            return factory
-        return decorator
-
-    @classmethod
-    def get(cls, name: str) -> ModulePass:
-        if name not in cls._registry:
-            raise KeyError(
-                f"unknown pass {name!r}; known passes: {sorted(cls._registry)}"
-            )
-        return cls._registry[name]()
-
-    @classmethod
-    def known_passes(cls) -> list[str]:
-        return sorted(cls._registry)
-
-    @classmethod
-    def parse_pipeline(cls, ctx: MLContext, pipeline: str) -> PassManager:
-        """Build a pass manager from a comma-separated pipeline string."""
-        names = [name.strip() for name in pipeline.split(",") if name.strip()]
-        return PassManager(ctx, [cls.get(name) for name in names])
+    A direct recursion: ``walk()`` stacks one generator per nesting level and
+    costs six times as much, once per pass.
+    """
+    count = 1
+    for region in op.regions:
+        for block in region.blocks:
+            for nested in block.ops:
+                count += _count_ops(nested) if nested.regions else 1
+    return count

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..dialects import stencil
+from ..ir.context import MLContext
 from ..ir.core import Operation
+from ..ir.pass_manager import ModulePass
 
 #: arith operations counted as one floating point operation each.
 _FLOP_OPS = {
@@ -145,3 +147,16 @@ def characterize_module(module: Operation) -> ProgramCharacteristics:
     return ProgramCharacteristics(
         applies=[characterize_apply(op) for op in stencil.apply_ops_of(module)]
     )
+
+
+class CharacterizePass(ModulePass):
+    """Analysis: read :attr:`characteristics` off the stencil-level module."""
+
+    name = "characterize-stencil"
+    analysis = True
+
+    def __init__(self) -> None:
+        self.characteristics: Optional[ProgramCharacteristics] = None
+
+    def apply(self, ctx: MLContext, module: Operation) -> None:
+        self.characteristics = characterize_module(module)

@@ -425,12 +425,9 @@ class WorkerPool:
             if index is None or index not in remaining:
                 continue  # stale report from a failed earlier run or job
             if tag == "error":
-                failure = message[3]
-                if isinstance(failure, WorkerFailure):
-                    error = WorkerError(failure.describe())
-                    error.failure = failure
-                else:  # pragma: no cover - legacy payload shape
-                    error = WorkerError(f"rank {rank} failed:\n{failure}")
+                failure: WorkerFailure = message[3]
+                error = WorkerError(failure.describe())
+                error.failure = failure
                 _fail(index, error)
                 continue
             reports[index].append((rank, *message[3:]))

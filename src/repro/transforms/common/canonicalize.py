@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ...ir.context import MLContext
 from ...ir.core import Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from .constant_folding import fold_constants
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
@@ -31,6 +31,3 @@ class CanonicalizePass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         canonicalize(module)
-
-
-PassRegistry.register("canonicalize", CanonicalizePass)

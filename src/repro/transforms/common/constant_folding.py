@@ -15,7 +15,7 @@ from ...dialects import arith
 from ...ir.attributes import FloatAttr, IntegerAttr
 from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.types import i1, is_float_type
 
 Number = Union[int, float]
@@ -164,6 +164,3 @@ class ConstantFoldingPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         fold_constants(module)
-
-
-PassRegistry.register("constant-folding", ConstantFoldingPass)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ...ir.context import MLContext
 from ...ir.core import Block, Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.traits import is_pure
 
 
@@ -67,6 +67,3 @@ class CommonSubexpressionEliminationPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         eliminate_common_subexpressions(module)
-
-
-PassRegistry.register("cse", CommonSubexpressionEliminationPass)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ...ir.context import MLContext
 from ...ir.core import Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
 
 
@@ -40,6 +40,3 @@ class DeadCodeEliminationPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         eliminate_dead_code(module)
-
-
-PassRegistry.register("dce", DeadCodeEliminationPass)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ...dialects import scf
 from ...ir.context import MLContext
 from ...ir.core import Operation, Region, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
 
 
@@ -80,6 +80,3 @@ class LoopInvariantCodeMotionPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         hoist_loop_invariant_code(module)
-
-
-PassRegistry.register("loop-invariant-code-motion", LoopInvariantCodeMotionPass)

@@ -12,8 +12,9 @@ For every ``dmp.swap`` the pass emits, per declared exchange:
 followed by a single ``mpi.waitall`` synchronisation and the unpacking copies
 of the received halo regions back into the local buffer.
 
-Message tags encode the dimension and direction of travel so that the send of
-one rank matches the receive of its neighbour.
+Message tags are :meth:`~repro.dialects.dmp.ExchangeAttr.travel_tag` — the
+rule a natively executed ``dmp.swap`` uses too — so the send of one rank
+matches the receive of its neighbour.
 """
 
 from __future__ import annotations
@@ -26,18 +27,8 @@ from ...ir.attributes import IntegerAttr
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Block, Operation, Region, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.types import MemRefType, i1, i32
-
-
-def _travel_tag(exchange: ExchangeAttr, sending: bool) -> int:
-    """A tag identifying the dimension and direction a message travels in."""
-    dim = next(
-        (d for d, offset in enumerate(exchange.neighbor) if offset != 0), 0
-    )
-    offset = exchange.neighbor[dim]
-    direction_of_travel = offset if sending else -offset
-    return dim * 2 + (1 if direction_of_travel > 0 else 0)
 
 
 class _SwapLowering:
@@ -99,10 +90,10 @@ class _SwapLowering:
             send_unwrap = then_builder.insert(mpi.UnwrapMemrefOp(send_buffer))
             recv_unwrap = then_builder.insert(mpi.UnwrapMemrefOp(recv_buffer))
             send_tag = then_builder.insert(
-                arith.ConstantOp(IntegerAttr(_travel_tag(exchange, True), i32), i32)
+                arith.ConstantOp(IntegerAttr(exchange.travel_tag(True), i32), i32)
             ).result
             recv_tag = then_builder.insert(
-                arith.ConstantOp(IntegerAttr(_travel_tag(exchange, False), i32), i32)
+                arith.ConstantOp(IntegerAttr(exchange.travel_tag(False), i32), i32)
             ).result
             then_builder.insert(
                 mpi.IsendOp(
@@ -208,9 +199,7 @@ class ConvertDMPToMPIPass(ModulePass):
     """Lower declarative halo exchanges to non-blocking MPI communication."""
 
     name = "convert-dmp-to-mpi"
+    conversion = True
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         lower_dmp_to_mpi(module)
-
-
-PassRegistry.register("convert-dmp-to-mpi", ConvertDMPToMPIPass)

@@ -15,7 +15,7 @@ from ...dialects.builtin import UnrealizedConversionCastOp
 from ...dialects.dmp import SwapOp
 from ...ir.context import MLContext
 from ...ir.core import Block, Operation, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.traits import MemoryWriteEffect
 
 
@@ -90,6 +90,3 @@ class RedundantSwapEliminationPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         eliminate_redundant_swaps(module)
-
-
-PassRegistry.register("dmp-eliminate-redundant-swaps", RedundantSwapEliminationPass)

@@ -174,9 +174,12 @@ class DistributeStencilPass(ModulePass):
     """Decompose the stencil domain over a rank grid and insert halo swaps."""
 
     name = "distribute-stencil"
+    options = ("grid",)
+    conversion = True  # global stencil program -> per-rank program + dmp.swap
 
     def __init__(self, strategy: DecompositionStrategy):
         self.strategy = strategy
+        self.grid = strategy.rank_grid()
         self.summary: Optional[DistributionSummary] = None
 
     def apply(self, ctx: MLContext, module: Operation) -> None:

@@ -16,7 +16,7 @@ from ...ir.attributes import IntegerAttr
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.types import Float32Type, Float64Type, IntegerType, MemRefType, i32, i64
 
 #: mpich magic constants (the values the paper extracts from mpi.h).
@@ -269,10 +269,8 @@ class ConvertMPIToFuncPass(ModulePass):
     """Lower mpi operations to MPI_* function calls with mpich magic constants."""
 
     name = "convert-mpi-to-llvm"
+    conversion = True
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         assert isinstance(module, ModuleOp)
         lower_mpi_to_func(module)
-
-
-PassRegistry.register("convert-mpi-to-llvm", ConvertMPIToFuncPass)

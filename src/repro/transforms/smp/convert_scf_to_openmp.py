@@ -16,7 +16,7 @@ from typing import Optional
 from ...dialects import omp, scf
 from ...ir.context import MLContext
 from ...ir.core import Block, Operation, Region
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 
 
 def convert_scf_to_openmp(module: Operation, num_threads: Optional[int] = None) -> int:
@@ -80,12 +80,11 @@ class ConvertSCFToOpenMPPass(ModulePass):
     """Map each scf.parallel onto its own OpenMP parallel region (MLIR-style)."""
 
     name = "convert-scf-to-openmp"
+    conversion = True
+    options = ("num_threads",)
 
     def __init__(self, num_threads: Optional[int] = None):
         self.num_threads = num_threads
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         convert_scf_to_openmp(module, self.num_threads)
-
-
-PassRegistry.register("convert-scf-to-openmp", ConvertSCFToOpenMPPass)

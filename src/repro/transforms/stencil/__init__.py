@@ -1,12 +1,7 @@
 """Stencil-dialect transformations: shape inference, fusion and target lowerings."""
 
 from .shape_inference import ShapeInferenceError, StencilShapeInferencePass, infer_shapes
-from .stencil_fusion import (
-    StencilFusionPass,
-    count_stencil_regions,
-    fuse_applies,
-    stencil_precodegen_pipeline,
-)
+from .stencil_fusion import StencilFusionPass, count_stencil_regions, fuse_applies
 from .stencil_to_gpu import (
     ConvertStencilToGPUPass,
     count_gpu_kernels,
@@ -16,7 +11,6 @@ from .stencil_to_gpu import (
 from .stencil_to_hls import ConvertStencilToHLSPass, HLSKernelInfo, lower_stencil_to_hls
 from .stencil_to_scf import (
     ConvertStencilToSCFPass,
-    ConvertStencilToSCFTiledPass,
     StencilLoweringError,
     lower_stencil_to_scf,
 )
@@ -24,9 +18,7 @@ from .stencil_to_scf import (
 __all__ = [
     "StencilShapeInferencePass", "infer_shapes", "ShapeInferenceError",
     "StencilFusionPass", "fuse_applies", "count_stencil_regions",
-    "stencil_precodegen_pipeline",
-    "ConvertStencilToSCFPass", "ConvertStencilToSCFTiledPass",
-    "lower_stencil_to_scf", "StencilLoweringError",
+    "ConvertStencilToSCFPass", "lower_stencil_to_scf", "StencilLoweringError",
     "ConvertStencilToGPUPass", "lower_stencil_to_gpu", "count_gpu_kernels",
     "count_synchronizations",
     "ConvertStencilToHLSPass", "lower_stencil_to_hls", "HLSKernelInfo",

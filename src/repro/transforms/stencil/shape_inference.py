@@ -18,7 +18,7 @@ from __future__ import annotations
 from ...dialects import stencil
 from ...ir.context import MLContext
 from ...ir.core import Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 
 
 class ShapeInferenceError(Exception):
@@ -120,6 +120,3 @@ class StencilShapeInferencePass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         infer_shapes(module)
-
-
-PassRegistry.register("stencil-shape-inference", StencilShapeInferencePass)

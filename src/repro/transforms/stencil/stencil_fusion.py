@@ -22,7 +22,7 @@ from ...dialects import stencil
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Block, Operation, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 
 
 def _stores_of(apply_op: stencil.ApplyOp) -> list[stencil.StoreOp]:
@@ -176,22 +176,3 @@ class StencilFusionPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         fuse_applies(module)
-
-
-PassRegistry.register("stencil-fusion", StencilFusionPass)
-
-
-def stencil_precodegen_pipeline(ctx: MLContext, *, fuse: bool = True):
-    """The staged stencil-level pipeline every lowering runs *first*.
-
-    Ordering is the point: fusion only exists at the stencil level, so it must
-    run before ``stencil_to_scf`` erases the apply structure — and the
-    megakernel emitter sees one nest per fused region only if the merge
-    happened here.  CSE and DCE then clean the merged apply bodies (duplicate
-    accesses across formerly-separate applies, operands orphaned by the
-    merge), and canonicalize restores the invariants later lowerings assume.
-    """
-    from ...ir.pass_manager import PassManager, PassRegistry as _Registry
-
-    names = (["stencil-fusion"] if fuse else []) + ["cse", "dce", "canonicalize"]
-    return PassManager(ctx, [_Registry.get(name) for name in names])

@@ -26,7 +26,7 @@ from ...ir.attributes import UnitAttr
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from .stencil_to_scf import lower_stencil_to_scf
 
 #: Default CUDA block shape used by the tiled GPU execution (threads per block).
@@ -72,6 +72,8 @@ class ConvertStencilToGPUPass(ModulePass):
     """Lower stencil.apply to GPU-mapped parallel loops with explicit data movement."""
 
     name = "convert-stencil-to-gpu"
+    conversion = True
+    options = ("block_shape", "explicit_data_movement")
 
     def __init__(
         self,
@@ -87,6 +89,3 @@ class ConvertStencilToGPUPass(ModulePass):
             block_shape=self.block_shape,
             explicit_data_movement=self.explicit_data_movement,
         )
-
-
-PassRegistry.register("convert-stencil-to-gpu", ConvertStencilToGPUPass)

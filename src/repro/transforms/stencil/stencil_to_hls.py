@@ -26,7 +26,7 @@ from ...ir.attributes import IntAttr, UnitAttr
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Operation
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 
 
 @dataclass
@@ -106,6 +106,8 @@ class ConvertStencilToHLSPass(ModulePass):
     """Lower stencils to HLS dataflow regions (optimised, shift-buffer form)."""
 
     name = "convert-stencil-to-hls"
+    conversion = True
+    options = ("optimize",)
 
     def __init__(self, optimize: bool = True):
         self.optimize = optimize
@@ -113,9 +115,3 @@ class ConvertStencilToHLSPass(ModulePass):
 
     def apply(self, ctx: MLContext, module: Operation) -> None:
         self.kernel_infos = lower_stencil_to_hls(module, optimize=self.optimize)
-
-
-PassRegistry.register("convert-stencil-to-hls", ConvertStencilToHLSPass)
-PassRegistry.register(
-    "convert-stencil-to-hls-initial", lambda: ConvertStencilToHLSPass(optimize=False)
-)

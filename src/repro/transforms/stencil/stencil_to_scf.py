@@ -23,7 +23,7 @@ from ...ir.attributes import IntAttr, UnitAttr
 from ...ir.builder import Builder
 from ...ir.context import MLContext
 from ...ir.core import Block, BlockArgument, Operation, SSAValue
-from ...ir.pass_manager import ModulePass, PassRegistry
+from ...ir.pass_manager import ModulePass
 from ...ir.types import MemRefType, index
 
 
@@ -306,6 +306,8 @@ class ConvertStencilToSCFPass(ModulePass):
     """Lower stencil.apply/store to scf.parallel loop nests over memrefs."""
 
     name = "convert-stencil-to-scf"
+    conversion = True
+    options = ("tile_sizes", "parallel_attr")
 
     def __init__(
         self,
@@ -319,16 +321,3 @@ class ConvertStencilToSCFPass(ModulePass):
         lower_stencil_to_scf(
             module, tile_sizes=self.tile_sizes, parallel_attr=self.parallel_attr
         )
-
-
-class ConvertStencilToSCFTiledPass(ConvertStencilToSCFPass):
-    """CPU lowering with loop tiling enabled (the paper's SMP-friendly pipeline)."""
-
-    name = "convert-stencil-to-scf{tile}"
-
-    def __init__(self, tile_sizes: Sequence[int] = (64, 64, 64)):
-        super().__init__(tile_sizes=tile_sizes)
-
-
-PassRegistry.register("convert-stencil-to-scf", ConvertStencilToSCFPass)
-PassRegistry.register("convert-stencil-to-scf-tiled", ConvertStencilToSCFTiledPass)

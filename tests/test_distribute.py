@@ -107,6 +107,37 @@ class TestDistributePass:
             distribute_stencil(module, GridSlicingStrategy([2]))
 
 
+class TestExchangeTags:
+    """One tag and axis rule, shared by ``dmp.swap`` ranks and lowered MPI."""
+
+    @pytest.mark.parametrize("neighbor", [(1,), (-1,), (0, 1), (0, -1), (1, 0), (-1, 0)])
+    def test_a_send_carries_the_tag_the_mirrored_receive_expects(self, neighbor):
+        rank = len(neighbor)
+        there = dmp.ExchangeAttr([0] * rank, [1] * rank, [0] * rank, neighbor)
+        back = dmp.ExchangeAttr(
+            [0] * rank, [1] * rank, [0] * rank, [-offset for offset in neighbor]
+        )
+        assert there.axis == back.axis == next(d for d, o in enumerate(neighbor) if o)
+        assert there.travel_tag(sending=True) == back.travel_tag(sending=False)
+        assert there.travel_tag(sending=True) != back.travel_tag(sending=True)
+
+    def test_lowered_tags_are_the_swap_plans_tags(self):
+        from repro.interp.interpreter import swap_message_plan
+
+        module = build_jacobi_module()
+        distribute_stencil(module, GridSlicingStrategy([2]))
+        lower_stencil_to_scf(module)
+        swap = next(op for op in module.walk() if isinstance(op, dmp.SwapOp))
+        plan = swap_message_plan(swap, rank=0)
+        native = {send[2] for send in plan.sends} | {recv[2] for recv in plan.receives}
+        lower_dmp_to_mpi(module)
+        lowered = set()
+        for op in module.walk():
+            if isinstance(op, (mpi.IsendOp, mpi.IrecvOp)):
+                lowered.add(op.tag.owner.literal())
+        assert native <= lowered == {0, 1}
+
+
 class TestDmpToMPI:
     def lowered_module(self):
         module = build_jacobi_module()

@@ -2,7 +2,7 @@
 
 Covers the observability PR's satellite checklist: tracer/record mechanics
 (ring bound, pickling, clock references), registry-vs-legacy merge parity,
-per-pass compile spans and ``PassManager.timings``, span-structure
+per-pass and per-stage compile spans, span-structure
 determinism across the {threads, processes} x {1, 2 threads_per_rank}
 matrix, traced-off bit-identity (and the untraced megakernel emitting zero
 bookkeeping), Chrome trace-event JSON validity for a 2-rank x 2-thread run,
@@ -221,19 +221,23 @@ class TestCompileTracing:
         assert any(name.startswith("pass.") for name in names)
         assert any(name.startswith("pipeline.") for name in names)
 
-    def test_pass_timings_property(self):
-        from repro.ir import LambdaPass, PassManager, default_context
+    def test_pass_spans_nest_in_their_stage_span(self):
+        from repro.ir import LambdaPass, PassManager, Stage, default_context
 
         program = _compile_heat()
-        manager = PassManager(
-            default_context(),
-            [LambdaPass("first", lambda ctx, m: None),
-             LambdaPass("second", lambda ctx, m: None)],
-        )
-        manager.run(program.module)
-        timings = manager.timings
-        assert [name for name, _ in timings] == ["first", "second"]
-        assert all(seconds >= 0.0 for _, seconds in timings)
+        manager = PassManager(default_context(), [
+            Stage("probe", (LambdaPass("first", lambda ctx, m: None),
+                            LambdaPass("second", lambda ctx, m: None))),
+        ])
+        with compile_tracing() as tracer:
+            manager.run(program.module)
+            record = tracer.record()
+        # Spans are the pass manager's only clock (events are in end order).
+        assert [(name, depth) for name, _, _, depth in record.events] == [
+            ("pass.first", 1), ("pass.second", 1), ("pipeline.probe", 0)]
+        (_, stage_start, stage_s, _) = record.events[-1]
+        for _, start, seconds, _ in record.events[:2]:
+            assert stage_start <= start and start + seconds <= stage_start + stage_s
 
     def test_nested_scope_shares_one_tracer(self):
         with compile_tracing() as outer:

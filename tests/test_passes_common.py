@@ -3,16 +3,31 @@
 import pytest
 
 from repro.dialects import arith, builtin, func, scf
-from repro.ir import Builder, FunctionType, LambdaPass, PassManager, PassRegistry, f64, i32, index
+from repro.ir import (
+    Builder,
+    FunctionType,
+    LambdaPass,
+    PassFailedError,
+    PassManager,
+    Stage,
+    VerifyPass,
+    f64,
+    i32,
+    index,
+)
 from repro.dialects.stencil import AccessOp, ApplyOp, ReturnOp, StencilBoundsAttr, TempType
 from repro.ir.core import Block
 from repro.transforms.common import (
+    CommonSubexpressionEliminationPass,
+    ConstantFoldingPass,
+    DeadCodeEliminationPass,
     canonicalize,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
     hoist_loop_invariant_code,
 )
+from repro.transforms.stencil import ConvertStencilToSCFPass
 
 
 def make_function(name="f", inputs=(), outputs=()):
@@ -194,22 +209,98 @@ class TestPassManager:
         b.insert(arith.AddiOp(x, x))
         b.insert(func.ReturnOp([]))
         module = builtin.ModuleOp([kernel])
-        pm = PassRegistry.parse_pipeline(ctx, "constant-folding,cse,dce")
+        pm = PassManager(ctx, [
+            Stage("fold", (ConstantFoldingPass(),)),
+            Stage("clean", (CommonSubexpressionEliminationPass(),
+                            DeadCodeEliminationPass())),
+        ])
+        assert pm.pipeline_string() == "fold(constant-folding) clean(cse,dce)"
         report = pm.run(module)
-        assert len(report.statistics) == 3
-        assert report.total_seconds >= 0
-        assert "cse" in pm.pipeline_string()
+        assert [stat.pass_name for stat in report.statistics] == [
+            "constant-folding", "cse", "dce"]
+        # Ops are counted once per pass boundary: each pass starts where the
+        # previous one ended, and the last count is the module as it stands.
+        for earlier, later in zip(report.statistics, report.statistics[1:]):
+            assert earlier.ops_after == later.ops_before
+        assert report.statistics[-1].ops_after == sum(1 for _ in module.walk())
+        assert sum(stat.ops_delta for stat in report.statistics) < 0
+        assert "dce" in report.summary()
         assert len(kernel.body.block.ops) == 1  # only the return survives
-
-    def test_unknown_pass_rejected(self, ctx):
-        with pytest.raises(KeyError):
-            PassRegistry.get("does-not-exist")
 
     def test_lambda_pass(self, ctx):
         seen = []
         module = builtin.ModuleOp([])
-        PassManager(ctx, [LambdaPass("probe", lambda c, m: seen.append(m))]).run(module)
+        probe = LambdaPass("probe", lambda c, m: seen.append(m))
+        PassManager(ctx, [Stage("only", (probe,))]).run(module)
         assert seen == [module]
+
+    def test_options_show_in_the_pipeline_string(self):
+        assert str(ConvertStencilToSCFPass()) == "convert-stencil-to-scf"
+        assert (str(ConvertStencilToSCFPass(tile_sizes=(8, 4)))
+                == "convert-stencil-to-scf{tile_sizes=(8, 4)}")
+
+    def test_a_raising_pass_names_itself_and_its_stage(self, ctx):
+        def explode(c, m):
+            raise ValueError("boom")
+
+        manager = PassManager(ctx, [Stage("lowering", (LambdaPass("bad", explode),))])
+        with pytest.raises(PassFailedError, match="'bad' of stage 'lowering'.*boom") as info:
+            manager.run(builtin.ModuleOp([]))
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_a_pass_that_breaks_the_ir_names_itself_and_its_stage(self, ctx):
+        kernel, b = make_function()
+        b.insert(func.ReturnOp([]))
+
+        def corrupt(c, m):  # an op after the terminator
+            b.insert(arith.ConstantOp.from_int(1, i32))
+
+        manager = PassManager(ctx, [Stage("lowering", (LambdaPass("bad", corrupt),))])
+        with pytest.raises(
+            PassFailedError, match="verification failed after pass 'bad' of stage 'lowering'"
+        ):
+            manager.run(builtin.ModuleOp([kernel]))
+
+    def test_after_a_conversion_only_the_exit_is_verified(self, ctx):
+        kernel, b = make_function()
+        b.insert(func.ReturnOp([]))
+        module = builtin.ModuleOp([kernel])
+
+        class Convert(LambdaPass):
+            conversion = True
+
+        def corrupt(c, m):  # an op after the terminator
+            b.insert(arith.ConstantOp.from_int(1, i32))
+
+        def repair(c, m):
+            kernel.body.block.ops[-1].erase()
+
+        convert = Convert("convert", lambda c, m: None)
+        broken = LambdaPass("break", corrupt)
+        PassManager(
+            ctx, [Stage("lower", (convert, broken, LambdaPass("repair", repair)))]
+        ).run(module)
+        with pytest.raises(PassFailedError, match="after pass 'last' of stage 'end'"):
+            PassManager(ctx, [
+                Stage("lower", (convert, broken)),
+                Stage("end", (LambdaPass("last", lambda c, m: None),)),
+            ]).run(module)
+
+    def test_an_analysis_is_neither_verified_nor_counted(self, ctx):
+        kernel, b = make_function(outputs=[i32])
+        b.insert(func.ReturnOp([]))  # invalid: returns nothing
+        module = builtin.ModuleOp([kernel])
+        seen = []
+
+        class Probe(LambdaPass):
+            analysis = True
+
+        report = PassManager(
+            ctx, [Stage("look", (Probe("probe", lambda c, m: seen.append(m)),))]
+        ).run(module)
+        assert seen == [module] and report.statistics == []
+        with pytest.raises(PassFailedError, match="'verify' of stage 'entry'"):
+            PassManager(ctx, [Stage("entry", (VerifyPass(),))]).run(module)
 
     def test_canonicalize_fixpoint(self):
         kernel, b = make_function(outputs=[i32])

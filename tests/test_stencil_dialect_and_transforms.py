@@ -137,11 +137,9 @@ class TestFusion:
         is still at the stencil level — once ``lower_stencil_to_scf`` runs,
         the apply structure is gone and fusion can never happen.
         """
-        from repro.ir.context import default_context
-        from repro.transforms.stencil import (
-            count_stencil_regions,
-            stencil_precodegen_pipeline,
-        )
+        from repro.core import cpu_target, pipeline_for
+        from repro.ir import PassManager, default_context
+        from repro.transforms.stencil import count_stencil_regions
 
         builder = StencilProgramBuilder("kernel", shape=(8, 8), halo=1, dtype="f64")
         fields = [builder.add_field(name) for name in "abcdef"]
@@ -159,10 +157,12 @@ class TestFusion:
         infer_shapes(module)
         before = count_stencil_regions(module)
         assert before == 3
-        pipeline = stencil_precodegen_pipeline(default_context())
-        assert pipeline.pipeline_string().startswith("stencil-fusion,"), (
-            "fusion must be the first stage, ahead of any cleanup or lowering"
+        stages = {stage.name: stage for stage in pipeline_for(cpu_target())}
+        pipeline = PassManager(default_context(), [stages["precodegen"]])
+        assert pipeline.pipeline_string().startswith("precodegen(stencil-fusion,"), (
+            "fusion must be the first pass, ahead of any cleanup or lowering"
         )
+        assert list(stages).index("precodegen") < list(stages).index("lower-stencil")
         pipeline.run(module)
         after = count_stencil_regions(module)
         assert after < before and after == 1
