@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..interp.vectorize import CompiledKernel
 
 from ..dialects.builtin import ModuleOp
-from ..ir.context import MLContext, default_context
 from ..ir.pass_manager import PassManager, Stage, VerifyPass
 from ..machine.kernel_model import CharacterizePass, ProgramCharacteristics
 from ..obs import compile_tracing
@@ -216,12 +215,7 @@ def pipeline_for(target: Target) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-def compile_stencil_program(
-    module: ModuleOp,
-    target: Target,
-    *,
-    ctx: Optional[MLContext] = None,
-) -> CompiledProgram:
+def compile_stencil_program(module: ModuleOp, target: Target) -> CompiledProgram:
     """Lower a stencil-level module for ``target`` (in place) and describe it.
 
     The declared pipeline runs inside the thread-local compile-tracing scope:
@@ -232,7 +226,7 @@ def compile_stencil_program(
     """
     stages = pipeline_for(target)
     with compile_tracing() as tracer:
-        PassManager(ctx or default_context(), stages).run(module)
+        PassManager(stages).run(module)
         # What the passes found out, read off the pass objects; regions and
         # kernels are counted only where the conversion making them ran.
         ran = {type(p): p for stage in stages for p in stage.passes}

@@ -1,37 +1,13 @@
-"""All dialects of the shared compilation stack.
+"""All dialects of the shared compilation stack, one module each.
 
-``register_all_dialects`` installs every dialect into an
-:class:`~repro.ir.context.MLContext`; :func:`~repro.ir.context.default_context`
-does this for you.
+A dialect is a module of :class:`~repro.ir.core.Operation` subclasses (and
+the attributes and types they carry); an operation exists because a frontend
+or a transform constructs it.
 """
 
-from ..ir.context import MLContext
 from . import arith, builtin, dmp, func, gpu, hls, llvm, memref, mpi, omp, scf, stencil
-
-ALL_DIALECTS = (
-    builtin.Builtin,
-    arith.Arith,
-    func.Func,
-    scf.Scf,
-    memref.MemRef,
-    llvm.LLVM,
-    omp.OMP,
-    gpu.GPU,
-    hls.HLS,
-    stencil.Stencil,
-    dmp.DMP,
-    mpi.MPI,
-)
-
-
-def register_all_dialects(ctx: MLContext) -> MLContext:
-    """Register every dialect shipped with this project into ``ctx``."""
-    for dialect in ALL_DIALECTS:
-        ctx.register_dialect(dialect)
-    return ctx
-
 
 __all__ = [
     "arith", "builtin", "dmp", "func", "gpu", "hls", "llvm", "memref", "mpi",
-    "omp", "scf", "stencil", "ALL_DIALECTS", "register_all_dialects",
+    "omp", "scf", "stencil",
 ]

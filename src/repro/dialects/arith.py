@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr, TypeAttribute
-from ..ir.context import Dialect
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import ConstantLike, Pure
 from ..ir.types import i1, index, is_float_type, is_integer_like
@@ -117,10 +116,6 @@ class RemSIOp(_IntBinaryOp):
     name = "arith.remsi"
 
 
-class FloorDivSIOp(_IntBinaryOp):
-    name = "arith.floordivsi"
-
-
 class MinSIOp(_IntBinaryOp):
     name = "arith.minsi"
 
@@ -131,18 +126,6 @@ class MaxSIOp(_IntBinaryOp):
 
 class AndIOp(_IntBinaryOp):
     name = "arith.andi"
-
-
-class OrIOp(_IntBinaryOp):
-    name = "arith.ori"
-
-
-class XOrIOp(_IntBinaryOp):
-    name = "arith.xori"
-
-
-class ShLIOp(_IntBinaryOp):
-    name = "arith.shli"
 
 
 class AddfOp(_FloatBinaryOp):
@@ -167,10 +150,6 @@ class MaximumfOp(_FloatBinaryOp):
 
 class MinimumfOp(_FloatBinaryOp):
     name = "arith.minimumf"
-
-
-class PowfOp(_FloatBinaryOp):
-    name = "arith.powf"
 
 
 class NegfOp(Operation):
@@ -341,17 +320,3 @@ REDUCTION_OP_METADATA: dict[str, tuple[str, bool]] = {
     MinSIOp.name: ("minimum", False),
     MaxSIOp.name: ("maximum", False),
 }
-
-
-Arith = Dialect(
-    "arith",
-    [
-        ConstantOp,
-        AddiOp, SubiOp, MuliOp, DivSIOp, RemSIOp, FloorDivSIOp, MinSIOp, MaxSIOp,
-        AndIOp, OrIOp, XOrIOp, ShLIOp,
-        AddfOp, SubfOp, MulfOp, DivfOp, MaximumfOp, MinimumfOp, PowfOp, NegfOp,
-        CmpiOp, CmpfOp, SelectOp,
-        IndexCastOp, SIToFPOp, FPToSIOp, ExtFOp, TruncFOp, ExtSIOp, TruncIOp,
-    ],
-    [],
-)

@@ -6,7 +6,6 @@ from typing import Optional, Sequence
 
 from ..ir.attributes import Attribute, StringAttr, TypeAttribute
 from ..ir.builder import build_single_block_region
-from ..ir.context import Dialect
 from ..ir.core import Operation, Region, SSAValue
 from ..ir.traits import IsolatedFromAbove, Pure
 
@@ -68,6 +67,3 @@ class UnrealizedConversionCastOp(Operation):
     @property
     def output(self) -> SSAValue:
         return self.results[0]
-
-
-Builtin = Dialect("builtin", [ModuleOp, UnrealizedConversionCastOp], [])

@@ -19,11 +19,9 @@ other communication substrates could be targeted instead.
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Sequence
 
 from ..ir.attributes import ArrayAttr, Attribute
-from ..ir.context import Dialect
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import CommunicationEffect, MemoryReadEffect, MemoryWriteEffect
 
@@ -86,10 +84,6 @@ class GridAttr(Attribute):
 
     def print_parameters(self, printer) -> str:
         return "x".join(str(s) for s in self.shape)
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "GridAttr":
-        return cls([int(part) for part in text.strip().split("x") if part])
 
     def __str__(self) -> str:
         return f"#dmp.grid<{self.print_parameters(None)}>"
@@ -182,17 +176,6 @@ class ExchangeAttr(Attribute):
             f"source offset {vec(self.source_offset)} to {vec(self.neighbor)}"
         )
 
-    @classmethod
-    def parse_parameters(cls, text: str) -> "ExchangeAttr":
-        vectors = re.findall(r"\[([^\]]*)\]", text)
-        if len(vectors) != 4:
-            raise ValueError(f"malformed dmp.exchange parameters: {text!r}")
-        parsed = [
-            [int(v.strip()) for v in vector.split(",") if v.strip()]
-            for vector in vectors
-        ]
-        return cls(*parsed)
-
     def __str__(self) -> str:
         return f"#dmp.exchange<{self.print_parameters(None)}>"
 
@@ -249,6 +232,3 @@ class SwapOp(Operation):
                 raise ValueError(
                     "dmp.exchange neighbour offsets must match the grid dimensionality"
                 )
-
-
-DMP = Dialect("dmp", [SwapOp], [GridAttr, ExchangeAttr])

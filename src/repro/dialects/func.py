@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir.attributes import StringAttr, SymbolRefAttr, TypeAttribute
-from ..ir.context import Dialect
 from ..ir.core import Block, Operation, Region, SSAValue
 from ..ir.traits import HasParent, IsolatedFromAbove, IsTerminator, SymbolOp
 from ..ir.types import FunctionType
@@ -146,14 +145,3 @@ class CallOp(Operation):
     def verify_(self) -> None:
         if not isinstance(self.attributes.get("callee"), SymbolRefAttr):
             raise ValueError("func.call requires a callee symbol attribute")
-
-
-def find_function(module: Operation, name: str) -> Optional[FuncOp]:
-    """Look up a function by symbol name anywhere under ``module``."""
-    for op in module.walk():
-        if isinstance(op, FuncOp) and op.sym_name == name:
-            return op
-    return None
-
-
-Func = Dialect("func", [FuncOp, ReturnOp, CallOp], [])

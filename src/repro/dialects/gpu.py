@@ -1,155 +1,15 @@
-"""A minimal gpu dialect: device memory management and kernel launches.
+"""A minimal gpu dialect: the one operation the stencil GPU lowering emits.
 
-Mirrors the subset of MLIR's ``gpu`` dialect the stencil GPU lowering uses:
-device allocation, host<->device transfers, a launch op whose body is the
-kernel (indexed by block/thread ids), and explicit host synchronisation.  The
-paper's observed behaviour — a synchronous kernel launch per ``scf.parallel``
-— is modelled by attaching a ``synchronous`` unit attribute to launches.
+The paper's observed behaviour — a synchronous kernel launch per
+``scf.parallel`` — is modelled by a ``gpu.host_synchronize`` after every
+mapped loop nest; the nests themselves stay ``scf.parallel`` (marked with a
+``gpu_kernel`` attribute) and data movement is an attribute the
+:mod:`repro.machine` model reads.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from ..ir.attributes import StringAttr, UnitAttr
-from ..ir.context import Dialect
-from ..ir.core import Block, Operation, Region, SSAValue
-from ..ir.traits import IsTerminator, MemoryReadEffect, MemoryWriteEffect
-from ..ir.types import MemRefType, index
-
-
-class AllocOp(Operation):
-    """Allocate a buffer in device memory."""
-
-    name = "gpu.alloc"
-    traits = frozenset([MemoryWriteEffect()])
-
-    def __init__(self, result_type: MemRefType):
-        super().__init__(result_types=[result_type])
-
-    @property
-    def memref(self) -> SSAValue:
-        return self.results[0]
-
-
-class DeallocOp(Operation):
-    """Free a device buffer."""
-
-    name = "gpu.dealloc"
-
-    def __init__(self, memref: SSAValue):
-        super().__init__(operands=[memref])
-
-
-class MemcpyOp(Operation):
-    """Copy between host and device buffers (direction inferred from use)."""
-
-    name = "gpu.memcpy"
-    traits = frozenset([MemoryReadEffect(), MemoryWriteEffect()])
-
-    def __init__(self, dst: SSAValue, src: SSAValue):
-        super().__init__(operands=[dst, src])
-
-    @property
-    def dst(self) -> SSAValue:
-        return self.operands[0]
-
-    @property
-    def src(self) -> SSAValue:
-        return self.operands[1]
-
-
-class LaunchOp(Operation):
-    """Launch a kernel over a 3D grid of thread blocks.
-
-    Operands: grid sizes (x, y, z) then block sizes (x, y, z).  The body block
-    receives 6 index arguments: block ids then thread ids.
-    """
-
-    name = "gpu.launch"
-
-    def __init__(
-        self,
-        grid_sizes: Sequence[SSAValue],
-        block_sizes: Sequence[SSAValue],
-        body: Optional[Region] = None,
-        synchronous: bool = True,
-    ):
-        if len(grid_sizes) != 3 or len(block_sizes) != 3:
-            raise ValueError("gpu.launch expects 3 grid sizes and 3 block sizes")
-        if body is None:
-            body = Region(Block(arg_types=[index] * 6))
-        attributes = {}
-        if synchronous:
-            attributes["synchronous"] = UnitAttr()
-        super().__init__(
-            operands=[*grid_sizes, *block_sizes],
-            attributes=attributes,
-            regions=[body],
-        )
-
-    @property
-    def grid_sizes(self) -> tuple[SSAValue, ...]:
-        return self.operands[0:3]
-
-    @property
-    def block_sizes(self) -> tuple[SSAValue, ...]:
-        return self.operands[3:6]
-
-    @property
-    def body(self) -> Region:
-        return self.regions[0]
-
-    @property
-    def is_synchronous(self) -> bool:
-        return "synchronous" in self.attributes
-
-
-class TerminatorOp(Operation):
-    """Terminates a gpu.launch body."""
-
-    name = "gpu.terminator"
-    traits = frozenset([IsTerminator()])
-
-    def __init__(self):
-        super().__init__()
-
-
-class _IdOp(Operation):
-    """Base for ops returning a per-thread/block index along a dimension."""
-
-    def __init__(self, dimension: str):
-        if dimension not in ("x", "y", "z"):
-            raise ValueError("gpu id dimension must be x, y or z")
-        super().__init__(
-            attributes={"dimension": StringAttr(dimension)}, result_types=[index]
-        )
-
-    @property
-    def dimension(self) -> str:
-        attr = self.attributes["dimension"]
-        assert isinstance(attr, StringAttr)
-        return attr.data
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
-class ThreadIdOp(_IdOp):
-    name = "gpu.thread_id"
-
-
-class BlockIdOp(_IdOp):
-    name = "gpu.block_id"
-
-
-class BlockDimOp(_IdOp):
-    name = "gpu.block_dim"
-
-
-class GridDimOp(_IdOp):
-    name = "gpu.grid_dim"
+from ..ir.core import Operation
 
 
 class HostSynchronizeOp(Operation):
@@ -159,26 +19,3 @@ class HostSynchronizeOp(Operation):
 
     def __init__(self):
         super().__init__()
-
-
-class GPUModuleOp(Operation):
-    """Container for device-side functions."""
-
-    name = "gpu.module"
-
-    def __init__(self, sym_name: str, ops: Sequence[Operation] = ()):
-        super().__init__(
-            attributes={"sym_name": StringAttr(sym_name)},
-            regions=[Region(Block(ops=list(ops)))],
-        )
-
-
-GPU = Dialect(
-    "gpu",
-    [
-        AllocOp, DeallocOp, MemcpyOp, LaunchOp, TerminatorOp,
-        ThreadIdOp, BlockIdOp, BlockDimOp, GridDimOp,
-        HostSynchronizeOp, GPUModuleOp,
-    ],
-    [],
-)

@@ -1,43 +1,18 @@
 """A minimal hls dialect for FPGA dataflow synthesis (Stencil-HMLS style).
 
-The paper lowers the stencil dialect to an HLS dialect whose key constructs
-are dataflow regions (concurrently executing stages connected by streams) and
-a shift buffer that caches the stencil footprint so one new value per cycle is
-read from external memory (Table 1's "optimized" configuration).
+The paper lowers the stencil dialect to an HLS dialect whose key construct is
+the dataflow region: concurrently executing stages (read, compute, write).
+Whether a compute stage caches the stencil footprint in a shift buffer — one
+new value per cycle read from external memory, Table 1's "optimized"
+configuration — is a ``uses_shift_buffer`` attribute on the stage.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..ir.attributes import IntAttr, StringAttr, TypeAttribute
-from ..ir.context import Dialect
-from ..ir.core import Block, Operation, Region, SSAValue
-from ..ir.traits import IsTerminator
-
-
-class StreamType(TypeAttribute):
-    """A FIFO stream connecting dataflow stages."""
-
-    name = "hls.stream"
-
-    __slots__ = ("element_type",)
-
-    def __init__(self, element_type: TypeAttribute):
-        self.element_type = element_type
-
-    def parameters(self) -> tuple:
-        return (self.element_type,)
-
-    def print_parameters(self, printer) -> str:
-        return printer.print_type(self.element_type)
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "StreamType":
-        from ..ir.types import f32, f64
-
-        mapping = {"f32": f32, "f64": f64}
-        return cls(mapping.get(text.strip(), f64))
+from ..ir.attributes import IntAttr, StringAttr
+from ..ir.core import Block, Operation, Region
 
 
 class DataflowOp(Operation):
@@ -67,81 +42,3 @@ class StageOp(Operation):
             attributes={"kind": StringAttr(kind), "ii": IntAttr(ii)},
             regions=[body],
         )
-
-    @property
-    def kind(self) -> str:
-        attr = self.attributes["kind"]
-        assert isinstance(attr, StringAttr)
-        return attr.data
-
-    @property
-    def initiation_interval(self) -> int:
-        attr = self.attributes["ii"]
-        assert isinstance(attr, IntAttr)
-        return attr.data
-
-
-class ShiftBufferOp(Operation):
-    """A 3D shift buffer caching the stencil footprint in on-chip memory.
-
-    Once full, every cycle it provides all stencil input values for the
-    current grid cell while only one new value is read from DDR.
-    """
-
-    name = "hls.shift_buffer"
-
-    def __init__(self, source: SSAValue, footprint: Sequence[int]):
-        from ..ir.attributes import DenseArrayAttr
-        from ..ir.types import i64
-
-        super().__init__(
-            operands=[source],
-            attributes={"footprint": DenseArrayAttr(footprint, i64)},
-            result_types=[source.type],
-        )
-
-    @property
-    def footprint(self) -> tuple[int, ...]:
-        from ..ir.attributes import DenseArrayAttr
-
-        attr = self.attributes["footprint"]
-        assert isinstance(attr, DenseArrayAttr)
-        return tuple(int(v) for v in attr.data)
-
-
-class StreamReadOp(Operation):
-    """Pop one element from a stream."""
-
-    name = "hls.stream_read"
-
-    def __init__(self, stream: SSAValue):
-        stream_type = stream.type
-        if not isinstance(stream_type, StreamType):
-            raise ValueError("hls.stream_read expects an hls.stream operand")
-        super().__init__(operands=[stream], result_types=[stream_type.element_type])
-
-
-class StreamWriteOp(Operation):
-    """Push one element onto a stream."""
-
-    name = "hls.stream_write"
-
-    def __init__(self, value: SSAValue, stream: SSAValue):
-        super().__init__(operands=[value, stream])
-
-
-class YieldOp(Operation):
-    """Terminates hls region bodies."""
-
-    name = "hls.yield"
-    traits = frozenset([IsTerminator()])
-
-    def __init__(self, values: Sequence[SSAValue] = ()):
-        super().__init__(operands=list(values))
-
-
-HLS = Dialect(
-    "hls",
-    [DataflowOp, StageOp, ShiftBufferOp, StreamReadOp, StreamWriteOp, YieldOp],
-    [StreamType],
-)

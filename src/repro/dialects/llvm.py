@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from ..ir.attributes import TypeAttribute
-from ..ir.context import Dialect
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import Pure
-from ..ir.types import i64
 
 
 class LLVMPointerType(TypeAttribute):
@@ -19,10 +17,6 @@ class LLVMPointerType(TypeAttribute):
 
     def print_parameters(self, printer) -> str:
         return ""
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "LLVMPointerType":
-        return cls()
 
     def __str__(self) -> str:
         return "!llvm.ptr"
@@ -42,20 +36,6 @@ class IntToPtrOp(Operation):
         return self.results[0]
 
 
-class PtrToIntOp(Operation):
-    """Convert an opaque pointer to an integer address."""
-
-    name = "llvm.ptrtoint"
-    traits = frozenset([Pure()])
-
-    def __init__(self, operand: SSAValue):
-        super().__init__(operands=[operand], result_types=[i64])
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
 class NullOp(Operation):
     """Materialise a null pointer."""
 
@@ -69,5 +49,3 @@ class NullOp(Operation):
     def result(self) -> SSAValue:
         return self.results[0]
 
-
-LLVM = Dialect("llvm", [IntToPtrOp, PtrToIntOp, NullOp], [LLVMPointerType])

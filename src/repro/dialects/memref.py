@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import DenseArrayAttr, StringAttr
-from ..ir.context import Dialect
+from ..ir.attributes import DenseArrayAttr
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import MemoryReadEffect, MemoryWriteEffect, Pure
 from ..ir.types import DYNAMIC, IndexType, MemRefType, i64, index
@@ -32,12 +31,6 @@ class AllocOp(Operation):
             raise ValueError(
                 "memref.alloc needs one size operand per dynamic dimension"
             )
-
-
-class AllocaOp(AllocOp):
-    """Allocate a memref on the stack."""
-
-    name = "memref.alloca"
 
 
 class DeallocOp(Operation):
@@ -224,34 +217,6 @@ class CopyOp(Operation):
                 raise ValueError("memref.copy source and target sizes differ")
 
 
-class CastOp(Operation):
-    """Cast between compatible memref types (e.g. static <-> dynamic shape)."""
-
-    name = "memref.cast"
-    traits = frozenset([Pure()])
-
-    def __init__(self, source: SSAValue, result_type: MemRefType):
-        super().__init__(operands=[source], result_types=[result_type])
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
-class DimOp(Operation):
-    """Query the size of a memref dimension."""
-
-    name = "memref.dim"
-    traits = frozenset([Pure()])
-
-    def __init__(self, memref: SSAValue, dimension: SSAValue):
-        super().__init__(operands=[memref, dimension], result_types=[index])
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
 class ExtractAlignedPointerAsIndexOp(Operation):
     """Expose the base pointer of a memref as an index (used by the MPI lowering)."""
 
@@ -264,37 +229,3 @@ class ExtractAlignedPointerAsIndexOp(Operation):
     @property
     def result(self) -> SSAValue:
         return self.results[0]
-
-
-class GlobalOp(Operation):
-    """A module-level global buffer (used for constant coefficient tables)."""
-
-    name = "memref.global"
-
-    def __init__(self, sym_name: str, type: MemRefType):
-        super().__init__(
-            attributes={"sym_name": StringAttr(sym_name), "type": type},
-        )
-
-
-class GetGlobalOp(Operation):
-    """Materialise an SSA value for a memref.global."""
-
-    name = "memref.get_global"
-    traits = frozenset([Pure()])
-
-    def __init__(self, sym_name: str, result_type: MemRefType):
-        super().__init__(
-            attributes={"name": StringAttr(sym_name)},
-            result_types=[result_type],
-        )
-
-
-MemRef = Dialect(
-    "memref",
-    [
-        AllocOp, AllocaOp, DeallocOp, LoadOp, StoreOp, SubviewOp, CopyOp, CastOp,
-        DimOp, ExtractAlignedPointerAsIndexOp, GlobalOp, GetGlobalOp,
-    ],
-    [],
-)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..ir.attributes import IntAttr, StringAttr, TypeAttribute
-from ..ir.context import Dialect
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import CommunicationEffect, MemoryReadEffect, MemoryWriteEffect, Pure
 from ..ir.types import MemRefType, i32
@@ -30,10 +29,6 @@ class RequestType(TypeAttribute):
 
     def print_parameters(self, printer) -> str:
         return ""
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "RequestType":
-        return cls()
 
 
 class RequestArrayType(TypeAttribute):
@@ -52,10 +47,6 @@ class RequestArrayType(TypeAttribute):
     def print_parameters(self, printer) -> str:
         return str(self.count)
 
-    @classmethod
-    def parse_parameters(cls, text: str) -> "RequestArrayType":
-        return cls(int(text.strip()))
-
 
 class StatusType(TypeAttribute):
     """An MPI_Status object."""
@@ -68,10 +59,6 @@ class StatusType(TypeAttribute):
     def print_parameters(self, printer) -> str:
         return ""
 
-    @classmethod
-    def parse_parameters(cls, text: str) -> "StatusType":
-        return cls()
-
 
 class DataTypeType(TypeAttribute):
     """An MPI_Datatype handle."""
@@ -83,10 +70,6 @@ class DataTypeType(TypeAttribute):
 
     def print_parameters(self, printer) -> str:
         return ""
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "DataTypeType":
-        return cls()
 
 
 #: Reduction operation names accepted by mpi.reduce / mpi.allreduce.
@@ -489,15 +472,3 @@ class NullRequestOp(Operation):
 
     def __init__(self, request: SSAValue):
         super().__init__(operands=[request])
-
-
-MPI = Dialect(
-    "mpi",
-    [
-        InitOp, FinalizeOp, CommRankOp, CommSizeOp, UnwrapMemrefOp,
-        SendOp, RecvOp, IsendOp, IrecvOp, TestOp, WaitOp, WaitallOp,
-        ReduceOp, AllreduceOp, BcastOp, GatherOp, BarrierOp,
-        AllocateRequestsOp, GetRequestOp, NullRequestOp,
-    ],
-    [RequestType, RequestArrayType, StatusType, DataTypeType],
-)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..ir.attributes import IntAttr
-from ..ir.context import Dialect
 from ..ir.core import Block, Operation, Region, SSAValue
 from ..ir.traits import IsTerminator
 from ..ir.types import index
@@ -108,6 +107,3 @@ class BarrierOp(Operation):
 
     def __init__(self):
         super().__init__()
-
-
-OMP = Dialect("omp", [ParallelOp, WsLoopOp, YieldOp, TerminatorOp, BarrierOp], [])

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from ..ir.attributes import TypeAttribute
-from ..ir.context import Dialect
 from ..ir.core import Block, Operation, Region, SSAValue
 from ..ir.traits import IsTerminator, Pure
 from ..ir.types import IndexType, i1, index
@@ -217,43 +216,6 @@ class ParallelOp(Operation):
             )
 
 
-class WhileOp(Operation):
-    """A while loop with a condition region and a body region (minimal form)."""
-
-    name = "scf.while"
-
-    def __init__(
-        self,
-        init_values: Sequence[SSAValue],
-        result_types: Sequence[TypeAttribute],
-        before: Region,
-        after: Region,
-    ):
-        super().__init__(
-            operands=list(init_values),
-            result_types=list(result_types),
-            regions=[before, after],
-        )
-
-    @property
-    def before_region(self) -> Region:
-        return self.regions[0]
-
-    @property
-    def after_region(self) -> Region:
-        return self.regions[1]
-
-
-class ConditionOp(Operation):
-    """Terminator of the 'before' region of scf.while."""
-
-    name = "scf.condition"
-    traits = frozenset([IsTerminator()])
-
-    def __init__(self, condition: SSAValue, args: Sequence[SSAValue] = ()):
-        super().__init__(operands=[condition, *args])
-
-
 class ReduceOp(Operation):
     """The reduction terminator of an ``scf.parallel`` body (MLIR-style).
 
@@ -286,10 +248,6 @@ class ReduceOp(Operation):
             regions = list(body)
         super().__init__(operands=operands, regions=regions)
 
-    @property
-    def combiners(self) -> tuple[Region, ...]:
-        return tuple(self.regions)
-
     @staticmethod
     def combining(value: SSAValue, op_class) -> "ReduceOp":
         """A reduce whose combiner applies one binary arith op to (acc, value)."""
@@ -312,10 +270,3 @@ class ReduceOp(Operation):
                 raise ValueError(
                     "scf.reduce combiners must yield exactly the combined value"
                 )
-
-
-Scf = Dialect(
-    "scf",
-    [ForOp, IfOp, ParallelOp, WhileOp, ConditionOp, ReduceOp, YieldOp],
-    [],
-)

@@ -15,15 +15,13 @@ to the original Open Earth Compiler dialect it follows the paper's extensions
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Optional, Sequence
 
-from ..ir.attributes import Attribute, DenseArrayAttr, IntAttr, TypeAttribute
+from ..ir.attributes import Attribute, DenseArrayAttr, TypeAttribute
 from ..ir.builder import build_single_block_region
-from ..ir.context import Dialect
 from ..ir.core import BlockArgument, Operation, Region, SSAValue
 from ..ir.traits import IsTerminator, MemoryReadEffect, MemoryWriteEffect, Pure
-from ..ir.types import Float32Type, Float64Type, IndexType, IntegerType, i64, index
+from ..ir.types import Float32Type, Float64Type, IndexType, IntegerType, i64
 
 
 class StencilBoundsAttr(Attribute):
@@ -80,13 +78,6 @@ class StencilBoundsAttr(Attribute):
     def print_parameters(self, printer) -> str:
         return "x".join(f"[{l},{u}]" for l, u in zip(self.lb, self.ub))
 
-    @classmethod
-    def parse_parameters(cls, text: str) -> "StencilBoundsAttr":
-        pairs = re.findall(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]", text)
-        lb = [int(p[0]) for p in pairs]
-        ub = [int(p[1]) for p in pairs]
-        return cls(lb, ub)
-
     def __str__(self) -> str:
         return self.print_parameters(None)
 
@@ -101,22 +92,6 @@ def _element_type_to_text(element_type: Attribute) -> str:
     if isinstance(element_type, IndexType):
         return "index"
     raise ValueError(f"unsupported stencil element type {element_type}")
-
-
-def _element_type_from_text(text: str) -> Attribute:
-    from ..ir.types import f32, f64
-
-    text = text.strip()
-    if text == "f64":
-        return f64
-    if text == "f32":
-        return f32
-    if text == "index":
-        return index
-    match = re.fullmatch(r"i(\d+)", text)
-    if match:
-        return IntegerType(int(match.group(1)))
-    raise ValueError(f"unsupported stencil element type {text!r}")
 
 
 class _StencilContainerType(TypeAttribute):
@@ -168,19 +143,6 @@ class _StencilContainerType(TypeAttribute):
             + _element_type_to_text(self.element_type)
         )
 
-    @classmethod
-    def parse_parameters(cls, text: str):
-        text = text.strip()
-        # Either "[l,u]x[l,u]x<elem>" or "?x?x<elem>".
-        element_text = text.rsplit("x", 1)[-1]
-        element_type = _element_type_from_text(element_text)
-        body = text[: len(text) - len(element_text)].rstrip("x")
-        if "?" in body or body == "":
-            rank = body.count("?") or 1
-            return cls(None, element_type, rank=rank)
-        bounds = StencilBoundsAttr.parse_parameters(body)
-        return cls(bounds, element_type)
-
     def __str__(self) -> str:
         return f"!{self.name}<{self.print_parameters(None)}>"
 
@@ -195,27 +157,6 @@ class TempType(_StencilContainerType):
     """Value-semantics stencil values produced by load/apply."""
 
     name = "stencil.temp"
-
-
-class ResultType(TypeAttribute):
-    """The type of a value yielded by stencil.return inside an apply."""
-
-    name = "stencil.result"
-
-    __slots__ = ("element_type",)
-
-    def __init__(self, element_type: Attribute):
-        self.element_type = element_type
-
-    def parameters(self) -> tuple:
-        return (self.element_type,)
-
-    def print_parameters(self, printer) -> str:
-        return _element_type_to_text(self.element_type)
-
-    @classmethod
-    def parse_parameters(cls, text: str) -> "ResultType":
-        return cls(_element_type_from_text(text))
 
 
 def offsets_attr(offsets: Sequence[int]) -> DenseArrayAttr:
@@ -235,44 +176,6 @@ class AllocOp(Operation):
 
     @property
     def field(self) -> SSAValue:
-        return self.results[0]
-
-
-class ExternalLoadOp(Operation):
-    """View an externally provided memref as a stencil field."""
-
-    name = "stencil.external_load"
-    traits = frozenset([Pure()])
-
-    def __init__(self, source: SSAValue, result_type: FieldType):
-        super().__init__(operands=[source], result_types=[result_type])
-
-    @property
-    def field(self) -> SSAValue:
-        return self.results[0]
-
-
-class ExternalStoreOp(Operation):
-    """Write a stencil field back to an externally provided memref."""
-
-    name = "stencil.external_store"
-    traits = frozenset([MemoryWriteEffect()])
-
-    def __init__(self, field: SSAValue, target: SSAValue):
-        super().__init__(operands=[field, target])
-
-
-class CastOp(Operation):
-    """Cast a field to different (usually tighter) bounds."""
-
-    name = "stencil.cast"
-    traits = frozenset([Pure()])
-
-    def __init__(self, field: SSAValue, result_type: FieldType):
-        super().__init__(operands=[field], result_types=[result_type])
-
-    @property
-    def result(self) -> SSAValue:
         return self.results[0]
 
 
@@ -374,9 +277,6 @@ class ApplyOp(Operation):
     def region_args(self) -> list[BlockArgument]:
         return list(self.body.block.args)
 
-    def operand_for_region_arg(self, arg: BlockArgument) -> SSAValue:
-        return self.operands[arg.index]
-
     def access_offsets(self) -> dict[int, list[tuple[int, ...]]]:
         """Offsets of every stencil.access in the body, keyed by operand index."""
         offsets: dict[int, list[tuple[int, ...]]] = {}
@@ -472,29 +372,6 @@ class AccessOp(Operation):
             )
 
 
-class IndexOp(Operation):
-    """The current logical index along one dimension (for boundary conditions)."""
-
-    name = "stencil.index"
-    traits = frozenset([Pure()])
-
-    def __init__(self, dim: int, offset: int = 0):
-        super().__init__(
-            attributes={"dim": IntAttr(dim), "offset": IntAttr(offset)},
-            result_types=[index],
-        )
-
-    @property
-    def dim(self) -> int:
-        attr = self.attributes["dim"]
-        assert isinstance(attr, IntAttr)
-        return attr.data
-
-    @property
-    def result(self) -> SSAValue:
-        return self.results[0]
-
-
 class ReturnOp(Operation):
     """Yield the output values for the current grid point from a stencil.apply."""
 
@@ -528,13 +405,3 @@ def combined_halo(applies: Iterable[ApplyOp]) -> tuple[tuple[int, ...], tuple[in
             low_out[d] = max(low_out[d], low[d])
             up_out[d] = max(up_out[d], up[d])
     return tuple(low_out), tuple(up_out)
-
-
-Stencil = Dialect(
-    "stencil",
-    [
-        AllocOp, ExternalLoadOp, ExternalStoreOp, CastOp, LoadOp, StoreOp,
-        ApplyOp, AccessOp, IndexOp, ReturnOp,
-    ],
-    [FieldType, TempType, ResultType, StencilBoundsAttr],
-)

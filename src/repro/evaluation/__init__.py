@@ -1,7 +1,6 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
 from .experiments import (
-    ALL_EXPERIMENTS,
     figure7_devito_cpu,
     figure8_strong_scaling,
     figure9_devito_gpu,
@@ -9,12 +8,11 @@ from .experiments import (
     figure10b_psyclone_gpu,
     figure11_psyclone_scaling,
     format_rows,
-    run_all,
     table1_fpga,
 )
 
 __all__ = [
     "figure7_devito_cpu", "figure8_strong_scaling", "figure9_devito_gpu",
     "figure10a_psyclone_cpu", "figure10b_psyclone_gpu", "figure11_psyclone_scaling",
-    "table1_fpga", "run_all", "format_rows", "ALL_EXPERIMENTS",
+    "table1_fpga", "format_rows",
 ]

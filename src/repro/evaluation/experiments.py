@@ -336,19 +336,3 @@ def format_rows(rows: Iterable[dict], float_format: str = "{:.3g}") -> str:
     separator = "  ".join("-" * widths[i] for i in range(len(columns)))
     body = "\n".join("  ".join(line[i].ljust(widths[i]) for i in range(len(columns))) for line in rendered)
     return f"{header}\n{separator}\n{body}"
-
-
-ALL_EXPERIMENTS = {
-    "figure7": figure7_devito_cpu,
-    "figure8": figure8_strong_scaling,
-    "figure9": figure9_devito_gpu,
-    "figure10a": figure10a_psyclone_cpu,
-    "figure10b": figure10b_psyclone_gpu,
-    "table1": table1_fpga,
-    "figure11": figure11_psyclone_scaling,
-}
-
-
-def run_all() -> dict[str, list[dict]]:
-    """Run every experiment and return {experiment name: rows}."""
-    return {name: fn() for name, fn in ALL_EXPERIMENTS.items()}

@@ -357,16 +357,6 @@ class Operator:
         #: across apply() calls (the amortized hot path of repro.core.session).
         self._plan = None
 
-    @property
-    def runtime(self) -> str:
-        """Distributed execution runtime (legacy accessor onto the config)."""
-        return self.config.runtime
-
-    @property
-    def threads_per_rank(self) -> int:
-        """Intra-rank thread-team size (legacy accessor onto the config)."""
-        return self.config.threads_per_rank
-
     # -- compilation ------------------------------------------------------------
     def compile(self, dt: float) -> CompiledProgram:
         """Lower to the stencil dialect and run the shared pipeline (JIT-style)."""
@@ -392,10 +382,6 @@ class Operator:
 
         infer_shapes(module)
         return characterize_module(module)
-
-    # -- execution ----------------------------------------------------------------
-    def __call__(self, time: int, dt: float = 1.0e-3) -> None:
-        self.apply(time=time, dt=dt)
 
     def apply(self, time: int, dt: float = 1.0e-3) -> None:
         """Advance the equations ``time`` steps with time step ``dt``."""

@@ -46,9 +46,6 @@ class StencilExpressionBuilder:
             arith.ConstantOp.from_float(float(value), self._element_type)
         ).result
 
-    def index(self, dim: int) -> SSAValue:
-        return self._builder.insert(stencil.IndexOp(dim)).result
-
     def add(self, lhs: SSAValue, rhs: SSAValue) -> SSAValue:
         return self._builder.insert(arith.AddfOp(lhs, rhs)).result
 

@@ -35,8 +35,8 @@ The two engines are combined *per loop nest*, never per program:
    :class:`~repro.interp.vectorize.CompiledKernel` (cached on the
    :class:`~repro.core.CompiledProgram` keyed by function name).
 2. When the tree walker reaches a loop nest it first consults that kernel.
-   Nests the compiler could not *prove* vectorizable (MPI, ``scf.while``,
-   ``scf.if``, non-affine indices) were never compiled and are tree-walked;
+   Nests the compiler could not *prove* vectorizable (MPI, ``scf.if``,
+   non-affine indices) were never compiled and are tree-walked;
    every rejection carries an explicit reason string
    (:class:`~repro.interp.vectorize.VectorizeFallback`, via
    ``CompiledKernel.fallback_for``).  Tiled nests (the ``min``-clamped inner
@@ -81,7 +81,6 @@ from .interpreter import (
     InterpreterError,
     RequestArray,
     RequestRef,
-    run_function,
 )
 from .mpi_runtime import (
     CommStatistics,
@@ -103,7 +102,7 @@ from .vectorize import (
 )
 
 __all__ = [
-    "Interpreter", "InterpreterError", "ExecStatistics", "run_function",
+    "Interpreter", "InterpreterError", "ExecStatistics",
     "RequestArray", "RequestRef",
     "CompiledKernel", "CompiledNest", "VectorizationError", "VectorizeFallback",
     "compile_kernel", "compile_loop_nest", "compile_loop_nest_or_fallback",

@@ -48,7 +48,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..dialects import arith, dmp, omp, scf
+from ..dialects import arith, builtin, dmp, omp, scf
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Operation, SSAValue
 from ..ir.types import IntegerType
@@ -88,8 +88,6 @@ class CodegenFallback:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CodegenFallback({self.function_name!r}, {self.reason!r})"
 
-
-_CAST_OPS = ("builtin.unrealized_conversion_cast", "memref.cast")
 
 #: Symbolic values of the tracer:
 #:   ("arg", i)    — function block argument i (constant across iterations)
@@ -234,7 +232,7 @@ class _Tracer:
         if isinstance(op, arith.ConstantOp):
             self.sym[op.results[0]] = ("const", self._constant_literal(op))
             return
-        if op.name in _CAST_OPS:
+        if isinstance(op, builtin.UnrealizedConversionCastOp):
             self.sym[op.results[0]] = self._sym_of(op.operands[0])
             return
         raise CodegenError(
@@ -320,7 +318,7 @@ class _Tracer:
         if isinstance(op, arith.ConstantOp):
             self.sym[op.results[0]] = ("const", self._constant_literal(op))
             return
-        if name in _CAST_OPS:
+        if isinstance(op, builtin.UnrealizedConversionCastOp):
             self.sym[op.results[0]] = self._sym_of(op.operands[0])
             return
         if isinstance(op, dmp.SwapOp):
@@ -341,7 +339,7 @@ class _Tracer:
         if name == "omp.barrier":
             self.iter_omp_barriers += 1
             return
-        if name in ("omp.terminator", "gpu.terminator"):
+        if name == "omp.terminator":
             return
         if isinstance(op, (scf.ParallelOp, omp.WsLoopOp, scf.ForOp)):
             self._trace_nest(op)

@@ -1,8 +1,8 @@
-"""A reference interpreter for the IR.
+"""A reference interpreter for the IR: the executable semantics of the stack.
 
 The real stack hands lowered IR to LLVM and runs native code; here the same
 lowered programs are executed by walking the IR.  Two levels are supported and
-produce identical numerical results:
+produce identical results, bit for bit:
 
 * **stencil level** — ``stencil.apply`` is evaluated *vectorised* with numpy
   over the whole store domain (fast; used as the reference semantics and by
@@ -11,6 +11,17 @@ produce identical numerical results:
   dmp/mpi lowerings) the loop nests, memref accesses, OpenMP/GPU structure and
   MPI calls are interpreted operation by operation (slow; used by the
   correctness tests on small grids).
+
+**The arithmetic rule, for every level and every faster tier.**  A value read
+from memory is widened the way ``ndarray.item()`` widens it — any float to
+f64, any integer to a 64-bit integer — whatever the element type of the
+buffer; all arithmetic happens on the widened values; the only rounding to a
+narrower element type is the store into a buffer.  So an f32 program computes
+in f64 and rounds once per stored cell: ``memref.load``/``memref.store`` do it
+per cell, ``stencil.access``/``stencil.store`` per region
+(:func:`_widened`), the generated NumPy of :mod:`repro.interp.vectorize` per
+block, and a native spelling has to do the same (load, convert to ``double``,
+compute, convert on store) to stay bit-identical.
 
 Distributed programs execute against a :class:`~repro.interp.mpi_runtime.SimulatedMPI`
 world: each rank runs one interpreter instance in its own thread.
@@ -135,9 +146,7 @@ def complete_swap(comm, halo: PendingHalo) -> None:
 _HALO_TRANSPARENT_OPS = frozenset(
     {
         "builtin.unrealized_conversion_cast",
-        "memref.cast",
         "memref.subview",
-        "memref.dim",
         "omp.parallel",
         "omp.wsloop",
         "omp.barrier",
@@ -271,11 +280,11 @@ class Interpreter:
             # Any operation that could observe array contents forces the
             # in-flight halo receives to land first (blocking semantics).
             self.complete_pending_halos()
-        if name in ("scf.yield", "omp.yield", "hls.yield", "stencil.return"):
+        if name in ("scf.yield", "omp.yield", "stencil.return"):
             return [self.get(env, operand) for operand in op.operands]
         if name == "func.return":
             raise _ReturnSignal([self.get(env, operand) for operand in op.operands])
-        if name in ("omp.terminator", "gpu.terminator"):
+        if name == "omp.terminator":
             return []
         fn = _HANDLERS.get(name)
         if fn is None:
@@ -637,20 +646,15 @@ _binary("arith.subi", lambda a, b: a - b)
 _binary("arith.muli", lambda a, b: a * b)
 _binary("arith.divsi", lambda a, b: int(a / b) if b else 0)
 _binary("arith.remsi", lambda a, b: int(a - b * int(a / b)) if b else 0)
-_binary("arith.floordivsi", lambda a, b: a // b if b else 0)
 _binary("arith.minsi", lambda a, b: min(a, b))
 _binary("arith.maxsi", lambda a, b: max(a, b))
 _binary("arith.andi", lambda a, b: (a and b) if isinstance(a, bool) else (a & b))
-_binary("arith.ori", lambda a, b: (a or b) if isinstance(a, bool) else (a | b))
-_binary("arith.xori", lambda a, b: bool(a) ^ bool(b) if isinstance(a, bool) else a ^ b)
-_binary("arith.shli", lambda a, b: a << b)
 _binary("arith.addf", lambda a, b: a + b)
 _binary("arith.subf", lambda a, b: a - b)
 _binary("arith.mulf", lambda a, b: a * b)
 _binary("arith.divf", lambda a, b: a / b)
 _binary("arith.maximumf", lambda a, b: np.maximum(a, b))
 _binary("arith.minimumf", lambda a, b: np.minimum(a, b))
-_binary("arith.powf", lambda a, b: a ** b)
 
 
 @handler("arith.negf")
@@ -810,35 +814,6 @@ def _run_if(interp: Interpreter, op: Operation, env: dict) -> None:
         interp.set(env, result, value)
 
 
-@handler("scf.while")
-def _run_while(interp: Interpreter, op: Operation, env: dict) -> None:
-    assert isinstance(op, scf.WhileOp)
-    carried = [interp.get(env, value) for value in op.operands]
-    local_env = dict(env)  # scoped: region bindings must not leak to the caller
-    for _ in range(10_000_000):
-        before = op.before_region.block
-        for arg, value in zip(before.args, carried):
-            local_env[arg] = value
-        condition_values = interp.run_block(before, local_env)
-        keep_going = bool(condition_values[0])
-        passed = condition_values[1:]
-        if not keep_going:
-            carried = passed
-            break
-        after = op.after_region.block
-        for arg, value in zip(after.args, passed):
-            local_env[arg] = value
-        carried = interp.run_block(after, local_env)
-    for result, value in zip(op.results, carried):
-        interp.set(env, result, value)
-
-
-@handler("scf.condition")
-def _run_condition(interp: Interpreter, op: Operation, env: dict) -> None:
-    # Handled inside scf.while via run_block's terminator collection.
-    return
-
-
 @handler("scf.reduce")
 def _run_reduce(interp: Interpreter, op: Operation, env: dict) -> None:
     return
@@ -850,11 +825,6 @@ def _run_reduce(interp: Interpreter, op: Operation, env: dict) -> None:
 
 @handler("memref.alloc")
 def _run_alloc(interp: Interpreter, op: Operation, env: dict) -> None:
-    interp.set(env, op.results[0], MemRefValue.for_type(op.results[0].type))
-
-
-@handler("memref.alloca")
-def _run_alloca(interp: Interpreter, op: Operation, env: dict) -> None:
     interp.set(env, op.results[0], MemRefValue.for_type(op.results[0].type))
 
 
@@ -894,27 +864,10 @@ def _run_copy(interp: Interpreter, op: Operation, env: dict) -> None:
     target.copy_from(source)
 
 
-@handler("memref.cast")
-def _run_memref_cast(interp: Interpreter, op: Operation, env: dict) -> None:
-    interp.set(env, op.results[0], interp.get(env, op.operands[0]))
-
-
-@handler("memref.dim")
-def _run_dim(interp: Interpreter, op: Operation, env: dict) -> None:
-    target = interp.get(env, op.operands[0])
-    dim = int(interp.get(env, op.operands[1]))
-    interp.set(env, op.results[0], int(target.array.shape[dim]))
-
-
 @handler("memref.extract_aligned_pointer_as_index")
 def _run_extract_pointer(interp: Interpreter, op: Operation, env: dict) -> None:
     target = interp.get(env, op.operands[0])
     interp.set(env, op.results[0], interp.register_buffer(target.array))
-
-
-@handler("memref.get_global")
-def _run_get_global(interp: Interpreter, op: Operation, env: dict) -> None:
-    raise InterpreterError("memref.global values are not supported by the interpreter")
 
 
 # ---------------------------------------------------------------------------
@@ -924,12 +877,6 @@ def _run_get_global(interp: Interpreter, op: Operation, env: dict) -> None:
 @handler("llvm.inttoptr")
 def _run_inttoptr(interp: Interpreter, op: Operation, env: dict) -> None:
     interp.set(env, op.results[0], PointerValue(int(interp.get(env, op.operands[0]))))
-
-
-@handler("llvm.ptrtoint")
-def _run_ptrtoint(interp: Interpreter, op: Operation, env: dict) -> None:
-    pointer = interp.get(env, op.operands[0])
-    interp.set(env, op.results[0], int(pointer.address))
 
 
 @handler("llvm.mlir.null")
@@ -952,31 +899,6 @@ def _run_stencil_alloc(interp: Interpreter, op: Operation, env: dict) -> None:
             field_type.bounds.shape, field_type.element_type, origin=field_type.bounds.lb
         ),
     )
-
-
-@handler("stencil.external_load")
-def _run_external_load(interp: Interpreter, op: Operation, env: dict) -> None:
-    source = interp.get(env, op.operands[0])
-    field_type = op.results[0].type
-    assert isinstance(field_type, stencil.FieldType)
-    origin = field_type.bounds.lb if field_type.bounds is not None else None
-    interp.set(env, op.results[0], MemRefValue(interp.as_array(source), origin))
-
-
-@handler("stencil.external_store")
-def _run_external_store(interp: Interpreter, op: Operation, env: dict) -> None:
-    source = interp.get(env, op.operands[0])
-    target = interp.get(env, op.operands[1])
-    np.copyto(interp.as_array(target), interp.as_array(source))
-
-
-@handler("stencil.cast")
-def _run_stencil_cast(interp: Interpreter, op: Operation, env: dict) -> None:
-    source = interp.get(env, op.operands[0])
-    result_type = op.results[0].type
-    assert isinstance(result_type, stencil.FieldType)
-    origin = result_type.bounds.lb if result_type.bounds is not None else source.origin
-    interp.set(env, op.results[0], MemRefValue(source.array, origin))
 
 
 @handler("stencil.load")
@@ -1024,13 +946,7 @@ def _run_stencil_apply(interp: Interpreter, op: Operation, env: dict) -> None:
                     bounds.lb, bounds.ub, body_op.offset, source.origin
                 )
             )
-            local[body_op.result] = source.array[region]
-        elif isinstance(body_op, stencil.IndexOp):
-            dim = body_op.dim
-            shape = [1] * len(out_shape)
-            shape[dim] = out_shape[dim]
-            axis = np.arange(bounds.lb[dim], bounds.ub[dim]).reshape(shape)
-            local[body_op.result] = np.broadcast_to(axis, out_shape)
+            local[body_op.result] = _widened(source.array[region])
         elif isinstance(body_op, stencil.ReturnOp):
             for value in body_op.operands:
                 result_array = local[value]
@@ -1042,6 +958,13 @@ def _run_stencil_apply(interp: Interpreter, op: Operation, env: dict) -> None:
 
     for result, array in zip(op.results, returned):
         interp.set(env, result, MemRefValue(array, origin=bounds.lb))
+
+
+def _widened(region: np.ndarray) -> np.ndarray:
+    """A loaded region, each cell widened as ``ndarray.item()`` would (see above)."""
+    if region.dtype.kind == "f":
+        return region.astype(np.float64, copy=False)
+    return region if region.dtype.kind == "b" else region.astype(np.int64, copy=False)
 
 
 def _apply_output_bounds(op: stencil.ApplyOp) -> stencil.StencilBoundsAttr:
@@ -1078,7 +1001,6 @@ def _eval_vectorised(interp: Interpreter, op: Operation, local: dict) -> None:
         "arith.addi": lambda a, b: a + b, "arith.subi": lambda a, b: a - b,
         "arith.muli": lambda a, b: a * b,
         "arith.maximumf": np.maximum, "arith.minimumf": np.minimum,
-        "arith.powf": np.power,
         "arith.minsi": np.minimum, "arith.maxsi": np.maximum,
     }
     if name in simple:
@@ -1350,23 +1272,6 @@ def _run_host_sync(interp: Interpreter, op: Operation, env: dict) -> None:
     interp.stats.host_synchronizations += 1
 
 
-@handler("gpu.alloc")
-def _run_gpu_alloc(interp: Interpreter, op: Operation, env: dict) -> None:
-    interp.set(env, op.results[0], MemRefValue.for_type(op.results[0].type))
-
-
-@handler("gpu.dealloc")
-def _run_gpu_dealloc(interp: Interpreter, op: Operation, env: dict) -> None:
-    return
-
-
-@handler("gpu.memcpy")
-def _run_gpu_memcpy(interp: Interpreter, op: Operation, env: dict) -> None:
-    dst = interp.get(env, op.operands[0])
-    src = interp.get(env, op.operands[1])
-    dst.copy_from(src)
-
-
 @handler("omp.parallel")
 def _run_omp_parallel(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, omp.ParallelOp)
@@ -1415,21 +1320,3 @@ def _run_hls_stage(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, hls.StageOp)
     if op.regions and op.regions[0].blocks:
         interp.run_block(op.regions[0].block, env)
-
-
-@handler("hls.shift_buffer")
-def _run_hls_shift_buffer(interp: Interpreter, op: Operation, env: dict) -> None:
-    interp.set(env, op.results[0], interp.get(env, op.operands[0]))
-
-
-def run_function(
-    module: builtin.ModuleOp,
-    function_name: str,
-    args: Sequence[Any] = (),
-    *,
-    comm: Optional[CommunicatorBase] = None,
-) -> tuple[list[Any], ExecStatistics]:
-    """Convenience wrapper: run one function and return (results, statistics)."""
-    interpreter = Interpreter(module, comm=comm)
-    results = interpreter.call(function_name, *args)
-    return results, interpreter.stats

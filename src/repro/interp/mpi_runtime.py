@@ -64,14 +64,6 @@ class CommStatistics:
     #: Shared-memory blocks recycled from a previous run instead of allocated.
     shared_blocks_reused: int = field(default=0, compare=False)
 
-    def reset(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.collectives = 0
-        self.barriers = 0
-        self.bytes_elided = 0
-        self.shared_blocks_reused = 0
-
 
 class SimRequest:
     """A request handle returned by the non-blocking operations."""
@@ -229,13 +221,6 @@ class CommunicatorBase(ABC):
             self.send(token, 0, tag_in)
             self.recv(np.empty_like(token), 0, tag_out)
 
-    # -- lifecycle -----------------------------------------------------------
-    def init(self) -> None:
-        """MPI_Init equivalent (a no-op; the world exists already)."""
-
-    def finalize(self) -> None:
-        """MPI_Finalize equivalent."""
-
 
 class SimulatedMPI:
     """The shared state of one simulated MPI_COMM_WORLD."""
@@ -251,16 +236,12 @@ class SimulatedMPI:
         self._mailboxes: list[dict[tuple[int, int], deque]] = [
             defaultdict(deque) for _ in range(size)
         ]
-        self._finalized = [False] * size
 
     # -- communicator construction ------------------------------------------
     def communicator(self, rank: int) -> "RankCommunicator":
         if not 0 <= rank < self.size:
             raise MPIRuntimeError(f"rank {rank} outside world of size {self.size}")
         return RankCommunicator(self, rank)
-
-    def communicators(self) -> list["RankCommunicator"]:
-        return [self.communicator(rank) for rank in range(self.size)]
 
     # -- message transport ------------------------------------------------------
     def post_message(self, source: int, dest: int, tag: int, data: np.ndarray) -> None:
@@ -288,20 +269,21 @@ class SimulatedMPI:
         return True
 
     def wait_recv(self, request: SimRequest, timeout: Optional[float] = None) -> None:
-        deadline_timeout = timeout if timeout is not None else self.timeout
+        # One deadline for the whole wait: every message posted anywhere in
+        # the world wakes this thread, and a wake-up must not restart the clock.
+        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
         with self._lock:
             message = self._pop_message(request.comm.rank, request.source, request.tag)
             while message is None:
-                if not self._lock.wait(timeout=deadline_timeout):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
                     raise MPIRuntimeError(
                         f"rank {request.comm.rank} timed out waiting for a message "
                         f"from rank {request.source} with tag {request.tag}"
                     )
+                self._lock.wait(timeout=remaining)
                 message = self._pop_message(request.comm.rank, request.source, request.tag)
         _copy_into(request.buffer, message)
-
-    def mark_finalized(self, rank: int) -> None:
-        self._finalized[rank] = True
 
     # -- SPMD driver -------------------------------------------------------------
     def run_spmd(
@@ -393,10 +375,6 @@ class RankCommunicator(CommunicatorBase):
 
     def _record_barrier(self) -> None:
         self.world.statistics.barriers += 1
-
-    # -- lifecycle ------------------------------------------------------------------
-    def finalize(self) -> None:
-        self.world.mark_finalized(self.rank)
 
 
 def _copy_into(buffer: Optional[np.ndarray], message: np.ndarray) -> None:

@@ -84,14 +84,6 @@ def get_thread_team(size: int) -> Optional[ThreadTeam]:
         return team
 
 
-def shutdown_thread_teams() -> None:
-    """Tear down every cached team (tests; harmless if none exist)."""
-    with _TEAMS_LOCK:
-        for team in _TEAMS.values():
-            team.shutdown()
-        _TEAMS.clear()
-
-
 def split_trip_counts(trips: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(trips)`` into at most ``parts`` balanced [start, end) spans."""
     parts = max(1, min(parts, trips))

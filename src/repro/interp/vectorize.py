@@ -47,8 +47,8 @@ A nest is vectorizable when
   reduction that replays the tree walker's deterministic left-fold (via
   ``ufunc.accumulate`` for order-sensitive float ``+``/``*``).
 
-Anything else — data-dependent control flow, ``scf.while``, MPI operations,
-non-affine indices — is left to the tree walker, *per nest*, so one
+Anything else — data-dependent control flow, MPI operations, non-affine
+indices — is left to the tree walker, *per nest*, so one
 non-vectorizable region never forfeits the speedup of its neighbours.  Every
 rejection (at compile time) and every run-time bounce is described by a
 :class:`VectorizeFallback` carrying an explicit reason string, surfaced via
@@ -214,14 +214,12 @@ def _operand_refs(instr: tuple) -> tuple:
 #: Binary ops as ``(expression, ufunc)``: the expression is what the tree
 #: walker applies per cell (and what two python scalars keep); the ufunc is the
 #: same operation spelled so that it can write into existing memory
-#: (``_np.<ufunc>(a, b, out=...)``).  ``powf`` has none: ``array ** scalar``
-#: takes NumPy's fast scalar-power paths, which ``np.power`` does not.
-_BINARY_EXPRESSIONS: dict[str, tuple[str, Optional[str]]] = {
+#: (``_np.<ufunc>(a, b, out=...)``).
+_BINARY_EXPRESSIONS: dict[str, tuple[str, str]] = {
     "arith.addf": ("({a} + {b})", "add"),
     "arith.subf": ("({a} - {b})", "subtract"),
     "arith.mulf": ("({a} * {b})", "multiply"),
     "arith.divf": ("({a} / {b})", "divide"),
-    "arith.powf": ("({a} ** {b})", None),
     "arith.maximumf": ("_np.maximum({a}, {b})", "maximum"),
     "arith.minimumf": ("_np.minimum({a}, {b})", "minimum"),
     "arith.addi": ("({a} + {b})", "add"),
@@ -263,7 +261,7 @@ _UNARY_EXPRESSIONS: dict[str, tuple[str, str, Optional[str]]] = {
 }
 
 _FLOAT_BINOPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.powf",
+    "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
     "arith.maximumf", "arith.minimumf",
 })
 

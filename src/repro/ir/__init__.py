@@ -6,7 +6,7 @@ This package provides everything the dialects and transforms build on:
   and builtin types.
 * :mod:`~repro.ir.core` — SSA values, operations, blocks and regions.
 * :mod:`~repro.ir.builder` — insertion-point based IR construction.
-* :mod:`~repro.ir.printer` / :mod:`~repro.ir.parser` — the shared textual format.
+* :mod:`~repro.ir.printer` — the textual format (fingerprints, walkthroughs, dumps).
 * :mod:`~repro.ir.pass_manager` — passes, declared pipelines (stages of pass
   objects) and the one pass manager that runs them.
 
@@ -31,8 +31,7 @@ from .attributes import (
     TypeAttribute,
     UnitAttr,
 )
-from .builder import Builder, InsertPoint, build_single_block_region, first_result
-from .context import Dialect, MLContext, default_context
+from .builder import Builder, InsertPoint, build_single_block_region
 from .core import (
     Block,
     BlockArgument,
@@ -52,8 +51,7 @@ from .pass_manager import (
     Stage,
     VerifyPass,
 )
-from .parser import ParseError, Parser, parse_module
-from .printer import Printer, print_module, print_op
+from .printer import Printer, print_module
 from .traits import (
     CommunicationEffect,
     ConstantLike,
@@ -65,7 +63,6 @@ from .traits import (
     OpTrait,
     Pure,
     SymbolOp,
-    has_side_effects,
     is_pure,
 )
 from .types import (
@@ -110,18 +107,16 @@ __all__ = [
     "SSAValue", "OpResult", "BlockArgument", "Use", "Operation", "Block",
     "Region", "IRError",
     # construction
-    "Builder", "InsertPoint", "build_single_block_region", "first_result",
-    # context
-    "MLContext", "Dialect", "default_context",
-    # printing / parsing
-    "Printer", "print_op", "print_module", "Parser", "parse_module", "ParseError",
+    "Builder", "InsertPoint", "build_single_block_region",
+    # printing
+    "Printer", "print_module",
     # passes
     "ModulePass", "VerifyPass", "LambdaPass", "Stage", "PassManager",
     "PipelineReport", "PassFailedError",
     # traits
     "OpTrait", "IsTerminator", "Pure", "HasParent", "IsolatedFromAbove",
     "SymbolOp", "ConstantLike", "MemoryReadEffect", "MemoryWriteEffect",
-    "CommunicationEffect", "is_pure", "has_side_effects",
+    "CommunicationEffect", "is_pure",
     # verification
     "VerificationError", "verify_operation",
 ]

@@ -212,9 +212,6 @@ class DenseArrayAttr(Attribute):
     def parameters(self) -> tuple:
         return (self.data, self.element_type)
 
-    def as_tuple(self) -> tuple:
-        return self.data
-
     def __iter__(self) -> Iterator:
         return iter(self.data)
 

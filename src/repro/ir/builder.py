@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, TypeVar
 
-from .core import Block, Operation, Region, SSAValue
+from .core import Block, Operation, Region
 
 OpT = TypeVar("OpT", bound=Operation)
 
@@ -78,25 +78,9 @@ class Builder:
         for op in ops:
             self.insert(op)
 
-    def position_at_end(self, block: Block) -> None:
-        self.insertion_point = InsertPoint.at_end(block)
-
-    def position_before(self, op: Operation) -> None:
-        self.insertion_point = InsertPoint.before(op)
-
-    def position_after(self, op: Operation) -> None:
-        self.insertion_point = InsertPoint.after(op)
-
 
 def build_single_block_region(
     arg_types: Sequence = (), ops: Sequence[Operation] = ()
 ) -> Region:
     """Create a region with a single block holding ``ops``."""
     return Region(Block(arg_types=arg_types, ops=ops))
-
-
-def first_result(op: Operation) -> SSAValue:
-    """The first result of ``op`` (convenience for one-result ops)."""
-    if not op.results:
-        raise ValueError(f"operation {op.name} has no results")
-    return op.results[0]

@@ -8,7 +8,7 @@ ask "who uses this value?" in O(#uses).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TypeVar
 
 from .attributes import Attribute, TypeAttribute
 
@@ -114,7 +114,7 @@ class Operation:
 
     Subclasses set the class attribute ``name`` to ``"dialect.opname"`` and
     usually provide a convenience ``__init__``.  The generic constructor
-    :meth:`create` is always available (and used by the parser).
+    :meth:`create` is always available (:meth:`clone` rebuilds through it).
     """
 
     name: str = "builtin.unregistered"
@@ -235,12 +235,6 @@ class Operation:
             return any(isinstance(t, trait) for t in self.traits)
         return trait in self.traits
 
-    def get_trait(self, trait_type: type) -> Optional["OpTrait"]:
-        for t in self.traits:
-            if isinstance(t, trait_type):
-                return t
-        return None
-
     # -- mutation -------------------------------------------------------------
     def detach(self) -> None:
         """Remove this operation from its parent block without dropping operands."""
@@ -349,10 +343,6 @@ class Block:
         self.ops.append(op)
         return op
 
-    def add_ops(self, ops: Iterable[Operation]) -> None:
-        for op in ops:
-            self.add_op(op)
-
     def insert_op_before(self, new_op: Operation, anchor: Operation) -> None:
         if anchor.parent is not self:
             raise IRError("anchor operation does not belong to this block")
@@ -375,11 +365,6 @@ class Block:
         self.ops.remove(op)
         op.parent = None
         return op
-
-    # -- navigation ---------------------------------------------------------------
-    @property
-    def first_op(self) -> Optional[Operation]:
-        return self.ops[0] if self.ops else None
 
     @property
     def last_op(self) -> Optional[Operation]:
@@ -454,9 +439,3 @@ class Region:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Region with {len(self.blocks)} blocks>"
-
-
-def walk_preorder(op: Operation, callback: Callable[[Operation], None]) -> None:
-    """Apply ``callback`` to ``op`` and every nested operation, pre-order."""
-    for nested in op.walk():
-        callback(nested)

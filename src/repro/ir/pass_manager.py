@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 from ..obs import compile_tracing
-from .context import MLContext
 from .core import Operation
 
 
@@ -36,7 +35,7 @@ class ModulePass:
     #: multiplies its operation count): per-pass verification stops with it.
     conversion: bool = False
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         raise NotImplementedError
 
     def __str__(self) -> str:
@@ -58,19 +57,19 @@ class VerifyPass(ModulePass):
     name = "verify"
     analysis = True
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         module.verify()
 
 
 class LambdaPass(ModulePass):
     """Wrap a plain callable as a pass (useful in tests and pipelines)."""
 
-    def __init__(self, name: str, fn: Callable[[MLContext, Operation], None]):
+    def __init__(self, name: str, fn: Callable[[Operation], None]):
         self.name = name
         self._fn = fn
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
-        self._fn(ctx, module)
+    def apply(self, module: Operation) -> None:
+        self._fn(module)
 
 
 class Stage(NamedTuple):
@@ -127,8 +126,7 @@ class PassManager:
     pass and its stage.
     """
 
-    def __init__(self, ctx: MLContext, stages: Iterable[Stage]):
-        self.ctx = ctx
+    def __init__(self, stages: Iterable[Stage]):
         self.stages: tuple[Stage, ...] = tuple(stages)
         self.report = PipelineReport()
 
@@ -147,7 +145,7 @@ class PassManager:
                         where = f"pass {pass_.name!r} of stage {stage.name!r}"
                         try:
                             with tracer.span(f"pass.{pass_.name}"):
-                                pass_.apply(self.ctx, module)
+                                pass_.apply(module)
                         except Exception as err:
                             raise PassFailedError(f"{where} failed: {err}") from err
                         if pass_.analysis:

@@ -7,8 +7,9 @@ Prints operations in an MLIR-like *generic* syntax::
 
 Dialect-defined attributes and types are printed as ``#dialect.name<...>`` and
 ``!dialect.name<...>`` where the angle-bracket payload is produced by the
-attribute's ``print_parameters`` method.  The output round-trips through
-:mod:`repro.ir.parser`.
+attribute's ``print_parameters`` method.  The text is deterministic — a
+compiled program's fingerprint is a hash of it — and it is write-only:
+nothing reads it back.
 """
 
 from __future__ import annotations
@@ -209,11 +210,6 @@ def _format_float(value: float) -> str:
     if "e" in text or "." in text or "inf" in text or "nan" in text:
         return text
     return text + ".0"
-
-
-def print_op(op: Operation) -> str:
-    """Print a single operation (and everything nested) to a string."""
-    return Printer().print_op(op)
 
 
 def print_module(module: Operation) -> str:

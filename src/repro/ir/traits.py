@@ -98,13 +98,3 @@ def is_pure(op: "Operation") -> bool:
                 if not is_pure(nested) and not nested.has_trait(IsTerminator):
                     return False
     return True
-
-
-def has_side_effects(op: "Operation") -> bool:
-    """Whether an op (or anything nested in it) may touch memory or communicate."""
-    for nested in op.walk():
-        if nested.has_trait(MemoryWriteEffect) or nested.has_trait(CommunicationEffect):
-            return True
-        if nested.name.startswith("func.call"):
-            return True
-    return False

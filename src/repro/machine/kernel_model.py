@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..dialects import stencil
-from ..ir.context import MLContext
 from ..ir.core import Operation
 from ..ir.pass_manager import ModulePass
 
@@ -22,7 +21,7 @@ _FLOP_OPS = {
     "arith.maximumf", "arith.minimumf",
 }
 #: Expensive operations counted with a higher weight.
-_FLOP_WEIGHTS = {"arith.divf": 4, "arith.powf": 8}
+_FLOP_WEIGHTS = {"arith.divf": 4}
 
 
 @dataclass
@@ -50,9 +49,6 @@ class ApplyCharacteristics:
         """
         return dtype_bytes * (self.input_fields + 2 * self.output_fields)
 
-    def arithmetic_intensity(self, dtype_bytes: int = 4) -> float:
-        return self.flops_per_cell / max(self.bytes_per_cell(dtype_bytes), 1)
-
 
 @dataclass
 class ProgramCharacteristics:
@@ -77,10 +73,6 @@ class ProgramCharacteristics:
         if not self.applies:
             return 0
         return max(a.cells_per_step for a in self.applies)
-
-    @property
-    def total_cell_updates_per_step(self) -> int:
-        return sum(a.cells_per_step for a in self.applies)
 
     def arithmetic_intensity(self, dtype_bytes: int = 4) -> float:
         bytes_total = self.bytes_per_step(dtype_bytes)
@@ -158,5 +150,5 @@ class CharacterizePass(ModulePass):
     def __init__(self) -> None:
         self.characteristics: Optional[ProgramCharacteristics] = None
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         self.characteristics = characterize_module(module)

@@ -35,7 +35,6 @@ from .mp_world import (
 from .shared_pool import LeasedField, SharedFieldPool
 from .stats import (
     RankStats,
-    combine_exec_statistics,
     merge_comm_statistics,
     sort_rank_stats,
 )
@@ -51,7 +50,7 @@ __all__ = [
     "SharedField", "SharedFieldSpec",
     "processes_available", "default_context",
     "WorkerPool", "WorkerError", "WorkerFailure", "PoolManager",
-    "RankStats", "merge_comm_statistics", "combine_exec_statistics",
+    "RankStats", "merge_comm_statistics",
     "sort_rank_stats",
     "LeasedField", "SharedFieldPool",
 ]

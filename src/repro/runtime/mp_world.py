@@ -91,22 +91,15 @@ class SharedFieldSpec:
 
 
 class SharedField:
-    """A NumPy array backed by a ``multiprocessing.shared_memory`` block."""
+    """A worker's NumPy view of a parent-owned ``shared_memory`` block.
 
-    def __init__(self, block, array: np.ndarray, owner: bool):
+    The parent side — allocation, leasing, unlinking — is
+    :class:`repro.runtime.shared_pool.SharedFieldPool`.
+    """
+
+    def __init__(self, block, array: np.ndarray):
         self._block = block
         self.array = array
-        self._owner = owner
-
-    @classmethod
-    def create(cls, source: np.ndarray) -> "SharedField":
-        """Allocate a block in the parent and copy ``source`` into it."""
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(create=True, size=max(source.nbytes, 1))
-        array = np.ndarray(source.shape, dtype=source.dtype, buffer=block.buf)
-        array[...] = source
-        return cls(block, array, owner=True)
 
     @classmethod
     def attach(cls, spec: SharedFieldSpec) -> "SharedField":
@@ -127,25 +120,12 @@ class SharedField:
         finally:
             resource_tracker.register = original_register
         array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
-        return cls(block, array, owner=False)
-
-    @property
-    def spec(self) -> SharedFieldSpec:
-        return SharedFieldSpec(
-            name=self._block.name,
-            shape=tuple(self.array.shape),
-            dtype=self.array.dtype.str,
-        )
+        return cls(block, array)
 
     def release(self) -> None:
-        """Close this handle (and unlink the block when this is the owner)."""
+        """Close this handle; the parent unlinks the block."""
         self.array = None
         self._block.close()
-        if self._owner:
-            try:
-                self._block.unlink()
-            except FileNotFoundError:  # pragma: no cover - double release
-                pass
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,6 @@ def merge_comm_statistics(per_rank: Sequence[CommStatistics]) -> CommStatistics:
     return registry.as_comm_statistics()
 
 
-def combine_exec_statistics(per_rank: Sequence[ExecStatistics]) -> ExecStatistics:
-    """Sum per-rank execution counters into one world-wide summary."""
-    registry = MetricsRegistry()
-    registry.ingest_all(per_rank, "exec.")
-    return registry.as_exec_statistics()
-
-
 def sort_rank_stats(reports: Sequence[RankStats]) -> list[RankStats]:
     """Order worker reports by rank (workers finish in arbitrary order)."""
     ordered = sorted(reports, key=lambda report: report.rank)

@@ -16,7 +16,7 @@ import threading
 import time
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import JobCancelledError, ServeError
+from .errors import JobCancelledError
 
 #: Job lifecycle states (``JobHandle.state``).
 PENDING = "pending"      #: queued, not yet claimed by a batch
@@ -98,18 +98,6 @@ class JobHandle:
             if self.state == FAILED:
                 raise self._error
             return self._result
-
-    def exception(self, timeout: Optional[float] = None) -> Optional[BaseException]:
-        """Block until terminal; the job's error (None when it succeeded)."""
-        try:
-            self.result(timeout)
-        except TimeoutError:
-            raise
-        except ServeError as err:
-            return err
-        except BaseException as err:  # noqa: BLE001 - the job's own failure
-            return err
-        return None
 
     # -- dispatcher surface ---------------------------------------------------
     def _begin(self) -> bool:

@@ -117,10 +117,6 @@ class Server:
         """The underlying session (shared plan/megakernel/pool state)."""
         return self._session
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def start(self) -> None:
         """Start the dispatcher thread (idempotent)."""
         if self._thread is not None or self._closed:
@@ -228,11 +224,6 @@ class Server:
                 stats = TenantStats(name)
                 self._tenants[name] = stats
             return stats
-
-    @property
-    def tenants(self) -> Dict[str, TenantStats]:
-        with self._tenant_lock:
-            return dict(self._tenants)
 
     def _job_cancelled(self, job: JobHandle) -> None:
         self.metrics.inc("serve.jobs_cancelled")

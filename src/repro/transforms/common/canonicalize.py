@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ...ir.context import MLContext
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
 from .constant_folding import fold_constants
@@ -29,5 +28,5 @@ class CanonicalizePass(ModulePass):
 
     name = "canonicalize"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         canonicalize(module)

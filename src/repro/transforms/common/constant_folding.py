@@ -13,7 +13,6 @@ from typing import Callable, Optional, Union
 
 from ...dialects import arith
 from ...ir.attributes import FloatAttr, IntegerAttr
-from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import i1, is_float_type
@@ -26,13 +25,9 @@ _INT_FOLDERS: dict[str, Callable[[int, int], int]] = {
     "arith.muli": lambda a, b: a * b,
     "arith.divsi": lambda a, b: int(a / b) if b != 0 else 0,
     "arith.remsi": lambda a, b: int(a - b * int(a / b)) if b != 0 else 0,
-    "arith.floordivsi": lambda a, b: a // b if b != 0 else 0,
     "arith.minsi": min,
     "arith.maxsi": max,
     "arith.andi": lambda a, b: a & b,
-    "arith.ori": lambda a, b: a | b,
-    "arith.xori": lambda a, b: a ^ b,
-    "arith.shli": lambda a, b: a << b,
 }
 
 _FLOAT_FOLDERS: dict[str, Callable[[float, float], float]] = {
@@ -42,7 +37,6 @@ _FLOAT_FOLDERS: dict[str, Callable[[float, float], float]] = {
     "arith.divf": lambda a, b: a / b if b != 0.0 else float("inf"),
     "arith.maximumf": max,
     "arith.minimumf": min,
-    "arith.powf": lambda a, b: a ** b,
 }
 
 _CMPI_FOLDERS: dict[str, Callable[[int, int], bool]] = {
@@ -162,5 +156,5 @@ class ConstantFoldingPass(ModulePass):
 
     name = "constant-folding"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         fold_constants(module)

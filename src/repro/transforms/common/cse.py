@@ -8,7 +8,6 @@ shared MLIR infrastructure.
 
 from __future__ import annotations
 
-from ...ir.context import MLContext
 from ...ir.core import Block, Operation
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import is_pure
@@ -65,5 +64,5 @@ class CommonSubexpressionEliminationPass(ModulePass):
 
     name = "cse"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         eliminate_common_subexpressions(module)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ...ir.context import MLContext
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
@@ -38,5 +37,5 @@ class DeadCodeEliminationPass(ModulePass):
 
     name = "dce"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         eliminate_dead_code(module)

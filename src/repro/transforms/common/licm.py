@@ -9,7 +9,6 @@ hoisting loop-invariant MPI setup code out of time loops.
 from __future__ import annotations
 
 from ...dialects import scf
-from ...ir.context import MLContext
 from ...ir.core import Operation, Region, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
@@ -78,5 +77,5 @@ class LoopInvariantCodeMotionPass(ModulePass):
 
     name = "loop-invariant-code-motion"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         hoist_loop_invariant_code(module)

@@ -6,7 +6,6 @@ from .decomposition import (
     GridSlicingStrategy,
     LocalDomain,
     communicated_elements_per_step,
-    strategy_for_grid,
 )
 from .dmp_to_mpi import ConvertDMPToMPIPass, lower_dmp_to_mpi
 from .redundant_swap_elim import RedundantSwapEliminationPass, eliminate_redundant_swaps
@@ -14,7 +13,7 @@ from .stencil_to_dmp import DistributeStencilPass, DistributionSummary, distribu
 
 __all__ = [
     "DecompositionStrategy", "GridSlicingStrategy", "LocalDomain",
-    "DecompositionError", "strategy_for_grid", "communicated_elements_per_step",
+    "DecompositionError", "communicated_elements_per_step",
     "DistributeStencilPass", "DistributionSummary", "distribute_stencil",
     "RedundantSwapEliminationPass", "eliminate_redundant_swaps",
     "ConvertDMPToMPIPass", "lower_dmp_to_mpi",

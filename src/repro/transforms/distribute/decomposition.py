@@ -187,11 +187,6 @@ class GridSlicingStrategy(DecompositionStrategy):
         return exchanges
 
 
-def strategy_for_grid(grid_shape: Sequence[int]) -> GridSlicingStrategy:
-    """Convenience constructor used by the pipelines and benchmarks."""
-    return GridSlicingStrategy(grid_shape)
-
-
 def communicated_elements_per_step(
     strategy: DecompositionStrategy,
     global_shape: Sequence[int],

@@ -25,7 +25,6 @@ from ...dialects import arith, memref, mpi, scf
 from ...dialects.dmp import ExchangeAttr, SwapOp
 from ...ir.attributes import IntegerAttr
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Block, Operation, Region, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import MemRefType, i1, i32
@@ -201,5 +200,5 @@ class ConvertDMPToMPIPass(ModulePass):
     name = "convert-dmp-to-mpi"
     conversion = True
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         lower_dmp_to_mpi(module)

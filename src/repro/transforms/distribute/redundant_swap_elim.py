@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from ...dialects.builtin import UnrealizedConversionCastOp
 from ...dialects.dmp import SwapOp
-from ...ir.context import MLContext
 from ...ir.core import Block, Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import MemoryWriteEffect
@@ -88,5 +87,5 @@ class RedundantSwapEliminationPass(ModulePass):
 
     name = "dmp-eliminate-redundant-swaps"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         eliminate_redundant_swaps(module)

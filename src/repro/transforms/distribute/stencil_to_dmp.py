@@ -27,7 +27,6 @@ from ...dialects import func, stencil
 from ...dialects.builtin import UnrealizedConversionCastOp
 from ...dialects.dmp import SwapOp
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import FunctionType, MemRefType
@@ -182,5 +181,5 @@ class DistributeStencilPass(ModulePass):
         self.grid = strategy.rank_grid()
         self.summary: Optional[DistributionSummary] = None
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         self.summary = distribute_stencil(module, self.strategy)

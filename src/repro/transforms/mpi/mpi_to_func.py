@@ -14,7 +14,6 @@ from ...dialects import arith, func, llvm, memref, mpi
 from ...dialects.builtin import ModuleOp
 from ...ir.attributes import IntegerAttr
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import Float32Type, Float64Type, IntegerType, MemRefType, i32, i64
@@ -271,6 +270,6 @@ class ConvertMPIToFuncPass(ModulePass):
     name = "convert-mpi-to-llvm"
     conversion = True
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         assert isinstance(module, ModuleOp)
         lower_mpi_to_func(module)

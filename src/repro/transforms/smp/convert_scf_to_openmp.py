@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ...dialects import omp, scf
-from ...ir.context import MLContext
 from ...ir.core import Block, Operation, Region
 from ...ir.pass_manager import ModulePass
 
@@ -86,5 +85,5 @@ class ConvertSCFToOpenMPPass(ModulePass):
     def __init__(self, num_threads: Optional[int] = None):
         self.num_threads = num_threads
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         convert_scf_to_openmp(module, self.num_threads)

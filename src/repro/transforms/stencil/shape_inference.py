@@ -16,7 +16,6 @@ simply retypes SSA values in place.
 from __future__ import annotations
 
 from ...dialects import stencil
-from ...ir.context import MLContext
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
 
@@ -118,5 +117,5 @@ class StencilShapeInferencePass(ModulePass):
 
     name = "stencil-shape-inference"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         infer_shapes(module)

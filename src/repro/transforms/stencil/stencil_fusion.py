@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from ...dialects import stencil
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Block, Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 
@@ -174,5 +173,5 @@ class StencilFusionPass(ModulePass):
 
     name = "stencil-fusion"
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         fuse_applies(module)

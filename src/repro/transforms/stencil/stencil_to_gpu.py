@@ -4,17 +4,18 @@ The real stack lowers ``scf.parallel`` to the MLIR ``gpu`` dialect and then to
 CUDA.  Here the loops are lowered with the shared CPU path and every parallel
 loop nest is *mapped* to a GPU kernel: the pass
 
-* allocates device buffers (``gpu.alloc``) and copies fields host->device
-  before the time loop and device->host after it,
 * marks each ``scf.parallel`` with a ``gpu_kernel`` unit attribute (the unit of
-  kernel launch), and
+  kernel launch),
+* records the data-movement policy as an ``explicit_data_movement`` unit
+  attribute on the nest — no device buffer is allocated and nothing is
+  copied; what a transfer costs is the :mod:`repro.machine` model's job — and
 * inserts a ``gpu.host_synchronize`` after each mapped loop, reproducing the
   synchronous-kernel-launch behaviour the paper measures (each scf.parallel
   becomes a separate, synchronously executed kernel).
 
 The interpreter executes the mapped loops like ordinary loops; the GPU
-performance model (:mod:`repro.machine.gpu`) uses the kernel count, the data
-volumes and the synchronisation count to estimate runtime.
+performance model (:mod:`repro.machine.gpu_model`) uses the kernel count, the
+data volumes and the synchronisation count to estimate runtime.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from typing import Sequence
 from ...dialects import gpu, scf
 from ...ir.attributes import UnitAttr
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
 from .stencil_to_scf import lower_stencil_to_scf
@@ -83,7 +83,7 @@ class ConvertStencilToGPUPass(ModulePass):
         self.block_shape = tuple(block_shape)
         self.explicit_data_movement = explicit_data_movement
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         lower_stencil_to_gpu(
             module,
             block_shape=self.block_shape,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from ...dialects import hls, stencil
 from ...ir.attributes import IntAttr, UnitAttr
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
 
@@ -113,5 +112,5 @@ class ConvertStencilToHLSPass(ModulePass):
         self.optimize = optimize
         self.kernel_infos: list[HLSKernelInfo] = []
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         self.kernel_infos = lower_stencil_to_hls(module, optimize=self.optimize)

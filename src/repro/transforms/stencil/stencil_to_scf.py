@@ -21,7 +21,6 @@ from ...dialects import arith, memref, scf, stencil
 from ...dialects.builtin import UnrealizedConversionCastOp
 from ...ir.attributes import IntAttr, UnitAttr
 from ...ir.builder import Builder
-from ...ir.context import MLContext
 from ...ir.core import Block, BlockArgument, Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.types import MemRefType, index
@@ -254,13 +253,6 @@ class _ApplyLowering:
                         indices.append(shifted.result)
                 load = builder.insert(memref.LoadOp(memref_value, indices))
                 value_map[op.result] = load.result
-            elif isinstance(op, stencil.IndexOp):
-                iv = loop_ivs[op.dim]
-                offset_attr = op.attributes.get("offset")
-                offset_value = offset_attr.data if offset_attr is not None else 0
-                if offset_value:
-                    iv = builder.insert(arith.AddiOp(iv, index_const(offset_value))).result
-                value_map[op.result] = iv
             elif isinstance(op, stencil.ReturnOp):
                 for result_index, returned in enumerate(op.operands):
                     memref_value, field_lb = output_casts[result_index]
@@ -317,7 +309,7 @@ class ConvertStencilToSCFPass(ModulePass):
         self.tile_sizes = tile_sizes
         self.parallel_attr = parallel_attr
 
-    def apply(self, ctx: MLContext, module: Operation) -> None:
+    def apply(self, module: Operation) -> None:
         lower_stencil_to_scf(
             module, tile_sizes=self.tile_sizes, parallel_attr=self.parallel_attr
         )

@@ -1,14 +1,10 @@
 """Benchmark workload generators for the paper's evaluation kernels."""
 
 from .devito_workloads import (
-    PAPER_PROBLEM_SIZES,
-    PAPER_SPACE_ORDERS,
-    PAPER_TIMESTEPS,
     DevitoWorkload,
     acoustic_wave,
     heat_diffusion,
     kernel_label,
-    paper_workload,
 )
 from .psyclone_workloads import (
     PAPER_PW_SCALING_SHAPE,
@@ -24,8 +20,7 @@ from .psyclone_workloads import (
 )
 
 __all__ = [
-    "DevitoWorkload", "heat_diffusion", "acoustic_wave", "paper_workload",
-    "kernel_label", "PAPER_PROBLEM_SIZES", "PAPER_TIMESTEPS", "PAPER_SPACE_ORDERS",
+    "DevitoWorkload", "heat_diffusion", "acoustic_wave", "kernel_label",
     "PsycloneWorkload", "pw_advection", "tracer_advection",
     "masked_tracer_advection",
     "PAPER_PW_SIZES_CPU", "PAPER_TRAADV_SIZES_CPU",

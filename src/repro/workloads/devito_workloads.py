@@ -38,12 +38,6 @@ class DevitoWorkload:
             kwargs["target"] = target
         return Operator(self.equations, **kwargs)
 
-    @property
-    def stencil_points(self) -> int:
-        """Points of the spatial stencil (the paper's 5pt/9pt/... naming)."""
-        ndim = self.grid.ndim
-        return ndim * self.space_order + 1
-
     def initialise(self, seed: int = 0) -> None:
         """Deterministic, smooth initial conditions (shared by both back-ends)."""
         rng = np.random.default_rng(seed)
@@ -103,33 +97,6 @@ def acoustic_wave(
         dt=dt,
         space_order=space_order,
     )
-
-
-#: Paper problem sizes (per platform) for figures 7-9.
-PAPER_PROBLEM_SIZES = {
-    ("archer2", 2): (16384, 16384),
-    ("archer2", 3): (1024, 1024, 1024),
-    ("cirrus-gpu", 2): (8192, 8192),
-    ("cirrus-gpu", 3): (512, 512, 512),
-}
-
-#: Paper simulation lengths in time steps.
-PAPER_TIMESTEPS = {2: 1024, 3: 512}
-
-#: Space orders evaluated in the paper.
-PAPER_SPACE_ORDERS = (2, 4, 8)
-
-
-def paper_workload(
-    kind: str, ndim: int, space_order: int, platform: str = "archer2"
-) -> DevitoWorkload:
-    """The benchmark exactly as sized in the paper (for the performance models)."""
-    shape = PAPER_PROBLEM_SIZES[(platform, ndim)]
-    if kind == "heat":
-        return heat_diffusion(shape, space_order)
-    if kind == "wave":
-        return acoustic_wave(shape, space_order)
-    raise ValueError(f"unknown Devito workload kind {kind!r}")
 
 
 #: The point counts the paper's figure labels use per (ndim, space order).

@@ -111,13 +111,6 @@ class PsycloneWorkload:
             self.schedule, self.shape, iterations=self.iterations
         )
 
-    @property
-    def grid_points(self) -> int:
-        total = 1
-        for extent in self.shape:
-            total *= extent
-        return total
-
     def arrays(self, halo: int = 1, dtype=np.float32, seed: int = 0) -> dict[str, np.ndarray]:
         """Deterministic input arrays (one per Fortran array argument)."""
         rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from repro.dialects import arith, builtin, func, scf, stencil
-from repro.ir import Builder, FunctionType, MemRefType, default_context, f64, index
+from repro.ir import Builder, FunctionType, MemRefType, f64, index
 
 # Property tests draw a fixed example set, so a red run reproduces; CI draws
 # ten times as many from the same generators (``--hypothesis-profile=ci``).
@@ -17,11 +17,6 @@ settings.register_profile(
     max_examples=10 * settings.get_profile("tier1").max_examples,
 )
 settings.load_profile("tier1")
-
-
-@pytest.fixture
-def ctx():
-    return default_context()
 
 
 def build_jacobi_module(n: int = 8, halo: int = 1, coefficient: float = 1.0 / 3.0):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dialects import arith, builtin, func, memref, scf
 from repro.interp import Interpreter, InterpreterError, MemRefValue
-from repro.ir import Builder, FunctionType, MemRefType, f64, i32, index
+from repro.ir import Builder, FunctionType, MemRefType, Operation, f64, i32, index
 
 
 def make_kernel(inputs, outputs):
@@ -168,9 +168,10 @@ class TestMemory:
 class TestErrors:
     def test_unknown_operation(self):
         kernel, b = make_kernel([], [])
-        from repro.ir.parser import UnregisteredOp
+        class MysteryOp(Operation):
+            name = "mystery.op"
 
-        b.insert(UnregisteredOp.with_name("mystery.op").create())
+        b.insert(MysteryOp())
         b.insert(func.ReturnOp([]))
         with pytest.raises(InterpreterError):
             run(builtin.ModuleOp([kernel]))

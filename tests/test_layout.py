@@ -10,6 +10,8 @@ A re-export alone keeps nothing alive: a module that only its package's
 from __future__ import annotations
 
 import ast
+import re
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,14 +20,37 @@ SRC = ROOT / "src"
 #: Modules nothing imports, and why each stays.
 EXEMPT = {
     "repro.obs.report": "an entry point: python -m repro.obs.report",
-    "repro.ir.parser": "reads the text print_module writes; only the "
-                       "round-trip tests call it",
 }
+
+
+@lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
 
 
 def _module_name(path: Path) -> str:
     parts = path.relative_to(SRC).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _bindings(path: Path, own_name: str, is_package: bool):
+    """``(imports, bound)`` of ``path``: the ``(module, names)`` of each import
+    statement, and ``{local name: dotted path it is bound to}``."""
+    package = own_name.split(".") if is_package else own_name.split(".")[:-1]
+    imports: list[tuple[str, list[str]]] = []
+    bound: dict[str, str] = {}
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imports.append((alias.name, []))
+                bound[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - (node.level - 1)] if node.level else []
+            module = ".".join(base + (node.module.split(".") if node.module else []))
+            imports.append((module, [alias.name for alias in node.names]))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return imports, bound
 
 
 def _imports(path: Path, own_name: str, is_package: bool):
@@ -35,21 +60,9 @@ def _imports(path: Path, own_name: str, is_package: bool):
     and the attributes read off a module bound by ``import a.b as m`` or
     ``from a import b as m`` (``m.name``).
     """
-    package = own_name.split(".") if is_package else own_name.split(".")[:-1]
-    tree = ast.parse(path.read_text())
-    bound: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.name, []
-                bound[alias.asname or alias.name] = alias.name
-        elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - (node.level - 1)] if node.level else []
-            module = ".".join(base + (node.module.split(".") if node.module else []))
-            yield module, [alias.name for alias in node.names]
-            for alias in node.names:
-                bound[alias.asname or alias.name] = f"{module}.{alias.name}"
-    for node in ast.walk(tree):
+    imports, bound = _bindings(path, own_name, is_package)
+    yield from imports
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in bound:
                 yield bound[node.value.id], [node.attr]
@@ -92,3 +105,141 @@ def unused_modules() -> list[str]:
 
 def test_every_module_is_imported_by_the_program():
     assert unused_modules() == sorted(EXEMPT)
+
+
+# -- operations ---------------------------------------------------------------
+# An operation is a class something builds.  Testing for an op
+# (``isinstance``) or annotating with it keeps nothing alive: the op has to be
+# used as a value — called, or put in a table that is called — by a module of
+# ``src/repro`` other than the dialect file that defines it.
+
+DIALECTS = SRC / "repro" / "dialects"
+
+_EMITTER = ("no frontend emits it, but the nest emitter spells it: built by the "
+            "differential tests of tests/test_properties.py")
+_MPI = ("the paper's message-passing dialect, kept whole: built and executed, as "
+        "mpi.* and as the lowered MPI_* call, by "
+        "tests/test_mpi_runtime.py::test_every_mpi_operation_runs_in_both_forms")
+
+#: Operations no module of ``src/repro`` builds, and why each stays.
+UNBUILT = {
+    **{f"arith.{op}": _EMITTER for op in (
+        "extf", "extsi", "fptosi", "maximumf", "maxsi", "minimumf", "muli",
+        "sitofp", "subi", "truncf", "trunci")},
+    **{f"mpi.{op}": _MPI for op in (
+        "init", "finalize", "barrier", "comm_size", "send", "recv", "wait",
+        "test", "reduce", "allreduce", "bcast", "gather")},
+    "scf.reduce": "reductions reach the emitter only from hand-built nests: "
+                  "tests/conftest.py::build_reduce_module and the fuzz",
+    "stencil.alloc": "a field that is not a function argument: "
+                     "tests/test_stencil_dialect_and_transforms.py",
+}
+
+
+class _ValueUses(ast.NodeVisitor):
+    """Collects the nodes of a tree that are evaluated as values.
+
+    Skipped: annotations, and the class-info argument of ``isinstance``.
+    """
+
+    def __init__(self):
+        self.nodes: list[ast.AST] = []
+
+    def generic_visit(self, node: ast.AST) -> None:
+        self.nodes.append(node)
+        super().generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            self.visit(node.args[0])
+        else:
+            self.generic_visit(node)
+
+    def visit_arg(self, node: ast.arg) -> None:
+        pass
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        for child in (*node.decorator_list, *node.args.defaults,
+                      *filter(None, node.args.kw_defaults), *node.body):
+            self.visit(child)
+
+
+def _declared_name(cls: ast.ClassDef):
+    """The string a class body assigns to ``name``, or None."""
+    for statement in cls.body:
+        if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            target = statement.targets[0] if isinstance(statement, ast.Assign) else statement.target
+            if getattr(target, "id", None) == "name" and isinstance(statement.value, ast.Constant):
+                return statement.value.value
+    return None
+
+
+def dialect_names() -> dict[str, str]:
+    """``{op name: dotted path of its class}`` of every ``Operation`` subclass."""
+    operations: dict[str, str] = {}
+    for path in DIALECTS.glob("*.py"):
+        classes = [n for n in _tree(path).body if isinstance(n, ast.ClassDef)]
+        bases = {c.name: [b.id for b in c.bases if isinstance(b, ast.Name)] for c in classes}
+
+        def is_operation(name: str) -> bool:
+            return name == "Operation" or any(map(is_operation, bases.get(name, ())))
+
+        for cls in classes:
+            if is_operation(cls.name) and _declared_name(cls) is not None:
+                operations[_declared_name(cls)] = f"{_module_name(path)}.{cls.name}"
+    return operations
+
+
+def unbuilt_operations() -> list[str]:
+    # A file reaches another file's class through an import, so what a file
+    # reads off its imports is what it uses of other files.
+    built: set[str] = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        _, bound = _bindings(path, _module_name(path), path.name == "__init__.py")
+        uses = _ValueUses()
+        uses.visit(_tree(path))
+        for node in uses.nodes:
+            if isinstance(node, ast.Name) and node.id in bound:
+                built.add(bound[node.id])
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound):
+                built.add(f"{bound[node.value.id]}.{node.attr}")
+    return sorted(name for name, cls in dialect_names().items() if cls not in built)
+
+
+def dangling_operation_names() -> list[str]:
+    """String constants of ``src/repro`` spelled like an op that does not exist.
+
+    Known spellings are the ``name`` of every class (operations, attributes,
+    types); prefixes handed to ``str.startswith`` are not names.
+    """
+    trees = {path: _tree(path) for path in (SRC / "repro").rglob("*.py")}
+    known, prefixes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                known.add(_declared_name(node))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "startswith"):
+                prefixes |= {id(arg) for arg in node.args}
+    dialects = {name.split(".")[0] for name in dialect_names()}
+    spelling = re.compile(r"(%s)(\.[a-z_0-9]+)+(:[a-z]+)?" % "|".join(sorted(dialects)))
+    return sorted(
+        f"{_module_name(path)}: {node.value!r}"
+        for path, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in prefixes and spelling.fullmatch(node.value)
+        and node.value.split(":")[0] not in known  # "arith.cmpf:oeq" keys a predicate
+    )
+
+
+def test_every_operation_is_built_by_the_program():
+    assert unbuilt_operations() == sorted(UNBUILT)
+
+
+def test_every_operation_name_in_the_source_exists():
+    assert dangling_operation_names() == []

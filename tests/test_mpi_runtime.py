@@ -67,6 +67,34 @@ class TestPointToPoint:
         with pytest.raises(MPIRuntimeError):
             world.run_spmd(body, timeout=2.0)
 
+    def test_recv_times_out_under_unrelated_traffic(self):
+        """A receive whose message never comes times out on time although
+        another rank keeps sending: every posted message wakes every waiter,
+        and a wake-up used to restart the waiter's full timeout."""
+        import threading
+        import time
+
+        timeout = 0.3
+        world = SimulatedMPI(3, timeout=timeout)
+        stop = threading.Event()
+
+        def body(comm):
+            if comm.rank == 0:
+                started = time.monotonic()
+                try:
+                    with pytest.raises(MPIRuntimeError, match="timed out"):
+                        comm.recv(np.zeros(1), source=1, tag=9)
+                finally:
+                    stop.set()
+                return time.monotonic() - started
+            if comm.rank == 2:  # unrelated traffic: rank 2 -> rank 1, every 50 ms
+                while not stop.wait(0.05):
+                    comm.send(np.zeros(1), dest=1, tag=3)
+            return None
+
+        waited = world.run_spmd(body, timeout=10 * timeout)[0]
+        assert timeout <= waited < 2 * timeout
+
     def test_test_polls_completion(self):
         world = SimulatedMPI(2, timeout=5.0)
 
@@ -289,3 +317,178 @@ class TestLoweredCollectives:
                 wanted = expected if rank == _REDUCE_ROOT else np.full(4, -7.0)
                 assert np.array_equal(to_root, wanted), (operation, rank)
                 assert np.array_equal(to_all, expected), (operation, rank)
+
+
+# ---------------------------------------------------------------------------
+# the whole mpi dialect, executed: every operation runs as an mpi.* op and as
+# what lower_mpi_to_func makes of it, on a 2-rank world
+# ---------------------------------------------------------------------------
+
+def _mpi_operations():
+    from repro.dialects import mpi
+    from repro.ir import Operation
+
+    return sorted(
+        cls.name for cls in vars(mpi).values()
+        if isinstance(cls, type) and issubclass(cls, Operation)
+        and cls.name.startswith("mpi.")
+    )
+
+
+#: Operation -> (the scenario of ``_build_scenario`` that contains it, the
+#: library call it lowers to).  None: the op needs no library call and stays
+#: (request bookkeeping — and ``mpi.test``, which has no lowering).
+_MPI_SCENARIOS = {
+    "mpi.init": ("lifecycle", "MPI_Init"),
+    "mpi.finalize": ("lifecycle", "MPI_Finalize"),
+    "mpi.comm_rank": ("lifecycle", "MPI_Comm_rank"),
+    "mpi.comm_size": ("lifecycle", "MPI_Comm_size"),
+    "mpi.barrier": ("lifecycle", "MPI_Barrier"),
+    "mpi.unwrap_memref": ("blocking", "llvm.inttoptr"),
+    "mpi.send": ("blocking", "MPI_Send"),
+    "mpi.recv": ("blocking", "MPI_Recv"),
+    "mpi.allocate_requests": ("wait", None),
+    "mpi.get_request": ("wait", None),
+    "mpi.set_null_request": ("wait", None),
+    "mpi.isend": ("wait", "MPI_Isend"),
+    "mpi.irecv": ("wait", "MPI_Irecv"),
+    "mpi.test": ("wait", None),
+    "mpi.wait": ("wait", "MPI_Wait"),
+    "mpi.waitall": ("waitall", "MPI_Waitall"),
+    "mpi.reduce": ("collectives", "MPI_Reduce"),
+    "mpi.allreduce": ("collectives", "MPI_Allreduce"),
+    "mpi.bcast": ("collectives", "MPI_Bcast"),
+    "mpi.gather": ("collectives", "MPI_Gather"),
+}
+
+
+def _build_scenario(scenario):
+    """``kernel(data, landing, gathered, notes)``, the same on both ranks.
+
+    ``data`` (4 x f64) is what a rank owns, ``landing`` (4) what it receives,
+    ``gathered`` (8) the gather target, ``notes`` (4) scalars it records.
+    """
+    from repro.dialects import arith, builtin, func, memref, mpi
+    from repro.ir import Builder, FunctionType, MemRefType, f64, i32
+
+    kernel = func.FuncOp("kernel", FunctionType(
+        [MemRefType([4], f64), MemRefType([4], f64), MemRefType([8], f64),
+         MemRefType([4], f64)], []))
+    data, landing, gathered, notes = kernel.args
+    b = Builder.at_end(kernel.body.block)
+
+    def const(value, type_=i32):
+        return b.insert(arith.ConstantOp.from_int(value, type_)).result
+
+    def record(value, position):  # notes[position] = f64(value)
+        as_float = b.insert(arith.SIToFPOp(value, f64)).result
+        b.insert(memref.StoreOp(as_float, notes, [b.insert(
+            arith.ConstantOp.from_int(position)).result]))
+
+    rank = b.insert(mpi.CommRankOp()).rank
+    peer = b.insert(arith.SubiOp(const(1), rank)).result
+    tag = const(7)
+    if scenario == "lifecycle":
+        b.insert(mpi.InitOp())
+        record(rank, 0)
+        record(b.insert(mpi.CommSizeOp()).size, 1)
+        b.insert(mpi.BarrierOp())
+        b.insert(mpi.FinalizeOp())
+    else:
+        mine, theirs, everyone = (
+            b.insert(mpi.UnwrapMemrefOp(buffer)) for buffer in (data, landing, gathered)
+        )
+        record(everyone.count, 3)
+    if scenario == "blocking":  # sends are buffered: both ranks send, then receive
+        b.insert(mpi.SendOp(mine.ptr, mine.count, mine.dtype, peer, tag))
+        b.insert(mpi.RecvOp(theirs.ptr, mine.count, mine.dtype, peer, tag))
+    if scenario in ("wait", "waitall"):
+        requests = b.insert(mpi.AllocateRequestsOp(3)).requests
+        sent, received, skipped = (
+            b.insert(mpi.GetRequestOp(requests, slot)).results[0] for slot in range(3)
+        )
+        b.insert(mpi.NullRequestOp(skipped))
+        b.insert(mpi.IsendOp(mine.ptr, mine.count, mine.dtype, peer, tag, sent))
+        b.insert(mpi.IrecvOp(theirs.ptr, mine.count, mine.dtype, peer, tag, received))
+        if scenario == "waitall":
+            b.insert(mpi.WaitallOp(requests, const(3)))
+        else:
+            b.insert(mpi.TestOp(received))  # may or may not have landed yet
+            b.insert(mpi.WaitOp(received))
+            landed = b.insert(mpi.TestOp(received)).flag
+            record(b.insert(arith.SelectOp(landed, const(1), const(0))).result, 2)
+    if scenario == "collectives":
+        root = const(1)
+        b.insert(mpi.ReduceOp(mine.ptr, theirs.ptr, mine.count, mine.dtype, "sum", root))
+        b.insert(mpi.AllreduceOp(mine.ptr, mine.ptr, mine.count, mine.dtype, "max"))
+        b.insert(mpi.BcastOp(mine.ptr, mine.count, mine.dtype, root))
+        b.insert(mpi.GatherOp(mine.ptr, everyone.ptr, mine.count, mine.dtype, const(0)))
+    b.insert(func.ReturnOp([]))
+    module = builtin.ModuleOp([kernel])
+    module.verify()
+    return module
+
+
+def _run_scenario(module):
+    from repro.interp import Interpreter
+
+    world = SimulatedMPI(2, timeout=10.0)
+
+    def body(comm):
+        buffers = [np.arange(4.0) + 10 * comm.rank, np.full(4, -1.0), np.full(8, -1.0),
+                   np.full(4, -1.0)]
+        Interpreter(module, comm=comm).call("kernel", *buffers)
+        return buffers
+
+    return world.run_spmd(body), world.statistics
+
+
+def test_the_scenarios_cover_the_mpi_dialect():
+    assert sorted(_MPI_SCENARIOS) == _mpi_operations()
+
+
+@pytest.mark.parametrize("operation", sorted(_MPI_SCENARIOS))
+def test_every_mpi_operation_runs_in_both_forms(operation):
+    from repro.dialects import func
+    from repro.transforms.mpi import ConvertMPIToFuncPass
+
+    scenario, lowers_to = _MPI_SCENARIOS[operation]
+    module = _build_scenario(scenario)
+    assert operation in {op.name for op in module.walk()}
+    as_ops, op_statistics = _run_scenario(module)
+
+    ConvertMPIToFuncPass().apply(module)
+    module.verify()
+    names = {op.name for op in module.walk()}
+    calls = {op.callee for op in module.walk() if isinstance(op, func.CallOp)}
+    if lowers_to is None:
+        assert operation in names
+    else:
+        assert operation not in names and lowers_to in names | calls
+    as_calls, call_statistics = _run_scenario(module)
+
+    assert call_statistics == op_statistics
+    for buffers, lowered_buffers in zip(as_ops, as_calls):
+        for buffer, lowered_buffer in zip(buffers, lowered_buffers):
+            assert np.array_equal(buffer, lowered_buffer)
+    # ... and both forms did what the scenario says.
+    (data0, landing0, gathered0, notes0), (data1, landing1, gathered1, notes1) = as_ops
+    theirs0, theirs1 = np.arange(4.0) + 10, np.arange(4.0)
+    if scenario == "lifecycle":
+        assert (notes0[0], notes0[1], notes1[0], notes1[1]) == (0.0, 2.0, 1.0, 2.0)
+        assert op_statistics.barriers == 2
+    else:
+        assert notes0[3] == notes1[3] == 8.0  # an unwrapped element count
+    if scenario in ("blocking", "wait", "waitall"):
+        assert np.array_equal(landing0, theirs0) and np.array_equal(landing1, theirs1)
+        assert op_statistics.messages_sent == 2 and op_statistics.bytes_sent == 64
+        assert notes0[2] == notes1[2] == (1.0 if scenario == "wait" else -1.0)
+    if scenario == "collectives":
+        # reduce(sum) to rank 1; allreduce(max) in place, re-broadcast from
+        # rank 1 and gathered on rank 0.
+        assert np.array_equal(landing1, theirs0 + theirs1) and np.all(landing0 == -1.0)
+        assert np.array_equal(data0, theirs0) and np.array_equal(data1, theirs0)
+        assert np.array_equal(gathered0, np.concatenate([theirs0, theirs0]))
+        assert np.all(gathered1 == -1.0)
+        # One message each for reduce, bcast and gather, two for the allreduce.
+        assert op_statistics.messages_sent == 5 and op_statistics.collectives > 0

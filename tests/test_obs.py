@@ -222,12 +222,12 @@ class TestCompileTracing:
         assert any(name.startswith("pipeline.") for name in names)
 
     def test_pass_spans_nest_in_their_stage_span(self):
-        from repro.ir import LambdaPass, PassManager, Stage, default_context
+        from repro.ir import LambdaPass, PassManager, Stage
 
         program = _compile_heat()
-        manager = PassManager(default_context(), [
-            Stage("probe", (LambdaPass("first", lambda ctx, m: None),
-                            LambdaPass("second", lambda ctx, m: None))),
+        manager = PassManager([
+            Stage("probe", (LambdaPass("first", lambda m: None),
+                            LambdaPass("second", lambda m: None))),
         ])
         with compile_tracing() as tracer:
             manager.run(program.module)

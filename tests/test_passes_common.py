@@ -203,13 +203,13 @@ class TestLoopInvariantCodeMotion:
 
 
 class TestPassManager:
-    def test_pipeline_runs_and_reports(self, ctx):
+    def test_pipeline_runs_and_reports(self):
         kernel, b = make_function()
         x = b.insert(arith.ConstantOp.from_int(2, i32)).result
         b.insert(arith.AddiOp(x, x))
         b.insert(func.ReturnOp([]))
         module = builtin.ModuleOp([kernel])
-        pm = PassManager(ctx, [
+        pm = PassManager([
             Stage("fold", (ConstantFoldingPass(),)),
             Stage("clean", (CommonSubexpressionEliminationPass(),
                             DeadCodeEliminationPass())),
@@ -227,11 +227,11 @@ class TestPassManager:
         assert "dce" in report.summary()
         assert len(kernel.body.block.ops) == 1  # only the return survives
 
-    def test_lambda_pass(self, ctx):
+    def test_lambda_pass(self):
         seen = []
         module = builtin.ModuleOp([])
-        probe = LambdaPass("probe", lambda c, m: seen.append(m))
-        PassManager(ctx, [Stage("only", (probe,))]).run(module)
+        probe = LambdaPass("probe", lambda m: seen.append(m))
+        PassManager([Stage("only", (probe,))]).run(module)
         assert seen == [module]
 
     def test_options_show_in_the_pipeline_string(self):
@@ -239,29 +239,29 @@ class TestPassManager:
         assert (str(ConvertStencilToSCFPass(tile_sizes=(8, 4)))
                 == "convert-stencil-to-scf{tile_sizes=(8, 4)}")
 
-    def test_a_raising_pass_names_itself_and_its_stage(self, ctx):
-        def explode(c, m):
+    def test_a_raising_pass_names_itself_and_its_stage(self):
+        def explode(m):
             raise ValueError("boom")
 
-        manager = PassManager(ctx, [Stage("lowering", (LambdaPass("bad", explode),))])
+        manager = PassManager([Stage("lowering", (LambdaPass("bad", explode),))])
         with pytest.raises(PassFailedError, match="'bad' of stage 'lowering'.*boom") as info:
             manager.run(builtin.ModuleOp([]))
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_a_pass_that_breaks_the_ir_names_itself_and_its_stage(self, ctx):
+    def test_a_pass_that_breaks_the_ir_names_itself_and_its_stage(self):
         kernel, b = make_function()
         b.insert(func.ReturnOp([]))
 
-        def corrupt(c, m):  # an op after the terminator
+        def corrupt(m):  # an op after the terminator
             b.insert(arith.ConstantOp.from_int(1, i32))
 
-        manager = PassManager(ctx, [Stage("lowering", (LambdaPass("bad", corrupt),))])
+        manager = PassManager([Stage("lowering", (LambdaPass("bad", corrupt),))])
         with pytest.raises(
             PassFailedError, match="verification failed after pass 'bad' of stage 'lowering'"
         ):
             manager.run(builtin.ModuleOp([kernel]))
 
-    def test_after_a_conversion_only_the_exit_is_verified(self, ctx):
+    def test_after_a_conversion_only_the_exit_is_verified(self):
         kernel, b = make_function()
         b.insert(func.ReturnOp([]))
         module = builtin.ModuleOp([kernel])
@@ -269,24 +269,24 @@ class TestPassManager:
         class Convert(LambdaPass):
             conversion = True
 
-        def corrupt(c, m):  # an op after the terminator
+        def corrupt(m):  # an op after the terminator
             b.insert(arith.ConstantOp.from_int(1, i32))
 
-        def repair(c, m):
+        def repair(m):
             kernel.body.block.ops[-1].erase()
 
-        convert = Convert("convert", lambda c, m: None)
+        convert = Convert("convert", lambda m: None)
         broken = LambdaPass("break", corrupt)
         PassManager(
-            ctx, [Stage("lower", (convert, broken, LambdaPass("repair", repair)))]
+            [Stage("lower", (convert, broken, LambdaPass("repair", repair)))]
         ).run(module)
         with pytest.raises(PassFailedError, match="after pass 'last' of stage 'end'"):
-            PassManager(ctx, [
+            PassManager([
                 Stage("lower", (convert, broken)),
-                Stage("end", (LambdaPass("last", lambda c, m: None),)),
+                Stage("end", (LambdaPass("last", lambda m: None),)),
             ]).run(module)
 
-    def test_an_analysis_is_neither_verified_nor_counted(self, ctx):
+    def test_an_analysis_is_neither_verified_nor_counted(self):
         kernel, b = make_function(outputs=[i32])
         b.insert(func.ReturnOp([]))  # invalid: returns nothing
         module = builtin.ModuleOp([kernel])
@@ -296,11 +296,11 @@ class TestPassManager:
             analysis = True
 
         report = PassManager(
-            ctx, [Stage("look", (Probe("probe", lambda c, m: seen.append(m)),))]
+            [Stage("look", (Probe("probe", lambda m: seen.append(m)),))]
         ).run(module)
         assert seen == [module] and report.statistics == []
         with pytest.raises(PassFailedError, match="'verify' of stage 'entry'"):
-            PassManager(ctx, [Stage("entry", (VerifyPass(),))]).run(module)
+            PassManager([Stage("entry", (VerifyPass(),))]).run(module)
 
     def test_canonicalize_fixpoint(self):
         kernel, b = make_function(outputs=[i32])

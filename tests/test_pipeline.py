@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.dialects import func, stencil
 from repro.frontends.oec import StencilProgramBuilder
-from repro.ir import PassManager, default_context, print_module
+from repro.ir import PassManager, print_module
 from repro.machine.kernel_model import ProgramCharacteristics
 from repro.transforms.distribute import DistributeStencilPass
 from repro.workloads import heat_diffusion, tracer_advection
@@ -144,14 +144,14 @@ GOLDEN_PIPELINES = {
 class TestPipelineShape:
     @pytest.mark.parametrize("target_name", TARGETS)
     def test_golden_pipeline_string(self, target_name):
-        manager = PassManager(default_context(), pipeline_for(_target(target_name, 2)))
+        manager = PassManager(pipeline_for(_target(target_name, 2)))
         assert manager.pipeline_string() == GOLDEN_PIPELINES[target_name]
 
     def test_options_follow_the_target(self):
         from dataclasses import replace
 
         def described(target):
-            return PassManager(default_context(), pipeline_for(target)).pipeline_string()
+            return PassManager(pipeline_for(target)).pipeline_string()
 
         assert "stencil-fusion" not in described(replace(cpu_target(), fuse_stencils=False))
         assert "convert-stencil-to-scf{tile_sizes=(8, 8)}" in described(cpu_target((8, 8)))
@@ -284,12 +284,11 @@ def _tree_walker_run(module, target, distribution, function, fields):
 def _validate_pass_by_pass(module, target):
     function, fields = _arguments(module)
     reference = _tree_walker_run(module, target, None, function, fields)
-    ctx = default_context()
     distribution = None
     validated = []
     for stage in pipeline_for(target):
         for pass_ in stage.passes:
-            pass_.apply(ctx, module)
+            pass_.apply(module)
             if pass_.analysis:
                 continue
             if isinstance(pass_, DistributeStencilPass):
@@ -314,10 +313,5 @@ def test_every_pass_preserves_the_stencil_level_result(program_name, target_name
     ]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "f32 programs: a stencil.apply is evaluated in f32, the scf-level loops in "
-    "f64 rounded on store (the semantics every faster tier is held to), so "
-    "convert-stencil-to-scf moves results by one ulp"
-))
 def test_f32_lowering_keeps_the_stencil_level_rounding():
     _validate_pass_by_pass(_oec_five_point_with_swap(np.float32), cpu_target())

@@ -138,7 +138,7 @@ class TestFusion:
         the apply structure is gone and fusion can never happen.
         """
         from repro.core import cpu_target, pipeline_for
-        from repro.ir import PassManager, default_context
+        from repro.ir import PassManager
         from repro.transforms.stencil import count_stencil_regions
 
         builder = StencilProgramBuilder("kernel", shape=(8, 8), halo=1, dtype="f64")
@@ -158,7 +158,7 @@ class TestFusion:
         before = count_stencil_regions(module)
         assert before == 3
         stages = {stage.name: stage for stage in pipeline_for(cpu_target())}
-        pipeline = PassManager(default_context(), [stages["precodegen"]])
+        pipeline = PassManager([stages["precodegen"]])
         assert pipeline.pipeline_string().startswith("precodegen(stencil-fusion,"), (
             "fusion must be the first pass, ahead of any cleanup or lowering"
         )
