@@ -198,11 +198,11 @@ def test_hybrid_strong_scaling_smoke():
     """2 ranks x 2 threads must not lose to 2 ranks x 1 thread (fig. 8 hybrid).
 
     This is the wall-clock analogue of the paper's hybrid MPI+OpenMP points:
-    the same 2-rank decomposition, with the vectorized backend spreading each
-    rank's nests over an intra-rank thread team.  The kernel is sized so the
-    NumPy work (which releases the GIL) dominates the queue traffic.  Skipped
-    where it cannot mean anything (fewer than 4 usable cores, no process
-    runtime).
+    the same 2-rank decomposition, with each rank's megakernel splitting its
+    boxes into chunks run on an intra-rank thread team.  The kernel is sized
+    so the NumPy work (which releases the GIL) dominates the queue traffic.
+    Skipped where it cannot mean anything (fewer than 4 usable cores, no
+    process runtime).
     """
     from repro.runtime import processes_available
 

@@ -61,15 +61,12 @@ EXECUTION_RUNTIMES = ("threads", "processes")
 
 #: Valid values of :attr:`ExecutionConfig.codegen`:
 #:
-#: * ``"auto"`` (default) — flat (``threads_per_rank == 1``) runs whose
-#:   traced time loop fits the megakernel shape run the generated fused
-#:   function; anything else silently runs the interpreter loop, with the
-#:   reason recorded on ``Plan.codegen_fallback``;
-#: * ``"megakernel"`` — force the generated path and raise
-#:   :class:`ExecutionError` (with the tracer's reason) when it cannot be
-#:   built (benchmarks use this to avoid silently measuring dispatch);
-#: * ``"planned"`` — never generate code; always run the interpreter loop.
-EXECUTION_CODEGEN = ("auto", "megakernel", "planned")
+#: * ``"auto"`` (default) — run the generated megakernel, which fuses every
+#:   nest it can and walks the rest in place; a program it cannot trace or
+#:   emit runs the tree walker, with the reason recorded on
+#:   ``Plan.codegen_fallback``;
+#: * ``"planned"`` — no compiled tier: always run the tree walker.
+EXECUTION_CODEGEN = ("auto", "planned")
 
 #: Valid values of :attr:`ExecutionConfig.trace`:
 #:
@@ -99,8 +96,7 @@ class ExecutionConfig:
     backend: str = "auto"
     #: Where distributed ranks run (:data:`EXECUTION_RUNTIMES`).
     runtime: str = "threads"
-    #: Whether plans compile their time loop to a megakernel
-    #: (:data:`EXECUTION_CODEGEN`).
+    #: Whether plans run the generated megakernel (:data:`EXECUTION_CODEGEN`).
     codegen: str = "auto"
     #: Expected number of distributed ranks; ``None`` derives it from the
     #: program's target.  Used by :meth:`Session.warmup` to pre-spawn workers
@@ -110,8 +106,8 @@ class ExecutionConfig:
     #: MPI+OpenMP configurations; 1 = flat runs).
     threads_per_rank: int = 1
     #: Defer halo-receive completion past independent interior compute.
-    #: ``None`` (default) resolves to True wherever the vectorized backend can
-    #: prove it safe; an explicit ``True`` conflicts with
+    #: ``None`` (default) resolves to True wherever the megakernel can prove
+    #: it safe; an explicit ``True`` conflicts with
     #: ``backend="interpreter"`` (the tree walker reads cells one by one and
     #: can never overlap), which is rejected here rather than silently ignored.
     overlap_halos: Optional[bool] = None
@@ -151,12 +147,6 @@ class ExecutionConfig:
             raise ExecutionError(
                 f"unknown codegen mode {self.codegen!r}; expected one of "
                 f"{', '.join(EXECUTION_CODEGEN)}"
-            )
-        if self.codegen == "megakernel" and self.backend == "interpreter":
-            raise ExecutionError(
-                "codegen='megakernel' conflicts with backend='interpreter': "
-                "megakernels are emitted from compiled vectorized nests, "
-                "which the tree walker never builds"
             )
         if not isinstance(self.threads_per_rank, int) or self.threads_per_rank < 1:
             raise ExecutionError("threads_per_rank must be an integer >= 1")

@@ -78,9 +78,9 @@ class CompiledProgram:
         default_factory=dict, repr=False, compare=False
     )
     #: The one megakernel cache (see :func:`repro.core.rank.run_rank`):
-    #: time-loop traces keyed by ``(function, overlap)`` and emitted
-    #: megakernels keyed by ``(function, rank, size, signature, overlap,
-    #: traced)``; rejections are cached as their ``CodegenFallback``.
+    #: traces keyed by ``(function, overlap)`` and emitted megakernels keyed
+    #: by ``(function, rank, size, signature, overlap, traced, threads)``;
+    #: rejections are cached as their ``CodegenFallback``.
     _megakernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: Lazily built ``{name: FuncOp}`` table (see :attr:`functions`).
     _functions: Optional[dict] = field(default=None, repr=False, compare=False)

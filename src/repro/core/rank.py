@@ -1,10 +1,11 @@
-"""The one way to run a rank: the megakernel, else the interpreter.
+"""The one way to run a rank: the megakernel, else the tree walker.
 
 :func:`run_rank` is the single place a rank of a compiled program is
-executed and the single place the execution tier is chosen.  There are two
-tiers: the generated megakernel (:mod:`repro.interp.codegen`) when the
-configuration asks for it and it can be built, and the reference interpreter
-(tree walker plus its per-nest vectorized kernels) otherwise.  The local
+executed and the single place the execution tier is chosen.  There is one
+compiled tier, the generated megakernel (:mod:`repro.interp.codegen`), which
+fuses every nest it can and walks the ops it cannot in place; and there is
+the reference, the tree walker, which runs when the configuration asks for
+no compiled tier or the megakernel cannot be built.  The local
 and thread-world ranks of a :mod:`repro.core.session` round and the process
 workers of :mod:`repro.runtime.worker_pool` all call it with the same frozen
 :class:`~repro.core.config.ExecutionConfig`, so a configuration means the
@@ -30,6 +31,7 @@ from ..interp.codegen import (
     megakernel_signature,
     trace_program,
 )
+from ..interp.thread_team import get_thread_team
 from ..interp.vectorize import CompiledKernel
 from .config import ExecutionConfig, ExecutionError
 from .pipeline import CompiledProgram
@@ -57,44 +59,21 @@ def kernel_for_backend(
 
 
 def codegen_wanted(config: ExecutionConfig) -> bool:
-    """Whether ``config`` asks for the megakernel tier at all.
+    """Whether ``config`` asks for the megakernel at all.
 
-    ``codegen="megakernel"`` always does; ``"auto"`` only for flat
-    (``threads_per_rank == 1``) runs, because the emitter has no thread-team
-    support; ``"planned"`` and the tree-walker backend never do.
+    ``codegen="planned"`` and the tree-walker backend never do.
     """
-    if config.backend == "interpreter":
-        return False
-    return config.codegen == "megakernel" or (
-        config.codegen == "auto" and config.threads_per_rank == 1
-    )
-
-
-def _rejected(
-    config: ExecutionConfig, fallback: CodegenFallback, stage: str
-) -> CodegenFallback:
-    """Hand a rejection back — unless codegen is forced, which raises."""
-    if config.codegen == "megakernel":
-        raise ExecutionError(
-            f"codegen='megakernel' was forced but {fallback.function_name!r} "
-            f"cannot be {stage}: {fallback.reason}"
-        )
-    return fallback
+    return config.backend != "interpreter" and config.codegen == "auto"
 
 
 def megakernel_trace(
     program: CompiledProgram, function: str, config: ExecutionConfig
 ) -> Union[MegakernelTrace, CodegenFallback]:
-    """The traced time loop of ``function``, or why it cannot be traced.
+    """The trace of ``function``, or why it cannot be traced.
 
     Traced once per ``(function, overlap)`` and kept, rejections included,
-    in the program's megakernel cache.  ``codegen="megakernel"`` turns a
-    rejection into an :class:`ExecutionError`.
+    in the program's megakernel cache.
     """
-    if config.backend == "interpreter":
-        return CodegenFallback(
-            function, "no compiled vectorized kernel to trace against"
-        )
     key = (function, config.resolved_overlap())
     cache = program._megakernel_cache
     found = cache.get(key)
@@ -107,8 +86,6 @@ def megakernel_trace(
         except CodegenError as err:
             found = CodegenFallback(function, str(err))
         cache[key] = found
-    if isinstance(found, CodegenFallback):
-        return _rejected(config, found, "megakernel-compiled")
     return found
 
 
@@ -128,12 +105,12 @@ def megakernel_for(
     megakernel cache; emission failures too, so a layout that cannot be
     emitted is not re-attempted every run.  ``megakernel.cache_miss`` on
     ``metrics`` counts the kernels this call emitted, ``cache_hit`` every
-    other lookup.  ``codegen="megakernel"`` turns a rejection into an
-    :class:`ExecutionError`.
+    other lookup.
     """
     traced = config.trace != "off"
+    threads = config.threads_per_rank
     key = (trace.function_name, rank, size, megakernel_signature(args),
-           trace.overlap, traced)
+           trace.overlap, traced, threads)
     cache = program._megakernel_cache
     found = cache.get(key)
     emitted = False
@@ -146,15 +123,14 @@ def megakernel_for(
                 emitted = True
                 try:
                     found = emit_megakernel(
-                        trace, args, rank=rank, size=size, traced=traced
+                        trace, args, rank=rank, size=size, traced=traced,
+                        threads=threads,
                     )
                 except CodegenError as err:
                     found = CodegenFallback(trace.function_name, str(err))
                 cache[key] = found
     if metrics is not None:
         metrics.inc("megakernel.cache_miss" if emitted else "megakernel.cache_hit")
-    if isinstance(found, CodegenFallback):
-        return _rejected(config, found, f"emitted for rank {rank}/{size}")
     return found
 
 
@@ -170,18 +146,19 @@ def run_rank(
     metrics: Optional[Any] = None,
     on_fallback: Optional[Callable[[CodegenFallback], None]] = None,
 ) -> ExecStatistics:
-    """Execute ``function`` on one rank: the megakernel, else the interpreter.
+    """Execute ``function`` on one rank: the megakernel, else the tree walker.
 
     ``args`` are the rank's concrete arguments (local buffers, then scalars)
-    and ``comm`` its communicator (None for non-distributed programs).  When
-    :func:`codegen_wanted`, the rank's cached megakernel runs if its layout
-    matches and its buffers do not alias.  Everything else — no megakernel
-    wanted, none buildable (the reason goes to ``on_fallback``), a run-time
-    bounce — runs the interpreter loop, which produces bit-identical fields
-    and statistics.  ``megakernel.engaged`` / ``megakernel.fallback`` on
-    ``metrics`` count which tier ran wherever a trace exists.
+    and ``comm`` its communicator (None for non-distributed programs);
+    ``team`` the rank's thread team when ``threads_per_rank > 1`` (None takes
+    the process-wide one).  When :func:`codegen_wanted`, the rank's cached
+    megakernel runs unless its buffers alias.  Everything else — no
+    megakernel wanted, none buildable, a run-time bounce (the reason goes to
+    ``on_fallback``) — runs the tree walker, which produces bit-identical
+    fields and statistics.  ``megakernel.engaged`` / ``megakernel.fallback``
+    on ``metrics`` count which tier ran wherever codegen was wanted.
     """
-    kernel = kernel_for_backend(program, function, config.backend)
+    kernel_for_backend(program, function, config.backend)
     if codegen_wanted(config):
         # Trace, then megakernel, or the CodegenFallback of whichever failed.
         built = megakernel_trace(program, function, config)
@@ -190,26 +167,20 @@ def run_rank(
             built = megakernel_for(
                 program, built, config, args, rank, size, metrics
             )
-            if isinstance(built, CompiledMegakernel) and built.matches(args):
-                stats = ExecStatistics()
-                # False: aliased buffers this run, bounce to the interpreter.
-                if built.run(args, stats, comm, tracer):
-                    if metrics is not None:
-                        metrics.inc("megakernel.engaged")
-                    return stats
-            if metrics is not None:
-                metrics.inc("megakernel.fallback")
-        if on_fallback is not None and isinstance(built, CodegenFallback):
+        if isinstance(built, CompiledMegakernel):
+            stats = ExecStatistics()
+            team = team or get_thread_team(config.threads_per_rank)
+            if built.run(args, stats, comm, tracer, team):
+                if metrics is not None:
+                    metrics.inc("megakernel.engaged")
+                return stats
+            built = CodegenFallback(function, "field arguments alias each other")
+        if metrics is not None:
+            metrics.inc("megakernel.fallback")
+        if on_fallback is not None:
             on_fallback(built)
     interpreter = Interpreter(
-        program.module,
-        comm=comm,
-        kernel=kernel,
-        threads=config.threads_per_rank,
-        overlap_halos=config.resolved_overlap(),
-        functions=program.functions,
-        team=team,
-        tracer=tracer,
+        program.module, comm=comm, functions=program.functions, tracer=tracer
     )
     interpreter.call(function, *args)
     return interpreter.stats

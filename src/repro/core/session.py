@@ -531,9 +531,8 @@ class Plan:
         #: Why the megakernel tier is not running this plan, when it was
         #: wanted (see :func:`repro.core.rank.codegen_wanted`) but rejected.
         self.codegen_fallback: Optional[CodegenFallback] = None
-        # Trace the time loop now, so an untraceable program records its
-        # reason (or, with codegen="megakernel", raises) before the first
-        # run.  Process-world plans skip the parent-side trace: workers trace
+        # Trace the function now, so an untraceable program records its
+        # reason before the first run.  Process-world plans skip the parent-side trace: workers trace
         # (and cache) their own from the shipped program and report the
         # reason with their rank statistics (see PreparedRun.finish).
         if codegen_wanted(config) and self.runtime != "processes":
@@ -590,13 +589,12 @@ class Plan:
 
     # -- megakernel codegen ---------------------------------------------------
     def compile(self):
-        """Trace the plan's time loop for megakernel execution.
+        """Trace the plan's function for megakernel execution.
 
         Called automatically at construction whenever the configuration
         engages codegen; callable explicitly to see why a plan does not.
         Returns the trace, or None with the reason recorded on
-        :attr:`codegen_fallback` — unless ``codegen="megakernel"`` is forced,
-        in which case failure raises :class:`ExecutionError`.  The generated
+        :attr:`codegen_fallback`.  The generated
         function itself is emitted (and cached on the program) on first run,
         when the concrete buffer layout is known.
         """

@@ -164,21 +164,6 @@ def offsets_attr(offsets: Sequence[int]) -> DenseArrayAttr:
     return DenseArrayAttr([int(o) for o in offsets], i64)
 
 
-class AllocOp(Operation):
-    """Allocate a stencil field buffer with the bounds carried by its type."""
-
-    name = "stencil.alloc"
-
-    def __init__(self, result_type: FieldType):
-        if result_type.bounds is None:
-            raise ValueError("stencil.alloc requires a field type with static bounds")
-        super().__init__(result_types=[result_type])
-
-    @property
-    def field(self) -> SSAValue:
-        return self.results[0]
-
-
 class LoadOp(Operation):
     """Load the values of a field into a temp for use by stencil.apply."""
 

@@ -3,41 +3,37 @@
 Execution-backend architecture
 ------------------------------
 
-Lowered programs can be executed by two cooperating engines:
+Lowered programs are executed by two engines:
 
 * **tree walker** (:mod:`repro.interp.interpreter`) — the reference
   semantics.  Every operation of the lowered module is dispatched once per
   evaluation, so loop nests cost one python dispatch *per grid cell per op*.
   It executes everything: MPI calls, data-dependent control flow, pointer
   tricks, unknown dialects with registered handlers.
-* **vectorized NumPy backend** (:mod:`repro.interp.vectorize`) — the fast
-  path.  ``scf.parallel`` / ``omp.wsloop`` / plain ``scf.for`` nests whose
-  bodies are pure ``memref.load`` / ``arith`` / ``memref.store`` programs with
-  affine (``iv + c``) indices are compiled *once* into whole-array NumPy slice
-  expressions and replayed for every invocation, the moral equivalent of the
-  generated C the real stack JITs.  A compiled nest runs as generated code,
-  and only as generated code: :func:`repro.interp.vectorize.emit_nest` is the
-  one emitter of NumPy statements — in place (``out=`` into a few scratch
-  slots, the last op into the target region) and, for boxes over a cell
-  budget, block by block so the expression DAG stays in cache — called by
-  ``CompiledNest`` (one function per nest, fed the region views each
-  invocation resolves) and by the megakernel (:mod:`repro.interp.codegen`,
-  which inlines the same statements into one function per time loop).
+* **megakernel** (:mod:`repro.interp.codegen`) — the one compiled tier.  A
+  function is traced once and emitted per rank and buffer layout as one
+  generated Python function.  ``scf.parallel`` / ``omp.wsloop`` / plain
+  ``scf.for`` nests whose bodies are pure ``memref.load`` / ``arith`` /
+  ``memref.store`` programs with affine (``iv + c``) indices
+  (:mod:`repro.interp.vectorize`) are fused into it as whole-array NumPy
+  statements — :func:`repro.interp.vectorize.emit_nest` is the one emitter
+  of those: in place (``out=`` into a few scratch slots, the last op into
+  the target region) and, for boxes over a cell budget, block by block so
+  the expression DAG stays in cache.  Everything else is an *island*: the
+  tree walker runs it in place, in program order.
 
 Selection rules
 ---------------
-
-The two engines are combined *per loop nest*, never per program:
 
 1. ``repro.core.ExecutionConfig`` accepts
    ``backend="auto" | "interpreter" | "vectorized"``; ``auto`` (default) asks
    :func:`repro.interp.vectorize.compile_kernel` for a
    :class:`~repro.interp.vectorize.CompiledKernel` (cached on the
-   :class:`~repro.core.CompiledProgram` keyed by function name).
-2. When the tree walker reaches a loop nest it first consults that kernel.
-   Nests the compiler could not *prove* vectorizable (MPI, ``scf.if``,
-   non-affine indices) were never compiled and are tree-walked;
-   every rejection carries an explicit reason string
+   :class:`~repro.core.CompiledProgram` keyed by function name), and
+   ``codegen="auto"`` runs the megakernel traced against it.
+2. Nests the compiler could not *prove* vectorizable (MPI, ``scf.if``,
+   non-affine indices) were never compiled and become islands; every
+   rejection carries an explicit reason string
    (:class:`~repro.interp.vectorize.VectorizeFallback`, via
    ``CompiledKernel.fallback_for``).  Tiled nests (the ``min``-clamped inner
    bounds of ``convert-stencil-to-scf{tile}``), ``scf.reduce`` reductions and
@@ -45,23 +41,23 @@ The two engines are combined *per loop nest*, never per program:
    into whole-extent dimensions, reductions replay the tree walker's
    deterministic left-fold with ``ufunc.accumulate``, and select chains
    become ``np.where`` trees.
-3. A compiled nest can still decline at run time — aliased in/out buffers
-   with shifted offsets, indices that python would negatively wrap, or
-   non-positive steps make it return ``False`` *before touching any buffer*
-   (recording why in ``CompiledNest.last_fallback``), and the tree walker
-   re-runs that nest invocation.
+3. A program the tracer cannot shape, or whose concrete buffers the emitter
+   cannot slice exactly (aliased in/out buffers with shifted offsets,
+   indices that python would negatively wrap, non-positive steps), runs the
+   tree walker, the reason on ``Plan.codegen_fallback``
+   (:class:`~repro.interp.codegen.CodegenFallback`).
 
 Both engines produce bit-identical field contents (loads widen to float64
 exactly like ``ndarray.item()``, expressions apply the same operation tree)
 and identical ``cells_updated`` / ``halo_swaps`` statistics, so cost models
-and tests are backend-agnostic; only ``ops_executed`` shrinks on the
-vectorized path because per-cell dispatch no longer happens.
+and tests are backend-agnostic; only ``ops_executed`` shrinks in the
+megakernel because a fused nest is one op.
 
 Distributed programs execute against one of two worlds implementing the same
 :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (selected by
 ``ExecutionConfig(runtime=...)``): the :class:`SimulatedMPI` thread world
-here — each rank runs one interpreter instance, sharing one compiled kernel,
-in its own thread — or the OS-process world of :mod:`repro.runtime`, where
+here — each rank runs its own megakernel (or tree walker) in its own
+thread — or the OS-process world of :mod:`repro.runtime`, where
 each rank is a pooled worker process computing on shared-memory field
 buffers.  Both produce bit-identical fields and matching statistics.
 """

@@ -1,41 +1,55 @@
-"""Megakernel code generation: trace the time loop once, emit one function.
+"""Megakernel code generation: trace a function once, emit one function.
 
-Even with vectorized nests, every timestep of an interpreted ``Plan.run()``
-still walks the lowered IR op by op: handler dispatch, pending-halo checks,
-environment dict traffic.  On small grids with many timesteps that
-dispatch — not the NumPy work — dominates.  This module erases it: the
-program's time loop is *traced* once (:func:`trace_program`) and *emitted*
-(:func:`emit_megakernel`) as a single straight-line Python function — fused
-whole-array NumPy statements for every compiled nest, ``dmp.swap``
-isend/irecv posts, interior-box execution and halo completion points inlined
-at fixed program points — compiled with :func:`compile` and executed directly.
+Walking the lowered IR op by op costs a handler dispatch per op and an
+environment update per value; on small grids run for many timesteps that
+dispatch — not the NumPy work — dominates.  This module is the one compiled
+tier of the stack: a function is *traced* once (:func:`trace_program`) and
+*emitted* per rank and buffer layout (:func:`emit_megakernel`) as a single
+straight-line Python function — fused whole-array NumPy statements for every
+compiled nest, ``dmp.swap`` isend/irecv posts, interior-box execution and
+halo completion points inlined at fixed program points, the time loop a
+plain ``for`` — compiled with :func:`compile` and executed directly.
+
+What the tracer cannot fuse becomes an **island**: a run of consecutive ops
+the tree walker executes in place, in program order, on one
+:class:`~repro.interp.interpreter.Interpreter` per run that shares the rank's
+communicator, tracer and statistics.  Its environment maps the traced values
+the island reads to their current ones (the rotating buffers, the step),
+and what islands and fused reductions produce lives in the kernel's
+``_env``, where later islands and nests read it.  In-flight halos land before
+an island runs.  Islands are what the lowered ``MPI_*`` halo group,
+``gpu.host_synchronize``, ``hls.dataflow``, request bookkeeping, scalar
+arithmetic, ops around the time loop and nests the vectorizer rejects become.
 
 The discipline mirrors the interpreter exactly:
 
 * the statements of a nest are not written here: they come from
   :func:`repro.interp.vectorize.emit_nest`, the one instruction -> NumPy
-  mapping, which a ``CompiledNest`` wraps in a function of its region views
-  and this emitter inlines with literal slices (``b0[2:130, ...]``) — in-place
+  mapping, inlined with literal slices (``b0[2:130, ...]``) — in-place
   ``out=`` statements and, for a box over the cell budget, the block loop
-  around them, with the nested indentation they arrive in; the scratch slots
-  they write become locals allocated once, ahead of the time loop;
-* the slices come from the *real* ``CompiledNest`` geometry machinery
-  (``_resolve_regions`` with its aliasing check, ``_plan_overlap``), replayed
-  at emit time against the concrete buffers, so the generated slices and the
-  overlap decisions are the ones the dynamic path would have made;
+  around them; the scratch slots they write become locals allocated once,
+  ahead of the time loop;
+* the slices come from the ``CompiledNest`` geometry (``_resolve_regions``
+  with its aliasing check, ``_plan_overlap``, ``_team_chunks``), replayed at
+  emit time against the concrete buffers; with ``threads_per_rank > 1`` each
+  box is split into team chunks, emitted as local functions and run on the
+  rank's :class:`~repro.interp.thread_team.ThreadTeam`;
 * swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
   and the exchange itself is the interpreter's ``post_swap`` /
   ``complete_swap`` pair, called directly;
-* every statistics counter is *statically hoisted*: the emitted function adds
-  ``pre + trips * per_iteration`` to each field up front, reproducing the
-  interpreter loop's counts bit-for-bit.
+* every statistics counter of a fused op is *statically hoisted*: the
+  emitted function adds ``once + trips * per_iteration`` to each field up
+  front; islands count their own ops as they walk them.  Fields and
+  statistics equal the tree walker's, except the two counters that say how
+  a run went: ``ops_executed`` (a fused nest is one op) and
+  ``halo_swaps_overlapped`` (the walker never overlaps).
 
-Anything the tracer cannot prove — data-dependent control flow, runtime-
-dependent nest geometry, reductions, aliased buffers, untraceable ops — is
-rejected with a :class:`CodegenError` carrying an explicit reason string; the
-caller (:func:`repro.core.rank.run_rank`) then records a
-:class:`CodegenFallback` and runs the interpreter loop instead, exactly like
-:class:`~repro.interp.vectorize.VectorizeFallback` does per nest.
+What the tracer cannot prove about the *structure* — no time loop it can
+bound, loop-carried values that are not a permutation of buffer arguments —
+and what the emitter cannot slice (aliased fields or regions, rotation-
+dependent geometry) raise :class:`CodegenError` with an explicit reason; the
+caller (:func:`repro.core.rank.run_rank`) records a :class:`CodegenFallback`
+and runs the tree walker instead.
 
 Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 """
@@ -44,22 +58,31 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import sys
 from typing import Any, Optional
 
 import numpy as np
 
-from ..dialects import arith, builtin, dmp, omp, scf
+from ..dialects import arith, builtin, dmp, func, omp, scf
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Operation, SSAValue
 from ..ir.types import IntegerType
-from .interpreter import PendingHalo, complete_swap, post_swap, swap_message_plan
+from .interpreter import (
+    Interpreter,
+    PendingHalo,
+    _wrap_argument,
+    complete_swap,
+    post_swap,
+    swap_message_plan,
+)
 from .vectorize import (
     CompiledKernel,
     CompiledNest,
     _Bailout,
     _block_extents,
     _constant_operand,
-    _dump_generated,
+    _fold,
     _operand_refs,
     emit_nest,
 )
@@ -74,7 +97,7 @@ class CodegenError(Exception):
 
 
 class CodegenFallback:
-    """Why a plan bounced to the interpreter loop (mirrors VectorizeFallback)."""
+    """Why a plan bounced to the tree walker (mirrors VectorizeFallback)."""
 
     __slots__ = ("function_name", "reason")
 
@@ -93,8 +116,21 @@ class CodegenFallback:
 #:   ("arg", i)    — function block argument i (constant across iterations)
 #:   ("const", x)  — compile-time literal
 #:   ("slot", k)   — loop-carried value k of the time loop (rotates per step)
+#:   ("final", k)  — result k of the time loop (slot k after the last step)
 #:   ("iv",)       — the time-loop induction variable
+#:   ("env",)      — known only at run time: a result of an island or of a
+#:                   fused reduction, kept in the kernel's ``_env``
 _Sym = tuple
+
+#: The counters the tracer hoists, in the order the kernel adds them.
+_TRACED_COUNTERS = (
+    "ops_executed", "omp_regions", "omp_barriers", "kernel_launches", "halo_swaps",
+)
+#: ... followed by those the emitter knows once it has the buffers.
+_HOISTED_COUNTERS = _TRACED_COUNTERS + (
+    "cells_updated", "mpi_messages", "halo_elements_exchanged",
+    "halo_swaps_overlapped",
+)
 
 
 class _LoopInfo:
@@ -114,48 +150,79 @@ class _LoopInfo:
         self.perm = perm
 
 
-class MegakernelTrace:
-    """One traced program: steps of the loop body plus hoisted statistics.
+class _Island:
+    """Ops the megakernel cannot fuse, walked in place by the tree walker.
 
-    ``steps`` holds ``("swap", op, src_sym, ordinal)`` and
-    ``("nest", op, nest, base_syms)`` records in program order; the in-flight
-    halo bookkeeping (prefix completion before a swap of the same buffer,
-    overlap decisions at each nest) is replayed by the emitter against the
-    concrete buffers, where the geometry is known.
+    ``inputs`` are the traced values the ops read that the kernel passes at
+    each call, in order; ``constants`` the literal ones.  Everything else the
+    ops read was produced into the environment before them.
     """
 
-    __slots__ = ("function_name", "func_op", "loop", "steps", "sym", "overlap",
-                 "arg_count", "pre_ops", "iter_ops", "iter_omp_regions",
-                 "iter_omp_barriers", "iter_kernel_launches", "iter_halo_swaps")
+    __slots__ = ("ops", "inputs", "constants")
 
-    def __init__(self, function_name: str, func_op, loop, steps, sym,
-                 overlap: bool, arg_count: int, pre_ops: int, iter_ops: int,
-                 iter_omp_regions: int, iter_omp_barriers: int,
-                 iter_kernel_launches: int, iter_halo_swaps: int):
+    def __init__(self, ops: list[Operation], inputs: list[SSAValue],
+                 constants: dict[SSAValue, Any]):
+        self.ops = ops
+        self.inputs = inputs
+        self.constants = constants
+
+    def __call__(self, walker: Interpreter, env: dict, *values) -> None:
+        env.update(self.constants)
+        for value, current in zip(self.inputs, values):
+            env[value] = _wrap_argument(current, value.type)
+        for op in self.ops:
+            walker._eval(op, env)
+
+
+class MegakernelTrace:
+    """One traced function: its steps and hoisted statistics.
+
+    ``pre``, ``body`` and ``post`` hold the steps before, inside and after
+    the time loop (without one, everything is ``body``, run once):
+    ``("swap", op, src_sym, ordinal)``, ``("nest", op, nest, base_syms)``
+    and ``("island", island, input_syms)`` records in program order.  The
+    in-flight halo bookkeeping (prefix completion before a swap of the same
+    buffer, overlap decisions at each nest, completion before an island and
+    at the end of a segment) is replayed by the emitter against the concrete
+    buffers, where the geometry is known.  ``once`` and ``per_trip`` count
+    the fused ops' statistics outside and inside the time loop.
+    """
+
+    __slots__ = ("function_name", "func_op", "loop", "pre", "body", "post",
+                 "sym", "overlap", "arg_count", "once", "per_trip",
+                 "has_islands", "uses_env")
+
+    def __init__(self, function_name: str, func_op, loop, pre, body, post, sym,
+                 overlap: bool, arg_count: int, once: dict, per_trip: dict):
         self.function_name = function_name
         self.func_op = func_op
         self.loop = loop
-        self.steps = steps
+        self.pre = pre
+        self.body = body
+        self.post = post
         self.sym = sym
         self.overlap = overlap
         self.arg_count = arg_count
-        self.pre_ops = pre_ops
-        self.iter_ops = iter_ops
-        self.iter_omp_regions = iter_omp_regions
-        self.iter_omp_barriers = iter_omp_barriers
-        self.iter_kernel_launches = iter_kernel_launches
-        self.iter_halo_swaps = iter_halo_swaps
+        self.once = once
+        self.per_trip = per_trip
+        self.has_islands = any(
+            step[0] == "island" for step in (*pre, *body, *post)
+        )
+        self.uses_env = any(entry[0] == "env" for entry in sym.values())
 
 
 def trace_program(func_op, kernel: CompiledKernel, *,
                   overlap: bool = True) -> MegakernelTrace:
     """Trace one function into a :class:`MegakernelTrace`.
 
-    Raises :class:`CodegenError` (with the fallback reason) when the function
-    does not fit the megakernel shape: an optional constant/cast preamble, at
-    most one loop-carried ``scf.for`` time loop whose body consists solely of
-    halo swaps, OpenMP structure and compiled vectorizable nests, and a bare
-    ``func.return``.
+    The time loop is the first top-level ``scf.for`` that carries values or
+    is not a compiled nest; its bounds must be constants or function
+    arguments, its step a positive constant, and the values it carries a
+    permutation of distinct buffer arguments.  Every op is fused — constants,
+    casts, ``dmp.swap`` of a buffer argument, OpenMP structure, compiled
+    nests whose geometry is an emit-time constant — or walked as part of an
+    island.  Raises :class:`CodegenError` (with the fallback reason) when the
+    function does not have that shape.
     """
     return _Tracer(func_op, kernel, overlap).trace()
 
@@ -166,84 +233,52 @@ class _Tracer:
         self.kernel = kernel
         self.overlap = overlap
         self.sym: dict[SSAValue, _Sym] = {}
+        self.once = dict.fromkeys(_TRACED_COUNTERS, 0)
+        self.per_trip = dict.fromkeys(_TRACED_COUNTERS, 0)
+        #: Where fused ops are counted: ``once`` or ``per_trip``.
+        self.counts = self.once
+        #: The steps of the segment being traced, and the ops walked since
+        #: its last step (the island being gathered).
         self.steps: list[tuple] = []
-        self.iter_ops = 0
-        self.iter_omp_regions = 0
-        self.iter_omp_barriers = 0
-        self.iter_kernel_launches = 0
-        self.iter_halo_swaps = 0
+        self.walked: list[Operation] = []
+        self.swaps = 0
 
     def trace(self) -> MegakernelTrace:
         block = self.func_op.body.block
         for index, block_arg in enumerate(block.args):
             self.sym[block_arg] = ("arg", index)
         ops = list(block.ops)
-        if not ops:
-            raise CodegenError("the function body is empty")
-
-        loop_index: Optional[int] = None
-        for index, op in enumerate(ops):
-            if isinstance(op, scf.ForOp) and op.iter_args:
-                loop_index = index
-                break
-
+        if not ops or ops[-1].name != "func.return":
+            raise CodegenError("the function must end in func.return")
+        ops.pop()
+        self.once["ops_executed"] += 1  # the func.return
+        loop_index = next(
+            (index for index, op in enumerate(ops) if self._is_time_loop(op)), None
+        )
         if loop_index is None:
-            # No time loop: the whole body is one straight-line segment.
-            terminator = ops[-1]
-            self._require_bare_return(terminator)
-            loop = None
-            pre_ops = 1  # the func.return
-            self._trace_segment(ops[:-1])
+            # No time loop: the whole body runs once, as its only trip.
+            self.counts = self.per_trip
+            loop, pre, body, post = None, [], self._segment(ops), []
         else:
-            for op in ops[:loop_index]:
-                self._trace_preamble_op(op)
-            loop_op = ops[loop_index]
-            remainder = ops[loop_index + 1 :]
-            if len(remainder) != 1:
-                raise CodegenError(
-                    "operations after the time loop cannot be megakernel-"
-                    "compiled"
-                )
-            self._require_bare_return(remainder[0])
-            for result in loop_op.results:
-                if result.uses:
-                    raise CodegenError(
-                        "the time loop's results are used after the loop"
-                    )
-            loop = self._trace_loop(loop_op)
-            pre_ops = loop_index + 2  # preamble + scf.for + func.return
-
+            pre = self._segment(ops[:loop_index])
+            loop, body = self._trace_loop(ops[loop_index])
+            post = self._segment(ops[loop_index + 1:])
         return MegakernelTrace(
-            self.func_op.sym_name, self.func_op, loop, self.steps, self.sym,
-            self.overlap, len(block.args), pre_ops, self.iter_ops,
-            self.iter_omp_regions, self.iter_omp_barriers,
-            self.iter_kernel_launches, self.iter_halo_swaps,
+            self.func_op.sym_name, self.func_op, loop, pre, body, post, self.sym,
+            self.overlap, len(block.args), self.once, self.per_trip,
         )
 
-    # -- structure ----------------------------------------------------------
-    @staticmethod
-    def _require_bare_return(op: Operation) -> None:
-        if op.name != "func.return" or op.operands:
-            raise CodegenError(
-                "the function must end in a value-less func.return"
-            )
-
-    def _trace_preamble_op(self, op: Operation) -> None:
-        if isinstance(op, arith.ConstantOp):
-            self.sym[op.results[0]] = ("const", self._constant_literal(op))
-            return
-        if isinstance(op, builtin.UnrealizedConversionCastOp):
-            self.sym[op.results[0]] = self._sym_of(op.operands[0])
-            return
-        raise CodegenError(
-            f"operation {op.name!r} before the time loop cannot be "
-            "megakernel-compiled"
+    def _is_time_loop(self, op: Operation) -> bool:
+        return isinstance(op, scf.ForOp) and bool(
+            op.iter_args or self.kernel.nest_for(op) is None
         )
 
-    def _trace_loop(self, op: scf.ForOp) -> _LoopInfo:
+    # -- the time loop --------------------------------------------------------
+    def _trace_loop(self, op: scf.ForOp) -> tuple[_LoopInfo, list]:
+        self.once["ops_executed"] += 1  # the scf.for
         lower = self._bound_sym(op.lower_bound, "lower bound")
         upper = self._bound_sym(op.upper_bound, "upper bound")
-        step_sym = self._sym_of(op.step)
+        step_sym = self.sym.get(op.step, ("env",))
         if step_sym[0] != "const" or not self._is_int(step_sym[1]) \
                 or step_sym[1] <= 0:
             raise CodegenError(
@@ -251,7 +286,7 @@ class _Tracer:
             )
         init_args: list[int] = []
         for value in op.iter_args:
-            sym = self._sym_of(value)
+            sym = self.sym.get(value, ("env",))
             if sym[0] != "arg" or sym[1] in init_args:
                 raise CodegenError(
                     "every loop-carried value must be a distinct function "
@@ -263,21 +298,16 @@ class _Tracer:
         for slot, block_arg in enumerate(block.args[1:]):
             self.sym[block_arg] = ("slot", slot)
         body_ops = list(block.ops)
-        terminator = body_ops[-1] if body_ops else None
+        terminator = body_ops.pop() if body_ops else None
         if not isinstance(terminator, scf.YieldOp):
             raise CodegenError("the time-loop body must end in scf.yield")
-        self._trace_segment(body_ops[:-1])
-        self.iter_ops += 1  # the scf.yield is dispatched once per iteration
-        perm: list[int] = []
-        for operand in terminator.operands:
-            sym = self._sym_of(operand)
-            if sym[0] != "slot":
-                raise CodegenError(
-                    "the time loop must yield a permutation of its "
-                    "loop-carried values"
-                )
-            perm.append(sym[1])
-        if sorted(perm) != list(range(len(op.iter_args))):
+        self.counts = self.per_trip
+        body = self._segment(body_ops)
+        self.per_trip["ops_executed"] += 1  # the scf.yield, once per trip
+        self.counts = self.once
+        perm = [self.sym.get(operand, ("env",)) for operand in terminator.operands]
+        if any(sym[0] != "slot" for sym in perm) or \
+                sorted(sym[1] for sym in perm) != list(range(len(op.iter_args))):
             raise CodegenError(
                 "the time loop must yield a permutation of its loop-carried "
                 "values"
@@ -285,18 +315,22 @@ class _Tracer:
         # A buffer reachable both directly (as the function argument) and
         # through a rotating slot would make nest geometry parity-dependent
         # in ways the per-parity replay cannot always separate; reject.
-        for kind, *rest in self.steps:
-            syms = [rest[1]] if kind == "swap" else rest[2]
+        for kind, *rest in body:
+            syms = [rest[1]] if kind == "swap" else rest[2] if kind == "nest" else []
             for sym in syms:
                 if sym[0] == "arg" and sym[1] in init_args:
                     raise CodegenError(
                         "a field argument is used both directly and as a "
                         "loop-carried buffer"
                     )
-        return _LoopInfo(op, lower, upper, step_sym[1], init_args, perm)
+        for slot, result in enumerate(op.results):
+            self.sym[result] = ("final", slot)
+        loop = _LoopInfo(op, lower, upper, step_sym[1], init_args,
+                         [sym[1] for sym in perm])
+        return loop, body
 
     def _bound_sym(self, value: SSAValue, what: str) -> _Sym:
-        sym = self._sym_of(value)
+        sym = self.sym.get(value, ("env",))
         if sym[0] == "const":
             if not self._is_int(sym[1]):
                 raise CodegenError(f"the time-loop {what} must be an integer")
@@ -307,118 +341,146 @@ class _Tracer:
             f"the time-loop {what} must be a constant or a function argument"
         )
 
-    # -- the loop-body segment ----------------------------------------------
-    def _trace_segment(self, ops: list[Operation]) -> None:
+    # -- segments: fused ops and islands --------------------------------------
+    def _segment(self, ops: list[Operation]) -> list[tuple]:
+        """The steps of one segment (before, inside or after the time loop)."""
+        outer, self.steps = self.steps, []
+        self._trace_ops(ops)
+        steps, self.steps = self.steps, outer
+        return steps
+
+    def _trace_ops(self, ops: list[Operation]) -> None:
+        self._flush()
         for op in ops:
-            self._trace_op(op)
+            if self._fuse(op):
+                self.counts["ops_executed"] += 1
+            else:
+                self.walked.append(op)
+                for result in op.results:
+                    self.sym[result] = ("env",)
+        self._flush()
 
-    def _trace_op(self, op: Operation) -> None:
-        self.iter_ops += 1
-        name = op.name
+    def _append(self, step: tuple) -> None:
+        self._flush()
+        self.steps.append(step)
+
+    def _flush(self) -> None:
+        """Close the island gathered so far (ops walked since the last step)."""
+        if not self.walked:
+            return
+        ops, self.walked = self.walked, []
+        defined: set[SSAValue] = set()
+        for op in ops:
+            for inner in op.walk():
+                defined.update(inner.results)
+                for region in inner.regions:
+                    for block in region.blocks:
+                        defined.update(block.args)
+        inputs: list[SSAValue] = []
+        constants: dict[SSAValue, Any] = {}
+        for op in ops:
+            for inner in op.walk():
+                for operand in inner.operands:
+                    if operand in defined or operand in constants \
+                            or operand in inputs:
+                        continue
+                    sym = self.sym.get(operand)
+                    if sym is None:
+                        raise CodegenError("value has no traceable definition")
+                    if sym[0] == "const":
+                        constants[operand] = sym[1]
+                    elif sym[0] != "env":
+                        inputs.append(operand)
+        self.steps.append((
+            "island", _Island(ops, inputs, constants),
+            [self.sym[value] for value in inputs],
+        ))
+
+    def _fuse(self, op: Operation) -> bool:
+        """Fuse ``op`` (symbols, steps, counters); False leaves it to walk."""
         if isinstance(op, arith.ConstantOp):
-            self.sym[op.results[0]] = ("const", self._constant_literal(op))
-            return
+            literal = self._constant_literal(op)
+            if literal is None:
+                return False
+            self.sym[op.results[0]] = ("const", literal)
+            return True
         if isinstance(op, builtin.UnrealizedConversionCastOp):
-            self.sym[op.results[0]] = self._sym_of(op.operands[0])
-            return
+            sym = self.sym.get(op.operands[0], ("env",))
+            if sym[0] == "env":
+                return False  # the walker holds the value: it casts it too
+            self.sym[op.results[0]] = sym
+            return True
         if isinstance(op, dmp.SwapOp):
-            src = self._sym_of(op.data)
+            src = self.sym.get(op.data, ("env",))
             if src[0] not in ("arg", "slot"):
-                raise CodegenError(
-                    "dmp.swap operates on a buffer that is not a function "
-                    "argument"
-                )
-            ordinal = self.iter_halo_swaps
-            self.iter_halo_swaps += 1
-            self.steps.append(("swap", op, src, ordinal))
-            return
+                return False
+            self._append(("swap", op, src, self.swaps))
+            self.swaps += 1
+            self.counts["halo_swaps"] += 1
+            return True
         if isinstance(op, omp.ParallelOp):
-            self.iter_omp_regions += 1
-            self._trace_segment(list(op.body.block.ops))
-            return
-        if name == "omp.barrier":
-            self.iter_omp_barriers += 1
-            return
-        if name == "omp.terminator":
-            return
+            self.counts["omp_regions"] += 1
+            self._trace_ops(list(op.body.block.ops))
+            return True
+        if op.name == "omp.barrier":
+            self.counts["omp_barriers"] += 1
+            return True
+        if op.name == "omp.terminator":
+            return True
         if isinstance(op, (scf.ParallelOp, omp.WsLoopOp, scf.ForOp)):
-            self._trace_nest(op)
-            return
-        raise CodegenError(
-            f"operation {name!r} cannot be megakernel-compiled"
-        )
+            return self._fuse_nest(op)
+        return False
 
-    def _trace_nest(self, op: Operation) -> None:
-        if isinstance(op, scf.ParallelOp) and "gpu_kernel" in op.attributes:
-            self.iter_kernel_launches += 1
+    def _fuse_nest(self, op: Operation) -> bool:
         nest = self.kernel.nest_for(op)
-        if nest is None:
-            fallback = self.kernel.fallback_for(op)
-            raise CodegenError(
-                str(fallback) if fallback is not None
-                else f"{op.name} has no compiled vectorized nest"
-            )
-        if nest.has_reduce:
-            raise CodegenError(
-                "reduction nests cannot be megakernel-compiled"
-            )
-        if op.results:
-            raise CodegenError(
-                "loop nests producing values cannot be megakernel-compiled"
-            )
-        base_syms = self._validate_nest(nest)
-        self.steps.append(("nest", op, nest, base_syms))
+        base_syms = None if nest is None else self._nest_buffers(nest)
+        if base_syms is None:
+            return False
+        if isinstance(op, scf.ParallelOp) and "gpu_kernel" in op.attributes:
+            self.counts["kernel_launches"] += 1
+        for result in op.results:  # reductions: bound into _env
+            self.sym[result] = ("env",)
+        self._append(("nest", op, nest, base_syms))
+        return True
 
-    def _validate_nest(self, nest: CompiledNest) -> list[_Sym]:
-        """Check the nest's geometry and value refs are emit-time resolvable.
+    def _nest_buffers(self, nest: CompiledNest) -> Optional[list[_Sym]]:
+        """The symbols of a nest's load/store buffers, in instruction order.
 
-        Returns the symbolic identities of every load/store base buffer, in
-        instruction order (consumed by the loop-carried-alias check and the
-        emitter's buffer binding).
+        None when the nest's geometry or values cannot be resolved at emit
+        time: then it is walked.
         """
         for lower, upper, step in (*nest.bounds, *nest.count_bounds):
-            for affine in (lower, upper, step):
-                self._require_const_affine(affine)
+            if not all(map(self._is_const_affine, (lower, upper, step))):
+                return None
         base_syms: list[_Sym] = []
         for instr in nest.instrs:
             if instr[0] in ("load", "store"):
-                base_sym = self._sym_of(instr[2])
+                base_sym = self.sym.get(instr[2], ("env",))
                 if base_sym[0] not in ("arg", "slot"):
-                    raise CodegenError(
-                        "nest buffer is not a function argument"
-                    )
+                    return None
+                if not all(map(self._is_const_affine, instr[3])):
+                    return None
                 base_syms.append(base_sym)
-                for affine in instr[3]:
-                    self._require_const_affine(affine)
             for ref in _operand_refs(instr):
-                self._validate_ref(ref)
+                if ref[0] == "free":
+                    sym = self.sym.get(ref[1])
+                    if sym is None or sym[0] not in ("const", "arg", "iv", "env"):
+                        return None
+                elif ref[0] == "aff" and not self._is_const_affine(ref[1]):
+                    return None
         return base_syms
 
-    def _validate_ref(self, ref: tuple) -> None:
-        tag = ref[0]
-        if tag in ("arr", "const"):
-            return
-        if tag == "free":
-            sym = self.sym.get(ref[1])
-            if sym is None or sym[0] not in ("const", "arg", "iv"):
-                raise CodegenError(
-                    "nest reads a value the tracer cannot resolve"
-                )
-            return
-        # ("aff", affine): materialized per box; its free terms must be
-        # emit-time constants.
-        self._require_const_affine(ref[1])
-
-    def _require_const_affine(self, affine) -> None:
+    def _is_const_affine(self, affine) -> bool:
+        """Whether ``affine``'s free terms are all emit-time integers."""
         for value in affine.free:
             sym = self.sym.get(value)
             if sym is None or sym[0] != "const" or not self._is_int(sym[1]):
-                raise CodegenError(
-                    "nest geometry depends on runtime values"
-                )
+                return False
+        return True
 
     # -- leaves ---------------------------------------------------------------
-    def _constant_literal(self, op: arith.ConstantOp):
+    @staticmethod
+    def _constant_literal(op: arith.ConstantOp):
         attr = op.value
         if isinstance(attr, IntegerAttr):
             result_type = op.results[0].type
@@ -427,15 +489,7 @@ class _Tracer:
             return int(attr.value)
         if isinstance(attr, FloatAttr):
             return float(attr.value)
-        raise CodegenError("unsupported constant payload")
-
-    def _sym_of(self, value: SSAValue) -> _Sym:
-        sym = self.sym.get(value)
-        if sym is None:
-            raise CodegenError(
-                "value has no traceable definition"
-            )
-        return sym
+        return None
 
     @staticmethod
     def _is_int(value) -> bool:
@@ -445,55 +499,58 @@ class _Tracer:
 class CompiledMegakernel:
     """One compiled megakernel: a single Python function per (plan, rank).
 
-    ``run`` re-checks what only the concrete call can prove — argument
-    layout and pairwise buffer aliasing — and returns False to bounce that
-    run to the interpreter loop when the guard fails.
+    ``run`` re-checks what only the concrete call can prove — pairwise
+    buffer aliasing — and returns False to bounce that run to the tree walker
+    when the guard fails.
     """
 
-    __slots__ = ("label", "source", "signature", "array_indices", "traced", "_fn")
+    __slots__ = ("label", "source", "array_indices", "traced", "uses_team",
+                 "_module", "_functions", "_fn")
 
-    def __init__(self, label: str, source: str, signature: tuple,
-                 array_indices: tuple, namespace: dict, traced: bool = False):
+    def __init__(self, label: str, source: str, array_indices: tuple,
+                 namespace: dict, traced: bool = False, uses_team: bool = False,
+                 module=None):
         self.label = label
         self.source = source
-        self.signature = signature
         self.array_indices = array_indices
         #: Whether span bookkeeping was inlined at emission time.  Traced and
         #: untraced kernels are separate cache entries; the untraced source is
         #: statement-identical to a build without observability at all.
         self.traced = traced
+        #: Whether boxes run as chunks on a thread team (``_team``).
+        self.uses_team = uses_team
+        #: The module islands are walked in (None: the kernel has none).
+        self._module = module
+        self._functions = None if module is None else {
+            op.sym_name: op for op in module.walk() if isinstance(op, func.FuncOp)
+        }
         code = compile(source, f"<megakernel:{label}>", "exec")
         exec(code, namespace)
         self._fn = namespace["_megakernel"]
 
-    def matches(self, args) -> bool:
-        """Whether ``args`` has the traced layout (count, shapes, dtypes)."""
-        count, arrays = self.signature
-        if len(args) != count:
-            return False
-        array_positions = set()
-        for index, shape, dtype in arrays:
-            value = args[index]
-            if not isinstance(value, np.ndarray) or value.shape != shape \
-                    or value.dtype.str != dtype:
-                return False
-            array_positions.add(index)
-        for index, value in enumerate(args):
-            if index not in array_positions and isinstance(value, np.ndarray):
-                return False
-        return True
+    def run(self, args, stats, comm=None, tracer=None, team=None) -> bool:
+        """Execute; False bounces to the tree walker (aliased buffers).
 
-    def run(self, args, stats, comm=None, tracer=None) -> bool:
-        """Execute; False bounces to the interpreter (aliased buffers)."""
+        ``team`` is the rank's thread team, which a kernel emitted for
+        ``threads > 1`` runs its chunks on.
+        """
         arrays = [args[index] for index in self.array_indices]
         for first in range(len(arrays)):
             for second in range(first + 1, len(arrays)):
                 if np.shares_memory(arrays[first], arrays[second]):
                     return False
+        extra: list = []
         if self.traced:
-            self._fn(args, stats, comm, tracer)
-        else:
-            self._fn(args, stats, comm)
+            extra.append(tracer)
+        if self.uses_team:
+            extra.append(team)
+        if self._module is not None:
+            walker = Interpreter(
+                self._module, comm=comm, functions=self._functions, tracer=tracer
+            )
+            walker.stats = stats
+            extra.append(walker)
+        self._fn(args, stats, comm, *extra)
         return True
 
 
@@ -542,25 +599,32 @@ def _slice_key(slices) -> tuple:
     return tuple((piece.start, piece.stop, piece.step) for piece in slices)
 
 
+def _dump_generated(label: str, source: str) -> None:
+    """Print generated source to stderr when ``REPRO_DUMP_MEGAKERNEL`` is set."""
+    if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
+        print(f"# --- {label} ---\n{source}", file=sys.stderr)
+
+
 def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
                     size: int = 1, label: Optional[str] = None,
-                    traced: bool = False) -> CompiledMegakernel:
+                    traced: bool = False, threads: int = 1) -> CompiledMegakernel:
     """Emit (and compile) the megakernel of ``trace`` for one rank.
 
     ``sample_args`` fixes the buffer layout the generated code is specialized
-    to; :meth:`CompiledMegakernel.matches` gates reuse on later calls.
+    to: callers key their cache on :func:`megakernel_signature`.
     Raises :class:`CodegenError` with a fallback reason when the concrete
     geometry cannot be emitted (aliased fields, rotation-dependent geometry,
     un-sliceable regions...).
 
-    With ``traced=True`` the generated function takes a fourth ``_tracer``
-    argument and brackets each timestep, nest, and halo post/wait with span
+    With ``traced=True`` the generated function takes a ``_tracer`` argument
+    and brackets each timestep, nest, and halo post/wait with span
     bookkeeping.  With ``traced=False`` (the default) no bookkeeping is
     emitted at all — the source is statement-identical to a build without
-    the observability layer.
+    the observability layer.  ``threads`` is the team size boxes are split
+    for (one chunk per thread, where big enough).
     """
     emitter = _MegakernelEmitter(trace, list(sample_args), rank, size,
-                                 traced=traced)
+                                 traced=traced, threads=threads)
     return emitter.emit(
         label or f"{trace.function_name}@r{rank}of{size}"
     )
@@ -568,12 +632,14 @@ def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
 
 class _MegakernelEmitter:
     def __init__(self, trace: MegakernelTrace, args: list, rank: int, size: int,
-                 traced: bool = False):
+                 traced: bool = False, threads: int = 1):
         self.trace = trace
         self.args = args
         self.rank = rank
         self.size = size
         self.traced = traced
+        self.threads = threads
+        self.uses_team = False
         self._span = 0
         if len(args) != trace.arg_count:
             raise CodegenError(
@@ -592,17 +658,20 @@ class _MegakernelEmitter:
             for second in range(first + 1, len(arrays)):
                 if np.shares_memory(arrays[first], arrays[second]):
                     raise CodegenError("field arguments alias each other")
-        # Source-building state (filled by the parity-0 replay): the scratch
-        # allocations that run once, ahead of the time loop, and the lines of
-        # the loop body with their relative indentation.
+        # Source-building state: the scratch allocations that run once, ahead
+        # of the time loop, and the lines of the segment being replayed with
+        # their relative indentation.
         self.setup: list[str] = []
         self.lines: list[str] = []
         self.ctx: list[Any] = []
         self._var = 0
-        self.iter_cells = 0
-        self.iter_mpi_messages = 0
-        self.iter_halo_elements = 0
-        self.iter_overlapped = 0
+        # The hoisted statistics, outside and inside the time loop, and
+        # which of the two the segment being replayed counts into.
+        self.once = dict.fromkeys(_HOISTED_COUNTERS, 0)
+        self.once.update(trace.once)
+        self.per_trip = dict.fromkeys(_HOISTED_COUNTERS, 0)
+        self.per_trip.update(trace.per_trip)
+        self.counts = self.once
 
     # -- argument/slot resolution -------------------------------------------
     def _array_for(self, sym: _Sym, slot_arrays: list) -> np.ndarray:
@@ -615,7 +684,10 @@ class _MegakernelEmitter:
 
     @staticmethod
     def _var_for(sym: _Sym) -> str:
-        return f"b{sym[1]}" if sym[0] == "slot" else f"a{sym[1]}"
+        """The kernel local holding a traced value at run time."""
+        if sym[0] == "iv":
+            return "_t"
+        return f"a{sym[1]}" if sym[0] == "arg" else f"b{sym[1]}"
 
     def _new_var(self, prefix: str) -> str:
         self._var += 1
@@ -653,121 +725,124 @@ class _MegakernelEmitter:
                     raise CodegenError(
                         "a loop-carried buffer argument is not an array"
                     )
+        _, pre = self._replay(trace.pre, [], self.once)
         slot_arrays = list(init_slots)
-        reference = self._replay(slot_arrays, emit=True)
+        # Without a time loop the body is the one trip: it counts per trip.
+        reference, body = self._replay(trace.body, slot_arrays, self.per_trip)
         for _parity in range(1, parities):
             slot_arrays = [slot_arrays[j] for j in loop.perm]
-            if self._replay(slot_arrays, emit=False) != reference:
+            if self._replay(trace.body, slot_arrays, None)[0] != reference:
                 raise CodegenError("buffer rotation changes nest geometry")
-        source = self._render(label)
+        _, post = self._replay(trace.post, [], self.once)
+        source = self._render(label, pre, body, post)
         _dump_generated(f"megakernel {label}", source)
         namespace = {
             "_np": np,
             "_ctx": tuple(self.ctx),
             "_post": post_swap,
             "_cm": complete_swap,
+            "_fold": _fold,
+            "_call": _call,
         }
         return CompiledMegakernel(
-            label, source, megakernel_signature(self.args),
-            self.array_indices, namespace, traced=self.traced,
+            label, source, self.array_indices, namespace, traced=self.traced,
+            uses_team=self.uses_team,
+            module=trace.func_op.parent_op if trace.has_islands else None,
         )
 
-    # -- one-iteration replay -------------------------------------------------
-    def _replay(self, slot_arrays: list, emit: bool) -> tuple:
-        """Replay one loop iteration against concrete (parity) buffers.
+    # -- segment replay -------------------------------------------------------
+    def _replay(self, steps: list, slot_arrays: list,
+                counts: Optional[dict]) -> tuple[tuple, list[str]]:
+        """Replay one segment against concrete (parity) buffers.
 
-        Returns the geometry signature of every action taken; the emit pass
-        (parity 0) additionally records source lines, context values and the
-        hoisted per-iteration statistics.  Every decision — swap prefix
-        completion, overlap split, slice resolution — is the one the dynamic
-        path would make, so comparing signatures across parities proves the
-        single emitted body is exact for all of them.
+        Returns the geometry signature of every action taken and the
+        segment's source lines; the hoisted statistics go to ``counts``.
+        ``counts=None`` replays a later parity of the time loop only for its
+        signature: the single emitted body is exact for every parity when
+        all signatures agree.  Every decision — swap prefix completion,
+        overlap split, slice resolution — is settled here, once.
         """
+        emit = counts is not None
+        self.lines = []
         actions: list[tuple] = []
-        # In-flight swaps: (ordinal, unposted PendingHalo) — the geometry
-        # the interpreter would hold on ``pending_halos`` at this point.
+        # In-flight swaps: (ordinal, unposted PendingHalo), in posting order.
         inflight: list[tuple] = []
 
-        def complete(entries: list[tuple], overlapped: bool) -> None:
-            for ordinal, halo in entries:
+        def complete(count: int, overlapped: bool) -> None:
+            """Land the first ``count`` in-flight halos, in posting order."""
+            for ordinal, halo in inflight[:count]:
                 actions.append(("complete", ordinal, overlapped))
                 if emit:
-                    if self.traced:
-                        begin, end = self._span_lines("halo.wait")
-                        self.lines.append(begin)
-                        self.lines.append(f"_cm(_comm, _h{ordinal})")
-                        self.lines.append(end)
-                    else:
-                        self.lines.append(f"_cm(_comm, _h{ordinal})")
-                    self.iter_halo_elements += halo.plan.elements
+                    self._spanned("halo.wait", f"_cm(_comm, _h{ordinal})")
+                    counts["halo_elements_exchanged"] += halo.plan.elements
                     if overlapped:
-                        self.iter_overlapped += 1
+                        counts["halo_swaps_overlapped"] += 1
+            del inflight[:count]
 
-        for step in self.trace.steps:
+        for step in steps:
             if step[0] == "swap":
                 _, op, src, ordinal = step
                 array = self._array_for(src, slot_arrays)
                 actions.append(("swap", ordinal, array.shape, array.dtype.str))
-                # complete_pending_halos_touching: the posting-order prefix
-                # up to the last halo sharing this buffer.
-                last = -1
-                for index, (_, halo) in enumerate(inflight):
-                    if halo.array is array or np.shares_memory(halo.array, array):
-                        last = index
-                if last >= 0:
-                    complete(inflight[: last + 1], overlapped=False)
-                    del inflight[: last + 1]
+                # Receives match by (source, tag) in posting order, and swaps
+                # reuse direction tags: land the prefix of halos up to the
+                # last one sharing this buffer, before re-posting it.
+                last = max(
+                    (index for index, (_, halo) in enumerate(inflight)
+                     if halo.array is array or np.shares_memory(halo.array, array)),
+                    default=-1,
+                )
+                complete(last + 1, overlapped=False)
                 if self.size == 1:
                     continue
                 plan = swap_message_plan(op, self.rank)
-                entry = (ordinal, PendingHalo(array, plan))
                 if emit:
-                    slot = self._add_ctx(plan)
-                    variable = self._var_for(src)
-                    if self.traced:
-                        begin, end = self._span_lines("halo.post")
-                        self.lines.append(begin)
-                        self.lines.append(
-                            f"_h{ordinal} = _post(_comm, {variable}, "
-                            f"_ctx[{slot}])"
-                        )
-                        self.lines.append(end)
-                    else:
-                        self.lines.append(
-                            f"_h{ordinal} = _post(_comm, {variable}, "
-                            f"_ctx[{slot}])"
-                        )
-                    self.iter_mpi_messages += len(plan.sends)
-                if self.trace.overlap:
-                    inflight.append(entry)
-                else:
-                    complete([entry], overlapped=False)
+                    self._spanned(
+                        "halo.post",
+                        f"_h{ordinal} = _post(_comm, {self._var_for(src)}, "
+                        f"_ctx[{self._add_ctx(plan)}])",
+                    )
+                    counts["mpi_messages"] += len(plan.sends)
+                inflight.append((ordinal, PendingHalo(array, plan)))
+                if not self.trace.overlap:
+                    complete(len(inflight), overlapped=False)
+            elif step[0] == "island":
+                _, island, syms = step
+                complete(len(inflight), overlapped=False)
+                actions.append(("island",))
+                if emit:
+                    values = "".join(f", {self._var_for(sym)}" for sym in syms)
+                    self.lines.append(
+                        f"_ctx[{self._add_ctx(island)}](_walker, _env{values})"
+                    )
             else:
                 _, op, nest, base_syms = step
                 self._replay_nest(
-                    nest, base_syms, slot_arrays, inflight, actions,
-                    complete, emit,
+                    nest, base_syms, slot_arrays, inflight, actions, complete,
+                    counts,
                 )
+        # A halo still in flight at the end of the segment lands there.
+        complete(len(inflight), overlapped=False)
+        return tuple(actions), self.lines
 
-        if inflight:
-            if self.trace.loop is not None:
-                raise CodegenError(
-                    "a halo exchange is still in flight at the end of the "
-                    "time-loop body"
-                )
-            # No time loop: the interpreter completes leftovers at function
-            # end (non-overlapped).
-            complete(inflight, overlapped=False)
-            inflight.clear()
-        return tuple(actions)
+    def _spanned(self, name: str, line: str) -> None:
+        if self.traced:
+            begin, end = self._span_lines(name)
+            self.lines.extend((begin, line, end))
+        else:
+            self.lines.append(line)
 
     def _replay_nest(self, nest: CompiledNest, base_syms, slot_arrays,
-                     inflight, actions, complete, emit: bool) -> None:
+                     inflight, actions, complete, counts) -> None:
+        emit = counts is not None
         env = self.static_env
         arrays = [self._array_for(sym, slot_arrays) for sym in base_syms]
         try:
             dims = nest._concrete_dims(env, nest.bounds)
-            cells = nest._cell_count(env)
+            cells = math.prod(
+                len(range(*dim))
+                for dim in nest._concrete_dims(env, nest.count_bounds)
+            ) if nest.count_bounds else 0
             resolved = nest._resolve_regions(
                 arrays, env, dims, check_aliasing=True
             )
@@ -776,19 +851,20 @@ class _MegakernelEmitter:
                 halos = [halo for _, halo in inflight]
                 plan = nest._plan_overlap(env, dims, resolved, halos)
                 if plan is None:
-                    complete(list(inflight), overlapped=False)
-                    inflight.clear()
+                    complete(len(inflight), overlapped=False)
                 elif plan != "defer":
                     overlap_plan = plan
             actions.append(("nest", cells, tuple(dims)))
             if emit:
-                self.iter_cells += cells
+                counts["cells_updated"] += cells
             spans = emit and self.traced
             if spans:
                 nest_begin, nest_end = self._span_lines("nest")
                 self.lines.append(nest_begin)
             if overlap_plan is None:
-                self._emit_box(nest, base_syms, dims, resolved, actions, emit)
+                reduced = self._emit_chunks(
+                    nest, base_syms, arrays, dims, resolved, actions, emit
+                )
             else:
                 interior_dims, strips = overlap_plan
                 interior_dims = [tuple(dim) for dim in interior_dims]
@@ -796,38 +872,76 @@ class _MegakernelEmitter:
                 if spans:
                     in_begin, in_end = self._span_lines("nest.interior")
                     self.lines.append(in_begin)
-                self._emit_box(
-                    nest, base_syms, interior_dims, interior, actions, emit
+                reduced = self._emit_chunks(
+                    nest, base_syms, arrays, interior_dims, interior, actions,
+                    emit,
                 )
                 if spans:
                     self.lines.append(in_end)
-                complete(list(inflight), overlapped=True)
-                inflight.clear()
+                complete(len(inflight), overlapped=True)
                 if spans:
                     bd_begin, bd_end = self._span_lines("nest.boundary")
                     self.lines.append(bd_begin)
                 for strip_dims in strips:
                     strip_dims = [tuple(dim) for dim in strip_dims]
                     strip = nest._resolve_regions(arrays, env, strip_dims)
-                    self._emit_box(
+                    self.lines.extend(self._emit_box(
                         nest, base_syms, strip_dims, strip, actions, emit
-                    )
+                    )[0])
                 if spans:
                     self.lines.append(bd_end)
             if spans:
                 self.lines.append(nest_end)
         except _Bailout as bail:
             raise CodegenError(f"nest cannot be emitted: {bail.reason}")
+        if emit:
+            # Reductions (never chunked, never split) are what islands and
+            # later nests read the nest's results as.
+            for value, name in zip(nest.reduce_results, reduced):
+                self.lines.append(f"_env[_ctx[{self._add_ctx(value)}]] = {name}")
+
+    def _emit_chunks(self, nest: CompiledNest, base_syms, arrays, box_dims,
+                     resolved, actions, emit: bool) -> list[str]:
+        """Inline one box, or its team chunks run on ``_team``.
+
+        Each chunk of a box split by ``_team_chunks`` becomes a local
+        function defined ahead of the time loop — it reads the rotating
+        buffers as closure variables — with scratch of its own.  Returns the
+        names of the box's reduction results.
+        """
+        chunks = nest._team_chunks(box_dims, 1 if nest.has_reduce else self.threads)
+        if len(chunks) == 1:
+            lines, reduced = self._emit_box(
+                nest, base_syms, box_dims, resolved, actions, emit
+            )
+            self.lines.extend(lines)
+            return reduced
+        names = []
+        for chunk in chunks:
+            chunk = [tuple(dim) for dim in chunk]
+            lines, _ = self._emit_box(
+                nest, base_syms, chunk,
+                nest._resolve_regions(arrays, self.static_env, chunk),
+                actions, emit,
+            )
+            if emit:
+                names.append(self._new_var("_c"))
+                self.setup.append(f"def {names[-1]}():")
+                self.setup.extend("    " + line for line in lines)
+        if emit:
+            self.uses_team = True
+            self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
+        return []
 
     # -- one box of one nest --------------------------------------------------
     def _emit_box(self, nest: CompiledNest, base_syms, box_dims, resolved,
-                  actions, emit: bool) -> None:
-        """Inline the statements of one (nest, box) pair, literal slices in.
+                  actions, emit: bool) -> tuple[list[str], list[str]]:
+        """The statements of one (nest, box) pair, literal slices in.
 
-        The statements are :func:`repro.interp.vectorize.emit_nest`'s — the
-        ones a :class:`CompiledNest` function runs, block loop included — fed
-        literal region views; their scratch slots become locals allocated
-        once, ahead of the time loop.
+        The statements are :func:`repro.interp.vectorize.emit_nest`'s, block
+        loop included, fed literal region views; their scratch slots become
+        locals allocated once, ahead of the time loop.  Returns the lines and
+        the names of the reduction results.
         """
         regions = resolved[2]
         actions.append((
@@ -840,7 +954,7 @@ class _MegakernelEmitter:
             ),
         ))
         if not emit:
-            return
+            return [], []
         trips = tuple(len(range(lower, upper, step)) for lower, upper, step in box_dims)
         loads: dict[int, tuple] = {}
         stores: dict[int, tuple] = {}
@@ -856,13 +970,14 @@ class _MegakernelEmitter:
                 stores[position] = (source, array.dtype)
             else:
                 loads[position] = (source, array.dtype, view_shape)
-        setup, lines, _ = emit_nest(
+        setup, lines, reduced = emit_nest(
             nest.instrs, loads, stores,
             lambda ref: self._outer_operand(ref, box_dims),
-            trips, _block_extents(trips), self._new_var,
+            trips, trips if nest.has_reduce else _block_extents(trips),
+            self._new_var,
         )
         self.setup.extend(setup)
-        self.lines.extend(lines)
+        return lines, reduced
 
     def _outer_operand(self, ref: tuple, box_dims) -> tuple:
         """The operand descriptor of a free scalar or an affine value grid."""
@@ -870,6 +985,8 @@ class _MegakernelEmitter:
             sym = self.trace.sym[ref[1]]
             if sym[0] == "const":
                 return _constant_operand(sym[1])
+            if sym[0] == "env":
+                return (f"_env[_ctx[{self._add_ctx(ref[1])}]]", False, None, ())
             if sym[0] == "arg":
                 return (f"a{sym[1]}", False, None, ())
             return ("_t", False, "pyint", ())
@@ -888,43 +1005,40 @@ class _MegakernelEmitter:
             return str(sym[1])
         return f"int(a{sym[1]})"
 
-    def _render(self, label: str) -> str:
+    def _render(self, label: str, pre: list[str], body: list[str],
+                post: list[str]) -> str:
         trace = self.trace
         indent = "    "
-        body: list[str] = [f"# megakernel {label}"]
+        lines: list[str] = [f"# megakernel {label}"]
         for index in range(trace.arg_count):
-            body.append(f"a{index} = _args[{index}]")
+            lines.append(f"a{index} = _args[{index}]")
         loop = trace.loop
         if loop is None:
-            body.append("_trips = 1")
+            lines.append("_trips = 1")
         else:
-            body.append(f"_lo = {self._bound_src(loop.lower)}")
-            body.append(f"_hi = {self._bound_src(loop.upper)}")
-            body.append(f"_st = {loop.step}")
-            body.append("_trips = len(range(_lo, _hi, _st))")
-        body.append(
-            f"_stats.ops_executed += {trace.pre_ops} + _trips * {trace.iter_ops}"
-        )
-        for field, per_iteration in (
-            ("omp_regions", trace.iter_omp_regions),
-            ("omp_barriers", trace.iter_omp_barriers),
-            ("kernel_launches", trace.iter_kernel_launches),
-            ("halo_swaps", trace.iter_halo_swaps),
-            ("cells_updated", self.iter_cells),
-            ("mpi_messages", self.iter_mpi_messages),
-            ("halo_elements_exchanged", self.iter_halo_elements),
-            ("halo_swaps_overlapped", self.iter_overlapped),
-        ):
-            if per_iteration:
-                body.append(f"_stats.{field} += _trips * {per_iteration}")
-        body.extend(self.setup)
+            lines.append(f"_lo = {self._bound_src(loop.lower)}")
+            lines.append(f"_hi = {self._bound_src(loop.upper)}")
+            lines.append(f"_st = {loop.step}")
+            lines.append("_trips = len(range(_lo, _hi, _st))")
+        for field in _HOISTED_COUNTERS:
+            once, per_trip = self.once[field], self.per_trip[field]
+            terms = ([str(once)] if once or field == "ops_executed" else []) + (
+                [f"_trips * {per_trip}"] if per_trip or field == "ops_executed"
+                else []
+            )
+            if terms:
+                lines.append(f"_stats.{field} += {' + '.join(terms)}")
+        if trace.has_islands or trace.uses_env:
+            lines.append("_env = {}")
+        lines.extend(self.setup)
+        lines.extend(pre)
         if loop is None:
-            body.extend(self.lines)
+            lines.extend(body)
         else:
             for slot, index in enumerate(loop.init_args):
-                body.append(f"b{slot} = a{index}")
-            body.append("for _t in range(_lo, _hi, _st):")
-            loop_body = list(self.lines)
+                lines.append(f"b{slot} = a{index}")
+            lines.append("for _t in range(_lo, _hi, _st):")
+            loop_body = list(body)
             perm = loop.perm
             if perm != list(range(len(perm))):
                 targets = ", ".join(f"b{j}" for j in range(len(perm)))
@@ -932,7 +1046,7 @@ class _MegakernelEmitter:
                 loop_body.append(f"{targets} = {sources}")
             if self.traced:
                 # One "step" span per time-loop trip, rotation included —
-                # mirrors the interpreter's per-iteration span.
+                # mirrors the tree walker's per-iteration span.
                 loop_body = (
                     ["_spt = _tracer.begin('step')"]
                     + loop_body
@@ -940,14 +1054,21 @@ class _MegakernelEmitter:
                 )
             if not loop_body:
                 loop_body.append("pass")
-            body.extend(indent + line for line in loop_body)
-        body.append("return True")
-        header = (
-            "def _megakernel(_args, _stats, _comm, _tracer):\n"
-            if self.traced else
-            "def _megakernel(_args, _stats, _comm):\n"
+            lines.extend(indent + line for line in loop_body)
+        lines.extend(post)
+        lines.append("return True")
+        params = ["_args", "_stats", "_comm"]
+        params += ["_tracer"] * self.traced + ["_team"] * self.uses_team
+        params += ["_walker"] * trace.has_islands
+        return (
+            f"def _megakernel({', '.join(params)}):\n"
+            + "\n".join(indent + line for line in lines) + "\n"
         )
-        return header + "\n".join(indent + line for line in body) + "\n"
+
+
+def _call(function):
+    """Run one team chunk (``ThreadTeam.map`` applies this to each)."""
+    return function()
 
 
 def program_fingerprint(text: str) -> str:

@@ -9,8 +9,15 @@ produce identical results, bit for bit:
   the frontends' "native" execution paths);
 * **lowered level** — after ``convert-stencil-to-scf`` (and optionally the
   dmp/mpi lowerings) the loop nests, memref accesses, OpenMP/GPU structure and
-  MPI calls are interpreted operation by operation (slow; used by the
-  correctness tests on small grids).
+  MPI calls are interpreted operation by operation (slow; the reference every
+  compiled run is checked against, and the runner of a megakernel's
+  *islands* — the ops :mod:`repro.interp.codegen` cannot fuse, walked in
+  place in program order).
+
+Every exchange blocks here: ``dmp.swap`` posts its sends and receives
+(:func:`post_swap`) and lands them (:func:`complete_swap`) before the next
+op, since a walker that reads cells one by one has nothing to overlap them
+with.  Only a megakernel splits the pair around its interior boxes.
 
 **The arithmetic rule, for every level and every faster tier.**  A value read
 from memory is widened the way ``ndarray.item()`` widens it — any float to
@@ -30,7 +37,7 @@ world: each rank runs one interpreter instance in its own thread.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -41,10 +48,6 @@ from ..ir.types import IntegerType
 from ..transforms.mpi.mpi_to_func import MPICH_OP_CONSTANTS
 from .mpi_runtime import CommunicatorBase
 from .values import DataTypeValue, MemRefValue, PointerValue, RequestHandle
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .vectorize import CompiledKernel
-
 
 class InterpreterError(Exception):
     """Raised when a program cannot be executed (unknown op, bad structure...)."""
@@ -93,10 +96,10 @@ class PendingHalo:
     ``plan`` is the swap's :class:`SwapMessagePlan`; ``staged`` holds one
     ``(request, staging buffer)`` pair per receive of the plan once
     :func:`post_swap` posted it, and :func:`complete_swap` waits for them
-    and writes the staged halos into the array.  While the object sits on
-    ``Interpreter.pending_halos``, the vectorized backend may compute any
-    region it can prove independent of the plan's ``recv_slice`` boxes —
-    that is the communication/computation overlap of the hybrid runtime.
+    and writes the staged halos into the array.  Between the two, a
+    megakernel computes every region it can prove independent of the plan's
+    ``recv_slice`` boxes — the communication/computation overlap of the
+    hybrid runtime.
     """
 
     __slots__ = ("array", "plan", "staged")
@@ -111,9 +114,9 @@ def post_swap(comm, array: np.ndarray, plan: "SwapMessagePlan") -> PendingHalo:
     """Post one ``dmp.swap``: buffered sends first, then staged receives.
 
     All payloads are copied out before any message is posted.  The one
-    post/complete pair of the repo: the swap handler wraps it in counters and
-    spans, generated megakernels call it directly (their statistics are
-    hoisted).
+    post/complete pair of the repo: the swap handler calls it back to back
+    (wrapped in counters and spans), generated megakernels call its halves at
+    the points they choose (their statistics are hoisted).
     """
     payloads = [
         (array[send_slice].copy(), neighbor, tag)
@@ -133,31 +136,6 @@ def complete_swap(comm, halo: PendingHalo) -> None:
     for (request, buffer), receive in zip(halo.staged, halo.plan.receives):
         comm.wait(request)
         halo.array[receive[0]] = buffer
-
-
-#: Operations that provably cannot observe array *contents*, so pending halo
-#: receives may stay in flight across them: scalar/index arithmetic, value
-#: plumbing, the structural loop roots whose handlers manage completion
-#: themselves through ``try_vectorized``, the pure-counter OpenMP
-#: synchronization ops, and ``dmp.swap`` itself (its handler completes
-#: exactly the prefix of pending halos its buffer depends on) — without the
-#: last three, every multi-field omp-lowered kernel would force-complete its
-#: halos between the nest and the next swap and the overlap would be inert.
-_HALO_TRANSPARENT_OPS = frozenset(
-    {
-        "builtin.unrealized_conversion_cast",
-        "memref.subview",
-        "omp.parallel",
-        "omp.wsloop",
-        "omp.barrier",
-        "omp.terminator",
-        "scf.parallel",
-        "scf.for",
-        "scf.yield",
-        "omp.yield",
-        "dmp.swap",
-    }
-)
 
 
 class RequestArray:
@@ -187,30 +165,16 @@ class Interpreter:
         module: builtin.ModuleOp,
         *,
         comm: Optional[CommunicatorBase] = None,
-        kernel: Optional["CompiledKernel"] = None,
-        threads: int = 1,
-        overlap_halos: bool = True,
         functions: Optional[dict[str, func.FuncOp]] = None,
-        team: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ):
         self.module = module
         self.comm = comm
         #: Span tracer (:class:`repro.obs.Tracer`) for this rank, or None.
-        #: Hooks sit at phase boundaries (timestep, nest, halo post/wait) —
-        #: never inside the per-op dispatch loops — and each costs one
-        #: ``is None`` check when tracing is off.
+        #: Hooks sit at phase boundaries (timestep, halo post/wait) — never
+        #: inside the per-op dispatch loops — and each costs one ``is None``
+        #: check when tracing is off.
         self.tracer = tracer
-        #: Vectorized nests (from repro.interp.vectorize) consulted before
-        #: tree-walking a loop; None runs everything through the tree walker.
-        self.kernel = kernel
-        #: Intra-rank thread-team size (the OpenMP level of the hybrid
-        #: runtime); teams only accelerate the vectorized backend.
-        self.threads = max(1, int(threads))
-        #: Defer halo-receive completion past independent interior compute.
-        self.overlap_halos = overlap_halos
-        #: Posted-but-uncompleted halo exchanges (see :class:`PendingHalo`).
-        self.pending_halos: list[PendingHalo] = []
         self.stats = ExecStatistics()
         #: ``functions`` lets a caller that runs the same module many times
         #: (:func:`repro.core.rank.run_rank` passes the compiled program's
@@ -222,9 +186,6 @@ class Interpreter:
             for op in module.walk():
                 if isinstance(op, func.FuncOp):
                     self.functions[op.sym_name] = op
-        #: Explicit intra-rank thread team; None falls back to the
-        #: process-wide team cache of :mod:`repro.interp.thread_team`.
-        self._team = team
         self._memory_registry: dict[int, np.ndarray] = {}
         self._next_address = 0x1000
 
@@ -247,9 +208,7 @@ class Interpreter:
         try:
             self.run_block(block, env)
         except _ReturnSignal as signal:
-            self.complete_pending_halos()
             return signal.values
-        self.complete_pending_halos()
         return []
 
     # -- core evaluation ----------------------------------------------------------
@@ -274,12 +233,6 @@ class Interpreter:
     def _eval(self, op: Operation, env: dict) -> Optional[list[Any]]:
         self.stats.ops_executed += 1
         name = op.name
-        if self.pending_halos and not (
-            name in _HALO_TRANSPARENT_OPS or name.startswith("arith.")
-        ):
-            # Any operation that could observe array contents forces the
-            # in-flight halo receives to land first (blocking semantics).
-            self.complete_pending_halos()
         if name in ("scf.yield", "omp.yield", "stencil.return"):
             return [self.get(env, operand) for operand in op.operands]
         if name == "func.return":
@@ -291,90 +244,6 @@ class Interpreter:
             raise InterpreterError(f"no interpreter support for operation {name!r}")
         fn(self, op, env)
         return None
-
-    def try_vectorized(self, op: Operation, env: dict) -> bool:
-        """Run ``op`` through its compiled vectorized nest, if one exists.
-
-        Returns True when the nest executed (buffers updated, statistics
-        counted); False requests the per-cell tree walk.
-        """
-        if self.kernel is None:
-            nest = None
-        else:
-            nest = self.kernel.nest_for(op)
-        if nest is None:
-            # About to tree-walk (or not a compiled nest at all): the walker
-            # reads cells one by one, so every halo must have landed.
-            self.complete_pending_halos()
-            return False
-        tracer = self.tracer
-        if tracer is None:
-            executed = nest.execute(self, env)
-        else:
-            span = tracer.begin("nest")
-            try:
-                executed = nest.execute(self, env)
-            finally:
-                tracer.end("nest", span)
-        if not executed:
-            self.complete_pending_halos()
-        return executed
-
-    # -- halo overlap -----------------------------------------------------------
-    @property
-    def thread_team(self):
-        """The intra-rank worker team, or None when running single-threaded."""
-        if self.threads <= 1:
-            return None
-        if self._team is not None:
-            return self._team
-        from .thread_team import get_thread_team
-
-        return get_thread_team(self.threads)
-
-    def complete_pending_halos(self, overlapped: bool = False) -> None:
-        """Wait for every in-flight halo receive and write it into its field.
-
-        ``overlapped=True`` marks the completion as having been deferred past
-        interior compute (called by the vectorized backend's overlap path),
-        which is counted in :attr:`ExecStatistics.halo_swaps_overlapped`.
-        """
-        if not self.pending_halos:
-            return
-        pending, self.pending_halos = self.pending_halos, []
-        for halo in pending:
-            self._land(halo)
-            if overlapped:
-                self.stats.halo_swaps_overlapped += 1
-
-    def _land(self, halo: PendingHalo) -> None:
-        tracer = self.tracer
-        span = tracer.begin("halo.wait") if tracer is not None else 0.0
-        complete_swap(self.require_comm(), halo)
-        self.stats.halo_elements_exchanged += halo.plan.elements
-        if tracer is not None:
-            tracer.end("halo.wait", span)
-
-    def complete_pending_halos_touching(self, array: np.ndarray) -> None:
-        """Complete the posting-order *prefix* of halos that ``array`` needs.
-
-        Receives are matched by ``(source, tag)`` FIFO, not by request
-        identity, and different swaps reuse the same direction tags — so
-        completing a later halo before an earlier one on the same channel
-        would steal the earlier one's payload.  Completing the whole prefix
-        up to the last memory-overlapping halo preserves the channel order;
-        unrelated halos posted after it stay in flight.
-        """
-        last = -1
-        for index, halo in enumerate(self.pending_halos):
-            if halo.array is array or np.shares_memory(halo.array, array):
-                last = index
-        if last < 0:
-            return
-        prefix = self.pending_halos[: last + 1]
-        self.pending_halos = self.pending_halos[last + 1 :]
-        for halo in prefix:
-            self._land(halo)
 
     # -- memory / pointer plumbing ---------------------------------------------------
     def register_buffer(self, array: np.ndarray) -> int:
@@ -411,16 +280,11 @@ class Interpreter:
 
     def mpi_library_call(self, symbol: str, args: list[Any]) -> list[Any]:
         """Execute a lowered MPI_* function call against the simulated runtime."""
-        comm = self.require_comm()
-        if symbol == "MPI_Comm_rank":
-            return [comm.rank]
-        if symbol == "MPI_Comm_size":
-            return [comm.size]
         call = _MPI_LIBRARY.get(symbol)
         if call is None:
             raise InterpreterError(f"unsupported MPI library call {symbol!r}")
-        call(self, args)
-        return [0]
+        value = call(self, args)
+        return [0 if value is None else value]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +378,11 @@ def _mpi_wait(interp: Interpreter, requests: Sequence[RequestHandle]) -> None:
         tracer.end("halo.wait", span)
 
 
+def _mpi_test(slot: RequestHandle) -> bool:
+    """Whether ``slot``'s request has completed (an empty slot has)."""
+    return True if slot.pending is None else slot.pending.test()
+
+
 def _request_slots(requests_value: Any) -> list[RequestHandle]:
     if isinstance(requests_value, RequestArray):
         return requests_value.slots
@@ -556,8 +425,11 @@ _MPICH_OPERATIONS = {handle: name for name, handle in MPICH_OP_CONSTANTS.items()
 
 #: Lowered ``MPI_*`` symbols -> shared implementation, operands decoded from
 #: the C argument order ``lower_mpi_to_func`` emits (datatype and communicator
-#: handles are ignored: buffers carry their dtype, there is one world).
+#: handles are ignored: buffers carry their dtype, there is one world).  What
+#: an entry returns is the call's result; None stands for ``MPI_SUCCESS``.
 _MPI_LIBRARY = {
+    "MPI_Comm_rank": lambda interp, a: interp.require_comm().rank,
+    "MPI_Comm_size": lambda interp, a: interp.require_comm().size,
     "MPI_Init": lambda interp, a: None,
     "MPI_Finalize": lambda interp, a: None,
     "MPI_Barrier": lambda interp, a: interp.require_comm().barrier(),
@@ -566,6 +438,7 @@ _MPI_LIBRARY = {
     "MPI_Recv": lambda interp, a: _mpi_recv(interp, a[0], a[1], a[3], a[4]),
     "MPI_Irecv": lambda interp, a: _mpi_irecv(interp, a[0], a[1], a[3], a[4], a[6]),
     "MPI_Wait": lambda interp, a: _mpi_wait(interp, [_request_slot(a[0])]),
+    "MPI_Test": lambda interp, a: _mpi_test(_request_slot(a[0])),
     "MPI_Waitall": lambda interp, a: _mpi_wait(interp, _request_slots(a[1])),
     "MPI_Reduce": lambda interp, a: _mpi_reduce(
         interp, a[0], a[1], _MPICH_OPERATIONS[int(a[4])], a[5]),
@@ -580,21 +453,10 @@ _MPI_LIBRARY = {
 # builtin / func
 # ---------------------------------------------------------------------------
 
-@handler("builtin.module")
-def _run_module(interp: Interpreter, op: Operation, env: dict) -> None:
-    raise InterpreterError("builtin.module cannot be executed directly; call a function")
-
-
 @handler("builtin.unrealized_conversion_cast")
 def _run_cast(interp: Interpreter, op: Operation, env: dict) -> None:
     value = interp.get(env, op.operands[0])
     interp.set(env, op.results[0], value)
-
-
-@handler("func.func")
-def _run_func_def(interp: Interpreter, op: Operation, env: dict) -> None:
-    # Function definitions are not executed when encountered inside a block.
-    return
 
 
 @handler("func.call")
@@ -723,8 +585,6 @@ _cast("arith.trunci", lambda v: int(v))
 @handler("scf.for")
 def _run_for(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, scf.ForOp)
-    if interp.try_vectorized(op, env):
-        return
     lower = int(interp.get(env, op.lower_bound))
     upper = int(interp.get(env, op.upper_bound))
     step = int(interp.get(env, op.step))
@@ -763,8 +623,6 @@ def _run_parallel(interp: Interpreter, op: Operation, env: dict) -> None:
     steps = [int(interp.get(env, v)) for v in op.steps]
     if "gpu_kernel" in op.attributes:
         interp.stats.kernel_launches += 1
-    if interp.try_vectorized(op, env):
-        return
     block = op.body.block
     local_env = dict(env)  # scoped: body bindings must not leak to the caller
 
@@ -887,19 +745,6 @@ def _run_null(interp: Interpreter, op: Operation, env: dict) -> None:
 # ---------------------------------------------------------------------------
 # stencil (vectorised evaluation)
 # ---------------------------------------------------------------------------
-
-@handler("stencil.alloc")
-def _run_stencil_alloc(interp: Interpreter, op: Operation, env: dict) -> None:
-    field_type = op.results[0].type
-    assert isinstance(field_type, stencil.FieldType) and field_type.bounds is not None
-    interp.set(
-        env,
-        op.results[0],
-        MemRefValue.allocate(
-            field_type.bounds.shape, field_type.element_type, origin=field_type.bounds.lb
-        ),
-    )
-
 
 @handler("stencil.load")
 def _run_stencil_load(interp: Interpreter, op: Operation, env: dict) -> None:
@@ -1091,38 +936,29 @@ def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
 
 @handler("dmp.swap")
 def _run_swap(interp: Interpreter, op: Operation, env: dict) -> None:
-    """Halo exchange: post sends and non-blocking receives, defer completion.
+    """Halo exchange, blocking: post sends and receives, then land them.
 
-    The sends are buffered (the payload is copied out immediately), one
-    ``irecv`` per neighbor lands in a staging buffer, and the whole exchange
-    is parked on :attr:`Interpreter.pending_halos`: the following compute
-    nest may then overlap its interior with the in-flight messages (see
-    :meth:`repro.interp.vectorize.CompiledNest.execute`).  With
-    ``overlap_halos=False`` the receives complete right here, reproducing the
-    classic blocking discipline — both orders write the same bytes, so the
-    results are bit-identical either way.
+    The tree walker reads cells one by one, so it never overlaps an exchange
+    with compute; the halves of the same pair are what a megakernel spreads
+    around its interior boxes.
     """
     assert isinstance(op, dmp.SwapOp)
-    data = interp.get(env, op.data)
-    array = interp.as_array(data)
-    # The op is halo-transparent (unrelated in-flight halos survive it), but
-    # anything this buffer depends on must land before its slices are read.
-    interp.complete_pending_halos_touching(array)
     interp.stats.halo_swaps += 1
-    if interp.comm is None or interp.comm.size == 1:
-        return
     comm = interp.comm
+    if comm is None or comm.size == 1:
+        return
     tracer = interp.tracer
     span = tracer.begin("halo.post") if tracer is not None else 0.0
     plan = swap_message_plan(op, comm.rank)
-    halo = post_swap(comm, array, plan)
+    halo = post_swap(comm, interp.as_array(interp.get(env, op.data)), plan)
     interp.stats.mpi_messages += len(plan.sends)
     if tracer is not None:
         tracer.end("halo.post", span)
-    if interp.overlap_halos:
-        interp.pending_halos.append(halo)
-    else:
-        interp._land(halo)
+        span = tracer.begin("halo.wait")
+    complete_swap(comm, halo)
+    interp.stats.halo_elements_exchanged += plan.elements
+    if tracer is not None:
+        tracer.end("halo.wait", span)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,11 +1053,9 @@ def _run_mpi_wait(interp: Interpreter, op: Operation, env: dict) -> None:
 
 @handler("mpi.test")
 def _run_mpi_test(interp: Interpreter, op: Operation, env: dict) -> None:
-    slot = _request_slot(interp.get(env, op.operands[0]))
-    if slot.pending is None:
-        interp.set(env, op.results[0], True)
-    else:
-        interp.set(env, op.results[0], slot.pending.test())
+    interp.set(
+        env, op.results[0], _mpi_test(_request_slot(interp.get(env, op.operands[0])))
+    )
 
 
 @handler("mpi.waitall")
@@ -1282,8 +1116,6 @@ def _run_omp_parallel(interp: Interpreter, op: Operation, env: dict) -> None:
 @handler("omp.wsloop")
 def _run_omp_wsloop(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, omp.WsLoopOp)
-    if interp.try_vectorized(op, env):
-        return
     rank = op.rank
     lowers = [int(interp.get(env, v)) for v in op.lower_bounds]
     uppers = [int(interp.get(env, v)) for v in op.upper_bounds]

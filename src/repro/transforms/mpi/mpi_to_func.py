@@ -16,7 +16,7 @@ from ...ir.attributes import IntegerAttr
 from ...ir.builder import Builder
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
-from ...ir.types import Float32Type, Float64Type, IntegerType, MemRefType, i32, i64
+from ...ir.types import Float32Type, Float64Type, IntegerType, MemRefType, i1, i32, i64
 
 #: mpich magic constants (the values the paper extracts from mpi.h).
 MPICH_COMM_WORLD = 0x44000000  # 1140850688
@@ -175,6 +175,17 @@ def lower_mpi_to_func(module: ModuleOp) -> int:
                 arith.ConstantOp(IntegerAttr(MPICH_STATUS_IGNORE, i32), i32)
             ).result
             builder.insert(func.CallOp("MPI_Wait", [op.operands[0], status], [i32]))
+            op.erase()
+            continue
+        if isinstance(op, mpi.TestOp):
+            # C's MPI_Test writes the flag through a pointer; here it is the
+            # call's result, which is what the interpreter's library returns.
+            state.declare("MPI_Test", [llvm.LLVMPointerType(), i32], [i1])
+            status = builder.insert(
+                arith.ConstantOp(IntegerAttr(MPICH_STATUS_IGNORE, i32), i32)
+            ).result
+            call = builder.insert(func.CallOp("MPI_Test", [op.operands[0], status], [i1]))
+            op.flag.replace_by(call.results[0])
             op.erase()
             continue
         if isinstance(op, mpi.WaitallOp):

@@ -116,6 +116,41 @@ def build_reduce_module(n: int, combine_op, init_value: float):
     return builtin.ModuleOp([kernel])
 
 
+def run_compiled(module, function: str, *args, threads: int = 1):
+    """Run ``function`` of a lowered ``module`` the way a rank does.
+
+    The megakernel traced against the module's vectorized nests runs when it
+    can be traced and emitted, else the tree walker.  Returns ``(statistics,
+    reason)``: reason is None when the megakernel ran, else why it did not.
+    """
+    from repro.interp import (
+        CodegenError,
+        ExecStatistics,
+        Interpreter,
+        compile_kernel,
+        emit_megakernel,
+        trace_program,
+    )
+    from repro.interp.thread_team import get_thread_team
+
+    func_op = next(
+        op for op in module.walk()
+        if isinstance(op, func.FuncOp) and op.sym_name == function
+    )
+    try:
+        kernel = emit_megakernel(
+            trace_program(func_op, compile_kernel(module, function)), args,
+            threads=threads,
+        )
+    except CodegenError as err:
+        walker = Interpreter(module)
+        walker.call(function, *args)
+        return walker.stats, str(err)
+    stats = ExecStatistics()
+    assert kernel.run(list(args), stats, team=get_thread_team(threads))
+    return stats, None
+
+
 #: Step count that makes :func:`exploding_rank` fail a run.
 POISON_STEPS = 13
 
@@ -157,3 +192,40 @@ def exploding_rank(monkeypatch):
 
     monkeypatch.setattr(rank_module, "run_rank", exploding)
     monkeypatch.setattr(session_module, "run_rank", exploding)
+
+
+class _FaultyNumPy:
+    """NumPy as a megakernel sees it, except ``add`` in a poisoned run.
+
+    The generated function calls ``_np.add`` with its own frame one level
+    up: a run of ``POISON_STEPS`` steps (its ``_args``) raises on the first
+    ``add`` of its second time step (``_t == 1``), with buffers half written.
+    """
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def add(*args, **kwargs):
+        import sys
+
+        scope = sys._getframe(1).f_locals
+        steps = scope.get("_args", [None])[-1]
+        if scope.get("_t") == 1 and isinstance(steps, int) and steps == POISON_STEPS:
+            raise FloatingPointError("injected fault in step 2")
+        return np.add(*args, **kwargs)
+
+
+@pytest.fixture
+def exploding_kernel(monkeypatch):
+    """Every rank of a run of ``POISON_STEPS`` steps fails inside its
+    generated megakernel, mid-step 2 (see :class:`_FaultyNumPy`).
+
+    Megakernels emitted while the fixture is active — by this process or
+    by process workers forked after it (a fresh Session), which inherit the
+    patch — carry the faulty ``_np``; programs must be compiled fresh.
+    Every other run computes as usual.
+    """
+    import repro.interp.codegen as codegen
+
+    monkeypatch.setattr(codegen, "np", _FaultyNumPy())

@@ -1,8 +1,9 @@
-"""Equivalence of the execution backends: interpreter vs vectorized NumPy.
+"""Equivalence of the execution tiers: tree walker vs megakernel.
 
 Every compiled program must produce *bit-identical* field contents and
 identical ``cells_updated`` / ``halo_swaps`` statistics regardless of which
-backend executes it; the vectorized backend is purely a performance feature.
+tier executes it; the vectorized nests of the megakernel are purely a
+performance feature.
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.interp import (
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.transforms.distribute import GridSlicingStrategy
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
-from tests.conftest import build_jacobi_module, jacobi_reference
+from tests.conftest import build_jacobi_module, jacobi_reference, run_compiled
 
 
 def _run(program, arguments, scalars=(), **config):
@@ -159,7 +160,7 @@ class TestDistributedEquivalence:
 class TestRuntimeFallback:
     def _inplace_shifted_module(self):
         """u[i] = u[i] + u[i+1] over one buffer: per-cell order is observable,
-        so the vectorized nest must refuse it at run time."""
+        so the megakernel must refuse to emit it."""
         kernel = func.FuncOp("kernel", FunctionType([MemRefType([10], f64)], []))
         u = kernel.args[0]
         b = Builder.at_end(kernel.body.block)
@@ -183,14 +184,14 @@ class TestRuntimeFallback:
         module = self._inplace_shifted_module()
         nest = compile_loop_nest(next(op for op in module.walk() if isinstance(op, scf.ParallelOp)))
         assert nest is not None  # statically it looks vectorizable...
-        kernel = compile_kernel(module, "kernel")
         data = np.arange(10, dtype=np.float64)
         expected = data.copy()
         Interpreter(module).call("kernel", expected)
         observed = data.copy()
-        Interpreter(module, kernel=kernel).call("kernel", observed)
-        # ...but the run-time aliasing check must bounce it to the tree
+        _, reason = run_compiled(module, "kernel", observed)
+        # ...but the emit-time aliasing check must send it to the tree
         # walker, preserving the sequential prefix-sum-like semantics.
+        assert reason is not None
         assert np.array_equal(observed, expected)
 
     def test_empty_iteration_space(self):
@@ -226,7 +227,7 @@ class TestNestCompiler:
         nest = compile_loop_nest(loop)
         assert isinstance(nest, CompiledNest)
         data = np.zeros(6)
-        Interpreter(module, kernel=compile_kernel(module, "fill")).call("fill", data)
+        assert run_compiled(module, "fill", data)[1] is None
         assert np.array_equal(data, np.full(6, 2.5))
 
     def test_data_dependent_control_flow_is_rejected(self):
@@ -365,10 +366,10 @@ class TestReviewRegressions:
         data_interp, data_vector = np.zeros((4, 8)), np.zeros((4, 8))
         interp = Interpreter(module)
         interp.call("kernel", data_interp)
-        vector = Interpreter(module, kernel=kernel_compiled)
-        vector.call("kernel", data_vector)
+        vector, reason = run_compiled(module, "kernel", data_vector)
+        assert reason is None
         assert np.array_equal(data_interp, data_vector)
-        assert vector.stats.cells_updated == interp.stats.cells_updated == 4
+        assert vector.cells_updated == interp.stats.cells_updated == 4
 
     def test_multi_store_reads_pre_update_values(self):
         # v = a[i]; a[i] = v + 1; b[i] = v  — the second store must commit the
@@ -400,9 +401,7 @@ class TestReviewRegressions:
         a_i, b_i = initial.copy(), np.zeros(6)
         Interpreter(module).call("kernel", a_i, b_i)
         a_v, b_v = initial.copy(), np.zeros(6)
-        Interpreter(module, kernel=compile_kernel(module, "kernel")).call(
-            "kernel", a_v, b_v
-        )
+        assert run_compiled(module, "kernel", a_v, b_v)[1] is None
         assert np.array_equal(a_i, a_v)
         assert np.array_equal(b_i, b_v)
         assert np.array_equal(b_v, initial)  # the pre-update values
@@ -434,9 +433,7 @@ class TestReviewRegressions:
         source = np.arange(5, dtype=np.float64)
         dst_i, dst_v = np.zeros((5, 8)), np.zeros((5, 8))
         Interpreter(module).call("kernel", source.copy(), dst_i)
-        Interpreter(module, kernel=compile_kernel(module, "kernel")).call(
-            "kernel", source.copy(), dst_v
-        )
+        assert run_compiled(module, "kernel", source.copy(), dst_v)[1] is None
         assert np.array_equal(dst_i, dst_v)
         assert np.array_equal(dst_v[:, 3], source)
         assert dst_v.sum() == source.sum()  # nothing else written
@@ -467,7 +464,7 @@ class TestReviewRegressions:
 
         data_interp, data_vector = np.zeros(4), np.zeros(4)
         Interpreter(module).call("kernel", data_interp, 10)
-        Interpreter(module, kernel=compiled).call("kernel", data_vector, 10)
+        assert run_compiled(module, "kernel", data_vector, 10)[1] is None
         assert np.array_equal(data_interp, [10.0, 11.0, 12.0, 13.0])
         assert np.array_equal(data_interp, data_vector)
 
@@ -562,20 +559,18 @@ class TestReduceNestVectorization:
         interp.call("kernel", data.copy(), out_interp)
         kernel = compile_kernel(module, "kernel")
         assert kernel.nest_count == 1, kernel.fallback_reasons
-        vector = Interpreter(module, kernel=kernel)
-        vector.call("kernel", data.copy(), out_vector)
+        vector, reason = run_compiled(module, "kernel", data.copy(), out_vector)
+        assert reason is None
         # Bit-identical: the vectorized fold replays the sequential order
         # (ufunc.accumulate), not NumPy's pairwise summation.
         assert out_interp[0] == out_vector[0]
-        assert interp.stats.cells_updated == vector.stats.cells_updated == 49
+        assert interp.stats.cells_updated == vector.cells_updated == 49
 
     def test_reduce_with_empty_iteration_space_returns_init(self):
         module = _build_reduce_module(0, arith.AddfOp, 41.5)
         out_interp, out_vector = np.zeros(1), np.zeros(1)
         Interpreter(module).call("kernel", np.zeros((0, 0)), out_interp)
-        Interpreter(module, kernel=compile_kernel(module, "kernel")).call(
-            "kernel", np.zeros((0, 0)), out_vector
-        )
+        assert run_compiled(module, "kernel", np.zeros((0, 0)), out_vector)[1] is None
         assert out_interp[0] == out_vector[0] == 41.5
 
     def test_unsupported_combiner_reports_reason_and_tree_walks(self):
@@ -686,10 +681,11 @@ class TestVectorizeFallbackReasons:
         fallback = compile_kernel(module, "kernel").fallback_for(loop)
         assert fallback is not None and "scf.if" in fallback.reason
 
-    def test_dynamic_non_positive_step_runtime_reason(self):
-        # The step is a function argument: statically vectorizable, but a
-        # non-positive runtime value must bounce (the interpreter defines the
-        # semantics) with an explicit reason.
+    def test_dynamic_step_nest_is_walked_in_place(self):
+        # The step is a function argument: statically vectorizable, but its
+        # geometry is unknown when the megakernel is emitted, so the nest is
+        # an island the tree walker runs (it defines the semantics of a
+        # non-positive step: an empty range).
         kernel = func.FuncOp(
             "kernel", FunctionType([MemRefType([8], f64), index], [])
         )
@@ -710,26 +706,20 @@ class TestVectorizeFallbackReasons:
         assert nest is not None  # statically fine
 
         data = np.zeros(8)
-        Interpreter(module, kernel=compiled).call("kernel", data, -1)
+        stats, reason = run_compiled(module, "kernel", data, -1)
+        assert reason is None and stats.cells_updated == 0
         assert np.array_equal(data, np.zeros(8))  # tree walker: empty range
-        assert nest.last_fallback is not None
-        assert "step" in nest.last_fallback.reason
-
-        # A healthy step executes vectorized and clears the record.
-        Interpreter(module, kernel=compiled).call("kernel", data, 2)
-        assert nest.last_fallback is None
+        stats, reason = run_compiled(module, "kernel", data, 2)
+        assert reason is None and stats.cells_updated == 4
         assert np.array_equal(data[::2], np.ones(4))
 
     def test_aliasing_store_runtime_reason(self):
         module = TestRuntimeFallback()._inplace_shifted_module()
         loop = next(op for op in module.walk() if isinstance(op, scf.ParallelOp))
-        compiled = compile_kernel(module, "kernel")
-        nest = compiled.nest_for(loop)
-        assert nest is not None
+        assert compile_kernel(module, "kernel").nest_for(loop) is not None
         data = np.arange(10, dtype=np.float64)
-        Interpreter(module, kernel=compiled).call("kernel", data)
-        assert nest.last_fallback is not None
-        assert "aliasing" in nest.last_fallback.reason
+        _, reason = run_compiled(module, "kernel", data)
+        assert reason is not None and "aliasing" in reason
 
     def test_loop_carried_values_reason(self):
         module = build_jacobi_module()
@@ -780,9 +770,7 @@ class TestReviewRegressionsPR3:
         data = np.arange(8, dtype=np.float64)
         expected, observed = np.zeros(8), np.zeros(8)
         Interpreter(module).call("kernel", data.copy(), expected)
-        Interpreter(module, kernel=compile_kernel(module, "kernel")).call(
-            "kernel", data.copy(), observed
-        )
+        assert run_compiled(module, "kernel", data.copy(), observed)[1] is None
         assert np.array_equal(expected, observed)
         assert np.array_equal(expected, [0, 0, 0, 0, 4, 4, 4, 4])
 

@@ -19,7 +19,6 @@ from repro.core import (
     default_session,
     dmp_target,
 )
-from repro.interp import Interpreter, SimulatedMPI
 from repro.interp.thread_team import get_thread_team, split_trip_counts
 from repro.runtime import processes_available
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
@@ -177,39 +176,11 @@ def test_overlap_disabled_is_bit_identical():
     program, fields, scalars, function = CASES["heat"]
     overlapped = fields()
     _run(program, overlapped, scalars, function=function)
-
     blocking = fields()
-    size = 4
-    world = SimulatedMPI(size, timeout=60.0)
-    from repro.core.executor import gather_field, scatter_field
-    from repro.transforms.distribute import GridSlicingStrategy
-
-    strategy = GridSlicingStrategy(program.target.rank_grid)
-    domain = program.distribution.local_domain
-    halo_lower, halo_upper = domain.halo_lower, domain.halo_upper
-    local = [
-        [
-            scatter_field(field, strategy, rank, halo_lower, halo_upper, halo_lower)
-            for field in blocking
-        ]
-        for rank in range(size)
-    ]
-    kernel = program.compiled_kernel(function)
-
-    def body(comm):
-        interpreter = Interpreter(
-            program.module, comm=comm, kernel=kernel, overlap_halos=False
-        )
-        interpreter.call(function, *local[comm.rank], *scalars)
-        assert interpreter.stats.halo_swaps_overlapped == 0
-
-    world.run_spmd(body, timeout=60.0)
-    for rank in range(size):
-        for global_array, local_array in zip(blocking, local[rank]):
-            gather_field(
-                global_array, local_array, strategy, rank,
-                halo_lower, halo_upper, halo_lower,
-            )
+    result = _run(
+        program, blocking, scalars, function=function, overlap_halos=False
+    )
+    assert all(s.halo_swaps_overlapped == 0 for s in result.statistics)
     for a, b in zip(overlapped, blocking):
         assert np.array_equal(a, b)
 

@@ -131,8 +131,6 @@ UNBUILT = {
         "test", "reduce", "allreduce", "bcast", "gather")},
     "scf.reduce": "reductions reach the emitter only from hand-built nests: "
                   "tests/conftest.py::build_reduce_module and the fuzz",
-    "stencil.alloc": "a field that is not a function argument: "
-                     "tests/test_stencil_dialect_and_transforms.py",
 }
 
 

@@ -337,7 +337,7 @@ def _mpi_operations():
 
 #: Operation -> (the scenario of ``_build_scenario`` that contains it, the
 #: library call it lowers to).  None: the op needs no library call and stays
-#: (request bookkeeping — and ``mpi.test``, which has no lowering).
+#: (request bookkeeping).
 _MPI_SCENARIOS = {
     "mpi.init": ("lifecycle", "MPI_Init"),
     "mpi.finalize": ("lifecycle", "MPI_Finalize"),
@@ -352,7 +352,7 @@ _MPI_SCENARIOS = {
     "mpi.set_null_request": ("wait", None),
     "mpi.isend": ("wait", "MPI_Isend"),
     "mpi.irecv": ("wait", "MPI_Irecv"),
-    "mpi.test": ("wait", None),
+    "mpi.test": ("wait", "MPI_Test"),
     "mpi.wait": ("wait", "MPI_Wait"),
     "mpi.waitall": ("waitall", "MPI_Waitall"),
     "mpi.reduce": ("collectives", "MPI_Reduce"),

@@ -294,7 +294,7 @@ class TestTracedRuns:
 
     def test_untraced_megakernel_emits_no_bookkeeping(self):
         program = _compile_heat()
-        with Session(codegen="megakernel") as session:
+        with Session() as session:
             plan = session.plan(program)
             plan.run(_heat_fields(), [2])
         sources = _megakernel_sources(program)
@@ -302,7 +302,7 @@ class TestTracedRuns:
 
     def test_traced_megakernel_records_spans(self):
         program = _compile_heat()
-        with Session(codegen="megakernel", trace="timeline") as session:
+        with Session(trace="timeline") as session:
             plan = session.plan(program)
             result = plan.run(_heat_fields(), [2])
         sources = _megakernel_sources(program)

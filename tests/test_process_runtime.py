@@ -22,13 +22,14 @@ from repro.core import (
     dmp_target,
 )
 from repro.frontends.oec import StencilProgramBuilder
-from repro.interp import SimulatedMPI
+from repro.interp import CodegenError, SimulatedMPI
 from repro.runtime import (
     PoolManager,
     merge_comm_statistics,
     processes_available,
 )
 from repro.workloads import heat_diffusion
+from tests.conftest import _forked_workers
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -161,7 +162,8 @@ def test_heat_kernel_runtime_parity(rank_grid, lower, overlap, codegen):
     assert processes_result.runtime == "processes"
     for result in (threads_result, processes_result):
         overlapped = [s.halo_swaps_overlapped for s in result.statistics]
-        if overlap is False or lower:  # the mpi-lowered path never overlaps
+        # The tree walker and the mpi-lowered path never overlap.
+        if overlap is False or lower or codegen == "planned":
             assert overlapped == [0] * len(overlapped)
         else:
             assert all(count > 0 for count in overlapped)
@@ -203,7 +205,33 @@ def test_one_sided_halo_is_fed_by_both_neighbours(runtime, lower):
 @needs_processes
 @pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
 def test_codegen_decisions_reported_like_the_thread_world(lower):
-    """Workers ship their tier decision home: codegen never fails silently."""
+    """Workers ship their tier decision home: both halo lowerings engage."""
+    seen = _codegen_decisions(lower)
+    assert seen["processes"] == seen["threads"]
+    assert seen["threads"] == (
+        None, {"engaged": 4, "fallback": 0, "cache_miss": 2, "cache_hit": 2})
+
+
+@pytest.mark.skipif(not _forked_workers(), reason="needs forked process workers")
+def test_codegen_fallbacks_reported_like_the_thread_world(monkeypatch):
+    """... and so does a rejection: codegen never fails silently."""
+    import repro.core.rank as rank_module
+
+    def untraceable(func_op, kernel, overlap):
+        raise CodegenError("untraceable on purpose")
+
+    # Workers forked by the Sessions below inherit the patch.
+    monkeypatch.setattr(rank_module, "trace_program", untraceable)
+    seen = _codegen_decisions(lower=False)
+    assert seen["processes"] == seen["threads"]
+    assert seen["threads"] == (
+        "untraceable on purpose",
+        {"engaged": 0, "fallback": 4, "cache_miss": 0, "cache_hit": 0},
+    )
+
+
+def _codegen_decisions(lower):
+    """Per world: the plan's fallback reason and megakernel counts, 2 runs."""
     seen = {}
     for runtime in ("threads", "processes"):
         # A fresh program per world: megakernels are cached on the program.
@@ -221,14 +249,7 @@ def test_codegen_decisions_reported_like_the_thread_world(lower):
                     for name in ("engaged", "fallback", "cache_miss", "cache_hit")
                 },
             )
-    assert seen["processes"] == seen["threads"]
-    reason, counts = seen["threads"]
-    if lower:
-        assert "'func.call' cannot be megakernel-compiled" in reason
-        assert counts["engaged"] == 0
-    else:
-        assert reason is None
-        assert counts == {"engaged": 4, "fallback": 0, "cache_miss": 2, "cache_hit": 2}
+    return seen
 
 
 @needs_processes

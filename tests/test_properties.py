@@ -20,6 +20,7 @@ from repro.dialects import arith, builtin, dmp, func, memref, scf, stencil
 from repro.frontends.oec import StencilProgramBuilder
 from repro.interp import (
     CodegenError,
+    CompiledMegakernel,
     Interpreter,
     SimulatedMPI,
     compile_kernel,
@@ -27,10 +28,9 @@ from repro.interp import (
     trace_program,
     vectorize,
 )
-from repro.interp.interpreter import ExecStatistics
-from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64, index
+from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
 from repro.transforms.distribute import GridSlicingStrategy
-from tests.conftest import build_jacobi_module
+from tests.conftest import build_jacobi_module, run_compiled
 
 bounds_pairs = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 16)), min_size=1, max_size=3
@@ -193,9 +193,9 @@ class TestHaloExchangeProperty:
 # differential fuzz of the one nest emitter
 # ---------------------------------------------------------------------------
 #
-# The tree walker is the executable semantics; the generated nest function,
-# the megakernel that inlines the same statements, and thread-team chunking
-# must agree with it bit for bit on programs nobody hand-picked.
+# The tree walker is the executable semantics; the megakernel that inlines
+# the emitted statements, whole and chunked over a thread team, must agree
+# with it bit for bit on programs nobody hand-picked.
 
 _OPS = ("add", "sub", "mul", "div")
 
@@ -280,11 +280,9 @@ def _targets(ndim: int):
 
 
 #: The execution tiers: the tree walker first (the reference), then the
-#: interpreter loop over generated nest functions, the megakernel, and the
-#: nest functions chunked over a 2-thread team.
+#: megakernel, whole and with its boxes chunked over a 2-thread team.
 _TIERS = (
     dict(backend="interpreter"),
-    dict(backend="auto", codegen="planned"),
     dict(backend="auto", codegen="auto"),
     dict(backend="auto", codegen="auto", threads_per_rank=2),
 )
@@ -492,15 +490,16 @@ def _bail_uncovered(b, args, ivs):
     _store(b, _load(b, x, ivs), out, ivs[:1])
 
 
-#: ``name -> (argument shapes, nest extents, body, part of the reason)``; an
-#: ``int`` in place of a shape is an index argument used as every step.
+#: ``name -> (argument shapes, nest extents, body, part of the reason, step
+#: of every dimension)``.
 _BAILING_CASES = {
-    "aliasing-stores": ([(7, 5)], (6, 5), _bail_aliasing, "aliasing"),
-    "out-of-range": ([(6, 5), (7, 5)], (7, 5), _bail_copy, "out-of-range"),
-    "non-unit-stride": ([(12, 5), (6, 5)], (6, 5), _bail_stride, "non-unit-stride"),
-    "non-positive-step": ([(6, 5), (6, 5), 0], (6, 5), _bail_copy, "step"),
+    "aliasing-stores": ([(7, 5)], (6, 5), _bail_aliasing, "aliasing", 1),
+    "out-of-range": ([(6, 5), (7, 5)], (7, 5), _bail_copy, "out-of-range", 1),
+    "non-unit-stride": (
+        [(12, 5), (6, 5)], (6, 5), _bail_stride, "non-unit-stride", 1),
+    "non-positive-step": ([(6, 5), (6, 5)], (6, 5), _bail_copy, "step", 0),
     "store-not-covering": (
-        [(6, 5), (6,)], (6, 5), _bail_uncovered, "does not cover every nest"),
+        [(6, 5), (6,)], (6, 5), _bail_uncovered, "does not cover every nest", 1),
 }
 
 
@@ -625,11 +624,10 @@ class TestNestEmitterDifferential:
         _check_against_tree_walker(module, make_args)
 
     def test_cold_nest_hit_by_two_rank_threads_at_once(self):
-        """Two ranks racing to build one nest's function both compute right."""
+        """Two ranks racing to emit their megakernels both compute right."""
         module = build_jacobi_module(n=16)
         program = compile_stencil_program(module, dmp_target((2,)))
-        nests = program.compiled_kernel("kernel").nests.values()
-        assert nests and all(not nest._functions for nest in nests)
+        assert not program._megakernel_cache
         rng = np.random.default_rng(5)
         initial = rng.standard_normal(18)
         u, v = initial.copy(), initial.copy()
@@ -637,11 +635,10 @@ class TestNestEmitterDifferential:
         sys.setswitchinterval(1e-6)
         try:
             default_session().run(
-                program, [u, v], [2], runtime="threads", codegen="planned",
-                timeout=30.0)
+                program, [u, v], [2], runtime="threads", timeout=30.0)
         finally:
             sys.setswitchinterval(switch)
-        assert all(len(nest._functions) == 1 for nest in nests)
+        assert len(_emitted(program)) == 2
         a, b = initial.copy(), initial.copy()
         default_session().run(
             program, [a, b], [2], runtime="threads", backend="interpreter",
@@ -651,8 +648,9 @@ class TestNestEmitterDifferential:
 
 
     def test_rank_threads_and_teams_share_a_cold_blocked_nest(self):
-        """Two rank threads, each with a 2-thread team, first-call one nest:
-        scratch is per call, so chunks and ranks cannot see each other's."""
+        """Two rank threads, each with a 2-thread team, first-run one kernel:
+        every chunk has scratch of its own, allocated per call, so chunks and
+        ranks cannot see each other's."""
         builder = StencilProgramBuilder(shape=(8, 6), halo=1, dtype="f64")
         u, v = builder.add_field("u"), builder.add_field("v")
         builder.add_stencil([u], v, lambda e: e.mul(
@@ -675,11 +673,11 @@ class TestNestEmitterDifferential:
         try:
             with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1), \
                     mock.patch.object(vectorize, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
-                fast = run(codegen="planned", threads_per_rank=2)
+                fast = run(threads_per_rank=2)
         finally:
             sys.setswitchinterval(switch)
-        nests = program.compiled_kernel("kernel").nests.values()
-        assert all(nest._functions for nest in nests)
+        kernels = _emitted(program)
+        assert len(kernels) == 2 and all(kernel.uses_team for kernel in kernels)
         assert fast == run(backend="interpreter")
 
     # -- how one value reaches memory: the cases the emitter tells apart ------
@@ -724,47 +722,46 @@ class TestNestEmitterDifferential:
 
     @pytest.mark.parametrize("case", sorted(_BAILING_CASES))
     def test_a_bailing_nest_touches_nothing(self, case):
-        """Every run-time refusal is decided before the first block is written."""
-        shapes, extents, body, reason = _BAILING_CASES[case]
+        """Every refusal is decided when the kernel is emitted, before it runs."""
+        shapes, extents, body, reason, step = _BAILING_CASES[case]
         rng = np.random.default_rng(3)
-        args = [
-            shape if isinstance(shape, int) else rng.standard_normal(shape)
-            for shape in shapes
-        ]
-        step = next(
-            (k for k, shape in enumerate(shapes) if isinstance(shape, int)), None)
+        args = [rng.standard_normal(shape) for shape in shapes]
         module = _parallel_module(
-            [index if isinstance(shape, int) else MemRefType(list(shape), f64)
-             for shape in shapes],
-            extents, body, step=step,
+            [MemRefType(list(shape), f64) for shape in shapes], extents, body,
+            step=step,
         )
         kernel_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
         compiled = compile_kernel(module, "kernel")
         assert compiled.nest_count == 1, compiled.fallback_reasons
-        (nest,) = compiled.nests.values()
-        before = [a.tobytes() for a in args if isinstance(a, np.ndarray)]
+        trace = trace_program(kernel_op, compiled)
+        before = [a.tobytes() for a in args]
         for threads in (1, 2):
-            interp = Interpreter(module, kernel=compiled, threads=threads)
             for _ in _compiled_worlds():
-                assert nest.execute(interp, dict(zip(kernel_op.args, args))) is False
-                assert reason in nest.last_fallback.reason
-                assert before == [
-                    a.tobytes() for a in args if isinstance(a, np.ndarray)]
+                with pytest.raises(CodegenError, match=reason):
+                    emit_megakernel(trace, args, threads=threads)
+                assert before == [a.tobytes() for a in args]
 
-def _parallel_module(arg_types, extents, body, inits=(), epilogue=None, step=None):
+
+def _emitted(program):
+    return [
+        entry for entry in program._megakernel_cache.values()
+        if isinstance(entry, CompiledMegakernel)
+    ]
+
+
+def _parallel_module(arg_types, extents, body, inits=(), epilogue=None, step=1):
     """``kernel(*args)``: one scf.parallel nest over ``extents`` built by ``body``.
 
     ``body(builder, args, ivs)`` emits the nest body and returns the
     ``(value, combiner op class)`` pairs to reduce (or None); ``inits`` are
     the constants the reductions start from and ``epilogue(builder, args,
-    results)`` consumes the loop results.  The nest steps by one, or by the
-    kernel argument number ``step``.
+    results)`` consumes the loop results.  Every dimension steps by the
+    constant ``step``.
     """
     kernel = func.FuncOp("kernel", FunctionType(arg_types, []))
     b = Builder.at_end(kernel.body.block)
     zero = b.insert(arith.ConstantOp.from_int(0)).result
-    one = b.insert(arith.ConstantOp.from_int(1)).result if step is None \
-        else kernel.args[step]
+    one = b.insert(arith.ConstantOp.from_int(step)).result
     uppers = [b.insert(arith.ConstantOp.from_int(e)).result for e in extents]
     loop = scf.ParallelOp(
         [zero] * len(extents), uppers, [one] * len(extents),
@@ -787,12 +784,10 @@ def _parallel_module(arg_types, extents, body, inits=(), epilogue=None, step=Non
 
 
 def _check_against_tree_walker(module, make_args):
-    """The nest's generated function — whole, team-chunked and inlined into a
-    megakernel where one can be traced — vs the walker."""
+    """The nest inlined into a megakernel — whole and team-chunked — vs the
+    walker."""
     kernel = compile_kernel(module, "kernel")
     assert kernel.nest_count == 1, kernel.fallback_reasons
-    (nest,) = kernel.nests.values()
-    kernel_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
 
     def observed(args, stats):
         return (
@@ -800,22 +795,13 @@ def _check_against_tree_walker(module, make_args):
             dataclasses.replace(stats, ops_executed=0),
         )
 
-    def run(**config):
-        args = make_args()
-        interp = Interpreter(module, **config)
-        interp.call("kernel", *args)
-        return observed(args, interp.stats)
-
-    reference = run()
-    try:
-        trace = trace_program(kernel_op, kernel)
-    except CodegenError:
-        trace = None  # a reduction, or a value used after the nest
+    args = make_args()
+    walker = Interpreter(module)
+    walker.call("kernel", *args)
+    reference = observed(args, walker.stats)
     for budget in _compiled_worlds():
-        for config in (dict(kernel=kernel), dict(kernel=kernel, threads=2)):
-            assert run(**config) == reference, (config, budget)
-            assert nest.last_fallback is None, nest.last_fallback
-        if trace is not None:
-            args, stats = make_args(), ExecStatistics()
-            assert emit_megakernel(trace, args).run(args, stats)
-            assert observed(args, stats) == reference, ("megakernel", budget)
+        for threads in (1, 2):
+            args = make_args()
+            stats, reason = run_compiled(module, "kernel", *args, threads=threads)
+            assert reason is None, reason
+            assert observed(args, stats) == reference, (threads, budget)

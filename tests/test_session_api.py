@@ -7,6 +7,8 @@ counters), held-plan parity against one-shot ``Session.run`` across the
 runtime-fallback warning.
 """
 
+import os
+import threading
 import time
 import warnings
 
@@ -426,6 +428,47 @@ def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_r
                    else session.counters.rank_executors_created)
         assert created == 2
         assert plan.runs_completed == 2
+
+
+def _shm_segments() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.parametrize("runtime", FAILURE_WORLDS)
+def test_fault_inside_a_megakernel_leaks_nothing(runtime, exploding_kernel):
+    """Every rank's generated kernel raises mid-step 2, buffers half written:
+    the typed error arrives within the timeout, no shared-memory segment or
+    rank thread outlives the sessions, and the same session then runs the
+    program bit-identically to a fresh one."""
+    threads_before, segments_before = set(threading.enumerate()), _shm_segments()
+    with Session(runtime=runtime, timeout=5.0) as session:
+        plan = session.plan(_compile_heat((2, 1)))
+        began = time.monotonic()
+        if runtime == "processes":
+            with pytest.raises(WorkerError, match="injected fault in step 2") as info:
+                plan.run(_heat_fields(), [POISON_STEPS])
+            assert info.value.failure.exception == "FloatingPointError"
+        else:
+            with pytest.raises(FloatingPointError, match="^injected fault in step 2$"):
+                plan.run(_heat_fields(), [POISON_STEPS])
+        assert time.monotonic() - began < 5.0
+        survived = _heat_fields()
+        plan.run(survived, [3])
+        assert session.metrics.get("megakernel.engaged") == 2
+    fresh = _heat_fields()
+    with Session(runtime=runtime) as other:
+        other.run(_compile_heat((2, 1)), fresh, [3])
+    assert [field.tobytes() for field in survived] == [
+        field.tobytes() for field in fresh]
+    deadline = time.monotonic() + 10.0  # pool threads wind down after close
+    while True:
+        leaked_threads = set(threading.enumerate()) - threads_before
+        leaked_segments = _shm_segments() - segments_before
+        if not (leaked_threads or leaked_segments) or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not leaked_threads, leaked_threads
+    assert not leaked_segments, leaked_segments
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.dialects import hls, memref, omp, scf, stencil
+from repro.dialects import func, hls, memref, omp, scf, stencil
 from repro.frontends.oec import StencilProgramBuilder
 from repro.interp import Interpreter
-from repro.ir import f64
+from repro.ir import FunctionType, f64
 from repro.transforms.common import canonicalize
 from repro.transforms.smp import convert_scf_to_openmp, count_parallel_regions
 from repro.transforms.stencil import (
@@ -35,16 +35,22 @@ class TestStencilDialect:
         assert stencil.combined_halo(applies) == ((1,), (1,))
         assert stencil.combined_halo([]) == ((), ())
 
+    @staticmethod
+    def _field():
+        """A ``[0, 4)`` f64 field: the argument of a one-field function."""
+        kernel = func.FuncOp(
+            "kernel", FunctionType([stencil.FieldType(([0], [4]), f64)], []))
+        return kernel.args[0]
+
     def test_access_requires_temp(self):
-        field = stencil.AllocOp(stencil.FieldType(([0], [4]), f64))
         with pytest.raises(ValueError):
-            stencil.AccessOp(field.field, [0])
+            stencil.AccessOp(self._field(), [0])
 
     def test_store_bounds_must_fit_field(self):
-        field = stencil.AllocOp(stencil.FieldType(([0], [4]), f64))
-        load = stencil.LoadOp(field.field)
+        field = self._field()
+        load = stencil.LoadOp(field)
         store = stencil.StoreOp(
-            load.result, field.field, stencil.StencilBoundsAttr([0], [10])
+            load.result, field, stencil.StencilBoundsAttr([0], [10])
         )
         with pytest.raises(Exception):
             store.verify()
@@ -54,10 +60,6 @@ class TestStencilDialect:
         apply_op.body.block.add_arg(f64)
         with pytest.raises(Exception):
             jacobi_module.verify()
-
-    def test_alloc_requires_bounds(self):
-        with pytest.raises(ValueError):
-            stencil.AllocOp(stencil.FieldType(None, f64, rank=2))
 
 
 class TestShapeInference:
