@@ -65,7 +65,10 @@ EXECUTION_RUNTIMES = ("threads", "processes")
 #:   nest it can and walks the rest in place; a program it cannot trace or
 #:   emit runs the tree walker, with the reason recorded on
 #:   ``Plan.codegen_fallback``;
-#: * ``"planned"`` — no compiled tier: always run the tree walker.
+#: * ``"planned"`` — no compiled tier: always run the tree walker.  The
+#:   config normalises it to ``backend="interpreter"``, the one field the
+#:   stack reads to choose the walker, and rejects ``backend="vectorized"``
+#:   alongside it.
 EXECUTION_CODEGEN = ("auto", "planned")
 
 #: Valid values of :attr:`ExecutionConfig.trace`:
@@ -108,7 +111,7 @@ class ExecutionConfig:
     #: Defer halo-receive completion past independent interior compute.
     #: ``None`` (default) resolves to True wherever the megakernel can prove
     #: it safe; an explicit ``True`` conflicts with
-    #: ``backend="interpreter"`` (the tree walker reads cells one by one and
+    #: ``backend="interpreter"`` or ``codegen="planned"`` (the tree walker reads cells one by one and
     #: can never overlap), which is rejected here rather than silently ignored.
     overlap_halos: Optional[bool] = None
     #: Ghost/boundary cells the *global* arrays carry in front of compute
@@ -158,9 +161,17 @@ class ExecutionConfig:
             raise ExecutionError("timeout must be a positive number of seconds")
         if self.overlap_halos not in (None, True, False):
             raise ExecutionError("overlap_halos must be True, False or None (auto)")
+        if self.codegen == "planned":
+            if self.backend == "vectorized":
+                raise ExecutionError(
+                    "backend='vectorized' conflicts with codegen='planned': "
+                    "no compiled tier runs, so nothing is vectorized"
+                )
+            object.__setattr__(self, "backend", "interpreter")
         if self.overlap_halos is True and self.backend == "interpreter":
             raise ExecutionError(
-                "overlap_halos=True conflicts with backend='interpreter': the "
+                "overlap_halos=True conflicts with the tree walker "
+                "(backend='interpreter' or codegen='planned'): the "
                 "tree walker reads cells one by one and can never overlap "
                 "halo exchanges with compute"
             )

@@ -61,9 +61,10 @@ def kernel_for_backend(
 def codegen_wanted(config: ExecutionConfig) -> bool:
     """Whether ``config`` asks for the megakernel at all.
 
-    ``codegen="planned"`` and the tree-walker backend never do.
+    The tree-walker backend never does (``codegen="planned"`` is normalised
+    to it by :class:`~repro.core.config.ExecutionConfig`).
     """
-    return config.backend != "interpreter" and config.codegen == "auto"
+    return config.backend != "interpreter"
 
 
 def megakernel_trace(
@@ -158,8 +159,8 @@ def run_rank(
     fields and statistics.  ``megakernel.engaged`` / ``megakernel.fallback``
     on ``metrics`` count which tier ran wherever codegen was wanted.
     """
-    kernel_for_backend(program, function, config.backend)
     if codegen_wanted(config):
+        kernel_for_backend(program, function, config.backend)
         # Trace, then megakernel, or the CodegenFallback of whichever failed.
         built = megakernel_trace(program, function, config)
         if isinstance(built, MegakernelTrace):

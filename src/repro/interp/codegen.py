@@ -79,6 +79,7 @@ from .interpreter import (
 from .vectorize import (
     CompiledKernel,
     CompiledNest,
+    _Affine,
     _Bailout,
     _block_extents,
     _constant_operand,
@@ -121,6 +122,12 @@ class CodegenFallback:
 #:   ("env",)      — known only at run time: a result of an island or of a
 #:                   fused reduction, kept in the kernel's ``_env``
 _Sym = tuple
+
+#: The symbols a fused swap or nest may name a buffer by.
+_BUFFERS = ("arg", "slot", "final")
+
+#: The symbols a nest may read a scalar operand by.
+_SCALARS = ("const", "arg", "iv", "env")
 
 #: The counters the tracer hoists, in the order the kernel adds them.
 _TRACED_COUNTERS = (
@@ -186,14 +193,17 @@ class MegakernelTrace:
     at the end of a segment) is replayed by the emitter against the concrete
     buffers, where the geometry is known.  ``once`` and ``per_trip`` count
     the fused ops' statistics outside and inside the time loop.
+    ``walked_nests`` counts the vectorized nests left to islands (walked cell
+    by cell although the vectorizer compiled them).
     """
 
     __slots__ = ("function_name", "func_op", "loop", "pre", "body", "post",
                  "sym", "overlap", "arg_count", "once", "per_trip",
-                 "has_islands", "uses_env")
+                 "walked_nests", "has_islands", "uses_env")
 
     def __init__(self, function_name: str, func_op, loop, pre, body, post, sym,
-                 overlap: bool, arg_count: int, once: dict, per_trip: dict):
+                 overlap: bool, arg_count: int, once: dict, per_trip: dict,
+                 walked_nests: int = 0):
         self.function_name = function_name
         self.func_op = func_op
         self.loop = loop
@@ -205,6 +215,7 @@ class MegakernelTrace:
         self.arg_count = arg_count
         self.once = once
         self.per_trip = per_trip
+        self.walked_nests = walked_nests
         self.has_islands = any(
             step[0] == "island" for step in (*pre, *body, *post)
         )
@@ -241,6 +252,7 @@ class _Tracer:
         #: its last step (the island being gathered).
         self.steps: list[tuple] = []
         self.walked: list[Operation] = []
+        self.walked_nests = 0
         self.swaps = 0
 
     def trace(self) -> MegakernelTrace:
@@ -266,6 +278,7 @@ class _Tracer:
         return MegakernelTrace(
             self.func_op.sym_name, self.func_op, loop, pre, body, post, self.sym,
             self.overlap, len(block.args), self.once, self.per_trip,
+            self.walked_nests,
         )
 
     def _is_time_loop(self, op: Operation) -> bool:
@@ -356,6 +369,9 @@ class _Tracer:
                 self.counts["ops_executed"] += 1
             else:
                 self.walked.append(op)
+                self.walked_nests += sum(
+                    self.kernel.nest_for(inner) is not None for inner in op.walk()
+                )
                 for result in op.results:
                     self.sym[result] = ("env",)
         self._flush()
@@ -412,7 +428,7 @@ class _Tracer:
             return True
         if isinstance(op, dmp.SwapOp):
             src = self.sym.get(op.data, ("env",))
-            if src[0] not in ("arg", "slot"):
+            if src[0] not in _BUFFERS:
                 return False
             self._append(("swap", op, src, self.swaps))
             self.swaps += 1
@@ -456,18 +472,23 @@ class _Tracer:
         for instr in nest.instrs:
             if instr[0] in ("load", "store"):
                 base_sym = self.sym.get(instr[2], ("env",))
-                if base_sym[0] not in ("arg", "slot"):
+                if base_sym[0] not in _BUFFERS:
                     return None
                 if not all(map(self._is_const_affine, instr[3])):
                     return None
                 base_syms.append(base_sym)
             for ref in _operand_refs(instr):
+                # Values (unlike geometry) may be known only at run time.
                 if ref[0] == "free":
-                    sym = self.sym.get(ref[1])
-                    if sym is None or sym[0] not in ("const", "arg", "iv", "env"):
+                    free = (ref[1],)
+                elif ref[0] == "aff":
+                    free = ref[1].free
+                else:
+                    continue
+                for value in free:
+                    sym = self.sym.get(value)
+                    if sym is None or sym[0] not in _SCALARS:
                         return None
-                elif ref[0] == "aff" and not self._is_const_affine(ref[1]):
-                    return None
         return base_syms
 
     def _is_const_affine(self, affine) -> bool:
@@ -675,7 +696,8 @@ class _MegakernelEmitter:
 
     # -- argument/slot resolution -------------------------------------------
     def _array_for(self, sym: _Sym, slot_arrays: list) -> np.ndarray:
-        if sym[0] == "slot":
+        # After the time loop the slots hold its results ("final").
+        if sym[0] in ("slot", "final"):
             return slot_arrays[sym[1]]
         value = self.args[sym[1]]
         if not isinstance(value, np.ndarray):
@@ -726,14 +748,17 @@ class _MegakernelEmitter:
                         "a loop-carried buffer argument is not an array"
                     )
         _, pre = self._replay(trace.pre, [], self.once)
-        slot_arrays = list(init_slots)
         # Without a time loop the body is the one trip: it counts per trip.
-        reference, body = self._replay(trace.body, slot_arrays, self.per_trip)
+        reference, body = self._replay(trace.body, init_slots, self.per_trip)
+        # The loop's results are the slots after however many trips run: the
+        # ops after it must not depend on which rotation that is either.
+        after, post = self._replay(trace.post, init_slots, self.once)
+        slot_arrays = init_slots
         for _parity in range(1, parities):
             slot_arrays = [slot_arrays[j] for j in loop.perm]
-            if self._replay(trace.body, slot_arrays, None)[0] != reference:
+            if self._replay(trace.body, slot_arrays, None)[0] != reference \
+                    or self._replay(trace.post, slot_arrays, None)[0] != after:
                 raise CodegenError("buffer rotation changes nest geometry")
-        _, post = self._replay(trace.post, [], self.once)
         source = self._render(label, pre, body, post)
         _dump_generated(f"megakernel {label}", source)
         namespace = {
@@ -979,23 +1004,41 @@ class _MegakernelEmitter:
         self.setup.extend(setup)
         return lines, reduced
 
+    def _scalar_src(self, value: SSAValue) -> str:
+        """The expression of a traced scalar that is known at run time only."""
+        sym = self.trace.sym[value]
+        if sym[0] == "env":
+            return f"_env[_ctx[{self._add_ctx(value)}]]"
+        return f"a{sym[1]}" if sym[0] == "arg" else "_t"
+
     def _outer_operand(self, ref: tuple, box_dims) -> tuple:
         """The operand descriptor of a free scalar or an affine value grid."""
         if ref[0] == "free":
             sym = self.trace.sym[ref[1]]
             if sym[0] == "const":
                 return _constant_operand(sym[1])
-            if sym[0] == "env":
-                return (f"_env[_ctx[{self._add_ctx(ref[1])}]]", False, None, ())
-            if sym[0] == "arg":
-                return (f"a{sym[1]}", False, None, ())
-            return ("_t", False, "pyint", ())
-        # ("aff", affine) — materialized per box; geometry-free terms were
-        # validated to be emit-time constants.
-        value = CompiledNest._materialize(ref[1], list(box_dims), self.static_env)
+            return (self._scalar_src(ref[1]), False,
+                    "pyint" if sym[0] == "iv" else None, ())
+        # ("aff", affine) — materialized per box from its emit-time terms,
+        # plus the free terms known only at run time.
+        affine = ref[1]
+        static = _Affine(affine.coeffs, affine.const, {
+            value: coeff for value, coeff in affine.free.items()
+            if value in self.static_env
+        })
+        late = "".join(
+            f" + {coeff} * int({self._scalar_src(value)})"
+            for value, coeff in affine.free.items()
+            if value not in self.static_env
+        )
+        value = CompiledNest._materialize(static, list(box_dims), self.static_env)
         if isinstance(value, np.ndarray):
-            slot = self._add_ctx(value)
-            return (f"_ctx[{slot}]", True, np.dtype(np.int64), value.shape)
+            source = f"_ctx[{self._add_ctx(value)}]"
+            if late:
+                source = f"({source}{late})"
+            return (source, True, np.dtype(np.int64), value.shape)
+        if late:
+            return (f"({int(value)}{late})", False, "pyint", ())
         return (repr(int(value)), False, "pyint", ())
 
     # -- source assembly ------------------------------------------------------

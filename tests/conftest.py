@@ -121,7 +121,8 @@ def run_compiled(module, function: str, *args, threads: int = 1):
 
     The megakernel traced against the module's vectorized nests runs when it
     can be traced and emitted, else the tree walker.  Returns ``(statistics,
-    reason)``: reason is None when the megakernel ran, else why it did not.
+    reason)``: reason is None when the megakernel ran and fused every nest
+    the vectorizer compiled, else why it did not.
     """
     from repro.interp import (
         CodegenError,
@@ -138,16 +139,16 @@ def run_compiled(module, function: str, *args, threads: int = 1):
         if isinstance(op, func.FuncOp) and op.sym_name == function
     )
     try:
-        kernel = emit_megakernel(
-            trace_program(func_op, compile_kernel(module, function)), args,
-            threads=threads,
-        )
+        trace = trace_program(func_op, compile_kernel(module, function))
+        kernel = emit_megakernel(trace, args, threads=threads)
     except CodegenError as err:
         walker = Interpreter(module)
         walker.call(function, *args)
         return walker.stats, str(err)
     stats = ExecStatistics()
     assert kernel.run(list(args), stats, team=get_thread_team(threads))
+    if trace.walked_nests:
+        return stats, f"{trace.walked_nests} compiled nest(s) walked in islands"
     return stats, None
 
 
