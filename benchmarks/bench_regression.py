@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""The bench-regression CI gate.
+"""The bench-regression CI gate: the only code that compares a measurement
+with a floor.
 
 Two suites, selected with ``--suite``:
 
-* ``core`` (default) — the execution-backend speedup benchmarks
-  (``benchmarks/test_backend_speedup.py``) and the fig. 8 strong-scaling
-  smokes — the flat 4-process one and the hybrid 2-ranks-x-2-threads one.
+* ``core`` (default) — ``benchmarks/test_backend_speedup.py`` (the
+  ``trace-overhead`` and ``kernel-yardstick`` rows) and the fig. 8
+  strong-scaling smokes — the flat 4-process one and the hybrid
+  2-ranks-x-2-threads one.
 * ``serve`` — the serving-layer load generator
   (``benchmarks/test_serve_load.py``): p50/p99 latency, throughput, and the
   batched-vs-serialized dispatch speedup at 8 concurrent clients, plus one
@@ -16,7 +18,11 @@ Either way every measured row lands in the ``--output`` JSON artifact
 (exit code 1) when any measurement drops below its suite's floors — or, for
 latency rows, rises above its ceilings — committed in
 ``benchmarks/baseline.json`` (floors/ceilings whose key starts with
-``serve-`` belong to the serve suite, everything else to core).
+``serve-`` belong to the serve suite, everything else to core).  The
+contract is closed both ways: a floor without a row fails unless it is
+``optional``, and a measured row without a floor or ceiling fails too, so a
+retired floor cannot leave its timing benchmark behind.  The benchmarks
+themselves assert bit identity and counters, never a bound.
 
 Usage (CI runs exactly this, offline — every dependency is installed by the
 job's install step, nothing is fetched here)::
@@ -64,7 +70,7 @@ def _environment() -> dict:
 
 
 def run_speedup_benchmarks() -> tuple[list[dict], int]:
-    """Run the backend-speedup file; return its rows and the pytest exit code."""
+    """Run test_backend_speedup.py; return its rows and the pytest exit code."""
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         report_path = handle.name
     try:
@@ -162,16 +168,53 @@ def run_serve_suite(trace_output: str | None) -> tuple[list[dict], int]:
             os.unlink(rows_path)
 
 
+def check_rows(rows: list[dict], floors: dict, ceilings: dict,
+               optional: set) -> list[str]:
+    """Compare measured rows with the committed bounds; return the failures.
+
+    A row is measured when it carries ``speedup`` or ``value``.  A floor is
+    the least value allowed, a ceiling the greatest; a bound without a
+    measured row fails unless its kernel is ``optional``, and a measured row
+    without a bound fails too.
+    """
+    measured = {
+        row["kernel"]: row["speedup"] if "speedup" in row else row["value"]
+        for row in rows if "speedup" in row or "value" in row
+    }
+    failures = [
+        f"{kernel}: measured, but baseline.json has no floor or ceiling for it"
+        for kernel in sorted(set(measured) - set(floors) - set(ceilings))
+    ]
+    for kind, bounds in (("floor", floors), ("ceiling", ceilings)):
+        for kernel, bound in sorted(bounds.items()):
+            if kernel not in measured:
+                if kernel in optional:
+                    print(f"  {kernel:<24} skipped (optional)")
+                else:
+                    failures.append(f"{kernel}: no measurement produced")
+                continue
+            value = measured[kernel]
+            held = value >= bound if kind == "floor" else value <= bound
+            verdict = "ok" if held else "REGRESSION"
+            print(f"  {kernel:<24} {value:10.1f}  ({kind} {bound:g})  {verdict}")
+            if not held:
+                side = "below" if kind == "floor" else "above"
+                failures.append(f"{kernel}: measured {value:.1f} {side} the "
+                                f"baseline {kind} {bound:g}")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--suite", choices=("core", "serve"), default="core",
-                        help="core: backend speedups + fig. 8 smokes; "
+                        help="core: trace overhead, kernel yardstick + "
+                             "fig. 8 smokes; "
                              "serve: the serving-layer load generator")
     parser.add_argument("--output", default="BENCH_pr.json",
                         help="where to write the benchmark artifact")
     parser.add_argument("--baseline",
                         default=os.path.join(BENCHMARKS, "baseline.json"),
-                        help="committed speedup floors")
+                        help="committed floors and ceilings")
     parser.add_argument("--floor-scale", type=float, default=1.0,
                         help="multiply every floor (gate self-test: a large "
                              "value must make this script fail)")
@@ -202,7 +245,7 @@ def main() -> int:
         rows, speedup_rc = run_speedup_benchmarks()
         if speedup_rc != 0:
             failures.append(
-                "backend-speedup benchmarks failed (see output above)"
+                "test_backend_speedup.py failed (see output above)"
             )
         for kernel, test_id, row_env, ranks, threads in (
             ("process-strong-scaling", SMOKE_TEST,
@@ -234,48 +277,7 @@ def main() -> int:
         json.dump(artifact, handle, indent=2)
     print(f"\nwrote {len(rows)} rows to {args.output}")
 
-    measured = {
-        row["kernel"]: row
-        for row in rows if "speedup" in row or "value" in row
-    }
-
-    def measurement(row: dict) -> float:
-        return row["speedup"] if "speedup" in row else row["value"]
-
-    for kernel, floor in sorted(floors.items()):
-        row = measured.get(kernel)
-        if row is None:
-            if kernel in optional:
-                print(f"  {kernel:<24} skipped (optional)")
-                continue
-            failures.append(f"{kernel}: no measurement produced")
-            continue
-        value = measurement(row)
-        verdict = "ok" if value >= floor else "REGRESSION"
-        print(f"  {kernel:<24} {value:10.1f}  (floor {floor:g})  {verdict}")
-        if value < floor:
-            failures.append(
-                f"{kernel}: measured {value:.1f} below the baseline "
-                f"floor {floor:g}"
-            )
-
-    for kernel, ceiling in sorted(ceilings.items()):
-        row = measured.get(kernel)
-        if row is None:
-            if kernel in optional:
-                print(f"  {kernel:<24} skipped (optional)")
-                continue
-            failures.append(f"{kernel}: no measurement produced")
-            continue
-        value = measurement(row)
-        verdict = "ok" if value <= ceiling else "REGRESSION"
-        print(f"  {kernel:<24} {value:10.1f}  (ceiling {ceiling:g})  {verdict}")
-        if value > ceiling:
-            failures.append(
-                f"{kernel}: measured {value:.1f} above the baseline "
-                f"ceiling {ceiling:g}"
-            )
-
+    failures += check_rows(rows, floors, ceilings, optional)
     if failures:
         print("\nbench-regression gate FAILED:")
         for failure in failures:

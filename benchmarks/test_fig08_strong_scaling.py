@@ -18,6 +18,7 @@ from bench_helpers import attach_rows
 from repro.core import Session, compile_stencil_program, default_session, dmp_target
 from repro.evaluation import figure8_strong_scaling
 from repro.workloads import heat_diffusion
+from tests.conftest import assert_engaged
 
 
 @pytest.mark.benchmark(group="figure8")
@@ -72,13 +73,15 @@ def _usable_cpus() -> int:
 
 
 def test_process_runtime_strong_scaling_smoke():
-    """4 process ranks must beat 4 thread ranks >= 1.5x on a GIL-bound kernel.
+    """4 process ranks vs 4 thread ranks on a GIL-bound kernel.
 
+    The ``process-strong-scaling`` row: thread time over process time.
     ``backend="interpreter"`` forces the pure-python tree walker, so the
     thread world serializes all ranks on the GIL while the process world
     spreads them over cores — this is the wall-clock analogue of the paper's
-    fig. 8 strong-scaling measurement.  Skipped gracefully where it cannot
-    mean anything (fewer than 4 usable cores, or no process runtime).
+    fig. 8 strong-scaling measurement; its floor is in
+    ``benchmarks/baseline.json``.  Skipped gracefully where it cannot mean
+    anything (fewer than 4 usable cores, or no process runtime).
     """
     from repro.runtime import processes_available
 
@@ -128,10 +131,6 @@ def test_process_runtime_strong_scaling_smoke():
                     },
                     handle,
                 )
-        assert speedup >= 1.5, (
-            f"expected >= 1.5x wall-clock speedup at 4 process ranks, "
-            f"got {speedup:.2f}x"
-        )
     finally:
         default_session().close()
 
@@ -141,11 +140,9 @@ def test_session_warmup_smoke():
 
     The ROADMAP warm-up item: a warmed session has its worker processes and
     worker-side thread teams already spawned (and the program already
-    shipped), so the first ``plan.run()`` pays none of it.  Asserted two
-    ways: deterministic counters (the warmed run creates no pool and ships
-    nothing) and a wall-clock smoke (the warmed first run must not be
-    materially slower than the cold first run, which pays the spawns — in
-    practice it is several times faster).
+    shipped), so the first ``plan.run()`` pays none of it.  Asserted by
+    counters, not a clock: the warmed first run creates no pool and ships
+    nothing.
     """
     from repro.runtime import processes_available
 
@@ -155,53 +152,34 @@ def test_session_warmup_smoke():
     workload = heat_diffusion((64, 64), space_order=2, dtype=np.float64)
     module = workload.operator(backend="xdsl").stencil_module(dt=workload.dt)
     program = compile_stencil_program(module, dmp_target((2, 1)))
-    program.compiled_kernel("kernel")  # parent-side compile outside timings
 
-    def fields():
-        u0 = np.zeros((66, 66))
-        u0[32:34, 32:34] = 1.0
-        return [u0, u0.copy()]
-
-    def first_run_seconds(warm: bool) -> float:
-        with Session(runtime="processes", threads_per_rank=2) as session:
-            plan = session.plan(program)
-            if warm:
-                plan.warmup()
-                pools_before = session.worker_pools_created
-                shipped_before = session._pool_manager.pool.programs_shipped
-            start = time.perf_counter()
-            plan.run(fields(), [2])
-            elapsed = time.perf_counter() - start
-            if warm:
-                assert session.worker_pools_created == pools_before, (
-                    "the warmed first run spawned a worker pool"
-                )
-                assert (
-                    session._pool_manager.pool.programs_shipped == shipped_before
-                ), "the warmed first run re-shipped the program"
-            return elapsed
-
-    cold = first_run_seconds(warm=False)
-    warm = first_run_seconds(warm=True)
-    print(f"\nwarm-up smoke: cold first run {cold*1e3:.1f} ms, "
-          f"warmed first run {warm*1e3:.1f} ms")
-    # The warmed run skips pool spawn + program shipping; allow generous
-    # noise headroom but catch the regression where warm-up stops working
-    # (warm would then pay the same spawn latency as cold).
-    assert warm <= cold * 1.2, (
-        f"first run after warmup ({warm:.3f}s) should not be slower than the "
-        f"cold first run ({cold:.3f}s) that pays the spawn latency"
-    )
+    u0 = np.zeros((66, 66))
+    u0[32:34, 32:34] = 1.0
+    with Session(runtime="processes", threads_per_rank=2) as session:
+        plan = session.plan(program)
+        plan.warmup()
+        pools_before = session.worker_pools_created
+        shipped_before = session._pool_manager.pool.programs_shipped
+        plan.run([u0, u0.copy()], [2])
+        assert session.worker_pools_created == pools_before, (
+            "the warmed first run spawned a worker pool"
+        )
+        assert session._pool_manager.pool.programs_shipped == shipped_before, (
+            "the warmed first run re-shipped the program"
+        )
 
 
 def test_hybrid_strong_scaling_smoke():
-    """2 ranks x 2 threads must not lose to 2 ranks x 1 thread (fig. 8 hybrid).
+    """2 ranks x 2 threads vs 2 ranks x 1 thread (fig. 8 hybrid).
 
-    This is the wall-clock analogue of the paper's hybrid MPI+OpenMP points:
+    The ``hybrid-strong-scaling`` row: flat time over hybrid time, the
+    wall-clock analogue of the paper's hybrid MPI+OpenMP points:
     the same 2-rank decomposition, with each rank's megakernel splitting its
     boxes into chunks run on an intra-rank thread team.  The kernel is sized
     so the NumPy work (which releases the GIL) dominates the queue traffic.
-    Skipped where it cannot mean anything (fewer than 4 usable cores, no
+    Asserted exactly: every rank of every run engaged the megakernel with
+    its nest fused; the floor is in ``benchmarks/baseline.json``.  Skipped
+    where it cannot mean anything (fewer than 4 usable cores, no
     process runtime).
     """
     from repro.runtime import processes_available
@@ -217,56 +195,47 @@ def test_hybrid_strong_scaling_smoke():
     module = workload.operator(backend="xdsl").stencil_module(dt=workload.dt)
     program = compile_stencil_program(module, dmp_target((2, 1)))
 
-    def run(threads_per_rank: int) -> float:
+    def run(session, threads_per_rank: int) -> float:
         u0 = np.zeros(tuple(s + 2 for s in shape))
         u0[shape[0] // 2, shape[1] // 2] = 1.0
         u1 = u0.copy()
         start = time.perf_counter()
-        result = default_session().run(
-            program, [u0, u1], [steps],
-            backend="vectorized", runtime="processes",
-            threads_per_rank=threads_per_rank, timeout=600.0,
+        result = session.run(
+            program, [u0, u1], [steps], threads_per_rank=threads_per_rank
         )
         elapsed = time.perf_counter() - start
         assert result.runtime == "processes"
         assert result.threads_per_rank == threads_per_rank
         return elapsed
 
-    try:
-        run(2)  # warm-up: spawn the pool and both teams, ship the program
-        run(1)
-        t_hybrid = min(run(2) for _ in range(3))
-        t_flat = min(run(1) for _ in range(3))
-        speedup = t_flat / t_hybrid
-        print(f"\nhybrid smoke (2 ranks): 1 thread/rank {t_flat:.2f}s, "
-              f"2 threads/rank {t_hybrid:.2f}s, speedup {speedup:.2f}x")
-        smoke_json = os.environ.get("BENCH_HYBRID_SMOKE_JSON")
-        if smoke_json:
-            # bench_regression.py consumes this row for BENCH_pr.json.
-            import json
+    with Session(runtime="processes", timeout=600.0) as session:
+        run(session, 2)  # warm-up: spawn the pool and both teams, ship the program
+        run(session, 1)
+        t_hybrid = min(run(session, 2) for _ in range(3))
+        t_flat = min(run(session, 1) for _ in range(3))
+        # Every rank of every run fused its nest (workers cache their own
+        # traces, so trace parent-side for the walked-nest count).
+        session.plan(program).compile()
+        assert_engaged(session, program, ranks=2, runs=8)
+    speedup = t_flat / t_hybrid
+    print(f"\nhybrid smoke (2 ranks): 1 thread/rank {t_flat:.2f}s, "
+          f"2 threads/rank {t_hybrid:.2f}s, speedup {speedup:.2f}x")
+    smoke_json = os.environ.get("BENCH_HYBRID_SMOKE_JSON")
+    if smoke_json:
+        # bench_regression.py consumes this row for BENCH_pr.json.
+        import json
 
-            with open(smoke_json, "w") as handle:
-                json.dump(
-                    {
-                        "kernel": "hybrid-strong-scaling",
-                        "shape": list(shape),
-                        "backend": "processes",
-                        "ranks": [2, 1],
-                        "threads_per_rank": 2,
-                        "flat_s": t_flat,
-                        "hybrid_s": t_hybrid,
-                        "speedup": speedup,
-                    },
-                    handle,
-                )
-        # The committed expectation lives in benchmarks/baseline.json (floor
-        # 0.9, optional): measured wins are typically > 1.2x, but a 4-vCPU CI
-        # runner hosting 2 ranks x 2 threads plus the parent is noisy, so the
-        # in-test assertion only catches gross regressions (team deadlocks,
-        # nests silently dropping out of the team path).
-        assert speedup >= 0.9, (
-            f"expected the 2x2 hybrid run to roughly match or beat "
-            f"2 ranks x 1 thread, got {speedup:.2f}x"
-        )
-    finally:
-        default_session().close()
+        with open(smoke_json, "w") as handle:
+            json.dump(
+                {
+                    "kernel": "hybrid-strong-scaling",
+                    "shape": list(shape),
+                    "backend": "processes",
+                    "ranks": [2, 1],
+                    "threads_per_rank": 2,
+                    "flat_s": t_flat,
+                    "hybrid_s": t_hybrid,
+                    "speedup": speedup,
+                },
+                handle,
+            )

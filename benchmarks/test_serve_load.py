@@ -16,8 +16,11 @@ Two measurements, both at 8 concurrent closed-loop clients:
   throughput ratio is the wall-clock value of batched dispatch ("keep the
   worker pool saturated").  Like the fig. 8 strong-scaling smokes it is
   skipped where it cannot mean anything (fewer than 4 usable cores, no
-  process runtime); where it runs, the ``serve-batched-speedup`` floor of
-  1.5x is enforced both here and by the CI gate.
+  process runtime); its row feeds the ``serve-batched-speedup`` floor.
+
+Neither test compares a measurement with a bound: the floors and ceilings
+are written once, in ``benchmarks/baseline.json``, and enforced by
+``bench_regression.py``.
 
 ``bench_regression.py --suite serve`` collects the rows through the
 ``BENCH_SERVE_JSON`` environment variable (a JSON list both tests append
@@ -197,14 +200,9 @@ def test_serve_load_gate():
         {"kernel": "serve-p99-ms", "value": p99, "unit": "ms"},
     ])
 
-    # Floors/ceilings are enforced from baseline.json by bench_regression.py;
-    # in-test bounds only catch gross breakage on very noisy runners.
-    assert throughput >= 25.0, f"served only {throughput:.1f} jobs/s"
-    assert p99 <= 1000.0, f"p99 latency {p99:.1f} ms"
-
 
 def test_serve_batched_speedup_smoke():
-    """Batched dispatch >= 1.5x serialized submission at 8 clients.
+    """Batched dispatch vs serialized submission at 8 clients.
 
     Single-rank process-world jobs on the GIL-bound interpreter backend: the
     serialized server runs 16 SPMD rounds one after another, the batched
@@ -257,7 +255,3 @@ def test_serve_batched_speedup_smoke():
         "runtime": "processes",
         "backend": "interpreter",
     }])
-    assert speedup >= 1.5, (
-        f"expected batched dispatch to serve >= 1.5x the serialized "
-        f"throughput at {CLIENTS} clients, got {speedup:.2f}x"
-    )

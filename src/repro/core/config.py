@@ -39,13 +39,13 @@ class RuntimeFallbackWarning(RuntimeWarning):
 #: * ``"auto"`` (default) — vectorize every loop nest that can be proven
 #:   vectorizable (including the min-clamped *tiled* stencil_to_scf output,
 #:   ``scf.reduce`` reductions and ``arith.select`` mask chains), tree-walk
-#:   the rest (always safe, usually fastest);
-#: * ``"vectorized"`` — like auto, but raise when *nothing* in the function
-#:   could be vectorized (benchmarks use this to avoid silently measuring the
-#:   tree walker);
+#:   the rest (always safe, usually fastest).  Whether a run fused every
+#:   nest is counted, not asserted here: ``megakernel.engaged`` /
+#:   ``megakernel.fallback`` on ``Session.metrics`` and
+#:   ``MegakernelTrace.walked_nests``;
 #: * ``"interpreter"`` — force the per-cell tree walker everywhere (the
 #:   reference semantics).
-EXECUTION_BACKENDS = ("auto", "interpreter", "vectorized")
+EXECUTION_BACKENDS = ("auto", "interpreter")
 
 #: Valid values of :attr:`ExecutionConfig.runtime`:
 #:
@@ -67,8 +67,7 @@ EXECUTION_RUNTIMES = ("threads", "processes")
 #:   ``Plan.codegen_fallback``;
 #: * ``"planned"`` — no compiled tier: always run the tree walker.  The
 #:   config normalises it to ``backend="interpreter"``, the one field the
-#:   stack reads to choose the walker, and rejects ``backend="vectorized"``
-#:   alongside it.
+#:   stack reads to choose the walker.
 EXECUTION_CODEGEN = ("auto", "planned")
 
 #: Valid values of :attr:`ExecutionConfig.trace`:
@@ -162,11 +161,6 @@ class ExecutionConfig:
         if self.overlap_halos not in (None, True, False):
             raise ExecutionError("overlap_halos must be True, False or None (auto)")
         if self.codegen == "planned":
-            if self.backend == "vectorized":
-                raise ExecutionError(
-                    "backend='vectorized' conflicts with codegen='planned': "
-                    "no compiled tier runs, so nothing is vectorized"
-                )
             object.__setattr__(self, "backend", "interpreter")
         if self.overlap_halos is True and self.backend == "interpreter":
             raise ExecutionError(

@@ -68,6 +68,30 @@ class ExecutionResult:
         return self.runtime != self.runtime_requested
 
 
+def core_field_slices(
+    global_array: np.ndarray,
+    strategy: DecompositionStrategy,
+    rank: int,
+    halo_lower: Sequence[int],
+    margin: Sequence[int],
+) -> tuple[tuple[slice, ...], tuple[slice, ...]]:
+    """One rank's core slab as ``(global slices, local-buffer slices)``.
+
+    The region a gather writes back: the core without its halo, addressed
+    in the global array and in the rank's local buffer.  ``margin`` is the
+    number of ghost/boundary cells the global array carries in front of
+    compute index 0 along each dimension.
+    """
+    core_shape = tuple(
+        int(extent) - 2 * int(m) for extent, m in zip(global_array.shape, margin)
+    )
+    start, end = strategy.global_slab(core_shape, rank)
+    return (
+        tuple(slice(s + m, e + m) for s, e, m in zip(start, end, margin)),
+        tuple(slice(h, h + (e - s)) for s, e, h in zip(start, end, halo_lower)),
+    )
+
+
 def local_field_slices(
     global_array: np.ndarray,
     strategy: DecompositionStrategy,
@@ -78,18 +102,14 @@ def local_field_slices(
 ) -> tuple[slice, ...]:
     """The global-array region holding one rank's local buffer (core + halo).
 
-    ``margin`` is the number of ghost/boundary cells the global array carries
-    in front of compute index 0 along each dimension (at least the halo width,
-    so slicing never leaves the array).
+    The core of :func:`core_field_slices` widened by the halo; ``margin``
+    must be at least the halo width, so slicing never leaves the array.
     """
-    core_shape = tuple(
-        int(extent) - 2 * int(m) for extent, m in zip(global_array.shape, margin)
-    )
-    start, end = strategy.global_slab(core_shape, rank)
+    core, _ = core_field_slices(global_array, strategy, rank, halo_lower, margin)
     slices = []
-    for dim in range(global_array.ndim):
-        lower = start[dim] + margin[dim] - halo_lower[dim]
-        upper = end[dim] + margin[dim] + halo_upper[dim]
+    for dim, region in enumerate(core):
+        lower = region.start - halo_lower[dim]
+        upper = region.stop + halo_upper[dim]
         if lower < 0 or upper > global_array.shape[dim]:
             raise ExecutionError(
                 f"halo of width {halo_lower[dim]}/{halo_upper[dim]} exceeds the "
@@ -106,21 +126,11 @@ def scatter_field(
     halo_lower: Sequence[int],
     halo_upper: Sequence[int],
     margin: Sequence[int],
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Extract one rank's local buffer (core slab + halo) from a global array.
-
-    With ``out`` the slab is written straight into the given buffer — the
-    process runtime passes a shared-memory view here, so the field reaches
-    the workers with a single copy (the copy-elision path).
-    """
-    region = global_array[
+    """A copy of one rank's local buffer (core slab + halo) of a global array."""
+    return np.array(global_array[
         local_field_slices(global_array, strategy, rank, halo_lower, halo_upper, margin)
-    ]
-    if out is None:
-        return np.array(region, copy=True)
-    out[...] = region
-    return out
+    ])
 
 
 def gather_field(
@@ -133,15 +143,7 @@ def gather_field(
     margin: Sequence[int],
 ) -> None:
     """Write one rank's core slab back into the global array."""
-    core_shape = tuple(
-        int(extent) - 2 * int(m) for extent, m in zip(global_array.shape, margin)
+    global_slices, local_slices = core_field_slices(
+        global_array, strategy, rank, halo_lower, margin
     )
-    start, end = strategy.global_slab(core_shape, rank)
-    global_slices = []
-    local_slices = []
-    for dim in range(global_array.ndim):
-        global_slices.append(slice(start[dim] + margin[dim], end[dim] + margin[dim]))
-        local_slices.append(
-            slice(halo_lower[dim], halo_lower[dim] + (end[dim] - start[dim]))
-        )
-    global_array[tuple(global_slices)] = local_array[tuple(local_slices)]
+    global_array[global_slices] = local_array[local_slices]

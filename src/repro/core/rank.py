@@ -32,30 +32,12 @@ from ..interp.codegen import (
     trace_program,
 )
 from ..interp.thread_team import get_thread_team
-from ..interp.vectorize import CompiledKernel
-from .config import ExecutionConfig, ExecutionError
+from .config import ExecutionConfig
 from .pipeline import CompiledProgram
 
 
 #: Serializes megakernel emission across the rank threads of every session.
 _EMIT_LOCK = threading.Lock()
-
-
-def kernel_for_backend(
-    program: CompiledProgram, function: str, backend: str
-) -> Optional[CompiledKernel]:
-    """The vectorized kernel ``backend`` runs ``function`` with, if any."""
-    if backend == "interpreter":
-        return None
-    kernel = program.compiled_kernel(function)
-    if backend == "vectorized" and kernel.nest_count == 0:
-        reasons = kernel.fallback_reasons
-        detail = "; ".join(reasons) if reasons else "the function has no loop nests"
-        raise ExecutionError(
-            f"backend='vectorized' requested but no loop nest of "
-            f"{function!r} could be vectorized ({detail})"
-        )
-    return kernel
 
 
 def codegen_wanted(config: ExecutionConfig) -> bool:
@@ -160,7 +142,6 @@ def run_rank(
     on ``metrics`` count which tier ran wherever codegen was wanted.
     """
     if codegen_wanted(config):
-        kernel_for_backend(program, function, config.backend)
         # Trace, then megakernel, or the CodegenFallback of whichever failed.
         built = megakernel_trace(program, function, config)
         if isinstance(built, MegakernelTrace):

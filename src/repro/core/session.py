@@ -12,8 +12,8 @@ shape a first-class API:
   ``warmup()`` pre-spawns them, ``close()`` releases them, and every plan of
   the session reuses them across runs;
 * :class:`Plan` — returned by :meth:`Session.plan`; pre-resolves everything
-  per-run work used to recompute: the default-function lookup, the kernel
-  selection, the megakernel trace, the decomposition strategy and
+  per-run work used to recompute: the default-function lookup, the
+  megakernel trace, the decomposition strategy and
   halo/margin geometry, the scatter/gather slice plans and the
   shared-memory block leases.  ``plan.run(fields, scalars)`` is therefore a
   thin hot path suitable for serving many requests.
@@ -56,9 +56,9 @@ from .config import (
     RuntimeFallbackWarning,
     normalize_margin,
 )
-from .executor import ExecutionResult, local_field_slices
+from .executor import ExecutionResult, core_field_slices, local_field_slices
 from .pipeline import CompiledProgram
-from .rank import codegen_wanted, kernel_for_backend, megakernel_trace, run_rank
+from .rank import codegen_wanted, megakernel_trace, run_rank
 
 
 def _default_function(program: CompiledProgram) -> str:
@@ -81,7 +81,6 @@ class SessionCounters:
     """Observable lifecycle counters (tests assert reuse across runs)."""
 
     plans_created: int = 0
-    runs_completed: int = 0
     warmups: int = 0
     #: Thread-world rank executors constructed (reuse keeps this at 1).
     rank_executors_created: int = 0
@@ -466,8 +465,8 @@ class Plan:
     """A pre-resolved execution of one function of one compiled program.
 
     Construction performs every piece of work that does not depend on the
-    field arrays — function lookup, kernel compilation/selection, megakernel
-    tracing, decomposition geometry, runtime fallback resolution — and the
+    field arrays — function lookup, megakernel tracing (which compiles the
+    nests), decomposition geometry, runtime fallback resolution — and the
     first :meth:`run` additionally fixes the scatter/gather slice plans and
     buffers for the observed field shapes.  Subsequent runs only scatter,
     execute and gather.
@@ -519,13 +518,6 @@ class Plan:
         else:
             self.runtime = self.runtime_requested = "local"
 
-        # Kernel selection, ahead of the first run: the thread world and
-        # local runs share one parent-compiled kernel; process workers
-        # rebuild their own, so the parent only compiles when the kernel is
-        # used here — or when the backend="vectorized" nest-count validation
-        # requires it.
-        if self.runtime in ("local", "threads") or config.backend == "vectorized":
-            kernel_for_backend(program, self.function, config.backend)
         self._func_op = program.functions[self.function]
 
         #: Why the megakernel tier is not running this plan, when it was
@@ -668,7 +660,6 @@ class Plan:
     def _finish_run(self, result: ExecutionResult) -> None:
         """Post-run bookkeeping: lifecycle counters and the metric ingest."""
         self.runs_completed += 1
-        self.session.counters.runs_completed += 1
         metrics = self.session.metrics
         metrics.inc("runs")
         metrics.ingest_all(result.statistics, "exec.")
@@ -708,20 +699,8 @@ class Plan:
                 )
                 scatter_row.append(slices)
                 shape = tuple(s.stop - s.start for s in slices)
-                core_shape = tuple(
-                    int(extent) - 2 * int(m)
-                    for extent, m in zip(array.shape, margin)
-                )
-                start, end = strategy.global_slab(core_shape, rank)
-                gather_row.append((
-                    tuple(
-                        slice(start[d] + margin[d], end[d] + margin[d])
-                        for d in range(array.ndim)
-                    ),
-                    tuple(
-                        slice(halo_lower[d], halo_lower[d] + (end[d] - start[d]))
-                        for d in range(array.ndim)
-                    ),
+                gather_row.append(core_field_slices(
+                    array, strategy, rank, halo_lower, margin
                 ))
                 if leased:
                     lease = pool.lease(shape, array.dtype)

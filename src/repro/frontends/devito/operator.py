@@ -327,8 +327,6 @@ class Operator:
         *,
         backend: str = "xdsl",
         target: Optional[Target] = None,
-        runtime: Optional[str] = None,
-        threads_per_rank: Optional[int] = None,
         name: str = "kernel",
         config: Optional[ExecutionConfig] = None,
         session: Optional[Session] = None,
@@ -342,11 +340,8 @@ class Operator:
         self.equations = list(equations)
         self.backend = backend
         self.target = target or cpu_target()
-        #: Execution configuration (one object across all frontends); the
-        #: legacy ``runtime=`` / ``threads_per_rank=`` kwargs fold into it.
-        self.config = ExecutionConfig.coerce(
-            config, runtime=runtime, threads_per_rank=threads_per_rank
-        )
+        #: Execution configuration (one object across all frontends).
+        self.config = ExecutionConfig.coerce(config)
         #: The Session owning the runtime resources; ``None`` uses the
         #: process-wide default session.
         self.session = session

@@ -26,7 +26,7 @@ Selection rules
 ---------------
 
 1. ``repro.core.ExecutionConfig`` accepts
-   ``backend="auto" | "interpreter" | "vectorized"``; ``auto`` (default) asks
+   ``backend="auto" | "interpreter"``; ``auto`` (default) asks
    :func:`repro.interp.vectorize.compile_kernel` for a
    :class:`~repro.interp.vectorize.CompiledKernel` (cached on the
    :class:`~repro.core.CompiledProgram` keyed by function name), and

@@ -152,6 +152,33 @@ def run_compiled(module, function: str, *args, threads: int = 1):
     return stats, None
 
 
+def assert_engaged(session, program, ranks, runs=1):
+    """``runs`` compiled runs of ``program`` on ``session`` fused every nest.
+
+    Counted, not timed: the megakernel ran on each of ``ranks`` ranks per
+    run, nothing fell back to the tree walker, and every trace cached on
+    ``program`` fuses as many nests as the vectorizer compiled for its
+    function — at least one, so a vectorizer that compiles nothing fails
+    too.  ``session`` must have run nothing else compiled; a process-world
+    caller traces parent-side first (``plan.compile()``), since its workers
+    cache their own traces.
+    """
+    from repro.interp import MegakernelTrace
+
+    assert session.metrics.get("megakernel.engaged") == ranks * runs
+    assert session.metrics.get("megakernel.fallback") == 0
+    traces = [entry for entry in program._megakernel_cache.values()
+              if isinstance(entry, MegakernelTrace)]
+    assert traces, "no megakernel trace was cached"
+    for trace in traces:
+        fused = sum(step[0] == "nest"
+                    for step in (*trace.pre, *trace.body, *trace.post))
+        compiled = program.compiled_kernel(trace.function_name).nest_count
+        assert fused == compiled >= 1, (
+            f"{trace.function_name}: {fused} nest(s) fused of {compiled} "
+            f"compiled, {trace.walked_nests} walked")
+
+
 #: Step count that makes :func:`exploding_rank` fail a run.
 POISON_STEPS = 13
 

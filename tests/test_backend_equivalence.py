@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import (
     ExecutionError,
+    Session,
     compile_stencil_program,
     cpu_target,
     default_session,
@@ -34,7 +35,12 @@ from repro.interp import (
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.transforms.distribute import GridSlicingStrategy
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
-from tests.conftest import build_jacobi_module, jacobi_reference, run_compiled
+from tests.conftest import (
+    assert_engaged,
+    build_jacobi_module,
+    jacobi_reference,
+    run_compiled,
+)
 
 
 def _run(program, arguments, scalars=(), **config):
@@ -49,20 +55,29 @@ def _jacobi_inputs(n, halo, seed):
     return data
 
 
-def _run_both(program, make_args, steps, function=None):
-    """Run one program through both backends; return both argument sets."""
-    args_interp = make_args()
-    args_vector = make_args()
-    result_interp = _run(
-        program, [*args_interp, steps], function=function, backend="interpreter"
-    )
-    result_vector = _run(
-        program, [*args_vector, steps], function=function, backend="auto"
-    )
-    stats_interp, stats_vector = result_interp.statistics[0], result_vector.statistics[0]
-    assert stats_interp.cells_updated == stats_vector.cells_updated
-    assert stats_interp.kernel_launches == stats_vector.kernel_launches
-    return args_interp, args_vector
+def _run_both(program, make_args, scalars, function=None, ranks=1):
+    """Run one program on the tree walker and on the megakernel.
+
+    Each run gets fresh ``make_args()``.  The megakernel must run on every
+    rank with every nest fused (counted by ``assert_engaged``), and the two
+    must agree bit for bit with equal cell, launch, halo and message counts.
+    Returns the fields both runs left behind.
+    """
+    walked, compiled = make_args(), make_args()
+    with Session() as session:
+        reference = session.run(
+            program, walked, scalars, function=function, backend="interpreter"
+        )
+        result = session.run(program, compiled, scalars, function=function)
+        assert_engaged(session, program, ranks)
+    for a, b in zip(walked, compiled):
+        assert np.array_equal(a, b)
+    for mine, theirs in zip(result.statistics, reference.statistics):
+        assert mine.cells_updated == theirs.cells_updated
+        assert mine.kernel_launches == theirs.kernel_launches
+        assert mine.halo_swaps == theirs.halo_swaps
+    assert result.messages_sent == reference.messages_sent
+    return compiled
 
 
 class TestSingleRankEquivalence:
@@ -80,13 +95,8 @@ class TestSingleRankEquivalence:
     def test_jacobi_bit_identical_across_targets(self, target):
         program = compile_stencil_program(build_jacobi_module(), target)
         initial = _jacobi_inputs(8, 1, seed=11)
-        interp_args, vector_args = _run_both(
-            program, lambda: [initial.copy(), initial.copy()], steps=3
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
-        latest = interp_args[0] if 3 % 2 == 0 else interp_args[1]
-        assert np.allclose(latest, jacobi_reference(initial, 3))
+        fields = _run_both(program, lambda: [initial.copy(), initial.copy()], [3])
+        assert np.allclose(fields[1], jacobi_reference(initial, 3))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_jacobi_property_random_configurations(self, seed):
@@ -100,20 +110,16 @@ class TestSingleRankEquivalence:
             build_jacobi_module(n, halo, coefficient), cpu_target()
         )
         initial = _jacobi_inputs(n, halo, seed=seed + 100)
-        interp_args, vector_args = _run_both(
-            program, lambda: [initial.copy(), initial.copy()], steps=steps
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
+        _run_both(program, lambda: [initial.copy(), initial.copy()], [steps])
 
     @pytest.mark.parametrize("space_order", [2, 4])
     def test_devito_heat_bit_identical(self, space_order):
         workload = heat_diffusion((12, 12), space_order=space_order, dtype=np.float64)
         workload.initialise(seed=5)
         operator = workload.operator(backend="xdsl")
-        program = operator.compile(workload.dt)
-        reference = operator._field_arguments()
-        _assert_bitwise_backend_match(program, reference, steps=3)
+        fields = operator._field_arguments()
+        _run_both(operator.compile(workload.dt),
+                  lambda: [a.copy() for a in fields], [3])
 
     def test_devito_wave_inplace_buffer_bit_identical(self):
         # The wave update stores into the buffer it also reads (t-1) at the
@@ -121,40 +127,20 @@ class TestSingleRankEquivalence:
         workload = acoustic_wave((8, 8, 8), space_order=2, dtype=np.float64)
         workload.initialise(seed=6)
         operator = workload.operator(backend="xdsl")
-        program = operator.compile(workload.dt)
-        reference = operator._field_arguments()
-        _assert_bitwise_backend_match(program, reference, steps=2)
-
-
-def _assert_bitwise_backend_match(program, field_arrays, steps):
-    interp_args = [a.copy() for a in field_arrays]
-    vector_args = [a.copy() for a in field_arrays]
-    _run(program, [*interp_args, steps], function="kernel", backend="interpreter")
-    _run(program, [*vector_args, steps], function="kernel", backend="vectorized")
-    for a, b in zip(interp_args, vector_args):
-        assert np.array_equal(a, b)
+        fields = operator._field_arguments()
+        _run_both(operator.compile(workload.dt),
+                  lambda: [a.copy() for a in fields], [2])
 
 
 class TestDistributedEquivalence:
     @pytest.mark.parametrize("library_calls", [False, True], ids=["dmp", "mpi"])
     def test_distributed_jacobi_bit_identical(self, library_calls):
         initial = _jacobi_inputs(8, 1, seed=21)
-        results = {}
-        for backend in ("interpreter", "vectorized"):
-            program = compile_stencil_program(
-                build_jacobi_module(),
-                dmp_target((2,), lower_to_library_calls=library_calls),
-            )
-            a, b = initial.copy(), initial.copy()
-            result = _run(program, [a, b], [3], backend=backend)
-            results[backend] = (a, b, result)
-        a_i, b_i, r_i = results["interpreter"]
-        a_v, b_v, r_v = results["vectorized"]
-        assert np.array_equal(a_i, a_v)
-        assert np.array_equal(b_i, b_v)
-        assert r_i.total_cells_updated == r_v.total_cells_updated
-        assert r_i.total_halo_swaps == r_v.total_halo_swaps
-        assert r_i.messages_sent == r_v.messages_sent
+        program = compile_stencil_program(
+            build_jacobi_module(),
+            dmp_target((2,), lower_to_library_calls=library_calls),
+        )
+        _run_both(program, lambda: [initial.copy(), initial.copy()], [3], ranks=2)
 
 
 class TestRuntimeFallback:
@@ -197,11 +183,7 @@ class TestRuntimeFallback:
     def test_empty_iteration_space(self):
         program = compile_stencil_program(build_jacobi_module(), cpu_target())
         initial = _jacobi_inputs(8, 1, seed=31)
-        interp_args, vector_args = _run_both(
-            program, lambda: [initial.copy(), initial.copy()], steps=0
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
+        _run_both(program, lambda: [initial.copy(), initial.copy()], [0])
 
 
 class TestNestCompiler:
@@ -261,24 +243,6 @@ class TestBackendSelection:
         program = compile_stencil_program(build_jacobi_module(), cpu_target())
         with pytest.raises(ExecutionError):
             _run(program, [np.zeros(10), np.zeros(10), 1], backend="jit")
-
-    def test_vectorized_requires_a_vectorizable_nest(self):
-        kernel = func.FuncOp("kernel", FunctionType([], []))
-        Builder.at_end(kernel.body.block).insert(func.ReturnOp([]))
-        module = builtin.ModuleOp([kernel])
-        # Build the CompiledProgram by hand: the full pipeline has nothing to
-        # lower in a module without stencil ops.
-        from repro.core.pipeline import CompiledProgram
-        from repro.machine.kernel_model import characterize_module
-
-        program = CompiledProgram(
-            module=module,
-            target=cpu_target(),
-            characteristics=characterize_module(module),
-            stencil_regions=0,
-        )
-        with pytest.raises(ExecutionError):
-            _run(program, [], backend="vectorized")
 
     def test_default_function_requires_unambiguous_name(self):
         from repro.core.pipeline import CompiledProgram
@@ -497,11 +461,7 @@ class TestTiledNestVectorization:
         # Tile sizes that divide the extent, exceed it, and leave remainders.
         program = compile_stencil_program(build_jacobi_module(), cpu_target(tile_sizes=tile))
         initial = _jacobi_inputs(8, 1, seed=41)
-        interp_args, vector_args = _run_both(
-            program, lambda: [initial.copy(), initial.copy()], steps=3
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
+        _run_both(program, lambda: [initial.copy(), initial.copy()], [3])
 
     @pytest.mark.parametrize(
         "target",
@@ -517,20 +477,8 @@ class TestTiledNestVectorization:
         kernel = program.compiled_kernel("kernel")
         assert kernel.nest_count >= 1, kernel.fallback_reasons
         fields = operator._field_arguments()
-        interp_args = [a.copy() for a in fields]
-        vector_args = [a.copy() for a in fields]
-        r_i = _run(
-            program, [*interp_args, 3], function="kernel", backend="interpreter"
-        )
-        r_v = _run(
-            program, [*vector_args, 3], function="kernel", backend="vectorized"
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
-        # cells_updated counts tile origins in both backends.
-        assert (
-            r_i.statistics[0].cells_updated == r_v.statistics[0].cells_updated
-        )
+        # cells_updated counts tile origins in both tiers.
+        _run_both(program, lambda: [a.copy() for a in fields], [3])
 
 
 from tests.conftest import build_reduce_module as _build_reduce_module
@@ -603,19 +551,10 @@ class TestMaskedTracerEquivalence:
 
         arrays = workload.arrays(halo=1, dtype=np.float64, seed=17)
         names = workload.schedule.array_names()
-        interp_args = [arrays[name].copy() for name in names]
-        vector_args = [arrays[name].copy() for name in names]
-        r_i = _run(
-            program, [*interp_args, workload.iterations],
-            function=workload.schedule.name, backend="interpreter",
+        _run_both(
+            program, lambda: [arrays[name].copy() for name in names],
+            [workload.iterations], function=workload.schedule.name,
         )
-        r_v = _run(
-            program, [*vector_args, workload.iterations],
-            function=workload.schedule.name, backend="vectorized",
-        )
-        for a, b in zip(interp_args, vector_args):
-            assert np.array_equal(a, b)
-        assert r_i.statistics[0].cells_updated == r_v.statistics[0].cells_updated
 
     def test_masked_tracer_matches_numpy_oracle(self):
         workload = masked_tracer_advection((6, 6, 4), iterations=1, computations=6)
@@ -623,10 +562,9 @@ class TestMaskedTracerEquivalence:
         program = compile_stencil_program(module, cpu_target())
         arrays = workload.arrays(halo=1, dtype=np.float64, seed=19)
         names = workload.schedule.array_names()
-        compiled_args = [arrays[name].copy() for name in names]
-        _run(
-            program, [*compiled_args, 1],
-            function=workload.schedule.name, backend="vectorized",
+        compiled_args = _run_both(
+            program, lambda: [arrays[name].copy() for name in names], [1],
+            function=workload.schedule.name,
         )
         reference = {name: arrays[name].copy() for name in names}
         reference_execute(workload.schedule, reference, halo=1, iterations=1)

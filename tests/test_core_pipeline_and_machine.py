@@ -34,6 +34,7 @@ from repro.machine import (
     estimate_gpu,
     estimate_strong_scaling,
 )
+from repro.core.executor import core_field_slices, local_field_slices
 from repro.transforms.distribute import GridSlicingStrategy
 from repro.transforms.stencil import infer_shapes
 from tests.conftest import build_jacobi_module, jacobi_reference
@@ -119,6 +120,25 @@ class TestExecutors:
             assert local.shape == (6, 6)
             gather_field(reconstructed, local, strategy, rank, (1, 1), (1, 1), (1, 1))
         assert np.array_equal(reconstructed, global_array)
+
+    def test_core_slices_address_one_slab_in_both_arrays(self):
+        """Scatter, gather and the plan share one core geometry: the global
+        core slices and the local ones hold the same cells, and the scatter
+        region is exactly that core widened by the halo."""
+        strategy = GridSlicingStrategy([2, 2])
+        halo_lower, halo_upper, margin = (2, 1), (1, 2), (2, 2)
+        global_array = np.arange(12 * 10, dtype=float).reshape(12, 10)
+        for rank in range(4):
+            core, local_core = core_field_slices(
+                global_array, strategy, rank, halo_lower, margin)
+            local = scatter_field(
+                global_array, strategy, rank, halo_lower, halo_upper, margin)
+            assert np.array_equal(local[local_core], global_array[core])
+            region = local_field_slices(
+                global_array, strategy, rank, halo_lower, halo_upper, margin)
+            assert region == tuple(
+                slice(c.start - lo, c.stop + hi)
+                for c, lo, hi in zip(core, halo_lower, halo_upper))
 
     def test_scatter_margin_too_small(self):
         strategy = GridSlicingStrategy([2])

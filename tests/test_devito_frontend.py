@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import dmp_target, smp_target
+from repro.core import ExecutionConfig, Session, dmp_target, smp_target
 from repro.dialects import scf, stencil
 from repro.frontends.devito import (
     Access,
@@ -186,6 +186,22 @@ class TestOperator:
         high = Operator(equations).characteristics()
         assert high.applies[0].accesses > low.applies[0].accesses
         assert high.applies[0].flops_per_cell > low.applies[0].flops_per_cell
+
+    def test_config_reaches_the_plan_and_picks_the_tier(self):
+        """``config=`` configures the operator's plan: the tree-walker
+        backend runs no megakernel, the default runs one, bit-identically."""
+        results = {}
+        for backend in ("interpreter", "auto"):
+            u, equations = heat_problem((12, 12))
+            config = ExecutionConfig(backend=backend)
+            with Session() as session:
+                operator = Operator(equations, config=config, session=session)
+                operator.apply(time=3, dt=1e-4)
+                assert operator.plan(1e-4).config == config
+                engaged = session.metrics.get("megakernel.engaged")
+            results[backend] = (u.data.copy(), engaged)
+        assert results["interpreter"][1] == 0 and results["auto"][1] == 1
+        assert results["interpreter"][0].tobytes() == results["auto"][0].tobytes()
 
     def test_invalid_operator_usage(self):
         grid = Grid(shape=(8,))

@@ -40,8 +40,18 @@ from repro.interp import (
 )
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.runtime import processes_available
-from repro.workloads import acoustic_wave, heat_diffusion, tracer_advection
-from tests.conftest import build_jacobi_module, build_reduce_module, run_compiled
+from repro.workloads import (
+    acoustic_wave,
+    heat_diffusion,
+    masked_tracer_advection,
+    tracer_advection,
+)
+from tests.conftest import (
+    assert_engaged,
+    build_jacobi_module,
+    build_reduce_module,
+    run_compiled,
+)
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -113,9 +123,10 @@ class TestCodegenConfig:
         assert config.backend == "interpreter" and not codegen_wanted(config)
         assert not config.resolved_overlap()
 
-    def test_planned_rejects_vectorized(self):
-        with pytest.raises(ExecutionError, match="conflicts with codegen='planned'"):
-            ExecutionConfig(backend="vectorized", codegen="planned")
+    def test_vectorized_is_not_a_backend(self):
+        """Fusion is counted (``megakernel.*``, ``walked_nests``), not forced."""
+        with pytest.raises(ExecutionError, match="unknown execution backend"):
+            ExecutionConfig(backend="vectorized")
 
     @pytest.mark.parametrize("walker", [
         {"backend": "interpreter"}, {"codegen": "planned"},
@@ -597,48 +608,75 @@ def _reduce():
     return program, lambda: [data.copy(), np.zeros(1)], []
 
 
-#: class -> (program, fields factory, scalars), extra config, rank count
+def _devito_heat(space_order, target, shape=(32, 32)):
+    """heat2d through the Devito operator, on the operator's own fields."""
+    workload = heat_diffusion(shape, space_order=space_order, dtype=np.float64)
+    workload.initialise(seed=space_order)
+    operator = workload.operator(backend="xdsl")
+    program = compile_stencil_program(
+        operator.stencil_module(dt=workload.dt), target)
+    fields = operator._field_arguments()
+    return program, lambda: [field.copy() for field in fields], [3]
+
+
+def _masked():
+    """PSyclone merge() kernels: cmpf/select chains become np.where trees."""
+    workload = masked_tracer_advection((16, 16, 8), iterations=2, computations=6)
+    program = compile_stencil_program(
+        workload.build_module(dtype=np.float64), cpu_target())
+    arrays = workload.arrays(halo=1, dtype=np.float64, seed=29)
+    names = workload.schedule.array_names()
+    return (program, lambda: [arrays[name].copy() for name in names],
+            [workload.iterations])
+
+
+#: class -> (program, fields factory, scalars), extra config, rank count,
+#: nests the vectorizer compiles
 TRAFFIC = {
-    "devito-cpu": (lambda: (_heat(cpu_target()), _heat_fields, [3]), {}, 1),
-    "dmp-swap": (lambda: (_heat(dmp_target((2, 1))), _heat_fields, [3]), {}, 2),
+    "devito-cpu": (lambda: (_heat(cpu_target()), _heat_fields, [3]), {}, 1, 1),
+    # Wider stars: 9- and 17-point sums in one nest.
+    "devito-cpu-so4": (lambda: _devito_heat(4, cpu_target()), {}, 1, 1),
+    "devito-cpu-so8": (lambda: _devito_heat(8, cpu_target()), {}, 1, 1),
+    "dmp-swap": (lambda: (_heat(dmp_target((2, 1))), _heat_fields, [3]), {}, 2, 1),
     "dmp-libcall": (
         lambda: (_heat(dmp_target((2, 1), lower_to_library_calls=True)),
                  _heat_fields, [3]),
-        {}, 2,
+        {}, 2, 1,
     ),
-    "psyclone-uncarried": (_psyclone, {}, 2),
-    "reduce": (_reduce, {}, 1),
+    "psyclone-uncarried": (_psyclone, {}, 2, 2),
+    "reduce": (_reduce, {}, 1, 1),
+    # Cache-tiled so4: each min-clamped tile pair collapses.
+    "tiled": (
+        lambda: _devito_heat(4, cpu_target(tile_sizes=(16, 16)), (64, 64)),
+        {}, 1, 1,
+    ),
+    "masked": (_masked, {}, 1, 6),
     "team": (
         lambda: (_heat(dmp_target((2, 1)), (96, 96)),
                  lambda: _heat_fields((98, 98)), [2]),
-        {"threads_per_rank": 2}, 2,
+        {"threads_per_rank": 2}, 2, 1,
     ),
-    "gpu": (lambda: (_heat(gpu_target()), _heat_fields, [3]), {}, 1),
-    "fpga": (lambda: (_heat(fpga_target()), _heat_fields, [3]), {}, 1),
+    "gpu": (lambda: (_heat(gpu_target()), _heat_fields, [3]), {}, 1, 1),
+    "fpga": (lambda: (_heat(fpga_target()), _heat_fields, [3]), {}, 1, 1),
 }
 
 
 @pytest.mark.parametrize("traffic", sorted(TRAFFIC))
 def test_every_compiled_program_engages(traffic):
-    """Each traffic class runs its megakernel on every rank, no fallback, and
-    agrees with the tree walker: fields, Exec and Comm statistics."""
-    build, extra, ranks = TRAFFIC[traffic]
+    """Each traffic class runs its megakernel on every rank with every
+    compiled nest fused, no fallback, and agrees with the tree walker:
+    fields, Exec and Comm statistics."""
+    build, extra, ranks, nests = TRAFFIC[traffic]
     program, make_fields, scalars = build()
     with Session(runtime="threads", **extra) as session:
         plan = session.plan(program)
+        assert program.compiled_kernel(plan.function).nest_count == nests
         fields = make_fields()
         result = plan.run(fields, scalars)
-        assert session.metrics.get("megakernel.engaged") == ranks
-        assert session.metrics.get("megakernel.fallback") == 0
+        assert_engaged(session, program, ranks)
         assert plan.codegen_fallback is None
         walked = make_fields()
         reference = session.run(program, walked, scalars, codegen="planned")
-    # Engaged means fused: every nest the vectorizer compiled is a step.
-    traces = [entry for entry in program._megakernel_cache.values()
-              if isinstance(entry, MegakernelTrace)]
-    assert traces and all(trace.walked_nests == 0 for trace in traces)
-    assert any(step[0] == "nest" for trace in traces
-               for step in (*trace.pre, *trace.body, *trace.post))
     for mine, theirs in zip(fields, walked):
         assert mine.tobytes() == theirs.tobytes()
     assert _walker_view(result.statistics) == _walker_view(reference.statistics)

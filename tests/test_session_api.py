@@ -170,9 +170,16 @@ class TestSessionLifecycle:
             plan = session.plan(program)
             for _ in range(4):
                 plan.run(_heat_fields(), [2])
-            assert session.counters.runs_completed == 4
+            assert session.metrics.get("runs") == 4
             assert session.counters.rank_executors_created == 1
             assert plan.runs_completed == 4
+            # The session counts every plan's runs, session.run's included;
+            # a plan counts only its own.
+            second = session.plan(program)
+            second.run(_heat_fields(), [1])
+            session.run(program, _heat_fields(), [1])
+            assert session.metrics.get("runs") == 6
+            assert (plan.runs_completed, second.runs_completed) == (4, 1)
 
     def test_plan_buffers_cached_across_runs(self):
         program = _compile_heat((2, 1))
