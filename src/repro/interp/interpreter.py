@@ -94,12 +94,12 @@ class PendingHalo:
     """A ``dmp.swap`` of ``array`` whose receives are (to be) in flight.
 
     ``plan`` is the swap's :class:`SwapMessagePlan`; ``staged`` holds one
-    ``(request, staging buffer)`` pair per receive of the plan once
-    :func:`post_swap` posted it, and :func:`complete_swap` waits for them
-    and writes the staged halos into the array.  Between the two, a
-    megakernel computes every region it can prove independent of the plan's
-    ``recv_slice`` boxes — the communication/computation overlap of the
-    hybrid runtime.
+    receive request per receive of the plan once :func:`post_swap` posted
+    it, each on its ``recv_slice`` view of the array, and
+    :func:`complete_swap` waits for them, which lands the halos.  Between
+    the two, a megakernel computes every region it can prove independent of
+    the plan's ``recv_slice`` boxes — the communication/computation overlap
+    of the hybrid runtime.
     """
 
     __slots__ = ("array", "plan", "staged")
@@ -111,31 +111,28 @@ class PendingHalo:
 
 
 def post_swap(comm, array: np.ndarray, plan: "SwapMessagePlan") -> PendingHalo:
-    """Post one ``dmp.swap``: buffered sends first, then staged receives.
+    """Post one ``dmp.swap``: buffered sends first, then the receives.
 
-    All payloads are copied out before any message is posted.  The one
-    post/complete pair of the repo: the swap handler calls it back to back
-    (wrapped in counters and spans), generated megakernels call its halves at
-    the points they choose (their statistics are hoisted).
+    Every transport's ``isend`` copies its payload at post time, so the
+    sends read the array's ``send_slice`` views directly; and a receive
+    writes its buffer only when waited on, so the receives are posted on the
+    ``recv_slice`` views themselves and land in :func:`complete_swap`.  The
+    one post/complete pair of the repo: the swap handler calls it back to
+    back (wrapped in counters and spans), generated megakernels call its
+    halves at the points they choose (their statistics are hoisted).
     """
-    payloads = [
-        (array[send_slice].copy(), neighbor, tag)
-        for send_slice, neighbor, tag in plan.sends
-    ]
-    for payload, neighbor, tag in payloads:
-        comm.isend(payload, neighbor, tag)
-    staged = []
-    for _recv_slice, neighbor, tag, shape, _elements, _axis in plan.receives:
-        buffer = np.empty(shape, dtype=array.dtype)
-        staged.append((comm.irecv(buffer, neighbor, tag), buffer))
-    return PendingHalo(array, plan, staged)
+    for send_slice, neighbor, tag in plan.sends:
+        comm.isend(array[send_slice], neighbor, tag)
+    return PendingHalo(array, plan, [
+        comm.irecv(array[recv_slice], neighbor, tag)
+        for recv_slice, neighbor, tag, _elements, _axis in plan.receives
+    ])
 
 
 def complete_swap(comm, halo: PendingHalo) -> None:
-    """Wait for a posted swap's receives and land them, in posting order."""
-    for (request, buffer), receive in zip(halo.staged, halo.plan.receives):
+    """Wait for a posted swap's receives, landing them in posting order."""
+    for request in halo.staged:
         comm.wait(request)
-        halo.array[receive[0]] = buffer
 
 
 class RequestArray:
@@ -892,7 +889,7 @@ class SwapMessagePlan:
     """Per-rank message geometry of one ``dmp.swap`` (no arrays, no comm).
 
     ``sends`` holds ``(send_slice, neighbor, tag)`` triples and ``receives``
-    holds ``(recv_slice, neighbor, tag, staging_shape, elements, axis)``
+    holds ``(recv_slice, neighbor, tag, elements, axis)``
     records, in the exchange order of the op.  Computed once per (op, rank)
     it parameterizes both the interpreter's swap handler and the emitted
     megakernel's posted exchanges, guaranteeing identical slices and tags.
@@ -904,7 +901,7 @@ class SwapMessagePlan:
         self.sends = sends
         self.receives = receives
         #: Halo elements one completion of the swap lands on this rank.
-        self.elements = sum(record[4] for record in receives)
+        self.elements = sum(record[3] for record in receives)
 
 
 def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
@@ -926,7 +923,6 @@ def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
                 recv_slice,
                 neighbor,
                 exchange.travel_tag(sending=False),
-                tuple(exchange.size),
                 exchange.element_count(),
                 exchange.axis,
             )

@@ -824,7 +824,7 @@ class CompiledNest:
                     if np.shares_memory(array, halo_array):
                         return None  # an aliased view we cannot reason about
                     continue
-                for recv_slice, _, _, _, _, axis in halo.plan.receives:
+                for recv_slice, _, _, _, axis in halo.plan.receives:
                     box = recv_slice[axis]
                     affine = self.instrs[position][3][axis]
                     if affine.is_invariant:

@@ -5,8 +5,9 @@ but serialized by the GIL outside NumPy; this package runs every rank in its
 own OS process so the paper's strong-scaling shape (figs. 8 and 11) is
 measurable in wall-clock time rather than only modeled:
 
-* :mod:`repro.runtime.mp_world` — shared-memory field buffers, the queue
-  mailbox transport, and :class:`ProcessRankCommunicator`, which implements
+* :mod:`repro.runtime.mp_world` — shared-memory field buffers, the
+  shared-memory message transport (payloads in message blocks, envelopes in
+  per-rank queue inboxes), and :class:`ProcessRankCommunicator`, which implements
   the same :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (and
   therefore the same collective algorithms and tag discipline) as the thread
   world;

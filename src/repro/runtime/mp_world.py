@@ -1,4 +1,4 @@
-"""OS-process SPMD world: shared-memory fields and queue-backed messaging.
+"""OS-process SPMD world: shared-memory fields and shared-memory messages.
 
 This is the process-runtime counterpart of
 :class:`~repro.interp.mpi_runtime.SimulatedMPI`.  Each rank runs in its own
@@ -9,20 +9,28 @@ truly in parallel instead of time-slicing one GIL:
   scatters each rank's local buffer (core slab + halo) into a block, workers
   attach and compute in place, and the parent gathers straight out of the
   block — field contents never travel through a pickle;
-* **messages** travel through one ``multiprocessing.Queue`` inbox per rank.
-  :class:`ProcessRankCommunicator` keeps the exact mailbox discipline of the
-  thread world — matching by ``(source, tag)``, buffered sends, blocking
-  receives with a timeout — and implements the same
-  :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface, so the
-  collective algorithms (and their tag space) are literally shared code;
+* **messages** travel as a payload in a shared-memory *message block* plus a
+  small envelope ``(run id, sender, tag, block name, shape, dtype)`` on the
+  receiver's ``multiprocessing.Queue`` inbox.  The sending worker owns its
+  blocks (:class:`MessageBlocks`): ``send`` copies the payload into a free
+  one — the only sender-side copy — and a receive copies it straight into
+  the request's buffer, then bumps the block's consumed counter so the
+  sender may reuse it.  :class:`ProcessRankCommunicator` keeps the exact
+  mailbox discipline of the thread world — matching by ``(source, tag)``,
+  buffered sends that never block, blocking receives with one deadline —
+  and implements the same :class:`~repro.interp.mpi_runtime.CommunicatorBase`
+  interface, so the collective algorithms (and their tag space) are
+  literally shared code;
 * **statistics** are counted locally per rank (no cross-process locks) and
   merged deterministically by the parent (:mod:`repro.runtime.stats`).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import queue as queue_module
+import struct
 import sys
 import time
 from collections import defaultdict, deque
@@ -104,21 +112,7 @@ class SharedField:
     @classmethod
     def attach(cls, spec: SharedFieldSpec) -> "SharedField":
         """Attach to a parent-owned block from a worker process."""
-        from multiprocessing import resource_tracker, shared_memory
-
-        # The attaching worker must not (re-)register the block with the
-        # resource tracker: the parent owns the lifetime and unlinks it, and
-        # a second registration either double-unregisters (fork, shared
-        # tracker) or produces bogus "leaked shared_memory" warnings at
-        # worker exit (spawn).  Python < 3.13 has no track=False, so the
-        # registration hook is silenced for the duration of the attach (the
-        # worker command loop is single-threaded).
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            block = shared_memory.SharedMemory(name=spec.name)
-        finally:
-            resource_tracker.register = original_register
+        block = _attach(spec.name)
         array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
         return cls(block, array)
 
@@ -128,12 +122,163 @@ class SharedField:
         self._block.close()
 
 
+def _attach(name: str):
+    """Open an existing block without registering it with the resource tracker.
+
+    The attaching worker must not (re-)register a block it does not own: its
+    owner unlinks it, and a second registration either double-unregisters
+    (fork, shared tracker) or produces bogus "leaked shared_memory" warnings
+    at worker exit (spawn).  Python < 3.13 has no track=False, so the
+    registration hook is silenced for the duration of the attach (the worker
+    command loop is single-threaded).
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    original_register = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = original_register
+
+
+def _capacity_class(nbytes: int) -> int:
+    """Round a request up to its reuse class (next power of two >= 4 KiB).
+
+    Rounding makes near-miss sizes (a 130x130 run after a 128x128 one) hit
+    the free list instead of allocating a fresh block for every new shape.
+    """
+    size = 4096
+    while size < nbytes:
+        size *= 2
+    return size
+
+
 # ---------------------------------------------------------------------------
 # point-to-point transport
 # ---------------------------------------------------------------------------
 
+#: A message block's header: the count of messages its receivers copied out,
+#: written only by receivers, read only by the owning sender.  The payload
+#: starts one cache line in.
+_CONSUMED = struct.Struct("q")
+_HEADER = 64
+
+
+def message_block_name(prefix: str, worker: int, counter: int) -> str:
+    """The name of the ``counter``-th message block worker ``worker`` created."""
+    return f"{prefix}_{worker}_{counter}"
+
+
+def unlink_message_blocks(prefix: str, workers: int) -> int:
+    """Unlink every message block of a pool by name; return how many.
+
+    Each worker names its blocks ``0, 1, 2, ...`` without gaps and never
+    unlinks one itself, so the first missing name ends a worker's blocks —
+    whether the worker stopped, crashed or was killed.  Call it once no
+    worker of the pool runs any more.
+    """
+    from multiprocessing import shared_memory
+
+    unlinked = 0
+    for worker in range(workers):
+        for counter in itertools.count():
+            try:
+                # An ordinary attach: it registers the name with the resource
+                # tracker the workers share, and unlink() unregisters it.
+                block = shared_memory.SharedMemory(
+                    name=message_block_name(prefix, worker, counter))
+            except FileNotFoundError:
+                break
+            block.close()
+            block.unlink()
+            unlinked += 1
+    return unlinked
+
+
+class _OutgoingBlock:
+    """A message block its worker writes: free once every message posted
+    through it was consumed."""
+
+    __slots__ = ("memory", "posted")
+
+    def __init__(self, memory):
+        self.memory = memory
+        self.posted = 0
+
+    @property
+    def free(self) -> bool:
+        return _CONSUMED.unpack_from(self.memory.buf)[0] == self.posted
+
+
+class MessageBlocks:
+    """One worker's message blocks: those it writes and those it reads.
+
+    Outgoing blocks are created on first need in the capacity classes of
+    :func:`_capacity_class`, named by :func:`message_block_name` from the
+    pool's prefix, the worker index and a counter, and recycled as soon as
+    their receiver consumed the message in them — so the number of blocks is
+    the most messages the worker ever had in flight at once, and a repeated
+    exchange stops creating blocks once it reached that mark.  The worker
+    pool unlinks them all on shutdown (:func:`unlink_message_blocks`).  Incoming blocks are attached once per
+    name and cached for the worker's lifetime.
+
+    Ordering: the payload is written before its envelope is put on a queue
+    and read after the envelope came out of it (the queue's pipe orders
+    them), and the consumed counter is bumped only after the copy-out.
+    """
+
+    def __init__(self, prefix: str, worker: int):
+        self._prefix = prefix
+        self._worker = worker
+        self._outgoing: dict[int, list[_OutgoingBlock]] = {}
+        self._created = 0
+        self._incoming: dict[str, object] = {}
+
+    def write(self, data: np.ndarray) -> str:
+        """Copy ``data`` into a free outgoing block; return the block's name."""
+        if data.dtype.hasobject:
+            raise MPIRuntimeError(
+                f"cannot send an array of {data.dtype} between processes")
+        size = _capacity_class(_HEADER + data.nbytes)
+        blocks = self._outgoing.setdefault(size, [])
+        block = next((candidate for candidate in blocks if candidate.free), None)
+        if block is None:
+            from multiprocessing import shared_memory
+
+            block = _OutgoingBlock(shared_memory.SharedMemory(
+                name=message_block_name(self._prefix, self._worker, self._created),
+                create=True, size=size))
+            self._created += 1
+            blocks.append(block)
+        np.copyto(
+            np.ndarray(data.shape, data.dtype, buffer=block.memory.buf,
+                       offset=_HEADER),
+            data)
+        block.posted += 1
+        return block.memory.name
+
+    def read(self, message: tuple, into: Optional[np.ndarray]) -> None:
+        """Copy a message into ``into`` (``None`` drops it); consume its block."""
+        name, shape, dtype = message
+        memory = self._incoming.get(name)
+        if memory is None:
+            memory = self._incoming[name] = _attach(name)
+        try:
+            if into is not None:
+                _copy_into(into, np.ndarray(shape, dtype, buffer=memory.buf,
+                                            offset=_HEADER))
+        finally:
+            consumed = _CONSUMED.unpack_from(memory.buf)[0]
+            _CONSUMED.pack_into(memory.buf, 0, consumed + 1)
+
+
 class MPRequest:
-    """Request handle of the process world (same surface as ``SimRequest``)."""
+    """Request handle of the process world (same surface as ``SimRequest``).
+
+    A receive copies its message into ``buffer`` only when ``wait`` or
+    ``test`` completes it, as in the thread world.
+    """
 
     __slots__ = ("kind", "comm", "source", "tag", "buffer", "completed")
 
@@ -152,7 +297,7 @@ class MPRequest:
         message = self.comm._match(self.source, self.tag, block=False)
         if message is None:
             return False
-        _copy_into(self.buffer, message)
+        self.comm._blocks.read(message, self.buffer)
         self.completed = True
         return True
 
@@ -160,17 +305,18 @@ class MPRequest:
         if self.completed:
             return
         message = self.comm._match(self.source, self.tag, block=True, timeout=timeout)
-        _copy_into(self.buffer, message)
+        self.comm._blocks.read(message, self.buffer)
         self.completed = True
 
 
 class ProcessRankCommunicator(CommunicatorBase):
     """One rank's communicator, living inside a worker process.
 
-    ``inboxes[r]`` is rank ``r``'s mailbox queue; any rank may put into any
-    other rank's inbox, only the owner gets from its own.  Every envelope
-    carries the run id so a message stranded by a failed earlier run can never
-    be matched by a later one.
+    ``inboxes[r]`` is rank ``r``'s mailbox queue; any rank may put an
+    envelope into any other rank's inbox, only the owner gets from its own.
+    Payloads travel in the sending worker's :class:`MessageBlocks`.  Every
+    envelope carries the run id so a message stranded by a failed earlier run
+    can never be matched by a later one.
     """
 
     def __init__(
@@ -179,6 +325,7 @@ class ProcessRankCommunicator(CommunicatorBase):
         size: int,
         inboxes: Sequence,
         run_id: int,
+        blocks: MessageBlocks,
         timeout: float = 30.0,
     ):
         if not 0 <= rank < size:
@@ -187,9 +334,11 @@ class ProcessRankCommunicator(CommunicatorBase):
         self._size = size
         self._inboxes = inboxes
         self._run_id = run_id
+        self._blocks = blocks
         self.timeout = timeout
         self.statistics = CommStatistics()
-        # (source, tag) -> deque of arrays already pulled out of the inbox.
+        # (source, tag) -> deque of (block name, shape, dtype) messages
+        # already pulled out of the inbox.
         self._stash: dict[tuple[int, int], deque] = defaultdict(deque)
 
     @property
@@ -200,18 +349,19 @@ class ProcessRankCommunicator(CommunicatorBase):
     def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
         if not 0 <= dest < self._size:
             raise MPIRuntimeError(f"send to invalid rank {dest}")
-        payload = np.array(data, copy=True)
-        self._inboxes[dest].put((self._run_id, self.rank, tag, payload))
+        data = np.asarray(data)
+        name = self._blocks.write(data)
+        self._inboxes[dest].put(
+            (self._run_id, self.rank, tag, name, data.shape, data.dtype))
         self.statistics.messages_sent += 1
-        self.statistics.bytes_sent += payload.nbytes
+        self.statistics.bytes_sent += data.nbytes
 
     def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> MPRequest:
         self.send(data, dest, tag)
         return MPRequest("send", self, dest, tag, None)
 
     def recv(self, buffer: np.ndarray, source: int, tag: int = 0) -> np.ndarray:
-        message = self._match(source, tag, block=True)
-        _copy_into(np.asarray(buffer), message)
+        self._blocks.read(self._match(source, tag, block=True), np.asarray(buffer))
         return buffer
 
     def irecv(self, buffer: np.ndarray, source: int, tag: int = 0) -> MPRequest:
@@ -219,6 +369,14 @@ class ProcessRankCommunicator(CommunicatorBase):
 
     def wait(self, request: MPRequest) -> None:
         request.wait(self.timeout)
+
+    def close(self) -> None:
+        """Consume the messages this run received but never matched, so
+        their senders may reuse the blocks."""
+        for messages in self._stash.values():
+            for message in messages:
+                self._blocks.read(message, None)
+        self._stash.clear()
 
     # -- statistics hooks ------------------------------------------------------
     def _record_collective(self) -> None:
@@ -235,11 +393,12 @@ class ProcessRankCommunicator(CommunicatorBase):
         *,
         block: bool,
         timeout: Optional[float] = None,
-    ) -> Optional[np.ndarray]:
+    ) -> Optional[tuple]:
         """Pop the next message from ``(source, tag)``, draining the inbox.
 
         Non-matching envelopes are stashed for later receives; envelopes from
-        another run are dropped.  Blocking waits honour the world timeout.
+        another run are dropped (their blocks consumed unread).  Blocking
+        waits honour the world timeout.
         """
         wanted = (source, tag)
         deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
@@ -264,7 +423,9 @@ class ProcessRankCommunicator(CommunicatorBase):
                     envelope = inbox.get_nowait()
                 except queue_module.Empty:
                     return None
-            run_id, sender, sent_tag, payload = envelope
+            run_id, sender, sent_tag, *message = envelope
             if run_id != self._run_id:
-                continue  # stranded by a failed earlier run: drop
-            self._stash[(sender, sent_tag)].append(payload)
+                # Stranded by an earlier run: drop it, freeing its block.
+                self._blocks.read(message, None)
+                continue
+            self._stash[(sender, sent_tag)].append(message)

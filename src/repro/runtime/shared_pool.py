@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .mp_world import SharedFieldSpec
+from .mp_world import SharedFieldSpec, _capacity_class
 
 
 class LeasedField:
@@ -134,15 +134,3 @@ class SharedFieldPool:
             self._owned.clear()
             self._free.clear()
             self._generation += 1
-
-
-def _capacity_class(nbytes: int) -> int:
-    """Round a request up to its reuse class (next power of two >= 4 KiB).
-
-    Rounding makes near-miss sizes (a 130x130 run after a 128x128 one) hit
-    the free list instead of allocating a fresh block for every new shape.
-    """
-    size = 4096
-    while size < nbytes:
-        size *= 2
-    return size

@@ -11,7 +11,9 @@ repeated runs, e.g. a benchmark's timing loop, ship nothing and recompile
 nothing.
 
 Protocol (all tuples over per-worker command queues and one shared result
-queue):
+queue; rank-to-rank messages do not travel here but through shared-memory
+message blocks and per-rank envelope inboxes, see
+:mod:`repro.runtime.mp_world`):
 
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
 * ``("run", run_id, key, rank, size, base, function, config, field_specs,
@@ -33,14 +35,22 @@ or ``("error", run_id, rank, failure)`` where ``failure`` is a picklable
 failed or timed-out run poisons the pool (peers may still be blocked in
 receives), so the pool is shut down and the next run transparently starts a
 fresh one.
+
+Each worker owns the message blocks it sends through, named from the pool's
+:attr:`WorkerPool.block_prefix`, its index and a counter.  They persist across
+runs, which recycle them, and :meth:`WorkerPool.shutdown` unlinks them all by
+name once the workers are gone, including after a failed round and for
+workers killed with SIGKILL.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import os
 import pickle
 import queue as queue_module
+import secrets
 import sys
 import threading
 import time
@@ -51,10 +61,12 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 from ..interp.mpi_runtime import CommStatistics
 from ..obs import MetricsRegistry, Tracer
 from .mp_world import (
+    MessageBlocks,
     ProcessRankCommunicator,
     SharedField,
     SharedFieldSpec,
     default_context,
+    unlink_message_blocks,
 )
 from .stats import RankStats
 
@@ -156,12 +168,14 @@ def _failure(rank: int, phase: str, err: BaseException) -> WorkerFailure:
     )
 
 
-def _worker_main(worker_index: int, commands, results, inboxes) -> None:
+def _worker_main(worker_index: int, commands, results, inboxes,
+                 block_prefix: str) -> None:
     """The worker loop: cache programs, execute ranks, report statistics."""
     # Imported here, in the child: ``repro.core`` sits above this package.
     from ..core.rank import run_rank
 
     programs: dict[int, Any] = {}
+    blocks = MessageBlocks(block_prefix, worker_index)
     while True:
         command = commands.get()
         kind = command[0]
@@ -176,6 +190,7 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
             (_, run_id, key, rank, size, base, function_name, config,
              field_specs, scalars) = command
             fields: list[SharedField] = []
+            comm = None
             try:
                 fields = [SharedField.attach(spec) for spec in field_specs]
                 # ``base`` partitions the pool across the jobs of one batched
@@ -184,7 +199,7 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
                 # concurrent jobs can never cross-deliver.
                 comm = ProcessRankCommunicator(
                     rank, size, inboxes[base:base + size],
-                    run_id=run_id, timeout=config.timeout
+                    run_id=run_id, blocks=blocks, timeout=config.timeout
                 )
                 # Spans are recorded against this process's monotonic clock;
                 # the tracer's paired wall/perf reference lets the parent
@@ -214,20 +229,27 @@ def _worker_main(worker_index: int, commands, results, inboxes) -> None:
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "run", err)))
             finally:
+                if comm is not None:
+                    comm.close()
                 for field in fields:
                     field.release()
             continue
         if kind == "spmd":
             _, run_id, rank, size, payload, timeout = command
+            comm = None
             try:
                 fn, args = pickle.loads(payload)
                 comm = ProcessRankCommunicator(
-                    rank, size, inboxes, run_id=run_id, timeout=timeout
+                    rank, size, inboxes, run_id=run_id, blocks=blocks,
+                    timeout=timeout
                 )
                 value = fn(comm, *args)
                 results.put(("done", run_id, rank, value, comm.statistics, None))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "spmd", err)))
+            finally:
+                if comm is not None:
+                    comm.close()
             continue
         if kind == "warmup":
             # Pre-spawn the intra-rank thread team (the ROADMAP warm-up item):
@@ -269,13 +291,25 @@ class WorkerPool:
         self._shipped: list[set[int]] = [set() for _ in range(size)]
         self.programs_shipped = 0
         self._run_ids = itertools.count(1)
+        #: Names every message block of this pool's workers
+        #: (:func:`~repro.runtime.mp_world.message_block_name`).
+        self.block_prefix = f"rmsg_{secrets.token_hex(4)}"
+        if os.name == "posix":
+            # Workers register the message blocks they create with the
+            # parent's resource tracker (forked workers start their own
+            # otherwise): shutdown() unregisters them as it unlinks them, and
+            # the tracker still unlinks them should the parent die first.
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
         self._inboxes = [self._ctx.Queue() for _ in range(size)]
         self._results = self._ctx.Queue()
         self._commands = [self._ctx.Queue() for _ in range(size)]
         self._processes = [
             self._ctx.Process(
                 target=_worker_main,
-                args=(index, self._commands[index], self._results, self._inboxes),
+                args=(index, self._commands[index], self._results, self._inboxes,
+                      self.block_prefix),
                 daemon=True,
                 name=f"repro-spmd-worker-{index}",
             )
@@ -494,7 +528,8 @@ class WorkerPool:
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop every worker and release the queues; the pool is dead after.
+        """Stop every worker, unlink its message blocks and release the
+        queues; the pool is dead after.
 
         Workers that already died (crashed mid-run, killed externally) are
         reaped rather than waited on: the stop command is only sent to live
@@ -521,6 +556,7 @@ class WorkerPool:
             if process.is_alive():  # pragma: no cover - terminate ignored
                 process.kill()
                 process.join(timeout=1.0)
+        unlink_message_blocks(self.block_prefix, self.size)
         for q in [*self._commands, *self._inboxes, self._results]:
             try:
                 q.cancel_join_thread()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -177,6 +179,12 @@ def assert_engaged(session, program, ranks, runs=1):
         assert fused == compiled >= 1, (
             f"{trace.function_name}: {fused} nest(s) fused of {compiled} "
             f"compiled, {trace.walked_nests} walked")
+
+
+def shm_segments() -> set:
+    """The names in ``/dev/shm`` (none where it does not exist): a leak check
+    compares two calls."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
 #: Step count that makes :func:`exploding_rank` fail a run.

@@ -326,8 +326,8 @@ def test_plan_overlap_defers_unrelated_nest():
     resolved = nest._resolve_regions([u_array, v_array], env, dims)
 
     box = (slice(0, 1), slice(0, 8))
-    # One receive record: (recv_slice, neighbor, tag, staging shape, elements, axis).
-    swap = SwapMessagePlan([], [(box, None, None, (1, 8), 8, 0)])
+    # One receive record: (recv_slice, neighbor, tag, elements, axis).
+    swap = SwapMessagePlan([], [(box, None, None, 8, 0)])
     unrelated = np.zeros((8, 8))
     halo_unrelated = PendingHalo(unrelated, swap)
     assert nest._plan_overlap(env, dims, resolved, [halo_unrelated]) == "defer"

@@ -6,7 +6,10 @@ statistics and matching world-wide communication statistics — while actually
 running every rank in its own process against shared-memory buffers.
 """
 
+import os
 import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -22,14 +25,17 @@ from repro.core import (
     dmp_target,
 )
 from repro.frontends.oec import StencilProgramBuilder
-from repro.interp import CodegenError, SimulatedMPI
+from repro.interp import CodegenError, MPIRuntimeError, SimulatedMPI
 from repro.runtime import (
     PoolManager,
+    ProcessRankCommunicator,
+    default_context,
     merge_comm_statistics,
     processes_available,
 )
-from repro.workloads import heat_diffusion
-from tests.conftest import _forked_workers
+from repro.runtime.mp_world import MessageBlocks, unlink_message_blocks
+from repro.workloads import acoustic_wave, heat_diffusion
+from tests.conftest import _forked_workers, shm_segments
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -131,15 +137,149 @@ def _ring_body(comm):
     return buffer
 
 
+#: Payloads of the point-to-point parity test, drawn from a per-rank rng:
+#: the edges of the message blocks' capacity classes (a block holds a 64-byte
+#: header before the payload), a 2 MiB halo slab, a strided view, and non-f64
+#: element types.
+_PAYLOADS = {
+    "f64": lambda rng: rng.standard_normal(5),
+    "empty": lambda rng: np.empty((0, 3)),
+    "one-byte": lambda rng: rng.integers(0, 256, 1, dtype=np.uint8),
+    "class-minus-one-byte": lambda rng: rng.integers(0, 256, 8191, dtype=np.uint8),
+    "fills-a-class": lambda rng: rng.integers(0, 256, 4096 - 64, dtype=np.uint8),
+    "one-byte-over": lambda rng: rng.integers(0, 256, 4096 - 63, dtype=np.uint8),
+    "2MiB": lambda rng: rng.standard_normal((4, 256, 256)),
+    "strided": lambda rng: rng.standard_normal((8, 9, 10))[::2, 1:, ::3],
+    "f32": lambda rng: rng.standard_normal((3, 4)).astype(np.float32),
+    "i64": lambda rng: rng.integers(-2**62, 2**62, (3, 4)),
+    "bool": lambda rng: rng.random(17) < 0.5,
+}
+
+
+def _p2p_body(comm, case):
+    """Module-level (workers unpickle it).  A ring exchange of three payloads
+    sent with tags 1, 2, 3 and received out of order (3 by ``recv``, then 1
+    and 2 by ``irecv``/``wait``/``test``: the stash), each into a strided view
+    of a landing array; or, for ``"64-isends"``, 64 buffered sends to one
+    peer before it posts a single receive; or, for ``"stress"``, 200 rounds
+    of all-to-all traffic, each message checked on arrival."""
+    right = (comm.rank + 1) % comm.size
+    left = (comm.rank - 1) % comm.size
+    if case == "64-isends":
+        if comm.rank == 0:
+            requests = [comm.isend(np.full(3, float(tag)), 1, tag)
+                        for tag in range(64)]
+            comm.waitall(requests)
+        comm.barrier()  # rank 1 receives only once all 64 sends returned
+        if comm.rank != 1:
+            return []
+        landed = [np.zeros(3) for _ in range(64)]
+        for tag in reversed(range(64)):
+            comm.recv(landed[tag], 0, tag)
+        return landed
+    if case == "stress":
+        # More ranks than cores recycle blocks of two capacity classes
+        # under contention: a block reused before its receiver copied the
+        # message out would corrupt one.
+        for step in range(200):
+            elements = 1 + (step * 37) % 700
+            peers = [peer for peer in range(comm.size) if peer != comm.rank]
+            for peer in peers:
+                comm.isend(np.full(elements, comm.rank * 1e3 + step), peer, step % 7)
+            for peer in peers:
+                landed = np.zeros(elements)
+                comm.recv(landed, peer, step % 7)
+                assert (landed == peer * 1e3 + step).all(), (peer, step)
+        return []
+    rng = np.random.default_rng(comm.rank)
+    payloads = [_PAYLOADS[case](rng) for _ in range(3)]
+    for tag, payload in enumerate(payloads, 1):
+        comm.isend(payload, right, tag)
+    landing = [np.zeros(payload.shape + (2,), payload.dtype) for payload in payloads]
+    comm.recv(landing[2][..., 0], left, 3)
+    first = comm.irecv(landing[0][..., 0], left, 1)
+    second = comm.irecv(landing[1][..., 0], left, 2)
+    comm.wait(first)
+    while not comm.test(second):
+        pass
+    assert comm.test(first)
+    return landing
+
+
 @needs_processes
-def test_point_to_point_and_requests_parity():
+@pytest.mark.parametrize("case", ["ring", *_PAYLOADS, "64-isends", "stress"])
+def test_point_to_point_and_requests_parity(case):
     size = 3
     world = SimulatedMPI(size)
-    threaded = world.run_spmd(_ring_body)
-    processed, stats = _spmd(_ring_body, size)
+    if case == "ring":
+        threaded = world.run_spmd(_ring_body)
+        processed, stats = _spmd(_ring_body, size)
+    else:
+        threaded = world.run_spmd(lambda comm: _p2p_body(comm, case))
+        processed, stats = _spmd(_p2p_body, size, (case,))
+    assert len(threaded) == len(processed) == size
     for a, b in zip(threaded, processed):
-        assert np.array_equal(a, b)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    if case in _PAYLOADS:
+        # Each rank's landing views hold its left neighbour's payloads.
+        for rank, landing in enumerate(processed):
+            rng = np.random.default_rng((rank - 1) % size)
+            for got in landing:
+                want = _PAYLOADS[case](rng)
+                assert got[..., 0].tobytes() == want.tobytes()
+                assert not got[..., 1].any()
     assert stats == world.statistics
+
+
+def _send_then_die(inboxes, prefix):
+    """Module-level (a spawned process unpickles it): rank 1 of a 2-rank world
+    sends one message to rank 0, flushes its envelope, and is killed."""
+    comm = ProcessRankCommunicator(
+        1, 2, inboxes, run_id=1, blocks=MessageBlocks(prefix, 1))
+    comm.send(np.arange(4.0), dest=0, tag=5)
+    inboxes[0].close()
+    inboxes[0].join_thread()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_processes
+def test_receive_from_a_dead_peer_raises_within_the_timeout():
+    """The message a peer sent before it died is still delivered (its block
+    outlives its writer); the next receive from it raises the typed
+    ``MPIRuntimeError`` when one world timeout has passed, not later."""
+    from multiprocessing import resource_tracker
+
+    timeout = 0.3
+    segments_before = shm_segments()
+    # As WorkerPool does: the peer registers its block with this process's
+    # resource tracker rather than starting one of its own.
+    resource_tracker.ensure_running()
+    context = default_context()
+    inboxes = [context.Queue(), context.Queue()]
+    prefix = f"rmsg_test{os.getpid()}"
+    peer = context.Process(target=_send_then_die, args=(inboxes, prefix))
+    peer.start()
+    peer.join(30)
+    try:
+        assert peer.exitcode == -signal.SIGKILL
+        comm = ProcessRankCommunicator(
+            0, 2, inboxes, run_id=1, blocks=MessageBlocks(prefix, 0),
+            timeout=timeout)
+        landed = np.zeros(4)
+        comm.recv(landed, 1, 5)
+        assert np.array_equal(landed, np.arange(4.0))
+        began = time.monotonic()
+        with pytest.raises(MPIRuntimeError, match="timed out"):
+            comm.recv(np.zeros(4), 1, 5)
+        assert timeout <= time.monotonic() - began < 2 * timeout
+    finally:
+        assert unlink_message_blocks(prefix, 2) == 1
+        for inbox in inboxes:
+            inbox.close()
+    assert not shm_segments() - segments_before
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +465,11 @@ def test_concurrent_runs_serialize_on_the_pool():
 
 
 def _suicide_body(comm):
-    """Module-level (workers unpickle it): rank 1 dies mid-run via SIGKILL."""
-    import os as os_module
-    import signal as signal_module
-
+    """Module-level (workers unpickle it): every rank sends a message, then
+    rank 1 dies mid-run via SIGKILL, leaving its message block behind."""
+    comm.send(np.arange(1024.0), (comm.rank + 1) % comm.size, tag=1)
     if comm.rank == 1:
-        os_module.kill(os_module.getpid(), signal_module.SIGKILL)
+        os.kill(os.getpid(), signal.SIGKILL)
     comm.barrier()  # the surviving rank blocks here until the parent reacts
     return comm.rank
 
@@ -338,9 +477,6 @@ def _suicide_body(comm):
 @needs_processes
 def test_worker_killed_between_runs_is_reaped():
     """A worker killed while idle is reaped; the next run recovers silently."""
-    import os
-    import signal
-
     from repro.runtime import WorkerPool
 
     MANAGER.shutdown()
@@ -360,25 +496,31 @@ def test_worker_killed_between_runs_is_reaped():
 
 @needs_processes
 def test_worker_killed_mid_run_fails_fast_and_recovers():
-    """A rank dying mid-run raises promptly (no deadlock) and the pool heals."""
-    import pytest as pytest_module
-
+    """A rank dying mid-run raises promptly (no deadlock), the pool heals, and
+    the message blocks of both pools, the dead worker's too, are unlinked."""
     MANAGER.shutdown()
-    with pytest_module.raises(Exception, match="died|failed"):
+    segments_before = shm_segments()
+    poisoned = MANAGER.acquire(2)
+    with pytest.raises(Exception, match="died|failed"):
         _spmd(_suicide_body, 2)
+    assert not poisoned.alive
+    assert not _message_blocks(poisoned)
     # Clean recovery: the poisoned pool was shut down and replaced.
     values, _ = _spmd(_ring_body, 2)
     assert len(values) == 2
+    MANAGER.shutdown()
+    assert not shm_segments() - segments_before
 
 
 @needs_processes
 def test_shutdown_reaps_dead_workers():
-    """shutdown() finishes even when workers already died."""
-    import os
-    import signal
-
+    """shutdown() finishes even when workers already died, and unlinks the
+    message blocks the dead workers created."""
     MANAGER.shutdown()
+    segments_before = shm_segments()
     pool = MANAGER.acquire(2)
+    _spmd(_ring_body, 2)
+    assert _message_blocks(pool)
     for process in pool._processes:
         os.kill(process.pid, signal.SIGKILL)
     for process in pool._processes:
@@ -386,6 +528,74 @@ def test_shutdown_reaps_dead_workers():
     assert pool.reap_dead_workers() == [0, 1]
     pool.shutdown()  # must not hang or raise
     assert not pool.alive
+    assert not shm_segments() - segments_before
+
+
+def _ping_pong_body(comm, rounds):
+    """Module-level (workers unpickle it): every send follows the peer's
+    receive of the previous one, so each rank needs exactly one block."""
+    peer = 1 - comm.rank
+    landed = np.zeros(1000)
+    for step in range(rounds):
+        if comm.rank == 0:
+            comm.send(np.full(1000, float(step)), peer, 0)
+            comm.recv(landed, peer, 0)
+        else:
+            comm.recv(landed, peer, 0)
+            comm.send(landed + 1.0, peer, 0)
+    return landed[0]
+
+
+def _message_blocks(pool) -> set:
+    return {name for name in shm_segments() if name.startswith(pool.block_prefix)}
+
+
+@needs_processes
+def test_consumed_message_blocks_are_reused_by_later_runs():
+    MANAGER.shutdown()
+    pool = MANAGER.acquire(2)
+    values, _ = _spmd(_ping_pong_body, 2, (20,))
+    assert values == [20.0, 19.0]
+    blocks = _message_blocks(pool)
+    assert len(blocks) == 2, blocks  # one per worker, recycled 20 times
+    _spmd(_ping_pong_body, 2, (20,))
+    assert _message_blocks(pool) == blocks, "a second run created a block"
+    MANAGER.shutdown()
+    assert not _message_blocks(pool)
+
+
+@needs_processes
+def test_held_plan_reruns_reuse_their_message_blocks():
+    """A held 2-rank wave plan keeps sending through the blocks its first
+    runs created.  Which of them a step finds free depends on timing (a rank
+    may post step n + 1 before its peer consumed step n), so the count is
+    the most messages a worker had in flight — never more than two steps'
+    worth — rather than a number fixed by the first run."""
+    workload = acoustic_wave((16, 32, 32), dtype=np.float64, space_order=4)
+    program = compile_stencil_program(
+        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
+        dmp_target((2, 1, 1)))
+
+    def fields():
+        base = np.zeros((20, 36, 36))
+        base[10, 18, 18] = 1.0
+        return [base.copy() for _ in range(workload.function.buffers)]
+
+    steps, runs = 4, []
+    with Session(runtime="processes") as session:
+        plan = session.plan(program)
+        for _ in range(5):
+            runs.append(fields())
+            result = plan.run(runs[-1], [steps])
+            if len(runs) == 1:
+                pool = session._pool_manager.pool
+                first = _message_blocks(pool)
+        blocks = _message_blocks(pool)
+    assert first and first <= blocks, "blocks are kept across runs"
+    assert len(blocks) <= 2 * result.messages_sent // steps
+    assert all([a.tobytes() for a in run] == [b.tobytes() for b in runs[0]]
+               for run in runs)
+    assert not _message_blocks(pool)
 
 
 def _slow_rank_body(comm):

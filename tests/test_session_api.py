@@ -7,7 +7,6 @@ counters), held-plan parity against one-shot ``Session.run`` across the
 runtime-fallback warning.
 """
 
-import os
 import threading
 import time
 import warnings
@@ -32,6 +31,7 @@ from tests.conftest import (
     POISON_STEPS,
     build_jacobi_module,
     jacobi_reference,
+    shm_segments,
 )
 
 needs_processes = pytest.mark.skipif(
@@ -437,17 +437,13 @@ def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_r
         assert plan.runs_completed == 2
 
 
-def _shm_segments() -> set:
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
 @pytest.mark.parametrize("runtime", FAILURE_WORLDS)
 def test_fault_inside_a_megakernel_leaks_nothing(runtime, exploding_kernel):
     """Every rank's generated kernel raises mid-step 2, buffers half written:
     the typed error arrives within the timeout, no shared-memory segment or
     rank thread outlives the sessions, and the same session then runs the
     program bit-identically to a fresh one."""
-    threads_before, segments_before = set(threading.enumerate()), _shm_segments()
+    threads_before, segments_before = set(threading.enumerate()), shm_segments()
     with Session(runtime=runtime, timeout=5.0) as session:
         plan = session.plan(_compile_heat((2, 1)))
         began = time.monotonic()
@@ -462,6 +458,11 @@ def test_fault_inside_a_megakernel_leaks_nothing(runtime, exploding_kernel):
         survived = _heat_fields()
         plan.run(survived, [3])
         assert session.metrics.get("megakernel.engaged") == 2
+        if runtime == "processes":
+            # The halos travelled through message blocks, which the leak
+            # check below must therefore see unlinked.
+            prefix = session._pool_manager.pool.block_prefix
+            assert any(name.startswith(prefix) for name in shm_segments())
     fresh = _heat_fields()
     with Session(runtime=runtime) as other:
         other.run(_compile_heat((2, 1)), fresh, [3])
@@ -470,7 +471,7 @@ def test_fault_inside_a_megakernel_leaks_nothing(runtime, exploding_kernel):
     deadline = time.monotonic() + 10.0  # pool threads wind down after close
     while True:
         leaked_threads = set(threading.enumerate()) - threads_before
-        leaked_segments = _shm_segments() - segments_before
+        leaked_segments = shm_segments() - segments_before
         if not (leaked_threads or leaked_segments) or time.monotonic() > deadline:
             break
         time.sleep(0.05)
