@@ -93,14 +93,13 @@ def main() -> None:
     # magic constants, exactly as the paper's generated code issues them.
     config = ExecutionConfig(
         runtime=args.runtime,
-        ranks=args.ranks,
         threads_per_rank=args.threads_per_rank,
         trace=args.trace,
     )
     with Session(config) as session:
         # Pre-spawn workers and thread teams so the first run pays no
         # spawn latency (the warm-up item of the execution roadmap).
-        session.warmup()
+        session.warmup(ranks=args.ranks)
         distributed = simulate(
             dmp_target(RANK_GRIDS[args.ranks], lower_to_library_calls=True),
             config=config,

@@ -22,12 +22,7 @@ from .config import (
     ExecutionError,
     RuntimeFallbackWarning,
 )
-from .executor import (
-    ExecutionResult,
-    gather_field,
-    local_field_slices,
-    scatter_field,
-)
+from .executor import ExecutionResult, local_field_slices
 from .pipeline import (
     CompilationError,
     CompiledProgram,
@@ -52,7 +47,7 @@ __all__ = [
     "CompiledProgram", "compile_stencil_program", "CompilationError",
     "pipeline_for", "compile_from_frontend",
     "ExecutionConfig", "Session", "Plan", "SessionCounters", "default_session",
-    "scatter_field", "gather_field", "local_field_slices",
+    "local_field_slices",
     "ExecutionResult", "ExecutionError", "RuntimeFallbackWarning",
     "EXECUTION_BACKENDS", "EXECUTION_RUNTIMES", "EXECUTION_CODEGEN",
     "EXECUTION_TRACE",

@@ -1,13 +1,19 @@
 """The one execution-configuration object shared by every frontend.
 
-Execution used to be configured through kwarg soup repeated on every call
-(``backend=..., runtime=..., threads_per_rank=..., margin=..., timeout=...``),
-validated — or silently not — at different depths of the stack.
-:class:`ExecutionConfig` replaces that: one frozen dataclass, fully
-validated at construction, accepted by :class:`~repro.core.session.Session`,
-:class:`~repro.core.session.Plan`, and every frontend (the Devito
-``Operator``, the PsyClone backend, the OEC builder).  Because validation
-happens exactly once, the per-run hot path never re-checks anything.
+:class:`ExecutionConfig` holds only what a caller decides: which tier runs
+(``backend``, ``codegen``), which world hosts the ranks (``runtime``), the
+intra-rank team size, the communication deadline and the trace mode.  It is
+one frozen dataclass, fully validated at construction, accepted by
+:class:`~repro.core.session.Session`, :class:`~repro.core.session.Plan`, and
+every frontend (the Devito ``Operator``, the PsyClone backend, the OEC
+builder).  Because validation happens exactly once, the per-run hot path
+never re-checks anything.
+
+Everything the program itself decides stays out of it: the rank count comes
+from the target's rank grid, the layout of a global array from its field's
+bounds (recorded by ``distribute-stencil`` on
+:class:`~repro.transforms.distribute.DistributionSummary`), and halo/compute
+overlap is on wherever the megakernel proves it safe.
 
 This module sits at the bottom of the ``repro.core`` layering and imports
 nothing from the rest of the package.
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 
 class ExecutionError(Exception):
@@ -87,7 +93,7 @@ EXECUTION_TRACE = ("off", "summary", "timeline")
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """Everything that shapes one execution, validated once at construction.
+    """What a caller decides about one execution, validated once at construction.
 
     The same object configures local and distributed runs; fields that do not
     apply (e.g. ``runtime`` for a non-distributed program) are simply ignored
@@ -100,28 +106,11 @@ class ExecutionConfig:
     runtime: str = "threads"
     #: Whether plans run the generated megakernel (:data:`EXECUTION_CODEGEN`).
     codegen: str = "auto"
-    #: Expected number of distributed ranks; ``None`` derives it from the
-    #: program's target.  Used by :meth:`Session.warmup` to pre-spawn workers
-    #: and validated against the target's rank grid at plan time.
-    ranks: Optional[int] = None
     #: Intra-rank thread-team size (the OpenMP level of the paper's hybrid
     #: MPI+OpenMP configurations; 1 = flat runs).
     threads_per_rank: int = 1
-    #: Defer halo-receive completion past independent interior compute.
-    #: ``None`` (default) resolves to True wherever the megakernel can prove
-    #: it safe; an explicit ``True`` conflicts with
-    #: ``backend="interpreter"`` or ``codegen="planned"`` (the tree walker reads cells one by one and
-    #: can never overlap), which is rejected here rather than silently ignored.
-    overlap_halos: Optional[bool] = None
-    #: Ghost/boundary cells the *global* arrays carry in front of compute
-    #: index 0 along each dimension; ``None`` uses the decomposition's halo.
-    margin: Optional[tuple[int, ...]] = None
     #: Per-run communication deadline in seconds.
     timeout: float = 60.0
-    #: Pre-spawn runtime resources (worker processes, thread teams) when the
-    #: session is entered as a context manager, so the first ``plan.run()``
-    #: pays no spawn latency.
-    warm_start: bool = False
     #: Observability mode (:data:`EXECUTION_TRACE`); ``None`` resolves from
     #: the ``REPRO_TRACE`` environment variable (default ``"off"``).
     trace: Optional[str] = None
@@ -152,28 +141,10 @@ class ExecutionConfig:
             )
         if not isinstance(self.threads_per_rank, int) or self.threads_per_rank < 1:
             raise ExecutionError("threads_per_rank must be an integer >= 1")
-        if self.ranks is not None and (
-            not isinstance(self.ranks, int) or self.ranks < 1
-        ):
-            raise ExecutionError("ranks must be an integer >= 1 (or None)")
         if not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
             raise ExecutionError("timeout must be a positive number of seconds")
-        if self.overlap_halos not in (None, True, False):
-            raise ExecutionError("overlap_halos must be True, False or None (auto)")
         if self.codegen == "planned":
             object.__setattr__(self, "backend", "interpreter")
-        if self.overlap_halos is True and self.backend == "interpreter":
-            raise ExecutionError(
-                "overlap_halos=True conflicts with the tree walker "
-                "(backend='interpreter' or codegen='planned'): the "
-                "tree walker reads cells one by one and can never overlap "
-                "halo exchanges with compute"
-            )
-        if self.margin is not None:
-            margin = tuple(int(m) for m in self.margin)
-            if any(m < 0 for m in margin):
-                raise ExecutionError("margin entries must be non-negative")
-            object.__setattr__(self, "margin", margin)
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (re-validated, unknown keys rejected)."""
@@ -185,25 +156,6 @@ class ExecutionConfig:
             )
         return replace(self, **changes)
 
-    def plan_key(self) -> tuple:
-        """The hashable identity of this config *as seen by a Plan*.
-
-        Two configs with the same plan key produce behaviourally identical
-        plans for the same program, so cross-tenant plan caches (the
-        :mod:`repro.serve` layer) may share one compiled plan between them.
-        Session-level knobs that never reach the plan are excluded:
-        ``warm_start`` only controls context-manager pre-spawning.
-        """
-        return tuple(
-            getattr(self, f.name) for f in fields(self) if f.name != "warm_start"
-        )
-
-    def resolved_overlap(self) -> bool:
-        """The effective overlap flag (auto = on unless the tree walker runs)."""
-        if self.overlap_halos is None:
-            return self.backend != "interpreter"
-        return self.overlap_halos
-
     @staticmethod
     def coerce(
         config: Optional["ExecutionConfig"] = None, **overrides
@@ -213,11 +165,3 @@ class ExecutionConfig:
         overrides = {k: v for k, v in overrides.items() if v is not None}
         return base.replace(**overrides) if overrides else base
 
-
-def normalize_margin(
-    margin: Optional[Sequence[int]], default: Sequence[int]
-) -> tuple[int, ...]:
-    """Resolve a config margin against the decomposition's halo default."""
-    if margin is None:
-        return tuple(int(m) for m in default)
-    return tuple(int(m) for m in margin)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from ..interp import CommStatistics, ExecStatistics
 from ..transforms.distribute import DecompositionStrategy
 from .config import (
@@ -26,7 +24,7 @@ from .config import (
 __all__ = [
     "EXECUTION_BACKENDS", "EXECUTION_RUNTIMES",
     "ExecutionError", "ExecutionResult", "RuntimeFallbackWarning",
-    "scatter_field", "gather_field", "local_field_slices",
+    "local_field_slices",
 ]
 
 
@@ -69,7 +67,7 @@ class ExecutionResult:
 
 
 def core_field_slices(
-    global_array: np.ndarray,
+    global_shape: Sequence[int],
     strategy: DecompositionStrategy,
     rank: int,
     halo_lower: Sequence[int],
@@ -78,14 +76,11 @@ def core_field_slices(
     """One rank's core slab as ``(global slices, local-buffer slices)``.
 
     The region a gather writes back: the core without its halo, addressed
-    in the global array and in the rank's local buffer.  ``margin`` is the
-    number of ghost/boundary cells the global array carries in front of
-    compute index 0 along each dimension.
+    in the global array and in the rank's local buffer.  ``global_shape`` is
+    the program's compute domain and ``margin`` the cells a global array
+    carries in front of compute index 0 along each dimension.
     """
-    core_shape = tuple(
-        int(extent) - 2 * int(m) for extent, m in zip(global_array.shape, margin)
-    )
-    start, end = strategy.global_slab(core_shape, rank)
+    start, end = strategy.global_slab(global_shape, rank)
     return (
         tuple(slice(s + m, e + m) for s, e, m in zip(start, end, margin)),
         tuple(slice(h, h + (e - s)) for s, e, h in zip(start, end, halo_lower)),
@@ -93,7 +88,7 @@ def core_field_slices(
 
 
 def local_field_slices(
-    global_array: np.ndarray,
+    global_shape: Sequence[int],
     strategy: DecompositionStrategy,
     rank: int,
     halo_lower: Sequence[int],
@@ -105,45 +100,8 @@ def local_field_slices(
     The core of :func:`core_field_slices` widened by the halo; ``margin``
     must be at least the halo width, so slicing never leaves the array.
     """
-    core, _ = core_field_slices(global_array, strategy, rank, halo_lower, margin)
-    slices = []
-    for dim, region in enumerate(core):
-        lower = region.start - halo_lower[dim]
-        upper = region.stop + halo_upper[dim]
-        if lower < 0 or upper > global_array.shape[dim]:
-            raise ExecutionError(
-                f"halo of width {halo_lower[dim]}/{halo_upper[dim]} exceeds the "
-                f"global array margin {margin[dim]} along dimension {dim}"
-            )
-        slices.append(slice(lower, upper))
-    return tuple(slices)
-
-
-def scatter_field(
-    global_array: np.ndarray,
-    strategy: DecompositionStrategy,
-    rank: int,
-    halo_lower: Sequence[int],
-    halo_upper: Sequence[int],
-    margin: Sequence[int],
-) -> np.ndarray:
-    """A copy of one rank's local buffer (core slab + halo) of a global array."""
-    return np.array(global_array[
-        local_field_slices(global_array, strategy, rank, halo_lower, halo_upper, margin)
-    ])
-
-
-def gather_field(
-    global_array: np.ndarray,
-    local_array: np.ndarray,
-    strategy: DecompositionStrategy,
-    rank: int,
-    halo_lower: Sequence[int],
-    halo_upper: Sequence[int],
-    margin: Sequence[int],
-) -> None:
-    """Write one rank's core slab back into the global array."""
-    global_slices, local_slices = core_field_slices(
-        global_array, strategy, rank, halo_lower, margin
+    core, _ = core_field_slices(global_shape, strategy, rank, halo_lower, margin)
+    return tuple(
+        slice(region.start - lower, region.stop + upper)
+        for region, lower, upper in zip(core, halo_lower, halo_upper)
     )
-    global_array[global_slices] = local_array[local_slices]

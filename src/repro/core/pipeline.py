@@ -78,8 +78,8 @@ class CompiledProgram:
         default_factory=dict, repr=False, compare=False
     )
     #: The one megakernel cache (see :func:`repro.core.rank.run_rank`):
-    #: traces keyed by ``(function, overlap)`` and emitted megakernels keyed
-    #: by ``(function, rank, size, signature, overlap, traced, threads)``;
+    #: traces keyed by function name and emitted megakernels keyed by
+    #: ``(function, rank, size, signature, traced, threads)``;
     #: rejections are cached as their ``CodegenFallback``.
     _megakernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: Lazily built ``{name: FuncOp}`` table (see :attr:`functions`).

@@ -50,25 +50,23 @@ def codegen_wanted(config: ExecutionConfig) -> bool:
 
 
 def megakernel_trace(
-    program: CompiledProgram, function: str, config: ExecutionConfig
+    program: CompiledProgram, function: str
 ) -> Union[MegakernelTrace, CodegenFallback]:
     """The trace of ``function``, or why it cannot be traced.
 
-    Traced once per ``(function, overlap)`` and kept, rejections included,
-    in the program's megakernel cache.
+    Traced once per function and kept, rejections included, in the
+    program's megakernel cache.
     """
-    key = (function, config.resolved_overlap())
     cache = program._megakernel_cache
-    found = cache.get(key)
+    found = cache.get(function)
     if found is None:
         try:
             found = trace_program(
-                program.functions[function], program.compiled_kernel(function),
-                overlap=key[1],
+                program.functions[function], program.compiled_kernel(function)
             )
         except CodegenError as err:
             found = CodegenFallback(function, str(err))
-        cache[key] = found
+        cache[function] = found
     return found
 
 
@@ -93,7 +91,7 @@ def megakernel_for(
     traced = config.trace != "off"
     threads = config.threads_per_rank
     key = (trace.function_name, rank, size, megakernel_signature(args),
-           trace.overlap, traced, threads)
+           traced, threads)
     cache = program._megakernel_cache
     found = cache.get(key)
     emitted = False
@@ -143,7 +141,7 @@ def run_rank(
     """
     if codegen_wanted(config):
         # Trace, then megakernel, or the CodegenFallback of whichever failed.
-        built = megakernel_trace(program, function, config)
+        built = megakernel_trace(program, function)
         if isinstance(built, MegakernelTrace):
             rank, size = (comm.rank, comm.size) if comm is not None else (0, 1)
             built = megakernel_for(

@@ -13,8 +13,9 @@ shape a first-class API:
   the session reuses them across runs;
 * :class:`Plan` — returned by :meth:`Session.plan`; pre-resolves everything
   per-run work used to recompute: the default-function lookup, the
-  megakernel trace, the decomposition strategy and
-  halo/margin geometry, the scatter/gather slice plans and the
+  megakernel trace, the decomposition strategy and the scatter/gather slice
+  plans — all read off the program, whose rank grid fixes the rank count and
+  whose field bounds fix the layout of a global array — and the
   shared-memory block leases.  ``plan.run(fields, scalars)`` is therefore a
   thin hot path suitable for serving many requests.
 
@@ -50,12 +51,7 @@ from ..obs import MetricsRegistry, Tracer, TraceTimeline
 from ..runtime.stats import merge_comm_statistics, sort_rank_stats
 from ..runtime.worker_pool import REPORT_MARGIN, PoolBatchJob, WorkerError
 from ..transforms.distribute import GridSlicingStrategy
-from .config import (
-    ExecutionConfig,
-    ExecutionError,
-    RuntimeFallbackWarning,
-    normalize_margin,
-)
+from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning
 from .executor import ExecutionResult, core_field_slices, local_field_slices
 from .pipeline import CompiledProgram
 from .rank import codegen_wanted, megakernel_trace, run_rank
@@ -93,14 +89,13 @@ class Session:
 
     ::
 
-        with Session(ExecutionConfig(runtime="processes", ranks=4)) as session:
+        with Session(ExecutionConfig(runtime="processes")) as session:
             plan = session.plan(program)
             for request in requests:
                 plan.run([u0, u1], [timesteps])   # thin, amortized hot path
 
     A session is cheap to construct — resources are spawned on first use, or
-    ahead of time by :meth:`warmup` (also triggered by entering a session
-    whose config has ``warm_start=True``).  ``close()`` (or leaving the
+    ahead of time by :meth:`warmup`.  ``close()`` (or leaving the
     ``with`` block) releases everything the session created; a closed session
     rejects further work.  One-shot callers can use :meth:`run`, which builds
     and disposes a plan around a single execution (itself a round of one
@@ -150,8 +145,6 @@ class Session:
 
     def __enter__(self) -> "Session":
         self._ensure_open()
-        if self.config.warm_start:
-            self.warmup()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -189,18 +182,16 @@ class Session:
         threads (``runtime="threads"``), the intra-rank thread teams on both
         sides, and — when ``program`` is given — ships the pickled program to
         the workers ahead of the first run.  ``ranks`` defaults to the
-        program's rank grid, then to ``config.ranks``; ``runtime`` defaults to
-        the session config's (``Plan.warmup`` passes the plan's resolved
-        runtime, which may override the session's).
+        program's rank grid (no ranks: only the thread team); ``runtime``
+        defaults to the session config's (``Plan.warmup`` passes the plan's
+        resolved runtime, which may override the session's).
         """
         self._ensure_open()
         config = self.config
         span = self.tracer.begin("session.warmup") if self.tracer is not None else 0.0
-        if ranks is None:
-            if program is not None and program.target.rank_grid is not None:
-                ranks = GridSlicingStrategy(program.target.rank_grid).rank_count
-            else:
-                ranks = config.ranks
+        if ranks is None and program is not None \
+                and program.target.rank_grid is not None:
+            ranks = GridSlicingStrategy(program.target.rank_grid).rank_count
         threads = threads_per_rank if threads_per_rank is not None \
             else config.threads_per_rank
         runtime = runtime if runtime is not None else config.runtime
@@ -532,16 +523,19 @@ class Plan:
 
         if self.distributed:
             self.strategy = GridSlicingStrategy(program.target.rank_grid)
-            if config.ranks is not None and config.ranks != self.strategy.rank_count:
-                raise ExecutionError(
-                    f"config.ranks={config.ranks} conflicts with the program's "
-                    f"rank grid {program.target.rank_grid} "
-                    f"({self.strategy.rank_count} ranks)"
-                )
-            domain = program.distribution.local_domain
+            distribution = program.distribution
+            domain = distribution.local_domain
             self.halo_lower = domain.halo_lower
             self.halo_upper = domain.halo_upper
-            self.margin = normalize_margin(config.margin, self.halo_lower)
+            self.global_shape = distribution.global_shape
+            #: A global array is laid out as its field's bounds.
+            self.margin = distribution.margin_lower
+            self.field_shape = tuple(
+                lower + extent + upper for lower, extent, upper in zip(
+                    distribution.margin_lower, self.global_shape,
+                    distribution.margin_upper,
+                )
+            )
         if self.tracer is not None:
             self.tracer.end("plan.build", build_span)
 
@@ -590,7 +584,7 @@ class Plan:
         function itself is emitted (and cached on the program) on first run,
         when the concrete buffer layout is known.
         """
-        found = megakernel_trace(self.program, self.function, self.config)
+        found = megakernel_trace(self.program, self.function)
         if isinstance(found, CodegenFallback):
             self.codegen_fallback = found
             return None
@@ -682,6 +676,13 @@ class Plan:
         *same* plan concurrently; sets are recycled through
         :meth:`prepare`'s ``buffers`` argument.
         """
+        for index, array in enumerate(fields):
+            if array.shape != self.field_shape:
+                raise ExecutionError(
+                    f"distributed field {index} has shape {array.shape}, but "
+                    f"the program's field bounds lay a global array out as "
+                    f"{self.field_shape}"
+                )
         buffers = _RunBuffers()
         buffers.signature = _field_signature(fields)
         strategy, margin = self.strategy, self.margin
@@ -695,12 +696,13 @@ class Plan:
             lease_row, spec_row = [], []
             for array in fields:
                 slices = local_field_slices(
-                    array, strategy, rank, halo_lower, halo_upper, margin
+                    self.global_shape, strategy, rank, halo_lower, halo_upper,
+                    margin,
                 )
                 scatter_row.append(slices)
                 shape = tuple(s.stop - s.start for s in slices)
                 gather_row.append(core_field_slices(
-                    array, strategy, rank, halo_lower, margin
+                    self.global_shape, strategy, rank, halo_lower, margin
                 ))
                 if leased:
                     lease = pool.lease(shape, array.dtype)

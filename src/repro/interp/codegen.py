@@ -21,6 +21,11 @@ an island runs.  Islands are what the lowered ``MPI_*`` halo group,
 ``gpu.host_synchronize``, ``hls.dataflow``, request bookkeeping, scalar
 arithmetic, ops around the time loop and nests the vectorizer rejects become.
 
+Halo exchanges overlap compute wherever ``CompiledNest._plan_overlap`` proves
+it safe: a nest's interior runs while its halos are in flight and its
+boundary strips after they land.  There is no switch to turn that off; the
+tree walker, whose ``dmp.swap`` blocks, is the blocking reference.
+
 The discipline mirrors the interpreter exactly:
 
 * the statements of a nest are not written here: they come from
@@ -198,11 +203,11 @@ class MegakernelTrace:
     """
 
     __slots__ = ("function_name", "func_op", "loop", "pre", "body", "post",
-                 "sym", "overlap", "arg_count", "once", "per_trip",
+                 "sym", "arg_count", "once", "per_trip",
                  "walked_nests", "has_islands", "uses_env")
 
     def __init__(self, function_name: str, func_op, loop, pre, body, post, sym,
-                 overlap: bool, arg_count: int, once: dict, per_trip: dict,
+                 arg_count: int, once: dict, per_trip: dict,
                  walked_nests: int = 0):
         self.function_name = function_name
         self.func_op = func_op
@@ -211,7 +216,6 @@ class MegakernelTrace:
         self.body = body
         self.post = post
         self.sym = sym
-        self.overlap = overlap
         self.arg_count = arg_count
         self.once = once
         self.per_trip = per_trip
@@ -222,8 +226,7 @@ class MegakernelTrace:
         self.uses_env = any(entry[0] == "env" for entry in sym.values())
 
 
-def trace_program(func_op, kernel: CompiledKernel, *,
-                  overlap: bool = True) -> MegakernelTrace:
+def trace_program(func_op, kernel: CompiledKernel) -> MegakernelTrace:
     """Trace one function into a :class:`MegakernelTrace`.
 
     The time loop is the first top-level ``scf.for`` that carries values or
@@ -235,14 +238,13 @@ def trace_program(func_op, kernel: CompiledKernel, *,
     island.  Raises :class:`CodegenError` (with the fallback reason) when the
     function does not have that shape.
     """
-    return _Tracer(func_op, kernel, overlap).trace()
+    return _Tracer(func_op, kernel).trace()
 
 
 class _Tracer:
-    def __init__(self, func_op, kernel: CompiledKernel, overlap: bool):
+    def __init__(self, func_op, kernel: CompiledKernel):
         self.func_op = func_op
         self.kernel = kernel
-        self.overlap = overlap
         self.sym: dict[SSAValue, _Sym] = {}
         self.once = dict.fromkeys(_TRACED_COUNTERS, 0)
         self.per_trip = dict.fromkeys(_TRACED_COUNTERS, 0)
@@ -277,7 +279,7 @@ class _Tracer:
             post = self._segment(ops[loop_index + 1:])
         return MegakernelTrace(
             self.func_op.sym_name, self.func_op, loop, pre, body, post, self.sym,
-            self.overlap, len(block.args), self.once, self.per_trip,
+            len(block.args), self.once, self.per_trip,
             self.walked_nests,
         )
 
@@ -829,8 +831,6 @@ class _MegakernelEmitter:
                     )
                     counts["mpi_messages"] += len(plan.sends)
                 inflight.append((ordinal, PendingHalo(array, plan)))
-                if not self.trace.overlap:
-                    complete(len(inflight), overlapped=False)
             elif step[0] == "island":
                 _, island, syms = step
                 complete(len(inflight), overlapped=False)

@@ -685,7 +685,12 @@ def _run_alloc(interp: Interpreter, op: Operation, env: dict) -> None:
 
 @handler("memref.dealloc")
 def _run_dealloc(interp: Interpreter, op: Operation, env: dict) -> None:
-    return
+    # Pointers taken into a freed buffer dangle: drop their registrations.
+    freed = interp.get(env, op.operands[0]).array
+    interp._memory_registry = {
+        address: array for address, array in interp._memory_registry.items()
+        if not np.may_share_memory(array, freed)
+    }
 
 
 @handler("memref.load")

@@ -20,9 +20,9 @@ message blocks and per-rank envelope inboxes, see
   scalars)`` — attach the shared-memory fields and execute one rank through
   :func:`repro.core.rank.run_rank` under the caller's frozen
   :class:`~repro.core.config.ExecutionConfig` — the same function, the same
-  configuration and therefore the same tier choice, overlap discipline,
-  thread-team size and tracing as the thread world (the rank-local trace
-  record ships back with the reply);
+  configuration and therefore the same tier choice, thread-team size and
+  tracing as the thread world (the rank-local trace record ships back with
+  the reply);
 * ``("spmd", run_id, rank, size, payload, timeout)`` — run an arbitrary
   picklable ``fn(comm, *args)`` (tests and ad-hoc experiments);
 * ``("warmup", run_id, rank, threads_per_rank)`` — pre-spawn the worker's

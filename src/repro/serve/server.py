@@ -5,8 +5,9 @@ A :class:`Server` owns (or wraps) a single
 three mechanisms:
 
 * **Cross-tenant plan cache** — plans are keyed by
-  ``(program fingerprint, function, ExecutionConfig.plan_key())``, so two
-  tenants submitting the same workload share one compiled
+  ``(program fingerprint, function, ExecutionConfig)`` (the frozen config
+  is its own key), so two tenants submitting the same workload share one
+  compiled
   :class:`~repro.core.session.Plan` (and, through the program and the
   session, its megakernels and worker pool).
 
@@ -101,7 +102,7 @@ class Server:
         self._queue: deque[JobHandle] = deque()
         self._inflight = 0
         self._closed = False
-        #: (fingerprint, function, config.plan_key()) -> shared Plan.
+        #: (fingerprint, function, config) -> shared Plan.
         self._plans: Dict[tuple, Plan] = {}
         #: id(plan) -> recycled _RunBuffers free list (dispatcher-only).
         self._buffer_pool: Dict[int, list] = {}
@@ -308,7 +309,7 @@ class Server:
     # -- the cross-tenant plan cache ------------------------------------------
     def _plan_for(self, job: JobHandle) -> Plan:
         function = job.function or _default_function(job.program)
-        key = (job.program.fingerprint, function, job.config.plan_key())
+        key = (job.program.fingerprint, function, job.config)
         plan = self._plans.get(key)
         if plan is None or plan.closed:
             self.metrics.inc("serve.plan_cache_miss")

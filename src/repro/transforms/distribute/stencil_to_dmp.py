@@ -8,7 +8,9 @@ decomposition strategy it
    every ``stencil.apply`` in the function (along a dimension split over
    ranks, the wider side on both sides: exchanges pair equal-width strips),
 2. rewrites every ``!stencil.field`` (and dependent temp) type from the global
-   bounds to the rank-local bounds (core at ``[0, n)`` plus halo),
+   bounds to the rank-local bounds (core at ``[0, n)`` plus halo), recording
+   how many cells the global field bounds carry around the store bounds —
+   the layout of a global array the runtime scatters from,
 3. shrinks every ``stencil.store`` range to the local core, and
 4. inserts a ``dmp.swap`` in front of every ``stencil.load`` so neighbouring
    ranks hold up-to-date halo data before each stencil computation.
@@ -39,6 +41,11 @@ class DistributionSummary:
     """What the global-to-local pass did (used by tests and the cost model)."""
 
     global_shape: tuple[int, ...]
+    #: Cells every field's global bounds carry before and after the store
+    #: bounds, per dimension: a global array is laid out as its field's
+    #: bounds, so the runtime finds compute index 0 at ``margin_lower``.
+    margin_lower: tuple[int, ...]
+    margin_upper: tuple[int, ...]
     local_domain: LocalDomain
     swaps_inserted: int
     halo_elements_per_swap: int
@@ -59,6 +66,22 @@ def _collect_global_bounds(module: Operation) -> stencil.StencilBoundsAttr:
     if bounds is None:
         raise DecompositionError("no stencil.store found; nothing to distribute")
     return bounds
+
+
+def _collect_field_bounds(module: Operation) -> stencil.StencilBoundsAttr:
+    """The common global bounds of every field argument of the program."""
+    bounds = {
+        arg_type.bounds
+        for op in module.walk() if isinstance(op, func.FuncOp)
+        for arg_type in op.function_type.inputs
+        if isinstance(arg_type, stencil.FieldType)
+    }
+    if len(bounds) != 1 or None in bounds:
+        raise DecompositionError(
+            "all stencil fields must share the same known global bounds to be "
+            "distributed automatically"
+        )
+    return bounds.pop()
 
 
 def _retype_fields(module: Operation, new_bounds: stencil.StencilBoundsAttr) -> int:
@@ -124,6 +147,16 @@ def distribute_stencil(
 
     global_bounds = _collect_global_bounds(module)
     global_shape = global_bounds.shape
+    field_bounds = _collect_field_bounds(module)
+    margin_lower = tuple(s - f for s, f in zip(global_bounds.lb, field_bounds.lb))
+    margin_upper = tuple(f - s for s, f in zip(global_bounds.ub, field_bounds.ub))
+    if any(m < h for m, h in zip(margin_lower + margin_upper,
+                                 (*halo_lower, *halo_upper))):
+        raise DecompositionError(
+            f"the fields carry {margin_lower}/{margin_upper} cells around the "
+            f"store bounds, fewer than the halo {tuple(halo_lower)}/"
+            f"{tuple(halo_upper)} the distributed program exchanges"
+        )
     domain = strategy.local_domain(global_shape, halo_lower, halo_upper)
     local_field_bounds = domain.field_bounds()
     local_store_bounds = domain.compute_bounds()
@@ -157,6 +190,8 @@ def distribute_stencil(
 
     return DistributionSummary(
         global_shape=tuple(global_shape),
+        margin_lower=margin_lower,
+        margin_upper=margin_upper,
         local_domain=domain,
         swaps_inserted=swaps,
         halo_elements_per_swap=sum(e.element_count() for e in exchanges),

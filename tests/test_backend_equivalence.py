@@ -17,9 +17,7 @@ from repro.core import (
     default_session,
     dmp_target,
     fpga_target,
-    gather_field,
     gpu_target,
-    scatter_field,
     smp_target,
 )
 from repro.dialects import arith, builtin, func, memref, scf
@@ -33,6 +31,7 @@ from repro.interp import (
     compile_loop_nest_or_fallback,
 )
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
+from repro.core.executor import core_field_slices, local_field_slices
 from repro.transforms.distribute import GridSlicingStrategy
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
 from tests.conftest import (
@@ -277,9 +276,9 @@ class TestAsymmetricHaloScatterGather:
         reconstructed[:] = global_array
         locals_ = []
         for rank in range(4):
-            local = scatter_field(
-                global_array, strategy, rank, halo_lower, halo_upper, margin
-            )
+            local = np.array(global_array[local_field_slices(
+                core, strategy, rank, halo_lower, halo_upper, margin
+            )])
             start, end = strategy.global_slab(core, rank)
             expected_shape = tuple(
                 (e - s) + lo + hi
@@ -288,9 +287,10 @@ class TestAsymmetricHaloScatterGather:
             assert local.shape == expected_shape
             locals_.append(local)
         for rank, local in enumerate(locals_):
-            gather_field(
-                reconstructed, local, strategy, rank, halo_lower, halo_upper, margin
+            global_slices, local_slices = core_field_slices(
+                core, strategy, rank, halo_lower, margin
             )
+            reconstructed[global_slices] = local[local_slices]
         assert np.array_equal(reconstructed, global_array)
 
 

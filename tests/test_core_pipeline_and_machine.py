@@ -13,8 +13,6 @@ from repro.core import (
     dmp_target,
     fpga_target,
     gpu_target,
-    scatter_field,
-    gather_field,
     smp_target,
 )
 from repro.machine import (
@@ -114,12 +112,14 @@ class TestExecutors:
         strategy = GridSlicingStrategy([2, 2])
         global_array = np.arange(100, dtype=float).reshape(10, 10)
         reconstructed = np.zeros_like(global_array)
-        reconstructed[:] = global_array
         for rank in range(4):
-            local = scatter_field(global_array, strategy, rank, (1, 1), (1, 1), (1, 1))
+            local = global_array[local_field_slices(
+                (8, 8), strategy, rank, (1, 1), (1, 1), (1, 1))]
             assert local.shape == (6, 6)
-            gather_field(reconstructed, local, strategy, rank, (1, 1), (1, 1), (1, 1))
-        assert np.array_equal(reconstructed, global_array)
+            core, local_core = core_field_slices(
+                (8, 8), strategy, rank, (1, 1), (1, 1))
+            reconstructed[core] = local[local_core]
+        assert np.array_equal(reconstructed[1:9, 1:9], global_array[1:9, 1:9])
 
     def test_core_slices_address_one_slab_in_both_arrays(self):
         """Scatter, gather and the plan share one core geometry: the global
@@ -127,23 +127,18 @@ class TestExecutors:
         region is exactly that core widened by the halo."""
         strategy = GridSlicingStrategy([2, 2])
         halo_lower, halo_upper, margin = (2, 1), (1, 2), (2, 2)
+        global_shape = (8, 6)
         global_array = np.arange(12 * 10, dtype=float).reshape(12, 10)
         for rank in range(4):
             core, local_core = core_field_slices(
-                global_array, strategy, rank, halo_lower, margin)
-            local = scatter_field(
-                global_array, strategy, rank, halo_lower, halo_upper, margin)
-            assert np.array_equal(local[local_core], global_array[core])
+                global_shape, strategy, rank, halo_lower, margin)
             region = local_field_slices(
-                global_array, strategy, rank, halo_lower, halo_upper, margin)
+                global_shape, strategy, rank, halo_lower, halo_upper, margin)
+            local = global_array[region]
+            assert np.array_equal(local[local_core], global_array[core])
             assert region == tuple(
                 slice(c.start - lo, c.stop + hi)
                 for c, lo, hi in zip(core, halo_lower, halo_upper))
-
-    def test_scatter_margin_too_small(self):
-        strategy = GridSlicingStrategy([2])
-        with pytest.raises(ExecutionError):
-            scatter_field(np.zeros(10), strategy, 0, (2,), (2,), (1,))
 
 
 class TestKernelCharacterisation:

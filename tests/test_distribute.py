@@ -16,7 +16,7 @@ from repro.transforms.distribute import (
 )
 from repro.transforms.mpi import MPICH_DATATYPE_CONSTANTS, datatype_constant_for, lower_mpi_to_func
 from repro.transforms.stencil import lower_stencil_to_scf
-from repro.ir import f32, f64, i32, i64
+from repro.ir import FunctionType, f32, f64, i32, i64
 from tests.conftest import build_jacobi_module, jacobi_reference
 
 
@@ -104,6 +104,38 @@ class TestDistributePass:
     def test_module_without_stencils_rejected(self):
         module = builtin.ModuleOp([])
         with pytest.raises(DecompositionError):
+            distribute_stencil(module, GridSlicingStrategy([2]))
+
+    @pytest.mark.parametrize("halo", [1, 2, 3])
+    def test_margin_is_read_off_the_field_bounds(self, halo):
+        """The runtime's array layout comes from the fields, whatever the
+        stencil reads (here always ±1, so the exchanged halo stays 1)."""
+        summary = distribute_stencil(
+            build_jacobi_module(n=8, halo=halo), GridSlicingStrategy([2])
+        )
+        assert summary.margin_lower == summary.margin_upper == (halo,)
+        assert summary.local_domain.halo_lower == (1,)
+
+    @staticmethod
+    def _retype_inputs(module, *bounds):
+        kernel = next(op for op in module.walk() if isinstance(op, func.FuncOp))
+        inputs = list(kernel.function_type.inputs)
+        for index, (lb, ub) in enumerate(bounds):
+            inputs[index] = stencil.FieldType(([lb], [ub]), f64)
+        kernel.attributes["function_type"] = FunctionType(
+            inputs, kernel.function_type.outputs
+        )
+        return module
+
+    def test_fields_with_different_bounds_rejected(self):
+        module = self._retype_inputs(build_jacobi_module(n=8), (-2, 10))
+        with pytest.raises(DecompositionError, match="same known global bounds"):
+            distribute_stencil(module, GridSlicingStrategy([2]))
+
+    def test_fields_thinner_than_the_halo_rejected(self):
+        """No global array could feed the exchanged halo below the core."""
+        module = self._retype_inputs(build_jacobi_module(n=8), (0, 9), (0, 9))
+        with pytest.raises(DecompositionError, match="fewer than the halo"):
             distribute_stencil(module, GridSlicingStrategy([2]))
 
 

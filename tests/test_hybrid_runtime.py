@@ -171,20 +171,6 @@ def test_overlap_fires_on_the_omp_multi_field_path():
         assert stats.halo_swaps > stats.halo_swaps_overlapped > 0
 
 
-def test_overlap_disabled_is_bit_identical():
-    """The blocking discipline (overlap_halos=False) writes the same bytes."""
-    program, fields, scalars, function = CASES["heat"]
-    overlapped = fields()
-    _run(program, overlapped, scalars, function=function)
-    blocking = fields()
-    result = _run(
-        program, blocking, scalars, function=function, overlap_halos=False
-    )
-    assert all(s.halo_swaps_overlapped == 0 for s in result.statistics)
-    for a, b in zip(overlapped, blocking):
-        assert np.array_equal(a, b)
-
-
 def test_overlap_interpreter_backend_still_blocks():
     """The tree walker (backend="interpreter") completes halos before cells."""
     program, fields, scalars, function = CASES["heat"]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import compile_stencil_program, dmp_target
 from repro.dialects import arith, builtin, func, memref, scf
-from repro.interp import Interpreter, InterpreterError, MemRefValue
+from repro.interp import Interpreter, InterpreterError, MemRefValue, SimulatedMPI
 from repro.ir import Builder, FunctionType, MemRefType, Operation, f64, i32, index
+from tests.conftest import build_jacobi_module
 
 
 def make_kernel(inputs, outputs):
@@ -163,6 +165,39 @@ class TestMemory:
         interp = Interpreter(builtin.ModuleOp([kernel]))
         (address,) = interp.call("kernel")
         assert interp.buffer_at(address).shape == (4,)
+
+    def test_dealloc_drops_the_pointer(self):
+        kernel, b = make_kernel([], [index])
+        buffer = b.insert(memref.AllocOp(MemRefType([4], f64))).memref
+        address = b.insert(memref.ExtractAlignedPointerAsIndexOp(buffer)).result
+        b.insert(memref.DeallocOp(buffer))
+        b.insert(func.ReturnOp([address]))
+        interp = Interpreter(builtin.ModuleOp([kernel]))
+        (address,) = interp.call("kernel")
+        with pytest.raises(InterpreterError, match="unknown address"):
+            interp.buffer_at(address)
+
+    def test_walked_halo_exchanges_release_their_buffers(self):
+        """Each lowered ``MPI_*`` exchange allocates send and receive buffers
+        and frees them after the waitall: the registry must not grow with
+        the step count."""
+        program = compile_stencil_program(
+            build_jacobi_module(n=16), dmp_target((2,), lower_to_library_calls=True)
+        )
+
+        def registry_after(steps):
+            world = SimulatedMPI(2, timeout=10.0)
+            walkers = [None, None]
+
+            def body(comm):
+                walker = walkers[comm.rank] = Interpreter(program.module, comm=comm)
+                walker.call("kernel", np.zeros(18), np.zeros(18), steps)
+
+            world.run_spmd(body)
+            return [len(walker._memory_registry) for walker in walkers]
+
+        short, long = registry_after(2), registry_after(20)
+        assert all(after <= before for after, before in zip(long, short))
 
 
 class TestErrors:

@@ -241,3 +241,41 @@ def test_every_operation_is_built_by_the_program():
 
 def test_every_operation_name_in_the_source_exists():
     assert dangling_operation_names() == []
+
+
+# -- configuration ------------------------------------------------------------
+# ExecutionConfig holds what a caller decides, so every field must be decided
+# by some caller of the program: passed by keyword to one of the calls that
+# take config fields, somewhere in ``src/`` or ``benchmarks/``.  Tests and
+# examples do not count; a field only they set is one the program decides.
+
+CONFIG = SRC / "repro" / "core" / "config.py"
+
+#: The calls that take ExecutionConfig fields as keywords.
+_CONFIG_CALLS = {"ExecutionConfig", "Session", "plan", "replace", "Server", "submit"}
+
+
+def config_fields() -> list[str]:
+    cls = next(node for node in _tree(CONFIG).body
+               if isinstance(node, ast.ClassDef) and node.name == "ExecutionConfig")
+    return [statement.target.id for statement in cls.body
+            if isinstance(statement, ast.AnnAssign)]
+
+
+def unset_config_fields() -> list[str]:
+    passed: set[str] = set()
+    for directory in (SRC, ROOT / "benchmarks"):
+        for path in directory.rglob("*.py"):
+            for node in ast.walk(_tree(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(
+                    callee, "attr", None)
+                if name in _CONFIG_CALLS:
+                    passed |= {keyword.arg for keyword in node.keywords}
+    return sorted(set(config_fields()) - passed)
+
+
+def test_every_config_field_is_set_by_the_program():
+    assert unset_config_fields() == []

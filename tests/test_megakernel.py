@@ -121,19 +121,11 @@ class TestCodegenConfig:
         """One field decides walker vs megakernel: "planned" sets it."""
         config = ExecutionConfig(codegen="planned")
         assert config.backend == "interpreter" and not codegen_wanted(config)
-        assert not config.resolved_overlap()
 
     def test_vectorized_is_not_a_backend(self):
         """Fusion is counted (``megakernel.*``, ``walked_nests``), not forced."""
         with pytest.raises(ExecutionError, match="unknown execution backend"):
             ExecutionConfig(backend="vectorized")
-
-    @pytest.mark.parametrize("walker", [
-        {"backend": "interpreter"}, {"codegen": "planned"},
-    ])
-    def test_walker_rejects_forced_overlap(self, walker):
-        with pytest.raises(ExecutionError, match="overlap_halos=True conflicts"):
-            ExecutionConfig(overlap_halos=True, **walker)
 
 
 # ---------------------------------------------------------------------------
@@ -158,36 +150,32 @@ WORLDS = {
 
 
 @pytest.mark.parametrize("threads_per_rank", [1, 2])
-@pytest.mark.parametrize("overlap", [None, False], ids=["overlap-on", "overlap-off"])
 @pytest.mark.parametrize("codegen", ["auto", "planned"])
 @pytest.mark.parametrize("world", [
     "local", "threads", pytest.param("processes", marks=needs_processes),
 ])
 def test_every_tier_matches_the_interpreter_loop(
-    session, world, codegen, overlap, threads_per_rank
+    session, world, codegen, threads_per_rank
 ):
-    """Every (world, codegen, overlap, team) cell == the flat tree walker of
-    the thread world: fields and both statistics."""
+    """Every (world, codegen, team) cell == the flat tree walker of the
+    thread world, whose ``dmp.swap`` blocks: fields and both statistics."""
     compile_program, make_fields, steps = WORLDS[world]
     program = compile_program()
     base_fields = make_fields()
     baseline = session.run(
-        program, base_fields, [steps],
-        runtime="threads", codegen="planned", overlap_halos=overlap,
+        program, base_fields, [steps], runtime="threads", codegen="planned",
     )
-    if overlap is False:
-        assert all(s.halo_swaps_overlapped == 0 for s in baseline.statistics)
+    assert all(s.halo_swaps_overlapped == 0 for s in baseline.statistics)
     plan = session.plan(
         program, runtime="threads" if world == "local" else world,
-        codegen=codegen, overlap_halos=overlap,
-        threads_per_rank=threads_per_rank,
+        codegen=codegen, threads_per_rank=threads_per_rank,
     )
     for repeat in range(3):  # repeated runs reuse the kernel and must agree
         fields = make_fields()
         result = plan.run(fields, [steps])
         for mine, theirs in zip(fields, base_fields):
             assert np.array_equal(mine, theirs), (
-                f"{world} {codegen} overlap={overlap} x{threads_per_rank} "
+                f"{world} {codegen} x{threads_per_rank} "
                 f"repeat {repeat}: fields diverged from the tree walker"
             )
         assert _walker_view(result.statistics) == _walker_view(baseline.statistics)

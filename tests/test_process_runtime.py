@@ -288,22 +288,22 @@ def test_receive_from_a_dead_peer_raises_within_the_timeout():
 
 @needs_processes
 @pytest.mark.parametrize("codegen", ["auto", "planned"])
-@pytest.mark.parametrize("overlap", [None, False], ids=["overlap-on", "overlap-off"])
 @pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
 @pytest.mark.parametrize("rank_grid", [(2, 2), (4, 1)], ids=["2x2", "4x1"])
-def test_heat_kernel_runtime_parity(rank_grid, lower, overlap, codegen):
+def test_heat_kernel_runtime_parity(rank_grid, lower, codegen):
     program = _compile_heat(rank_grid, lower_to_library_calls=lower)
-    config = dict(overlap_halos=overlap, codegen=codegen)
     a0, a1 = _heat_fields()
-    threads_result = _run(program, [a0, a1], [3], runtime="threads", **config)
+    threads_result = _run(program, [a0, a1], [3], runtime="threads", codegen=codegen)
     b0, b1 = _heat_fields()
-    processes_result = _run(program, [b0, b1], [3], runtime="processes", **config)
+    processes_result = _run(
+        program, [b0, b1], [3], runtime="processes", codegen=codegen
+    )
 
     assert processes_result.runtime == "processes"
     for result in (threads_result, processes_result):
         overlapped = [s.halo_swaps_overlapped for s in result.statistics]
         # The tree walker and the mpi-lowered path never overlap.
-        if overlap is False or lower or codegen == "planned":
+        if lower or codegen == "planned":
             assert overlapped == [0] * len(overlapped)
         else:
             assert all(count > 0 for count in overlapped)
@@ -335,11 +335,68 @@ def test_one_sided_halo_is_fed_by_both_neighbours(runtime, lower):
     result = _run(
         compile_stencil_program(
             module(), dmp_target((2,), lower_to_library_calls=lower)),
-        got, [2], runtime=runtime, margin=(1,), timeout=20.0,
+        got, [2], runtime=runtime, timeout=20.0,
     )
     assert result.runtime == runtime
     assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
     assert result.messages_sent == 2 * 2  # both directions, both steps
+
+
+def _wide_field_module():
+    """Fields with two ghost cells a side, a stencil that reads only ±1."""
+    builder = StencilProgramBuilder(shape=(8, 8), halo=2, dtype="f64")
+    u, v = builder.add_field("u"), builder.add_field("v")
+    builder.add_stencil([u], v, lambda expr: expr.mul(
+        expr.constant(0.25),
+        expr.add(
+            expr.add(expr.access(0, [-1, 0]), expr.access(0, [1, 0])),
+            expr.add(expr.access(0, [0, -1]), expr.access(0, [0, 1])),
+        ),
+    ))
+    builder.swap(u, v)
+    return builder.build()
+
+
+def _wide_fields():
+    initial = np.random.default_rng(7).standard_normal((12, 12))
+    return [initial, initial * 0.5]
+
+
+@pytest.mark.parametrize("lower", [False, True], ids=["dmp-swap", "mpi-calls"])
+@pytest.mark.parametrize("rank_grid", [(2, 1), (1, 2)], ids=["2x1", "1x2"])
+@pytest.mark.parametrize("runtime", [
+    "threads", pytest.param("processes", marks=needs_processes)])
+def test_field_margin_wider_than_the_halo(runtime, rank_grid, lower):
+    """A global array is laid out as its field's bounds, not as the halo the
+    stencil reads: margin 2, halo 1, no margin passed anywhere."""
+    want = _wide_fields()
+    _run(compile_stencil_program(_wide_field_module(), cpu_target()), want, [3])
+    program = compile_stencil_program(
+        _wide_field_module(), dmp_target(rank_grid, lower_to_library_calls=lower)
+    )
+    assert program.distribution.margin_lower == (2, 2)
+    assert program.distribution.margin_upper == (2, 2)
+    assert program.distribution.local_domain.halo_lower == (1, 1)
+    got = _wide_fields()
+    result = _run(program, got, [3], runtime=runtime, timeout=20.0)
+    assert result.runtime == runtime
+    assert [field.tobytes() for field in got] == [field.tobytes() for field in want]
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (14, 14), (12, 12, 1), (12,)],
+                         ids=["halo-sized", "too-wide", "extra-dim", "flat"])
+@pytest.mark.parametrize("runtime", [
+    "threads", pytest.param("processes", marks=needs_processes)])
+def test_global_array_of_the_wrong_shape_is_rejected(runtime, shape):
+    """Before any rank starts, and with the field bounds in the message."""
+    program = compile_stencil_program(_wide_field_module(), dmp_target((2, 1)))
+    fields = [np.zeros((12, 12)), np.zeros(shape)]
+    with Session(runtime=runtime) as session:
+        plan = session.plan(program)
+        with pytest.raises(ExecutionError, match=r"field 1 has shape .*\(12, 12\)"):
+            plan.run(fields, [1])
+        assert session.metrics.get("runs", 0) == 0
+        plan.run(_wide_fields(), [1])  # the plan still serves a good layout
 
 
 @needs_processes
@@ -357,7 +414,7 @@ def test_codegen_fallbacks_reported_like_the_thread_world(monkeypatch):
     """... and so does a rejection: codegen never fails silently."""
     import repro.core.rank as rank_module
 
-    def untraceable(func_op, kernel, overlap):
+    def untraceable(func_op, kernel):
         raise CodegenError("untraceable on purpose")
 
     # Workers forked by the Sessions below inherit the patch.

@@ -305,13 +305,13 @@ def _compiled_worlds():
             yield budget
 
 
-def _run_tiers(program, make_fields, steps, **config):
+def _run_tiers(program, make_fields, steps):
     """Run every tier; assert fields, Exec and Comm statistics all agree."""
 
     def run(tier):
         fields = make_fields()
         result = default_session().run(
-            program, fields, [steps], runtime="threads", **config, **tier)
+            program, fields, [steps], runtime="threads", **tier)
         # Two counters describe *how* a tier ran, not what it computed:
         # the tree walker dispatches ops per cell and never overlaps a
         # halo exchange.  The compiled tiers must agree on both.
@@ -520,10 +520,9 @@ class TestNestEmitterDifferential:
                 for _ in range(spec["fields"])
             ]
 
-        # The global arrays carry the builder's full halo on every side, also
+        # The global arrays are laid out as the builder's field bounds, also
         # where the decomposition found a narrower (one-sided) access halo.
-        _run_tiers(
-            program, make_fields, spec["steps"], margin=(spec["halo"],) * ndim)
+        _run_tiers(program, make_fields, spec["steps"])
 
     # -- hand-built nests: what the OEC builder cannot reach -----------------
 

@@ -7,6 +7,7 @@ counters), held-plan parity against one-shot ``Session.run`` across the
 runtime-fallback warning.
 """
 
+import dataclasses
 import threading
 import time
 import warnings
@@ -66,7 +67,12 @@ class TestExecutionConfig:
     def test_defaults_valid(self):
         config = ExecutionConfig()
         assert config.backend == "auto" and config.runtime == "threads"
-        assert config.resolved_overlap() is True
+
+    def test_holds_only_what_a_caller_decides(self):
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == [
+            "backend", "runtime", "codegen", "threads_per_rank", "timeout",
+            "trace",
+        ]
 
     def test_bad_backend(self):
         with pytest.raises(ExecutionError, match="unknown execution backend"):
@@ -81,35 +87,10 @@ class TestExecutionConfig:
         with pytest.raises(ExecutionError, match="threads_per_rank"):
             ExecutionConfig(threads_per_rank=threads)
 
-    @pytest.mark.parametrize("ranks", [0, -2, 2.5])
-    def test_bad_ranks(self, ranks):
-        with pytest.raises(ExecutionError, match="ranks"):
-            ExecutionConfig(ranks=ranks)
-
     @pytest.mark.parametrize("timeout", [0, -3, "fast"])
     def test_bad_timeout(self, timeout):
         with pytest.raises(ExecutionError, match="timeout"):
             ExecutionConfig(timeout=timeout)
-
-    def test_conflicting_overlap_flags(self):
-        with pytest.raises(ExecutionError, match="overlap_halos.*interpreter"):
-            ExecutionConfig(backend="interpreter", overlap_halos=True)
-
-    def test_overlap_auto_resolution(self):
-        assert ExecutionConfig(backend="interpreter").resolved_overlap() is False
-        assert ExecutionConfig(backend="auto").resolved_overlap() is True
-        assert ExecutionConfig(overlap_halos=False).resolved_overlap() is False
-
-    def test_bad_overlap_value(self):
-        with pytest.raises(ExecutionError, match="overlap_halos"):
-            ExecutionConfig(overlap_halos="sometimes")
-
-    def test_negative_margin(self):
-        with pytest.raises(ExecutionError, match="margin"):
-            ExecutionConfig(margin=(1, -1))
-
-    def test_margin_normalized_to_ints(self):
-        assert ExecutionConfig(margin=[2.0, 3]).margin == (2, 3)
 
     def test_replace_revalidates(self):
         config = ExecutionConfig()
@@ -121,11 +102,31 @@ class TestExecutionConfig:
         with pytest.raises(ExecutionError, match="unknown ExecutionConfig field"):
             ExecutionConfig().replace(nranks=4)
 
-    def test_plan_rejects_rank_mismatch(self):
-        program = _compile_heat((2, 2))
+    #: Fields the program decides: the rank count comes from its rank grid,
+    #: the array layout from its field bounds, overlap from what the
+    #: megakernel proves safe; warming up is ``Session.warmup``.
+    DELETED = {"overlap_halos": False, "warm_start": True, "ranks": 2,
+               "margin": (1, 1)}
+
+    @pytest.mark.parametrize("name", sorted(DELETED))
+    def test_deleted_field_is_unknown_to_session(self, name):
+        with pytest.raises(ExecutionError, match="unknown ExecutionConfig field"):
+            Session(**{name: self.DELETED[name]})
+
+    @pytest.mark.parametrize("name", sorted(DELETED))
+    def test_deleted_field_is_unknown_to_replace(self, name):
+        with pytest.raises(ExecutionError, match="unknown ExecutionConfig field"):
+            ExecutionConfig().replace(**{name: self.DELETED[name]})
+
+    @pytest.mark.parametrize("name", sorted(DELETED))
+    def test_deleted_field_is_unknown_to_plan(self, name):
+        program = _compile_heat((2, 1))
         with Session() as session:
-            with pytest.raises(ExecutionError, match="rank grid"):
-                session.plan(program, config=ExecutionConfig(ranks=3))
+            with pytest.raises(
+                ExecutionError, match="unknown ExecutionConfig field"
+            ):
+                session.plan(program, **{name: self.DELETED[name]})
+            assert not session._plans
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,8 @@ def test_no_fallback_warning_when_runtime_honoured():
 
 def test_threads_warmup_prespawns_executor_and_team():
     program = _compile_heat((2, 1))
-    with Session(runtime="threads", ranks=2, threads_per_rank=2) as session:
-        session.warmup()
+    with Session(runtime="threads", threads_per_rank=2) as session:
+        session.warmup(program)  # two ranks: the program's rank grid
         assert session.counters.warmups == 1
         assert session.counters.rank_executors_created == 1
         assert session.counters.thread_teams_created == 1
@@ -325,11 +326,6 @@ def test_threads_warmup_prespawns_executor_and_team():
         # The first run found everything already spawned.
         assert session.counters.rank_executors_created == 1
         assert session.counters.thread_teams_created == 1
-
-
-def test_warm_start_config_warms_on_enter():
-    with Session(ranks=2, warm_start=True) as session:
-        assert session.counters.warmups == 1
 
 
 @needs_processes
