@@ -180,6 +180,20 @@ class ExchangeAttr(Attribute):
         return f"#dmp.exchange<{self.print_parameters(None)}>"
 
 
+def declared_exchanges(op: Operation) -> Optional[tuple[GridAttr, list[ExchangeAttr]]]:
+    """The ``grid`` and ``swaps`` attributes ``op`` carries, if it has both.
+
+    A ``dmp.swap`` carries them, and so does the ``mpi.allocate_requests``
+    of each message group ``convert-dmp-to-mpi`` lowers a swap to: one
+    declaration, whichever spelling of the exchange runs.
+    """
+    grid = op.attributes.get("grid")
+    swaps = op.attributes.get("swaps")
+    if not isinstance(grid, GridAttr) or not isinstance(swaps, ArrayAttr):
+        return None
+    return grid, [swap for swap in swaps if isinstance(swap, ExchangeAttr)]
+
+
 class SwapOp(Operation):
     """Exchange the declared halo regions of ``data`` with neighbouring ranks."""
 
@@ -205,15 +219,11 @@ class SwapOp(Operation):
 
     @property
     def grid(self) -> GridAttr:
-        attr = self.attributes["grid"]
-        assert isinstance(attr, GridAttr)
-        return attr
+        return declared_exchanges(self)[0]
 
     @property
     def swaps(self) -> list[ExchangeAttr]:
-        attr = self.attributes["swaps"]
-        assert isinstance(attr, ArrayAttr)
-        return [swap for swap in attr if isinstance(swap, ExchangeAttr)]
+        return declared_exchanges(self)[1]
 
     def total_exchanged_elements(self) -> int:
         return sum(swap.element_count() for swap in self.swaps)

@@ -420,7 +420,12 @@ class BarrierOp(Operation):
 
 
 class AllocateRequestsOp(Operation):
-    """Allocate an array of MPI_Request handles (friction-reducing helper op)."""
+    """Allocate an array of MPI_Request handles (friction-reducing helper op).
+
+    The one ``convert-dmp-to-mpi`` emits for a swap also carries the swap's
+    ``grid`` and ``swaps`` attributes (:func:`repro.dialects.dmp.
+    declared_exchanges`), which a megakernel fuses the group by.
+    """
 
     name = "mpi.allocate_requests"
 

@@ -19,8 +19,10 @@ Lowered programs are executed by two engines:
   statements — :func:`repro.interp.vectorize.emit_nest` is the one emitter
   of those: in place (``out=`` into a few scratch slots, the last op into
   the target region) and, for boxes over a cell budget, block by block so
-  the expression DAG stays in cache.  Everything else is an *island*: the
-  tree walker runs it in place, in program order.
+  the expression DAG stays in cache.  A ``dmp.swap``, and the ``MPI_*``
+  message group ``convert-dmp-to-mpi`` lowers one to, are swap steps whose
+  halos are posted and landed around those statements.  Everything else is
+  an *island*: the tree walker runs it in place, in program order.
 
 Selection rules
 ---------------

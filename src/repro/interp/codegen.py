@@ -17,14 +17,24 @@ communicator, tracer and statistics.  Its environment maps the traced values
 the island reads to their current ones (the rotating buffers, the step),
 and what islands and fused reductions produce lives in the kernel's
 ``_env``, where later islands and nests read it.  In-flight halos land before
-an island runs.  Islands are what the lowered ``MPI_*`` halo group,
-``gpu.host_synchronize``, ``hls.dataflow``, request bookkeeping, scalar
-arithmetic, ops around the time loop and nests the vectorizer rejects become.
+an island runs.  Islands are what ``gpu.host_synchronize``, ``hls.dataflow``,
+MPI calls outside a lowered swap, scalar arithmetic, ops around the time loop
+and nests the vectorizer rejects become.
+
+A halo exchange has two spellings and one plan.  A ``dmp.swap`` is a swap
+step; so is the message group ``convert-dmp-to-mpi`` lowers one to (rank
+query, request array, packing copies, ``MPI_Isend``/``MPI_Irecv``,
+``MPI_Waitall``, unpacking copies), found by :func:`_message_groups` from the
+swap declaration its request array keeps.  Both post and land through
+:func:`~repro.interp.interpreter.post_swap` / ``complete_swap`` with the same
+:class:`~repro.interp.interpreter.SwapMessagePlan`, so both emit the same
+kernel, hoisted statistics aside (the walker of the ``MPI_*`` form counts
+messages, not ``halo_swaps`` or halo elements).
 
 Halo exchanges overlap compute wherever ``CompiledNest._plan_overlap`` proves
 it safe: a nest's interior runs while its halos are in flight and its
 boundary strips after they land.  There is no switch to turn that off; the
-tree walker, whose ``dmp.swap`` blocks, is the blocking reference.
+tree walker, whose exchanges block, is the blocking reference.
 
 The discipline mirrors the interpreter exactly:
 
@@ -41,7 +51,7 @@ The discipline mirrors the interpreter exactly:
   rank's :class:`~repro.interp.thread_team.ThreadTeam`;
 * swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
   and the exchange itself is the interpreter's ``post_swap`` /
-  ``complete_swap`` pair, called directly;
+  ``complete_swap`` pair, called directly, for either spelling;
 * every statistics counter of a fused op is *statically hoisted*: the
   emitted function adds ``once + trips * per_iteration`` to each field up
   front; islands count their own ops as they walk them.  Fields and
@@ -71,7 +81,7 @@ import numpy as np
 
 from ..dialects import arith, builtin, dmp, func, omp, scf
 from ..ir.attributes import FloatAttr, IntegerAttr
-from ..ir.core import Operation, SSAValue
+from ..ir.core import OpResult, Operation, SSAValue
 from ..ir.types import IntegerType
 from .interpreter import (
     Interpreter,
@@ -191,8 +201,10 @@ class MegakernelTrace:
 
     ``pre``, ``body`` and ``post`` hold the steps before, inside and after
     the time loop (without one, everything is ``body``, run once):
-    ``("swap", op, src_sym, ordinal)``, ``("nest", op, nest, base_syms)``
-    and ``("island", island, input_syms)`` records in program order.  The
+    ``("swap", op, src_sym, ordinal)`` (``op`` is the ``dmp.swap`` or the
+    request array of its lowered message group), ``("nest", op, nest,
+    base_syms)`` and ``("island", island, input_syms)`` records in program
+    order.  The
     in-flight halo bookkeeping (prefix completion before a swap of the same
     buffer, overlap decisions at each nest, completion before an island and
     at the end of a segment) is replayed by the emitter against the concrete
@@ -233,12 +245,99 @@ def trace_program(func_op, kernel: CompiledKernel) -> MegakernelTrace:
     is not a compiled nest; its bounds must be constants or function
     arguments, its step a positive constant, and the values it carries a
     permutation of distinct buffer arguments.  Every op is fused — constants,
-    casts, ``dmp.swap`` of a buffer argument, OpenMP structure, compiled
+    casts, ``dmp.swap`` of a buffer argument or the message group lowered
+    from one, OpenMP structure, compiled
     nests whose geometry is an emit-time constant — or walked as part of an
     island.  Raises :class:`CodegenError` (with the fallback reason) when the
     function does not have that shape.
     """
     return _Tracer(func_op, kernel).trace()
+
+
+#: The ops ``convert-dmp-to-mpi`` (and ``convert-mpi-to-llvm`` after it)
+#: emits for one ``dmp.swap``, at any depth, besides ``arith`` and calls to
+#: ``MPI_*``.
+_GROUP_OPS = frozenset({
+    "mpi.comm_rank", "mpi.allocate_requests", "mpi.get_request",
+    "mpi.set_null_request", "mpi.unwrap_memref", "mpi.isend", "mpi.irecv",
+    "mpi.waitall", "memref.alloc", "memref.dealloc", "memref.subview",
+    "memref.copy", "memref.extract_aligned_pointer_as_index", "llvm.inttoptr",
+    "scf.if", "scf.yield",
+})
+
+
+def _lowered_swap_kind(op: Operation) -> bool:
+    if isinstance(op, func.CallOp):
+        return op.callee.startswith("MPI_")
+    return op.name in _GROUP_OPS or op.name.startswith("arith.")
+
+
+def _message_groups(ops: list[Operation]) -> dict[int, tuple]:
+    """The message groups ``convert-dmp-to-mpi`` lowered swaps to, in ``ops``.
+
+    Returns ``{start: (stop, request array op, values read from outside)}``
+    for every group :func:`_message_group` finds.
+    """
+    position = {op: index for index, op in enumerate(ops)}
+    groups: dict[int, tuple] = {}
+    for anchor in ops:
+        if anchor.name == "mpi.allocate_requests" \
+                and dmp.declared_exchanges(anchor) is not None:
+            group = _message_group(anchor, ops, position)
+            if group is not None:
+                groups[group[0]] = group[1:]
+    return groups
+
+
+def _message_group(anchor: Operation, ops: list[Operation],
+                   position: dict) -> Optional[tuple]:
+    """The group grown from the request array ``anchor``, or None.
+
+    The group grows along def-use edges: it takes in the user of every value
+    it defines, and the definer of every value it reads unless that is a
+    constant or not of a lowered-swap kind (the swapped buffer's cast).  It
+    is one when it holds that one request array and lowered-swap ops only,
+    and spans ``ops[start:stop]`` with nothing else in between but
+    constants.  Returns ``(start, stop, anchor, values read from outside)``.
+    """
+    def top(op: Operation) -> Optional[Operation]:
+        """The op of ``ops`` that holds ``op`` (None: not in this block)."""
+        while op is not None and op not in position:
+            op = op.parent_op
+        return op
+
+    members, todo = {anchor}, [anchor]
+    defined: set[SSAValue] = set()
+    read: set[SSAValue] = set()
+    while todo:
+        for inner in todo.pop().walk():
+            if not _lowered_swap_kind(inner):
+                return None
+            linked = {
+                top(use.operation) for result in inner.results
+                for use in result.uses
+            }
+            for operand in inner.operands:
+                definer = top(operand.op) if isinstance(operand, OpResult) else None
+                if definer is not None and _lowered_swap_kind(definer) \
+                        and not isinstance(definer, arith.ConstantOp):
+                    linked.add(definer)
+            if None in linked:
+                return None  # a value used outside the block
+            defined.update(inner.results)
+            for region in inner.regions:
+                for block in region.blocks:
+                    defined.update(block.args)
+            read.update(inner.operands)
+            todo.extend(linked - members)
+            members |= linked
+    span = sorted(position[op] for op in members)
+    first, stop = span[0], span[-1] + 1
+    if sum(op.name == "mpi.allocate_requests" for op in members) != 1 \
+            or not all(op in members or isinstance(op, arith.ConstantOp)
+                       for op in ops[first:stop]):
+        return None
+    return first, stop, anchor, read - defined
 
 
 class _Tracer:
@@ -366,7 +465,15 @@ class _Tracer:
 
     def _trace_ops(self, ops: list[Operation]) -> None:
         self._flush()
-        for op in ops:
+        groups = _message_groups(ops)
+        index = 0
+        while index < len(ops):
+            group = groups.get(index)
+            if group is not None and self._fuse_group(ops[index:group[0]], *group[1:]):
+                index = group[0]
+                continue
+            op = ops[index]
+            index += 1
             if self._fuse(op):
                 self.counts["ops_executed"] += 1
             else:
@@ -377,6 +484,33 @@ class _Tracer:
                 for result in op.results:
                     self.sym[result] = ("env",)
         self._flush()
+
+    def _fuse_group(self, ops: list[Operation], anchor: Operation,
+                    reads: set) -> bool:
+        """Fuse one lowered swap's message group as a swap step of its buffer.
+
+        ``ops`` is the group's span, constants it shares with its neighbours
+        included (they fuse as anywhere); ``reads`` are the values it takes
+        from outside.  Besides constants that must be exactly one buffer:
+        the swapped array.  False leaves the ops to walk.
+        """
+        shared = [op for op in ops if isinstance(op, arith.ConstantOp)]
+        local = {op.results[0] for op in shared}
+        data = [
+            value for value in reads
+            if value not in local and self.sym.get(value, ("env",))[0] != "const"
+        ]
+        if len(data) != 1 or self.sym.get(data[0], ("env",))[0] not in _BUFFERS \
+                or any(self._constant_literal(op) is None for op in shared):
+            return False
+        for op in shared:
+            self._fuse(op)
+        # The walker counts the group's messages, not a dmp.swap: the step
+        # hoists no ``halo_swaps``.  The group counts as one op.
+        self.counts["ops_executed"] += len(shared) + 1
+        self._append(("swap", anchor, self.sym[data[0]], self.swaps))
+        self.swaps += 1
+        return True
 
     def _append(self, step: tuple) -> None:
         self._flush()
@@ -792,16 +926,17 @@ class _MegakernelEmitter:
         emit = counts is not None
         self.lines = []
         actions: list[tuple] = []
-        # In-flight swaps: (ordinal, unposted PendingHalo), in posting order.
+        # In-flight swaps: (ordinal, unposted PendingHalo, elements the
+        # walker counts landing), in posting order.
         inflight: list[tuple] = []
 
         def complete(count: int, overlapped: bool) -> None:
             """Land the first ``count`` in-flight halos, in posting order."""
-            for ordinal, halo in inflight[:count]:
+            for ordinal, _, elements in inflight[:count]:
                 actions.append(("complete", ordinal, overlapped))
                 if emit:
                     self._spanned("halo.wait", f"_cm(_comm, _h{ordinal})")
-                    counts["halo_elements_exchanged"] += halo.plan.elements
+                    counts["halo_elements_exchanged"] += elements
                     if overlapped:
                         counts["halo_swaps_overlapped"] += 1
             del inflight[:count]
@@ -815,7 +950,7 @@ class _MegakernelEmitter:
                 # reuse direction tags: land the prefix of halos up to the
                 # last one sharing this buffer, before re-posting it.
                 last = max(
-                    (index for index, (_, halo) in enumerate(inflight)
+                    (index for index, (_, halo, _) in enumerate(inflight)
                      if halo.array is array or np.shares_memory(halo.array, array)),
                     default=-1,
                 )
@@ -830,7 +965,9 @@ class _MegakernelEmitter:
                         f"_ctx[{self._add_ctx(plan)}])",
                     )
                     counts["mpi_messages"] += len(plan.sends)
-                inflight.append((ordinal, PendingHalo(array, plan)))
+                # A lowered group's walker counts messages, not halo elements.
+                elements = plan.elements if isinstance(op, dmp.SwapOp) else 0
+                inflight.append((ordinal, PendingHalo(array, plan), elements))
             elif step[0] == "island":
                 _, island, syms = step
                 complete(len(inflight), overlapped=False)
@@ -873,7 +1010,7 @@ class _MegakernelEmitter:
             )
             overlap_plan = None
             if inflight:
-                halos = [halo for _, halo in inflight]
+                halos = [halo for _, halo, _ in inflight]
                 plan = nest._plan_overlap(env, dims, resolved, halos)
                 if plan is None:
                     complete(len(inflight), overlapped=False)

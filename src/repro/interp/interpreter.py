@@ -897,7 +897,8 @@ class SwapMessagePlan:
     holds ``(recv_slice, neighbor, tag, elements, axis)``
     records, in the exchange order of the op.  Computed once per (op, rank)
     it parameterizes both the interpreter's swap handler and the emitted
-    megakernel's posted exchanges, guaranteeing identical slices and tags.
+    megakernel's posted exchanges, guaranteeing identical slices and tags —
+    for a ``dmp.swap`` and for the ``MPI_*`` group lowered from one alike.
     """
 
     __slots__ = ("sends", "receives", "elements")
@@ -909,12 +910,16 @@ class SwapMessagePlan:
         self.elements = sum(record[3] for record in receives)
 
 
-def swap_message_plan(op: "dmp.SwapOp", rank: int) -> SwapMessagePlan:
-    """Resolve the send/receive geometry of ``op`` for one rank."""
-    grid = op.grid
+def swap_message_plan(op: Operation, rank: int) -> SwapMessagePlan:
+    """Resolve the send/receive geometry ``op`` declares for one rank.
+
+    ``op`` is a ``dmp.swap`` or the request array of its lowered group
+    (:func:`repro.dialects.dmp.declared_exchanges`).
+    """
+    grid, exchanges = dmp.declared_exchanges(op)
     sends: list = []
     receives: list = []
-    for exchange in op.swaps:
+    for exchange in exchanges:
         neighbor = grid.neighbor_of(rank, exchange.neighbor)
         if neighbor is None:
             continue

@@ -15,6 +15,13 @@ of the received halo regions back into the local buffer.
 Message tags are :meth:`~repro.dialects.dmp.ExchangeAttr.travel_tag` — the
 rule a natively executed ``dmp.swap`` uses too — so the send of one rank
 matches the receive of its neighbour.
+
+The group keeps the swap's declaration: its ``mpi.allocate_requests`` carries
+the swap's ``grid`` and ``swaps`` attributes
+(:func:`~repro.dialects.dmp.declared_exchanges`).  The tree walker ignores
+them and runs the group op by op; a megakernel fuses the whole group back
+into one swap step of the same :class:`~repro.interp.interpreter.
+SwapMessagePlan`, which overlaps compute like a ``dmp.swap`` does.
 """
 
 from __future__ import annotations
@@ -56,7 +63,11 @@ class _SwapLowering:
 
         rank = self.builder.insert(mpi.CommRankOp()).rank
         request_count = 2 * len(self.exchanges)
-        requests = self.builder.insert(mpi.AllocateRequestsOp(request_count)).requests
+        allocate = mpi.AllocateRequestsOp(request_count)
+        allocate.attributes.update(
+            grid=self.grid, swaps=self.swap.attributes["swaps"]
+        )
+        requests = self.builder.insert(allocate).requests
 
         in_bounds_flags: list[SSAValue] = []
         recv_buffers: list[SSAValue] = []

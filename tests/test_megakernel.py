@@ -5,10 +5,11 @@ once and emits a single fused Python function, walking in place what it
 cannot fuse.  These tests pin its contract: the generated function is
 *bit-identical* to the tree walker — fields, ExecStatistics and
 CommStatistics, up to the two counters that say how a run went — across the
-{local, threads, processes} x {auto, planned} x {overlap on, off} x {1, 2
-threads_per_rank} matrix; every traffic class of the stack engages it; and
-every rejection (trace-time or emit-time) carries an explicit fallback
-reason string.
+{local, threads, processes} x {auto, planned} x {1, 2 threads_per_rank}
+matrix; every traffic class of the stack engages it; a swap fuses the same
+way in both its spellings (``dmp.swap`` and the ``MPI_*`` group lowered from
+it); and every rejection (trace-time or emit-time) carries an explicit
+fallback reason string.
 """
 
 import dataclasses
@@ -40,6 +41,8 @@ from repro.interp import (
 )
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.runtime import processes_available
+from repro.transforms.distribute import ConvertDMPToMPIPass
+from repro.transforms.mpi import ConvertMPIToFuncPass
 from repro.workloads import (
     acoustic_wave,
     heat_diffusion,
@@ -499,23 +502,93 @@ def test_a_nest_after_the_time_loop_reads_its_results(steps):
     assert _walker_view([stats]) == _walker_view([walker.stats])
 
 
-def test_the_lowered_mpi_group_is_walked_and_its_nests_fused():
-    """dmp -> mpi -> MPI_* calls: the library calls are islands run by the
-    rank's tree walker each step; the compute nest is fused."""
+def _unhoisted(source: str) -> str:
+    """A megakernel's source without its hoisted statistics."""
+    return "\n".join(
+        line for line in source.splitlines() if not line.lstrip().startswith("_stats.")
+    )
+
+
+def test_the_lowered_mpi_group_fuses_as_a_swap_step():
+    """dmp -> mpi -> MPI_* calls: the message group of the swap fuses back
+    into one swap step of the same plan, so both spellings emit the same
+    kernel, up to the statistics each one's walker counts."""
+    swapped = _heat(dmp_target((2, 1)))
+    lowered = _heat(dmp_target((2, 1), lower_to_library_calls=True))
+    trace = trace_program(
+        lowered.functions["kernel"], lowered.compiled_kernel("kernel"))
+    assert [step[0] for step in trace.body] == ["swap", "nest"]
+    assert not trace.has_islands
+    fields, results = {}, {}
+    for name, program in (("swapped", swapped), ("lowered", lowered)):
+        fields[name] = _heat_fields()
+        with Session(runtime="threads") as session:
+            results[name] = session.run(program, fields[name], [3])
+            assert_engaged(session, program, 2)
+    for mine, theirs in zip(fields["lowered"], fields["swapped"]):
+        assert mine.tobytes() == theirs.tobytes()
+    sources = {
+        name: sorted((k.label, _unhoisted(k.source)) for k in _megakernels(program))
+        for name, program in (("swapped", swapped), ("lowered", lowered))
+    }
+    assert len(sources["lowered"]) == 2
+    assert sources["lowered"] == sources["swapped"]
+    for stats in results["lowered"].statistics:
+        # One overlapped exchange per step; the walker of the MPI_* form
+        # counts its messages, not a dmp.swap.
+        assert stats.halo_swaps_overlapped == 3 and stats.mpi_messages == 3
+        assert stats.halo_swaps == stats.halo_elements_exchanged == 0
+
+
+@pytest.mark.parametrize("calls", [False, True], ids=["mpi-ops", "MPI-calls"])
+def test_both_forms_of_the_message_group_fuse(calls):
+    """The group fuses as the mpi dialect and as ``MPI_*`` calls, also with
+    its constants left inline among its ops (no loop-invariant motion ran
+    after the lowering here)."""
+    program = _heat(dmp_target((2, 1)))
+    ConvertDMPToMPIPass().apply(program.module)
+    if calls:
+        ConvertMPIToFuncPass().apply(program.module)
+    trace = trace_program(
+        program.functions["kernel"], program.compiled_kernel("kernel"))
+    assert [step[0] for step in trace.body] == ["swap", "nest"]
+    fields, walked = _heat_fields(), _heat_fields()
+    with Session(runtime="threads") as session:
+        result = session.run(program, fields, [3])
+        assert_engaged(session, program, 2)
+        reference = session.run(program, walked, [3], codegen="planned")
+    for mine, theirs in zip(fields, walked):
+        assert mine.tobytes() == theirs.tobytes()
+    assert _walker_view(result.statistics) == _walker_view(reference.statistics)
+    assert result.comm_statistics == reference.comm_statistics
+    assert all(s.halo_swaps_overlapped == 3 for s in result.statistics)
+
+
+def test_a_message_group_without_its_declaration_is_walked():
+    """The request array's ``grid``/``swaps`` are what the group fuses by:
+    without them it is an island of the rank's tree walker, as before."""
     program = _heat(dmp_target((2, 1), lower_to_library_calls=True))
+    for op in program.module.walk():
+        if op.name == "mpi.allocate_requests":
+            del op.attributes["swaps"]
     trace = trace_program(
         program.functions["kernel"], program.compiled_kernel("kernel"))
     kinds = [step[0] for step in trace.body]
-    assert "nest" in kinds and "island" in kinds and "swap" not in kinds
+    assert "swap" not in kinds and "island" in kinds and "nest" in kinds
     walked_calls = {
         op.callee for step in trace.body if step[0] == "island"
         for root in step[1].ops for op in root.walk() if isinstance(op, func.CallOp)
     }
     assert {"MPI_Isend", "MPI_Irecv", "MPI_Waitall"} <= walked_calls
+    fields, walked = _heat_fields(), _heat_fields()
     with Session(runtime="threads") as session:
-        session.run(program, _heat_fields(), [2])
+        result = session.run(program, fields, [2])
         assert session.metrics.get("megakernel.engaged") == 2
+        reference = session.run(program, walked, [2], codegen="planned")
     assert all("(_walker, _env" in kernel.source for kernel in _megakernels(program))
+    for mine, theirs in zip(fields, walked):
+        assert mine.tobytes() == theirs.tobytes()
+    assert _walker_view(result.statistics) == _walker_view(reference.statistics)
 
 
 def test_planned_runs_the_tree_walker():
