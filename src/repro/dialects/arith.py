@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr, TypeAttribute
 from ..ir.core import Operation, SSAValue
@@ -77,23 +77,25 @@ class _BinaryOp(Operation):
     def result(self) -> SSAValue:
         return self.results[0]
 
+    #: What the operand type must be (None: anything), and what to say if not.
+    _operand_check: Optional[tuple[Callable[[Attribute], bool], str]] = None
+
     def verify_(self) -> None:
-        if self.operands[0].type != self.operands[1].type:
+        operand_type = self._operands[0].type
+        if operand_type != self._operands[1].type:
             raise ValueError(f"{self.name}: operand types must match")
+        if self._operand_check is not None:
+            accepts, expected = self._operand_check
+            if not accepts(operand_type):
+                raise ValueError(f"{self.name}: expects {expected} operands")
 
 
 class _IntBinaryOp(_BinaryOp):
-    def verify_(self) -> None:
-        super().verify_()
-        if not is_integer_like(self.operands[0].type):
-            raise ValueError(f"{self.name}: expects integer or index operands")
+    _operand_check = (is_integer_like, "integer or index")
 
 
 class _FloatBinaryOp(_BinaryOp):
-    def verify_(self) -> None:
-        super().verify_()
-        if not is_float_type(self.operands[0].type):
-            raise ValueError(f"{self.name}: expects floating point operands")
+    _operand_check = (is_float_type, "floating point")
 
 
 class AddiOp(_IntBinaryOp):

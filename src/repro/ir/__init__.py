@@ -20,10 +20,8 @@ from .attributes import (
     BoolAttr,
     Data,
     DenseArrayAttr,
-    DenseIntOrFPElementsAttr,
     DictionaryAttr,
     FloatAttr,
-    FloatData,
     IntAttr,
     IntegerAttr,
     StringAttr,
@@ -74,10 +72,7 @@ from .types import (
     IndexType,
     IntegerType,
     MemRefType,
-    NoneType,
     ShapedType,
-    TensorType,
-    VectorType,
     bitwidth_of,
     bytewidth_of,
     f16,
@@ -89,20 +84,19 @@ from .types import (
     index,
     is_float_type,
     is_integer_like,
-    none,
 )
 from .verifier import VerificationError, verify_operation
 
 __all__ = [
     # attributes
-    "Attribute", "TypeAttribute", "Data", "IntAttr", "FloatData", "StringAttr",
+    "Attribute", "TypeAttribute", "Data", "IntAttr", "StringAttr",
     "BoolAttr", "UnitAttr", "ArrayAttr", "DictionaryAttr", "SymbolRefAttr",
-    "IntegerAttr", "FloatAttr", "DenseArrayAttr", "DenseIntOrFPElementsAttr",
+    "IntegerAttr", "FloatAttr", "DenseArrayAttr",
     # types
     "IntegerType", "IndexType", "Float16Type", "Float32Type", "Float64Type",
-    "NoneType", "FunctionType", "ShapedType", "MemRefType", "TensorType",
-    "VectorType", "DYNAMIC", "i1", "i32", "i64", "f16", "f32", "f64", "index",
-    "none", "bitwidth_of", "bytewidth_of", "is_float_type", "is_integer_like",
+    "FunctionType", "ShapedType", "MemRefType", "DYNAMIC", "i1", "i32", "i64",
+    "f16", "f32", "f64", "index", "bitwidth_of", "bytewidth_of",
+    "is_float_type", "is_integer_like",
     # core
     "SSAValue", "OpResult", "BlockArgument", "Use", "Operation", "Block",
     "Region", "IRError",

@@ -25,6 +25,8 @@ class Attribute:
 
     name: str = "builtin.abstract"
 
+    __slots__ = ("_hash",)
+
     def parameters(self) -> tuple:
         """Return the tuple of values that define this attribute."""
         raise NotImplementedError
@@ -32,12 +34,24 @@ class Attribute:
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        if type(self) is not type(other):
+        if type(self) is not type(other) or hash(self) != hash(other):
             return False
         return self.parameters() == other.parameters()  # type: ignore[union-attr]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self.parameters()))
+        # Computed once: attributes are immutable after construction.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((type(self).__name__, self.parameters()))
+            return self._hash
+
+    def __setstate__(self, state: "dict | tuple") -> None:
+        """Unpickle without the cached hash: ``str`` hashes differ per process."""
+        fields, slots = state if isinstance(state, tuple) else (state, None)
+        for name, value in {**(fields or {}), **(slots or {})}.items():
+            if name != "_hash":
+                object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         params = ", ".join(repr(p) for p in self.parameters())
@@ -69,15 +83,6 @@ class IntAttr(Data):
 
     def __init__(self, data: int):
         super().__init__(int(data))
-
-
-class FloatData(Data):
-    """A bare float attribute (no associated IR type)."""
-
-    name = "builtin.float_data"
-
-    def __init__(self, data: float):
-        super().__init__(float(data))
 
 
 class StringAttr(Data):
@@ -217,18 +222,3 @@ class DenseArrayAttr(Attribute):
 
     def __len__(self) -> int:
         return len(self.data)
-
-
-class DenseIntOrFPElementsAttr(Attribute):
-    """A dense tensor/vector literal (only small literals are used here)."""
-
-    name = "builtin.dense"
-
-    __slots__ = ("data", "type")
-
-    def __init__(self, data: Sequence[int | float], type: TypeAttribute):
-        self.data: tuple = tuple(data)
-        self.type = type
-
-    def parameters(self) -> tuple:
-        return (self.data, self.type)

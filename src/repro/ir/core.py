@@ -8,6 +8,7 @@ ask "who uses this value?" in O(#uses).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TypeVar
 
 from .attributes import Attribute, TypeAttribute
@@ -22,24 +23,22 @@ class IRError(Exception):
     """Raised for structural IR violations (bad erasure, dangling uses, ...)."""
 
 
-class Use:
-    """A single use of an SSA value: (operation, operand index)."""
+class Use(tuple):
+    """A single use of an SSA value: (operation, operand index).
 
-    __slots__ = ("operation", "index")
+    A tuple, so a use list is searched in C (operations compare by identity).
+    """
 
-    def __init__(self, operation: "Operation", index: int):
-        self.operation = operation
-        self.index = index
+    __slots__ = ()
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Use)
-            and self.operation is other.operation
-            and self.index == other.index
-        )
+    def __new__(cls, operation: "Operation", index: int) -> "Use":
+        return tuple.__new__(cls, (operation, index))
 
-    def __hash__(self) -> int:
-        return hash((id(self.operation), self.index))
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    operation: "Operation" = property(itemgetter(0))  # type: ignore[assignment]
+    index: int = property(itemgetter(1))  # type: ignore[assignment]
 
 
 class SSAValue:
@@ -57,16 +56,17 @@ class SSAValue:
         self.uses.append(use)
 
     def remove_use(self, use: Use) -> None:
-        for i, existing in enumerate(self.uses):
-            if existing == use:
-                del self.uses[i]
-                return
-        raise IRError("attempting to remove a use that is not registered")
+        try:
+            self.uses.remove(use)
+        except ValueError:
+            raise IRError("attempting to remove a use that is not registered") from None
 
     def replace_by(self, value: "SSAValue") -> None:
         """Replace every use of this value by ``value``."""
-        for use in list(self.uses):
-            use.operation.set_operand(use.index, value)
+        uses, self.uses = self.uses, []
+        for operation, index in uses:
+            operation._operands[index] = value
+        value.uses += uses
         if value.name_hint is None:
             value.name_hint = self.name_hint
 
@@ -130,14 +130,14 @@ class Operation:
         regions: Sequence["Region"] = (),
     ):
         self._operands: list[SSAValue] = []
-        self.results: list[OpResult] = [
-            OpResult(t, self, i) for i, t in enumerate(result_types)
-        ]
-        self.attributes: dict[str, Attribute] = dict(attributes or {})
-        self.regions: list[Region] = []
+        self.results: tuple[OpResult, ...] = tuple(
+            [OpResult(t, self, i) for i, t in enumerate(result_types)]
+        )
+        self.attributes: dict[str, Attribute] = dict(attributes) if attributes else {}
+        self.regions: tuple[Region, ...] = ()
         self.parent: Optional[Block] = None
-        for operand in operands:
-            self._append_operand(operand)
+        if operands:
+            self._attach_operands(operands)
         for region in regions:
             self.add_region(region)
 
@@ -162,32 +162,38 @@ class Operation:
 
     @operands.setter
     def operands(self, new_operands: Sequence[SSAValue]) -> None:
+        self._drop_operands()
+        self._attach_operands(new_operands)
+
+    def _attach_operands(self, new_operands: Sequence[SSAValue]) -> None:
+        operands = list(new_operands)
+        for operand in operands:
+            if not isinstance(operand, SSAValue):
+                raise IRError(
+                    f"operand of {self.name} must be an SSAValue, "
+                    f"got {type(operand).__name__}"
+                )
+        for index, operand in enumerate(operands):
+            operand.add_use(Use(self, index))
+        self._operands = operands
+
+    def _drop_operands(self) -> None:
         for i, operand in enumerate(self._operands):
             operand.remove_use(Use(self, i))
         self._operands = []
-        for operand in new_operands:
-            self._append_operand(operand)
-
-    def _append_operand(self, operand: SSAValue) -> None:
-        if not isinstance(operand, SSAValue):
-            raise IRError(
-                f"operand of {self.name} must be an SSAValue, got {type(operand).__name__}"
-            )
-        index = len(self._operands)
-        self._operands.append(operand)
-        operand.add_use(Use(self, index))
 
     def set_operand(self, index: int, operand: SSAValue) -> None:
-        self._operands[index].remove_use(Use(self, index))
+        use = Use(self, index)
+        self._operands[index].remove_use(use)
         self._operands[index] = operand
-        operand.add_use(Use(self, index))
+        operand.add_use(use)
 
     # -- region management ----------------------------------------------------
     def add_region(self, region: "Region") -> None:
         if region.parent is not None:
             raise IRError("region is already attached to an operation")
         region.parent = self
-        self.regions.append(region)
+        self.regions = (*self.regions, region)
 
     # -- navigation -----------------------------------------------------------
     @property
@@ -200,12 +206,6 @@ class Operation:
             return self.parent.parent.parent
         return None
 
-    @property
-    def parent_region(self) -> Optional["Region"]:
-        if self.parent is not None:
-            return self.parent.parent
-        return None
-
     def get_parent_of_type(self, op_type: type[OpT]) -> Optional[OpT]:
         """Walk up the parent chain looking for an enclosing op of a given type."""
         current = self.parent_op
@@ -216,24 +216,25 @@ class Operation:
         return None
 
     def walk(self, reverse: bool = False) -> Iterator["Operation"]:
-        """Yield this operation and all nested operations, pre-order."""
-        yield self
-        regions = reversed(self.regions) if reverse else self.regions
-        for region in regions:
-            for block in (reversed(region.blocks) if reverse else region.blocks):
-                ops = list(block.ops)
-                if reverse:
-                    ops = list(reversed(ops))
-                for op in ops:
-                    yield from op.walk(reverse=reverse)
+        """Yield this operation and all nested operations, pre-order.
+
+        ``reverse`` goes back to front (an op still precedes its contents).  A
+        block's ops are read when the walk reaches it: the current op may be
+        erased (its contents are still walked); ops inserted are not visited.
+        """
+        return _walk((self,), reverse)
 
     # -- traits ---------------------------------------------------------------
     def has_trait(self, trait: "type[OpTrait] | OpTrait") -> bool:
-        import inspect
-
-        if inspect.isclass(trait):
-            return any(isinstance(t, trait) for t in self.traits)
-        return trait in self.traits
+        key = (self.__class__, trait)
+        found = _HAS_TRAIT.get(key)
+        if found is None:
+            if isinstance(trait, type):
+                found = any(isinstance(t, trait) for t in self.traits)
+            else:
+                found = trait in self.traits
+            _HAS_TRAIT[key] = found
+        return found
 
     # -- mutation -------------------------------------------------------------
     def detach(self) -> None:
@@ -243,9 +244,7 @@ class Operation:
 
     def drop_all_references(self) -> None:
         """Drop operand uses of this operation and of all nested operations."""
-        for i, operand in enumerate(self._operands):
-            operand.remove_use(Use(self, i))
-        self._operands = []
+        self._drop_operands()
         for region in self.regions:
             for block in region.blocks:
                 for op in list(block.ops):
@@ -375,8 +374,7 @@ class Block:
         return self.parent.parent if self.parent is not None else None
 
     def walk(self) -> Iterator[Operation]:
-        for op in list(self.ops):
-            yield from op.walk()
+        return _walk(self.ops[:], False)
 
     def clone(self, value_map: Optional[dict[SSAValue, SSAValue]] = None) -> "Block":
         value_map = value_map if value_map is not None else {}
@@ -427,8 +425,7 @@ class Region:
         return self.block.ops
 
     def walk(self) -> Iterator[Operation]:
-        for block in self.blocks:
-            yield from block.walk()
+        return _walk(self.blocks[:], False)
 
     def clone(self, value_map: Optional[dict[SSAValue, SSAValue]] = None) -> "Region":
         value_map = value_map if value_map is not None else {}
@@ -439,3 +436,26 @@ class Region:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Region with {len(self.blocks)} blocks>"
+
+
+#: ``has_trait`` answers, per (operation class, trait): traits are class data.
+_HAS_TRAIT: dict = {}
+
+
+def _walk(items: Sequence, reverse: bool) -> Iterator[Operation]:
+    """Pre-order over ``items`` (ops, or blocks whose ops are walked), one stack."""
+    stack = [iter(items)]
+    while stack:
+        for item in stack[-1]:
+            if item.__class__ is Block:
+                stack.append(iter(item.ops[::-1] if reverse else item.ops[:]))
+                break
+            yield item
+            if item.regions:
+                blocks = [block for region in item.regions for block in region.blocks]
+                if reverse:
+                    blocks.reverse()
+                stack.append(iter(blocks))
+                break
+        else:
+            stack.pop()

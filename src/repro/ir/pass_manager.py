@@ -175,8 +175,8 @@ class PassManager:
 def _count_ops(op: Operation) -> int:
     """Operations at and under ``op``.
 
-    A direct recursion: ``walk()`` stacks one generator per nesting level and
-    costs six times as much, once per pass.
+    A direct recursion: counting what ``walk()`` yields costs three times as
+    much, once per pass.
     """
     count = 1
     for region in op.regions:

@@ -21,10 +21,8 @@ from .attributes import (
     Attribute,
     BoolAttr,
     DenseArrayAttr,
-    DenseIntOrFPElementsAttr,
     DictionaryAttr,
     FloatAttr,
-    FloatData,
     IntAttr,
     IntegerAttr,
     StringAttr,
@@ -41,9 +39,6 @@ from .types import (
     IndexType,
     IntegerType,
     MemRefType,
-    NoneType,
-    TensorType,
-    VectorType,
     DYNAMIC,
 )
 
@@ -85,23 +80,14 @@ class Printer:
             return "f32"
         if isinstance(type_, Float64Type):
             return "f64"
-        if isinstance(type_, NoneType):
-            return "none"
         if isinstance(type_, FunctionType):
             ins = ", ".join(self.print_type(t) for t in type_.inputs)
             outs = ", ".join(self.print_type(t) for t in type_.outputs)
             return f"({ins}) -> ({outs})"
-        if isinstance(type_, (MemRefType, TensorType, VectorType)):
-            keyword = {
-                MemRefType: "memref",
-                TensorType: "tensor",
-                VectorType: "vector",
-            }[type(type_)]
-            dims = "x".join(
-                "?" if d == DYNAMIC else str(d) for d in type_.shape
-            )
+        if isinstance(type_, MemRefType):
+            dims = "x".join("?" if d == DYNAMIC else str(d) for d in type_.shape)
             sep = "x" if type_.shape else ""
-            return f"{keyword}<{dims}{sep}{self.print_type(type_.element_type)}>"
+            return f"memref<{dims}{sep}{self.print_type(type_.element_type)}>"
         if hasattr(type_, "print_parameters"):
             params = type_.print_parameters(self)  # type: ignore[attr-defined]
             if params:
@@ -120,8 +106,6 @@ class Printer:
             return "true" if attr.data else "false"
         if isinstance(attr, IntAttr):
             return str(attr.data)
-        if isinstance(attr, FloatData):
-            return _format_float(attr.data)
         if isinstance(attr, StringAttr):
             return '"' + attr.data.replace("\\", "\\\\").replace('"', '\\"') + '"'
         if isinstance(attr, UnitAttr):
@@ -138,9 +122,6 @@ class Printer:
         if isinstance(attr, DenseArrayAttr):
             elems = ", ".join(str(e) for e in attr.data)
             return f"array<{self.print_type(attr.element_type)}: {elems}>"
-        if isinstance(attr, DenseIntOrFPElementsAttr):
-            elems = ", ".join(str(e) for e in attr.data)
-            return f"dense<[{elems}]> : {self.print_type(attr.type)}"
         if hasattr(attr, "print_parameters"):
             params = attr.print_parameters(self)  # type: ignore[attr-defined]
             if params:

@@ -70,18 +70,6 @@ class Float64Type(_FloatType):
     width = 64
 
 
-class NoneType(TypeAttribute):
-    """A unit type carrying no information."""
-
-    name = "builtin.none_type"
-
-    def parameters(self) -> tuple:
-        return ()
-
-    def __str__(self) -> str:
-        return "none"
-
-
 class FunctionType(TypeAttribute):
     """The type of a function: input types -> result types."""
 
@@ -141,28 +129,6 @@ class MemRefType(ShapedType):
         return f"memref<{dims}{sep}{self.element_type}>"
 
 
-class TensorType(ShapedType):
-    """An immutable value-semantics tensor type."""
-
-    name = "builtin.tensor"
-
-    def __str__(self) -> str:
-        dims = "x".join("?" if d == DYNAMIC else str(d) for d in self.shape)
-        sep = "x" if self.shape else ""
-        return f"tensor<{dims}{sep}{self.element_type}>"
-
-
-class VectorType(ShapedType):
-    """A fixed-size vector type (used by the vectorisation cost model)."""
-
-    name = "builtin.vector"
-
-    def __str__(self) -> str:
-        dims = "x".join(str(d) for d in self.shape)
-        sep = "x" if self.shape else ""
-        return f"vector<{dims}{sep}{self.element_type}>"
-
-
 # Commonly used singletons.  Types are compared structurally, so reusing these
 # instances is purely a convenience.
 i1 = IntegerType(1)
@@ -172,7 +138,6 @@ f16 = Float16Type()
 f32 = Float32Type()
 f64 = Float64Type()
 index = IndexType()
-none = NoneType()
 
 
 def bitwidth_of(type_: Attribute) -> int:

@@ -7,7 +7,8 @@ dialect-specific invariants via ``Operation.verify_``.
 
 from __future__ import annotations
 
-from .core import Block, BlockArgument, IRError, Operation, OpResult, SSAValue
+from .core import Block, IRError, Operation, OpResult, SSAValue
+from .traits import OpTrait
 
 
 class VerificationError(IRError):
@@ -21,20 +22,36 @@ def verify_operation(op: Operation) -> None:
         for block in region.blocks:
             _verify_block(block)
             for nested in block.ops:
-                verify_operation(nested)
+                if nested.regions:
+                    verify_operation(nested)
+                else:
+                    _verify_single(nested)
+
+
+#: Per operation class: its traits that check something, and whether the
+#: class overrides ``verify_``.
+_CHECKS: dict[type, tuple[tuple[OpTrait, ...], bool]] = {}
 
 
 def _verify_single(op: Operation) -> None:
-    for i, operand in enumerate(op.operands):
+    for i, operand in enumerate(op._operands):
         if not isinstance(operand, SSAValue):
             raise VerificationError(
                 f"{op.name}: operand {i} is not an SSA value ({operand!r})"
             )
-    for trait in op.traits:
+    cls = op.__class__
+    checks = _CHECKS.get(cls)
+    if checks is None:
+        traits = tuple(t for t in cls.traits if type(t).verify is not OpTrait.verify)
+        checks = _CHECKS[cls] = (traits, cls.verify_ is not Operation.verify_)
+    traits, custom = checks
+    for trait in traits:
         try:
             trait.verify(op)
         except ValueError as err:
             raise VerificationError(str(err)) from err
+    if not custom:
+        return
     try:
         op.verify_()
     except VerificationError:
@@ -44,22 +61,19 @@ def _verify_single(op: Operation) -> None:
 
 
 def _verify_block(block: Block) -> None:
-    """Check intra-block dominance: every use must follow its definition."""
-    seen: set[int] = {id(arg) for arg in block.args}
+    """Check intra-block dominance: every use must follow its definition.
+
+    (Block arguments are always visible: a sibling block's cannot be reached
+    through the construction APIs.)
+    """
+    defined: set[Operation] = set()
     for op in block.ops:
-        for operand in op.operands:
-            if isinstance(operand, OpResult):
+        for operand in op._operands:
+            if operand.__class__ is OpResult:
                 defining = operand.op
-                if defining.parent is block and id(operand) not in seen:
+                if defining.parent is block and defining not in defined:
                     raise VerificationError(
                         f"{op.name}: operand defined later in the same block "
                         f"(use before def of a result of {defining.name})"
                     )
-            elif isinstance(operand, BlockArgument):
-                # Block arguments of this block or of an enclosing block are
-                # always visible; arguments of a sibling block would indicate
-                # a malformed program but cannot be reached through normal
-                # construction APIs.
-                pass
-        for result in op.results:
-            seen.add(id(result))
+        defined.add(op)

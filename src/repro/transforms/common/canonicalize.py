@@ -1,30 +1,28 @@
-"""The canonicalisation pipeline: constant folding + CSE + DCE to a fixpoint."""
+"""The canonicalisation pipeline: constant folding + CSE, then DCE.
+
+One forward sweep folds, simplifies and deduplicates (a constant a fold
+creates is looked up at once), then a worklist removes what became dead.
+That is the fixpoint fold -> CSE -> DCE reaches: folding never needs CSE or
+DCE to find more work, and CSE and DCE never enable a fold.
+"""
 
 from __future__ import annotations
 
 from ...ir.core import Operation
 from ...ir.pass_manager import ModulePass
-from .constant_folding import fold_constants
-from .cse import eliminate_common_subexpressions
+from .constant_folding import fold
+from .cse import sweep
 from .dce import eliminate_dead_code
 
 
-def canonicalize(module: Operation, max_iterations: int = 10) -> int:
-    """Run fold/CSE/DCE repeatedly until nothing changes; return total rewrites."""
-    total = 0
-    for _ in range(max_iterations):
-        changed = 0
-        changed += fold_constants(module)
-        changed += eliminate_common_subexpressions(module)
-        changed += eliminate_dead_code(module)
-        total += changed
-        if changed == 0:
-            break
-    return total
+def canonicalize(module: Operation) -> int:
+    """Fold, deduplicate and drop dead code under ``module``; return total rewrites."""
+    folded, deduplicated = sweep(module, fold)
+    return folded + deduplicated + eliminate_dead_code(module)
 
 
 class CanonicalizePass(ModulePass):
-    """Fold constants, deduplicate pure ops and drop dead code, to a fixpoint."""
+    """Fold constants, deduplicate pure ops and drop dead code."""
 
     name = "canonicalize"
 

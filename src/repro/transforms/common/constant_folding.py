@@ -4,12 +4,16 @@ Binary/unary arith operations whose operands are all produced by
 ``arith.constant`` are replaced by a new constant.  Together with CSE and DCE
 this forms the canonicalisation pipeline, and is what makes the compile-time
 known stencil bounds pay off (paper §4.1: "known bounds enable constant
-folding of most of the memory access address computations").
+folding of most of the memory access address computations").  A fold
+computes what the tree walker does; where the walker raises (``divf`` by
+zero) the op is left as it is.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from ...dialects import arith
 from ...ir.attributes import FloatAttr, IntegerAttr
@@ -30,13 +34,14 @@ _INT_FOLDERS: dict[str, Callable[[int, int], int]] = {
     "arith.andi": lambda a, b: a & b,
 }
 
-_FLOAT_FOLDERS: dict[str, Callable[[float, float], float]] = {
+#: A folder returning None leaves the op unfolded.
+_FLOAT_FOLDERS: dict[str, Callable[[float, float], Optional[float]]] = {
     "arith.addf": lambda a, b: a + b,
     "arith.subf": lambda a, b: a - b,
     "arith.mulf": lambda a, b: a * b,
-    "arith.divf": lambda a, b: a / b if b != 0.0 else float("inf"),
-    "arith.maximumf": max,
-    "arith.minimumf": min,
+    "arith.divf": lambda a, b: a / b if b else None,
+    "arith.maximumf": lambda a, b: float(np.maximum(a, b)),
+    "arith.minimumf": lambda a, b: float(np.minimum(a, b)),
 }
 
 _CMPI_FOLDERS: dict[str, Callable[[int, int], bool]] = {
@@ -73,7 +78,8 @@ def _try_fold(op: Operation) -> Optional[arith.ConstantOp]:
         if lhs is None or rhs is None:
             return None
         folder = _INT_FOLDERS.get(op.name) or _FLOAT_FOLDERS[op.name]
-        return _make_constant(folder(lhs, rhs), op.results[0].type)
+        value = folder(lhs, rhs)
+        return None if value is None else _make_constant(value, op.results[0].type)
     if op.name == "arith.negf":
         operand = _constant_value(op.operands[0])
         if operand is None:
@@ -122,33 +128,35 @@ def _try_algebraic_simplification(op: Operation) -> Optional[SSAValue]:
     return None
 
 
+_FOLDABLE = {*_INT_FOLDERS, *_FLOAT_FOLDERS, "arith.negf", "arith.cmpi",
+             "arith.select", "arith.index_cast"}
+
+
+def fold(op: Operation) -> Optional[Operation]:
+    """Simplify or fold ``op``: return ``op`` if unchanged, else its new
+    constant, or None if an existing value replaced it."""
+    if op.name not in _FOLDABLE or op.parent is None:
+        return op
+    simplified = _try_algebraic_simplification(op)
+    if simplified is not None:
+        op.results[0].replace_by(simplified)
+        op.erase()
+        return None
+    replacement = _try_fold(op)
+    if replacement is None:
+        return op
+    op.parent.insert_op_before(replacement, op)
+    op.results[0].replace_by(replacement.results[0])
+    op.erase()
+    return replacement
+
+
 def fold_constants(module: Operation) -> int:
-    """Fold constant arith expressions under ``module``; return the fold count."""
-    folded = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(module.walk()):
-            if op.parent is None or not op.results:
-                continue
-            simplified = _try_algebraic_simplification(op)
-            if simplified is not None:
-                op.results[0].replace_by(simplified)
-                op.erase()
-                folded += 1
-                changed = True
-                continue
-            replacement = _try_fold(op)
-            if replacement is None:
-                continue
-            block = op.parent_block
-            assert block is not None
-            block.insert_op_before(replacement, op)
-            op.results[0].replace_by(replacement.results[0])
-            op.erase()
-            folded += 1
-            changed = True
-    return folded
+    """Fold constant arith expressions under ``module``; return the fold count.
+
+    One pre-order sweep is the fixpoint: definitions come before their uses.
+    """
+    return sum(fold(op) is not op for op in module.walk())
 
 
 class ConstantFoldingPass(ModulePass):

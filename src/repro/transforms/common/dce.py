@@ -2,34 +2,41 @@
 
 from __future__ import annotations
 
-from ...ir.core import Operation
+from ...ir.core import OpResult, Operation
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
 
 
 def _is_trivially_dead(op: Operation) -> bool:
-    if op.has_trait(IsTerminator):
+    if any(result.uses for result in op.results):
         return False
-    if not is_pure(op):
-        return False
-    return all(not result.uses for result in op.results)
+    return not op.has_trait(IsTerminator) and is_pure(op)
 
 
 def eliminate_dead_code(module: Operation) -> int:
-    """Erase dead pure ops until a fixpoint; return the number of erased ops."""
-    erased_total = 0
-    changed = True
-    while changed:
-        changed = False
-        # Walk in reverse so users are visited (and erased) before producers.
-        for op in list(module.walk(reverse=True)):
-            if op is module or op.parent is None:
-                continue
-            if _is_trivially_dead(op):
-                op.erase()
-                erased_total += 1
-                changed = True
-    return erased_total
+    """Erase dead pure ops; return the number of erased ops.
+
+    A reverse sweep meets users before producers; a producer an erasure left
+    unused behind the sweep goes on a worklist, so there is no second sweep.
+    """
+    erased = 0
+    worklist = list(module.walk(reverse=True))[:0:-1]  # popped in walk order
+    while worklist:
+        op = worklist.pop()
+        if op.parent is not None and _is_trivially_dead(op):
+            worklist += [
+                operand.op for nested in op.walk() for operand in nested._operands
+                if operand.__class__ is OpResult and _within(operand.op, module)
+            ]
+            op.erase()
+            erased += 1
+    return erased
+
+
+def _within(op: Operation, root: Operation) -> bool:
+    while op is not None and op is not root:
+        op = op.parent_op
+    return op is root
 
 
 class DeadCodeEliminationPass(ModulePass):

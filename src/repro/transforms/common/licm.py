@@ -9,67 +9,62 @@ hoisting loop-invariant MPI setup code out of time loops.
 from __future__ import annotations
 
 from ...dialects import scf
-from ...ir.core import Operation, Region, SSAValue
+from ...ir.core import BlockArgument, Operation, Region, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import IsTerminator, is_pure
 
 
 def _defined_inside(value: SSAValue, region: Region) -> bool:
-    """Whether ``value`` is defined inside ``region`` (including nested regions)."""
-    owner = value.owner
-    current = owner if isinstance(owner, Operation) else owner.parent_op
-    # For block arguments, ``owner`` is the block; its parent op may be the loop
-    # itself (induction variable) which counts as "inside".
-    if not isinstance(owner, Operation):
-        block = owner
-        parent_region = block.parent
-        while parent_region is not None:
-            if parent_region is region:
-                return True
-            parent_op = parent_region.parent
-            if parent_op is None or parent_op.parent is None:
-                return False
-            parent_region = parent_op.parent.parent
-        return False
-    while current is not None:
-        if current.parent_region is region:
+    """Whether ``value`` is defined inside ``region`` (including nested regions).
+
+    A loop's induction variable is an argument of its body: inside.
+    """
+    block = value.block if isinstance(value, BlockArgument) else value.op.parent
+    while block is not None and block.parent is not None:
+        if block.parent is region:
             return True
-        current = current.parent_op
+        parent_op = block.parent.parent
+        block = parent_op.parent if parent_op is not None else None
     return False
 
 
 def _hoistable(op: Operation, loop_region: Region) -> bool:
-    if op.has_trait(IsTerminator):
+    if op.regions or op.has_trait(IsTerminator) or not is_pure(op):
         return False
-    if not is_pure(op):
-        return False
-    if op.regions:
-        return False
-    return all(not _defined_inside(operand, loop_region) for operand in op.operands)
+    return not any(_defined_inside(operand, loop_region) for operand in op._operands)
 
 
 def hoist_loop_invariant_code(module: Operation) -> int:
-    """Hoist invariant pure ops out of scf loops; return the number hoisted."""
+    """Hoist invariant pure ops out of scf loops; return the number hoisted.
+
+    Loops are visited outer first; what an inner loop hoists lands in a body
+    already visited, so the loops that received ops are visited again, in
+    rounds: the order whole-module sweeps to a fixpoint give, in one pass.
+    """
     hoisted = 0
-    changed = True
-    while changed:
-        changed = False
-        for loop in list(module.walk()):
-            if not isinstance(loop, (scf.ForOp, scf.ParallelOp)):
-                continue
-            if loop.parent is None:
-                continue
-            body_region = loop.regions[0]
-            parent_block = loop.parent_block
+    loops = [op for op in module.walk() if isinstance(op, _LOOPS)]
+    while loops:
+        received: set[Operation] = set()
+        for loop in loops:
+            parent_block = loop.parent
             if parent_block is None:
                 continue
-            for op in list(body_region.block.ops):
+            body_region = loop.regions[0]
+            moved = False
+            for op in body_region.block.ops[:]:
                 if _hoistable(op, body_region):
                     body_region.block.detach_op(op)
                     parent_block.insert_op_before(op, loop)
+                    moved = True
                     hoisted += 1
-                    changed = True
+            outer = parent_block.parent_op
+            if moved and isinstance(outer, _LOOPS) and outer.regions[0].block is parent_block:
+                received.add(outer)
+        loops = [loop for loop in loops if loop in received]
     return hoisted
+
+
+_LOOPS = (scf.ForOp, scf.ParallelOp)
 
 
 class LoopInvariantCodeMotionPass(ModulePass):

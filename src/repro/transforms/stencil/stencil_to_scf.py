@@ -218,15 +218,14 @@ class _ApplyLowering:
         stores: list[stencil.StoreOp],
     ) -> None:
         apply_block = self.apply_op.body.block
-        # Insert computation before the terminator (if one exists already).
-        if body_block.ops and body_block.last_op is not None and isinstance(
-            body_block.last_op, scf.YieldOp
-        ):
-            builder = Builder.before(body_block.last_op)
-            needs_terminator = False
+        # Build at the end of the body and end it with its terminator (the
+        # one it has, else a new one).
+        terminator = body_block.last_op
+        if isinstance(terminator, scf.YieldOp):
+            body_block.detach_op(terminator)
         else:
-            builder = Builder.at_end(body_block)
-            needs_terminator = True
+            terminator = scf.YieldOp([])
+        builder = Builder.at_end(body_block)
 
         value_map: dict[SSAValue, SSAValue] = {}
 
@@ -273,8 +272,7 @@ class _ApplyLowering:
                 cloned = op.clone(value_map)
                 builder.insert(cloned)
 
-        if needs_terminator:
-            builder.insert(scf.YieldOp([]))
+        builder.insert(terminator)
 
 
 def lower_stencil_to_scf(
