@@ -128,6 +128,50 @@ class TestWalkCloneErase:
         names = [op.name for op in module.walk()]
         assert names == ["builtin.module", "func.func", "arith.constant", "func.return"]
 
+    @staticmethod
+    def _tree():
+        """``root`` with two regions, the first of two blocks; one op nests a region."""
+        a1, a2, b1, c1 = (Operation.create() for _ in range(4))
+        inner = Operation.create(regions=[Region(Block(ops=[c1]))])
+        root = Operation.create(regions=[
+            Region([Block(ops=[a1, inner]), Block(ops=[a2])]),
+            Region(Block(ops=[b1])),
+        ])
+        return root, a1, inner, c1, a2, b1
+
+    def test_walk_is_pre_order_over_regions_and_blocks(self):
+        root, a1, inner, c1, a2, b1 = self._tree()
+        assert list(root.walk()) == [root, a1, inner, c1, a2, b1]
+        assert list(root.regions[0].walk()) == [a1, inner, c1, a2]
+        assert list(root.regions[0].blocks[0].walk()) == [a1, inner, c1]
+
+    def test_reverse_walk_goes_back_to_front_but_keeps_ops_before_their_contents(self):
+        root, a1, inner, c1, a2, b1 = self._tree()
+        assert list(root.walk(reverse=True)) == [root, b1, a2, inner, c1, a1]
+
+    def test_erasing_the_current_op_still_walks_its_contents_and_its_successors(self):
+        root, a1, inner, c1, a2, b1 = self._tree()
+        seen = []
+        for op in root.walk():
+            seen.append(op)
+            if op is inner:
+                op.erase()
+        assert seen == [root, a1, inner, c1, a2, b1]
+        assert inner.parent is None and root.regions[0].blocks[0].ops == [a1]
+
+    def test_ops_inserted_around_the_current_op_are_not_visited(self):
+        root, a1, inner, c1, a2, b1 = self._tree()
+        block = root.regions[0].blocks[0]
+        before, after = Operation.create(), Operation.create()
+        seen = []
+        for op in root.walk():
+            seen.append(op)
+            if op is a1:
+                block.insert_op_before(before, a1)
+                block.insert_op_after(after, a1)
+        assert seen == [root, a1, inner, c1, a2, b1]
+        assert block.ops == [before, a1, after, inner]
+
     def test_erase_with_uses_fails(self):
         a = constant()
         arith.AddiOp(a.result, a.result)

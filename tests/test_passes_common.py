@@ -1,5 +1,6 @@
 """Tests of the shared optimisation passes: DCE, CSE, LICM, folding, pipelines."""
 
+import numpy as np
 import pytest
 
 from repro.dialects import arith, builtin, func, scf
@@ -14,6 +15,7 @@ from repro.ir import (
     f64,
     i32,
     index,
+    print_module,
 )
 from repro.dialects.stencil import AccessOp, ApplyOp, ReturnOp, StencilBoundsAttr, TempType
 from repro.ir.core import Block
@@ -170,6 +172,39 @@ class TestConstantFolding:
         fold_constants(builtin.ModuleOp([kernel]))  # must not raise
 
 
+def _fold_float(op_class, lhs, rhs):
+    """Fold ``op_class(lhs, rhs)`` over f64 constants; the folded literal or None."""
+    kernel, b = make_function(outputs=[f64])
+    x = b.insert(arith.ConstantOp.from_float(lhs, f64)).result
+    y = b.insert(arith.ConstantOp.from_float(rhs, f64)).result
+    b.insert(func.ReturnOp([b.insert(op_class(x, y)).result]))
+    fold_constants(builtin.ModuleOp([kernel]))
+    producer = kernel.body.block.last_op.operands[0].owner
+    return producer.literal() if isinstance(producer, arith.ConstantOp) else None
+
+
+class TestFoldingMatchesTheWalker:
+    """A fold computes what the tree walker computes (NumPy scalar semantics)."""
+
+    @pytest.mark.parametrize("lhs,rhs", [(1.0, 0.0), (-1.0, 0.0), (1.0, -0.0), (0.0, 0.0)])
+    def test_divf_by_a_zero_constant_is_left_unfolded(self, lhs, rhs):
+        # The walker raises ZeroDivisionError there; IEEE would give -inf or NaN.
+        assert _fold_float(arith.DivfOp, lhs, rhs) is None
+
+    @pytest.mark.parametrize("op_class,numpy_fn,lhs,rhs", [
+        (arith.MaximumfOp, np.maximum, 1.0, float("nan")),
+        (arith.MaximumfOp, np.maximum, -0.0, 0.0),
+        (arith.MinimumfOp, np.minimum, float("nan"), 1.0),
+        (arith.MinimumfOp, np.minimum, 0.0, -0.0),
+    ])
+    def test_maximumf_and_minimumf_fold_like_numpy(self, op_class, numpy_fn, lhs, rhs):
+        folded = _fold_float(op_class, lhs, rhs)
+        expected = float(numpy_fn(lhs, rhs))
+        assert folded is not None
+        assert np.array_equal(np.float64(folded), np.float64(expected), equal_nan=True)
+        assert np.signbit(folded) == np.signbit(expected)
+
+
 class TestLoopInvariantCodeMotion:
     def test_invariant_hoisted(self):
         kernel, b = make_function(inputs=[index, f64])
@@ -200,6 +235,74 @@ class TestLoopInvariantCodeMotion:
         b.insert(func.ReturnOp([]))
         hoist_loop_invariant_code(builtin.ModuleOp([kernel]))
         assert dependent.parent_block is loop.body.block
+
+
+def _is_a_fixpoint(rewrite, module):
+    """A second application of ``rewrite`` changes nothing and says so."""
+    printed = print_module(module)
+    assert rewrite(module) == 0
+    assert print_module(module) == printed
+
+
+class TestOneSweepReachesTheFixpoint:
+    def test_a_fold_chain_feeds_constants_into_a_nested_region(self):
+        kernel, b = make_function(inputs=[index])
+        two = b.insert(arith.ConstantOp.from_int(2)).result
+        three = b.insert(arith.ConstantOp.from_int(3)).result
+        five = b.insert(arith.AddiOp(two, three)).result
+        one = b.insert(arith.ConstantOp.from_int(1)).result
+        loop = b.insert(scf.ForOp(two, kernel.args[0], one))
+        body = Builder.at_end(loop.body.block)
+        ten = body.insert(arith.MuliOp(five, two)).result
+        body.insert(func.CallOp("sink", [body.insert(arith.AddiOp(loop.induction_variable, ten)).result], []))
+        body.insert(scf.YieldOp([]))
+        b.insert(func.ReturnOp([]))
+        module = builtin.ModuleOp([kernel])
+        assert canonicalize(module) > 0
+        folded = loop.body.block.ops[0]
+        assert isinstance(folded, arith.ConstantOp) and folded.literal() == 10
+        assert not any(isinstance(op, arith.MuliOp) for op in module.walk())
+        for rewrite in (canonicalize, fold_constants, eliminate_common_subexpressions,
+                        eliminate_dead_code):
+            _is_a_fixpoint(rewrite, module)
+
+    def test_a_dead_chain_across_a_nested_region_goes_in_one_call(self):
+        kernel, b = make_function(inputs=[index])
+        zero = b.insert(arith.ConstantOp.from_int(0)).result
+        one = b.insert(arith.ConstantOp.from_int(1)).result
+        x = b.insert(arith.ConstantOp.from_int(7)).result
+        y = b.insert(arith.AddiOp(x, x)).result
+        loop = b.insert(scf.ForOp(zero, kernel.args[0], one))
+        body = Builder.at_end(loop.body.block)
+        body.insert(arith.MuliOp(y, y))
+        body.insert(scf.YieldOp([]))
+        b.insert(func.ReturnOp([]))
+        module = builtin.ModuleOp([kernel])
+        assert eliminate_dead_code(module) == 3
+        assert [op.name for op in loop.body.block.ops] == ["scf.yield"]
+        _is_a_fixpoint(eliminate_dead_code, module)
+
+    def test_licm_keeps_the_order_of_repeated_sweeps(self):
+        """An op hoisted out of an inner loop leaves the outer loop after the
+        outer loop's own invariants, also those placed after the inner loop."""
+        kernel, b = make_function(inputs=[index, f64])
+        n, v = kernel.args
+        zero = b.insert(arith.ConstantOp.from_int(0)).result
+        one = b.insert(arith.ConstantOp.from_int(1)).result
+        outer = b.insert(scf.ForOp(zero, n, one))
+        body = Builder.at_end(outer.body.block)
+        before = body.insert(arith.MulfOp(v, v))
+        inner = body.insert(scf.ForOp(zero, n, one))
+        nested = Builder.at_end(inner.body.block)
+        deepest = nested.insert(arith.AddfOp(v, v))
+        nested.insert(scf.YieldOp([]))
+        after = body.insert(arith.SubfOp(v, v))
+        body.insert(scf.YieldOp([]))
+        b.insert(func.ReturnOp([]))
+        module = builtin.ModuleOp([kernel])
+        assert hoist_loop_invariant_code(module) == 4
+        assert kernel.body.block.ops[2:6] == [before, after, deepest, outer]
+        _is_a_fixpoint(hoist_loop_invariant_code, module)
 
 
 class TestPassManager:

@@ -32,8 +32,15 @@ from repro.core import (
 from repro.dialects import func, stencil
 from repro.dialects.dmp import declared_exchanges
 from repro.frontends.oec import StencilProgramBuilder
-from repro.ir import PassManager, print_module
+from repro.ir import Operation, PassManager, print_module
 from repro.machine.kernel_model import ProgramCharacteristics
+from repro.transforms.common import (
+    canonicalize,
+    eliminate_common_subexpressions,
+    eliminate_dead_code,
+    fold_constants,
+    hoist_loop_invariant_code,
+)
 from repro.transforms.distribute import DistributeStencilPass
 from repro.workloads import heat_diffusion, tracer_advection
 
@@ -253,6 +260,52 @@ def test_emitted_ir_is_byte_identical_to_the_hand_sequenced_pipeline(
         del op.attributes["grid"], op.attributes["swaps"]
     digest = hashlib.sha256(print_module(program.module).encode()).hexdigest()[:16]
     assert digest == PARENT_FINGERPRINTS[f"{program_name}/{target_name}"]
+
+
+#: What must find nothing left to do right after each rewriting pass ran:
+#: the pass itself, and for canonicalize also the rewrites it is made of.
+_REAPPLIED = {
+    "cse": (eliminate_common_subexpressions,),
+    "dce": (eliminate_dead_code,),
+    "canonicalize": (canonicalize, fold_constants, eliminate_common_subexpressions,
+                     eliminate_dead_code),
+    "loop-invariant-code-motion": (hoist_loop_invariant_code,),
+}
+
+
+@pytest.mark.parametrize("program_name,target_name", EVERY_PROGRAM_AND_TARGET)
+def test_each_rewrite_leaves_a_fixpoint_where_it_runs(program_name, target_name):
+    build, ndim = PROGRAMS[program_name]
+    module = build()
+    checked = set()
+    for stage in pipeline_for(_target(target_name, ndim)):
+        for pass_ in stage.passes:
+            pass_.apply(module)
+            for rewrite in _REAPPLIED.get(pass_.name, ()):
+                printed = print_module(module)
+                assert rewrite(module) == 0, f"{rewrite.__name__} after {pass_.name}"
+                assert print_module(module) == printed
+                checked.add(pass_.name)
+    assert checked == set(_REAPPLIED)
+
+
+@pytest.mark.parametrize("program_name,target_name", EVERY_PROGRAM_AND_TARGET)
+def test_the_pipeline_verifies_the_module_as_often_as_before(
+    program_name, target_name, monkeypatch
+):
+    """After each pass until the first conversion, after the last, and in the
+    entry ``verify`` pass: seven times on every target."""
+    verified = []
+    original = Operation.verify
+    monkeypatch.setattr(Operation, "verify", lambda op: (verified.append(op), original(op))[1])
+    build, ndim = PROGRAMS[program_name]
+    target = _target(target_name, ndim)
+    program = compile_stencil_program(build(), target)
+    passes = [p for stage in pipeline_for(target) for p in stage.passes]
+    before_conversion = next(i for i, p in enumerate(passes) if p.conversion)
+    expected = 1 + sum(not p.analysis for p in passes[:before_conversion]) + 1
+    assert len(verified) == expected == 7
+    assert all(op is program.module for op in verified)
 
 
 # ---------------------------------------------------------------------------
