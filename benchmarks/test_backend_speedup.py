@@ -14,6 +14,10 @@ a floor is written):
   wave3d so4 kernel written by hand over the generated one (row
   ``kernel-yardstick``).
 
+``test_compile_pass_times_artifact`` times nothing itself and attaches no
+row: it writes the per-pass compile times of the pinned programs for the CI
+artifact.
+
 Whether a nest fell back to the tree walker is not timed here: it is
 counted, exactly, by ``tests/test_megakernel.py::
 test_every_compiled_program_engages`` (``megakernel.engaged`` /
@@ -87,6 +91,32 @@ def test_megakernel_dispatch_speedup(benchmark):
     artifact = pathlib.Path(".bench_build", "megakernel_source.py")
     artifact.parent.mkdir(exist_ok=True)
     artifact.write_text("\n\n".join(sources), encoding="utf-8")
+
+
+def test_compile_pass_times_artifact():
+    """The ``pass.*`` milliseconds of the 18 pinned programs' compile records.
+
+    Written to ``.bench_build/compile_passes.txt`` (one line per program and
+    target of ``tests/test_pipeline.py``) so the CI bench job uploads
+    compile-time drift with every change; no row, so no floor.
+    """
+    import pathlib
+
+    from tests.test_pipeline import EVERY_PROGRAM_AND_TARGET, PROGRAMS, _target
+
+    lines = []
+    for program_name, target_name in EVERY_PROGRAM_AND_TARGET:
+        build, ndim = PROGRAMS[program_name]
+        program = compile_stencil_program(build(), _target(target_name, ndim))
+        passes = [(name[len("pass."):], seconds)
+                  for name, (_, seconds) in program.compile_record.totals.items()
+                  if name.startswith("pass.")]
+        assert passes, f"{program_name}/{target_name} recorded no pass span"
+        lines.append(f"{program_name}/{target_name} " + " ".join(
+            f"{name}={1e3 * seconds:.3f}" for name, seconds in passes))
+    artifact = pathlib.Path(".bench_build", "compile_passes.txt")
+    artifact.parent.mkdir(exist_ok=True)
+    artifact.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @pytest.mark.benchmark(group="megakernel")
