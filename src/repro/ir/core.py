@@ -129,7 +129,8 @@ class Operation:
         attributes: Optional[dict[str, Attribute]] = None,
         regions: Sequence["Region"] = (),
     ):
-        self._operands: list[SSAValue] = []
+        # A list once there are operands (set_operand writes in place).
+        self._operands: Sequence[SSAValue] = ()
         self.results: tuple[OpResult, ...] = tuple(
             [OpResult(t, self, i) for i, t in enumerate(result_types)]
         )
@@ -175,12 +176,12 @@ class Operation:
                 )
         for index, operand in enumerate(operands):
             operand.add_use(Use(self, index))
-        self._operands = operands
+        self._operands = operands or ()
 
     def _drop_operands(self) -> None:
         for i, operand in enumerate(self._operands):
             operand.remove_use(Use(self, i))
-        self._operands = []
+        self._operands = ()
 
     def set_operand(self, index: int, operand: SSAValue) -> None:
         use = Use(self, index)

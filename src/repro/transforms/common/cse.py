@@ -17,6 +17,9 @@ from ...ir.core import Block, Operation, SSAValue
 from ...ir.pass_manager import ModulePass
 from ...ir.traits import is_pure
 
+#: What ``sweep`` tries on each op first: see ``constant_folding.fold``.
+Rewrite = Callable[[Operation], Optional[Operation]]
+
 
 def _signature(op: Operation, replaced: dict[SSAValue, SSAValue]) -> tuple:
     # Attribute *objects* (not their hashes) are part of the key so that two
@@ -32,7 +35,7 @@ def _signature(op: Operation, replaced: dict[SSAValue, SSAValue]) -> tuple:
     )
 
 
-def _sweep(block: Block, rewrite, replaced: dict, duplicates: list) -> int:
+def _sweep(block: Block, rewrite: Optional[Rewrite], replaced: dict, duplicates: list) -> int:
     """Sweep ``block`` (nested blocks in fresh scopes); return ops rewritten."""
     rewritten = 0
     seen: dict[tuple, Operation] = {}
@@ -54,11 +57,9 @@ def _sweep(block: Block, rewrite, replaced: dict, duplicates: list) -> int:
     return rewritten
 
 
-def sweep(
-    module: Operation, rewrite: Optional[Callable[[Operation], Optional[Operation]]] = None
-) -> tuple[int, int]:
-    """``rewrite`` (see ``constant_folding.fold``) and deduplicate each op under
-    ``module`` in one sweep; return (ops rewritten, duplicates erased)."""
+def sweep(module: Operation, rewrite: Optional[Rewrite] = None) -> tuple[int, int]:
+    """Rewrite and deduplicate each op under ``module`` in one sweep; return
+    (ops rewritten, duplicates erased)."""
     replaced: dict[SSAValue, SSAValue] = {}
     duplicates: list[tuple[Operation, Operation]] = []
     rewritten = sum(

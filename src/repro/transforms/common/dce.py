@@ -16,8 +16,9 @@ def _is_trivially_dead(op: Operation) -> bool:
 def eliminate_dead_code(module: Operation) -> int:
     """Erase dead pure ops; return the number of erased ops.
 
-    A reverse sweep meets users before producers; a producer an erasure left
-    unused behind the sweep goes on a worklist, so there is no second sweep.
+    One worklist, seeded in reverse walk order (users before producers):
+    erasing an op pushes the producers of its operands, so a dead chain goes
+    in one call, whatever order its ops sit in.
     """
     erased = 0
     worklist = list(module.walk(reverse=True))[:0:-1]  # popped in walk order

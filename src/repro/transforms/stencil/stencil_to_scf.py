@@ -218,8 +218,8 @@ class _ApplyLowering:
         stores: list[stencil.StoreOp],
     ) -> None:
         apply_block = self.apply_op.body.block
-        # Build at the end of the body and end it with its terminator (the
-        # one it has, else a new one).
+        # Append (inserting before the terminator searches the block for it
+        # per op), then put the terminator back last: its own, else a new one.
         terminator = body_block.last_op
         if isinstance(terminator, scf.YieldOp):
             body_block.detach_op(terminator)
