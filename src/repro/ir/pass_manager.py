@@ -120,8 +120,9 @@ class PassManager:
     each pass until the first conversion has run, and after the last pass, so
     a pipeline exits verified; one that does not trust its input starts with
     :class:`VerifyPass`.  (Verification is linear in the operation count and
-    conversions multiply it: verifying after every pass of every stage adds a
-    quarter to ``transforms.pipeline_ms`` on the ledger's ``compile-corpus``.)
+    conversions multiply it.  On the ledger's ``compile-corpus`` corpus, with
+    the GC off, the policy's verifications are 18 % of the pipeline, and
+    verifying after every pass of every stage would add another quarter.)
     A failing pass or verification raises :class:`PassFailedError` naming the
     pass and its stage.
     """
