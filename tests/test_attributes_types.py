@@ -60,6 +60,22 @@ class TestAttributes:
     def test_unit_attr_equality(self):
         assert UnitAttr() == UnitAttr()
 
+    @pytest.mark.parametrize("attr", [
+        ArrayAttr([StringAttr("a"), IntAttr(3)]),
+        stencil.StencilBoundsAttr([0, -1], [4, 5]),
+        stencil.FieldType(([0, 0], [4, 4]), f64),
+        DictionaryAttr({"k": FloatAttr(1.5, f32)}),
+    ])
+    def test_a_pickled_attribute_hashes_afresh(self, attr):
+        """The hash is cached, but never shipped: ``str`` hashes differ per process."""
+        import pickle
+
+        hash(attr)
+        copy = pickle.loads(pickle.dumps(attr))
+        with pytest.raises(AttributeError):
+            copy._hash
+        assert copy == attr and hash(copy) == hash(attr)
+
 
 class TestTypes:
     def test_scalar_type_properties(self):
