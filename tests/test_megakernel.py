@@ -13,6 +13,7 @@ fallback reason string.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -334,6 +335,77 @@ def test_wave_kernel_allocates_no_field_sized_temporary():
         and ", out=" in line for line in arithmetic
     )
     assert sum("out=_r" in line for line in arithmetic) == 1  # the store itself
+
+
+#: sha256 prefixes of ``CompiledMegakernel.source``, emitted from zero-filled
+#: sample arguments without running: ``<fixture>/r<rank>[/traced]``.  The
+#: fixtures are the ledger's kernels (heat2d so2 64^2 on one and two ranks,
+#: wave3d so4 128^3 blocked, wave3d so8 (16, 256, 256) on two ranks in both
+#: halo spellings) and one kernel whose boxes split into team chunks.  A
+#: change to how nests are planned or printed must leave them all as they
+#: are; re-record them only when a PR changes the generated code on purpose.
+MEGAKERNEL_FINGERPRINTS = {
+    "heat2d-so2-64/dmp(1,1)/r0": "1daa152f497c6fa3",
+    "heat2d-so2-64/dmp(1,1)/r0/traced": "34b970eb62e325d7",
+    "heat2d-so2-64/dmp(2,1)/r0": "c49c62c230bb3099",
+    "heat2d-so2-64/dmp(2,1)/r0/traced": "1d3aaade0667f675",
+    "heat2d-so2-64/dmp(2,1)/r1": "c3b6d56dddcedea3",
+    "heat2d-so2-64/dmp(2,1)/r1/traced": "18f81adf05ffb17a",
+    "wave3d-so4-128/cpu/r0": "f5f6dea05991652e",
+    "wave3d-so4-128/cpu/r0/traced": "1f78ab0e197bc0fc",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0": "5d799c3955b3e151",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0/traced": "98981ca8f988528a",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1": "b318c848b04fc416",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1/traced": "c5db1adb8973bf0d",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0": "751f64b4f40db896",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "daa52d03878512bc",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "5ecac1da88b733b4",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "c8943759a810d6ab",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0": "9368f2574f58b85e",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "3920c738f56dd774",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1": "d5e188b7ccf24fba",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "a04386952b39d399",
+}
+
+#: fixture -> (workload, shape, space order, dmp_target arguments (None: the
+#: cpu target), ranks, threads per rank)
+_PINNED_KERNELS = {
+    "heat2d-so2-64/dmp(1,1)": (heat_diffusion, (64, 64), 2, {"rank_grid": (1, 1)}, 1, 1),
+    "heat2d-so2-64/dmp(2,1)": (heat_diffusion, (64, 64), 2, {"rank_grid": (2, 1)}, 2, 1),
+    "wave3d-so4-128/cpu": (acoustic_wave, (128,) * 3, 4, None, 1, 1),
+    "wave3d-so8-16x256x256/dmp(2,1,1)": (
+        acoustic_wave, (16, 256, 256), 8, {"rank_grid": (2, 1, 1)}, 2, 1),
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)": (
+        acoustic_wave, (16, 256, 256), 8,
+        {"rank_grid": (2, 1, 1), "lower_to_library_calls": True}, 2, 1),
+    "heat2d-so2-96/dmp(2,1)/threads2": (
+        heat_diffusion, (96, 96), 2, {"rank_grid": (2, 1)}, 2, 2),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
+def test_generated_megakernel_sources_are_pinned(fixture):
+    make, shape, space_order, grid, size, threads = _PINNED_KERNELS[fixture]
+    workload = make(shape, space_order=space_order, dtype=np.float64)
+    program = compile_stencil_program(
+        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
+        cpu_target() if grid is None else dmp_target(**grid))
+    func_op = program.functions["kernel"]
+    trace = trace_program(func_op, program.compiled_kernel("kernel"))
+    # Local buffers as the rank sees them (zero pages: nothing is touched),
+    # then the step count.
+    args = [
+        np.zeros(arg.shape) if hasattr(arg, "shape") else 1
+        for arg in func_op.function_type.inputs
+    ]
+    for rank in range(size):
+        for traced in (False, True):
+            kernel = emit_megakernel(
+                trace, args, rank=rank, size=size, traced=traced, threads=threads)
+            assert kernel.uses_team == (threads > 1)
+            key = f"{fixture}/r{rank}{'/traced' if traced else ''}"
+            digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
+            assert digest == MEGAKERNEL_FINGERPRINTS[key], key
 
 
 # ---------------------------------------------------------------------------
