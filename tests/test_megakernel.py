@@ -14,6 +14,7 @@ fallback reason string.
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -462,6 +463,119 @@ def test_emit_rejection_records_reason_and_falls_back():
         assert fallback.reason and "alias" in fallback.reason
         assert session.metrics.get("megakernel.engaged") == 0
         assert session.metrics.get("megakernel.fallback") == 1
+
+
+def _nest_module(memrefs, extents, body, step=1):
+    """``kernel(*buffers)``: one ``scf.parallel`` over ``[0, extent)`` per
+    extent, whose body ``body(builder, ivs, buffers)`` builds."""
+    kernel = func.FuncOp(
+        "kernel", FunctionType([MemRefType(shape, f64) for shape in memrefs], []))
+    b = Builder.at_end(kernel.body.block)
+    zero = b.insert(arith.ConstantOp.from_int(0)).result
+    stride = b.insert(arith.ConstantOp.from_int(step)).result
+    uppers = [b.insert(arith.ConstantOp.from_int(extent)).result for extent in extents]
+    loop = scf.ParallelOp([zero] * len(extents), uppers, [stride] * len(extents))
+    inner = Builder.at_end(loop.body.block)
+    body(inner, loop.induction_variables, kernel.args)
+    inner.insert(scf.YieldOp([]))
+    b.insert(loop)
+    b.insert(func.ReturnOp([]))
+    return builtin.ModuleOp([kernel])
+
+
+def _copy(index_of):
+    """A body storing ``u[index_of(builder, ivs)]`` into ``v[ivs]``."""
+    def body(builder, ivs, buffers):
+        u, v = buffers
+        value = builder.insert(memref.LoadOp(u, index_of(builder, ivs))).result
+        builder.insert(memref.StoreOp(value, v, list(ivs)))
+    return body
+
+
+def _shifted(builder, ivs):
+    one = builder.insert(arith.ConstantOp.from_int(1)).result
+    return [builder.insert(arith.SubiOp(ivs[0], one)).result]
+
+
+def _doubled(builder, ivs):
+    two = builder.insert(arith.ConstantOp.from_int(2)).result
+    return [builder.insert(arith.MuliOp(ivs[0], two)).result]
+
+
+def _store_rows(builder, ivs, buffers):
+    u, v = buffers
+    builder.insert(memref.StoreOp(
+        builder.insert(memref.LoadOp(u, list(ivs))).result, v, [ivs[0]]))
+
+
+def _store_one(builder, ivs, buffers):
+    (u,) = buffers
+    one = builder.insert(arith.ConstantOp.from_float(1.0, f64)).result
+    builder.insert(memref.StoreOp(one, u, list(ivs)))
+
+
+def _counted(shape):
+    return np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+
+
+#: case -> (module, fresh fields, the reason the emitter gives)
+_EMIT_REJECTIONS = {
+    # v[i] = u[i - 1]: the walker wraps u[-1] round to u[7].
+    "out-of-range": (
+        lambda: _nest_module([[8], [8]], [8], _copy(_shifted)),
+        lambda: [_counted((8,)), np.zeros(8)],
+        "out-of-range access would wrap or raise in the tree walker",
+    ),
+    # The walker runs range(0, 8, -1): nothing.
+    "non-positive-step": (
+        lambda: _nest_module([[8], [8]], [8], _copy(lambda b, ivs: list(ivs)), step=-1),
+        lambda: [_counted((8,)), np.zeros(8)],
+        "non-positive loop step",
+    ),
+    "non-unit-stride": (
+        lambda: _nest_module([[8], [8]], [4], _copy(_doubled)),
+        lambda: [_counted((8,)), np.zeros(8)],
+        "non-unit-stride index expression cannot be sliced",
+    ),
+    "transposed": (
+        lambda: _nest_module(
+            [[4, 4], [4, 4]], [4, 4], _copy(lambda b, ivs: [ivs[1], ivs[0]])),
+        lambda: [_counted((4, 4)), np.zeros((4, 4))],
+        "transposed or repeated induction variables in one access",
+    ),
+    # v[i] = u[i, j]: every j writes the same cell, the last one stays.
+    "store-does-not-cover": (
+        lambda: _nest_module([[4, 4], [4]], [4, 4], _store_rows),
+        lambda: [_counted((4, 4)), np.zeros(4)],
+        "store does not cover every nest dimension",
+    ),
+    # A memref<8xf64> given an (8, 2) array: the walker stores whole rows.
+    "rank-mismatch": (
+        lambda: _nest_module([[8]], [8], _store_one),
+        lambda: [np.zeros((8, 2))],
+        "access rank does not match the memref rank",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EMIT_REJECTIONS))
+def test_every_emit_rejection_records_its_reason(case):
+    """Each box the slicing model cannot reproduce is rejected with its own
+    reason, and the run is the tree walker's: same fields, same statistics."""
+    build, make_fields, reason = _EMIT_REJECTIONS[case]
+    program = compile_stencil_program(build(), cpu_target())
+    fields, walked = make_fields(), make_fields()
+    with Session() as session:
+        plan = session.plan(program)
+        result = plan.run(fields, [])
+        fallback = plan.codegen_fallback
+        assert isinstance(fallback, CodegenFallback)
+        assert fallback.reason.startswith(f"nest cannot be emitted: {reason}")
+        assert session.metrics.get("megakernel.fallback") == 1
+        reference = session.run(program, walked, [], codegen="planned")
+    for mine, theirs in zip(fields, walked):
+        assert mine.tobytes() == theirs.tobytes()
+    assert result.statistics == reference.statistics
 
 
 def _halving_module():
