@@ -7,7 +7,7 @@ from typing import Callable, Optional, Union
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr, TypeAttribute
 from ..ir.core import Operation, SSAValue
 from ..ir.traits import ConstantLike, Pure
-from ..ir.types import i1, index, is_float_type, is_integer_like
+from ..ir.types import IntegerType, i1, index, is_float_type, is_integer_like
 
 
 class ConstantOp(Operation):
@@ -47,6 +47,20 @@ class ConstantOp(Operation):
         if isinstance(value, FloatAttr):
             return value.value
         raise TypeError(f"unsupported constant payload {value!r}")
+
+    def scalar(self) -> Union[bool, int, float, None]:
+        """The python value the tree walker binds: ``bool`` for ``i1``,
+        ``int`` for other integers, ``float`` for floats (None: another
+        payload)."""
+        value = self.value
+        if isinstance(value, IntegerAttr):
+            result_type = self.results[0].type
+            if isinstance(result_type, IntegerType) and result_type.width == 1:
+                return bool(value.value)
+            return int(value.value)
+        if isinstance(value, FloatAttr):
+            return float(value.value)
+        return None
 
     def verify_(self) -> None:
         value = self.attributes.get("value")

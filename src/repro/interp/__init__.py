@@ -95,7 +95,6 @@ from .vectorize import (
     VectorizationError,
     VectorizeFallback,
     compile_kernel,
-    compile_loop_nest,
     compile_loop_nest_or_fallback,
 )
 
@@ -103,7 +102,7 @@ __all__ = [
     "Interpreter", "InterpreterError", "ExecStatistics",
     "RequestArray", "RequestRef",
     "CompiledKernel", "CompiledNest", "VectorizationError", "VectorizeFallback",
-    "compile_kernel", "compile_loop_nest", "compile_loop_nest_or_fallback",
+    "compile_kernel", "compile_loop_nest_or_fallback",
     "CodegenError", "CodegenFallback", "CompiledMegakernel", "MegakernelTrace",
     "trace_program", "emit_megakernel", "megakernel_signature",
     "SimulatedMPI", "RankCommunicator", "CommunicatorBase", "SimRequest",

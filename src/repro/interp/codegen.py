@@ -80,9 +80,7 @@ from typing import Any, Optional
 import numpy as np
 
 from ..dialects import arith, builtin, dmp, func, omp, scf
-from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import OpResult, Operation, SSAValue
-from ..ir.types import IntegerType
 from .interpreter import (
     Interpreter,
     PendingHalo,
@@ -91,25 +89,8 @@ from .interpreter import (
     post_swap,
     swap_message_plan,
 )
-from .vectorize import (
-    CompiledKernel,
-    CompiledNest,
-    _Affine,
-    _Bailout,
-    _block_extents,
-    _constant_operand,
-    _fold,
-    _operand_refs,
-    emit_nest,
-)
-
-
-class CodegenError(Exception):
-    """A program (or one plan of it) cannot be megakernel-compiled.
-
-    The message is the fallback reason surfaced to users; it must say *what*
-    the tracer could not prove, not where it gave up.
-    """
+from .nestplan import CodegenError, local_name, plan_nest, print_numpy
+from .vectorize import CompiledKernel, CompiledNest, operand_refs
 
 
 class CodegenFallback:
@@ -501,7 +482,7 @@ class _Tracer:
             if value not in local and self.sym.get(value, ("env",))[0] != "const"
         ]
         if len(data) != 1 or self.sym.get(data[0], ("env",))[0] not in _BUFFERS \
-                or any(self._constant_literal(op) is None for op in shared):
+                or any(op.scalar() is None for op in shared):
             return False
         for op in shared:
             self._fuse(op)
@@ -551,7 +532,7 @@ class _Tracer:
     def _fuse(self, op: Operation) -> bool:
         """Fuse ``op`` (symbols, steps, counters); False leaves it to walk."""
         if isinstance(op, arith.ConstantOp):
-            literal = self._constant_literal(op)
+            literal = op.scalar()
             if literal is None:
                 return False
             self.sym[op.results[0]] = ("const", literal)
@@ -613,7 +594,7 @@ class _Tracer:
                 if not all(map(self._is_const_affine, instr[3])):
                     return None
                 base_syms.append(base_sym)
-            for ref in _operand_refs(instr):
+            for ref in operand_refs(instr):
                 # Values (unlike geometry) may be known only at run time.
                 if ref[0] == "free":
                     free = (ref[1],)
@@ -636,18 +617,6 @@ class _Tracer:
         return True
 
     # -- leaves ---------------------------------------------------------------
-    @staticmethod
-    def _constant_literal(op: arith.ConstantOp):
-        attr = op.value
-        if isinstance(attr, IntegerAttr):
-            result_type = op.results[0].type
-            if isinstance(result_type, IntegerType) and result_type.width == 1:
-                return bool(attr.value)
-            return int(attr.value)
-        if isinstance(attr, FloatAttr):
-            return float(attr.value)
-        return None
-
     @staticmethod
     def _is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
@@ -742,20 +711,6 @@ def _perm_order(perm: list[int]) -> int:
     return order
 
 
-def _slice_src(slices) -> str:
-    parts = []
-    for piece in slices:
-        if piece.step in (None, 1):
-            parts.append(f"{piece.start}:{piece.stop}")
-        else:
-            parts.append(f"{piece.start}:{piece.stop}:{piece.step}")
-    return ", ".join(parts)
-
-
-def _slice_key(slices) -> tuple:
-    return tuple((piece.start, piece.stop, piece.step) for piece in slices)
-
-
 def _dump_generated(label: str, source: str) -> None:
     """Print generated source to stderr when ``REPRO_DUMP_MEGAKERNEL`` is set."""
     if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
@@ -839,13 +794,6 @@ class _MegakernelEmitter:
         if not isinstance(value, np.ndarray):
             raise CodegenError("a traced buffer argument is not an array")
         return value
-
-    @staticmethod
-    def _var_for(sym: _Sym) -> str:
-        """The kernel local holding a traced value at run time."""
-        if sym[0] == "iv":
-            return "_t"
-        return f"a{sym[1]}" if sym[0] == "arg" else f"b{sym[1]}"
 
     def _new_var(self, prefix: str) -> str:
         self._var += 1
@@ -961,7 +909,7 @@ class _MegakernelEmitter:
                 if emit:
                     self._spanned(
                         "halo.post",
-                        f"_h{ordinal} = _post(_comm, {self._var_for(src)}, "
+                        f"_h{ordinal} = _post(_comm, {local_name(src)}, "
                         f"_ctx[{self._add_ctx(plan)}])",
                     )
                     counts["mpi_messages"] += len(plan.sends)
@@ -973,7 +921,7 @@ class _MegakernelEmitter:
                 complete(len(inflight), overlapped=False)
                 actions.append(("island",))
                 if emit:
-                    values = "".join(f", {self._var_for(sym)}" for sym in syms)
+                    values = "".join(f", {local_name(sym)}" for sym in syms)
                     self.lines.append(
                         f"_ctx[{self._add_ctx(island)}](_walker, _env{values})"
                     )
@@ -994,149 +942,77 @@ class _MegakernelEmitter:
         else:
             self.lines.append(line)
 
-    def _replay_nest(self, nest: CompiledNest, base_syms, slot_arrays,
+    def _replay_nest(self, nest: CompiledNest, syms, slot_arrays,
                      inflight, actions, complete, counts) -> None:
-        emit = counts is not None
-        env = self.static_env
-        arrays = [self._array_for(sym, slot_arrays) for sym in base_syms]
-        try:
-            dims = nest._concrete_dims(env, nest.bounds)
-            cells = math.prod(
-                len(range(*dim))
-                for dim in nest._concrete_dims(env, nest.count_bounds)
-            ) if nest.count_bounds else 0
-            resolved = nest._resolve_regions(
-                arrays, env, dims, check_aliasing=True
-            )
-            overlap_plan = None
-            if inflight:
-                halos = [halo for _, halo, _ in inflight]
-                plan = nest._plan_overlap(env, dims, resolved, halos)
-                if plan is None:
-                    complete(len(inflight), overlapped=False)
-                elif plan != "defer":
-                    overlap_plan = plan
-            actions.append(("nest", cells, tuple(dims)))
-            if emit:
-                counts["cells_updated"] += cells
-            spans = emit and self.traced
-            if spans:
-                nest_begin, nest_end = self._span_lines("nest")
-                self.lines.append(nest_begin)
-            if overlap_plan is None:
-                reduced = self._emit_chunks(
-                    nest, base_syms, arrays, dims, resolved, actions, emit
-                )
-            else:
-                interior_dims, strips = overlap_plan
-                interior_dims = [tuple(dim) for dim in interior_dims]
-                interior = nest._resolve_regions(arrays, env, interior_dims)
-                if spans:
-                    in_begin, in_end = self._span_lines("nest.interior")
-                    self.lines.append(in_begin)
-                reduced = self._emit_chunks(
-                    nest, base_syms, arrays, interior_dims, interior, actions,
-                    emit,
-                )
-                if spans:
-                    self.lines.append(in_end)
+        """Plan one nest against the (parity) buffers; print it if emitting."""
+        plan = plan_nest(
+            nest, [self._array_for(sym, slot_arrays) for sym in syms], syms,
+            self.trace.sym, [halo for _, halo, _ in inflight],
+            self.threads,
+        )
+        if plan.waits:
+            complete(len(inflight), overlapped=False)
+        actions.append(("nest", plan.geometry))
+        if counts is None:  # a later parity: only its decisions count
+            if plan.strips:
                 complete(len(inflight), overlapped=True)
-                if spans:
-                    bd_begin, bd_end = self._span_lines("nest.boundary")
-                    self.lines.append(bd_begin)
-                for strip_dims in strips:
-                    strip_dims = [tuple(dim) for dim in strip_dims]
-                    strip = nest._resolve_regions(arrays, env, strip_dims)
-                    self.lines.extend(self._emit_box(
-                        nest, base_syms, strip_dims, strip, actions, emit
-                    )[0])
-                if spans:
-                    self.lines.append(bd_end)
-            if spans:
-                self.lines.append(nest_end)
-        except _Bailout as bail:
-            raise CodegenError(f"nest cannot be emitted: {bail.reason}")
-        if emit:
-            # Reductions (never chunked, never split) are what islands and
-            # later nests read the nest's results as.
-            for value, name in zip(nest.reduce_results, reduced):
-                self.lines.append(f"_env[_ctx[{self._add_ctx(value)}]] = {name}")
+            return
+        counts["cells_updated"] += plan.cells
+        nest_end = self._open_span("nest")
+        if not plan.strips:
+            reduced = self._print_boxes(plan.boxes)
+        else:
+            interior_end = self._open_span("nest.interior")
+            reduced = self._print_boxes(plan.boxes)
+            self._close_span(interior_end)
+            complete(len(inflight), overlapped=True)
+            boundary_end = self._open_span("nest.boundary")
+            for strip in plan.strips:
+                self.lines.extend(self._print(strip)[0])
+            self._close_span(boundary_end)
+        self._close_span(nest_end)
+        # Reductions (never chunked, never split) are what islands and later
+        # nests read the nest's results as.
+        for value, name in zip(nest.reduce_results, reduced):
+            self.lines.append(f"_env[_ctx[{self._add_ctx(value)}]] = {name}")
 
-    def _emit_chunks(self, nest: CompiledNest, base_syms, arrays, box_dims,
-                     resolved, actions, emit: bool) -> list[str]:
-        """Inline one box, or its team chunks run on ``_team``.
+    def _open_span(self, name: str) -> Optional[str]:
+        """Open a span around the lines that follow; its closing line."""
+        if not self.traced:
+            return None
+        begin, end = self._span_lines(name)
+        self.lines.append(begin)
+        return end
 
-        Each chunk of a box split by ``_team_chunks`` becomes a local
-        function defined ahead of the time loop — it reads the rotating
-        buffers as closure variables — with scratch of its own.  Returns the
-        names of the box's reduction results.
+    def _close_span(self, end: Optional[str]) -> None:
+        if end is not None:
+            self.lines.append(end)
+
+    def _print_boxes(self, boxes: list) -> list[str]:
+        """Inline one box, or run its team chunks on ``_team``.
+
+        Each chunk becomes a local function defined ahead of the time loop —
+        it reads the rotating buffers as closure variables — with scratch of
+        its own.  Returns the names of the box's reduction results.
         """
-        chunks = nest._team_chunks(box_dims, 1 if nest.has_reduce else self.threads)
-        if len(chunks) == 1:
-            lines, reduced = self._emit_box(
-                nest, base_syms, box_dims, resolved, actions, emit
-            )
+        if len(boxes) == 1:
+            lines, reduced = self._print(boxes[0])
             self.lines.extend(lines)
             return reduced
         names = []
-        for chunk in chunks:
-            chunk = [tuple(dim) for dim in chunk]
-            lines, _ = self._emit_box(
-                nest, base_syms, chunk,
-                nest._resolve_regions(arrays, self.static_env, chunk),
-                actions, emit,
-            )
-            if emit:
-                names.append(self._new_var("_c"))
-                self.setup.append(f"def {names[-1]}():")
-                self.setup.extend("    " + line for line in lines)
-        if emit:
-            self.uses_team = True
-            self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
+        for box in boxes:
+            lines, _ = self._print(box)
+            names.append(self._new_var("_c"))
+            self.setup.append(f"def {names[-1]}():")
+            self.setup.extend("    " + line for line in lines)
+        self.uses_team = True
+        self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
         return []
 
-    # -- one box of one nest --------------------------------------------------
-    def _emit_box(self, nest: CompiledNest, base_syms, box_dims, resolved,
-                  actions, emit: bool) -> tuple[list[str], list[str]]:
-        """The statements of one (nest, box) pair, literal slices in.
-
-        The statements are :func:`repro.interp.vectorize.emit_nest`'s, block
-        loop included, fed literal region views; their scratch slots become
-        locals allocated once, ahead of the time loop.  Returns the lines and
-        the names of the reduction results.
-        """
-        regions = resolved[2]
-        actions.append((
-            "box",
-            tuple(box_dims),
-            tuple(
-                (position, _slice_key(slices), view_shape, region_shape)
-                for position, (array, slices, view_shape, region_shape)
-                in regions.items()
-            ),
-        ))
-        if not emit:
-            return [], []
-        trips = tuple(len(range(lower, upper, step)) for lower, upper, step in box_dims)
-        loads: dict[int, tuple] = {}
-        stores: dict[int, tuple] = {}
-        for (position, is_store), region, sym in zip(
-            nest._accesses, regions.values(), base_syms
-        ):
-            array, slices, view_shape, _ = region
-            source = f"{self._var_for(sym)}[{_slice_src(slices)}]"
-            shape = trips if is_store else view_shape
-            if array[slices].shape != shape:
-                source += f".reshape({shape!r})"
-            if is_store:
-                stores[position] = (source, array.dtype)
-            else:
-                loads[position] = (source, array.dtype, view_shape)
-        setup, lines, reduced = emit_nest(
-            nest.instrs, loads, stores,
-            lambda ref: self._outer_operand(ref, box_dims),
-            trips, trips if nest.has_reduce else _block_extents(trips),
-            self._new_var,
+    def _print(self, box) -> tuple[list[str], list[str]]:
+        """The statements of one planned box; its scratch goes to the setup."""
+        setup, lines, reduced = print_numpy(
+            box, self._new_var, lambda ref: self._outer_source(ref, box.dims)
         )
         self.setup.extend(setup)
         return lines, reduced
@@ -1148,35 +1024,34 @@ class _MegakernelEmitter:
             return f"_env[_ctx[{self._add_ctx(value)}]]"
         return f"a{sym[1]}" if sym[0] == "arg" else "_t"
 
-    def _outer_operand(self, ref: tuple, box_dims) -> tuple:
-        """The operand descriptor of a free scalar or an affine value grid."""
+    def _outer_source(self, ref: tuple, box_dims) -> str:
+        """A run-time scalar, or an affine index grid over the box.
+
+        A grid is materialized from its emit-time terms into ``_ctx``; the
+        free terms known only at run time are added to it by the kernel.
+        """
         if ref[0] == "free":
-            sym = self.trace.sym[ref[1]]
-            if sym[0] == "const":
-                return _constant_operand(sym[1])
-            return (self._scalar_src(ref[1]), False,
-                    "pyint" if sym[0] == "iv" else None, ())
-        # ("aff", affine) — materialized per box from its emit-time terms,
-        # plus the free terms known only at run time.
+            return self._scalar_src(ref[1])
         affine = ref[1]
-        static = _Affine(affine.coeffs, affine.const, {
-            value: coeff for value, coeff in affine.free.items()
-            if value in self.static_env
-        })
         late = "".join(
             f" + {coeff} * int({self._scalar_src(value)})"
             for value, coeff in affine.free.items()
             if value not in self.static_env
         )
-        value = CompiledNest._materialize(static, list(box_dims), self.static_env)
-        if isinstance(value, np.ndarray):
-            source = f"_ctx[{self._add_ctx(value)}]"
-            if late:
-                source = f"({source}{late})"
-            return (source, True, np.dtype(np.int64), value.shape)
-        if late:
-            return (f"({int(value)}{late})", False, "pyint", ())
-        return (repr(int(value)), False, "pyint", ())
+        grid: Any = affine.const + sum(
+            coeff * int(self.static_env[value])
+            for value, coeff in affine.free.items() if value in self.static_env
+        )
+        for dim, coeff in affine.coeffs.items():
+            lower, upper, step = box_dims[dim]
+            shape = [1] * len(box_dims)
+            shape[dim] = len(range(lower, upper, step))
+            grid = grid + coeff * np.arange(
+                lower, upper, step, dtype=np.int64).reshape(shape)
+        if isinstance(grid, np.ndarray):
+            source = f"_ctx[{self._add_ctx(grid)}]"
+            return f"({source}{late})" if late else source
+        return f"({int(grid)}{late})" if late else repr(int(grid))
 
     # -- source assembly ------------------------------------------------------
     @staticmethod
@@ -1244,6 +1119,22 @@ class _MegakernelEmitter:
             f"def _megakernel({', '.join(params)}):\n"
             + "\n".join(indent + line for line in lines) + "\n"
         )
+
+
+def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):
+    """Fold the iteration space (in visit order) into ``init`` with ``ufunc``."""
+    if flattened.size == 0:
+        return init
+    if not sequential:
+        return ufunc(init, ufunc.reduce(flattened))
+    # Order-sensitive combiners (float +/*) must replay the tree walker's
+    # left-fold bit-for-bit: ufunc.accumulate is defined as the sequential
+    # recurrence r[i] = r[i-1] op a[i] (never pairwise), and ravel() of the
+    # iteration space is exactly the tree walker's visit order.
+    chain = np.empty(flattened.size + 1, dtype=flattened.dtype)
+    chain[0] = init
+    chain[1:] = flattened
+    return ufunc.accumulate(chain)[-1]
 
 
 def _call(function):

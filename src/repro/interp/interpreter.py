@@ -42,9 +42,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..dialects import arith, builtin, dmp, func, gpu, hls, memref, mpi, omp, scf, stencil
-from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Block, Operation, SSAValue
-from ..ir.types import IntegerType
 from ..transforms.mpi.mpi_to_func import MPICH_OP_CONSTANTS
 from .mpi_runtime import CommunicatorBase
 from .values import DataTypeValue, MemRefValue, PointerValue, RequestHandle
@@ -479,17 +477,10 @@ def _run_call(interp: Interpreter, op: Operation, env: dict) -> None:
 @handler("arith.constant")
 def _run_constant(interp: Interpreter, op: Operation, env: dict) -> None:
     assert isinstance(op, arith.ConstantOp)
-    value_attr = op.value
-    if isinstance(value_attr, IntegerAttr):
-        result_type = op.results[0].type
-        if isinstance(result_type, IntegerType) and result_type.width == 1:
-            interp.set(env, op.results[0], bool(value_attr.value))
-        else:
-            interp.set(env, op.results[0], int(value_attr.value))
-    elif isinstance(value_attr, FloatAttr):
-        interp.set(env, op.results[0], float(value_attr.value))
-    else:
+    value = op.scalar()
+    if value is None:
         raise InterpreterError("unsupported arith.constant payload")
+    interp.set(env, op.results[0], value)
 
 
 def _binary(op_name: str, fn: Callable[[Any, Any], Any]) -> None:

@@ -27,7 +27,6 @@ from repro.interp import (
     Interpreter,
     VectorizeFallback,
     compile_kernel,
-    compile_loop_nest,
     compile_loop_nest_or_fallback,
 )
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
@@ -167,8 +166,9 @@ class TestRuntimeFallback:
 
     def test_aliased_shifted_store_falls_back_bit_identical(self):
         module = self._inplace_shifted_module()
-        nest = compile_loop_nest(next(op for op in module.walk() if isinstance(op, scf.ParallelOp)))
-        assert nest is not None  # statically it looks vectorizable...
+        nest = compile_loop_nest_or_fallback(
+            next(op for op in module.walk() if isinstance(op, scf.ParallelOp)))
+        assert isinstance(nest, CompiledNest)  # statically it looks vectorizable...
         data = np.arange(10, dtype=np.float64)
         expected = data.copy()
         Interpreter(module).call("kernel", expected)
@@ -189,7 +189,7 @@ class TestNestCompiler:
     def test_loop_carried_for_is_rejected(self):
         module = build_jacobi_module()
         time_loop = next(op for op in module.walk() if isinstance(op, scf.ForOp))
-        assert compile_loop_nest(time_loop) is None
+        assert isinstance(compile_loop_nest_or_fallback(time_loop), VectorizeFallback)
 
     def test_plain_for_nest_is_accepted(self):
         kernel = func.FuncOp("fill", FunctionType([MemRefType([6], f64)], []))
@@ -205,7 +205,7 @@ class TestNestCompiler:
         b.insert(loop)
         b.insert(func.ReturnOp([]))
         module = builtin.ModuleOp([kernel])
-        nest = compile_loop_nest(loop)
+        nest = compile_loop_nest_or_fallback(loop)
         assert isinstance(nest, CompiledNest)
         data = np.zeros(6)
         assert run_compiled(module, "fill", data)[1] is None
@@ -228,7 +228,7 @@ class TestNestCompiler:
         inner.insert(scf.YieldOp([]))
         b.insert(loop)
         b.insert(func.ReturnOp([]))
-        assert compile_loop_nest(loop) is None
+        assert isinstance(compile_loop_nest_or_fallback(loop), VectorizeFallback)
 
     def test_kernel_cache_hit(self):
         program = compile_stencil_program(build_jacobi_module(), cpu_target())

@@ -281,6 +281,7 @@ def test_plan_overlap_defers_unrelated_nest():
     """A nest not touching the swapped array leaves its halos in flight."""
     from repro.dialects import arith, builtin, func, memref, scf
     from repro.interp.interpreter import PendingHalo, SwapMessagePlan
+    from repro.interp.nestplan import _concrete_dims, _resolve, _split_overlap
     from repro.interp.vectorize import compile_kernel
     from repro.ir import Builder, FunctionType, MemRefType, f64
 
@@ -305,26 +306,24 @@ def test_plan_overlap_defers_unrelated_nest():
     nest = next(iter(compiled.nests.values()))
     u_array = np.arange(64, dtype=np.float64).reshape(8, 8)
     v_array = np.zeros((8, 8))
-    from repro.interp.values import MemRefValue
-
-    env = {u: MemRefValue(u_array), v: MemRefValue(v_array)}
-    dims = nest._concrete_dims(env, nest.bounds)
-    resolved = nest._resolve_regions([u_array, v_array], env, dims)
+    dims = _concrete_dims(nest.bounds, {})
+    resolved = _resolve(nest, dims, [u_array, v_array], [("arg", 0), ("arg", 1)], {})
 
     box = (slice(0, 1), slice(0, 8))
     # One receive record: (recv_slice, neighbor, tag, elements, axis).
     swap = SwapMessagePlan([], [(box, None, None, 8, 0)])
     unrelated = np.zeros((8, 8))
     halo_unrelated = PendingHalo(unrelated, swap)
-    assert nest._plan_overlap(env, dims, resolved, [halo_unrelated]) == "defer"
+    # No strips: the whole nest is the interior, the halo stays in flight.
+    assert _split_overlap(nest, dims, resolved, [halo_unrelated]) == (dims, [])
 
     # The same box on the *loaded* array constrains the interior instead.
     halo_related = PendingHalo(u_array, swap)
-    plan = nest._plan_overlap(env, dims, resolved, [halo_related])
-    assert plan != "defer" and plan is not None
+    plan = _split_overlap(nest, dims, resolved, [halo_related])
+    assert plan is not None and plan[1]
     interior, strips = plan
     assert interior[0] == (1, 8, 1) and len(strips) == 1
 
     # And a box on the *stored* array is unprovable: blocking fallback.
     halo_store = PendingHalo(v_array, swap)
-    assert nest._plan_overlap(env, dims, resolved, [halo_store]) is None
+    assert _split_overlap(nest, dims, resolved, [halo_store]) is None

@@ -107,6 +107,44 @@ def test_every_module_is_imported_by_the_program():
     assert unused_modules() == sorted(EXEMPT)
 
 
+# -- private names ------------------------------------------------------------
+# A module that takes an underscore name of another module (``from m import
+# _name``, or ``m._name`` of an imported module) leans on what that module
+# does not offer.  The list below is a ratchet: it may only shrink.
+
+#: ``(importer, module, name)`` of every private name one module of
+#: ``src/repro`` takes from another, and why it stays private.
+PRIVATE_IMPORTS = {
+    ("repro.interp.codegen", "repro.interp.interpreter", "_wrap_argument"):
+        "islands bind their inputs exactly as the walker binds call arguments",
+    ("repro.runtime.mp_world", "repro.interp.mpi_runtime", "_copy_into"):
+        "process ranks land messages exactly as the thread world does",
+    ("repro.runtime.shared_pool", "repro.runtime.mp_world", "_capacity_class"):
+        "the shared field pool rounds sizes as the message blocks do",
+    ("repro.serve.server", "repro.core.session", "_default_function"):
+        "served jobs pick their function the way Session.run does",
+    ("repro.serve.server", "repro.core.session", "_release_run_buffers"):
+        "the server finishes the rounds Session.execute_batch starts",
+}
+
+
+def private_imports() -> set[tuple[str, str, str]]:
+    found = set()
+    for path in SRC.rglob("*.py"):
+        name = _module_name(path)
+        for module, names in _imports(path, name, path.name == "__init__.py"):
+            if module.startswith("repro") and module != name:
+                found.update(
+                    (name, module, taken) for taken in names
+                    if taken.startswith("_") and not taken.startswith("__")
+                )
+    return found
+
+
+def test_private_names_cross_modules_only_where_listed():
+    assert sorted(private_imports()) == sorted(PRIVATE_IMPORTS)
+
+
 # -- operations ---------------------------------------------------------------
 # An operation is a class something builds.  Testing for an op
 # (``isinstance``) or annotating with it keeps nothing alive: the op has to be

@@ -338,6 +338,31 @@ def test_wave_kernel_allocates_no_field_sized_temporary():
     assert sum("out=_r" in line for line in arithmetic) == 1  # the store itself
 
 
+def _trace_with_sample_args(program):
+    """The trace of ``kernel`` and arguments to emit it from: local buffers
+    as a rank sees them (zero pages: nothing is touched), then one step."""
+    func_op = program.functions["kernel"]
+    args = [
+        np.zeros(arg.shape) if hasattr(arg, "shape") else 1
+        for arg in func_op.function_type.inputs
+    ]
+    return trace_program(func_op, program.compiled_kernel("kernel")), args
+
+
+def test_block_budget_patches_take_effect(monkeypatch):
+    """The cell budgets live where boxes are planned: patching them there
+    is what forces block loops and team chunks onto small grids."""
+    from repro.interp import nestplan
+
+    trace, args = _trace_with_sample_args(_compile_heat((1, 1)))
+    assert "for _i" not in emit_megakernel(trace, args).source
+    assert not emit_megakernel(trace, args, threads=2).uses_team
+    monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 8)
+    assert "for _i" in emit_megakernel(trace, args).source
+    monkeypatch.setattr(nestplan, "_TEAM_MIN_CELLS", 1)
+    assert emit_megakernel(trace, args, threads=2).uses_team
+
+
 #: sha256 prefixes of ``CompiledMegakernel.source``, emitted from zero-filled
 #: sample arguments without running: ``<fixture>/r<rank>[/traced]``.  The
 #: fixtures are the ledger's kernels (heat2d so2 64^2 on one and two ranks,
@@ -391,14 +416,7 @@ def test_generated_megakernel_sources_are_pinned(fixture):
     program = compile_stencil_program(
         workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
         cpu_target() if grid is None else dmp_target(**grid))
-    func_op = program.functions["kernel"]
-    trace = trace_program(func_op, program.compiled_kernel("kernel"))
-    # Local buffers as the rank sees them (zero pages: nothing is touched),
-    # then the step count.
-    args = [
-        np.zeros(arg.shape) if hasattr(arg, "shape") else 1
-        for arg in func_op.function_type.inputs
-    ]
+    trace, args = _trace_with_sample_args(program)
     for rank in range(size):
         for traced in (False, True):
             kernel = emit_megakernel(
@@ -799,9 +817,9 @@ def test_planned_runs_the_tree_walker():
 def test_team_chunks_never_split_a_reduction(monkeypatch):
     """Reductions fold in iteration order: with a team and every box worth
     chunking, the reduction nest still runs whole."""
-    from repro.interp import vectorize
+    from repro.interp import nestplan
 
-    monkeypatch.setattr(vectorize, "_TEAM_MIN_CELLS", 1)
+    monkeypatch.setattr(nestplan, "_TEAM_MIN_CELLS", 1)
     module = build_reduce_module(8, arith.AddfOp, 0.5)
     data = np.random.default_rng(5).standard_normal((8, 8))
     walked = [data.copy(), np.zeros(1)]

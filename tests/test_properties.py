@@ -25,8 +25,8 @@ from repro.interp import (
     SimulatedMPI,
     compile_kernel,
     emit_megakernel,
+    nestplan,
     trace_program,
-    vectorize,
 )
 from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
 from repro.transforms.distribute import GridSlicingStrategy
@@ -299,9 +299,9 @@ def _compiled_worlds():
     Thread-team chunking normally needs 4096 cells to be worth it; it is
     forced in both.
     """
-    for budget in (vectorize._BLOCK_CELLS, _SMALL_BLOCK_CELLS):
-        with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1), \
-                mock.patch.object(vectorize, "_BLOCK_CELLS", budget):
+    for budget in (nestplan._BLOCK_CELLS, _SMALL_BLOCK_CELLS):
+        with mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1), \
+                mock.patch.object(nestplan, "_BLOCK_CELLS", budget):
             yield budget
 
 
@@ -670,8 +670,8 @@ class TestNestEmitterDifferential:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(vectorize, "_TEAM_MIN_CELLS", 1), \
-                    mock.patch.object(vectorize, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
+            with mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1), \
+                    mock.patch.object(nestplan, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
                 fast = run(threads_per_rank=2)
         finally:
             sys.setswitchinterval(switch)
