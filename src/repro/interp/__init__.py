@@ -15,9 +15,12 @@ Lowered programs are executed by two engines:
   generated Python function.  ``scf.parallel`` / ``omp.wsloop`` / plain
   ``scf.for`` nests whose bodies are pure ``memref.load`` / ``arith`` /
   ``memref.store`` programs with affine (``iv + c``) indices
-  (:mod:`repro.interp.vectorize`) are fused into it as whole-array NumPy
-  statements — :func:`repro.interp.vectorize.emit_nest` is the one emitter
-  of those: in place (``out=`` into a few scratch slots, the last op into
+  (:mod:`repro.interp.vectorize` compiles them to instructions) are fused
+  into it as whole-array NumPy statements.  :mod:`repro.interp.nestplan`
+  plans each box of such a nest once against the concrete buffers
+  (:func:`~repro.interp.nestplan.plan_box`) and
+  :func:`~repro.interp.nestplan.print_numpy` is the one printer of those
+  statements: in place (``out=`` into a few scratch slots, the last op into
   the target region) and, for boxes over a cell budget, block by block so
   the expression DAG stays in cache.  A ``dmp.swap``, and the ``MPI_*``
   message group ``convert-dmp-to-mpi`` lowers one to, are swap steps whose

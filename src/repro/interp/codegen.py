@@ -31,24 +31,26 @@ swap declaration its request array keeps.  Both post and land through
 kernel, hoisted statistics aside (the walker of the ``MPI_*`` form counts
 messages, not ``halo_swaps`` or halo elements).
 
-Halo exchanges overlap compute wherever ``CompiledNest._plan_overlap`` proves
-it safe: a nest's interior runs while its halos are in flight and its
-boundary strips after they land.  There is no switch to turn that off; the
-tree walker, whose exchanges block, is the blocking reference.
+Halo exchanges overlap compute wherever
+:func:`~repro.interp.nestplan.plan_nest` proves it safe: a nest's interior
+runs while its halos are in flight and its boundary strips after they land.
+There is no switch to turn that off; the tree walker, whose exchanges
+block, is the blocking reference.
 
 The discipline mirrors the interpreter exactly:
 
-* the statements of a nest are not written here: they come from
-  :func:`repro.interp.vectorize.emit_nest`, the one instruction -> NumPy
-  mapping, inlined with literal slices (``b0[2:130, ...]``) — in-place
-  ``out=`` statements and, for a box over the cell budget, the block loop
-  around them; the scratch slots they write become locals allocated once,
-  ahead of the time loop;
-* the slices come from the ``CompiledNest`` geometry (``_resolve_regions``
-  with its aliasing check, ``_plan_overlap``, ``_team_chunks``), replayed at
-  emit time against the concrete buffers; with ``threads_per_rank > 1`` each
-  box is split into team chunks, emitted as local functions and run on the
-  rank's :class:`~repro.interp.thread_team.ThreadTeam`;
+* the statements of a nest are not written here: each nest is planned once
+  per buffer layout by :func:`repro.interp.nestplan.plan_nest` — concrete
+  bounds, the aliasing verdict, the overlap split and, with
+  ``threads_per_rank > 1``, team chunks — and each box is planned once by
+  :func:`~repro.interp.nestplan.plan_box` and written by
+  :func:`~repro.interp.nestplan.print_numpy`, the one instruction -> NumPy
+  printer, with literal slices (``b0[2:130, ...]``): in-place ``out=``
+  statements and, for a box over the cell budget, the block loop around
+  them; the scratch slots they write become locals allocated once, ahead
+  of the time loop, and team chunks become local functions run on the
+  rank's :class:`~repro.interp.thread_team.ThreadTeam`.  A later buffer
+  parity of the time loop must plan the same geometry;
 * swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
   and the exchange itself is the interpreter's ``post_swap`` /
   ``complete_swap`` pair, called directly, for either spelling;
@@ -89,7 +91,7 @@ from .interpreter import (
     post_swap,
     swap_message_plan,
 )
-from .nestplan import CodegenError, local_name, plan_nest, print_numpy
+from .nestplan import CodegenError, local_name, plan_box, plan_nest, print_numpy
 from .vectorize import CompiledKernel, CompiledNest, operand_refs
 
 
@@ -959,16 +961,14 @@ class _MegakernelEmitter:
             return
         counts["cells_updated"] += plan.cells
         nest_end = self._open_span("nest")
-        if not plan.strips:
-            reduced = self._print_boxes(plan.boxes)
-        else:
-            interior_end = self._open_span("nest.interior")
-            reduced = self._print_boxes(plan.boxes)
-            self._close_span(interior_end)
+        interior_end = self._open_span("nest.interior") if plan.strips else None
+        reduced = self._print_boxes(plan)
+        self._close_span(interior_end)
+        if plan.strips:
             complete(len(inflight), overlapped=True)
             boundary_end = self._open_span("nest.boundary")
             for strip in plan.strips:
-                self.lines.extend(self._print(strip)[0])
+                self.lines.extend(self._print(plan, strip)[0])
             self._close_span(boundary_end)
         self._close_span(nest_end)
         # Reductions (never chunked, never split) are what islands and later
@@ -988,20 +988,20 @@ class _MegakernelEmitter:
         if end is not None:
             self.lines.append(end)
 
-    def _print_boxes(self, boxes: list) -> list[str]:
+    def _print_boxes(self, plan) -> list[str]:
         """Inline one box, or run its team chunks on ``_team``.
 
         Each chunk becomes a local function defined ahead of the time loop —
         it reads the rotating buffers as closure variables — with scratch of
         its own.  Returns the names of the box's reduction results.
         """
-        if len(boxes) == 1:
-            lines, reduced = self._print(boxes[0])
+        if len(plan.boxes) == 1:
+            lines, reduced = self._print(plan, plan.boxes[0])
             self.lines.extend(lines)
             return reduced
         names = []
-        for box in boxes:
-            lines, _ = self._print(box)
+        for dims in plan.boxes:
+            lines, _ = self._print(plan, dims)
             names.append(self._new_var("_c"))
             self.setup.append(f"def {names[-1]}():")
             self.setup.extend("    " + line for line in lines)
@@ -1009,8 +1009,9 @@ class _MegakernelEmitter:
         self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
         return []
 
-    def _print(self, box) -> tuple[list[str], list[str]]:
-        """The statements of one planned box; its scratch goes to the setup."""
+    def _print(self, plan, dims) -> tuple[list[str], list[str]]:
+        """Plan one box of ``plan`` and print it; its scratch goes to the setup."""
+        box = plan_box(plan, dims)
         setup, lines, reduced = print_numpy(
             box, self._new_var, lambda ref: self._outer_source(ref, box.dims)
         )

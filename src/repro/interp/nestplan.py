@@ -10,8 +10,9 @@ a thread-team chunk.
 * :func:`plan_nest` settles a nest once per buffer layout: its concrete
   bounds, the aliasing verdict, the split into an interior that runs while
   halos are in flight and the boundary strips after them, and the team
-  chunks — each box planned by :func:`plan_box`.
-* :func:`plan_box` returns a :class:`BoxPlan`: the box's geometry (one
+  chunks.
+* :func:`plan_box` plans one of those boxes as a :class:`BoxPlan`: its
+  geometry (one
   :class:`Access` record per load and store, in instruction order), one
   :class:`Value` record per instruction (operands, dtype, shape and where
   it is written) and the block walk.
@@ -41,7 +42,8 @@ the tree walker instead.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -244,6 +246,7 @@ def _trips(dims) -> tuple:
     return tuple(len(range(*dim)) for dim in dims)
 
 
+@dataclass(eq=False, slots=True)
 class Access:
     """One load or store of a box: its buffer and the region it touches.
 
@@ -253,19 +256,13 @@ class Access:
     ``array[slices]`` (stores are shaped to it).
     """
 
-    __slots__ = ("position", "is_store", "sym", "array", "slices",
-                 "view_shape", "region_shape")
-
-    def __init__(self, position: int, is_store: bool, sym: tuple,
-                 array: np.ndarray, slices: tuple, view_shape: tuple,
-                 region_shape: tuple):
-        self.position = position
-        self.is_store = is_store
-        self.sym = sym
-        self.array = array
-        self.slices = slices
-        self.view_shape = view_shape
-        self.region_shape = region_shape
+    position: int
+    is_store: bool
+    sym: tuple
+    array: np.ndarray
+    slices: tuple
+    view_shape: tuple
+    region_shape: tuple
 
     @property
     def geometry(self) -> tuple:
@@ -444,33 +441,43 @@ def _team_chunks(dims, threads: int) -> list:
     return [dims]
 
 
+@dataclass(eq=False, slots=True)
 class NestPlan:
     """One nest settled against concrete buffers: the boxes it runs as.
 
     ``boxes`` run first — the whole nest or its overlap interior, as one box
     or one per team chunk — and ``strips``, the boundary of an overlapped
-    nest, after its halos land.  ``waits`` says the in-flight halos must land
-    before the nest runs at all.
+    nest, after its halos land; each is the ``dims`` of a box, which
+    :func:`plan_box` plans.  ``waits`` says the in-flight halos must land
+    before the nest runs at all.  ``accesses`` are the whole nest's.
     """
 
-    __slots__ = ("cells", "waits", "boxes", "strips")
-
-    def __init__(self, cells: int, waits: bool, boxes: list, strips: list):
-        self.cells = cells
-        self.waits = waits
-        self.boxes = boxes
-        self.strips = strips
+    nest: CompiledNest
+    arrays: list
+    syms: list
+    symbols: dict
+    dims: list
+    accesses: list
+    cells: int
+    waits: bool
+    boxes: list
+    strips: list
 
     @property
     def geometry(self) -> tuple:
-        """What the plan depends on of its buffers, to compare rotations by."""
+        """What the plan took from its buffers, to compare rotations by.
+
+        A box's regions follow from its dims and the nest's, so they are not
+        repeated here.
+        """
         return (self.cells, self.waits,
-                tuple(box.geometry for box in (*self.boxes, *self.strips)))
+                tuple(access.geometry for access in self.accesses),
+                tuple(map(tuple, self.boxes)), tuple(map(tuple, self.strips)))
 
 
 def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
               halos: list, threads: int) -> NestPlan:
-    """Plan every box of ``nest`` over the concrete buffers ``arrays``.
+    """Settle ``nest`` over the concrete buffers ``arrays``: its boxes.
 
     ``syms`` are the trace symbols of those buffers (one per load/store in
     instruction order), ``symbols`` the trace's symbol of every value,
@@ -480,7 +487,7 @@ def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
     """
     dims = _concrete_dims(nest.bounds, symbols)
     cells = math.prod(
-        len(range(*dim)) for dim in _concrete_dims(nest.count_bounds, symbols)
+        _trips(_concrete_dims(nest.count_bounds, symbols))
     ) if nest.count_bounds else 0
     accesses = _resolve(nest, dims, arrays, syms, symbols)
     if not _aliasing_is_safe(accesses):
@@ -490,11 +497,10 @@ def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
         )
     split = _split_overlap(nest, dims, accesses, halos) if halos else None
     interior, strips = split or (dims, [])
-    chunks = _team_chunks(interior, 1 if nest.has_reduce else threads)
     return NestPlan(
-        cells, bool(halos) and split is None,
-        [plan_box(nest, box, arrays, syms, symbols) for box in chunks],
-        [plan_box(nest, box, arrays, syms, symbols) for box in strips],
+        nest, arrays, syms, symbols, dims, accesses, cells,
+        bool(halos) and split is None,
+        _team_chunks(interior, 1 if nest.has_reduce else threads), strips,
     )
 
 
@@ -524,6 +530,7 @@ def _grid_shape(affine, shape: tuple) -> tuple:
     )
 
 
+@dataclass(eq=False, slots=True)
 class Operand:
     """What an instruction reads: a reference and the value's type.
 
@@ -534,15 +541,13 @@ class Operand:
     ``shape`` the extents of one block (``()`` for python scalars).
     """
 
-    __slots__ = ("ref", "is_array", "dtype", "shape")
-
-    def __init__(self, ref: tuple, is_array: bool, dtype, shape: tuple):
-        self.ref = ref
-        self.is_array = is_array
-        self.dtype = dtype
-        self.shape = shape
+    ref: tuple
+    is_array: bool
+    dtype: Any
+    shape: tuple
 
 
+@dataclass(eq=False, slots=True)
 class Value:
     """The plan of one instruction of a box.
 
@@ -554,16 +559,12 @@ class Value:
     the stored value is broadcast and cast on commit.
     """
 
-    __slots__ = ("instr", "operands", "result", "slot", "access", "convert")
-
-    def __init__(self, instr: tuple, operands: list, result=None, slot=None,
-                 access: Optional[Access] = None, convert: bool = False):
-        self.instr = instr
-        self.operands = operands
-        self.result = result
-        self.slot = slot
-        self.access = access
-        self.convert = convert
+    instr: tuple
+    operands: list
+    result: Optional[Operand] = None
+    slot: Any = None
+    access: Optional[Access] = None
+    convert: bool = False
 
 
 class BoxPlan:
@@ -591,12 +592,10 @@ class BoxPlan:
         return any(self.local[dim] != self.block[dim] for dim in self.looped)
 
 
-def plan_box(nest: CompiledNest, dims, arrays: list, syms: list,
-             symbols: dict) -> BoxPlan:
-    """Plan one box of ``nest``: the ``dims`` part of its iteration space.
+def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
+    """Plan one box of a planned nest: the ``dims`` part of its iteration space.
 
-    Resolves the box's accesses (see :func:`plan_nest` for the arguments),
-    then types every instruction's values block by block and assigns their
+    Resolves the box's accesses, then types every instruction's values block by block and assigns their
     storage.  Each value is written once.  An array result whose dtype is
     known and whose shape is the block's goes into a scratch slot that a
     last-read liveness pass hands on to later values, and the last op of a
@@ -606,9 +605,11 @@ def plan_box(nest: CompiledNest, dims, arrays: list, syms: list,
     Raises :class:`CodegenError` when the shapes show the nest cannot be
     executed by broadcasting.
     """
+    nest, symbols = nest_plan.nest, nest_plan.symbols
     plan = BoxPlan()
     plan.dims = [tuple(dim) for dim in dims]
-    plan.accesses = _resolve(nest, plan.dims, arrays, syms, symbols)
+    plan.accesses = nest_plan.accesses if plan.dims == nest_plan.dims else _resolve(
+        nest, plan.dims, nest_plan.arrays, nest_plan.syms, symbols)
     plan.shape = shape = _trips(plan.dims)
     plan.block = block = shape if nest.has_reduce else _block_extents(shape)
     plan.looped = [dim for dim in range(len(shape)) if block[dim] != shape[dim]]

@@ -193,15 +193,14 @@ class CompiledNest:
     settled by :func:`repro.interp.nestplan.plan_nest`.
     """
 
-    __slots__ = ("bounds", "instrs", "count_bounds", "rank", "op_name",
-                 "has_reduce", "reduce_results", "accesses")
+    __slots__ = ("bounds", "instrs", "count_bounds", "has_reduce",
+                 "reduce_results", "accesses")
 
     def __init__(
         self,
         bounds: list[tuple[_Affine, _Affine, _Affine]],
         instrs: list[tuple],
         count_bounds: list[tuple[_Affine, _Affine, _Affine]],
-        op_name: str = "scf.parallel",
     ):
         self.bounds = bounds
         self.instrs = instrs
@@ -212,8 +211,6 @@ class CompiledNest:
         #: scf.for dims do not count, and a plain scf.for root counts
         #: nothing — empty ``count_bounds``).
         self.count_bounds = count_bounds
-        self.rank = len(bounds)
-        self.op_name = op_name
         #: The SSA results of the nest's reductions, in instruction order.
         self.reduce_results = [
             instr[1] for instr in instrs if instr[0] == "reduce"
@@ -278,7 +275,7 @@ class _NestCompiler:
         else:
             raise VectorizationError(f"{root.name} is not a vectorizable nest")
         self._compile_block(block)
-        return CompiledNest(self.bounds, self.instrs, self.count_bounds, root.name)
+        return CompiledNest(self.bounds, self.instrs, self.count_bounds)
 
     def _push_dim(self, iv: SSAValue, lower, upper, step) -> None:
         self.ivs[iv] = len(self.bounds)
