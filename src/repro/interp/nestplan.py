@@ -12,10 +12,9 @@ a thread-team chunk.
   halos are in flight and the boundary strips after them, and the team
   chunks.
 * :func:`plan_box` plans one of those boxes as a :class:`BoxPlan`: its
-  geometry (one
-  :class:`Access` record per load and store, in instruction order), one
-  :class:`Value` record per instruction (operands, dtype, shape and where
-  it is written) and the block walk.
+  geometry (one :class:`Access` record per load and store, in instruction
+  order), one :class:`Value` record per instruction (operands, dtype, shape
+  and where it is written) and the block walk.
 * :func:`print_numpy` writes a plan's statements and reads everything it
   writes, the ``# box`` comment included, from the plan.
 
@@ -264,10 +263,6 @@ class Access:
     view_shape: tuple
     region_shape: tuple
 
-    @property
-    def geometry(self) -> tuple:
-        return (self.position, self.slices, self.view_shape, self.region_shape)
-
     def same_region(self, other: "Access") -> bool:
         return self.array is other.array and self.slices == other.slices
 
@@ -471,7 +466,8 @@ class NestPlan:
         repeated here.
         """
         return (self.cells, self.waits,
-                tuple(access.geometry for access in self.accesses),
+                tuple((access.position, access.slices, access.view_shape,
+                       access.region_shape) for access in self.accesses),
                 tuple(map(tuple, self.boxes)), tuple(map(tuple, self.strips)))
 
 
@@ -581,11 +577,6 @@ class BoxPlan:
 
     __slots__ = ("dims", "accesses", "shape", "block", "looped", "local",
                  "values", "slots", "copy")
-
-    @property
-    def geometry(self) -> tuple:
-        return (tuple(self.dims),
-                tuple(access.geometry for access in self.accesses))
 
     @property
     def ragged(self) -> bool:
