@@ -45,10 +45,10 @@ import numpy as np
 from .. import runtime as _process_runtime
 from ..interp import SimulatedMPI
 from ..interp.codegen import CodegenFallback
-from ..interp.mpi_runtime import CommStatistics, MPIRuntimeError
+from ..interp.mpi_runtime import CommStatistics, MPIRuntimeError, merge_comm_statistics
 from ..interp.thread_team import ThreadTeam
 from ..obs import MetricsRegistry, Tracer, TraceTimeline
-from ..runtime.stats import merge_comm_statistics, sort_rank_stats
+from ..runtime.stats import sort_rank_stats
 from ..runtime.worker_pool import REPORT_MARGIN, PoolBatchJob, WorkerError
 from ..transforms.distribute import GridSlicingStrategy
 from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning

@@ -58,8 +58,8 @@ and identical ``cells_updated`` / ``halo_swaps`` statistics, so cost models
 and tests are backend-agnostic; only ``ops_executed`` shrinks in the
 megakernel because a fused nest is one op.
 
-Distributed programs execute against one of two worlds implementing the same
-:class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (selected by
+Distributed programs execute against one :class:`Communicator` per rank,
+over one of two worlds' mailboxes (selected by
 ``ExecutionConfig(runtime=...)``): the :class:`SimulatedMPI` thread world
 here — each rank runs its own megakernel (or tree walker) in its own
 thread — or the OS-process world of :mod:`repro.runtime`, where
@@ -85,10 +85,9 @@ from .interpreter import (
 )
 from .mpi_runtime import (
     CommStatistics,
-    CommunicatorBase,
+    Communicator,
     MPIRuntimeError,
-    RankCommunicator,
-    SimRequest,
+    Request,
     SimulatedMPI,
 )
 from .values import DataTypeValue, MemRefValue, PointerValue, RequestHandle, numpy_dtype_for
@@ -108,7 +107,7 @@ __all__ = [
     "compile_kernel", "compile_loop_nest_or_fallback",
     "CodegenError", "CodegenFallback", "CompiledMegakernel", "MegakernelTrace",
     "trace_program", "emit_megakernel", "megakernel_signature",
-    "SimulatedMPI", "RankCommunicator", "CommunicatorBase", "SimRequest",
+    "SimulatedMPI", "Communicator", "Request",
     "MPIRuntimeError", "CommStatistics",
     "MemRefValue", "PointerValue", "RequestHandle", "DataTypeValue",
     "numpy_dtype_for",

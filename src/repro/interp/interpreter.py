@@ -44,7 +44,7 @@ import numpy as np
 from ..dialects import arith, builtin, dmp, func, gpu, hls, memref, mpi, omp, scf, stencil
 from ..ir.core import Block, Operation, SSAValue
 from ..transforms.mpi.mpi_to_func import MPICH_OP_CONSTANTS
-from .mpi_runtime import CommunicatorBase
+from .mpi_runtime import Communicator
 from .values import DataTypeValue, MemRefValue, PointerValue, RequestHandle
 
 class InterpreterError(Exception):
@@ -159,7 +159,7 @@ class Interpreter:
         self,
         module: builtin.ModuleOp,
         *,
-        comm: Optional[CommunicatorBase] = None,
+        comm: Optional[Communicator] = None,
         functions: Optional[dict[str, func.FuncOp]] = None,
         tracer: Optional[Any] = None,
     ):
@@ -265,7 +265,7 @@ class Interpreter:
         raise InterpreterError(f"value {value!r} is not buffer-like")
 
     # -- MPI helpers ------------------------------------------------------------------
-    def require_comm(self) -> CommunicatorBase:
+    def require_comm(self) -> Communicator:
         if self.comm is None:
             raise InterpreterError(
                 "this program performs message passing but no communicator was "

@@ -6,7 +6,7 @@ executes in its own thread against a shared :class:`SimulatedMPI` world:
 
 * point-to-point messages are *buffered*: ``isend``/``send`` never block,
   ``recv``/``wait`` block until a matching message (by source and tag) arrives;
-* non-blocking operations return request objects compatible with
+* non-blocking operations return :class:`Request` objects compatible with
   ``wait``/``waitall``/``test``;
 * the collective subset of the paper (reduce, allreduce, bcast, gather,
   barrier) is implemented on top of point-to-point messages with reserved tags.
@@ -14,21 +14,32 @@ executes in its own thread against a shared :class:`SimulatedMPI` world:
 Statistics (message and byte counts) are recorded so tests and the performance
 model can check communication volumes against the analytic expectations.
 
-:class:`CommunicatorBase` is the rank-level interface the interpreter programs
-against.  It owns the collective algorithms (expressed purely in terms of the
-abstract point-to-point primitives and the reserved tag space), so every world
-implementation — the thread-backed :class:`SimulatedMPI` here and the
-OS-process world in :mod:`repro.runtime.mp_world` — exhibits byte-identical
-message traffic and statistics for the same program.
+:class:`Communicator` is the rank-level interface the interpreter programs
+against, and the only one: it owns the rank checks, the request handling, the
+collective algorithms (expressed in terms of point-to-point messages and the
+reserved tag space) and the rank's own statistics.  Below it sits a world's
+*mailbox*, the one thing the two worlds do differently:
+
+* ``post(source, dest, tag, data)`` copies a payload at send time;
+* ``take(dest, source, tag, timeout)`` pops the next message of ``(source,
+  tag)`` for ``dest`` — ``timeout=None`` never blocks and returns ``None``
+  when there is none, otherwise one deadline covers the whole wait and
+  :class:`MPIRuntimeError` says it timed out;
+* ``land(message, into)`` copies a taken message into a buffer, converting
+  its dtype (``into=None`` drops it).
+
+:class:`SimulatedMPI` is the thread world's mailbox, and
+:class:`repro.runtime.mp_world.ProcessMailbox` the OS-process world's, so both
+worlds exhibit byte-identical message traffic and statistics for the same
+program.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from abc import ABC, abstractmethod
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +54,7 @@ class MPIRuntimeError(Exception):
 
 @dataclass
 class CommStatistics:
-    """Per-world communication counters.
+    """Communication counters of one rank, or merged over a world.
 
     The ``bytes_elided`` / ``shared_blocks_reused`` pair describes the
     process runtime's shared-memory copy elision (fields scattered into and
@@ -65,101 +76,121 @@ class CommStatistics:
     shared_blocks_reused: int = field(default=0, compare=False)
 
 
-class SimRequest:
-    """A request handle returned by the non-blocking operations."""
+def merge_comm_statistics(per_rank: Sequence[CommStatistics]) -> CommStatistics:
+    """Sum per-rank communication counters, field by field, in rank order.
 
-    __slots__ = ("kind", "comm", "source", "tag", "buffer", "completed")
+    Both worlds count per rank and merge here, so the same program yields the
+    same totals in either.
+    """
+    merged = CommStatistics()
+    for stats in per_rank:
+        for counter in fields(CommStatistics):
+            name = counter.name
+            setattr(merged, name, getattr(merged, name) + getattr(stats, name))
+    return merged
 
-    def __init__(self, kind: str, comm: "RankCommunicator", source: int, tag: int,
+
+class Request:
+    """A request handle returned by ``isend``/``irecv``.
+
+    Buffered sends complete at once; a receive lands its message in
+    ``buffer`` only when ``wait`` or ``test`` completes it.
+    """
+
+    __slots__ = ("comm", "source", "tag", "buffer", "completed")
+
+    def __init__(self, comm: "Communicator", source: int, tag: int,
                  buffer: Optional[np.ndarray]):
-        self.kind = kind
         self.comm = comm
         self.source = source
         self.tag = tag
         self.buffer = buffer
-        self.completed = kind == "send"  # buffered sends complete immediately
+        self.completed = buffer is None  # a send: buffered, so complete at once
 
     def test(self) -> bool:
-        if self.completed:
-            return True
-        if self.kind == "recv":
-            done = self.comm.world.try_complete_recv(self)
-            self.completed = done
-            return done
+        """Complete the request if its message has arrived; never blocks."""
+        return self.completed or self._complete(None)
+
+    def wait(self) -> None:
+        """Block until the request completes (the world timeout applies)."""
+        if not self.completed:
+            self._complete(self.comm.timeout)
+
+    def _complete(self, timeout: Optional[float]) -> bool:
+        comm = self.comm
+        message = comm.mailbox.take(comm.rank, self.source, self.tag, timeout)
+        if message is None:
+            return False
+        comm.mailbox.land(message, self.buffer)
+        self.completed = True
         return True
 
-    def wait(self, timeout: float) -> None:
-        if self.completed:
-            return
-        self.comm.world.wait_recv(self, timeout)
-        self.completed = True
 
+class Communicator:
+    """One rank's MPI interface, over its world's mailbox.
 
-class CommunicatorBase(ABC):
-    """The per-rank MPI interface both execution runtimes implement.
-
-    Subclasses provide the point-to-point transport (buffered sends, blocking
-    and non-blocking receives) and the statistics hooks; the collective subset
-    of the paper is implemented *here*, on top of those primitives, with
-    reserved tags — so the thread world and the process world produce the same
-    message counts, byte counts and deterministic reduction order.
+    Point-to-point messages are buffered sends and matching receives by
+    ``(source, tag)``; the collective subset of the paper runs on top of
+    them with reserved tags, so every world produces the same message
+    counts, byte counts and deterministic reduction order.  ``statistics``
+    counts this rank only: a communicator belongs to one rank's thread, so
+    no counter is shared.
     """
 
-    rank: int
+    def __init__(self, mailbox: Any, rank: int, size: int, timeout: float = 30.0):
+        if not 0 <= rank < size:
+            raise MPIRuntimeError(f"rank {rank} outside world of size {size}")
+        self.mailbox = mailbox
+        self.rank = rank
+        self.size = size
+        self.timeout = timeout
+        self.statistics = CommStatistics()
 
-    @property
-    @abstractmethod
-    def size(self) -> int:
-        """Number of ranks in the world."""
-
-    # -- point to point (transport-specific) ---------------------------------
-    @abstractmethod
+    # -- point to point ----------------------------------------------------------
     def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffered send: never blocks."""
+        if not 0 <= dest < self.size:
+            raise MPIRuntimeError(f"send to invalid rank {dest}")
+        data = np.asarray(data)
+        self.mailbox.post(self.rank, dest, tag, data)
+        self.statistics.messages_sent += 1
+        self.statistics.bytes_sent += data.nbytes
 
-    @abstractmethod
-    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> Any:
-        """Non-blocking send; returns a request with ``test``/``wait``."""
+    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> Request:
+        self.send(data, dest, tag)
+        return Request(self, dest, tag, None)
 
-    @abstractmethod
     def recv(self, buffer: np.ndarray, source: int, tag: int = 0) -> np.ndarray:
         """Blocking receive into ``buffer`` (matched by source and tag)."""
+        self.irecv(buffer, source, tag).wait()
+        return buffer
 
-    @abstractmethod
-    def irecv(self, buffer: np.ndarray, source: int, tag: int = 0) -> Any:
-        """Non-blocking receive; returns a request with ``test``/``wait``."""
+    def irecv(self, buffer: np.ndarray, source: int, tag: int = 0) -> Request:
+        if not 0 <= source < self.size:
+            raise MPIRuntimeError(f"receive from invalid rank {source}")
+        return Request(self, source, tag, np.asarray(buffer))
 
-    @abstractmethod
-    def wait(self, request: Any) -> None:
-        """Block until a request completes."""
+    def wait(self, request: Request) -> None:
+        request.wait()
 
-    def waitall(self, requests: Sequence[Any]) -> None:
+    def waitall(self, requests: Sequence[Optional[Request]]) -> None:
         for request in requests:
             if request is not None:
-                self.wait(request)
+                request.wait()
 
-    def test(self, request: Any) -> bool:
+    def test(self, request: Request) -> bool:
         return request.test()
 
-    # -- statistics hooks ----------------------------------------------------
-    @abstractmethod
-    def _record_collective(self) -> None:
-        """Count one collective invocation on this rank."""
-
-    @abstractmethod
-    def _record_barrier(self) -> None:
-        """Count one barrier invocation on this rank."""
-
-    # -- collectives (shared by all transports) ------------------------------
+    # -- collectives -------------------------------------------------------------
     def barrier(self) -> None:
-        self._record_barrier()
+        self.statistics.barriers += 1
         token = np.zeros(1, dtype=np.int8)
         self._collective_gather_scatter(token)
 
     def reduce(self, data: np.ndarray, operation: str = "sum", root: int = 0) -> Optional[np.ndarray]:
         if operation not in ("sum", "prod", "min", "max", "land", "lor"):
             raise MPIRuntimeError(f"unknown reduction operation {operation!r}")
-        self._record_collective()
+        self.statistics.collectives += 1
         tag = _COLLECTIVE_TAG_BASE + 1
         data = np.asarray(data)
         if self.rank == root:
@@ -179,7 +210,7 @@ class CommunicatorBase(ABC):
         return self.bcast(reduced if self.rank == 0 else np.empty_like(np.asarray(data)), root=0)
 
     def bcast(self, data: np.ndarray, root: int = 0) -> np.ndarray:
-        self._record_collective()
+        self.statistics.collectives += 1
         tag = _COLLECTIVE_TAG_BASE + 2
         data = np.asarray(data)
         if self.rank == root:
@@ -192,7 +223,7 @@ class CommunicatorBase(ABC):
         return buffer
 
     def gather(self, data: np.ndarray, root: int = 0) -> Optional[np.ndarray]:
-        self._record_collective()
+        self.statistics.collectives += 1
         tag = _COLLECTIVE_TAG_BASE + 3
         data = np.asarray(data)
         if self.rank == root:
@@ -223,72 +254,69 @@ class CommunicatorBase(ABC):
 
 
 class SimulatedMPI:
-    """The shared state of one simulated MPI_COMM_WORLD."""
+    """One simulated MPI_COMM_WORLD of threads: the thread world's mailbox."""
 
     def __init__(self, size: int, timeout: float = 30.0):
         if size < 1:
             raise MPIRuntimeError("world size must be at least 1")
         self.size = size
         self.timeout = timeout
-        self.statistics = CommStatistics()
         self._lock = threading.Condition()
         # mailbox[rank][(source, tag)] -> deque of numpy arrays
         self._mailboxes: list[dict[tuple[int, int], deque]] = [
             defaultdict(deque) for _ in range(size)
         ]
+        self._communicators = [
+            Communicator(self, rank, size, timeout) for rank in range(size)
+        ]
 
-    # -- communicator construction ------------------------------------------
-    def communicator(self, rank: int) -> "RankCommunicator":
+    @property
+    def statistics(self) -> CommStatistics:
+        """The world's counters: its ranks' merged in rank order."""
+        return merge_comm_statistics(
+            [comm.statistics for comm in self._communicators])
+
+    def communicator(self, rank: int) -> Communicator:
+        """Rank ``rank``'s communicator (the same object on every call)."""
         if not 0 <= rank < self.size:
             raise MPIRuntimeError(f"rank {rank} outside world of size {self.size}")
-        return RankCommunicator(self, rank)
+        return self._communicators[rank]
 
-    # -- message transport ------------------------------------------------------
-    def post_message(self, source: int, dest: int, tag: int, data: np.ndarray) -> None:
-        if not 0 <= dest < self.size:
-            raise MPIRuntimeError(f"send to invalid rank {dest}")
+    # -- mailbox -----------------------------------------------------------------
+    def post(self, source: int, dest: int, tag: int, data: np.ndarray) -> None:
         payload = np.array(data, copy=True)
         with self._lock:
             self._mailboxes[dest][(source, tag)].append(payload)
-            self.statistics.messages_sent += 1
-            self.statistics.bytes_sent += payload.nbytes
             self._lock.notify_all()
 
-    def _pop_message(self, dest: int, source: int, tag: int) -> Optional[np.ndarray]:
-        queue = self._mailboxes[dest].get((source, tag))
-        if queue:
-            return queue.popleft()
-        return None
-
-    def try_complete_recv(self, request: SimRequest) -> bool:
-        with self._lock:
-            message = self._pop_message(request.comm.rank, request.source, request.tag)
-            if message is None:
-                return False
-        _copy_into(request.buffer, message)
-        return True
-
-    def wait_recv(self, request: SimRequest, timeout: Optional[float] = None) -> None:
+    def take(self, dest: int, source: int, tag: int,
+             timeout: Optional[float]) -> Optional[np.ndarray]:
         # One deadline for the whole wait: every message posted anywhere in
         # the world wakes this thread, and a wake-up must not restart the clock.
-        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
+        deadline = time.monotonic() + timeout if timeout is not None else None
         with self._lock:
-            message = self._pop_message(request.comm.rank, request.source, request.tag)
-            while message is None:
+            queue = self._mailboxes[dest][(source, tag)]
+            while not queue:
+                if deadline is None:
+                    return None
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise MPIRuntimeError(
-                        f"rank {request.comm.rank} timed out waiting for a message "
-                        f"from rank {request.source} with tag {request.tag}"
+                        f"rank {dest} timed out waiting for a message "
+                        f"from rank {source} with tag {tag}"
                     )
                 self._lock.wait(timeout=remaining)
-                message = self._pop_message(request.comm.rank, request.source, request.tag)
-        _copy_into(request.buffer, message)
+            return queue.popleft()
+
+    @staticmethod
+    def land(message: np.ndarray, into: Optional[np.ndarray]) -> None:
+        if into is not None:
+            np.copyto(into, message.reshape(into.shape), casting="unsafe")
 
     # -- SPMD driver -------------------------------------------------------------
     def run_spmd(
         self,
-        body: Callable[["RankCommunicator"], object],
+        body: Callable[[Communicator], object],
         *,
         timeout: Optional[float] = None,
     ) -> list[object]:
@@ -337,50 +365,6 @@ class SimulatedMPI:
                     f"rank {rank} did not finish within {join_timeout}s (deadlock?)"
                 )
         return results
-
-
-class RankCommunicator(CommunicatorBase):
-    """The thread-world rank interface used by the interpreter and examples."""
-
-    def __init__(self, world: SimulatedMPI, rank: int):
-        self.world = world
-        self.rank = rank
-
-    @property
-    def size(self) -> int:
-        return self.world.size
-
-    # -- point to point ----------------------------------------------------------
-    def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.world.post_message(self.rank, dest, tag, np.asarray(data))
-
-    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> SimRequest:
-        self.send(data, dest, tag)
-        return SimRequest("send", self, dest, tag, None)
-
-    def recv(self, buffer: np.ndarray, source: int, tag: int = 0) -> np.ndarray:
-        request = SimRequest("recv", self, source, tag, np.asarray(buffer))
-        self.world.wait_recv(request)
-        return buffer
-
-    def irecv(self, buffer: np.ndarray, source: int, tag: int = 0) -> SimRequest:
-        return SimRequest("recv", self, source, tag, np.asarray(buffer))
-
-    def wait(self, request: SimRequest) -> None:
-        request.wait(self.world.timeout)
-
-    # -- statistics hooks --------------------------------------------------------
-    def _record_collective(self) -> None:
-        self.world.statistics.collectives += 1
-
-    def _record_barrier(self) -> None:
-        self.world.statistics.barriers += 1
-
-
-def _copy_into(buffer: Optional[np.ndarray], message: np.ndarray) -> None:
-    if buffer is None:
-        return
-    np.copyto(buffer, message.reshape(buffer.shape).astype(buffer.dtype, copy=False))
 
 
 def _combine(lhs: np.ndarray, rhs: np.ndarray, operation: str) -> np.ndarray:

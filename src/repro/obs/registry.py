@@ -5,12 +5,13 @@ the communicators' ``CommStatistics``, session-lifecycle counts like
 megakernel cache hits — lands in one flat namespace here
 (``"exec.cells_updated"``, ``"comm.bytes_sent"``, ``"megakernel.cache_hit"``).
 
-The legacy dataclasses remain the *compatibility view*: merging per-rank
-statistics now means ingesting each rank into a registry and materialising
-the dataclass back out (:meth:`as_exec_statistics` /
-:meth:`as_comm_statistics`).  Both directions are plain integer sums over
-``dataclasses.fields`` in rank order, so results are bit-identical to the
-hand-written merges they replace.
+The dataclasses remain the *compatibility view*: a registry that ingested
+per-rank statistics materialises them back out (:meth:`as_exec_statistics`
+/ :meth:`as_comm_statistics`), which is how :mod:`repro.serve.stats`
+reports its running totals.  Both directions are plain integer sums over
+``dataclasses.fields`` in rank order.  The runtime's own merge of per-rank
+communication counters is
+:func:`~repro.interp.mpi_runtime.merge_comm_statistics`, not this registry.
 """
 
 from __future__ import annotations

@@ -5,17 +5,16 @@ but serialized by the GIL outside NumPy; this package runs every rank in its
 own OS process so the paper's strong-scaling shape (figs. 8 and 11) is
 measurable in wall-clock time rather than only modeled:
 
-* :mod:`repro.runtime.mp_world` — shared-memory field buffers, the
+* :mod:`repro.runtime.mp_world` — shared-memory field buffers and the
   shared-memory message transport (payloads in message blocks, envelopes in
-  per-rank queue inboxes), and :class:`ProcessRankCommunicator`, which implements
-  the same :class:`~repro.interp.mpi_runtime.CommunicatorBase` interface (and
-  therefore the same collective algorithms and tag discipline) as the thread
-  world;
+  per-rank queue inboxes): :class:`ProcessMailbox`, this world's mailbox
+  under the same :class:`~repro.interp.mpi_runtime.Communicator` the thread
+  world uses (hence the same collective algorithms and tag discipline);
 * :mod:`repro.runtime.worker_pool` — a persistent worker pool: programs are
   compiled once in the parent, shipped once per worker, and cached worker-side
   so repeated runs amortize all startup;
-* :mod:`repro.runtime.stats` — picklable per-rank statistics merged
-  deterministically in the parent.
+* :mod:`repro.runtime.stats` — the picklable per-rank reports workers send
+  home, merged deterministically in the parent.
 
 Select it with ``ExecutionConfig(runtime="processes")``; results are
 bit-identical to ``runtime="threads"`` and plans fall back to threads (with a
@@ -26,19 +25,14 @@ by tests); there is no process-wide pool.
 """
 
 from .mp_world import (
-    MPRequest,
-    ProcessRankCommunicator,
+    ProcessMailbox,
     SharedField,
     SharedFieldSpec,
     default_context,
     processes_available,
 )
 from .shared_pool import LeasedField, SharedFieldPool
-from .stats import (
-    RankStats,
-    merge_comm_statistics,
-    sort_rank_stats,
-)
+from .stats import RankStats, sort_rank_stats
 from .worker_pool import (
     PoolManager,
     WorkerError,
@@ -47,11 +41,10 @@ from .worker_pool import (
 )
 
 __all__ = [
-    "ProcessRankCommunicator", "MPRequest",
+    "ProcessMailbox",
     "SharedField", "SharedFieldSpec",
     "processes_available", "default_context",
     "WorkerPool", "WorkerError", "WorkerFailure", "PoolManager",
-    "RankStats", "merge_comm_statistics",
-    "sort_rank_stats",
+    "RankStats", "sort_rank_stats",
     "LeasedField", "SharedFieldPool",
 ]

@@ -12,17 +12,18 @@ truly in parallel instead of time-slicing one GIL:
 * **messages** travel as a payload in a shared-memory *message block* plus a
   small envelope ``(run id, sender, tag, block name, shape, dtype)`` on the
   receiver's ``multiprocessing.Queue`` inbox.  The sending worker owns its
-  blocks (:class:`MessageBlocks`): ``send`` copies the payload into a free
-  one — the only sender-side copy — and a receive copies it straight into
+  blocks (:class:`MessageBlocks`): ``post`` copies the payload into a free
+  one — the only sender-side copy — and ``land`` copies it straight into
   the request's buffer, then bumps the block's consumed counter so the
-  sender may reuse it.  :class:`ProcessRankCommunicator` keeps the exact
-  mailbox discipline of the thread world — matching by ``(source, tag)``,
-  buffered sends that never block, blocking receives with one deadline —
-  and implements the same :class:`~repro.interp.mpi_runtime.CommunicatorBase`
-  interface, so the collective algorithms (and their tag space) are
-  literally shared code;
-* **statistics** are counted locally per rank (no cross-process locks) and
-  merged deterministically by the parent (:mod:`repro.runtime.stats`).
+  sender may reuse it.  :class:`ProcessMailbox` is this world's mailbox
+  under the one :class:`~repro.interp.mpi_runtime.Communicator`, with the
+  same discipline as the thread world's — matching by ``(source, tag)``,
+  posts that never block, blocking takes with one deadline — so the
+  point-to-point rules, the collective algorithms (and their tag space) and
+  the statistics are literally shared code;
+* **statistics** are counted per rank by the communicator (no cross-process
+  locks) and merged in rank order by the parent
+  (:func:`~repro.interp.mpi_runtime.merge_comm_statistics`).
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..interp.mpi_runtime import (
-    CommStatistics,
-    CommunicatorBase,
-    MPIRuntimeError,
-    _copy_into,
-)
+from ..interp.mpi_runtime import MPIRuntimeError
 
 
 def default_context() -> multiprocessing.context.BaseContext:
@@ -142,7 +138,7 @@ def _attach(name: str):
         resource_tracker.register = original_register
 
 
-def _capacity_class(nbytes: int) -> int:
+def capacity_class(nbytes: int) -> int:
     """Round a request up to its reuse class (next power of two >= 4 KiB).
 
     Rounding makes near-miss sizes (a 130x130 run after a 128x128 one) hit
@@ -215,13 +211,14 @@ class MessageBlocks:
     """One worker's message blocks: those it writes and those it reads.
 
     Outgoing blocks are created on first need in the capacity classes of
-    :func:`_capacity_class`, named by :func:`message_block_name` from the
+    :func:`capacity_class`, named by :func:`message_block_name` from the
     pool's prefix, the worker index and a counter, and recycled as soon as
     their receiver consumed the message in them — so the number of blocks is
     the most messages the worker ever had in flight at once, and a repeated
     exchange stops creating blocks once it reached that mark.  The worker
-    pool unlinks them all on shutdown (:func:`unlink_message_blocks`).  Incoming blocks are attached once per
-    name and cached for the worker's lifetime.
+    pool unlinks them all on shutdown (:func:`unlink_message_blocks`).
+    Incoming blocks are attached once per name and cached for the worker's
+    lifetime.
 
     Ordering: the payload is written before its envelope is put on a queue
     and read after the envelope came out of it (the queue's pipe orders
@@ -240,7 +237,7 @@ class MessageBlocks:
         if data.dtype.hasobject:
             raise MPIRuntimeError(
                 f"cannot send an array of {data.dtype} between processes")
-        size = _capacity_class(_HEADER + data.nbytes)
+        size = capacity_class(_HEADER + data.nbytes)
         blocks = self._outgoing.setdefault(size, [])
         block = next((candidate for candidate in blocks if candidate.free), None)
         if block is None:
@@ -266,109 +263,75 @@ class MessageBlocks:
             memory = self._incoming[name] = _attach(name)
         try:
             if into is not None:
-                _copy_into(into, np.ndarray(shape, dtype, buffer=memory.buf,
-                                            offset=_HEADER))
+                payload = np.ndarray(shape, dtype, buffer=memory.buf, offset=_HEADER)
+                np.copyto(into, payload.reshape(into.shape), casting="unsafe")
         finally:
             consumed = _CONSUMED.unpack_from(memory.buf)[0]
             _CONSUMED.pack_into(memory.buf, 0, consumed + 1)
 
 
-class MPRequest:
-    """Request handle of the process world (same surface as ``SimRequest``).
+class ProcessMailbox:
+    """One rank's mailbox in a worker process, for one run.
 
-    A receive copies its message into ``buffer`` only when ``wait`` or
-    ``test`` completes it, as in the thread world.
+    ``inboxes`` is the run's window of the pool's queues: ``inboxes[r]`` is
+    rank ``r``'s inbox; any rank may put an envelope into any other rank's
+    inbox, only the owner takes from its own.  Payloads travel in the
+    worker's :class:`MessageBlocks`.  Every envelope carries the run id so a
+    message stranded by a failed earlier run can never be taken by a later
+    one.
     """
 
-    __slots__ = ("kind", "comm", "source", "tag", "buffer", "completed")
-
-    def __init__(self, kind: str, comm: "ProcessRankCommunicator", source: int,
-                 tag: int, buffer: Optional[np.ndarray]):
-        self.kind = kind
-        self.comm = comm
-        self.source = source
-        self.tag = tag
-        self.buffer = buffer
-        self.completed = kind == "send"  # buffered sends complete immediately
-
-    def test(self) -> bool:
-        if self.completed:
-            return True
-        message = self.comm._match(self.source, self.tag, block=False)
-        if message is None:
-            return False
-        self.comm._blocks.read(message, self.buffer)
-        self.completed = True
-        return True
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        if self.completed:
-            return
-        message = self.comm._match(self.source, self.tag, block=True, timeout=timeout)
-        self.comm._blocks.read(message, self.buffer)
-        self.completed = True
-
-
-class ProcessRankCommunicator(CommunicatorBase):
-    """One rank's communicator, living inside a worker process.
-
-    ``inboxes[r]`` is rank ``r``'s mailbox queue; any rank may put an
-    envelope into any other rank's inbox, only the owner gets from its own.
-    Payloads travel in the sending worker's :class:`MessageBlocks`.  Every
-    envelope carries the run id so a message stranded by a failed earlier run
-    can never be matched by a later one.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        inboxes: Sequence,
-        run_id: int,
-        blocks: MessageBlocks,
-        timeout: float = 30.0,
-    ):
-        if not 0 <= rank < size:
-            raise MPIRuntimeError(f"rank {rank} outside world of size {size}")
-        self.rank = rank
-        self._size = size
+    def __init__(self, inboxes: Sequence, run_id: int, blocks: MessageBlocks):
         self._inboxes = inboxes
         self._run_id = run_id
         self._blocks = blocks
-        self.timeout = timeout
-        self.statistics = CommStatistics()
         # (source, tag) -> deque of (block name, shape, dtype) messages
         # already pulled out of the inbox.
         self._stash: dict[tuple[int, int], deque] = defaultdict(deque)
 
-    @property
-    def size(self) -> int:
-        return self._size
-
-    # -- transport ------------------------------------------------------------
-    def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
-        if not 0 <= dest < self._size:
-            raise MPIRuntimeError(f"send to invalid rank {dest}")
-        data = np.asarray(data)
+    def post(self, source: int, dest: int, tag: int, data: np.ndarray) -> None:
         name = self._blocks.write(data)
-        self._inboxes[dest].put(
-            (self._run_id, self.rank, tag, name, data.shape, data.dtype))
-        self.statistics.messages_sent += 1
-        self.statistics.bytes_sent += data.nbytes
+        self._inboxes[dest].put((self._run_id, source, tag, name, data.shape, data.dtype))
 
-    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> MPRequest:
-        self.send(data, dest, tag)
-        return MPRequest("send", self, dest, tag, None)
+    def take(self, dest: int, source: int, tag: int,
+             timeout: Optional[float]) -> Optional[list]:
+        """Pop the next message from ``(source, tag)``, draining the inbox.
 
-    def recv(self, buffer: np.ndarray, source: int, tag: int = 0) -> np.ndarray:
-        self._blocks.read(self._match(source, tag, block=True), np.asarray(buffer))
-        return buffer
+        Non-matching envelopes are stashed for later takes; envelopes from
+        another run are dropped (their blocks consumed unread).
+        """
+        wanted = (source, tag)
+        deadline = time.monotonic() + timeout if timeout is not None else None
+        inbox = self._inboxes[dest]
+        while True:
+            stashed = self._stash.get(wanted)
+            if stashed:
+                return stashed.popleft()
+            if deadline is None:
+                try:
+                    envelope = inbox.get_nowait()
+                except queue_module.Empty:
+                    return None
+            else:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise MPIRuntimeError(
+                        f"rank {dest} timed out waiting for a message "
+                        f"from rank {source} with tag {tag}"
+                    )
+                try:
+                    envelope = inbox.get(timeout=min(remaining, 0.2))
+                except queue_module.Empty:
+                    continue
+            run_id, sender, sent_tag, *message = envelope
+            if run_id != self._run_id:
+                # Stranded by an earlier run: drop it, freeing its block.
+                self._blocks.read(message, None)
+                continue
+            self._stash[(sender, sent_tag)].append(message)
 
-    def irecv(self, buffer: np.ndarray, source: int, tag: int = 0) -> MPRequest:
-        return MPRequest("recv", self, source, tag, np.asarray(buffer))
-
-    def wait(self, request: MPRequest) -> None:
-        request.wait(self.timeout)
+    def land(self, message: list, into: Optional[np.ndarray]) -> None:
+        self._blocks.read(message, into)
 
     def close(self) -> None:
         """Consume the messages this run received but never matched, so
@@ -377,55 +340,3 @@ class ProcessRankCommunicator(CommunicatorBase):
             for message in messages:
                 self._blocks.read(message, None)
         self._stash.clear()
-
-    # -- statistics hooks ------------------------------------------------------
-    def _record_collective(self) -> None:
-        self.statistics.collectives += 1
-
-    def _record_barrier(self) -> None:
-        self.statistics.barriers += 1
-
-    # -- mailbox ---------------------------------------------------------------
-    def _match(
-        self,
-        source: int,
-        tag: int,
-        *,
-        block: bool,
-        timeout: Optional[float] = None,
-    ) -> Optional[tuple]:
-        """Pop the next message from ``(source, tag)``, draining the inbox.
-
-        Non-matching envelopes are stashed for later receives; envelopes from
-        another run are dropped (their blocks consumed unread).  Blocking
-        waits honour the world timeout.
-        """
-        wanted = (source, tag)
-        deadline = time.monotonic() + (timeout if timeout is not None else self.timeout)
-        inbox = self._inboxes[self.rank]
-        while True:
-            stashed = self._stash.get(wanted)
-            if stashed:
-                return stashed.popleft()
-            if block:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise MPIRuntimeError(
-                        f"rank {self.rank} timed out waiting for a message "
-                        f"from rank {source} with tag {tag}"
-                    )
-                try:
-                    envelope = inbox.get(timeout=min(remaining, 0.2))
-                except queue_module.Empty:
-                    continue
-            else:
-                try:
-                    envelope = inbox.get_nowait()
-                except queue_module.Empty:
-                    return None
-            run_id, sender, sent_tag, *message = envelope
-            if run_id != self._run_id:
-                # Stranded by an earlier run: drop it, freeing its block.
-                self._blocks.read(message, None)
-                continue
-            self._stash[(sender, sent_tag)].append(message)

@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .mp_world import SharedFieldSpec, _capacity_class
+from .mp_world import SharedFieldSpec, capacity_class
 
 
 class LeasedField:
@@ -96,7 +96,7 @@ class SharedFieldPool:
 
         dtype = np.dtype(dtype)
         nbytes = max(int(np.prod(shape)) * dtype.itemsize, 1)
-        size = _capacity_class(nbytes)
+        size = capacity_class(nbytes)
         with self._lock:
             free = self._free.get(size)
             reused = bool(free)

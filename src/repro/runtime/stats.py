@@ -1,17 +1,14 @@
-"""Picklable per-rank statistics and their deterministic parent-side merge.
+"""Picklable per-rank reports of the process runtime.
 
 Workers of the process runtime report one :class:`RankStats` each over the
 result queue; both payload types (:class:`~repro.interp.ExecStatistics` and
 :class:`~repro.interp.CommStatistics`) are plain int dataclasses, so they
-cross the process boundary untouched.  The parent merges them *in rank order*
-so repeated runs — and the thread runtime, whose world keeps one shared
-counter set — always produce identical aggregate numbers.
-
-The merges are implemented on :class:`repro.obs.MetricsRegistry`: every rank
-is ingested into the flat counter namespace and the dataclass is
-materialised back out.  Both directions are plain integer sums over
-``dataclasses.fields`` in rank order, so the results are bit-identical to
-the hand-written field-by-field merges they replaced.
+cross the process boundary untouched.  The parent orders them by rank
+(:func:`sort_rank_stats`) and merges the communication counters with
+:func:`~repro.interp.mpi_runtime.merge_comm_statistics` — the merge the
+thread world's :class:`~repro.interp.SimulatedMPI` applies to its ranks'
+counters — so repeated runs, and either world, always produce identical
+aggregate numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import Any, Optional, Sequence
 
 from ..interp.interpreter import ExecStatistics
 from ..interp.mpi_runtime import CommStatistics
-from ..obs.registry import MetricsRegistry
 
 
 @dataclass
@@ -40,19 +36,6 @@ class RankStats:
     #: The rank's :class:`repro.interp.codegen.CodegenFallback`, when the
     #: megakernel was wanted but could not be built.
     codegen_fallback: Optional[Any] = None
-
-
-def merge_comm_statistics(per_rank: Sequence[CommStatistics]) -> CommStatistics:
-    """Sum per-rank communication counters (rank order, hence deterministic).
-
-    The thread world counts every ``post_message`` into one shared
-    :class:`CommStatistics`; summing each process rank's local counters yields
-    the same totals because both runtimes run the identical collective
-    algorithms of :class:`~repro.interp.mpi_runtime.CommunicatorBase`.
-    """
-    registry = MetricsRegistry()
-    registry.ingest_all(per_rank, "comm.")
-    return registry.as_comm_statistics()
 
 
 def sort_rank_stats(reports: Sequence[RankStats]) -> list[RankStats]:

@@ -58,11 +58,11 @@ import traceback
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from ..interp.mpi_runtime import CommStatistics
+from ..interp.mpi_runtime import CommStatistics, Communicator
 from ..obs import MetricsRegistry, Tracer
 from .mp_world import (
     MessageBlocks,
-    ProcessRankCommunicator,
+    ProcessMailbox,
     SharedField,
     SharedFieldSpec,
     default_context,
@@ -190,17 +190,14 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             (_, run_id, key, rank, size, base, function_name, config,
              field_specs, scalars) = command
             fields: list[SharedField] = []
-            comm = None
+            # ``base`` partitions the pool across the jobs of one batched
+            # round: this rank's world is the ``size`` workers starting at
+            # ``base``, so its job-local inbox indices stay 0..size-1 and
+            # concurrent jobs can never cross-deliver.
+            mailbox = ProcessMailbox(inboxes[base:base + size], run_id, blocks)
             try:
                 fields = [SharedField.attach(spec) for spec in field_specs]
-                # ``base`` partitions the pool across the jobs of one batched
-                # round: this rank's world is the ``size`` workers starting at
-                # ``base``, so its job-local inbox indices stay 0..size-1 and
-                # concurrent jobs can never cross-deliver.
-                comm = ProcessRankCommunicator(
-                    rank, size, inboxes[base:base + size],
-                    run_id=run_id, blocks=blocks, timeout=config.timeout
-                )
+                comm = Communicator(mailbox, rank, size, config.timeout)
                 # Spans are recorded against this process's monotonic clock;
                 # the tracer's paired wall/perf reference lets the parent
                 # re-align the record onto the shared timeline axis.
@@ -229,27 +226,22 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "run", err)))
             finally:
-                if comm is not None:
-                    comm.close()
+                mailbox.close()
                 for field in fields:
                     field.release()
             continue
         if kind == "spmd":
             _, run_id, rank, size, payload, timeout = command
-            comm = None
+            mailbox = ProcessMailbox(inboxes, run_id, blocks)
             try:
                 fn, args = pickle.loads(payload)
-                comm = ProcessRankCommunicator(
-                    rank, size, inboxes, run_id=run_id, blocks=blocks,
-                    timeout=timeout
-                )
+                comm = Communicator(mailbox, rank, size, timeout)
                 value = fn(comm, *args)
                 results.put(("done", run_id, rank, value, comm.statistics, None))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "spmd", err)))
             finally:
-                if comm is not None:
-                    comm.close()
+                mailbox.close()
             continue
         if kind == "warmup":
             # Pre-spawn the intra-rank thread team (the ROADMAP warm-up item):

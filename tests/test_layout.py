@@ -117,10 +117,6 @@ def test_every_module_is_imported_by_the_program():
 PRIVATE_IMPORTS = {
     ("repro.interp.codegen", "repro.interp.interpreter", "_wrap_argument"):
         "islands bind their inputs exactly as the walker binds call arguments",
-    ("repro.runtime.mp_world", "repro.interp.mpi_runtime", "_copy_into"):
-        "process ranks land messages exactly as the thread world does",
-    ("repro.runtime.shared_pool", "repro.runtime.mp_world", "_capacity_class"):
-        "the shared field pool rounds sizes as the message blocks do",
     ("repro.serve.server", "repro.core.session", "_default_function"):
         "served jobs pick their function the way Session.run does",
     ("repro.serve.server", "repro.core.session", "_release_run_buffers"):
@@ -143,6 +139,27 @@ def private_imports() -> set[tuple[str, str, str]]:
 
 def test_private_names_cross_modules_only_where_listed():
     assert sorted(private_imports()) == sorted(PRIVATE_IMPORTS)
+
+
+# -- communicators ------------------------------------------------------------
+# Both worlds run the one ``Communicator`` over their own mailbox; a second
+# class that receives messages would be a second communicator to keep in step.
+
+def classes_defining(method: str) -> list[str]:
+    """Every class of ``src/repro`` whose body defines ``method``."""
+    return sorted(
+        f"{_module_name(path)}.{node.name}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == method
+            for item in node.body
+        )
+    )
+
+
+def test_one_class_receives_messages():
+    assert classes_defining("irecv") == ["repro.interp.mpi_runtime.Communicator"]
 
 
 # -- operations ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.interp import MPIRuntimeError, SimulatedMPI
+from repro.interp.mpi_runtime import merge_comm_statistics
 
 
 class TestPointToPoint:
@@ -175,6 +176,35 @@ class TestWorldManagement:
         world = SimulatedMPI(2, timeout=2.0)
         with pytest.raises(MPIRuntimeError):
             world.communicator(0).send(np.zeros(1), dest=7)
+
+    def test_ranks_count_concurrent_sends_on_their_own(self):
+        """Each rank counts into its own communicator, with no lock: four
+        ranks sending at once lose no count, and the world's statistics are
+        the ranks' merged in rank order."""
+        import sys
+        import threading
+
+        world = SimulatedMPI(4, timeout=5.0)
+        start = threading.Barrier(4)
+
+        def body(comm):
+            start.wait(timeout=5.0)
+            for index in range(500):
+                comm.send(np.zeros(1), dest=(comm.rank + 1) % comm.size, tag=index % 3)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            world.run_spmd(body, timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        per_rank = [world.communicator(rank).statistics for rank in range(4)]
+        assert [stats.messages_sent for stats in per_rank] == [500] * 4
+        assert world.statistics.messages_sent == 2000
+        assert world.statistics.messages_sent == sum(s.messages_sent for s in per_rank)
+        assert world.statistics.bytes_sent == sum(s.bytes_sent for s in per_rank)
+        assert world.statistics == merge_comm_statistics(per_rank)
+        assert world.communicator(2) is world.communicator(2)
 
 
 class TestSpmdDriverTimeouts:

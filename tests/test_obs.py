@@ -133,7 +133,7 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------------
-# metrics registry vs the legacy dataclass merges
+# metrics registry dataclass views, and the communication-counter merge
 # ---------------------------------------------------------------------------
 
 class TestMetricsRegistry:
@@ -156,11 +156,11 @@ class TestMetricsRegistry:
             CommStatistics(messages_sent=6, bytes_sent=256, collectives=3,
                            barriers=2, bytes_elided=32, shared_blocks_reused=2),
         ]
-        from repro.runtime.stats import merge_comm_statistics
+        from repro.interp.mpi_runtime import merge_comm_statistics
 
         merged = merge_comm_statistics(per_rank)
-        # Bit-identical to the hand-written field-by-field merge it replaced,
-        # including the compare=False transport counters.
+        # A field-by-field sum, including the compare=False transport
+        # counters.
         assert merged.messages_sent == 10 and merged.bytes_sent == 384
         assert merged.collectives == 4 and merged.barriers == 4
         assert merged.bytes_elided == 96 and merged.shared_blocks_reused == 3

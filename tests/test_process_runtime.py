@@ -25,12 +25,12 @@ from repro.core import (
     dmp_target,
 )
 from repro.frontends.oec import StencilProgramBuilder
-from repro.interp import CodegenError, MPIRuntimeError, SimulatedMPI
+from repro.interp import CodegenError, Communicator, MPIRuntimeError, SimulatedMPI
+from repro.interp.mpi_runtime import merge_comm_statistics
 from repro.runtime import (
     PoolManager,
-    ProcessRankCommunicator,
+    ProcessMailbox,
     default_context,
-    merge_comm_statistics,
     processes_available,
 )
 from repro.runtime.mp_world import MessageBlocks, unlink_message_blocks
@@ -237,8 +237,8 @@ def test_point_to_point_and_requests_parity(case):
 def _send_then_die(inboxes, prefix):
     """Module-level (a spawned process unpickles it): rank 1 of a 2-rank world
     sends one message to rank 0, flushes its envelope, and is killed."""
-    comm = ProcessRankCommunicator(
-        1, 2, inboxes, run_id=1, blocks=MessageBlocks(prefix, 1))
+    comm = Communicator(
+        ProcessMailbox(inboxes, run_id=1, blocks=MessageBlocks(prefix, 1)), 1, 2)
     comm.send(np.arange(4.0), dest=0, tag=5)
     inboxes[0].close()
     inboxes[0].join_thread()
@@ -265,9 +265,9 @@ def test_receive_from_a_dead_peer_raises_within_the_timeout():
     peer.join(30)
     try:
         assert peer.exitcode == -signal.SIGKILL
-        comm = ProcessRankCommunicator(
-            0, 2, inboxes, run_id=1, blocks=MessageBlocks(prefix, 0),
-            timeout=timeout)
+        comm = Communicator(
+            ProcessMailbox(inboxes, run_id=1, blocks=MessageBlocks(prefix, 0)),
+            0, 2, timeout=timeout)
         landed = np.zeros(4)
         comm.recv(landed, 1, 5)
         assert np.array_equal(landed, np.arange(4.0))
