@@ -7,9 +7,11 @@ fuses every nest it can and walks the ops it cannot in place; and there is
 the reference, the tree walker, which runs when the configuration asks for
 no compiled tier or the megakernel cannot be built.  The local
 and thread-world ranks of a :mod:`repro.core.session` round and the process
-workers of :mod:`repro.runtime.worker_pool` all call it with the same frozen
+workers of :mod:`repro.runtime.worker_pool` all reach it through
+:func:`rank_report`, with the same frozen
 :class:`~repro.core.config.ExecutionConfig`, so a configuration means the
-same thing in every world.
+same thing in every world and every rank reports the same
+:class:`~repro.runtime.stats.RankStats`.
 
 Traces and emitted megakernels — and the reasons they could not be built —
 are cached on the :class:`~repro.core.pipeline.CompiledProgram` itself, so
@@ -32,6 +34,8 @@ from ..interp.codegen import (
     trace_program,
 )
 from ..interp.thread_team import get_thread_team
+from ..obs import MetricsRegistry, Tracer
+from ..runtime.stats import RankStats
 from .config import ExecutionConfig
 from .pipeline import CompiledProgram
 
@@ -164,3 +168,37 @@ def run_rank(
     )
     interpreter.call(function, *args)
     return interpreter.stats
+
+
+def rank_report(
+    program: CompiledProgram,
+    function: str,
+    config: ExecutionConfig,
+    args: Sequence[Any],
+    comm: Optional[Any],
+    team: Optional[Any],
+) -> RankStats:
+    """Run one rank through :func:`run_rank` and report it, in any world.
+
+    The rank records its spans on its own tracer (its monotonic clock; the
+    timeline merge re-aligns it), counts which tier ran on a fresh registry
+    and captures why the megakernel did not, so the report is a plain
+    picklable value: a process worker ships it home, a thread-world rank
+    puts it on its round's queue, and the parent merges both alike.
+    """
+    rank = comm.rank if comm is not None else 0
+    tracer = (
+        Tracer(config.trace, track=f"rank {rank}")
+        if config.trace != "off" else None
+    )
+    metrics = MetricsRegistry()
+    fallbacks: list = []
+    stats = run_rank(
+        program, function, config, args, comm=comm, team=team,
+        tracer=tracer, metrics=metrics, on_fallback=fallbacks.append,
+    )
+    return RankStats(
+        rank, stats, comm.statistics if comm is not None else None,
+        tracer.record() if tracer is not None else None,
+        metrics.snapshot(), fallbacks[-1] if fallbacks else None,
+    )

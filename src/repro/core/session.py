@@ -20,22 +20,26 @@ shape a first-class API:
   thin hot path suitable for serving many requests.
 
 There is one way to run a round of ranks: :meth:`Plan.prepare` stages a job
-(a :class:`PreparedRun`), :meth:`Session.execute_batch` launches every rank
-of every job of the round and applies the one deadline / fail-fast /
-retirement policy, and :meth:`PreparedRun.finish` gathers.  ``plan.run()`` is
-that sequence with one job; :mod:`repro.serve` packs many.  Every rank of
-every world — local, thread, process worker — is executed by
-:func:`repro.core.rank.run_rank`; this module only decides who owns what and
-moves the data.
+(a :class:`PreparedRun`, with a buffer set from the plan's free list),
+:meth:`Session.execute_batch` launches every rank of every job of the round
+and hands the round's reports to the one collector,
+:func:`repro.runtime.worker_pool.collect_reports` (deadline, fail-fast,
+silent ranks), and :meth:`PreparedRun.finish` merges and gathers, then
+returns the buffer set to its plan.  ``plan.run()`` is that sequence with one
+job; :mod:`repro.serve` packs many.  Every rank of every world — local,
+thread, process worker — is executed and reported by
+:func:`repro.core.rank.rank_report`, as the same
+:class:`~repro.runtime.stats.RankStats`; this module only decides who owns
+what and moves the data.
 """
 
 from __future__ import annotations
 
 import atexit
+import queue
 import threading
-import time
 import warnings
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
@@ -45,19 +49,23 @@ import numpy as np
 from .. import runtime as _process_runtime
 from ..interp import SimulatedMPI
 from ..interp.codegen import CodegenFallback
-from ..interp.mpi_runtime import CommStatistics, MPIRuntimeError, merge_comm_statistics
+from ..interp.mpi_runtime import CommStatistics, merge_comm_statistics
 from ..interp.thread_team import ThreadTeam
 from ..obs import MetricsRegistry, Tracer, TraceTimeline
-from ..runtime.stats import sort_rank_stats
-from ..runtime.worker_pool import REPORT_MARGIN, PoolBatchJob, WorkerError
+from ..runtime.stats import RankStats, sort_rank_stats
+from ..runtime.worker_pool import PoolBatchJob, WorkerError, collect_reports
 from ..transforms.distribute import GridSlicingStrategy
 from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning
 from .executor import ExecutionResult, core_field_slices, local_field_slices
 from .pipeline import CompiledProgram
-from .rank import codegen_wanted, megakernel_trace, run_rank
+from .rank import codegen_wanted, megakernel_trace, rank_report
 
 
-def _default_function(program: CompiledProgram) -> str:
+def default_function(program: CompiledProgram) -> str:
+    """The function a run of ``program`` executes when none is named.
+
+    ``kernel`` if the module defines it, else its only function.
+    """
     names = sorted(program.function_names)
     if not names:
         raise ExecutionError("compiled module contains no function definitions")
@@ -328,29 +336,42 @@ class Session:
         local rank has nothing to run beside it and runs in the calling
         thread.
 
-        One failure policy, the same in both worlds: a job is failed the
-        moment any of its ranks raises, and that first error — the root
+        One failure policy, the same in both worlds, because every rank
+        reports to one collector
+        (:func:`~repro.runtime.worker_pool.collect_reports`): a job is failed
+        the moment any of its ranks raises, and that first error — the root
         cause, not a peer's later timeout — is recorded on *its*
         :class:`PreparedRun` (``finish()`` re-raises it).  Its remaining
         ranks are abandoned to their communication timeouts; sibling jobs
         keep running and the round returns as soon as every job has completed
         or failed, ``REPORT_MARGIN`` past the longest job timeout at the
-        latest.  Ranks still running when the round returns poison what
-        hosts them — the rank executor, the worker pool — which is retired
-        and transparently replaced by the next round.
+        latest (a silent job then fails with a :class:`WorkerError`, counted
+        in ``worker.errors`` like every worker's).  Ranks that never reported
+        poison what hosts them — the rank executor, the worker pool — which
+        is retired and transparently replaced by the next round.
         """
         self._ensure_open()
         pooled = [job for job in prepared if job.runtime == "processes"]
         threaded = [job for job in prepared if job.runtime != "processes"]
+        outcomes = []
         if pooled:
-            self._run_pooled_round(pooled)
+            outcomes += self._run_pooled_round(pooled)
         if threaded:
-            self._run_threaded_round(threaded)
+            outcomes += self._run_threaded_round(threaded)
+        for job, outcome in zip([*pooled, *threaded], outcomes):
+            if not isinstance(outcome, BaseException):
+                job.reports = outcome
+                continue
+            job.error = outcome
+            if isinstance(outcome, WorkerError):
+                self.metrics.inc("worker.errors")
+                if job.plan.tracer is not None:
+                    job.plan.tracer.instant("worker.error")
 
-    def _run_pooled_round(self, jobs: Sequence["PreparedRun"]) -> None:
+    def _run_pooled_round(self, jobs: Sequence["PreparedRun"]) -> list:
         """The process-world jobs of a round, on the partitioned worker pool."""
         try:
-            outcomes = self._pool_manager.run_program_batch(
+            return self._pool_manager.run_program_batch(
                 [
                     PoolBatchJob(
                         job.plan.program, job.plan.function, job.plan.config,
@@ -361,62 +382,61 @@ class Session:
                 max(job.plan.config.timeout for job in jobs),
             )
         except WorkerError as error:  # the round itself could not run
-            outcomes = [error] * len(jobs)
-        for job, outcome in zip(jobs, outcomes):
-            if isinstance(outcome, WorkerError):
-                job.error = outcome
-                self.metrics.inc("worker.errors")
-                if job.plan.tracer is not None:
-                    job.plan.tracer.instant("worker.error")
-            else:
-                job.reports = outcome
+            return [error] * len(jobs)
 
-    def _run_threaded_round(self, jobs: Sequence["PreparedRun"]) -> None:
-        """The thread-world and local jobs of a round, on the rank executor."""
-        for job in jobs:
-            if job.plan.distributed:
-                job.world = SimulatedMPI(job.size, timeout=job.plan.config.timeout)
-        total = sum(job.size for job in jobs)
-        if total == 1:
-            (job,) = jobs
-            try:
-                job.body(job.world.communicator(0) if job.world else None)
-            except BaseException as error:  # noqa: BLE001 - finish() re-raises
-                job.error = error
-            return
-        deadline = time.monotonic() + REPORT_MARGIN + max(
-            job.plan.config.timeout for job in jobs
-        )
+    def _run_threaded_round(self, jobs: Sequence["PreparedRun"]) -> list:
+        """The thread-world and local jobs of a round, on the rank executor.
+
+        Each distributed job runs in a private :class:`SimulatedMPI` world;
+        every rank puts its report on the round's queue, which the same
+        :func:`~repro.runtime.worker_pool.collect_reports` reads as for
+        process workers.  Ranks that never reported still occupy executor
+        threads, so the executor is discarded after such a round.
+        """
+        results: queue.SimpleQueue = queue.SimpleQueue()
+        ranks = []
+        for index, job in enumerate(jobs):
+            world = (
+                SimulatedMPI(job.size, timeout=job.plan.config.timeout)
+                if job.plan.distributed else None
+            )
+            ranks += [
+                (index, job, world.communicator(rank) if world else None)
+                for rank in range(job.size)
+            ]
+        run_ids = range(len(jobs))
+        sizes = [job.size for job in jobs]
+        timeout = max(job.plan.config.timeout for job in jobs)
+        if len(ranks) == 1:  # nothing runs beside it: the calling thread does
+            _report_rank(results, *ranks[0])
+            return collect_reports(results, run_ids, sizes, timeout)[0]
         with self._thread_run_lock:
-            executor = self._acquire_rank_executor(total)
-            running = {
-                executor.submit(
-                    job.body, job.world.communicator(rank) if job.world else None
-                ): job
-                for job in jobs for rank in range(job.size)
-            }
-            abandoned = []
-            while running:
-                done = futures_wait(
-                    running, timeout=max(0.0, deadline - time.monotonic()),
-                    return_when=FIRST_EXCEPTION,
-                )[0]
-                for future in done:
-                    job = running.pop(future)
-                    job.error = job.error or future.exception()
-                if not done:  # the round deadline passed
-                    for job in running.values():
-                        job.error = job.error or MPIRuntimeError(
-                            f"job rank(s) did not finish within "
-                            f"{job.plan.config.timeout}s (deadlock?)"
-                        )
-                # The other ranks of a failed job are abandoned, not awaited.
-                stuck = [f for f, job in running.items() if job.error is not None]
-                for future in stuck:
-                    del running[future]
-                abandoned += stuck
-            if not all(future.done() for future in abandoned):
+            executor = self._acquire_rank_executor(len(ranks))
+            for rank in ranks:
+                executor.submit(_report_rank, results, *rank)
+            outcomes, silent = collect_reports(results, run_ids, sizes, timeout)
+            if any(silent.values()):
                 self._discard_rank_executor()
+        return outcomes
+
+
+def _report_rank(results, index: int, job: "PreparedRun", comm) -> None:
+    """One thread-world or local rank of a round's job ``index``.
+
+    Puts the rank's report — or its own exception — on ``results``.
+    """
+    rank = comm.rank if comm is not None else 0
+    plan = job.plan
+    local = job.buffers.locals[rank] if job.buffers is not None else job.fields
+    try:
+        report = rank_report(
+            plan.program, plan.function, plan.config, [*local, *job.scalars],
+            comm, plan.session._team(plan.config.threads_per_rank),
+        )
+    except BaseException as error:  # noqa: BLE001 - finish() re-raises it
+        results.put(("error", index, rank, error))
+    else:
+        results.put(("done", index, rank, report))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +449,7 @@ def _field_signature(fields: Sequence[np.ndarray]) -> tuple:
 
 
 class _RunBuffers:
-    """Per-field-signature state a plan reuses across runs.
+    """One job's buffer set for one field signature, recycled by its plan.
 
     Holds the pre-computed scatter/gather slice tuples for every
     (rank, field) pair plus the per-rank local buffers: preallocated NumPy
@@ -438,7 +458,7 @@ class _RunBuffers:
     """
 
     __slots__ = ("signature", "scatter_slices", "gather_slices", "locals",
-                 "leases", "specs", "pool_generation", "fresh_reused", "runs")
+                 "leases", "specs", "fresh_reused", "runs")
 
     def __init__(self):
         self.signature = None
@@ -447,9 +467,14 @@ class _RunBuffers:
         self.locals: list[list[np.ndarray]] = []
         self.leases: list[list] = []
         self.specs: list[list] = []
-        self.pool_generation = -1
         self.fresh_reused = 0
         self.runs = 0
+
+    def release(self) -> None:
+        """Return the leased shared blocks (no-op for thread-world arrays)."""
+        for rank_leases in self.leases:
+            for lease in rank_leases:
+                lease.release()
 
 
 class Plan:
@@ -479,17 +504,17 @@ class Plan:
             Tracer(config.trace, track="plan") if config.trace != "off" else None
         )
         build_span = self.tracer.begin("plan.build") if self.tracer is not None else 0.0
-        self.function = function or _default_function(program)
+        self.function = function or default_function(program)
         self.distributed = (
             program.distribution is not None and program.target.rank_grid is not None
         )
         self.runs_completed = 0
         self._closed = False
-        self._buffers: Optional[_RunBuffers] = None
-        #: Serializes the scatter-execute-gather span: the plan's local
-        #: buffers are shared state, so two threads racing the same plan
-        #: would overwrite each other's inputs mid-run.
-        self._run_lock = threading.Lock()
+        #: Buffer sets of finished jobs, free for the next job that fits:
+        #: one per job of this plan in flight at once, so concurrent runs
+        #: and a round's jobs of the same plan never share one.
+        self._free: list[_RunBuffers] = []
+        self._free_lock = threading.Lock()
 
         if self.distributed:
             self.runtime_requested = config.runtime
@@ -545,21 +570,21 @@ class Plan:
         return self._closed
 
     def close(self) -> None:
-        """Release the plan's buffers (leased shared blocks return to the pool)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._release_buffers()
+        """Release the plan's buffers (leased shared blocks return to the pool).
+
+        A job still in flight releases its set when it finishes.
+        """
+        with self._free_lock:
+            if self._closed:
+                return
+            self._closed = True
+            free, self._free = self._free, []
+        for buffers in free:
+            buffers.release()
         try:
             self.session._plans.remove(self)
         except ValueError:
             pass
-
-    def _release_buffers(self) -> None:
-        buffers = self._buffers
-        self._buffers = None
-        if buffers is not None:
-            _release_run_buffers(buffers)
 
     def warmup(self) -> None:
         """Pre-spawn this plan's runtime (workers, teams) and ship the program."""
@@ -590,40 +615,21 @@ class Plan:
             return None
         return found
 
-    def _record_fallback(self, fallback: CodegenFallback) -> None:
-        self.codegen_fallback = fallback
-
-    def _run_rank(self, args: Sequence[Any], comm, tracer: Optional[Tracer]):
-        """One rank of this plan through the shared rank-execution path."""
-        return run_rank(
-            self.program, self.function, self.config, args,
-            comm=comm,
-            team=self.session._team(self.config.threads_per_rank),
-            tracer=tracer,
-            metrics=self.session.metrics,
-            on_fallback=self._record_fallback,
-        )
-
     # -- the hot path ---------------------------------------------------------
     def prepare(
-        self,
-        fields: Sequence[np.ndarray],
-        scalars: Sequence[Any] = (),
-        buffers: Optional[_RunBuffers] = None,
+        self, fields: Sequence[np.ndarray], scalars: Sequence[Any] = ()
     ) -> "PreparedRun":
         """Stage one run for a :meth:`Session.execute_batch` round.
 
-        The returned :class:`PreparedRun` owns its buffer set, so many jobs
-        of the same plan can be in flight inside one round.  ``buffers``
-        hands it a previous job's set to recycle when the signature still
-        matches (the serving layer keeps a small free list per plan,
-        :meth:`run` keeps the plan's own); the job owns that set from here
-        on and releases it if it does not fit or staging fails.
+        The returned :class:`PreparedRun` owns a buffer set of its own — a
+        finished job's from the plan's free list when one fits, else a fresh
+        one — so many jobs of the same plan can be in flight at once, inside
+        one round or from several threads.
         """
         if self._closed:
             raise ExecutionError("plan is closed; create a new plan")
         self.session._ensure_open()
-        return PreparedRun(self, fields, scalars, buffers)
+        return PreparedRun(self, fields, scalars)
 
     def run(
         self, fields: Sequence[np.ndarray], scalars: Sequence[Any] = ()
@@ -632,24 +638,15 @@ class Plan:
 
         A run *is* a round of one job: the same :meth:`prepare` →
         :meth:`Session.execute_batch` → :meth:`PreparedRun.finish` sequence
-        the serving layer drives, recycling the plan's own buffer set.
+        the serving layer drives.
         """
-        # The plan's buffers are shared state: serialize the whole
-        # scatter-execute-gather span against concurrent callers.
-        with self._run_lock:
-            # The job owns them while it runs and only a run that finished
-            # hands them back: ranks abandoned by a failed one may still be
-            # writing into them.
-            held, self._buffers = self._buffers, None
-            job = self.prepare(fields, scalars, buffers=held)
-            try:
-                self.session.execute_batch([job])
-                result = job.finish()
-            except BaseException:
-                job.release()
-                raise
-            self._buffers = job.buffers
-            return result
+        job = self.prepare(fields, scalars)
+        try:
+            self.session.execute_batch([job])
+        except BaseException:
+            job.release()
+            raise
+        return job.finish()
 
     def _finish_run(self, result: ExecutionResult) -> None:
         """Post-run bookkeeping: lifecycle counters and the metric ingest."""
@@ -660,22 +657,25 @@ class Plan:
         if result.comm_statistics is not None:
             metrics.ingest(result.comm_statistics, "comm.")
 
-    def _buffers_valid(
-        self, buffers: Optional[_RunBuffers], fields: Sequence[np.ndarray]
-    ) -> bool:
-        """Whether a buffer set still matches these fields (and the pool)."""
-        if buffers is None or buffers.signature != _field_signature(fields):
-            return False
-        return self.runtime != "processes" or \
-            buffers.pool_generation == self.session._field_pool.generation
+    def _take_buffers(self, fields: Sequence[np.ndarray]) -> _RunBuffers:
+        """A free buffer set that fits these fields, else a fresh one."""
+        signature = _field_signature(fields)
+        with self._free_lock:
+            for index, buffers in enumerate(self._free):
+                if buffers.signature == signature:
+                    return self._free.pop(index)
+        return self._build_buffers(fields)
+
+    def _hand_back(self, buffers: _RunBuffers) -> None:
+        """Return a finished job's set to the free list (released if closed)."""
+        with self._free_lock:
+            if not self._closed:
+                self._free.append(buffers)
+                return
+        buffers.release()
 
     def _build_buffers(self, fields: Sequence[np.ndarray]) -> _RunBuffers:
-        """Fresh slice plans and local buffers for these field shapes.
-
-        One set per in-flight job, so a round can run several jobs of the
-        *same* plan concurrently; sets are recycled through
-        :meth:`prepare`'s ``buffers`` argument.
-        """
+        """Fresh slice plans and local buffers for these field shapes."""
         for index, array in enumerate(fields):
             if array.shape != self.field_shape:
                 raise ExecutionError(
@@ -688,9 +688,7 @@ class Plan:
         strategy, margin = self.strategy, self.margin
         halo_lower, halo_upper = self.halo_lower, self.halo_upper
         leased = self.runtime == "processes"
-        if leased:
-            pool = self.session._field_pool
-            buffers.pool_generation = pool.generation
+        pool = self.session._field_pool
         for rank in range(strategy.rank_count):
             scatter_row, gather_row, local_row = [], [], []
             lease_row, spec_row = [], []
@@ -754,35 +752,6 @@ class Plan:
                 f"{self.function} expects {expected} arguments, got {provided}"
             )
 
-    def _rank_tracers(self, size: int) -> Optional[list[Tracer]]:
-        if self.config.trace == "off":
-            return None
-        return [
-            Tracer(self.config.trace, track=f"rank {rank}")
-            for rank in range(size)
-        ]
-
-    @staticmethod
-    def _pooled_comm_statistics(
-        buffers: _RunBuffers, reports: Sequence[Any]
-    ) -> CommStatistics:
-        """The world-wide counters of a finished process-world run."""
-        comm = merge_comm_statistics([report.comm_stats for report in reports])
-        # Copy-elision accounting: scatter wrote straight into (and gather
-        # reads straight out of) the leased blocks — two memcpys per field
-        # per rank elided.  On the first run of a buffer set the reuse count
-        # reflects the pool's free list; afterwards every held lease is by
-        # definition recycled across runs.
-        comm.bytes_elided = sum(
-            2 * local.nbytes for row in buffers.locals for local in row
-        )
-        if buffers.runs > 0:
-            comm.shared_blocks_reused = sum(len(row) for row in buffers.leases)
-        else:
-            comm.shared_blocks_reused = buffers.fresh_reused
-        buffers.runs += 1
-        return comm
-
     def _traced_move(self, name: str, move, buffers: _RunBuffers, fields) -> None:
         """Run a scatter/gather helper under a plan-track span when tracing."""
         if self.tracer is None:
@@ -795,17 +764,15 @@ class Plan:
             self.tracer.end(name, span)
 
     def _attach_trace(
-        self, result: ExecutionResult, rank_traces: Optional[Sequence[Any]]
+        self, result: ExecutionResult, rank_traces: Sequence[Any]
     ) -> ExecutionResult:
         """Merge the run's records into one timeline on ``result.trace``.
 
         Tracks, in order: the compile pipeline's record (captured at
         ``compile_stencil_program`` time and carried on the program), the
-        session and plan lifecycle tracers, then one track per rank.  Rank
-        entries may be live :class:`Tracer` instances (local/thread worlds)
-        or picklable :class:`TraceRecord` payloads shipped back by process
-        workers; either way their monotonic clocks are re-aligned against
-        wall time by the timeline merge.
+        session and plan lifecycle tracers, then one track per rank: the
+        :class:`TraceRecord` each rank reported, its monotonic clock
+        re-aligned against wall time by the timeline merge.
         """
         if self.config.trace == "off":
             return result
@@ -816,10 +783,8 @@ class Plan:
             timeline.add(session_tracer.record())
         if self.tracer is not None:
             timeline.add(self.tracer.record())
-        for entry in rank_traces or ():
-            if isinstance(entry, Tracer):
-                entry = entry.record()
-            timeline.add(entry)
+        for record in rank_traces:
+            timeline.add(record)
         result.trace = timeline
         self.session._last_trace = timeline
         return result
@@ -843,107 +808,109 @@ class PreparedRun:
     """One job of a dispatch round, staged and self-contained.
 
     Built by :meth:`Plan.prepare`.  Construction is the front half of a run
-    — argument validation, buffers (recycled when they still fit, else
-    fresh), the traced scatter — so a round only has to launch ranks:
-    :meth:`body` per rank for thread-world and local jobs, the leased
-    shared-memory ``buffers.specs`` for process-world ones.
-    :meth:`Session.execute_batch` leaves either the job's :attr:`error` or
-    its per-rank statistics/worker reports behind, and :meth:`finish` is the
-    back half: the completeness check, gather, trace attachment and the
-    session metric ingest.  ``plan.run()`` and a served job are this same
-    sequence, so they agree bit for bit — fields, ``ExecStatistics``,
-    ``CommStatistics`` — and span for span.
+    — argument validation, a buffer set of its own, the traced scatter — so
+    a round only has to launch ranks.  :meth:`Session.execute_batch` leaves
+    either the job's :attr:`error` or its ranks' :attr:`reports` behind —
+    the same :class:`~repro.runtime.stats.RankStats` in every world — and
+    :meth:`finish` is the back half: gather, statistics merge, trace
+    attachment, the session metric ingest, and the buffer set's return to
+    the plan.  ``plan.run()`` and a served job are this same sequence, so
+    they agree bit for bit — fields, ``ExecStatistics``, ``CommStatistics``
+    — and span for span.
     """
 
     def __init__(
-        self,
-        plan: Plan,
-        fields: Sequence[np.ndarray],
-        scalars: Sequence[Any],
-        buffers: Optional[_RunBuffers] = None,
+        self, plan: Plan, fields: Sequence[np.ndarray], scalars: Sequence[Any]
     ):
         self.plan = plan
         self.fields = list(fields)
         self.scalars = list(scalars)
         self.runtime = plan.runtime
         self.size = plan.strategy.rank_count if plan.distributed else 1
-        #: The job's SimulatedMPI world (thread-world jobs; set at dispatch).
-        self.world: Optional[SimulatedMPI] = None
-        #: Worker reports (process-world jobs; set at dispatch).
-        self.reports: Optional[list] = None
+        #: The ranks' reports, in rank order (set by the round).
+        self.reports: Optional[list[RankStats]] = None
         #: The first error of any rank of this job (leaves siblings alone).
         self.error: Optional[BaseException] = None
-        self.statistics: list = [None] * self.size
-        self.tracers: Optional[list[Tracer]] = None
-        #: Owned from here on: released when they do not fit or staging fails.
-        self.buffers = buffers
-        try:
-            plan._check_arity(self.fields, self.scalars)
-            if plan.distributed:
-                plan._check_fields(self.fields)
-                if not plan._buffers_valid(self.buffers, self.fields):
-                    self.release()
-                    self.buffers = plan._build_buffers(self.fields)
+        #: The job's buffer set (distributed jobs): finish() hands it back
+        #: to the plan, a failed job releases it.
+        self.buffers: Optional[_RunBuffers] = None
+        plan._check_arity(self.fields, self.scalars)
+        if plan.distributed:
+            plan._check_fields(self.fields)
+            self.buffers = plan._take_buffers(self.fields)
+            try:
                 plan._traced_move(
                     "run.scatter", plan._scatter, self.buffers, self.fields
                 )
-            if self.runtime != "processes":  # workers trace their own ranks
-                self.tracers = plan._rank_tracers(self.size)
+            except BaseException:
+                self.release()
+                raise
+
+    def finish(self) -> ExecutionResult:
+        """Gather and assemble the result; raises the job's recorded error.
+
+        A failed job releases its buffer set rather than handing it back:
+        ranks it abandoned may still be writing into it.
+        """
+        try:
+            result = self._assemble()
         except BaseException:
             self.release()
             raise
+        if self.buffers is not None:
+            self.plan._hand_back(self.buffers)
+            self.buffers = None
+        return result
 
-    def body(self, comm) -> None:
-        """One rank of a thread-world job, or the local job (``comm`` None)."""
-        rank = comm.rank if comm is not None else 0
-        local = self.buffers.locals[rank] if self.buffers is not None \
-            else self.fields
-        self.statistics[rank] = self.plan._run_rank(
-            [*local, *self.scalars], comm,
-            self.tracers[rank] if self.tracers is not None else None,
-        )
-
-    def finish(self) -> ExecutionResult:
-        """Gather and assemble the result; raises the job's recorded error."""
+    def _assemble(self) -> ExecutionResult:
         if self.error is not None:
             raise self.error
         plan = self.plan
-        if self.runtime == "processes":
-            reports = sort_rank_stats(self.reports or ())
-            for report in reports:
-                plan.session.metrics.merge_counts(report.counters)
-                if report.codegen_fallback is not None:
-                    plan.codegen_fallback = report.codegen_fallback
-            statistics = [report.exec_stats for report in reports]
-            traces = [report.trace for report in reports]
-            comm = plan._pooled_comm_statistics(self.buffers, reports)
-        else:
-            statistics = [s for s in self.statistics if s is not None]
-            traces = self.tracers
-            comm = self.world.statistics if self.world is not None else None
-        if len(statistics) != self.size:
+        reports = sort_rank_stats(self.reports or ())
+        if len(reports) != self.size:
             raise ExecutionError(
-                f"{self.size - len(statistics)} rank(s) finished without "
+                f"{self.size - len(reports)} rank(s) finished without "
                 "reporting statistics; the round did not complete"
             )
+        for report in reports:
+            plan.session.metrics.merge_counts(report.counters)
+            if report.codegen_fallback is not None:
+                plan.codegen_fallback = report.codegen_fallback
+        comm = None
         if plan.distributed:
+            comm = merge_comm_statistics([report.comm_stats for report in reports])
+            if self.runtime == "processes":
+                _account_copy_elision(comm, self.buffers)
             plan._traced_move("run.gather", plan._gather, self.buffers, self.fields)
-        result = plan._attach_trace(plan._result(statistics, comm), traces)
+        result = plan._result([report.exec_stats for report in reports], comm)
+        plan._attach_trace(result, [report.trace for report in reports])
         plan._finish_run(result)
         return result
 
     def release(self) -> None:
-        """Release leased shared blocks (no-op for thread-world buffers)."""
+        """Release the job's buffer set instead of handing it back."""
         buffers = self.buffers
         self.buffers = None
         if buffers is not None:
-            _release_run_buffers(buffers)
+            buffers.release()
 
 
-def _release_run_buffers(buffers: _RunBuffers) -> None:
-    for rank_leases in buffers.leases:
-        for lease in rank_leases:
-            lease.release()
+def _account_copy_elision(comm: CommStatistics, buffers: _RunBuffers) -> None:
+    """Count what a process-world run saved by running in leased blocks.
+
+    Scatter wrote straight into (and gather reads straight out of) the
+    leased blocks — two memcpys per field per rank elided.  On the first run
+    of a buffer set the reuse count reflects the pool's free list;
+    afterwards every held lease is by definition recycled across runs.
+    """
+    comm.bytes_elided = sum(
+        2 * local.nbytes for row in buffers.locals for local in row
+    )
+    if buffers.runs > 0:
+        comm.shared_blocks_reused = sum(len(row) for row in buffers.leases)
+    else:
+        comm.shared_blocks_reused = buffers.fresh_reused
+    buffers.runs += 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from typing import Dict, Iterable
 class MetricsRegistry:
     """Flat ``name -> int`` counter store with dataclass in/out views.
 
-    ``inc`` is atomic: rank threads count into the session's registry
-    concurrently (``megakernel.*`` in :func:`repro.core.rank.run_rank`).
+    ``inc`` is atomic: jobs finished from several caller threads merge
+    their ranks' counts (``megakernel.*``, each rank's own registry in
+    :func:`repro.core.rank.rank_report`) into the session's concurrently.
     """
 
     __slots__ = ("_counters", "_lock")

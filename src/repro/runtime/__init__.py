@@ -12,9 +12,11 @@ measurable in wall-clock time rather than only modeled:
   world uses (hence the same collective algorithms and tag discipline);
 * :mod:`repro.runtime.worker_pool` — a persistent worker pool: programs are
   compiled once in the parent, shipped once per worker, and cached worker-side
-  so repeated runs amortize all startup;
-* :mod:`repro.runtime.stats` — the picklable per-rank reports workers send
-  home, merged deterministically in the parent.
+  so repeated runs amortize all startup; and ``collect_reports``, the one
+  collector of a round's rank reports in either world;
+* :mod:`repro.runtime.stats` — :class:`RankStats`, the picklable per-rank
+  report every rank of every world sends home, merged deterministically in
+  the parent.
 
 Select it with ``ExecutionConfig(runtime="processes")``; results are
 bit-identical to ``runtime="threads"`` and plans fall back to threads (with a

@@ -33,6 +33,7 @@ import multiprocessing
 import queue as queue_module
 import struct
 import sys
+import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -58,6 +59,13 @@ def default_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("spawn")
 
 
+#: Held in the parent around every call that takes the multiprocessing
+#: resource tracker's lock — creating or unlinking a shared block — and around
+#: forking workers.  A worker forked while another thread of the parent held
+#: the tracker's lock would inherit it locked and hang at its first message
+#: block; workers never take this lock themselves.
+FORK_LOCK = threading.Lock()
+
 _AVAILABLE: Optional[bool] = None
 
 
@@ -72,9 +80,10 @@ def processes_available() -> bool:
         try:
             from multiprocessing import shared_memory
 
-            block = shared_memory.SharedMemory(create=True, size=16)
-            block.close()
-            block.unlink()
+            with FORK_LOCK:
+                block = shared_memory.SharedMemory(create=True, size=16)
+                block.close()
+                block.unlink()
             _AVAILABLE = True
         except Exception:
             _AVAILABLE = False
@@ -177,18 +186,20 @@ def unlink_message_blocks(prefix: str, workers: int) -> int:
     from multiprocessing import shared_memory
 
     unlinked = 0
-    for worker in range(workers):
-        for counter in itertools.count():
-            try:
-                # An ordinary attach: it registers the name with the resource
-                # tracker the workers share, and unlink() unregisters it.
-                block = shared_memory.SharedMemory(
-                    name=message_block_name(prefix, worker, counter))
-            except FileNotFoundError:
-                break
-            block.close()
-            block.unlink()
-            unlinked += 1
+    with FORK_LOCK:
+        for worker in range(workers):
+            for counter in itertools.count():
+                try:
+                    # An ordinary attach: it registers the name with the
+                    # resource tracker the workers share, and unlink()
+                    # unregisters it.
+                    block = shared_memory.SharedMemory(
+                        name=message_block_name(prefix, worker, counter))
+                except FileNotFoundError:
+                    break
+                block.close()
+                block.unlink()
+                unlinked += 1
     return unlinked
 
 

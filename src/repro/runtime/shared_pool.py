@@ -24,7 +24,7 @@ import threading
 
 import numpy as np
 
-from .mp_world import SharedFieldSpec, capacity_class
+from .mp_world import FORK_LOCK, SharedFieldSpec, capacity_class
 
 
 class LeasedField:
@@ -71,16 +71,6 @@ class SharedFieldPool:
         self._owned: list = []
         self._generation = 0
 
-    @property
-    def generation(self) -> int:
-        """The current pool epoch; bumped by :meth:`clear`.
-
-        Long-lived holders of leases (a :class:`repro.core.session.Plan`
-        keeps its blocks across runs) compare this against the epoch they
-        leased under to detect that a ``clear()`` invalidated their buffers.
-        """
-        return self._generation
-
     def lease(self, shape, dtype) -> LeasedField:
         """A block big enough for ``shape x dtype``, recycled when possible.
 
@@ -103,7 +93,8 @@ class SharedFieldPool:
             if free:
                 block = free.pop()
             else:
-                block = shared_memory.SharedMemory(create=True, size=size)
+                with FORK_LOCK:
+                    block = shared_memory.SharedMemory(create=True, size=size)
                 self._owned.append(block)
             generation = self._generation
         array = np.ndarray(shape, dtype=dtype, buffer=block.buf)
@@ -124,7 +115,7 @@ class SharedFieldPool:
         Outstanding leases become invalid (their epoch is retired), so their
         later ``release()`` is a no-op instead of re-pooling a dead block.
         """
-        with self._lock:
+        with self._lock, FORK_LOCK:
             for block in self._owned:
                 try:
                     block.close()

@@ -18,23 +18,26 @@ message blocks and per-rank envelope inboxes, see
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
 * ``("run", run_id, key, rank, size, base, function, config, field_specs,
   scalars)`` — attach the shared-memory fields and execute one rank through
-  :func:`repro.core.rank.run_rank` under the caller's frozen
+  :func:`repro.core.rank.rank_report` under the caller's frozen
   :class:`~repro.core.config.ExecutionConfig` — the same function, the same
-  configuration and therefore the same tier choice, thread-team size and
-  tracing as the thread world (the rank-local trace record ships back with
-  the reply);
+  configuration and therefore the same tier choice, thread-team size,
+  tracing and :class:`~repro.runtime.stats.RankStats` report as a
+  thread-world rank;
 * ``("spmd", run_id, rank, size, payload, timeout)`` — run an arbitrary
   picklable ``fn(comm, *args)`` (tests and ad-hoc experiments);
 * ``("warmup", run_id, rank, threads_per_rank)`` — pre-spawn the worker's
   intra-rank thread team so the first hybrid run pays no spawn latency;
 * ``("stop",)`` — exit the worker loop.
 
-Workers answer ``("done", run_id, rank, result, comm_stats, trace_record)``
+Workers answer ``("done", run_id, rank, payload)`` — the rank's
+``RankStats``, ``(value, comm_stats)`` for ``spmd``, None for ``warmup`` —
 or ``("error", run_id, rank, failure)`` where ``failure`` is a picklable
-:class:`WorkerFailure` (rank, phase, exception type, traceback text).  A
-failed or timed-out run poisons the pool (peers may still be blocked in
-receives), so the pool is shut down and the next run transparently starts a
-fresh one.
+:class:`WorkerFailure` (rank, phase, exception type, traceback text).  The
+ranks of a thread-world round put the same tuples on a local queue, and
+:func:`collect_reports` reads either: it applies the one round failure
+policy of both worlds.  A failed or timed-out run poisons the pool (peers
+may still be blocked in receives), so the pool is shut down and the next
+run transparently starts a fresh one.
 
 Each worker owns the message blocks it sends through, named from the pool's
 :attr:`WorkerPool.block_prefix`, its index and a counter.  They persist across
@@ -59,8 +62,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..interp.mpi_runtime import CommStatistics, Communicator
-from ..obs import MetricsRegistry, Tracer
 from .mp_world import (
+    FORK_LOCK,
     MessageBlocks,
     ProcessMailbox,
     SharedField,
@@ -68,7 +71,6 @@ from .mp_world import (
     default_context,
     unlink_message_blocks,
 )
-from .stats import RankStats
 
 if TYPE_CHECKING:  # pragma: no cover - ``repro.core`` sits above this package
     from ..core.config import ExecutionConfig
@@ -172,7 +174,7 @@ def _worker_main(worker_index: int, commands, results, inboxes,
                  block_prefix: str) -> None:
     """The worker loop: cache programs, execute ranks, report statistics."""
     # Imported here, in the child: ``repro.core`` sits above this package.
-    from ..core.rank import run_rank
+    from ..core.rank import rank_report
 
     programs: dict[int, Any] = {}
     blocks = MessageBlocks(block_prefix, worker_index)
@@ -197,32 +199,15 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             mailbox = ProcessMailbox(inboxes[base:base + size], run_id, blocks)
             try:
                 fields = [SharedField.attach(spec) for spec in field_specs]
-                comm = Communicator(mailbox, rank, size, config.timeout)
-                # Spans are recorded against this process's monotonic clock;
-                # the tracer's paired wall/perf reference lets the parent
-                # re-align the record onto the shared timeline axis.
-                tracer = (
-                    Tracer(config.trace, track=f"rank {rank}")
-                    if config.trace != "off" else None
-                )
                 # Kernels and megakernels are cached on the worker's
                 # CompiledProgram: built on the first run of this program and
                 # shared by every later run.
-                # Which tier ran, and why not the megakernel: the parent
-                # folds both into its session, as the thread world does.
-                metrics = MetricsRegistry()
-                fallbacks: list = []
-                stats = run_rank(
+                report = rank_report(
                     programs[key], function_name, config,
                     [field.array for field in fields] + list(scalars),
-                    comm=comm, tracer=tracer,
-                    metrics=metrics, on_fallback=fallbacks.append,
+                    Communicator(mailbox, rank, size, config.timeout), None,
                 )
-                results.put(
-                    ("done", run_id, rank, stats, comm.statistics,
-                     tracer.record() if tracer is not None else None,
-                     metrics.snapshot(), fallbacks[-1] if fallbacks else None)
-                )
+                results.put(("done", run_id, rank, report))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "run", err)))
             finally:
@@ -237,7 +222,7 @@ def _worker_main(worker_index: int, commands, results, inboxes,
                 fn, args = pickle.loads(payload)
                 comm = Communicator(mailbox, rank, size, timeout)
                 value = fn(comm, *args)
-                results.put(("done", run_id, rank, value, comm.statistics, None))
+                results.put(("done", run_id, rank, (value, comm.statistics)))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(("error", run_id, rank, _failure(rank, "spmd", err)))
             finally:
@@ -252,7 +237,7 @@ def _worker_main(worker_index: int, commands, results, inboxes,
                     from ..interp.thread_team import get_thread_team
 
                     get_thread_team(threads_per_rank)
-                results.put(("done", run_id, rank, None, None, None))
+                results.put(("done", run_id, rank, None))
             except BaseException as err:  # noqa: BLE001 - ship to the parent
                 results.put(
                     ("error", run_id, rank, _failure(rank, "warmup", err))
@@ -263,6 +248,81 @@ def _worker_main(worker_index: int, commands, results, inboxes,
 # ---------------------------------------------------------------------------
 # parent side
 # ---------------------------------------------------------------------------
+
+def collect_reports(
+    results,
+    run_ids: Sequence[int],
+    sizes: Sequence[int],
+    timeout: float,
+    idle: Optional[Callable[[], Optional[str]]] = None,
+) -> tuple[list[Any], dict[int, list[int]]]:
+    """Collect one round's rank reports: the round failure policy, once.
+
+    ``results`` is any queue of ``("done" | "error", run_id, rank, payload)``
+    tuples — a worker pool's result queue or a thread round's
+    ``queue.SimpleQueue`` — and job ``i`` of the round is ``sizes[i]`` ranks
+    reporting under ``run_ids[i]``.  A job fails the moment any of its ranks
+    reports an error: the first error in time is the root cause, and its
+    peers' later reports are dropped, like reports of run ids that are not
+    (or no longer) collected.  Sibling jobs keep collecting.  A job still
+    silent ``REPORT_MARGIN`` past ``timeout`` fails as a deadlock, and
+    ``idle()``, asked whenever the queue stays empty for half a second, may
+    name a reason (dead workers) that fails every remaining job.
+
+    Returns one outcome per job, in order — its payloads in rank order, or
+    the exception that failed it (a thread rank's own, a worker's
+    :class:`WorkerFailure` as a :class:`WorkerError`, or the collector's
+    :class:`WorkerError`) — and, for each failed job, the ranks that never
+    reported: whatever hosts them must stop or abandon them.
+    """
+    deadline = time.monotonic() + timeout + REPORT_MARGIN
+    by_run = {run_id: index for index, run_id in enumerate(run_ids)}
+    reports: list[dict[int, Any]] = [{} for _ in run_ids]
+    outcomes: list[Any] = [None] * len(run_ids)
+    remaining = set(range(len(run_ids)))
+    while remaining:
+        budget = deadline - time.monotonic()
+        if budget <= 0:
+            for index in remaining:
+                outcomes[index] = WorkerError(
+                    f"job {index} of the round did not report within "
+                    f"{timeout}s (deadlock?)"
+                )
+            break
+        try:
+            tag, run_id, rank, payload = results.get(timeout=min(budget, 0.5))
+        except queue_module.Empty:
+            reason = idle() if idle is not None else None
+            if reason:
+                for index in remaining:
+                    outcomes[index] = WorkerError(reason)
+                break
+            continue
+        index = by_run.get(run_id)
+        if index is None:
+            continue  # stale report from a failed earlier round
+        heard = reports[index]
+        heard[rank] = payload
+        if index not in remaining:
+            continue  # a failed job's late report: dropped, its rank is done
+        if tag == "error":
+            if isinstance(payload, WorkerFailure):
+                error = WorkerError(payload.describe())
+                error.failure = payload
+                payload = error
+            outcomes[index] = payload
+            remaining.discard(index)
+            continue
+        if len(heard) == sizes[index]:
+            outcomes[index] = [heard[r] for r in range(sizes[index])]
+            remaining.discard(index)
+    silent = {
+        index: [rank for rank in range(sizes[index]) if rank not in reports[index]]
+        for index, outcome in enumerate(outcomes)
+        if isinstance(outcome, BaseException)
+    }
+    return outcomes, silent
+
 
 _PROGRAM_KEYS = itertools.count(1)
 
@@ -286,14 +346,6 @@ class WorkerPool:
         #: Names every message block of this pool's workers
         #: (:func:`~repro.runtime.mp_world.message_block_name`).
         self.block_prefix = f"rmsg_{secrets.token_hex(4)}"
-        if os.name == "posix":
-            # Workers register the message blocks they create with the
-            # parent's resource tracker (forked workers start their own
-            # otherwise): shutdown() unregisters them as it unlinks them, and
-            # the tracker still unlinks them should the parent die first.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
         self._inboxes = [self._ctx.Queue() for _ in range(size)]
         self._results = self._ctx.Queue()
         self._commands = [self._ctx.Queue() for _ in range(size)]
@@ -307,8 +359,18 @@ class WorkerPool:
             )
             for index in range(size)
         ]
-        for process in self._processes:
-            process.start()
+        with FORK_LOCK:
+            if os.name == "posix":
+                # Workers register the message blocks they create with the
+                # parent's resource tracker (forked workers start their own
+                # otherwise): shutdown() unregisters them as it unlinks them,
+                # and the tracker still unlinks them should the parent die
+                # first.
+                from multiprocessing import resource_tracker
+
+                resource_tracker.ensure_running()
+            for process in self._processes:
+                process.start()
 
     # -- program shipping -----------------------------------------------------
     def ship_program(self, program, ranks: int, base: int = 0) -> int:
@@ -374,7 +436,7 @@ class WorkerPool:
         so many small runs share one dispatch/collect round instead of
         serializing.  Returns one entry per job, in order: a ``RankStats``
         list on success, or the :class:`WorkerError` that failed the job
-        (see :meth:`_collect_batch` for the failure policy).
+        (see :func:`collect_reports` for the failure policy).
         """
         with self._round(sum(len(job.field_specs) for job in jobs)):
             run_ids: list[int] = []
@@ -394,95 +456,41 @@ class WorkerPool:
                 run_ids.append(run_id)
                 sizes.append(size)
                 base += size
-            outcomes = self._collect_batch(run_ids, sizes, timeout)
-        return [
-            outcome if isinstance(outcome, WorkerError) else [
-                RankStats(*report) for report in outcome
-            ]
-            for outcome in outcomes
-        ]
+            return self._collect(run_ids, sizes, timeout)
 
-    def _collect_batch(
+    def _collect(
         self, run_ids: Sequence[int], sizes: Sequence[int], timeout: float
     ) -> list[Any]:
-        """One report list per job (or its WorkerError), demuxed by run id.
+        """One round's outcomes (see :func:`collect_reports`).
 
-        The failure policy of the process world, stated once: a job is failed
-        the moment any of its ranks reports an error (the first error in time
-        is the root cause; its peers are doomed to their communication
-        timeouts and their late reports are dropped by run-id filtering)
-        while sibling jobs keep collecting; a job still silent
-        ``REPORT_MARGIN`` after ``timeout`` is failed by the parent; and any
-        failure retires the pool after the round, because abandoned ranks
+        Any failure retires the pool after the round, because abandoned ranks
         still occupy its workers.
         """
-        deadline = time.monotonic() + timeout + REPORT_MARGIN
-        by_run = {run_id: index for index, run_id in enumerate(run_ids)}
-        reports: list[list] = [[] for _ in run_ids]
-        outcomes: list[Any] = [None] * len(run_ids)
-        remaining = set(range(len(run_ids)))
-
-        def _fail(index: int, error: WorkerError) -> None:
-            outcomes[index] = error
-            remaining.discard(index)
-
-        while remaining:
-            budget = deadline - time.monotonic()
-            if budget <= 0:
-                for index in sorted(remaining):
-                    _fail(index, WorkerError(
-                        f"job {index} of the round did not report within "
-                        f"{timeout}s (deadlock?)"
-                    ))
-                break
-            try:
-                message = self._results.get(timeout=min(budget, 0.5))
-            except queue_module.Empty:
-                dead = self.reap_dead_workers()
-                if dead:
-                    for index in sorted(remaining):
-                        _fail(index, WorkerError(
-                            f"worker processes {dead} died mid-round"
-                        ))
-                    break
-                continue
-            tag, reported_run, rank = message[0], message[1], message[2]
-            index = by_run.get(reported_run)
-            if index is None or index not in remaining:
-                continue  # stale report from a failed earlier run or job
-            if tag == "error":
-                failure: WorkerFailure = message[3]
-                error = WorkerError(failure.describe())
-                error.failure = failure
-                _fail(index, error)
-                continue
-            reports[index].append((rank, *message[3:]))
-            if len(reports[index]) == sizes[index]:
-                outcomes[index] = reports[index]
-                remaining.discard(index)
-        failed = [
-            index for index, outcome in enumerate(outcomes)
-            if isinstance(outcome, WorkerError)
-        ]
-        if failed:
+        outcomes, silent = collect_reports(
+            self._results, run_ids, sizes, timeout, idle=self._dead_workers
+        )
+        if silent:
             # Abandoned ranks sit in receives and would each wait out the
             # polite stop of shutdown(); kill them first, so retiring the
             # pool does not hold back the siblings' results.  (Every round
             # packs its jobs onto contiguous workers, in order, from 0.)
             bases = list(itertools.accumulate(sizes, initial=0))
-            for index in failed:
-                reported = {report[0] for report in reports[index]}
-                for rank in set(range(sizes[index])) - reported:
+            for index, ranks in silent.items():
+                for rank in ranks:
                     self._processes[bases[index] + rank].terminate()
             self.shutdown()
         return outcomes
 
-    def _collect_one(self, run_id: int, size: int, timeout: float) -> list[tuple]:
-        """The reports of a round of one job, rank-ordered; raises its error."""
-        (outcome,) = self._collect_batch([run_id], [size], timeout)
-        if isinstance(outcome, WorkerError):
+    def _dead_workers(self) -> Optional[str]:
+        dead = self.reap_dead_workers()
+        return f"worker processes {dead} died mid-round" if dead else None
+
+    def _collect_one(self, run_id: int, size: int, timeout: float) -> list[Any]:
+        """The payloads of a round of one job, rank-ordered; raises its error."""
+        (outcome,) = self._collect([run_id], [size], timeout)
+        if isinstance(outcome, BaseException):
             raise outcome
-        return sorted(outcome, key=lambda report: report[0])
+        return outcome
 
     def run_spmd(
         self,
@@ -499,8 +507,8 @@ class WorkerPool:
                 self._commands[rank].put(("spmd", run_id, rank, size, payload, timeout))
             reports = self._collect_one(run_id, size, timeout)
         return (
-            [report[1] for report in reports],
-            [report[2] for report in reports],
+            [value for value, _ in reports],
+            [comm_stats for _, comm_stats in reports],
         )
 
     def warmup(self, ranks: int, threads_per_rank: int = 1,

@@ -29,9 +29,10 @@ three mechanisms:
 
 A served job is the very sequence a standalone ``plan.run()`` is — prepare,
 ``execute_batch``, finish (see :class:`~repro.core.session.PreparedRun`) —
-so results, per-tenant statistics, spans and failure semantics are those of
-unbatched runs; the server adds only the queue, the plan cache and the
-per-plan buffer free list.
+so results, per-tenant statistics, spans, failure semantics and the
+recycling of buffer sets (the plan's own free list) are those of unbatched
+runs; the server adds only the queue and the plan cache, whose plans it
+closes when it closes.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from collections import deque
 from typing import Any, Dict, Optional, Sequence
 
 from ..core.config import ExecutionConfig
-from ..core.session import (
-    Plan,
-    PreparedRun,
-    Session,
-    _default_function,
-    _release_run_buffers,
-)
+from ..core.session import Plan, PreparedRun, Session, default_function
 from ..obs import MetricsRegistry
 from .errors import QueueFullError, ServerClosedError
 from .job import JobHandle
@@ -104,8 +99,6 @@ class Server:
         self._closed = False
         #: (fingerprint, function, config) -> shared Plan.
         self._plans: Dict[tuple, Plan] = {}
-        #: id(plan) -> recycled _RunBuffers free list (dispatcher-only).
-        self._buffer_pool: Dict[int, list] = {}
         self._tenant_lock = threading.Lock()
         self._tenants: Dict[str, TenantStats] = {}
         self._thread: Optional[threading.Thread] = None
@@ -140,7 +133,8 @@ class Server:
         first; ``drain=False`` cancels queued jobs (their handles raise
         :class:`~repro.serve.errors.JobCancelledError`).  In-flight batches
         always run to completion — an SPMD round cannot be abandoned halfway.
-        Owned sessions are closed; wrapped sessions are left to their owner.
+        The server's cached plans are closed (their buffer sets released);
+        owned sessions are closed, wrapped sessions are left to their owner.
         """
         with self._condition:
             if self._closed:
@@ -155,10 +149,9 @@ class Server:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        for stack in self._buffer_pool.values():
-            for buffers in stack:
-                _release_run_buffers(buffers)
-        self._buffer_pool.clear()
+        for plan in self._plans.values():
+            plan.close()
+        self._plans.clear()
         if self._owns_session:
             self._session.close()
 
@@ -265,15 +258,13 @@ class Server:
         self.metrics.inc("serve.batched_jobs", len(claimed))
         self.metrics.record_peak("serve.batch_occupancy_peak", len(claimed))
 
-        # Stage every job (validation, buffers, scatter, body construction);
+        # Stage every job (validation, buffer set, scatter);
         # a job that cannot even stage fails alone, siblings continue.
         staged: list[tuple[JobHandle, PreparedRun]] = []
         for job in claimed:
             try:
                 plan = self._plan_for(job)
-                prepared = plan.prepare(
-                    job.fields, job.scalars, buffers=self._buffers_out(plan)
-                )
+                prepared = plan.prepare(job.fields, job.scalars)
             except BaseException as error:  # noqa: BLE001 - job-scoped failure
                 self._fail(job, error)
                 continue
@@ -293,10 +284,8 @@ class Server:
             try:
                 result = prepared.finish()
             except BaseException as error:  # noqa: BLE001 - job-scoped failure
-                prepared.release()
                 self._fail(job, error)
                 continue
-            self._recycle(prepared)
             self.tenant(job.tenant).ingest(result)
             self.metrics.inc("serve.jobs_completed")
             job._complete(result)
@@ -308,7 +297,7 @@ class Server:
 
     # -- the cross-tenant plan cache ------------------------------------------
     def _plan_for(self, job: JobHandle) -> Plan:
-        function = job.function or _default_function(job.program)
+        function = job.function or default_function(job.program)
         key = (job.program.fingerprint, function, job.config)
         plan = self._plans.get(key)
         if plan is None or plan.closed:
@@ -318,19 +307,3 @@ class Server:
         else:
             self.metrics.inc("serve.plan_cache_hit")
         return plan
-
-    # -- the per-plan buffer free list (dispatcher thread only) ---------------
-    def _buffers_out(self, plan: Plan):
-        stack = self._buffer_pool.get(id(plan))
-        return stack.pop() if stack else None
-
-    def _recycle(self, prepared: PreparedRun) -> None:
-        buffers = prepared.buffers
-        prepared.buffers = None
-        if buffers is None:
-            return
-        stack = self._buffer_pool.setdefault(id(prepared.plan), [])
-        if len(stack) < self.max_batch:
-            stack.append(buffers)
-        else:
-            _release_run_buffers(buffers)

@@ -210,13 +210,12 @@ FAILURE_WORLDS = [
 def exploding_rank(monkeypatch):
     """Rank 1 of any run of ``POISON_STEPS`` steps raises before its first send.
 
-    Patches ``run_rank`` where the thread world looks it up and where process
-    workers import it; the workers must be forked *after* the patch (a fresh
-    Session/Server) and inherit it, so process-world users need a fork
-    platform.  Every other run is untouched.
+    Patches ``run_rank`` in :mod:`repro.core.rank`, where every world's
+    ``rank_report`` looks it up; the workers must be forked *after* the patch
+    (a fresh Session/Server) and inherit it, so process-world users need a
+    fork platform.  Every other run is untouched.
     """
     import repro.core.rank as rank_module
-    import repro.core.session as session_module
 
     run_rank = rank_module.run_rank
 
@@ -227,7 +226,6 @@ def exploding_rank(monkeypatch):
         return run_rank(program, function, config, args, comm=comm, **context)
 
     monkeypatch.setattr(rank_module, "run_rank", exploding)
-    monkeypatch.setattr(session_module, "run_rank", exploding)
 
 
 class _FaultyNumPy:

@@ -117,10 +117,6 @@ def test_every_module_is_imported_by_the_program():
 PRIVATE_IMPORTS = {
     ("repro.interp.codegen", "repro.interp.interpreter", "_wrap_argument"):
         "islands bind their inputs exactly as the walker binds call arguments",
-    ("repro.serve.server", "repro.core.session", "_default_function"):
-        "served jobs pick their function the way Session.run does",
-    ("repro.serve.server", "repro.core.session", "_release_run_buffers"):
-        "the server finishes the rounds Session.execute_batch starts",
 }
 
 

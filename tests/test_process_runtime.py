@@ -8,6 +8,7 @@ running every rank in its own process against shared-memory buffers.
 
 import os
 import pickle
+import queue
 import signal
 import time
 
@@ -27,13 +28,16 @@ from repro.core import (
 from repro.frontends.oec import StencilProgramBuilder
 from repro.interp import CodegenError, Communicator, MPIRuntimeError, SimulatedMPI
 from repro.interp.mpi_runtime import merge_comm_statistics
+from repro.obs import TraceRecord
 from repro.runtime import (
     PoolManager,
     ProcessMailbox,
     default_context,
     processes_available,
 )
+from repro.runtime import worker_pool
 from repro.runtime.mp_world import MessageBlocks, unlink_message_blocks
+from repro.runtime.worker_pool import WorkerError, WorkerFailure, collect_reports
 from repro.workloads import acoustic_wave, heat_diffusion
 from tests.conftest import _forked_workers, shm_segments
 
@@ -498,6 +502,70 @@ def test_worker_error_propagates_and_pool_recovers():
     assert result.runtime == "processes"
 
 
+def test_collect_reports_applies_the_round_failure_policy(monkeypatch):
+    """The one failure policy of both worlds, on a hand-fed queue."""
+    monkeypatch.setattr(worker_pool, "REPORT_MARGIN", 0.0)
+    failure = WorkerFailure(1, "run", "RuntimeError", "rank 1 exploded", "")
+    exploded = RuntimeError("rank 0 exploded")
+    results = queue.SimpleQueue()
+    for message in [
+        ("done", 99, 0, "stale"),                            # not this round
+        ("error", 1, 1, failure),                            # job 0: root cause
+        ("done", 2, 1, "b1"),
+        ("error", 1, 0, RuntimeError("peer timed out")),     # job 0: too late
+        ("error", 4, 0, exploded),                           # job 3: a thread rank's own
+        ("done", 2, 0, "b0"),                                # job 1 completes
+        ("done", 4, 1, "d1"),                                # job 3: too late
+    ]:
+        results.put(message)
+    began = time.monotonic()
+    outcomes, silent = collect_reports(results, [1, 2, 3, 4], [3, 2, 1, 2], 0.2)
+    assert isinstance(outcomes[0], WorkerError)
+    assert outcomes[0].failure is failure and "rank 1 exploded" in str(outcomes[0])
+    assert outcomes[1] == ["b0", "b1"]
+    assert isinstance(outcomes[2], WorkerError)
+    assert "job 2 of the round did not report within 0.2s" in str(outcomes[2])
+    assert outcomes[3] is exploded
+    assert silent == {0: [2], 2: [0], 3: []}
+
+    results.put(("done", 5, 0, "a0"))
+    outcomes, silent = collect_reports(
+        results, [5, 6], [2, 1], 60.0, idle=lambda: "workers [1] died",
+    )
+    assert [str(outcome) for outcome in outcomes] == ["workers [1] died"] * 2
+    assert all(isinstance(outcome, WorkerError) for outcome in outcomes)
+    assert silent == {0: [1], 1: [0]}
+    assert time.monotonic() - began < 2.0
+
+
+def _round_reports(runtime):
+    """The reports of one traced 2-rank heat job, and the job's result."""
+    program = _compile_heat((2, 1))
+    with Session(runtime=runtime, trace="summary") as session:
+        job = session.plan(program).prepare(list(_heat_fields()), [3])
+        session.execute_batch([job])
+        reports = job.reports
+        return reports, job.finish()
+
+
+@needs_processes
+def test_every_world_reports_the_same_rank_stats():
+    """A thread-world rank and a process worker send home the same report."""
+    threads, threads_result = _round_reports("threads")
+    processes, _ = _round_reports("processes")
+    assert [report.rank for report in threads] == [0, 1]
+    for ours, theirs in zip(threads, processes):
+        assert ours.exec_stats == theirs.exec_stats
+        assert ours.comm_stats == theirs.comm_stats
+        assert ours.counters == theirs.counters
+        assert ours.counters["megakernel.engaged"] == 1
+        for report in (ours, theirs):
+            assert isinstance(report.trace, TraceRecord)
+    assert threads_result.comm_statistics == merge_comm_statistics(
+        [report.comm_stats for report in threads]
+    )
+
+
 @needs_processes
 def test_concurrent_runs_serialize_on_the_pool():
     """Two caller threads may use the shared pool at once; runs serialize."""
@@ -520,6 +588,46 @@ def test_concurrent_runs_serialize_on_the_pool():
     assert np.array_equal(outcomes[0][0], outcomes[1][0])
     assert np.array_equal(outcomes[0][1], outcomes[1][1])
     assert outcomes[0][2] == outcomes[1][2]
+
+
+@pytest.mark.skipif(not _forked_workers(), reason="needs forked process workers")
+def test_workers_never_fork_inside_the_resource_tracker(monkeypatch):
+    """A thread leasing shared blocks while another forks the pool.
+
+    The tracker's lock is held for a while on every block registration; a
+    worker forked meanwhile would inherit it locked and hang at its first
+    message block, so the round would fail as a deadlock.
+    """
+    import threading
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    check_alive = tracker._check_alive
+
+    def slow_check_alive():
+        time.sleep(0.05)
+        return check_alive()
+
+    monkeypatch.setattr(tracker, "_check_alive", slow_check_alive)
+    program = _compile_heat((2, 1))
+    with Session(runtime="processes", timeout=5.0) as session:
+        plans = [session.plan(program), session.plan(program)]
+        start = threading.Barrier(2)
+        errors = []
+
+        def run(plan):
+            start.wait(timeout=60)
+            try:
+                plan.run(list(_heat_fields()), [2])
+            except Exception as error:  # noqa: BLE001 - assert in the main thread
+                errors.append(error)
+
+        callers = [threading.Thread(target=run, args=(plan,)) for plan in plans]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    assert not errors
 
 
 def _suicide_body(comm):

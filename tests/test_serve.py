@@ -263,6 +263,22 @@ class TestBatchedDispatch:
             assert server.metrics.get("serve.plan_cache_miss") == 2
 
 
+@pytest.mark.parametrize(
+    "runtime", ["threads", pytest.param("processes", marks=needs_processes)]
+)
+def test_closing_a_server_closes_its_plans(runtime):
+    """A server on a caller's session leaves no plan, and no buffer set, behind."""
+    program = _compile_heat((2, 1))
+    with Session(runtime=runtime) as session:
+        for _ in range(3):
+            with Server(session=session) as server:
+                server.submit(program, _heat_fields(), [2]).result(timeout=120.0)
+            assert session._plans == []
+            if runtime == "processes":
+                # 2 ranks x 2 fields, leased once and recycled by each server.
+                assert len(session._field_pool._owned) == 4
+
+
 # ---------------------------------------------------------------------------
 # process world: pooled batching + worker-reaping robustness
 # ---------------------------------------------------------------------------

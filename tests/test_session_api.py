@@ -188,10 +188,10 @@ class TestSessionLifecycle:
             plan = session.plan(program)
             fields = _heat_fields()
             plan.run(fields, [2])
-            buffers = plan._buffers
+            (buffers,) = plan._free
             assert buffers is not None
             plan.run(_heat_fields(), [2])
-            assert plan._buffers is buffers, "same shapes must reuse the buffers"
+            assert plan._free == [buffers], "same shapes must reuse the buffers"
             reference = _heat_fields()
             run_once(program, reference, [2])
             repeated = _heat_fields()
@@ -401,6 +401,41 @@ def test_concurrent_runs_on_one_plan_serialize():
         assert not errors, f"concurrent plan runs corrupted results: {errors}"
 
 
+@pytest.mark.parametrize(
+    "runtime", ["threads", pytest.param("processes", marks=needs_processes)]
+)
+def test_plan_recycles_one_buffer_set_per_concurrent_run(runtime):
+    """The plan's free list holds at most a set per run it hosted at once."""
+    program = _compile_heat((2, 1))
+    reference = _heat_fields()
+    run_once(program, reference, [3])
+    with Session(runtime=runtime) as session:
+        plan = session.plan(program)
+        outputs = [_heat_fields(), _heat_fields()]
+        start = threading.Barrier(2)
+
+        def run(fields):
+            start.wait(timeout=60)
+            plan.run(fields, [3])
+
+        callers = [threading.Thread(target=run, args=(f,)) for f in outputs]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+        for fields in outputs:
+            assert np.array_equal(fields[0], reference[0])
+            assert np.array_equal(fields[1], reference[1])
+        assert 1 <= len(plan._free) <= 2
+        free = {id(buffers) for buffers in plan._free}
+        plan.run(_heat_fields(), [3])
+        assert {id(buffers) for buffers in plan._free} == free
+        plan.close()
+        if runtime == "processes":
+            pool = session._field_pool
+            assert sum(map(len, pool._free.values())) == len(pool._owned) >= 4
+
+
 @pytest.mark.parametrize("runtime", FAILURE_WORLDS)
 def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_rank):
     """``plan.run`` is a round of one: the semantics ``tests/test_serve.py``
@@ -422,7 +457,7 @@ def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_r
             with pytest.raises(RuntimeError, match="^rank 1 exploded$"):
                 plan.run(_heat_fields(), [POISON_STEPS])
         assert time.monotonic() - began < 1.0
-        assert plan._buffers is None, "a failed run must not hand its buffers back"
+        assert plan._free == [], "a failed run must not hand its buffers back"
         fields = _heat_fields()
         plan.run(fields, [2])
         assert np.array_equal(fields[0], reference[0])
@@ -431,6 +466,35 @@ def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_r
                    else session.counters.rank_executors_created)
         assert created == 2
         assert plan.runs_completed == 2
+
+
+def test_silent_thread_job_fails_at_the_collector_deadline(monkeypatch):
+    """A thread-world job whose ranks never report fails as a process job
+    does: the collector's ``WorkerError``, counted in ``worker.errors``, and
+    the rank executor its silent ranks occupy is replaced."""
+    import repro.core.rank as rank_module
+    from repro.runtime import worker_pool
+
+    monkeypatch.setattr(worker_pool, "REPORT_MARGIN", 0.0)
+    run_rank = rank_module.run_rank
+
+    def stalling(program, function, config, args, **context):
+        if args[-1] == POISON_STEPS:
+            time.sleep(1.0)
+        return run_rank(program, function, config, args, **context)
+
+    monkeypatch.setattr(rank_module, "run_rank", stalling)
+    program = _compile_heat((2, 1))
+    with Session(timeout=0.3) as session:
+        plan = session.plan(program)
+        plan.run(_heat_fields(), [2])
+        began = time.monotonic()
+        with pytest.raises(WorkerError, match="did not report within 0.3s"):
+            plan.run(_heat_fields(), [POISON_STEPS])
+        assert time.monotonic() - began < 0.9
+        assert session.metrics.get("worker.errors") == 1
+        plan.run(_heat_fields(), [2])
+        assert session.counters.rank_executors_created == 2
 
 
 @pytest.mark.parametrize("runtime", FAILURE_WORLDS)
