@@ -71,9 +71,10 @@ EXECUTION_RUNTIMES = ("threads", "processes")
 #:   nest it can and walks the rest in place; a program it cannot trace or
 #:   emit runs the tree walker, with the reason recorded on
 #:   ``Plan.codegen_fallback``;
-#: * ``"planned"`` — no compiled tier: always run the tree walker.  The
-#:   config normalises it to ``backend="interpreter"``, the one field the
-#:   stack reads to choose the walker.
+#: * ``"planned"`` — no compiled tier: always run the tree walker, like
+#:   ``backend="interpreter"``.  Both fields are kept as given, so a later
+#:   ``replace(codegen="auto")`` asks for the megakernel again;
+#:   :func:`repro.core.rank.codegen_wanted` reads the two.
 EXECUTION_CODEGEN = ("auto", "planned")
 
 #: Valid values of :attr:`ExecutionConfig.trace`:
@@ -143,8 +144,6 @@ class ExecutionConfig:
             raise ExecutionError("threads_per_rank must be an integer >= 1")
         if not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
             raise ExecutionError("timeout must be a positive number of seconds")
-        if self.codegen == "planned":
-            object.__setattr__(self, "backend", "interpreter")
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (re-validated, unknown keys rejected)."""

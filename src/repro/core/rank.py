@@ -47,10 +47,9 @@ _EMIT_LOCK = threading.Lock()
 def codegen_wanted(config: ExecutionConfig) -> bool:
     """Whether ``config`` asks for the megakernel at all.
 
-    The tree-walker backend never does (``codegen="planned"`` is normalised
-    to it by :class:`~repro.core.config.ExecutionConfig`).
+    Neither the tree-walker backend nor ``codegen="planned"`` does.
     """
-    return config.backend != "interpreter"
+    return config.backend != "interpreter" and config.codegen != "planned"
 
 
 def megakernel_trace(
@@ -171,20 +170,23 @@ def run_rank(
 
 
 def rank_report(
+    comm: Optional[Any],
     program: CompiledProgram,
     function: str,
     config: ExecutionConfig,
     args: Sequence[Any],
-    comm: Optional[Any],
     team: Optional[Any],
 ) -> RankStats:
     """Run one rank through :func:`run_rank` and report it, in any world.
 
-    The rank records its spans on its own tracer (its monotonic clock; the
-    timeline merge re-aligns it), counts which tier ran on a fresh registry
-    and captures why the megakernel did not, so the report is a plain
-    picklable value: a process worker ships it home, a thread-world rank
-    puts it on its round's queue, and the parent merges both alike.
+    A round's rank body (``body(comm, *args)``, see
+    :class:`~repro.runtime.worker_pool.RoundJob`); ``comm`` is None for a
+    local job.  The rank records its spans on its own tracer (its monotonic
+    clock; the timeline merge re-aligns it), counts which tier ran on a
+    fresh registry and captures why the megakernel did not, so the report
+    is a plain picklable value: a process worker ships it home, a
+    thread-world rank puts it on its round's queue, and the parent merges
+    both alike.
     """
     rank = comm.rank if comm is not None else 0
     tracer = (

@@ -31,18 +31,23 @@ thread, process worker — is executed and reported by
 :func:`repro.core.rank.rank_report`, as the same
 :class:`~repro.runtime.stats.RankStats`; this module only decides who owns
 what and moves the data.
+
+A round is a list of :class:`~repro.runtime.worker_pool.RoundJob` records,
+``body(comm, *args)`` on each rank, whatever the world.  A plan's rank body
+is :func:`~repro.core.rank.rank_report`, a warm-up's a barrier, and
+:meth:`Session.run_spmd` runs a caller's function the same way.
 """
 
 from __future__ import annotations
 
 import atexit
+import pickle
 import queue
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -50,10 +55,10 @@ from .. import runtime as _process_runtime
 from ..interp import SimulatedMPI
 from ..interp.codegen import CodegenFallback
 from ..interp.mpi_runtime import CommStatistics, merge_comm_statistics
-from ..interp.thread_team import ThreadTeam
+from ..interp.thread_team import ThreadTeam, get_thread_team
 from ..obs import MetricsRegistry, Tracer, TraceTimeline
 from ..runtime.stats import RankStats, sort_rank_stats
-from ..runtime.worker_pool import PoolBatchJob, WorkerError, collect_reports
+from ..runtime.worker_pool import RoundJob, WorkerError, collect_reports
 from ..transforms.distribute import GridSlicingStrategy
 from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning
 from .executor import ExecutionResult, core_field_slices, local_field_slices
@@ -186,36 +191,36 @@ class Session:
     ) -> None:
         """Pre-spawn the runtime so the first ``plan.run()`` pays no latency.
 
-        Spawns the worker processes (``runtime="processes"``) or the rank
-        threads (``runtime="threads"``), the intra-rank thread teams on both
-        sides, and — when ``program`` is given — ships the pickled program to
-        the workers ahead of the first run.  ``ranks`` defaults to the
-        program's rank grid (no ranks: only the thread team); ``runtime``
-        defaults to the session config's (``Plan.warmup`` passes the plan's
-        resolved runtime, which may override the session's).
+        A warm-up is a round whose ranks meet at a barrier: it spawns the
+        worker processes (``runtime="processes"``) or the rank threads
+        (``runtime="threads"``), and the intra-rank thread teams on both
+        sides — a worker builds its own before it meets the others — and,
+        when ``program`` is given, ships the pickled program to the workers
+        inside the same round.  ``ranks`` defaults to the program's rank
+        grid (no ranks: only the thread team); ``runtime`` defaults to the
+        session config's (``Plan.warmup`` passes the plan's resolved
+        runtime, which may override the session's).
         """
         self._ensure_open()
         config = self.config
         span = self.tracer.begin("session.warmup") if self.tracer is not None else 0.0
         if ranks is None and program is not None \
                 and program.target.rank_grid is not None:
-            ranks = GridSlicingStrategy(program.target.rank_grid).rank_count
+            ranks = program.target.ranks
         threads = threads_per_rank if threads_per_rank is not None \
             else config.threads_per_rank
-        runtime = runtime if runtime is not None else config.runtime
-        if ranks is not None and ranks >= 1:
-            if runtime == "processes" and \
-                    _process_runtime.processes_available():
-                self._pool_manager.warmup(ranks, threads, timeout=config.timeout)
-                if program is not None:
-                    pool = self._pool_manager.acquire(ranks)
-                    pool.ship_program(program, ranks)
-            else:
-                self._prespawn_rank_threads(ranks)
-                if threads > 1:
-                    self._team(threads)
-        elif threads > 1:
+        processes = (runtime or config.runtime) == "processes" \
+            and _process_runtime.processes_available()
+        if not processes or not ranks:
             self._team(threads)
+        if ranks:
+            job = RoundJob(
+                _warm_rank, [(threads if processes else 1,)] * ranks,
+                config.timeout, program if processes else None,
+            )
+            (outcome,) = self._run_round([job], processes)
+            if isinstance(outcome, BaseException):
+                raise outcome
         if self.tracer is not None:
             self.tracer.end("session.warmup", span)
         self.counters.warmups += 1
@@ -279,6 +284,43 @@ class Session:
         finally:
             plan.close()
 
+    def run_spmd(
+        self,
+        body: Callable[..., Any],
+        size: int,
+        args: Sequence[Any] = (),
+        **overrides,
+    ) -> tuple[list[Any], list[CommStatistics]]:
+        """Run ``body(comm, *args)`` on ``size`` ranks: a round of one job.
+
+        The session config with ``overrides`` applied picks the world and
+        the ranks' communication ``timeout``.  Returns each rank's value and
+        its :class:`~repro.interp.CommStatistics`, in rank order.  The round
+        fails like any other (see :meth:`execute_batch`): the first rank
+        error in time is re-raised — a worker's as a :class:`WorkerError` —
+        and a deadlocked round fails on its ranks' own communication
+        timeout.  The process world pickles ``body`` and ``args``, so a
+        closure is only accepted on the thread world.
+        """
+        self._ensure_open()
+        if size < 1:
+            raise ExecutionError("run_spmd needs at least one rank")
+        config = ExecutionConfig.coerce(self.config, **overrides)
+        processes = _resolve_runtime(config.runtime, 2) == "processes"
+        if processes:
+            try:
+                pickle.dumps((body, tuple(args)))
+            except Exception as error:
+                raise ExecutionError(
+                    "run_spmd on the process world needs a module-level body "
+                    f"and picklable args: {error}"
+                ) from error
+        job = RoundJob(_spmd_rank, [(body, *args)] * size, config.timeout)
+        (outcome,) = self._run_round([job], processes)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return [value for value, _ in outcome], [stats for _, stats in outcome]
+
     # -- session-owned resources ----------------------------------------------
     def _team(self, size: int) -> Optional[ThreadTeam]:
         """The session-owned intra-rank thread team of ``size`` threads."""
@@ -312,25 +354,16 @@ class Session:
                 self._rank_executor = None
                 self._rank_executor_size = 0
 
-    def _prespawn_rank_threads(self, size: int) -> None:
-        """Force the rank executor to actually start ``size`` worker threads."""
-        executor = self._acquire_rank_executor(size)
-        barrier = threading.Barrier(size)
-        futures = [executor.submit(barrier.wait, 30.0) for _ in range(size)]
-        done, pending = futures_wait(futures, timeout=60.0)
-        if pending or any(f.exception() is not None for f in done):
-            self._discard_rank_executor()
-            raise ExecutionError("session warm-up failed to start rank threads")
-
     def execute_batch(self, prepared: Sequence["PreparedRun"]) -> None:
         """Run independent prepared runs — one or many — as ONE round.
 
         The single dispatch primitive: ``plan.run()`` is a round of one job,
-        the serving layer (:mod:`repro.serve`) packs many.  Process-world
-        jobs partition the worker pool (``PoolManager.run_program_batch``),
-        thread-world and local jobs partition the persistent rank executor —
-        each distributed job in a private :class:`SimulatedMPI` world of its
-        own size, each local job in one slot — so N small jobs pay the
+        the serving layer (:mod:`repro.serve`) packs many.  Each job is a
+        :class:`~repro.runtime.worker_pool.RoundJob` whose ranks run
+        :func:`~repro.core.rank.rank_report`.  Process-world jobs partition
+        the worker pool (``PoolManager.run_round``), thread-world and local
+        jobs partition the persistent rank executor — each job in a private
+        :class:`SimulatedMPI` world of its own size — so N small jobs pay the
         dispatch latency (lock handoff, executor or pool round trip, join)
         once instead of N times.  A round that is a single thread-world or
         local rank has nothing to run beside it and runs in the calling
@@ -355,88 +388,119 @@ class Session:
         threaded = [job for job in prepared if job.runtime != "processes"]
         outcomes = []
         if pooled:
-            outcomes += self._run_pooled_round(pooled)
+            outcomes += self._run_round(
+                [job.round_job() for job in pooled], processes=True)
         if threaded:
-            outcomes += self._run_threaded_round(threaded)
+            outcomes += self._run_round(
+                [job.round_job() for job in threaded], processes=False)
         for job, outcome in zip([*pooled, *threaded], outcomes):
             if not isinstance(outcome, BaseException):
                 job.reports = outcome
                 continue
             job.error = outcome
+            if isinstance(outcome, WorkerError) and job.plan.tracer is not None:
+                job.plan.tracer.instant("worker.error")
+
+    def _run_round(self, jobs: Sequence[RoundJob], processes: bool) -> list:
+        """One round of ``jobs`` in one world: one outcome per job.
+
+        The process world runs it on the worker pool, the thread world on
+        the rank executor; either way the outcomes are
+        :func:`~repro.runtime.worker_pool.collect_reports`'s, and each
+        :class:`WorkerError` among them counts in ``worker.errors``.
+        """
+        if processes:
+            try:
+                outcomes = self._pool_manager.run_round(jobs)
+            except WorkerError as error:  # the round itself could not run
+                outcomes = [error] * len(jobs)
+        else:
+            outcomes = self._run_threaded_round(jobs)
+        for outcome in outcomes:
             if isinstance(outcome, WorkerError):
                 self.metrics.inc("worker.errors")
-                if job.plan.tracer is not None:
-                    job.plan.tracer.instant("worker.error")
+        return outcomes
 
-    def _run_pooled_round(self, jobs: Sequence["PreparedRun"]) -> list:
-        """The process-world jobs of a round, on the partitioned worker pool."""
-        try:
-            return self._pool_manager.run_program_batch(
-                [
-                    PoolBatchJob(
-                        job.plan.program, job.plan.function, job.plan.config,
-                        job.buffers.specs, job.scalars,
-                    )
-                    for job in jobs
-                ],
-                max(job.plan.config.timeout for job in jobs),
-            )
-        except WorkerError as error:  # the round itself could not run
-            return [error] * len(jobs)
+    def _run_threaded_round(self, jobs: Sequence[RoundJob]) -> list:
+        """The thread world's round: each job in a private :class:`SimulatedMPI`.
 
-    def _run_threaded_round(self, jobs: Sequence["PreparedRun"]) -> list:
-        """The thread-world and local jobs of a round, on the rank executor.
-
-        Each distributed job runs in a private :class:`SimulatedMPI` world;
-        every rank puts its report on the round's queue, which the same
-        :func:`~repro.runtime.worker_pool.collect_reports` reads as for
-        process workers.  Ranks that never reported still occupy executor
+        Its ranks run on the rank executor (a round of one rank in the
+        calling thread) and put their reports on the round's queue, which
+        :func:`~repro.runtime.worker_pool.collect_reports` reads as it reads
+        the worker pool's.  Ranks that never reported still occupy executor
         threads, so the executor is discarded after such a round.
         """
         results: queue.SimpleQueue = queue.SimpleQueue()
         ranks = []
         for index, job in enumerate(jobs):
-            world = (
-                SimulatedMPI(job.size, timeout=job.plan.config.timeout)
-                if job.plan.distributed else None
-            )
+            world = SimulatedMPI(job.size, timeout=job.timeout)
             ranks += [
-                (index, job, world.communicator(rank) if world else None)
-                for rank in range(job.size)
+                (index, job, world.communicator(rank)) for rank in range(job.size)
             ]
         run_ids = range(len(jobs))
         sizes = [job.size for job in jobs]
-        timeout = max(job.plan.config.timeout for job in jobs)
+        timeout = max(job.timeout for job in jobs)
         if len(ranks) == 1:  # nothing runs beside it: the calling thread does
-            _report_rank(results, *ranks[0])
+            _run_body(results, *ranks[0])
             return collect_reports(results, run_ids, sizes, timeout)[0]
         with self._thread_run_lock:
             executor = self._acquire_rank_executor(len(ranks))
             for rank in ranks:
-                executor.submit(_report_rank, results, *rank)
+                executor.submit(_run_body, results, *rank)
             outcomes, silent = collect_reports(results, run_ids, sizes, timeout)
             if any(silent.values()):
                 self._discard_rank_executor()
         return outcomes
 
 
-def _report_rank(results, index: int, job: "PreparedRun", comm) -> None:
-    """One thread-world or local rank of a round's job ``index``.
+def _run_body(results, index: int, job: RoundJob, comm) -> None:
+    """One thread-world rank of a round's job ``index``.
 
-    Puts the rank's report — or its own exception — on ``results``.
+    Puts ``job.body``'s value — or the rank's own exception — on ``results``.
     """
-    rank = comm.rank if comm is not None else 0
-    plan = job.plan
-    local = job.buffers.locals[rank] if job.buffers is not None else job.fields
     try:
-        report = rank_report(
-            plan.program, plan.function, plan.config, [*local, *job.scalars],
-            comm, plan.session._team(plan.config.threads_per_rank),
-        )
-    except BaseException as error:  # noqa: BLE001 - finish() re-raises it
-        results.put(("error", index, rank, error))
+        value = job.body(comm, *job.rank_args[comm.rank])
+    except BaseException as error:  # noqa: BLE001 - the collector hands it on
+        results.put(("error", index, comm.rank, error))
     else:
-        results.put(("done", index, rank, report))
+        results.put(("done", index, comm.rank, value))
+
+
+def _local_report(comm, *args) -> RankStats:
+    """The rank body of a local job: one rank, no communicator."""
+    return rank_report(None, *args)
+
+
+def _warm_rank(comm, threads_per_rank: int) -> None:
+    """The rank body of a warm-up: build the thread team, meet the others."""
+    if threads_per_rank > 1:
+        get_thread_team(threads_per_rank)
+    comm.barrier()
+
+
+def _spmd_rank(comm, body, *args) -> tuple[Any, CommStatistics]:
+    """The rank body of :meth:`Session.run_spmd`: the value and the counts."""
+    return body(comm, *args), comm.statistics
+
+
+def _resolve_runtime(requested: str, stacklevel: int) -> str:
+    """The world a distributed round of ``requested`` runs in.
+
+    ``"processes"`` degrades to ``"threads"``, with a
+    :class:`RuntimeFallbackWarning`, where shared memory is unavailable.
+    """
+    if requested == "processes" and not _process_runtime.processes_available():
+        warnings.warn(
+            "runtime='processes' was requested but the process runtime "
+            "is unavailable on this platform; falling back to "
+            "runtime='threads' (bit-identical results, no multi-core "
+            "scaling). Compare ExecutionResult.runtime_requested with "
+            ".runtime to detect degraded runs.",
+            RuntimeFallbackWarning,
+            stacklevel=stacklevel + 1,
+        )
+        return "threads"
+    return requested
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +582,7 @@ class Plan:
 
         if self.distributed:
             self.runtime_requested = config.runtime
-            runtime = config.runtime
-            if runtime == "processes" and not _process_runtime.processes_available():
-                runtime = "threads"
-                warnings.warn(
-                    "runtime='processes' was requested but the process runtime "
-                    "is unavailable on this platform; falling back to "
-                    "runtime='threads' (bit-identical results, no multi-core "
-                    "scaling). Compare ExecutionResult.runtime_requested with "
-                    ".runtime to detect degraded runs.",
-                    RuntimeFallbackWarning,
-                    stacklevel=3,
-                )
-            self.runtime = runtime
+            self.runtime = _resolve_runtime(config.runtime, 3)
         else:
             self.runtime = self.runtime_requested = "local"
 
@@ -588,7 +640,7 @@ class Plan:
 
     def warmup(self) -> None:
         """Pre-spawn this plan's runtime (workers, teams) and ship the program."""
-        ranks = self.strategy.rank_count if self.distributed else None
+        ranks = self.program.target.ranks if self.distributed else None
         self.session.warmup(
             self.program if self.runtime == "processes" else None,
             ranks=ranks,
@@ -886,6 +938,31 @@ class PreparedRun:
         plan._attach_trace(result, [report.trace for report in reports])
         plan._finish_run(result)
         return result
+
+    def round_job(self) -> RoundJob:
+        """The job's ranks as a round runs them: :func:`rank_report` each.
+
+        A process-world rank gets its fields as shared-memory specs (the
+        worker attaches them) and no team (the worker has its own); a
+        thread-world rank gets its local arrays and the session's team.
+        """
+        plan = self.plan
+        if self.runtime == "processes":
+            per_rank, team = self.buffers.specs, None
+        else:
+            per_rank = self.buffers.locals if self.buffers is not None \
+                else [self.fields]
+            team = plan.session._team(plan.config.threads_per_rank)
+        return RoundJob(
+            rank_report if plan.distributed else _local_report,
+            [
+                (plan.program, plan.function, plan.config,
+                 [*fields, *self.scalars], team)
+                for fields in per_rank
+            ],
+            plan.config.timeout,
+            plan.program,
+        )
 
     def release(self) -> None:
         """Release the job's buffer set instead of handing it back."""

@@ -64,7 +64,10 @@ over one of two worlds' mailboxes (selected by
 here — each rank runs its own megakernel (or tree walker) in its own
 thread — or the OS-process world of :mod:`repro.runtime`, where
 each rank is a pooled worker process computing on shared-memory field
-buffers.  Both produce bit-identical fields and matching statistics.
+buffers.  Both produce bit-identical fields and matching statistics.  This
+package launches no ranks: every round of either world, a caller's SPMD
+function included (``Session.run_spmd``), is launched by
+:mod:`repro.core.session`.
 """
 
 from .codegen import (

@@ -74,6 +74,7 @@ Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -662,11 +663,8 @@ class CompiledMegakernel:
         ``team`` is the rank's thread team, which a kernel emitted for
         ``threads > 1`` runs its chunks on.
         """
-        arrays = [args[index] for index in self.array_indices]
-        for first in range(len(arrays)):
-            for second in range(first + 1, len(arrays)):
-                if np.shares_memory(arrays[first], arrays[second]):
-                    return False
+        if _aliased([args[index] for index in self.array_indices]):
+            return False
         extra: list = []
         if self.traced:
             extra.append(tracer)
@@ -680,6 +678,14 @@ class CompiledMegakernel:
             extra.append(walker)
         self._fn(args, stats, comm, *extra)
         return True
+
+
+def _aliased(arrays) -> bool:
+    """Whether any two of ``arrays`` share memory."""
+    return any(
+        np.shares_memory(first, second)
+        for first, second in itertools.combinations(arrays, 2)
+    )
 
 
 def megakernel_signature(args) -> tuple:
@@ -767,11 +773,8 @@ class _MegakernelEmitter:
             index for index, value in enumerate(args)
             if isinstance(value, np.ndarray)
         )
-        arrays = [args[index] for index in self.array_indices]
-        for first in range(len(arrays)):
-            for second in range(first + 1, len(arrays)):
-                if np.shares_memory(arrays[first], arrays[second]):
-                    raise CodegenError("field arguments alias each other")
+        if _aliased([args[index] for index in self.array_indices]):
+            raise CodegenError("field arguments alias each other")
         # Source-building state: the scratch allocations that run once, ahead
         # of the time loop, and the lines of the segment being replayed with
         # their relative indentation.

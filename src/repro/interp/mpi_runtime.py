@@ -40,7 +40,7 @@ import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -270,12 +270,6 @@ class SimulatedMPI:
             Communicator(self, rank, size, timeout) for rank in range(size)
         ]
 
-    @property
-    def statistics(self) -> CommStatistics:
-        """The world's counters: its ranks' merged in rank order."""
-        return merge_comm_statistics(
-            [comm.statistics for comm in self._communicators])
-
     def communicator(self, rank: int) -> Communicator:
         """Rank ``rank``'s communicator (the same object on every call)."""
         if not 0 <= rank < self.size:
@@ -312,59 +306,6 @@ class SimulatedMPI:
     def land(message: np.ndarray, into: Optional[np.ndarray]) -> None:
         if into is not None:
             np.copyto(into, message.reshape(into.shape), casting="unsafe")
-
-    # -- SPMD driver -------------------------------------------------------------
-    def run_spmd(
-        self,
-        body: Callable[[Communicator], object],
-        *,
-        timeout: Optional[float] = None,
-    ) -> list[object]:
-        """Run ``body(comm)`` on every rank, each in its own thread.
-
-        All joins share a single deadline, so a deadlocked world of N ranks
-        waits the intended timeout *once* rather than N times, and the first
-        rank that raises fails the whole run immediately (its exception is
-        re-raised; the other, possibly still blocked, daemon threads are
-        abandoned to their own timeouts).
-        """
-        results: list[object] = [None] * self.size
-        errors: list[Optional[BaseException]] = [None] * self.size
-
-        def worker(rank: int) -> None:
-            try:
-                results[rank] = body(self.communicator(rank))
-            except BaseException as err:  # noqa: BLE001 - propagate to the caller
-                errors[rank] = err
-                with self._lock:
-                    self._lock.notify_all()
-
-        threads = [
-            threading.Thread(target=worker, args=(rank,), daemon=True)
-            for rank in range(self.size)
-        ]
-        for thread in threads:
-            thread.start()
-        join_timeout = timeout if timeout is not None else self.timeout * 4
-        deadline = time.monotonic() + join_timeout
-        pending = list(threads)
-        while pending:
-            if any(error is not None for error in errors):
-                break  # fail fast: a rank already crashed
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            pending[0].join(timeout=min(0.05, remaining))
-            pending = [thread for thread in pending if thread.is_alive()]
-        for error in errors:
-            if error is not None:
-                raise error
-        for rank, thread in enumerate(threads):
-            if thread.is_alive():
-                raise MPIRuntimeError(
-                    f"rank {rank} did not finish within {join_timeout}s (deadlock?)"
-                )
-        return results
 
 
 def _combine(lhs: np.ndarray, rhs: np.ndarray, operation: str) -> np.ndarray:

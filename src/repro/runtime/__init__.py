@@ -12,8 +12,10 @@ measurable in wall-clock time rather than only modeled:
   world uses (hence the same collective algorithms and tag discipline);
 * :mod:`repro.runtime.worker_pool` — a persistent worker pool: programs are
   compiled once in the parent, shipped once per worker, and cached worker-side
-  so repeated runs amortize all startup; and ``collect_reports``, the one
-  collector of a round's rank reports in either world;
+  so repeated runs amortize all startup.  A round is a list of ``RoundJob``
+  records — ``body(comm, *args)`` on each rank, the same record the thread
+  world runs — and ``collect_reports`` is the one collector of a round's
+  rank reports in either world;
 * :mod:`repro.runtime.stats` — :class:`RankStats`, the picklable per-rank
   report every rank of every world sends home, merged deterministically in
   the parent.
@@ -22,8 +24,9 @@ Select it with ``ExecutionConfig(runtime="processes")``; results are
 bit-identical to ``runtime="threads"`` and plans fall back to threads (with a
 ``RuntimeFallbackWarning``) when shared memory is unavailable.  The pool and
 the field blocks are explicit resources — :class:`PoolManager` and
-:class:`SharedFieldPool` instances owned by a ``Session`` (or built directly
-by tests); there is no process-wide pool.
+:class:`SharedFieldPool` instances owned by a ``Session``; there is no
+process-wide pool.  Every round, a plan's, a warm-up or a caller's SPMD
+function (``Session.run_spmd``), goes through the session.
 """
 
 from .mp_world import (

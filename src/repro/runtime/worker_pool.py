@@ -10,30 +10,27 @@ worker-side on the unpickled :class:`~repro.core.CompiledProgram` itself — so
 repeated runs, e.g. a benchmark's timing loop, ship nothing and recompile
 nothing.
 
-Protocol (all tuples over per-worker command queues and one shared result
+A round is a list of :class:`RoundJob` records, the same in both worlds:
+job ``i`` runs ``body(comm, *rank_args[rank])`` on each of its ranks.  The
+body is a plan rank (:func:`repro.core.rank.rank_report`), a warm-up (the
+ranks meet at a barrier) or a caller's SPMD function
+(:meth:`repro.core.session.Session.run_spmd`).  The protocol has three
+commands (tuples over per-worker command queues and one shared result
 queue; rank-to-rank messages do not travel here but through shared-memory
 message blocks and per-rank envelope inboxes, see
 :mod:`repro.runtime.mp_world`):
 
 * ``("program", key, payload)`` — cache a pickled program under ``key``;
-* ``("run", run_id, key, rank, size, base, function, config, field_specs,
-  scalars)`` — attach the shared-memory fields and execute one rank through
-  :func:`repro.core.rank.rank_report` under the caller's frozen
-  :class:`~repro.core.config.ExecutionConfig` — the same function, the same
-  configuration and therefore the same tier choice, thread-team size,
-  tracing and :class:`~repro.runtime.stats.RankStats` report as a
-  thread-world rank;
-* ``("spmd", run_id, rank, size, payload, timeout)`` — run an arbitrary
-  picklable ``fn(comm, *args)`` (tests and ad-hoc experiments);
-* ``("warmup", run_id, rank, threads_per_rank)`` — pre-spawn the worker's
-  intra-rank thread team so the first hybrid run pays no spawn latency;
+* ``("run", run_id, rank, size, base, timeout, body, args)`` — run one rank
+  of a job.  An argument that is the job's shipped program arrives as the
+  worker's cached copy, and a :class:`~repro.runtime.mp_world.SharedFieldSpec`
+  (alone or in a list) as its attached array;
 * ``("stop",)`` — exit the worker loop.
 
-Workers answer ``("done", run_id, rank, payload)`` — the rank's
-``RankStats``, ``(value, comm_stats)`` for ``spmd``, None for ``warmup`` —
-or ``("error", run_id, rank, failure)`` where ``failure`` is a picklable
-:class:`WorkerFailure` (rank, phase, exception type, traceback text).  The
-ranks of a thread-world round put the same tuples on a local queue, and
+Workers answer ``("done", run_id, rank, value)`` — whatever the body
+returned — or ``("error", run_id, rank, failure)`` where ``failure`` is a
+picklable :class:`WorkerFailure` (rank, exception type, traceback text).
+The ranks of a thread-world round put the same tuples on a local queue, and
 :func:`collect_reports` reads either: it applies the one round failure
 policy of both worlds.  A failed or timed-out run poisons the pool (peers
 may still be blocked in receives), so the pool is shut down and the next
@@ -59,9 +56,9 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from ..interp.mpi_runtime import CommStatistics, Communicator
+from ..interp.mpi_runtime import Communicator
 from .mp_world import (
     FORK_LOCK,
     MessageBlocks,
@@ -72,24 +69,19 @@ from .mp_world import (
     unlink_message_blocks,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - ``repro.core`` sits above this package
-    from ..core.config import ExecutionConfig
-
 
 @dataclass
 class WorkerFailure:
     """Structured, picklable description of one rank's failure.
 
     Replaces the raw ``traceback.format_exc()`` strings the workers used to
-    ship: the parent can now attribute a failure to a rank and phase
+    ship: the parent can now attribute a failure to a rank
     programmatically (it rides on :attr:`WorkerError.failure` and lands in
     session metrics) while :meth:`describe` keeps the full human-readable
     detail, traceback included.
     """
 
     rank: int
-    #: Which worker phase failed: ``"run"``, ``"spmd"`` or ``"warmup"``.
-    phase: str
     #: Exception class name (the exception object itself may not pickle).
     exception: str
     message: str
@@ -97,7 +89,7 @@ class WorkerFailure:
 
     def describe(self) -> str:
         return (
-            f"rank {self.rank} failed during {self.phase}: "
+            f"rank {self.rank} failed: "
             f"{self.exception}: {self.message}\n{self.traceback_text}"
         )
 
@@ -125,18 +117,31 @@ class _PoolReplacedError(Exception):
 
 
 @dataclass
-class PoolBatchJob:
-    """One job of a batched pooled round (``run_program_batch``).
+class RoundJob:
+    """One job of a round: ``body(comm, *rank_args[rank])`` on each rank.
 
-    ``field_specs[rank]`` are the pre-scattered shared-memory specs of that
-    rank's fields; the job occupies ``len(field_specs)`` contiguous workers.
+    The record both worlds run.  ``timeout`` is the communication deadline
+    of the job's ranks.  ``program``, when set, is shipped once to each
+    worker the job occupies, and a rank argument that *is* it reaches the
+    worker's body as the worker's cached copy; the thread world passes
+    every argument as it is.
     """
 
-    program: Any
-    function_name: str
-    config: "ExecutionConfig"
-    field_specs: Sequence[Sequence["SharedFieldSpec"]]
-    scalars: Sequence[Any]
+    body: Callable[..., Any]
+    rank_args: Sequence[Sequence[Any]]
+    timeout: float
+    program: Any = None
+
+    @property
+    def size(self) -> int:
+        return len(self.rank_args)
+
+
+@dataclass(frozen=True)
+class _ShippedProgram:
+    """A job's program on the wire: its key in the worker's program cache."""
+
+    key: int
 
 
 @contextlib.contextmanager
@@ -159,23 +164,32 @@ def _deep_recursion(limit: int = 10_000):
 # worker side
 # ---------------------------------------------------------------------------
 
-def _failure(rank: int, phase: str, err: BaseException) -> WorkerFailure:
+def _failure(rank: int, err: BaseException) -> WorkerFailure:
     """Build the structured failure shipped to the parent (must pickle)."""
     return WorkerFailure(
         rank=rank,
-        phase=phase,
         exception=type(err).__name__,
         message=str(err),
         traceback_text=traceback.format_exc(),
     )
 
 
+def _arrived(arg, programs: dict, fields: list):
+    """A rank argument as the worker's body sees it (see the protocol)."""
+    if isinstance(arg, _ShippedProgram):
+        return programs[arg.key]
+    if isinstance(arg, SharedFieldSpec):
+        field = SharedField.attach(arg)
+        fields.append(field)
+        return field.array
+    if isinstance(arg, list):
+        return [_arrived(item, programs, fields) for item in arg]
+    return arg
+
+
 def _worker_main(worker_index: int, commands, results, inboxes,
                  block_prefix: str) -> None:
-    """The worker loop: cache programs, execute ranks, report statistics."""
-    # Imported here, in the child: ``repro.core`` sits above this package.
-    from ..core.rank import rank_report
-
+    """The worker loop: cache programs, run rank bodies, report."""
     programs: dict[int, Any] = {}
     blocks = MessageBlocks(block_prefix, worker_index)
     while True:
@@ -188,61 +202,27 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             with _deep_recursion():
                 programs[key] = pickle.loads(payload)
             continue
-        if kind == "run":
-            (_, run_id, key, rank, size, base, function_name, config,
-             field_specs, scalars) = command
-            fields: list[SharedField] = []
-            # ``base`` partitions the pool across the jobs of one batched
-            # round: this rank's world is the ``size`` workers starting at
-            # ``base``, so its job-local inbox indices stay 0..size-1 and
-            # concurrent jobs can never cross-deliver.
-            mailbox = ProcessMailbox(inboxes[base:base + size], run_id, blocks)
-            try:
-                fields = [SharedField.attach(spec) for spec in field_specs]
-                # Kernels and megakernels are cached on the worker's
-                # CompiledProgram: built on the first run of this program and
-                # shared by every later run.
-                report = rank_report(
-                    programs[key], function_name, config,
-                    [field.array for field in fields] + list(scalars),
-                    Communicator(mailbox, rank, size, config.timeout), None,
-                )
-                results.put(("done", run_id, rank, report))
-            except BaseException as err:  # noqa: BLE001 - ship to the parent
-                results.put(("error", run_id, rank, _failure(rank, "run", err)))
-            finally:
-                mailbox.close()
-                for field in fields:
-                    field.release()
-            continue
-        if kind == "spmd":
-            _, run_id, rank, size, payload, timeout = command
-            mailbox = ProcessMailbox(inboxes, run_id, blocks)
-            try:
-                fn, args = pickle.loads(payload)
-                comm = Communicator(mailbox, rank, size, timeout)
-                value = fn(comm, *args)
-                results.put(("done", run_id, rank, (value, comm.statistics)))
-            except BaseException as err:  # noqa: BLE001 - ship to the parent
-                results.put(("error", run_id, rank, _failure(rank, "spmd", err)))
-            finally:
-                mailbox.close()
-            continue
-        if kind == "warmup":
-            # Pre-spawn the intra-rank thread team (the ROADMAP warm-up item):
-            # the first hybrid run then pays no team-spawn latency.
-            _, run_id, rank, threads_per_rank = command
-            try:
-                if threads_per_rank > 1:
-                    from ..interp.thread_team import get_thread_team
-
-                    get_thread_team(threads_per_rank)
-                results.put(("done", run_id, rank, None))
-            except BaseException as err:  # noqa: BLE001 - ship to the parent
-                results.put(
-                    ("error", run_id, rank, _failure(rank, "warmup", err))
-                )
-            continue
+        # "run": one rank of a round's job.
+        _, run_id, rank, size, base, timeout, body, args = command
+        fields: list[SharedField] = []
+        # ``base`` partitions the pool across the jobs of one round: this
+        # rank's world is the ``size`` workers starting at ``base``, so its
+        # job-local inbox indices stay 0..size-1 and concurrent jobs can
+        # never cross-deliver.
+        mailbox = ProcessMailbox(inboxes[base:base + size], run_id, blocks)
+        try:
+            # Kernels and megakernels are cached on the worker's
+            # CompiledProgram: built on the first run of this program and
+            # shared by every later run.
+            args = [_arrived(arg, programs, fields) for arg in args]
+            value = body(Communicator(mailbox, rank, size, timeout), *args)
+            results.put(("done", run_id, rank, value))
+        except BaseException as err:  # noqa: BLE001 - ship to the parent
+            results.put(("error", run_id, rank, _failure(rank, err)))
+        finally:
+            mailbox.close()
+            for field in fields:
+                field.release()
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +390,7 @@ class WorkerPool:
         A dead worker would silently swallow its rank's command and hang the
         round until the collect deadline, so a pool that lost one between
         rounds is retired here instead: ``_PoolReplacedError`` makes the
-        manager's entry points retry on a fresh pool, transparently.
+        manager's entry point retry on a fresh pool, transparently.
         """
         if ranks > self.size:
             raise WorkerError(
@@ -424,39 +404,43 @@ class WorkerPool:
                 raise _PoolReplacedError
             yield
 
-    def run_program_batch(
-        self, jobs: Sequence["PoolBatchJob"], timeout: float
-    ) -> list[Any]:
-        """Run independent SPMD jobs — one or many — in ONE pooled round.
+    def run_round(self, jobs: Sequence[RoundJob]) -> list[Any]:
+        """Run independent jobs — one or many — as ONE round.
 
         The pool's workers are partitioned across the jobs — job ``i`` of
         ``r_i`` ranks owns the contiguous worker range starting at
         ``sum(r_0..r_{i-1})`` and communicates only within it (its
         communicator sees a job-local inbox window, see ``_worker_main``) —
         so many small runs share one dispatch/collect round instead of
-        serializing.  Returns one entry per job, in order: a ``RankStats``
-        list on success, or the :class:`WorkerError` that failed the job
-        (see :func:`collect_reports` for the failure policy).
+        serializing.  Each job's program is shipped inside the round.
+        Returns one entry per job, in order: its ranks' values on success,
+        or the :class:`WorkerError` that failed the job (see
+        :func:`collect_reports` for the failure policy).
         """
-        with self._round(sum(len(job.field_specs) for job in jobs)):
+        with self._round(sum(job.size for job in jobs)):
             run_ids: list[int] = []
-            sizes: list[int] = []
             base = 0
             for job in jobs:
-                size = len(job.field_specs)
-                key = self.ship_program(job.program, size, base)
+                shipped = None
+                if job.program is not None:
+                    shipped = _ShippedProgram(
+                        self.ship_program(job.program, job.size, base)
+                    )
                 run_id = next(self._run_ids)
-                scalars = list(job.scalars)
-                for rank in range(size):
+                for rank, args in enumerate(job.rank_args):
+                    if shipped is not None:
+                        args = [shipped if arg is job.program else arg
+                                for arg in args]
                     self._commands[base + rank].put(
-                        ("run", run_id, key, rank, size, base,
-                         job.function_name, job.config,
-                         list(job.field_specs[rank]), scalars)
+                        ("run", run_id, rank, job.size, base, job.timeout,
+                         job.body, list(args))
                     )
                 run_ids.append(run_id)
-                sizes.append(size)
-                base += size
-            return self._collect(run_ids, sizes, timeout)
+                base += job.size
+            return self._collect(
+                run_ids, [job.size for job in jobs],
+                max(job.timeout for job in jobs),
+            )
 
     def _collect(
         self, run_ids: Sequence[int], sizes: Sequence[int], timeout: float
@@ -484,47 +468,6 @@ class WorkerPool:
     def _dead_workers(self) -> Optional[str]:
         dead = self.reap_dead_workers()
         return f"worker processes {dead} died mid-round" if dead else None
-
-    def _collect_one(self, run_id: int, size: int, timeout: float) -> list[Any]:
-        """The payloads of a round of one job, rank-ordered; raises its error."""
-        (outcome,) = self._collect([run_id], [size], timeout)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
-
-    def run_spmd(
-        self,
-        fn: Callable,
-        size: int,
-        args: Sequence[Any],
-        timeout: float,
-    ) -> tuple[list[Any], list[CommStatistics]]:
-        """Run ``fn(comm, *args)`` on ``size`` ranks; return per-rank results."""
-        with self._round(size):
-            run_id = next(self._run_ids)
-            payload = pickle.dumps((fn, tuple(args)))
-            for rank in range(size):
-                self._commands[rank].put(("spmd", run_id, rank, size, payload, timeout))
-            reports = self._collect_one(run_id, size, timeout)
-        return (
-            [value for value, _ in reports],
-            [comm_stats for _, comm_stats in reports],
-        )
-
-    def warmup(self, ranks: int, threads_per_rank: int = 1,
-               timeout: float = 60.0) -> None:
-        """Pre-spawn the first ``ranks`` workers' intra-rank thread teams.
-
-        The workers themselves were spawned by the pool constructor; this
-        round-trip additionally forces each of them to build (and cache) its
-        ``threads_per_rank``-sized team and proves the command loop is alive,
-        so the first real hybrid run pays neither spawn latency.
-        """
-        with self._round(ranks):
-            run_id = next(self._run_ids)
-            for rank in range(ranks):
-                self._commands[rank].put(("warmup", run_id, rank, threads_per_rank))
-            self._collect_one(run_id, ranks, timeout)
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:
@@ -607,42 +550,19 @@ class PoolManager:
                 self._pool.shutdown()
                 self._pool = None
 
-    # -- retrying entry points (transparent pool replacement) -----------------
-    def run_program_batch(
-        self, jobs: Sequence[PoolBatchJob], timeout: float
-    ) -> list[Any]:
-        """Run several independent jobs in one pooled round (see the pool).
+    # -- the retrying entry point (transparent pool replacement) ----------------
+    def run_round(self, jobs: Sequence[RoundJob]) -> list[Any]:
+        """Run one round of jobs on the pool (see :meth:`WorkerPool.run_round`).
 
-        The pool is grown (by replacement) to the batch's total rank count;
-        per-job outcomes are returned in order — ``RankStats`` lists for
+        The pool is grown (by replacement) to the round's total rank count;
+        per-job outcomes are returned in order — the ranks' values for
         successes, :class:`WorkerError` instances for failed jobs.
         """
-        total = sum(len(job.field_specs) for job in jobs)
+        total = sum(job.size for job in jobs)
         for _ in _pool_attempts():
             pool = self.acquire(total)
             try:
-                return pool.run_program_batch(jobs, timeout)
-            except _PoolReplacedError:
-                continue  # the pool was grown, replaced, or had dead workers
-
-    def run_spmd(
-        self, fn: Callable, size: int, args: Sequence[Any], timeout: float
-    ) -> tuple[list[Any], list[CommStatistics]]:
-        for _ in _pool_attempts():
-            pool = self.acquire(size)
-            try:
-                return pool.run_spmd(fn, size, args, timeout)
-            except _PoolReplacedError:
-                continue  # the pool was grown, replaced, or had dead workers
-
-    def warmup(self, ranks: int, threads_per_rank: int = 1,
-               timeout: float = 60.0) -> None:
-        """Spawn ``ranks`` workers (and their thread teams) ahead of a run."""
-        for _ in _pool_attempts():
-            pool = self.acquire(ranks)
-            try:
-                pool.warmup(ranks, threads_per_rank, timeout)
-                return
+                return pool.run_round(jobs)
             except _PoolReplacedError:
                 continue  # the pool was grown, replaced, or had dead workers
 

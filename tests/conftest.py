@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from repro.dialects import arith, builtin, func, scf, stencil
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
+from repro.runtime import processes_available
 
 # Property tests draw a fixed example set, so a red run reproduces; CI draws
 # ten times as many from the same generators (``--hypothesis-profile=ci``).
@@ -187,12 +188,35 @@ def shm_segments() -> set:
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
+def run_spmd(body, size, args=(), **overrides):
+    """``body(comm, *args)`` on ``size`` ranks through ``Session.run_spmd``, on
+    a session of its own: the ranks' values and their merged statistics.
+
+    ``overrides`` configure the round (``runtime``, ``timeout``).
+    """
+    from repro.core import Session
+    from repro.interp.mpi_runtime import merge_comm_statistics
+
+    with Session() as session:
+        values, per_rank = session.run_spmd(body, size, args, **overrides)
+    return values, merge_comm_statistics(per_rank)
+
+
+#: Both worlds, as ``parametrize`` values (processes where available).
+RUNTIMES = [
+    "threads",
+    pytest.param("processes", marks=pytest.mark.skipif(
+        not processes_available(), reason="process runtime unavailable",
+    )),
+]
+
+
 #: Step count that makes :func:`exploding_rank` fail a run.
 POISON_STEPS = 13
 
 
 def _forked_workers() -> bool:
-    from repro.runtime import default_context, processes_available
+    from repro.runtime import default_context
 
     return processes_available() and default_context().get_start_method() == "fork"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dialects import builtin, dmp, func, mpi, stencil
-from repro.interp import Interpreter, SimulatedMPI
+from repro.interp import Interpreter
 from repro.transforms.common import canonicalize
 from repro.transforms.distribute import (
     DecompositionError,
@@ -17,7 +17,7 @@ from repro.transforms.distribute import (
 from repro.transforms.mpi import MPICH_DATATYPE_CONSTANTS, datatype_constant_for, lower_mpi_to_func
 from repro.transforms.stencil import lower_stencil_to_scf
 from repro.ir import FunctionType, f32, f64, i32, i64
-from tests.conftest import build_jacobi_module, jacobi_reference
+from tests.conftest import build_jacobi_module, jacobi_reference, run_spmd
 
 
 class TestDecompositionStrategy:
@@ -194,7 +194,6 @@ class TestDmpToMPI:
         module = self.lowered_module()
         canonicalize(module)
         steps = 3
-        world = SimulatedMPI(2)
         expected = jacobi_reference(jacobi_initial, steps)
         locals_a = [jacobi_initial[0:6].copy(), jacobi_initial[4:10].copy()]
         locals_b = [arr.copy() for arr in locals_a]
@@ -204,13 +203,13 @@ class TestDmpToMPI:
                 "kernel", locals_a[comm.rank], locals_b[comm.rank], steps
             )
 
-        world.run_spmd(body)
+        _, statistics = run_spmd(body, 2)
         gathered = jacobi_initial.copy()
         for rank in range(2):
             source = locals_a[rank] if steps % 2 == 0 else locals_b[rank]
             gathered[1 + rank * 4 : 1 + rank * 4 + 4] = source[1:5]
         assert np.allclose(gathered, expected)
-        assert world.statistics.messages_sent == 2 * steps
+        assert statistics.messages_sent == 2 * steps
 
 
 class TestMPIToFunc:
@@ -253,7 +252,6 @@ class TestMPIToFunc:
         lower_mpi_to_func(module)
         canonicalize(module)
         steps = 2
-        world = SimulatedMPI(2)
         locals_a = [jacobi_initial[0:6].copy(), jacobi_initial[4:10].copy()]
         locals_b = [arr.copy() for arr in locals_a]
 
@@ -262,7 +260,7 @@ class TestMPIToFunc:
                 "kernel", locals_a[comm.rank], locals_b[comm.rank], steps
             )
 
-        world.run_spmd(body)
+        run_spmd(body, 2)
         expected = jacobi_reference(jacobi_initial, steps)
         gathered = jacobi_initial.copy()
         for rank in range(2):

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import compile_stencil_program, dmp_target
 from repro.dialects import arith, builtin, func, memref, scf
-from repro.interp import Interpreter, InterpreterError, MemRefValue, SimulatedMPI
+from repro.interp import Interpreter, InterpreterError, MemRefValue
 from repro.ir import Builder, FunctionType, MemRefType, Operation, f64, i32, index
-from tests.conftest import build_jacobi_module
+from tests.conftest import build_jacobi_module, run_spmd
 
 
 def make_kernel(inputs, outputs):
@@ -186,14 +186,13 @@ class TestMemory:
         )
 
         def registry_after(steps):
-            world = SimulatedMPI(2, timeout=10.0)
             walkers = [None, None]
 
             def body(comm):
                 walker = walkers[comm.rank] = Interpreter(program.module, comm=comm)
                 walker.call("kernel", np.zeros(18), np.zeros(18), steps)
 
-            world.run_spmd(body)
+            run_spmd(body, 2, timeout=10.0)
             return [len(walker._memory_registry) for walker in walkers]
 
         short, long = registry_after(2), registry_after(20)

@@ -158,6 +158,10 @@ def test_one_class_receives_messages():
     assert classes_defining("irecv") == ["repro.interp.mpi_runtime.Communicator"]
 
 
+def test_one_class_launches_spmd_rounds():
+    assert classes_defining("run_spmd") == ["repro.core.session.Session"]
+
+
 # -- operations ---------------------------------------------------------------
 # An operation is a class something builds.  Testing for an op
 # (``isinstance``) or annotating with it keeps nothing alive: the op has to be

@@ -123,9 +123,20 @@ class TestCodegenConfig:
         assert config.codegen == "auto"
 
     def test_planned_is_the_tree_walker_backend(self):
-        """One field decides walker vs megakernel: "planned" sets it."""
+        """"planned" asks for the walker whatever the backend says."""
         config = ExecutionConfig(codegen="planned")
-        assert config.backend == "interpreter" and not codegen_wanted(config)
+        assert not codegen_wanted(config)
+
+    def test_auto_override_on_a_planned_config_runs_the_megakernel(self):
+        """A plan's ``codegen="auto"`` undoes its session's "planned"."""
+        program = compile_stencil_program(build_jacobi_module(), cpu_target())
+        with Session(codegen="planned") as session:
+            plan = session.plan(program, codegen="auto")
+            plan.run(_jacobi_fields(), [4])
+            assert session.metrics.get("megakernel.engaged") == 1
+            assert plan.codegen_fallback is None
+            session.plan(program).run(_jacobi_fields(), [4])
+            assert session.metrics.get("megakernel.engaged") == 1
 
     def test_vectorized_is_not_a_backend(self):
         """Fusion is counted (``megakernel.*``, ``walked_nests``), not forced."""

@@ -1,16 +1,20 @@
-"""Tests of the simulated MPI runtime (point-to-point, collectives, SPMD driver)."""
+"""Tests of the MPI runtime: point-to-point, collectives, and SPMD rounds
+through ``Session.run_spmd`` in either world."""
+
+import time
 
 import numpy as np
 import pytest
 
+from repro.core import Session
 from repro.interp import MPIRuntimeError, SimulatedMPI
 from repro.interp.mpi_runtime import merge_comm_statistics
+from repro.runtime import WorkerError
+from tests.conftest import RUNTIMES, run_spmd
 
 
 class TestPointToPoint:
     def test_send_recv(self):
-        world = SimulatedMPI(2, timeout=5.0)
-
         def body(comm):
             if comm.rank == 0:
                 comm.send(np.array([1.0, 2.0, 3.0]), dest=1, tag=7)
@@ -19,14 +23,12 @@ class TestPointToPoint:
             comm.recv(buffer, source=0, tag=7)
             return buffer
 
-        results = world.run_spmd(body)
+        results, statistics = run_spmd(body, 2, timeout=5.0)
         assert np.allclose(results[1], [1.0, 2.0, 3.0])
-        assert world.statistics.messages_sent == 1
-        assert world.statistics.bytes_sent == 24
+        assert statistics.messages_sent == 1
+        assert statistics.bytes_sent == 24
 
     def test_nonblocking_exchange(self):
-        world = SimulatedMPI(2, timeout=5.0)
-
         def body(comm):
             other = 1 - comm.rank
             outgoing = np.full(4, float(comm.rank))
@@ -36,13 +38,11 @@ class TestPointToPoint:
             comm.waitall(requests)
             return incoming
 
-        results = world.run_spmd(body)
+        results, _ = run_spmd(body, 2, timeout=5.0)
         assert np.allclose(results[0], 1.0)
         assert np.allclose(results[1], 0.0)
 
     def test_messages_matched_by_tag(self):
-        world = SimulatedMPI(2, timeout=5.0)
-
         def body(comm):
             if comm.rank == 0:
                 comm.send(np.array([1.0]), dest=1, tag=1)
@@ -54,29 +54,25 @@ class TestPointToPoint:
             comm.recv(first, source=0, tag=1)
             return (first[0], second[0])
 
-        results = world.run_spmd(body)
+        results, _ = run_spmd(body, 2, timeout=5.0)
         assert results[1] == (1.0, 2.0)
 
     def test_recv_timeout_raises(self):
-        world = SimulatedMPI(2, timeout=0.2)
-
         def body(comm):
             if comm.rank == 1:
                 comm.recv(np.zeros(1), source=0, tag=9)
             return None
 
         with pytest.raises(MPIRuntimeError):
-            world.run_spmd(body, timeout=2.0)
+            run_spmd(body, 2, timeout=0.2)
 
     def test_recv_times_out_under_unrelated_traffic(self):
         """A receive whose message never comes times out on time although
         another rank keeps sending: every posted message wakes every waiter,
         and a wake-up used to restart the waiter's full timeout."""
         import threading
-        import time
 
         timeout = 0.3
-        world = SimulatedMPI(3, timeout=timeout)
         stop = threading.Event()
 
         def body(comm):
@@ -93,12 +89,10 @@ class TestPointToPoint:
                     comm.send(np.zeros(1), dest=1, tag=3)
             return None
 
-        waited = world.run_spmd(body, timeout=10 * timeout)[0]
+        waited = run_spmd(body, 3, timeout=timeout)[0][0]
         assert timeout <= waited < 2 * timeout
 
     def test_test_polls_completion(self):
-        world = SimulatedMPI(2, timeout=5.0)
-
         def body(comm):
             if comm.rank == 0:
                 comm.send(np.array([5.0]), dest=1, tag=0)
@@ -109,48 +103,44 @@ class TestPointToPoint:
                 pass
             return buffer[0] == 5.0
 
-        assert all(world.run_spmd(body))
+        assert all(run_spmd(body, 2, timeout=5.0)[0])
 
 
 class TestCollectives:
     def test_allreduce_sum(self):
-        world = SimulatedMPI(4, timeout=5.0)
-        results = world.run_spmd(lambda comm: comm.allreduce(np.array([float(comm.rank)])))
+        results, _ = run_spmd(
+            lambda comm: comm.allreduce(np.array([float(comm.rank)])), 4, timeout=5.0)
         for result in results:
             assert np.allclose(result, 6.0)
 
     def test_reduce_min_to_root(self):
-        world = SimulatedMPI(3, timeout=5.0)
-        results = world.run_spmd(
-            lambda comm: comm.reduce(np.array([float(10 - comm.rank)]), "min", root=0)
+        results, _ = run_spmd(
+            lambda comm: comm.reduce(np.array([float(10 - comm.rank)]), "min", root=0),
+            3, timeout=5.0,
         )
         assert np.allclose(results[0], 8.0)
         assert results[1] is None and results[2] is None
 
     def test_bcast(self):
-        world = SimulatedMPI(3, timeout=5.0)
-
         def body(comm):
             data = np.array([42.0]) if comm.rank == 0 else np.zeros(1)
             return comm.bcast(data, root=0)
 
-        for result in world.run_spmd(body):
+        for result in run_spmd(body, 3, timeout=5.0)[0]:
             assert np.allclose(result, 42.0)
 
     def test_gather(self):
-        world = SimulatedMPI(3, timeout=5.0)
-        results = world.run_spmd(lambda comm: comm.gather(np.array([float(comm.rank)]), root=0))
+        results, _ = run_spmd(
+            lambda comm: comm.gather(np.array([float(comm.rank)]), root=0), 3, timeout=5.0)
         assert np.allclose(results[0].reshape(-1), [0.0, 1.0, 2.0])
 
     def test_barrier_counts(self):
-        world = SimulatedMPI(3, timeout=5.0)
-        world.run_spmd(lambda comm: comm.barrier())
-        assert world.statistics.barriers == 3
+        _, statistics = run_spmd(lambda comm: comm.barrier(), 3, timeout=5.0)
+        assert statistics.barriers == 3
 
     def test_unknown_reduction_rejected(self):
-        world = SimulatedMPI(1, timeout=5.0)
         with pytest.raises(MPIRuntimeError):
-            world.run_spmd(lambda comm: comm.reduce(np.ones(1), "median"))
+            run_spmd(lambda comm: comm.reduce(np.ones(1), "median"), 1, timeout=5.0)
 
 
 class TestWorldManagement:
@@ -160,17 +150,16 @@ class TestWorldManagement:
         world = SimulatedMPI(2)
         with pytest.raises(MPIRuntimeError):
             world.communicator(5)
+        assert world.communicator(1) is world.communicator(1)
 
     def test_errors_propagate_from_ranks(self):
-        world = SimulatedMPI(2, timeout=2.0)
-
         def body(comm):
             if comm.rank == 1:
                 raise ValueError("boom")
             return comm.rank
 
         with pytest.raises(ValueError, match="boom"):
-            world.run_spmd(body)
+            run_spmd(body, 2, timeout=2.0)
 
     def test_send_to_invalid_rank(self):
         world = SimulatedMPI(2, timeout=2.0)
@@ -179,12 +168,11 @@ class TestWorldManagement:
 
     def test_ranks_count_concurrent_sends_on_their_own(self):
         """Each rank counts into its own communicator, with no lock: four
-        ranks sending at once lose no count, and the world's statistics are
+        ranks sending at once lose no count, and the round's statistics are
         the ranks' merged in rank order."""
         import sys
         import threading
 
-        world = SimulatedMPI(4, timeout=5.0)
         start = threading.Barrier(4)
 
         def body(comm):
@@ -195,64 +183,64 @@ class TestWorldManagement:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            world.run_spmd(body, timeout=30.0)
+            with Session() as session:
+                _, per_rank = session.run_spmd(body, 4, timeout=30.0)
         finally:
             sys.setswitchinterval(interval)
-        per_rank = [world.communicator(rank).statistics for rank in range(4)]
         assert [stats.messages_sent for stats in per_rank] == [500] * 4
-        assert world.statistics.messages_sent == 2000
-        assert world.statistics.messages_sent == sum(s.messages_sent for s in per_rank)
-        assert world.statistics.bytes_sent == sum(s.bytes_sent for s in per_rank)
-        assert world.statistics == merge_comm_statistics(per_rank)
-        assert world.communicator(2) is world.communicator(2)
+        merged = merge_comm_statistics(per_rank)
+        assert merged.messages_sent == 2000
+        assert merged.bytes_sent == sum(s.bytes_sent for s in per_rank) == 16000
 
 
+def _wait_for_nobody(comm):
+    """Module-level (workers unpickle it): a receive nobody answers."""
+    comm.recv(np.zeros(1), source=(comm.rank + 1) % comm.size, tag=9)
+
+
+def _rank_zero_explodes(comm):
+    """Module-level: rank 0 raises while every other rank blocks on it."""
+    if comm.rank == 0:
+        raise RuntimeError("rank zero exploded")
+    comm.recv(np.zeros(1), source=0, tag=3)
+
+
+def _every_rank_fails(comm):
+    """Module-level: all ranks meet, then each raises its own error."""
+    comm.barrier()
+    raise ValueError(f"rank {comm.rank} failed")
+
+
+def _raised(runtime, error):
+    """What a round of ``runtime`` raises for a rank that raised ``error``:
+    the error itself, or a worker's as a :class:`WorkerError`."""
+    return error if runtime == "threads" else WorkerError
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
 class TestSpmdDriverTimeouts:
-    def test_deadlocked_world_shares_one_deadline(self):
-        """Joining N deadlocked ranks must wait ~timeout once, not N times."""
-        import time
-
-        world = SimulatedMPI(4, timeout=30.0)
-
-        def body(comm):
-            # Every rank waits for a message nobody sends.
-            comm.recv(np.zeros(1), source=(comm.rank + 1) % comm.size, tag=9)
-
+    def test_deadlocked_world_fails_on_the_ranks_own_timeout(self, runtime):
+        """A deadlocked round fails when its ranks' receives time out, once,
+        not after a driver deadline per rank."""
         start = time.monotonic()
-        with pytest.raises(MPIRuntimeError, match="deadlock"):
-            world.run_spmd(body, timeout=0.5)
+        with pytest.raises(_raised(runtime, MPIRuntimeError), match="timed out"):
+            run_spmd(_wait_for_nobody, 4, runtime=runtime, timeout=0.5)
         elapsed = time.monotonic() - start
-        assert elapsed < 4 * 0.5  # the old per-thread join would take >= 2s
+        assert elapsed < 4 * 0.5  # one timeout, not one per rank
 
-    def test_crashed_rank_fails_fast_while_others_block(self):
-        """One raising rank must surface its error, not a join timeout."""
-        import time
-
-        world = SimulatedMPI(3, timeout=30.0)
-
-        def body(comm):
-            if comm.rank == 0:
-                raise RuntimeError("rank zero exploded")
-            comm.recv(np.zeros(1), source=0, tag=3)  # blocks forever
-
+    def test_crashed_rank_fails_fast_while_others_block(self, runtime):
+        """One raising rank must surface its error, not a timeout."""
         start = time.monotonic()
-        with pytest.raises(RuntimeError, match="rank zero exploded"):
-            world.run_spmd(body, timeout=20.0)
+        with pytest.raises(_raised(runtime, RuntimeError), match="rank zero exploded"):
+            run_spmd(_rank_zero_explodes, 3, runtime=runtime, timeout=10.0)
         elapsed = time.monotonic() - start
-        assert elapsed < 5.0  # far below the 20s join budget
+        assert elapsed < 5.0  # far below the ranks' 10s timeout
 
-    def test_originating_error_wins_when_all_ranks_crash(self):
-        world = SimulatedMPI(2, timeout=2.0)
-        barrier = __import__("threading").Barrier(2)
-
-        def body(comm):
-            barrier.wait(timeout=2.0)
-            raise ValueError(f"rank {comm.rank} failed")
-
+    def test_originating_error_wins_when_all_ranks_crash(self, runtime):
         # Fail-fast means whichever rank's error lands first is raised; it
-        # must be one of the originating errors, never a join timeout.
-        with pytest.raises(ValueError, match=r"rank [01] failed"):
-            world.run_spmd(body)
+        # must be one of the originating errors, never a timeout.
+        with pytest.raises(_raised(runtime, ValueError), match=r"rank [01] failed"):
+            run_spmd(_every_rank_fails, 2, runtime=runtime, timeout=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +300,9 @@ def _run_reductions(comm, operation, lowered):
 
 
 class TestLoweredCollectives:
-    @pytest.fixture(scope="class")
-    def pool(self):
-        from repro.runtime import PoolManager, processes_available
-
-        if not processes_available():
-            pytest.skip("process runtime unavailable on this platform")
-        manager = PoolManager()
-        yield manager
-        manager.shutdown()
-
-    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("runtime", RUNTIMES)
     @pytest.mark.parametrize("lowered", [False, True], ids=["mpi-dialect", "mpi-calls"])
-    def test_operation_and_root_are_honoured(self, lowered, world, request):
+    def test_operation_and_root_are_honoured(self, lowered, runtime):
         """Every operation of MPICH_OP_CONSTANTS, a non-zero root: the mpi
         dialect and its MPI_* lowering both compute the NumPy reference (the
         lowered calls used to hard-code "sum" and root 0)."""
@@ -332,21 +310,16 @@ class TestLoweredCollectives:
 
         assert set(MPICH_OP_CONSTANTS) == set(_NUMPY_REDUCTIONS)
         inputs = np.stack([_reduce_input(rank) for rank in range(_REDUCE_RANKS)])
-        for operation in MPICH_OP_CONSTANTS:
-            if world == "processes":
-                results, _ = request.getfixturevalue("pool").run_spmd(
-                    _run_reductions, _REDUCE_RANKS, (operation, lowered), 30.0
-                )
-            else:
-                results = SimulatedMPI(_REDUCE_RANKS, timeout=10.0).run_spmd(
-                    lambda comm: _run_reductions(comm, operation, lowered)
-                )
-            expected = _NUMPY_REDUCTIONS[operation](inputs)
-            for rank, (to_root, to_all) in enumerate(results):
-                # Only the root receives the reduce; everyone the allreduce.
-                wanted = expected if rank == _REDUCE_ROOT else np.full(4, -7.0)
-                assert np.array_equal(to_root, wanted), (operation, rank)
-                assert np.array_equal(to_all, expected), (operation, rank)
+        with Session(runtime=runtime, timeout=30.0) as session:
+            for operation in MPICH_OP_CONSTANTS:
+                results, _ = session.run_spmd(
+                    _run_reductions, _REDUCE_RANKS, (operation, lowered))
+                expected = _NUMPY_REDUCTIONS[operation](inputs)
+                for rank, (to_root, to_all) in enumerate(results):
+                    # Only the root receives the reduce; everyone the allreduce.
+                    wanted = expected if rank == _REDUCE_ROOT else np.full(4, -7.0)
+                    assert np.array_equal(to_root, wanted), (operation, rank)
+                    assert np.array_equal(to_all, expected), (operation, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -459,43 +432,51 @@ def _build_scenario(scenario):
     return module
 
 
-def _run_scenario(module):
+def _scenario_module(scenario, lowered):
+    """The scenario's module, its mpi ops lowered to ``MPI_*`` calls or not."""
+    from repro.transforms.mpi import ConvertMPIToFuncPass
+
+    module = _build_scenario(scenario)
+    if lowered:
+        ConvertMPIToFuncPass().apply(module)
+        module.verify()
+    return module
+
+
+def _scenario_rank(comm, scenario, lowered):
+    """Module-level (process workers unpickle it): one rank of a scenario,
+    built by name on the rank; returns the rank's four buffers."""
     from repro.interp import Interpreter
 
-    world = SimulatedMPI(2, timeout=10.0)
-
-    def body(comm):
-        buffers = [np.arange(4.0) + 10 * comm.rank, np.full(4, -1.0), np.full(8, -1.0),
-                   np.full(4, -1.0)]
-        Interpreter(module, comm=comm).call("kernel", *buffers)
-        return buffers
-
-    return world.run_spmd(body), world.statistics
+    buffers = [np.arange(4.0) + 10 * comm.rank, np.full(4, -1.0), np.full(8, -1.0),
+               np.full(4, -1.0)]
+    Interpreter(_scenario_module(scenario, lowered), comm=comm).call("kernel", *buffers)
+    return buffers
 
 
 def test_the_scenarios_cover_the_mpi_dialect():
     assert sorted(_MPI_SCENARIOS) == _mpi_operations()
 
 
+@pytest.mark.parametrize("runtime", RUNTIMES)
 @pytest.mark.parametrize("operation", sorted(_MPI_SCENARIOS))
-def test_every_mpi_operation_runs_in_both_forms(operation):
+def test_every_mpi_operation_runs_in_both_forms(operation, runtime):
     from repro.dialects import func
-    from repro.transforms.mpi import ConvertMPIToFuncPass
 
     scenario, lowers_to = _MPI_SCENARIOS[operation]
-    module = _build_scenario(scenario)
-    assert operation in {op.name for op in module.walk()}
-    as_ops, op_statistics = _run_scenario(module)
-
-    ConvertMPIToFuncPass().apply(module)
-    module.verify()
+    assert operation in {op.name for op in _scenario_module(scenario, False).walk()}
+    module = _scenario_module(scenario, True)
     names = {op.name for op in module.walk()}
     calls = {op.callee for op in module.walk() if isinstance(op, func.CallOp)}
     if lowers_to is None:
         assert operation in names
     else:
         assert operation not in names and lowers_to in names | calls
-    as_calls, call_statistics = _run_scenario(module)
+    with Session(runtime=runtime, timeout=10.0) as session:
+        as_ops, op_statistics = session.run_spmd(_scenario_rank, 2, (scenario, False))
+        as_calls, call_statistics = session.run_spmd(_scenario_rank, 2, (scenario, True))
+    op_statistics = merge_comm_statistics(op_statistics)
+    call_statistics = merge_comm_statistics(call_statistics)
 
     assert call_statistics == op_statistics
     for buffers, lowered_buffers in zip(as_ops, as_calls):

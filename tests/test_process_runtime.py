@@ -26,40 +26,38 @@ from repro.core import (
     dmp_target,
 )
 from repro.frontends.oec import StencilProgramBuilder
-from repro.interp import CodegenError, Communicator, MPIRuntimeError, SimulatedMPI
+from repro.interp import CodegenError, CommStatistics, Communicator, MPIRuntimeError
 from repro.interp.mpi_runtime import merge_comm_statistics
 from repro.obs import TraceRecord
-from repro.runtime import (
-    PoolManager,
-    ProcessMailbox,
-    default_context,
-    processes_available,
-)
+from repro.runtime import ProcessMailbox, default_context, processes_available
 from repro.runtime import worker_pool
 from repro.runtime.mp_world import MessageBlocks, unlink_message_blocks
 from repro.runtime.worker_pool import WorkerError, WorkerFailure, collect_reports
 from repro.workloads import acoustic_wave, heat_diffusion
-from tests.conftest import _forked_workers, shm_segments
+from tests.conftest import RUNTIMES, _forked_workers, shm_segments
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
 )
 
 
-#: The worker pool of the raw SPMD tests (program runs use a Session's own).
-MANAGER = PoolManager()
+#: The session of the raw SPMD tests, and its worker pool (program runs use
+#: sessions of their own).
+SESSION = Session(runtime="processes")
+MANAGER = SESSION._pool_manager
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
-    MANAGER.shutdown()
+    SESSION.close()
     default_session().close()
 
 
-def _spmd(fn, size, args=(), timeout=60.0):
-    """``fn(comm, *args)`` on ``size`` process ranks: values + merged stats."""
-    values, per_rank = MANAGER.run_spmd(fn, size, args, timeout)
+def _spmd(fn, size, args=(), runtime="processes"):
+    """``fn(comm, *args)`` on ``size`` ranks of ``runtime``: values + merged
+    stats."""
+    values, per_rank = SESSION.run_spmd(fn, size, args, runtime=runtime)
     return values, merge_comm_statistics(per_rank)
 
 
@@ -82,7 +80,8 @@ def _run(program, fields, scalars, **config):
 
 
 # ---------------------------------------------------------------------------
-# collectives parity (satellite: same results and CommStatistics counts)
+# collectives and point-to-point: the same results and CommStatistics in
+# either world
 # ---------------------------------------------------------------------------
 
 def _collective_body(comm, base):
@@ -105,26 +104,28 @@ def _collective_body(comm, base):
     )
 
 
-@needs_processes
 @pytest.mark.parametrize("size", [2, 4])
-def test_collectives_parity_threads_vs_processes(size):
-    world = SimulatedMPI(size)
-    thread_results = world.run_spmd(lambda comm: _collective_body(comm, 1.5))
-    process_results, process_stats = _spmd(_collective_body, size, (1.5,))
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_collectives(runtime, size):
+    results, stats = _spmd(_collective_body, size, (1.5,), runtime)
 
-    for rank, (threaded, processed) in enumerate(zip(thread_results, process_results)):
-        for part_threads, part_processes in zip(threaded, processed):
-            if part_threads is None:
-                assert part_processes is None, f"rank {rank} root-only mismatch"
-            else:
-                assert np.array_equal(part_threads, part_processes), f"rank {rank}"
-
-    assert process_stats == world.statistics
-    # Sanity on absolute counts: 2 barriers + (allreduce=2, reduce, bcast,
-    # gather = 5 collectives) per rank.
-    assert process_stats.barriers == 2 * size
-    assert process_stats.collectives == 5 * size
-    assert process_stats.messages_sent == world.statistics.messages_sent > 0
+    data = [np.full(4, rank + 1.5) for rank in range(size)]
+    for rank, (total, biggest, shared, gathered) in enumerate(results):
+        assert np.array_equal(total, sum(data)), f"rank {rank}"
+        assert np.array_equal(shared, [1.0, 2.0, 3.0]), f"rank {rank}"
+        if rank == 0:
+            assert np.array_equal(biggest, data[-1])
+            assert np.array_equal(gathered, np.stack(data))
+        else:
+            assert biggest is None and gathered is None, f"rank {rank} root-only"
+    # Per rank: 2 barriers + (allreduce=2, reduce, bcast, gather = 5
+    # collectives).  Each collective is one message per non-root rank (the
+    # allreduce two), each barrier two: 9 per non-root rank, carrying
+    # 4+4+3+4 doubles and 4 one-byte tokens.
+    assert stats == CommStatistics(
+        messages_sent=9 * (size - 1), bytes_sent=156 * (size - 1),
+        collectives=5 * size, barriers=2 * size,
+    )
 
 
 def _ring_body(comm):
@@ -210,32 +211,63 @@ def _p2p_body(comm, case):
     return landing
 
 
-@needs_processes
-@pytest.mark.parametrize("case", ["ring", *_PAYLOADS, "64-isends", "stress"])
-def test_point_to_point_and_requests_parity(case):
-    size = 3
-    world = SimulatedMPI(size)
+def _p2p_statistics(case, size):
+    """What ``_p2p_body`` sends in a world of ``size`` ranks, summed."""
     if case == "ring":
-        threaded = world.run_spmd(_ring_body)
-        processed, stats = _spmd(_ring_body, size)
+        return CommStatistics(messages_sent=size, bytes_sent=40 * size)
+    if case == "64-isends":  # 64 f64[3] sends and one barrier
+        return CommStatistics(messages_sent=64 + 2 * (size - 1),
+                              bytes_sent=64 * 24 + 2 * (size - 1), barriers=size)
+    if case == "stress":
+        pairs = size * (size - 1)
+        return CommStatistics(
+            messages_sent=200 * pairs,
+            bytes_sent=sum(8 * (1 + (step * 37) % 700) for step in range(200)) * pairs,
+        )
+    payloads = [_PAYLOADS[case](np.random.default_rng(rank))
+                for rank in range(size) for _ in range(3)]
+    return CommStatistics(messages_sent=3 * size,
+                          bytes_sent=sum(payload.nbytes for payload in payloads))
+
+
+@pytest.mark.parametrize("case", ["ring", *_PAYLOADS, "64-isends", "stress"])
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_point_to_point_and_requests(runtime, case):
+    size = 3
+    if case == "ring":
+        results, stats = _spmd(_ring_body, size, (), runtime)
     else:
-        threaded = world.run_spmd(lambda comm: _p2p_body(comm, case))
-        processed, stats = _spmd(_p2p_body, size, (case,))
-    assert len(threaded) == len(processed) == size
-    for a, b in zip(threaded, processed):
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert x.dtype == y.dtype and x.shape == y.shape
-            assert x.tobytes() == y.tobytes()
+        results, stats = _spmd(_p2p_body, size, (case,), runtime)
+    assert len(results) == size
+    if case == "ring":
+        for rank, buffer in enumerate(results):
+            assert buffer.tobytes() == (np.arange(5.0) + (rank - 1) % size).tobytes()
+    if case == "64-isends":
+        assert results[0] == results[2] == []
+        assert [landed.tobytes() for landed in results[1]] == [
+            np.full(3, float(tag)).tobytes() for tag in range(64)]
     if case in _PAYLOADS:
         # Each rank's landing views hold its left neighbour's payloads.
-        for rank, landing in enumerate(processed):
+        for rank, landing in enumerate(results):
             rng = np.random.default_rng((rank - 1) % size)
             for got in landing:
                 want = _PAYLOADS[case](rng)
+                assert got.dtype == want.dtype and got.shape == want.shape + (2,)
                 assert got[..., 0].tobytes() == want.tobytes()
                 assert not got[..., 1].any()
-    assert stats == world.statistics
+    assert stats == _p2p_statistics(case, size)
+
+
+@needs_processes
+def test_run_spmd_takes_a_closure_on_the_thread_world_only():
+    offset = 2.0
+
+    def body(comm):
+        return comm.rank + offset
+
+    assert _spmd(body, 2, (), "threads")[0] == [2.0, 3.0]
+    with pytest.raises(ExecutionError, match="module-level body"):
+        _spmd(body, 2)
 
 
 def _send_then_die(inboxes, prefix):
@@ -505,7 +537,7 @@ def test_worker_error_propagates_and_pool_recovers():
 def test_collect_reports_applies_the_round_failure_policy(monkeypatch):
     """The one failure policy of both worlds, on a hand-fed queue."""
     monkeypatch.setattr(worker_pool, "REPORT_MARGIN", 0.0)
-    failure = WorkerFailure(1, "run", "RuntimeError", "rank 1 exploded", "")
+    failure = WorkerFailure(1, "RuntimeError", "rank 1 exploded", "")
     exploded = RuntimeError("rank 0 exploded")
     results = queue.SimpleQueue()
     for message in [

@@ -22,7 +22,6 @@ from repro.interp import (
     CodegenError,
     CompiledMegakernel,
     Interpreter,
-    SimulatedMPI,
     compile_kernel,
     emit_megakernel,
     nestplan,
@@ -30,7 +29,7 @@ from repro.interp import (
 )
 from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
 from repro.transforms.distribute import GridSlicingStrategy
-from tests.conftest import build_jacobi_module, run_compiled
+from tests.conftest import build_jacobi_module, run_compiled, run_spmd
 
 bounds_pairs = st.lists(
     st.tuples(st.integers(-8, 8), st.integers(0, 16)), min_size=1, max_size=3
@@ -150,7 +149,6 @@ class TestHaloExchangeProperty:
         strategy = GridSlicingStrategy([ranks])
         domain = strategy.local_domain((ranks * n_local,), (halo,), (halo,))
         exchanges = strategy.exchanges(domain)
-        world = SimulatedMPI(ranks, timeout=10.0)
         grid = strategy.rank_grid()
         locals_ = [
             np.full(domain.buffer_shape, float(rank), dtype=np.float64)
@@ -181,7 +179,7 @@ class TestHaloExchangeProperty:
                 comm.recv(buffer, neighbor, tag(exchange, False))
                 data[recv_off[0]:recv_off[0] + recv_size[0]] = buffer
 
-        world.run_spmd(body)
+        run_spmd(body, ranks, timeout=10.0)
         for rank in range(ranks):
             if rank > 0:
                 assert (locals_[rank][:halo] == float(rank - 1)).all()
