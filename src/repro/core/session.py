@@ -41,6 +41,8 @@ is :func:`~repro.core.rank.rank_report`, a warm-up's a barrier, and
 from __future__ import annotations
 
 import atexit
+import functools
+import os
 import pickle
 import queue
 import threading
@@ -178,6 +180,8 @@ class Session:
             for team in self._teams.values():
                 team.shutdown()
             self._teams.clear()
+        # Workers map the field blocks until they exit: stop them first,
+        # then unlink the blocks.
         self._pool_manager.shutdown()
         self._field_pool.clear()
 
@@ -196,10 +200,11 @@ class Session:
         (``runtime="threads"``), and the intra-rank thread teams on both
         sides — a worker builds its own before it meets the others — and,
         when ``program`` is given, ships the pickled program to the workers
-        inside the same round.  ``ranks`` defaults to the program's rank
-        grid (no ranks: only the thread team); ``runtime`` defaults to the
-        session config's (``Plan.warmup`` passes the plan's resolved
-        runtime, which may override the session's).
+        inside the same round.  A process-world warm-up also builds the
+        parent's team that copies the ranks' slabs.  ``ranks`` defaults to
+        the program's rank grid (no ranks: only the thread team); ``runtime``
+        defaults to the session config's (``Plan.warmup`` passes the plan's
+        resolved runtime, which may override the session's).
         """
         self._ensure_open()
         config = self.config
@@ -214,6 +219,9 @@ class Session:
         if not processes or not ranks:
             self._team(threads)
         if ranks:
+            if processes:
+                # The team a process-world plan copies its slabs on.
+                self._team(_copy_threads(ranks))
             job = RoundJob(
                 _warm_rank, [(threads if processes else 1,)] * ranks,
                 config.timeout, program if processes else None,
@@ -483,6 +491,11 @@ def _spmd_rank(comm, body, *args) -> tuple[Any, CommStatistics]:
     return body(comm, *args), comm.statistics
 
 
+def _copy_threads(ranks: int) -> int:
+    """The team size a process-world plan of ``ranks`` ranks copies slabs on."""
+    return min(ranks, os.cpu_count() or 1)
+
+
 def _resolve_runtime(requested: str, stacklevel: int) -> str:
     """The world a distributed round of ``requested`` runs in.
 
@@ -518,7 +531,10 @@ class _RunBuffers:
     Holds the pre-computed scatter/gather slice tuples for every
     (rank, field) pair plus the per-rank local buffers: preallocated NumPy
     arrays for the thread world, leased shared-memory blocks (kept across
-    runs) for the process world.
+    runs) for the process world.  A worker attaches a leased block the
+    first time its spec arrives and keeps it mapped, so a set's later runs
+    cost the workers no mapping; the parent copies every rank's slab at
+    once (see :meth:`Plan._copy_slabs`).
     """
 
     __slots__ = ("signature", "scatter_slices", "gather_slices", "locals",
@@ -771,20 +787,32 @@ class Plan:
                 buffers.specs.append(spec_row)
         return buffers
 
-    def _scatter(self, buffers: _RunBuffers, fields: Sequence[np.ndarray]) -> None:
-        for rank in range(self.strategy.rank_count):
-            slices_row = buffers.scatter_slices[rank]
-            local_row = buffers.locals[rank]
-            for index, array in enumerate(fields):
-                local_row[index][...] = array[slices_row[index]]
+    def _copy_slabs(self, name: str, copy_rank, buffers: _RunBuffers,
+                    fields) -> None:
+        """``copy_rank(buffers, fields, rank)`` for every rank, under the
+        plan-track span ``name`` when tracing.
 
-    def _gather(self, buffers: _RunBuffers, fields: Sequence[np.ndarray]) -> None:
-        for rank in range(self.strategy.rank_count):
-            gather_row = buffers.gather_slices[rank]
-            local_row = buffers.locals[rank]
-            for index, array in enumerate(fields):
-                global_slices, local_slices = gather_row[index]
-                array[global_slices] = local_row[index][local_slices]
+        The process world copies every rank's slab at once, one task per
+        rank on the session's team: its ranks live in other processes, so
+        the parent's cores are idle here.  That is safe because a scatter
+        only reads the caller's arrays and each rank's gather writes a
+        disjoint core region.  Thread-world slabs are kilobytes and a team
+        hand-off costs tens of microseconds, so they stay in the calling
+        thread.
+        """
+        ranks = range(self.strategy.rank_count)
+        team = self.session._team(_copy_threads(len(ranks))) \
+            if self.runtime == "processes" else None
+        span = self.tracer.begin(name) if self.tracer is not None else 0.0
+        try:
+            if team is None:
+                for rank in ranks:
+                    copy_rank(buffers, fields, rank)
+            else:
+                team.map(functools.partial(copy_rank, buffers, fields), ranks)
+        finally:
+            if self.tracer is not None:
+                self.tracer.end(name, span)
 
     @staticmethod
     def _check_fields(fields: Sequence[Any]) -> None:
@@ -803,17 +831,6 @@ class Plan:
             raise ExecutionError(
                 f"{self.function} expects {expected} arguments, got {provided}"
             )
-
-    def _traced_move(self, name: str, move, buffers: _RunBuffers, fields) -> None:
-        """Run a scatter/gather helper under a plan-track span when tracing."""
-        if self.tracer is None:
-            move(buffers, fields)
-            return
-        span = self.tracer.begin(name)
-        try:
-            move(buffers, fields)
-        finally:
-            self.tracer.end(name, span)
 
     def _attach_trace(
         self, result: ExecutionResult, rank_traces: Sequence[Any]
@@ -856,6 +873,23 @@ class Plan:
         )
 
 
+def _scatter_rank(buffers: _RunBuffers, fields, rank: int) -> None:
+    """Copy rank ``rank``'s slab (core and halo) of every field in."""
+    slices_row = buffers.scatter_slices[rank]
+    local_row = buffers.locals[rank]
+    for index, array in enumerate(fields):
+        local_row[index][...] = array[slices_row[index]]
+
+
+def _gather_rank(buffers: _RunBuffers, fields, rank: int) -> None:
+    """Copy rank ``rank``'s core region of every field back out."""
+    gather_row = buffers.gather_slices[rank]
+    local_row = buffers.locals[rank]
+    for index, array in enumerate(fields):
+        global_slices, local_slices = gather_row[index]
+        array[global_slices] = local_row[index][local_slices]
+
+
 class PreparedRun:
     """One job of a dispatch round, staged and self-contained.
 
@@ -869,6 +903,11 @@ class PreparedRun:
     the plan.  ``plan.run()`` and a served job are this same sequence, so
     they agree bit for bit — fields, ``ExecStatistics``, ``CommStatistics``
     — and span for span.
+
+    In the process world both halves copy every rank's slab at once on the
+    session's team (scatter into, gather out of the leased blocks the
+    workers keep mapped); in the thread world they copy in the calling
+    thread.
     """
 
     def __init__(
@@ -891,8 +930,8 @@ class PreparedRun:
             plan._check_fields(self.fields)
             self.buffers = plan._take_buffers(self.fields)
             try:
-                plan._traced_move(
-                    "run.scatter", plan._scatter, self.buffers, self.fields
+                plan._copy_slabs(
+                    "run.scatter", _scatter_rank, self.buffers, self.fields
                 )
             except BaseException:
                 self.release()
@@ -933,7 +972,7 @@ class PreparedRun:
             comm = merge_comm_statistics([report.comm_stats for report in reports])
             if self.runtime == "processes":
                 _account_copy_elision(comm, self.buffers)
-            plan._traced_move("run.gather", plan._gather, self.buffers, self.fields)
+            plan._copy_slabs("run.gather", _gather_rank, self.buffers, self.fields)
         result = plan._result([report.exec_stats for report in reports], comm)
         plan._attach_trace(result, [report.trace for report in reports])
         plan._finish_run(result)
@@ -943,8 +982,9 @@ class PreparedRun:
         """The job's ranks as a round runs them: :func:`rank_report` each.
 
         A process-world rank gets its fields as shared-memory specs (the
-        worker attaches them) and no team (the worker has its own); a
-        thread-world rank gets its local arrays and the session's team.
+        worker maps each block the first time it meets it and keeps it
+        mapped) and no team (the worker has its own); a thread-world rank
+        gets its local arrays and the session's team.
         """
         plan = self.plan
         if self.runtime == "processes":

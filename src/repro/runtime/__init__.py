@@ -5,9 +5,11 @@ but serialized by the GIL outside NumPy; this package runs every rank in its
 own OS process so the paper's strong-scaling shape (figs. 8 and 11) is
 measurable in wall-clock time rather than only modeled:
 
-* :mod:`repro.runtime.mp_world` — shared-memory field buffers and the
-  shared-memory message transport (payloads in message blocks, envelopes in
-  per-rank queue inboxes): :class:`ProcessMailbox`, this world's mailbox
+* :mod:`repro.runtime.mp_world` — shared-memory field buffers, which each
+  worker attaches once and keeps mapped (:class:`AttachedBlocks`, one cache
+  for field and message blocks), and the shared-memory message transport
+  (payloads in message blocks, envelopes in per-rank queue inboxes):
+  :class:`ProcessMailbox`, this world's mailbox
   under the same :class:`~repro.interp.mpi_runtime.Communicator` the thread
   world uses (hence the same collective algorithms and tag discipline);
 * :mod:`repro.runtime.worker_pool` — a persistent worker pool: programs are
@@ -30,8 +32,8 @@ function (``Session.run_spmd``), goes through the session.
 """
 
 from .mp_world import (
+    AttachedBlocks,
     ProcessMailbox,
-    SharedField,
     SharedFieldSpec,
     default_context,
     processes_available,
@@ -47,7 +49,7 @@ from .worker_pool import (
 
 __all__ = [
     "ProcessMailbox",
-    "SharedField", "SharedFieldSpec",
+    "AttachedBlocks", "SharedFieldSpec",
     "processes_available", "default_context",
     "WorkerPool", "WorkerError", "WorkerFailure", "PoolManager",
     "RankStats", "sort_rank_stats",

@@ -7,8 +7,9 @@ truly in parallel instead of time-slicing one GIL:
 
 * **fields** live in ``multiprocessing.shared_memory`` blocks: the parent
   scatters each rank's local buffer (core slab + halo) into a block, workers
-  attach and compute in place, and the parent gathers straight out of the
-  block — field contents never travel through a pickle;
+  attach each block once (:class:`AttachedBlocks`) and compute in place, and
+  the parent gathers straight out of the block — field contents never travel
+  through a pickle;
 * **messages** travel as a payload in a shared-memory *message block* plus a
   small envelope ``(run id, sender, tag, block name, shape, dtype)`` on the
   receiver's ``multiprocessing.Queue`` inbox.  The sending worker owns its
@@ -103,28 +104,42 @@ class SharedFieldSpec:
     dtype: str
 
 
-class SharedField:
-    """A worker's NumPy view of a parent-owned ``shared_memory`` block.
+class AttachedBlocks:
+    """Every shared block one worker opened, by name, for the worker's life.
 
-    The parent side — allocation, leasing, unlinking — is
-    :class:`repro.runtime.shared_pool.SharedFieldPool`.
+    One cache for both kinds of block a worker reads: the parent's field
+    blocks (a :class:`SharedFieldSpec` argument of a rank) and its peers'
+    message blocks (:class:`MessageBlocks`).  A block is mapped the first
+    time the worker meets its name and stays mapped until the worker exits,
+    so a held plan's later runs map nothing, fault nothing in and unmap
+    nothing.  The owners unlink the blocks only once the workers are gone
+    (``Session.close`` stops the pool before ``SharedFieldPool.clear()``;
+    :meth:`~repro.runtime.worker_pool.WorkerPool.shutdown` unlinks message
+    blocks after the stop).
     """
 
-    def __init__(self, block, array: np.ndarray):
-        self._block = block
-        self.array = array
+    def __init__(self):
+        self._mapped: dict[str, object] = {}
 
-    @classmethod
-    def attach(cls, spec: SharedFieldSpec) -> "SharedField":
-        """Attach to a parent-owned block from a worker process."""
-        block = _attach(spec.name)
-        array = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=block.buf)
-        return cls(block, array)
+    def block(self, name: str):
+        """The worker's mapping of block ``name``, attached on first use."""
+        memory = self._mapped.get(name)
+        if memory is None:
+            memory = self._mapped[name] = _attach(name)
+        return memory
 
-    def release(self) -> None:
-        """Close this handle; the parent unlinks the block."""
-        self.array = None
-        self._block.close()
+    def view(self, spec: SharedFieldSpec) -> np.ndarray:
+        """A fresh array with ``spec``'s shape and dtype over its block.
+
+        Fresh on every call: the parent's pool recycles a block for fields
+        of other shapes and dtypes, so the mapping is cached, not the view.
+        """
+        return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
+                          buffer=self.block(spec.name).buf)
+
+    def names(self) -> list[str]:
+        """The names of every block attached so far, sorted."""
+        return sorted(self._mapped)
 
 
 def _attach(name: str):
@@ -228,8 +243,9 @@ class MessageBlocks:
     the most messages the worker ever had in flight at once, and a repeated
     exchange stops creating blocks once it reached that mark.  The worker
     pool unlinks them all on shutdown (:func:`unlink_message_blocks`).
-    Incoming blocks are attached once per name and cached for the worker's
-    lifetime.
+    Incoming blocks are looked up in the worker's :class:`AttachedBlocks`,
+    the cache its field blocks live in too: attached once per name, mapped
+    for the worker's lifetime.
 
     Ordering: the payload is written before its envelope is put on a queue
     and read after the envelope came out of it (the queue's pipe orders
@@ -241,7 +257,9 @@ class MessageBlocks:
         self._worker = worker
         self._outgoing: dict[int, list[_OutgoingBlock]] = {}
         self._created = 0
-        self._incoming: dict[str, object] = {}
+        #: The worker's attachment cache: incoming message blocks and, in a
+        #: pool worker, the field blocks of its ranks.
+        self.attached = AttachedBlocks()
 
     def write(self, data: np.ndarray) -> str:
         """Copy ``data`` into a free outgoing block; return the block's name."""
@@ -269,9 +287,7 @@ class MessageBlocks:
     def read(self, message: tuple, into: Optional[np.ndarray]) -> None:
         """Copy a message into ``into`` (``None`` drops it); consume its block."""
         name, shape, dtype = message
-        memory = self._incoming.get(name)
-        if memory is None:
-            memory = self._incoming[name] = _attach(name)
+        memory = self.attached.block(name)
         try:
             if into is not None:
                 payload = np.ndarray(shape, dtype, buffer=memory.buf, offset=_HEADER)
@@ -295,13 +311,14 @@ class ProcessMailbox:
     def __init__(self, inboxes: Sequence, run_id: int, blocks: MessageBlocks):
         self._inboxes = inboxes
         self._run_id = run_id
-        self._blocks = blocks
+        #: The worker's message blocks (and, through them, its attachments).
+        self.blocks = blocks
         # (source, tag) -> deque of (block name, shape, dtype) messages
         # already pulled out of the inbox.
         self._stash: dict[tuple[int, int], deque] = defaultdict(deque)
 
     def post(self, source: int, dest: int, tag: int, data: np.ndarray) -> None:
-        name = self._blocks.write(data)
+        name = self.blocks.write(data)
         self._inboxes[dest].put((self._run_id, source, tag, name, data.shape, data.dtype))
 
     def take(self, dest: int, source: int, tag: int,
@@ -337,17 +354,17 @@ class ProcessMailbox:
             run_id, sender, sent_tag, *message = envelope
             if run_id != self._run_id:
                 # Stranded by an earlier run: drop it, freeing its block.
-                self._blocks.read(message, None)
+                self.blocks.read(message, None)
                 continue
             self._stash[(sender, sent_tag)].append(message)
 
     def land(self, message: list, into: Optional[np.ndarray]) -> None:
-        self._blocks.read(message, into)
+        self.blocks.read(message, into)
 
     def close(self) -> None:
         """Consume the messages this run received but never matched, so
         their senders may reuse the blocks."""
         for messages in self._stash.values():
             for message in messages:
-                self._blocks.read(message, None)
+                self.blocks.read(message, None)
         self._stash.clear()

@@ -13,9 +13,14 @@ unlinked at the end of every run.  This module removes all of that:
   unlinked, so a repeated run — a benchmark's timing loop, a time-stepping
   driver — reuses the same OS objects (``shared_blocks_reused``).
 
-The pool is parent-side only: workers keep attaching by
-:class:`~repro.runtime.mp_world.SharedFieldSpec` exactly as before and never
-learn whether a block is fresh or recycled.
+The pool is parent-side only.  A worker looks each
+:class:`~repro.runtime.mp_world.SharedFieldSpec` up by block name in its
+:class:`~repro.runtime.mp_world.AttachedBlocks`, which maps a block the first
+time the worker meets it and keeps it mapped, so a held plan's later runs
+attach nothing.  It takes a fresh view with the spec's shape and dtype every
+run, so it never needs to learn whether a block is fresh or was recycled for
+another shape.  :meth:`SharedFieldPool.clear` unlinks the blocks; its owner
+(``Session.close``) calls it only after the workers that map them stopped.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .mp_world import FORK_LOCK, SharedFieldSpec, capacity_class
 
 
 class LeasedField:
-    """One leased block viewed as a NumPy array (same surface as SharedField)."""
+    """One leased block viewed as a NumPy array, plus the spec a worker
+    finds it by."""
 
     __slots__ = ("_block", "array", "_pool", "_size_class", "_generation",
                  "reused")

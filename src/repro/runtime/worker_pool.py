@@ -24,7 +24,10 @@ message blocks and per-rank envelope inboxes, see
 * ``("run", run_id, rank, size, base, timeout, body, args)`` — run one rank
   of a job.  An argument that is the job's shipped program arrives as the
   worker's cached copy, and a :class:`~repro.runtime.mp_world.SharedFieldSpec`
-  (alone or in a list) as its attached array;
+  (alone or in a list) as an array over its block.  Each worker attaches a
+  block the first time it meets its name and keeps it mapped for its
+  lifetime (:class:`~repro.runtime.mp_world.AttachedBlocks`), so repeated
+  runs of a held plan map, fault in and unmap nothing;
 * ``("stop",)`` — exit the worker loop.
 
 Workers answer ``("done", run_id, rank, value)`` — whatever the body
@@ -61,9 +64,9 @@ from typing import Any, Callable, Optional, Sequence
 from ..interp.mpi_runtime import Communicator
 from .mp_world import (
     FORK_LOCK,
+    AttachedBlocks,
     MessageBlocks,
     ProcessMailbox,
-    SharedField,
     SharedFieldSpec,
     default_context,
     unlink_message_blocks,
@@ -174,16 +177,14 @@ def _failure(rank: int, err: BaseException) -> WorkerFailure:
     )
 
 
-def _arrived(arg, programs: dict, fields: list):
+def _arrived(arg, programs: dict, attached: AttachedBlocks):
     """A rank argument as the worker's body sees it (see the protocol)."""
     if isinstance(arg, _ShippedProgram):
         return programs[arg.key]
     if isinstance(arg, SharedFieldSpec):
-        field = SharedField.attach(arg)
-        fields.append(field)
-        return field.array
+        return attached.view(arg)
     if isinstance(arg, list):
-        return [_arrived(item, programs, fields) for item in arg]
+        return [_arrived(item, programs, attached) for item in arg]
     return arg
 
 
@@ -204,7 +205,6 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             continue
         # "run": one rank of a round's job.
         _, run_id, rank, size, base, timeout, body, args = command
-        fields: list[SharedField] = []
         # ``base`` partitions the pool across the jobs of one round: this
         # rank's world is the ``size`` workers starting at ``base``, so its
         # job-local inbox indices stay 0..size-1 and concurrent jobs can
@@ -214,15 +214,13 @@ def _worker_main(worker_index: int, commands, results, inboxes,
             # Kernels and megakernels are cached on the worker's
             # CompiledProgram: built on the first run of this program and
             # shared by every later run.
-            args = [_arrived(arg, programs, fields) for arg in args]
+            args = [_arrived(arg, programs, blocks.attached) for arg in args]
             value = body(Communicator(mailbox, rank, size, timeout), *args)
             results.put(("done", run_id, rank, value))
         except BaseException as err:  # noqa: BLE001 - ship to the parent
             results.put(("error", run_id, rank, _failure(rank, err)))
         finally:
             mailbox.close()
-            for field in fields:
-                field.release()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.runtime import worker_pool
 from repro.runtime.mp_world import MessageBlocks, unlink_message_blocks
 from repro.runtime.worker_pool import WorkerError, WorkerFailure, collect_reports
 from repro.workloads import acoustic_wave, heat_diffusion
-from tests.conftest import RUNTIMES, _forked_workers, shm_segments
+from tests.conftest import POISON_STEPS, RUNTIMES, _forked_workers, shm_segments
 
 needs_processes = pytest.mark.skipif(
     not processes_available(), reason="process runtime unavailable on this platform"
@@ -794,6 +794,127 @@ def test_held_plan_reruns_reuse_their_message_blocks():
     assert all([a.tobytes() for a in run] == [b.tobytes() for b in runs[0]]
                for run in runs)
     assert not _message_blocks(pool)
+
+
+# ---------------------------------------------------------------------------
+# shared field blocks across runs
+# ---------------------------------------------------------------------------
+
+def _attached_body(comm):
+    """Module-level (workers unpickle it): the names of the blocks the
+    worker hosting this rank has attached so far."""
+    return comm.mailbox.blocks.attached.names()
+
+
+def _attached_field_blocks(session) -> list[set]:
+    """Per worker of a 2-rank round, the field blocks it keeps mapped
+    (message blocks left out: how many a run needs depends on timing)."""
+    values, _ = session.run_spmd(_attached_body, 2)
+    prefix = session._pool_manager.pool.block_prefix
+    return [{name for name in names if not name.startswith(prefix)}
+            for names in values]
+
+
+def _spec_names(plan) -> list[set]:
+    """Per rank, the names of the blocks the plan's held buffer set leases."""
+    (buffers,) = plan._free
+    return [{spec.name for spec in row} for row in buffers.specs]
+
+
+def _assert_same_run(result, reference, fields, reference_fields):
+    assert [f.tobytes() for f in fields] == [f.tobytes() for f in reference_fields]
+    assert result.statistics == reference.statistics
+    assert result.comm_statistics == reference.comm_statistics
+
+
+@needs_processes
+def test_workers_attach_each_field_block_once():
+    """A held plan's later runs attach no block.  Plans of another shape
+    that recycle the same blocks see them with their own shape: a worker
+    caches the mapping, never the view.  (The free list hands a block to
+    either rank, so the shapes alternate until every worker has met one of
+    its blocks under both.)"""
+    tall, wide = _compile_heat((2, 1)), _compile_heat((1, 2))
+    with Session(runtime="processes") as session:
+        plan = session.plan(tall)
+        plan.run(list(_heat_fields()), [3])
+        attached = _attached_field_blocks(session)
+        leased = _spec_names(plan)
+        assert all(names <= mapped for names, mapped in zip(leased, attached))
+        for _ in range(3):
+            plan.run(list(_heat_fields()), [3])
+        assert _attached_field_blocks(session) == attached, "a rerun attached"
+        plan.close()
+
+        recycled = set().union(*leased)
+        for program in (wide, wide, tall):
+            plan = session.plan(program)
+            for steps in (2, 3):
+                fields = list(_heat_fields())
+                result = plan.run(fields, [steps])
+                reference_fields = list(_heat_fields())
+                reference = _run(program, reference_fields, [steps],
+                                 runtime="threads")
+                _assert_same_run(result, reference, fields, reference_fields)
+            assert set().union(*_spec_names(plan)) == recycled, \
+                "a later plan recycles the first plan's blocks"
+            plan.close()
+        # A recycled block may land on the other rank, whose worker then
+        # maps it too, but no worker maps a block the pool did not own.
+        assert set().union(*_attached_field_blocks(session)) == recycled
+
+
+@pytest.mark.skipif(not _forked_workers(), reason="needs forked process workers")
+def test_process_plans_leak_no_block_or_worker(exploding_rank):
+    """Plans of two shapes, a failed round and a healthy run leave no
+    ``/dev/shm`` segment and no worker behind once the session closes,
+    which stops the workers and then unlinks the field blocks they kept
+    mapped."""
+    small, large = _compile_heat((2, 1)), _compile_heat((2, 1), shape=(40, 40))
+    reference = list(_heat_fields())
+    _run(small, reference, [3], runtime="threads")
+    segments_before, workers = shm_segments(), []
+    with Session(runtime="processes", timeout=5.0) as session:
+        held = session.plan(small)
+        held.run(list(_heat_fields()), [3])
+        session.plan(large).run(list(_heat_fields((42, 42))), [3])
+        workers += session._pool_manager.pool._processes
+        with pytest.raises(WorkerError, match="rank 1 exploded"):
+            held.run(list(_heat_fields()), [POISON_STEPS])
+        healthy = list(_heat_fields())
+        held.run(healthy, [3])
+        workers += session._pool_manager.pool._processes
+    assert [f.tobytes() for f in healthy] == [f.tobytes() for f in reference]
+    assert session.worker_pools_created == 2
+    assert not [worker for worker in workers if worker.is_alive()]
+    assert not shm_segments() - segments_before
+
+
+@needs_processes
+def test_only_the_process_world_copies_slabs_on_a_team():
+    """Thread-world slabs are copied in the calling thread (no team); the
+    process world copies every rank's slab at once on a team its warm-up
+    builds, and both worlds stay bit-identical run after run."""
+    with Session(runtime="threads") as session:
+        plan = session.plan(_compile_heat((2, 1)))
+        plan.run(list(_heat_fields()), [3])
+        assert session.counters.thread_teams_created == 0
+    for rank_grid, shape in [((2, 1), (16, 16)), ((3, 1), (18, 18))]:
+        program = _compile_heat(rank_grid, shape=shape)
+        halo_shape = tuple(extent + 2 for extent in shape)
+        with Session(runtime="processes") as session:
+            plan = session.plan(program)
+            plan.warmup()
+            teams = session.counters.thread_teams_created
+            assert teams == (1 if (os.cpu_count() or 1) > 1 else 0)
+            for steps in range(1, 6):
+                fields = list(_heat_fields(halo_shape))
+                result = plan.run(fields, [steps])
+                reference_fields = list(_heat_fields(halo_shape))
+                reference = _run(program, reference_fields, [steps],
+                                 runtime="threads")
+                _assert_same_run(result, reference, fields, reference_fields)
+            assert session.counters.thread_teams_created == teams
 
 
 def _slow_rank_body(comm):
