@@ -1,8 +1,42 @@
-"""The arith dialect: integer and floating-point arithmetic on scalar values."""
+"""The arith dialect: integer and floating-point arithmetic on scalar values.
+
+**One op table.**  What each element-wise op computes is written once, in
+:data:`SEMANTICS`: one :class:`Semantics` record per op, keyed by its name,
+and one per compare predicate, keyed ``"arith.cmpf:oeq"`` (:func:`op_key`).
+Every consumer reads it.  The tree walker registers each record's ``scalar``
+function as the op's handler, and constant folding applies the same function.
+The vectorizer takes an op exactly when its record has a NumPy spelling, and
+the nest printer and the stencil-level walker use that spelling.  The flop
+model reads ``flops``, and vectorized reductions read ``reduce``.  ``None``
+in a record means the form does not exist: with no NumPy spelling a nest
+using the op is walked (the recorded ``VectorizationError`` fallback), with
+no ``reduce`` the op is no ``scf.reduce`` combiner.  ``folds=False`` leaves
+the op to run time.  ``arith.constant`` and ``arith.select`` are structure,
+not arithmetic, and have no record.
+
+**The arithmetic rule, for every level and every tier, f32 included.**  A
+value read from memory is widened the way ``ndarray.item()`` widens it: any
+float to f64, any integer to a 64-bit integer, whatever the element type of
+the buffer.  All arithmetic happens on the widened values.  The only
+rounding to a narrower element type is the store into a buffer, and
+``arith.truncf``, which rounds to f32 and keeps the result wide.  So an f32
+program computes in f64 and rounds once per stored cell: the walker's
+``memref.load``/``memref.store`` per cell, ``stencil.access``/
+``stencil.store`` per region, the generated NumPy per block.  A native
+spelling has to do the same (load, convert to ``double``, compute, convert on
+store) to stay bit-identical.  Integer results are exact while they fit in
+i64: the walker and the folder compute with python's unbounded ``int`` where
+NumPy wraps.
+"""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+import operator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Optional, Union
+
+import numpy as np
 
 from ..ir.attributes import Attribute, FloatAttr, IntegerAttr, StringAttr, TypeAttribute
 from ..ir.core import Operation, SSAValue
@@ -319,20 +353,141 @@ class TruncIOp(_CastOp):
     name = "arith.trunci"
 
 
-#: Binary ops usable as ``scf.reduce`` combiners, with the metadata execution
-#: backends need: the NumPy ufunc implementing the combine, and whether the
-#: combine order is observable in the result (floating-point ``+``/``*`` are
-#: not associative bit-wise, so a vectorized reduction must replay the tree
-#: walker's sequential left-fold; selection ops and integer ops are exact in
-#: any order).  Keyed by operation name so lowered modules can be inspected
-#: without isinstance checks.
-REDUCTION_OP_METADATA: dict[str, tuple[str, bool]] = {
-    AddfOp.name: ("add", True),
-    MulfOp.name: ("multiply", True),
-    AddiOp.name: ("add", False),
-    MuliOp.name: ("multiply", False),
-    MinimumfOp.name: ("minimum", False),
-    MaximumfOp.name: ("maximum", False),
-    MinSIOp.name: ("minimum", False),
-    MaxSIOp.name: ("maximum", False),
+# ---------------------------------------------------------------------------
+# the op table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Semantics:
+    """What one element-wise op computes, in every form the stack uses.
+
+    * ``scalar`` -- the function of widened python values: the tree walker's
+      handler applies it and, when ``folds``, constant folding applies it to
+      constant operands.  Where it raises (``divf`` by zero: python floats
+      raise ``ZeroDivisionError``) the walker fails and the folder leaves the
+      op as it is.
+    * ``array`` -- the NumPy expression over widened arrays, NumPy spelled
+      ``_np`` and the operands ``{a}``/``{b}``; :attr:`numpy` is it as a
+      function.  None: the vectorizer has no spelling, so a nest using the op
+      is walked (a recorded ``VectorizationError`` fallback).
+    * ``ufunc`` -- the NumPy ufunc writing the same result into existing
+      memory (``out=``); None: no in-place form (a cast may return its
+      operand itself).
+    * ``dtype`` -- the result dtype over widened arrays; None: the operand's.
+    * ``python`` -- the expression over python scalars (None: ``array``).
+    * ``flops`` -- the weight of one application in the flop model.
+    * ``reduce`` -- None: not an ``scf.reduce`` combiner; else whether the
+      combine order is observable (float ``+``/``*`` do not associate bit for
+      bit, so a vectorized reduction replays the walker's left fold).  The
+      combine is ``ufunc``.
+    """
+
+    arity: int
+    scalar: Callable[..., Any]
+    array: Optional[str] = None
+    ufunc: Optional[str] = None
+    dtype: Optional[np.dtype] = None
+    python: Optional[str] = None
+    flops: int = 0
+    reduce: Optional[bool] = None
+    folds: bool = True
+
+    def __post_init__(self) -> None:
+        if self.python is None:
+            object.__setattr__(self, "python", self.array)
+
+    @cached_property
+    def numpy(self) -> Callable[..., Any]:
+        """``array`` as a function of its operands."""
+        return eval(f"lambda a, b=None: {self.array.format(a='a', b='b')}", {"_np": np})
+
+
+def _divsi(a: int, b: int) -> int:
+    """Division truncated toward zero, exact for every i64 (no float on the
+    way); 0 when ``b`` is 0, the walker's long-standing choice."""
+    if not b:
+        return 0
+    quotient = abs(a) // abs(b)
+    return quotient if (a < 0) == (b < 0) else -quotient
+
+
+def _remsi(a: int, b: int) -> int:
+    """The remainder of :func:`_divsi` (the sign of ``a``); 0 when ``b`` is 0."""
+    return a - b * _divsi(a, b) if b else 0
+
+
+def _unsigned(compare: Callable[[int, int], bool]) -> Callable[[int, int], bool]:
+    """``compare`` of both operands read as unsigned.  Modulo 2**64 orders an
+    operand that fits its width w <= 64 (``index`` is 64 bits) as modulo 2**w
+    does: non-negative values in order, then the negative ones in order."""
+    return lambda a, b: compare(a % (1 << 64), b % (1 << 64))
+
+
+def _compares() -> dict[str, Semantics]:
+    """One record per compare predicate.  ``cmpf`` ``one`` is true when an
+    operand is NaN (python ``!=``, NumPy ``not_equal``): that is Fortran's
+    ``/=``, which the PSyclone frontend maps to it, and MLIR's ``une``.
+    ``ord`` is false when an operand is NaN."""
+    table = {
+        f"{CmpfOp.name}:false": Semantics(2, lambda a, b: False, dtype=_B, folds=False),
+        f"{CmpfOp.name}:ord": Semantics(2, lambda a, b: a == a and b == b, dtype=_B,
+                                        folds=False),
+    }
+    for signed, ordered, compare, ufunc in (
+        ("eq", "oeq", operator.eq, "equal"), ("ne", "one", operator.ne, "not_equal"),
+        ("slt", "olt", operator.lt, "less"), ("sle", "ole", operator.le, "less_equal"),
+        ("sgt", "ogt", operator.gt, "greater"), ("sge", "oge", operator.ge, "greater_equal"),
+    ):
+        spelling = f"_np.{ufunc}({{a}}, {{b}})"
+        table[f"{CmpiOp.name}:{signed}"] = Semantics(2, compare, spelling, ufunc, _B)
+        table[f"{CmpfOp.name}:{ordered}"] = Semantics(2, compare, spelling, ufunc, _B,
+                                                       folds=False)
+        if signed.startswith("s"):
+            table[f"{CmpiOp.name}:u{signed[1:]}"] = Semantics(2, _unsigned(compare), dtype=_B)
+    return table
+
+
+_F, _I, _B = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.bool_)
+_WIDEN = "_np.asarray({a}, dtype=_np.float64)"
+
+#: The semantics of every element-wise op, keyed by :func:`op_key`.
+SEMANTICS: dict[str, Semantics] = {
+    AddiOp.name: Semantics(2, operator.add, "({a} + {b})", "add", _I, reduce=False),
+    SubiOp.name: Semantics(2, operator.sub, "({a} - {b})", "subtract", _I),
+    MuliOp.name: Semantics(2, operator.mul, "({a} * {b})", "multiply", _I, reduce=False),
+    DivSIOp.name: Semantics(2, _divsi),
+    RemSIOp.name: Semantics(2, _remsi),
+    MinSIOp.name: Semantics(2, min, "_np.minimum({a}, {b})", "minimum", _I, reduce=False),
+    MaxSIOp.name: Semantics(2, max, "_np.maximum({a}, {b})", "maximum", _I, reduce=False),
+    AndIOp.name: Semantics(2, operator.and_),
+    AddfOp.name: Semantics(2, operator.add, "({a} + {b})", "add", _F, flops=1, reduce=True),
+    SubfOp.name: Semantics(2, operator.sub, "({a} - {b})", "subtract", _F, flops=1),
+    MulfOp.name: Semantics(2, operator.mul, "({a} * {b})", "multiply", _F, flops=1,
+                           reduce=True),
+    DivfOp.name: Semantics(2, operator.truediv, "({a} / {b})", "divide", _F, flops=4),
+    MaximumfOp.name: Semantics(2, np.maximum, "_np.maximum({a}, {b})", "maximum", _F,
+                               flops=1, reduce=False),
+    MinimumfOp.name: Semantics(2, np.minimum, "_np.minimum({a}, {b})", "minimum", _F,
+                               flops=1, reduce=False),
+    NegfOp.name: Semantics(1, operator.neg, "(-{a})", "negative", flops=1),
+    IndexCastOp.name: Semantics(1, int),
+    SIToFPOp.name: Semantics(1, float, _WIDEN, dtype=_F, python="float({a})", folds=False),
+    ExtFOp.name: Semantics(1, float, _WIDEN, dtype=_F, python="float({a})", folds=False),
+    TruncFOp.name: Semantics(
+        1, lambda v: float(np.float32(v)),
+        "_np.asarray(_np.asarray({a}, dtype=_np.float32), dtype=_np.float64)",
+        dtype=_F, python="float(_np.float32({a}))", folds=False),
+    FPToSIOp.name: Semantics(1, int, "_np.asarray({a}).astype(_np.int64)", dtype=_I,
+                             python="int({a})", folds=False),
+    ExtSIOp.name: Semantics(1, int, "{a}", folds=False),
+    TruncIOp.name: Semantics(1, int, "{a}", folds=False),
+    **_compares(),
 }
+
+
+def op_key(op: Operation) -> str:
+    """The :data:`SEMANTICS` key of ``op``: its name, a compare's with its
+    predicate (``"arith.cmpf:oeq"``)."""
+    if isinstance(op, (CmpiOp, CmpfOp)):
+        return f"{op.name}:{op.predicate}"
+    return op.name

@@ -19,16 +19,11 @@ Every exchange blocks here: ``dmp.swap`` posts its sends and receives
 op, since a walker that reads cells one by one has nothing to overlap them
 with.  Only a megakernel splits the pair around its interior boxes.
 
-**The arithmetic rule, for every level and every faster tier.**  A value read
-from memory is widened the way ``ndarray.item()`` widens it — any float to
-f64, any integer to a 64-bit integer — whatever the element type of the
-buffer; all arithmetic happens on the widened values; the only rounding to a
-narrower element type is the store into a buffer.  So an f32 program computes
-in f64 and rounds once per stored cell: ``memref.load``/``memref.store`` do it
-per cell, ``stencil.access``/``stencil.store`` per region
-(:func:`_widened`), the generated NumPy of :mod:`repro.interp.vectorize` per
-block, and a native spelling has to do the same (load, convert to ``double``,
-compute, convert on store) to stay bit-identical.
+Every ``arith`` op computes what its record in the op table
+(:data:`repro.dialects.arith.SEMANTICS`) says, and every level follows the
+arithmetic rule stated beside it: widen on load, compute wide, round on
+store (``memref.load``/``memref.store`` per cell, ``stencil.access``/
+``stencil.store`` per region: :func:`_widened`).
 
 Distributed programs execute against a :class:`~repro.interp.mpi_runtime.SimulatedMPI`
 world: each rank runs one interpreter instance in its own thread.
@@ -483,65 +478,36 @@ def _run_constant(interp: Interpreter, op: Operation, env: dict) -> None:
     interp.set(env, op.results[0], value)
 
 
-def _binary(op_name: str, fn: Callable[[Any, Any], Any]) -> None:
-    @handler(op_name)
-    def _run(interp: Interpreter, op: Operation, env: dict) -> None:
+def _register(name: str, fn: Callable[..., Any], arity: int) -> None:
+    """Run ``fn`` over the op's operands; one handler per arity, so dispatch
+    calls the record's function directly."""
+    if arity == 1:
+        @handler(name)
+        def _run_unary(interp: Interpreter, op: Operation, env: dict) -> None:
+            interp.set(env, op.results[0], fn(interp.get(env, op.operands[0])))
+    else:
+        @handler(name)
+        def _run_binary(interp: Interpreter, op: Operation, env: dict) -> None:
+            lhs = interp.get(env, op.operands[0])
+            rhs = interp.get(env, op.operands[1])
+            interp.set(env, op.results[0], fn(lhs, rhs))
+
+
+def _register_compare(name: str, predicates: Sequence[str]) -> None:
+    by_predicate = {p: arith.SEMANTICS[f"{name}:{p}"].scalar for p in predicates}
+
+    @handler(name)
+    def _run_compare(interp: Interpreter, op: Operation, env: dict) -> None:
         lhs = interp.get(env, op.operands[0])
         rhs = interp.get(env, op.operands[1])
-        interp.set(env, op.results[0], fn(lhs, rhs))
+        interp.set(env, op.results[0], by_predicate[op.predicate](lhs, rhs))
 
 
-_binary("arith.addi", lambda a, b: a + b)
-_binary("arith.subi", lambda a, b: a - b)
-_binary("arith.muli", lambda a, b: a * b)
-_binary("arith.divsi", lambda a, b: int(a / b) if b else 0)
-_binary("arith.remsi", lambda a, b: int(a - b * int(a / b)) if b else 0)
-_binary("arith.minsi", lambda a, b: min(a, b))
-_binary("arith.maxsi", lambda a, b: max(a, b))
-_binary("arith.andi", lambda a, b: (a and b) if isinstance(a, bool) else (a & b))
-_binary("arith.addf", lambda a, b: a + b)
-_binary("arith.subf", lambda a, b: a - b)
-_binary("arith.mulf", lambda a, b: a * b)
-_binary("arith.divf", lambda a, b: a / b)
-_binary("arith.maximumf", lambda a, b: np.maximum(a, b))
-_binary("arith.minimumf", lambda a, b: np.minimum(a, b))
-
-
-@handler("arith.negf")
-def _run_negf(interp: Interpreter, op: Operation, env: dict) -> None:
-    interp.set(env, op.results[0], -interp.get(env, op.operands[0]))
-
-
-_CMPI = {
-    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b, "sge": lambda a, b: a >= b,
-    "ult": lambda a, b: abs(a) < abs(b), "ule": lambda a, b: abs(a) <= abs(b),
-    "ugt": lambda a, b: abs(a) > abs(b), "uge": lambda a, b: abs(a) >= abs(b),
-}
-
-_CMPF = {
-    "false": lambda a, b: False, "oeq": lambda a, b: a == b,
-    "ogt": lambda a, b: a > b, "oge": lambda a, b: a >= b,
-    "olt": lambda a, b: a < b, "ole": lambda a, b: a <= b,
-    "one": lambda a, b: a != b, "ord": lambda a, b: True,
-}
-
-
-@handler("arith.cmpi")
-def _run_cmpi(interp: Interpreter, op: Operation, env: dict) -> None:
-    assert isinstance(op, arith.CmpiOp)
-    lhs = interp.get(env, op.operands[0])
-    rhs = interp.get(env, op.operands[1])
-    interp.set(env, op.results[0], _CMPI[op.predicate](lhs, rhs))
-
-
-@handler("arith.cmpf")
-def _run_cmpf(interp: Interpreter, op: Operation, env: dict) -> None:
-    assert isinstance(op, arith.CmpfOp)
-    lhs = interp.get(env, op.operands[0])
-    rhs = interp.get(env, op.operands[1])
-    interp.set(env, op.results[0], _CMPF[op.predicate](lhs, rhs))
+for _key, _record in arith.SEMANTICS.items():
+    if ":" not in _key:
+        _register(_key, _record.scalar, _record.arity)
+_register_compare(arith.CmpiOp.name, arith.CMPI_PREDICATES)
+_register_compare(arith.CmpfOp.name, arith.CMPF_PREDICATES)
 
 
 @handler("arith.select")
@@ -549,21 +515,6 @@ def _run_select(interp: Interpreter, op: Operation, env: dict) -> None:
     condition = interp.get(env, op.operands[0])
     chosen = op.operands[1] if condition else op.operands[2]
     interp.set(env, op.results[0], interp.get(env, chosen))
-
-
-def _cast(op_name: str, fn: Callable[[Any], Any]) -> None:
-    @handler(op_name)
-    def _run(interp: Interpreter, op: Operation, env: dict) -> None:
-        interp.set(env, op.results[0], fn(interp.get(env, op.operands[0])))
-
-
-_cast("arith.index_cast", lambda v: int(v))
-_cast("arith.sitofp", lambda v: float(v))
-_cast("arith.fptosi", lambda v: int(v))
-_cast("arith.extf", lambda v: float(v))
-_cast("arith.truncf", lambda v: float(np.float32(v)))
-_cast("arith.extsi", lambda v: int(v))
-_cast("arith.trunci", lambda v: int(v))
 
 
 # ---------------------------------------------------------------------------
@@ -827,53 +778,19 @@ def _apply_output_bounds(op: stencil.ApplyOp) -> stencil.StencilBoundsAttr:
 
 def _eval_vectorised(interp: Interpreter, op: Operation, local: dict) -> None:
     """Evaluate arith ops over numpy arrays inside a stencil.apply body."""
-    name = op.name
-    if name == "arith.constant":
-        assert isinstance(op, arith.ConstantOp)
+    if isinstance(op, arith.ConstantOp):
         local[op.results[0]] = op.literal()
         return
     values = [local[operand] for operand in op.operands]
-    simple = {
-        "arith.addf": lambda a, b: a + b, "arith.subf": lambda a, b: a - b,
-        "arith.mulf": lambda a, b: a * b, "arith.divf": lambda a, b: a / b,
-        "arith.addi": lambda a, b: a + b, "arith.subi": lambda a, b: a - b,
-        "arith.muli": lambda a, b: a * b,
-        "arith.maximumf": np.maximum, "arith.minimumf": np.minimum,
-        "arith.minsi": np.minimum, "arith.maxsi": np.maximum,
-    }
-    if name in simple:
-        local[op.results[0]] = simple[name](values[0], values[1])
-        return
-    if name == "arith.negf":
-        local[op.results[0]] = -values[0]
-        return
-    if name == "arith.cmpf":
-        assert isinstance(op, arith.CmpfOp)
-        comparisons = {
-            "oeq": np.equal, "ogt": np.greater, "oge": np.greater_equal,
-            "olt": np.less, "ole": np.less_equal, "one": np.not_equal,
-        }
-        local[op.results[0]] = comparisons[op.predicate](values[0], values[1])
-        return
-    if name == "arith.cmpi":
-        assert isinstance(op, arith.CmpiOp)
-        comparisons = {
-            "eq": np.equal, "ne": np.not_equal, "slt": np.less, "sle": np.less_equal,
-            "sgt": np.greater, "sge": np.greater_equal,
-        }
-        local[op.results[0]] = comparisons[op.predicate](values[0], values[1])
-        return
-    if name == "arith.select":
+    if isinstance(op, arith.SelectOp):
         local[op.results[0]] = np.where(values[0], values[1], values[2])
         return
-    if name in ("arith.sitofp", "arith.extf"):
-        local[op.results[0]] = np.asarray(values[0], dtype=np.float64)
-        return
-    if name == "arith.index_cast":
-        local[op.results[0]] = values[0]
+    record = arith.SEMANTICS.get(arith.op_key(op))
+    if record is not None and record.array is not None:
+        local[op.results[0]] = record.numpy(*values)
         return
     raise InterpreterError(
-        f"operation {name!r} is not supported inside a stencil.apply body"
+        f"operation {op.name!r} is not supported inside a stencil.apply body"
     )
 
 

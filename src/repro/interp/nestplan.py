@@ -46,9 +46,10 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from ..dialects.arith import SEMANTICS
 from ..ir.core import SSAValue
 from .thread_team import split_trip_counts
-from .vectorize import BINARY_OPS, UNARY_OPS, CompiledNest, operand_refs
+from .vectorize import CompiledNest, operand_refs
 
 
 class CodegenError(Exception):
@@ -71,71 +72,12 @@ def local_name(sym: tuple) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the instruction -> NumPy mapping
+# spellings and dtypes
 # ---------------------------------------------------------------------------
 #
-# Each template applies the NumPy call / Python operator the tree walker
-# applies per cell.
-
-#: Binary ops as ``(expression, ufunc)``: the expression is what the tree
-#: walker applies per cell (and what two python scalars keep); the ufunc is the
-#: same operation spelled so that it can write into existing memory
-#: (``_np.<ufunc>(a, b, out=...)``).
-_BINARY_EXPRESSIONS: dict[str, tuple[str, str]] = {
-    "arith.addf": ("({a} + {b})", "add"),
-    "arith.subf": ("({a} - {b})", "subtract"),
-    "arith.mulf": ("({a} * {b})", "multiply"),
-    "arith.divf": ("({a} / {b})", "divide"),
-    "arith.maximumf": ("_np.maximum({a}, {b})", "maximum"),
-    "arith.minimumf": ("_np.minimum({a}, {b})", "minimum"),
-    "arith.addi": ("({a} + {b})", "add"),
-    "arith.subi": ("({a} - {b})", "subtract"),
-    "arith.muli": ("({a} * {b})", "multiply"),
-    "arith.minsi": ("_np.minimum({a}, {b})", "minimum"),
-    "arith.maxsi": ("_np.maximum({a}, {b})", "maximum"),
-    "arith.cmpf:oeq": ("_np.equal({a}, {b})", "equal"),
-    "arith.cmpf:ogt": ("_np.greater({a}, {b})", "greater"),
-    "arith.cmpf:oge": ("_np.greater_equal({a}, {b})", "greater_equal"),
-    "arith.cmpf:olt": ("_np.less({a}, {b})", "less"),
-    "arith.cmpf:ole": ("_np.less_equal({a}, {b})", "less_equal"),
-    "arith.cmpf:one": ("_np.not_equal({a}, {b})", "not_equal"),
-    "arith.cmpi:eq": ("_np.equal({a}, {b})", "equal"),
-    "arith.cmpi:ne": ("_np.not_equal({a}, {b})", "not_equal"),
-    "arith.cmpi:slt": ("_np.less({a}, {b})", "less"),
-    "arith.cmpi:sle": ("_np.less_equal({a}, {b})", "less_equal"),
-    "arith.cmpi:sgt": ("_np.greater({a}, {b})", "greater"),
-    "arith.cmpi:sge": ("_np.greater_equal({a}, {b})", "greater_equal"),
-}
-
-#: Unary ops as ``(array expression, python-scalar expression, ufunc)``: the
-#: tree walker converts scalars with ``float()``/``int()``, whole arrays need
-#: the dtype-converting NumPy form of the same conversion.  The casts have no
-#: ufunc, and their result may be their operand itself (``np.asarray`` of an
-#: array that already has the dtype).
-_UNARY_EXPRESSIONS: dict[str, tuple[str, str, Optional[str]]] = {
-    "arith.negf": ("(-{a})", "(-{a})", "negative"),
-    "arith.sitofp": ("_np.asarray({a}, dtype=_np.float64)", "float({a})", None),
-    "arith.extf": ("_np.asarray({a}, dtype=_np.float64)", "float({a})", None),
-    "arith.truncf": (
-        "_np.asarray(_np.asarray({a}, dtype=_np.float32), dtype=_np.float64)",
-        "float(_np.float32({a}))",
-        None,
-    ),
-    "arith.fptosi": ("_np.asarray({a}).astype(_np.int64)", "int({a})", None),
-    "arith.extsi": ("{a}", "{a}", None),
-    "arith.trunci": ("{a}", "{a}", None),
-}
-
-assert set(_BINARY_EXPRESSIONS) == BINARY_OPS and set(_UNARY_EXPRESSIONS) == UNARY_OPS
-
-_FLOAT_BINOPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf",
-    "arith.maximumf", "arith.minimumf",
-})
-
-_INT_BINOPS = frozenset({
-    "arith.addi", "arith.subi", "arith.muli", "arith.minsi", "arith.maxsi",
-})
+# A binary or unary instruction is spelled as its op's record in the op table
+# (repro.dialects.arith.SEMANTICS) says: the NumPy expression, the python
+# scalar one, or its ufunc writing into existing memory (``out=``).
 
 
 def _literal(value) -> str:
@@ -176,9 +118,12 @@ def _broadcast(a: tuple, b: tuple) -> tuple:
     raise _rejected("operand shapes do not broadcast")
 
 
-def _binary_dtype(name: str, a: "Operand", b: "Operand"):
-    if name.startswith("arith.cmp"):
-        return np.dtype(np.bool_)
+def _binary_dtype(key: str, a: "Operand", b: "Operand"):
+    """The result dtype of a binary op over these operands: its record's when
+    NumPy is sure to give that, else None (unknown)."""
+    result = SEMANTICS[key].dtype
+    if result.kind == "b":
+        return result
     kinds = []
     for operand in (a, b):
         dtype = operand.dtype
@@ -189,24 +134,19 @@ def _binary_dtype(name: str, a: "Operand", b: "Operand"):
             return None
         kinds.append(dtype)
     arrays = [dtype for dtype in kinds if isinstance(dtype, np.dtype)]
-    if not arrays:
-        return None
-    if name in _FLOAT_BINOPS:
-        if all(dtype == np.float64 for dtype in arrays):
-            return np.dtype(np.float64)
-        return None
-    if name in _INT_BINOPS:
-        if all(dtype == np.int64 for dtype in arrays) and "pyfloat" not in kinds:
-            return np.dtype(np.int64)
+    if arrays and all(dtype == result for dtype in arrays) and (
+            result.kind == "f" or "pyfloat" not in kinds):
+        return result
     return None
 
 
-def _unary_dtype(name: str, a: "Operand"):
-    if name in ("arith.sitofp", "arith.extf", "arith.truncf"):
-        return np.dtype(np.float64) if a.is_array else "pyfloat"
-    if name == "arith.fptosi":
-        return np.dtype(np.int64) if a.is_array else "pyint"
-    return a.dtype  # negf / extsi / trunci keep their operand's dtype
+def _unary_dtype(key: str, a: "Operand"):
+    result = SEMANTICS[key].dtype
+    if result is None:  # negf / extsi / trunci keep their operand's dtype
+        return a.dtype
+    if a.is_array:
+        return result
+    return "pyfloat" if result.kind == "f" else "pyint"
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +567,7 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
             store_positions.append(position)
         elif instr[0] != "load":
             last_compute = position
-            if (instr[0] == "unary" and _UNARY_EXPRESSIONS[instr[2]][2] is None
+            if (instr[0] == "unary" and SEMANTICS[instr[2]].ufunc is None
                     and instr[3][0] == "arr"):
                 storage[instr[1]] = storage.get(instr[3][1], instr[3][1])
         for ref in operand_refs(instr):
@@ -725,11 +665,11 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
             )
         elif kind == "binary":
             a, b = operand(instr[3]), operand(instr[4])
-            compute(position, instr, [a, b], _BINARY_EXPRESSIONS[instr[2]][1],
+            compute(position, instr, [a, b], SEMANTICS[instr[2]].ufunc,
                     _binary_dtype(instr[2], a, b), _broadcast(a.shape, b.shape))
         elif kind == "unary":
             a = operand(instr[3])
-            compute(position, instr, [a], _UNARY_EXPRESSIONS[instr[2]][2],
+            compute(position, instr, [a], SEMANTICS[instr[2]].ufunc,
                     _unary_dtype(instr[2], a), a.shape)
         elif kind == "select":
             cond, a, b = (operand(ref) for ref in instr[2:5])
@@ -907,11 +847,8 @@ def print_numpy(
             if kind == "select":
                 bind(instr[1], f"_np.where({', '.join(sources)})")
                 continue
-            if kind == "binary":
-                template, ufunc = _BINARY_EXPRESSIONS[instr[2]]
-            else:
-                array_form, scalar_form, ufunc = _UNARY_EXPRESSIONS[instr[2]]
-                template = array_form if value.operands[0].is_array else scalar_form
+            record = SEMANTICS[instr[2]]
+            template = record.array if value.operands[0].is_array else record.python
             if value.slot is None:
                 bind(instr[1], template.format(a=sources[0], b=sources[-1]))
                 continue
@@ -919,7 +856,7 @@ def print_numpy(
                 (out,) = targets.values()  # a single-store nest's target
             else:
                 out = slot_name(value.slot)
-            statements.append(f"_np.{ufunc}({', '.join(sources)}, out={out})")
+            statements.append(f"_np.{record.ufunc}({', '.join(sources)}, out={out})")
             names[instr[1]] = out
 
     sizes = [dtype.itemsize for dtype in plan.slots]

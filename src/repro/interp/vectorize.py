@@ -28,11 +28,11 @@ A nest is vectorizable when
   becomes plain whole-array slices again;
 * every index expression is affine in the induction variables with unit
   coefficients (``iv + c`` per memref axis, or a nest-invariant constant);
-* the body consists only of ``memref.load`` / ``memref.store``, pure
-  element-wise ``arith`` ops (including ``cmpf``/``cmpi``/``select`` chains,
-  which become ``np.where`` trees), and optionally a terminating
-  ``scf.reduce`` whose combiner is one of the ops in
-  :data:`repro.dialects.arith.REDUCTION_OP_METADATA` — compiled into a NumPy
+* the body consists only of ``memref.load`` / ``memref.store``, ``arith``
+  ops whose record in the op table (:data:`repro.dialects.arith.SEMANTICS`)
+  has a NumPy spelling (including ``cmpf``/``cmpi``/``select`` chains, which
+  become ``np.where`` trees), and optionally a terminating ``scf.reduce``
+  whose combiner's record has ``reduce`` set — compiled into a NumPy
   reduction that replays the tree walker's deterministic left-fold (via
   ``ufunc.accumulate`` for order-sensitive float ``+``/``*``).
 
@@ -145,8 +145,8 @@ def _affine_equal(a: _Affine, b: _Affine) -> bool:
 # A nest compiles to a list of instruction tuples, in body order:
 #   ("load", result, memref, axes)          axes: one _Affine per memref axis
 #   ("store", value_ref, memref, axes)
-#   ("binary", result, op, a_ref, b_ref)    op: one of BINARY_OPS
-#   ("unary", result, op, a_ref)            op: one of UNARY_OPS
+#   ("binary", result, key, a_ref, b_ref)   key: an arith.SEMANTICS key whose
+#   ("unary", result, key, a_ref)           record has a NumPy spelling
 #   ("select", result, cond_ref, a_ref, b_ref)
 #   ("reduce", result, ufunc, sequential, value_ref, init_ref, convert)
 # and an operand reference is one of
@@ -155,22 +155,6 @@ def _affine_equal(a: _Affine, b: _Affine) -> bool:
 #   ("aff", affine)  — affine index expression (materialised as an int grid)
 #   ("free", value)  — scalar defined outside the nest
 _Ref = tuple
-
-#: The element-wise ``arith`` ops a ``binary`` instruction applies; compares
-#: are spelled ``<op>:<predicate>``.
-BINARY_OPS = frozenset({
-    "arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.maximumf",
-    "arith.minimumf", "arith.addi", "arith.subi", "arith.muli", "arith.minsi",
-    "arith.maxsi",
-    *(f"arith.cmpf:{p}" for p in ("oeq", "ogt", "oge", "olt", "ole", "one")),
-    *(f"arith.cmpi:{p}" for p in ("eq", "ne", "slt", "sle", "sgt", "sge")),
-})
-
-#: The ``arith`` ops a ``unary`` instruction applies: a negation and casts.
-UNARY_OPS = frozenset({
-    "arith.negf", "arith.sitofp", "arith.extf", "arith.truncf", "arith.fptosi",
-    "arith.extsi", "arith.trunci",
-})
 
 
 def operand_refs(instr: tuple) -> tuple:
@@ -468,8 +452,8 @@ class _NestCompiler:
         if len(block.args) != 2 or len(ops) != 2:
             raise VectorizationError("unsupported scf.reduce combiner structure")
         combine, terminator = ops
-        metadata = arith.REDUCTION_OP_METADATA.get(combine.name)
-        if metadata is None:
+        record = arith.SEMANTICS.get(arith.op_key(combine))
+        if record is None or record.reduce is None:
             raise VectorizationError(
                 f"reduction over {combine.name!r} is not supported"
             )
@@ -481,7 +465,7 @@ class _NestCompiler:
             combine.results[0]
         ]:
             raise VectorizationError("combiner must yield the combined value")
-        return metadata
+        return record.ufunc, record.reduce
 
     # -- per-op classification ----------------------------------------------
     def _compile_op(self, op: Operation) -> None:
@@ -542,24 +526,20 @@ class _NestCompiler:
                 self.sym[op.results[0]] = affine
                 return
 
-        if name in ("arith.cmpf", "arith.cmpi"):
-            assert isinstance(op, (arith.CmpfOp, arith.CmpiOp))
-            name = f"{name}:{op.predicate}"
-            if name not in BINARY_OPS:
-                raise VectorizationError(
-                    f"{op.name.split('.')[1]} predicate {op.predicate!r}"
-                )
-        if name in BINARY_OPS or name in UNARY_OPS:
+        key = arith.op_key(op)
+        record = arith.SEMANTICS.get(key)
+        if record is not None and record.array is not None:
             self.instrs.append(
                 (
-                    "binary" if name in BINARY_OPS else "unary",
-                    op.results[0], name,
+                    "binary" if record.arity == 2 else "unary", op.results[0], key,
                     *(self._value_ref(operand) for operand in op.operands),
                 )
             )
             self.sym[op.results[0]] = "array"
             return
-        if name == "arith.select":
+        if isinstance(op, (arith.CmpfOp, arith.CmpiOp)):
+            raise VectorizationError(f"{name.split('.')[1]} predicate {op.predicate!r}")
+        if isinstance(op, arith.SelectOp):
             self.instrs.append(
                 (
                     "select", op.results[0],

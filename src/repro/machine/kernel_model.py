@@ -2,8 +2,10 @@
 
 The cost models do not guess what a kernel does - they read it off the
 compiled stencil program: number of stencil regions, accesses per cell, flops
-per cell, distinct input/output fields, and halo volumes.  This keeps the
-performance model tied to the same artefact the correctness tests execute.
+per cell (each op weighted by its ``flops`` in the op table,
+:data:`repro.dialects.arith.SEMANTICS`), distinct input/output fields, and
+halo volumes.  This keeps the performance model tied to the same artefact
+the correctness tests execute.
 """
 
 from __future__ import annotations
@@ -11,17 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..dialects import stencil
+from ..dialects import arith, stencil
 from ..ir.core import Operation
 from ..ir.pass_manager import ModulePass
-
-#: arith operations counted as one floating point operation each.
-_FLOP_OPS = {
-    "arith.addf", "arith.subf", "arith.mulf", "arith.negf",
-    "arith.maximumf", "arith.minimumf",
-}
-#: Expensive operations counted with a higher weight.
-_FLOP_WEIGHTS = {"arith.divf": 4}
 
 
 @dataclass
@@ -96,10 +90,8 @@ def characterize_apply(apply_op: stencil.ApplyOp) -> ApplyCharacteristics:
     for op in apply_op.body.walk():
         if isinstance(op, stencil.AccessOp):
             accesses += 1
-        elif op.name in _FLOP_OPS:
-            flops += 1
-        elif op.name in _FLOP_WEIGHTS:
-            flops += _FLOP_WEIGHTS[op.name]
+        elif (record := arith.SEMANTICS.get(arith.op_key(op))) is not None:
+            flops += record.flops
     halo_lower, halo_upper = apply_op.halo_extents()
 
     input_fields = len(apply_op.operands)

@@ -5,57 +5,24 @@ Binary/unary arith operations whose operands are all produced by
 this forms the canonicalisation pipeline, and is what makes the compile-time
 known stencil bounds pay off (paper §4.1: "known bounds enable constant
 folding of most of the memory access address computations").  A fold
-computes what the tree walker does; where the walker raises (``divf`` by
-zero) the op is left as it is.
+applies the op's record in :data:`repro.dialects.arith.SEMANTICS`, the
+function the tree walker applies; where that raises (``divf`` by zero) the
+op is left as it is, and ops whose record says ``folds=False`` are never
+folded.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
-
-import numpy as np
+import math
+from typing import Optional, Union
 
 from ...dialects import arith
 from ...ir.attributes import FloatAttr, IntegerAttr
 from ...ir.core import Operation, SSAValue
 from ...ir.pass_manager import ModulePass
-from ...ir.types import i1, is_float_type
+from ...ir.types import is_float_type
 
 Number = Union[int, float]
-
-_INT_FOLDERS: dict[str, Callable[[int, int], int]] = {
-    "arith.addi": lambda a, b: a + b,
-    "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.divsi": lambda a, b: int(a / b) if b != 0 else 0,
-    "arith.remsi": lambda a, b: int(a - b * int(a / b)) if b != 0 else 0,
-    "arith.minsi": min,
-    "arith.maxsi": max,
-    "arith.andi": lambda a, b: a & b,
-}
-
-#: A folder returning None leaves the op unfolded.
-_FLOAT_FOLDERS: dict[str, Callable[[float, float], Optional[float]]] = {
-    "arith.addf": lambda a, b: a + b,
-    "arith.subf": lambda a, b: a - b,
-    "arith.mulf": lambda a, b: a * b,
-    "arith.divf": lambda a, b: a / b if b else None,
-    "arith.maximumf": lambda a, b: float(np.maximum(a, b)),
-    "arith.minimumf": lambda a, b: float(np.minimum(a, b)),
-}
-
-_CMPI_FOLDERS: dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
-    "ult": lambda a, b: abs(a) < abs(b),
-    "ule": lambda a, b: abs(a) <= abs(b),
-    "ugt": lambda a, b: abs(a) > abs(b),
-    "uge": lambda a, b: abs(a) >= abs(b),
-}
 
 
 def _constant_value(value: SSAValue) -> Optional[Number]:
@@ -71,29 +38,8 @@ def _make_constant(value: Number, type_) -> arith.ConstantOp:
     return arith.ConstantOp(IntegerAttr(int(value), type_), type_)
 
 
-def _try_fold(op: Operation) -> Optional[arith.ConstantOp]:
-    if op.name in _INT_FOLDERS or op.name in _FLOAT_FOLDERS:
-        lhs = _constant_value(op.operands[0])
-        rhs = _constant_value(op.operands[1])
-        if lhs is None or rhs is None:
-            return None
-        folder = _INT_FOLDERS.get(op.name) or _FLOAT_FOLDERS[op.name]
-        value = folder(lhs, rhs)
-        return None if value is None else _make_constant(value, op.results[0].type)
-    if op.name == "arith.negf":
-        operand = _constant_value(op.operands[0])
-        if operand is None:
-            return None
-        return _make_constant(-operand, op.results[0].type)
-    if op.name == "arith.cmpi":
-        lhs = _constant_value(op.operands[0])
-        rhs = _constant_value(op.operands[1])
-        if lhs is None or rhs is None:
-            return None
-        assert isinstance(op, arith.CmpiOp)
-        result = _CMPI_FOLDERS[op.predicate](int(lhs), int(rhs))
-        return _make_constant(int(result), i1)
-    if op.name == "arith.select":
+def _try_fold(op: Operation, record: Optional[arith.Semantics]) -> Optional[arith.ConstantOp]:
+    if isinstance(op, arith.SelectOp):
         condition = _constant_value(op.operands[0])
         if condition is None:
             return None
@@ -102,24 +48,36 @@ def _try_fold(op: Operation) -> Optional[arith.ConstantOp]:
         if constant is None:
             return None
         return _make_constant(constant, op.results[0].type)
-    if op.name == "arith.index_cast":
-        operand = _constant_value(op.operands[0])
-        if operand is None:
-            return None
-        return _make_constant(int(operand), op.results[0].type)
-    return None
+    operands = [_constant_value(operand) for operand in op.operands]
+    if None in operands:
+        return None
+    try:
+        value = record.scalar(*operands)
+    except ZeroDivisionError:  # divf by zero: the walker raises here too
+        return None
+    return _make_constant(value, op.results[0].type)
+
+
+def _adds_nothing(constant: Optional[Number], op: Operation) -> bool:
+    """Whether ``x + constant`` (``x - constant`` for a subtraction) is ``x``
+    for every ``x``: an integer 0, and the float zero whose sign keeps
+    ``-0.0`` (``-0.0 + 0.0`` is ``+0.0``): ``-0.0`` to add, ``+0.0`` to
+    subtract."""
+    if constant != 0:
+        return False
+    if isinstance(constant, int):
+        return True
+    return (math.copysign(1.0, constant) < 0) == (op.name == "arith.addf")
 
 
 def _try_algebraic_simplification(op: Operation) -> Optional[SSAValue]:
-    """x+0, x*1, x*0 style simplifications returning an existing value."""
+    """x+0, x*1 style simplifications returning an existing value."""
     if op.name in ("arith.addi", "arith.addf", "arith.subi", "arith.subf"):
-        rhs = _constant_value(op.operands[1])
-        if rhs == 0:
+        if _adds_nothing(_constant_value(op.operands[1]), op):
             return op.operands[0]
-        if op.name in ("arith.addi", "arith.addf"):
-            lhs = _constant_value(op.operands[0])
-            if lhs == 0:
-                return op.operands[1]
+        if op.name in ("arith.addi", "arith.addf") and \
+                _adds_nothing(_constant_value(op.operands[0]), op):
+            return op.operands[1]
     if op.name in ("arith.muli", "arith.mulf"):
         for this, other in ((0, 1), (1, 0)):
             constant = _constant_value(op.operands[this])
@@ -128,21 +86,20 @@ def _try_algebraic_simplification(op: Operation) -> Optional[SSAValue]:
     return None
 
 
-_FOLDABLE = {*_INT_FOLDERS, *_FLOAT_FOLDERS, "arith.negf", "arith.cmpi",
-             "arith.select", "arith.index_cast"}
-
-
 def fold(op: Operation) -> Optional[Operation]:
     """Simplify or fold ``op``: return ``op`` if unchanged, else its new
     constant, or None if an existing value replaced it."""
-    if op.name not in _FOLDABLE or op.parent is None:
+    if op.parent is None:
+        return op
+    record = arith.SEMANTICS.get(arith.op_key(op))
+    if (record is None or not record.folds) and not isinstance(op, arith.SelectOp):
         return op
     simplified = _try_algebraic_simplification(op)
     if simplified is not None:
         op.results[0].replace_by(simplified)
         op.erase()
         return None
-    replacement = _try_fold(op)
+    replacement = _try_fold(op, record)
     if replacement is None:
         return op
     op.parent.insert_op_before(replacement, op)

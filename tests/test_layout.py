@@ -298,6 +298,45 @@ def test_every_operation_name_in_the_source_exists():
     assert dangling_operation_names() == []
 
 
+# -- the op table -------------------------------------------------------------
+# What an ``arith`` op computes is written once, in the op table beside the
+# op classes (``dialects/arith.py``'s ``SEMANTICS``), and every consumer reads
+# it.  A module that spells many ``"arith.<op>"`` names is restating part of
+# that table, so the count per module is a ratchet: it may only shrink, and a
+# module that drops spellings records its new count here.  Before the table
+# there were 161 such literals in five modules.
+
+#: ``"arith.<op>"`` string literals per module of ``src/repro`` outside
+#: ``dialects/arith.py`` (``"arith.cmpf:oeq"`` counts once); a module that is
+#: not listed has none.
+ARITH_SPELLINGS = {
+    "repro.interp.interpreter": 2,  # arith.constant / arith.select structure
+    "repro.interp.vectorize": 12,  # index arithmetic kept symbolic (affine)
+    "repro.transforms.common.constant_folding": 9,  # x+0, x*1 identities
+}
+
+_ARITH_SPELLING = re.compile(r"arith\.[a-z_]+(:[a-z]+)?")
+
+
+def arith_spellings() -> dict[str, int]:
+    counts = {}
+    for path in (SRC / "repro").rglob("*.py"):
+        if path == DIALECTS / "arith.py":
+            continue
+        count = sum(
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _ARITH_SPELLING.fullmatch(node.value) is not None
+            for node in ast.walk(_tree(path))
+        )
+        if count:
+            counts[_module_name(path)] = count
+    return counts
+
+
+def test_arith_ops_are_spelled_outside_the_op_table_no_more_than_recorded():
+    assert arith_spellings() == ARITH_SPELLINGS
+
+
 # -- configuration ------------------------------------------------------------
 # ExecutionConfig holds what a caller decides, so every field must be decided
 # by some caller of the program: passed by keyword to one of the calls that

@@ -153,15 +153,31 @@ class TestConstantFolding:
         kernel, b = make_function(outputs=[f64])
         x = kernel.body.block.add_arg(f64)
         kernel.attributes["function_type"] = FunctionType([f64], [f64])
+        # x + (-0.0) and x - 0.0 are x for every x, -0.0 included.
         zero = b.insert(arith.ConstantOp.from_float(0.0, f64)).result
+        negative_zero = b.insert(arith.ConstantOp.from_float(-0.0, f64)).result
         one = b.insert(arith.ConstantOp.from_float(1.0, f64)).result
-        plus_zero = b.insert(arith.AddfOp(x, zero)).result
-        times_one = b.insert(arith.MulfOp(plus_zero, one)).result
+        plus_zero = b.insert(arith.AddfOp(x, negative_zero)).result
+        minus_zero = b.insert(arith.SubfOp(plus_zero, zero)).result
+        times_one = b.insert(arith.MulfOp(minus_zero, one)).result
         b.insert(func.ReturnOp([times_one]))
         module = builtin.ModuleOp([kernel])
         fold_constants(module)
         returned = next(op for op in module.walk() if isinstance(op, func.ReturnOp))
         assert returned.operands[0] is x
+
+    @pytest.mark.parametrize("op_class,zero", [
+        (arith.AddfOp, 0.0), (arith.SubfOp, -0.0)])
+    def test_a_float_zero_that_turns_negative_zero_positive_is_kept(self, op_class, zero):
+        # -0.0 + 0.0 and -0.0 - (-0.0) are +0.0: dropping the op would keep -0.0.
+        kernel, b = make_function(outputs=[f64])
+        x = kernel.body.block.add_arg(f64)
+        kernel.attributes["function_type"] = FunctionType([f64], [f64])
+        constant = b.insert(arith.ConstantOp.from_float(zero, f64)).result
+        kept = b.insert(op_class(x, constant))
+        b.insert(func.ReturnOp([kept.result]))
+        fold_constants(builtin.ModuleOp([kernel]))
+        assert kernel.body.block.last_op.operands[0] is kept.result
 
     def test_division_by_zero_not_crashing(self):
         kernel, b = make_function(outputs=[i32])
