@@ -10,6 +10,14 @@ compiled nest, ``dmp.swap`` isend/irecv posts, interior-box execution and
 halo completion points inlined at fixed program points, the time loop a
 plain ``for`` — compiled with :func:`compile` and executed directly.
 
+Emission is two steps, each reading the last one's product, as the stack's
+levels do.  :func:`plan_megakernel` plans each segment of the trace (before,
+inside and after the time loop) against the concrete buffers into a
+:class:`KernelSchedule`: lists of :class:`Post`, :class:`Complete`,
+:class:`Island` and :class:`Nest` steps, from which the hoisted statistics
+are summed.  :func:`print_python` spells a schedule as Python source; only
+it plans boxes, allocates scratch and ``_ctx`` slots, and writes spans.
+
 What the tracer cannot fuse becomes an **island**: a run of consecutive ops
 the tree walker executes in place, in program order, on one
 :class:`~repro.interp.interpreter.Interpreter` per run that shares the rank's
@@ -49,8 +57,9 @@ The discipline mirrors the interpreter exactly:
   statements and, for a box over the cell budget, the block loop around
   them; the scratch slots they write become locals allocated once, ahead
   of the time loop, and team chunks become local functions run on the
-  rank's :class:`~repro.interp.thread_team.ThreadTeam`.  A later buffer
-  parity of the time loop must plan the same geometry;
+  rank's :class:`~repro.interp.thread_team.ThreadTeam`.  Every later buffer
+  parity of the time loop must plan the same steps, dtypes included, for
+  one printed body to be exact for all of them;
 * swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
   and the exchange itself is the interpreter's ``post_swap`` /
   ``complete_swap`` pair, called directly, for either spelling;
@@ -63,8 +72,8 @@ The discipline mirrors the interpreter exactly:
 
 What the tracer cannot prove about the *structure* — no time loop it can
 bound, loop-carried values that are not a permutation of buffer arguments —
-and what the emitter cannot slice (aliased fields or regions, rotation-
-dependent geometry) raise :class:`CodegenError` with an explicit reason; the
+and what the planner cannot slice (aliased fields or regions, rotation-
+dependent schedules) raise :class:`CodegenError` with an explicit reason; the
 caller (:func:`repro.core.rank.run_rank`) records a :class:`CodegenFallback`
 and runs the tree walker instead.
 
@@ -73,11 +82,14 @@ Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import itertools
 import math
 import os
 import sys
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -87,12 +99,13 @@ from ..ir.core import OpResult, Operation, SSAValue
 from .interpreter import (
     Interpreter,
     PendingHalo,
+    SwapMessagePlan,
     _wrap_argument,
     complete_swap,
     post_swap,
     swap_message_plan,
 )
-from .nestplan import CodegenError, local_name, plan_box, plan_nest, print_numpy
+from .nestplan import CodegenError, NestPlan, local_name, plan_box, plan_nest, print_numpy
 from .vectorize import CompiledKernel, CompiledNest, operand_refs
 
 
@@ -132,7 +145,7 @@ _SCALARS = ("const", "arg", "iv", "env")
 _TRACED_COUNTERS = (
     "ops_executed", "omp_regions", "omp_barriers", "kernel_launches", "halo_swaps",
 )
-#: ... followed by those the emitter knows once it has the buffers.
+#: ... followed by those the schedule adds once it has the buffers.
 _HOISTED_COUNTERS = _TRACED_COUNTERS + (
     "cells_updated", "mpi_messages", "halo_elements_exchanged",
     "halo_swaps_overlapped",
@@ -191,9 +204,10 @@ class MegakernelTrace:
     order.  The
     in-flight halo bookkeeping (prefix completion before a swap of the same
     buffer, overlap decisions at each nest, completion before an island and
-    at the end of a segment) is replayed by the emitter against the concrete
-    buffers, where the geometry is known.  ``once`` and ``per_trip`` count
-    the fused ops' statistics outside and inside the time loop.
+    at the end of a segment) is planned by :func:`plan_megakernel` against
+    the concrete buffers, where the geometry is known.  ``once`` and
+    ``per_trip`` count the fused ops' statistics outside and inside the time
+    loop.
     ``walked_nests`` counts the vectorized nests left to islands (walked cell
     by cell although the vectorizer compiled them).
     """
@@ -412,7 +426,7 @@ class _Tracer:
             )
         # A buffer reachable both directly (as the function argument) and
         # through a rotating slot would make nest geometry parity-dependent
-        # in ways the per-parity replay cannot always separate; reject.
+        # in ways per-parity planning cannot always separate; reject.
         for kind, *rest in body:
             syms = [rest[1]] if kind == "swap" else rest[2] if kind == "nest" else []
             for sym in syms:
@@ -701,8 +715,94 @@ def megakernel_signature(args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the emitter
+# the schedule
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Post:
+    """Post the halo exchange of swap ``ordinal`` on buffer ``src``.
+
+    ``shape`` and ``dtype`` are the swapped array's, which the plan's
+    slices and messages apply to.
+    """
+
+    ordinal: int
+    src: _Sym
+    plan: SwapMessagePlan
+    shape: tuple
+    dtype: str
+
+
+@dataclass(frozen=True)
+class Complete:
+    """Land the halos of swap ``ordinal`` (``elements`` as the walker counts).
+
+    An ``overlapped`` completion lands while the nest before it runs: after
+    that nest's boxes, before its strips.
+    """
+
+    ordinal: int
+    overlapped: bool
+    elements: int
+
+
+@dataclass(frozen=True)
+class Island:
+    """Walk ``island`` in place, on the current values of ``syms``."""
+
+    island: _Island
+    syms: list
+
+
+@dataclass(frozen=True)
+class Nest:
+    """Run a planned nest: its boxes, the overlapped completions that follow
+    it in the segment, then its strips."""
+
+    plan: NestPlan
+
+
+@dataclass
+class KernelSchedule:
+    """One megakernel planned for one rank and buffer layout.
+
+    ``pre``, ``body`` and ``post`` are the steps of the trace's segments in
+    the order they run; ``body`` is the same for every buffer parity of the
+    time loop.  ``array_indices`` are the arguments the kernel gets arrays
+    for.
+    """
+
+    trace: MegakernelTrace
+    array_indices: tuple
+    pre: list
+    body: list
+    post: list
+
+    @property
+    def hoisted(self) -> tuple[dict, dict]:
+        """The hoisted statistics: outside the time loop, and per trip."""
+        return (_hoisted(self.trace.once, self.pre + self.post),
+                _hoisted(self.trace.per_trip, self.body))
+
+    @property
+    def uses_team(self) -> bool:
+        """Whether boxes run as chunks on a thread team."""
+        return any(isinstance(step, Nest) and len(step.plan.boxes) > 1
+                   for step in (*self.pre, *self.body, *self.post))
+
+
+def _hoisted(traced: dict, steps: list) -> dict:
+    """The traced counters and, summed over ``steps``, those they add."""
+    def total(kind: type, count) -> int:
+        return sum(count(step) for step in steps if isinstance(step, kind))
+
+    return traced | {
+        "cells_updated": total(Nest, lambda step: step.plan.cells),
+        "mpi_messages": total(Post, lambda step: len(step.plan.sends)),
+        "halo_elements_exchanged": total(Complete, lambda step: step.elements),
+        "halo_swaps_overlapped": total(Complete, lambda step: step.overlapped),
+    }
+
 
 def _perm_order(perm: list[int]) -> int:
     order = 1
@@ -719,22 +819,122 @@ def _perm_order(perm: list[int]) -> int:
     return order
 
 
-def _dump_generated(label: str, source: str) -> None:
-    """Print generated source to stderr when ``REPRO_DUMP_MEGAKERNEL`` is set."""
-    if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
-        print(f"# --- {label} ---\n{source}", file=sys.stderr)
+def plan_megakernel(trace: MegakernelTrace, args, rank: int = 0, size: int = 1,
+                    threads: int = 1) -> KernelSchedule:
+    """Plan the megakernel of ``trace`` for one rank and buffer layout.
 
+    ``args`` fixes the layout; ``threads`` is the team size boxes are split
+    for.  Each segment is planned against the concrete buffers — swap prefix
+    completion, overlap split, boxes — and the time loop's once per buffer
+    parity: one printed body is exact for every parity when all of them plan
+    the same steps as the first, dtypes included.  Raises
+    :class:`CodegenError` with the fallback reason when they do not, or when
+    the layout cannot be sliced (aliased fields, un-sliceable regions...).
+    """
+    args = list(args)
+    if len(args) != trace.arg_count:
+        raise CodegenError(f"expected {trace.arg_count} arguments, got {len(args)}")
+    array_indices = tuple(
+        index for index, value in enumerate(args) if isinstance(value, np.ndarray)
+    )
+    if _aliased([args[index] for index in array_indices]):
+        raise CodegenError("field arguments alias each other")
+    loop = trace.loop
+    parities = 1 if loop is None else _perm_order(loop.perm)
+    if parities > 8:
+        raise CodegenError("buffer rotation period too long to validate")
+    slots = [] if loop is None else [args[index] for index in loop.init_args]
+    if not all(isinstance(value, np.ndarray) for value in slots):
+        raise CodegenError("a loop-carried buffer argument is not an array")
+    # One message plan per swap: the parities' Post steps compare equal.
+    swap_plan = functools.cache(lambda op: swap_message_plan(op, rank))
+
+    def array_for(sym: _Sym, slots: list) -> np.ndarray:
+        # After the time loop the slots hold its results ("final").
+        if sym[0] in ("slot", "final"):
+            return slots[sym[1]]
+        value = args[sym[1]]
+        if not isinstance(value, np.ndarray):
+            raise CodegenError("a traced buffer argument is not an array")
+        return value
+
+    def segment(steps: list, slots: list) -> list:
+        """The steps of one trace segment over the (parity) buffers ``slots``."""
+        planned: list = []
+        # In-flight swaps: (ordinal, elements the walker counts landing,
+        # PendingHalo), in posting order.
+        inflight: list[tuple] = []
+
+        def land(count: int, overlapped: bool = False) -> None:
+            """Land the first ``count`` in-flight halos, in posting order."""
+            planned.extend(Complete(ordinal, overlapped, elements)
+                           for ordinal, elements, _ in inflight[:count])
+            del inflight[:count]
+
+        for step in steps:
+            if step[0] == "swap":
+                _, op, src, ordinal = step
+                array = array_for(src, slots)
+                # Receives match by (source, tag) in posting order, and swaps
+                # reuse direction tags: land the prefix of halos up to the
+                # last one sharing this buffer, before re-posting it.
+                land(1 + max(
+                    (index for index, (*_, halo) in enumerate(inflight)
+                     if halo.array is array or np.shares_memory(halo.array, array)),
+                    default=-1,
+                ))
+                if size == 1:
+                    continue
+                plan = swap_plan(op)
+                planned.append(Post(ordinal, src, plan, array.shape, array.dtype.str))
+                # A lowered group's walker counts messages, not halo elements.
+                elements = plan.elements if isinstance(op, dmp.SwapOp) else 0
+                inflight.append((ordinal, elements, PendingHalo(array, plan)))
+            elif step[0] == "island":
+                land(len(inflight))
+                planned.append(Island(step[1], step[2]))
+            else:
+                _, _, nest, syms = step
+                plan = plan_nest(
+                    nest, [array_for(sym, slots) for sym in syms], syms, trace.sym,
+                    [halo for *_, halo in inflight], threads,
+                )
+                if plan.waits:
+                    land(len(inflight))
+                planned.append(Nest(plan))
+                if plan.strips:
+                    land(len(inflight), overlapped=True)
+        # A halo still in flight at the end of the segment lands there.
+        land(len(inflight))
+        return planned
+
+    pre = segment(trace.pre, [])
+    body = segment(trace.body, slots)
+    # The loop's results are the slots after however many trips run: the
+    # ops after it must not depend on which rotation that is either.
+    post = segment(trace.post, slots)
+    for _parity in range(1, parities):
+        slots = [slots[j] for j in loop.perm]
+        if segment(trace.body, slots) != body or segment(trace.post, slots) != post:
+            raise CodegenError("buffer rotation changes nest geometry")
+    return KernelSchedule(trace, array_indices, pre, body, post)
+
+
+# ---------------------------------------------------------------------------
+# emission: plan, then print
+# ---------------------------------------------------------------------------
 
 def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
                     size: int = 1, label: Optional[str] = None,
                     traced: bool = False, threads: int = 1) -> CompiledMegakernel:
     """Emit (and compile) the megakernel of ``trace`` for one rank.
 
-    ``sample_args`` fixes the buffer layout the generated code is specialized
-    to: callers key their cache on :func:`megakernel_signature`.
-    Raises :class:`CodegenError` with a fallback reason when the concrete
-    geometry cannot be emitted (aliased fields, rotation-dependent geometry,
-    un-sliceable regions...).
+    Plans it (:func:`plan_megakernel`) and prints the schedule
+    (:func:`print_python`).  ``sample_args`` fixes the buffer layout the
+    generated code is specialized to: callers key their cache on
+    :func:`megakernel_signature`.  Raises :class:`CodegenError` with a
+    fallback reason when the concrete geometry cannot be emitted (aliased
+    fields, rotation-dependent geometry, un-sliceable regions...).
 
     With ``traced=True`` the generated function takes a ``_tracer`` argument
     and brackets each timestep, nest, and halo post/wait with span
@@ -743,255 +943,117 @@ def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
     the observability layer.  ``threads`` is the team size boxes are split
     for (one chunk per thread, where big enough).
     """
-    emitter = _MegakernelEmitter(trace, list(sample_args), rank, size,
-                                 traced=traced, threads=threads)
-    return emitter.emit(
-        label or f"{trace.function_name}@r{rank}of{size}"
+    schedule = plan_megakernel(trace, sample_args, rank, size, threads)
+    label = label or f"{trace.function_name}@r{rank}of{size}"
+    source, ctx = print_python(schedule, label, traced)
+    if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
+        print(f"# --- megakernel {label} ---\n{source}", file=sys.stderr)
+    namespace = {"_np": np, "_ctx": ctx, "_post": post_swap, "_cm": complete_swap,
+                 "_fold": _fold, "_call": _call}
+    return CompiledMegakernel(
+        label, source, schedule.array_indices, namespace, traced=traced,
+        uses_team=schedule.uses_team,
+        module=trace.func_op.parent_op if trace.has_islands else None,
     )
 
 
-class _MegakernelEmitter:
-    def __init__(self, trace: MegakernelTrace, args: list, rank: int, size: int,
-                 traced: bool = False, threads: int = 1):
-        self.trace = trace
-        self.args = args
-        self.rank = rank
-        self.size = size
+def print_python(schedule: KernelSchedule, label: str,
+                 traced: bool = False) -> tuple[str, tuple]:
+    """Print ``schedule`` as the source of one Python function.
+
+    Returns the source of ``_megakernel`` and the ``_ctx`` tuple it reads
+    (message plans, islands, reduction results, index grids).  Each box is
+    planned (:func:`~repro.interp.nestplan.plan_box`) and written by
+    :func:`~repro.interp.nestplan.print_numpy` with literal slices; the
+    scratch slots it writes and the team chunks it runs as are set up once,
+    ahead of the time loop.  ``traced`` brackets each step with spans.
+    """
+    printer = _PythonPrinter(schedule, traced)
+    pre, body, post = (
+        printer.segment(steps) for steps in (schedule.pre, schedule.body, schedule.post)
+    )
+    return printer.render(label, pre, body, post), tuple(printer.ctx)
+
+
+class _PythonPrinter:
+    def __init__(self, schedule: KernelSchedule, traced: bool):
+        self.schedule = schedule
+        self.trace = schedule.trace
         self.traced = traced
-        self.threads = threads
-        self.uses_team = False
-        self._span = 0
-        if len(args) != trace.arg_count:
-            raise CodegenError(
-                f"expected {trace.arg_count} arguments, got {len(args)}"
-            )
-        self.static_env = {
-            value: sym[1] for value, sym in trace.sym.items()
-            if sym[0] == "const"
-        }
-        self.array_indices = tuple(
-            index for index, value in enumerate(args)
-            if isinstance(value, np.ndarray)
-        )
-        if _aliased([args[index] for index in self.array_indices]):
-            raise CodegenError("field arguments alias each other")
-        # Source-building state: the scratch allocations that run once, ahead
-        # of the time loop, and the lines of the segment being replayed with
-        # their relative indentation.
+        self.static_env = {value: sym[1] for value, sym in self.trace.sym.items()
+                           if sym[0] == "const"}
+        # The scratch allocations and team-chunk functions that run once,
+        # ahead of the time loop; the lines of the segment being printed,
+        # with their relative indentation; what the kernel reads in ``_ctx``.
         self.setup: list[str] = []
         self.lines: list[str] = []
         self.ctx: list[Any] = []
         self._var = 0
-        # The hoisted statistics, outside and inside the time loop, and
-        # which of the two the segment being replayed counts into.
-        self.once = dict.fromkeys(_HOISTED_COUNTERS, 0)
-        self.once.update(trace.once)
-        self.per_trip = dict.fromkeys(_HOISTED_COUNTERS, 0)
-        self.per_trip.update(trace.per_trip)
-        self.counts = self.once
-
-    # -- argument/slot resolution -------------------------------------------
-    def _array_for(self, sym: _Sym, slot_arrays: list) -> np.ndarray:
-        # After the time loop the slots hold its results ("final").
-        if sym[0] in ("slot", "final"):
-            return slot_arrays[sym[1]]
-        value = self.args[sym[1]]
-        if not isinstance(value, np.ndarray):
-            raise CodegenError("a traced buffer argument is not an array")
-        return value
+        self._spans = 0
 
     def _new_var(self, prefix: str) -> str:
         self._var += 1
         return f"{prefix}{self._var}"
 
-    def _span_lines(self, name: str) -> tuple[str, str]:
-        """Begin/end source lines for one inlined span (unique local var)."""
-        self._span += 1
-        var = f"_sp{self._span}"
-        return (
-            f"{var} = _tracer.begin('{name}')",
-            f"_tracer.end('{name}', {var})",
-        )
-
     def _add_ctx(self, value) -> int:
         self.ctx.append(value)
         return len(self.ctx) - 1
 
-    # -- top level -----------------------------------------------------------
-    def emit(self, label: str) -> CompiledMegakernel:
-        trace = self.trace
-        loop = trace.loop
-        if loop is None:
-            parities = 1
-            init_slots: list = []
-        else:
-            parities = _perm_order(loop.perm)
-            if parities > 8:
-                raise CodegenError(
-                    "buffer rotation period too long to validate"
-                )
-            init_slots = [self.args[index] for index in loop.init_args]
-            for value in init_slots:
-                if not isinstance(value, np.ndarray):
-                    raise CodegenError(
-                        "a loop-carried buffer argument is not an array"
-                    )
-        _, pre = self._replay(trace.pre, [], self.once)
-        # Without a time loop the body is the one trip: it counts per trip.
-        reference, body = self._replay(trace.body, init_slots, self.per_trip)
-        # The loop's results are the slots after however many trips run: the
-        # ops after it must not depend on which rotation that is either.
-        after, post = self._replay(trace.post, init_slots, self.once)
-        slot_arrays = init_slots
-        for _parity in range(1, parities):
-            slot_arrays = [slot_arrays[j] for j in loop.perm]
-            if self._replay(trace.body, slot_arrays, None)[0] != reference \
-                    or self._replay(trace.post, slot_arrays, None)[0] != after:
-                raise CodegenError("buffer rotation changes nest geometry")
-        source = self._render(label, pre, body, post)
-        _dump_generated(f"megakernel {label}", source)
-        namespace = {
-            "_np": np,
-            "_ctx": tuple(self.ctx),
-            "_post": post_swap,
-            "_cm": complete_swap,
-            "_fold": _fold,
-            "_call": _call,
-        }
-        return CompiledMegakernel(
-            label, source, self.array_indices, namespace, traced=self.traced,
-            uses_team=self.uses_team,
-            module=trace.func_op.parent_op if trace.has_islands else None,
-        )
+    @contextlib.contextmanager
+    def _span(self, name: str, opened: bool = True):
+        """Bracket the lines printed inside with a span (traced kernels only)."""
+        opened = opened and self.traced
+        if opened:
+            self._spans += 1
+            var = f"_sp{self._spans}"
+            self.lines.append(f"{var} = _tracer.begin('{name}')")
+        yield
+        if opened:
+            self.lines.append(f"_tracer.end('{name}', {var})")
 
-    # -- segment replay -------------------------------------------------------
-    def _replay(self, steps: list, slot_arrays: list,
-                counts: Optional[dict]) -> tuple[tuple, list[str]]:
-        """Replay one segment against concrete (parity) buffers.
-
-        Returns the geometry signature of every action taken and the
-        segment's source lines; the hoisted statistics go to ``counts``.
-        ``counts=None`` replays a later parity of the time loop only for its
-        signature: the single emitted body is exact for every parity when
-        all signatures agree.  Every decision — swap prefix completion,
-        overlap split, slice resolution — is settled here, once.
-        """
-        emit = counts is not None
+    def segment(self, steps: list) -> list[str]:
+        """The source lines of one segment's steps."""
         self.lines = []
-        actions: list[tuple] = []
-        # In-flight swaps: (ordinal, unposted PendingHalo, elements the
-        # walker counts landing), in posting order.
-        inflight: list[tuple] = []
-
-        def complete(count: int, overlapped: bool) -> None:
-            """Land the first ``count`` in-flight halos, in posting order."""
-            for ordinal, _, elements in inflight[:count]:
-                actions.append(("complete", ordinal, overlapped))
-                if emit:
-                    self._spanned("halo.wait", f"_cm(_comm, _h{ordinal})")
-                    counts["halo_elements_exchanged"] += elements
-                    if overlapped:
-                        counts["halo_swaps_overlapped"] += 1
-            del inflight[:count]
-
-        for step in steps:
-            if step[0] == "swap":
-                _, op, src, ordinal = step
-                array = self._array_for(src, slot_arrays)
-                actions.append(("swap", ordinal, array.shape, array.dtype.str))
-                # Receives match by (source, tag) in posting order, and swaps
-                # reuse direction tags: land the prefix of halos up to the
-                # last one sharing this buffer, before re-posting it.
-                last = max(
-                    (index for index, (_, halo, _) in enumerate(inflight)
-                     if halo.array is array or np.shares_memory(halo.array, array)),
-                    default=-1,
+        for position, step in enumerate(steps):
+            if isinstance(step, Post):
+                with self._span("halo.post"):
+                    self.lines.append(f"_h{step.ordinal} = _post(_comm, {local_name(step.src)}, "
+                                      f"_ctx[{self._add_ctx(step.plan)}])")
+            elif isinstance(step, Complete) and not step.overlapped:
+                self._complete(step)  # (an overlapped one lands inside its nest)
+            elif isinstance(step, Island):
+                values = "".join(f", {local_name(sym)}" for sym in step.syms)
+                self.lines.append(
+                    f"_ctx[{self._add_ctx(step.island)}](_walker, _env{values})"
                 )
-                complete(last + 1, overlapped=False)
-                if self.size == 1:
-                    continue
-                plan = swap_message_plan(op, self.rank)
-                if emit:
-                    self._spanned(
-                        "halo.post",
-                        f"_h{ordinal} = _post(_comm, {local_name(src)}, "
-                        f"_ctx[{self._add_ctx(plan)}])",
-                    )
-                    counts["mpi_messages"] += len(plan.sends)
-                # A lowered group's walker counts messages, not halo elements.
-                elements = plan.elements if isinstance(op, dmp.SwapOp) else 0
-                inflight.append((ordinal, PendingHalo(array, plan), elements))
-            elif step[0] == "island":
-                _, island, syms = step
-                complete(len(inflight), overlapped=False)
-                actions.append(("island",))
-                if emit:
-                    values = "".join(f", {local_name(sym)}" for sym in syms)
-                    self.lines.append(
-                        f"_ctx[{self._add_ctx(island)}](_walker, _env{values})"
-                    )
-            else:
-                _, op, nest, base_syms = step
-                self._replay_nest(
-                    nest, base_syms, slot_arrays, inflight, actions, complete,
-                    counts,
-                )
-        # A halo still in flight at the end of the segment lands there.
-        complete(len(inflight), overlapped=False)
-        return tuple(actions), self.lines
+            elif isinstance(step, Nest):
+                self._nest(step.plan, itertools.takewhile(
+                    lambda later: isinstance(later, Complete) and later.overlapped,
+                    steps[position + 1:],
+                ))
+        return self.lines
 
-    def _spanned(self, name: str, line: str) -> None:
-        if self.traced:
-            begin, end = self._span_lines(name)
-            self.lines.extend((begin, line, end))
-        else:
-            self.lines.append(line)
+    def _complete(self, step: Complete) -> None:
+        with self._span("halo.wait"):
+            self.lines.append(f"_cm(_comm, _h{step.ordinal})")
 
-    def _replay_nest(self, nest: CompiledNest, syms, slot_arrays,
-                     inflight, actions, complete, counts) -> None:
-        """Plan one nest against the (parity) buffers; print it if emitting."""
-        plan = plan_nest(
-            nest, [self._array_for(sym, slot_arrays) for sym in syms], syms,
-            self.trace.sym, [halo for _, halo, _ in inflight],
-            self.threads,
-        )
-        if plan.waits:
-            complete(len(inflight), overlapped=False)
-        actions.append(("nest", plan.geometry))
-        if counts is None:  # a later parity: only its decisions count
-            if plan.strips:
-                complete(len(inflight), overlapped=True)
-            return
-        counts["cells_updated"] += plan.cells
-        nest_end = self._open_span("nest")
-        interior_end = self._open_span("nest.interior") if plan.strips else None
-        reduced = self._print_boxes(plan)
-        self._close_span(interior_end)
-        if plan.strips:
-            complete(len(inflight), overlapped=True)
-            boundary_end = self._open_span("nest.boundary")
-            for strip in plan.strips:
-                self.lines.extend(self._print(plan, strip)[0])
-            self._close_span(boundary_end)
-        self._close_span(nest_end)
+    def _nest(self, plan: NestPlan, landed) -> None:
+        """Print one nest: its boxes, the completions ``landed`` (those of an
+        overlapped nest), then its strips."""
+        with self._span("nest"):
+            with self._span("nest.interior", bool(plan.strips)):
+                reduced = self._print_boxes(plan)
+            for step in landed:
+                self._complete(step)
+            with self._span("nest.boundary", bool(plan.strips)):
+                for strip in plan.strips:
+                    self.lines.extend(self._print(plan, strip)[0])
         # Reductions (never chunked, never split) are what islands and later
         # nests read the nest's results as.
-        for value, name in zip(nest.reduce_results, reduced):
+        for value, name in zip(plan.nest.reduce_results, reduced):
             self.lines.append(f"_env[_ctx[{self._add_ctx(value)}]] = {name}")
 
-    def _open_span(self, name: str) -> Optional[str]:
-        """Open a span around the lines that follow; its closing line."""
-        if not self.traced:
-            return None
-        begin, end = self._span_lines(name)
-        self.lines.append(begin)
-        return end
-
-    def _close_span(self, end: Optional[str]) -> None:
-        if end is not None:
-            self.lines.append(end)
-
-    def _print_boxes(self, plan) -> list[str]:
+    def _print_boxes(self, plan: NestPlan) -> list[str]:
         """Inline one box, or run its team chunks on ``_team``.
 
         Each chunk becomes a local function defined ahead of the time loop —
@@ -1008,11 +1070,10 @@ class _MegakernelEmitter:
             names.append(self._new_var("_c"))
             self.setup.append(f"def {names[-1]}():")
             self.setup.extend("    " + line for line in lines)
-        self.uses_team = True
         self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
         return []
 
-    def _print(self, plan, dims) -> tuple[list[str], list[str]]:
+    def _print(self, plan: NestPlan, dims) -> tuple[list[str], list[str]]:
         """Plan one box of ``plan`` and print it; its scratch goes to the setup."""
         box = plan_box(plan, dims)
         setup, lines, reduced = print_numpy(
@@ -1058,29 +1119,20 @@ class _MegakernelEmitter:
         return f"({int(grid)}{late})" if late else repr(int(grid))
 
     # -- source assembly ------------------------------------------------------
-    @staticmethod
-    def _bound_src(sym: _Sym) -> str:
-        if sym[0] == "const":
-            return str(sym[1])
-        return f"int(a{sym[1]})"
-
-    def _render(self, label: str, pre: list[str], body: list[str],
+    def render(self, label: str, pre: list[str], body: list[str],
                 post: list[str]) -> str:
-        trace = self.trace
+        trace, schedule = self.trace, self.schedule
         indent = "    "
-        lines: list[str] = [f"# megakernel {label}"]
-        for index in range(trace.arg_count):
-            lines.append(f"a{index} = _args[{index}]")
+        lines = [f"# megakernel {label}"]
+        lines += [f"a{index} = _args[{index}]" for index in range(trace.arg_count)]
         loop = trace.loop
-        if loop is None:
-            lines.append("_trips = 1")
-        else:
-            lines.append(f"_lo = {self._bound_src(loop.lower)}")
-            lines.append(f"_hi = {self._bound_src(loop.upper)}")
-            lines.append(f"_st = {loop.step}")
-            lines.append("_trips = len(range(_lo, _hi, _st))")
+        lines += ["_trips = 1"] if loop is None else [
+            f"_lo = {_bound_source(loop.lower)}", f"_hi = {_bound_source(loop.upper)}",
+            f"_st = {loop.step}", "_trips = len(range(_lo, _hi, _st))",
+        ]
+        hoisted = schedule.hoisted
         for field in _HOISTED_COUNTERS:
-            once, per_trip = self.once[field], self.per_trip[field]
+            once, per_trip = (counts[field] for counts in hoisted)
             terms = ([str(once)] if once or field == "ops_executed" else []) + (
                 [f"_trips * {per_trip}"] if per_trip or field == "ops_executed"
                 else []
@@ -1117,12 +1169,16 @@ class _MegakernelEmitter:
         lines.extend(post)
         lines.append("return True")
         params = ["_args", "_stats", "_comm"]
-        params += ["_tracer"] * self.traced + ["_team"] * self.uses_team
+        params += ["_tracer"] * self.traced + ["_team"] * schedule.uses_team
         params += ["_walker"] * trace.has_islands
         return (
             f"def _megakernel({', '.join(params)}):\n"
             + "\n".join(indent + line for line in lines) + "\n"
         )
+
+
+def _bound_source(sym: _Sym) -> str:
+    return str(sym[1]) if sym[0] == "const" else f"int(a{sym[1]})"
 
 
 def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):

@@ -41,7 +41,7 @@ the tree walker instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -185,20 +185,23 @@ def _trips(dims) -> tuple:
     return tuple(len(range(*dim)) for dim in dims)
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class Access:
     """One load or store of a box: its buffer and the region it touches.
 
     ``view_shape`` has the nest's rank with the trip count at every mapped
     dimension and 1 elsewhere (loads broadcast into the iteration space);
     ``region_shape`` has the buffer's rank and is the shape of
-    ``array[slices]`` (stores are shaped to it).
+    ``array[slices]`` (stores are shaped to it).  Two accesses are equal when
+    a box plan reads the same of them: the array itself is not compared,
+    its region and ``dtype`` are.
     """
 
     position: int
     is_store: bool
     sym: tuple
-    array: np.ndarray
+    array: np.ndarray = field(compare=False)
+    dtype: np.dtype
     slices: tuple
     view_shape: tuple
     region_shape: tuple
@@ -262,8 +265,9 @@ def _resolve(nest: CompiledNest, dims, arrays, syms, symbols) -> list[Access]:
             )
         if is_store and array[tuple(slices)].shape != tuple(region_shape):
             raise _rejected("store value does not match the target region shape")
-        accesses.append(Access(position, is_store, sym, array, tuple(slices),
-                               tuple(view_shape), tuple(region_shape)))
+        accesses.append(Access(position, is_store, sym, array, array.dtype,
+                               tuple(slices), tuple(view_shape),
+                               tuple(region_shape)))
     return accesses
 
 
@@ -376,7 +380,7 @@ def _team_chunks(dims, threads: int) -> list:
     return [dims]
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(slots=True)
 class NestPlan:
     """One nest settled against concrete buffers: the boxes it runs as.
 
@@ -384,31 +388,22 @@ class NestPlan:
     or one per team chunk — and ``strips``, the boundary of an overlapped
     nest, after its halos land; each is the ``dims`` of a box, which
     :func:`plan_box` plans.  ``waits`` says the in-flight halos must land
-    before the nest runs at all.  ``accesses`` are the whole nest's.
+    before the nest runs at all.  ``accesses`` are the whole nest's.  Two
+    plans are equal when they plan the same boxes of the same nest over the
+    same accesses, whichever arrays those are: a box's regions follow from
+    its dims and the nest's.
     """
 
     nest: CompiledNest
-    arrays: list
+    arrays: list = field(compare=False)
     syms: list
-    symbols: dict
+    symbols: dict = field(compare=False)
     dims: list
     accesses: list
     cells: int
     waits: bool
     boxes: list
     strips: list
-
-    @property
-    def geometry(self) -> tuple:
-        """What the plan took from its buffers, to compare rotations by.
-
-        A box's regions follow from its dims and the nest's, so they are not
-        repeated here.
-        """
-        return (self.cells, self.waits,
-                tuple((access.position, access.slices, access.view_shape,
-                       access.region_shape) for access in self.accesses),
-                tuple(map(tuple, self.boxes)), tuple(map(tuple, self.strips)))
 
 
 def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
@@ -621,7 +616,7 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
         if ufunc and is_array and isinstance(dtype, np.dtype) \
                 and result_shape == local:
             if position == in_target and \
-                    access_at[store_positions[0]].array.dtype == dtype:
+                    access_at[store_positions[0]].dtype == dtype:
                 slot = "target"
             else:
                 pool = free_slots.setdefault(dtype, [])
@@ -644,7 +639,7 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
         if kind == "load":
             access = access_at[position]
             result = typed[instr[1]] = Operand(
-                ("arr", instr[1]), True, _widened(access.array.dtype),
+                ("arr", instr[1]), True, _widened(access.dtype),
                 block_shape(access.view_shape),
             )
             plan.values.append(Value(instr, [], result, access=access))
@@ -657,7 +652,7 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
                 )
             # (Otherwise broadcast and astype are both the identity.)
             convert = plan.copy or not (
-                stored.is_array and stored.dtype == access.array.dtype
+                stored.is_array and stored.dtype == access.dtype
                 and stored.shape == local
             )
             plan.values.append(
@@ -814,7 +809,7 @@ def print_numpy(
         if kind == "load":
             source = sliced(_region_source(value.access, value.access.view_shape),
                             value.access.view_shape)
-            if value.result.dtype != value.access.array.dtype:
+            if value.result.dtype != value.access.dtype:
                 source = (f"_np.asarray({source}, "
                           f"dtype={_dtype_source(value.result.dtype)})")
             bind(instr[1], source)
@@ -828,7 +823,7 @@ def print_numpy(
                 statements.append(
                     f"{name} = _np.broadcast_to(_np.asarray({expr}), "
                     f"{_spelled(local)}).astype("
-                    f"{_dtype_source(value.access.array.dtype)}, copy={plan.copy})"
+                    f"{_dtype_source(value.access.dtype)}, copy={plan.copy})"
                 )
                 expr = name
             commits.append(f"{target}[...] = {expr}")

@@ -373,3 +373,45 @@ def unset_config_fields() -> list[str]:
 
 def test_every_config_field_is_set_by_the_program():
     assert unset_config_fields() == []
+
+
+# -- the megakernel printer ---------------------------------------------------
+# A megakernel is planned into a schedule, then printed from it.  Only the
+# printer plans boxes, prints NumPy and writes span lines; the planner takes
+# no ``traced`` flag, so nothing it decides can depend on observability.
+
+CODEGEN = SRC / "repro" / "interp" / "codegen.py"
+
+#: The top-level definitions of ``repro.interp.codegen`` that print.
+PRINTER = {"print_python", "_PythonPrinter"}
+
+#: Names only the printer may reference, and the span lines it writes.
+_PRINTER_NAMES = {"plan_box", "print_numpy", "_span"}
+_SPAN_LINE = re.compile(r"_tracer\.(begin|end)\(")
+
+
+def printing_outside_the_printer() -> list[str]:
+    found = []
+    for node in _tree(CODEGEN).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "name", None) in PRINTER:
+            continue
+        for inner in ast.walk(node):
+            name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+            if name in _PRINTER_NAMES or isinstance(inner, ast.Constant) \
+                    and isinstance(inner.value, str) and _SPAN_LINE.search(inner.value):
+                found.append(f"line {inner.lineno}: {name or inner.value!r}")
+    return found
+
+
+def test_only_the_megakernel_printer_plans_boxes_and_writes_spans():
+    assert printing_outside_the_printer() == []
+
+
+def test_the_megakernel_planner_takes_no_traced_flag():
+    planner = next(node for node in _tree(CODEGEN).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "plan_megakernel")
+    arguments = planner.args
+    names = [arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
+                                 *arguments.kwonlyargs)]
+    assert "traced" not in names

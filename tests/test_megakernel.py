@@ -14,6 +14,7 @@ fallback reason string.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -41,6 +42,7 @@ from repro.interp import (
     emit_megakernel,
     trace_program,
 )
+from repro.interp.codegen import Complete, Island, Nest, Post, plan_megakernel
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.runtime import processes_available
 from repro.transforms.distribute import ConvertDMPToMPIPass
@@ -422,12 +424,8 @@ _PINNED_KERNELS = {
 
 @pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
 def test_generated_megakernel_sources_are_pinned(fixture):
-    make, shape, space_order, grid, size, threads = _PINNED_KERNELS[fixture]
-    workload = make(shape, space_order=space_order, dtype=np.float64)
-    program = compile_stencil_program(
-        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
-        cpu_target() if grid is None else dmp_target(**grid))
-    trace, args = _trace_with_sample_args(program)
+    *_, size, threads = _PINNED_KERNELS[fixture]
+    trace, args = _trace_with_sample_args(_pinned_program(fixture))
     for rank in range(size):
         for traced in (False, True):
             kernel = emit_megakernel(
@@ -436,6 +434,88 @@ def test_generated_megakernel_sources_are_pinned(fixture):
             key = f"{fixture}/r{rank}{'/traced' if traced else ''}"
             digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
             assert digest == MEGAKERNEL_FINGERPRINTS[key], key
+
+
+def _pinned_program(fixture):
+    make, shape, space_order, grid, _, _ = _PINNED_KERNELS[fixture]
+    workload = make(shape, space_order=space_order, dtype=np.float64)
+    return compile_stencil_program(
+        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
+        cpu_target() if grid is None else dmp_target(**grid))
+
+
+def _cells(dims) -> int:
+    return math.prod(len(range(*dim)) for dim in dims)
+
+
+def _tiling_violations(plan) -> list[str]:
+    """How a nest's boxes and strips fail to tile its dims exactly once."""
+    pieces = [[tuple(dim) for dim in piece] for piece in (*plan.boxes, *plan.strips)]
+    found = []
+    if sum(map(_cells, pieces)) != _cells(plan.dims):
+        found.append(f"{sum(map(_cells, pieces))} cells planned of {_cells(plan.dims)}")
+    for piece in pieces:
+        if any(not set(range(*dim)) <= set(range(*whole))
+               for dim, whole in zip(piece, plan.dims)):
+            found.append(f"{piece} leaves {plan.dims}")
+    for first, second in itertools.combinations(pieces, 2):
+        if all(set(range(*a)) & set(range(*b)) for a, b in zip(first, second)):
+            found.append(f"{first} overlaps {second}")
+    return found
+
+
+def _landing_violations(steps) -> list[str]:
+    """How one segment's halos fail to land: each posted ordinal completes
+    once, after its post and in posting order, before a nest that waits or
+    an island runs, right after the boxes of an overlapped nest (one with
+    strips), and by the end of the segment."""
+    found, inflight, posted = [], [], set()
+    after_strips = False  # inside the completions that follow such a nest
+    for position, step in enumerate(steps):
+        if isinstance(step, Complete):
+            if step.overlapped and not after_strips:
+                found.append(f"{position}: an overlapped completion after no nest")
+            if not inflight or inflight[0] != step.ordinal:
+                found.append(f"{position}: completes {step.ordinal}, in flight {inflight}")
+            else:
+                inflight.pop(0)
+            continue
+        if after_strips and inflight:
+            found.append(f"{position}: {inflight} in flight past an overlapped nest")
+        after_strips = False
+        if isinstance(step, Post):
+            if step.ordinal in posted:
+                found.append(f"{position}: posts {step.ordinal} twice")
+            posted.add(step.ordinal)
+            inflight.append(step.ordinal)
+        elif isinstance(step, Island) or step.plan.waits:
+            if inflight:
+                found.append(f"{position}: runs with {inflight} in flight")
+        else:
+            after_strips = bool(step.plan.strips)
+    if inflight:
+        found.append(f"end: {inflight} still in flight")
+    return found
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
+def test_every_pinned_schedule_tiles_its_nests_and_lands_its_halos(fixture):
+    """The schedule is checked, not runs of it: every nest's boxes and
+    strips tile its iteration space exactly once, and every halo lands
+    exactly once, in posting order, before anything that reads it."""
+    *_, size, threads = _PINNED_KERNELS[fixture]
+    trace, args = _trace_with_sample_args(_pinned_program(fixture))
+    for rank in range(size):
+        schedule = plan_megakernel(trace, args, rank, size, threads)
+        segments = (schedule.pre, schedule.body, schedule.post)
+        assert any(isinstance(step, Nest) for steps in segments for step in steps)
+        assert any(isinstance(step, Post) for steps in segments for step in steps) \
+            == (size > 1)
+        for steps in segments:
+            assert _landing_violations(steps) == [], (rank, steps)
+            for step in steps:
+                if isinstance(step, Nest):
+                    assert _tiling_violations(step.plan) == [], rank
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +684,74 @@ def test_every_emit_rejection_records_its_reason(case):
         reference = session.run(program, walked, [], codegen="planned")
     for mine, theirs in zip(fields, walked):
         assert mine.tobytes() == theirs.tobytes()
+    assert result.statistics == reference.statistics
+
+
+def _rotating_module(buffers, perm, extent):
+    """``kernel(*buffers, n)``: ``n`` steps of b1[i] = b0[i] * (1/3) + 1/3
+    over ``buffers`` loop-carried memref<extent x f64>, rotated by ``perm``
+    (slot j holds slot perm[j]'s buffer the next step)."""
+    vector = MemRefType([extent], f64)
+    kernel = func.FuncOp("kernel", FunctionType([vector] * buffers + [index], []))
+    *fields, steps = kernel.args
+    b = Builder.at_end(kernel.body.block)
+    zero, one, upper = (
+        b.insert(arith.ConstantOp.from_int(value)).result for value in (0, 1, extent))
+    time_loop = scf.ForOp(zero, steps, one, iter_args=fields)
+    slots = time_loop.body.block.args[1:]
+    nest = scf.ParallelOp([zero], [upper], [one])
+    inner = Builder.at_end(nest.body.block)
+    (i,) = nest.induction_variables
+    third = inner.insert(arith.ConstantOp.from_float(1 / 3, f64)).result
+    scaled = inner.insert(arith.MulfOp(
+        inner.insert(memref.LoadOp(slots[0], [i])).result, third)).result
+    inner.insert(memref.StoreOp(
+        inner.insert(arith.AddfOp(scaled, third)).result, slots[1], [i]))
+    inner.insert(scf.YieldOp([]))
+    body = Builder.at_end(time_loop.body.block)
+    body.insert(nest)
+    body.insert(scf.YieldOp([slots[j] for j in perm]))
+    b.insert(time_loop)
+    b.insert(func.ReturnOp([]))
+    return builtin.ModuleOp([kernel])
+
+
+#: case -> (module, fresh fields, steps, the reason the planner gives)
+_ROTATION_REJECTIONS = {
+    # v is passed as float32: the parity-0 body stores into it with
+    # .astype(float32), which must not run on parity 1, where b1 is u.
+    "mixed-dtypes": (
+        lambda: _rotating_module(2, [1, 0], 8),
+        lambda: [np.arange(8.0), np.zeros(8, dtype=np.float32)],
+        3,
+        "buffer rotation changes nest geometry",
+    ),
+    # A 3-cycle and a 5-cycle: 15 parities.
+    "period-15": (
+        lambda: _rotating_module(8, [1, 2, 0, 4, 5, 6, 7, 3], 4),
+        lambda: [_counted((4,)) + slot for slot in range(8)],
+        4,
+        "buffer rotation period too long to validate",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROTATION_REJECTIONS))
+def test_every_rotation_rejection_records_its_reason(case):
+    """A rotation the planner cannot prove one body exact for is rejected
+    with its reason, and the run is the tree walker's, bit for bit."""
+    build, make_fields, steps, reason = _ROTATION_REJECTIONS[case]
+    program = compile_stencil_program(build(), cpu_target())
+    fields, walked = make_fields(), make_fields()
+    with Session() as session:
+        plan = session.plan(program)
+        result = plan.run(fields, [steps])
+        fallback = plan.codegen_fallback
+        assert isinstance(fallback, CodegenFallback)
+        assert fallback.reason == reason
+        reference = session.run(program, walked, [steps], codegen="planned")
+    for mine, theirs in zip(fields, walked):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
     assert result.statistics == reference.statistics
 
 
