@@ -85,16 +85,19 @@ def megakernel_for(
     """The megakernel of ``trace`` for one rank's argument layout, or why not.
 
     Emitted on first use — inside the rank body, so a cold first run spends
-    its emission time under the world's timeout — and kept in the program's
-    megakernel cache; emission failures too, so a layout that cannot be
-    emitted is not re-attempted every run.  ``megakernel.cache_miss`` on
+    its emission time under the world's timeout — from the layout alone
+    (:func:`megakernel_signature`), and kept in the program's megakernel
+    cache under that layout; emission failures too, so a layout that cannot
+    be emitted is not re-attempted every run.  Nothing about one run's
+    arrays beyond their layout reaches the cache: whether they alias is
+    checked by the kernel at each run.  ``megakernel.cache_miss`` on
     ``metrics`` counts the kernels this call emitted, ``cache_hit`` every
     other lookup.
     """
     traced = config.trace != "off"
     threads = config.threads_per_rank
-    key = (trace.function_name, rank, size, megakernel_signature(args),
-           traced, threads)
+    layout = megakernel_signature(args)
+    key = (trace.function_name, rank, size, layout, traced, threads)
     cache = program._megakernel_cache
     found = cache.get(key)
     emitted = False
@@ -107,7 +110,7 @@ def megakernel_for(
                 emitted = True
                 try:
                     found = emit_megakernel(
-                        trace, args, rank=rank, size=size, traced=traced,
+                        trace, layout, rank=rank, size=size, traced=traced,
                         threads=threads,
                     )
                 except CodegenError as err:

@@ -604,8 +604,10 @@ class Plan:
 
         self._func_op = program.functions[self.function]
 
-        #: Why the megakernel tier is not running this plan, when it was
-        #: wanted (see :func:`repro.core.rank.codegen_wanted`) but rejected.
+        #: Why the megakernel tier did not run this plan's last run on some
+        #: rank, when it was wanted (see
+        #: :func:`repro.core.rank.codegen_wanted`); None once a run ran it on
+        #: every rank.  A trace rejection is recorded as the plan is built.
         self.codegen_fallback: Optional[CodegenFallback] = None
         # Trace the function now, so an untraceable program records its
         # reason before the first run.  Process-world plans skip the parent-side trace: workers trace
@@ -963,6 +965,8 @@ class PreparedRun:
                 f"{self.size - len(reports)} rank(s) finished without "
                 "reporting statistics; the round did not complete"
             )
+        # This run's reason alone: None once every rank ran the megakernel.
+        plan.codegen_fallback = None
         for report in reports:
             plan.session.metrics.merge_counts(report.counters)
             if report.codegen_fallback is not None:

@@ -37,7 +37,8 @@ class Target:
     tile_sizes: Optional[tuple[int, ...]] = None
     #: Fuse independent stencil regions before lowering.
     fuse_stencils: bool = True
-    #: Lower dmp all the way to MPI_* function calls (instead of stopping at mpi).
+    #: Lower dmp all the way to MPI_* function calls (a ``lower-mpi`` stage);
+    #: without it the pipeline stops at dmp and has no ``lower-mpi`` stage.
     lower_to_library_calls: bool = False
     #: FPGA: apply the dataflow/shift-buffer optimisation.
     fpga_optimize: bool = True

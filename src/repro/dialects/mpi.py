@@ -1,9 +1,9 @@
 """The mpi dialect: an SSA IR mirroring a subset of MPI 1.0 (paper §4.3).
 
 Operations correspond to MPI library calls; types represent MPI objects
-(requests, datatypes, statuses).  ``mpi.unwrap_memref`` bridges the memref and
-MPI worlds by exposing a buffer pointer, an element count and the matching MPI
-datatype.  The dialect is lowered either to plain function calls
+(requests, request arrays, datatypes).  ``mpi.unwrap_memref`` bridges the
+memref and MPI worlds by exposing a buffer pointer, an element count and the
+matching MPI datatype.  The dialect is lowered either to plain function calls
 (:mod:`repro.transforms.mpi.mpi_to_func`, mirroring the mpich-specific
 lowering in the paper) or executed directly on the simulated MPI runtime.
 """
@@ -46,18 +46,6 @@ class RequestArrayType(TypeAttribute):
 
     def print_parameters(self, printer) -> str:
         return str(self.count)
-
-
-class StatusType(TypeAttribute):
-    """An MPI_Status object."""
-
-    name = "mpi.status"
-
-    def parameters(self) -> tuple:
-        return ()
-
-    def print_parameters(self, printer) -> str:
-        return ""
 
 
 class DataTypeType(TypeAttribute):

@@ -17,7 +17,7 @@ Lowered programs are executed by two engines:
   ``memref.store`` programs with affine (``iv + c``) indices
   (:mod:`repro.interp.vectorize` compiles them to instructions) are fused
   into it as whole-array NumPy statements.  :mod:`repro.interp.nestplan`
-  plans each box of such a nest once against the concrete buffers
+  plans each box of such a nest once against the buffer layout
   (:func:`~repro.interp.nestplan.plan_box`) and
   :func:`~repro.interp.nestplan.print_numpy` is the one printer of those
   statements: in place (``out=`` into a few scratch slots, the last op into
@@ -46,11 +46,12 @@ Selection rules
    into whole-extent dimensions, reductions replay the tree walker's
    deterministic left-fold with ``ufunc.accumulate``, and select chains
    become ``np.where`` trees.
-3. A program the tracer cannot shape, or whose concrete buffers the emitter
+3. A program the tracer cannot shape, or whose buffer layout the emitter
    cannot slice exactly (aliased in/out buffers with shifted offsets,
    indices that python would negatively wrap, non-positive steps), runs the
    tree walker, the reason on ``Plan.codegen_fallback``
-   (:class:`~repro.interp.codegen.CodegenFallback`).
+   (:class:`~repro.interp.codegen.CodegenFallback`).  So does a run whose
+   field arguments share memory: that run alone, nothing is cached.
 
 Both engines produce bit-identical field contents (loads widen to float64
 exactly like ``ndarray.item()``, expressions apply the same operation tree)

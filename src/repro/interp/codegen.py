@@ -12,11 +12,14 @@ plain ``for`` — compiled with :func:`compile` and executed directly.
 
 Emission is two steps, each reading the last one's product, as the stack's
 levels do.  :func:`plan_megakernel` plans each segment of the trace (before,
-inside and after the time loop) against the concrete buffers into a
+inside and after the time loop) against the buffer layout into a
 :class:`KernelSchedule`: lists of :class:`Post`, :class:`Complete`,
 :class:`Island` and :class:`Nest` steps, from which the hoisted statistics
 are summed.  :func:`print_python` spells a schedule as Python source; only
 it plans boxes, allocates scratch and ``_ctx`` slots, and writes spans.
+The layout — :func:`megakernel_signature` of the arguments, the key callers
+cache kernels by — is the planner's whole input: it never sees an array, so
+a schedule is a function of its cache key and outlives any buffers.
 
 What the tracer cannot fuse becomes an **island**: a run of consecutive ops
 the tree walker executes in place, in program order, on one
@@ -72,10 +75,12 @@ The discipline mirrors the interpreter exactly:
 
 What the tracer cannot prove about the *structure* — no time loop it can
 bound, loop-carried values that are not a permutation of buffer arguments —
-and what the planner cannot slice (aliased fields or regions, rotation-
-dependent schedules) raise :class:`CodegenError` with an explicit reason; the
-caller (:func:`repro.core.rank.run_rank`) records a :class:`CodegenFallback`
-and runs the tree walker instead.
+and what the planner cannot slice (aliased regions, rotation-dependent
+schedules) raise :class:`CodegenError` with an explicit reason; the caller
+(:func:`repro.core.rank.run_rank`) records a :class:`CodegenFallback` and
+runs the tree walker instead.  Field arguments that share memory are a
+property of one run, not of the layout: :meth:`CompiledMegakernel.run`
+bounces that run alone to the tree walker.
 
 Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 """
@@ -98,7 +103,6 @@ from ..dialects import arith, builtin, dmp, func, omp, scf
 from ..ir.core import OpResult, Operation, SSAValue
 from .interpreter import (
     Interpreter,
-    PendingHalo,
     SwapMessagePlan,
     _wrap_argument,
     complete_swap,
@@ -205,7 +209,7 @@ class MegakernelTrace:
     in-flight halo bookkeeping (prefix completion before a swap of the same
     buffer, overlap decisions at each nest, completion before an island and
     at the end of a segment) is planned by :func:`plan_megakernel` against
-    the concrete buffers, where the geometry is known.  ``once`` and
+    the buffer layout, where the geometry is known.  ``once`` and
     ``per_trip`` count the fused ops' statistics outside and inside the time
     loop.
     ``walked_nests`` counts the vectorized nests left to islands (walked cell
@@ -819,50 +823,47 @@ def _perm_order(perm: list[int]) -> int:
     return order
 
 
-def plan_megakernel(trace: MegakernelTrace, args, rank: int = 0, size: int = 1,
-                    threads: int = 1) -> KernelSchedule:
+def plan_megakernel(trace: MegakernelTrace, layout: tuple, rank: int = 0,
+                    size: int = 1, threads: int = 1) -> KernelSchedule:
     """Plan the megakernel of ``trace`` for one rank and buffer layout.
 
-    ``args`` fixes the layout; ``threads`` is the team size boxes are split
-    for.  Each segment is planned against the concrete buffers — swap prefix
-    completion, overlap split, boxes — and the time loop's once per buffer
-    parity: one printed body is exact for every parity when all of them plan
-    the same steps as the first, dtypes included.  Raises
-    :class:`CodegenError` with the fallback reason when they do not, or when
-    the layout cannot be sliced (aliased fields, un-sliceable regions...).
+    ``layout`` is :func:`megakernel_signature` of the arguments — their
+    count and each array's index, shape and dtype — and all the planner
+    reads of them; ``threads`` is the team size boxes are split for.  Each
+    segment is planned against the layout — swap prefix completion, overlap
+    split, boxes — and the time loop's once per buffer parity: one printed
+    body is exact for every parity when all of them plan the same steps as
+    the first, dtypes included.  Raises :class:`CodegenError` with the
+    fallback reason when they do not, or when the layout cannot be sliced
+    (aliased regions, out-of-range indices...).
     """
-    args = list(args)
-    if len(args) != trace.arg_count:
-        raise CodegenError(f"expected {trace.arg_count} arguments, got {len(args)}")
-    array_indices = tuple(
-        index for index, value in enumerate(args) if isinstance(value, np.ndarray)
-    )
-    if _aliased([args[index] for index in array_indices]):
-        raise CodegenError("field arguments alias each other")
+    count, entries = layout
+    if count != trace.arg_count:
+        raise CodegenError(f"expected {trace.arg_count} arguments, got {count}")
+    buffers = {entry[0]: entry for entry in entries}
     loop = trace.loop
     parities = 1 if loop is None else _perm_order(loop.perm)
     if parities > 8:
         raise CodegenError("buffer rotation period too long to validate")
-    slots = [] if loop is None else [args[index] for index in loop.init_args]
-    if not all(isinstance(value, np.ndarray) for value in slots):
+    slots = [] if loop is None else list(loop.init_args)
+    if not all(index in buffers for index in slots):
         raise CodegenError("a loop-carried buffer argument is not an array")
     # One message plan per swap: the parities' Post steps compare equal.
     swap_plan = functools.cache(lambda op: swap_message_plan(op, rank))
 
-    def array_for(sym: _Sym, slots: list) -> np.ndarray:
+    def buffer_for(sym: _Sym, slots: list) -> tuple:
+        """The layout entry ``(index, shape, dtype)`` of the buffer ``sym``."""
         # After the time loop the slots hold its results ("final").
-        if sym[0] in ("slot", "final"):
-            return slots[sym[1]]
-        value = args[sym[1]]
-        if not isinstance(value, np.ndarray):
+        index = slots[sym[1]] if sym[0] in ("slot", "final") else sym[1]
+        if index not in buffers:
             raise CodegenError("a traced buffer argument is not an array")
-        return value
+        return buffers[index]
 
     def segment(steps: list, slots: list) -> list:
         """The steps of one trace segment over the (parity) buffers ``slots``."""
         planned: list = []
         # In-flight swaps: (ordinal, elements the walker counts landing,
-        # PendingHalo), in posting order.
+        # (buffer, message plan)), in posting order.
         inflight: list[tuple] = []
 
         def land(count: int, overlapped: bool = False) -> None:
@@ -874,29 +875,29 @@ def plan_megakernel(trace: MegakernelTrace, args, rank: int = 0, size: int = 1,
         for step in steps:
             if step[0] == "swap":
                 _, op, src, ordinal = step
-                array = array_for(src, slots)
+                buffer, shape, dtype = buffer_for(src, slots)
                 # Receives match by (source, tag) in posting order, and swaps
                 # reuse direction tags: land the prefix of halos up to the
-                # last one sharing this buffer, before re-posting it.
+                # last one on this buffer, before re-posting it.
                 land(1 + max(
                     (index for index, (*_, halo) in enumerate(inflight)
-                     if halo.array is array or np.shares_memory(halo.array, array)),
+                     if halo[0] == buffer),
                     default=-1,
                 ))
                 if size == 1:
                     continue
                 plan = swap_plan(op)
-                planned.append(Post(ordinal, src, plan, array.shape, array.dtype.str))
+                planned.append(Post(ordinal, src, plan, shape, dtype))
                 # A lowered group's walker counts messages, not halo elements.
                 elements = plan.elements if isinstance(op, dmp.SwapOp) else 0
-                inflight.append((ordinal, elements, PendingHalo(array, plan)))
+                inflight.append((ordinal, elements, (buffer, plan)))
             elif step[0] == "island":
                 land(len(inflight))
                 planned.append(Island(step[1], step[2]))
             else:
                 _, _, nest, syms = step
                 plan = plan_nest(
-                    nest, [array_for(sym, slots) for sym in syms], syms, trace.sym,
+                    nest, [buffer_for(sym, slots) for sym in syms], syms, trace.sym,
                     [halo for *_, halo in inflight], threads,
                 )
                 if plan.waits:
@@ -917,24 +918,24 @@ def plan_megakernel(trace: MegakernelTrace, args, rank: int = 0, size: int = 1,
         slots = [slots[j] for j in loop.perm]
         if segment(trace.body, slots) != body or segment(trace.post, slots) != post:
             raise CodegenError("buffer rotation changes nest geometry")
-    return KernelSchedule(trace, array_indices, pre, body, post)
+    return KernelSchedule(trace, tuple(buffers), pre, body, post)
 
 
 # ---------------------------------------------------------------------------
 # emission: plan, then print
 # ---------------------------------------------------------------------------
 
-def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
+def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
                     size: int = 1, label: Optional[str] = None,
                     traced: bool = False, threads: int = 1) -> CompiledMegakernel:
     """Emit (and compile) the megakernel of ``trace`` for one rank.
 
     Plans it (:func:`plan_megakernel`) and prints the schedule
-    (:func:`print_python`).  ``sample_args`` fixes the buffer layout the
-    generated code is specialized to: callers key their cache on
-    :func:`megakernel_signature`.  Raises :class:`CodegenError` with a
-    fallback reason when the concrete geometry cannot be emitted (aliased
-    fields, rotation-dependent geometry, un-sliceable regions...).
+    (:func:`print_python`).  ``layout`` is :func:`megakernel_signature` of
+    the arguments, the buffer layout the generated code is specialized to
+    and the key callers cache it by.  Raises :class:`CodegenError` with a
+    fallback reason when that geometry cannot be emitted (aliased regions,
+    rotation-dependent geometry, un-sliceable regions...).
 
     With ``traced=True`` the generated function takes a ``_tracer`` argument
     and brackets each timestep, nest, and halo post/wait with span
@@ -943,7 +944,7 @@ def emit_megakernel(trace: MegakernelTrace, sample_args, *, rank: int = 0,
     the observability layer.  ``threads`` is the team size boxes are split
     for (one chunk per thread, where big enough).
     """
-    schedule = plan_megakernel(trace, sample_args, rank, size, threads)
+    schedule = plan_megakernel(trace, layout, rank, size, threads)
     label = label or f"{trace.function_name}@r{rank}of{size}"
     source, ctx = print_python(schedule, label, traced)
     if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):

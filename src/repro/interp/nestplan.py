@@ -1,8 +1,10 @@
 """Box planning and NumPy printing of compiled nests.
 
 :mod:`repro.interp.vectorize` compiles a loop nest into instructions; this
-module decides, against the concrete buffers of one megakernel emission,
-*where* those instructions run and *how* they are spelled.  A **box** is one
+module decides, against the buffer layout of one megakernel emission,
+*where* those instructions run and *how* they are spelled.  The layout is all
+it reads of the buffers: an access names its buffer by argument index, with
+that buffer's shape and dtype, and never holds the array.  A **box** is one
 rectangular piece of a nest's iteration space that becomes one straight-line
 group of statements: the whole nest, an overlap interior, a boundary strip or
 a thread-team chunk.
@@ -10,7 +12,10 @@ a thread-team chunk.
 * :func:`plan_nest` settles a nest once per buffer layout: its concrete
   bounds, the aliasing verdict, the split into an interior that runs while
   halos are in flight and the boundary strips after them, and the team
-  chunks.
+  chunks.  Regions are compared by buffer index and per-axis index ranges:
+  distinct field arguments never share memory in a run (the megakernel's
+  run guard sends a run whose fields do to the tree walker), and two regions
+  of one buffer overlap exactly when their index ranges meet on every axis.
 * :func:`plan_box` plans one of those boxes as a :class:`BoxPlan`: its
   geometry (one :class:`Access` record per load and store, in instruction
   order), one :class:`Value` record per instruction (operands, dtype, shape
@@ -189,53 +194,72 @@ def _trips(dims) -> tuple:
 class Access:
     """One load or store of a box: its buffer and the region it touches.
 
+    ``buffer`` is the argument index of the accessed buffer and ``ranges``
+    the indices ``slices`` select along each of its axes (``slice.indices``
+    of its extents, so their lengths are the shape NumPy gives the region).
     ``view_shape`` has the nest's rank with the trip count at every mapped
     dimension and 1 elsewhere (loads broadcast into the iteration space);
-    ``region_shape`` has the buffer's rank and is the shape of
-    ``array[slices]`` (stores are shaped to it).  Two accesses are equal when
-    a box plan reads the same of them: the array itself is not compared,
-    its region and ``dtype`` are.
+    ``region_shape`` has the buffer's rank and is the shape stores are
+    shaped to.  Two accesses are equal when a box plan reads the same of
+    them: which buffer it is is not compared, its region and ``dtype`` are.
     """
 
     position: int
     is_store: bool
     sym: tuple
-    array: np.ndarray = field(compare=False)
+    buffer: int = field(compare=False)
     dtype: np.dtype
     slices: tuple
     view_shape: tuple
     region_shape: tuple
+    ranges: tuple = field(compare=False)
 
     def same_region(self, other: "Access") -> bool:
-        return self.array is other.array and self.slices == other.slices
+        return self.buffer == other.buffer and self.slices == other.slices
 
-    def view(self) -> np.ndarray:
-        return self.array[self.slices]
+    def overlaps(self, other: "Access") -> bool:
+        """Whether the two regions share a cell: one buffer, and on every
+        axis their index ranges meet."""
+        return self.buffer == other.buffer and all(map(_meet, self.ranges, other.ranges))
 
 
-def _resolve(nest: CompiledNest, dims, arrays, syms, symbols) -> list[Access]:
+def _meet(a: range, b: range) -> bool:
+    """Whether two index ranges of positive step share an index.
+
+    Past the later start, ``a``'s indices repeat their residues modulo
+    ``b.step`` every ``b.step // gcd`` of them, so those decide.
+    """
+    later = a[-(-(max(a.start, b.start) - a.start) // a.step):]
+    return any(index in b for index in later[:b.step // math.gcd(a.step, b.step)])
+
+
+def _resolve(nest: CompiledNest, dims, buffers, syms, symbols) -> list[Access]:
     """The :class:`Access` of every load and store of ``nest`` over ``dims``.
 
-    ``arrays`` and ``syms`` are the accessed buffers and their trace symbols,
-    one per load/store in instruction order.  Raises :class:`CodegenError`
-    when a region cannot be reproduced exactly by slicing.
+    ``buffers`` are the accessed buffers' ``(argument index, shape, dtype)``
+    layout entries and ``syms`` their trace symbols, one per load/store in
+    instruction order.  Raises :class:`CodegenError` when a region cannot be
+    reproduced exactly by slicing.
     """
     trips = _trips(dims)
     accesses = []
-    for (position, is_store), array, sym in zip(nest.accesses, arrays, syms):
+    for (position, is_store), (buffer, shape, dtype), sym in zip(
+            nest.accesses, buffers, syms):
         axes = nest.instrs[position][3]
-        if len(axes) != array.ndim:
+        if len(axes) != len(shape):
             raise _rejected("access rank does not match the memref rank")
         slices = []
+        ranges = []
         view_shape = [1] * len(dims)
-        region_shape = [1] * array.ndim
+        region_shape = [1] * len(shape)
         used_dims: list[int] = []
         for axis, affine in enumerate(axes):
             offset = _evaluate(affine, symbols)
             if not affine.coeffs:
-                if not 0 <= offset < array.shape[axis]:
+                if not 0 <= offset < shape[axis]:
                     raise _rejected("constant index outside the memref extent")
                 slices.append(slice(offset, offset + 1))
+                ranges.append(range(offset, offset + 1))
                 continue
             mapping = list(affine.coeffs.items())
             if len(mapping) != 1 or mapping[0][1] != 1:
@@ -249,13 +273,18 @@ def _resolve(nest: CompiledNest, dims, arrays, syms, symbols) -> list[Access]:
             lower, upper, step = dims[dim]
             start = lower + offset
             last = start + (trips[dim] - 1) * step
-            if trips[dim] and (start < 0 or last >= array.shape[axis]):
+            if trips[dim] and (start < 0 or last >= shape[axis]):
                 # Out-of-range accesses would wrap (negative) or raise in the
                 # tree walker; preserve those semantics by falling back.
                 raise _rejected(
                     "out-of-range access would wrap or raise in the tree walker"
                 )
             slices.append(slice(start, upper + offset, step))
+            ranges.append(range(*slices[-1].indices(shape[axis])))
+            if len(ranges[-1]) != trips[dim]:
+                # Only an empty loop gets here: a negative stop wraps its
+                # slice round to cells the tree walker never touches.
+                raise _rejected("an empty loop's slice would wrap to a non-empty region")
             view_shape[dim] = trips[dim]
             region_shape[axis] = trips[dim]
         if is_store and len(used_dims) != len(dims):
@@ -263,11 +292,9 @@ def _resolve(nest: CompiledNest, dims, arrays, syms, symbols) -> list[Access]:
                 "store does not cover every nest dimension "
                 "(iterations would collapse onto the same cells)"
             )
-        if is_store and array[tuple(slices)].shape != tuple(region_shape):
-            raise _rejected("store value does not match the target region shape")
-        accesses.append(Access(position, is_store, sym, array, array.dtype,
+        accesses.append(Access(position, is_store, sym, buffer, np.dtype(dtype),
                                tuple(slices), tuple(view_shape),
-                               tuple(region_shape)))
+                               tuple(region_shape), tuple(ranges)))
     return accesses
 
 
@@ -280,7 +307,6 @@ def _aliasing_is_safe(accesses: list[Access]) -> bool:
     """
     stores = [access for access in accesses if access.is_store]
     for store in stores:
-        store_view = None
         for other in accesses:
             if other.is_store and other.position >= store.position:
                 continue
@@ -288,9 +314,7 @@ def _aliasing_is_safe(accesses: list[Access]) -> bool:
                 # A load reads its own cell before writing it; a store
                 # re-writes it identically: program order is preserved.
                 continue
-            if store_view is None:
-                store_view = store.view()
-            if np.shares_memory(other.view(), store_view):
+            if other.overlaps(store):
                 return False
     return True
 
@@ -298,30 +322,26 @@ def _aliasing_is_safe(accesses: list[Access]) -> bool:
 def _split_overlap(nest: CompiledNest, dims, accesses: list[Access], halos):
     """Partition ``dims`` into an interior box and boundary strips.
 
-    The interior contains exactly the iterations whose loads provably avoid
-    every in-flight halo region, so it can execute before the receives
-    complete.  Returns ``(interior dims, [strip dims, ...])`` — no strips
-    when the nest reads no pending halo, so those halos stay in flight for a
-    later consumer — or None when the split cannot be proven safe (the halos
-    must land first).
+    ``halos`` are the in-flight swaps as ``(argument index of the swapped
+    buffer, SwapMessagePlan)`` pairs.  The interior contains exactly the
+    iterations whose loads provably avoid every in-flight halo region, so it
+    can execute before the receives complete.  Returns ``(interior dims,
+    [strip dims, ...])`` — no strips when the nest reads no pending halo, so
+    those halos stay in flight for a later consumer — or None when the split
+    cannot be proven safe (the halos must land first).
     """
     if nest.has_reduce or any(step != 1 for _, _, step in dims):
         return None
     forbidden: dict[int, list[tuple[int, int]]] = {}
-    for halo in halos:
-        halo_array = halo.array
+    for buffer, message_plan in halos:
         for access in accesses:
+            if access.buffer != buffer:
+                continue
             if access.is_store:
-                if np.shares_memory(access.array, halo_array):
-                    # Stores into the swapped buffer: completion would race
-                    # with (or be clobbered by) the interior commit.
-                    return None
-                continue
-            if access.array is not halo_array:
-                if np.shares_memory(access.array, halo_array):
-                    return None  # an aliased view we cannot reason about
-                continue
-            for recv_slice, _, _, _, axis in halo.plan.receives:
+                # Stores into the swapped buffer: completion would race with
+                # (or be clobbered by) the interior commit.
+                return None
+            for recv_slice, _, _, _, axis in message_plan.receives:
                 box = recv_slice[axis]
                 start = access.slices[axis].start
                 affine = nest.instrs[access.position][3][axis]
@@ -382,20 +402,21 @@ def _team_chunks(dims, threads: int) -> list:
 
 @dataclass(slots=True)
 class NestPlan:
-    """One nest settled against concrete buffers: the boxes it runs as.
+    """One nest settled against a buffer layout: the boxes it runs as.
 
     ``boxes`` run first — the whole nest or its overlap interior, as one box
     or one per team chunk — and ``strips``, the boundary of an overlapped
     nest, after its halos land; each is the ``dims`` of a box, which
     :func:`plan_box` plans.  ``waits`` says the in-flight halos must land
-    before the nest runs at all.  ``accesses`` are the whole nest's.  Two
-    plans are equal when they plan the same boxes of the same nest over the
-    same accesses, whichever arrays those are: a box's regions follow from
-    its dims and the nest's.
+    before the nest runs at all.  ``accesses`` are the whole nest's, and
+    ``buffers`` the layout entries they were resolved against.  Two plans
+    are equal when they plan the same boxes of the same nest over the same
+    accesses, whichever buffers those are: a box's regions follow from its
+    dims and the nest's.
     """
 
     nest: CompiledNest
-    arrays: list = field(compare=False)
+    buffers: list = field(compare=False)
     syms: list
     symbols: dict = field(compare=False)
     dims: list
@@ -406,21 +427,22 @@ class NestPlan:
     strips: list
 
 
-def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
+def plan_nest(nest: CompiledNest, buffers: list, syms: list, symbols: dict,
               halos: list, threads: int) -> NestPlan:
-    """Settle ``nest`` over the concrete buffers ``arrays``: its boxes.
+    """Settle ``nest`` over the buffers ``buffers`` lays out: its boxes.
 
-    ``syms`` are the trace symbols of those buffers (one per load/store in
-    instruction order), ``symbols`` the trace's symbol of every value,
-    ``halos`` the in-flight :class:`~repro.interp.interpreter.PendingHalo`
-    records and ``threads`` the team size boxes are chunked for.  Raises
+    ``buffers`` are the ``(argument index, shape, dtype)`` layout entries of
+    the accessed buffers and ``syms`` their trace symbols (one per
+    load/store in instruction order), ``symbols`` the trace's symbol of
+    every value, ``halos`` the in-flight swaps as ``(buffer, message plan)``
+    pairs and ``threads`` the team size boxes are chunked for.  Raises
     :class:`CodegenError` when the nest cannot be emitted by slicing.
     """
     dims = _concrete_dims(nest.bounds, symbols)
     cells = math.prod(
         _trips(_concrete_dims(nest.count_bounds, symbols))
     ) if nest.count_bounds else 0
-    accesses = _resolve(nest, dims, arrays, syms, symbols)
+    accesses = _resolve(nest, dims, buffers, syms, symbols)
     if not _aliasing_is_safe(accesses):
         raise _rejected(
             "aliasing stores: load/store regions overlap between "
@@ -429,7 +451,7 @@ def plan_nest(nest: CompiledNest, arrays: list, syms: list, symbols: dict,
     split = _split_overlap(nest, dims, accesses, halos) if halos else None
     interior, strips = split or (dims, [])
     return NestPlan(
-        nest, arrays, syms, symbols, dims, accesses, cells,
+        nest, buffers, syms, symbols, dims, accesses, cells,
         bool(halos) and split is None,
         _team_chunks(interior, 1 if nest.has_reduce else threads), strips,
     )
@@ -535,7 +557,7 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
     plan = BoxPlan()
     plan.dims = [tuple(dim) for dim in dims]
     plan.accesses = nest_plan.accesses if plan.dims == nest_plan.dims else _resolve(
-        nest, plan.dims, nest_plan.arrays, nest_plan.syms, symbols)
+        nest, plan.dims, nest_plan.buffers, nest_plan.syms, symbols)
     plan.shape = shape = _trips(plan.dims)
     plan.block = block = shape if nest.has_reduce else _block_extents(shape)
     plan.looped = [dim for dim in range(len(shape)) if block[dim] != shape[dim]]
@@ -705,7 +727,7 @@ def _slice_source(slices) -> str:
 def _region_source(access: Access, shape: tuple) -> str:
     """The buffer region of ``access``, as an array of ``shape``."""
     source = f"{local_name(access.sym)}[{_slice_source(access.slices)}]"
-    if access.view().shape != shape:
+    if tuple(map(len, access.ranges)) != shape:
         source += f".reshape({shape!r})"
     return source
 

@@ -11,8 +11,8 @@ A nest compiles to a :class:`CompiledNest`: its bounds, the bounds the
 tree walker counts ``cells_updated`` over, and a short instruction list
 (load, store, binary, unary, select, reduce) whose operands are affine index
 expressions, literals, values computed earlier in the nest or scalars from
-outside it.  That is all this module does.  Where a nest runs against
-concrete buffers and how its instructions are spelled as NumPy statements is
+outside it.  That is all this module does.  Where a nest runs against a
+buffer layout and how its instructions are spelled as NumPy statements is
 decided by :mod:`repro.interp.nestplan`, for the megakernel emitter
 (:mod:`repro.interp.codegen`).
 
@@ -173,7 +173,7 @@ class CompiledNest:
     """One vectorizable loop nest: its bounds and instructions.
 
     ``bounds`` are ``(lower, upper, step)`` affine expressions per dimension,
-    invariant in the nest.  Where the nest runs against concrete buffers is
+    invariant in the nest.  Where the nest runs against a buffer layout is
     settled by :func:`repro.interp.nestplan.plan_nest`.
     """
 

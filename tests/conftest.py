@@ -123,9 +123,10 @@ def run_compiled(module, function: str, *args, threads: int = 1):
     """Run ``function`` of a lowered ``module`` the way a rank does.
 
     The megakernel traced against the module's vectorized nests runs when it
-    can be traced and emitted, else the tree walker.  Returns ``(statistics,
-    reason)``: reason is None when the megakernel ran and fused every nest
-    the vectorizer compiled, else why it did not.
+    can be traced and emitted and the arguments do not alias, else the tree
+    walker.  Returns ``(statistics, reason)``: reason is None when the
+    megakernel ran and fused every nest the vectorizer compiled, else why it
+    did not.
     """
     from repro.interp import (
         CodegenError,
@@ -133,6 +134,7 @@ def run_compiled(module, function: str, *args, threads: int = 1):
         Interpreter,
         compile_kernel,
         emit_megakernel,
+        megakernel_signature,
         trace_program,
     )
     from repro.interp.thread_team import get_thread_team
@@ -143,13 +145,17 @@ def run_compiled(module, function: str, *args, threads: int = 1):
     )
     try:
         trace = trace_program(func_op, compile_kernel(module, function))
-        kernel = emit_megakernel(trace, args, threads=threads)
+        kernel = emit_megakernel(trace, megakernel_signature(args), threads=threads)
     except CodegenError as err:
+        reason = str(err)
+    else:
+        stats = ExecStatistics()
+        ran = kernel.run(list(args), stats, team=get_thread_team(threads))
+        reason = None if ran else "field arguments alias each other"
+    if reason is not None:
         walker = Interpreter(module)
         walker.call(function, *args)
-        return walker.stats, str(err)
-    stats = ExecStatistics()
-    assert kernel.run(list(args), stats, team=get_thread_team(threads))
+        return walker.stats, reason
     if trace.walked_nests:
         return stats, f"{trace.walked_nests} compiled nest(s) walked in islands"
     return stats, None

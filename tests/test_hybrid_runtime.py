@@ -280,7 +280,7 @@ def test_teams_survive_fork_into_workers():
 def test_plan_overlap_defers_unrelated_nest():
     """A nest not touching the swapped array leaves its halos in flight."""
     from repro.dialects import arith, builtin, func, memref, scf
-    from repro.interp.interpreter import PendingHalo, SwapMessagePlan
+    from repro.interp.interpreter import SwapMessagePlan
     from repro.interp.nestplan import _concrete_dims, _resolve, _split_overlap
     from repro.interp.vectorize import compile_kernel
     from repro.ir import Builder, FunctionType, MemRefType, f64
@@ -304,26 +304,22 @@ def test_plan_overlap_defers_unrelated_nest():
 
     compiled = compile_kernel(module, "kernel")
     nest = next(iter(compiled.nests.values()))
-    u_array = np.arange(64, dtype=np.float64).reshape(8, 8)
-    v_array = np.zeros((8, 8))
     dims = _concrete_dims(nest.bounds, {})
-    resolved = _resolve(nest, dims, [u_array, v_array], [("arg", 0), ("arg", 1)], {})
+    # u and v are arguments 0 and 1, in the layout megakernel_signature gives.
+    buffers = [(0, (8, 8), "<f8"), (1, (8, 8), "<f8")]
+    resolved = _resolve(nest, dims, buffers, [("arg", 0), ("arg", 1)], {})
 
     box = (slice(0, 1), slice(0, 8))
     # One receive record: (recv_slice, neighbor, tag, elements, axis).
     swap = SwapMessagePlan([], [(box, None, None, 8, 0)])
-    unrelated = np.zeros((8, 8))
-    halo_unrelated = PendingHalo(unrelated, swap)
     # No strips: the whole nest is the interior, the halo stays in flight.
-    assert _split_overlap(nest, dims, resolved, [halo_unrelated]) == (dims, [])
+    assert _split_overlap(nest, dims, resolved, [(2, swap)]) == (dims, [])
 
-    # The same box on the *loaded* array constrains the interior instead.
-    halo_related = PendingHalo(u_array, swap)
-    plan = _split_overlap(nest, dims, resolved, [halo_related])
+    # The same box on the *loaded* buffer constrains the interior instead.
+    plan = _split_overlap(nest, dims, resolved, [(0, swap)])
     assert plan is not None and plan[1]
     interior, strips = plan
     assert interior[0] == (1, 8, 1) and len(strips) == 1
 
-    # And a box on the *stored* array is unprovable: blocking fallback.
-    halo_store = PendingHalo(v_array, swap)
-    assert _split_overlap(nest, dims, resolved, [halo_store]) is None
+    # And a box on the *stored* buffer is unprovable: blocking fallback.
+    assert _split_overlap(nest, dims, resolved, [(1, swap)]) is None

@@ -231,20 +231,21 @@ def _declared_name(cls: ast.ClassDef):
     return None
 
 
-def dialect_names() -> dict[str, str]:
-    """``{op name: dotted path of its class}`` of every ``Operation`` subclass."""
-    operations: dict[str, str] = {}
+def dialect_names(root: str = "Operation") -> dict[str, str]:
+    """``{name: dotted path of its class}`` of every named subclass of
+    ``root`` (``Operation`` or ``TypeAttribute``) the dialects define."""
+    found: dict[str, str] = {}
     for path in DIALECTS.glob("*.py"):
         classes = [n for n in _tree(path).body if isinstance(n, ast.ClassDef)]
         bases = {c.name: [b.id for b in c.bases if isinstance(b, ast.Name)] for c in classes}
 
-        def is_operation(name: str) -> bool:
-            return name == "Operation" or any(map(is_operation, bases.get(name, ())))
+        def derives(name: str) -> bool:
+            return name == root or any(map(derives, bases.get(name, ())))
 
         for cls in classes:
-            if is_operation(cls.name) and _declared_name(cls) is not None:
-                operations[_declared_name(cls)] = f"{_module_name(path)}.{cls.name}"
-    return operations
+            if derives(cls.name) and _declared_name(cls) is not None:
+                found[_declared_name(cls)] = f"{_module_name(path)}.{cls.name}"
+    return found
 
 
 def unbuilt_operations() -> list[str]:
@@ -296,6 +297,34 @@ def test_every_operation_is_built_by_the_program():
 
 def test_every_operation_name_in_the_source_exists():
     assert dangling_operation_names() == []
+
+
+# -- types ----------------------------------------------------------------------
+# A dialect type is a class something constructs.  An op building its own
+# result type counts, in the dialect file too; a test for the type
+# (``isinstance``) or an annotation does not.  A type nothing constructs is the
+# type of no value.
+
+def constructed_classes() -> set[str]:
+    """The dotted path of every class some call of ``src/repro`` names."""
+    called: set[str] = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        own = _module_name(path)
+        _, bound = _bindings(path, own, path.name == "__init__.py")
+        for node in ast.walk(_tree(path)):
+            callee = node.func if isinstance(node, ast.Call) else None
+            if isinstance(callee, ast.Name):
+                called.add(bound.get(callee.id, f"{own}.{callee.id}"))
+            elif (isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name)
+                    and callee.value.id in bound):
+                called.add(f"{bound[callee.value.id]}.{callee.attr}")
+    return called
+
+
+def test_every_dialect_type_is_constructed_by_the_program():
+    called = constructed_classes()
+    assert sorted(name for name, cls in dialect_names("TypeAttribute").items()
+                  if cls not in called) == []
 
 
 # -- the op table -------------------------------------------------------------
@@ -415,3 +444,52 @@ def test_the_megakernel_planner_takes_no_traced_flag():
     names = [arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
                                  *arguments.kwonlyargs)]
     assert "traced" not in names
+
+
+# -- the megakernel planner reads the layout, never the buffers ---------------
+# ``plan_megakernel`` and ``emit_megakernel`` take the buffer layout
+# (``megakernel_signature`` of the arguments, the key kernels are cached by),
+# not the arguments, and nothing that plans compares memory: regions are
+# compared by buffer index and index ranges.  Then a schedule depends on
+# nothing its cache key does not state.
+
+NESTPLAN = SRC / "repro" / "interp" / "nestplan.py"
+
+#: Calls that read an array's memory or cut a region out of one.
+_ARRAY_CALLS = {"shares_memory", "view"}
+
+
+def _top_level(path: Path, kind: type, name: str):
+    return next(node for node in _tree(path).body
+                if isinstance(node, kind) and node.name == name)
+
+
+def array_reads_in_the_planner() -> list[str]:
+    """Where ``plan_megakernel`` or ``nestplan.py`` touches an array: a call
+    of ``shares_memory``/``view``, a mention of ``ndarray``, or an
+    ``Access`` that holds its array (or a ``view`` of it) to read."""
+    found = []
+    planner = _top_level(CODEGEN, ast.FunctionDef, "plan_megakernel")
+    for where, tree in (("plan_megakernel", planner), ("nestplan", _tree(NESTPLAN))):
+        for node in ast.walk(tree):
+            callee = node.func if isinstance(node, ast.Call) else None
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            if name in _ARRAY_CALLS or getattr(node, "attr", None) == "ndarray" \
+                    or getattr(node, "id", None) == "ndarray":
+                found.append(f"{where} line {node.lineno}: {name or 'ndarray'}")
+    access = _top_level(NESTPLAN, ast.ClassDef, "Access")
+    for member in access.body:
+        name = getattr(member, "name", None) or getattr(getattr(member, "target", None), "id", None)
+        if name in ("array", "view"):
+            found.append(f"Access.{name}")
+    return found
+
+
+def test_the_megakernel_planner_reads_no_array():
+    assert array_reads_in_the_planner() == []
+
+
+def test_the_megakernel_is_planned_and_emitted_from_its_layout():
+    for name in ("plan_megakernel", "emit_megakernel"):
+        arguments = _top_level(CODEGEN, ast.FunctionDef, name).args
+        assert [arg.arg for arg in arguments.args[:2]] == ["trace", "layout"], name

@@ -31,6 +31,7 @@ from repro.core import (
     gpu_target,
 )
 from repro.dialects import arith, builtin, func, memref, scf
+from repro.dialects.dmp import declared_exchanges
 from repro.core.rank import codegen_wanted
 from repro.interp import (
     CodegenError,
@@ -40,9 +41,12 @@ from repro.interp import (
     MegakernelTrace,
     compile_kernel,
     emit_megakernel,
+    megakernel_signature,
     trace_program,
 )
 from repro.interp.codegen import Complete, Island, Nest, Post, plan_megakernel
+from repro.interp.interpreter import swap_message_plan
+from repro.interp.values import numpy_dtype_for
 from repro.ir import Builder, FunctionType, MemRefType, f64, index
 from repro.runtime import processes_available
 from repro.transforms.distribute import ConvertDMPToMPIPass
@@ -351,15 +355,17 @@ def test_wave_kernel_allocates_no_field_sized_temporary():
     assert sum("out=_r" in line for line in arithmetic) == 1  # the store itself
 
 
-def _trace_with_sample_args(program):
-    """The trace of ``kernel`` and arguments to emit it from: local buffers
-    as a rank sees them (zero pages: nothing is touched), then one step."""
+def _trace_and_layout(program):
+    """The trace of ``kernel`` and the buffer layout a rank emits it for:
+    its local buffers' shapes and dtypes (nothing is allocated), then one
+    step, as :func:`megakernel_signature` spells it."""
     func_op = program.functions["kernel"]
-    args = [
-        np.zeros(arg.shape) if hasattr(arg, "shape") else 1
-        for arg in func_op.function_type.inputs
-    ]
-    return trace_program(func_op, program.compiled_kernel("kernel")), args
+    inputs = func_op.function_type.inputs
+    layout = (len(inputs), tuple(
+        (index, arg.shape, numpy_dtype_for(arg.element_type).str)
+        for index, arg in enumerate(inputs) if hasattr(arg, "shape")
+    ))
+    return trace_program(func_op, program.compiled_kernel("kernel")), layout
 
 
 def test_block_budget_patches_take_effect(monkeypatch):
@@ -367,17 +373,17 @@ def test_block_budget_patches_take_effect(monkeypatch):
     is what forces block loops and team chunks onto small grids."""
     from repro.interp import nestplan
 
-    trace, args = _trace_with_sample_args(_compile_heat((1, 1)))
-    assert "for _i" not in emit_megakernel(trace, args).source
-    assert not emit_megakernel(trace, args, threads=2).uses_team
+    trace, layout = _trace_and_layout(_compile_heat((1, 1)))
+    assert "for _i" not in emit_megakernel(trace, layout).source
+    assert not emit_megakernel(trace, layout, threads=2).uses_team
     monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 8)
-    assert "for _i" in emit_megakernel(trace, args).source
+    assert "for _i" in emit_megakernel(trace, layout).source
     monkeypatch.setattr(nestplan, "_TEAM_MIN_CELLS", 1)
-    assert emit_megakernel(trace, args, threads=2).uses_team
+    assert emit_megakernel(trace, layout, threads=2).uses_team
 
 
-#: sha256 prefixes of ``CompiledMegakernel.source``, emitted from zero-filled
-#: sample arguments without running: ``<fixture>/r<rank>[/traced]``.  The
+#: sha256 prefixes of ``CompiledMegakernel.source``, emitted from each rank's
+#: buffer layout without running: ``<fixture>/r<rank>[/traced]``.  The
 #: fixtures are the ledger's kernels (heat2d so2 64^2 on one and two ranks,
 #: wave3d so4 128^3 blocked, wave3d so8 (16, 256, 256) on two ranks in both
 #: halo spellings) and one kernel whose boxes split into team chunks.  A
@@ -425,11 +431,11 @@ _PINNED_KERNELS = {
 @pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
 def test_generated_megakernel_sources_are_pinned(fixture):
     *_, size, threads = _PINNED_KERNELS[fixture]
-    trace, args = _trace_with_sample_args(_pinned_program(fixture))
+    trace, layout = _trace_and_layout(_pinned_program(fixture))
     for rank in range(size):
         for traced in (False, True):
             kernel = emit_megakernel(
-                trace, args, rank=rank, size=size, traced=traced, threads=threads)
+                trace, layout, rank=rank, size=size, traced=traced, threads=threads)
             assert kernel.uses_team == (threads > 1)
             key = f"{fixture}/r{rank}{'/traced' if traced else ''}"
             digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
@@ -504,9 +510,9 @@ def test_every_pinned_schedule_tiles_its_nests_and_lands_its_halos(fixture):
     strips tile its iteration space exactly once, and every halo lands
     exactly once, in posting order, before anything that reads it."""
     *_, size, threads = _PINNED_KERNELS[fixture]
-    trace, args = _trace_with_sample_args(_pinned_program(fixture))
+    trace, layout = _trace_and_layout(_pinned_program(fixture))
     for rank in range(size):
-        schedule = plan_megakernel(trace, args, rank, size, threads)
+        schedule = plan_megakernel(trace, layout, rank, size, threads)
         segments = (schedule.pre, schedule.body, schedule.post)
         assert any(isinstance(step, Nest) for steps in segments for step in steps)
         assert any(isinstance(step, Post) for steps in segments for step in steps) \
@@ -516,6 +522,59 @@ def test_every_pinned_schedule_tiles_its_nests_and_lands_its_halos(fixture):
             for step in steps:
                 if isinstance(step, Nest):
                     assert _tiling_violations(step.plan) == [], rank
+
+
+def _elements(region) -> int:
+    return math.prod(piece.stop - piece.start for piece in region)
+
+
+def _unpaired_messages(op, size: int) -> list[str]:
+    """How the world's message plans of one swap fail to pair up: every send
+    needs exactly one receive on its peer with the same tag and element
+    count, and every receive exactly one such send."""
+    plans = [swap_message_plan(op, rank) for rank in range(size)]
+    found = []
+    for rank, plan in enumerate(plans):
+        for region, peer, tag in plan.sends:
+            matches = [record for record in plans[peer].receives
+                       if record[1:4] == (rank, tag, _elements(region))]
+            if len(matches) != 1:
+                found.append(f"rank {rank} -> {peer} tag {tag}: {len(matches)} receives")
+        for _, peer, tag, elements, _ in plan.receives:
+            matches = [record for record in plans[peer].sends
+                       if record[1:] == (rank, tag) and _elements(record[0]) == elements]
+            if len(matches) != 1:
+                found.append(f"rank {rank} <- {peer} tag {tag}: {len(matches)} sends")
+    return found
+
+
+def _distributed_programs():
+    """Every pinned distributed program: the three frontends of
+    tests/test_pipeline.py on both dmp targets, and the distributed
+    ``_PINNED_KERNELS``."""
+    from tests.test_pipeline import PROGRAMS, _target
+
+    for name, (build, ndim) in PROGRAMS.items():
+        for target in ("dmp", "dmp-libcall"):
+            yield pytest.param(
+                lambda build=build, target=target, ndim=ndim: compile_stencil_program(
+                    build(), _target(target, ndim)),
+                id=f"{name}/{target}")
+    for fixture, (*_, grid, _, _) in sorted(_PINNED_KERNELS.items()):
+        if grid is not None:
+            yield pytest.param(lambda fixture=fixture: _pinned_program(fixture), id=fixture)
+
+
+@pytest.mark.parametrize("compiled", list(_distributed_programs()))
+def test_every_swap_of_the_world_pairs_its_messages(compiled):
+    """The world's message plan is checked, not runs of it: for each
+    ``dmp.swap`` or lowered request array, on every rank, sends and receives
+    pair up one to one across peers."""
+    program = compiled()
+    anchors = [op for op in program.module.walk() if declared_exchanges(op) is not None]
+    assert anchors
+    for op in anchors:
+        assert _unpaired_messages(op, program.target.ranks) == [], op.name
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +612,7 @@ def test_trace_rejection_records_reason():
         assert str(fallback) == f"{plan.function}: {fallback.reason}"
         plan.run([np.zeros(4)], [3])
         assert session.metrics.get("megakernel.fallback") == 1
+        assert plan.codegen_fallback.reason == fallback.reason  # still untraceable
 
 
 def test_emit_rejection_records_reason_and_falls_back():
@@ -572,6 +632,43 @@ def test_emit_rejection_records_reason_and_falls_back():
         assert fallback.reason and "alias" in fallback.reason
         assert session.metrics.get("megakernel.engaged") == 0
         assert session.metrics.get("megakernel.fallback") == 1
+
+
+def test_an_aliased_run_leaves_its_layout_compiled():
+    """Aliasing is a property of one run, not of the layout: an aliased first
+    run goes to the tree walker with its reason, and the next clean run of
+    the same layout runs the megakernel, in this session and in a fresh one
+    on the same program, and clears the recorded reason."""
+    program = compile_stencil_program(build_jacobi_module(), cpu_target())
+    data = np.zeros(10)
+    data[1:9] = np.arange(8, dtype=float)
+    expected = [data.copy(), data.copy()]
+    with Session(codegen="planned") as session:
+        session.run(program, expected, [2])
+    shared = data.copy()
+    with Session() as session:
+        plan = session.plan(program)
+        plan.run([shared, shared], [2])
+        assert "alias" in plan.codegen_fallback.reason
+        assert session.metrics.get("megakernel.engaged") == 0
+        clean = [data.copy(), data.copy()]
+        plan.run(clean, [2])
+        assert session.metrics.get("megakernel.engaged") == 1
+        assert plan.codegen_fallback is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(clean, expected))
+    with Session() as fresh:
+        plan = fresh.plan(program)
+        plan.run([data.copy(), data.copy()], [2])
+        assert fresh.metrics.get("megakernel.engaged") == 1
+        assert fresh.metrics.get("megakernel.fallback") == 0
+        assert plan.codegen_fallback is None
+        # A later aliased run bounces alone; the clean run after it clears
+        # the reason it recorded.
+        plan.run([shared, shared], [2])
+        assert "alias" in plan.codegen_fallback.reason
+        plan.run([data.copy(), data.copy()], [2])
+        assert fresh.metrics.get("megakernel.engaged") == 2
+        assert plan.codegen_fallback is None
 
 
 def _nest_module(memrefs, extents, body, step=1):
@@ -609,6 +706,23 @@ def _shifted(builder, ivs):
 def _doubled(builder, ivs):
     two = builder.insert(arith.ConstantOp.from_int(2)).result
     return [builder.insert(arith.MuliOp(ivs[0], two)).result]
+
+
+def _plus(offset):
+    """An index function: ``i + offset``."""
+    def index_of(builder, ivs):
+        constant = builder.insert(arith.ConstantOp.from_int(offset)).result
+        return [builder.insert(arith.AddiOp(ivs[0], constant)).result]
+    return index_of
+
+
+def _offset_copy(load_offset, store_offset):
+    """A body storing ``u[i + load_offset]`` into ``v[i + store_offset]``."""
+    def body(builder, ivs, buffers):
+        u, v = buffers
+        value = builder.insert(memref.LoadOp(u, _plus(load_offset)(builder, ivs))).result
+        builder.insert(memref.StoreOp(value, v, _plus(store_offset)(builder, ivs)))
+    return body
 
 
 def _store_rows(builder, ivs, buffers):
@@ -657,6 +771,13 @@ _EMIT_REJECTIONS = {
         lambda: _nest_module([[4, 4], [4]], [4, 4], _store_rows),
         lambda: [_counted((4, 4)), np.zeros(4)],
         "store does not cover every nest dimension",
+    ),
+    # v[i + 2] = u[i + 1] over range(0, -2): the walker does nothing, but
+    # u[1:-1] is six cells (v[2:0] is none).
+    "empty-loop-wraps": (
+        lambda: _nest_module([[8], [8]], [-2], _offset_copy(1, 2)),
+        lambda: [_counted((8,)), np.zeros(8)],
+        "an empty loop's slice would wrap to a non-empty region",
     ),
     # A memref<8xf64> given an (8, 2) array: the walker stores whole rows.
     "rank-mismatch": (
@@ -986,7 +1107,7 @@ def test_team_chunks_never_split_a_reduction(monkeypatch):
     func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
     kernel = emit_megakernel(
         trace_program(func_op, compile_kernel(module, "kernel")),
-        [data, np.zeros(1)], threads=2,
+        megakernel_signature([data, np.zeros(1)]), threads=2,
     )
     assert not kernel.uses_team and "_fold(" in kernel.source
     fused = [data.copy(), np.zeros(1)]

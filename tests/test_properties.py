@@ -24,6 +24,7 @@ from repro.interp import (
     Interpreter,
     compile_kernel,
     emit_megakernel,
+    megakernel_signature,
     nestplan,
     trace_program,
 )
@@ -735,7 +736,8 @@ class TestNestEmitterDifferential:
         for threads in (1, 2):
             for _ in _compiled_worlds():
                 with pytest.raises(CodegenError, match=reason):
-                    emit_megakernel(trace, args, threads=threads)
+                    emit_megakernel(trace, megakernel_signature(args),
+                                    threads=threads)
                 assert before == [a.tobytes() for a in args]
 
 
