@@ -29,7 +29,10 @@ class Target:
     """A fully specified compilation target."""
 
     kind: str = TargetKind.CPU_SEQUENTIAL
-    #: OpenMP threads per rank (smp / dmp targets).
+    #: The ``num_threads`` the ``openmp`` stage writes on each
+    #: ``omp.parallel`` (smp / dmp targets).  Only the IR records it: no
+    #: runtime reads it.  The team that runs a rank's nests is
+    #: ``ExecutionConfig.threads_per_rank``.
     threads: Optional[int] = None
     #: Cartesian MPI rank grid (dmp target), e.g. (2, 2).
     rank_grid: Optional[tuple[int, ...]] = None

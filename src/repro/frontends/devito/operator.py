@@ -10,11 +10,19 @@ Two back-ends are provided, mirroring the paper's comparison:
   expressions are executed directly with vectorised numpy, using exactly the
   same time-buffer rotation, so the two back-ends produce identical data and
   serve as each other's oracle in tests.
+
+The lowering builds no operation itself: like the PSyclone and OEC
+frontends, it goes through the shared stencil-program builder
+(:mod:`repro.frontends.oec.builder`).  This module keeps what is Devito's:
+the kernel's field slots, one load per (function, time offset) shared by the
+equations, the time-buffer rotation, and a walk of the ``Expr`` nodes onto
+the builder's expression methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,9 +36,10 @@ from ...core import (
     cpu_target,
     default_session,
 )
-from ...dialects import arith, builtin, func, scf, stencil
-from ...ir import Builder, FunctionType, f32, f64, index
+from ...dialects import builtin
+from ...ir import SSAValue, f32, f64
 from ...machine.kernel_model import ProgramCharacteristics, characterize_module
+from ..oec.builder import StencilExpressionBuilder, StencilKernel
 from .symbolic import Access, BinOp, Eq, Expr, Function, Scalar, Symbol, TimeFunction
 
 
@@ -90,155 +99,74 @@ class _EquationLowerer:
                     self.read_only.append(target)
 
     # -- helpers -----------------------------------------------------------------
-    @property
-    def grid(self):
-        return self.updated[0].grid
-
-    def _element_type(self):
-        return f32 if self.updated[0].dtype == np.float32 else f64
-
-    def halo(self) -> int:
-        return max(f.halo for f in self.updated + self.read_only)
-
     def field_slots(self) -> list[_FieldSlot]:
         slots: list[_FieldSlot] = []
-        argument = 0
-        for function in self.updated:
+        for function in self.updated + self.read_only:
             for buffer in range(function.buffers):
-                slots.append(_FieldSlot(function, buffer, argument))
-                argument += 1
-        for function in self.read_only:
-            slots.append(_FieldSlot(function, 0, argument))
-            argument += 1
+                slots.append(_FieldSlot(function, buffer, len(slots)))
         return slots
 
     def build_module(self) -> builtin.ModuleOp:
-        grid = self.grid
-        rank = grid.ndim
-        element_type = self._element_type()
-        halo = self.halo()
-        field_bounds = stencil.StencilBoundsAttr([-halo] * rank, [s + halo for s in grid.shape])
-        store_bounds = stencil.StencilBoundsAttr([0] * rank, list(grid.shape))
-        field_type = stencil.FieldType(field_bounds, element_type)
-
         slots = self.field_slots()
-        arg_types = [field_type] * len(slots) + [index]
-        kernel = func.FuncOp(self.name, FunctionType(arg_types, []))
-        builder = Builder.at_end(kernel.body.block)
-        field_args = kernel.args[: len(slots)]
-        timesteps_arg = kernel.args[len(slots)]
+        position = {(id(s.function), s.buffer_index): s.argument_index for s in slots}
 
-        zero = builder.insert(arith.ConstantOp.from_int(0)).result
-        one = builder.insert(arith.ConstantOp.from_int(1)).result
-        loop = scf.ForOp(zero, timesteps_arg, one, iter_args=field_args)
-        builder.insert(loop)
-        builder.insert(func.ReturnOp([]))
+        def field_for(access: Access) -> int:
+            # Buffer 0 carries time t, buffer 1 carries t-1, the last buffer
+            # is the oldest and is overwritten with t+1.
+            function_id, time_offset = _read_key(access)
+            buffer = {0: 0, -1: 1, +1: access.function.buffers - 1}.get(time_offset)
+            if buffer is None:
+                raise OperatorError(f"unsupported time offset {time_offset}")
+            return position[(function_id, buffer)]
 
-        body = Builder.at_end(loop.body.block)
-        loop_fields = list(loop.body.block.args[1:])
-
-        # Map (function, time offset) -> loop-carried field value.
-        slot_positions: dict[tuple[int, int], int] = {}
-        for position, slot in enumerate(slots):
-            slot_positions[(id(slot.function), slot.buffer_index)] = position
-
-        def field_for(function: Function, time_offset: int):
-            if isinstance(function, TimeFunction):
-                # Buffer 0 carries time t, buffer 1 carries t-1, the last
-                # buffer is the oldest and is overwritten with t+1.
-                if time_offset == 0:
-                    buffer = 0
-                elif time_offset == -1:
-                    buffer = 1
-                elif time_offset == +1:
-                    buffer = function.buffers - 1
-                else:
-                    raise OperatorError(f"unsupported time offset {time_offset}")
-            else:
-                buffer = 0
-            return loop_fields[slot_positions[(id(function), buffer)]]
-
-        # One load per (function, time offset) actually read.
-        load_cache: dict[tuple[int, int], stencil.LoadOp] = {}
-
-        def load_for(function: Function, time_offset: int) -> stencil.LoadOp:
-            key = (id(function), 0 if not isinstance(function, TimeFunction) else time_offset)
-            if key not in load_cache:
-                load_cache[key] = body.insert(stencil.LoadOp(field_for(function, time_offset)))
-            return load_cache[key]
-
-        # Build one apply per equation.
-        temp_type = stencil.TempType(store_bounds, element_type)
+        # Rotate the time buffers: the freshly written (last) buffer of each
+        # TimeFunction becomes time t, every other buffer moves one back.
+        rotation = [
+            slot.argument_index + (slot.function.buffers - 1 if slot.buffer_index == 0 else -1)
+            for slot in slots
+        ]
+        first = self.updated[0]
+        kernel = StencilKernel(
+            self.name, first.grid.shape, max(f.halo for f in self.updated + self.read_only),
+            f32 if first.dtype == np.float32 else f64, len(slots), rotation,
+        )
+        # One load per (function, time offset) actually read, shared by every
+        # equation that reads it.
+        loads: dict[tuple[int, int], SSAValue] = {}
         for equation in self.equations:
-            reads = equation.rhs.accesses()
-            read_keys: list[tuple[int, int]] = []
-            for access in reads:
-                key = (
-                    id(access.function),
-                    0 if not isinstance(access.function, TimeFunction) else access.time_offset,
-                )
-                if key not in read_keys:
-                    read_keys.append(key)
-            loads = []
-            for function_id, time_offset in read_keys:
-                function = next(
-                    f for f in self.updated + self.read_only if id(f) == function_id
-                )
-                loads.append(load_for(function, time_offset))
+            operands: dict[tuple[int, int], int] = {}
+            for access in equation.rhs.accesses():
+                key = _read_key(access)
+                if key not in loads:
+                    loads[key] = kernel.load(field_for(access))
+                operands.setdefault(key, len(operands))
+            kernel.apply(
+                [loads[key] for key in operands],
+                partial(self._lower, equation.rhs, operands),
+                field_for(equation.lhs),
+            )
+        return kernel.finish()
 
-            apply_op = stencil.ApplyOp([load.result for load in loads], [temp_type])
-            body.insert(apply_op)
-            apply_builder = Builder.at_end(apply_op.body.block)
-            operand_index = {key: i for i, key in enumerate(read_keys)}
+    def _lower(self, expr: Expr, operands: dict, cell: StencilExpressionBuilder):
+        """Emit ``expr`` for one cell; ``operands`` maps a read to its apply operand."""
+        if isinstance(expr, Scalar):
+            return cell.constant(expr.value)
+        if isinstance(expr, Symbol):
+            return cell.constant(self.dt if expr.name == "dt" else expr.default)
+        if isinstance(expr, Function):
+            expr = expr._as_access()
+        if isinstance(expr, Access):
+            return cell.access(operands[_read_key(expr)], expr.space_offsets)
+        if isinstance(expr, BinOp):
+            lhs = self._lower(expr.lhs, operands, cell)
+            return cell.binary(expr.op, lhs, self._lower(expr.rhs, operands, cell))
+        raise OperatorError(f"cannot lower expression node {expr!r}")
 
-            def emit(expr: Expr):
-                if isinstance(expr, Scalar):
-                    return apply_builder.insert(
-                        arith.ConstantOp.from_float(expr.value, element_type)
-                    ).result
-                if isinstance(expr, Symbol):
-                    value = self.dt if expr.name == "dt" else expr.default
-                    return apply_builder.insert(
-                        arith.ConstantOp.from_float(float(value), element_type)
-                    ).result
-                if isinstance(expr, Access):
-                    key = (
-                        id(expr.function),
-                        0 if not isinstance(expr.function, TimeFunction) else expr.time_offset,
-                    )
-                    region_arg = apply_op.region_args[operand_index[key]]
-                    return apply_builder.insert(
-                        stencil.AccessOp(region_arg, list(expr.space_offsets))
-                    ).result
-                if isinstance(expr, Function):
-                    return emit(expr._as_access())
-                if isinstance(expr, BinOp):
-                    lhs = emit(expr.lhs)
-                    rhs = emit(expr.rhs)
-                    op_cls = {
-                        "+": arith.AddfOp, "-": arith.SubfOp,
-                        "*": arith.MulfOp, "/": arith.DivfOp,
-                    }[expr.op]
-                    return apply_builder.insert(op_cls(lhs, rhs)).result
-                raise OperatorError(f"cannot lower expression node {expr!r}")
 
-            result_value = emit(equation.rhs)
-            apply_builder.insert(stencil.ReturnOp([result_value]))
-
-            target_field = field_for(equation.lhs.function, +1)
-            body.insert(stencil.StoreOp(apply_op.results[0], target_field, store_bounds))
-
-        # Rotate the time buffers: the freshly written buffer becomes time t.
-        yielded = list(loop_fields)
-        cursor = 0
-        for function in self.updated:
-            buffers = function.buffers
-            segment = loop_fields[cursor : cursor + buffers]
-            yielded[cursor : cursor + buffers] = [segment[-1]] + segment[:-1]
-            cursor += buffers
-        body.insert(scf.YieldOp(yielded))
-
-        return builtin.ModuleOp([kernel])
+def _read_key(access: Access) -> tuple[int, int]:
+    """What one load serves: the function and, for a TimeFunction, the time offset."""
+    offset = access.time_offset if isinstance(access.function, TimeFunction) else 0
+    return id(access.function), offset
 
 
 # ---------------------------------------------------------------------------

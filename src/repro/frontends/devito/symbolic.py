@@ -114,10 +114,12 @@ class Expr:
         return BinOp("*", Scalar(-1.0), self)
 
     def accesses(self) -> list["Access"]:
-        """Every data access in the expression, in evaluation order."""
+        """Every data access in the expression, in evaluation order, then the
+        bare functions' (each read at the current point and time)."""
         found: list[Access] = []
-        _collect_accesses(self, found)
-        return found
+        bare: list[Access] = []
+        _collect_accesses(self, found, bare)
+        return found + bare
 
 
 @dataclass(frozen=True)
@@ -169,12 +171,14 @@ def as_expr(value) -> Expr:
     raise TypeError(f"cannot convert {value!r} to a symbolic expression")
 
 
-def _collect_accesses(expr: Expr, out: list) -> None:
+def _collect_accesses(expr: Expr, out: list, bare: list) -> None:
     if isinstance(expr, Access):
         out.append(expr)
+    elif isinstance(expr, Function):
+        bare.append(expr._as_access())
     elif isinstance(expr, BinOp):
-        _collect_accesses(expr.lhs, out)
-        _collect_accesses(expr.rhs, out)
+        _collect_accesses(expr.lhs, out, bare)
+        _collect_accesses(expr.rhs, out, bare)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +270,11 @@ class Function(Expr):
         for term in terms[1:]:
             result = result + term
         return result
+
+    @property
+    def buffers(self) -> int:
+        """Time buffers the function keeps: one, it does not change in time."""
+        return 1
 
     # Expression protocol: a bare function used in an expression means "value
     # at the current point and current time".
@@ -425,8 +434,7 @@ def _is_second_time_derivative(expr: Expr, function: TimeFunction) -> bool:
         and denominator.lhs.name == "dt"
     ):
         return False
-    numerator = expr.lhs
-    accesses = []
-    _collect_accesses(numerator, accesses)
-    time_offsets = sorted(a.time_offset for a in accesses if a.function is function)
+    time_offsets = sorted(
+        a.time_offset for a in expr.lhs.accesses() if a.function is function
+    )
     return time_offsets[:1] == [-1] and 1 in time_offsets

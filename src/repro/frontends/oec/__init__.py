@@ -1,4 +1,7 @@
-"""An Open-Earth-Compiler-style programmatic stencil frontend."""
+"""An Open-Earth-Compiler-style programmatic stencil frontend.
+
+Its builder is the one all three frontends lower through.
+"""
 
 from .builder import (
     BuilderError,

@@ -5,11 +5,17 @@ nest becomes one ``stencil.apply`` (with accesses derived from the array
 subscripts), and the surrounding iteration (e.g. the tracer-advection outer
 loop of 100 iterations) becomes an ``scf.for`` around the stencil sequence.
 Arrays become ``!stencil.field`` kernel arguments shared by all stencils.
+
+The stencil-level module is built by the builder the Devito and OEC
+frontends share (:mod:`repro.frontends.oec.builder`), iterating the kernel
+in place; this module keeps the parsing, the stencil extraction, the scalar
+lookup and a walk of the PSy-IR nodes onto the builder's expression methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 import numpy as np
@@ -17,8 +23,9 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...core import CompiledProgram, ExecutionConfig, ExecutionResult, Session, Target
 
-from ...dialects import arith, builtin, func, scf, stencil
-from ...ir import Builder, FunctionType, f32, f64, index
+from ...dialects import builtin
+from ...ir import f32, f64
+from ..oec.builder import StencilExpressionBuilder, StencilKernel
 from .fortran_parser import parse_fortran
 from .psyir import (
     ArrayReference,
@@ -54,30 +61,24 @@ class ExtractedStencil:
 
     @property
     def accesses(self) -> list[ArrayReference]:
-        found: list[ArrayReference] = []
-
-        def visit(node) -> None:
-            if isinstance(node, ArrayReference):
-                found.append(node)
-            elif isinstance(node, (BinaryOperation, Comparison)):
-                visit(node.lhs)
-                visit(node.rhs)
-            elif isinstance(node, UnaryOperation):
-                visit(node.operand)
-            elif isinstance(node, Merge):
-                visit(node.true_value)
-                visit(node.false_value)
-                visit(node.condition)
-
-        visit(self.assignment.rhs)
-        return found
+        return _array_references(self.assignment.rhs)
 
     def halo(self) -> int:
-        radius = 0
-        for access in self.accesses:
-            for offset in access.offsets:
-                radius = max(radius, abs(offset))
-        return radius
+        return max((abs(o) for access in self.accesses for o in access.offsets), default=0)
+
+
+def _array_references(node) -> list[ArrayReference]:
+    """Every array reference under ``node``, in evaluation order."""
+    if isinstance(node, ArrayReference):
+        return [node]
+    if isinstance(node, (BinaryOperation, Comparison)):
+        return _array_references(node.lhs) + _array_references(node.rhs)
+    if isinstance(node, UnaryOperation):
+        return _array_references(node.operand)
+    if isinstance(node, Merge):
+        return [ref for part in (node.true_value, node.false_value, node.condition)
+                for ref in _array_references(part)]
+    return []
 
 
 def extract_stencils(schedule: Schedule) -> list[ExtractedStencil]:
@@ -101,26 +102,11 @@ def extract_stencils(schedule: Schedule) -> list[ExtractedStencil]:
                 "innermost loop body contains no array assignments"
             )
         for assignment in assignments:
-            inputs: list[str] = []
-
-            def visit(expr) -> None:
-                if isinstance(expr, ArrayReference) and expr.name not in inputs:
-                    inputs.append(expr.name)
-                elif isinstance(expr, (BinaryOperation, Comparison)):
-                    visit(expr.lhs)
-                    visit(expr.rhs)
-                elif isinstance(expr, UnaryOperation):
-                    visit(expr.operand)
-                elif isinstance(expr, Merge):
-                    visit(expr.true_value)
-                    visit(expr.false_value)
-                    visit(expr.condition)
-
-            visit(assignment.rhs)
+            references = _array_references(assignment.rhs)
             stencils.append(
                 ExtractedStencil(
                     output=assignment.lhs.name,
-                    inputs=inputs,
+                    inputs=list(dict.fromkeys(ref.name for ref in references)),
                     assignment=assignment,
                     loop_variables=tuple(reversed(loop_variables)),
                 )
@@ -150,101 +136,21 @@ class PsycloneXDSLBackend:
             if isinstance(source_or_schedule, Schedule)
             else parse_fortran(source_or_schedule)
         )
-        scalars = scalars or {}
         stencils = extract_stencils(schedule)
-        shape = tuple(int(s) for s in shape)
-        rank = len(shape)
-        halo = max((s.halo() for s in stencils), default=0)
-        halo = max(halo, 1)
-
-        field_bounds = stencil.StencilBoundsAttr([-halo] * rank, [s + halo for s in shape])
-        store_bounds = stencil.StencilBoundsAttr([0] * rank, list(shape))
-        field_type = stencil.FieldType(field_bounds, self.element_type)
-        temp_type = stencil.TempType(store_bounds, self.element_type)
-
-        array_names = schedule.array_names()
-        arg_types = [field_type] * len(array_names) + [index]
-        kernel = func.FuncOp(schedule.name, FunctionType(arg_types, []))
-        builder = Builder.at_end(kernel.body.block)
-        field_args = {name: arg for name, arg in zip(array_names, kernel.args)}
-        iterations_arg = kernel.args[len(array_names)]
-
-        zero = builder.insert(arith.ConstantOp.from_int(0)).result
-        one = builder.insert(arith.ConstantOp.from_int(1)).result
-        outer = scf.ForOp(zero, iterations_arg, one)
-        builder.insert(outer)
-        builder.insert(func.ReturnOp([]))
-        body = Builder.at_end(outer.body.block)
-
+        halo = max(1, *(extracted.halo() for extracted in stencils))
+        names = schedule.array_names()
+        field = {name: i for i, name in enumerate(names)}
+        # The kernel iterates its Fortran arrays in place: no buffer rotation.
+        kernel = StencilKernel(
+            schedule.name, shape, halo, self.element_type, len(names), None
+        )
         for extracted in stencils:
-            loads = {
-                name: body.insert(stencil.LoadOp(field_args[name]))
-                for name in extracted.inputs
-            }
-            apply_op = stencil.ApplyOp(
-                [loads[name].result for name in extracted.inputs], [temp_type]
+            kernel.apply(
+                [kernel.load(field[name]) for name in extracted.inputs],
+                partial(_lower, extracted, scalars or {}),
+                field[extracted.output],
             )
-            body.insert(apply_op)
-            apply_builder = Builder.at_end(apply_op.body.block)
-            operand_index = {name: i for i, name in enumerate(extracted.inputs)}
-            loop_variables = extracted.loop_variables
-
-            def emit(node):
-                if isinstance(node, Literal):
-                    return apply_builder.insert(
-                        arith.ConstantOp.from_float(node.value, self.element_type)
-                    ).result
-                if isinstance(node, Reference):
-                    if node.name not in scalars:
-                        raise StencilExtractionError(
-                            f"scalar {node.name!r} needs a value (pass it via scalars=...)"
-                        )
-                    return apply_builder.insert(
-                        arith.ConstantOp.from_float(scalars[node.name], self.element_type)
-                    ).result
-                if isinstance(node, UnaryOperation):
-                    operand = emit(node.operand)
-                    return apply_builder.insert(arith.NegfOp(operand)).result
-                if isinstance(node, ArrayReference):
-                    offsets = _offsets_in_dimension_order(node, loop_variables)
-                    region_arg = apply_op.region_args[operand_index[node.name]]
-                    return apply_builder.insert(
-                        stencil.AccessOp(region_arg, offsets)
-                    ).result
-                if isinstance(node, BinaryOperation):
-                    lhs = emit(node.lhs)
-                    rhs = emit(node.rhs)
-                    op_cls = {
-                        "+": arith.AddfOp, "-": arith.SubfOp,
-                        "*": arith.MulfOp, "/": arith.DivfOp,
-                    }[node.operator]
-                    return apply_builder.insert(op_cls(lhs, rhs)).result
-                if isinstance(node, Comparison):
-                    lhs = emit(node.lhs)
-                    rhs = emit(node.rhs)
-                    predicate = _CMPF_PREDICATES[node.operator]
-                    return apply_builder.insert(
-                        arith.CmpfOp(predicate, lhs, rhs)
-                    ).result
-                if isinstance(node, Merge):
-                    condition = emit(node.condition)
-                    true_value = emit(node.true_value)
-                    false_value = emit(node.false_value)
-                    return apply_builder.insert(
-                        arith.SelectOp(condition, true_value, false_value)
-                    ).result
-                raise StencilExtractionError(f"cannot lower PSy-IR node {node!r}")
-
-            result = emit(extracted.assignment.rhs)
-            apply_builder.insert(stencil.ReturnOp([result]))
-            body.insert(
-                stencil.StoreOp(
-                    apply_op.results[0], field_args[extracted.output], store_bounds
-                )
-            )
-
-        body.insert(scf.YieldOp([]))
-        return builtin.ModuleOp([kernel])
+        return kernel.finish()
 
     def compile(
         self,
@@ -299,6 +205,39 @@ class PsycloneXDSLBackend:
             program, list(fields), [int(iterations)],
             function=function, config=config, **overrides,
         )
+
+
+def _lower(
+    extracted: ExtractedStencil, scalars: dict[str, float], cell: StencilExpressionBuilder
+):
+    """Emit the right-hand side of ``extracted`` for one cell."""
+    operands = {name: i for i, name in enumerate(extracted.inputs)}
+
+    def lower(node):
+        if isinstance(node, Literal):
+            return cell.constant(node.value)
+        if isinstance(node, Reference):
+            if node.name not in scalars:
+                raise StencilExtractionError(
+                    f"scalar {node.name!r} needs a value (pass it via scalars=...)"
+                )
+            return cell.constant(scalars[node.name])
+        if isinstance(node, UnaryOperation):
+            return cell.neg(lower(node.operand))
+        if isinstance(node, ArrayReference):
+            offsets = _offsets_in_dimension_order(node, extracted.loop_variables)
+            return cell.access(operands[node.name], offsets)
+        if isinstance(node, BinaryOperation):
+            return cell.binary(node.operator, lower(node.lhs), lower(node.rhs))
+        if isinstance(node, Comparison):
+            predicate = _CMPF_PREDICATES[node.operator]
+            return cell.compare(predicate, lower(node.lhs), lower(node.rhs))
+        if isinstance(node, Merge):
+            condition = lower(node.condition)
+            return cell.select(condition, lower(node.true_value), lower(node.false_value))
+        raise StencilExtractionError(f"cannot lower PSy-IR node {node!r}")
+
+    return lower(extracted.assignment.rhs)
 
 
 def _offsets_in_dimension_order(

@@ -7,6 +7,8 @@ decomposition strategy it
 1. computes the halo each field needs from the ``stencil.access`` offsets of
    every ``stencil.apply`` in the function (along a dimension split over
    ranks, the wider side on both sides: exchanges pair equal-width strips),
+   and rejects a read no exchange delivers as the undecomposed program sees
+   it (a corner cell, or a cell its own sweep has already written),
 2. rewrites every ``!stencil.field`` (and dependent temp) type from the global
    bounds to the rank-local bounds (core at ``[0, n)`` plus halo), recording
    how many cells the global field bounds carry around the store bounds —
@@ -128,6 +130,58 @@ def _reset_temp_types(module: Operation) -> None:
                 arg.type = operand.type
 
 
+def _reject_unexchanged_reads(applies: list[stencil.ApplyOp], split: list[int]) -> None:
+    """Raise on a read whose cell no halo exchange delivers as the undecomposed
+    program sees it; ``split`` are the dimensions split over ranks.
+
+    The exchanges carry no corners: a read that reaches its field diagonally
+    across two split dimensions is never received.  What a read reaches
+    composes along unfused chains of applies: reading a temp at (1, 0) whose
+    cells read their load at (0, 1) reaches the load's (1, 1).  And a rank
+    receives its halo before the sweep: an apply that writes the field it
+    reads, at an offset before the current cell in row-major order, reads a
+    cell the undecomposed sweep has already written; a halo cell still holds
+    the neighbour's old value.
+    """
+    if not split:
+        return
+    # Per apply result: the offsets of the field cells one of its cells reads.
+    reach: dict[SSAValue, set[tuple[int, ...]]] = {}
+    for number, apply_op in enumerate(applies):
+        written = {
+            use.operation.field for result in apply_op.results for use in result.uses
+            if isinstance(use.operation, stencil.StoreOp)
+        }
+        reads: dict[SSAValue, set[tuple[int, ...]]] = {}
+        for op in apply_op.body.walk():
+            cells = set().union(*(reads.get(operand, ()) for operand in op.operands))
+            if isinstance(op, stencil.AccessOp):
+                index, offset = op.temp.index, op.offset
+                operand = apply_op.operands[index]
+                where = f"operand {index} of stencil.apply #{number} is read at offset {offset}"
+                zero = (0,) * len(offset)
+                if (isinstance(operand.owner, stencil.LoadOp) and operand.owner.field in written
+                        and offset < zero and any(offset[dim] for dim in split)):
+                    raise DecompositionError(
+                        f"{where}, behind the sweep that writes the same field; a "
+                        "rank's halo holds the cells from before the sweep"
+                    )
+                for base in reach.get(operand, {zero}):
+                    cell = tuple(b + o for b, o in zip(base, offset))
+                    if sum(cell[dim] != 0 for dim in split) > 1:
+                        raise DecompositionError(
+                            f"{where}, which reaches cell {cell} of its field across "
+                            f"the axes {tuple(split)} split over ranks; the halo "
+                            "exchanges carry no corners"
+                        )
+                    cells.add(cell)
+            for result in op.results:
+                reads[result] = cells
+        returned = apply_op.body.block.last_op.operands
+        for result, value in zip(apply_op.results, returned):
+            reach[result] = reads.get(value, set())
+
+
 def distribute_stencil(
     module: Operation,
     strategy: DecompositionStrategy,
@@ -138,12 +192,13 @@ def distribute_stencil(
         raise DecompositionError("module contains no stencil.apply operations")
     grid = strategy.rank_grid()
     halo_lower, halo_upper = map(list, stencil.combined_halo(applies))
+    split = [dim for dim, ranks in enumerate(grid.shape[:len(halo_lower)]) if ranks > 1]
+    _reject_unexchanged_reads(applies, split)
     # A dmp exchange pairs each receive with a send of the same width, so a
     # rank that reads only one neighbour must still feed the other: a halo
     # is as wide on both sides along every dimension split over ranks.
-    for dim, ranks in enumerate(grid.shape[:len(halo_lower)]):
-        if ranks > 1:
-            halo_lower[dim] = halo_upper[dim] = max(halo_lower[dim], halo_upper[dim])
+    for dim in split:
+        halo_lower[dim] = halo_upper[dim] = max(halo_lower[dim], halo_upper[dim])
 
     global_bounds = _collect_global_bounds(module)
     global_shape = global_bounds.shape

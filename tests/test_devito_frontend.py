@@ -8,6 +8,7 @@ from repro.dialects import scf, stencil
 from repro.frontends.devito import (
     Access,
     Eq,
+    Function,
     Grid,
     Operator,
     OperatorError,
@@ -147,6 +148,21 @@ class TestOperator:
             Operator([update], backend=backend).apply(time=5, dt=1e-3)
             results[backend] = u.data.copy()
         assert np.allclose(results["native"], results["xdsl"], atol=1e-12)
+
+    def test_a_bare_function_read_inside_an_expression(self):
+        """``u`` and ``c`` used bare mean their value at the current point:
+        the lowering loads them like ``u[t, 0, 0]`` (it raised KeyError)."""
+        results = {}
+        for backend in ("native", "xdsl"):
+            grid = Grid(shape=(10, 8))
+            u = TimeFunction(name="u", grid=grid, space_order=2, dtype=np.float64)
+            c = Function(name="c", grid=grid, space_order=2, dtype=np.float64)
+            u.data[0][...] = np.arange(80.0).reshape(10, 8) / 80.0
+            c.data[...] = 0.25
+            Operator([Eq(u.forward, 0.5 * u + c * u.laplace - c)],
+                     backend=backend).apply(time=3, dt=1e-3)
+            results[backend] = u.data.copy()
+        assert np.array_equal(results["native"], results["xdsl"])
 
     def test_distributed_matches_single_rank(self):
         results = {}

@@ -1,10 +1,16 @@
 """Tests of decomposition, the global-to-local pass, swap elimination and MPI lowering."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.core import Session, compile_stencil_program, cpu_target, dmp_target
 from repro.dialects import builtin, dmp, func, mpi, stencil
+from repro.frontends.oec.builder import StencilKernel
 from repro.interp import Interpreter
+from repro.ir.pass_manager import PassFailedError
+from repro.runtime import processes_available
 from repro.transforms.common import canonicalize
 from repro.transforms.distribute import (
     DecompositionError,
@@ -210,6 +216,77 @@ class TestDmpToMPI:
             gathered[1 + rank * 4 : 1 + rank * 4 + 4] = source[1:5]
         assert np.allclose(gathered, expected)
         assert statistics.messages_sent == 2 * steps
+
+
+def _chain(shape, *offsets, store_to=1):
+    """A double-buffered program whose stencils form one unfused chain: the
+    first reads field 0 at ``offsets[0]``, each next one reads the temp of
+    the one before at its offset, and every temp is stored to ``store_to``."""
+    kernel = StencilKernel("kernel", shape, 2, f64, 2, [1, 0])
+    temp = kernel.load(0)
+    for offset in offsets:
+        temp = kernel.apply([temp], lambda cell, offset=offset: cell.add(
+            cell.access(0, [0] * len(shape)), cell.access(0, offset)), store_to)
+    return kernel.finish()
+
+
+class TestUnexchangedReads:
+    """A rank receives its halo before the sweep and without corners: a read
+    of a corner, or of a cell its own sweep has already written, is rejected,
+    and every other read matches the undecomposed program bit for bit."""
+
+    @pytest.mark.parametrize("grid, offset", [
+        ((2, 2), (1, 1)), ((2, 2), (-1, 1)), ((2, 1, 2), (1, 0, -1)), ((2, 1, 2), (2, 1, 1)),
+    ])
+    def test_a_diagonal_read_across_split_axes_is_rejected(self, grid, offset):
+        shape = (8,) * len(offset)
+        message = f"operand 0 of stencil.apply #0 is read at offset {offset}"
+        with pytest.raises(DecompositionError, match=re.escape(message)):
+            distribute_stencil(_chain(shape, offset), GridSlicingStrategy(grid))
+        for target in (dmp_target(grid), dmp_target(grid, lower_to_library_calls=True)):
+            with pytest.raises(PassFailedError, match="distribute-stencil.*no corners"):
+                compile_stencil_program(_chain(shape, offset), target)
+
+    def test_offsets_compose_along_a_chain_of_applies(self):
+        """(0, 1) then (1, 0) reaches the load's (1, 1); (0, 1) twice does not."""
+        message = "operand 0 of stencil.apply #1 is read at offset (1, 0), which reaches cell (1, 1)"
+        with pytest.raises(DecompositionError, match=re.escape(message)):
+            distribute_stencil(_chain((8, 8), (0, 1), (1, 0)), GridSlicingStrategy([2, 2]))
+        distribute_stencil(_chain((8, 8), (0, 1), (0, 1)), GridSlicingStrategy([2, 2]))
+        distribute_stencil(_chain((8, 8), (0, 1), (1, 0)), GridSlicingStrategy([2, 1]))
+
+    @pytest.mark.parametrize("grid, offset", [
+        ((2,), (-1,)), ((2, 1), (-1, 1)), ((2, 2), (0, -1)), ((2, 1, 2), (0, -1, 1)),
+    ])
+    def test_a_read_behind_the_sweep_of_the_field_it_writes_is_rejected(self, grid, offset):
+        """In place, the undecomposed sweep reads the cell it has just written,
+        while a rank's halo holds the neighbour's value from before."""
+        shape = (8,) * len(offset)
+        with pytest.raises(PassFailedError, match="distribute-stencil.*behind the sweep"):
+            compile_stencil_program(_chain(shape, offset, store_to=0), dmp_target(grid))
+
+    @pytest.mark.parametrize("grid, offset, store_to", [
+        ((2, 1), (1, 1), 1), ((2, 2), (1, 0), 1), ((2, 2), (0, -2), 1), ((2, 1, 2), (1, 1, 0), 1),
+        ((2,), (1,), 0), ((2, 1), (1, -1), 0), ((2, 1), (0, -1), 0), ((2, 1, 2), (0, 1, -1), 0),
+    ])
+    @pytest.mark.parametrize("libcall", [False, True])
+    def test_every_other_read_matches_the_undecomposed_program(
+            self, grid, offset, store_to, libcall):
+        shape = (8,) * len(offset)
+        initial = np.random.default_rng(7).uniform(-1, 1, tuple(s + 4 for s in shape))
+        runtimes = ["threads"] + (["processes"] if processes_available() and libcall else [])
+        expected = [initial.copy(), initial.copy()]
+        with Session() as session:
+            session.run(compile_stencil_program(_chain(shape, offset, store_to=store_to),
+                                                cpu_target()),
+                        expected, [3], backend="interpreter")
+        program = compile_stencil_program(_chain(shape, offset, store_to=store_to),
+                                          dmp_target(grid, lower_to_library_calls=libcall))
+        for runtime in runtimes:
+            with Session(runtime=runtime) as session:
+                fields = [initial.copy(), initial.copy()]
+                session.run(program, fields, [3])
+            assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected], runtime
 
 
 class TestMPIToFunc:

@@ -493,3 +493,39 @@ def test_the_megakernel_is_planned_and_emitted_from_its_layout():
     for name in ("plan_megakernel", "emit_megakernel"):
         arguments = _top_level(CODEGEN, ast.FunctionDef, name).args
         assert [arg.arg for arg in arguments.args[:2]] == ["trace", "layout"], name
+
+
+# -- one stencil-program builder for every frontend ----------------------------
+# Devito, PSyclone and the OEC builder lower into the same kernel shape, so one
+# module builds it: the skeleton operations and the table from a frontend's
+# operators to arith ops are spelled there and nowhere else under frontends/.
+
+FRONTENDS = SRC / "repro" / "frontends"
+
+#: The operations of a kernel's skeleton, by dialect module.
+_SKELETON = {"FuncOp": "func", "ForOp": "scf", "ApplyOp": "stencil", "StoreOp": "stencil"}
+
+
+def frontend_program_builders() -> dict[str, list[str]]:
+    """Per module under ``frontends/``: the skeleton operations it constructs
+    and ``"operator table"`` if it maps operators to ``arith`` op classes."""
+    found: dict[str, set[str]] = {}
+    for path in sorted(FRONTENDS.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            callee = node.func if isinstance(node, ast.Call) else None
+            if isinstance(callee, ast.Attribute):  # stencil.ApplyOp(...)
+                name, dialect = callee.attr, getattr(callee.value, "id", None)
+            else:  # ApplyOp(...), imported by name
+                name = getattr(callee, "id", None)
+                dialect = _SKELETON.get(name)
+            if name in _SKELETON and dialect == _SKELETON[name]:
+                found.setdefault(_module_name(path), set()).add(name)
+            elif isinstance(node, ast.Dict) and any(
+                    isinstance(value, ast.Attribute) and getattr(value.value, "id", None) == "arith"
+                    for value in node.values):
+                found.setdefault(_module_name(path), set()).add("operator table")
+    return {module: sorted(things) for module, things in found.items()}
+
+
+def test_one_frontend_module_builds_stencil_programs():
+    assert len(frontend_program_builders()) <= 1, frontend_program_builders()

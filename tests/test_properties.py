@@ -29,6 +29,7 @@ from repro.interp import (
     trace_program,
 )
 from repro.ir import Builder, FunctionType, MemRefType, f32, f64, i1, i32, i64
+from repro.ir.pass_manager import PassFailedError
 from repro.transforms.distribute import GridSlicingStrategy
 from tests.conftest import build_jacobi_module, run_compiled, run_spmd
 
@@ -200,9 +201,15 @@ _OPS = ("add", "sub", "mul", "div")
 
 
 def _expressions(fields: int, ndim: int, halo: int):
-    """Expression trees over ``fields`` inputs: nested tuples, leaves first."""
+    """Expression trees over ``fields`` inputs: nested tuples, leaves first.
+
+    Half the accesses lie on an axis, so that programs without a diagonal
+    read run on multi-axis rank grids too.
+    """
     offsets = st.tuples(*[st.integers(-halo, halo)] * ndim)
-    access = st.tuples(st.just("access"), st.integers(0, fields - 1), offsets)
+    on_an_axis = st.tuples(st.integers(0, ndim - 1), st.integers(-halo, halo)).map(
+        lambda pair: tuple(pair[1] if axis == pair[0] else 0 for axis in range(ndim)))
+    access = st.tuples(st.just("access"), st.integers(0, fields - 1), offsets | on_an_axis)
     constant = st.tuples(
         st.just("const"), st.sampled_from([-2.0, -0.75, 0.125, 0.5, 1.0, 3.0])
     )
@@ -268,14 +275,41 @@ def _oec_module(spec):
     return builder.build()
 
 
+#: A rank grid split along two axes, by program rank (one axis in 1-D).
+_MULTI_AXIS_GRIDS = {1: (2,), 2: (2, 2), 3: (2, 1, 2)}
+
+
 def _targets(ndim: int):
     grid = (2,) + (1,) * (ndim - 1)
+    multi = _MULTI_AXIS_GRIDS[ndim]
     return {
         "cpu": cpu_target(),
         "smp": smp_target(threads=2, tile_sizes=(4,) * ndim),
         "dmp": dmp_target(grid),
         "dmp-libcall": dmp_target(grid, lower_to_library_calls=True),
+        "dmp-multi-axis": dmp_target(multi),
+        "dmp-libcall-multi-axis": dmp_target(multi, lower_to_library_calls=True),
     }
+
+
+def _accesses(tree):
+    """The ``(operand, offset)`` reads of an expression tree."""
+    if tree[0] == "access":
+        return [tree[1:]]
+    return [] if tree[0] == "const" else _accesses(tree[1]) + _accesses(tree[2])
+
+
+def _reads_unexchanged_cells(spec, grid) -> bool:
+    """Whether a stencil reads a cell no halo exchange delivers as the
+    undecomposed program sees it: diagonally across two axes split over
+    ranks, or behind its own sweep along a split axis of the field it writes."""
+    split = [axis for axis, ranks in enumerate(grid) if ranks > 1]
+    return any(
+        sum(offset[axis] != 0 for axis in split) > 1
+        or inputs[operand] == output and offset < (0,) * len(offset)
+        and any(offset[axis] for axis in split)
+        for inputs, output, tree in spec["stencils"] for operand, offset in _accesses(tree)
+    )
 
 
 #: The execution tiers: the tree walker first (the reference), then the
@@ -305,7 +339,10 @@ def _compiled_worlds():
 
 
 def _run_tiers(program, make_fields, steps):
-    """Run every tier; assert fields, Exec and Comm statistics all agree."""
+    """Run every tier; assert fields, Exec and Comm statistics all agree.
+
+    Returns the tree walker's fields.
+    """
 
     def run(tier):
         fields = make_fields()
@@ -335,6 +372,7 @@ def _run_tiers(program, make_fields, steps):
             if compiled_how is None:
                 compiled_how = how
             assert how == compiled_how, (tier, budget)
+    return reference[0]
 
 
 def _load(b, ref, indices):
@@ -503,12 +541,23 @@ _BAILING_CASES = {
 
 
 class TestNestEmitterDifferential:
-    @given(_oec_programs(), st.sampled_from(["cpu", "smp", "dmp", "dmp-libcall"]))
+    @given(_oec_programs(), st.sampled_from(list(_targets(1))))
     @settings(deadline=None)
     def test_oec_programs_agree_on_every_tier(self, spec, target_name):
+        """Every tier agrees with the walker on the same target, and every
+        dmp target's walker with the undecomposed program's, bit for bit."""
         ndim = len(spec["shape"])
-        program = compile_stencil_program(
-            _oec_module(spec), _targets(ndim)[target_name])
+        target = _targets(ndim)[target_name]
+        grid = target.rank_grid or ()
+        # An axis split over two ranks gets an even extent.
+        spec = dict(spec, shape=tuple(
+            extent + extent % 2 * (axis < len(grid) and grid[axis] > 1)
+            for axis, extent in enumerate(spec["shape"])))
+        if _reads_unexchanged_cells(spec, grid):
+            with pytest.raises(PassFailedError, match="distribute-stencil.*halo"):
+                compile_stencil_program(_oec_module(spec), target)
+            return
+        program = compile_stencil_program(_oec_module(spec), target)
         shape = tuple(extent + 2 * spec["halo"] for extent in spec["shape"])
         dtype = np.float32 if spec["dtype"] == "f32" else np.float64
 
@@ -521,7 +570,13 @@ class TestNestEmitterDifferential:
 
         # The global arrays are laid out as the builder's field bounds, also
         # where the decomposition found a narrower (one-sided) access halo.
-        _run_tiers(program, make_fields, spec["steps"])
+        walked = _run_tiers(program, make_fields, spec["steps"])
+        if target.is_distributed:
+            undecomposed = make_fields()
+            default_session().run(
+                compile_stencil_program(_oec_module(spec), cpu_target()), undecomposed,
+                [spec["steps"]], runtime="threads", backend="interpreter")
+            assert walked == [field.tobytes() for field in undecomposed]
 
     # -- hand-built nests: what the OEC builder cannot reach -----------------
 
