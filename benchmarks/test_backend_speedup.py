@@ -14,9 +14,10 @@ a floor is written):
   wave3d so4 kernel written by hand over the generated one (row
   ``kernel-yardstick``).
 
-``test_compile_pass_times_artifact`` times nothing itself and attaches no
-row: it writes the per-pass compile times of the pinned programs for the CI
-artifact.
+``test_compile_pass_times_artifact`` and
+``test_pinned_megakernel_sources_artifact`` time nothing and attach no row:
+they write the per-pass compile times of the pinned programs and the source
+of every pinned megakernel for the CI artifact.
 
 Whether a nest fell back to the tree walker is not timed here: it is
 counted, exactly, by ``tests/test_megakernel.py::
@@ -117,6 +118,29 @@ def test_compile_pass_times_artifact():
     artifact = pathlib.Path(".bench_build", "compile_passes.txt")
     artifact.parent.mkdir(exist_ok=True)
     artifact.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_pinned_megakernel_sources_artifact():
+    """The sources ``tests/test_megakernel.py::MEGAKERNEL_FINGERPRINTS`` pins.
+
+    Written to ``.bench_build/pinned_megakernels.txt``, each under a
+    ``# === <key> <fingerprint>`` line, so that a change of fingerprint can
+    be reviewed as the code it is; no row, so no floor.
+    """
+    import hashlib
+    import pathlib
+
+    from tests.test_megakernel import MEGAKERNEL_FINGERPRINTS, _PINNED_KERNELS, pinned_megakernels
+
+    sections = []
+    for fixture in sorted(_PINNED_KERNELS):
+        for key, kernel in pinned_megakernels(fixture):
+            digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
+            sections.append(f"# === {key} {digest}\n{kernel.source}")
+    assert len(sections) == len(MEGAKERNEL_FINGERPRINTS)
+    artifact = pathlib.Path(".bench_build", "pinned_megakernels.txt")
+    artifact.parent.mkdir(exist_ok=True)
+    artifact.write_text("\n".join(sections), encoding="utf-8")
 
 
 @pytest.mark.benchmark(group="megakernel")

@@ -127,10 +127,12 @@ class PsycloneXDSLBackend:
         source_or_schedule: str | Schedule,
         shape: Sequence[int],
         *,
-        iterations: int = 1,
         scalars: Optional[dict[str, float]] = None,
     ) -> builtin.ModuleOp:
-        """Build the stencil-level module for a kernel over ``shape`` grid points."""
+        """Build the stencil-level module for a kernel over ``shape`` grid points.
+
+        The iteration count is the kernel's run-time argument (:meth:`run`).
+        """
         schedule = (
             source_or_schedule
             if isinstance(source_or_schedule, Schedule)
@@ -158,7 +160,6 @@ class PsycloneXDSLBackend:
         shape: Sequence[int],
         *,
         target: Optional["Target"] = None,
-        iterations: int = 1,
         scalars: Optional[dict[str, float]] = None,
     ) -> "CompiledProgram":
         """Build the stencil module and run the shared pipeline for ``target``.
@@ -171,9 +172,7 @@ class PsycloneXDSLBackend:
 
         return compile_from_frontend(
             "psyclone.lower",
-            lambda: self.build_module(
-                source_or_schedule, shape, iterations=iterations, scalars=scalars
-            ),
+            lambda: self.build_module(source_or_schedule, shape, scalars=scalars),
             target or cpu_target(),
         )
 

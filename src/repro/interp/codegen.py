@@ -17,9 +17,14 @@ inside and after the time loop) against the buffer layout into a
 :class:`Island` and :class:`Nest` steps, from which the hoisted statistics
 are summed.  :func:`print_python` spells a schedule as Python source; only
 it plans boxes, allocates scratch and ``_ctx`` slots, and writes spans.
-The layout — :func:`megakernel_signature` of the arguments, the key callers
-cache kernels by — is the planner's whole input: it never sees an array, so
-a schedule is a function of its cache key and outlives any buffers.
+The layout — :func:`megakernel_signature` of the arguments: their count and
+each array's index, shape, dtype and C-contiguity, the key callers cache
+kernels by — is the planner's whole input: it never sees an array, so a
+schedule is a function of its cache key and outlives any buffers.
+Contiguity decides whether a box may be spelled pitched (over flat spans of
+its buffers, see :mod:`repro.interp.nestplan`).  The region views the time
+loop's boxes read and write are bound once per rotation phase, ahead of the
+loop, and rotate with the buffers: every parity plans the same steps.
 
 What the tracer cannot fuse becomes an **island**: a run of consecutive ops
 the tree walker executes in place, in program order, on one
@@ -707,11 +712,12 @@ def _aliased(arrays) -> bool:
 
 
 def megakernel_signature(args) -> tuple:
-    """The layout key of an argument list: count + per-array (i, shape, dtype)."""
+    """The layout key of an argument list: count + per-array (i, shape,
+    dtype, C-contiguous)."""
     return (
         len(args),
         tuple(
-            (index, value.shape, value.dtype.str)
+            (index, value.shape, value.dtype.str, value.flags.c_contiguous)
             for index, value in enumerate(args)
             if isinstance(value, np.ndarray)
         ),
@@ -828,7 +834,7 @@ def plan_megakernel(trace: MegakernelTrace, layout: tuple, rank: int = 0,
     """Plan the megakernel of ``trace`` for one rank and buffer layout.
 
     ``layout`` is :func:`megakernel_signature` of the arguments — their
-    count and each array's index, shape and dtype — and all the planner
+    count and each array's index, shape, dtype and contiguity — and all the planner
     reads of them; ``threads`` is the team size boxes are split for.  Each
     segment is planned against the layout — swap prefix completion, overlap
     split, boxes — and the time loop's once per buffer parity: one printed
@@ -852,7 +858,8 @@ def plan_megakernel(trace: MegakernelTrace, layout: tuple, rank: int = 0,
     swap_plan = functools.cache(lambda op: swap_message_plan(op, rank))
 
     def buffer_for(sym: _Sym, slots: list) -> tuple:
-        """The layout entry ``(index, shape, dtype)`` of the buffer ``sym``."""
+        """The layout entry ``(index, shape, dtype, C-contiguous)`` of the
+        buffer ``sym``."""
         # After the time loop the slots hold its results ("final").
         index = slots[sym[1]] if sym[0] in ("slot", "final") else sym[1]
         if index not in buffers:
@@ -875,7 +882,7 @@ def plan_megakernel(trace: MegakernelTrace, layout: tuple, rank: int = 0,
         for step in steps:
             if step[0] == "swap":
                 _, op, src, ordinal = step
-                buffer, shape, dtype = buffer_for(src, slots)
+                buffer, shape, dtype, _ = buffer_for(src, slots)
                 # Receives match by (source, tag) in posting order, and swaps
                 # reuse direction tags: land the prefix of halos up to the
                 # last one on this buffer, before re-posting it.
@@ -970,9 +977,9 @@ def print_python(schedule: KernelSchedule, label: str,
     ahead of the time loop.  ``traced`` brackets each step with spans.
     """
     printer = _PythonPrinter(schedule, traced)
-    pre, body, post = (
-        printer.segment(steps) for steps in (schedule.pre, schedule.body, schedule.post)
-    )
+    pre = printer.segment(schedule.pre)
+    body = printer.segment(schedule.body, in_loop=schedule.trace.loop is not None)
+    post = printer.segment(schedule.post)
     return printer.render(label, pre, body, post), tuple(printer.ctx)
 
 
@@ -989,6 +996,10 @@ class _PythonPrinter:
         self.setup: list[str] = []
         self.lines: list[str] = []
         self.ctx: list[Any] = []
+        # The region views of the time loop's boxes, bound once per rotation
+        # phase ahead of it: their names by (buffer symbol, index).
+        self.in_loop = False
+        self.loop_views: dict[tuple, str] = {}
         self._var = 0
         self._spans = 0
 
@@ -1012,9 +1023,10 @@ class _PythonPrinter:
         if opened:
             self.lines.append(f"_tracer.end('{name}', {var})")
 
-    def segment(self, steps: list) -> list[str]:
-        """The source lines of one segment's steps."""
-        self.lines = []
+    def segment(self, steps: list, in_loop: bool = False) -> list[str]:
+        """The source lines of one segment's steps (``in_loop``: the time
+        loop's body)."""
+        self.lines, self.in_loop = [], in_loop
         for position, step in enumerate(steps):
             if isinstance(step, Post):
                 with self._span("halo.post"):
@@ -1070,18 +1082,47 @@ class _PythonPrinter:
             lines, _ = self._print(plan, dims)
             names.append(self._new_var("_c"))
             self.setup.append(f"def {names[-1]}():")
-            self.setup.extend("    " + line for line in lines)
+            self.setup.extend("    " + line for line in _block(lines))
         self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
         return []
 
     def _print(self, plan: NestPlan, dims) -> tuple[list[str], list[str]]:
-        """Plan one box of ``plan`` and print it; its scratch goes to the setup."""
+        """Plan one box of ``plan`` and print it; its scratch goes to the setup.
+
+        The region views it reads and writes are bound after its comment,
+        or once per rotation phase ahead of the time loop when it runs in
+        the loop.
+        """
         box = plan_box(plan, dims)
+        views: dict[tuple, str] = {}
         setup, lines, reduced = print_numpy(
-            box, self._new_var, lambda ref: self._outer_source(ref, box.dims)
+            box, self._new_var, lambda ref: self._outer_source(ref, box.dims),
+            lambda sym, index: self._view(sym, index, views),
         )
         self.setup.extend(setup)
-        return lines, reduced
+        bound = [f"{name} = {local_name(sym)}{index}"
+                 for (sym, index), name in views.items()]
+        return [lines[0], *bound, *lines[1:]], reduced
+
+    def _view(self, sym: _Sym, index: str, views: dict) -> str:
+        """The local holding the view ``index`` of the buffer ``sym``.
+
+        In the time loop a view of a rotating buffer is bound for every
+        buffer of its rotation cycle, ahead of the loop, and rotates with
+        them; one of a fixed argument is bound once.  Elsewhere it goes to
+        ``views``, which the box binds itself.
+        """
+        if self.in_loop:
+            views = self.loop_views
+            if sym[0] == "slot" and (sym, index) not in views:
+                perm, slot = self.trace.loop.perm, sym[1]
+                while (("slot", slot), index) not in views:
+                    views[(("slot", slot), index)] = self._new_var("_r")
+                    slot = perm[slot]
+        key = (sym, index)
+        if key not in views:
+            views[key] = self._new_var("_r")
+        return views[key]
 
     def _scalar_src(self, value: SSAValue) -> str:
         """The expression of a traced scalar that is known at run time only."""
@@ -1149,13 +1190,20 @@ class _PythonPrinter:
         else:
             for slot, index in enumerate(loop.init_args):
                 lines.append(f"b{slot} = a{index}")
+            lines.extend(f"{name} = {local_name(sym)}{index}"
+                         for (sym, index), name in self.loop_views.items())
             lines.append("for _t in range(_lo, _hi, _st):")
             loop_body = list(body)
             perm = loop.perm
             if perm != list(range(len(perm))):
-                targets = ", ".join(f"b{j}" for j in range(len(perm)))
-                sources = ", ".join(f"b{j}" for j in perm)
-                loop_body.append(f"{targets} = {sources}")
+                # The buffers rotate, and each view of one with them.
+                targets = [f"b{j}" for j in range(len(perm))]
+                sources = [f"b{j}" for j in perm]
+                for (sym, index), name in self.loop_views.items():
+                    if sym[0] == "slot" and perm[sym[1]] != sym[1]:
+                        targets.append(name)
+                        sources.append(self.loop_views[(("slot", perm[sym[1]]), index)])
+                loop_body.append(f"{', '.join(targets)} = {', '.join(sources)}")
             if self.traced:
                 # One "step" span per time-loop trip, rotation included —
                 # mirrors the tree walker's per-iteration span.
@@ -1164,9 +1212,7 @@ class _PythonPrinter:
                     + loop_body
                     + ["_tracer.end('step', _spt)"]
                 )
-            if not loop_body:
-                loop_body.append("pass")
-            lines.extend(indent + line for line in loop_body)
+            lines.extend(indent + line for line in _block(loop_body))
         lines.extend(post)
         lines.append("return True")
         params = ["_args", "_stats", "_comm"]
@@ -1176,6 +1222,14 @@ class _PythonPrinter:
             f"def _megakernel({', '.join(params)}):\n"
             + "\n".join(indent + line for line in lines) + "\n"
         )
+
+
+def _block(lines: list[str]) -> list[str]:
+    """``lines`` as the body of a block: ``pass`` where they are only
+    comments (a box whose store is its own load prints no statement)."""
+    if all(line.lstrip().startswith("#") for line in lines):
+        return [*lines, "pass"]
+    return lines
 
 
 def _bound_source(sym: _Sym) -> str:

@@ -31,7 +31,32 @@ stencil step allocates nothing and copies nothing.  A box of more than
 :data:`_BLOCK_CELLS` cells is walked in blocks that keep the innermost
 dimension whole, so the whole expression DAG of a block is produced and
 consumed in cache (wave3d so4 on 128^3: 32 field-sized temporaries of 16 MB
-become five 256 KiB slots).
+become five 272 KiB slots).
+
+A box is printed in one of two spellings, and its ``# box`` comment says
+which and why:
+
+* **pitched** — every value but the stored ones is computed over one
+  contiguous span of the buffers, the way native code addresses a box by
+  flat offsets: a load is the 1-D slice of its buffer from its region's
+  first cell, as long as the box's first to last cell, and a scratch slot is
+  allocated at the buffers' pitch and used as the same span.  The ufunc
+  calls are those of the strided spelling in the same order, so each cell
+  gets the same bits; NumPy runs one inner loop per call instead of one per
+  row.  The pad cells between rows are computed too and thrown away.  Only
+  the store is N-D: the in-target op and the commits read slots cut to the
+  box and loads as region views, and write the target region alone, so no
+  halo or pad cell is ever written.
+* **strided** — every value is an N-D region view or a slot of the box's
+  shape.
+
+A box is pitched when every access is full rank, maps axis ``d`` to nest
+dimension ``d`` and steps by one; every accessed buffer has one shape and is
+C-contiguous (the layout says so); there is no reduction, index grid or
+division (a zero in a pad cell would make it warn); every value the store
+reads is a load of the stored dtype or a slot, which have N-D views; and the
+span is under twice the box's cells — a row's padding shorter than the row,
+which keeps a 3-D strip along a middle axis strided.
 
 A block loads, computes and then stores; that equals per-cell execution
 exactly when a store region overlaps a load only as the same cell read
@@ -200,8 +225,10 @@ class Access:
     ``view_shape`` has the nest's rank with the trip count at every mapped
     dimension and 1 elsewhere (loads broadcast into the iteration space);
     ``region_shape`` has the buffer's rank and is the shape stores are
-    shaped to.  Two accesses are equal when a box plan reads the same of
-    them: which buffer it is is not compared, its region and ``dtype`` are.
+    shaped to.  ``extents`` and ``contiguous`` are the buffer's shape and
+    whether it is C-contiguous, which decide the pitched spelling.  Two
+    accesses are equal when a box plan reads the same of them: which buffer
+    it is is not compared, its region, ``dtype`` and geometry are.
     """
 
     position: int
@@ -213,6 +240,8 @@ class Access:
     view_shape: tuple
     region_shape: tuple
     ranges: tuple = field(compare=False)
+    extents: tuple
+    contiguous: bool
 
     def same_region(self, other: "Access") -> bool:
         return self.buffer == other.buffer and self.slices == other.slices
@@ -236,14 +265,14 @@ def _meet(a: range, b: range) -> bool:
 def _resolve(nest: CompiledNest, dims, buffers, syms, symbols) -> list[Access]:
     """The :class:`Access` of every load and store of ``nest`` over ``dims``.
 
-    ``buffers`` are the accessed buffers' ``(argument index, shape, dtype)``
-    layout entries and ``syms`` their trace symbols, one per load/store in
+    ``buffers`` are the accessed buffers' ``(argument index, shape, dtype,
+    C-contiguous)`` layout entries and ``syms`` their trace symbols, one per load/store in
     instruction order.  Raises :class:`CodegenError` when a region cannot be
     reproduced exactly by slicing.
     """
     trips = _trips(dims)
     accesses = []
-    for (position, is_store), (buffer, shape, dtype), sym in zip(
+    for (position, is_store), (buffer, shape, dtype, contiguous), sym in zip(
             nest.accesses, buffers, syms):
         axes = nest.instrs[position][3]
         if len(axes) != len(shape):
@@ -294,7 +323,8 @@ def _resolve(nest: CompiledNest, dims, buffers, syms, symbols) -> list[Access]:
             )
         accesses.append(Access(position, is_store, sym, buffer, np.dtype(dtype),
                                tuple(slices), tuple(view_shape),
-                               tuple(region_shape), tuple(ranges)))
+                               tuple(region_shape), tuple(ranges), tuple(shape),
+                               contiguous))
     return accesses
 
 
@@ -431,9 +461,9 @@ def plan_nest(nest: CompiledNest, buffers: list, syms: list, symbols: dict,
               halos: list, threads: int) -> NestPlan:
     """Settle ``nest`` over the buffers ``buffers`` lays out: its boxes.
 
-    ``buffers`` are the ``(argument index, shape, dtype)`` layout entries of
-    the accessed buffers and ``syms`` their trace symbols (one per
-    load/store in instruction order), ``symbols`` the trace's symbol of
+    ``buffers`` are the ``(argument index, shape, dtype, C-contiguous)``
+    layout entries of the accessed buffers and ``syms`` their trace symbols
+    (one per load/store in instruction order), ``symbols`` the trace's symbol of
     every value, ``halos`` the in-flight swaps as ``(buffer, message plan)``
     pairs and ``threads`` the team size boxes are chunked for.  Raises
     :class:`CodegenError` when the nest cannot be emitted by slicing.
@@ -528,16 +558,90 @@ class BoxPlan:
     reduction, which folds in iteration order); ``looped`` are the
     dimensions a block loop walks and ``local`` the extents of one block
     (``_n<d>`` where the last block of dimension ``d`` is ragged).
-    ``slots`` holds the dtype of each scratch slot, ``copy`` whether stored
-    values are materialised before any commit (several stores).
+    ``slots`` holds the dtype of each scratch slot and ``slot_shape`` the
+    shape each is allocated as, ``copy`` whether stored values are
+    materialised before any commit (several stores).  ``pitches`` are the
+    element strides of the buffers when the box is spelled pitched (None:
+    strided), ``span`` the cells from its first cell to its last in them,
+    and ``why`` says why it is spelled the way it is.
     """
 
     __slots__ = ("dims", "accesses", "shape", "block", "looped", "local",
-                 "values", "slots", "copy")
+                 "values", "slots", "copy", "pitches", "span", "why", "slot_shape")
 
     @property
     def ragged(self) -> bool:
         return any(self.local[dim] != self.block[dim] for dim in self.looped)
+
+
+def _span(extents: tuple, pitches: tuple) -> int:
+    """The cells from the first cell of a box of ``extents`` to its last."""
+    return 1 + sum((extent - 1) * pitch for extent, pitch in zip(extents, pitches))
+
+
+def _pitched(nest: CompiledNest, plan: BoxPlan) -> tuple[Optional[tuple], str]:
+    """The buffer pitches a box is spelled pitched over (None: strided), and why.
+
+    Pitched, every value but the stored ones is computed over one
+    contiguous span of the buffers, which is exact only when each access
+    maps axis ``d`` to nest dimension ``d`` with unit steps over one
+    C-contiguous shape, and pays only while that span is under twice the
+    box's cells.  Pad cells (between the box's rows) are computed too, so a
+    division, which a zero in one would make warn, stays strided.
+    """
+    if nest.has_reduce:
+        return None, "a reduction"
+    if any(ref[0] == "aff" and ref[1].coeffs
+           for instr in nest.instrs for ref in operand_refs(instr)):
+        return None, "an index grid"
+    if any(instr[0] == "binary" and SEMANTICS[instr[2]].ufunc == "divide"
+           for instr in nest.instrs):
+        return None, "a division"
+    if any(step != 1 for _, _, step in plan.dims):
+        return None, "a non-unit step"
+    rank = len(plan.shape)
+    for access in plan.accesses:
+        axes = nest.instrs[access.position][3]
+        if len(axes) != rank or any(
+                affine.coeffs != {axis: 1} for axis, affine in enumerate(axes)):
+            return None, "an access that is not full rank on its own dims"
+    extents = {access.extents for access in plan.accesses}
+    if len(extents) != 1:
+        return None, "buffers of different shapes"
+    if not all(access.contiguous for access in plan.accesses):
+        return None, "a non-contiguous buffer"
+    cells = math.prod(plan.shape)
+    if not cells:
+        return None, "an empty box"
+    (extents,) = extents
+    pitches = tuple(math.prod(extents[axis + 1:]) for axis in range(rank))
+    span = _span(plan.shape, pitches)
+    if span >= 2 * cells:
+        return None, f"span {span} >= 2 x {cells} cells"
+    return pitches, f"span {span} of {cells} cells"
+
+
+def _stores_read_regions(plan: BoxPlan) -> bool:
+    """Whether every array the store reads — the in-target op's operands and
+    each stored value — is a load or a slot, which have an N-D view: a
+    pitched box computes everything else over its span."""
+    records = {value.result.ref[1]: value for value in plan.values if value.result}
+    reads = []
+    for value in plan.values:
+        if value.slot == "target":
+            reads.extend(value.operands)
+        elif value.instr[0] == "store":
+            reads.append(value.operands[0])
+    for item in reads:
+        if not item.is_array:
+            continue
+        record = records[item.ref[1]]
+        if record.access is not None:
+            if record.result.dtype != record.access.dtype:
+                return False  # a widened load is a copy of its span
+        elif record.slot is None:
+            return False
+    return True
 
 
 def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
@@ -701,6 +805,17 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
             plan.values.append(Value(instr, [cond, a, b], result))
         else:  # reduce
             plan.values.append(Value(instr, [operand(ref) for ref in instr[4:6]]))
+    plan.pitches, plan.why = _pitched(nest, plan)
+    if plan.pitches is not None and not _stores_read_regions(plan):
+        plan.pitches, plan.why = None, "a stored value with no N-D view"
+    plan.slot_shape, plan.span = block, None
+    if plan.pitches is not None:
+        plan.span = _span(shape, plan.pitches)
+        # Allocated at the buffers' pitch from the first dimension a block
+        # spans on, so that slot and buffer cells share flat offsets.
+        first = next((dim for dim, extent in enumerate(block) if extent > 1),
+                     len(block) - 1)
+        plan.slot_shape = block[:first + 1] + plan.accesses[0].extents[first + 1:]
     return plan
 
 
@@ -724,32 +839,53 @@ def _slice_source(slices) -> str:
     )
 
 
-def _region_source(access: Access, shape: tuple) -> str:
-    """The buffer region of ``access``, as an array of ``shape``."""
-    source = f"{local_name(access.sym)}[{_slice_source(access.slices)}]"
-    if tuple(map(len, access.ranges)) != shape:
-        source += f".reshape({shape!r})"
+def _index_source(access: Access) -> str:
+    """The N-D region of ``access`` as an index of its buffer, shaped as its
+    view."""
+    source = f"[{_slice_source(access.slices)}]"
+    if tuple(map(len, access.ranges)) != access.view_shape:
+        source += f".reshape({access.view_shape!r})"
     return source
+
+
+def _span_source(extents: tuple, pitches: tuple) -> str:
+    """The span of a block of ``extents`` (ints or ``_n<d>`` names)."""
+    constant = 1 + sum((extent - 1) * pitch for extent, pitch in zip(extents, pitches)
+                       if isinstance(extent, int))
+    terms = [f"({extent} - 1) * {pitch}" for extent, pitch in zip(extents, pitches)
+             if not isinstance(extent, int)]
+    return " + ".join([*terms, str(constant)])
 
 
 def print_numpy(
     plan: BoxPlan,
     new_var: Callable[[str], str],
     outer: Callable[[tuple], str],
+    local_view: Callable[[tuple, str], str],
 ) -> tuple[list[str], list[str], list[str]]:
     """Write one planned box as NumPy statements.
 
-    ``new_var(prefix)`` names a fresh local, and ``outer(ref)`` spells a
+    ``new_var(prefix)`` names a fresh local, ``outer(ref)`` spells a
     ``("free", value)`` scalar known only at run time or an ``("aff",
-    affine)`` index grid over the box.  Returns ``(setup, lines, reduced)``:
-    the scratch allocations (to run once, before ``lines`` and before any
-    loop around them), the statements with their relative indentation — a
-    comment recording the plan, the block loop, per block the instructions
-    in order and then the stores — and the name of each reduction result.
+    affine)`` index grid over the box, and ``local_view(sym, index)`` names a
+    local the caller binds to the view ``<buffer><index>`` of the buffer
+    the trace symbol ``sym`` names, ahead of the box.  Returns ``(setup,
+    lines, reduced)``: the scratch allocations (to run once, before
+    ``lines`` and before any loop around them), the statements with their
+    relative indentation — a comment recording the plan, the block loop,
+    per block the instructions in order and then the stores — and the name
+    of each reduction result.
+
+    A pitched box computes over 1-D spans: each load is the span of its
+    buffer from its region's first cell, and each slot the same span of an
+    array allocated at the buffers' pitch.  Only the store is N-D: the
+    in-target op and the commits read loads as regions and slots cut to the
+    box, and write the target region alone.
     """
     shape, block, looped, local = plan.shape, plan.block, plan.looped, plan.local
+    pitches = plan.pitches
     setup: list[str] = []
-    regions: list[str] = []  # region views bound once, ahead of the block loop
+    grids: list[str] = []  # index grids bound once, ahead of the block loop
     head: list[str] = []  # the loop headers and the extents of this block
     for depth, dim in enumerate(looped):
         pad = "    " * depth
@@ -759,6 +895,16 @@ def print_numpy(
                 f"{pad}    _n{dim} = min({block[dim]}, {shape[dim]} - _i{dim})"
             )
     ragged = plan.ragged
+    # What each block starts with: its offset into the spans, the span it
+    # covers, the slots cut to it.
+    per_block: list[str] = []
+    span = None if pitches is None else _span_source(local, pitches)
+    if pitches is not None and looped:
+        per_block.append(
+            "_o = " + " + ".join(f"_i{dim} * {pitches[dim]}" for dim in looped))
+        if ragged:
+            per_block.append(f"_m = {span}")
+            span = "_m"
 
     def sliced(source: str, extents: tuple) -> str:
         """A region view of ``extents``, restricted to this block."""
@@ -773,18 +919,29 @@ def print_numpy(
             return source
         if not source.isidentifier():
             name = new_var("_r")
-            regions.append(f"{name} = {source}")
+            grids.append(f"{name} = {source}")
             source = name
         return f"{source}[{', '.join(parts)}]"
 
+    def region(access: Access) -> str:
+        """The N-D region of ``access`` in this block."""
+        return sliced(local_view(access.sym, _index_source(access)), access.view_shape)
+
+    def flat(access: Access) -> str:
+        """The span of ``access``'s buffer that this block computes over."""
+        first = sum(piece.start * pitch for piece, pitch in zip(access.slices, pitches))
+        name = local_view(access.sym, f".reshape(-1)[{first}:{first + plan.span}]")
+        return f"{name}[_o:_o + {span}]" if looped else name
+
     targets = {
-        access.position: sliced(_region_source(access, shape), shape)
-        for access in plan.accesses if access.is_store
+        access.position: region(access) for access in plan.accesses if access.is_store
     }
+    records = {value.result.ref[1]: value for value in plan.values if value.result}
     names: dict[SSAValue, str] = {}
     outers: dict[tuple, str] = {}
-    slot_names: dict[int, str] = {}
-    slot_views: list[str] = []  # the slots cut to a ragged block
+    slot_arrays: dict[int, str] = {}
+    slot_names: dict[int, str] = {}  # what ops write: pitched, the slot's span
+    slot_regions: dict[int, str] = {}  # pitched: the slot cut to the box
     statements: list[str] = []
     commits: list[str] = []
     reduced: list[str] = []
@@ -806,22 +963,49 @@ def print_numpy(
             outers[ref] = expr
         return expr
 
+    def stored(item: Operand) -> str:
+        """What the store reads: the N-D view of a pitched box's value."""
+        if pitches is None or item.ref[0] != "arr":
+            return source_of(item)
+        record = records[item.ref[1]]
+        if record.access is not None:
+            return region(record.access)
+        if record.slot == "target":
+            return names[item.ref[1]]
+        if record.slot not in slot_regions:
+            name = slot_arrays[record.slot]
+            parts = [":" if extent == local[dim] else f":{local[dim]}"
+                     for dim, extent in enumerate(plan.slot_shape)]
+            while parts and parts[-1] == ":":
+                parts.pop()
+            if parts:
+                cut, name = name, new_var("_b")
+                (per_block if ragged else setup).append(
+                    f"{name} = {cut}[{', '.join(parts)}]")
+            slot_regions[record.slot] = name
+        return slot_regions[record.slot]
+
     def bind(result: SSAValue, expr: str) -> None:
         name = names[result] = new_var("_v")
         statements.append(f"{name} = {expr}")
 
     def slot_name(slot: int) -> str:
         if slot not in slot_names:
-            name = new_var("_s")
+            name = slot_arrays[slot] = new_var("_s")
             setup.append(
-                f"{name} = _np.empty({_spelled(block)}, "
+                f"{name} = _np.empty({_spelled(plan.slot_shape)}, "
                 f"{_dtype_source(plan.slots[slot])})"
             )
-            if ragged:
+            if pitches is not None:
+                cut = new_var("_s")
+                (per_block if ragged else setup).append(
+                    f"{cut} = {name}.reshape(-1)[:{span}]")
+                name = cut
+            elif ragged:
                 cut = ", ".join(f":{local[dim]}" for dim in range(looped[-1] + 1))
-                view = new_var("_b")
-                slot_views.append(f"{view} = {name}[{cut}]")
-                name = view
+                view_name = new_var("_b")
+                per_block.append(f"{view_name} = {name}[{cut}]")
+                name = view_name
             slot_names[slot] = name
         return slot_names[slot]
 
@@ -829,15 +1013,18 @@ def print_numpy(
         instr = value.instr
         kind = instr[0]
         if kind == "load":
-            source = sliced(_region_source(value.access, value.access.view_shape),
-                            value.access.view_shape)
-            if value.result.dtype != value.access.dtype:
-                source = (f"_np.asarray({source}, "
-                          f"dtype={_dtype_source(value.result.dtype)})")
-            bind(instr[1], source)
+            access = value.access
+            source = region(access) if pitches is None else flat(access)
+            if value.result.dtype != access.dtype:
+                bind(instr[1], f"_np.asarray({source}, "
+                               f"dtype={_dtype_source(value.result.dtype)})")
+            elif looped:
+                bind(instr[1], source)
+            else:
+                names[instr[1]] = source
         elif kind == "store":
             target = targets[value.access.position]
-            expr = source_of(value.operands[0])
+            expr = stored(value.operands[0])
             if expr == target:
                 continue  # its op wrote the target region in place
             if value.convert:
@@ -860,7 +1047,10 @@ def print_numpy(
             )
             reduced.append(name)
         else:
-            sources = [source_of(item) for item in value.operands]
+            if value.slot == "target":
+                sources = [stored(item) for item in value.operands]
+            else:
+                sources = [source_of(item) for item in value.operands]
             if kind == "select":
                 bind(instr[1], f"_np.where({', '.join(sources)})")
                 continue
@@ -878,7 +1068,7 @@ def print_numpy(
 
     sizes = [dtype.itemsize for dtype in plan.slots]
     scratch = " + ".join(
-        f"{sizes.count(size)} x {size * math.prod(block)} B"
+        f"{sizes.count(size)} x {size * math.prod(plan.slot_shape)} B"
         for size in sorted(set(sizes), reverse=True)
     ) or "none"
     if reduced:
@@ -888,11 +1078,13 @@ def print_numpy(
     else:
         count = math.prod(-(-shape[dim] // block[dim]) for dim in looped)
         decision = f"{count} blocks of {_spelled(block)}"
+    spelling = "strided" if pitches is None else "pitched"
     pad = "    " * len(looped)
     return (
         setup,
-        [f"# box {_spelled(shape)}: {decision}, scratch {scratch}"]
-        + regions + head
-        + [pad + line for line in (*slot_views, *statements, *commits)],
+        [f"# box {_spelled(shape)}: {spelling} ({plan.why}), {decision}, "
+         f"scratch {scratch}"]
+        + grids + head
+        + [pad + line for line in (*per_block, *statements, *commits)],
         reduced,
     )

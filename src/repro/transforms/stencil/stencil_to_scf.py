@@ -6,6 +6,11 @@ pair becomes an ``scf.parallel`` loop nest (optionally tiled for data
 locality) whose body loads inputs with ``memref.load``, evaluates the cloned
 arithmetic, and stores results with ``memref.store``.
 
+An apply that stores into a field it reads at a non-zero offset is lowered
+untiled whatever the tile sizes: its nest updates that field in place, so a
+read sees whether the sweep has passed its cell yet, and tiles would pass
+cells in another order than the untiled row-major sweep.
+
 Field values keep their ``!stencil.field`` SSA type and are bridged into the
 memref world with ``builtin.unrealized_conversion_cast`` exactly as in the
 paper's fig. 4; this keeps the pass local (no function-signature rewriting).
@@ -102,7 +107,7 @@ class _ApplyLowering:
         lower = [self._const_index(lb) for lb in bounds.lb]
         upper = [self._const_index(ub) for ub in bounds.ub]
 
-        if self.tile_sizes:
+        if self.tile_sizes and not self._reads_a_stored_field_off_cell(stores):
             loop_ivs, innermost = self._build_tiled_loops(rank, lower, upper, bounds)
         else:
             loop_ivs, innermost = self._build_parallel_loop(rank, lower, upper)
@@ -141,6 +146,19 @@ class _ApplyLowering:
         if not stores:
             raise StencilLoweringError("stencil.apply with no results cannot be lowered")
         return stores
+
+    def _reads_a_stored_field_off_cell(self, stores: list[stencil.StoreOp]) -> bool:
+        """Whether the apply reads a field it stores into at a non-zero offset."""
+        written = {store.field for store in stores}
+        shifted = {
+            op.temp.index for op in self.apply_op.body.block.ops
+            if isinstance(op, stencil.AccessOp) and isinstance(op.temp, BlockArgument)
+            and any(op.offset)
+        }
+        return any(
+            _field_of_temp(self.apply_op.operands[index])[0] in written
+            for index in shifted
+        )
 
     # -- loop construction -----------------------------------------------------
     def _build_parallel_loop(

@@ -107,9 +107,7 @@ class PsycloneWorkload:
         return parse_fortran(self.source)
 
     def build_module(self, dtype=np.float32):
-        return PsycloneXDSLBackend(dtype=dtype).build_module(
-            self.schedule, self.shape, iterations=self.iterations
-        )
+        return PsycloneXDSLBackend(dtype=dtype).build_module(self.schedule, self.shape)
 
     def arrays(self, halo: int = 1, dtype=np.float32, seed: int = 0) -> dict[str, np.ndarray]:
         """Deterministic input arrays (one per Fortran array argument)."""

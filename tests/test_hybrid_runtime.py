@@ -306,7 +306,7 @@ def test_plan_overlap_defers_unrelated_nest():
     nest = next(iter(compiled.nests.values()))
     dims = _concrete_dims(nest.bounds, {})
     # u and v are arguments 0 and 1, in the layout megakernel_signature gives.
-    buffers = [(0, (8, 8), "<f8"), (1, (8, 8), "<f8")]
+    buffers = [(0, (8, 8), "<f8", True), (1, (8, 8), "<f8", True)]
     resolved = _resolve(nest, dims, buffers, [("arg", 0), ("arg", 1)], {})
 
     box = (slice(0, 1), slice(0, 8))

@@ -324,20 +324,23 @@ def _wave_source(extent):
 
 
 def test_source_records_the_blocking_decision_per_box():
-    """One comment per box: block shape and count, scratch slots x bytes."""
+    """One comment per box: spelling and why, block shape and count, scratch
+    slots x bytes (pitched slots are allocated at the buffers' pitch)."""
     blocked = _wave_source(40)  # 64 000 cells: more than one block
-    assert "# box (40, 40, 40): 2 blocks of (20, 40, 40), scratch 5 x 256000 B" \
-        in blocked
+    assert "# box (40, 40, 40): pitched (span 77260 of 64000 cells), " \
+        "2 blocks of (20, 40, 40), scratch 5 x 309760 B" in blocked
     assert "for _i0 in range(0, 40, 20):" in blocked
     single = _wave_source(16)
-    assert "# box (16, 16, 16): single block, scratch 5 x 32768 B" in single
+    assert "# box (16, 16, 16): pitched (span 6316 of 4096 cells), " \
+        "single block, scratch 5 x 51200 B" in single
     assert "for _i" not in single
     program = _compile_heat((2, 1))  # overlapped: interior + one strip per rank
     with Session(runtime="threads") as session:
         session.plan(program).run(_heat_fields(), [2])
     for kernel in _megakernels(program):
-        assert kernel.source.count("# box ") == 2
-        assert kernel.source.count(": single block, scratch ") == 2
+        assert kernel.source.count("# box ") == kernel.source.count(
+            "pitched (span ") == 2
+        assert kernel.source.count(", single block, scratch ") == 2
 
 
 def test_wave_kernel_allocates_no_field_sized_temporary():
@@ -357,12 +360,12 @@ def test_wave_kernel_allocates_no_field_sized_temporary():
 
 def _trace_and_layout(program):
     """The trace of ``kernel`` and the buffer layout a rank emits it for:
-    its local buffers' shapes and dtypes (nothing is allocated), then one
-    step, as :func:`megakernel_signature` spells it."""
+    its local buffers' shapes and dtypes, C-contiguous (nothing is
+    allocated), then one step, as :func:`megakernel_signature` spells it."""
     func_op = program.functions["kernel"]
     inputs = func_op.function_type.inputs
     layout = (len(inputs), tuple(
-        (index, arg.shape, numpy_dtype_for(arg.element_type).str)
+        (index, arg.shape, numpy_dtype_for(arg.element_type).str, True)
         for index, arg in enumerate(inputs) if hasattr(arg, "shape")
     ))
     return trace_program(func_op, program.compiled_kernel("kernel")), layout
@@ -390,26 +393,26 @@ def test_block_budget_patches_take_effect(monkeypatch):
 #: change to how nests are planned or printed must leave them all as they
 #: are; re-record them only when a PR changes the generated code on purpose.
 MEGAKERNEL_FINGERPRINTS = {
-    "heat2d-so2-64/dmp(1,1)/r0": "1daa152f497c6fa3",
-    "heat2d-so2-64/dmp(1,1)/r0/traced": "34b970eb62e325d7",
-    "heat2d-so2-64/dmp(2,1)/r0": "c49c62c230bb3099",
-    "heat2d-so2-64/dmp(2,1)/r0/traced": "1d3aaade0667f675",
-    "heat2d-so2-64/dmp(2,1)/r1": "c3b6d56dddcedea3",
-    "heat2d-so2-64/dmp(2,1)/r1/traced": "18f81adf05ffb17a",
-    "wave3d-so4-128/cpu/r0": "f5f6dea05991652e",
-    "wave3d-so4-128/cpu/r0/traced": "1f78ab0e197bc0fc",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r0": "5d799c3955b3e151",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r0/traced": "98981ca8f988528a",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r1": "b318c848b04fc416",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r1/traced": "c5db1adb8973bf0d",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0": "751f64b4f40db896",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "daa52d03878512bc",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "5ecac1da88b733b4",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "c8943759a810d6ab",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0": "9368f2574f58b85e",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "3920c738f56dd774",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1": "d5e188b7ccf24fba",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "a04386952b39d399",
+    "heat2d-so2-64/dmp(1,1)/r0": "cd7b013965db1cb6",
+    "heat2d-so2-64/dmp(1,1)/r0/traced": "015df7365dced6dc",
+    "heat2d-so2-64/dmp(2,1)/r0": "24dea3617b4627ac",
+    "heat2d-so2-64/dmp(2,1)/r0/traced": "2371f95f7d8916f0",
+    "heat2d-so2-64/dmp(2,1)/r1": "07f7aa5c0080f4fd",
+    "heat2d-so2-64/dmp(2,1)/r1/traced": "65ac0771377a6060",
+    "wave3d-so4-128/cpu/r0": "5dcc6cc78e328ac4",
+    "wave3d-so4-128/cpu/r0/traced": "0da9bc9006b41b44",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0": "0369af9e82f00e1d",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0/traced": "7927744eba2d032c",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1": "4a1791797cba5e4d",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1/traced": "f5e01156cceb63d4",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0": "e60d3ceeb3cd91f0",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "96041cedd386ca3a",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "c6d40ae3c5e29000",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "922a44fc98078763",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0": "9f594a9c0761768a",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "5a15dbed2ae183b0",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1": "18a3cce2c0cadbca",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "c6e7f37cbbe3874a",
 }
 
 #: fixture -> (workload, shape, space order, dmp_target arguments (None: the
@@ -428,18 +431,24 @@ _PINNED_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
-def test_generated_megakernel_sources_are_pinned(fixture):
+def pinned_megakernels(fixture):
+    """``(key, kernel)`` of every pinned kernel of ``fixture``: each rank,
+    untraced then traced, emitted from its buffer layout."""
     *_, size, threads = _PINNED_KERNELS[fixture]
     trace, layout = _trace_and_layout(_pinned_program(fixture))
     for rank in range(size):
         for traced in (False, True):
-            kernel = emit_megakernel(
+            yield f"{fixture}/r{rank}{'/traced' if traced else ''}", emit_megakernel(
                 trace, layout, rank=rank, size=size, traced=traced, threads=threads)
-            assert kernel.uses_team == (threads > 1)
-            key = f"{fixture}/r{rank}{'/traced' if traced else ''}"
-            digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
-            assert digest == MEGAKERNEL_FINGERPRINTS[key], key
+
+
+@pytest.mark.parametrize("fixture", sorted(_PINNED_KERNELS))
+def test_generated_megakernel_sources_are_pinned(fixture):
+    threads = _PINNED_KERNELS[fixture][-1]
+    for key, kernel in pinned_megakernels(fixture):
+        assert kernel.uses_team == (threads > 1)
+        digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
+        assert digest == MEGAKERNEL_FINGERPRINTS[key], key
 
 
 def _pinned_program(fixture):

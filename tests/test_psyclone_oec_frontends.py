@@ -109,7 +109,7 @@ class TestPsycloneBackend:
     def test_compiled_kernel_matches_reference(self):
         schedule = parse_fortran(SIMPLE_KERNEL)
         shape = (6, 6, 4)
-        module = PsycloneXDSLBackend(dtype=np.float64).build_module(schedule, shape, iterations=2)
+        module = PsycloneXDSLBackend(dtype=np.float64).build_module(schedule, shape)
         module.verify()
         rng = np.random.default_rng(1)
         arrays = {name: rng.random(tuple(s + 2 for s in shape)) for name in schedule.array_names()}

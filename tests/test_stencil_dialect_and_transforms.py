@@ -314,3 +314,33 @@ class TestTileLoopTagging:
             "tile_dim" in op.attributes
             for op in module.walk() if isinstance(op, scf.ForOp)
         )
+
+    @staticmethod
+    def _in_place_module(offset):
+        """8x8 ``u = u/2 + u[offset]/2``, stored into ``u`` itself."""
+        builder = StencilProgramBuilder(shape=(8, 8), halo=1, dtype="f64")
+        u = builder.add_field("u")
+        builder.add_field("w")
+        builder.add_stencil([u], u, lambda e: e.add(
+            e.mul(e.constant(0.5), e.access(0, [0, 0])),
+            e.mul(e.constant(0.5), e.access(0, list(offset)))))
+        return builder.build()
+
+    @pytest.mark.parametrize("offset, tiled", [
+        ((1, -1), False), ((-1, 0), False), ((0, 0), True)])
+    def test_an_apply_reading_what_it_stores_off_cell_is_not_tiled(self, offset, tiled):
+        """Tiles would visit the cells of an in-place update in another order
+        than the untiled sweep, which an off-cell read observes: such an
+        apply is lowered untiled, and the tiled result equals the untiled."""
+        module = self._in_place_module(offset)
+        lower_stencil_to_scf(module, tile_sizes=[4, 4])
+        assert any("tile_dim" in op.attributes for op in module.walk()
+                   if isinstance(op, scf.ForOp)) == tiled
+        rng = np.random.default_rng(1)
+        fields = [rng.uniform(-1.0, 1.0, (10, 10)) for _ in range(2)]
+        untiled = [field.copy() for field in fields]
+        Interpreter(module).call("kernel", *fields, 3)
+        reference = self._in_place_module(offset)
+        lower_stencil_to_scf(reference)
+        Interpreter(reference).call("kernel", *untiled, 3)
+        assert all(np.array_equal(mine, theirs) for mine, theirs in zip(fields, untiled))
