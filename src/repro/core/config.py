@@ -55,9 +55,14 @@ EXECUTION_BACKENDS = ("auto", "interpreter")
 
 #: Valid values of :attr:`ExecutionConfig.runtime`:
 #:
-#: * ``"threads"`` (default) — every rank runs in a Python thread of this
-#:   process against one shared :class:`~repro.interp.SimulatedMPI` world
-#:   (cheap, always available, serialized by the GIL outside NumPy);
+#: * ``"threads"`` (default) — the ranks run in this process against one
+#:   private :class:`~repro.interp.SimulatedMPI` world per job (cheap,
+#:   always available, serialized by the GIL outside NumPy).  A one-rank
+#:   job, and a job whose ranks communicate only through their megakernels'
+#:   halos, runs every rank as a coroutine on the calling thread under one
+#:   deterministic scheduler; every other job (the tree walker, islands
+#:   that pass messages, ``Session.run_spmd`` bodies, warm-ups) gives each
+#:   rank a Python thread of its own;
 #: * ``"processes"`` — every rank runs in its own OS process from the
 #:   session's persistent worker pool, with shared-memory field buffers and
 #:   queue-backed messaging (real multi-core scaling).  Falls back to

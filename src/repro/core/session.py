@@ -65,7 +65,14 @@ from ..transforms.distribute import GridSlicingStrategy
 from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning
 from .executor import ExecutionResult, core_field_slices, local_field_slices
 from .pipeline import CompiledProgram
-from .rank import codegen_wanted, megakernel_trace, rank_report
+from .rank import (
+    codegen_wanted,
+    megakernel_trace,
+    rank_coroutine,
+    rank_report,
+    run_blocking,
+    run_scheduled,
+)
 
 
 def default_function(program: CompiledProgram) -> str:
@@ -93,7 +100,8 @@ class SessionCounters:
 
     plans_created: int = 0
     warmups: int = 0
-    #: Thread-world rank executors constructed (reuse keeps this at 1).
+    #: Thread-world rank executors constructed (reuse keeps this at 1;
+    #: a session whose jobs all run on the scheduler creates none).
     rank_executors_created: int = 0
     #: Session-owned intra-rank thread teams constructed.
     thread_teams_created: int = 0
@@ -133,8 +141,9 @@ class Session:
         self._last_trace: Optional[TraceTimeline] = None
         self._closed = False
         self._lock = threading.Lock()
-        #: Serializes thread-world runs: interleaving two SPMD worlds on one
-        #: bounded executor could starve ranks of a partially-admitted run.
+        #: Serializes thread-world rounds that use the rank executor:
+        #: interleaving two SPMD worlds on one bounded executor could starve
+        #: ranks of a partially-admitted run.
         self._thread_run_lock = threading.Lock()
         self._plans: list[Plan] = []
         self._teams: dict[int, ThreadTeam] = {}
@@ -369,27 +378,34 @@ class Session:
         the serving layer (:mod:`repro.serve`) packs many.  Each job is a
         :class:`~repro.runtime.worker_pool.RoundJob` whose ranks run
         :func:`~repro.core.rank.rank_report`.  Process-world jobs partition
-        the worker pool (``PoolManager.run_round``), thread-world and local
-        jobs partition the persistent rank executor — each job in a private
-        :class:`SimulatedMPI` world of its own size — so N small jobs pay the
-        dispatch latency (lock handoff, executor or pool round trip, join)
-        once instead of N times.  A round that is a single thread-world or
-        local rank has nothing to run beside it and runs in the calling
-        thread.
+        the worker pool (``PoolManager.run_round``).  Thread-world and local
+        jobs each get a private :class:`SimulatedMPI` world of their own
+        size, and their ranks are coroutines: a one-rank job, and a job
+        whose ranks communicate only through their megakernels' halos, run
+        on one deterministic scheduler in the calling thread (the
+        dispatcher, under :mod:`repro.serve`); only the others — the tree
+        walker, islands that pass messages — partition the persistent rank
+        executor, one thread per rank (see :meth:`_run_threaded_round`).
+        Either way N small jobs pay the dispatch latency once instead of N
+        times.
 
-        One failure policy, the same in both worlds, because every rank
-        reports to one collector
-        (:func:`~repro.runtime.worker_pool.collect_reports`): a job is failed
-        the moment any of its ranks raises, and that first error — the root
+        One failure policy, the same in both worlds: a job is failed the
+        moment any of its ranks raises, and that first error — the root
         cause, not a peer's later timeout — is recorded on *its*
-        :class:`PreparedRun` (``finish()`` re-raises it).  Its remaining
-        ranks are abandoned to their communication timeouts; sibling jobs
-        keep running and the round returns as soon as every job has completed
-        or failed, ``REPORT_MARGIN`` past the longest job timeout at the
-        latest (a silent job then fails with a :class:`WorkerError`, counted
-        in ``worker.errors`` like every worker's).  Ranks that never reported
-        poison what hosts them — the rank executor, the worker pool — which
-        is retired and transparently replaced by the next round.
+        :class:`PreparedRun` (``finish()`` re-raises it).  A scheduled job
+        closes its other ranks at once, and one none of whose ranks can
+        progress fails at once with an :class:`~repro.interp.MPIRuntimeError`
+        naming what each rank waits for.  Ranks on threads and workers
+        report to one collector
+        (:func:`~repro.runtime.worker_pool.collect_reports`); a failed job's
+        remaining ranks there are abandoned to their communication
+        timeouts, sibling jobs keep running and the round returns as soon as
+        every job has completed or failed, ``REPORT_MARGIN`` past the
+        longest job timeout at the latest (a silent job then fails with a
+        :class:`WorkerError`, counted in ``worker.errors`` like every
+        worker's).  Ranks that never reported poison what hosts them — the
+        rank executor, the worker pool — which is retired and transparently
+        replaced by the next round.
         """
         self._ensure_open()
         pooled = [job for job in prepared if job.runtime == "processes"]
@@ -413,9 +429,8 @@ class Session:
         """One round of ``jobs`` in one world: one outcome per job.
 
         The process world runs it on the worker pool, the thread world on
-        the rank executor; either way the outcomes are
-        :func:`~repro.runtime.worker_pool.collect_reports`'s, and each
-        :class:`WorkerError` among them counts in ``worker.errors``.
+        its scheduler and the rank executor; each :class:`WorkerError` among
+        the outcomes counts in ``worker.errors``.
         """
         if processes:
             try:
@@ -432,46 +447,103 @@ class Session:
     def _run_threaded_round(self, jobs: Sequence[RoundJob]) -> list:
         """The thread world's round: each job in a private :class:`SimulatedMPI`.
 
-        Its ranks run on the rank executor (a round of one rank in the
-        calling thread) and put their reports on the round's queue, which
-        :func:`~repro.runtime.worker_pool.collect_reports` reads as it reads
-        the worker pool's.  Ranks that never reported still occupy executor
-        threads, so the executor is discarded after such a round.
+        Each job's ranks are launched first, as coroutines whose tier is
+        chosen (and whose megakernel is emitted) now.  A one-rank job, and
+        a job whose every rank communicates only through its megakernel's
+        halos, runs on the scheduler in the calling thread
+        (:func:`~repro.core.rank.run_scheduled`): no rank thread, and a
+        deadlock fails it at once.  Every other job's ranks run on the rank
+        executor, one thread each, and put their reports on the round's
+        queue, which :func:`~repro.runtime.worker_pool.collect_reports`
+        reads as it reads the worker pool's; ranks that never reported
+        still occupy executor threads, so the executor is discarded after
+        such a round.  ``round.ranks_scheduled`` and ``round.ranks_threaded``
+        on :attr:`metrics` count the ranks run each way, and
+        ``round.threaded.<reason>`` each job that kept its rank threads, by
+        why (:func:`~repro.core.rank.rank_coroutine`'s reasons, or
+        ``"body"`` for a rank body with no coroutine form: a warm-up or
+        :meth:`run_spmd`).
         """
-        results: queue.SimpleQueue = queue.SimpleQueue()
-        ranks = []
+        outcomes: list = [None] * len(jobs)
+        scheduled, threaded = [], []
         for index, job in enumerate(jobs):
             world = SimulatedMPI(job.size, timeout=job.timeout)
-            ranks += [
-                (index, job, world.communicator(rank)) for rank in range(job.size)
-            ]
-        run_ids = range(len(jobs))
-        sizes = [job.size for job in jobs]
-        timeout = max(job.timeout for job in jobs)
-        if len(ranks) == 1:  # nothing runs beside it: the calling thread does
-            _run_body(results, *ranks[0])
-            return collect_reports(results, run_ids, sizes, timeout)[0]
+            comms = [world.communicator(rank) for rank in range(job.size)]
+            try:
+                launched, reason = _launch(job, comms)
+            except Exception as error:  # noqa: BLE001 - the job's outcome
+                outcomes[index] = error
+                continue
+            if reason is None or job.size == 1:
+                scheduled.append((index, launched))
+                self.metrics.inc("round.ranks_scheduled", job.size)
+            else:
+                threaded.append((index, job, list(zip(comms, launched))))
+                self.metrics.inc("round.ranks_threaded", job.size)
+                self.metrics.inc(f"round.threaded.{reason}")
+
+        def schedule() -> None:
+            ran = run_scheduled([launched for _, launched in scheduled])
+            for (index, _), outcome in zip(scheduled, ran):
+                outcomes[index] = outcome
+
+        if not threaded:
+            schedule()
+            return outcomes
+        results: queue.SimpleQueue = queue.SimpleQueue()
         with self._thread_run_lock:
-            executor = self._acquire_rank_executor(len(ranks))
-            for rank in ranks:
-                executor.submit(_run_body, results, *rank)
-            outcomes, silent = collect_reports(results, run_ids, sizes, timeout)
+            executor = self._acquire_rank_executor(
+                sum(job.size for _, job, _ in threaded))
+            for index, _, ranks in threaded:
+                for comm, steps in ranks:
+                    executor.submit(_run_body, results, index, comm, steps)
+            schedule()
+            collected, silent = collect_reports(
+                results, [index for index, _, _ in threaded],
+                [job.size for _, job, _ in threaded],
+                max(job.timeout for _, job, _ in threaded),
+            )
             if any(silent.values()):
                 self._discard_rank_executor()
+        for (index, _, _), outcome in zip(threaded, collected):
+            outcomes[index] = outcome
         return outcomes
 
 
-def _run_body(results, index: int, job: RoundJob, comm) -> None:
-    """One thread-world rank of a round's job ``index``.
+def _launch(job: RoundJob, comms: Sequence) -> tuple[list, Optional[str]]:
+    """A job's ranks as coroutines, and why the scheduler may not run them
+    (None: it may)."""
+    if job.coroutine is None:
+        return [_body_steps(job.body, comm, job.rank_args[comm.rank])
+                for comm in comms], "body"
+    launched = [job.coroutine(comm, *job.rank_args[comm.rank]) for comm in comms]
+    reasons = [reason for _, reason in launched if reason is not None]
+    return [steps for steps, _ in launched], (reasons[0] if reasons else None)
 
-    Puts ``job.body``'s value — or the rank's own exception — on ``results``.
+
+def _body_steps(body: Callable[..., Any], comm, args: Sequence[Any]):
+    """A rank body as a coroutine that completes no halo of its own."""
+    yield from ()
+    return body(comm, *args)
+
+
+def _run_body(results, index: int, comm, steps) -> None:
+    """One thread-world rank of a round's job ``index``, on a rank thread.
+
+    Puts the value of ``steps`` (run by the blocking driver) — or the
+    rank's own exception — on ``results``.
     """
     try:
-        value = job.body(comm, *job.rank_args[comm.rank])
+        value = run_blocking(comm, steps)
     except BaseException as error:  # noqa: BLE001 - the collector hands it on
         results.put(("error", index, comm.rank, error))
     else:
         results.put(("done", index, comm.rank, value))
+
+
+def _local_coroutine(comm, *args):
+    """The coroutine of a local job: one rank, no communicator."""
+    return rank_coroutine(None, *args)
 
 
 def _local_report(comm, *args) -> RankStats:
@@ -983,7 +1055,8 @@ class PreparedRun:
         return result
 
     def round_job(self) -> RoundJob:
-        """The job's ranks as a round runs them: :func:`rank_report` each.
+        """The job's ranks as a round runs them: :func:`rank_report` each,
+        or :func:`~repro.core.rank.rank_coroutine` on the thread world.
 
         A process-world rank gets its fields as shared-memory specs (the
         worker maps each block the first time it meets it and keeps it
@@ -1006,6 +1079,7 @@ class PreparedRun:
             ],
             plan.config.timeout,
             plan.program,
+            rank_coroutine if plan.distributed else _local_coroutine,
         )
 
     def release(self) -> None:

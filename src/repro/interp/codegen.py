@@ -8,7 +8,11 @@ tier of the stack: a function is *traced* once (:func:`trace_program`) and
 straight-line Python function — fused whole-array NumPy statements for every
 compiled nest, ``dmp.swap`` isend/irecv posts, interior-box execution and
 halo completion points inlined at fixed program points, the time loop a
-plain ``for`` — compiled with :func:`compile` and executed directly.
+plain ``for`` — compiled with :func:`compile` and executed directly.  A
+kernel that completes halos is a generator that yields each pending halo at
+its completion point to its driver, which lands it: blocking, or — for the
+ranks of a thread-world job — the scheduler of
+:func:`repro.core.rank.run_scheduled`, which runs every rank on one thread.
 
 Emission is two steps, each reading the last one's product, as the stack's
 levels do.  :func:`plan_megakernel` plans each segment of the trace (before,
@@ -70,7 +74,8 @@ The discipline mirrors the interpreter exactly:
   one printed body to be exact for all of them;
 * swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
   and the exchange itself is the interpreter's ``post_swap`` /
-  ``complete_swap`` pair, called directly, for either spelling;
+  ``complete_swap`` pair, for either spelling: the kernel posts, its driver
+  completes;
 * every statistics counter of a fused op is *statically hoisted*: the
   emitted function adds ``once + trips * per_iteration`` to each field up
   front; islands count their own ops as they walk them.  Fields and
@@ -95,6 +100,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 import os
@@ -223,7 +229,7 @@ class MegakernelTrace:
 
     __slots__ = ("function_name", "func_op", "loop", "pre", "body", "post",
                  "sym", "arg_count", "once", "per_trip",
-                 "walked_nests", "has_islands", "uses_env")
+                 "walked_nests", "has_islands", "uses_env", "island_messages")
 
     def __init__(self, function_name: str, func_op, loop, pre, body, post, sym,
                  arg_count: int, once: dict, per_trip: dict,
@@ -243,6 +249,44 @@ class MegakernelTrace:
             step[0] == "island" for step in (*pre, *body, *post)
         )
         self.uses_env = any(entry[0] == "env" for entry in sym.values())
+        #: Whether an island may send, receive or synchronize through the
+        #: communicator: then the kernel communicates outside its swaps.
+        self.island_messages = self.has_islands and _passes_messages(
+            [step[1] for step in (*pre, *body, *post) if step[0] == "island"],
+            func_op.parent_op,
+        )
+
+
+#: The message-passing ops and ``MPI_*`` calls that pass no message.
+_LOCAL_MPI = frozenset({
+    "mpi.init", "mpi.finalize", "mpi.comm_rank", "mpi.comm_size",
+    "mpi.unwrap_memref", "mpi.allocate_requests", "mpi.get_request",
+    "mpi.set_null_request", "MPI_Init", "MPI_Finalize", "MPI_Comm_rank",
+    "MPI_Comm_size",
+})
+
+
+def _passes_messages(islands: list, module) -> bool:
+    """Whether walking ``islands`` may pass a message: a ``dmp.swap``, an
+    ``mpi`` op or ``MPI_*`` call outside :data:`_LOCAL_MPI`, at any depth and
+    through calls to functions of ``module``."""
+    functions = {op.sym_name: op for op in module.walk()
+                 if isinstance(op, func.FuncOp)}
+    pending = [op for island in islands for op in island.ops]
+    seen: set = set()
+    while pending:
+        for op in pending.pop().walk():
+            name = op.name
+            if isinstance(op, func.CallOp):
+                name = op.callee
+                if name in functions and name not in seen:
+                    seen.add(name)
+                    pending.append(functions[name])
+            if name == "dmp.swap" or (
+                name.startswith(("mpi.", "MPI_")) and name not in _LOCAL_MPI
+            ):
+                return True
+    return False
 
 
 def trace_program(func_op, kernel: CompiledKernel) -> MegakernelTrace:
@@ -651,17 +695,22 @@ class _Tracer:
 class CompiledMegakernel:
     """One compiled megakernel: a single Python function per (plan, rank).
 
-    ``run`` re-checks what only the concrete call can prove — pairwise
-    buffer aliasing — and returns False to bounce that run to the tree walker
-    when the guard fails.
+    A kernel that completes halos is a generator: it yields each posted
+    :class:`~repro.interp.interpreter.PendingHalo` at its completion point,
+    and whoever drives it lands the halo before resuming it — :meth:`run`
+    blocks in ``complete_swap``, the thread world's scheduler
+    (:func:`repro.core.rank.run_scheduled`) resumes the rank once its
+    receives have arrived.  ``start`` and ``run`` re-check what only the
+    concrete call can prove — pairwise buffer aliasing — and bounce that
+    run to the tree walker when the guard fails.
     """
 
     __slots__ = ("label", "source", "array_indices", "traced", "uses_team",
-                 "_module", "_functions", "_fn")
+                 "completes", "island_messages", "_module", "_functions", "_fn")
 
     def __init__(self, label: str, source: str, array_indices: tuple,
                  namespace: dict, traced: bool = False, uses_team: bool = False,
-                 module=None):
+                 module=None, island_messages: bool = False):
         self.label = label
         self.source = source
         self.array_indices = array_indices
@@ -671,6 +720,10 @@ class CompiledMegakernel:
         self.traced = traced
         #: Whether boxes run as chunks on a thread team (``_team``).
         self.uses_team = uses_team
+        #: Whether an island may pass messages: the kernel then communicates
+        #: outside its posts and completions (see
+        #: :attr:`MegakernelTrace.island_messages`).
+        self.island_messages = island_messages
         #: The module islands are walked in (None: the kernel has none).
         self._module = module
         self._functions = None if module is None else {
@@ -679,15 +732,19 @@ class CompiledMegakernel:
         code = compile(source, f"<megakernel:{label}>", "exec")
         exec(code, namespace)
         self._fn = namespace["_megakernel"]
+        #: Whether the kernel completes halos: a generator of them.
+        self.completes = inspect.isgeneratorfunction(self._fn)
 
-    def run(self, args, stats, comm=None, tracer=None, team=None) -> bool:
-        """Execute; False bounces to the tree walker (aliased buffers).
+    def start(self, args, stats, comm=None, tracer=None, team=None):
+        """The run as an iterator of the halos it completes; None bounces it
+        to the tree walker (aliased buffers).
 
-        ``team`` is the rank's thread team, which a kernel emitted for
-        ``threads > 1`` runs its chunks on.
+        A kernel that completes nothing has run when this returns.  ``team``
+        is the rank's thread team, which a kernel emitted for ``threads > 1``
+        runs its chunks on.
         """
         if _aliased([args[index] for index in self.array_indices]):
-            return False
+            return None
         extra: list = []
         if self.traced:
             extra.append(tracer)
@@ -699,7 +756,17 @@ class CompiledMegakernel:
             )
             walker.stats = stats
             extra.append(walker)
-        self._fn(args, stats, comm, *extra)
+        halos = self._fn(args, stats, comm, *extra)
+        return halos if self.completes else ()
+
+    def run(self, args, stats, comm=None, tracer=None, team=None) -> bool:
+        """Execute, landing each halo as it is yielded; False bounces to the
+        tree walker (aliased buffers)."""
+        halos = self.start(args, stats, comm, tracer, team)
+        if halos is None:
+            return False
+        for halo in halos:
+            complete_swap(comm, halo)
         return True
 
 
@@ -956,12 +1023,13 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
     source, ctx = print_python(schedule, label, traced)
     if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
         print(f"# --- megakernel {label} ---\n{source}", file=sys.stderr)
-    namespace = {"_np": np, "_ctx": ctx, "_post": post_swap, "_cm": complete_swap,
+    namespace = {"_np": np, "_ctx": ctx, "_post": post_swap,
                  "_fold": _fold, "_call": _call}
     return CompiledMegakernel(
         label, source, schedule.array_indices, namespace, traced=traced,
         uses_team=schedule.uses_team,
         module=trace.func_op.parent_op if trace.has_islands else None,
+        island_messages=trace.island_messages,
     )
 
 
@@ -1047,8 +1115,9 @@ class _PythonPrinter:
         return self.lines
 
     def _complete(self, step: Complete) -> None:
+        """Yield the pending halo to the kernel's driver, which lands it."""
         with self._span("halo.wait"):
-            self.lines.append(f"_cm(_comm, _h{step.ordinal})")
+            self.lines.append(f"yield _h{step.ordinal}")
 
     def _nest(self, plan: NestPlan, landed) -> None:
         """Print one nest: its boxes, the completions ``landed`` (those of an

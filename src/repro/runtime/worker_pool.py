@@ -127,13 +127,17 @@ class RoundJob:
     of the job's ranks.  ``program``, when set, is shipped once to each
     worker the job occupies, and a rank argument that *is* it reaches the
     worker's body as the worker's cached copy; the thread world passes
-    every argument as it is.
+    every argument as it is.  ``coroutine``, when set, is the body as the
+    thread world may schedule it: ``coroutine(comm, *rank_args[rank])``
+    returns ``(steps, reason)`` as :func:`repro.core.rank.rank_coroutine`
+    does.
     """
 
     body: Callable[..., Any]
     rank_args: Sequence[Sequence[Any]]
     timeout: float
     program: Any = None
+    coroutine: Optional[Callable[..., Any]] = None
 
     @property
     def size(self) -> int:

@@ -241,9 +241,10 @@ def exploding_rank(monkeypatch):
     """Rank 1 of any run of ``POISON_STEPS`` steps raises before its first send.
 
     Patches ``run_rank`` in :mod:`repro.core.rank`, where every world's
-    ``rank_report`` looks it up; the workers must be forked *after* the patch
-    (a fresh Session/Server) and inherit it, so process-world users need a
-    fork platform.  Every other run is untouched.
+    rank coroutine looks it up — scheduled thread-world ranks included; the
+    workers must be forked *after* the patch (a fresh Session/Server) and
+    inherit it, so process-world users need a fork platform.  Every other
+    run is untouched.
     """
     import repro.core.rank as rank_module
 

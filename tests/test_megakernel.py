@@ -395,24 +395,24 @@ def test_block_budget_patches_take_effect(monkeypatch):
 MEGAKERNEL_FINGERPRINTS = {
     "heat2d-so2-64/dmp(1,1)/r0": "cd7b013965db1cb6",
     "heat2d-so2-64/dmp(1,1)/r0/traced": "015df7365dced6dc",
-    "heat2d-so2-64/dmp(2,1)/r0": "24dea3617b4627ac",
-    "heat2d-so2-64/dmp(2,1)/r0/traced": "2371f95f7d8916f0",
-    "heat2d-so2-64/dmp(2,1)/r1": "07f7aa5c0080f4fd",
-    "heat2d-so2-64/dmp(2,1)/r1/traced": "65ac0771377a6060",
+    "heat2d-so2-64/dmp(2,1)/r0": "a0453a8472477754",
+    "heat2d-so2-64/dmp(2,1)/r0/traced": "bf38f6058955df81",
+    "heat2d-so2-64/dmp(2,1)/r1": "27887abc5b619ce5",
+    "heat2d-so2-64/dmp(2,1)/r1/traced": "5f4a1b144caa4af5",
     "wave3d-so4-128/cpu/r0": "5dcc6cc78e328ac4",
     "wave3d-so4-128/cpu/r0/traced": "0da9bc9006b41b44",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r0": "0369af9e82f00e1d",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r0/traced": "7927744eba2d032c",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r1": "4a1791797cba5e4d",
-    "wave3d-so8-16x256x256/dmp(2,1,1)/r1/traced": "f5e01156cceb63d4",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0": "e60d3ceeb3cd91f0",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "96041cedd386ca3a",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "c6d40ae3c5e29000",
-    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "922a44fc98078763",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0": "9f594a9c0761768a",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "5a15dbed2ae183b0",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1": "18a3cce2c0cadbca",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "c6e7f37cbbe3874a",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0": "0f5ac74077b3e8f7",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r0/traced": "d0d72eb22e0e602e",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1": "abef5babdd1ffabe",
+    "wave3d-so8-16x256x256/dmp(2,1,1)/r1/traced": "53c27f673fcd37bf",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0": "dc84414822e53ade",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "1b1c0aacea243682",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "05a52e539df7949d",
+    "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "f373d9cc2c1460f2",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0": "a7dc275bbd809535",
+    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "83f4765fda0a18b3",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1": "42484c0400cb8936",
+    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "273c201754cc3da2",
 }
 
 #: fixture -> (workload, shape, space order, dmp_target arguments (None: the

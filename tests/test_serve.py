@@ -187,7 +187,8 @@ class TestBatchedDispatch:
         """One round, a healthy job and one whose rank 1 raises mid-run: the
         sibling completes without waiting out the victim's 5 s comm timeout,
         the bad job reports the root cause rather than its peer's timeout,
-        and what hosted the abandoned rank is retired exactly once."""
+        and a worker pool that hosted the abandoned rank is retired exactly
+        once (scheduled thread-world ranks never occupy the rank executor)."""
         program = _compile_heat((2, 1))
         config = ExecutionConfig(runtime=runtime, timeout=5.0)
         ref_fields, _ = _standalone_reference(program, 5, config)
@@ -203,7 +204,8 @@ class TestBatchedDispatch:
             server.start()
             for handle in warm:
                 handle.result(timeout=60.0)
-            assert hosts_created() == 1
+            hosts = 1 if runtime == "processes" else 0
+            assert hosts_created() == hosts
 
             good_fields = _heat_fields()
             began = time.monotonic()
@@ -234,7 +236,8 @@ class TestBatchedDispatch:
             server.submit(program, after_fields, [5]).result(timeout=60.0)
             assert np.array_equal(after_fields[0], ref_fields[0])
             assert np.array_equal(after_fields[1], ref_fields[1])
-            assert hosts_created() == 2
+            assert hosts_created() == 2 * hosts
+            assert session.metrics.get("round.ranks_threaded") == 0
             assert server.metrics.get("serve.jobs_completed") == 4
 
     def test_local_programs_ride_the_same_queue(self):

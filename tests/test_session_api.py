@@ -166,9 +166,10 @@ class TestSessionLifecycle:
         assert session.closed
 
     def test_rank_executor_reused_across_runs(self):
+        """Tree-walker ranks keep their rank threads, on one executor."""
         program = _compile_heat((2, 1))
         with Session() as session:
-            plan = session.plan(program)
+            plan = session.plan(program, backend="interpreter")
             for _ in range(4):
                 plan.run(_heat_fields(), [2])
             assert session.metrics.get("runs") == 4
@@ -462,16 +463,20 @@ def test_rank_failing_mid_run_raises_the_root_cause_at_once(runtime, exploding_r
         plan.run(fields, [2])
         assert np.array_equal(fields[0], reference[0])
         assert np.array_equal(fields[1], reference[1])
+        # The pool that hosted the failed rank is retired once; scheduled
+        # thread-world ranks never occupy the rank executor.
         created = (session.worker_pools_created if runtime == "processes"
                    else session.counters.rank_executors_created)
-        assert created == 2
+        assert created == (2 if runtime == "processes" else 0)
+        assert session.metrics.get("round.ranks_threaded") == 0
         assert plan.runs_completed == 2
 
 
 def test_silent_thread_job_fails_at_the_collector_deadline(monkeypatch):
-    """A thread-world job whose ranks never report fails as a process job
-    does: the collector's ``WorkerError``, counted in ``worker.errors``, and
-    the rank executor its silent ranks occupy is replaced."""
+    """A threaded job (tree-walker ranks) whose ranks never report fails as
+    a process job does: the collector's ``WorkerError``, counted in
+    ``worker.errors``, and the rank executor its silent ranks occupy is
+    replaced."""
     import repro.core.rank as rank_module
     from repro.runtime import worker_pool
 
@@ -486,7 +491,7 @@ def test_silent_thread_job_fails_at_the_collector_deadline(monkeypatch):
     monkeypatch.setattr(rank_module, "run_rank", stalling)
     program = _compile_heat((2, 1))
     with Session(timeout=0.3) as session:
-        plan = session.plan(program)
+        plan = session.plan(program, backend="interpreter")
         plan.run(_heat_fields(), [2])
         began = time.monotonic()
         with pytest.raises(WorkerError, match="did not report within 0.3s"):
@@ -518,6 +523,8 @@ def test_fault_inside_a_megakernel_leaks_nothing(runtime, exploding_kernel):
         survived = _heat_fields()
         plan.run(survived, [3])
         assert session.metrics.get("megakernel.engaged") == 2
+        # The thread world ran every rank on its scheduler, none on a thread.
+        assert session.metrics.get("round.ranks_threaded") == 0
         if runtime == "processes":
             # The halos travelled through message blocks, which the leak
             # check below must therefore see unlinked.
