@@ -121,26 +121,43 @@ def test_compile_pass_times_artifact():
 
 
 def test_pinned_megakernel_sources_artifact():
-    """The sources ``tests/test_megakernel.py::MEGAKERNEL_FINGERPRINTS`` pins.
+    """The sources ``tests/test_megakernel.py::MEGAKERNEL_FINGERPRINTS`` pins,
+    and the schedules they are printed from.
 
-    Written to ``.bench_build/pinned_megakernels.txt``, each under a
-    ``# === <key> <fingerprint>`` line, so that a change of fingerprint can
-    be reviewed as the code it is; no row, so no floor.
+    The sources are written to ``.bench_build/pinned_megakernels.txt``, each
+    under a ``# === <key> <fingerprint>`` line, so that a change of
+    fingerprint can be reviewed as the code it is; each rank's
+    ``KernelSchedule`` (its dataclass repr, formatted) to
+    ``.bench_build/pinned_schedules.txt`` under ``# === <fixture>/r<rank>``,
+    so that a change of schedule can be reviewed as data; no row, so no
+    floor.
     """
     import hashlib
     import pathlib
+    import pprint
 
-    from tests.test_megakernel import MEGAKERNEL_FINGERPRINTS, _PINNED_KERNELS, pinned_megakernels
+    from repro.interp.schedule import plan_megakernel
+    from tests.test_megakernel import (
+        MEGAKERNEL_FINGERPRINTS, _PINNED_KERNELS, _pinned_program, _trace_and_layout,
+        pinned_megakernels,
+    )
 
-    sections = []
+    sections, schedules = [], []
     for fixture in sorted(_PINNED_KERNELS):
         for key, kernel in pinned_megakernels(fixture):
             digest = hashlib.sha256(kernel.source.encode()).hexdigest()[:16]
             sections.append(f"# === {key} {digest}\n{kernel.source}")
+        *_, size, threads = _PINNED_KERNELS[fixture]
+        trace, layout = _trace_and_layout(_pinned_program(fixture))
+        for rank in range(size):
+            schedule = plan_megakernel(trace, layout, rank, size, threads)
+            schedules.append(f"# === {fixture}/r{rank}\n{pprint.pformat(schedule, width=100)}\n")
     assert len(sections) == len(MEGAKERNEL_FINGERPRINTS)
-    artifact = pathlib.Path(".bench_build", "pinned_megakernels.txt")
-    artifact.parent.mkdir(exist_ok=True)
-    artifact.write_text("\n".join(sections), encoding="utf-8")
+    pathlib.Path(".bench_build").mkdir(exist_ok=True)
+    pathlib.Path(".bench_build", "pinned_megakernels.txt").write_text(
+        "\n".join(sections), encoding="utf-8")
+    pathlib.Path(".bench_build", "pinned_schedules.txt").write_text(
+        "\n".join(schedules), encoding="utf-8")
 
 
 @pytest.mark.benchmark(group="megakernel")
@@ -182,7 +199,7 @@ def test_trace_overhead(benchmark):
         # Untraced emission carries zero observability bookkeeping.
         assert "_tracer" not in megakernel.source
 
-        assert megakernel.run([*raw_fields, steps], ExecStatistics(), None)
+        assert megakernel.start([*raw_fields, steps], ExecStatistics(), None) is not None
         plan_fields = fields()
         plan.run(plan_fields, [steps])
         for mine, theirs in zip(plan_fields, raw_fields):
@@ -200,7 +217,7 @@ def test_trace_overhead(benchmark):
         raw_best = off_best = float("inf")
         for pair in range(max_pairs):
             start = time.perf_counter()
-            megakernel.run([*fields(), steps], ExecStatistics(), None)
+            megakernel.start([*fields(), steps], ExecStatistics(), None)
             raw_best = min(raw_best, time.perf_counter() - start)
             start = time.perf_counter()
             plan.run(fields(), [steps])
@@ -334,7 +351,7 @@ def test_generated_wave_kernel_against_a_hand_written_one(benchmark):
             program, plan.compile(), plan.config, [*fields(), steps])
 
         def generated(arrays):
-            assert megakernel.run([*arrays, steps], ExecStatistics(), None)
+            assert megakernel.start([*arrays, steps], ExecStatistics(), None) is not None
 
         mine, theirs = fields(), fields()
         by_hand(mine)

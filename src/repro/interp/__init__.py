@@ -12,12 +12,16 @@ Lowered programs are executed by two engines:
   tricks, unknown dialects with registered handlers.
 * **megakernel** (:mod:`repro.interp.codegen`) — the one compiled tier.  A
   function is traced once and emitted per rank and buffer layout as one
-  generated Python function.  ``scf.parallel`` / ``omp.wsloop`` / plain
-  ``scf.for`` nests whose bodies are pure ``memref.load`` / ``arith`` /
+  generated Python function, planned into and printed from a
+  :class:`~repro.interp.schedule.KernelSchedule`, a plain value that holds
+  nothing of the IR (:mod:`repro.interp.schedule`).  ``scf.parallel`` /
+  ``omp.wsloop`` / plain ``scf.for`` nests whose bodies are pure
+  ``memref.load`` / ``arith`` /
   ``memref.store`` programs with affine (``iv + c``) indices
   (:mod:`repro.interp.vectorize` compiles them to instructions) are fused
   into it as whole-array NumPy statements.  :mod:`repro.interp.nestplan`
-  plans each box of such a nest once against the buffer layout
+  takes such a nest resolved against the trace and plans each box of it
+  once against the buffer layout
   (:func:`~repro.interp.nestplan.plan_box`) and
   :func:`~repro.interp.nestplan.print_numpy` is the one printer of those
   statements: in place (``out=`` into a few scratch slots, the last op into

@@ -3,32 +3,29 @@
 Walking the lowered IR op by op costs a handler dispatch per op and an
 environment update per value; on small grids run for many timesteps that
 dispatch — not the NumPy work — dominates.  This module is the one compiled
-tier of the stack: a function is *traced* once (:func:`trace_program`) and
-*emitted* per rank and buffer layout (:func:`emit_megakernel`) as a single
-straight-line Python function — fused whole-array NumPy statements for every
-compiled nest, ``dmp.swap`` isend/irecv posts, interior-box execution and
-halo completion points inlined at fixed program points, the time loop a
-plain ``for`` — compiled with :func:`compile` and executed directly.  A
-kernel that completes halos is a generator that yields each pending halo at
-its completion point to its driver, which lands it: blocking, or — for the
+tier of the stack, and its two ends: a function is *traced* once
+(:func:`trace_program`) and *emitted* per rank and buffer layout
+(:func:`emit_megakernel`) as a single straight-line Python function — fused
+whole-array NumPy statements for every compiled nest, ``dmp.swap``
+isend/irecv posts, interior-box execution and halo completion points inlined
+at fixed program points, the time loop a plain ``for`` — compiled with
+:func:`compile` and executed directly.  A kernel that completes halos is a
+generator that yields each pending halo at its completion point to its
+driver, which lands it: :func:`repro.core.rank.run_blocking`, or — for the
 ranks of a thread-world job — the scheduler of
 :func:`repro.core.rank.run_scheduled`, which runs every rank on one thread.
 
-Emission is two steps, each reading the last one's product, as the stack's
-levels do.  :func:`plan_megakernel` plans each segment of the trace (before,
-inside and after the time loop) against the buffer layout into a
-:class:`KernelSchedule`: lists of :class:`Post`, :class:`Complete`,
-:class:`Island` and :class:`Nest` steps, from which the hoisted statistics
-are summed.  :func:`print_python` spells a schedule as Python source; only
-it plans boxes, allocates scratch and ``_ctx`` slots, and writes spans.
-The layout — :func:`megakernel_signature` of the arguments: their count and
-each array's index, shape, dtype and C-contiguity, the key callers cache
-kernels by — is the planner's whole input: it never sees an array, so a
-schedule is a function of its cache key and outlives any buffers.
-Contiguity decides whether a box may be spelled pitched (over flat spans of
-its buffers, see :mod:`repro.interp.nestplan`).  The region views the time
-loop's boxes read and write are bound once per rotation phase, ahead of the
-loop, and rotate with the buffers: every parity plans the same steps.
+Between the two ends sits the schedule (:mod:`repro.interp.schedule`), a
+plain value: the trace is resolved once, and each emission plans it against
+the buffer layout (:func:`~repro.interp.schedule.plan_megakernel`) and
+prints the schedule (:func:`~repro.interp.schedule.print_python`), as the
+stack's levels do.  The trace resolves every fused nest against its symbols
+once, into a :class:`~repro.interp.nestplan.FusedNest`: emit-time constants
+folded into its affine terms and literals, its other scalars named by trace
+symbol, its values by instruction position and its reductions by numbered
+``_env`` slots.  Nothing after the trace reads the IR; :func:`emit_megakernel`
+binds the islands and ``_env`` slots the printed kernel names back to the
+trace's ops and values.
 
 What the tracer cannot fuse becomes an **island**: a run of consecutive ops
 the tree walker executes in place, in program order, on one
@@ -47,7 +44,7 @@ query, request array, packing copies, ``MPI_Isend``/``MPI_Irecv``,
 ``MPI_Waitall``, unpacking copies), found by :func:`_message_groups` from the
 swap declaration its request array keeps.  Both post and land through
 :func:`~repro.interp.interpreter.post_swap` / ``complete_swap`` with the same
-:class:`~repro.interp.interpreter.SwapMessagePlan`, so both emit the same
+:class:`~repro.interp.schedule.SwapMessagePlan`, so both emit the same
 kernel, hoisted statistics aside (the walker of the ``MPI_*`` form counts
 messages, not ``halo_swaps`` or halo elements).
 
@@ -55,33 +52,12 @@ Halo exchanges overlap compute wherever
 :func:`~repro.interp.nestplan.plan_nest` proves it safe: a nest's interior
 runs while its halos are in flight and its boundary strips after they land.
 There is no switch to turn that off; the tree walker, whose exchanges
-block, is the blocking reference.
-
-The discipline mirrors the interpreter exactly:
-
-* the statements of a nest are not written here: each nest is planned once
-  per buffer layout by :func:`repro.interp.nestplan.plan_nest` — concrete
-  bounds, the aliasing verdict, the overlap split and, with
-  ``threads_per_rank > 1``, team chunks — and each box is planned once by
-  :func:`~repro.interp.nestplan.plan_box` and written by
-  :func:`~repro.interp.nestplan.print_numpy`, the one instruction -> NumPy
-  printer, with literal slices (``b0[2:130, ...]``): in-place ``out=``
-  statements and, for a box over the cell budget, the block loop around
-  them; the scratch slots they write become locals allocated once, ahead
-  of the time loop, and team chunks become local functions run on the
-  rank's :class:`~repro.interp.thread_team.ThreadTeam`.  Every later buffer
-  parity of the time loop must plan the same steps, dtypes included, for
-  one printed body to be exact for all of them;
-* swap geometry comes from :func:`repro.interp.interpreter.swap_message_plan`
-  and the exchange itself is the interpreter's ``post_swap`` /
-  ``complete_swap`` pair, for either spelling: the kernel posts, its driver
-  completes;
-* every statistics counter of a fused op is *statically hoisted*: the
-  emitted function adds ``once + trips * per_iteration`` to each field up
-  front; islands count their own ops as they walk them.  Fields and
-  statistics equal the tree walker's, except the two counters that say how
-  a run went: ``ops_executed`` (a fused nest is one op) and
-  ``halo_swaps_overlapped`` (the walker never overlaps).
+block, is the blocking reference.  Every statistics counter of a fused op is
+*statically hoisted*: the emitted function adds ``once + trips *
+per_iteration`` to each field up front; islands count their own ops as they
+walk them.  Fields and statistics equal the tree walker's, except the two
+counters that say how a run went: ``ops_executed`` (a fused nest is one op)
+and ``halo_swaps_overlapped`` (the walker never overlaps).
 
 What the tracer cannot prove about the *structure* — no time loop it can
 bound, loop-carried values that are not a permutation of buffer arguments —
@@ -89,7 +65,7 @@ and what the planner cannot slice (aliased regions, rotation-dependent
 schedules) raise :class:`CodegenError` with an explicit reason; the caller
 (:func:`repro.core.rank.run_rank`) records a :class:`CodegenFallback` and
 runs the tree walker instead.  Field arguments that share memory are a
-property of one run, not of the layout: :meth:`CompiledMegakernel.run`
+property of one run, not of the layout: :meth:`CompiledMegakernel.start`
 bounces that run alone to the tree walker.
 
 Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
@@ -97,12 +73,10 @@ Set ``REPRO_DUMP_MEGAKERNEL=1`` to dump every generated source to stderr.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import inspect
 import itertools
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -112,32 +86,21 @@ import numpy as np
 
 from ..dialects import arith, builtin, dmp, func, omp, scf
 from ..ir.core import OpResult, Operation, SSAValue
-from .interpreter import (
-    Interpreter,
-    SwapMessagePlan,
-    _wrap_argument,
-    complete_swap,
-    post_swap,
-    swap_message_plan,
-)
-from .nestplan import CodegenError, NestPlan, local_name, plan_box, plan_nest, print_numpy
-from .vectorize import CompiledKernel, CompiledNest, operand_refs
+from .interpreter import Interpreter, _wrap_argument, post_swap
+from .nestplan import Affine, CodegenError, FusedNest
+from .schedule import Island, Loop, Swap, plan_megakernel, print_python
+from .vectorize import CompiledKernel, CompiledNest
 
 
+@dataclass(frozen=True)
 class CodegenFallback:
     """Why a plan bounced to the tree walker (mirrors VectorizeFallback)."""
 
-    __slots__ = ("function_name", "reason")
-
-    def __init__(self, function_name: str, reason: str):
-        self.function_name = function_name
-        self.reason = reason
+    function_name: str
+    reason: str
 
     def __str__(self) -> str:
         return f"{self.function_name}: {self.reason}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CodegenFallback({self.function_name!r}, {self.reason!r})"
 
 
 #: Symbolic values of the tracer:
@@ -146,8 +109,9 @@ class CodegenFallback:
 #:   ("slot", k)   — loop-carried value k of the time loop (rotates per step)
 #:   ("final", k)  — result k of the time loop (slot k after the last step)
 #:   ("iv",)       — the time-loop induction variable
-#:   ("env",)      — known only at run time: a result of an island or of a
-#:                   fused reduction, kept in the kernel's ``_env``
+#:   ("env", k)    — known only at run time: a result of an island or of a
+#:                   fused reduction, kept in the kernel's ``_env`` under
+#:                   the trace's value ``env[k]``
 _Sym = tuple
 
 #: The symbols a fused swap or nest may name a buffer by.
@@ -160,101 +124,50 @@ _SCALARS = ("const", "arg", "iv", "env")
 _TRACED_COUNTERS = (
     "ops_executed", "omp_regions", "omp_barriers", "kernel_launches", "halo_swaps",
 )
-#: ... followed by those the schedule adds once it has the buffers.
-_HOISTED_COUNTERS = _TRACED_COUNTERS + (
-    "cells_updated", "mpi_messages", "halo_elements_exchanged",
-    "halo_swaps_overlapped",
-)
 
 
-class _LoopInfo:
-    """The traced time loop: bounds, carried-slot initialization, rotation."""
-
-    __slots__ = ("op", "lower", "upper", "step", "init_args", "perm")
-
-    def __init__(self, op, lower: _Sym, upper: _Sym, step: int,
-                 init_args: list[int], perm: list[int]):
-        self.op = op
-        self.lower = lower
-        self.upper = upper
-        self.step = step
-        #: ``init_args[k]`` = the function-argument index slot ``k`` starts as.
-        self.init_args = init_args
-        #: ``perm[j]`` = the slot whose value becomes slot ``j`` next step.
-        self.perm = perm
-
-
-class _Island:
-    """Ops the megakernel cannot fuse, walked in place by the tree walker.
-
-    ``inputs`` are the traced values the ops read that the kernel passes at
-    each call, in order; ``constants`` the literal ones.  Everything else the
-    ops read was produced into the environment before them.
-    """
-
-    __slots__ = ("ops", "inputs", "constants")
-
-    def __init__(self, ops: list[Operation], inputs: list[SSAValue],
-                 constants: dict[SSAValue, Any]):
-        self.ops = ops
-        self.inputs = inputs
-        self.constants = constants
-
-    def __call__(self, walker: Interpreter, env: dict, *values) -> None:
-        env.update(self.constants)
-        for value, current in zip(self.inputs, values):
-            env[value] = _wrap_argument(current, value.type)
-        for op in self.ops:
-            walker._eval(op, env)
-
-
+@dataclass(eq=False)
 class MegakernelTrace:
     """One traced function: its steps and hoisted statistics.
 
     ``pre``, ``body`` and ``post`` hold the steps before, inside and after
-    the time loop (without one, everything is ``body``, run once):
-    ``("swap", op, src_sym, ordinal)`` (``op`` is the ``dmp.swap`` or the
-    request array of its lowered message group), ``("nest", op, nest,
-    base_syms)`` and ``("island", island, input_syms)`` records in program
-    order.  The
+    the time loop ``loop`` (without one, everything is ``body``, run once):
+    :class:`~repro.interp.schedule.Swap`,
+    :class:`~repro.interp.schedule.Island` and
+    :class:`~repro.interp.nestplan.FusedNest` records in program order.  The
     in-flight halo bookkeeping (prefix completion before a swap of the same
     buffer, overlap decisions at each nest, completion before an island and
-    at the end of a segment) is planned by :func:`plan_megakernel` against
-    the buffer layout, where the geometry is known.  ``once`` and
-    ``per_trip`` count the fused ops' statistics outside and inside the time
-    loop.
-    ``walked_nests`` counts the vectorized nests left to islands (walked cell
-    by cell although the vectorizer compiled them).
+    at the end of a segment) is planned by
+    :func:`~repro.interp.schedule.plan_megakernel` against the buffer
+    layout, where the geometry is known.  ``once`` and ``per_trip`` count the
+    fused ops' statistics outside and inside the time loop.
+
+    The IR stays here: ``islands[i]`` is island ``i``'s ``(ops, inputs,
+    constants)`` — the traced values it reads that the kernel passes at each
+    call, and the literal ones — and ``env[k]`` the value ``_env`` slot ``k``
+    keeps.  ``walked_nests`` counts the vectorized nests left to islands
+    (walked cell by cell although the vectorizer compiled them).
     """
 
-    __slots__ = ("function_name", "func_op", "loop", "pre", "body", "post",
-                 "sym", "arg_count", "once", "per_trip",
-                 "walked_nests", "has_islands", "uses_env", "island_messages")
+    function_name: str
+    func_op: Any
+    loop: Optional[Loop]
+    pre: list
+    body: list
+    post: list
+    islands: list
+    env: list
+    arg_count: int
+    once: dict
+    per_trip: dict
+    walked_nests: int
+    #: Whether an island may send, receive or synchronize through the
+    #: communicator: then the kernel communicates outside its swaps.
+    island_messages: bool
 
-    def __init__(self, function_name: str, func_op, loop, pre, body, post, sym,
-                 arg_count: int, once: dict, per_trip: dict,
-                 walked_nests: int = 0):
-        self.function_name = function_name
-        self.func_op = func_op
-        self.loop = loop
-        self.pre = pre
-        self.body = body
-        self.post = post
-        self.sym = sym
-        self.arg_count = arg_count
-        self.once = once
-        self.per_trip = per_trip
-        self.walked_nests = walked_nests
-        self.has_islands = any(
-            step[0] == "island" for step in (*pre, *body, *post)
-        )
-        self.uses_env = any(entry[0] == "env" for entry in sym.values())
-        #: Whether an island may send, receive or synchronize through the
-        #: communicator: then the kernel communicates outside its swaps.
-        self.island_messages = self.has_islands and _passes_messages(
-            [step[1] for step in (*pre, *body, *post) if step[0] == "island"],
-            func_op.parent_op,
-        )
+    @property
+    def has_islands(self) -> bool:
+        return bool(self.islands)
 
 
 #: The message-passing ops and ``MPI_*`` calls that pass no message.
@@ -272,7 +185,7 @@ def _passes_messages(islands: list, module) -> bool:
     through calls to functions of ``module``."""
     functions = {op.sym_name: op for op in module.walk()
                  if isinstance(op, func.FuncOp)}
-    pending = [op for island in islands for op in island.ops]
+    pending = [op for ops, _, _ in islands for op in ops]
     seen: set = set()
     while pending:
         for op in pending.pop().walk():
@@ -375,10 +288,7 @@ def _message_group(anchor: Operation, ops: list[Operation],
                     linked.add(definer)
             if None in linked:
                 return None  # a value used outside the block
-            defined.update(inner.results)
-            for region in inner.regions:
-                for block in region.blocks:
-                    defined.update(block.args)
+            defined.update(_defines(inner))
             read.update(inner.operands)
             todo.extend(linked - members)
             members |= linked
@@ -389,6 +299,18 @@ def _message_group(anchor: Operation, ops: list[Operation],
                        for op in ops[first:stop]):
         return None
     return first, stop, anchor, read - defined
+
+
+def _defines(op: Operation):
+    """The values ``op`` defines itself: its results and its blocks' arguments."""
+    yield from op.results
+    for region in op.regions:
+        for block in region.blocks:
+            yield from block.args
+
+
+class _Unresolved(Exception):
+    """A value of a nest the trace cannot name at emit time: it is walked."""
 
 
 class _Tracer:
@@ -402,8 +324,10 @@ class _Tracer:
         self.counts = self.once
         #: The steps of the segment being traced, and the ops walked since
         #: its last step (the island being gathered).
-        self.steps: list[tuple] = []
+        self.steps: list = []
         self.walked: list[Operation] = []
+        self.islands: list[tuple] = []
+        self.env: list[SSAValue] = []
         self.walked_nests = 0
         self.swaps = 0
 
@@ -428,9 +352,10 @@ class _Tracer:
             loop, body = self._trace_loop(ops[loop_index])
             post = self._segment(ops[loop_index + 1:])
         return MegakernelTrace(
-            self.func_op.sym_name, self.func_op, loop, pre, body, post, self.sym,
-            len(block.args), self.once, self.per_trip,
+            self.func_op.sym_name, self.func_op, loop, pre, body, post,
+            self.islands, self.env, len(block.args), self.once, self.per_trip,
             self.walked_nests,
+            bool(self.islands) and _passes_messages(self.islands, self.func_op.parent_op),
         )
 
     def _is_time_loop(self, op: Operation) -> bool:
@@ -438,8 +363,13 @@ class _Tracer:
             op.iter_args or self.kernel.nest_for(op) is None
         )
 
+    def _env(self, value: SSAValue) -> _Sym:
+        """A new ``_env`` slot, for a value known only at run time."""
+        self.env.append(value)
+        return ("env", len(self.env) - 1)
+
     # -- the time loop --------------------------------------------------------
-    def _trace_loop(self, op: scf.ForOp) -> tuple[_LoopInfo, list]:
+    def _trace_loop(self, op: scf.ForOp) -> tuple[Loop, list]:
         self.once["ops_executed"] += 1  # the scf.for
         lower = self._bound_sym(op.lower_bound, "lower bound")
         upper = self._bound_sym(op.upper_bound, "upper bound")
@@ -480,8 +410,9 @@ class _Tracer:
         # A buffer reachable both directly (as the function argument) and
         # through a rotating slot would make nest geometry parity-dependent
         # in ways per-parity planning cannot always separate; reject.
-        for kind, *rest in body:
-            syms = [rest[1]] if kind == "swap" else rest[2] if kind == "nest" else []
+        for step in body:
+            syms = [step.src] if isinstance(step, Swap) else \
+                step.syms if isinstance(step, FusedNest) else []
             for sym in syms:
                 if sym[0] == "arg" and sym[1] in init_args:
                     raise CodegenError(
@@ -490,8 +421,7 @@ class _Tracer:
                     )
         for slot, result in enumerate(op.results):
             self.sym[result] = ("final", slot)
-        loop = _LoopInfo(op, lower, upper, step_sym[1], init_args,
-                         [sym[1] for sym in perm])
+        loop = Loop(lower, upper, step_sym[1], init_args, [sym[1] for sym in perm])
         return loop, body
 
     def _bound_sym(self, value: SSAValue, what: str) -> _Sym:
@@ -507,7 +437,7 @@ class _Tracer:
         )
 
     # -- segments: fused ops and islands --------------------------------------
-    def _segment(self, ops: list[Operation]) -> list[tuple]:
+    def _segment(self, ops: list[Operation]) -> list:
         """The steps of one segment (before, inside or after the time loop)."""
         outer, self.steps = self.steps, []
         self._trace_ops(ops)
@@ -533,7 +463,7 @@ class _Tracer:
                     self.kernel.nest_for(inner) is not None for inner in op.walk()
                 )
                 for result in op.results:
-                    self.sym[result] = ("env",)
+                    self.sym[result] = self._env(result)
         self._flush()
 
     def _fuse_group(self, ops: list[Operation], anchor: Operation,
@@ -559,11 +489,17 @@ class _Tracer:
         # The walker counts the group's messages, not a dmp.swap: the step
         # hoists no ``halo_swaps``.  The group counts as one op.
         self.counts["ops_executed"] += len(shared) + 1
-        self._append(("swap", anchor, self.sym[data[0]], self.swaps))
-        self.swaps += 1
+        self._swap(anchor, self.sym[data[0]], counted=False)
         return True
 
-    def _append(self, step: tuple) -> None:
+    def _swap(self, declaring: Operation, src: _Sym, counted: bool) -> None:
+        """Append a swap step of ``src`` with the exchanges ``declaring``
+        declares (``counted``: its walker counts the halo elements)."""
+        grid, exchanges = dmp.declared_exchanges(declaring)
+        self._append(Swap(self.swaps, src, grid, tuple(exchanges), counted))
+        self.swaps += 1
+
+    def _append(self, step) -> None:
         self._flush()
         self.steps.append(step)
 
@@ -572,13 +508,8 @@ class _Tracer:
         if not self.walked:
             return
         ops, self.walked = self.walked, []
-        defined: set[SSAValue] = set()
-        for op in ops:
-            for inner in op.walk():
-                defined.update(inner.results)
-                for region in inner.regions:
-                    for block in region.blocks:
-                        defined.update(block.args)
+        defined = {value for op in ops for inner in op.walk()
+                   for value in _defines(inner)}
         inputs: list[SSAValue] = []
         constants: dict[SSAValue, Any] = {}
         for op in ops:
@@ -594,10 +525,9 @@ class _Tracer:
                         constants[operand] = sym[1]
                     elif sym[0] != "env":
                         inputs.append(operand)
-        self.steps.append((
-            "island", _Island(ops, inputs, constants),
-            [self.sym[value] for value in inputs],
-        ))
+        self.steps.append(Island(len(self.islands),
+                                 tuple(self.sym[value] for value in inputs)))
+        self.islands.append((ops, inputs, constants))
 
     def _fuse(self, op: Operation) -> bool:
         """Fuse ``op`` (symbols, steps, counters); False leaves it to walk."""
@@ -617,8 +547,7 @@ class _Tracer:
             src = self.sym.get(op.data, ("env",))
             if src[0] not in _BUFFERS:
                 return False
-            self._append(("swap", op, src, self.swaps))
-            self.swaps += 1
+            self._swap(op, src, counted=True)
             self.counts["halo_swaps"] += 1
             return True
         if isinstance(op, omp.ParallelOp):
@@ -636,55 +565,93 @@ class _Tracer:
 
     def _fuse_nest(self, op: Operation) -> bool:
         nest = self.kernel.nest_for(op)
-        base_syms = None if nest is None else self._nest_buffers(nest)
-        if base_syms is None:
+        if nest is None:
+            return False
+        try:
+            fused = self._fused(nest)
+        except _Unresolved:
             return False
         if isinstance(op, scf.ParallelOp) and "gpu_kernel" in op.attributes:
             self.counts["kernel_launches"] += 1
-        for result in op.results:  # reductions: bound into _env
-            self.sym[result] = ("env",)
-        self._append(("nest", op, nest, base_syms))
+        self._append(fused)
         return True
 
-    def _nest_buffers(self, nest: CompiledNest) -> Optional[list[_Sym]]:
-        """The symbols of a nest's load/store buffers, in instruction order.
+    # -- resolving a nest against the trace -----------------------------------
+    def _fused(self, nest: CompiledNest) -> FusedNest:
+        """``nest`` resolved against the trace's symbols (a
+        :class:`FusedNest`); raises :class:`_Unresolved` when its geometry is
+        not an emit-time integer or a value has no symbol it may be read by.
 
-        None when the nest's geometry or values cannot be resolved at emit
-        time: then it is walked.
+        Its reduction results get ``_env`` slots, which islands and later
+        nests read them by.
         """
-        for lower, upper, step in (*nest.bounds, *nest.count_bounds):
-            if not all(map(self._is_const_affine, (lower, upper, step))):
-                return None
-        base_syms: list[_Sym] = []
-        for instr in nest.instrs:
-            if instr[0] in ("load", "store"):
-                base_sym = self.sym.get(instr[2], ("env",))
-                if base_sym[0] not in _BUFFERS:
-                    return None
-                if not all(map(self._is_const_affine, instr[3])):
-                    return None
-                base_syms.append(base_sym)
-            for ref in operand_refs(instr):
-                # Values (unlike geometry) may be known only at run time.
-                if ref[0] == "free":
-                    free = (ref[1],)
-                elif ref[0] == "aff":
-                    free = ref[1].free
-                else:
-                    continue
-                for value in free:
-                    sym = self.sym.get(value)
-                    if sym is None or sym[0] not in _SCALARS:
-                        return None
-        return base_syms
+        positions = {instr[1]: position for position, instr in enumerate(nest.instrs)
+                     if instr[0] != "store"}
+        grids: dict[int, Affine] = {}  # by the compiled affine: one per value
 
-    def _is_const_affine(self, affine) -> bool:
-        """Whether ``affine``'s free terms are all emit-time integers."""
-        for value in affine.free:
-            sym = self.sym.get(value)
-            if sym is None or sym[0] != "const" or not self._is_int(sym[1]):
-                return False
-        return True
+        def ref(compiled: tuple) -> tuple:
+            kind = compiled[0]
+            if kind == "arr":
+                return ("arr", positions[compiled[1]])
+            if kind == "free":
+                sym = self._scalar(compiled[1])
+                return ("const", sym[1]) if sym[0] == "const" else ("free", sym)
+            if kind == "aff":
+                key = id(compiled[1])
+                if key not in grids:
+                    grids[key] = self._affine(compiled[1])
+                return ("aff", grids[key])
+            return compiled
+
+        instrs = []
+        for instr in nest.instrs:
+            kind = instr[0]
+            if kind in ("load", "store"):
+                sym = self.sym.get(instr[2], ("env",))
+                if sym[0] not in _BUFFERS:
+                    raise _Unresolved
+                axes = tuple(self._affine(axis, geometry=True) for axis in instr[3])
+                value = positions[instr[1]] if kind == "load" else ref(instr[1])
+                instrs.append((kind, value, sym, axes))
+            elif kind == "reduce":
+                instrs.append((kind, positions[instr[1]], *instr[2:4],
+                               ref(instr[4]), ref(instr[5]), instr[6]))
+            else:
+                head = 2 if kind == "select" else 3
+                instrs.append((kind, positions[instr[1]], *instr[2:head],
+                               *map(ref, instr[head:])))
+        def integers(dims) -> tuple:
+            """Each dimension's ``(lower, upper, step)`` as emit-time integers."""
+            return tuple(tuple(self._affine(term, geometry=True).const for term in bound)
+                         for bound in dims)
+
+        bounds, count_bounds = integers(nest.bounds), integers(nest.count_bounds)
+        reductions = tuple(map(self._env, nest.reduce_results))
+        self.sym.update(zip(nest.reduce_results, reductions))
+        return FusedNest(bounds, count_bounds, tuple(instrs), reductions)
+
+    def _scalar(self, value: SSAValue) -> _Sym:
+        """The symbol a nest reads a scalar from outside it by."""
+        sym = self.sym.get(value)
+        if sym is None or sym[0] not in _SCALARS:
+            raise _Unresolved
+        return sym
+
+    def _affine(self, affine, geometry: bool = False) -> Affine:
+        """``affine`` with its emit-time constants folded; a term of the
+        nest's ``geometry`` must fold to an integer."""
+        const, free = affine.const, []
+        for value, coeff in affine.free.items():
+            sym = self._scalar(value)
+            if sym[0] != "const":
+                free.append((sym, coeff))
+            elif geometry and not self._is_int(sym[1]):
+                raise _Unresolved
+            else:
+                const += coeff * int(sym[1])
+        if geometry and free:
+            raise _Unresolved
+        return Affine(dict(affine.coeffs), const, tuple(free))
 
     # -- leaves ---------------------------------------------------------------
     @staticmethod
@@ -692,17 +659,28 @@ class _Tracer:
         return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _walk_island(ops: list, inputs: list, constants: dict,
+                 walker: Interpreter, env: dict, *values) -> None:
+    """Walk one island's ``ops`` in place, its ``inputs`` bound to
+    ``values`` (the kernel's current ones) and its ``constants``."""
+    env.update(constants)
+    for value, current in zip(inputs, values):
+        env[value] = _wrap_argument(current, value.type)
+    for op in ops:
+        walker._eval(op, env)
+
+
 class CompiledMegakernel:
     """One compiled megakernel: a single Python function per (plan, rank).
 
     A kernel that completes halos is a generator: it yields each posted
     :class:`~repro.interp.interpreter.PendingHalo` at its completion point,
-    and whoever drives it lands the halo before resuming it — :meth:`run`
-    blocks in ``complete_swap``, the thread world's scheduler
-    (:func:`repro.core.rank.run_scheduled`) resumes the rank once its
-    receives have arrived.  ``start`` and ``run`` re-check what only the
-    concrete call can prove — pairwise buffer aliasing — and bounce that
-    run to the tree walker when the guard fails.
+    and whoever drives it lands the halo before resuming it —
+    :func:`repro.core.rank.run_blocking` blocks in ``complete_swap``, the
+    thread world's scheduler (:func:`repro.core.rank.run_scheduled`)
+    resumes the rank once its receives have arrived.  ``start`` re-checks
+    what only the concrete call can prove — pairwise buffer aliasing — and
+    bounces that run to the tree walker when the guard fails.
     """
 
     __slots__ = ("label", "source", "array_indices", "traced", "uses_team",
@@ -759,16 +737,6 @@ class CompiledMegakernel:
         halos = self._fn(args, stats, comm, *extra)
         return halos if self.completes else ()
 
-    def run(self, args, stats, comm=None, tracer=None, team=None) -> bool:
-        """Execute, landing each halo as it is yielded; False bounces to the
-        tree walker (aliased buffers)."""
-        halos = self.start(args, stats, comm, tracer, team)
-        if halos is None:
-            return False
-        for halo in halos:
-            complete_swap(comm, halo)
-        return True
-
 
 def _aliased(arrays) -> bool:
     """Whether any two of ``arrays`` share memory."""
@@ -792,211 +760,7 @@ def megakernel_signature(args) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the schedule
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Post:
-    """Post the halo exchange of swap ``ordinal`` on buffer ``src``.
-
-    ``shape`` and ``dtype`` are the swapped array's, which the plan's
-    slices and messages apply to.
-    """
-
-    ordinal: int
-    src: _Sym
-    plan: SwapMessagePlan
-    shape: tuple
-    dtype: str
-
-
-@dataclass(frozen=True)
-class Complete:
-    """Land the halos of swap ``ordinal`` (``elements`` as the walker counts).
-
-    An ``overlapped`` completion lands while the nest before it runs: after
-    that nest's boxes, before its strips.
-    """
-
-    ordinal: int
-    overlapped: bool
-    elements: int
-
-
-@dataclass(frozen=True)
-class Island:
-    """Walk ``island`` in place, on the current values of ``syms``."""
-
-    island: _Island
-    syms: list
-
-
-@dataclass(frozen=True)
-class Nest:
-    """Run a planned nest: its boxes, the overlapped completions that follow
-    it in the segment, then its strips."""
-
-    plan: NestPlan
-
-
-@dataclass
-class KernelSchedule:
-    """One megakernel planned for one rank and buffer layout.
-
-    ``pre``, ``body`` and ``post`` are the steps of the trace's segments in
-    the order they run; ``body`` is the same for every buffer parity of the
-    time loop.  ``array_indices`` are the arguments the kernel gets arrays
-    for.
-    """
-
-    trace: MegakernelTrace
-    array_indices: tuple
-    pre: list
-    body: list
-    post: list
-
-    @property
-    def hoisted(self) -> tuple[dict, dict]:
-        """The hoisted statistics: outside the time loop, and per trip."""
-        return (_hoisted(self.trace.once, self.pre + self.post),
-                _hoisted(self.trace.per_trip, self.body))
-
-    @property
-    def uses_team(self) -> bool:
-        """Whether boxes run as chunks on a thread team."""
-        return any(isinstance(step, Nest) and len(step.plan.boxes) > 1
-                   for step in (*self.pre, *self.body, *self.post))
-
-
-def _hoisted(traced: dict, steps: list) -> dict:
-    """The traced counters and, summed over ``steps``, those they add."""
-    def total(kind: type, count) -> int:
-        return sum(count(step) for step in steps if isinstance(step, kind))
-
-    return traced | {
-        "cells_updated": total(Nest, lambda step: step.plan.cells),
-        "mpi_messages": total(Post, lambda step: len(step.plan.sends)),
-        "halo_elements_exchanged": total(Complete, lambda step: step.elements),
-        "halo_swaps_overlapped": total(Complete, lambda step: step.overlapped),
-    }
-
-
-def _perm_order(perm: list[int]) -> int:
-    order = 1
-    seen: set[int] = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length, position = 0, start
-        while position not in seen:
-            seen.add(position)
-            position = perm[position]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def plan_megakernel(trace: MegakernelTrace, layout: tuple, rank: int = 0,
-                    size: int = 1, threads: int = 1) -> KernelSchedule:
-    """Plan the megakernel of ``trace`` for one rank and buffer layout.
-
-    ``layout`` is :func:`megakernel_signature` of the arguments — their
-    count and each array's index, shape, dtype and contiguity — and all the planner
-    reads of them; ``threads`` is the team size boxes are split for.  Each
-    segment is planned against the layout — swap prefix completion, overlap
-    split, boxes — and the time loop's once per buffer parity: one printed
-    body is exact for every parity when all of them plan the same steps as
-    the first, dtypes included.  Raises :class:`CodegenError` with the
-    fallback reason when they do not, or when the layout cannot be sliced
-    (aliased regions, out-of-range indices...).
-    """
-    count, entries = layout
-    if count != trace.arg_count:
-        raise CodegenError(f"expected {trace.arg_count} arguments, got {count}")
-    buffers = {entry[0]: entry for entry in entries}
-    loop = trace.loop
-    parities = 1 if loop is None else _perm_order(loop.perm)
-    if parities > 8:
-        raise CodegenError("buffer rotation period too long to validate")
-    slots = [] if loop is None else list(loop.init_args)
-    if not all(index in buffers for index in slots):
-        raise CodegenError("a loop-carried buffer argument is not an array")
-    # One message plan per swap: the parities' Post steps compare equal.
-    swap_plan = functools.cache(lambda op: swap_message_plan(op, rank))
-
-    def buffer_for(sym: _Sym, slots: list) -> tuple:
-        """The layout entry ``(index, shape, dtype, C-contiguous)`` of the
-        buffer ``sym``."""
-        # After the time loop the slots hold its results ("final").
-        index = slots[sym[1]] if sym[0] in ("slot", "final") else sym[1]
-        if index not in buffers:
-            raise CodegenError("a traced buffer argument is not an array")
-        return buffers[index]
-
-    def segment(steps: list, slots: list) -> list:
-        """The steps of one trace segment over the (parity) buffers ``slots``."""
-        planned: list = []
-        # In-flight swaps: (ordinal, elements the walker counts landing,
-        # (buffer, message plan)), in posting order.
-        inflight: list[tuple] = []
-
-        def land(count: int, overlapped: bool = False) -> None:
-            """Land the first ``count`` in-flight halos, in posting order."""
-            planned.extend(Complete(ordinal, overlapped, elements)
-                           for ordinal, elements, _ in inflight[:count])
-            del inflight[:count]
-
-        for step in steps:
-            if step[0] == "swap":
-                _, op, src, ordinal = step
-                buffer, shape, dtype, _ = buffer_for(src, slots)
-                # Receives match by (source, tag) in posting order, and swaps
-                # reuse direction tags: land the prefix of halos up to the
-                # last one on this buffer, before re-posting it.
-                land(1 + max(
-                    (index for index, (*_, halo) in enumerate(inflight)
-                     if halo[0] == buffer),
-                    default=-1,
-                ))
-                if size == 1:
-                    continue
-                plan = swap_plan(op)
-                planned.append(Post(ordinal, src, plan, shape, dtype))
-                # A lowered group's walker counts messages, not halo elements.
-                elements = plan.elements if isinstance(op, dmp.SwapOp) else 0
-                inflight.append((ordinal, elements, (buffer, plan)))
-            elif step[0] == "island":
-                land(len(inflight))
-                planned.append(Island(step[1], step[2]))
-            else:
-                _, _, nest, syms = step
-                plan = plan_nest(
-                    nest, [buffer_for(sym, slots) for sym in syms], syms, trace.sym,
-                    [halo for *_, halo in inflight], threads,
-                )
-                if plan.waits:
-                    land(len(inflight))
-                planned.append(Nest(plan))
-                if plan.strips:
-                    land(len(inflight), overlapped=True)
-        # A halo still in flight at the end of the segment lands there.
-        land(len(inflight))
-        return planned
-
-    pre = segment(trace.pre, [])
-    body = segment(trace.body, slots)
-    # The loop's results are the slots after however many trips run: the
-    # ops after it must not depend on which rotation that is either.
-    post = segment(trace.post, slots)
-    for _parity in range(1, parities):
-        slots = [slots[j] for j in loop.perm]
-        if segment(trace.body, slots) != body or segment(trace.post, slots) != post:
-            raise CodegenError("buffer rotation changes nest geometry")
-    return KernelSchedule(trace, tuple(buffers), pre, body, post)
-
-
-# ---------------------------------------------------------------------------
-# emission: plan, then print
+# emission: plan, print, bind
 # ---------------------------------------------------------------------------
 
 def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
@@ -1004,10 +768,12 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
                     traced: bool = False, threads: int = 1) -> CompiledMegakernel:
     """Emit (and compile) the megakernel of ``trace`` for one rank.
 
-    Plans it (:func:`plan_megakernel`) and prints the schedule
-    (:func:`print_python`).  ``layout`` is :func:`megakernel_signature` of
-    the arguments, the buffer layout the generated code is specialized to
-    and the key callers cache it by.  Raises :class:`CodegenError` with a
+    Plans it (:func:`~repro.interp.schedule.plan_megakernel`), prints the
+    schedule (:func:`~repro.interp.schedule.print_python`) and binds the
+    islands and ``_env`` slots the kernel reads in ``_ctx`` to the trace's
+    ops and values.  ``layout`` is :func:`megakernel_signature` of the
+    arguments, the buffer layout the generated code is specialized to and
+    the key callers cache it by.  Raises :class:`CodegenError` with a
     fallback reason when that geometry cannot be emitted (aliased regions,
     rotation-dependent geometry, un-sliceable regions...).
 
@@ -1023,7 +789,13 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
     source, ctx = print_python(schedule, label, traced)
     if os.environ.get("REPRO_DUMP_MEGAKERNEL", "0") not in ("", "0"):
         print(f"# --- megakernel {label} ---\n{source}", file=sys.stderr)
-    namespace = {"_np": np, "_ctx": ctx, "_post": post_swap,
+
+    def bound(entry):
+        if isinstance(entry, Island):
+            return functools.partial(_walk_island, *trace.islands[entry.index])
+        return trace.env[entry[1]] if isinstance(entry, tuple) else entry
+
+    namespace = {"_np": np, "_ctx": tuple(map(bound, ctx)), "_post": post_swap,
                  "_fold": _fold, "_call": _call}
     return CompiledMegakernel(
         label, source, schedule.array_indices, namespace, traced=traced,
@@ -1031,278 +803,6 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
         module=trace.func_op.parent_op if trace.has_islands else None,
         island_messages=trace.island_messages,
     )
-
-
-def print_python(schedule: KernelSchedule, label: str,
-                 traced: bool = False) -> tuple[str, tuple]:
-    """Print ``schedule`` as the source of one Python function.
-
-    Returns the source of ``_megakernel`` and the ``_ctx`` tuple it reads
-    (message plans, islands, reduction results, index grids).  Each box is
-    planned (:func:`~repro.interp.nestplan.plan_box`) and written by
-    :func:`~repro.interp.nestplan.print_numpy` with literal slices; the
-    scratch slots it writes and the team chunks it runs as are set up once,
-    ahead of the time loop.  ``traced`` brackets each step with spans.
-    """
-    printer = _PythonPrinter(schedule, traced)
-    pre = printer.segment(schedule.pre)
-    body = printer.segment(schedule.body, in_loop=schedule.trace.loop is not None)
-    post = printer.segment(schedule.post)
-    return printer.render(label, pre, body, post), tuple(printer.ctx)
-
-
-class _PythonPrinter:
-    def __init__(self, schedule: KernelSchedule, traced: bool):
-        self.schedule = schedule
-        self.trace = schedule.trace
-        self.traced = traced
-        self.static_env = {value: sym[1] for value, sym in self.trace.sym.items()
-                           if sym[0] == "const"}
-        # The scratch allocations and team-chunk functions that run once,
-        # ahead of the time loop; the lines of the segment being printed,
-        # with their relative indentation; what the kernel reads in ``_ctx``.
-        self.setup: list[str] = []
-        self.lines: list[str] = []
-        self.ctx: list[Any] = []
-        # The region views of the time loop's boxes, bound once per rotation
-        # phase ahead of it: their names by (buffer symbol, index).
-        self.in_loop = False
-        self.loop_views: dict[tuple, str] = {}
-        self._var = 0
-        self._spans = 0
-
-    def _new_var(self, prefix: str) -> str:
-        self._var += 1
-        return f"{prefix}{self._var}"
-
-    def _add_ctx(self, value) -> int:
-        self.ctx.append(value)
-        return len(self.ctx) - 1
-
-    @contextlib.contextmanager
-    def _span(self, name: str, opened: bool = True):
-        """Bracket the lines printed inside with a span (traced kernels only)."""
-        opened = opened and self.traced
-        if opened:
-            self._spans += 1
-            var = f"_sp{self._spans}"
-            self.lines.append(f"{var} = _tracer.begin('{name}')")
-        yield
-        if opened:
-            self.lines.append(f"_tracer.end('{name}', {var})")
-
-    def segment(self, steps: list, in_loop: bool = False) -> list[str]:
-        """The source lines of one segment's steps (``in_loop``: the time
-        loop's body)."""
-        self.lines, self.in_loop = [], in_loop
-        for position, step in enumerate(steps):
-            if isinstance(step, Post):
-                with self._span("halo.post"):
-                    self.lines.append(f"_h{step.ordinal} = _post(_comm, {local_name(step.src)}, "
-                                      f"_ctx[{self._add_ctx(step.plan)}])")
-            elif isinstance(step, Complete) and not step.overlapped:
-                self._complete(step)  # (an overlapped one lands inside its nest)
-            elif isinstance(step, Island):
-                values = "".join(f", {local_name(sym)}" for sym in step.syms)
-                self.lines.append(
-                    f"_ctx[{self._add_ctx(step.island)}](_walker, _env{values})"
-                )
-            elif isinstance(step, Nest):
-                self._nest(step.plan, itertools.takewhile(
-                    lambda later: isinstance(later, Complete) and later.overlapped,
-                    steps[position + 1:],
-                ))
-        return self.lines
-
-    def _complete(self, step: Complete) -> None:
-        """Yield the pending halo to the kernel's driver, which lands it."""
-        with self._span("halo.wait"):
-            self.lines.append(f"yield _h{step.ordinal}")
-
-    def _nest(self, plan: NestPlan, landed) -> None:
-        """Print one nest: its boxes, the completions ``landed`` (those of an
-        overlapped nest), then its strips."""
-        with self._span("nest"):
-            with self._span("nest.interior", bool(plan.strips)):
-                reduced = self._print_boxes(plan)
-            for step in landed:
-                self._complete(step)
-            with self._span("nest.boundary", bool(plan.strips)):
-                for strip in plan.strips:
-                    self.lines.extend(self._print(plan, strip)[0])
-        # Reductions (never chunked, never split) are what islands and later
-        # nests read the nest's results as.
-        for value, name in zip(plan.nest.reduce_results, reduced):
-            self.lines.append(f"_env[_ctx[{self._add_ctx(value)}]] = {name}")
-
-    def _print_boxes(self, plan: NestPlan) -> list[str]:
-        """Inline one box, or run its team chunks on ``_team``.
-
-        Each chunk becomes a local function defined ahead of the time loop —
-        it reads the rotating buffers as closure variables — with scratch of
-        its own.  Returns the names of the box's reduction results.
-        """
-        if len(plan.boxes) == 1:
-            lines, reduced = self._print(plan, plan.boxes[0])
-            self.lines.extend(lines)
-            return reduced
-        names = []
-        for dims in plan.boxes:
-            lines, _ = self._print(plan, dims)
-            names.append(self._new_var("_c"))
-            self.setup.append(f"def {names[-1]}():")
-            self.setup.extend("    " + line for line in _block(lines))
-        self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
-        return []
-
-    def _print(self, plan: NestPlan, dims) -> tuple[list[str], list[str]]:
-        """Plan one box of ``plan`` and print it; its scratch goes to the setup.
-
-        The region views it reads and writes are bound after its comment,
-        or once per rotation phase ahead of the time loop when it runs in
-        the loop.
-        """
-        box = plan_box(plan, dims)
-        views: dict[tuple, str] = {}
-        setup, lines, reduced = print_numpy(
-            box, self._new_var, lambda ref: self._outer_source(ref, box.dims),
-            lambda sym, index: self._view(sym, index, views),
-        )
-        self.setup.extend(setup)
-        bound = [f"{name} = {local_name(sym)}{index}"
-                 for (sym, index), name in views.items()]
-        return [lines[0], *bound, *lines[1:]], reduced
-
-    def _view(self, sym: _Sym, index: str, views: dict) -> str:
-        """The local holding the view ``index`` of the buffer ``sym``.
-
-        In the time loop a view of a rotating buffer is bound for every
-        buffer of its rotation cycle, ahead of the loop, and rotates with
-        them; one of a fixed argument is bound once.  Elsewhere it goes to
-        ``views``, which the box binds itself.
-        """
-        if self.in_loop:
-            views = self.loop_views
-            if sym[0] == "slot" and (sym, index) not in views:
-                perm, slot = self.trace.loop.perm, sym[1]
-                while (("slot", slot), index) not in views:
-                    views[(("slot", slot), index)] = self._new_var("_r")
-                    slot = perm[slot]
-        key = (sym, index)
-        if key not in views:
-            views[key] = self._new_var("_r")
-        return views[key]
-
-    def _scalar_src(self, value: SSAValue) -> str:
-        """The expression of a traced scalar that is known at run time only."""
-        sym = self.trace.sym[value]
-        if sym[0] == "env":
-            return f"_env[_ctx[{self._add_ctx(value)}]]"
-        return f"a{sym[1]}" if sym[0] == "arg" else "_t"
-
-    def _outer_source(self, ref: tuple, box_dims) -> str:
-        """A run-time scalar, or an affine index grid over the box.
-
-        A grid is materialized from its emit-time terms into ``_ctx``; the
-        free terms known only at run time are added to it by the kernel.
-        """
-        if ref[0] == "free":
-            return self._scalar_src(ref[1])
-        affine = ref[1]
-        late = "".join(
-            f" + {coeff} * int({self._scalar_src(value)})"
-            for value, coeff in affine.free.items()
-            if value not in self.static_env
-        )
-        grid: Any = affine.const + sum(
-            coeff * int(self.static_env[value])
-            for value, coeff in affine.free.items() if value in self.static_env
-        )
-        for dim, coeff in affine.coeffs.items():
-            lower, upper, step = box_dims[dim]
-            shape = [1] * len(box_dims)
-            shape[dim] = len(range(lower, upper, step))
-            grid = grid + coeff * np.arange(
-                lower, upper, step, dtype=np.int64).reshape(shape)
-        if isinstance(grid, np.ndarray):
-            source = f"_ctx[{self._add_ctx(grid)}]"
-            return f"({source}{late})" if late else source
-        return f"({int(grid)}{late})" if late else repr(int(grid))
-
-    # -- source assembly ------------------------------------------------------
-    def render(self, label: str, pre: list[str], body: list[str],
-                post: list[str]) -> str:
-        trace, schedule = self.trace, self.schedule
-        indent = "    "
-        lines = [f"# megakernel {label}"]
-        lines += [f"a{index} = _args[{index}]" for index in range(trace.arg_count)]
-        loop = trace.loop
-        lines += ["_trips = 1"] if loop is None else [
-            f"_lo = {_bound_source(loop.lower)}", f"_hi = {_bound_source(loop.upper)}",
-            f"_st = {loop.step}", "_trips = len(range(_lo, _hi, _st))",
-        ]
-        hoisted = schedule.hoisted
-        for field in _HOISTED_COUNTERS:
-            once, per_trip = (counts[field] for counts in hoisted)
-            terms = ([str(once)] if once or field == "ops_executed" else []) + (
-                [f"_trips * {per_trip}"] if per_trip or field == "ops_executed"
-                else []
-            )
-            if terms:
-                lines.append(f"_stats.{field} += {' + '.join(terms)}")
-        if trace.has_islands or trace.uses_env:
-            lines.append("_env = {}")
-        lines.extend(self.setup)
-        lines.extend(pre)
-        if loop is None:
-            lines.extend(body)
-        else:
-            for slot, index in enumerate(loop.init_args):
-                lines.append(f"b{slot} = a{index}")
-            lines.extend(f"{name} = {local_name(sym)}{index}"
-                         for (sym, index), name in self.loop_views.items())
-            lines.append("for _t in range(_lo, _hi, _st):")
-            loop_body = list(body)
-            perm = loop.perm
-            if perm != list(range(len(perm))):
-                # The buffers rotate, and each view of one with them.
-                targets = [f"b{j}" for j in range(len(perm))]
-                sources = [f"b{j}" for j in perm]
-                for (sym, index), name in self.loop_views.items():
-                    if sym[0] == "slot" and perm[sym[1]] != sym[1]:
-                        targets.append(name)
-                        sources.append(self.loop_views[(("slot", perm[sym[1]]), index)])
-                loop_body.append(f"{', '.join(targets)} = {', '.join(sources)}")
-            if self.traced:
-                # One "step" span per time-loop trip, rotation included —
-                # mirrors the tree walker's per-iteration span.
-                loop_body = (
-                    ["_spt = _tracer.begin('step')"]
-                    + loop_body
-                    + ["_tracer.end('step', _spt)"]
-                )
-            lines.extend(indent + line for line in _block(loop_body))
-        lines.extend(post)
-        lines.append("return True")
-        params = ["_args", "_stats", "_comm"]
-        params += ["_tracer"] * self.traced + ["_team"] * schedule.uses_team
-        params += ["_walker"] * trace.has_islands
-        return (
-            f"def _megakernel({', '.join(params)}):\n"
-            + "\n".join(indent + line for line in lines) + "\n"
-        )
-
-
-def _block(lines: list[str]) -> list[str]:
-    """``lines`` as the body of a block: ``pass`` where they are only
-    comments (a box whose store is its own load prints no statement)."""
-    if all(line.lstrip().startswith("#") for line in lines):
-        return [*lines, "pass"]
-    return lines
-
-
-def _bound_source(sym: _Sym) -> str:
-    return str(sym[1]) if sym[0] == "const" else f"int(a{sym[1]})"
 
 
 def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):

@@ -798,6 +798,7 @@ def _eval_vectorised(interp: Interpreter, op: Operation, local: dict) -> None:
 # dmp (high-level halo exchange execution)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True)
 class SwapMessagePlan:
     """Per-rank message geometry of one ``dmp.swap`` (no arrays, no comm).
 
@@ -809,22 +810,18 @@ class SwapMessagePlan:
     for a ``dmp.swap`` and for the ``MPI_*`` group lowered from one alike.
     """
 
-    __slots__ = ("sends", "receives", "elements")
+    sends: list
+    receives: list
 
-    def __init__(self, sends: list, receives: list):
-        self.sends = sends
-        self.receives = receives
-        #: Halo elements one completion of the swap lands on this rank.
-        self.elements = sum(record[3] for record in receives)
+    @property
+    def elements(self) -> int:
+        """Halo elements one completion of the swap lands on this rank."""
+        return sum(record[3] for record in self.receives)
 
 
-def swap_message_plan(op: Operation, rank: int) -> SwapMessagePlan:
-    """Resolve the send/receive geometry ``op`` declares for one rank.
-
-    ``op`` is a ``dmp.swap`` or the request array of its lowered group
-    (:func:`repro.dialects.dmp.declared_exchanges`).
-    """
-    grid, exchanges = dmp.declared_exchanges(op)
+def message_plan(grid, exchanges, rank: int) -> SwapMessagePlan:
+    """The messages of the declared ``exchanges`` over ``grid`` (the
+    ``dmp.grid`` and ``dmp.exchange`` attributes of a swap) for one rank."""
     sends: list = []
     receives: list = []
     for exchange in exchanges:
@@ -846,6 +843,15 @@ def swap_message_plan(op: Operation, rank: int) -> SwapMessagePlan:
             )
         )
     return SwapMessagePlan(sends, receives)
+
+
+def swap_message_plan(op: Operation, rank: int) -> SwapMessagePlan:
+    """Resolve the send/receive geometry ``op`` declares for one rank.
+
+    ``op`` is a ``dmp.swap`` or the request array of its lowered group
+    (:func:`repro.dialects.dmp.declared_exchanges`).
+    """
+    return message_plan(*dmp.declared_exchanges(op), rank)
 
 
 @handler("dmp.swap")

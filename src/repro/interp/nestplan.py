@@ -1,10 +1,13 @@
-"""Box planning and NumPy printing of compiled nests.
+"""Box planning and NumPy printing of resolved nests.
 
-:mod:`repro.interp.vectorize` compiles a loop nest into instructions; this
-module decides, against the buffer layout of one megakernel emission,
-*where* those instructions run and *how* they are spelled.  The layout is all
-it reads of the buffers: an access names its buffer by argument index, with
-that buffer's shape and dtype, and never holds the array.  A **box** is one
+:mod:`repro.interp.vectorize` compiles a loop nest into instructions, and the
+megakernel tracer resolves them against its trace into a :class:`FusedNest`:
+plain values, its emit-time constants folded, every other name a trace
+symbol or an instruction position.  This module decides, against the buffer
+layout of one megakernel emission, *where* those instructions run and *how*
+they are spelled, and it never sees the IR.  The layout is all it reads of
+the buffers: an access names its buffer by argument index, with that
+buffer's shape and dtype, and never holds the array.  A **box** is one
 rectangular piece of a nest's iteration space that becomes one straight-line
 group of statements: the whole nest, an overlap interior, a boundary strip or
 a thread-team chunk.
@@ -77,9 +80,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..dialects.arith import SEMANTICS
-from ..ir.core import SSAValue
 from .thread_team import split_trip_counts
-from .vectorize import CompiledNest, operand_refs
 
 
 class CodegenError(Exception):
@@ -99,6 +100,73 @@ def local_name(sym: tuple) -> str:
     if sym[0] == "iv":
         return "_t"
     return f"a{sym[1]}" if sym[0] == "arg" else f"b{sym[1]}"
+
+
+# ---------------------------------------------------------------------------
+# resolved nests
+# ---------------------------------------------------------------------------
+
+
+def operand_refs(instr: tuple) -> tuple:
+    """The value references an instruction reads (its layout, in one place;
+    see :mod:`repro.interp.vectorize`)."""
+    kind = instr[0]
+    if kind == "load":
+        return ()
+    if kind == "store":
+        return (instr[1],)
+    if kind == "reduce":
+        return instr[4:6]
+    return instr[2:] if kind == "select" else instr[3:]
+
+
+@dataclass(frozen=True)
+class Affine:
+    """``sum(coeffs[d] * iv_d) + const + sum(coeff * symbol)`` in a resolved
+    nest: ``free`` holds the terms known only at run time, as ``(trace
+    symbol, coefficient)`` pairs in the order the nest compiled them, and the
+    emit-time constants are folded into ``const``."""
+
+    coeffs: dict
+    const: int
+    free: tuple = ()
+
+
+@dataclass(frozen=True)
+class FusedNest:
+    """A compiled nest resolved against its trace, as plain values.
+
+    ``bounds`` and ``count_bounds`` are the ``(lower, upper, step)`` ints of
+    each dimension (see :class:`repro.interp.vectorize.CompiledNest`).
+    ``instrs`` are the nest's instructions with every name resolved: a result
+    is named by its instruction's position, the buffer of a load or store by
+    its trace symbol and an index by an :class:`Affine`; a scalar from
+    outside the nest is ``("const", literal)`` when the trace knows it at
+    emit time, else ``("free", symbol)``.  ``reductions`` are the
+    ``("env", k)`` slots the reduction results are kept in, in order.
+    """
+
+    bounds: tuple
+    count_bounds: tuple
+    instrs: tuple
+    reductions: tuple
+
+    @property
+    def has_reduce(self) -> bool:
+        """Reductions fold in iteration order: never chunked, never split."""
+        return bool(self.reductions)
+
+    @property
+    def accesses(self) -> tuple:
+        """``(instruction index, is store)`` of every load and store."""
+        return tuple((position, instr[0] == "store")
+                     for position, instr in enumerate(self.instrs)
+                     if instr[0] in ("load", "store"))
+
+    @property
+    def syms(self) -> list:
+        """The trace symbols of the accessed buffers, in instruction order."""
+        return [self.instrs[position][2] for position, _ in self.accesses]
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +264,8 @@ _BLOCK_CELLS = 32768
 _TEAM_MIN_CELLS = 4096
 
 
-def _evaluate(affine, symbols: dict) -> int:
-    """A nest-invariant affine expression whose free terms are constants."""
-    return affine.const + sum(
-        coeff * int(symbols[value][1]) for value, coeff in affine.free.items()
-    )
-
-
-def _concrete_dims(bounds, symbols: dict) -> list[tuple[int, int, int]]:
-    dims = [tuple(_evaluate(term, symbols) for term in bound) for bound in bounds]
+def _concrete_dims(bounds) -> list[tuple[int, int, int]]:
+    dims = [tuple(bound) for bound in bounds]
     if any(step <= 0 for _, _, step in dims):
         # The interpreter defines the (error) semantics of non-positive steps.
         raise _rejected("non-positive loop step")
@@ -262,19 +323,19 @@ def _meet(a: range, b: range) -> bool:
     return any(index in b for index in later[:b.step // math.gcd(a.step, b.step)])
 
 
-def _resolve(nest: CompiledNest, dims, buffers, syms, symbols) -> list[Access]:
+def _resolve(nest: FusedNest, dims, buffers) -> list[Access]:
     """The :class:`Access` of every load and store of ``nest`` over ``dims``.
 
     ``buffers`` are the accessed buffers' ``(argument index, shape, dtype,
-    C-contiguous)`` layout entries and ``syms`` their trace symbols, one per load/store in
-    instruction order.  Raises :class:`CodegenError` when a region cannot be
-    reproduced exactly by slicing.
+    C-contiguous)`` layout entries, one per load/store in instruction order.
+    Raises :class:`CodegenError` when a region cannot be reproduced exactly
+    by slicing.
     """
     trips = _trips(dims)
     accesses = []
-    for (position, is_store), (buffer, shape, dtype, contiguous), sym in zip(
-            nest.accesses, buffers, syms):
-        axes = nest.instrs[position][3]
+    for (position, is_store), (buffer, shape, dtype, contiguous) in zip(
+            nest.accesses, buffers):
+        _, _, sym, axes = nest.instrs[position]
         if len(axes) != len(shape):
             raise _rejected("access rank does not match the memref rank")
         slices = []
@@ -283,7 +344,7 @@ def _resolve(nest: CompiledNest, dims, buffers, syms, symbols) -> list[Access]:
         region_shape = [1] * len(shape)
         used_dims: list[int] = []
         for axis, affine in enumerate(axes):
-            offset = _evaluate(affine, symbols)
+            offset = affine.const
             if not affine.coeffs:
                 if not 0 <= offset < shape[axis]:
                     raise _rejected("constant index outside the memref extent")
@@ -349,7 +410,7 @@ def _aliasing_is_safe(accesses: list[Access]) -> bool:
     return True
 
 
-def _split_overlap(nest: CompiledNest, dims, accesses: list[Access], halos):
+def _split_overlap(nest: FusedNest, dims, accesses: list[Access], halos):
     """Partition ``dims`` into an interior box and boundary strips.
 
     ``halos`` are the in-flight swaps as ``(argument index of the swapped
@@ -375,7 +436,7 @@ def _split_overlap(nest: CompiledNest, dims, accesses: list[Access], halos):
                 box = recv_slice[axis]
                 start = access.slices[axis].start
                 affine = nest.instrs[access.position][3][axis]
-                if affine.is_invariant:
+                if not affine.coeffs:
                     if box.start <= start < box.stop:
                         return None  # every iteration reads the halo
                     continue
@@ -445,10 +506,8 @@ class NestPlan:
     dims and the nest's.
     """
 
-    nest: CompiledNest
+    nest: FusedNest
     buffers: list = field(compare=False)
-    syms: list
-    symbols: dict = field(compare=False)
     dims: list
     accesses: list
     cells: int
@@ -457,22 +516,20 @@ class NestPlan:
     strips: list
 
 
-def plan_nest(nest: CompiledNest, buffers: list, syms: list, symbols: dict,
-              halos: list, threads: int) -> NestPlan:
+def plan_nest(nest: FusedNest, buffers: list, halos: list, threads: int) -> NestPlan:
     """Settle ``nest`` over the buffers ``buffers`` lays out: its boxes.
 
     ``buffers`` are the ``(argument index, shape, dtype, C-contiguous)``
-    layout entries of the accessed buffers and ``syms`` their trace symbols
-    (one per load/store in instruction order), ``symbols`` the trace's symbol of
-    every value, ``halos`` the in-flight swaps as ``(buffer, message plan)``
-    pairs and ``threads`` the team size boxes are chunked for.  Raises
-    :class:`CodegenError` when the nest cannot be emitted by slicing.
+    layout entries of the accessed buffers (one per load/store in
+    instruction order), ``halos`` the in-flight swaps as ``(buffer, message
+    plan)`` pairs and ``threads`` the team size boxes are chunked for.
+    Raises :class:`CodegenError` when the nest cannot be emitted by slicing.
     """
-    dims = _concrete_dims(nest.bounds, symbols)
+    dims = _concrete_dims(nest.bounds)
     cells = math.prod(
-        _trips(_concrete_dims(nest.count_bounds, symbols))
+        _trips(_concrete_dims(nest.count_bounds))
     ) if nest.count_bounds else 0
-    accesses = _resolve(nest, dims, buffers, syms, symbols)
+    accesses = _resolve(nest, dims, buffers)
     if not _aliasing_is_safe(accesses):
         raise _rejected(
             "aliasing stores: load/store regions overlap between "
@@ -481,7 +538,7 @@ def plan_nest(nest: CompiledNest, buffers: list, syms: list, symbols: dict,
     split = _split_overlap(nest, dims, accesses, halos) if halos else None
     interior, strips = split or (dims, [])
     return NestPlan(
-        nest, buffers, syms, symbols, dims, accesses, cells,
+        nest, buffers, dims, accesses, cells,
         bool(halos) and split is None,
         _team_chunks(interior, 1 if nest.has_reduce else threads), strips,
     )
@@ -517,11 +574,10 @@ def _grid_shape(affine, shape: tuple) -> tuple:
 class Operand:
     """What an instruction reads: a reference and the value's type.
 
-    ``ref`` is an instruction operand reference of
-    :mod:`repro.interp.vectorize` (a free value known at emit time arrives
-    as ``("const", literal)``).  ``dtype`` is a numpy dtype, a
-    ``"pyint"``/``"pyfloat"``/``"pybool"`` marker, or None (unknown);
-    ``shape`` the extents of one block (``()`` for python scalars).
+    ``ref`` is an operand reference of a :class:`FusedNest` instruction.
+    ``dtype`` is a numpy dtype, a ``"pyint"``/``"pyfloat"``/``"pybool"``
+    marker, or None (unknown); ``shape`` the extents of one block (``()``
+    for python scalars).
     """
 
     ref: tuple
@@ -579,7 +635,7 @@ def _span(extents: tuple, pitches: tuple) -> int:
     return 1 + sum((extent - 1) * pitch for extent, pitch in zip(extents, pitches))
 
 
-def _pitched(nest: CompiledNest, plan: BoxPlan) -> tuple[Optional[tuple], str]:
+def _pitched(nest: FusedNest, plan: BoxPlan) -> tuple[Optional[tuple], str]:
     """The buffer pitches a box is spelled pitched over (None: strided), and why.
 
     Pitched, every value but the stored ones is computed over one
@@ -657,11 +713,11 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
     Raises :class:`CodegenError` when the shapes show the nest cannot be
     executed by broadcasting.
     """
-    nest, symbols = nest_plan.nest, nest_plan.symbols
+    nest = nest_plan.nest
     plan = BoxPlan()
     plan.dims = [tuple(dim) for dim in dims]
     plan.accesses = nest_plan.accesses if plan.dims == nest_plan.dims else _resolve(
-        nest, plan.dims, nest_plan.buffers, nest_plan.syms, symbols)
+        nest, plan.dims, nest_plan.buffers)
     plan.shape = shape = _trips(plan.dims)
     plan.block = block = shape if nest.has_reduce else _block_extents(shape)
     plan.looped = [dim for dim in range(len(shape)) if block[dim] != shape[dim]]
@@ -679,8 +735,8 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
     # Liveness: the position of the last instruction that reads each value's
     # storage.  A cast may return its operand, so its result shares the
     # operand's storage; a stored value is read when the block commits.
-    storage: dict[SSAValue, SSAValue] = {}
-    last_read: dict[SSAValue, int] = {}
+    storage: dict[int, int] = {}
+    last_read: dict[int, int] = {}
     store_positions = []
     last_compute = -1
     for position, instr in enumerate(instrs):
@@ -712,19 +768,15 @@ def plan_box(nest_plan: NestPlan, dims) -> BoxPlan:
     access_at = {access.position: access for access in plan.accesses}
     plan.slots = []
     free_slots: dict[np.dtype, list[int]] = {}
-    slot_of: dict[SSAValue, int] = {}
-    typed: dict[SSAValue, Operand] = {}
+    slot_of: dict[int, int] = {}
+    typed: dict[int, Operand] = {}
     plan.values = []
 
     def operand(ref: tuple) -> Operand:
         if ref[0] == "arr":
             return typed[ref[1]]
         if ref[0] == "free":
-            sym = symbols[ref[1]]
-            if sym[0] == "const":
-                ref = ("const", sym[1])
-            else:
-                return Operand(ref, False, "pyint" if sym[0] == "iv" else None, ())
+            return Operand(ref, False, "pyint" if ref[1][0] == "iv" else None, ())
         if ref[0] == "const":
             return Operand(ref, False, _literal_dtype(ref[1]), ())
         if ref[1].coeffs:  # ("aff", affine): an index grid over the box
@@ -866,7 +918,7 @@ def print_numpy(
     """Write one planned box as NumPy statements.
 
     ``new_var(prefix)`` names a fresh local, ``outer(ref)`` spells a
-    ``("free", value)`` scalar known only at run time or an ``("aff",
+    ``("free", symbol)`` scalar known only at run time or an ``("aff",
     affine)`` index grid over the box, and ``local_view(sym, index)`` names a
     local the caller binds to the view ``<buffer><index>`` of the buffer
     the trace symbol ``sym`` names, ahead of the box.  Returns ``(setup,
@@ -937,8 +989,11 @@ def print_numpy(
         access.position: region(access) for access in plan.accesses if access.is_store
     }
     records = {value.result.ref[1]: value for value in plan.values if value.result}
-    names: dict[SSAValue, str] = {}
-    outers: dict[tuple, str] = {}
+    names: dict[int, str] = {}
+    # The spelling of each run-time scalar, and of each index grid by its
+    # Affine object: the uses of one value share a grid, equal expressions of
+    # two values do not (the nest resolves each value to one Affine).
+    outers: dict = {}
     slot_arrays: dict[int, str] = {}
     slot_names: dict[int, str] = {}  # what ops write: pitched, the slot's span
     slot_regions: dict[int, str] = {}  # pitched: the slot cut to the box
@@ -952,7 +1007,8 @@ def print_numpy(
             return names[ref[1]]
         if ref[0] == "const":
             return _literal(ref[1])
-        expr = outers.get(ref)
+        key = id(ref[1]) if ref[0] == "aff" else ref
+        expr = outers.get(key)
         if expr is None:
             expr = outer(ref)
             if item.is_array:
@@ -960,7 +1016,7 @@ def print_numpy(
                 if piece != expr:
                     expr = new_var("_v")
                     statements.append(f"{expr} = {piece}")
-            outers[ref] = expr
+            outers[key] = expr
         return expr
 
     def stored(item: Operand) -> str:
@@ -985,7 +1041,7 @@ def print_numpy(
             slot_regions[record.slot] = name
         return slot_regions[record.slot]
 
-    def bind(result: SSAValue, expr: str) -> None:
+    def bind(result: int, expr: str) -> None:
         name = names[result] = new_var("_v")
         statements.append(f"{name} = {expr}")
 

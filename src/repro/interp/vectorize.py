@@ -50,31 +50,28 @@ order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..dialects import arith, func, memref, omp, scf
 from ..ir.core import Operation, SSAValue
 from ..ir.types import IndexType, IntegerType, is_float_type
+from .nestplan import operand_refs
 
 
 class VectorizationError(Exception):
     """Internal: raised while analysing a nest that cannot be vectorized."""
 
 
+@dataclass(frozen=True)
 class VectorizeFallback:
     """Why a nest could not be vectorized (the megakernel walks it in place)."""
 
-    __slots__ = ("op_name", "reason")
-
-    def __init__(self, op_name: str, reason: str):
-        self.op_name = op_name
-        self.reason = reason
+    op_name: str
+    reason: str
 
     def __str__(self) -> str:
         return f"{self.op_name}: {self.reason}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorizeFallback({self.op_name!r}, {self.reason!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +96,6 @@ class _Affine:
         self.coeffs: dict[int, int] = dict(coeffs or {})
         self.const = int(const)
         self.free: dict[SSAValue, int] = dict(free or {})
-
-    @property
-    def is_invariant(self) -> bool:
-        """True when the expression does not involve any induction variable."""
-        return not self.coeffs
 
     @property
     def is_literal(self) -> bool:
@@ -157,28 +149,16 @@ def _affine_equal(a: _Affine, b: _Affine) -> bool:
 _Ref = tuple
 
 
-def operand_refs(instr: tuple) -> tuple:
-    """The value references an instruction reads (its layout, in one place)."""
-    kind = instr[0]
-    if kind == "load":
-        return ()
-    if kind == "store":
-        return (instr[1],)
-    if kind == "reduce":
-        return instr[4:6]
-    return instr[2:] if kind == "select" else instr[3:]
-
-
 class CompiledNest:
     """One vectorizable loop nest: its bounds and instructions.
 
     ``bounds`` are ``(lower, upper, step)`` affine expressions per dimension,
-    invariant in the nest.  Where the nest runs against a buffer layout is
-    settled by :func:`repro.interp.nestplan.plan_nest`.
+    invariant in the nest.  The megakernel tracer resolves the nest against
+    its trace (:class:`repro.interp.nestplan.FusedNest`), and
+    :func:`repro.interp.nestplan.plan_nest` settles where it runs.
     """
 
-    __slots__ = ("bounds", "instrs", "count_bounds", "has_reduce",
-                 "reduce_results", "accesses")
+    __slots__ = ("bounds", "instrs", "count_bounds", "reduce_results")
 
     def __init__(
         self,
@@ -199,15 +179,6 @@ class CompiledNest:
         self.reduce_results = [
             instr[1] for instr in instrs if instr[0] == "reduce"
         ]
-        #: Reductions fold in iteration order, so they can be neither chunked
-        #: over a thread team nor split into overlap phases.
-        self.has_reduce = bool(self.reduce_results)
-        #: ``(instruction index, is store)`` of every memory access, in order.
-        self.accesses = tuple(
-            (position, instr[0] == "store")
-            for position, instr in enumerate(instrs)
-            if instr[0] in ("load", "store")
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ pair becomes an ``scf.parallel`` loop nest (optionally tiled for data
 locality) whose body loads inputs with ``memref.load``, evaluates the cloned
 arithmetic, and stores results with ``memref.store``.
 
-An apply that stores into a field it reads at a non-zero offset is lowered
-untiled whatever the tile sizes: its nest updates that field in place, so a
-read sees whether the sweep has passed its cell yet, and tiles would pass
-cells in another order than the untiled row-major sweep.
+An apply that stores into a field it reads at a non-zero offset reads that
+field from a copy taken at its ``stencil.load`` (``memref.alloc`` +
+``memref.copy``, freed after the nest): the load's value, as at the stencil
+level, where every read of an apply sees the field as it was loaded.  Its nest
+then updates the field in place without a read seeing whether the sweep has
+passed its cell yet, in any order, tiled or not.
 
 Field values keep their ``!stencil.field`` SSA type and are bridged into the
 memref world with ``builtin.unrealized_conversion_cast`` exactly as in the
@@ -86,13 +88,19 @@ class _ApplyLowering:
                 )
         rank = bounds.rank
 
-        # Cast every input field and every output field to a memref.
+        # Cast every input field and every output field to a memref; a field
+        # stored into and read off the cell is read from a copy of it.
+        copied = self._stored_fields_read_off_cell(stores)
+        copies: list[SSAValue] = []
         input_casts: list[tuple[SSAValue, tuple[int, ...]]] = []
         for operand in apply_op.operands:
             field, field_type = _field_of_temp(operand)
-            cast = self.builder.insert(
-                UnrealizedConversionCastOp.get(field, _memref_type_for_field(field_type))
-            )
+            memref_type = _memref_type_for_field(field_type)
+            if field in copied:
+                copies.append(self._copy_at_load(operand.owner, memref_type))
+                input_casts.append((copies[-1], field_type.bounds.lb))
+                continue
+            cast = self.builder.insert(UnrealizedConversionCastOp.get(field, memref_type))
             input_casts.append((cast.output, field_type.bounds.lb))
         output_casts: list[tuple[SSAValue, tuple[int, ...]]] = []
         for store in stores:
@@ -107,12 +115,14 @@ class _ApplyLowering:
         lower = [self._const_index(lb) for lb in bounds.lb]
         upper = [self._const_index(ub) for ub in bounds.ub]
 
-        if self.tile_sizes and not self._reads_a_stored_field_off_cell(stores):
+        if self.tile_sizes:
             loop_ivs, innermost = self._build_tiled_loops(rank, lower, upper, bounds)
         else:
             loop_ivs, innermost = self._build_parallel_loop(rank, lower, upper)
 
         self._lower_body(innermost, loop_ivs, input_casts, output_casts, stores)
+        for copy in copies:
+            self.builder.insert(memref.DeallocOp(copy))
 
         # Remove the now-redundant stencil ops.
         for store in stores:
@@ -147,18 +157,26 @@ class _ApplyLowering:
             raise StencilLoweringError("stencil.apply with no results cannot be lowered")
         return stores
 
-    def _reads_a_stored_field_off_cell(self, stores: list[stencil.StoreOp]) -> bool:
-        """Whether the apply reads a field it stores into at a non-zero offset."""
+    def _stored_fields_read_off_cell(self, stores: list[stencil.StoreOp]) -> set:
+        """The fields the apply stores into and reads at a non-zero offset."""
         written = {store.field for store in stores}
         shifted = {
             op.temp.index for op in self.apply_op.body.block.ops
             if isinstance(op, stencil.AccessOp) and isinstance(op.temp, BlockArgument)
             and any(op.offset)
         }
-        return any(
-            _field_of_temp(self.apply_op.operands[index])[0] in written
-            for index in shifted
-        )
+        return {
+            _field_of_temp(self.apply_op.operands[index])[0] for index in shifted
+        } & written
+
+    @staticmethod
+    def _copy_at_load(load: stencil.LoadOp, memref_type: MemRefType) -> SSAValue:
+        """A copy of the field ``load`` reads, taken where it reads it."""
+        builder = Builder.before(load)
+        cast = builder.insert(UnrealizedConversionCastOp.get(load.field, memref_type))
+        copy = builder.insert(memref.AllocOp(memref_type)).results[0]
+        builder.insert(memref.CopyOp(cast.output, copy))
+        return copy
 
     # -- loop construction -----------------------------------------------------
     def _build_parallel_loop(

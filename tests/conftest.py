@@ -137,6 +137,7 @@ def run_compiled(module, function: str, *args, threads: int = 1):
         megakernel_signature,
         trace_program,
     )
+    from repro.core.rank import run_blocking
     from repro.interp.thread_team import get_thread_team
 
     func_op = next(
@@ -150,8 +151,10 @@ def run_compiled(module, function: str, *args, threads: int = 1):
         reason = str(err)
     else:
         stats = ExecStatistics()
-        ran = kernel.run(list(args), stats, team=get_thread_team(threads))
-        reason = None if ran else "field arguments alias each other"
+        halos = kernel.start(list(args), stats, team=get_thread_team(threads))
+        if halos is not None:
+            run_blocking(None, iter(halos))
+        reason = None if halos is not None else "field arguments alias each other"
     if reason is not None:
         walker = Interpreter(module)
         walker.call(function, *args)
@@ -173,6 +176,7 @@ def assert_engaged(session, program, ranks, runs=1):
     cache their own traces.
     """
     from repro.interp import MegakernelTrace
+    from repro.interp.nestplan import FusedNest
 
     assert session.metrics.get("megakernel.engaged") == ranks * runs
     assert session.metrics.get("megakernel.fallback") == 0
@@ -180,7 +184,7 @@ def assert_engaged(session, program, ranks, runs=1):
               if isinstance(entry, MegakernelTrace)]
     assert traces, "no megakernel trace was cached"
     for trace in traces:
-        fused = sum(step[0] == "nest"
+        fused = sum(isinstance(step, FusedNest)
                     for step in (*trace.pre, *trace.body, *trace.post))
         compiled = program.compiled_kernel(trace.function_name).nest_count
         assert fused == compiled >= 1, (

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.core import Session, compile_stencil_program, cpu_target, dmp_target
+from repro.core import Session, compile_stencil_program, cpu_target, dmp_target, smp_target
 from repro.dialects import builtin, dmp, func, mpi, stencil
 from repro.frontends.oec.builder import StencilKernel
 from repro.interp import Interpreter
@@ -264,6 +264,24 @@ class TestUnexchangedReads:
         shape = (8,) * len(offset)
         with pytest.raises(PassFailedError, match="distribute-stencil.*behind the sweep"):
             compile_stencil_program(_chain(shape, offset, store_to=0), dmp_target(grid))
+
+    @pytest.mark.parametrize("offset", [(-1,), (1,), (0, -1), (-1, 1), (1, -1)])
+    @pytest.mark.parametrize("target", [cpu_target(), smp_target(tile_sizes=(4, 4))],
+                             ids=["cpu", "smp-tiled"])
+    def test_an_in_place_read_off_the_cell_reads_the_field_as_loaded(self, target, offset):
+        """Undecomposed, an apply that stores into a field it reads off the
+        cell reads it from a copy taken at its load, as the stencil level
+        does: no cell sees what the sweep already wrote, in any order."""
+        shape = (8,) * len(offset)
+        initial = np.random.default_rng(7).uniform(-1, 1, tuple(s + 4 for s in shape))
+        expected = [initial.copy(), initial.copy()]
+        Interpreter(_chain(shape, offset, store_to=0)).call("kernel", *expected, 3)
+        program = compile_stencil_program(_chain(shape, offset, store_to=0), target)
+        for backend in ("interpreter", "auto"):
+            fields = [initial.copy(), initial.copy()]
+            with Session() as session:
+                session.run(program, fields, [3], backend=backend)
+            assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected], backend
 
     @pytest.mark.parametrize("grid, offset, store_to", [
         ((2, 1), (1, 1), 1), ((2, 2), (1, 0), 1), ((2, 2), (0, -2), 1), ((2, 1, 2), (1, 1, 0), 1),

@@ -280,8 +280,9 @@ def test_teams_survive_fork_into_workers():
 def test_plan_overlap_defers_unrelated_nest():
     """A nest not touching the swapped array leaves its halos in flight."""
     from repro.dialects import arith, builtin, func, memref, scf
-    from repro.interp.interpreter import SwapMessagePlan
+    from repro.interp import trace_program
     from repro.interp.nestplan import _concrete_dims, _resolve, _split_overlap
+    from repro.interp.schedule import SwapMessagePlan
     from repro.interp.vectorize import compile_kernel
     from repro.ir import Builder, FunctionType, MemRefType, f64
 
@@ -302,12 +303,11 @@ def test_plan_overlap_defers_unrelated_nest():
     b.insert(func.ReturnOp([]))
     module = builtin.ModuleOp([kernel])
 
-    compiled = compile_kernel(module, "kernel")
-    nest = next(iter(compiled.nests.values()))
-    dims = _concrete_dims(nest.bounds, {})
+    (nest,) = trace_program(kernel, compile_kernel(module, "kernel")).body
+    dims = _concrete_dims(nest.bounds)
     # u and v are arguments 0 and 1, in the layout megakernel_signature gives.
     buffers = [(0, (8, 8), "<f8", True), (1, (8, 8), "<f8", True)]
-    resolved = _resolve(nest, dims, buffers, [("arg", 0), ("arg", 1)], {})
+    resolved = _resolve(nest, dims, buffers)
 
     box = (slice(0, 1), slice(0, 8))
     # One receive record: (recv_slice, neighbor, tag, elements, axis).

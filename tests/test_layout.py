@@ -410,8 +410,9 @@ def test_every_config_field_is_set_by_the_program():
 # no ``traced`` flag, so nothing it decides can depend on observability.
 
 CODEGEN = SRC / "repro" / "interp" / "codegen.py"
+SCHEDULE = SRC / "repro" / "interp" / "schedule.py"
 
-#: The top-level definitions of ``repro.interp.codegen`` that print.
+#: The top-level definitions of ``repro.interp.schedule`` that print.
 PRINTER = {"print_python", "_PythonPrinter"}
 
 #: Names only the printer may reference, and the span lines it writes.
@@ -420,16 +421,19 @@ _SPAN_LINE = re.compile(r"_tracer\.(begin|end)\(")
 
 
 def printing_outside_the_printer() -> list[str]:
+    """Where ``schedule.py`` outside the printer, or ``codegen.py``, plans a
+    box, prints NumPy or writes a span line."""
     found = []
-    for node in _tree(CODEGEN).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) \
-                or getattr(node, "name", None) in PRINTER:
-            continue
-        for inner in ast.walk(node):
-            name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
-            if name in _PRINTER_NAMES or isinstance(inner, ast.Constant) \
-                    and isinstance(inner.value, str) and _SPAN_LINE.search(inner.value):
-                found.append(f"line {inner.lineno}: {name or inner.value!r}")
+    for path in (SCHEDULE, CODEGEN):
+        for node in _tree(path).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    or path == SCHEDULE and getattr(node, "name", None) in PRINTER:
+                continue
+            for inner in ast.walk(node):
+                name = inner.id if isinstance(inner, ast.Name) else getattr(inner, "attr", None)
+                if name in _PRINTER_NAMES or isinstance(inner, ast.Constant) \
+                        and isinstance(inner.value, str) and _SPAN_LINE.search(inner.value):
+                    found.append(f"{path.name} line {inner.lineno}: {name or inner.value!r}")
     return found
 
 
@@ -438,7 +442,7 @@ def test_only_the_megakernel_printer_plans_boxes_and_writes_spans():
 
 
 def test_the_megakernel_planner_takes_no_traced_flag():
-    planner = next(node for node in _tree(CODEGEN).body
+    planner = next(node for node in _tree(SCHEDULE).body
                    if isinstance(node, ast.FunctionDef) and node.name == "plan_megakernel")
     arguments = planner.args
     names = [arg.arg for arg in (*arguments.posonlyargs, *arguments.args,
@@ -469,7 +473,7 @@ def array_reads_in_the_planner() -> list[str]:
     of ``shares_memory``/``view``, a mention of ``ndarray``, or an
     ``Access`` that holds its array (or a ``view`` of it) to read."""
     found = []
-    planner = _top_level(CODEGEN, ast.FunctionDef, "plan_megakernel")
+    planner = _top_level(SCHEDULE, ast.FunctionDef, "plan_megakernel")
     for where, tree in (("plan_megakernel", planner), ("nestplan", _tree(NESTPLAN))):
         for node in ast.walk(tree):
             callee = node.func if isinstance(node, ast.Call) else None
@@ -490,9 +494,36 @@ def test_the_megakernel_planner_reads_no_array():
 
 
 def test_the_megakernel_is_planned_and_emitted_from_its_layout():
-    for name in ("plan_megakernel", "emit_megakernel"):
-        arguments = _top_level(CODEGEN, ast.FunctionDef, name).args
+    for path, name in ((SCHEDULE, "plan_megakernel"), (CODEGEN, "emit_megakernel")):
+        arguments = _top_level(path, ast.FunctionDef, name).args
         assert [arg.arg for arg in arguments.args[:2]] == ["trace", "layout"], name
+
+
+# -- the schedule is a plain value ----------------------------------------------
+# A schedule pickles, compares and prints without its module: the modules
+# that plan and print it import nothing of the IR — no ``repro.ir``, and of
+# the dialects the op table alone.
+
+#: The modules that plan and print a schedule.
+PLAIN_MODULES = (SCHEDULE, NESTPLAN)
+
+
+def ir_imports_of_the_schedule() -> list[str]:
+    """What a module of :data:`PLAIN_MODULES` imports of ``repro.ir`` or of
+    ``repro.dialects`` other than ``arith.SEMANTICS``."""
+    found = []
+    for path in PLAIN_MODULES:
+        for module, names in _imports(path, _module_name(path), False):
+            for name in names or ["*"]:
+                taken = f"{module}.{name}"
+                if module.startswith(("repro.ir", "repro.dialects")) \
+                        and taken != "repro.dialects.arith.SEMANTICS":
+                    found.append(f"{path.name}: {taken}")
+    return found
+
+
+def test_the_schedule_modules_import_nothing_of_the_ir():
+    assert ir_imports_of_the_schedule() == []
 
 
 # -- one stencil-program builder for every frontend ----------------------------

@@ -16,6 +16,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import pickle
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -44,10 +46,14 @@ from repro.interp import (
     megakernel_signature,
     trace_program,
 )
-from repro.interp.codegen import Complete, Island, Nest, Post, plan_megakernel
+from repro.interp import nestplan
+from repro.interp.nestplan import FusedNest, operand_refs
+from repro.interp.schedule import (
+    Complete, Island, Nest, Post, Swap, plan_megakernel, print_python,
+)
 from repro.interp.interpreter import swap_message_plan
 from repro.interp.values import numpy_dtype_for
-from repro.ir import Builder, FunctionType, MemRefType, f64, index
+from repro.ir import Builder, FunctionType, MemRefType, f64, i64, index
 from repro.runtime import processes_available
 from repro.transforms.distribute import ConvertDMPToMPIPass
 from repro.transforms.mpi import ConvertMPIToFuncPass
@@ -533,6 +539,95 @@ def test_every_pinned_schedule_tiles_its_nests_and_lands_its_halos(fixture):
                     assert _tiling_violations(step.plan) == [], rank
 
 
+def _reduce_then_scale_module():
+    """``kernel(u, v, n)``: ``s`` = the sum of ``u`` (a fused reduction),
+    ``k = n + 1`` (scalar arithmetic, an island), then ``v[i] = u[i] * s +
+    (i + k)``: a nest reading the reduction, and ``k`` in an index grid, at
+    run time."""
+    vector = MemRefType([64], f64)
+    kernel = func.FuncOp("kernel", FunctionType([vector, vector, index], []))
+    u, v, n = kernel.args
+    b = Builder.at_end(kernel.body.block)
+    zero = b.insert(arith.ConstantOp.from_int(0)).result
+    one = b.insert(arith.ConstantOp.from_int(1)).result
+    extent = b.insert(arith.ConstantOp.from_int(64)).result
+    init = b.insert(arith.ConstantOp.from_float(0.0, f64)).result
+    total = scf.ParallelOp([zero], [extent], [one], init_values=[init])
+    inner = Builder.at_end(total.body.block)
+    inner.insert(scf.ReduceOp.combining(
+        inner.insert(memref.LoadOp(u, total.induction_variables)).result, arith.AddfOp))
+    b.insert(total)
+    shift = b.insert(arith.AddiOp(n, one)).result
+    scale = scf.ParallelOp([zero], [extent], [one])
+    inner = Builder.at_end(scale.body.block)
+    (i,) = scale.induction_variables
+    row = inner.insert(arith.SIToFPOp(inner.insert(arith.IndexCastOp(
+        inner.insert(arith.AddiOp(i, shift)).result, i64)).result, f64)).result
+    scaled = inner.insert(arith.MulfOp(
+        inner.insert(memref.LoadOp(u, [i])).result, total.results[0])).result
+    inner.insert(memref.StoreOp(inner.insert(arith.AddfOp(scaled, row)).result, v, [i]))
+    inner.insert(scf.YieldOp([]))
+    b.insert(scale)
+    b.insert(func.ReturnOp([]))
+    return builtin.ModuleOp([kernel])
+
+
+def _plain_schedules():
+    """``{label: (schedule, traced)}``: every pinned kernel's schedule, and
+    those of kernels with an island, with a fused reduction a later nest
+    reads, with a run-time ``_env`` scalar and split into team chunks."""
+    schedules = {}
+    for fixture in sorted(_PINNED_KERNELS):
+        *_, size, threads = _PINNED_KERNELS[fixture]
+        trace, layout = _trace_and_layout(_pinned_program(fixture))
+        for rank in range(size):
+            schedule = plan_megakernel(trace, layout, rank, size, threads)
+            for traced in (False, True):
+                schedules[f"{fixture}/r{rank}{'/traced' if traced else ''}"] = (
+                    schedule, traced)
+    for name, module, args, threads in (
+            ("island", _halving_module(), [np.arange(8.0), np.zeros(1), 3], 1),
+            ("reduction-and-env", _reduce_then_scale_module(),
+             [np.ones(64), np.zeros(64), 2], 1),
+            ("team-chunks", _reduce_then_scale_module(), [np.ones(64), np.zeros(64), 2], 2)):
+        func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
+        trace = trace_program(func_op, compile_kernel(module, "kernel"))
+        with unittest.mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1):
+            schedules[name] = (plan_megakernel(
+                trace, megakernel_signature(args), threads=threads), True)
+    return schedules
+
+
+def test_every_schedule_is_a_plain_value():
+    """A schedule holds no IR: it survives a pickle round trip equal to
+    itself, and its copy prints the same source."""
+    schedules = _plain_schedules()
+    assert len(schedules) == len(MEGAKERNEL_FINGERPRINTS) + 3
+    island, env, team = (schedules[name][0] for name in
+                         ("island", "reduction-and-env", "team-chunks"))
+    assert island.has_islands and env.has_islands and team.uses_team
+    total, scale = (step.plan.nest for step in env.body if isinstance(step, Nest))
+    reads = [ref for instr in scale.instrs for ref in operand_refs(instr)]
+    assert ("free", total.reductions[0]) in reads
+    assert any(ref[0] == "aff" and ref[1].free for ref in reads)
+    for label, (schedule, traced) in schedules.items():
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy == schedule, label
+        assert print_python(copy, label, traced)[0] == \
+            print_python(schedule, label, traced)[0], label
+    # The kernels the emitter binds to the trace's values read them right,
+    # flat and in team chunks.
+    data = np.random.default_rng(11).standard_normal(64)
+    walked = [data.copy(), np.zeros(64)]
+    Interpreter(_reduce_then_scale_module()).call("kernel", *walked, 2)
+    for threads in (1, 2):
+        fused = [data.copy(), np.zeros(64)]
+        with unittest.mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1):
+            assert run_compiled(_reduce_then_scale_module(), "kernel", *fused, 2,
+                                threads=threads)[1] is None
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in walked], threads
+
+
 def _elements(region) -> int:
     return math.prod(piece.stop - piece.start for piece in region)
 
@@ -924,9 +1019,9 @@ def test_ops_around_the_time_loop_are_walked_in_place():
     func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
     trace = trace_program(func_op, compile_kernel(module, "kernel"))
     assert trace.loop is not None and not trace.loop.init_args
-    assert [step[0] for step in trace.pre] == ["island"]
-    assert [step[0] for step in trace.body] == ["nest"]
-    assert [step[0] for step in trace.post] == ["island"]
+    assert [type(step) for step in trace.pre] == [Island]
+    assert [type(step) for step in trace.body] == [FusedNest]
+    assert [type(step) for step in trace.post] == [Island]
     walked = [np.arange(8.0), np.zeros(1)]
     walker = Interpreter(module)
     walker.call("kernel", *walked, 3)
@@ -978,8 +1073,8 @@ def test_a_nest_after_the_time_loop_reads_its_results(steps):
     module = _rotate_then_copy_module()
     func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
     trace = trace_program(func_op, compile_kernel(module, "kernel"))
-    assert [step[0] for step in trace.post] == ["nest"]
-    assert trace.post[0][3] == [("final", 0), ("arg", 2)]
+    assert [type(step) for step in trace.post] == [FusedNest]
+    assert trace.post[0].syms == [("final", 0), ("arg", 2)]
 
     def fields():
         return [np.arange(8.0), np.zeros(8), np.zeros(8)]
@@ -1010,7 +1105,7 @@ def test_the_lowered_mpi_group_fuses_as_a_swap_step():
     lowered = _heat(dmp_target((2, 1), lower_to_library_calls=True))
     trace = trace_program(
         lowered.functions["kernel"], lowered.compiled_kernel("kernel"))
-    assert [step[0] for step in trace.body] == ["swap", "nest"]
+    assert [type(step) for step in trace.body] == [Swap, FusedNest]
     assert not trace.has_islands
     fields, results = {}, {}
     for name, program in (("swapped", swapped), ("lowered", lowered)):
@@ -1044,7 +1139,7 @@ def test_both_forms_of_the_message_group_fuse(calls):
         ConvertMPIToFuncPass().apply(program.module)
     trace = trace_program(
         program.functions["kernel"], program.compiled_kernel("kernel"))
-    assert [step[0] for step in trace.body] == ["swap", "nest"]
+    assert [type(step) for step in trace.body] == [Swap, FusedNest]
     fields, walked = _heat_fields(), _heat_fields()
     with Session(runtime="threads") as session:
         result = session.run(program, fields, [3])
@@ -1066,11 +1161,12 @@ def test_a_message_group_without_its_declaration_is_walked():
             del op.attributes["swaps"]
     trace = trace_program(
         program.functions["kernel"], program.compiled_kernel("kernel"))
-    kinds = [step[0] for step in trace.body]
-    assert "swap" not in kinds and "island" in kinds and "nest" in kinds
+    kinds = [type(step) for step in trace.body]
+    assert Swap not in kinds and Island in kinds and FusedNest in kinds
     walked_calls = {
-        op.callee for step in trace.body if step[0] == "island"
-        for root in step[1].ops for op in root.walk() if isinstance(op, func.CallOp)
+        op.callee for step in trace.body if isinstance(step, Island)
+        for root in trace.islands[step.index][0] for op in root.walk()
+        if isinstance(op, func.CallOp)
     }
     assert {"MPI_Isend", "MPI_Irecv", "MPI_Waitall"} <= walked_calls
     fields, walked = _heat_fields(), _heat_fields()
