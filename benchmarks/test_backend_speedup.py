@@ -345,7 +345,8 @@ def test_generated_wave_kernel_against_a_hand_written_one(benchmark):
             workload.grid.spacing,
         )
 
-    with Session() as session:
+    # The hand-written kernel runs on one thread: so does the generated one.
+    with Session(threads_per_rank=1) as session:
         plan = session.plan(program)
         megakernel = megakernel_for(
             program, plan.compile(), plan.config, [*fields(), steps])

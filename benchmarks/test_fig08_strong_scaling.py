@@ -16,6 +16,7 @@ import pytest
 
 from bench_helpers import attach_rows
 from repro.core import Session, compile_stencil_program, default_session, dmp_target
+from repro.core.config import usable_cpus
 from repro.evaluation import figure8_strong_scaling
 from repro.workloads import heat_diffusion
 from tests.conftest import assert_engaged
@@ -65,13 +66,6 @@ def test_distributed_heat_execution(benchmark, ranks, threads_per_rank):
     assert result.threads_per_rank == threads_per_rank
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
 def test_process_runtime_strong_scaling_smoke():
     """4 process ranks vs 4 thread ranks on a GIL-bound kernel.
 
@@ -85,7 +79,7 @@ def test_process_runtime_strong_scaling_smoke():
     """
     from repro.runtime import processes_available
 
-    if _usable_cpus() < 4:
+    if usable_cpus() < 4:
         pytest.skip("needs >= 4 usable CPU cores for a meaningful comparison")
     if not processes_available():
         pytest.skip("process runtime unavailable on this platform")
@@ -184,7 +178,7 @@ def test_hybrid_strong_scaling_smoke():
     """
     from repro.runtime import processes_available
 
-    if _usable_cpus() < 4:
+    if usable_cpus() < 4:
         pytest.skip("needs >= 4 usable CPU cores for a meaningful comparison")
     if not processes_available():
         pytest.skip("process runtime unavailable on this platform")

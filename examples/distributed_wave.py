@@ -74,8 +74,9 @@ def main() -> None:
         help="number of MPI ranks (mapped to a Cartesian grid)",
     )
     parser.add_argument(
-        "--threads-per-rank", type=int, default=1,
-        help="intra-rank thread-team size (hybrid MPI+OpenMP when > 1)",
+        "--threads-per-rank", type=int, default=None,
+        help="intra-rank thread-team size (hybrid MPI+OpenMP when > 1; "
+             "default: the CPUs each rank has)",
     )
     parser.add_argument(
         "--trace", choices=EXECUTION_TRACE, default="off",
@@ -112,7 +113,8 @@ def main() -> None:
                   f"'python -m repro.obs.report {args.trace_output}')")
 
     error = np.abs(single_rank - distributed).max()
-    print(f"{args.ranks}-rank x {args.threads_per_rank}-thread distributed "
+    threads = config.team_size(args.ranks)
+    print(f"{args.ranks}-rank x {threads}-thread distributed "
           f"({args.runtime}) vs single-rank result: "
           f"max |difference| = {error:.3e}")
     assert error < 1e-10, "domain decomposition must not change the result"

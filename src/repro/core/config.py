@@ -113,8 +113,10 @@ class ExecutionConfig:
     #: Whether plans run the generated megakernel (:data:`EXECUTION_CODEGEN`).
     codegen: str = "auto"
     #: Intra-rank thread-team size (the OpenMP level of the paper's hybrid
-    #: MPI+OpenMP configurations; 1 = flat runs).
-    threads_per_rank: int = 1
+    #: MPI+OpenMP configurations; 1 = flat runs).  ``None`` gives each rank
+    #: an equal share of the CPUs this process may run on: see
+    #: :meth:`team_size`.
+    threads_per_rank: Optional[int] = None
     #: Per-run communication deadline in seconds.
     timeout: float = 60.0
     #: Observability mode (:data:`EXECUTION_TRACE`); ``None`` resolves from
@@ -145,10 +147,21 @@ class ExecutionConfig:
                 f"unknown codegen mode {self.codegen!r}; expected one of "
                 f"{', '.join(EXECUTION_CODEGEN)}"
             )
-        if not isinstance(self.threads_per_rank, int) or self.threads_per_rank < 1:
-            raise ExecutionError("threads_per_rank must be an integer >= 1")
+        if self.threads_per_rank is not None and (
+                not isinstance(self.threads_per_rank, int) or self.threads_per_rank < 1):
+            raise ExecutionError("threads_per_rank must be an integer >= 1 (or None)")
         if not isinstance(self.timeout, (int, float)) or self.timeout <= 0:
             raise ExecutionError("timeout must be a positive number of seconds")
+
+    def team_size(self, ranks: int) -> int:
+        """The thread-team size of each of ``ranks`` ranks.
+
+        ``threads_per_rank`` when given, else the usable CPUs
+        (:func:`usable_cpus`) shared equally among the ranks, at least one.
+        """
+        if self.threads_per_rank is not None:
+            return self.threads_per_rank
+        return max(1, usable_cpus() // ranks)
 
     def replace(self, **changes) -> "ExecutionConfig":
         """A copy with ``changes`` applied (re-validated, unknown keys rejected)."""
@@ -169,3 +182,11 @@ class ExecutionConfig:
         overrides = {k: v for k, v in overrides.items() if v is not None}
         return base.replace(**overrides) if overrides else base
 
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (so ``taskset`` and cpusets count), else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1

@@ -41,7 +41,8 @@ class ExecutionResult:
     #: (reflects the automatic fallback, not just the request).
     runtime: str = "local"
     #: Intra-rank thread-team size of the run (the OpenMP level of the
-    #: paper's hybrid MPI+OpenMP configurations; 1 = flat runs).
+    #: paper's hybrid MPI+OpenMP configurations; 1 = flat runs), as
+    #: :meth:`~repro.core.config.ExecutionConfig.team_size` resolves it.
     threads_per_rank: int = 1
     #: The runtime the caller asked for.  Differs from :attr:`runtime` only
     #: when the request degraded (``"processes"`` falling back to

@@ -42,7 +42,6 @@ from ..interp.codegen import (
     trace_program,
 )
 from ..interp.interpreter import PendingHalo, complete_swap
-from ..interp.thread_team import get_thread_team
 from ..obs import MetricsRegistry, Tracer
 from ..runtime.stats import RankStats
 from .config import ExecutionConfig
@@ -104,7 +103,7 @@ def megakernel_for(
     other lookup.
     """
     traced = config.trace != "off"
-    threads = config.threads_per_rank
+    threads = config.team_size(size)
     layout = megakernel_signature(args)
     key = (trace.function_name, rank, size, layout, traced, threads)
     cache = program._megakernel_cache
@@ -161,7 +160,7 @@ def run_rank(
     *,
     kernel: Union[CompiledMegakernel, CodegenFallback, None],
     comm: Optional[Any] = None,
-    team: Optional[Any] = None,
+    teams: Optional[Callable[[int], Any]] = None,
     tracer: Optional[Any] = None,
     metrics: Optional[Any] = None,
     on_fallback: Optional[Callable[[CodegenFallback], None]] = None,
@@ -173,9 +172,10 @@ def run_rank(
     lands what it yields (:func:`run_blocking`, :func:`run_scheduled`).
     ``kernel`` is :func:`resolve_megakernel`'s choice, ``args`` the rank's
     concrete arguments (local buffers, then scalars) and ``comm`` its
-    communicator (None for non-distributed programs); ``team`` the rank's
-    thread team when ``threads_per_rank > 1`` (None takes the process-wide
-    one).  The megakernel runs unless its buffers alias.  Everything else —
+    communicator (None for non-distributed programs); ``teams(size)`` gives
+    the thread team of a kernel whose boxes run in team chunks (None: the
+    kernel takes the process-wide one).  The megakernel runs unless its
+    buffers alias.  Everything else —
     no megakernel wanted, none buildable, a run-time bounce (the reason goes
     to ``on_fallback``) — runs the tree walker, which produces bit-identical
     fields and statistics and completes its own halos.
@@ -184,7 +184,8 @@ def run_rank(
     """
     if isinstance(kernel, CompiledMegakernel):
         stats = ExecStatistics()
-        team = team or get_thread_team(config.threads_per_rank)
+        team = teams(kernel.team_size) if teams is not None and kernel.uses_team \
+            else None
         halos = kernel.start(args, stats, comm, tracer, team)
         if halos is not None:
             yield from halos
@@ -210,7 +211,7 @@ def rank_coroutine(
     function: str,
     config: ExecutionConfig,
     args: Sequence[Any],
-    team: Optional[Any],
+    teams: Optional[Callable[[int], Any]],
 ) -> tuple[Generator[PendingHalo, None, RankStats], Optional[str]]:
     """One rank's run as a coroutine, its tier chosen now.
 
@@ -235,12 +236,12 @@ def rank_coroutine(
         reason = "fallback"
     else:
         reason = "island_messages" if kernel.island_messages else None
-    steps = _rank_steps(comm, program, function, config, args, team, kernel,
+    steps = _rank_steps(comm, program, function, config, args, teams, kernel,
                         metrics)
     return steps, reason
 
 
-def _rank_steps(comm, program, function, config, args, team, kernel, metrics):
+def _rank_steps(comm, program, function, config, args, teams, kernel, metrics):
     """The generator :func:`rank_coroutine` returns: :func:`run_rank`,
     reported.
 
@@ -257,7 +258,7 @@ def _rank_steps(comm, program, function, config, args, team, kernel, metrics):
     )
     fallbacks: list = []
     stats = yield from run_rank(
-        program, function, config, args, kernel=kernel, comm=comm, team=team,
+        program, function, config, args, kernel=kernel, comm=comm, teams=teams,
         tracer=tracer, metrics=metrics, on_fallback=fallbacks.append,
     )
     return RankStats(
@@ -273,7 +274,7 @@ def rank_report(
     function: str,
     config: ExecutionConfig,
     args: Sequence[Any],
-    team: Optional[Any],
+    teams: Optional[Callable[[int], Any]],
 ) -> RankStats:
     """Run one rank and report it, blocking at each halo completion.
 
@@ -282,7 +283,7 @@ def rank_report(
     under :func:`run_blocking`, as the thread world's rank threads run it;
     ``comm`` is None for a local job.
     """
-    steps, _ = rank_coroutine(comm, program, function, config, args, team)
+    steps, _ = rank_coroutine(comm, program, function, config, args, teams)
     return run_blocking(comm, steps)
 
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import atexit
 import functools
-import os
 import pickle
 import queue
 import threading
@@ -62,7 +61,7 @@ from ..obs import MetricsRegistry, Tracer, TraceTimeline
 from ..runtime.stats import RankStats, sort_rank_stats
 from ..runtime.worker_pool import RoundJob, WorkerError, collect_reports
 from ..transforms.distribute import GridSlicingStrategy
-from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning
+from .config import ExecutionConfig, ExecutionError, RuntimeFallbackWarning, usable_cpus
 from .executor import ExecutionResult, core_field_slices, local_field_slices
 from .pipeline import CompiledProgram
 from .rank import (
@@ -216,23 +215,21 @@ class Session:
         resolved runtime, which may override the session's).
         """
         self._ensure_open()
-        config = self.config
+        config = ExecutionConfig.coerce(self.config, threads_per_rank=threads_per_rank)
         span = self.tracer.begin("session.warmup") if self.tracer is not None else 0.0
         if ranks is None and program is not None \
                 and program.target.rank_grid is not None:
             ranks = program.target.ranks
-        threads = threads_per_rank if threads_per_rank is not None \
-            else config.threads_per_rank
         processes = (runtime or config.runtime) == "processes" \
             and _process_runtime.processes_available()
         if not processes or not ranks:
-            self._team(threads)
+            self._team(config.team_size(ranks or 1))
         if ranks:
             if processes:
                 # The team a process-world plan copies its slabs on.
                 self._team(_copy_threads(ranks))
             job = RoundJob(
-                _warm_rank, [(threads if processes else 1,)] * ranks,
+                _warm_rank, [(config if processes else None,)] * ranks,
                 config.timeout, program if processes else None,
             )
             (outcome,) = self._run_round([job], processes)
@@ -551,10 +548,11 @@ def _local_report(comm, *args) -> RankStats:
     return rank_report(None, *args)
 
 
-def _warm_rank(comm, threads_per_rank: int) -> None:
-    """The rank body of a warm-up: build the thread team, meet the others."""
-    if threads_per_rank > 1:
-        get_thread_team(threads_per_rank)
+def _warm_rank(comm, config: Optional[ExecutionConfig]) -> None:
+    """The rank body of a warm-up: build the thread team ``config`` gives
+    each rank (None: none, the caller's is shared), meet the others."""
+    if config is not None:
+        get_thread_team(config.team_size(comm.size))
     comm.barrier()
 
 
@@ -565,7 +563,7 @@ def _spmd_rank(comm, body, *args) -> tuple[Any, CommStatistics]:
 
 def _copy_threads(ranks: int) -> int:
     """The team size a process-world plan of ``ranks`` ranks copies slabs on."""
-    return min(ranks, os.cpu_count() or 1)
+    return min(ranks, usable_cpus())
 
 
 def _resolve_runtime(requested: str, stacklevel: int) -> str:
@@ -734,7 +732,7 @@ class Plan:
         self.session.warmup(
             self.program if self.runtime == "processes" else None,
             ranks=ranks,
-            threads_per_rank=self.config.threads_per_rank,
+            threads_per_rank=self.config.team_size(ranks or 1),
             # The plan's *resolved* runtime: it may override the session's,
             # and a processes->threads fallback must warm threads instead.
             runtime=self.runtime if self.distributed else "threads",
@@ -942,7 +940,8 @@ class Plan:
             bytes_sent=comm.bytes_sent if comm is not None else 0,
             comm_statistics=comm,
             runtime=self.runtime,
-            threads_per_rank=self.config.threads_per_rank,
+            threads_per_rank=self.config.team_size(
+                self.program.target.ranks if self.distributed else 1),
             runtime_requested=self.runtime_requested,
         )
 
@@ -1061,20 +1060,21 @@ class PreparedRun:
         A process-world rank gets its fields as shared-memory specs (the
         worker maps each block the first time it meets it and keeps it
         mapped) and no team (the worker has its own); a thread-world rank
-        gets its local arrays and the session's team.
+        gets its local arrays and the session's teams, of which its kernel
+        takes one only when its boxes run in team chunks.
         """
         plan = self.plan
         if self.runtime == "processes":
-            per_rank, team = self.buffers.specs, None
+            per_rank, teams = self.buffers.specs, None
         else:
             per_rank = self.buffers.locals if self.buffers is not None \
                 else [self.fields]
-            team = plan.session._team(plan.config.threads_per_rank)
+            teams = plan.session._team
         return RoundJob(
             rank_report if plan.distributed else _local_report,
             [
                 (plan.program, plan.function, plan.config,
-                 [*fields, *self.scalars], team)
+                 [*fields, *self.scalars], teams)
                 for fields in per_rank
             ],
             plan.config.timeout,

@@ -31,8 +31,9 @@ class Target:
     kind: str = TargetKind.CPU_SEQUENTIAL
     #: The ``num_threads`` the ``openmp`` stage writes on each
     #: ``omp.parallel`` (smp / dmp targets).  Only the IR records it: no
-    #: runtime reads it.  The team that runs a rank's nests is
-    #: ``ExecutionConfig.threads_per_rank``.
+    #: runtime reads it.  The team that runs a rank's nests has
+    #: ``ExecutionConfig.team_size(ranks)`` threads: ``threads_per_rank``,
+    #: by default the CPUs each rank has.
     threads: Optional[int] = None
     #: Cartesian MPI rank grid (dmp target), e.g. (2, 2).
     rank_grid: Optional[tuple[int, ...]] = None

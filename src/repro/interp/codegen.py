@@ -89,6 +89,7 @@ from ..ir.core import OpResult, Operation, SSAValue
 from .interpreter import Interpreter, _wrap_argument, post_swap
 from .nestplan import Affine, CodegenError, FusedNest
 from .schedule import Island, Loop, Swap, plan_megakernel, print_python
+from .thread_team import get_thread_team
 from .vectorize import CompiledKernel, CompiledNest
 
 
@@ -683,11 +684,11 @@ class CompiledMegakernel:
     bounces that run to the tree walker when the guard fails.
     """
 
-    __slots__ = ("label", "source", "array_indices", "traced", "uses_team",
+    __slots__ = ("label", "source", "array_indices", "traced", "team_size",
                  "completes", "island_messages", "_module", "_functions", "_fn")
 
     def __init__(self, label: str, source: str, array_indices: tuple,
-                 namespace: dict, traced: bool = False, uses_team: bool = False,
+                 namespace: dict, traced: bool = False, team_size: int = 1,
                  module=None, island_messages: bool = False):
         self.label = label
         self.source = source
@@ -696,8 +697,9 @@ class CompiledMegakernel:
         #: untraced kernels are separate cache entries; the untraced source is
         #: statement-identical to a build without observability at all.
         self.traced = traced
-        #: Whether boxes run as chunks on a thread team (``_team``).
-        self.uses_team = uses_team
+        #: The thread team boxes run their chunks on (``_team``) has this
+        #: many threads; 1: no box is chunked.
+        self.team_size = team_size
         #: Whether an island may pass messages: the kernel then communicates
         #: outside its posts and completions (see
         #: :attr:`MegakernelTrace.island_messages`).
@@ -718,8 +720,8 @@ class CompiledMegakernel:
         to the tree walker (aliased buffers).
 
         A kernel that completes nothing has run when this returns.  ``team``
-        is the rank's thread team, which a kernel emitted for ``threads > 1``
-        runs its chunks on.
+        is the thread team a kernel with team chunks runs them on; None takes
+        the process-wide team of :attr:`team_size` threads.
         """
         if _aliased([args[index] for index in self.array_indices]):
             return None
@@ -727,7 +729,7 @@ class CompiledMegakernel:
         if self.traced:
             extra.append(tracer)
         if self.uses_team:
-            extra.append(team)
+            extra.append(team or get_thread_team(self.team_size))
         if self._module is not None:
             walker = Interpreter(
                 self._module, comm=comm, functions=self._functions, tracer=tracer
@@ -736,6 +738,11 @@ class CompiledMegakernel:
             extra.append(walker)
         halos = self._fn(args, stats, comm, *extra)
         return halos if self.completes else ()
+
+    @property
+    def uses_team(self) -> bool:
+        """Whether boxes run as chunks on a thread team."""
+        return self.team_size > 1
 
 
 def _aliased(arrays) -> bool:
@@ -782,7 +789,7 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
     bookkeeping.  With ``traced=False`` (the default) no bookkeeping is
     emitted at all — the source is statement-identical to a build without
     the observability layer.  ``threads`` is the team size boxes are split
-    for (one chunk per thread, where big enough).
+    for (at most one chunk per thread, each of at least a full block).
     """
     schedule = plan_megakernel(trace, layout, rank, size, threads)
     label = label or f"{trace.function_name}@r{rank}of{size}"
@@ -799,7 +806,7 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
                  "_fold": _fold, "_call": _call}
     return CompiledMegakernel(
         label, source, schedule.array_indices, namespace, traced=traced,
-        uses_team=schedule.uses_team,
+        team_size=threads if schedule.uses_team else 1,
         module=trace.func_op.parent_op if trace.has_islands else None,
         island_messages=trace.island_messages,
     )

@@ -259,10 +259,6 @@ def _unary_dtype(key: str, a: "Operand"):
 #: L2; 64 Ki cells is already 25 % slower.
 _BLOCK_CELLS = 32768
 
-#: A box smaller than this (in iteration-space cells) is not worth spreading
-#: over a thread team: the dispatch overhead would exceed the NumPy work.
-_TEAM_MIN_CELLS = 4096
-
 
 def _concrete_dims(bounds) -> list[tuple[int, int, int]]:
     dims = [tuple(bound) for bound in bounds]
@@ -475,20 +471,27 @@ def _split_overlap(nest: FusedNest, dims, accesses: list[Access], halos):
 
 
 def _team_chunks(dims, threads: int) -> list:
-    """The boxes ``dims`` runs as: one per team thread when worthwhile.
+    """The boxes ``dims`` runs as: up to one chunk per team thread, each of
+    at least a full block (``_BLOCK_CELLS``); one box when that leaves
+    fewer than two chunks.
 
-    Chunks split the outermost dimension only, which keeps their store
-    regions disjoint.
+    A chunk must outweigh its hand-off to the team.  On a 2-CPU box one team
+    round trip costs about 130 us (heat2d so2 64^2, 1 block: 27 -> 162
+    us/step with two threads), and a block of the cheapest ledger stencil
+    costs more than that (heat2d so2 256^2, 2 blocks: 341 -> 295 us/step);
+    half a block per chunk only breaks even (wave3d so4 32^3: 470 -> 489
+    us/step).  Chunks split the outermost dimension only, which keeps their
+    store regions disjoint.
     """
-    if threads > 1:
-        trips = _trips(dims)
-        if trips and trips[0] >= 2 and math.prod(trips) >= _TEAM_MIN_CELLS:
-            lower, _, step = dims[0]
-            return [
-                [(lower + start * step, lower + end * step, step), *dims[1:]]
-                for start, end in split_trip_counts(trips[0], threads)
-            ]
-    return [dims]
+    trips = _trips(dims)
+    chunks = min(threads, math.prod(trips) // _BLOCK_CELLS)
+    if chunks < 2:
+        return [dims]
+    lower, _, step = dims[0]
+    return [
+        [(lower + start * step, lower + end * step, step), *dims[1:]]
+        for start, end in split_trip_counts(trips[0], chunks)
+    ]
 
 
 @dataclass(slots=True)

@@ -3,14 +3,17 @@
 The paper's strong-scaling configurations (figs. 8 and 11) are *hybrid*
 MPI+OpenMP: several OS-process ranks, each running a team of threads over the
 rank's shared address space.  This module provides that second level for the
-reproduction: a :class:`ThreadTeam` is a persistent pool of worker threads
-that the vectorized backend (:mod:`repro.interp.vectorize`) uses to split a
-compiled nest's outermost dimension into per-thread chunks.  The chunks run
-concurrently, each as its own sub-box of the nest — NumPy releases the GIL
-inside its ufunc loops, so the flops genuinely overlap.  A nest only runs
-vectorized when no cell it stores is loaded for another cell (the backend's
-aliasing verdict), so the chunks are independent and the result stays
-bit-identical to the tree walker.
+reproduction: a :class:`ThreadTeam` of ``size`` threads is the calling
+thread plus ``size - 1`` persistent helper threads, which a megakernel runs
+a box's team chunks on (:func:`repro.interp.nestplan.plan_nest` splits the
+outermost dimension of a box with a full block per thread).  The caller
+hands chunks 1... to the helpers and runs chunk 0 itself, as the master
+thread of an ``omp.parallel`` region does, so a team of two hands off one
+chunk.  The chunks run concurrently, each as its own sub-box of the nest —
+NumPy releases the GIL inside its ufunc loops, so the flops genuinely
+overlap.  A nest only runs vectorized when no cell it stores is loaded for
+another cell (the backend's aliasing verdict), so the chunks are
+independent and the result stays bit-identical to the tree walker.
 
 Teams are cached per size and per process, exactly like the OS-process worker
 pool one level up: a worker process of the SPMD runtime creates its team on
@@ -21,28 +24,36 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Optional, Sequence
 
 
 class ThreadTeam:
-    """A fixed-size, reusable pool of intra-rank worker threads."""
+    """A fixed-size, reusable intra-rank team: the caller and its helpers."""
 
     def __init__(self, size: int):
         if size < 2:
             raise ValueError("a thread team needs at least 2 threads")
         self.size = size
         self._pool = ThreadPoolExecutor(
-            max_workers=size, thread_name_prefix="repro-team"
+            max_workers=size - 1, thread_name_prefix="repro-team"
         )
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
         """Apply ``fn`` to every item concurrently; preserves item order.
 
-        Exceptions raised by ``fn`` propagate to the caller (from the first
-        failing item, like ``ThreadPoolExecutor.map``).
+        Items 1... go to the helpers and item 0 runs on the calling thread.
+        Every helper has finished when this returns or raises: the first
+        exception in item order propagates.
         """
-        return list(self._pool.map(fn, items))
+        if not items:
+            return []
+        helped = [self._pool.submit(fn, item) for item in items[1:]]
+        try:
+            first = fn(items[0])
+        finally:
+            wait(helped)
+        return [first, *(future.result() for future in helped)]
 
     def shutdown(self) -> None:
         self._pool.shutdown(wait=False)

@@ -137,21 +137,13 @@ def _reject_unexchanged_reads(applies: list[stencil.ApplyOp], split: list[int]) 
     The exchanges carry no corners: a read that reaches its field diagonally
     across two split dimensions is never received.  What a read reaches
     composes along unfused chains of applies: reading a temp at (1, 0) whose
-    cells read their load at (0, 1) reaches the load's (1, 1).  And a rank
-    receives its halo before the sweep: an apply that writes the field it
-    reads, at an offset before the current cell in row-major order, reads a
-    cell the undecomposed sweep has already written; a halo cell still holds
-    the neighbour's old value.
+    cells read their load at (0, 1) reaches the load's (1, 1).
     """
     if not split:
         return
     # Per apply result: the offsets of the field cells one of its cells reads.
     reach: dict[SSAValue, set[tuple[int, ...]]] = {}
     for number, apply_op in enumerate(applies):
-        written = {
-            use.operation.field for result in apply_op.results for use in result.uses
-            if isinstance(use.operation, stencil.StoreOp)
-        }
         reads: dict[SSAValue, set[tuple[int, ...]]] = {}
         for op in apply_op.body.walk():
             cells = set().union(*(reads.get(operand, ()) for operand in op.operands))
@@ -159,14 +151,7 @@ def _reject_unexchanged_reads(applies: list[stencil.ApplyOp], split: list[int]) 
                 index, offset = op.temp.index, op.offset
                 operand = apply_op.operands[index]
                 where = f"operand {index} of stencil.apply #{number} is read at offset {offset}"
-                zero = (0,) * len(offset)
-                if (isinstance(operand.owner, stencil.LoadOp) and operand.owner.field in written
-                        and offset < zero and any(offset[dim] for dim in split)):
-                    raise DecompositionError(
-                        f"{where}, behind the sweep that writes the same field; a "
-                        "rank's halo holds the cells from before the sweep"
-                    )
-                for base in reach.get(operand, {zero}):
+                for base in reach.get(operand, {(0,) * len(offset)}):
                     cell = tuple(b + o for b, o in zip(base, offset))
                     if sum(cell[dim] != 0 for dim in split) > 1:
                         raise DecompositionError(

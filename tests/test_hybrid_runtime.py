@@ -19,6 +19,7 @@ from repro.core import (
     default_session,
     dmp_target,
 )
+from repro.interp import CompiledMegakernel
 from repro.interp.thread_team import get_thread_team, split_trip_counts
 from repro.runtime import processes_available
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
@@ -253,19 +254,24 @@ def test_teams_survive_fork_into_workers():
     process run below must finish — before the fix it hung until the pool's
     collect deadline.
     """
-    shape = (96, 96)  # big enough that the team path engages (>= 4096 cells)
+    # Big enough that each rank's box splits into team chunks (two full
+    # blocks a rank), so the workers build and use their own teams.
+    shape = (384, 384)
     workload = heat_diffusion(shape, space_order=2, dtype=np.float64)
     module = workload.operator(backend="xdsl").stencil_module(dt=workload.dt)
     program = compile_stencil_program(module, dmp_target((2, 1)))
 
     def fields():
         base = np.zeros(tuple(s + 2 for s in shape))
-        base[48, 48] = 1.0
+        base[192, 192] = 1.0
         return [base.copy(), base.copy()]
 
     # Warm the parent's 2-thread team first...
     warm = fields()
     _run(program, warm, [2], runtime="threads", threads_per_rank=2)
+    kernels = [kernel for kernel in program._megakernel_cache.values()
+               if isinstance(kernel, CompiledMegakernel)]
+    assert kernels and all(kernel.uses_team for kernel in kernels)
     # ...then fork workers that need their own 2-thread teams.
     forked = fields()
     result = _run(

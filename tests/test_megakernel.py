@@ -17,6 +17,8 @@ import hashlib
 import itertools
 import math
 import pickle
+import threading
+import time
 import unittest.mock
 
 import numpy as np
@@ -34,11 +36,12 @@ from repro.core import (
 )
 from repro.dialects import arith, builtin, func, memref, scf
 from repro.dialects.dmp import declared_exchanges
-from repro.core.rank import codegen_wanted
+from repro.core.rank import codegen_wanted, megakernel_for, megakernel_trace, run_blocking
 from repro.interp import (
     CodegenError,
     CodegenFallback,
     CompiledMegakernel,
+    ExecStatistics,
     Interpreter,
     MegakernelTrace,
     compile_kernel,
@@ -52,6 +55,7 @@ from repro.interp.schedule import (
     Complete, Island, Nest, Post, Swap, plan_megakernel, print_python,
 )
 from repro.interp.interpreter import swap_message_plan
+from repro.interp.thread_team import ThreadTeam
 from repro.interp.values import numpy_dtype_for
 from repro.ir import Builder, FunctionType, MemRefType, f64, i64, index
 from repro.runtime import processes_available
@@ -244,9 +248,6 @@ def test_auto_codegen_engages_and_caches_per_rank():
 
 def test_concurrent_cold_lookups_emit_each_kernel_once(monkeypatch):
     """Sessions racing one cold program emit (and count a miss) once per key."""
-    import threading
-    import time
-
     from repro.core import rank as rank_module
 
     emit = rank_module.emit_megakernel
@@ -281,9 +282,11 @@ def test_concurrent_cold_lookups_emit_each_kernel_once(monkeypatch):
     assert np.array_equal(fields[0][1], fields[1][1])
 
 
-def test_auto_codegen_runs_thread_teams_in_the_megakernel():
-    """With threads_per_rank > 1 each box big enough splits into team chunks,
-    local functions of the kernel run on the rank's team."""
+def test_auto_codegen_runs_thread_teams_in_the_megakernel(monkeypatch):
+    """With threads_per_rank > 1 each box of a full block per thread splits
+    into team chunks, local functions of the kernel run on the session's
+    team (blocks shrunk here, so that 48 x 96 cells a rank make two)."""
+    monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 2048)
     program = _compile_heat((2, 1), shape=(96, 96))
     fields = _heat_fields((98, 98))
     walked = [field.copy() for field in fields]
@@ -293,6 +296,7 @@ def test_auto_codegen_runs_thread_teams_in_the_megakernel():
         result = plan.run(fields, [2])
         assert plan.codegen_fallback is None
         assert session.metrics.get("megakernel.engaged") == 2
+        assert session.counters.thread_teams_created == 1
         reference = session.run(program, walked, [2], codegen="planned")
     kernels = _megakernels(program)
     assert len(kernels) == 2 and all(kernel.uses_team for kernel in kernels)
@@ -315,13 +319,16 @@ def test_generated_source_is_inspectable():
             assert kernel.label
 
 
+def _wave_program(shape):
+    """wave3d so4 on ``shape`` for the cpu target: the workload and program."""
+    workload = acoustic_wave(shape, space_order=4, dtype=np.float64)
+    return workload, compile_stencil_program(
+        workload.operator(backend="xdsl").stencil_module(dt=workload.dt), cpu_target())
+
+
 def _wave_source(extent):
     """The megakernel source of wave3d so4 on an ``extent``^3 grid, after 1 step."""
-    workload = acoustic_wave((extent,) * 3, space_order=4, dtype=np.float64)
-    program = compile_stencil_program(
-        workload.operator(backend="xdsl").stencil_module(dt=workload.dt),
-        cpu_target(),
-    )
+    workload, program = _wave_program((extent,) * 3)
     data = workload.function.data_with_halo
     with Session() as session:
         session.plan(program).run([data[k].copy() for k in range(3)], [1])
@@ -387,8 +394,113 @@ def test_block_budget_patches_take_effect(monkeypatch):
     assert not emit_megakernel(trace, layout, threads=2).uses_team
     monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 8)
     assert "for _i" in emit_megakernel(trace, layout).source
-    monkeypatch.setattr(nestplan, "_TEAM_MIN_CELLS", 1)
     assert emit_megakernel(trace, layout, threads=2).uses_team
+
+
+def _box_counts(program, threads: int) -> list[int]:
+    """How many boxes each fused nest of ``program``'s rank-0 kernel runs
+    as, planned from its buffer layout for a team of ``threads``."""
+    trace, layout = _trace_and_layout(program)
+    schedule = plan_megakernel(trace, layout, 0, 1, threads)
+    return [len(step.plan.boxes) for step in (*schedule.pre, *schedule.body, *schedule.post)
+            if isinstance(step, Nest)]
+
+
+def test_a_box_splits_into_one_chunk_per_thread_of_a_full_block_each():
+    """kernel-large's 128^3 box (64 blocks) splits into one chunk per thread;
+    the smaller ledger boxes, of fewer than two blocks, stay inline."""
+    wave_large = _pinned_program("wave3d-so4-128/cpu")
+    assert _box_counts(wave_large, 1) == [1]
+    assert _box_counts(wave_large, 2) == [2]
+    assert _box_counts(wave_large, 4) == [4]
+    for program in (_pinned_program("heat2d-so2-64/dmp(1,1)"),
+                    _wave_program((24,) * 3)[1], _wave_program((32,) * 3)[1]):
+        counts = _box_counts(program, 2)
+        assert counts and set(counts) == {1}, counts
+
+
+@pytest.mark.parametrize("cpus, ranks, threads", [(1, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2)])
+def test_the_team_size_defaults_to_the_cpus_each_rank_has(monkeypatch, cpus, ranks, threads):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert ExecutionConfig().team_size(ranks) == threads
+    assert ExecutionConfig(threads_per_rank=3).team_size(ranks) == 3
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    assert ExecutionConfig().team_size(ranks) == threads
+
+
+def test_a_run_reports_the_team_size_it_resolved(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with Session(runtime="threads") as session:
+        one = session.run(_compile_heat((1, 1)), _heat_fields(), [1])
+        two = session.run(_compile_heat((2, 1)), _heat_fields(), [1])
+        # Neither kernel chunks a box: no team was made for them.
+        assert session.counters.thread_teams_created == 0
+    assert (one.threads_per_rank, two.threads_per_rank) == (2, 1)
+
+
+def test_a_team_kernel_started_without_a_team_takes_the_process_wide_one():
+    """The kernel knows its team size; ``start`` with no team runs its
+    chunks on the process-wide team of that size."""
+    workload, program = _wave_program((64,) * 3)
+    data = workload.function.data_with_halo
+    trace = megakernel_trace(program, "kernel")
+    outcomes = []
+    for threads in (2, 1):
+        args = [data[k].copy() for k in range(3)] + [3]
+        kernel = megakernel_for(
+            program, trace, ExecutionConfig(threads_per_rank=threads), args)
+        stats = ExecStatistics()
+        run_blocking(None, iter(kernel.start(args, stats, None)))
+        assert kernel.team_size == threads and kernel.uses_team == (threads > 1)
+        outcomes.append(([a.tobytes() for a in args[:3]], stats))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestThreadTeam:
+    """The caller runs chunk 0 and the team's helpers the rest."""
+
+    def test_the_caller_runs_the_first_chunk(self):
+        team = ThreadTeam(3)
+        try:
+            names = team.map(lambda _: threading.current_thread().name, range(3))
+        finally:
+            team.shutdown()
+        assert names[0] == threading.current_thread().name
+        assert all(name.startswith("repro-team") for name in names[1:])
+
+    def test_map_waits_for_its_helpers_when_the_first_chunk_raises(self):
+        started, finished = threading.Event(), threading.Event()
+
+        def chunk(index):
+            if index == 0:
+                started.wait(5.0)
+                raise ValueError("chunk 0")
+            started.set()
+            time.sleep(0.05)
+            finished.set()
+
+        team = ThreadTeam(2)
+        try:
+            with pytest.raises(ValueError, match="chunk 0"):
+                team.map(chunk, [0, 1])
+            assert finished.is_set()
+        finally:
+            team.shutdown()
+
+    def test_the_first_error_in_chunk_order_propagates(self):
+        def chunk(index):
+            if index:
+                raise ValueError(f"chunk {index}")
+            return index
+
+        team = ThreadTeam(3)
+        try:
+            with pytest.raises(ValueError, match="chunk 1"):
+                team.map(chunk, [0, 1, 2])
+            assert team.map(abs, [0, -1, -2]) == [0, 1, 2]
+        finally:
+            team.shutdown()
 
 
 #: sha256 prefixes of ``CompiledMegakernel.source``, emitted from each rank's
@@ -415,10 +527,10 @@ MEGAKERNEL_FINGERPRINTS = {
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "1b1c0aacea243682",
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "05a52e539df7949d",
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "f373d9cc2c1460f2",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0": "a7dc275bbd809535",
-    "heat2d-so2-96/dmp(2,1)/threads2/r0/traced": "83f4765fda0a18b3",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1": "42484c0400cb8936",
-    "heat2d-so2-96/dmp(2,1)/threads2/r1/traced": "273c201754cc3da2",
+    "heat2d-so2-384/dmp(2,1)/threads2/r0": "b21693be4cfbcc38",
+    "heat2d-so2-384/dmp(2,1)/threads2/r0/traced": "5d32aa15b080a7e2",
+    "heat2d-so2-384/dmp(2,1)/threads2/r1": "e08e92d144b21242",
+    "heat2d-so2-384/dmp(2,1)/threads2/r1/traced": "cd77607a4a1425cb",
 }
 
 #: fixture -> (workload, shape, space order, dmp_target arguments (None: the
@@ -432,8 +544,8 @@ _PINNED_KERNELS = {
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)": (
         acoustic_wave, (16, 256, 256), 8,
         {"rank_grid": (2, 1, 1), "lower_to_library_calls": True}, 2, 1),
-    "heat2d-so2-96/dmp(2,1)/threads2": (
-        heat_diffusion, (96, 96), 2, {"rank_grid": (2, 1)}, 2, 2),
+    "heat2d-so2-384/dmp(2,1)/threads2": (
+        heat_diffusion, (384, 384), 2, {"rank_grid": (2, 1)}, 2, 2),
 }
 
 
@@ -592,7 +704,7 @@ def _plain_schedules():
             ("team-chunks", _reduce_then_scale_module(), [np.ones(64), np.zeros(64), 2], 2)):
         func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
         trace = trace_program(func_op, compile_kernel(module, "kernel"))
-        with unittest.mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1):
+        with unittest.mock.patch.object(nestplan, "_BLOCK_CELLS", 8):
             schedules[name] = (plan_megakernel(
                 trace, megakernel_signature(args), threads=threads), True)
     return schedules
@@ -622,7 +734,7 @@ def test_every_schedule_is_a_plain_value():
     Interpreter(_reduce_then_scale_module()).call("kernel", *walked, 2)
     for threads in (1, 2):
         fused = [data.copy(), np.zeros(64)]
-        with unittest.mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1):
+        with unittest.mock.patch.object(nestplan, "_BLOCK_CELLS", 8):
             assert run_compiled(_reduce_then_scale_module(), "kernel", *fused, 2,
                                 threads=threads)[1] is None
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in walked], threads
@@ -1204,7 +1316,7 @@ def test_team_chunks_never_split_a_reduction(monkeypatch):
     chunking, the reduction nest still runs whole."""
     from repro.interp import nestplan
 
-    monkeypatch.setattr(nestplan, "_TEAM_MIN_CELLS", 1)
+    monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 8)
     module = build_reduce_module(8, arith.AddfOp, 0.5)
     data = np.random.default_rng(5).standard_normal((8, 8))
     walked = [data.copy(), np.zeros(1)]
@@ -1312,11 +1424,15 @@ TRAFFIC = {
 
 
 @pytest.mark.parametrize("traffic", sorted(TRAFFIC))
-def test_every_compiled_program_engages(traffic):
+def test_every_compiled_program_engages(traffic, monkeypatch):
     """Each traffic class runs its megakernel on every rank with every
     compiled nest fused, no fallback, and agrees with the tree walker:
-    fields, Exec and Comm statistics."""
+    fields, Exec and Comm statistics.  A class with a team splits its boxes
+    into team chunks (with blocks shrunk: a chunk needs a full block)."""
     build, extra, ranks, nests = TRAFFIC[traffic]
+    team = extra.get("threads_per_rank", 1) > 1
+    if team:
+        monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 1024)
     program, make_fields, scalars = build()
     with Session(runtime="threads", **extra) as session:
         plan = session.plan(program)
@@ -1325,6 +1441,7 @@ def test_every_compiled_program_engages(traffic):
         result = plan.run(fields, scalars)
         assert_engaged(session, program, ranks)
         assert plan.codegen_fallback is None
+        assert all(kernel.uses_team == team for kernel in _megakernels(program))
         walked = make_fields()
         reference = session.run(program, walked, scalars, codegen="planned")
     for mine, theirs in zip(fields, walked):

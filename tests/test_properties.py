@@ -300,15 +300,12 @@ def _accesses(tree):
 
 
 def _reads_unexchanged_cells(spec, grid) -> bool:
-    """Whether a stencil reads a cell no halo exchange delivers as the
-    undecomposed program sees it: diagonally across two axes split over
-    ranks, or behind its own sweep along a split axis of the field it writes."""
+    """Whether a stencil reads a cell no halo exchange delivers: diagonally
+    across two axes split over ranks."""
     split = [axis for axis, ranks in enumerate(grid) if ranks > 1]
     return any(
         sum(offset[axis] != 0 for axis in split) > 1
-        or inputs[operand] == output and offset < (0,) * len(offset)
-        and any(offset[axis] for axis in split)
-        for inputs, output, tree in spec["stencils"] for operand, offset in _accesses(tree)
+        for _, _, tree in spec["stencils"] for _, offset in _accesses(tree)
     )
 
 
@@ -327,14 +324,15 @@ _SMALL_BLOCK_CELLS = 8
 
 
 def _compiled_worlds():
-    """Patch the cost thresholds: first as shipped, then with blocks forced.
+    """Patch the block budget: as shipped, then with blocks forced, then
+    with one-cell blocks.
 
-    Thread-team chunking normally needs 4096 cells to be worth it; it is
-    forced in both.
+    A box splits into thread-team chunks only with a full block per chunk:
+    the second world chunks the drawn boxes of two blocks or more, the
+    third every box of two rows or more.
     """
-    for budget in (nestplan._BLOCK_CELLS, _SMALL_BLOCK_CELLS):
-        with mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1), \
-                mock.patch.object(nestplan, "_BLOCK_CELLS", budget):
+    for budget in (nestplan._BLOCK_CELLS, _SMALL_BLOCK_CELLS, 1):
+        with mock.patch.object(nestplan, "_BLOCK_CELLS", budget):
             yield budget
 
 
@@ -725,8 +723,7 @@ class TestNestEmitterDifferential:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(nestplan, "_TEAM_MIN_CELLS", 1), \
-                    mock.patch.object(nestplan, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
+            with mock.patch.object(nestplan, "_BLOCK_CELLS", _SMALL_BLOCK_CELLS):
                 fast = run(threads_per_rank=2)
         finally:
             sys.setswitchinterval(switch)
