@@ -168,8 +168,8 @@ def test_hybrid_strong_scaling_smoke():
 
     The ``hybrid-strong-scaling`` row: flat time over hybrid time, the
     wall-clock analogue of the paper's hybrid MPI+OpenMP points:
-    the same 2-rank decomposition, with each rank's megakernel splitting its
-    boxes into chunks run on an intra-rank thread team.  The kernel is sized
+    the same 2-rank decomposition, with each rank's megakernel dealing its
+    boxes' blocks to an intra-rank thread team.  The kernel is sized
     so the NumPy work (which releases the GIL) dominates the queue traffic.
     Asserted exactly: every rank of every run engaged the megakernel with
     its nest fused; the floor is in ``benchmarks/baseline.json``.  Skipped

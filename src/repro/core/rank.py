@@ -173,7 +173,7 @@ def run_rank(
     ``kernel`` is :func:`resolve_megakernel`'s choice, ``args`` the rank's
     concrete arguments (local buffers, then scalars) and ``comm`` its
     communicator (None for non-distributed programs); ``teams(size)`` gives
-    the thread team of a kernel whose boxes run in team chunks (None: the
+    the thread team of a kernel that deals blocks to a team (None: the
     kernel takes the process-wide one).  The megakernel runs unless its
     buffers alias.  Everything else —
     no megakernel wanted, none buildable, a run-time bounce (the reason goes

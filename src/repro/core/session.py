@@ -1061,7 +1061,7 @@ class PreparedRun:
         worker maps each block the first time it meets it and keeps it
         mapped) and no team (the worker has its own); a thread-world rank
         gets its local arrays and the session's teams, of which its kernel
-        takes one only when its boxes run in team chunks.
+        takes one only when it deals a box's blocks to a team.
         """
         plan = self.plan
         if self.runtime == "processes":

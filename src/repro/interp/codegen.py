@@ -697,8 +697,8 @@ class CompiledMegakernel:
         #: untraced kernels are separate cache entries; the untraced source is
         #: statement-identical to a build without observability at all.
         self.traced = traced
-        #: The thread team boxes run their chunks on (``_team``) has this
-        #: many threads; 1: no box is chunked.
+        #: The thread team boxes deal their blocks to (``_team``) has this
+        #: many threads; 1: every box runs inline.
         self.team_size = team_size
         #: Whether an island may pass messages: the kernel then communicates
         #: outside its posts and completions (see
@@ -720,7 +720,7 @@ class CompiledMegakernel:
         to the tree walker (aliased buffers).
 
         A kernel that completes nothing has run when this returns.  ``team``
-        is the thread team a kernel with team chunks runs them on; None takes
+        is the thread team a kernel deals its boxes' blocks to; None takes
         the process-wide team of :attr:`team_size` threads.
         """
         if _aliased([args[index] for index in self.array_indices]):
@@ -741,7 +741,7 @@ class CompiledMegakernel:
 
     @property
     def uses_team(self) -> bool:
-        """Whether boxes run as chunks on a thread team."""
+        """Whether a box's blocks are dealt to a thread team."""
         return self.team_size > 1
 
 
@@ -788,8 +788,8 @@ def emit_megakernel(trace: MegakernelTrace, layout: tuple, *, rank: int = 0,
     and brackets each timestep, nest, and halo post/wait with span
     bookkeeping.  With ``traced=False`` (the default) no bookkeeping is
     emitted at all — the source is statement-identical to a build without
-    the observability layer.  ``threads`` is the team size boxes are split
-    for (at most one chunk per thread, each of at least a full block).
+    the observability layer.  ``threads`` is the team size a box's blocks
+    are dealt to (at most one thread per full block).
     """
     schedule = plan_megakernel(trace, layout, rank, size, threads)
     label = label or f"{trace.function_name}@r{rank}of{size}"
@@ -829,7 +829,7 @@ def _fold(ufunc, sequential: bool, flattened: np.ndarray, init):
 
 
 def _call(function):
-    """Run one team chunk (``ThreadTeam.map`` applies this to each)."""
+    """Run one team thread's function (``ThreadTeam.map`` applies this to each)."""
     return function()
 
 

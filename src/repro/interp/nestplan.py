@@ -9,16 +9,17 @@ they are spelled, and it never sees the IR.  The layout is all it reads of
 the buffers: an access names its buffer by argument index, with that
 buffer's shape and dtype, and never holds the array.  A **box** is one
 rectangular piece of a nest's iteration space that becomes one straight-line
-group of statements: the whole nest, an overlap interior, a boundary strip or
-a thread-team chunk.
+group of statements: the whole nest, an overlap interior or a boundary
+strip.
 
 * :func:`plan_nest` settles a nest once per buffer layout: its concrete
   bounds, the aliasing verdict, the split into an interior that runs while
-  halos are in flight and the boundary strips after them, and the team
-  chunks.  Regions are compared by buffer index and per-axis index ranges:
-  distinct field arguments never share memory in a run (the megakernel's
-  run guard sends a run whose fields do to the tree walker), and two regions
-  of one buffer overlap exactly when their index ranges meet on every axis.
+  halos are in flight and the boundary strips after them, and the team its
+  first box's blocks are dealt to.  Regions are compared by buffer index
+  and per-axis index ranges: distinct field arguments never share memory in
+  a run (the megakernel's run guard sends a run whose fields do to the tree
+  walker), and two regions of one buffer overlap exactly when their index
+  ranges meet on every axis.
 * :func:`plan_box` plans one of those boxes as a :class:`BoxPlan`: its
   geometry (one :class:`Access` record per load and store, in instruction
   order), one :class:`Value` record per instruction (operands, dtype, shape
@@ -80,7 +81,6 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from ..dialects.arith import SEMANTICS
-from .thread_team import split_trip_counts
 
 
 class CodegenError(Exception):
@@ -153,7 +153,8 @@ class FusedNest:
 
     @property
     def has_reduce(self) -> bool:
-        """Reductions fold in iteration order: never chunked, never split."""
+        """Reductions fold in iteration order: never dealt to a team, never
+        split."""
         return bool(self.reductions)
 
     @property
@@ -470,39 +471,42 @@ def _split_overlap(nest: FusedNest, dims, accesses: list[Access], halos):
     return [(lower, upper, 1) for lower, upper in interior], strips
 
 
-def _team_chunks(dims, threads: int) -> list:
-    """The boxes ``dims`` runs as: up to one chunk per team thread, each of
-    at least a full block (``_BLOCK_CELLS``); one box when that leaves
-    fewer than two chunks.
+def _team_size(dims, threads: int) -> int:
+    """How many team threads the blocks of the box ``dims`` are dealt to: at
+    most one per full block (``_BLOCK_CELLS``) and per start of the
+    outermost block loop, which they share; 1 (inline) below two, so a box
+    of one dimension, which is one block however long, stays inline.
 
-    A chunk must outweigh its hand-off to the team.  On a 2-CPU box one team
-    round trip costs about 130 us (heat2d so2 64^2, 1 block: 27 -> 162
+    A thread must get work that outweighs its hand-off.  On a 2-CPU box one
+    team round trip costs about 130 us (heat2d so2 64^2, 1 block: 27 -> 162
     us/step with two threads), and a block of the cheapest ledger stencil
     costs more than that (heat2d so2 256^2, 2 blocks: 341 -> 295 us/step);
-    half a block per chunk only breaks even (wave3d so4 32^3: 470 -> 489
-    us/step).  Chunks split the outermost dimension only, which keeps their
-    store regions disjoint.
+    half a block per thread only breaks even (wave3d so4 32^3: 470 -> 489
+    us/step).
+
+    The threads take the box's blocks one at a time from one shared
+    iterator, not a fixed share each: a thread that starts late or shares
+    its CPU with other work takes fewer blocks instead of holding up the
+    step.  With a busy loop taking half of one of two CPUs, wave3d so4
+    128^3 read 23.7 ms/step split into fixed halves and 20.0 dealt by
+    block (18.2 and 18.5 on idle CPUs; 28.6 on one thread either way).
     """
     trips = _trips(dims)
-    chunks = min(threads, math.prod(trips) // _BLOCK_CELLS)
-    if chunks < 2:
-        return [dims]
-    lower, _, step = dims[0]
-    return [
-        [(lower + start * step, lower + end * step, step), *dims[1:]]
-        for start, end in split_trip_counts(trips[0], chunks)
-    ]
+    threads = min(threads, math.prod(trips) // _BLOCK_CELLS)
+    if threads >= 2:  # and at most one per outermost block start
+        threads = min(threads, -(-trips[0] // _block_extents(trips)[0]))
+    return threads if threads >= 2 else 1
 
 
 @dataclass(slots=True)
 class NestPlan:
     """One nest settled against a buffer layout: the boxes it runs as.
 
-    ``boxes`` run first — the whole nest or its overlap interior, as one box
-    or one per team chunk — and ``strips``, the boundary of an overlapped
-    nest, after its halos land; each is the ``dims`` of a box, which
-    :func:`plan_box` plans.  ``waits`` says the in-flight halos must land
-    before the nest runs at all.  ``accesses`` are the whole nest's, and
+    ``box`` runs first — the whole nest or its overlap interior — with its
+    blocks dealt to ``team`` threads (1: inline), and ``strips``, the
+    boundary of an overlapped nest, after its halos land; each is the
+    ``dims`` of a box, which :func:`plan_box` plans.  ``waits`` says the
+    in-flight halos must land before the nest runs at all.  ``accesses`` are the whole nest's, and
     ``buffers`` the layout entries they were resolved against.  Two plans
     are equal when they plan the same boxes of the same nest over the same
     accesses, whichever buffers those are: a box's regions follow from its
@@ -515,7 +519,8 @@ class NestPlan:
     accesses: list
     cells: int
     waits: bool
-    boxes: list
+    box: list
+    team: int
     strips: list
 
 
@@ -525,7 +530,7 @@ def plan_nest(nest: FusedNest, buffers: list, halos: list, threads: int) -> Nest
     ``buffers`` are the ``(argument index, shape, dtype, C-contiguous)``
     layout entries of the accessed buffers (one per load/store in
     instruction order), ``halos`` the in-flight swaps as ``(buffer, message
-    plan)`` pairs and ``threads`` the team size boxes are chunked for.
+    plan)`` pairs and ``threads`` the team size boxes are dealt to.
     Raises :class:`CodegenError` when the nest cannot be emitted by slicing.
     """
     dims = _concrete_dims(nest.bounds)
@@ -542,8 +547,8 @@ def plan_nest(nest: FusedNest, buffers: list, halos: list, threads: int) -> Nest
     interior, strips = split or (dims, [])
     return NestPlan(
         nest, buffers, dims, accesses, cells,
-        bool(halos) and split is None,
-        _team_chunks(interior, 1 if nest.has_reduce else threads), strips,
+        bool(halos) and split is None, interior,
+        _team_size(interior, 1 if nest.has_reduce else threads), strips,
     )
 
 
@@ -912,11 +917,17 @@ def _span_source(extents: tuple, pitches: tuple) -> str:
     return " + ".join([*terms, str(constant)])
 
 
+def block_starts(plan: BoxPlan, dim: int) -> str:
+    """The source of the block starts of looped dimension ``dim`` of a box."""
+    return f"range(0, {plan.shape[dim]}, {plan.block[dim]})"
+
+
 def print_numpy(
     plan: BoxPlan,
     new_var: Callable[[str], str],
     outer: Callable[[tuple], str],
     local_view: Callable[[tuple, str], str],
+    shared: Optional[str] = None,
 ) -> tuple[list[str], list[str], list[str]]:
     """Write one planned box as NumPy statements.
 
@@ -929,7 +940,9 @@ def print_numpy(
     ``lines`` and before any loop around them), the statements with their
     relative indentation — a comment recording the plan, the block loop,
     per block the instructions in order and then the stores — and the name
-    of each reduction result.
+    of each reduction result.  ``shared`` names an iterator over the
+    :func:`block_starts` of the outermost looped dimension that a team deals
+    the box's blocks from: the outermost block loop takes them from it.
 
     A pitched box computes over 1-D spans: each load is the span of its
     buffer from its region's first cell, and each slot the same span of an
@@ -944,7 +957,8 @@ def print_numpy(
     head: list[str] = []  # the loop headers and the extents of this block
     for depth, dim in enumerate(looped):
         pad = "    " * depth
-        head.append(f"{pad}for _i{dim} in range(0, {shape[dim]}, {block[dim]}):")
+        starts = shared if shared and not depth else block_starts(plan, dim)
+        head.append(f"{pad}for _i{dim} in {starts}:")
         if local[dim] != block[dim]:
             head.append(
                 f"{pad}    _n{dim} = min({block[dim]}, {shape[dim]} - _i{dim})"
@@ -1137,6 +1151,8 @@ def print_numpy(
     else:
         count = math.prod(-(-shape[dim] // block[dim]) for dim in looped)
         decision = f"{count} blocks of {_spelled(block)}"
+        if shared:
+            decision += f" dealt to a team from {shared}"
     spelling = "strided" if pitches is None else "pitched"
     pad = "    " * len(looped)
     return (

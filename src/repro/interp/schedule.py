@@ -44,7 +44,9 @@ from typing import Any, Optional
 import numpy as np
 
 from .interpreter import SwapMessagePlan, message_plan
-from .nestplan import CodegenError, NestPlan, local_name, plan_box, plan_nest, print_numpy
+from .nestplan import (
+    BoxPlan, CodegenError, NestPlan, block_starts, local_name, plan_box, plan_nest, print_numpy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +145,8 @@ class KernelSchedule:
 
     @property
     def uses_team(self) -> bool:
-        """Whether boxes run as chunks on a thread team."""
-        return any(isinstance(step, Nest) and len(step.plan.boxes) > 1
+        """Whether a box's blocks are dealt to a thread team."""
+        return any(isinstance(step, Nest) and step.plan.team > 1
                    for step in (*self.pre, *self.body, *self.post))
 
     @property
@@ -290,7 +292,7 @@ def print_python(schedule: KernelSchedule, label: str,
     ``("env", k)`` slots the emitter binds).  Each box is planned
     (:func:`~repro.interp.nestplan.plan_box`) and written by
     :func:`~repro.interp.nestplan.print_numpy` with literal slices; the
-    scratch slots it writes and the team chunks it runs as are set up once,
+    scratch slots it writes and the team functions it runs on are set up once,
     ahead of the time loop.  ``traced`` brackets each step with spans.
     """
     printer = _PythonPrinter(schedule, traced)
@@ -304,7 +306,7 @@ class _PythonPrinter:
     def __init__(self, schedule: KernelSchedule, traced: bool):
         self.schedule = schedule
         self.traced = traced
-        # The scratch allocations and team-chunk functions that run once,
+        # The scratch allocations and team functions that run once,
         # ahead of the time loop; the lines of the segment being printed,
         # with their relative indentation; what the kernel reads in ``_ctx``.
         self.setup: list[str] = []
@@ -375,44 +377,48 @@ class _PythonPrinter:
                 self._complete(step)
             with self._span("nest.boundary", bool(plan.strips)):
                 for strip in plan.strips:
-                    self.lines.extend(self._print(plan, strip)[0])
-        # Reductions (never chunked, never split) are what islands and later
+                    self.lines.extend(self._print(plan_box(plan, strip))[0])
+        # Reductions (never dealt to a team, never split) are what islands and later
         # nests read the nest's results as.
         for slot, name in zip(plan.nest.reductions, reduced):
             self.lines.append(f"_env[_ctx[{self._add_ctx(slot)}]] = {name}")
 
     def _print_boxes(self, plan: NestPlan) -> list[str]:
-        """Inline one box, or run its team chunks on ``_team``.
+        """Inline the nest's first box, or deal its blocks to ``_team``.
 
-        Each chunk becomes a local function defined ahead of the time loop —
-        it reads the rotating buffers as closure variables — with scratch of
-        its own.  Returns the names of the box's reduction results.
+        A team runs one local function per thread, defined ahead of the time
+        loop — it reads the rotating buffers as closure variables — with
+        scratch of its own.  Each walks the box's block loop, taking the
+        outermost block starts from one iterator the run makes fresh for
+        every map: a ``range`` iterator hands each start out once, under
+        the GIL.  Returns the names of the box's reduction results.
         """
-        if len(plan.boxes) == 1:
-            lines, reduced = self._print(plan, plan.boxes[0])
+        box = plan_box(plan, plan.box)
+        if plan.team == 1:
+            lines, reduced = self._print(box)
             self.lines.extend(lines)
             return reduced
-        names = []
-        for dims in plan.boxes:
-            lines, _ = self._print(plan, dims)
+        shared, names = self._new_var("_k"), []
+        for _ in range(plan.team):
+            lines, _ = self._print(box, shared)
             names.append(self._new_var("_c"))
             self.setup.append(f"def {names[-1]}():")
             self.setup.extend("    " + line for line in _block(lines))
+        self.lines.append(f"{shared} = iter({block_starts(box, box.looped[0])})")
         self.lines.append(f"_team.map(_call, ({', '.join(names)},))")
         return []
 
-    def _print(self, plan: NestPlan, dims) -> tuple[list[str], list[str]]:
-        """Plan one box of ``plan`` and print it; its scratch goes to the setup.
+    def _print(self, box: BoxPlan, shared: Optional[str] = None) -> tuple[list[str], list[str]]:
+        """Print one planned box; its scratch goes to the setup.
 
         The region views it reads and writes are bound after its comment,
         or once per rotation phase ahead of the time loop when it runs in
         the loop.
         """
-        box = plan_box(plan, dims)
         views: dict[tuple, str] = {}
         setup, lines, reduced = print_numpy(
             box, self._new_var, lambda ref: self._outer_source(ref, box.dims),
-            lambda sym, index: self._view(sym, index, views),
+            lambda sym, index: self._view(sym, index, views), shared,
         )
         self.setup.extend(setup)
         bound = [f"{name} = {local_name(sym)}{index}"

@@ -4,15 +4,17 @@ The paper's strong-scaling configurations (figs. 8 and 11) are *hybrid*
 MPI+OpenMP: several OS-process ranks, each running a team of threads over the
 rank's shared address space.  This module provides that second level for the
 reproduction: a :class:`ThreadTeam` of ``size`` threads is the calling
-thread plus ``size - 1`` persistent helper threads, which a megakernel runs
-a box's team chunks on (:func:`repro.interp.nestplan.plan_nest` splits the
-outermost dimension of a box with a full block per thread).  The caller
-hands chunks 1... to the helpers and runs chunk 0 itself, as the master
-thread of an ``omp.parallel`` region does, so a team of two hands off one
-chunk.  The chunks run concurrently, each as its own sub-box of the nest —
-NumPy releases the GIL inside its ufunc loops, so the flops genuinely
-overlap.  A nest only runs vectorized when no cell it stores is loaded for
-another cell (the backend's aliasing verdict), so the chunks are
+thread plus ``size - 1`` persistent helper threads, which a megakernel deals
+a box's blocks to (:func:`repro.interp.nestplan.plan_nest` gives a box of at
+least a full block per thread a team).  The caller hands one function per
+helper to the helpers and runs the first itself, as the master thread of an
+``omp.parallel`` region does, so a team of two hands off one.  Each walks
+the box's block loop over one shared iterator of block starts — the dynamic
+schedule of ``omp for`` — so a thread that starts late or shares its CPU
+takes fewer blocks instead of holding up the step.  The threads run
+concurrently — NumPy releases the GIL inside its ufunc loops, so the flops
+genuinely overlap.  A nest only runs vectorized when no cell it stores is
+loaded for another cell (the backend's aliasing verdict), so the blocks are
 independent and the result stays bit-identical to the tree walker.
 
 Teams are cached per size and per process, exactly like the OS-process worker
@@ -94,12 +96,3 @@ def get_thread_team(size: int) -> Optional[ThreadTeam]:
             _TEAMS[size] = team
         return team
 
-
-def split_trip_counts(trips: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(trips)`` into at most ``parts`` balanced [start, end) spans."""
-    parts = max(1, min(parts, trips))
-    return [
-        (index * trips // parts, (index + 1) * trips // parts)
-        for index in range(parts)
-        if index * trips // parts < (index + 1) * trips // parts
-    ]

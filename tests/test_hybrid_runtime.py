@@ -20,7 +20,7 @@ from repro.core import (
     dmp_target,
 )
 from repro.interp import CompiledMegakernel
-from repro.interp.thread_team import get_thread_team, split_trip_counts
+from repro.interp.thread_team import get_thread_team
 from repro.runtime import processes_available
 from repro.workloads import acoustic_wave, heat_diffusion, masked_tracer_advection
 
@@ -224,18 +224,6 @@ def test_copy_elision_and_block_reuse():
 # thread team mechanics
 # ---------------------------------------------------------------------------
 
-def test_split_trip_counts_partitions_exactly():
-    for trips in (1, 2, 3, 7, 16, 1000):
-        for parts in (1, 2, 3, 8):
-            spans = split_trip_counts(trips, parts)
-            assert spans[0][0] == 0 and spans[-1][1] == trips
-            for (_, end), (start, _) in zip(spans, spans[1:]):
-                assert end == start
-            assert len(spans) == min(parts, trips)
-            sizes = [end - start for start, end in spans]
-            assert max(sizes) - min(sizes) <= 1
-
-
 def test_thread_teams_are_cached_per_size():
     assert get_thread_team(1) is None
     team = get_thread_team(2)
@@ -254,8 +242,8 @@ def test_teams_survive_fork_into_workers():
     process run below must finish — before the fix it hung until the pool's
     collect deadline.
     """
-    # Big enough that each rank's box splits into team chunks (two full
-    # blocks a rank), so the workers build and use their own teams.
+    # Big enough that each rank deals its box to a team (two full blocks a
+    # rank), so the workers build and use their own teams.
     shape = (384, 384)
     workload = heat_diffusion(shape, space_order=2, dtype=np.float64)
     module = workload.operator(backend="xdsl").stencil_module(dt=workload.dt)

@@ -283,9 +283,9 @@ def test_concurrent_cold_lookups_emit_each_kernel_once(monkeypatch):
 
 
 def test_auto_codegen_runs_thread_teams_in_the_megakernel(monkeypatch):
-    """With threads_per_rank > 1 each box of a full block per thread splits
-    into team chunks, local functions of the kernel run on the session's
-    team (blocks shrunk here, so that 48 x 96 cells a rank make two)."""
+    """With threads_per_rank > 1 each box of a full block per thread deals
+    its blocks to local functions of the kernel run on the session's team
+    (blocks shrunk here, so that 48 x 96 cells a rank make two)."""
     monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 2048)
     program = _compile_heat((2, 1), shape=(96, 96))
     fields = _heat_fields((98, 98))
@@ -386,7 +386,7 @@ def _trace_and_layout(program):
 
 def test_block_budget_patches_take_effect(monkeypatch):
     """The cell budgets live where boxes are planned: patching them there
-    is what forces block loops and team chunks onto small grids."""
+    is what forces block loops and teams onto small grids."""
     from repro.interp import nestplan
 
     trace, layout = _trace_and_layout(_compile_heat((1, 1)))
@@ -397,26 +397,27 @@ def test_block_budget_patches_take_effect(monkeypatch):
     assert emit_megakernel(trace, layout, threads=2).uses_team
 
 
-def _box_counts(program, threads: int) -> list[int]:
-    """How many boxes each fused nest of ``program``'s rank-0 kernel runs
-    as, planned from its buffer layout for a team of ``threads``."""
+def _team_sizes(program, threads: int) -> list[int]:
+    """How many threads each fused nest of ``program``'s rank-0 kernel deals
+    its first box's blocks to, planned from its buffer layout for a team of
+    ``threads``."""
     trace, layout = _trace_and_layout(program)
     schedule = plan_megakernel(trace, layout, 0, 1, threads)
-    return [len(step.plan.boxes) for step in (*schedule.pre, *schedule.body, *schedule.post)
+    return [step.plan.team for step in (*schedule.pre, *schedule.body, *schedule.post)
             if isinstance(step, Nest)]
 
 
-def test_a_box_splits_into_one_chunk_per_thread_of_a_full_block_each():
-    """kernel-large's 128^3 box (64 blocks) splits into one chunk per thread;
-    the smaller ledger boxes, of fewer than two blocks, stay inline."""
+def test_a_box_is_dealt_to_at_most_one_thread_per_full_block():
+    """kernel-large's 128^3 box (64 blocks) is dealt to every thread; the
+    smaller ledger boxes, of fewer than two blocks, stay inline."""
     wave_large = _pinned_program("wave3d-so4-128/cpu")
-    assert _box_counts(wave_large, 1) == [1]
-    assert _box_counts(wave_large, 2) == [2]
-    assert _box_counts(wave_large, 4) == [4]
+    assert _team_sizes(wave_large, 1) == [1]
+    assert _team_sizes(wave_large, 2) == [2]
+    assert _team_sizes(wave_large, 4) == [4]
     for program in (_pinned_program("heat2d-so2-64/dmp(1,1)"),
                     _wave_program((24,) * 3)[1], _wave_program((32,) * 3)[1]):
-        counts = _box_counts(program, 2)
-        assert counts and set(counts) == {1}, counts
+        sizes = _team_sizes(program, 2)
+        assert sizes and set(sizes) == {1}, sizes
 
 
 @pytest.mark.parametrize("cpus, ranks, threads", [(1, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2)])
@@ -434,16 +435,16 @@ def test_a_run_reports_the_team_size_it_resolved(monkeypatch):
     with Session(runtime="threads") as session:
         one = session.run(_compile_heat((1, 1)), _heat_fields(), [1])
         two = session.run(_compile_heat((2, 1)), _heat_fields(), [1])
-        # Neither kernel chunks a box: no team was made for them.
+        # Neither kernel deals a box to a team: no team was made for them.
         assert session.counters.thread_teams_created == 0
     assert (one.threads_per_rank, two.threads_per_rank) == (2, 1)
 
 
 def test_a_team_kernel_started_without_a_team_takes_the_process_wide_one():
-    """The kernel knows its team size; ``start`` with no team runs its
-    chunks on the process-wide team of that size."""
+    """The kernel knows its team size; ``start`` with no team deals its
+    blocks to the process-wide team of that size."""
     workload, program = _wave_program((64,) * 3)
-    data = workload.function.data_with_halo
+    data = np.random.default_rng(3).standard_normal(workload.function.data_with_halo.shape)
     trace = megakernel_trace(program, "kernel")
     outcomes = []
     for threads in (2, 1):
@@ -453,6 +454,32 @@ def test_a_team_kernel_started_without_a_team_takes_the_process_wide_one():
         stats = ExecStatistics()
         run_blocking(None, iter(kernel.start(args, stats, None)))
         assert kernel.team_size == threads and kernel.uses_team == (threads > 1)
+        outcomes.append(([a.tobytes() for a in args[:3]], stats))
+    assert outcomes[0] == outcomes[1]
+
+
+class _FirstOnlyTeam:
+    """A team whose helpers never start: ``map`` runs the first item alone."""
+
+    def map(self, fn, items):
+        return [fn(items[0])]
+
+
+def test_a_team_thread_alone_finishes_a_box_its_helpers_never_start():
+    """A box's blocks are dealt to the team one at a time from a shared
+    iterator, not split into fixed shares: when only the caller's function
+    runs, it takes every block, and the fields match a run without a team."""
+    workload, program = _wave_program((64,) * 3)
+    data = np.random.default_rng(3).standard_normal(workload.function.data_with_halo.shape)
+    trace = megakernel_trace(program, "kernel")
+    outcomes = []
+    for threads, team in ((2, _FirstOnlyTeam()), (1, None)):
+        args = [data[k].copy() for k in range(3)] + [3]
+        kernel = megakernel_for(
+            program, trace, ExecutionConfig(threads_per_rank=threads), args)
+        assert kernel.uses_team == (team is not None)
+        stats = ExecStatistics()
+        run_blocking(None, iter(kernel.start(args, stats, None, team=team)))
         outcomes.append(([a.tobytes() for a in args[:3]], stats))
     assert outcomes[0] == outcomes[1]
 
@@ -507,7 +534,7 @@ class TestThreadTeam:
 #: buffer layout without running: ``<fixture>/r<rank>[/traced]``.  The
 #: fixtures are the ledger's kernels (heat2d so2 64^2 on one and two ranks,
 #: wave3d so4 128^3 blocked, wave3d so8 (16, 256, 256) on two ranks in both
-#: halo spellings) and one kernel whose boxes split into team chunks.  A
+#: halo spellings) and one kernel that deals its boxes to a team.  A
 #: change to how nests are planned or printed must leave them all as they
 #: are; re-record them only when a PR changes the generated code on purpose.
 MEGAKERNEL_FINGERPRINTS = {
@@ -527,10 +554,10 @@ MEGAKERNEL_FINGERPRINTS = {
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r0/traced": "1b1c0aacea243682",
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1": "05a52e539df7949d",
     "wave3d-so8-16x256x256/dmp-libcall(2,1,1)/r1/traced": "f373d9cc2c1460f2",
-    "heat2d-so2-384/dmp(2,1)/threads2/r0": "b21693be4cfbcc38",
-    "heat2d-so2-384/dmp(2,1)/threads2/r0/traced": "5d32aa15b080a7e2",
-    "heat2d-so2-384/dmp(2,1)/threads2/r1": "e08e92d144b21242",
-    "heat2d-so2-384/dmp(2,1)/threads2/r1/traced": "cd77607a4a1425cb",
+    "heat2d-so2-384/dmp(2,1)/threads2/r0": "1274a52f5363d17c",
+    "heat2d-so2-384/dmp(2,1)/threads2/r0/traced": "7112dbb59a70ffcb",
+    "heat2d-so2-384/dmp(2,1)/threads2/r1": "5b7c70e1f2bc7431",
+    "heat2d-so2-384/dmp(2,1)/threads2/r1/traced": "c92ab43bd08473db",
 }
 
 #: fixture -> (workload, shape, space order, dmp_target arguments (None: the
@@ -582,8 +609,8 @@ def _cells(dims) -> int:
 
 
 def _tiling_violations(plan) -> list[str]:
-    """How a nest's boxes and strips fail to tile its dims exactly once."""
-    pieces = [[tuple(dim) for dim in piece] for piece in (*plan.boxes, *plan.strips)]
+    """How a nest's box and strips fail to tile its dims exactly once."""
+    pieces = [[tuple(dim) for dim in piece] for piece in (plan.box, *plan.strips)]
     found = []
     if sum(map(_cells, pieces)) != _cells(plan.dims):
         found.append(f"{sum(map(_cells, pieces))} cells planned of {_cells(plan.dims)}")
@@ -685,9 +712,10 @@ def _reduce_then_scale_module():
 
 
 def _plain_schedules():
-    """``{label: (schedule, traced)}``: every pinned kernel's schedule, and
-    those of kernels with an island, with a fused reduction a later nest
-    reads, with a run-time ``_env`` scalar and split into team chunks."""
+    """``{label: (schedule, traced)}``: every pinned kernel's schedule (one
+    deals its blocks to a team), and those of kernels with an island, with
+    a fused reduction a later nest reads and with a run-time ``_env``
+    scalar."""
     schedules = {}
     for fixture in sorted(_PINNED_KERNELS):
         *_, size, threads = _PINNED_KERNELS[fixture]
@@ -700,8 +728,7 @@ def _plain_schedules():
     for name, module, args, threads in (
             ("island", _halving_module(), [np.arange(8.0), np.zeros(1), 3], 1),
             ("reduction-and-env", _reduce_then_scale_module(),
-             [np.ones(64), np.zeros(64), 2], 1),
-            ("team-chunks", _reduce_then_scale_module(), [np.ones(64), np.zeros(64), 2], 2)):
+             [np.ones(64), np.zeros(64), 2], 1)):
         func_op = next(op for op in module.walk() if isinstance(op, func.FuncOp))
         trace = trace_program(func_op, compile_kernel(module, "kernel"))
         with unittest.mock.patch.object(nestplan, "_BLOCK_CELLS", 8):
@@ -714,9 +741,9 @@ def test_every_schedule_is_a_plain_value():
     """A schedule holds no IR: it survives a pickle round trip equal to
     itself, and its copy prints the same source."""
     schedules = _plain_schedules()
-    assert len(schedules) == len(MEGAKERNEL_FINGERPRINTS) + 3
+    assert len(schedules) == len(MEGAKERNEL_FINGERPRINTS) + 2
     island, env, team = (schedules[name][0] for name in
-                         ("island", "reduction-and-env", "team-chunks"))
+                         ("island", "reduction-and-env", "heat2d-so2-384/dmp(2,1)/threads2/r0"))
     assert island.has_islands and env.has_islands and team.uses_team
     total, scale = (step.plan.nest for step in env.body if isinstance(step, Nest))
     reads = [ref for instr in scale.instrs for ref in operand_refs(instr)]
@@ -727,17 +754,13 @@ def test_every_schedule_is_a_plain_value():
         assert copy == schedule, label
         assert print_python(copy, label, traced)[0] == \
             print_python(schedule, label, traced)[0], label
-    # The kernels the emitter binds to the trace's values read them right,
-    # flat and in team chunks.
+    # The kernel the emitter binds to the trace's values reads them right.
     data = np.random.default_rng(11).standard_normal(64)
     walked = [data.copy(), np.zeros(64)]
     Interpreter(_reduce_then_scale_module()).call("kernel", *walked, 2)
-    for threads in (1, 2):
-        fused = [data.copy(), np.zeros(64)]
-        with unittest.mock.patch.object(nestplan, "_BLOCK_CELLS", 8):
-            assert run_compiled(_reduce_then_scale_module(), "kernel", *fused, 2,
-                                threads=threads)[1] is None
-        assert [a.tobytes() for a in fused] == [a.tobytes() for a in walked], threads
+    fused = [data.copy(), np.zeros(64)]
+    assert run_compiled(_reduce_then_scale_module(), "kernel", *fused, 2)[1] is None
+    assert [a.tobytes() for a in fused] == [a.tobytes() for a in walked]
 
 
 def _elements(region) -> int:
@@ -1313,7 +1336,7 @@ def test_planned_runs_the_tree_walker():
 
 def test_team_chunks_never_split_a_reduction(monkeypatch):
     """Reductions fold in iteration order: with a team and every box worth
-    chunking, the reduction nest still runs whole."""
+    dealing to it, the reduction nest still runs whole."""
     from repro.interp import nestplan
 
     monkeypatch.setattr(nestplan, "_BLOCK_CELLS", 8)
@@ -1427,8 +1450,8 @@ TRAFFIC = {
 def test_every_compiled_program_engages(traffic, monkeypatch):
     """Each traffic class runs its megakernel on every rank with every
     compiled nest fused, no fallback, and agrees with the tree walker:
-    fields, Exec and Comm statistics.  A class with a team splits its boxes
-    into team chunks (with blocks shrunk: a chunk needs a full block)."""
+    fields, Exec and Comm statistics.  A class with a team deals its boxes'
+    blocks to it (with blocks shrunk: a thread needs a full block)."""
     build, extra, ranks, nests = TRAFFIC[traffic]
     team = extra.get("threads_per_rank", 1) > 1
     if team:

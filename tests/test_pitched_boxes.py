@@ -3,8 +3,8 @@
 A pitched box computes over one contiguous span of its buffers (1-D slices
 from each region's first cell); a strided one over N-D region views.  Each
 box's ``# box`` comment says which one it got and why.  Every case here is
-checked against the tree walker bit for bit, whole, in ragged blocks and in
-team chunks (``tests/test_properties.py::_check_against_tree_walker``), so
+checked against the tree walker bit for bit, whole, in ragged blocks and
+dealt to a team (``tests/test_properties.py::_check_against_tree_walker``), so
 a pitched box that wrote a pad cell of its target, or computed over a span
 one cell short, fails here.
 """
@@ -120,7 +120,7 @@ _CASES = {
                 "pitched (span 40 of 30 cells)"),
     "pitched-f32": ([(f32, (8, 7))] * 2, _GRID, _stencil_of_f32, False,
                     "pitched (span 40 of 30 cells)"),
-    # Stores its own load: no statement at all, in a team chunk too.
+    # Stores its own load: no statement at all, dealt to a team too.
     "own-load-stored": (_FIELD, _GRID, _own_load_stored, False,
                         "pitched (span 40 of 30 cells)"),
     "non-contiguous": (_FIELD * 2, _GRID, _stencil, True,

@@ -194,7 +194,7 @@ class TestHaloExchangeProperty:
 # ---------------------------------------------------------------------------
 #
 # The tree walker is the executable semantics; the megakernel that inlines
-# the emitted statements, whole and chunked over a thread team, must agree
+# the emitted statements, inline and dealt to a thread team, must agree
 # with it bit for bit on programs nobody hand-picked.
 
 _OPS = ("add", "sub", "mul", "div")
@@ -310,7 +310,7 @@ def _reads_unexchanged_cells(spec, grid) -> bool:
 
 
 #: The execution tiers: the tree walker first (the reference), then the
-#: megakernel, whole and with its boxes chunked over a 2-thread team.
+#: megakernel, inline and with its boxes' blocks dealt to a 2-thread team.
 _TIERS = (
     dict(backend="interpreter"),
     dict(backend="auto", codegen="auto"),
@@ -319,7 +319,7 @@ _TIERS = (
 
 
 #: Small enough that the drawn boxes (a few cells per axis) run as several
-#: blocks with ragged last ones, also inside team chunks and overlap strips.
+#: blocks with ragged last ones, also dealt to a team and in overlap strips.
 _SMALL_BLOCK_CELLS = 8
 
 
@@ -327,9 +327,9 @@ def _compiled_worlds():
     """Patch the block budget: as shipped, then with blocks forced, then
     with one-cell blocks.
 
-    A box splits into thread-team chunks only with a full block per chunk:
-    the second world chunks the drawn boxes of two blocks or more, the
-    third every box of two rows or more.
+    A box's blocks are dealt to a team only with a full block per thread:
+    the second world deals the drawn boxes of two blocks or more, the
+    third every box of two rows or more (a 1-D box is one block: inline).
     """
     for budget in (nestplan._BLOCK_CELLS, _SMALL_BLOCK_CELLS, 1):
         with mock.patch.object(nestplan, "_BLOCK_CELLS", budget):
@@ -701,8 +701,8 @@ class TestNestEmitterDifferential:
 
     def test_rank_threads_and_teams_share_a_cold_blocked_nest(self):
         """Two rank threads, each with a 2-thread team, first-run one kernel:
-        every chunk has scratch of its own, allocated per call, so chunks and
-        ranks cannot see each other's."""
+        every team thread has scratch of its own, allocated per call, so
+        threads and ranks cannot see each other's."""
         builder = StencilProgramBuilder(shape=(8, 6), halo=1, dtype="f64")
         u, v = builder.add_field("u"), builder.add_field("v")
         builder.add_stencil([u], v, lambda e: e.mul(
@@ -836,8 +836,8 @@ def _parallel_module(arg_types, extents, body, inits=(), epilogue=None, step=1):
 
 
 def _check_against_tree_walker(module, make_args):
-    """The nest inlined into a megakernel — whole and team-chunked — vs the
-    walker."""
+    """The nest inlined into a megakernel — inline and dealt to a team — vs
+    the walker."""
     kernel = compile_kernel(module, "kernel")
     assert kernel.nest_count == 1, kernel.fallback_reasons
 
